@@ -79,12 +79,37 @@ type telemetryRow struct {
 	Dropped        int64   `json:"dropped,omitempty"`
 }
 
+// experimentNames are the -run selectors: "all", the sections it runs, and
+// the opt-in wire and scale experiments.
+var experimentNames = []string{"all", "table1", "table2", "table3", "table4", "table5",
+	"fig4", "search", "fig5", "table6", "sec6", "eq3", "skew", "maintain", "join",
+	"convergence", "churnbuild", "load", "antientropy", "engine", "telemetry",
+	"wire", "scale"}
+
+// parseRun splits a -run list into the set of selected experiments. A name
+// that selects nothing is an error, not a silent no-op.
+func parseRun(list string) (map[string]bool, error) {
+	known := make(map[string]bool, len(experimentNames))
+	for _, name := range experimentNames {
+		known[name] = true
+	}
+	want := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		name := strings.TrimSpace(s)
+		if !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q in -run (known: %s)", name, strings.Join(experimentNames, ","))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pgridbench: ")
 
 	var (
-		run      = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,table5,fig4,search,fig5,table6,sec6,eq3,skew,maintain,join,convergence,churnbuild,load,antientropy,engine,telemetry")
+		run      = flag.String("run", "all", "comma-separated experiments: "+strings.Join(experimentNames, ","))
 		seed     = flag.Int64("seed", 1, "random seed")
 		scale    = flag.Float64("scale", 1.0, "scale factor for the 20000-peer experiments (0 < scale ≤ 1)")
 		csvDir   = flag.String("csv", "", "also write each experiment as CSV into this directory")
@@ -96,9 +121,11 @@ func main() {
 		log.Fatalf("-scale %v out of range (0,1]", *scale)
 	}
 
-	want := map[string]bool{}
-	for _, s := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(s)] = true
+	want, err := parseRun(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pgridbench:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	sel := func(name string) bool { return want["all"] || want[name] }
 	out := os.Stdout

@@ -156,7 +156,7 @@ func (t *ChaosTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, e
 	t.mu.RUnlock()
 	if blocked {
 		t.blockedN.Add(1)
-		t.tel.RPCDropped(msg.Kind.String())
+		rpcKind(t.tel, msg.Kind).Dropped()
 		return nil, fmt.Errorf("%w: %v → %v partitioned", ErrOffline, msg.From, to)
 	}
 
@@ -167,7 +167,7 @@ func (t *ChaosTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, e
 
 	if t.cfg.Drop > 0 && chaosFloat(chaosRand(&t.state)) < t.cfg.Drop {
 		t.dropped.Add(1)
-		t.tel.RPCDropped(msg.Kind.String())
+		rpcKind(t.tel, msg.Kind).Dropped()
 		return nil, fmt.Errorf("%w: message to %v lost", ErrOffline, to)
 	}
 

@@ -56,7 +56,7 @@ func (t *FlakyTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, e
 	t.total.Add(1)
 	if chaosFloat(chaosRand(&t.state)) < t.drop {
 		t.dropped.Add(1)
-		t.tel.RPCDropped(msg.Kind.String())
+		rpcKind(t.tel, msg.Kind).Dropped()
 		return nil, fmt.Errorf("%w: message to %v lost", ErrOffline, to)
 	}
 	return t.inner.Call(to, msg)

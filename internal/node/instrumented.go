@@ -42,18 +42,23 @@ func InstrumentTransportSlow(inner Transport, tel *telemetry.Instruments, slow t
 	return &InstrumentedTransport{inner: inner, tel: tel, slow: slow, rec: rec}
 }
 
+// rpcKind returns tel's instruments for a wire kind, by its code.
+func rpcKind(tel *telemetry.Instruments, k wire.Kind) *telemetry.RPCKind {
+	return tel.RPCKind(uint8(k), k.String())
+}
+
 // Call implements Transport.
 func (t *InstrumentedTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
 	start := time.Now()
 	resp, err := t.inner.Call(to, msg)
 	d := time.Since(start)
-	kind := msg.Kind.String()
-	t.tel.ClientRPC(kind, d, err)
+	rpc := rpcKind(t.tel, msg.Kind)
+	rpc.Client(d, err)
 	if t.tel.EventsOn() {
-		t.tel.EmitRPC(kind, int(to), d.Microseconds())
+		t.tel.EmitRPC(msg.Kind.String(), int(to), d.Microseconds())
 	}
 	if t.slow > 0 && d >= t.slow {
-		t.tel.SlowRPC(kind)
+		rpc.Slow()
 		t.recordSlow(to, msg, d, err)
 	}
 	return resp, err

@@ -126,11 +126,11 @@ func (n *Node) History() *telemetry.History { return n.history }
 // /debug/history points straight at a retrievable route in the flight
 // recorder.
 func (n *Node) Handle(m *wire.Message) *wire.Message {
-	kind := m.Kind.String()
-	n.tel.ServedRPC(kind)
+	rpc := rpcKind(n.tel, m.Kind)
+	rpc.Served()
 	start := time.Now()
 	resp := n.handle(m)
-	n.tel.ServedRPCTraced(kind, time.Since(start), resp.Kind == wire.KindError, traceIDOf(m))
+	rpc.ServedDone(time.Since(start), resp.Kind == wire.KindError, traceIDOf(m))
 	return resp
 }
 
@@ -143,8 +143,31 @@ func traceIDOf(m *wire.Message) uint64 {
 	return 0
 }
 
+// hasPayload reports whether m carries the payload its kind's handler
+// dereferences. Both codecs decode a bare kind-and-sender frame cleanly,
+// with every payload pointer nil.
+func hasPayload(m *wire.Message) bool {
+	switch m.Kind {
+	case wire.KindQuery:
+		return m.Query != nil
+	case wire.KindExchange:
+		return m.Exchange != nil
+	case wire.KindApply:
+		return m.Apply != nil
+	case wire.KindGet:
+		return m.Get != nil
+	case wire.KindScan:
+		return m.Scan != nil
+	}
+	return true
+}
+
 // handle is the untimed dispatch switch behind Handle.
 func (n *Node) handle(m *wire.Message) *wire.Message {
+	if !hasPayload(m) {
+		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
+			Error: fmt.Sprintf("missing payload for kind %v", m.Kind)}
+	}
 	switch m.Kind {
 	case wire.KindQuery:
 		resp := n.handleQuery(m.Query)

@@ -212,30 +212,30 @@ func (p *PoolTransport) notePeerError(to addr.Addr, err error) {
 	p.tel.PeerError(int(to), errClass(err))
 }
 
-// errClass buckets a call error for the per-peer counters: "timeout",
-// "refused", "closed", "corrupt", other transport loss as "offline", and
-// error replies from a healthy peer as "app".
-func errClass(err error) string {
+// errClass buckets a call error for the per-peer counters: timeout,
+// refused, closed, corrupt, other transport loss as offline, and error
+// replies from a healthy peer as app.
+func errClass(err error) telemetry.ErrClass {
 	var ne net.Error
 	switch {
 	case errors.As(err, &ne) && ne.Timeout():
-		return "timeout"
+		return telemetry.ErrClassTimeout
 	case errors.Is(err, wire.ErrCorrupt):
-		return "corrupt"
+		return telemetry.ErrClassCorrupt
 	case errors.Is(err, ErrOffline):
 		s := err.Error()
 		switch {
 		case strings.Contains(s, "connection refused"):
-			return "refused"
+			return telemetry.ErrClassRefused
 		case strings.Contains(s, "timed out"), strings.Contains(s, "timeout"):
-			return "timeout"
+			return telemetry.ErrClassTimeout
 		case strings.Contains(s, "closed"):
-			return "closed"
+			return telemetry.ErrClassClosed
 		default:
-			return "offline"
+			return telemetry.ErrClassOffline
 		}
 	default:
-		return "app"
+		return telemetry.ErrClassApp
 	}
 }
 
@@ -524,13 +524,15 @@ func (p *PoolTransport) dialConn(to addr.Addr, ep string, gobOnly bool, pp *peer
 	}
 	conn.SetDeadline(time.Time{})
 	mc := &muxConn{
-		pt:      p,
-		pool:    pp,
-		peer:    to,
-		conn:    conn,
-		br:      br,
-		pending: make(map[uint32]chan *wire.Message),
+		pt:       p,
+		pool:     pp,
+		peer:     to,
+		conn:     conn,
+		br:       br,
+		pending:  make(map[uint32]*callSlot),
+		watching: true,
 	}
+	mc.watchdog = time.AfterFunc(p.cfg.IOTimeout, mc.expire)
 	mc.lastUse.Store(time.Now().UnixNano())
 	p.dials.Add(1)
 	p.open.Add(1)
@@ -578,9 +580,17 @@ type muxConn struct {
 	seq uint32 // next sequence id, under wmu
 
 	mu      sync.Mutex
-	pending map[uint32]chan *wire.Message
+	pending map[uint32]*callSlot
 	dead    bool
 	deadErr error
+	// watchdog enforces IOTimeout for every pending call with one timer
+	// per connection (binary mode only): it is armed while watching is
+	// set, and each time it fires it either kills the connection over the
+	// oldest overdue call or re-arms for the oldest pending deadline. A
+	// busy connection thus touches its timer about once per IOTimeout,
+	// not twice per call.
+	watchdog *time.Timer
+	watching bool
 
 	gob      bool
 	fellBack bool // gob via failed binary negotiation, not by configuration
@@ -588,6 +598,20 @@ type muxConn struct {
 	lastUse  atomic.Int64
 	inflight atomic.Int32
 }
+
+// callSlot is where one in-flight binary call waits for its reply. Slots
+// are pooled. A registered slot is sent to exactly once — the response by
+// readLoop, or nil by fail — and its owner puts it back only after
+// receiving that send, so a reused slot never holds a previous owner's
+// reply.
+type callSlot struct {
+	ch       chan *wire.Message // capacity 1
+	deadline time.Time          // when the reply is overdue
+}
+
+var callSlots = sync.Pool{New: func() any {
+	return &callSlot{ch: make(chan *wire.Message, 1)}
+}}
 
 // call runs one round trip. Errors are Transient (ErrOffline-wrapped)
 // unless the response itself was undecodable (ErrCorrupt via the reader).
@@ -601,54 +625,73 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 		return m.callGob(msg, ioTimeout)
 	}
 
-	ch := make(chan *wire.Message, 1)
+	slot := callSlots.Get().(*callSlot)
 	m.wmu.Lock()
 	m.seq++
 	seq := m.seq
+	deadline := time.Now().Add(ioTimeout)
+	slot.deadline = deadline
 	m.mu.Lock()
 	if m.dead {
 		// Registered against a dying connection: fail now, before writing.
 		err := m.deadErr
 		m.mu.Unlock()
 		m.wmu.Unlock()
+		callSlots.Put(slot)
 		return nil, err
 	}
-	m.pending[seq] = ch
+	m.pending[seq] = slot
+	if !m.watching {
+		m.watching = true
+		m.watchdog.Reset(ioTimeout)
+	}
 	m.mu.Unlock()
-	m.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+	m.conn.SetWriteDeadline(deadline)
 	err := wire.WriteFrame(m.conn, seq, 0, msg)
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err))
-		m.mu.Lock()
-		err := m.deadErr
-		m.mu.Unlock()
-		return nil, err
 	}
+	// The one send a registered slot is owed: the response, or nil from
+	// fail — ours above, the watchdog's when the response missed its
+	// deadline, or anyone's who saw the connection die.
+	resp := <-slot.ch
+	callSlots.Put(slot)
+	if resp == nil || err != nil {
+		m.mu.Lock()
+		deadErr := m.deadErr
+		m.mu.Unlock()
+		return nil, deadErr
+	}
+	return resp, nil
+}
 
-	timer := time.NewTimer(ioTimeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		if resp == nil {
-			m.mu.Lock()
-			err := m.deadErr
-			m.mu.Unlock()
-			return nil, err
+// expire is the watchdog: one stuck response poisons the stream ordering
+// for everyone, so a pending call past its deadline kills the connection,
+// failing the other in-flight calls Transient.
+func (m *muxConn) expire() {
+	m.mu.Lock()
+	var (
+		oldest    *callSlot
+		oldestSeq uint32
+	)
+	for seq, slot := range m.pending {
+		if oldest == nil || slot.deadline.Before(oldest.deadline) {
+			oldest, oldestSeq = slot, seq
 		}
-		return resp, nil
-	case <-timer.C:
-		// One stuck response poisons the stream ordering for everyone:
-		// kill the connection, failing the other in-flight calls Transient.
-		m.fail(fmt.Errorf("%w: %v: response %d timed out", ErrOffline, m.peer, seq))
-		if resp := <-ch; resp != nil {
-			return resp, nil // raced the kill and won
-		}
-		m.mu.Lock()
-		err := m.deadErr
-		m.mu.Unlock()
-		return nil, err
 	}
+	if oldest == nil {
+		m.watching = false // idle (or dead); the next call re-arms
+		m.mu.Unlock()
+		return
+	}
+	if wait := time.Until(oldest.deadline); wait > 0 {
+		m.watchdog.Reset(wait)
+		m.mu.Unlock()
+		return
+	}
+	m.mu.Unlock()
+	m.fail(fmt.Errorf("%w: %v: response %d timed out", ErrOffline, m.peer, oldestSeq))
 }
 
 func (m *muxConn) callGob(msg *wire.Message, ioTimeout time.Duration) (*wire.Message, error) {
@@ -694,11 +737,11 @@ func (m *muxConn) readLoop() {
 			continue // servers do not send requests on this stream
 		}
 		m.mu.Lock()
-		ch := m.pending[seq]
+		slot := m.pending[seq]
 		delete(m.pending, seq)
 		m.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if slot != nil {
+			slot.ch <- resp
 		}
 	}
 }
@@ -719,6 +762,9 @@ func (m *muxConn) fail(err error) {
 	m.mu.Unlock()
 
 	m.conn.Close()
+	if m.watchdog != nil {
+		m.watchdog.Stop()
+	}
 	if m.pool != nil {
 		m.pool.remove(m)
 	}
@@ -727,8 +773,8 @@ func (m *muxConn) fail(err error) {
 		m.pt.connLost.Add(1)
 		m.pt.tel.PoolConnLost()
 	}
-	for _, ch := range pending {
-		ch <- nil
+	for _, slot := range pending {
+		slot.ch <- nil
 	}
 	m.pt.publishGauges()
 }

@@ -144,12 +144,10 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 	tel.ResilienceCall()
 	t.opt.Budget.Deposit()
 	br := t.breaker(to)
-	kind := msg.Kind.String()
-
 	for attempt := 1; ; attempt++ {
 		if br != nil && !br.Allow() {
 			tel.ResilienceFastFail()
-			tel.ResilienceOutcome("fastfail")
+			tel.ResilienceOutcome(telemetry.OutcomeFastFail)
 			return nil, Mark(fmt.Errorf("%w: peer %v", ErrBreakerOpen, to), Transient)
 		}
 		resp, err := t.inner.Call(to, msg)
@@ -158,9 +156,9 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 				br.Success()
 			}
 			if attempt == 1 {
-				tel.ResilienceOutcome("ok")
+				tel.ResilienceOutcome(telemetry.OutcomeOK)
 			} else {
-				tel.ResilienceOutcome("ok-retried")
+				tel.ResilienceOutcome(telemetry.OutcomeOKRetried)
 			}
 			t.publishBudget()
 			return resp, nil
@@ -173,13 +171,13 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 			if br != nil {
 				br.Success()
 			}
-			tel.ResilienceOutcome("terminal")
+			tel.ResilienceOutcome(telemetry.OutcomeTerminal)
 			return nil, err
 		case Corrupt:
 			if br != nil {
 				br.Failure()
 			}
-			tel.ResilienceOutcome("corrupt")
+			tel.ResilienceOutcome(telemetry.OutcomeCorrupt)
 			return nil, err
 		}
 		// Transient: count against the breaker, retry if allowed.
@@ -187,18 +185,18 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 			br.Failure()
 		}
 		if attempt >= t.opt.Retry.MaxAttempts {
-			tel.ResilienceOutcome("transient")
+			tel.ResilienceOutcome(telemetry.OutcomeTransient)
 			t.publishBudget()
 			return nil, err
 		}
 		if !t.opt.Budget.Withdraw() {
 			tel.ResilienceBudgetExhausted()
-			tel.ResilienceOutcome("budget-exhausted")
+			tel.ResilienceOutcome(telemetry.OutcomeBudgetExhausted)
 			t.publishBudget()
 			return nil, err
 		}
 		t.retries.Add(1)
-		tel.ResilienceRetry(kind)
+		tel.RPCKind(uint8(msg.Kind), msg.Kind.String()).Retry()
 		t.sleep(t.opt.Retry.Backoff(attempt, trace.Mix64(t.seq.Add(0x9e3779b97f4a7c15))))
 	}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +84,7 @@ type Instruments struct {
 
 	refsLive    *Counter
 	refsDead    *Counter
-	refsByLevel [MaxLevels + 1]levelPair
+	refsByLevel [MaxLevels + 1]atomic.Pointer[levelPair]
 
 	rpcTotal     *Counter
 	rpcErrors    *Counter
@@ -130,6 +129,19 @@ type Instruments struct {
 	repairMessages *Counter
 	repairUnhealed *Gauge
 
+	// Hot-path instruments are indexed, not looked up by label: per-kind
+	// RPC instruments by wire kind code, outcomes by enum, probes by
+	// level, peer errors by address. Every slot starts empty and is filled
+	// on first use through the labeled slow path below, so names, help,
+	// registration order and exemplar enabling are those of that path.
+	rpcByCode [rpcKindSlots]atomic.Pointer[RPCKind]
+	rpcByName cowMap[string, *RPCKind]
+	outcomes  [numOutcomes]atomic.Pointer[Counter]
+	peerErrs  cowMap[int, *[numErrClasses]atomic.Pointer[Counter]]
+
+	// The labeled slow path: first use of a slot, and labels that are
+	// dynamic by nature (update strategy, repair class, dial codec).
+	// labeledMu also serializes the copy-on-write maps' writers.
 	labeledMu sync.RWMutex
 	labeled   map[string]*Counter
 	labeledQ  map[string]*QHist
@@ -440,80 +452,34 @@ func (t *Instruments) ObserveHealth(pathLen, entries, buddies int, livenessPermi
 	t.healthRounds.Set(rounds)
 }
 
+// ClientRPC, ServedRPC, ServedRPCDone, ServedRPCTraced and
+// MalformedResponse address a message kind by its label, for callers that
+// hold no wire code; callers on the per-message path use RPCKind.
+
 // ClientRPC records one outbound RPC of the given kind, its round-trip
 // latency, and whether it failed.
 func (t *Instruments) ClientRPC(kind string, d time.Duration, err error) {
-	if t == nil {
-		return
-	}
-	t.rpcTotal.Inc()
-	t.labeledCounter("pgrid_rpc_client_kind_total", "kind", kind, "outbound RPCs by message kind").Inc()
-	t.rpcLatency.Observe(int64(d))
-	t.latencyQ("pgrid_rpc_kind_latency_ns", kind, "outbound RPC round-trip latency by message kind, in nanoseconds").Observe(int64(d))
-	if err != nil {
-		t.rpcErrors.Inc()
-		t.labeledCounter("pgrid_rpc_client_kind_errors_total", "kind", kind, "failed outbound RPCs by message kind").Inc()
-	}
+	t.rpcNamed(kind).Client(d, err)
 }
 
 // ServedRPC records one inbound RPC of the given kind.
-func (t *Instruments) ServedRPC(kind string) {
-	if t == nil {
-		return
-	}
-	t.served.Inc()
-	t.labeledCounter("pgrid_rpc_served_kind_total", "kind", kind, "inbound RPCs by message kind").Inc()
-}
+func (t *Instruments) ServedRPC(kind string) { t.rpcNamed(kind).Served() }
 
 // ServedRPCDone records the handling duration and outcome of one inbound
 // RPC (paired with an earlier ServedRPC).
 func (t *Instruments) ServedRPCDone(kind string, d time.Duration, isErr bool) {
-	t.ServedRPCTraced(kind, d, isErr, 0)
+	t.rpcNamed(kind).ServedDone(d, isErr, 0)
 }
 
 // ServedRPCTraced is ServedRPCDone for a request carrying a trace
-// context: when exemplar capture is enabled the landing latency bucket
-// remembers traceID, so tail quantiles point at retrievable traces.
+// context (see RPCKind.ServedDone).
 func (t *Instruments) ServedRPCTraced(kind string, d time.Duration, isErr bool, traceID uint64) {
-	if t == nil {
-		return
-	}
-	t.latencyQ("pgrid_rpc_served_latency_ns", kind, "inbound RPC handling latency by message kind, in nanoseconds").ObserveTraced(int64(d), traceID)
-	if isErr {
-		t.servedErrors.Inc()
-		t.labeledCounter("pgrid_rpc_served_kind_errors_total", "kind", kind, "inbound RPCs answered with an error reply, by message kind").Inc()
-	}
-}
-
-// SlowRPC records one outbound RPC that exceeded the slow-op threshold.
-func (t *Instruments) SlowRPC(kind string) {
-	if t == nil {
-		return
-	}
-	t.rpcSlow.Inc()
-	t.labeledCounter("pgrid_rpc_slow_kind_total", "kind", kind, "slow outbound RPCs by message kind").Inc()
-}
-
-// PeerError records one failed outbound RPC against the peer it targeted
-// and a coarse error class ("timeout", "refused", "closed", "other").
-func (t *Instruments) PeerError(peer int, class string) {
-	if t == nil {
-		return
-	}
-	full := "pgrid_rpc_peer_errors_total{class=" + strconv.Quote(class) + ",peer=" + strconv.Quote(strconv.Itoa(peer)) + "}"
-	t.cachedCounter(full, "failed outbound RPCs by peer and error class").Inc()
+	t.rpcNamed(kind).ServedDone(d, isErr, traceID)
 }
 
 // MalformedResponse records one response whose payload did not match the
-// request kind — a peer answered, but with garbage. Counted separately
-// from offline peers so misbehavior is distinguishable from churn.
-func (t *Instruments) MalformedResponse(kind string) {
-	if t == nil {
-		return
-	}
-	t.rpcMalformed.Inc()
-	t.labeledCounter("pgrid_rpc_malformed_kind_total", "kind", kind, "malformed responses by request kind").Inc()
-}
+// request kind.
+func (t *Instruments) MalformedResponse(kind string) { t.rpcNamed(kind).Malformed() }
 
 // RepairFault records one structural fault detected by the repair
 // protocol, labeled by fault class (wrong-side-ref, dead-ref, …).
@@ -554,15 +520,6 @@ func (t *Instruments) ResilienceCall() {
 	t.resCalls.Inc()
 }
 
-// ResilienceRetry records one retry attempt of the given message kind.
-func (t *Instruments) ResilienceRetry(kind string) {
-	if t == nil {
-		return
-	}
-	t.resRetries.Inc()
-	t.labeledCounter("pgrid_resilience_retries_kind_total", "kind", kind, "retries by message kind").Inc()
-}
-
 // ResilienceBudgetExhausted records one retry refused for lack of budget.
 func (t *Instruments) ResilienceBudgetExhausted() {
 	if t == nil {
@@ -585,16 +542,6 @@ func (t *Instruments) ResilienceFastFail() {
 		return
 	}
 	t.resFastFails.Inc()
-}
-
-// ResilienceOutcome records the final outcome class of one resilient call
-// ("ok", "ok-retried", "transient", "terminal", "corrupt", "fastfail",
-// "budget-exhausted").
-func (t *Instruments) ResilienceOutcome(class string) {
-	if t == nil {
-		return
-	}
-	t.labeledCounter("pgrid_resilience_outcome_total", "class", class, "resilient calls by final outcome").Inc()
 }
 
 // ResilienceBreakerGauges publishes the current number of open and
@@ -691,16 +638,6 @@ func (t *Instruments) Hedge(won bool) {
 	}
 }
 
-// RPCDropped records one RPC dropped by failure injection
-// (node.FlakyTransport).
-func (t *Instruments) RPCDropped(kind string) {
-	if t == nil {
-		return
-	}
-	t.rpcDropped.Inc()
-	t.labeledCounter("pgrid_rpc_dropped_kind_total", "kind", kind, "dropped RPCs by message kind").Inc()
-}
-
 // Totals returns the headline counters for status lines: exchanges
 // executed, queries completed, and outbound RPC errors (including drops).
 func (t *Instruments) Totals() (exchanges, queries, rpcErrors int64) {
@@ -710,30 +647,9 @@ func (t *Instruments) Totals() (exchanges, queries, rpcErrors int64) {
 	return t.exchanges.Value(), t.queries.Value(), t.rpcErrors.Value() + t.rpcDropped.Value()
 }
 
-// levelCounters lazily registers the per-level liveness pair.
-func (t *Instruments) levelCounters(level int) levelPair {
-	t.labeledMu.RLock()
-	p := t.refsByLevel[level]
-	t.labeledMu.RUnlock()
-	if p.live != nil {
-		return p
-	}
-	t.labeledMu.Lock()
-	defer t.labeledMu.Unlock()
-	if t.refsByLevel[level].live == nil {
-		lvl := itoa(level)
-		t.refsByLevel[level] = levelPair{
-			live: t.reg.Counter(Label("pgrid_refs_level_live_total", "level", lvl),
-				"live reference probes by level"),
-			dead: t.reg.Counter(Label("pgrid_refs_level_dead_total", "level", lvl),
-				"dead reference probes by level"),
-		}
-	}
-	return t.refsByLevel[level]
-}
-
-// labeledCounter caches dynamically-labeled counters (RPC kinds, update
-// strategies) so the hot path is a read-locked map hit.
+// labeledCounter caches dynamically-labeled counters (update strategies,
+// repair classes) behind a read-locked map hit; it is also the first-use
+// slow path of the indexed slots in hotpath.go.
 func (t *Instruments) labeledCounter(name, key, value, help string) *Counter {
 	return t.cachedCounter(Label(name, key, value), help)
 }
@@ -838,12 +754,4 @@ func labelValue(full, key string) string {
 		return rest[:j]
 	}
 	return ""
-}
-
-// itoa avoids strconv for tiny non-negative ints on the probe path.
-func itoa(n int) string {
-	if n < 10 {
-		return string([]byte{byte('0' + n)})
-	}
-	return string([]byte{byte('0' + n/10), byte('0' + n%10)})
 }

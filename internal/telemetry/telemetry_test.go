@@ -33,7 +33,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	in.RefLiveness(2, true)
 	in.ClientRPC("query", time.Millisecond, nil)
 	in.ServedRPC("query")
-	in.RPCDropped("query")
+	in.RPCKind(0, "query").Dropped()
 	in.Emit(KindRound, nil)
 	in.SetSink(&MemorySink{})
 	in.SetClock(nil)
@@ -133,7 +133,7 @@ func TestInstrumentsCountersFlow(t *testing.T) {
 	in.ClientRPC("query", 2*time.Millisecond, nil)
 	in.ClientRPC("exchange", time.Millisecond, errTest)
 	in.ServedRPC("info")
-	in.RPCDropped("apply")
+	in.RPCKind(4, "apply").Dropped()
 
 	ex, q, werr := in.Totals()
 	if ex != 4 || q != 2 || werr != 2 {

@@ -153,24 +153,43 @@ func WriteFrame(w io.Writer, seq uint32, flags uint8, m *Message) error {
 // ReadFrame reads one binary frame from r. io.EOF before any header byte
 // is returned verbatim (clean close); any malformed header or payload is
 // ErrCorrupt. The returned message shares nothing with internal buffers.
+//
+// Handed a *bufio.Reader — which the server and the pool both do — the
+// header is parsed in place in the reader's buffer; any other reader pays
+// one small allocation for it (a local array escapes through the io.Reader
+// interface).
 func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	br, buffered := r.(*bufio.Reader)
+	var hdr []byte
+	if buffered {
+		hdr, err = br.Peek(HeaderSize)
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		hdr = make([]byte, HeaderSize)
+		_, err = io.ReadFull(r, hdr)
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, 0, nil, io.EOF
 		}
 		return 0, 0, nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return 0, 0, nil, fmt.Errorf("%w: bad frame magic %02x%02x", ErrCorrupt, hdr[0], hdr[1])
-	}
-	if hdr[2] != BinaryVersion {
-		return 0, 0, nil, fmt.Errorf("%w: unsupported binary codec version %d", ErrCorrupt, hdr[2])
-	}
+	m0, m1, version := hdr[0], hdr[1], hdr[2]
 	kind := Kind(hdr[3])
 	flags = hdr[4]
 	seq = binary.BigEndian.Uint32(hdr[5:9])
 	n := binary.BigEndian.Uint32(hdr[9:13])
+	if buffered {
+		br.Discard(HeaderSize) // cannot fail: Peek buffered these bytes
+	}
+	if m0 != magic0 || m1 != magic1 {
+		return 0, 0, nil, fmt.Errorf("%w: bad frame magic %02x%02x", ErrCorrupt, m0, m1)
+	}
+	if version != BinaryVersion {
+		return 0, 0, nil, fmt.Errorf("%w: unsupported binary codec version %d", ErrCorrupt, version)
+	}
 	if n > MaxFrameSize {
 		return 0, 0, nil, ErrFrameTooLarge
 	}
@@ -757,7 +776,14 @@ func (d *bdec) path() bitpath.Path {
 		d.fail("truncated path")
 		return ""
 	}
-	out := make([]byte, nbits)
+	// Paths are short (one bit per trie level): unpack into a stack
+	// buffer so the only allocation is the returned string.
+	var short [64]byte
+	out := short[:]
+	if nbits > uint64(len(short)) {
+		out = make([]byte, nbits)
+	}
+	out = out[:nbits]
 	for i := uint64(0); i < nbits; i++ {
 		bit := d.b[d.off+int(i/8)] >> (7 - i%8) & 1
 		out[i] = '0' + bit

@@ -12,6 +12,7 @@ import (
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
+	"pgrid/internal/raceflag"
 	"pgrid/internal/repair"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
@@ -324,28 +325,153 @@ func TestBinaryCorruptFrames(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), good()...))
-			if tc.name == "truncated header" || tc.name == "truncated payload" ||
-				tc.name == "length beyond body" {
-				// Truncation mid-frame: acceptable as ErrCorrupt or an
-				// unexpected-EOF read error, but never a panic or io.EOF-as-success.
-				_, _, m, err := ReadFrame(bytes.NewReader(b))
-				if err == nil {
-					t.Fatalf("decoded %+v from truncated frame", m)
-				}
-				return
-			}
 			if tc.name == "payload bit flip mid-varint" {
 				b = b[:HeaderSize]
 				b[9], b[10], b[11], b[12] = 0, 0, 0, 0
 			}
-			_, _, m, err := ReadFrame(bytes.NewReader(b))
-			if err == nil {
-				t.Fatalf("decoded %+v from corrupt frame", m)
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("want ErrCorrupt, got %v", err)
+			// Both header paths: parsed in place in a bufio.Reader's
+			// buffer, and read into a scratch header from any other reader.
+			for _, r := range []io.Reader{bytes.NewReader(b), bufio.NewReader(bytes.NewReader(b))} {
+				_, _, m, err := ReadFrame(r)
+				if err == nil {
+					t.Fatalf("%T: decoded %+v from corrupt frame", r, m)
+				}
+				if tc.name == "truncated header" || tc.name == "truncated payload" ||
+					tc.name == "length beyond body" {
+					// Truncation mid-frame is an unexpected-EOF read
+					// error, never io.EOF-as-clean-close.
+					if err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("%T: want an unexpected-EOF error, got %v", r, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%T: want ErrCorrupt, got %v", r, err)
+				}
 			}
 		})
+	}
+}
+
+// chunkReader hands out its chunks one Read at a time, then fails with err
+// (io.EOF when nil).
+type chunkReader struct {
+	chunks [][]byte
+	err    error
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		if c.err != nil {
+			return 0, c.err
+		}
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestReadFrameHeaderBoundaries: where the stream breaks relative to the
+// 13-byte header decides between a decoded frame, a clean close (io.EOF,
+// verbatim) and a torn frame (an error wrapping io.ErrUnexpectedEOF or the
+// reader's own) — the same through a bufio.Reader and through any other
+// reader.
+func TestReadFrameHeaderBoundaries(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 7, FlagResponse, &Message{Kind: KindGet, From: 2,
+		Get: &GetReq{Key: bitpath.MustParse("0110"), Name: "f"}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	reset := errors.New("connection reset")
+	perByte := make([][]byte, len(frame))
+	for i := range frame {
+		perByte[i] = frame[i : i+1]
+	}
+	cases := []struct {
+		name   string
+		chunks [][]byte
+		err    error
+		want   error // nil: the frame decodes; io.EOF: clean close, verbatim
+	}{
+		{name: "whole frame in one read", chunks: [][]byte{frame}},
+		{name: "header split across two reads", chunks: [][]byte{frame[:5], frame[5:]}},
+		{name: "header and payload in separate reads", chunks: [][]byte{frame[:HeaderSize], frame[HeaderSize:]}},
+		{name: "one byte per read", chunks: perByte},
+		{name: "EOF before any byte", want: io.EOF},
+		{name: "EOF after one header byte", chunks: [][]byte{frame[:1]}, want: io.ErrUnexpectedEOF},
+		{name: "EOF mid-header", chunks: [][]byte{frame[:5], frame[5:9]}, want: io.ErrUnexpectedEOF},
+		{name: "EOF mid-payload", chunks: [][]byte{frame[:HeaderSize+2]}, want: io.ErrUnexpectedEOF},
+		{name: "read error mid-header", chunks: [][]byte{frame[:5]}, err: reset, want: reset},
+		{name: "read error before any byte", err: reset, want: reset},
+	}
+	for _, tc := range cases {
+		for _, buffered := range []bool{true, false} {
+			var r io.Reader = &chunkReader{chunks: append([][]byte(nil), tc.chunks...), err: tc.err}
+			if buffered {
+				r = bufio.NewReader(r)
+			}
+			seq, flags, m, err := ReadFrame(r)
+			switch {
+			case tc.want == nil:
+				if err != nil || seq != 7 || flags != FlagResponse || m.Get == nil || m.Get.Key != "0110" || m.Get.Name != "f" {
+					t.Errorf("%s (buffered=%v): seq=%d flags=%d msg=%+v err=%v", tc.name, buffered, seq, flags, m, err)
+				}
+				if _, _, _, err := ReadFrame(r); err != io.EOF {
+					t.Errorf("%s (buffered=%v): after the frame: %v, want clean io.EOF", tc.name, buffered, err)
+				}
+			case tc.want == io.EOF:
+				if err != io.EOF {
+					t.Errorf("%s (buffered=%v): err = %v, want io.EOF verbatim", tc.name, buffered, err)
+				}
+			default:
+				if err == io.EOF || !errors.Is(err, tc.want) || m != nil {
+					t.Errorf("%s (buffered=%v): msg=%v err=%v, want an error wrapping %v", tc.name, buffered, m, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestAllocBudgetReadFrame: decoding a frame from a bufio.Reader allocates
+// what it returns — the Message, its payload struct and each non-empty
+// path or string — and nothing else: no header, no scratch path, no
+// decoder state.
+func TestAllocBudgetReadFrame(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	key := bitpath.MustParse("0110100101101001")
+	for _, tc := range []struct {
+		msg    *Message
+		budget float64
+	}{
+		// Message + QueryReq + Key.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 3},
+		// Message + QueryResp + Path.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 3},
+		// Message + GetReq + Key + Name.
+		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 4},
+	} {
+		frame, err := AppendFrame(nil, 1, 0, tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := bytes.NewReader(frame)
+		br := bufio.NewReader(src)
+		got := testing.AllocsPerRun(200, func() {
+			src.Reset(frame)
+			br.Reset(src)
+			if _, _, m, err := ReadFrame(br); err != nil || m.Kind != tc.msg.Kind {
+				t.Fatalf("decode: %v %v", m, err)
+			}
+		})
+		if got > tc.budget {
+			t.Errorf("ReadFrame(%v) = %.1f allocs, want ≤ %.0f (the structs and paths it returns)", tc.msg.Kind, got, tc.budget)
+		}
 	}
 }
 
