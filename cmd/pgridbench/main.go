@@ -80,11 +80,11 @@ type telemetryRow struct {
 }
 
 // experimentNames are the -run selectors: "all", the sections it runs, and
-// the opt-in wire and scale experiments.
+// the opt-in scale experiment.
 var experimentNames = []string{"all", "table1", "table2", "table3", "table4", "table5",
 	"fig4", "search", "fig5", "table6", "sec6", "eq3", "skew", "maintain", "join",
 	"convergence", "churnbuild", "load", "antientropy", "engine", "telemetry",
-	"wire", "scale"}
+	"scale"}
 
 // parseRun splits a -run list into the set of selected experiments. A name
 // that selects nothing is an error, not a silent no-op.
@@ -114,7 +114,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "scale factor for the 20000-peer experiments (0 < scale ≤ 1)")
 		csvDir   = flag.String("csv", "", "also write each experiment as CSV into this directory")
 		jsonPath = flag.String("json", "", "write a machine-readable report (per-experiment wall-clock + rows) to this file")
-		wireJSON = flag.String("wire-json", "", "with -run wire: write the codec × transport A/B matrix to this file")
 	)
 	flag.Parse()
 	if *scale <= 0 || *scale > 1 {
@@ -406,14 +405,6 @@ func main() {
 		check(err)
 		experiments.RenderAntiEntropy(out, rows)
 		csvOut("antientropy", func(w *os.File) error { return experiments.AntiEntropyCSV(w, rows) })
-	}
-	// "wire" is opt-in (not part of "all"): it spins a real TCP server and
-	// benchmarks the RPC wire — gob vs binary codec, dial-per-call vs
-	// pooled multiplexed connections.
-	if want["wire"] {
-		start := time.Now()
-		wireBench(out, *seed, *wireJSON)
-		record("wire", start, nil)
 	}
 	// "scale" is opt-in (not part of "all"): the 80k build takes minutes.
 	if want["scale"] {

@@ -10,11 +10,11 @@ import (
 )
 
 func TestParseRun(t *testing.T) {
-	want, err := parseRun("table1, engine,wire")
-	if err != nil || !want["table1"] || !want["engine"] || !want["wire"] || len(want) != 3 {
+	want, err := parseRun("table1, engine,scale")
+	if err != nil || !want["table1"] || !want["engine"] || !want["scale"] || len(want) != 3 {
 		t.Errorf("parseRun = %v, %v", want, err)
 	}
-	for _, bad := range []string{"nosuch", "table1,nosuch", "", "table1,"} {
+	for _, bad := range []string{"nosuch", "table1,nosuch", "", "table1,", "wire"} {
 		if want, err := parseRun(bad); err == nil {
 			t.Errorf("parseRun(%q) = %v, want an unknown-experiment error", bad, want)
 		}

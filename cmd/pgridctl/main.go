@@ -41,8 +41,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries   = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
 		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-		codec     = flag.String("codec", "binary", "wire codec: binary (negotiated per peer, gob fallback) or gob")
-		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (0 = dial per call)")
+		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (at least 1)")
 		sloSpecs  = flag.String("slo", "query:p99:5ms", "latency objectives for cluster reports: kind:pNN:threshold,... (empty disables)")
 		jsonOut   = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
 	)
@@ -85,7 +84,7 @@ commands:
 	}
 	flag.Parse()
 	args := flag.Args()
-	if *peers == "" || len(args) == 0 {
+	if *peers == "" || len(args) == 0 || *poolSize < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -95,10 +94,6 @@ commands:
 
 	if *retries < 1 {
 		log.Fatalf("-retries must be at least 1, got %d", *retries)
-	}
-
-	if *codec != "binary" && *codec != "gob" {
-		log.Fatalf("-codec %q must be binary or gob", *codec)
 	}
 
 	// Every command talks through this one transport, so the -timeout
@@ -111,7 +106,6 @@ commands:
 		DialTimeout: *timeout,
 		IOTimeout:   *timeout,
 		Size:        *poolSize,
-		ForceGob:    *codec == "gob",
 	})
 	defer pool.Close()
 	var all []addr.Addr

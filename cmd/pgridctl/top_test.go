@@ -195,7 +195,7 @@ func TestRenderKindTableOmitsIdleKinds(t *testing.T) {
 	if !strings.Contains(out, "exchange") {
 		t.Errorf("active kind missing:\n%s", out)
 	}
-	if strings.Contains(out, "query") || strings.Contains(out, "hello") {
+	if strings.Contains(out, "query") || strings.Contains(out, "kind(22)") {
 		t.Errorf("idle kinds rendered:\n%s", out)
 	}
 }

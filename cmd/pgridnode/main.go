@@ -84,8 +84,7 @@ func main() {
 		maintain  = flag.Duration("maintain", 0, "interval between reference-maintenance rounds (0 = off)")
 		dialTO    = flag.Duration("dial-timeout", 3*time.Second, "TCP connect timeout per outgoing call")
 		ioTO      = flag.Duration("io-timeout", 3*time.Second, "request/response timeout per outgoing call, started after the dial")
-		codec     = flag.String("codec", "binary", "wire codec for outgoing calls: binary (negotiated per peer, gob fallback) or gob")
-		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (0 = dial per call, the legacy behaviour)")
+		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (at least 1)")
 		poolIdle  = flag.Duration("pool-idle", 60*time.Second, "close pooled connections idle this long")
 		retries   = flag.Int("retries", 3, "max attempts per outgoing call (1 = no retries)")
 		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
@@ -128,7 +127,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *id < 0 || *listen == "" || (*peers == "" && *peersFile == "") {
+	if *id < 0 || *listen == "" || (*peers == "" && *peersFile == "") || *poolSize < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -167,15 +166,11 @@ func main() {
 		}
 	}
 
-	if *codec != "binary" && *codec != "gob" {
-		fatal("configuration", fmt.Errorf("-codec %q must be binary or gob", *codec))
-	}
 	pool := node.NewPoolTransport(node.PoolConfig{
 		DialTimeout: *dialTO,
 		IOTimeout:   *ioTO,
 		Size:        *poolSize,
 		IdleTimeout: *poolIdle,
-		ForceGob:    *codec == "gob",
 	})
 	pool.SetTelemetry(tel)
 	defer pool.Close()

@@ -8,8 +8,23 @@ import (
 
 	"pgrid/internal/addr"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
+
+// chaosRand advances a shared splitmix64 state by one golden-ratio step
+// and mixes it — a lock-free per-call random draw (the per-worker RNG
+// pattern from the concurrent construction engine). Unlike a mutex-guarded
+// rand.Rand, concurrent callers never serialize on it, so fault injection
+// cannot mask the contention bugs it is meant to expose.
+func chaosRand(state *atomic.Uint64) uint64 {
+	return trace.Mix64(state.Add(0x9e3779b97f4a7c15))
+}
+
+// chaosFloat maps a draw onto [0, 1).
+func chaosFloat(v uint64) float64 {
+	return float64(v>>11) / (1 << 53)
+}
 
 // ChaosConfig parameterizes a ChaosTransport. All probabilities are per
 // call in [0, 1); zero values disable the corresponding fault.

@@ -23,11 +23,11 @@ import (
 )
 
 // connKillingChaos injects drops the way a real network fails a pooled
-// transport: a dropped call evicts the target peer's warm connections —
-// killing them mid-stream under whatever other requests are multiplexed
-// on them — and reports Transient. Unlike the in-process ChaosTransport,
-// the damage here outlives the dropped call: the next caller must re-dial
-// and every in-flight request on the killed connections fails too.
+// transport: a dropped call kills the connection it would have travelled
+// on — mid-stream, under whatever other requests are multiplexed on it —
+// and reports Transient. Unlike the in-process ChaosTransport, the
+// damage here outlives the dropped call: the next caller must re-dial and
+// every in-flight request on the killed connection fails too.
 type connKillingChaos struct {
 	pt   *PoolTransport
 	drop float64
@@ -36,6 +36,7 @@ type connKillingChaos struct {
 	rng *rand.Rand
 
 	dropped atomic.Int64
+	killed  atomic.Int64 // warm connections closed by drops
 	total   atomic.Int64
 }
 
@@ -46,15 +47,35 @@ func (c *connKillingChaos) Call(to addr.Addr, m *wire.Message) (*wire.Message, e
 	c.mu.Unlock()
 	if hit {
 		c.dropped.Add(1)
-		c.pt.Evict(to)
+		c.kill(to)
 		return nil, fmt.Errorf("%w: chaos killed the connection to %v", ErrOffline, to)
 	}
 	return c.pt.Call(to, m)
 }
 
-// TestChaosSoakPooledTCP is the PR-5 resilience soak rebuilt on the fast
-// wire: a 64-peer community served over real TCP, all traffic multiplexed
-// through one pooled binary transport under a resilient wrapper whose
+// kill closes the connection the pool hands the dropped call: an idle one
+// when the peer has one, a fresh dial while the pool is below Size, a shared
+// one — taking the requests in flight on it along — only when the pool is
+// full and busy. One lost request costs one connection, as on a real
+// network. PoolTransport.Evict would close the peer's whole pool: with
+// several callers in flight to one peer every drop then fails all of them
+// at once, and such a run of consecutive failures opens the breaker of a
+// peer that is online, which is the harness bending p̂, not the wire.
+func (c *connKillingChaos) kill(to addr.Addr) {
+	ep, _ := c.pt.Endpoint(to)
+	mc, warm, err := c.pt.pool(to).acquire(c.pt, to, ep)
+	if err != nil {
+		return
+	}
+	mc.close()
+	if warm {
+		c.killed.Add(1)
+	}
+}
+
+// TestChaosSoakPooledTCP is the PR-5 resilience soak rebuilt on the wire:
+// a 64-peer community served over real TCP, all traffic multiplexed
+// through one pooled transport under a resilient wrapper whose
 // breaker-open transitions evict pooled connections. Chaos drops kill a
 // connection, not the process — in-flight requests on the killed socket
 // fail Transient and retry — and a fifth of the peers go offline. The
@@ -198,8 +219,8 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 	retries := counterVal(t, tel, "pgrid_resilience_retries_total")
 	opens := counterVal(t, tel, "pgrid_resilience_breaker_opens_total")
 	st := pt.Stats()
-	t.Logf("pooled soak: %d peers (%d offline), %d calls (%d chaos-killed), %d retries, %d breaker opens",
-		peers, offlineN, chaos.total.Load(), chaos.dropped.Load(), retries, opens)
+	t.Logf("pooled soak: %d peers (%d offline), %d calls (%d dropped, killing %d warm connections), %d retries, %d breaker opens",
+		peers, offlineN, chaos.total.Load(), chaos.dropped.Load(), chaos.killed.Load(), retries, opens)
 	t.Logf("pool: %d dials, %d reuses, %d evictions, %d conns lost mid-flight, %d open at end",
 		st.Dials, st.Reuses, st.Evictions, st.ConnLost, st.Open)
 	t.Logf("availability: p̂=%.3f measured=%.3f predicted=%.3f querySuccess=%.3f",
@@ -229,8 +250,11 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 	if st.Reuses == 0 {
 		t.Error("soak never reused a pooled connection")
 	}
-	if st.Evictions == 0 {
-		t.Error("chaos never evicted a warm connection — drops did not kill connections")
+	if chaos.killed.Load() == 0 {
+		t.Error("chaos never killed a warm connection — drops did not kill connections")
+	}
+	if st.ConnLost == 0 {
+		t.Error("no connection was lost with requests in flight — kills never landed mid-stream")
 	}
 	if st.Dials < 2 {
 		t.Errorf("dials = %d; killed connections should force re-dials", st.Dials)

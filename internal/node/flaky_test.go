@@ -9,10 +9,11 @@ import (
 	"pgrid/internal/store"
 )
 
-// flakyCluster builds a cluster whose nodes talk through a lossy wrapper.
-func flakyCluster(n int, drop float64, seed int64) (*Cluster, *FlakyTransport) {
+// flakyCluster builds a cluster whose nodes talk through a lossy wrapper:
+// a ChaosTransport that only drops.
+func flakyCluster(n int, drop float64, seed int64) (*Cluster, *ChaosTransport) {
 	base := NewLocalTransport()
-	flaky := NewFlakyTransport(base, drop, seed)
+	flaky := NewChaosTransport(base, ChaosConfig{Drop: drop, Seed: seed})
 	c := &Cluster{Transport: base, Nodes: make([]*Node, n)}
 	for i := range c.Nodes {
 		c.Nodes[i] = New(addr.Addr(i), smallCfg(), flaky, seed+int64(i))
@@ -35,7 +36,8 @@ func TestConstructionSurvivesMessageLoss(t *testing.T) {
 	if avg := c.AvgPathLen(); avg < 0.95*4 {
 		t.Fatalf("construction stalled under 25%% loss: avg %.2f", avg)
 	}
-	dropped, total := flaky.Stats()
+	st := flaky.Stats()
+	dropped, total := st.Dropped, st.Total
 	if dropped == 0 || total == 0 {
 		t.Fatalf("loss never injected: %d/%d", dropped, total)
 	}
@@ -63,7 +65,7 @@ func TestQueriesSurviveMessageLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	buildCluster(t, c, 0.99*4, 80000, rng)
 
-	lossy := NewFlakyTransport(c.Transport, 0.2, 3)
+	lossy := NewChaosTransport(c.Transport, ChaosConfig{Drop: 0.2, Seed: 3})
 	for _, n := range c.Nodes {
 		n.tr = lossy
 	}
@@ -89,7 +91,7 @@ func TestMajorityReadSurvivesMessageLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	buildCluster(t, c, 0.99*4, 80000, rng)
 
-	lossy := NewFlakyTransport(c.Transport, 0.2, 5)
+	lossy := NewChaosTransport(c.Transport, ChaosConfig{Drop: 0.2, Seed: 5})
 	cl := NewClient(lossy, 6)
 	all := make([]addr.Addr, len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -115,7 +117,7 @@ func TestNewFlakyTransportValidation(t *testing.T) {
 					t.Errorf("drop=%v accepted", bad)
 				}
 			}()
-			NewFlakyTransport(base, bad, 1)
+			NewChaosTransport(base, ChaosConfig{Drop: bad, Seed: 1})
 		}()
 	}
 }

@@ -201,7 +201,7 @@ func TestCrawlPreHealthFallback(t *testing.T) {
 // community returns a census matching the peers' actual responsibility
 // paths.
 func TestTCPCrawl(t *testing.T) {
-	nodes, _, stop := startTCPCluster(t, 3)
+	nodes, _, stop := startPooledCluster(t, 3, PoolConfig{})
 	defer stop()
 	spec := []struct {
 		path string

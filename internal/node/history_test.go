@@ -24,7 +24,8 @@ import (
 // flight recorder, and (c) read a restarted peer as a counter reset,
 // never a negative rate.
 func TestTCPHistoryAcceptance(t *testing.T) {
-	tr := NewTCPTransport(2 * time.Second)
+	tr := NewPoolTransport(PoolConfig{})
+	defer tr.Close()
 	const nNodes = 3
 	nodes := make([]*Node, nNodes)
 	servers := make([]*Server, nNodes)
@@ -183,10 +184,23 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		t.Fatalf("exemplar trace %x not retrievable from the flight recorder (%d traces held)", traceID, len(traces))
 	}
 
-	// The batched cluster crawl federates every ring.
-	res := cl.CollectClusterHistory(0, 0, 0)
-	if len(res.Dumps) != nNodes || len(res.Unreachable) != 0 {
-		t.Fatalf("cluster history = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
+	// The batched cluster crawl federates every ring. Crawl again until node
+	// 2's ring has sampled the requests it served — over warm connections
+	// the traffic above can fit inside one sampling interval.
+	var res HistoryResult
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		res = cl.CollectClusterHistory(0, 0, 0)
+		if len(res.Dumps) != nNodes || len(res.Unreachable) != 0 {
+			t.Fatalf("cluster history = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
+		}
+		if p, ok := res.Dumps[2].Newest(); ok {
+			if served, _ := p.Snap.Stat(telemetry.StatServedTotal); served > 0 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node 2's ring never sampled the requests it served")
+		}
 	}
 	if res.Messages != 2*nNodes {
 		t.Errorf("messages = %d, want %d (one info+history batch per peer)", res.Messages, 2*nNodes)
@@ -220,6 +234,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	restarted.EnableHistory(telemetry.NewHistory(20*time.Millisecond, 10*time.Second))
 	srv2 := NewServer(restarted, ln)
 	tr.SetEndpoint(2, ln.Addr().String())
+	tr.Evict(2) // the pooled connection to the old incarnation is dying; do not race it
 	go srv2.Serve(ctx)
 	defer srv2.Close()
 	samplers.Add(1)

@@ -12,7 +12,7 @@ import (
 
 // InstrumentedTransport wraps a Transport and records every outbound call —
 // kind, round-trip latency, and failure — into a telemetry bundle. Wrap the
-// outermost transport (outside FlakyTransport) so injected drops are
+// outermost transport (outside ChaosTransport) so injected drops are
 // measured as the client sees them: failed calls.
 //
 // With a slow-op threshold set, calls that exceed it are additionally

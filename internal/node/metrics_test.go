@@ -59,7 +59,7 @@ func TestFetchMetrics(t *testing.T) {
 // a bucket-wise sum, so no extra error is tolerated on top of the ≤3.2%
 // the bucket geometry already bounds).
 func TestTCPCollectCluster(t *testing.T) {
-	nodes, tr, stop := startTCPCluster(t, 3)
+	nodes, tr, stop := startPooledCluster(t, 3, PoolConfig{})
 	defer stop()
 	spec := []struct {
 		path string

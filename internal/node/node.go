@@ -144,7 +144,7 @@ func traceIDOf(m *wire.Message) uint64 {
 }
 
 // hasPayload reports whether m carries the payload its kind's handler
-// dereferences. Both codecs decode a bare kind-and-sender frame cleanly,
+// dereferences. The codec decodes a bare kind-and-sender frame cleanly,
 // with every payload pointer nil.
 func hasPayload(m *wire.Message) bool {
 	switch m.Kind {
@@ -205,17 +205,6 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		return n.handleBatch(m)
 	case wire.KindRepair:
 		return &wire.Message{Kind: wire.KindRepairResp, From: n.Addr(), RepairResp: n.handleRepair(m.Repair)}
-	case wire.KindHello:
-		// Codec negotiation: accept the highest version both sides speak.
-		// A hello only ever arrives on a binary-framed connection (gob-only
-		// dialers cannot express it), so answering is enough — the framing
-		// is already agreed by the time the payload is read.
-		c := uint8(wire.BinaryVersion)
-		if m.Hello != nil && m.Hello.MaxCodec < c {
-			c = m.Hello.MaxCodec
-		}
-		return &wire.Message{Kind: wire.KindHelloResp, From: n.Addr(),
-			HelloResp: &wire.HelloResp{Codec: c}}
 	default:
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
 			Error: fmt.Sprintf("unexpected message kind %v", m.Kind)}
@@ -251,7 +240,7 @@ func batchSlots(m *wire.Message) []wire.Message {
 // per slot. A sub-request the node cannot serve yields a KindError
 // sub-message in its slot; the batch frame itself still succeeds, so one
 // bad element does not void its neighbours. Nested batches are refused at
-// the envelope level (and the binary codec refuses to carry them at all).
+// the envelope level (and the codec refuses to carry them at all).
 func (n *Node) handleBatch(m *wire.Message) *wire.Message {
 	if m.Batch == nil {
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(), Error: "empty batch"}

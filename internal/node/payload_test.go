@@ -3,7 +3,6 @@ package node
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/telemetry"
@@ -14,7 +13,7 @@ import (
 var payloadKinds = []wire.Kind{wire.KindQuery, wire.KindExchange, wire.KindApply, wire.KindGet, wire.KindScan}
 
 // TestPayloadlessRequestAnswersError: a frame that carries a request kind
-// and a sender but no payload decodes cleanly in both codecs. The node must
+// and a sender but no payload decodes cleanly. The node must
 // answer it with KindError — no panic — count it as a served error, and
 // keep serving.
 func TestPayloadlessRequestAnswersError(t *testing.T) {
@@ -48,16 +47,13 @@ func TestPayloadlessRequestAnswersError(t *testing.T) {
 		c.Nodes[0].SetTelemetry(tel)
 		check(t, c.Transport, tel)
 	})
-	for name, gob := range map[string]bool{"pool-binary": false, "pool-gob": true} {
-		t.Run(name, func(t *testing.T) {
-			nodes, pt, stop := startPooledCluster(t, 1, PoolConfig{
-				DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2, ForceGob: gob})
-			defer stop()
-			tel := telemetry.New(0)
-			nodes[0].SetTelemetry(tel)
-			check(t, pt, tel)
-		})
-	}
+	t.Run("pool-binary", func(t *testing.T) {
+		nodes, pt, stop := startPooledCluster(t, 1, PoolConfig{})
+		defer stop()
+		tel := telemetry.New(0)
+		nodes[0].SetTelemetry(tel)
+		check(t, pt, tel)
+	})
 
 	// Inside a batch the guard holds per slot.
 	c := NewCluster(1, smallCfg(), 1)

@@ -24,18 +24,12 @@ type PoolConfig struct {
 	// whole connection — a stream with one stuck response cannot be
 	// trusted for the others either.
 	IOTimeout time.Duration
-	// Size is the maximum pooled connections per peer. 0 disables pooling:
-	// every call dials, speaks, and closes — the legacy behaviour, kept as
-	// the A/B baseline for the wire benchmark.
+	// Size is the maximum pooled connections per peer (0 means 2).
 	Size int
 	// IdleTimeout reaps pooled connections with no traffic for this long
 	// (0 means 60s). Reaping keeps a big community from pinning a socket
 	// per peer it talked to once.
 	IdleTimeout time.Duration
-	// ForceGob skips binary negotiation and speaks the legacy gob codec on
-	// every connection — the operator escape hatch (-codec=gob) and the
-	// other axis of the A/B benchmark.
-	ForceGob bool
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -44,6 +38,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.IOTimeout == 0 {
 		c.IOTimeout = 5 * time.Second
+	}
+	if c.Size <= 0 {
+		c.Size = 2
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 60 * time.Second
@@ -63,12 +60,11 @@ type PoolStats struct {
 	InFlight  int64
 }
 
-// PoolTransport is the fast-wire Transport: per-peer pools of long-lived
+// PoolTransport is the networked Transport: per-peer pools of long-lived
 // connections, each multiplexing concurrent in-flight requests over the
-// binary frame codec via sequence ids. Dialing negotiates the codec with a
-// hello frame; peers that predate the binary codec drop the hello and the
-// pool falls back to a dedicated gob connection (sequential, like the old
-// transport), remembering the peer as gob-only once a gob call succeeds.
+// binary frame codec via sequence ids. A dial is one TCP connect and
+// nothing else: a peer that accepts and then drops the connection
+// unanswered — what an offline node does — costs that one connect.
 //
 // Every transport-level failure — dial errors, timeouts, connections dying
 // mid-flight — wraps ErrOffline, so the resilience stack classifies pool
@@ -105,9 +101,7 @@ func NewPoolTransport(cfg PoolConfig) *PoolTransport {
 		cfg:         cfg.withDefaults(),
 		janitorStop: make(chan struct{}),
 	}
-	if p.cfg.Size > 0 {
-		go p.janitor()
-	}
+	go p.janitor()
 	return p
 }
 
@@ -159,25 +153,6 @@ func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, er
 		p.publishGauges()
 	}()
 
-	if p.cfg.Size <= 0 {
-		// Unpooled mode: dial, one call, close.
-		start := time.Now()
-		p.acquiring.Add(1)
-		mc, err := p.dialConn(to, ep, p.peerState(to), nil)
-		p.acquiring.Add(-1)
-		p.tel.PoolAcquireWait(time.Since(start))
-		if err != nil {
-			p.notePeerError(to, err)
-			return nil, err
-		}
-		defer mc.close()
-		resp, err := p.callOn(mc, to, msg)
-		if err != nil {
-			p.notePeerError(to, err)
-		}
-		return resp, err
-	}
-
 	pp := p.pool(to)
 	start := time.Now()
 	p.acquiring.Add(1)
@@ -192,16 +167,17 @@ func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, er
 		p.reuses.Add(1)
 		p.tel.PoolReuse()
 	}
-	resp, err := p.callOn(mc, to, msg)
+	// A connection that fails under the call has already removed itself
+	// from the pool; the caller's retry (if any) will re-acquire.
+	resp, err := mc.call(msg, p.cfg.IOTimeout)
+	if err == nil && resp.Kind == wire.KindError {
+		err = fmt.Errorf("node %v: %s", to, resp.Error)
+	}
 	if err != nil {
 		p.notePeerError(to, err)
-		if errors.Is(err, ErrOffline) {
-			// The connection failed under us; it has already removed itself
-			// from the pool. The caller's retry (if any) will re-acquire.
-			return nil, err
-		}
+		return nil, err
 	}
-	return resp, err
+	return resp, nil
 }
 
 // notePeerError feeds the per-peer error-class counters.
@@ -239,28 +215,10 @@ func errClass(err error) telemetry.ErrClass {
 	}
 }
 
-// callOn runs one round trip on mc and applies the KindError convention.
-// A successful call on a fallback gob connection marks the peer gob-only,
-// so later dials skip the doomed binary hello.
-func (p *PoolTransport) callOn(mc *muxConn, to addr.Addr, msg *wire.Message) (*wire.Message, error) {
-	resp, err := mc.call(msg, p.cfg.IOTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if mc.fellBack {
-		p.pool(to).markGobOnly()
-	}
-	if resp.Kind == wire.KindError {
-		return nil, fmt.Errorf("node %v: %s", to, resp.Error)
-	}
-	return resp, nil
-}
-
 // Evict closes every pooled connection to the peer. Wired to the breaker's
 // open transition: a peer judged unhealthy should not keep warm sockets,
 // and the half-open probe decides afresh. In-flight requests on evicted
-// connections fail Transient. The gob-only memory survives eviction — the
-// peer's codec does not change because its breaker tripped.
+// connections fail Transient.
 func (p *PoolTransport) Evict(to addr.Addr) {
 	p.mu.RLock()
 	pp := p.peers[to]
@@ -348,39 +306,11 @@ func (p *PoolTransport) pool(to addr.Addr) *peerPool {
 	return pp
 }
 
-// peerState reports whether the peer is known to be gob-only.
-func (p *PoolTransport) peerState(to addr.Addr) bool {
-	p.mu.RLock()
-	pp := p.peers[to]
-	p.mu.RUnlock()
-	return pp != nil && pp.isGobOnly()
-}
-
-// gobOnlyTTL ages the negotiated-codec memory: after this long without a
-// fresh confirmation, the next dial retries the binary hello, so a
-// binary-capable peer that once misnegotiated (e.g. restarted mid-hello)
-// is not downgraded to the sequential gob codec for the life of the
-// process.
-const gobOnlyTTL = 5 * time.Minute
-
-// peerPool holds one peer's connections and its negotiated-codec memory.
+// peerPool holds one peer's connections.
 type peerPool struct {
-	mu           sync.Mutex
-	conns        []*muxConn
-	next         int
-	gobOnlyUntil int64 // unix nanos; 0 or past means "retry binary"
-}
-
-func (pp *peerPool) isGobOnly() bool {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	return pp.gobOnlyUntil != 0 && time.Now().UnixNano() < pp.gobOnlyUntil
-}
-
-func (pp *peerPool) markGobOnly() {
-	pp.mu.Lock()
-	pp.gobOnlyUntil = time.Now().Add(gobOnlyTTL).UnixNano()
-	pp.mu.Unlock()
+	mu    sync.Mutex
+	conns []*muxConn
+	next  int
 }
 
 // acquire returns a live connection for the peer: an idle pooled one when
@@ -409,10 +339,9 @@ func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr, ep string) (mc *muxC
 			return mc, true, nil
 		}
 	}
-	gobOnly := pp.gobOnlyUntil != 0 && time.Now().UnixNano() < pp.gobOnlyUntil
 	pp.mu.Unlock()
 
-	mc, err = p.dialConn(to, ep, gobOnly, pp)
+	mc, err = p.dialConn(to, ep, pp)
 	if err != nil {
 		return nil, false, err
 	}
@@ -479,70 +408,10 @@ func (pp *peerPool) idleBefore(cutoff int64) []*muxConn {
 	return idle
 }
 
-// dialConn establishes one connection, negotiating the codec: a binary
-// hello first (unless gob is forced or the peer is known gob-only), and a
-// fresh gob dial when the peer drops the hello unanswered — exactly what a
-// pre-binary listener does with an unparseable length prefix. pp is the
-// peer's pool (nil in unpooled mode); it is wired into the connection
-// before the demux reader starts, so a connection that dies immediately
-// can always remove itself.
-func (p *PoolTransport) dialConn(to addr.Addr, ep string, gobOnly bool, pp *peerPool) (*muxConn, error) {
-	if p.cfg.ForceGob || gobOnly {
-		return p.dialGob(to, ep, false, pp)
-	}
-	conn, err := net.DialTimeout("tcp", ep, p.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
-	}
-	// Negotiate sequentially before the demux reader exists: one hello
-	// frame out, one response in, under a deadline.
-	deadline := time.Now().Add(p.cfg.IOTimeout)
-	conn.SetDeadline(deadline)
-	hello := &wire.Message{Kind: wire.KindHello, From: addr.Nil,
-		Hello: &wire.HelloReq{MaxCodec: wire.BinaryVersion}}
-	br := bufio.NewReader(conn)
-	var resp *wire.Message
-	helloErr := wire.WriteFrame(conn, 0, 0, hello)
-	if helloErr == nil {
-		_, _, resp, helloErr = wire.ReadFrame(br)
-	}
-	if resp == nil || resp.HelloResp == nil || resp.HelloResp.Codec < wire.BinaryVersion {
-		// The peer dropped or refused the hello: assume pre-binary and
-		// fall back to a fresh gob connection. The gob-only memory is only
-		// written after that connection completes a successful call — an
-		// offline peer must not be mistaken for a gob-only one. A timeout
-		// says nothing about the peer's codec either (it may be briefly
-		// slow), so it falls back for this connection only, without
-		// marking the peer.
-		conn.Close()
-		remember := true
-		var ne net.Error
-		if errors.As(helloErr, &ne) && ne.Timeout() {
-			remember = false
-		}
-		return p.dialGob(to, ep, remember, pp)
-	}
-	conn.SetDeadline(time.Time{})
-	mc := &muxConn{
-		pt:       p,
-		pool:     pp,
-		peer:     to,
-		conn:     conn,
-		br:       br,
-		pending:  make(map[uint32]*callSlot),
-		watching: true,
-	}
-	mc.watchdog = time.AfterFunc(p.cfg.IOTimeout, mc.expire)
-	mc.lastUse.Store(time.Now().UnixNano())
-	p.dials.Add(1)
-	p.open.Add(1)
-	p.tel.PoolDial("binary")
-	p.publishGauges()
-	go mc.readLoop()
-	return mc, nil
-}
-
-func (p *PoolTransport) dialGob(to addr.Addr, ep string, fellBack bool, pp *peerPool) (*muxConn, error) {
+// dialConn establishes one connection to the peer. pp is the peer's pool;
+// it is wired into the connection before the demux reader starts, so a
+// connection that dies immediately can always remove itself.
+func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", ep, p.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
@@ -553,53 +422,48 @@ func (p *PoolTransport) dialGob(to addr.Addr, ep string, fellBack bool, pp *peer
 		peer:     to,
 		conn:     conn,
 		br:       bufio.NewReader(conn),
-		gob:      true,
-		fellBack: fellBack,
+		pending:  make(map[uint32]*callSlot),
+		watching: true,
 	}
+	mc.watchdog = time.AfterFunc(p.cfg.IOTimeout, mc.expire)
 	mc.lastUse.Store(time.Now().UnixNano())
 	p.dials.Add(1)
 	p.open.Add(1)
-	p.tel.PoolDial("gob")
+	p.tel.PoolDial()
 	p.publishGauges()
+	go mc.readLoop()
 	return mc, nil
 }
 
-// muxConn is one pooled connection. In binary mode a background reader
-// demultiplexes response frames to waiting callers by sequence id; in gob
-// mode (negotiated fallback) calls serialize over the connection exactly
-// like the legacy transport.
+// muxConn is one pooled connection: a background reader demultiplexes
+// response frames to waiting callers by sequence id.
 type muxConn struct {
 	pt   *PoolTransport
-	pool *peerPool // nil in unpooled mode
+	pool *peerPool
 	peer addr.Addr
 	conn net.Conn
 	br   *bufio.Reader
 
-	// wmu serializes writers; in gob mode it spans the whole round trip.
-	wmu sync.Mutex
-	seq uint32 // next sequence id, under wmu
+	wmu sync.Mutex // serializes writers
+	seq uint32     // next sequence id, under wmu
 
 	mu      sync.Mutex
 	pending map[uint32]*callSlot
 	dead    bool
 	deadErr error
 	// watchdog enforces IOTimeout for every pending call with one timer
-	// per connection (binary mode only): it is armed while watching is
-	// set, and each time it fires it either kills the connection over the
-	// oldest overdue call or re-arms for the oldest pending deadline. A
-	// busy connection thus touches its timer about once per IOTimeout,
-	// not twice per call.
+	// per connection: it is armed while watching is set, and each time it
+	// fires it either kills the connection over the oldest overdue call or
+	// re-arms for the oldest pending deadline. A busy connection thus
+	// touches its timer about once per IOTimeout, not twice per call.
 	watchdog *time.Timer
 	watching bool
-
-	gob      bool
-	fellBack bool // gob via failed binary negotiation, not by configuration
 
 	lastUse  atomic.Int64
 	inflight atomic.Int32
 }
 
-// callSlot is where one in-flight binary call waits for its reply. Slots
+// callSlot is where one in-flight call waits for its reply. Slots
 // are pooled. A registered slot is sent to exactly once — the response by
 // readLoop, or nil by fail — and its owner puts it back only after
 // receiving that send, so a reused slot never holds a previous owner's
@@ -621,10 +485,6 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 		m.inflight.Add(-1)
 		m.lastUse.Store(time.Now().UnixNano())
 	}()
-	if m.gob {
-		return m.callGob(msg, ioTimeout)
-	}
-
 	slot := callSlots.Get().(*callSlot)
 	m.wmu.Lock()
 	m.seq++
@@ -694,34 +554,7 @@ func (m *muxConn) expire() {
 	m.fail(fmt.Errorf("%w: %v: response %d timed out", ErrOffline, m.peer, oldestSeq))
 }
 
-func (m *muxConn) callGob(msg *wire.Message, ioTimeout time.Duration) (*wire.Message, error) {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	m.mu.Lock()
-	if m.dead {
-		err := m.deadErr
-		m.mu.Unlock()
-		return nil, err
-	}
-	m.mu.Unlock()
-	m.conn.SetDeadline(time.Now().Add(ioTimeout))
-	if err := wire.WriteMessage(m.conn, msg); err != nil {
-		m.fail(fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err))
-		return nil, fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err)
-	}
-	resp, err := wire.ReadMessage(m.br)
-	if err != nil {
-		if errors.Is(err, wire.ErrCorrupt) {
-			m.fail(err)
-			return nil, fmt.Errorf("receive from %v: %w", m.peer, err)
-		}
-		m.fail(fmt.Errorf("%w: receive from %v: %v", ErrOffline, m.peer, err))
-		return nil, fmt.Errorf("%w: receive from %v: %v", ErrOffline, m.peer, err)
-	}
-	return resp, nil
-}
-
-// readLoop demultiplexes binary response frames to their callers.
+// readLoop demultiplexes response frames to their callers.
 func (m *muxConn) readLoop() {
 	for {
 		seq, flags, resp, err := wire.ReadFrame(m.br)
@@ -762,12 +595,8 @@ func (m *muxConn) fail(err error) {
 	m.mu.Unlock()
 
 	m.conn.Close()
-	if m.watchdog != nil {
-		m.watchdog.Stop()
-	}
-	if m.pool != nil {
-		m.pool.remove(m)
-	}
+	m.watchdog.Stop()
+	m.pool.remove(m)
 	m.pt.open.Add(-1)
 	if len(pending) > 0 {
 		m.pt.connLost.Add(1)
@@ -780,7 +609,7 @@ func (m *muxConn) fail(err error) {
 }
 
 // close shuts the connection down without an error cause (eviction, idle
-// reaping, unpooled teardown). In-flight calls fail Transient.
+// reaping). In-flight calls fail Transient.
 func (m *muxConn) close() {
 	m.fail(fmt.Errorf("%w: %v: connection closed by pool", ErrOffline, m.peer))
 }

@@ -64,7 +64,7 @@ func (s *echoServer) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := &wire.Message{Kind: wire.KindHelloResp, HelloResp: &wire.HelloResp{Codec: wire.BinaryVersion}}
+		resp := &wire.Message{Kind: wire.KindError, Error: "the echo server answers only get"}
 		if m.Kind == wire.KindGet {
 			if strings.HasPrefix(m.Get.Name, "hold") {
 				s.held.Add(1)

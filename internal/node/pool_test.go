@@ -1,12 +1,16 @@
 package node
 
 import (
-	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,13 +20,11 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/resilience"
 	"pgrid/internal/store"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
-// startPooledCluster is startTCPCluster over the pooled multiplexed
-// transport: n nodes, each served on a loopback listener, all routing
-// their own traffic through one shared PoolTransport.
+// startPooledCluster launches n nodes, each served on a loopback listener,
+// all routing their own traffic through one shared PoolTransport.
 func startPooledCluster(t *testing.T, n int, cfg PoolConfig) ([]*Node, *PoolTransport, func()) {
 	t.Helper()
 	pt := NewPoolTransport(cfg)
@@ -46,50 +48,6 @@ func startPooledCluster(t *testing.T, n int, cfg PoolConfig) ([]*Node, *PoolTran
 		}
 		pt.Close()
 	}
-}
-
-// startLegacyGobServer serves a node exactly the way the pre-binary
-// release did: sequential gob frames, no sniffing. A binary hello arrives
-// as an impossible gob length prefix, so ReadMessage errors and the
-// connection drops unanswered — the behaviour the pool's negotiation
-// fallback is built against. Returns the endpoint and an accept counter
-// so tests can see how many dials actually reached the peer.
-func startLegacyGobServer(t *testing.T, n *Node) (string, *atomic.Int64, func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepts := &atomic.Int64{}
-	var wg sync.WaitGroup
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepts.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for {
-					m, err := wire.ReadMessage(br)
-					if err != nil {
-						return
-					}
-					if !n.Online() {
-						return
-					}
-					if err := wire.WriteMessage(conn, n.Handle(m)); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), accepts, func() { ln.Close(); wg.Wait() }
 }
 
 func TestPoolReusesConnections(t *testing.T) {
@@ -235,98 +193,186 @@ func TestPoolGrowsToSizeUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestPoolHelloTimeoutNotRememberedGobOnly: a peer that accepts the
-// connection but answers the hello too slowly (timeout, not a dropped
-// frame) falls back to gob for that connection only — fellBack stays
-// false, so a later successful call cannot mark a possibly binary-capable
-// peer gob-only.
-func TestPoolHelloTimeoutNotRememberedGobOnly(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // black hole: accept, read, never answer
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				buf := make([]byte, 4096)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-		}
-	}()
-
-	pt := NewPoolTransport(PoolConfig{
-		DialTimeout: 2 * time.Second, IOTimeout: 100 * time.Millisecond, Size: 2})
-	defer pt.Close()
-	pt.SetEndpoint(1, ln.Addr().String())
-
-	mc, err := pt.dialConn(1, ln.Addr().String(), false, nil)
-	if err != nil {
-		t.Fatalf("dialConn after hello timeout: %v", err)
-	}
-	defer mc.close()
-	if !mc.gob {
-		t.Error("hello timeout must fall back to gob for the connection")
-	}
-	if mc.fellBack {
-		t.Error("hello timeout must not set fellBack: the peer's codec is unknown")
-	}
-}
-
-// TestGobOnlyMemoryAges: the gob-only flag expires after gobOnlyTTL, so a
-// later dial re-probes the binary hello instead of downgrading the peer
-// forever.
-func TestGobOnlyMemoryAges(t *testing.T) {
-	pp := &peerPool{}
-	if pp.isGobOnly() {
-		t.Fatal("fresh pool must not be gob-only")
-	}
-	pp.markGobOnly()
-	if !pp.isGobOnly() {
-		t.Fatal("markGobOnly must take effect immediately")
-	}
-	pp.mu.Lock()
-	pp.gobOnlyUntil = time.Now().Add(-time.Second).UnixNano()
-	pp.mu.Unlock()
-	if pp.isGobOnly() {
-		t.Fatal("expired gob-only memory must re-enable binary negotiation")
-	}
-}
-
-// TestPoolUnpooledMode: Size 0 is the dial-per-call A/B baseline.
-func TestPoolUnpooledMode(t *testing.T) {
-	_, pt, stop := startPooledCluster(t, 1, PoolConfig{
-		DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 0})
+// TestPoolSizeZeroDefaults: like the other zero fields, Size 0 takes its
+// default — two pooled connections per peer — so a zero PoolConfig pools.
+func TestPoolSizeZeroDefaults(t *testing.T) {
+	_, pt, stop := startPooledCluster(t, 1, PoolConfig{})
 	defer stop()
 
+	if pt.cfg.Size != 2 {
+		t.Fatalf("zero Size defaulted to %d, want 2", pt.cfg.Size)
+	}
 	const calls = 5
 	for i := 0; i < calls; i++ {
 		if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := pt.Stats()
-	if st.Dials != calls || st.Reuses != 0 {
-		t.Errorf("unpooled stats = %+v, want %d dials and 0 reuses", st, calls)
+	if st := pt.Stats(); st.Dials != 1 || st.Reuses != calls-1 || st.Open != 1 {
+		t.Errorf("stats = %+v, want 1 dial, %d reuses, 1 open", st, calls-1)
 	}
-	if st.Open != 0 {
-		t.Errorf("unpooled mode left %d connections open", st.Open)
+}
+
+// countingListener counts the connections its listener accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return conn, err
+}
+
+// startCountedServer serves n on a loopback listener that counts accepts.
+func startCountedServer(t *testing.T, n *Node) (*countingListener, func()) {
+	t.Helper()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	srv := NewServer(n, ln)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ctx)
+	}()
+	return ln, func() { cancel(); <-done }
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the test:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPoolOfflinePeerSingleConnect: calling a peer that accepts and does
+// not answer — the common case among peers "online with probability p" —
+// costs exactly one TCP connect, which the pool counts as a dial, and
+// leaves nothing behind: no pooled connection, no goroutine. Back online,
+// the peer answers the next call on a fresh connection.
+func TestPoolOfflinePeerSingleConnect(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := New(1, smallCfg(), NewLocalTransport(), 1)
+	ln, stopSrv := startCountedServer(t, n)
+	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second})
+	pt.SetEndpoint(1, ln.Addr().String())
+	info := &wire.Message{Kind: wire.KindInfo, From: addr.Nil}
+
+	n.SetOnline(false)
+	if _, err := pt.Call(1, info); !errors.Is(err, ErrOffline) {
+		t.Fatalf("call to an offline peer: err = %v, want an ErrOffline wrap", err)
+	}
+	if got := ln.accepts.Load(); got != 1 {
+		t.Errorf("the offline peer accepted %d connections for one call, want 1", got)
+	}
+	st := pt.Stats()
+	if st.Dials != ln.accepts.Load() {
+		t.Errorf("dials = %d, but the peer accepted %d connections", st.Dials, ln.accepts.Load())
+	}
+	if st.Open != 0 || st.InFlight != 0 {
+		t.Errorf("failed call left state behind: %+v", st)
+	}
+
+	n.SetOnline(true)
+	resp, err := pt.Call(1, info)
+	if err != nil || resp.InfoResp == nil || resp.InfoResp.Addr != 1 {
+		t.Fatalf("call after the peer came back: %+v, %v", resp, err)
+	}
+	if got, st := ln.accepts.Load(), pt.Stats(); got != 2 || st.Dials != 2 || st.Open != 1 {
+		t.Errorf("recovery: %d accepts, stats %+v; want a second connect, pooled", got, st)
+	}
+
+	pt.Close()
+	stopSrv()
+	waitGoroutines(t, base)
+}
+
+// TestServerDropsNonFrameBytes: bytes that do not open with the frame magic
+// — a length-prefixed gob frame from before the binary codec, or plain
+// noise — get the connection closed with no reply, while a well-formed
+// connection to the same server keeps being answered.
+func TestServerDropsNonFrameBytes(t *testing.T) {
+	_, pt, stop := startPooledCluster(t, 1, PoolConfig{})
+	defer stop()
+	ep, _ := pt.Endpoint(0)
+	info := &wire.Message{Kind: wire.KindInfo, From: addr.Nil}
+
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(info); err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(binary.BigEndian.AppendUint32(nil, uint32(body.Len())), body.Bytes()...)
+	noise := make([]byte, 1024)
+	rand.New(rand.NewSource(7)).Read(noise)
+	noise[0] = 0x51 // anything but the magic's 0x50
+
+	// The well-formed connection: open before the hostile ones, calling
+	// while they come and go, and still the same connection afterwards.
+	call := func() error {
+		if resp, err := pt.Call(0, info); err != nil || resp.InfoResp == nil {
+			return fmt.Errorf("well-formed call: %+v, %v", resp, err)
+		}
+		return nil
+	}
+	if err := call(); err != nil {
+		t.Fatal(err)
+	}
+	stopCalls := make(chan struct{})
+	callsDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stopCalls:
+				callsDone <- call()
+				return
+			default:
+			}
+			if err := call(); err != nil {
+				callsDone <- err
+				return
+			}
+		}
+	}()
+
+	for name, payload := range map[string][]byte{"legacy gob frame": legacy, "random bytes": noise} {
+		conn, err := net.Dial("tcp", ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(3 * time.Second))
+		if _, err := conn.Write(payload); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		// Closed with no reply: EOF, or a reset when the server closed
+		// with some of the payload still unread — never a byte, never
+		// the deadline.
+		reply, err := io.ReadAll(conn)
+		var ne net.Error
+		if len(reply) != 0 || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Errorf("%s: server replied %d bytes (err %v), want the connection closed unanswered", name, len(reply), err)
+		}
+		conn.Close()
+	}
+
+	close(stopCalls)
+	if err := <-callsDone; err != nil {
+		t.Error(err)
+	}
+	if st := pt.Stats(); st.Dials != 1 || st.ConnLost != 0 {
+		t.Errorf("the well-formed connection was disturbed: %+v", st)
 	}
 }
 
@@ -403,136 +449,10 @@ func TestPoolIdleReap(t *testing.T) {
 	t.Fatalf("idle connection not reaped: %+v", pt.Stats())
 }
 
-// TestPoolGobFallback: dialing a legacy gob-only peer, the binary hello is
-// dropped, the pool falls back to gob, and — once a gob call succeeds —
-// remembers the peer so later dials skip the doomed hello entirely.
-func TestPoolGobFallback(t *testing.T) {
-	n := New(1, smallCfg(), NewLocalTransport(), 1)
-	ep, accepts, stopSrv := startLegacyGobServer(t, n)
-	defer stopSrv()
-
-	tel := telemetry.New(-1)
-	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
-	pt.SetTelemetry(tel)
-	defer pt.Close()
-	pt.SetEndpoint(1, ep)
-
-	resp, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.InfoResp == nil || resp.InfoResp.Addr != 1 {
-		t.Fatalf("fallback call answered %+v", resp)
-	}
-	// Two connections reached the peer: the dropped binary hello and the
-	// gob retry. Only the surviving gob connection counts as a dial.
-	if got := accepts.Load(); got != 2 {
-		t.Errorf("legacy server accepted %d conns, want 2 (hello + gob fallback)", got)
-	}
-	if st := pt.Stats(); st.Dials != 1 {
-		t.Errorf("dials = %d, want 1", st.Dials)
-	}
-	if got := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "gob")); got != 1 {
-		t.Errorf("gob-labeled dials = %d, want 1", got)
-	}
-
-	// Reuse does not re-dial.
-	if _, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
-	}
-	if got := accepts.Load(); got != 2 {
-		t.Errorf("reused call re-dialed: %d accepts", got)
-	}
-
-	// After eviction the peer is remembered as gob-only: exactly one new
-	// connection, no binary hello attempt.
-	pt.Evict(1)
-	if _, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
-	}
-	if got := accepts.Load(); got != 3 {
-		t.Errorf("gob-only redial accepted %d conns total, want 3 (no repeated hello)", got)
-	}
-}
-
-// TestMixedCodecInterop is the acceptance interop matrix: a binary pooled
-// dialer against the sniffing server, the same pool against a legacy
-// gob-only peer, a forced-gob pool against the sniffing server, and the
-// legacy one-shot transport against the sniffing server — data written
-// through one codec reads back through the other.
-func TestMixedCodecInterop(t *testing.T) {
-	newNode := New(0, smallCfg(), NewLocalTransport(), 10)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(newNode, ln)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.Serve(ctx)
-	defer srv.Close()
-
-	oldNode := New(1, smallCfg(), NewLocalTransport(), 11)
-	legacyEP, _, stopLegacy := startLegacyGobServer(t, oldNode)
-	defer stopLegacy()
-
-	tel := telemetry.New(-1)
-	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
-	pt.SetTelemetry(tel)
-	defer pt.Close()
-	pt.SetEndpoint(0, ln.Addr().String())
-	pt.SetEndpoint(1, legacyEP)
-
-	// Binary pool → sniffing server: write an entry over the binary codec.
-	e := store.Entry{Key: bitpath.MustParse("10"), Name: "interop", Holder: 7, Version: 3}
-	if _, err := pt.Call(0, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
-		Apply: &wire.ApplyReq{Entry: e}}); err != nil {
-		t.Fatalf("binary apply: %v", err)
-	}
-	// Binary pool → legacy gob peer: negotiation falls back, call works.
-	if resp, err := pt.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil ||
-		resp.InfoResp == nil || resp.InfoResp.Addr != 1 {
-		t.Fatalf("pool → legacy peer = %+v, %v", resp, err)
-	}
-
-	// Legacy one-shot gob transport → sniffing server: read the entry the
-	// binary codec wrote.
-	old := NewTCPTransport(2 * time.Second)
-	old.SetEndpoint(0, ln.Addr().String())
-	got, err := old.Call(0, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: e.Key, Name: "interop"}})
-	if err != nil {
-		t.Fatalf("legacy get: %v", err)
-	}
-	if got.GetResp == nil || !got.GetResp.Found || got.GetResp.Entry != e {
-		t.Fatalf("entry written via binary, read via gob = %+v", got.GetResp)
-	}
-
-	// Forced-gob pool → sniffing server: the escape hatch speaks legacy
-	// frames to a new server.
-	gobPool := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second,
-		Size: 2, ForceGob: true})
-	defer gobPool.Close()
-	gobPool.SetEndpoint(0, ln.Addr().String())
-	if resp, err := gobPool.Call(0, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: e.Key, Name: "interop"}}); err != nil ||
-		resp.GetResp == nil || resp.GetResp.Entry != e {
-		t.Fatalf("forced-gob pool read = %+v, %v", resp, err)
-	}
-
-	// The telemetry saw both codecs dialed by the main pool.
-	if bin := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "binary")); bin < 1 {
-		t.Errorf("binary dials = %d, want ≥ 1", bin)
-	}
-	if gob := counterVal(t, tel, telemetry.Label("pgrid_pool_dials_codec_total", "codec", "gob")); gob < 1 {
-		t.Errorf("gob fallback dials = %d, want ≥ 1", gob)
-	}
-}
-
 // TestTCPPooledExchangeAndQuery runs the full P-Grid protocol — meetings,
-// splits, recursion, then routing — over the pooled multiplexed binary
-// transport, proving the fast wire carries the actual algorithm and not
-// just echo RPCs.
+// splits, recursion, then routing — over the pooled multiplexed transport,
+// proving the wire carries the actual algorithm and not just echo RPCs, and
+// that it does so over reused connections.
 func TestTCPPooledExchangeAndQuery(t *testing.T) {
 	nodes, pt, stop := startPooledCluster(t, 8, PoolConfig{
 		DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})

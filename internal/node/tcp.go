@@ -7,94 +7,9 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
-	"pgrid/internal/addr"
 	"pgrid/internal/wire"
 )
-
-// TCPTransport resolves logical peer addresses to TCP endpoints and speaks
-// the wire protocol, one request/response per connection. Connections are
-// short-lived by design: P-Grid interactions are single round trips between
-// mostly-transient peers, so pooling buys little and complicates failure
-// handling.
-type TCPTransport struct {
-	mu        sync.RWMutex
-	endpoints map[addr.Addr]string
-	dial      time.Duration
-	io        time.Duration
-}
-
-// NewTCPTransport returns a transport with the given timeout applied to
-// the dial and, separately, to the request/response IO (0 means 5s each).
-// Use NewTCPTransportTimeouts to bound the two independently.
-func NewTCPTransport(timeout time.Duration) *TCPTransport {
-	return NewTCPTransportTimeouts(timeout, timeout)
-}
-
-// NewTCPTransportTimeouts returns a transport with separate dial and IO
-// timeouts (0 means 5s each). A shared deadline would let a slow dial
-// steal the IO budget — the connection would be established with almost
-// no time left to exchange the frames — so the IO deadline starts only
-// once the dial has succeeded.
-func NewTCPTransportTimeouts(dial, io time.Duration) *TCPTransport {
-	if dial == 0 {
-		dial = 5 * time.Second
-	}
-	if io == 0 {
-		io = 5 * time.Second
-	}
-	return &TCPTransport{endpoints: make(map[addr.Addr]string), dial: dial, io: io}
-}
-
-// SetEndpoint maps a logical peer address to host:port.
-func (t *TCPTransport) SetEndpoint(a addr.Addr, hostport string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.endpoints[a] = hostport
-}
-
-// Endpoint returns the mapping for a, if known.
-func (t *TCPTransport) Endpoint(a addr.Addr) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ep, ok := t.endpoints[a]
-	return ep, ok
-}
-
-// Call implements Transport.
-func (t *TCPTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
-	ep, ok := t.Endpoint(to)
-	if !ok {
-		return nil, fmt.Errorf("%w: no endpoint for %v", ErrOffline, to)
-	}
-	conn, err := net.DialTimeout("tcp", ep, t.dial)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
-	}
-	defer conn.Close()
-	// The IO deadline starts now, after the dial: a slow dial must not
-	// eat the budget for the round trip itself.
-	if err := conn.SetDeadline(time.Now().Add(t.io)); err != nil {
-		return nil, fmt.Errorf("node: set deadline: %w", err)
-	}
-	if err := wire.WriteMessage(conn, msg); err != nil {
-		return nil, fmt.Errorf("%w: send to %v: %v", ErrOffline, to, err)
-	}
-	resp, err := wire.ReadMessage(conn)
-	if err != nil {
-		if errors.Is(err, wire.ErrCorrupt) {
-			// The peer answered garbage: corrupt, not offline — callers
-			// (resilience layer) must not burn retries on it.
-			return nil, fmt.Errorf("receive from %v: %w", to, err)
-		}
-		return nil, fmt.Errorf("%w: receive from %v: %v", ErrOffline, to, err)
-	}
-	if resp.Kind == wire.KindError {
-		return nil, fmt.Errorf("node %v: %s", to, resp.Error)
-	}
-	return resp, nil
-}
 
 // Server serves a node's handler over a TCP listener.
 type Server struct {
@@ -116,10 +31,9 @@ func NewServer(n *Node, ln net.Listener) *Server {
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Serve accepts connections until the listener is closed or ctx is done.
-// Each connection may carry a sequence of request frames; the server
-// answers in order and closes when the client does. An offline node
-// answers nothing (connections are dropped), mirroring an unreachable
-// peer.
+// Each connection carries a stream of request frames, answered as they
+// complete, until the client closes it. An offline node answers nothing
+// (connections are dropped), mirroring an unreachable peer.
 func (s *Server) Serve(ctx context.Context) error {
 	go func() {
 		<-ctx.Done()
@@ -163,32 +77,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	// Sniff the codec from the first byte: binary frames open with the
-	// magic, gob frames with a length prefix whose high byte is ≤ 0x01.
-	// The choice is per connection — a gob-only dialer keeps the legacy
-	// sequential protocol, a binary dialer gets the multiplexed one.
-	br := bufio.NewReader(conn)
-	isBin, err := wire.IsBinaryFrame(br)
-	if err != nil {
-		return
-	}
-	if isBin {
-		s.serveBinary(conn, br)
-		return
-	}
-	for {
-		msg, err := wire.ReadMessage(br)
-		if err != nil {
-			return // client closed or sent garbage; drop the connection
-		}
-		if !s.node.Online() {
-			return // simulate an unreachable peer: no answer
-		}
-		resp := s.node.Handle(msg)
-		if err := wire.WriteMessage(conn, resp); err != nil {
-			return
-		}
-	}
+	s.serveBinary(conn, bufio.NewReader(conn))
 }
 
 // serveBinary runs the multiplexed binary protocol: requests are decoded
@@ -205,9 +94,10 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	for {
 		seq, flags, msg, err := wire.ReadFrame(br)
 		if err != nil {
-			// Corrupt frames poison the stream framing itself — there is
-			// no way to resynchronize on a byte stream — so any read
-			// error drops the connection.
+			// Corrupt frames — a first byte that is not the magic
+			// included — poison the stream framing itself: there is no
+			// way to resynchronize on a byte stream, so any read error
+			// drops the connection.
 			return
 		}
 		if !s.node.Online() {

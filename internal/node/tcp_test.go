@@ -1,7 +1,7 @@
 package node
 
 import (
-	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -13,34 +13,8 @@ import (
 	"pgrid/internal/wire"
 )
 
-// startTCPCluster launches n nodes, each served on a loopback listener,
-// all sharing one endpoint table.
-func startTCPCluster(t *testing.T, n int) ([]*Node, *TCPTransport, func()) {
-	t.Helper()
-	tr := NewTCPTransport(2 * time.Second)
-	nodes := make([]*Node, n)
-	servers := make([]*Server, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = New(addr.Addr(i), smallCfg(), tr, int64(1000+i))
-		servers[i] = NewServer(nodes[i], ln)
-		tr.SetEndpoint(addr.Addr(i), ln.Addr().String())
-		go servers[i].Serve(ctx)
-	}
-	return nodes, tr, func() {
-		cancel()
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-}
-
 func TestTCPExchangeAndQuery(t *testing.T) {
-	nodes, _, stop := startTCPCluster(t, 8)
+	nodes, _, stop := startPooledCluster(t, 8, PoolConfig{})
 	defer stop()
 
 	rng := rand.New(rand.NewSource(1))
@@ -90,7 +64,7 @@ func TestTCPExchangeAndQuery(t *testing.T) {
 }
 
 func TestTCPApplyGetRoundTrip(t *testing.T) {
-	nodes, tr, stop := startTCPCluster(t, 2)
+	nodes, tr, stop := startPooledCluster(t, 2, PoolConfig{})
 	defer stop()
 	_ = nodes
 
@@ -112,19 +86,19 @@ func TestTCPApplyGetRoundTrip(t *testing.T) {
 }
 
 func TestTCPOfflineNodeDropsConnections(t *testing.T) {
-	nodes, tr, stop := startTCPCluster(t, 2)
+	nodes, tr, stop := startPooledCluster(t, 2, PoolConfig{})
 	defer stop()
 	nodes[1].SetOnline(false)
 	_, err := tr.Call(1, &wire.Message{Kind: wire.KindInfo, From: 0})
-	if err == nil {
-		t.Fatal("offline node answered")
+	if !errors.Is(err, ErrOffline) {
+		t.Fatalf("offline node: err = %v, want ErrOffline", err)
 	}
 }
 
 func TestTCPClientProtocols(t *testing.T) {
 	// The multi-replica client protocols (publish, majority read, audit)
 	// over real TCP connections.
-	nodes, tr, stop := startTCPCluster(t, 6)
+	nodes, tr, stop := startPooledCluster(t, 6, PoolConfig{})
 	defer stop()
 
 	rng := rand.New(rand.NewSource(9))
@@ -169,7 +143,7 @@ func TestTCPClientProtocols(t *testing.T) {
 }
 
 func TestTCPNodeMaintain(t *testing.T) {
-	nodes, _, stop := startTCPCluster(t, 4)
+	nodes, _, stop := startPooledCluster(t, 4, PoolConfig{})
 	defer stop()
 	// Converge the 4 nodes to depth ≥ 1, then take one referenced node
 	// offline and let maintenance drop it over TCP.
@@ -198,14 +172,16 @@ func TestTCPNodeMaintain(t *testing.T) {
 }
 
 func TestTCPUnknownEndpoint(t *testing.T) {
-	tr := NewTCPTransport(time.Second)
-	if _, err := tr.Call(99, &wire.Message{Kind: wire.KindInfo}); err == nil {
-		t.Fatal("unknown endpoint accepted")
+	tr := NewPoolTransport(PoolConfig{})
+	defer tr.Close()
+	if _, err := tr.Call(99, &wire.Message{Kind: wire.KindInfo}); !errors.Is(err, ErrOffline) {
+		t.Fatalf("unknown endpoint: err = %v, want ErrOffline", err)
 	}
 }
 
 func TestTCPUnreachableEndpoint(t *testing.T) {
-	tr := NewTCPTransport(200 * time.Millisecond)
+	tr := NewPoolTransport(PoolConfig{DialTimeout: 200 * time.Millisecond})
+	defer tr.Close()
 	// A listener we immediately close: dialing must fail cleanly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -214,7 +190,10 @@ func TestTCPUnreachableEndpoint(t *testing.T) {
 	ep := ln.Addr().String()
 	ln.Close()
 	tr.SetEndpoint(7, ep)
-	if _, err := tr.Call(7, &wire.Message{Kind: wire.KindInfo}); err == nil {
-		t.Fatal("dead endpoint accepted")
+	if _, err := tr.Call(7, &wire.Message{Kind: wire.KindInfo}); !errors.Is(err, ErrOffline) {
+		t.Fatalf("dead endpoint: err = %v, want ErrOffline", err)
+	}
+	if st := tr.Stats(); st.Dials != 0 || st.Open != 0 {
+		t.Errorf("a refused connect counted as a dial: %+v", st)
 	}
 }

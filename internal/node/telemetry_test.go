@@ -129,13 +129,14 @@ func TestInstrumentedTransport(t *testing.T) {
 func TestFlakyTransportDropCounter(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 9)
 	tel := telemetry.New(0)
-	fl := NewFlakyTransport(c.Transport, 0.5, 42)
+	fl := NewChaosTransport(c.Transport, ChaosConfig{Drop: 0.5, Seed: 42})
 	fl.SetTelemetry(tel)
 
 	for i := 0; i < 100; i++ {
 		fl.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
 	}
-	dropped, total := fl.Stats()
+	cs := fl.Stats()
+	dropped, total := cs.Dropped, cs.Total
 	if total != 100 || dropped == 0 {
 		t.Fatalf("dropped/total = %d/%d", dropped, total)
 	}

@@ -17,7 +17,7 @@ import (
 //	node 2: path 11, level-1 ref → 0, level-2 ref → 1
 func wireTraceCluster(t *testing.T) ([]*Node, func()) {
 	t.Helper()
-	nodes, _, stop := startTCPCluster(t, 3)
+	nodes, _, stop := startPooledCluster(t, 3, PoolConfig{})
 	spec := []struct {
 		path string
 		refs []addr.Addr // one ref set per level

@@ -151,7 +151,7 @@ func (k *RPCKind) Malformed() {
 }
 
 // Dropped records one RPC dropped by failure injection
-// (node.FlakyTransport, node.ChaosTransport).
+// (node.ChaosTransport).
 func (k *RPCKind) Dropped() {
 	if k == nil {
 		return

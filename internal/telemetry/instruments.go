@@ -140,7 +140,7 @@ type Instruments struct {
 	peerErrs  cowMap[int, *[numErrClasses]atomic.Pointer[Counter]]
 
 	// The labeled slow path: first use of a slot, and labels that are
-	// dynamic by nature (update strategy, repair class, dial codec).
+	// dynamic by nature (update strategy, repair class).
 	// labeledMu also serializes the copy-on-write maps' writers.
 	labeledMu sync.RWMutex
 	labeled   map[string]*Counter
@@ -582,14 +582,12 @@ func (t *Instruments) PoolAcquireWait(d time.Duration) {
 	t.poolAcquireWait.Observe(int64(d))
 }
 
-// PoolDial records one connection dialed by the pool, labeled by the codec
-// the connection ended up speaking ("binary", "gob").
-func (t *Instruments) PoolDial(codec string) {
+// PoolDial records one connection dialed by the pool.
+func (t *Instruments) PoolDial() {
 	if t == nil {
 		return
 	}
 	t.poolDials.Inc()
-	t.labeledCounter("pgrid_pool_dials_codec_total", "codec", codec, "pool dials by negotiated codec").Inc()
 }
 
 // PoolReuse records one call served over an already-open pooled connection.

@@ -24,29 +24,27 @@ func benchMessage() *Message {
 	}
 }
 
-func BenchmarkWriteMessage(b *testing.B) {
+func BenchmarkWriteFrame(b *testing.B) {
 	m := benchMessage()
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteFrame(&buf, uint32(i), 0, m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkReadMessage(b *testing.B) {
-	m := benchMessage()
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+func BenchmarkReadFrame(b *testing.B) {
+	frame, err := AppendFrame(nil, 1, 0, benchMessage())
+	if err != nil {
 		b.Fatal(err)
 	}
-	frame := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
+		if _, _, _, err := ReadFrame(bytes.NewReader(frame)); err != nil {
 			b.Fatal(err)
 		}
 	}

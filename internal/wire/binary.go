@@ -1,11 +1,11 @@
-// Binary frame codec — the fast path of the wire protocol.
+// Binary frame codec — the one encoding of the wire protocol.
 //
-// The gob codec (wire.go) is convenient but allocation-heavy: every frame
-// re-encodes type descriptors, every encode walks reflection, and every
-// decode allocates through it. This file implements the negotiated
-// replacement: a hand-rolled frame format with a fixed 13-byte header and
-// varint-packed payloads, encoded into pooled buffers so a request/response
-// round trip allocates close to nothing on the encode side.
+// A hand-rolled frame format with a fixed 13-byte header and
+// varint-packed payloads — no reflection and no per-frame type
+// descriptors, which is what made encoding/gob several times slower on
+// this protocol (DESIGN.md §12.4) — encoded into pooled buffers so a
+// request/response round trip allocates close to nothing on the encode
+// side.
 //
 // Frame layout (all multi-byte header fields big-endian):
 //
@@ -13,7 +13,7 @@
 //	0       2     magic 0x50 0x47 ("PG")
 //	2       1     codec version (BinaryVersion)
 //	3       1     message kind
-//	4       1     flags (FlagResponse, FlagGob)
+//	4       1     flags (FlagResponse)
 //	5       4     sequence id (multiplexing: responses echo the request's)
 //	9       4     payload length N
 //	13      N     payload
@@ -23,22 +23,17 @@
 // uvarints, signed integers are zigzag varints, high-entropy 64-bit values
 // (trace ids, hashes, versions) are fixed 8-byte big-endian, strings are
 // length-prefixed bytes, and bit paths are bit-packed MSB-first with zero
-// padding. Decoding is strict: unknown kinds, non-zero pad bits, counts
-// that exceed the remaining payload, and trailing garbage all surface
-// ErrCorrupt — never a panic and never an oversized allocation.
-//
-// Interop: a gob frame's first byte is its length prefix's high byte, which
-// MaxFrameSize caps at 0x01 — so the 0x50 magic byte is unambiguous and a
-// receiver can sniff the codec per connection (IsBinaryFrame). A frame with
-// FlagGob carries a gob-encoded Message as its payload: the negotiated
-// fallback that lets a binary-framing connection ship a payload only gob
-// can express.
+// padding. Decoding is strict: a wrong magic or version, unknown kinds,
+// non-zero pad bits, counts that exceed the remaining payload, and trailing
+// garbage all surface ErrCorrupt — never a panic and never an oversized
+// allocation. There is no negotiation: the version byte on every frame is
+// the version check, and a stream that does not open with the magic is
+// corrupt.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -53,23 +48,17 @@ import (
 	"pgrid/internal/trace"
 )
 
-// BinaryVersion is the current binary codec version. Hello negotiation
-// picks min(dialer's max, listener's BinaryVersion); parsing a frame of a
-// different version is refused as corrupt, so a version bump must ride a
-// new negotiation round, never a silent format change.
+// BinaryVersion is the current binary codec version. Parsing a frame of a
+// different version is refused as corrupt, so a format change must bump it
+// and can never be silent.
 const BinaryVersion = 1
 
 // HeaderSize is the fixed binary frame header length in bytes.
 const HeaderSize = 13
 
-// Frame flag bits.
-const (
-	// FlagResponse marks a frame answering the sequence id it carries.
-	FlagResponse uint8 = 1 << 0
-	// FlagGob marks a payload encoded with gob instead of the binary
-	// body format — the compat escape hatch on a binary connection.
-	FlagGob uint8 = 1 << 1
-)
+// FlagResponse is the frame flag bit marking a frame that answers the
+// sequence id it carries.
+const FlagResponse uint8 = 1 << 0
 
 const (
 	magic0 = 0x50 // 'P'
@@ -96,18 +85,6 @@ func putBuf(pb *poolBuf) {
 	}
 }
 
-// IsBinaryFrame reports whether the next frame on br is a binary frame,
-// peeking one byte without consuming it. A gob frame's first byte is at
-// most 0x01 (the length prefix under MaxFrameSize), so the magic byte
-// decides. io errors (including EOF before any byte) pass through.
-func IsBinaryFrame(br *bufio.Reader) (bool, error) {
-	b, err := br.Peek(1)
-	if err != nil {
-		return false, err
-	}
-	return b[0] == magic0, nil
-}
-
 // AppendFrame appends one complete binary frame carrying m to dst and
 // returns the extended slice. The caller owns dst; nothing is retained.
 func AppendFrame(dst []byte, seq uint32, flags uint8, m *Message) ([]byte, error) {
@@ -115,14 +92,8 @@ func AppendFrame(dst []byte, seq uint32, flags uint8, m *Message) ([]byte, error
 	dst = append(dst, magic0, magic1, BinaryVersion, byte(m.Kind), flags,
 		0, 0, 0, 0, 0, 0, 0, 0)
 	binary.BigEndian.PutUint32(dst[start+5:start+9], seq)
-	var err error
-	if flags&FlagGob != 0 {
-		var fb frameBuffer
-		if err := gob.NewEncoder(&fb).Encode(m); err != nil {
-			return dst[:start], fmt.Errorf("wire: gob payload encode: %w", err)
-		}
-		dst = append(dst, fb.b...)
-	} else if dst, err = appendMessageBody(dst, m); err != nil {
+	dst, err := appendMessageBody(dst, m)
+	if err != nil {
 		return dst[:start], err
 	}
 	n := len(dst) - start - HeaderSize
@@ -200,39 +171,19 @@ func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
 	}
 	pb.b = pb.b[:n]
 	if _, err := io.ReadFull(r, pb.b); err != nil {
-		return 0, 0, nil, fmt.Errorf("wire: read frame body: %w", err)
-	}
-	if flags&FlagGob != 0 {
-		var gm Message
-		if err := gob.NewDecoder(&frameBuffer{b: pb.b}).Decode(&gm); err != nil {
-			return 0, 0, nil, fmt.Errorf("%w: gob payload decode: %v", ErrCorrupt, err)
+		if err == io.EOF {
+			// ReadFull reports a stream that ends before the first of the
+			// n > 0 bytes the header promised as a plain EOF; it is a torn
+			// frame all the same.
+			err = io.ErrUnexpectedEOF
 		}
-		return seq, flags, &gm, nil
+		return 0, 0, nil, fmt.Errorf("wire: read frame body: %w", err)
 	}
 	m, err = decodeMessageBody(kind, pb.b)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	return seq, flags, m, nil
-}
-
-// ReadAuto reads one message in whichever codec the sender used, sniffing
-// the first byte: binary frames decode through ReadFrame (sequence id
-// discarded), anything else through the legacy gob path. This is the
-// gob-fallback read path a mixed-codec receiver runs.
-func ReadAuto(br *bufio.Reader) (*Message, error) {
-	isBin, err := IsBinaryFrame(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: sniff codec: %w", err)
-	}
-	if isBin {
-		_, _, m, err := ReadFrame(br)
-		return m, err
-	}
-	return ReadMessage(br)
 }
 
 // --- encode ----------------------------------------------------------------
@@ -495,16 +446,6 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 				return b, err
 			}
 		}
-	case KindHello:
-		b = appendBool(b, m.Hello != nil)
-		if h := m.Hello; h != nil {
-			b = append(b, h.MaxCodec)
-		}
-	case KindHelloResp:
-		b = appendBool(b, m.HelloResp != nil)
-		if h := m.HelloResp; h != nil {
-			b = append(b, h.Codec)
-		}
 	case KindMetricsResp:
 		b = appendBool(b, m.MetricsResp != nil)
 		if r := m.MetricsResp; r != nil {
@@ -629,7 +570,7 @@ func batchMsgs(m *Message) ([]Message, error) {
 }
 
 // sortedLevels returns the SetRefs keys ascending, so the encoding is
-// deterministic (gob's map ordering is not; ours is).
+// deterministic.
 func sortedLevels(m map[int]RefSet) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -1117,14 +1058,6 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 			} else {
 				m.BatchResp = &BatchResp{Msgs: msgs}
 			}
-		}
-	case KindHello:
-		if d.bool() {
-			m.Hello = &HelloReq{MaxCodec: d.byte()}
-		}
-	case KindHelloResp:
-		if d.bool() {
-			m.HelloResp = &HelloResp{Codec: d.byte()}
 		}
 	case KindMetricsResp:
 		if d.bool() {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
 	"reflect"
 	"strings"
@@ -21,7 +22,7 @@ import (
 
 // sampleMessages returns one representative message per kind, with every
 // payload field populated (and a second, sparse variant where nil-ness
-// matters). The cross-codec and round-trip tests both iterate this set, so
+// matters). The golden-vector and round-trip tests both iterate this set, so
 // a new kind that is added without extending it fails TestBinaryCoversAllKinds.
 func sampleMessages() []*Message {
 	p := bitpath.MustParse
@@ -97,8 +98,6 @@ func sampleMessages() []*Message {
 				Snap: telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion,
 					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 3}}}}},
 			{Kind: KindError, From: 23, Error: "no such handler"}}}},
-		{Kind: KindHello, From: 24, Hello: &HelloReq{MaxCodec: BinaryVersion}},
-		{Kind: KindHelloResp, From: 25, HelloResp: &HelloResp{Codec: BinaryVersion}},
 		{Kind: KindMetrics, From: 26},
 		{Kind: KindMetricsResp, From: 27, MetricsResp: &MetricsResp{Snap: snap}},
 		{Kind: KindMetricsResp, From: 27, MetricsResp: &MetricsResp{Snap: snapV1}}, // pre-history peer
@@ -142,7 +141,7 @@ func TestBinaryCoversAllKinds(t *testing.T) {
 		seen[m.Kind] = true
 	}
 	for k := KindQuery; k <= KindRepairResp; k++ {
-		if k == 15 { // reserved
+		if k == 15 || k == 22 || k == 23 { // reserved
 			continue
 		}
 		if !seen[k] {
@@ -172,87 +171,75 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryGobFlagRoundTrip sends each sample as a FlagGob frame: binary
-// framing, gob payload — the negotiated fallback for payloads (or peers)
-// the binary body format cannot serve.
-func TestBinaryGobFlagRoundTrip(t *testing.T) {
-	for _, m := range sampleMessages() {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, 7, FlagGob, m); err != nil {
-			t.Fatalf("%v: encode: %v", m.Kind, err)
-		}
-		_, flags, got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Kind, err)
-		}
-		if flags&FlagGob == 0 {
-			t.Fatalf("%v: FlagGob lost", m.Kind)
-		}
-		if got.Kind != m.Kind || got.From != m.From {
-			t.Fatalf("%v: envelope mismatch: %+v", m.Kind, got)
-		}
-	}
-}
-
-// equivalent reports semantic equality across codecs: gob collapses empty
-// maps/slices to nil while the binary codec is already canonical about it,
-// so nil and len==0 compare equal everywhere.
-func equivalent(t *testing.T, kind Kind, a, b *Message) {
-	t.Helper()
-	norm := func(m *Message) *Message {
-		c := *m
-		if c.ExchangeResp != nil {
-			e := *c.ExchangeResp
-			if len(e.SetRefs) == 0 {
-				e.SetRefs = nil
-			}
-			if len(e.ForwardTo) == 0 {
-				e.ForwardTo = nil
-			}
-			if len(e.Handover) == 0 {
-				e.Handover = nil
-			}
-			if len(e.ExtendRefs.Addrs) == 0 {
-				e.ExtendRefs.Addrs = nil
-			}
-			c.ExchangeResp = &e
-		}
-		return &c
-	}
-	if !reflect.DeepEqual(norm(a), norm(b)) {
-		t.Fatalf("%v cross-codec mismatch:\n got %+v\nwant %+v", kind, a, b)
-	}
-}
-
-// TestCrossCodecGoldenVectors is the compat contract: every message kind
-// encoded by the legacy gob codec decodes identically through the binary
-// transport's fallback read path (ReadAuto sniffing), and every binary
-// frame is invisible to that same path's gob branch. A mixed-codec
-// community depends on exactly this.
+// TestCrossCodecGoldenVectors is the compat contract across versions:
+// the frame this build encodes for every sample hashes to the digest
+// recorded from the last build that also carried the gob codec, so
+// retiring that codec (and anything after it) changed no byte a peer on
+// the binary codec sends or expects. Append a digest with each new sample;
+// an existing one changes only together with BinaryVersion.
 func TestCrossCodecGoldenVectors(t *testing.T) {
-	for _, m := range sampleMessages() {
-		// gob encoding → auto reader (fallback path).
-		var gobBuf bytes.Buffer
-		if err := WriteMessage(&gobBuf, m); err != nil {
-			t.Fatalf("%v: gob encode: %v", m.Kind, err)
-		}
-		got, err := ReadAuto(bufio.NewReader(&gobBuf))
-		if err != nil {
-			t.Fatalf("%v: auto-read of gob frame: %v", m.Kind, err)
-		}
-		equivalent(t, m.Kind, got, m)
-
-		// binary encoding → same auto reader.
-		var binBuf bytes.Buffer
-		if err := WriteFrame(&binBuf, 0, 0, m); err != nil {
-			t.Fatalf("%v: binary encode: %v", m.Kind, err)
-		}
-		got, err = ReadAuto(bufio.NewReader(&binBuf))
-		if err != nil {
-			t.Fatalf("%v: auto-read of binary frame: %v", m.Kind, err)
-		}
-		equivalent(t, m.Kind, got, m)
+	samples := sampleMessages()
+	if len(samples) != len(goldenFrameSums) {
+		t.Fatalf("%d samples, %d golden digests", len(samples), len(goldenFrameSums))
 	}
+	for i, m := range samples {
+		frame, err := AppendFrame(nil, 42, FlagResponse, m)
+		if err != nil {
+			t.Fatalf("sample %d (%v): encode: %v", i, m.Kind, err)
+		}
+		h := fnv.New64a()
+		h.Write(frame)
+		if got := h.Sum64(); got != goldenFrameSums[i] {
+			t.Errorf("sample %d (%v): frame digest %#016x, golden %#016x:\n%x", i, m.Kind, got, goldenFrameSums[i], frame)
+		}
+	}
+}
+
+// goldenFrameSums[i] is the FNV-1a 64 digest of sampleMessages()[i] encoded
+// with sequence id 42 and FlagResponse.
+var goldenFrameSums = []uint64{
+	0x56e81226dd7d33f5, // query
+	0xa66a6c1f4017d6f2, // query
+	0x0d48be9223285ec1, // query
+	0x4e6627c944d9c208, // query-resp
+	0x638fe85d0773b1a7, // query-resp
+	0x5b7b776a761b36d4, // exchange
+	0x8840387646de9e13, // exchange-resp
+	0x0046f2b4dddd95ac, // exchange-resp
+	0xbbd2a9d661c5320c, // apply
+	0x36705b652cfed4d8, // apply-resp
+	0x9ebf959fc2b4a2ed, // get
+	0xd646bc595ccc6c29, // get-resp
+	0xadff4b29fb2a705d, // info
+	0x96624c3ce70e0cbe, // info-resp
+	0x0e5df2ba9b1016d2, // scan
+	0xe1b9e8875ab3412b, // scan-resp
+	0x3a4b26395eeff749, // stats
+	0xb240fe3290813e83, // stats-resp
+	0xc8f1c35927359f7b, // error
+	0x60a982b4bedf228c, // traces
+	0x3ed09db11dbca33d, // traces-resp
+	0xed27ee2c694f45a5, // health
+	0x0429c9fbcba84398, // health-resp
+	0xd1170df2311fb9a1, // batch
+	0xa1d0986ba6819f29, // batch-resp
+	0xa26929a7e8864c47, // metrics
+	0x3f524ac70ff10763, // metrics-resp
+	0x1a342243f019bcfa, // metrics-resp
+	0x156586dbe95fee3d, // metrics-resp
+	0x340cf11bdedadb23, // metrics-resp
+	0xc76920a02e5dd285, // history
+	0xb74cc7ac63c0a1d7, // history
+	0xdcd5858b414a6646, // history
+	0xaf2dd794c941b358, // history-resp
+	0x734b608e0f3f21cd, // history-resp
+	0x3c7b7c045d330659, // history-resp
+	0xc0aae9cc78b52483, // repair
+	0xc0aae8cc78b522d0, // repair
+	0xe3d6480b0ae667d8, // repair
+	0x48ec9b0d8e852232, // repair-resp
+	0x87769c6577c6fffc, // repair-resp
+	0x5e5d0231bf930c57, // repair-resp
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -404,6 +391,7 @@ func TestReadFrameHeaderBoundaries(t *testing.T) {
 		{name: "EOF before any byte", want: io.EOF},
 		{name: "EOF after one header byte", chunks: [][]byte{frame[:1]}, want: io.ErrUnexpectedEOF},
 		{name: "EOF mid-header", chunks: [][]byte{frame[:5], frame[5:9]}, want: io.ErrUnexpectedEOF},
+		{name: "EOF between header and payload", chunks: [][]byte{frame[:HeaderSize]}, want: io.ErrUnexpectedEOF},
 		{name: "EOF mid-payload", chunks: [][]byte{frame[:HeaderSize+2]}, want: io.ErrUnexpectedEOF},
 		{name: "read error mid-header", chunks: [][]byte{frame[:5]}, err: reset, want: reset},
 		{name: "read error before any byte", err: reset, want: reset},
@@ -837,35 +825,6 @@ func TestBinaryPathPadding(t *testing.T) {
 	}
 }
 
-// TestIsBinaryFrame pins the sniffing invariant the whole negotiation
-// scheme rests on: a gob frame's first byte can never equal the magic.
-func TestIsBinaryFrame(t *testing.T) {
-	var gobBuf bytes.Buffer
-	if err := WriteMessage(&gobBuf, &Message{Kind: KindInfo, From: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if gobBuf.Bytes()[0] == magic0 {
-		t.Fatal("gob frame collides with binary magic — sniffing broken")
-	}
-	isBin, err := IsBinaryFrame(bufio.NewReader(&gobBuf))
-	if err != nil || isBin {
-		t.Fatalf("gob frame sniffed as binary (%v, %v)", isBin, err)
-	}
-	var binBuf bytes.Buffer
-	if err := WriteFrame(&binBuf, 0, 0, &Message{Kind: KindInfo, From: 1}); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(&binBuf)
-	isBin, err = IsBinaryFrame(br)
-	if err != nil || !isBin {
-		t.Fatalf("binary frame not sniffed (%v, %v)", isBin, err)
-	}
-	// Peek must not consume: the frame still decodes.
-	if _, _, _, err := ReadFrame(br); err != nil {
-		t.Fatalf("frame unreadable after sniff: %v", err)
-	}
-}
-
 // TestBinaryPathRoundTrip sweeps path lengths across byte boundaries.
 func TestBinaryPathRoundTrip(t *testing.T) {
 	for n := 0; n <= 67; n++ {
@@ -889,22 +848,28 @@ func TestBinaryPathRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame is the binary twin of FuzzReadMessage: arbitrary bytes in,
-// never a panic, hang, or over-allocation; decoded messages must re-encode.
+// FuzzReadFrame: arbitrary bytes in, never a panic, hang, or
+// over-allocation; decoded messages must re-encode.
 func FuzzReadFrame(f *testing.F) {
 	for _, m := range sampleMessages() {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, 3, 0, m); err == nil {
-			f.Add(buf.Bytes())
-		}
-		buf.Reset()
-		if err := WriteFrame(&buf, 4, FlagGob|FlagResponse, m); err == nil {
-			f.Add(buf.Bytes())
+		for _, flags := range []uint8{0, FlagResponse} {
+			frame, err := AppendFrame(nil, 3, flags, m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{magic0})
 	f.Add([]byte{magic0, magic1, BinaryVersion, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	// A header that promises a payload and then ends, a frame from a later
+	// codec version, and each reserved kind slot.
+	f.Add([]byte{magic0, magic1, BinaryVersion, byte(KindGet), 0, 0, 0, 0, 1, 0, 0, 0, 9})
+	f.Add([]byte{magic0, magic1, BinaryVersion + 1, byte(KindInfo), 0, 0, 0, 0, 1, 0, 0, 0, 1, 2})
+	for _, k := range []byte{15, 22, 23} {
+		f.Add([]byte{magic0, magic1, BinaryVersion, k, 0, 0, 0, 0, 1, 0, 0, 0, 2, 2, 1})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 4; i++ {
@@ -916,53 +881,6 @@ func FuzzReadFrame(f *testing.F) {
 			if err := WriteFrame(&buf, 0, 0, m); err != nil {
 				t.Fatalf("re-encode failed: %v", err)
 			}
-		}
-	})
-}
-
-// FuzzReadAuto mutates across BOTH codecs through the sniffing reader —
-// the full corpus of FuzzReadMessage plus binary frames. Corrupt input of
-// either framing must come back as an error, never a panic.
-func FuzzReadAuto(f *testing.F) {
-	var gobFrame bytes.Buffer
-	WriteMessage(&gobFrame, &Message{Kind: KindQuery, From: 2,
-		Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}})
-	f.Add(gobFrame.Bytes())
-	var binFrame bytes.Buffer
-	WriteFrame(&binFrame, 9, 0, &Message{Kind: KindHealthResp, From: 4,
-		HealthResp: &HealthResp{Rounds: 2, Digest: health.Digest{Addr: 4,
-			Path: bitpath.MustParse("01"), Entries: 3, MaxVersion: 17,
-			IndexHash: 0xabcdef, RefCounts: []int{2, 1}, Buddies: 1}}})
-	f.Add(binFrame.Bytes())
-	mixed := append(append([]byte{}, gobFrame.Bytes()...), binFrame.Bytes()...)
-	f.Add(mixed)
-	f.Add([]byte{0x50, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 4; i++ {
-			if _, err := ReadAuto(br); err != nil {
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkCodecEncode compares encode cost per codec; the binary side
-// should sit near zero allocs thanks to the pooled buffers.
-func BenchmarkCodecEncode(b *testing.B) {
-	m := &Message{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{
-		Found: true, Peer: 11, Path: bitpath.MustParse("010011"), Messages: 5,
-		Spans: []trace.Span{{ID: 1, Peer: 2, Path: bitpath.MustParse("01"), Matched: true}}}}
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			WriteMessage(io.Discard, m)
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			WriteFrame(io.Discard, uint32(i), 0, m)
 		}
 	})
 }

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -15,116 +18,135 @@ import (
 	"pgrid/internal/trace"
 )
 
-// FuzzReadMessage feeds arbitrary bytes to the frame decoder: it must
-// never panic or over-allocate, only return messages or errors.
+// legacyGobFrame frames v the way the retired gob codec did: a 4-byte
+// big-endian length, then the gob stream. It is what a peer from before
+// the binary codec puts on the wire.
+func legacyGobFrame(v any) []byte {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		panic(err)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(body.Len())), body.Bytes()...)
+}
+
+// FuzzReadMessage feeds ReadFrame what a pre-binary peer would send —
+// length-prefixed gob frames of several message shapes — and mutations of
+// them. Bytes that do not open with the frame magic are never decoded: the
+// result is an error (ErrCorrupt once a whole header has arrived), never a
+// message and never a panic.
 func FuzzReadMessage(f *testing.F) {
-	// Seed with a couple of valid frames and some junk.
-	var valid bytes.Buffer
-	WriteMessage(&valid, &Message{Kind: KindInfo, From: 3})
-	f.Add(valid.Bytes())
-	var q bytes.Buffer
-	WriteMessage(&q, &Message{Kind: KindQuery, Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}})
-	f.Add(q.Bytes())
-	// A traced query and a span-carrying response, so the corpus mutates
-	// around the trace-context encoding too.
-	var tq bytes.Buffer
-	WriteMessage(&tq, &Message{Kind: KindQuery, Query: &QueryReq{
+	f.Add(legacyGobFrame(&Message{Kind: KindInfo, From: 3}))
+	f.Add(legacyGobFrame(&Message{Kind: KindQuery, Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}}))
+	f.Add(legacyGobFrame(&Message{Kind: KindQuery, Query: &QueryReq{
 		Key: bitpath.MustParse("11"), Level: 0,
-		Ctx: &trace.SpanContext{TraceID: 7, Budget: 4, Sampled: true}}})
-	f.Add(tq.Bytes())
-	var tr bytes.Buffer
-	WriteMessage(&tr, &Message{Kind: KindQueryResp, QueryResp: &QueryResp{
+		Ctx: &trace.SpanContext{TraceID: 7, Budget: 4, Sampled: true}}}))
+	f.Add(legacyGobFrame(&Message{Kind: KindQueryResp, QueryResp: &QueryResp{
 		Found: true, Peer: 2, Path: bitpath.MustParse("11"),
-		Spans: []trace.Span{{ID: 1, Peer: 2, Path: bitpath.MustParse("1"), Matched: true}}}})
-	f.Add(tr.Bytes())
-	// A pre-tracing frame (query encoded without the Ctx field), proving
-	// old captures stay in the decodable corpus.
-	var legacyBody bytes.Buffer
-	gob.NewEncoder(&legacyBody).Encode(&struct {
-		Kind  Kind
-		From  addr.Addr
-		Query *struct {
-			Key   bitpath.Path
-			Level int
-		}
-	}{Kind: KindQuery, From: 1, Query: &struct {
+		Spans: []trace.Span{{ID: 1, Peer: 2, Path: bitpath.MustParse("1"), Matched: true}}}}))
+	// The oldest layout: a query from before the Ctx field existed.
+	type preTracingQuery struct {
 		Key   bitpath.Path
 		Level int
-	}{Key: bitpath.MustParse("010"), Level: 1}})
-	var legacy bytes.Buffer
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(legacyBody.Len()))
-	legacy.Write(lenb[:])
-	legacy.Write(legacyBody.Bytes())
-	f.Add(legacy.Bytes())
-	// A digest-carrying health response and a liveness-requesting health
-	// request, so the corpus mutates around the digest encoding too.
-	var hr bytes.Buffer
-	WriteMessage(&hr, &Message{Kind: KindHealthResp, From: 4, HealthResp: &HealthResp{
+	}
+	f.Add(legacyGobFrame(&struct {
+		Kind  Kind
+		From  addr.Addr
+		Query *preTracingQuery
+	}{Kind: KindQuery, From: 1, Query: &preTracingQuery{Key: bitpath.MustParse("010"), Level: 1}}))
+	f.Add(legacyGobFrame(&Message{Kind: KindHealthResp, From: 4, HealthResp: &HealthResp{
 		Rounds: 2,
 		Digest: health.Digest{Addr: 4, Path: bitpath.MustParse("01"),
 			Entries: 3, MaxVersion: 17, IndexHash: 0xabcdef,
 			RefCounts: []int{2, 1}, Buddies: 1,
-			Liveness: []health.LevelProbe{{Level: 1, Live: 4, Dead: 2}}}}})
-	f.Add(hr.Bytes())
-	var hq bytes.Buffer
-	WriteMessage(&hq, &Message{Kind: KindHealth, From: 0, Health: &HealthReq{WantLiveness: true}})
-	f.Add(hq.Bytes())
-	// A snapshot-carrying metrics response, so the corpus mutates around
-	// the sparse histogram encoding too.
-	var mr bytes.Buffer
-	WriteMessage(&mr, &Message{Kind: KindMetricsResp, From: 5, MetricsResp: &MetricsResp{
+			Liveness: []health.LevelProbe{{Level: 1, Live: 4, Dead: 2}}}}}))
+	f.Add(legacyGobFrame(&Message{Kind: KindHealth, From: 0, Health: &HealthReq{WantLiveness: true}}))
+	f.Add(legacyGobFrame(&Message{Kind: KindMetricsResp, From: 5, MetricsResp: &MetricsResp{
 		Snap: telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion,
 			Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42}},
 			Hists: []telemetry.QHistSnapshot{{Name: `lat{kind="query"}`, SubBits: 4,
-				Count: 3, Sum: 900, Idx: []uint16{9, 77}, N: []int64{2, 1}}}}}})
-	f.Add(mr.Bytes())
+				Count: 3, Sum: 900, Idx: []uint16{9, 77}, N: []int64{2, 1}}}}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 5, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for i := 0; i < 4; i++ { // read a few frames in sequence
-			m, err := ReadMessage(r)
-			if err != nil {
+		_, _, m, err := ReadFrame(bytes.NewReader(data))
+		if len(data) == 0 || data[0] == magic0 {
+			return // a clean close, or FuzzReadFrame's territory
+		}
+		if m != nil || err == nil {
+			t.Fatalf("decoded %+v (err %v) from bytes that do not open with the magic", m, err)
+		}
+		if len(data) >= HeaderSize && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+}
+
+// FuzzReadAuto holds ReadFrame's two header paths to each other: it picks
+// one from the reader's type — parsed in place in a *bufio.Reader's buffer,
+// read into a scratch header from anything else — and both must see the
+// same frames and the same error on every input.
+func FuzzReadAuto(f *testing.F) {
+	legacy := legacyGobFrame(&Message{Kind: KindQuery, From: 2,
+		Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}})
+	f.Add(legacy)
+	frame, err := AppendFrame(nil, 9, 0, &Message{Kind: KindHealthResp, From: 4,
+		HealthResp: &HealthResp{Rounds: 2, Digest: health.Digest{Addr: 4,
+			Path: bitpath.MustParse("01"), Entries: 3, MaxVersion: 17,
+			IndexHash: 0xabcdef, RefCounts: []int{2, 1}, Buddies: 1}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(append(append([]byte{}, frame...), legacy...))
+	f.Add([]byte{0x50, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plain := bytes.NewReader(data)
+		buffered := bufio.NewReader(bytes.NewReader(data))
+		for i := 0; i < 4; i++ {
+			seq1, flags1, m1, err1 := ReadFrame(plain)
+			seq2, flags2, m2, err2 := ReadFrame(buffered)
+			if fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("frame %d: plain reader err %v, bufio reader err %v", i, err1, err2)
+			}
+			if err1 != nil {
 				return
 			}
-			// A decoded message must re-encode.
-			var buf bytes.Buffer
-			if err := WriteMessage(&buf, m); err != nil {
-				t.Fatalf("re-encode failed: %v", err)
+			if seq1 != seq2 || flags1 != flags2 || !reflect.DeepEqual(m1, m2) {
+				t.Fatalf("frame %d: plain reader %d/%d/%+v, bufio reader %d/%d/%+v",
+					i, seq1, flags1, m1, seq2, flags2, m2)
 			}
 		}
 	})
 }
 
-// FuzzRoundTrip encodes fuzz-shaped messages — with and without a trace
-// context — and verifies they decode to the same payload. traced=false
-// exercises exactly the pre-tracing encoding (a nil Ctx is absent from
-// the gob stream), so every run also proves backward-compatible
-// decoding of old-style frames.
+// FuzzRoundTrip encodes fuzz-shaped queries — with and without a trace
+// context — and verifies they decode to the same payload.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint8(0), int32(1), "0101", 2, false, uint64(0), 0)
-	f.Add(uint8(6), int32(9), "1", 0, false, uint64(3), 1)
-	f.Add(uint8(0), int32(2), "11", 0, true, uint64(42), 8)
-	f.Add(uint8(16), int32(5), "0", 1, true, uint64(1), 64)
-	f.Fuzz(func(t *testing.T, kind uint8, from int32, key string, level int, traced bool, traceID uint64, budget int) {
+	f.Add(int32(1), "0101", 2, false, uint64(0), 0)
+	f.Add(int32(9), "1", 0, false, uint64(3), 1)
+	f.Add(int32(2), "11", 0, true, uint64(42), 8)
+	f.Add(int32(5), "0", 1, true, uint64(1), 64)
+	f.Fuzz(func(t *testing.T, from int32, key string, level int, traced bool, traceID uint64, budget int) {
 		p, err := bitpath.Parse(key)
 		if err != nil {
 			return
 		}
-		m := &Message{Kind: Kind(kind % 20), From: addrOf(from),
+		if from < -1 {
+			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
+		}
+		m := &Message{Kind: KindQuery, From: addrOf(from),
 			Query: &QueryReq{Key: p, Level: level}}
 		if traced {
 			m.Query.Ctx = &trace.SpanContext{TraceID: traceID, Parent: traceID / 2,
 				Budget: budget, Sampled: true}
 		}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := WriteFrame(&buf, 1, 0, m); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := ReadMessage(&buf)
+		_, _, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -155,6 +177,9 @@ func FuzzHealthRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if from < -1 {
+			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
+		}
 		d := health.Digest{Addr: addrOf(from), Path: p, Entries: entries,
 			MaxVersion: maxVer, IndexHash: hash, Buddies: int(levels)}
 		for l := 1; l <= int(levels%8); l++ {
@@ -162,11 +187,11 @@ func FuzzHealthRoundTrip(f *testing.F) {
 			d.Liveness = append(d.Liveness, health.LevelProbe{Level: l, Live: live, Dead: dead})
 		}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, &Message{Kind: KindHealthResp, From: addrOf(from),
+		if err := WriteFrame(&buf, 1, FlagResponse, &Message{Kind: KindHealthResp, From: addrOf(from),
 			HealthResp: &HealthResp{Digest: d, Rounds: live + dead}}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := ReadMessage(&buf)
+		_, _, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -189,8 +214,8 @@ func FuzzHealthRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMetricsRoundTrip encodes fuzz-shaped metrics snapshots through BOTH
-// codecs and verifies they decode to the same snapshot — the federation
+// FuzzMetricsRoundTrip encodes fuzz-shaped metrics snapshots through the
+// codec and verifies they decode to the same snapshot — the federation
 // twin of FuzzHealthRoundTrip.
 func FuzzMetricsRoundTrip(f *testing.F) {
 	f.Add(int32(0), 0, "", int64(0), uint8(4), uint16(0), int64(1), uint8(0))
@@ -198,7 +223,7 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 	f.Add(int32(-1), 9, "x", int64(-8), uint8(7), uint16(0xffff), int64(1)<<40, uint8(20))
 	f.Fuzz(func(t *testing.T, from int32, schema int, name string, value int64, subBits uint8, idx0 uint16, n0 int64, buckets uint8) {
 		if from < -1 {
-			from &= 0x7fffffff // the binary codec (rightly) rejects addresses below addr.Nil
+			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
 		}
 		snap := telemetry.MetricsSnapshot{Schema: schema,
 			Stats: []telemetry.Stat{{Name: name, Value: value}}}
@@ -212,48 +237,41 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 		snap.Hists = append(snap.Hists, h)
 		m := &Message{Kind: KindMetricsResp, From: addrOf(from), MetricsResp: &MetricsResp{Snap: snap}}
 
-		check := func(codec string, got *Message, err error) {
+		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
-				t.Fatalf("%s decode: %v", codec, err)
+				t.Fatalf("decode: %v", err)
 			}
 			if got.MetricsResp == nil {
-				t.Fatalf("%s: metrics payload lost", codec)
+				t.Fatalf("metrics payload lost")
 			}
 			g := got.MetricsResp.Snap
 			if g.Schema != schema || len(g.Stats) != 1 || g.Stats[0] != snap.Stats[0] {
-				t.Fatalf("%s: stats mismatch: %+v vs %+v", codec, g, snap)
+				t.Fatalf("stats mismatch: %+v vs %+v", g, snap)
 			}
 			gh := g.Hists[0]
 			if gh.Name != h.Name || gh.SubBits != h.SubBits || gh.Count != h.Count ||
 				gh.Sum != h.Sum || len(gh.Idx) != len(h.Idx) {
-				t.Fatalf("%s: hist mismatch: %+v vs %+v", codec, gh, h)
+				t.Fatalf("hist mismatch: %+v vs %+v", gh, h)
 			}
 			for i := range h.Idx {
 				if gh.Idx[i] != h.Idx[i] || gh.N[i] != h.N[i] {
-					t.Fatalf("%s: pair %d mismatch: %+v vs %+v", codec, i, gh, h)
+					t.Fatalf("pair %d mismatch: %+v vs %+v", i, gh, h)
 				}
 			}
 		}
 
-		var gb bytes.Buffer
-		if err := WriteMessage(&gb, m); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		got, err := ReadMessage(&gb)
-		check("gob", got, err)
-
 		var bb bytes.Buffer
 		if err := WriteFrame(&bb, 1, FlagResponse, m); err != nil {
-			t.Fatalf("binary encode: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		_, _, got, err = ReadFrame(&bb)
-		check("binary", got, err)
+		_, _, got, err := ReadFrame(&bb)
+		check(got, err)
 	})
 }
 
 // FuzzHistoryRoundTrip encodes fuzz-shaped history dumps — mixed-schema
-// points, incarnation stamps, tail exemplars — through BOTH codecs and
+// points, incarnation stamps, tail exemplars — through the codec and
 // verifies they decode to the same dump. The history twin of
 // FuzzMetricsRoundTrip.
 func FuzzHistoryRoundTrip(f *testing.F) {
@@ -262,7 +280,7 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 	f.Add(int32(-1), int64(1)<<40, uint8(9), `lat{kind="query"}`, int64(-8), uint16(0xffff), ^uint64(0), int64(-5))
 	f.Fuzz(func(t *testing.T, from int32, interval int64, points uint8, name string, value int64, exIdx uint16, exTrace uint64, epoch int64) {
 		if from < -1 {
-			from &= 0x7fffffff // the binary codec (rightly) rejects addresses below addr.Nil
+			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
 		}
 		dump := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: interval}
 		for i := 0; i < int(points%9); i++ {
@@ -289,55 +307,48 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 		}
 		m := &Message{Kind: KindHistoryResp, From: addrOf(from), HistoryResp: &HistoryResp{Dump: dump}}
 
-		check := func(codec string, got *Message, err error) {
+		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
-				t.Fatalf("%s decode: %v", codec, err)
+				t.Fatalf("decode: %v", err)
 			}
 			if got.HistoryResp == nil {
-				t.Fatalf("%s: history payload lost", codec)
+				t.Fatalf("history payload lost")
 			}
 			g := got.HistoryResp.Dump
 			if g.Schema != dump.Schema || g.IntervalNS != dump.IntervalNS || len(g.Points) != len(dump.Points) {
-				t.Fatalf("%s: dump mismatch: %+v vs %+v", codec, g, dump)
+				t.Fatalf("dump mismatch: %+v vs %+v", g, dump)
 			}
 			for i, want := range dump.Points {
 				gp := g.Points[i]
 				if gp.AtNS != want.AtNS || gp.Snap.Schema != want.Snap.Schema ||
 					gp.Snap.StartEpochNS != want.Snap.StartEpochNS ||
 					gp.Snap.UptimeNS != want.Snap.UptimeNS {
-					t.Fatalf("%s: point %d mismatch: %+v vs %+v", codec, i, gp, want)
+					t.Fatalf("point %d mismatch: %+v vs %+v", i, gp, want)
 				}
 				gh, wh := gp.Snap.Hists[0], want.Snap.Hists[0]
 				if gh.Name != wh.Name || len(gh.Idx) != len(wh.Idx) || len(gh.ExIdx) != len(wh.ExIdx) {
-					t.Fatalf("%s: point %d hist mismatch: %+v vs %+v", codec, i, gh, wh)
+					t.Fatalf("point %d hist mismatch: %+v vs %+v", i, gh, wh)
 				}
 				for j := range wh.ExIdx {
 					if gh.ExIdx[j] != wh.ExIdx[j] || gh.ExTrace[j] != wh.ExTrace[j] {
-						t.Fatalf("%s: point %d exemplar %d mismatch: %+v vs %+v", codec, i, j, gh, wh)
+						t.Fatalf("point %d exemplar %d mismatch: %+v vs %+v", i, j, gh, wh)
 					}
 				}
 			}
 		}
 
-		var gb bytes.Buffer
-		if err := WriteMessage(&gb, m); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		got, err := ReadMessage(&gb)
-		check("gob", got, err)
-
 		var bb bytes.Buffer
 		if err := WriteFrame(&bb, 1, FlagResponse, m); err != nil {
-			t.Fatalf("binary encode: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		_, _, got, err = ReadFrame(&bb)
-		check("binary", got, err)
+		_, _, got, err := ReadFrame(&bb)
+		check(got, err)
 	})
 }
 
 // FuzzRepairRoundTrip encodes fuzz-shaped repair statuses — arbitrary
-// tally labels and counts, enabled or not — through BOTH codecs and
+// tally labels and counts, enabled or not — through the codec and
 // verifies they decode to the same status.
 func FuzzRepairRoundTrip(f *testing.F) {
 	f.Add(int32(0), false, int64(0), int64(0), "", int64(0), uint8(0))
@@ -345,7 +356,7 @@ func FuzzRepairRoundTrip(f *testing.F) {
 	f.Add(int32(-1), true, int64(1)<<40, int64(-7), "evict-ref", int64(-2), uint8(40))
 	f.Fuzz(func(t *testing.T, from int32, enabled bool, rounds, messages int64, label string, n0 int64, tallies uint8) {
 		if from < -1 {
-			from &= 0x7fffffff // the binary codec (rightly) rejects addresses below addr.Nil
+			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
 		}
 		st := repair.Status{Enabled: enabled, Rounds: rounds, Messages: messages,
 			LastFaults: n0, LastHeals: rounds, LastUnhealed: messages}
@@ -355,40 +366,33 @@ func FuzzRepairRoundTrip(f *testing.F) {
 		}
 		m := &Message{Kind: KindRepairResp, From: addrOf(from), RepairResp: &RepairResp{Status: st}}
 
-		check := func(codec string, got *Message, err error) {
+		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
-				t.Fatalf("%s decode: %v", codec, err)
+				t.Fatalf("decode: %v", err)
 			}
 			if got.RepairResp == nil {
-				t.Fatalf("%s: repair payload lost", codec)
+				t.Fatalf("repair payload lost")
 			}
 			g := got.RepairResp.Status
 			if g.Enabled != st.Enabled || g.Rounds != st.Rounds || g.Messages != st.Messages ||
 				g.LastFaults != st.LastFaults || g.LastHeals != st.LastHeals || g.LastUnhealed != st.LastUnhealed ||
 				len(g.Faults) != len(st.Faults) || len(g.Heals) != len(st.Heals) {
-				t.Fatalf("%s: status mismatch: %+v vs %+v", codec, g, st)
+				t.Fatalf("status mismatch: %+v vs %+v", g, st)
 			}
 			for i := range st.Faults {
 				if g.Faults[i] != st.Faults[i] || g.Heals[i] != st.Heals[i] {
-					t.Fatalf("%s: tally %d mismatch: %+v vs %+v", codec, i, g, st)
+					t.Fatalf("tally %d mismatch: %+v vs %+v", i, g, st)
 				}
 			}
 		}
 
-		var gb bytes.Buffer
-		if err := WriteMessage(&gb, m); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		got, err := ReadMessage(&gb)
-		check("gob", got, err)
-
 		var bb bytes.Buffer
 		if err := WriteFrame(&bb, 1, FlagResponse, m); err != nil {
-			t.Fatalf("binary encode: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		_, _, got, err = ReadFrame(&bb)
-		check("binary", got, err)
+		_, _, got, err := ReadFrame(&bb)
+		check(got, err)
 	})
 }
 

@@ -1,5 +1,5 @@
 // Package wire defines the message protocol spoken between networked
-// P-Grid nodes and a length-prefixed gob codec for carrying it over
+// P-Grid nodes and the binary frame codec (binary.go) that carries it over
 // byte streams (TCP). The protocol has one round trip per algorithm step:
 // queries are forwarded server-side exactly as in Fig. 2, and exchanges
 // ship the initiator's state to the responder, which computes the joint
@@ -7,11 +7,8 @@
 package wire
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -27,9 +24,10 @@ type Kind uint8
 
 // Message kinds. Requests have even values; their responses follow at +1
 // (KindError is the odd man out at 14; 15 stays reserved so later kinds
-// keep the parity convention). New kinds are only ever appended — the
-// numbering is part of the wire format, and renumbering would make
-// mixed-version communities misread each other.
+// keep the parity convention). New kinds are only ever appended and a
+// retired kind's slot stays reserved — the numbering is part of the wire
+// format, and renumbering would make mixed-version communities misread
+// each other.
 const (
 	KindQuery Kind = iota
 	KindQueryResp
@@ -53,8 +51,8 @@ const (
 	KindHealthResp
 	KindBatch
 	KindBatchResp
-	KindHello
-	KindHelloResp
+	_ // reserved: was the codec-negotiation hello
+	_ // reserved: was the hello response
 	KindMetrics
 	KindMetricsResp
 	KindHistory
@@ -70,7 +68,7 @@ var kindNames = [...]string{"query", "query-resp", "exchange", "exchange-resp",
 	"apply", "apply-resp", "get", "get-resp", "info", "info-resp",
 	"scan", "scan-resp", "stats", "stats-resp", "error", "kind(15)",
 	"traces", "traces-resp", "health", "health-resp",
-	"batch", "batch-resp", "hello", "hello-resp",
+	"batch", "batch-resp", "kind(22)", "kind(23)",
 	"metrics", "metrics-resp", "history", "history-resp",
 	"repair", "repair-resp"}
 
@@ -112,8 +110,6 @@ type Message struct {
 	HealthResp   *HealthResp
 	Batch        *BatchReq
 	BatchResp    *BatchResp
-	Hello        *HelloReq
-	HelloResp    *HelloResp
 	MetricsResp  *MetricsResp
 	History      *HistoryReq
 	HistoryResp  *HistoryResp
@@ -128,9 +124,6 @@ type QueryReq struct {
 	Key   bitpath.Path
 	Level int
 	// Ctx is the distributed trace context, nil for untraced queries.
-	// Encodings that predate tracing decode to nil (gob leaves absent
-	// fields zero), and old receivers ignore the field, so traced and
-	// untraced peers interoperate.
 	Ctx *trace.SpanContext
 }
 
@@ -149,7 +142,7 @@ type QueryResp struct {
 	Backtracks int
 	// Spans carries the hops recorded at the receiver and everything
 	// downstream of it, in visit order, when the request was traced
-	// (empty otherwise, and absent on pre-tracing encodings).
+	// (empty otherwise).
 	Spans []trace.Span
 }
 
@@ -163,7 +156,7 @@ type ExchangeReq struct {
 	Depth int
 }
 
-// RefSet is a gob-friendly reference set.
+// RefSet is the wire form of a reference set.
 type RefSet struct {
 	Addrs []addr.Addr
 }
@@ -314,9 +307,7 @@ type HealthReq struct {
 
 // HealthResp returns the receiver's replica digest. Rounds counts the
 // probe rounds the receiver's background prober has completed (0 when
-// probing is off). Pre-health peers answer KindHealth with KindError, and
-// digests decoded from pre-health encodings come back zero-valued — both
-// directions interoperate (see compat tests).
+// probing is off). Pre-health peers answer KindHealth with KindError.
 type HealthResp struct {
 	Digest health.Digest
 	Rounds int64
@@ -337,23 +328,6 @@ type BatchResp struct {
 	Msgs []Message
 }
 
-// HelloReq opens codec negotiation on a fresh connection: the dialer
-// announces the highest binary codec version it speaks. Peers that predate
-// the binary codec never see a well-formed hello (the frame header does not
-// parse as a gob length prefix), drop the connection, and the dialer falls
-// back to the gob codec — see ReadFrame and the transport negotiation in
-// internal/node.
-type HelloReq struct {
-	MaxCodec uint8
-}
-
-// HelloResp accepts the negotiation: the receiver picks
-// min(HelloReq.MaxCodec, BinaryVersion) and both sides speak that framing
-// for the life of the connection.
-type HelloResp struct {
-	Codec uint8
-}
-
 // InfoResp describes the receiver's current state (used by diagnostics and
 // the ctl tool).
 type InfoResp struct {
@@ -368,8 +342,8 @@ type InfoResp struct {
 // rejected as corrupt rather than allocated.
 const MaxFrameSize = 16 << 20
 
-// ErrCorrupt reports a frame that arrived but could not be decoded — an
-// oversized length prefix or a gob stream that does not parse. Corruption
+// ErrCorrupt reports a frame that arrived but could not be decoded — a bad
+// header, an oversized length or a payload that does not parse. Corruption
 // is classified apart from unreachability (internal/resilience): the peer
 // answered, with garbage, so retrying the same request is waste.
 var ErrCorrupt = errors.New("wire: corrupt frame")
@@ -377,64 +351,3 @@ var ErrCorrupt = errors.New("wire: corrupt frame")
 // ErrFrameTooLarge reports an oversized or corrupt length prefix. It
 // matches ErrCorrupt under errors.Is.
 var ErrFrameTooLarge = fmt.Errorf("%w: exceeds maximum size", ErrCorrupt)
-
-// WriteMessage encodes m as a length-prefixed gob frame.
-func WriteMessage(w io.Writer, m *Message) error {
-	var buf frameBuffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(buf.b)))
-	if _, err := w.Write(lenb[:]); err != nil {
-		return fmt.Errorf("wire: write length: %w", err)
-	}
-	if _, err := w.Write(buf.b); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
-	}
-	return nil
-}
-
-// ReadMessage decodes one length-prefixed gob frame.
-func ReadMessage(r io.Reader) (*Message, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: read length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
-	}
-	var m Message
-	if err := gob.NewDecoder(&frameBuffer{b: body}).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
-	}
-	return &m, nil
-}
-
-// frameBuffer is a minimal in-memory io.ReadWriter for gob framing.
-type frameBuffer struct {
-	b []byte
-	r int
-}
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-func (f *frameBuffer) Read(p []byte) (int, error) {
-	if f.r >= len(f.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[f.r:])
-	f.r += n
-	return n, nil
-}

@@ -2,23 +2,25 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/health"
 	"pgrid/internal/store"
+	"pgrid/internal/telemetry"
+	"pgrid/internal/trace"
 )
 
 func roundTrip(t *testing.T, m *Message) *Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
+	if err := WriteFrame(&buf, 1, 0, m); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadMessage(&buf)
+	_, _, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -105,42 +107,44 @@ func TestApplyGetInfoRoundTrip(t *testing.T) {
 func TestMultipleFramesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		if err := WriteMessage(&buf, &Message{Kind: KindInfo, From: addr.Addr(i)}); err != nil {
+		if err := WriteFrame(&buf, uint32(i), 0, &Message{Kind: KindInfo, From: addr.Addr(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		m, err := ReadMessage(&buf)
+		seq, _, m, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if m.From != addr.Addr(i) {
-			t.Errorf("frame %d from = %v", i, m.From)
+		if m.From != addr.Addr(i) || seq != uint32(i) {
+			t.Errorf("frame %d from = %v seq = %d", i, m.From, seq)
 		}
 	}
-	if _, err := ReadMessage(&buf); !errors.Is(err, io.EOF) {
+	if _, _, _, err := ReadFrame(&buf); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
 
 func TestReadRejectsOversizedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], MaxFrameSize+1)
-	buf.Write(lenb[:])
-	if _, err := ReadMessage(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	frame, err := AppendFrame(nil, 1, 0, &Message{Kind: KindInfo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint32(MaxFrameSize + 1)
+	frame[9], frame[10], frame[11], frame[12] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	if _, _, _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestReadTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Message{Kind: KindInfo}); err != nil {
+	if err := WriteFrame(&buf, 1, 0, &Message{Kind: KindInfo}); err != nil {
 		t.Fatal(err)
 	}
-	tr := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadMessage(bytes.NewReader(tr)); err == nil {
-		t.Error("truncated frame decoded")
+	tr := buf.Bytes()[:buf.Len()-1]
+	if _, _, _, err := ReadFrame(bytes.NewReader(tr)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated frame: err = %v, want an unexpected EOF", err)
 	}
 }
 
@@ -166,31 +170,27 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 
 func TestWriteMessageErrorPaths(t *testing.T) {
 	m := &Message{Kind: KindInfo, From: 1}
-	// Length prefix fails.
-	if err := WriteMessage(&failingWriter{n: 0}, m); err == nil {
-		t.Error("length write failure not reported")
+	// The writer fails outright, then part-way through the frame.
+	for _, n := range []int{0, 4} {
+		if err := WriteFrame(&failingWriter{n: n}, 1, 0, m); !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("write failing after %d bytes: err = %v", n, err)
+		}
 	}
-	// Body fails.
-	if err := WriteMessage(&failingWriter{n: 4}, m); err == nil {
-		t.Error("body write failure not reported")
+	// A kind with no body format is refused before anything is written.
+	if err := WriteFrame(io.Discard, 1, 0, &Message{Kind: 22}); !errors.Is(err, ErrUnknownKind) {
+		t.Errorf("retired kind 22: err = %v, want ErrUnknownKind", err)
 	}
-	// Unencodable payload: gob cannot encode nil interface inside... all
-	// our payloads are concrete, so instead check a huge frame still
-	// round-trips under the cap.
+	// A frame larger than the pooled buffers still round-trips under the cap.
 	big := &Message{Kind: KindApply, Apply: &ApplyReq{Entry: store.Entry{
-		Key: bitpath.MustParse("01"), Name: string(make([]byte, 1<<16)), Version: 1}}}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, big); err != nil {
-		t.Fatalf("large frame: %v", err)
-	}
-	if _, err := ReadMessage(&buf); err != nil {
-		t.Fatalf("large frame read: %v", err)
+		Key: bitpath.MustParse("01"), Name: string(make([]byte, 1<<17)), Version: 1}}}
+	if got := roundTrip(t, big); got.Apply.Entry != big.Apply.Entry {
+		t.Fatal("large frame did not round-trip")
 	}
 }
 
 func TestReadMessageTruncatedLength(t *testing.T) {
-	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0})); err == nil {
-		t.Error("truncated length prefix accepted")
+	if _, _, _, err := ReadFrame(bytes.NewReader([]byte{magic0, magic1})); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated header: err = %v, want an unexpected EOF", err)
 	}
 }
 
@@ -209,5 +209,169 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(200).String() != "kind(200)" {
 		t.Errorf("unknown kind = %q", Kind(200).String())
+	}
+}
+
+func TestTracedRoundTrip(t *testing.T) {
+	m := &Message{
+		Kind: KindQueryResp, From: 2,
+		QueryResp: &QueryResp{
+			Found: true, Peer: 4, Path: bitpath.MustParse("0110"), Messages: 2,
+			Spans: []trace.Span{
+				{ID: 1, Peer: 2, Path: bitpath.MustParse("0"), Level: 0, Ref: 4, LatencyNS: 1200},
+				{ID: 9, Parent: 1, Peer: 4, Path: bitpath.MustParse("0110"), Matched: true},
+			},
+		},
+	}
+	got := roundTrip(t, m)
+	if len(got.QueryResp.Spans) != 2 || got.QueryResp.Spans[0] != m.QueryResp.Spans[0] ||
+		got.QueryResp.Spans[1] != m.QueryResp.Spans[1] {
+		t.Fatalf("spans did not round-trip: %+v", got.QueryResp.Spans)
+	}
+}
+
+func TestTracesRoundTrip(t *testing.T) {
+	m := &Message{
+		Kind: KindTracesResp, From: 1,
+		TracesResp: &TracesResp{
+			Total: 12,
+			Traces: []trace.Trace{{
+				TraceID: 99, Key: bitpath.MustParse("101"), Found: true, Messages: 1,
+				Spans: []trace.Span{{ID: 3, Peer: 1, Path: bitpath.MustParse("1"), Matched: true}},
+			}},
+		},
+	}
+	got := roundTrip(t, m)
+	tr := got.TracesResp
+	if tr == nil || tr.Total != 12 || len(tr.Traces) != 1 || tr.Traces[0].TraceID != 99 {
+		t.Fatalf("traces did not round-trip: %+v", tr)
+	}
+	if got.Kind.String() != "traces-resp" || KindTraces.String() != "traces" {
+		t.Fatalf("kind names: %v %v", got.Kind, KindTraces)
+	}
+}
+
+// TestMetricsRoundTrip covers the metrics pair, including the payload-less
+// request and an empty (telemetry-disabled) snapshot.
+func TestMetricsRoundTrip(t *testing.T) {
+	if req := roundTrip(t, &Message{Kind: KindMetrics, From: 3}); req.Kind != KindMetrics || req.From != 3 {
+		t.Fatalf("metrics request round trip: %+v", req)
+	}
+
+	m := &Message{Kind: KindMetricsResp, From: 2, MetricsResp: &MetricsResp{
+		Snap: telemetry.MetricsSnapshot{
+			Schema: telemetry.MetricsSchemaVersion,
+			Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42},
+				{Name: "pgrid_health_liveness_permille", Value: -1}},
+			Hists: []telemetry.QHistSnapshot{{Name: `pgrid_rpc_kind_latency_ns{kind="query"}`,
+				SubBits: 4, Count: 3, Sum: 3000, Idx: []uint16{16, 200}, N: []int64{2, 1}}}}}}
+	r := roundTrip(t, m).MetricsResp
+	if r == nil || r.Snap.Schema != telemetry.MetricsSchemaVersion || len(r.Snap.Stats) != 2 {
+		t.Fatalf("metrics response did not round-trip: %+v", r)
+	}
+	h := r.Snap.Hists[0]
+	if h.Name != m.MetricsResp.Snap.Hists[0].Name || h.Count != 3 || h.Sum != 3000 ||
+		len(h.Idx) != 2 || h.Idx[1] != 200 || h.N[0] != 2 {
+		t.Fatalf("histogram snapshot did not round-trip: %+v", h)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatalf("round-tripped snapshot invalid: %v", err)
+	}
+
+	// Telemetry disabled: empty, schema-stamped snapshot.
+	empty := roundTrip(t, &Message{Kind: KindMetricsResp, From: 2,
+		MetricsResp: &MetricsResp{Snap: telemetry.MetricsSnapshot{
+			Schema: telemetry.MetricsSchemaVersion}}})
+	if empty.MetricsResp == nil || len(empty.MetricsResp.Snap.Stats) != 0 {
+		t.Fatalf("empty snapshot round trip: %+v", empty.MetricsResp)
+	}
+}
+
+// TestHistoryRoundTrip covers the history pair, including the windowed
+// request and the empty history-disabled dump.
+func TestHistoryRoundTrip(t *testing.T) {
+	req := roundTrip(t, &Message{Kind: KindHistory, From: 3,
+		History: &HistoryReq{WindowNS: 300e9, MaxPoints: 64}})
+	if req.History == nil || req.History.WindowNS != 300e9 || req.History.MaxPoints != 64 {
+		t.Fatalf("history request round trip: %+v", req)
+	}
+
+	m := &Message{Kind: KindHistoryResp, From: 2, HistoryResp: &HistoryResp{
+		Dump: telemetry.HistoryDump{
+			Schema: telemetry.MetricsSchemaVersion, IntervalNS: 2e9,
+			Points: []telemetry.HistoryPoint{
+				{AtNS: 1e9, Snap: telemetry.MetricsSnapshot{
+					Schema:       telemetry.MetricsSchemaVersion,
+					StartEpochNS: 500, UptimeNS: 100,
+					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 1}}}},
+				{AtNS: 3e9, Snap: telemetry.MetricsSnapshot{
+					Schema:       telemetry.MetricsSchemaVersion,
+					StartEpochNS: 500, UptimeNS: 2100,
+					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 5}},
+					Hists: []telemetry.QHistSnapshot{{Name: "lat", SubBits: 4, Count: 1,
+						Sum: 42, Idx: []uint16{7}, N: []int64{1},
+						ExIdx: []uint16{7}, ExTrace: []uint64{0xbeef}}}}},
+			},
+		}}}
+	d := roundTrip(t, m).HistoryResp.Dump
+	if d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != 2e9 || len(d.Points) != 2 {
+		t.Fatalf("history dump did not round-trip: %+v", d)
+	}
+	if d.Points[1].Snap.Hists[0].ExTrace[0] != 0xbeef {
+		t.Fatalf("exemplar did not round-trip: %+v", d.Points[1].Snap.Hists[0])
+	}
+	if rate, ok := d.Rate("pgrid_rpc_served_total", 0); !ok || rate != 2 {
+		t.Fatalf("round-tripped dump rate = %v, %v; want 2, true", rate, ok)
+	}
+
+	// History disabled: empty, schema-stamped dump — distinguishable from
+	// a pre-history peer, which answers KindError instead.
+	empty := roundTrip(t, &Message{Kind: KindHistoryResp, From: 2,
+		HistoryResp: &HistoryResp{Dump: telemetry.HistoryDump{
+			Schema: telemetry.MetricsSchemaVersion}}})
+	if empty.HistoryResp == nil || len(empty.HistoryResp.Dump.Points) != 0 {
+		t.Fatalf("empty dump round trip: %+v", empty.HistoryResp)
+	}
+}
+
+func TestHealthRoundTrip(t *testing.T) {
+	m := &Message{
+		Kind: KindHealthResp, From: 2,
+		HealthResp: &HealthResp{
+			Rounds: 7,
+			Digest: health.Digest{
+				Addr: 2, Path: bitpath.MustParse("10"),
+				Entries: 5, MaxVersion: 41, IndexHash: 0x1234,
+				RefCounts: []int{3, 2}, Buddies: 2,
+				Liveness: []health.LevelProbe{
+					{Level: 1, Live: 9, Dead: 0},
+					{Level: 2, Live: 4, Dead: 2},
+				},
+			},
+		},
+	}
+	h := roundTrip(t, m).HealthResp
+	if h == nil || h.Rounds != 7 {
+		t.Fatalf("health response did not round-trip: %+v", h)
+	}
+	d, want := h.Digest, m.HealthResp.Digest
+	if d.Addr != want.Addr || d.Path != want.Path || d.Entries != want.Entries ||
+		d.MaxVersion != want.MaxVersion || d.IndexHash != want.IndexHash || d.Buddies != want.Buddies {
+		t.Fatalf("digest mismatch: %+v vs %+v", d, want)
+	}
+	if len(d.RefCounts) != 2 || d.RefCounts[0] != 3 || d.RefCounts[1] != 2 {
+		t.Fatalf("ref counts did not round-trip: %v", d.RefCounts)
+	}
+	if len(d.Liveness) != 2 || d.Liveness[0] != want.Liveness[0] || d.Liveness[1] != want.Liveness[1] {
+		t.Fatalf("liveness did not round-trip: %+v", d.Liveness)
+	}
+
+	// The request side, with and without the liveness flag.
+	for _, wantLiveness := range []bool{true, false} {
+		req := roundTrip(t, &Message{Kind: KindHealth, From: 1,
+			Health: &HealthReq{WantLiveness: wantLiveness}})
+		if req.Health == nil || req.Health.WantLiveness != wantLiveness {
+			t.Fatalf("health request did not round-trip: %+v", req.Health)
+		}
 	}
 }
