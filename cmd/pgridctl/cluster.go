@@ -57,18 +57,24 @@ func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, i
 }
 
 // fetchClusterStats is the cluster twin of fetchStats: it collects every
-// reachable peer's snapshot, sums the flat counters, merges the quantile
-// histograms bucket-wise, and re-renders the merged quantiles under the
-// same series names one node would expose — so renderTop draws a whole
-// community exactly like a single node.
+// reachable peer's snapshot and flattens them into one map — so renderTop
+// draws a whole community exactly like a single node.
 func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
 	res := client.CollectCluster(id)
 	if len(res.Snapshots) == 0 {
 		return nil, fmt.Errorf("no peer reachable from node %v answered the metrics frame", id)
 	}
+	return flattenSnapshots(res.Snapshots), nil
+}
+
+// flattenSnapshots folds the metrics snapshots of one node or of every
+// peer into one stats map: it sums the flat counters, merges the quantile
+// histograms bucket-wise, and renders the merged quantiles under the
+// series names /metrics uses.
+func flattenSnapshots(snaps map[addr.Addr]telemetry.MetricsSnapshot) statMap {
 	m := make(statMap)
 	hists := make(map[string]telemetry.QHistSnapshot)
-	for _, snap := range res.Snapshots {
+	for _, snap := range snaps {
 		for _, s := range snap.Stats {
 			m[s.Name] += s.Value
 		}
@@ -89,7 +95,7 @@ func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
 			m[withQuantile(name, q)] = qs[i]
 		}
 	}
-	return m, nil
+	return m
 }
 
 // withQuantile appends a quantile label to a possibly-already-labeled

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -291,14 +292,18 @@ commands:
 
 	case "stats":
 		id := mustID(args, 0)
-		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindStats, From: addr.Nil})
-		st := resp.StatsResp
-		if st == nil {
-			log.Fatalf("node %v sent no stats (response kind %v)", id, resp.Kind)
+		stats, err := fetchStats(client, id)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("node %v telemetry (schema v%d, %d series)\n", id, st.Schema, len(st.Stats))
-		for _, s := range st.Stats {
-			fmt.Printf("  %-56s %d\n", s.Name, s.Value)
+		names := make([]string, 0, len(stats))
+		for name := range stats {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Printf("node %v telemetry (%d series)\n", id, len(names))
+		for _, name := range names {
+			fmt.Printf("  %-56s %d\n", name, stats[name])
 		}
 
 	case "top":
@@ -309,7 +314,7 @@ commands:
 		}
 		id := mustID(args, 0)
 		interval, count := intervalCount(args, 2*time.Second, 0)
-		fetch := func() (statMap, error) { return fetchStats(tr, id) }
+		fetch := func() (statMap, error) { return fetchStats(client, id) }
 		scope := fmt.Sprintf("node %v", id)
 		if clusterMode {
 			fetch = func() (statMap, error) { return fetchClusterStats(client, id) }

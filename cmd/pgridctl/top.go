@@ -23,9 +23,9 @@ import (
 // the terminal view for one JSON object per frame.
 //
 // Everything shown is computed from two consecutive snapshots of the same
-// data /metrics exposes — fetch is either one node's KindStats or the
-// cluster-merged view — so top works against any node, with no extra
-// protocol.
+// data /metrics exposes — fetch is either one node's metrics snapshot or
+// the cluster-merged view, flattened the same way — so top works against
+// any node, with no extra protocol.
 func runTop(fetch func() (statMap, error), scope string, interval time.Duration, count int, jsonOut bool) {
 	var prev statMap
 	var prevAt time.Time
@@ -97,19 +97,12 @@ func topFrame(scope string, now time.Time, cur, prev statMap, dt time.Duration) 
 // statMap is one stats snapshot: flattened series name → value.
 type statMap map[string]int64
 
-func fetchStats(tr node.Transport, id addr.Addr) (statMap, error) {
-	resp, err := tr.Call(id, &wire.Message{Kind: wire.KindStats, From: addr.Nil})
+func fetchStats(client *node.Client, id addr.Addr) (statMap, error) {
+	snap, err := client.FetchMetrics(id)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatsResp == nil {
-		return nil, fmt.Errorf("node %v sent no stats (response kind %v)", id, resp.Kind)
-	}
-	m := make(statMap, len(resp.StatsResp.Stats))
-	for _, s := range resp.StatsResp.Stats {
-		m[s.Name] = s.Value
-	}
-	return m, nil
+	return flattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: snap}), nil
 }
 
 func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt time.Duration) {

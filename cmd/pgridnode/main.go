@@ -19,14 +19,14 @@
 // -retries attempts with jittered exponential backoff from -retry-base,
 // globally bounded by the -retry-budget token bucket, behind per-peer
 // circuit breakers (-breaker-fails, -breaker-cooldown).
-// With -probe-interval the node samples its references for liveness in the
-// background, which feeds the health digest, the pgrid_health_* gauges,
-// and the -health-min-liveness readiness check. With -repair-interval the
-// node runs the self-healing repair protocol: every round detects
-// structural faults (invariant-violating or dead references, path drift,
-// diverged or orphaned replicas, orphaned entries) and heals them within
-// -repair-budget messages, reporting through the pgrid_repair_* series,
-// /debug/repair, and `pgridctl repair`. With -events the
+// With -repair-interval the node runs the self-healing repair protocol, its
+// one background reference-maintenance loop: every round probes the
+// references and detects structural faults (invariant-violating or dead
+// references, path drift, diverged or orphaned replicas, orphaned entries),
+// heals them within -repair-budget messages, and reports through the
+// pgrid_repair_* series, /debug/repair, and `pgridctl repair`; the probes
+// also feed the health digest, the pgrid_health_* gauges, and the
+// -health-min-liveness readiness check. With -events the
 // node appends one JSON line per exchange/query/RPC to a file, in the same
 // schema pgridsim -events writes; emission goes through an asynchronous
 // in-memory pipeline so the serving hot path never blocks on the file
@@ -81,7 +81,6 @@ func main() {
 		status    = flag.Duration("status", 5*time.Second, "interval between status log lines (0 = quiet)")
 		stateFile = flag.String("state", "", "persist node state to this file (load at boot, save periodically and on shutdown)")
 		saveEvery = flag.Duration("save-every", 30*time.Second, "state checkpoint interval when -state is set")
-		maintain  = flag.Duration("maintain", 0, "interval between reference-maintenance rounds (0 = off)")
 		dialTO    = flag.Duration("dial-timeout", 3*time.Second, "TCP connect timeout per outgoing call")
 		ioTO      = flag.Duration("io-timeout", 3*time.Second, "request/response timeout per outgoing call, started after the dial")
 		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (at least 1)")
@@ -91,8 +90,6 @@ func main() {
 		retryBud  = flag.Float64("retry-budget", 0.1, "retry tokens earned per call; bounds retries to this fraction of call volume (0 = unlimited)")
 		brkFails  = flag.Int("breaker-fails", 5, "consecutive failures that open a peer's circuit breaker (0 = breakers off)")
 		brkCool   = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker waits before probing the peer again")
-		probeInt  = flag.Duration("probe-interval", 0, "interval between reference-liveness probe rounds, jittered ±25% (0 = off)")
-		probeBud  = flag.Int("probe-budget", 16, "max probe messages per round when -probe-interval is set")
 		repairInt = flag.Duration("repair-interval", 0, "interval between self-healing repair rounds, jittered ±25% (0 = off)")
 		repairBud = flag.Int("repair-budget", 64, "max repair messages per round when -repair-interval is set")
 		healthMin = flag.Float64("health-min-liveness", 0, "/healthz reports 503 while the worst per-level reference liveness is below this (0 = disabled)")
@@ -306,12 +303,6 @@ func main() {
 	if *stateFile != "" {
 		go checkpointLoop(ctx, logger, n, *stateFile, *saveEvery)
 	}
-	if *maintain > 0 {
-		go maintainLoop(ctx, logger, n, *maintain)
-	}
-	if *probeInt > 0 {
-		go node.NewProber(n, *probeInt, *probeBud, *seed+2).Run(ctx)
-	}
 	if *repairInt > 0 {
 		go repairer.Run(ctx)
 	}
@@ -395,25 +386,6 @@ func sloLoop(ctx context.Context, eng *slo.Engine, tel *telemetry.Instruments, e
 			return
 		case <-t.C:
 			eng.Tick(tel.MetricsSnapshot())
-		}
-	}
-}
-
-func maintainLoop(ctx context.Context, logger *slog.Logger, n *node.Node, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if !n.Online() {
-				continue
-			}
-			if res := n.Maintain(3); res.Dropped > 0 || res.Added > 0 {
-				logger.Info("maintenance",
-					"dropped", res.Dropped, "learned", res.Added, "messages", res.Messages)
-			}
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"time"
 
 	"pgrid/internal/analysis"
 	"pgrid/internal/bitpath"
@@ -155,7 +154,7 @@ func main() {
 			if !nd.Online() {
 				continue
 			}
-			node.NewProber(nd, time.Second, *probeBud, int64(i)).Tick()
+			node.NewProber(nd, *probeBud, int64(i)).Tick()
 			digests = append(digests, nd.Digest())
 		}
 		fmt.Printf("grid health (online %.2f, %d of %d peers up):\n", *online, len(digests), len(nodes))
@@ -172,16 +171,16 @@ func main() {
 		collected := make([]trace.Trace, 0, *traceN)
 		for i := 0; i < *traceN; i++ {
 			key := bitpath.Random(rng, *maxl)
-			tr := core.QueryTraced(res.Dir, res.Dir.RandomOnlinePeer(rng), key, rng)
-			// Render through the shared distributed-trace renderer
-			// (trace.Render), so this output is diff-able against
+			// The route renders through the shared distributed-trace
+			// renderer (trace.Render), so this output is diff-able against
 			// `pgridctl trace` on a real community.
-			dt := tr.ToTrace(trace.NewTraceID(rng.Uint64(), uint64(i)))
-			collected = append(collected, dt)
-			fmt.Printf("  %s\n", dt)
-			tel.ObserveQuery(tr.Result.Found, tr.Result.Messages, tr.Result.Backtracks)
+			tr := core.QueryTraced(res.Dir, res.Dir.RandomOnlinePeer(rng), key, rng)
+			tr.TraceID = trace.NewTraceID(rng.Uint64(), uint64(i))
+			collected = append(collected, tr)
+			fmt.Printf("  %s\n", tr)
+			tel.ObserveQuery(tr.Found, tr.Messages, tr.Backtracks)
 			if tel.EventsOn() {
-				tel.EmitQuery(key.String(), tr.Result.Found, tr.Result.Messages, tr.Result.Backtracks)
+				tel.EmitQuery(key.String(), tr.Found, tr.Messages, tr.Backtracks)
 			}
 		}
 		fmt.Println("route analysis:")

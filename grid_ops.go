@@ -109,16 +109,16 @@ func (g *Grid) Trace(key string) ([]RouteHop, SearchResult, error) {
 		return nil, SearchResult{}, ErrUnreachable
 	}
 	tr := core.QueryTraced(g.dir, start, k, g.rng)
-	hops := make([]RouteHop, len(tr.Hops))
-	for i, h := range tr.Hops {
+	hops := make([]RouteHop, len(tr.Spans))
+	for i, h := range tr.Spans {
 		hops[i] = RouteHop{Peer: int(h.Peer), Path: string(h.Path), Matched: h.Matched, Backtracked: h.Backtracked}
 	}
-	res := SearchResult{Cost: Cost{Messages: tr.Result.Messages}}
-	if !tr.Result.Found {
+	res := SearchResult{Cost: Cost{Messages: tr.Messages}}
+	if !tr.Found {
 		return hops, res, ErrUnreachable
 	}
-	res.Peer = int(tr.Result.Peer)
-	res.Path = string(g.dir.Peer(tr.Result.Peer).Path())
+	last := hops[len(hops)-1] // a found route ends at the responsible peer
+	res.Peer, res.Path = last.Peer, last.Path
 	return hops, res, nil
 }
 

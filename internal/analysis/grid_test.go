@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -212,7 +211,7 @@ func TestEq3AgainstMeasuredProbes(t *testing.T) {
 		if !n.Online() {
 			continue
 		}
-		node.NewProber(n, time.Second, 1000, int64(i)).Tick()
+		node.NewProber(n, 1000, int64(i)).Tick()
 		digests = append(digests, n.Digest())
 	}
 	if len(digests) < 32 {

@@ -77,9 +77,8 @@ func TestAnalyzeTracesAggregation(t *testing.T) {
 }
 
 // TestSimulatorTracesMatchLogN is the acceptance check: on a seeded
-// 64-peer simulator build, routes collected via QueryTraced and fed
-// through ToTrace must produce a per-level hop report whose measured
-// mean stays within tolerance of the paper's O(log n) prediction.
+// 64-peer simulator build, routes collected via QueryTraced must produce
+// a per-level hop report whose measured mean stays within tolerance of the paper's O(log n) prediction.
 func TestSimulatorTracesMatchLogN(t *testing.T) {
 	const n = 64
 	res, err := sim.Build(sim.Options{
@@ -96,7 +95,8 @@ func TestSimulatorTracesMatchLogN(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := bitpath.Random(rng, 6)
 		tr := core.QueryTraced(res.Dir, res.Dir.RandomOnlinePeer(rng), key, rng)
-		traces = append(traces, tr.ToTrace(trace.NewTraceID(rng.Uint64(), uint64(i))))
+		tr.TraceID = trace.NewTraceID(rng.Uint64(), uint64(i))
+		traces = append(traces, tr)
 	}
 
 	r := analysis.AnalyzeTraces(traces, n)

@@ -5,6 +5,7 @@ import (
 
 	"pgrid/internal/bitpath"
 	"pgrid/internal/directory"
+	"pgrid/internal/trace"
 )
 
 // Route learning — the "optimizing P-Grid construction and updates" item
@@ -19,18 +20,19 @@ import (
 // responsible peer as a reference where valid, up to cfg.RefMax per level
 // (existing references are never evicted — learning only fills spare
 // capacity). It returns the number of references added.
-func LearnFromTrace(d *directory.Directory, cfg Config, t Trace) int {
-	if !t.Result.Found {
+func LearnFromTrace(d *directory.Directory, cfg Config, t trace.Trace) int {
+	if !t.Found || len(t.Spans) == 0 {
 		return 0
 	}
-	target := d.Peer(t.Result.Peer)
+	found := t.Spans[len(t.Spans)-1].Peer // a found route ends at the responsible peer
+	target := d.Peer(found)
 	if target == nil {
 		return 0
 	}
 	targetPath := target.Path()
 	added := 0
-	for _, hop := range t.Hops {
-		if hop.Peer == t.Result.Peer {
+	for _, hop := range t.Spans {
+		if hop.Peer == found {
 			continue
 		}
 		p := d.Peer(hop.Peer)
@@ -45,10 +47,10 @@ func LearnFromTrace(d *directory.Directory, cfg Config, t Trace) int {
 			continue // prefix relation: no diverging level to file it under
 		}
 		refs := p.RefsAt(j)
-		if refs.Len() >= cfg.RefMax || refs.Contains(t.Result.Peer) {
+		if refs.Len() >= cfg.RefMax || refs.Contains(found) {
 			continue
 		}
-		p.AddRefAt(j, t.Result.Peer)
+		p.AddRefAt(j, found)
 		added++
 	}
 	return added
@@ -65,7 +67,7 @@ func Warm(d *directory.Directory, cfg Config, queries, keyLen int, rng *rand.Ran
 			return learned, messages
 		}
 		t := QueryTraced(d, start, bitpath.Random(rng, keyLen), rng)
-		messages += t.Result.Messages
+		messages += t.Messages
 		learned += LearnFromTrace(d, cfg, t)
 	}
 	return learned, messages

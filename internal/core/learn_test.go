@@ -60,7 +60,7 @@ func TestLearnFromFailedTraceIsNoOp(t *testing.T) {
 	start := d.Peer(0)
 	start.SetOnline(true)
 	tr := QueryTraced(d, start, bitpath.Random(rng, 3), rng)
-	if tr.Result.Found {
+	if tr.Found {
 		t.Skip("entry peer happened to cover the key")
 	}
 	if got := LearnFromTrace(d, cfg, tr); got != 0 {

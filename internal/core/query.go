@@ -7,6 +7,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/directory"
 	"pgrid/internal/peer"
+	"pgrid/internal/trace"
 )
 
 // QueryResult reports the outcome of a depth-first search.
@@ -25,49 +26,93 @@ type QueryResult struct {
 	Backtracks int
 }
 
+// RouteStep is the Fig. 2 decision at one peer, free of state and I/O: the
+// peer's path, the number l of leading key bits already consumed by routing
+// and the remaining query suffix key decide whether the peer is responsible
+// or, if not, through which reference level the search continues and with
+// which suffix. The simulator (query) and the networked node
+// (node.routeQuery) both take the decision from here; they differ only in
+// how a reference is reached.
+//
+// The peer is responsible (matched) when its remaining path and the query
+// are in a prefix relationship: either the query is exhausted within the
+// path (the peer's region lies inside the query interval) or the path is a
+// prefix of the query (its leaf index covers the key) — an l at or beyond
+// the path length is the second case. Otherwise the search continues at a
+// reference of level next with the suffix rest, which arrives there with
+// next-1 bits consumed.
+func RouteStep(path bitpath.Path, l int, key bitpath.Path) (matched bool, next int, rest bitpath.Path) {
+	l = min(l, path.Len())
+	rempath := path.Suffix(l)
+	com := bitpath.CommonPrefixLen(key, rempath)
+	if com == key.Len() || com == rempath.Len() {
+		return true, 0, bitpath.Empty
+	}
+	return false, l + com + 1, key.Suffix(com)
+}
+
 // Query performs the randomized depth-first search of Fig. 2: starting at
 // peer a, it routes the request for key p across the peers' references,
 // backtracking through alternative references when a contacted subtree
-// fails (offline peers). A peer is responsible for p when its remaining
-// path and the remaining query are in a prefix relationship.
+// fails (offline peers).
 //
 // The search only ever contacts online peers; the starting peer itself is
 // used as-is (the caller decides whether offline peers may issue queries).
 func Query(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand) QueryResult {
 	var res QueryResult
-	res.Found = query(d, a, p, 0, rng, &res)
+	res.Found = query(d, a, p, 0, rng, &res, nil)
 	return res
 }
 
-// query mirrors the paper's query(a, p, l): l is the number of leading path
-// bits already consumed by routing, p is the remaining query suffix.
-func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *rand.Rand, res *QueryResult) bool {
-	path := a.Path()
-	rempath := path.Suffix(min(l, path.Len()))
-	compath := bitpath.CommonPrefix(p, rempath)
+// QueryTraced runs the same search as Query and also returns its route: one
+// span per peer visited, in visit order, backtracking included — the
+// route-inspection tool behind pgridsim's -trace flag, route learning and
+// the routing tests. Span ids are the 1-based visit indexes and each span's
+// parent is the previous visit; latencies stay zero (the simulator measures
+// cost in messages, not wall time) and the trace id is left to the caller.
+// On a found route the last span is the responsible peer.
+func QueryTraced(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand) trace.Trace {
+	var res QueryResult
+	var spans []trace.Span
+	res.Found = query(d, a, p, 0, rng, &res, &spans)
+	return trace.Trace{Key: p, Found: res.Found, Messages: res.Messages,
+		Backtracks: res.Backtracks, Spans: spans}
+}
 
-	if compath.Len() == p.Len() || compath.Len() == rempath.Len() {
-		// Either the query is exhausted within the peer's path (the peer's
-		// region lies inside the query interval) or the peer's path is a
-		// prefix of the query (its leaf index covers the key): responsible.
+// query mirrors the paper's query(a, p, l): l is the number of leading path
+// bits already consumed by routing, p is the remaining query suffix. A
+// non-nil spans collects the route; it changes neither the walk nor the
+// random draws.
+func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *rand.Rand, res *QueryResult, spans *[]trace.Span) bool {
+	path := a.Path()
+	var idx int
+	if spans != nil {
+		idx = len(*spans)
+		*spans = append(*spans, trace.Span{ID: uint64(idx + 1), Parent: uint64(idx),
+			Peer: a.Addr(), Path: path, Level: l, Ref: addr.Nil})
+	}
+	matched, next, rest := RouteStep(path, l, p)
+	if matched {
 		res.Peer = a.Addr()
+		if spans != nil {
+			(*spans)[idx].Matched = true
+		}
 		return true
 	}
-
-	if path.Len() > l+compath.Len() {
-		querypath := p.Suffix(compath.Len())
-		refs := a.RefsAt(l + compath.Len() + 1)
-		for refs.Len() > 0 {
-			r := refs.PopRandom(rng)
-			q := d.Peer(r)
-			if q == nil || !q.Online() {
-				continue
-			}
-			res.Messages++
-			if query(d, q, querypath, l+compath.Len(), rng, res) {
-				return true
-			}
-			res.Backtracks++
+	refs := a.RefsAt(next)
+	for refs.Len() > 0 {
+		r := refs.PopRandom(rng)
+		q := d.Peer(r)
+		if q == nil || !q.Online() {
+			continue
+		}
+		res.Messages++
+		if query(d, q, rest, next-1, rng, res, spans) {
+			return true
+		}
+		res.Backtracks++
+		if spans != nil {
+			(*spans)[idx].Backtracked = true
 		}
 	}
 	return false

@@ -45,6 +45,40 @@ func buildFig1(t *testing.T) *directory.Directory {
 	return d
 }
 
+func TestRouteStep(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		path    string
+		l       int
+		key     string
+		matched bool
+		next    int
+		rest    string
+	}{
+		// The paper's Fig. 2 narrative on the Fig. 1 grid: query 00 enters
+		// at a peer with path 11, which forwards it whole through level 1;
+		// the level-1 reference (path 01) has resolved one bit and forwards
+		// the last through level 2; path 00 answers.
+		{"fig2 entry 11 diverges at once", "11", 0, "00", false, 1, "00"},
+		{"fig2 second hop 01 resolves one bit", "01", 0, "00", false, 2, "0"},
+		{"fig2 responsible 00", "00", 1, "0", true, 0, ""},
+		{"key exhausted inside the path", "0110", 1, "11", true, 0, ""},
+		{"path a prefix of the key", "01", 0, "0111", true, 0, ""},
+		{"empty path covers everything", "", 0, "101", true, 0, ""},
+		{"empty key matches anywhere", "0110", 2, "", true, 0, ""},
+		{"l at the path length", "01", 2, "11", true, 0, ""},
+		{"l beyond the path length", "01", 5, "11", true, 0, ""},
+		{"diverging bit mid-path", "0110", 1, "101", false, 3, "01"},
+		{"diverging bit at the last level", "0110", 0, "0111", false, 4, "1"},
+	} {
+		matched, next, rest := RouteStep(bitpath.Path(tc.path), tc.l, bitpath.Path(tc.key))
+		if matched != tc.matched || next != tc.next || string(rest) != tc.rest {
+			t.Errorf("%s: RouteStep(%q, %d, %q) = (%v, %d, %q), want (%v, %d, %q)",
+				tc.name, tc.path, tc.l, tc.key, matched, next, rest, tc.matched, tc.next, tc.rest)
+		}
+	}
+}
+
 func TestQueryPaperExampleLocal(t *testing.T) {
 	// "the query 00 is submitted to peer 1. As peer 1 is responsible for 00
 	// it can process the complete query."

@@ -13,11 +13,11 @@ import (
 	"pgrid/internal/sim"
 )
 
-// TestQueryTracedEquivalence is the property test behind the tracing
-// layer: Query and QueryTraced run the same Fig. 2 search and consume
-// the RNG identically, so for the same seed and directory they must
-// report the same Found/Peer/Messages/Backtracks — tracing observes the
-// route, it never changes it. Checked across several communities, key
+// TestQueryTracedEquivalence pins that the span collector does not
+// perturb the walk: Query (nil collector) and QueryTraced run the one
+// Fig. 2 search and consume the RNG identically, so for the same seed and
+// directory they must report the same Found/Peer/Messages/Backtracks —
+// tracing observes the route, it never changes it. Checked across several communities, key
 // lengths, and churn levels (offline peers force backtracking, the
 // interesting path).
 func TestQueryTracedEquivalence(t *testing.T) {
@@ -56,18 +56,26 @@ func TestQueryTracedEquivalence(t *testing.T) {
 
 				res1 := core.Query(d, start, key, rand.New(rand.NewSource(seed)))
 				tr := core.QueryTraced(d, start, key, rand.New(rand.NewSource(seed)))
-				res2 := tr.Result
+				res2 := core.QueryResult{Found: tr.Found, Messages: tr.Messages, Backtracks: tr.Backtracks}
+				if tr.Found {
+					res2.Peer = tr.Spans[len(tr.Spans)-1].Peer
+				}
 
-				if res1.Found != res2.Found || res1.Peer != res2.Peer ||
-					res1.Messages != res2.Messages || res1.Backtracks != res2.Backtracks {
+				if res1 != res2 {
 					t.Fatalf("trial %d key %s start %v: Query=%+v QueryTraced=%+v",
 						trial, key, start.Addr(), res1, res2)
 				}
 				// The trace itself must be consistent with the result it
-				// reports: every successful contact is one recorded hop.
-				if len(tr.Hops) != res2.Messages+1 {
-					t.Fatalf("trial %d: %d hops for %d messages (%s)",
-						trial, len(tr.Hops), res2.Messages, tr)
+				// reports: every successful contact is one recorded span,
+				// numbered in visit order under the previous visit.
+				if len(tr.Spans) != res2.Messages+1 {
+					t.Fatalf("trial %d: %d spans for %d messages (%s)",
+						trial, len(tr.Spans), res2.Messages, tr)
+				}
+				for i, s := range tr.Spans {
+					if s.ID != uint64(i+1) || s.Parent != uint64(i) {
+						t.Fatalf("trial %d: span %d has id %d parent %d", trial, i, s.ID, s.Parent)
+					}
 				}
 			}
 		})

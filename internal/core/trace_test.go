@@ -16,30 +16,31 @@ func TestQueryTracedMatchesQuerySemantics(t *testing.T) {
 		key := bitpath.Random(rng, 4)
 		start := d.RandomPeer(rng)
 		tr := QueryTraced(d, start, key, rng)
-		if !tr.Result.Found {
+		if !tr.Found {
 			t.Fatalf("traced query %s failed on ideal grid", key)
 		}
-		// First hop is the entry peer; last matched hop is the result.
-		if tr.Hops[0].Peer != start.Addr() {
-			t.Fatalf("first hop %v, start %v", tr.Hops[0].Peer, start.Addr())
+		// First hop is the entry peer; the last hop matched and is the
+		// responsible peer.
+		if tr.Spans[0].Peer != start.Addr() {
+			t.Fatalf("first hop %v, start %v", tr.Spans[0].Peer, start.Addr())
 		}
-		last := tr.Hops[len(tr.Hops)-1]
-		if !last.Matched || last.Peer != tr.Result.Peer {
-			t.Fatalf("last hop %+v vs result %+v", last, tr.Result)
+		last := tr.Spans[len(tr.Spans)-1]
+		if !last.Matched {
+			t.Fatalf("last hop %+v did not match", last)
 		}
-		if !bitpath.Comparable(d.Peer(tr.Result.Peer).Path(), key) {
+		if !bitpath.Comparable(d.Peer(last.Peer).Path(), key) {
 			t.Fatalf("result peer not covering")
 		}
 		// Message count equals hops beyond the entry when nothing
 		// backtracked.
 		backtracks := 0
-		for _, h := range tr.Hops {
+		for _, h := range tr.Spans {
 			if h.Backtracked {
 				backtracks++
 			}
 		}
-		if backtracks == 0 && tr.Result.Messages != len(tr.Hops)-1 {
-			t.Fatalf("messages %d, hops %d", tr.Result.Messages, len(tr.Hops))
+		if backtracks == 0 && tr.Messages != len(tr.Spans)-1 {
+			t.Fatalf("messages %d, hops %d", tr.Messages, len(tr.Spans))
 		}
 	}
 }
@@ -62,11 +63,11 @@ func TestQueryTracedRecordsBacktracking(t *testing.T) {
 	found, backtracked := false, false
 	for i := 0; i < 20; i++ {
 		tr := QueryTraced(d, d.Peer(5), bitpath.MustParse("00"), newRng(int64(i)))
-		if !tr.Result.Found {
+		if !tr.Found {
 			t.Fatalf("query failed: %s", tr)
 		}
 		found = true
-		for _, h := range tr.Hops {
+		for _, h := range tr.Spans {
 			if h.Backtracked {
 				backtracked = true
 			}
@@ -88,14 +89,14 @@ func TestTraceString(t *testing.T) {
 	if !strings.Contains(s, "key 11") {
 		t.Errorf("trace string = %q", s)
 	}
-	if tr.Result.Found && !strings.Contains(s, "✓") {
+	if tr.Found && !strings.Contains(s, "✓") {
 		t.Errorf("success marker missing: %q", s)
 	}
 	// Failure rendering.
 	d.SetAllOnline(false)
 	d.Peer(0).SetOnline(true)
 	tr = QueryTraced(d, d.Peer(0), bitpath.MustParse("11"), rng)
-	if tr.Result.Found {
+	if tr.Found {
 		t.Skip("peer 0 happened to cover the key")
 	}
 	if !strings.Contains(tr.String(), "✗") {

@@ -43,7 +43,7 @@ func RoutingLoad(d *directory.Directory, keyLen, queries int, seed int64) Routin
 			break
 		}
 		tr := core.QueryTraced(d, start, bitpath.Random(rng, keyLen), rng)
-		for _, h := range tr.Hops {
+		for _, h := range tr.Spans {
 			load[h.Peer]++
 		}
 	}

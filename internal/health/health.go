@@ -1,7 +1,7 @@
 // Package health implements grid-structure observability for P-Grid
 // communities: the compact replica digest one peer publishes about itself,
-// and the per-level reference-liveness tracker fed by the background
-// prober.
+// and the per-level reference-liveness tracker fed by the node's probe
+// rounds (its repair loop, or a one-shot Prober).
 //
 // The paper's availability guarantee is structural — a search succeeds
 // with probability (1-(1-p)^refmax)^k (Eq. 3) only while every level of a
@@ -148,7 +148,7 @@ func MinLevelRatio(probes []LevelProbe) (float64, bool) {
 
 // Tracker accumulates reference-probe outcomes per level. All methods are
 // nil-safe no-ops (a node without probing threads a nil *Tracker), and all
-// mutation is atomic, so the prober goroutine, the RPC handler, and the
+// mutation is atomic, so the probing goroutine, the RPC handler, and the
 // admin endpoint share one tracker without locks.
 type Tracker struct {
 	rounds atomic.Int64

@@ -226,7 +226,7 @@ func TestChaosRepairSoak(t *testing.T) {
 		if offline[n.Addr()] {
 			continue
 		}
-		p := NewProber(n, time.Second, 8, int64(5000+i))
+		p := NewProber(n, 8, int64(5000+i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

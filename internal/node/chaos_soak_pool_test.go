@@ -177,7 +177,7 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 		if offline[n.Addr()] {
 			continue
 		}
-		p := NewProber(n, time.Second, 8, int64(1000+i))
+		p := NewProber(n, 8, int64(1000+i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

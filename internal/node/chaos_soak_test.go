@@ -83,7 +83,7 @@ func TestChaosSoakAvailability(t *testing.T) {
 		if offline[n.Addr()] {
 			continue
 		}
-		p := NewProber(n, time.Second, 8, int64(1000+i))
+		p := NewProber(n, 8, int64(1000+i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

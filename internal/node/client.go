@@ -61,7 +61,7 @@ func (c *Client) nodeInfo(a addr.Addr) (*wire.InfoResp, error) {
 		return nil, err
 	}
 	if resp.InfoResp == nil {
-		c.tel.MalformedResponse("info")
+		rpcKind(c.tel, wire.KindInfo).Malformed()
 		return nil, fmt.Errorf("%w: node %v answered info with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.InfoResp, nil
@@ -84,7 +84,7 @@ func (c *Client) TraceQuery(start addr.Addr, key bitpath.Path) (trace.Trace, err
 		return trace.Trace{}, err
 	}
 	if resp.QueryResp == nil {
-		c.tel.MalformedResponse("query")
+		rpcKind(c.tel, wire.KindQuery).Malformed()
 		return trace.Trace{}, fmt.Errorf("%w: node %v answered traced query with kind %v", ErrMalformed, start, resp.Kind)
 	}
 	q := resp.QueryResp
@@ -102,7 +102,7 @@ func (c *Client) FetchTraces(a addr.Addr, limit int) (total uint64, traces []tra
 		return 0, nil, err
 	}
 	if resp.TracesResp == nil {
-		c.tel.MalformedResponse("traces")
+		rpcKind(c.tel, wire.KindTraces).Malformed()
 		return 0, nil, fmt.Errorf("%w: node %v answered traces request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.TracesResp.Total, resp.TracesResp.Traces, nil
@@ -227,7 +227,7 @@ func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) (ReadR
 		return out, addr.Nil
 	}
 	if resp.QueryResp == nil {
-		c.tel.MalformedResponse("query")
+		rpcKind(c.tel, wire.KindQuery).Malformed()
 		return out, addr.Nil
 	}
 	out.Messages += 1 + resp.QueryResp.Messages
@@ -241,7 +241,7 @@ func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) (ReadR
 		return out, addr.Nil
 	}
 	if got.GetResp == nil {
-		c.tel.MalformedResponse("get")
+		rpcKind(c.tel, wire.KindGet).Malformed()
 		return out, addr.Nil
 	}
 	out.Messages++

@@ -11,6 +11,7 @@ import (
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/repair"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
@@ -34,7 +35,7 @@ func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message,
 	case "nilpayload":
 		return &wire.Message{Kind: resp.Kind, From: resp.From}, nil
 	case "wrongkind":
-		return &wire.Message{Kind: wire.KindStatsResp, From: resp.From}, nil
+		return &wire.Message{Kind: wire.KindRepairResp, From: resp.From}, nil
 	case "corrupt":
 		return nil, fmt.Errorf("%w: injected", wire.ErrCorrupt)
 	case "offline":
@@ -281,8 +282,11 @@ func TestHedgeDelayPercentile(t *testing.T) {
 	}
 }
 
-// TestMaintainCountsMalformed checks the maintenance loop separates
-// misbehaving peers from churned ones.
+// TestMaintainCountsMalformed checks the maintenance round separates
+// misbehaving peers from churned ones in telemetry: every reference that
+// answers its probe without an Info is counted malformed, and is then
+// treated like a dead one (here every level dies whole, so each is
+// starved and either kept as unhealed or refuted by a routed search).
 func TestMaintainCountsMalformed(t *testing.T) {
 	c := NewCluster(8, smallCfg(), 27)
 	rng := rand.New(rand.NewSource(27))
@@ -292,16 +296,37 @@ func TestMaintainCountsMalformed(t *testing.T) {
 	if n.Path().Len() == 0 {
 		t.Skip("node 0 did not specialize")
 	}
-	n.tr = &malformTransport{inner: c.Transport, kind: wire.KindInfo, mode: "nilpayload"}
-	res := n.Maintain(2)
-	if res.Probed == 0 {
+	probes, levels := 0, 0
+	for level := 1; level <= n.Path().Len(); level++ {
+		if k := n.Peer().RefsAt(level).Len(); k > 0 {
+			probes += k
+			levels++
+		}
+	}
+	if probes == 0 {
 		t.Skip("node 0 holds no references")
 	}
-	if res.Malformed != res.Probed {
-		t.Errorf("Malformed = %d, want every probe (%d) counted malformed", res.Malformed, res.Probed)
+	tel := telemetry.New(0)
+	n.SetTelemetry(tel)
+	n.tr = &malformTransport{inner: c.Transport, kind: wire.KindInfo, mode: "nilpayload"}
+	r := NewRepairer(n, time.Second, RepairConfig{Budget: 256}, 27)
+	r.Tick()
+
+	if got := counterVal(t, tel, `pgrid_rpc_malformed_kind_total{kind="info"}`); got != int64(probes) {
+		t.Errorf("malformed info answers counted = %d, want every probe (%d)", got, probes)
 	}
-	if res.Dropped != res.Probed {
-		t.Errorf("Dropped = %d, want %d (malformed refs must still be dropped)", res.Dropped, res.Probed)
+	var dead int64
+	for _, l := range n.HealthTracker().Snapshot() {
+		dead += l.Dead
+		if l.Live != 0 {
+			t.Errorf("level %d: a malformed answer was tallied live: %+v", l.Level, l)
+		}
+	}
+	if dead != int64(probes) {
+		t.Errorf("dead tallies = %d, want %d (a malformed reference reads as dead)", dead, probes)
+	}
+	if got := tallyOf(r.Status().Faults, repair.FaultStarvedLevel); got != int64(levels) {
+		t.Errorf("starved-level faults = %d, want %d (every level died whole)", got, levels)
 	}
 }
 

@@ -1,14 +1,13 @@
 package node
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
 	"pgrid/internal/resilience"
@@ -46,10 +45,33 @@ func (n *Node) handleHealth(req *wire.HealthReq) *wire.HealthResp {
 	return &wire.HealthResp{Digest: health.Of(n.self, probes), Rounds: n.htr.Rounds()}
 }
 
-// refreshHealthGauges pushes the node's current digest into the telemetry
-// gauges (no-op without instruments). The prober calls it after every
-// round so /metrics tracks the live structure.
-func (n *Node) refreshHealthGauges() {
+// probeRef is the one way a background round looks at a reference: fetch
+// the peer's Info and hold it against the Sec. 2 property
+// (repair.ValidRef) for the given level of a node whose path is path. The
+// outcome lands in the health tracker and the per-level liveness counters.
+// info is nil when the peer did not answer; a peer that answered without
+// an Info payload is counted malformed and treated the same. The repairer
+// also probes refill candidates through here — a live reference's buddy is
+// a peer of the same complementary subtree, sampled for the same liveness.
+func (n *Node) probeRef(path bitpath.Path, level int, to addr.Addr) (info *wire.InfoResp, valid bool) {
+	resp, err := n.tr.Call(to, &wire.Message{Kind: wire.KindInfo, From: n.Addr()})
+	if err == nil {
+		if info = resp.InfoResp; info == nil {
+			rpcKind(n.tel, wire.KindInfo).Malformed()
+		}
+	}
+	valid = info != nil && repair.ValidRef(path, level, info.Path)
+	n.htr.Observe(level, valid)
+	n.tel.RefLiveness(level, valid)
+	return info, valid
+}
+
+// probeRoundDone closes one round of probeRef calls: it bumps the
+// tracker's round count and pushes the node's current digest into the
+// telemetry gauges (skipped without instruments), so /metrics tracks the
+// live structure.
+func (n *Node) probeRoundDone() {
+	n.htr.RoundDone()
 	if n.tel == nil {
 		return
 	}
@@ -67,58 +89,34 @@ func (n *Node) refreshHealthGauges() {
 		perm(overall, overallOK), perm(worst, worstOK), n.htr.Rounds())
 }
 
-// Prober is the node's reference-liveness sampler: every interval
-// (jittered ±25% so a community started together does not probe in
-// lockstep) it pings up to budget referenced peers, spread across the
-// node's levels, and records per-level live/dead tallies in the health
-// tracker. Unlike Maintain it never mutates the reference table — it only
-// measures, which is what makes its numbers comparable across nodes and
-// safe to run at a much higher frequency.
+// Prober is the one-shot reference-liveness sampler behind
+// `pgridsim -health`, the analysis package and the soak tests: a Tick pings
+// up to budget referenced peers, spread across the node's levels, and
+// records per-level live/dead tallies in the health tracker. It never
+// mutates the reference table — it only measures, which is what makes its
+// numbers comparable across nodes. A running pgridnode gets the same
+// tallies from its repair rounds (Repairer), which probe through the same
+// primitive.
 type Prober struct {
 	node   *Node
-	every  time.Duration
 	budget int
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewProber returns a prober for n waking every interval and spending at
-// most budget probe messages per round. It attaches a health tracker to
-// the node if none is present, and panics on a non-positive interval or
-// budget.
-func NewProber(n *Node, every time.Duration, budget int, seed int64) *Prober {
-	if every <= 0 {
-		panic("node: NewProber with non-positive interval")
-	}
+// NewProber returns a prober for n spending at most budget probe messages
+// per Tick. It attaches a health tracker to the node if none is present,
+// and panics on a non-positive budget.
+func NewProber(n *Node, budget int, seed int64) *Prober {
 	if budget <= 0 {
 		panic("node: NewProber with non-positive budget")
 	}
 	n.EnableHealth()
-	return &Prober{node: n, every: every, budget: budget,
-		rng: rand.New(rand.NewSource(seed))}
+	return &Prober{node: n, budget: budget, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Run probes until ctx is done, with a jittered interval.
-func (p *Prober) Run(ctx context.Context) {
-	for {
-		p.mu.Lock()
-		// Jitter uniformly in [0.75, 1.25]·every.
-		d := p.every/4*3 + time.Duration(p.rng.Int63n(int64(p.every)/2+1))
-		p.mu.Unlock()
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-			p.Tick()
-		}
-	}
-}
-
-// Tick runs one probe round immediately; exported so tests drive probing
-// without wall-clock timers. An offline node skips its turn.
+// Tick runs one probe round. An offline node skips its turn.
 func (p *Prober) Tick() {
 	n := p.node
 	if !n.Online() {
@@ -159,16 +157,9 @@ func (p *Prober) Tick() {
 	}
 
 	for _, c := range picks {
-		resp, err := n.tr.Call(c.to, &wire.Message{Kind: wire.KindInfo, From: n.Addr()})
-		ok := err == nil && resp.InfoResp != nil &&
-			resp.InfoResp.Path.Len() >= c.level &&
-			resp.InfoResp.Path.Prefix(c.level-1) == path.Prefix(c.level-1) &&
-			resp.InfoResp.Path.Bit(c.level) != path.Bit(c.level)
-		n.htr.Observe(c.level, ok)
-		n.tel.RefLiveness(c.level, ok)
+		n.probeRef(path, c.level, c.to)
 	}
-	n.htr.RoundDone()
-	n.refreshHealthGauges()
+	n.probeRoundDone()
 }
 
 // --- client surface --------------------------------------------------------
@@ -182,7 +173,7 @@ func (c *Client) FetchHealth(a addr.Addr, wantLiveness bool) (health.Digest, int
 		return health.Digest{}, 0, err
 	}
 	if resp.HealthResp == nil {
-		c.tel.MalformedResponse("health")
+		rpcKind(c.tel, wire.KindHealth).Malformed()
 		return health.Digest{}, 0, fmt.Errorf("%w: node %v answered health request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.HealthResp.Digest, resp.HealthResp.Rounds, nil
@@ -207,7 +198,7 @@ func (c *Client) crawlPeer(a addr.Addr, messages *int) (info *wire.InfoResp, d h
 	if err == nil {
 		*messages += len(batch)
 		if resps[0].InfoResp == nil {
-			c.tel.MalformedResponse("info")
+			rpcKind(c.tel, wire.KindInfo).Malformed()
 			return nil, health.Digest{}, false, rs
 		}
 		if resps[2].RepairResp != nil {

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -45,7 +44,7 @@ func TestProberTick(t *testing.T) {
 	n1 := c.Nodes[1] // path 10: level-1 ref → 0, level-2 ref → 2
 	tel := telemetry.New(1)
 	n1.SetTelemetry(tel)
-	pr := NewProber(n1, time.Second, 8, 1)
+	pr := NewProber(n1, 8, 1)
 
 	pr.Tick()
 	probes := n1.HealthTracker().Snapshot()
@@ -91,7 +90,7 @@ func TestProberTick(t *testing.T) {
 // budget 1, each round spends exactly one probe, on level 1 first.
 func TestProberBudget(t *testing.T) {
 	c := localHealthCluster(t)
-	pr := NewProber(c.Nodes[1], time.Second, 1, 1)
+	pr := NewProber(c.Nodes[1], 1, 1)
 	pr.Tick()
 	probes := c.Nodes[1].HealthTracker().Snapshot()
 	if len(probes) != 1 || probes[0].Level != 1 || probes[0].Live+probes[0].Dead != 1 {
@@ -103,7 +102,7 @@ func TestProberBudget(t *testing.T) {
 // community participant while away).
 func TestProberSkipsOffline(t *testing.T) {
 	c := localHealthCluster(t)
-	pr := NewProber(c.Nodes[1], time.Second, 8, 1)
+	pr := NewProber(c.Nodes[1], 8, 1)
 	c.Nodes[1].SetOnline(false)
 	pr.Tick()
 	if got := c.Nodes[1].HealthTracker().Rounds(); got != 0 {
@@ -113,7 +112,7 @@ func TestProberSkipsOffline(t *testing.T) {
 
 func TestFetchHealth(t *testing.T) {
 	c := localHealthCluster(t)
-	NewProber(c.Nodes[1], time.Second, 8, 1).Tick()
+	NewProber(c.Nodes[1], 8, 1).Tick()
 
 	cl := NewClient(c.Transport, 42)
 	d, rounds, err := cl.FetchHealth(1, true)
@@ -219,7 +218,7 @@ func TestTCPCrawl(t *testing.T) {
 				t.Fatalf("fixture build failed at node %d level %d", i, level)
 			}
 		}
-		NewProber(nodes[i], time.Second, 4, int64(i)).Tick()
+		NewProber(nodes[i], 4, int64(i)).Tick()
 	}
 
 	cl := NewClient(nodes[0].tr, 42)

@@ -73,7 +73,7 @@ func (c *Client) FetchHistory(a addr.Addr, window time.Duration, maxPoints int) 
 		return telemetry.HistoryDump{}, err
 	}
 	if resp.HistoryResp == nil {
-		c.tel.MalformedResponse("history")
+		rpcKind(c.tel, wire.KindHistory).Malformed()
 		return telemetry.HistoryDump{}, fmt.Errorf("%w: node %v answered history request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.HistoryResp.Dump, nil
@@ -158,7 +158,7 @@ func (c *Client) collectPeerHistory(a addr.Addr, window time.Duration, maxPoints
 	if err == nil {
 		*messages += len(batch)
 		if resps[0].InfoResp == nil {
-			c.tel.MalformedResponse("info")
+			rpcKind(c.tel, wire.KindInfo).Malformed()
 			return nil, telemetry.HistoryDump{}, false
 		}
 		info = resps[0].InfoResp

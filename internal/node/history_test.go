@@ -233,8 +233,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	restarted.SetTelemetry(tel2)
 	restarted.EnableHistory(telemetry.NewHistory(20*time.Millisecond, 10*time.Second))
 	srv2 := NewServer(restarted, ln)
-	tr.SetEndpoint(2, ln.Addr().String())
-	tr.Evict(2) // the pooled connection to the old incarnation is dying; do not race it
+	tr.SetEndpoint(2, ln.Addr().String()) // evicts the pooled connection to the old incarnation
 	go srv2.Serve(ctx)
 	defer srv2.Close()
 	samplers.Add(1)

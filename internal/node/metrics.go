@@ -29,7 +29,7 @@ func (c *Client) FetchMetrics(a addr.Addr) (telemetry.MetricsSnapshot, error) {
 		return telemetry.MetricsSnapshot{}, err
 	}
 	if resp.MetricsResp == nil {
-		c.tel.MalformedResponse("metrics")
+		rpcKind(c.tel, wire.KindMetrics).Malformed()
 		return telemetry.MetricsSnapshot{}, fmt.Errorf("%w: node %v answered metrics request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.MetricsResp.Snap, nil
@@ -53,7 +53,7 @@ func (c *Client) collectPeer(a addr.Addr, messages *int) (info *wire.InfoResp, s
 	if err == nil {
 		*messages += len(batch)
 		if resps[0].InfoResp == nil {
-			c.tel.MalformedResponse("info")
+			rpcKind(c.tel, wire.KindInfo).Malformed()
 			return nil, telemetry.MetricsSnapshot{}, false, health.Digest{}, false
 		}
 		info = resps[0].InfoResp

@@ -186,8 +186,6 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	case wire.KindScan:
 		return &wire.Message{Kind: wire.KindScanResp, From: n.Addr(),
 			ScanResp: &wire.ScanResp{Entries: n.Store().PrefixScan(m.Scan.Prefix)}}
-	case wire.KindStats:
-		return &wire.Message{Kind: wire.KindStatsResp, From: n.Addr(), StatsResp: n.stats()}
 	case wire.KindMetrics:
 		return &wire.Message{Kind: wire.KindMetricsResp, From: n.Addr(), MetricsResp: n.handleMetrics()}
 	case wire.KindTraces:
@@ -256,16 +254,6 @@ func (n *Node) handleBatch(m *wire.Message) *wire.Message {
 	}
 	return &wire.Message{Kind: wire.KindBatchResp, From: n.Addr(),
 		BatchResp: &wire.BatchResp{Msgs: out}}
-}
-
-// stats flattens the node's telemetry registry for the ctl tool. With
-// telemetry disabled the response carries the schema version and no stats.
-func (n *Node) stats() *wire.StatsResp {
-	resp := &wire.StatsResp{Schema: telemetry.SchemaVersion}
-	for _, s := range n.tel.Registry().Snapshot() {
-		resp.Stats = append(resp.Stats, wire.Stat{Name: s.Name, Value: s.Value})
-	}
-	return resp
 }
 
 func (n *Node) info() *wire.InfoResp {
@@ -371,15 +359,14 @@ func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
 	return resp
 }
 
-// routeQuery is the routing half of handleQuery: the Fig. 2 decision and
-// reference walk. span and childCtx are only touched when tracing is set;
+// routeQuery is the routing half of handleQuery: the Fig. 2 decision
+// (core.RouteStep, shared with the simulator) and the reference walk over
+// the transport. span and childCtx are only touched when tracing is set;
 // resp.Spans accumulates the downstream spans in visit order (the
 // caller's own span is prepended by handleQuery).
 func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) *wire.QueryResp {
-	rempath := path.Suffix(l)
-	compath := bitpath.CommonPrefix(q.Key, rempath)
-
-	if compath.Len() == q.Key.Len() || compath.Len() == rempath.Len() {
+	matched, next, rest := core.RouteStep(path, l, q.Key)
+	if matched {
 		if tracing {
 			span.Matched = true
 		}
@@ -387,40 +374,37 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 	}
 
 	resp := &wire.QueryResp{}
-	if path.Len() > l+compath.Len() {
-		querypath := q.Key.Suffix(compath.Len())
-		refs := n.self.RefsAt(l + compath.Len() + 1)
-		for refs.Len() > 0 {
-			var r addr.Addr
-			n.mu.Lock()
-			r = refs.PopRandom(n.rng)
-			n.mu.Unlock()
-			down, err := n.tr.Call(r, &wire.Message{
-				Kind: wire.KindQuery, From: n.Addr(),
-				Query: &wire.QueryReq{Key: querypath, Level: l + compath.Len(), Ctx: childCtx},
-			})
-			n.tel.RefLiveness(l+compath.Len()+1, err == nil && down.QueryResp != nil)
-			if err != nil || down.QueryResp == nil {
-				continue // unreachable reference: try the next one
-			}
-			resp.Messages += 1 + down.QueryResp.Messages
-			resp.Backtracks += down.QueryResp.Backtracks
+	refs := n.self.RefsAt(next)
+	for refs.Len() > 0 {
+		var r addr.Addr
+		n.mu.Lock()
+		r = refs.PopRandom(n.rng)
+		n.mu.Unlock()
+		down, err := n.tr.Call(r, &wire.Message{
+			Kind: wire.KindQuery, From: n.Addr(),
+			Query: &wire.QueryReq{Key: rest, Level: next - 1, Ctx: childCtx},
+		})
+		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
+		if err != nil || down.QueryResp == nil {
+			continue // unreachable reference: try the next one
+		}
+		resp.Messages += 1 + down.QueryResp.Messages
+		resp.Backtracks += down.QueryResp.Backtracks
+		if tracing {
+			resp.Spans = append(resp.Spans, down.QueryResp.Spans...)
+		}
+		if down.QueryResp.Found {
+			resp.Found = true
+			resp.Peer = down.QueryResp.Peer
+			resp.Path = down.QueryResp.Path
 			if tracing {
-				resp.Spans = append(resp.Spans, down.QueryResp.Spans...)
+				span.Ref = r
 			}
-			if down.QueryResp.Found {
-				resp.Found = true
-				resp.Peer = down.QueryResp.Peer
-				resp.Path = down.QueryResp.Path
-				if tracing {
-					span.Ref = r
-				}
-				return resp
-			}
-			resp.Backtracks++ // the contacted subtree resolved nothing
-			if tracing {
-				span.Backtracked = true
-			}
+			return resp
+		}
+		resp.Backtracks++ // the contacted subtree resolved nothing
+		if tracing {
+			span.Backtracked = true
 		}
 	}
 	return resp

@@ -109,11 +109,17 @@ func NewPoolTransport(cfg PoolConfig) *PoolTransport {
 // transport is used; the field is not synchronized.
 func (p *PoolTransport) SetTelemetry(tel *telemetry.Instruments) { p.tel = tel }
 
-// SetEndpoint maps a logical peer address to host:port.
+// SetEndpoint maps a logical peer address to host:port. Re-pointing a known
+// peer at a different endpoint evicts its pooled connections: they lead to
+// the old endpoint, and the next call must reach the new one.
 func (p *PoolTransport) SetEndpoint(a addr.Addr, hostport string) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	old, known := p.endpoints[a]
 	p.endpoints[a] = hostport
+	p.mu.Unlock()
+	if known && old != hostport {
+		p.Evict(a)
+	}
 }
 
 // Endpoint returns the mapping for a, if known.

@@ -647,3 +647,54 @@ func TestPoolHalfOpenProbeReusesConnection(t *testing.T) {
 		t.Errorf("half-open probe reuses = %d, want %d", st.Reuses, tripped.Reuses+1)
 	}
 }
+
+// TestPoolSetEndpointEvicts pins that re-pointing a peer at another
+// endpoint takes effect on the very next call: the pooled connection to
+// the old endpoint is evicted instead of serving the peer on. Both
+// listeners stay up, so a stale pooled connection would keep working —
+// and keep reaching the wrong process. Each call stores one entry, so the
+// stores show which listener took which frame.
+func TestPoolSetEndpointEvicts(t *testing.T) {
+	nodes, pt, stop := startPooledCluster(t, 2, PoolConfig{
+		DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
+	defer stop()
+	newEP, _ := pt.Endpoint(1)
+
+	apply := func(name string) {
+		t.Helper()
+		_, err := pt.Call(0, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
+			Apply: &wire.ApplyReq{Entry: store.Entry{Key: bitpath.MustParse("01"), Name: name, Version: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply("before")
+	if nodes[0].Store().Len() != 1 || nodes[1].Store().Len() != 0 {
+		t.Fatalf("before re-pointing: entries old %d new %d, want 1 and 0",
+			nodes[0].Store().Len(), nodes[1].Store().Len())
+	}
+
+	pt.SetEndpoint(0, newEP)
+	apply("after")
+	if got := nodes[1].Store().Len(); got != 1 {
+		t.Errorf("the call after re-pointing did not reach the new listener (%d entries there)", got)
+	}
+	if got := nodes[0].Store().Len(); got != 1 {
+		t.Errorf("the old listener took a frame after the re-point (%d entries there)", got)
+	}
+	st := pt.Stats()
+	if st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1 (the one pooled connection to the old endpoint)", st.Evictions)
+	}
+
+	// The same endpoint again is no change: nothing evicted, the pooled
+	// connection serves on.
+	pt.SetEndpoint(0, newEP)
+	apply("again")
+	if got := nodes[1].Store().Len(); got != 2 {
+		t.Errorf("after a no-op SetEndpoint the new listener holds %d entries, want 2", got)
+	}
+	if after := pt.Stats(); after.Evictions != st.Evictions || after.Dials != st.Dials {
+		t.Errorf("no-op SetEndpoint evicted or re-dialed: %+v → %+v", st, after)
+	}
+}

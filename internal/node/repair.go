@@ -20,14 +20,16 @@ type RepairConfig struct {
 	// Budget is the maximum number of wire messages one repair round may
 	// spend. Required.
 	Budget int
-	// Fetch bounds how many live references contribute refill candidates
-	// per level (the node.Maintain fetch knob). Defaults to 2.
-	Fetch int
 }
 
-// Repairer is the self-healing loop of a networked node: each round it
-// detects structural faults — references on the wrong side of the Section 2
-// prefix invariant, dead directory entries, replicas whose path or store
+// refillFetch bounds how many live references contribute refill candidates
+// per level in one round.
+const refillFetch = 2
+
+// Repairer is the self-healing loop of a networked node, and the only
+// background loop that probes its references: each round it detects
+// structural faults — references on the wrong side of the Section 2 prefix
+// invariant, dead directory entries, replicas whose path or store
 // fingerprint drifted from their group, entries stored outside the node's
 // responsibility — and heals what it can within the message budget. The
 // design follows the self-stabilization view of P-Grid maintenance
@@ -66,9 +68,6 @@ func NewRepairer(n *Node, every time.Duration, cfg RepairConfig, seed int64) *Re
 	}
 	if cfg.Budget <= 0 {
 		panic(fmt.Sprintf("node: repair budget %d must be positive", cfg.Budget))
-	}
-	if cfg.Fetch <= 0 {
-		cfg.Fetch = 2
 	}
 	n.EnableHealth()
 	r := &Repairer{
@@ -283,13 +282,9 @@ func (r *Repairer) Tick() {
 				kept.Add(ref) // budget exhausted: keep unexamined refs
 				continue
 			}
-			resp, err := n.tr.Call(ref, &wire.Message{Kind: wire.KindInfo, From: n.Addr()})
-			alive := err == nil && resp.InfoResp != nil
-			valid := alive && repair.ValidRef(path, level, resp.InfoResp.Path)
-			n.htr.Observe(level, valid)
-			n.tel.RefLiveness(level, valid)
+			info, valid := n.probeRef(path, level, ref)
 			switch {
-			case !alive:
+			case info == nil:
 				dead = append(dead, ref)
 			case !valid:
 				fault(repair.FaultWrongSide)
@@ -297,7 +292,7 @@ func (r *Repairer) Tick() {
 				heal(repair.ActionEvictRef, level, ref)
 			default:
 				kept.Add(ref)
-				liveInfos = append(liveInfos, resp.InfoResp)
+				liveInfos = append(liveInfos, info)
 			}
 		}
 		if len(liveInfos) == 0 && kept.Len() == 0 && len(dead) > 0 {
@@ -329,11 +324,12 @@ func (r *Repairer) Tick() {
 			dropped.Add(d)
 			heal(repair.ActionEvictRef, level, d)
 		}
-		// Refill toward refmax from live references' buddies, validated
-		// the same way as in Maintain.
+		// Refill toward refmax from live references' buddies: a valid
+		// buddy shares the full path of the reference, hence its first
+		// `level` bits, and is probed like any reference.
 		fetched := 0
 		for _, info := range liveInfos {
-			if kept.Len() >= n.cfg.RefMax || fetched >= r.cfg.Fetch {
+			if kept.Len() >= n.cfg.RefMax || fetched >= refillFetch {
 				break
 			}
 			fetched++
@@ -347,8 +343,7 @@ func (r *Repairer) Tick() {
 				if !spend(1) {
 					break
 				}
-				resp, err := n.tr.Call(b, &wire.Message{Kind: wire.KindInfo, From: n.Addr()})
-				if err == nil && resp.InfoResp != nil && repair.ValidRef(path, level, resp.InfoResp.Path) {
+				if _, valid := n.probeRef(path, level, b); valid {
 					kept.Add(b)
 					heal(repair.ActionRefillRef, level, b)
 				}
@@ -478,6 +473,7 @@ func (r *Repairer) Tick() {
 	}
 	n.rec.Record(trace.Trace{TraceID: id, Key: path, Found: unhealed == 0,
 		Messages: spent, Backtracks: int(unhealed), Spans: spans})
+	n.probeRoundDone()
 }
 
 // searchRefill repopulates an empty level by routing a query for the
@@ -589,7 +585,7 @@ func (c *Client) FetchRepair(a addr.Addr, trigger bool) (repair.Status, error) {
 		return repair.Status{}, err
 	}
 	if resp.RepairResp == nil {
-		c.tel.MalformedResponse("repair")
+		rpcKind(c.tel, wire.KindRepair).Malformed()
 		return repair.Status{}, fmt.Errorf("%w: node %v answered repair request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.RepairResp.Status, nil

@@ -316,6 +316,39 @@ func TestRepairEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRepairerRoundFeedsHealth pins that a repair round is a probe round:
+// a node that runs only the repairer must report its rounds and liveness
+// to `pgridctl health`, the crawl and the pgrid_health_* gauges.
+func TestRepairerRoundFeedsHealth(t *testing.T) {
+	c := repairFixture(t, 41)
+	n0 := c.Nodes[0]
+	tel := telemetry.New(0)
+	n0.SetTelemetry(tel)
+	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 10)
+
+	n0.SetOnline(false)
+	r.Tick()
+	if got := n0.HealthTracker().Rounds(); got != 0 {
+		t.Fatalf("an offline node's skipped round counted: rounds = %d", got)
+	}
+	n0.SetOnline(true)
+
+	r.Tick()
+	if got := n0.HealthTracker().Rounds(); got != 1 {
+		t.Fatalf("rounds after one repair round = %d, want 1", got)
+	}
+	if got := counterVal(t, tel, "pgrid_health_probe_rounds"); got != 1 {
+		t.Errorf("pgrid_health_probe_rounds = %d, want 1", got)
+	}
+	if got := counterVal(t, tel, "pgrid_health_liveness_permille"); got != 1000 {
+		t.Errorf("pgrid_health_liveness_permille = %d, want 1000 (three live references probed)", got)
+	}
+	_, rounds, err := NewClient(c.Transport, 1).FetchHealth(0, true)
+	if err != nil || rounds != 1 {
+		t.Errorf("FetchHealth rounds = %d (err %v), want 1", rounds, err)
+	}
+}
+
 func TestRepairerRunStops(t *testing.T) {
 	c := repairFixture(t, 39)
 	r := NewRepairer(c.Nodes[0], 10*time.Millisecond, RepairConfig{Budget: 16}, 9)

@@ -156,18 +156,17 @@ func TestTCPNodeMaintain(t *testing.T) {
 	if nodes[0].Path().Len() == 0 {
 		t.Skip("node 0 did not specialize in time")
 	}
-	refs := nodes[0].Peer().RefsAt(1).Slice()
+	refs := nodes[0].Peer().RefsAt(1).Sorted()
 	if len(refs) == 0 {
 		t.Skip("no level-1 references")
 	}
-	for _, n := range nodes {
-		if n.Addr() == refs[0] {
-			n.SetOnline(false)
-		}
-	}
-	res := nodes[0].Maintain(2)
-	if res.Dropped == 0 {
-		t.Fatalf("maintenance over TCP dropped nothing: %+v", res)
+	nodes[refs[0]].SetOnline(false)
+	r := NewRepairer(nodes[0], time.Second, RepairConfig{Budget: 64}, 10)
+	r.Tick()
+	st := r.Status()
+	checkDeadRefHandled(t, nodes[0], st, 1, refs[0], len(refs) > 1)
+	if st.Rounds != 1 || st.Messages == 0 {
+		t.Fatalf("repair round over TCP: %+v", st)
 	}
 }
 

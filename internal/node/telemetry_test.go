@@ -10,9 +10,9 @@ import (
 	"pgrid/internal/wire"
 )
 
-// statValue finds a series in a stats response; -1 if absent.
-func statValue(resp *wire.StatsResp, name string) int64 {
-	for _, s := range resp.Stats {
+// statValue finds a series among flattened stats; -1 if absent.
+func statValue(stats []telemetry.Stat, name string) int64 {
+	for _, s := range stats {
 		if s.Name == name {
 			return s.Value
 		}
@@ -26,15 +26,15 @@ func TestStatsRPC(t *testing.T) {
 	c.Nodes[0].SetTelemetry(tel)
 
 	// Without telemetry the RPC still answers, with the schema and no data.
-	resp, err := c.Transport.Call(1, &wire.Message{Kind: wire.KindStats, From: addr.Nil})
+	resp, err := c.Transport.Call(1, &wire.Message{Kind: wire.KindMetrics, From: addr.Nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatsResp == nil || resp.StatsResp.Schema != telemetry.SchemaVersion {
-		t.Fatalf("bare node stats = %+v", resp.StatsResp)
+	if resp.MetricsResp == nil || resp.MetricsResp.Snap.Schema != telemetry.MetricsSchemaVersion {
+		t.Fatalf("bare node metrics = %+v", resp.MetricsResp)
 	}
-	if len(resp.StatsResp.Stats) != 0 {
-		t.Errorf("bare node returned %d series", len(resp.StatsResp.Stats))
+	if n := len(resp.MetricsResp.Snap.Stats) + len(resp.MetricsResp.Snap.Hists); n != 0 {
+		t.Errorf("bare node returned %d series", n)
 	}
 
 	// Drive some traffic through node 0, then scrape it over the wire.
@@ -42,14 +42,14 @@ func TestStatsRPC(t *testing.T) {
 	buildCluster(t, c, 1.5, 4000, rng)
 	c.Nodes[0].Query(bitpath.MustParse("101"))
 
-	resp, err = c.Transport.Call(0, &wire.Message{Kind: wire.KindStats, From: addr.Nil})
+	resp, err = c.Transport.Call(0, &wire.Message{Kind: wire.KindMetrics, From: addr.Nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := resp.StatsResp
-	if st == nil || st.Schema != telemetry.SchemaVersion {
-		t.Fatalf("stats = %+v", st)
+	if resp.MetricsResp == nil || resp.MetricsResp.Snap.Schema != telemetry.MetricsSchemaVersion {
+		t.Fatalf("metrics = %+v", resp.MetricsResp)
 	}
+	st := resp.MetricsResp.Snap.Stats
 	if v := statValue(st, "pgrid_rpc_served_total"); v < 1 {
 		t.Errorf("pgrid_rpc_served_total = %d", v)
 	}
@@ -71,10 +71,7 @@ func TestExchangeCasesCountedOverTransport(t *testing.T) {
 	if err := c.Nodes[0].Exchange(1); err != nil {
 		t.Fatal(err)
 	}
-	st := &wire.StatsResp{}
-	for _, s := range tel.Registry().Snapshot() {
-		st.Stats = append(st.Stats, wire.Stat{Name: s.Name, Value: s.Value})
-	}
+	st := tel.Registry().Snapshot()
 	if v := statValue(st, "pgrid_exchange_total"); v != 1 {
 		t.Errorf("pgrid_exchange_total = %d, want 1", v)
 	}
@@ -102,11 +99,7 @@ func TestInstrumentedTransport(t *testing.T) {
 	if _, err := tr.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err == nil {
 		t.Fatal("call to offline node succeeded")
 	}
-	snap := tel.Registry().Snapshot()
-	st := &wire.StatsResp{}
-	for _, s := range snap {
-		st.Stats = append(st.Stats, wire.Stat{Name: s.Name, Value: s.Value})
-	}
+	st := tel.Registry().Snapshot()
 	if v := statValue(st, "pgrid_rpc_client_total"); v != 2 {
 		t.Errorf("pgrid_rpc_client_total = %d, want 2", v)
 	}
@@ -140,11 +133,7 @@ func TestFlakyTransportDropCounter(t *testing.T) {
 	if total != 100 || dropped == 0 {
 		t.Fatalf("dropped/total = %d/%d", dropped, total)
 	}
-	snap := tel.Registry().Snapshot()
-	st := &wire.StatsResp{}
-	for _, s := range snap {
-		st.Stats = append(st.Stats, wire.Stat{Name: s.Name, Value: s.Value})
-	}
+	st := tel.Registry().Snapshot()
 	if v := statValue(st, "pgrid_rpc_dropped_total"); v != dropped {
 		t.Errorf("pgrid_rpc_dropped_total = %d, want %d", v, dropped)
 	}
@@ -171,11 +160,7 @@ func TestQueryBacktracksOverTransport(t *testing.T) {
 		res := c.Nodes[0].Query(bitpath.Random(rng, 4))
 		backtracks += res.Backtracks
 	}
-	snap := tel.Registry().Snapshot()
-	st := &wire.StatsResp{}
-	for _, s := range snap {
-		st.Stats = append(st.Stats, wire.Stat{Name: s.Name, Value: s.Value})
-	}
+	st := tel.Registry().Snapshot()
 	if v := statValue(st, "pgrid_query_total"); v != 50 {
 		t.Errorf("pgrid_query_total = %d, want 50", v)
 	}

@@ -32,8 +32,8 @@ const (
 	// with the holder or agrees on bit i — the Sec. 2 routing invariant
 	// is violated, so queries routed through it can loop or dead-end.
 	FaultWrongSide FaultClass = "wrong-side-ref"
-	// FaultDeadRef: a referenced peer is unreachable (stale directory
-	// entry the Prober has flagged).
+	// FaultDeadRef: a referenced peer did not answer the round's probe (a
+	// stale directory entry).
 	FaultDeadRef FaultClass = "dead-ref"
 	// FaultPathDrift: the peer's own path disagrees with the majority of
 	// its replica group — a bit-flipped path, the classic arbitrary-
@@ -62,7 +62,7 @@ const (
 	// ActionEvictRef: remove an invariant-violating or dead reference.
 	ActionEvictRef Action = "evict-ref"
 	// ActionRefillRef: add a validated replacement reference fetched
-	// from a live reference's buddy list (the Maintain refill protocol).
+	// from a live reference's buddy list.
 	ActionRefillRef Action = "refill-ref"
 	// ActionSearchRefill: recover a starved level by routing a query for
 	// the complementary subtree and adopting the responder.

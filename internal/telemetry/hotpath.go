@@ -59,9 +59,8 @@ func (t *Instruments) RPCKind(code uint8, name string) *RPCKind {
 }
 
 // rpcNamed returns the instruments of the message kind with the given
-// label, for callers that hold no code (display names in tests and tools,
-// MalformedResponse's literals). One lock-free map read once the name is
-// known.
+// label, for callers that hold no code (display names in tests and
+// tools). One lock-free map read once the name is known.
 func (t *Instruments) rpcNamed(name string) *RPCKind {
 	if t == nil {
 		return nil

@@ -210,7 +210,7 @@ func TestIndexedPathEquivalence(t *testing.T) {
 				ref.labeled(want.rpcDropped, "pgrid_rpc_dropped_kind_total", "kind", "apply", "dropped RPCs by message kind")
 				got.RPCKind(0, "query").Slow()
 				ref.labeled(want.rpcSlow, "pgrid_rpc_slow_kind_total", "kind", "query", "slow outbound RPCs by message kind")
-				got.MalformedResponse("info")
+				got.RPCKind(8, "info").Malformed()
 				ref.labeled(want.rpcMalformed, "pgrid_rpc_malformed_kind_total", "kind", "info", "malformed responses by request kind")
 				got.PeerError(i, ErrClassTimeout)
 				ref.peerError(i, "timeout")

@@ -452,9 +452,9 @@ func (t *Instruments) ObserveHealth(pathLen, entries, buddies int, livenessPermi
 	t.healthRounds.Set(rounds)
 }
 
-// ClientRPC, ServedRPC, ServedRPCDone, ServedRPCTraced and
-// MalformedResponse address a message kind by its label, for callers that
-// hold no wire code; callers on the per-message path use RPCKind.
+// ClientRPC, ServedRPC, ServedRPCDone and ServedRPCTraced address a
+// message kind by its label, for callers that hold no wire code; callers
+// on the per-message path use RPCKind.
 
 // ClientRPC records one outbound RPC of the given kind, its round-trip
 // latency, and whether it failed.
@@ -476,10 +476,6 @@ func (t *Instruments) ServedRPCDone(kind string, d time.Duration, isErr bool) {
 func (t *Instruments) ServedRPCTraced(kind string, d time.Duration, isErr bool, traceID uint64) {
 	t.rpcNamed(kind).ServedDone(d, isErr, traceID)
 }
-
-// MalformedResponse records one response whose payload did not match the
-// request kind.
-func (t *Instruments) MalformedResponse(kind string) { t.rpcNamed(kind).Malformed() }
 
 // RepairFault records one structural fault detected by the repair
 // protocol, labeled by fault class (wrong-side-ref, dead-ref, …).

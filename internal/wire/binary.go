@@ -347,7 +347,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			b = appendEntry(b, g.Entry)
 			b = appendBool(b, g.Found)
 		}
-	case KindInfo, KindStats, KindMetrics:
+	case KindInfo, KindMetrics:
 		// No request payload.
 	case KindInfoResp:
 		b = appendBool(b, m.InfoResp != nil)
@@ -370,16 +370,6 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 		b = appendBool(b, m.ScanResp != nil)
 		if s := m.ScanResp; s != nil {
 			b = appendEntries(b, s.Entries)
-		}
-	case KindStatsResp:
-		b = appendBool(b, m.StatsResp != nil)
-		if s := m.StatsResp; s != nil {
-			b = appendVarint(b, int64(s.Schema))
-			b = appendUvarint(b, uint64(len(s.Stats)))
-			for _, st := range s.Stats {
-				b = appendString(b, st.Name)
-				b = appendVarint(b, st.Value)
-			}
 		}
 	case KindError:
 		b = appendString(b, m.Error)
@@ -958,7 +948,7 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		if d.bool() {
 			m.GetResp = &GetResp{Entry: d.entry(), Found: d.bool()}
 		}
-	case KindInfo, KindStats, KindMetrics:
+	case KindInfo, KindMetrics:
 		// No payload.
 	case KindInfoResp:
 		if d.bool() {
@@ -980,17 +970,6 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 	case KindScanResp:
 		if d.bool() {
 			m.ScanResp = &ScanResp{Entries: d.entries()}
-		}
-	case KindStatsResp:
-		if d.bool() {
-			s := &StatsResp{Schema: d.int()}
-			if n := d.uvarint(); d.need(n, 2) && n > 0 {
-				s.Stats = make([]Stat, n)
-				for i := range s.Stats {
-					s.Stats[i] = Stat{Name: d.string(), Value: d.varint()}
-				}
-			}
-			m.StatsResp = s
 		}
 	case KindError:
 		m.Error = d.string()

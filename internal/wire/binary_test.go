@@ -73,9 +73,6 @@ func sampleMessages() []*Message {
 			Buddies: RefSet{Addrs: []addr.Addr{13}}, Entries: 44}},
 		{Kind: KindScan, From: 13, Scan: &ScanReq{Prefix: p("011")}},
 		{Kind: KindScanResp, From: 14, ScanResp: &ScanResp{Entries: []store.Entry{entry, entry}}},
-		{Kind: KindStats, From: 15},
-		{Kind: KindStatsResp, From: 16, StatsResp: &StatsResp{Schema: 1,
-			Stats: []Stat{{Name: "rpc_total", Value: 123}, {Name: "neg", Value: -7}}}},
 		{Kind: KindError, From: 17, Error: "node offline"},
 		{Kind: KindTraces, From: 18, Traces: &TracesReq{Limit: 32}},
 		{Kind: KindTracesResp, From: 19, TracesResp: &TracesResp{Total: 901,
@@ -141,7 +138,7 @@ func TestBinaryCoversAllKinds(t *testing.T) {
 		seen[m.Kind] = true
 	}
 	for k := KindQuery; k <= KindRepairResp; k++ {
-		if k == 15 || k == 22 || k == 23 { // reserved
+		if k == 12 || k == 13 || k == 15 || k == 22 || k == 23 { // reserved
 			continue
 		}
 		if !seen[k] {
@@ -214,8 +211,6 @@ var goldenFrameSums = []uint64{
 	0x96624c3ce70e0cbe, // info-resp
 	0x0e5df2ba9b1016d2, // scan
 	0xe1b9e8875ab3412b, // scan-resp
-	0x3a4b26395eeff749, // stats
-	0xb240fe3290813e83, // stats-resp
 	0xc8f1c35927359f7b, // error
 	0x60a982b4bedf228c, // traces
 	0x3ed09db11dbca33d, // traces-resp
@@ -867,9 +862,14 @@ func FuzzReadFrame(f *testing.F) {
 	// codec version, and each reserved kind slot.
 	f.Add([]byte{magic0, magic1, BinaryVersion, byte(KindGet), 0, 0, 0, 0, 1, 0, 0, 0, 9})
 	f.Add([]byte{magic0, magic1, BinaryVersion + 1, byte(KindInfo), 0, 0, 0, 0, 1, 0, 0, 0, 1, 2})
-	for _, k := range []byte{15, 22, 23} {
+	for _, k := range []byte{12, 13, 15, 22, 23} {
 		f.Add([]byte{magic0, magic1, BinaryVersion, k, 0, 0, 0, 0, 1, 0, 0, 0, 2, 2, 1})
 	}
+	// The stats request and response exactly as a peer from before the
+	// retirement of kinds 12/13 still sends them.
+	f.Add([]byte{magic0, magic1, BinaryVersion, 12, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0x1e})
+	f.Add([]byte{magic0, magic1, BinaryVersion, 13, 1, 0, 0, 0, 3, 0, 0, 0, 0x15, 0x20, 1, 2, 2,
+		9, 'r', 'p', 'c', '_', 't', 'o', 't', 'a', 'l', 0xf6, 1, 3, 'n', 'e', 'g', 0x0d})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 4; i++ {

@@ -54,10 +54,11 @@ func TestKindNumbering(t *testing.T) {
 	if KindRepair.String() != "repair" || KindRepairResp.String() != "repair-resp" {
 		t.Fatalf("kind names: %v %v", KindRepair, KindRepairResp)
 	}
-	// Reserved slots stay unassigned: 15 pairs off KindError, 22/23 carried
-	// the codec-negotiation hello. No name, no body format in either
-	// direction.
-	for _, k := range []Kind{15, 22, 23} {
+	// Reserved slots stay unassigned: 12/13 carried the flat stats pair
+	// (KindMetrics answers a superset), 15 pairs off KindError, 22/23
+	// carried the codec-negotiation hello. No name, no body format in
+	// either direction.
+	for _, k := range []Kind{12, 13, 15, 22, 23} {
 		if want := fmt.Sprintf("kind(%d)", uint8(k)); k.String() != want {
 			t.Errorf("reserved kind %d is named %q, want %q", uint8(k), k, want)
 		}

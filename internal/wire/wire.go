@@ -41,8 +41,8 @@ const (
 	KindInfoResp
 	KindScan
 	KindScanResp
-	KindStats
-	KindStatsResp
+	_ // reserved: was the flat stats request (KindMetrics carries a superset)
+	_ // reserved: was the stats response
 	KindError
 	_ // reserved: keeps requests even after the unpaired KindError
 	KindTraces
@@ -66,7 +66,7 @@ const (
 // twice), and rebuilding the array per call showed up in profiles.
 var kindNames = [...]string{"query", "query-resp", "exchange", "exchange-resp",
 	"apply", "apply-resp", "get", "get-resp", "info", "info-resp",
-	"scan", "scan-resp", "stats", "stats-resp", "error", "kind(15)",
+	"scan", "scan-resp", "kind(12)", "kind(13)", "error", "kind(15)",
 	"traces", "traces-resp", "health", "health-resp",
 	"batch", "batch-resp", "kind(22)", "kind(23)",
 	"metrics", "metrics-resp", "history", "history-resp",
@@ -103,7 +103,6 @@ type Message struct {
 	InfoResp     *InfoResp
 	Scan         *ScanReq
 	ScanResp     *ScanResp
-	StatsResp    *StatsResp
 	Traces       *TracesReq
 	TracesResp   *TracesResp
 	Health       *HealthReq
@@ -224,22 +223,7 @@ type ScanResp struct {
 	Entries []store.Entry
 }
 
-// Stat is one named counter from a node's telemetry registry. Histograms
-// are flattened into their _bucket/_sum/_count series before shipping.
-type Stat struct {
-	Name  string
-	Value int64
-}
-
-// StatsResp returns a snapshot of the receiver's telemetry registry.
-// Schema versions the flattening (currently telemetry.SchemaVersion); Stats
-// is empty when the receiver runs with telemetry disabled.
-type StatsResp struct {
-	Schema int
-	Stats  []Stat
-}
-
-// MetricsResp answers KindMetrics (a payload-less request, like KindStats)
+// MetricsResp answers KindMetrics (a payload-less request, like KindInfo)
 // with the receiver's full mergeable telemetry snapshot: flattened
 // counters/gauges plus sparse quantile-histogram buckets that a collector
 // can sum across the community. Snap.Schema carries
@@ -306,8 +290,8 @@ type HealthReq struct {
 }
 
 // HealthResp returns the receiver's replica digest. Rounds counts the
-// probe rounds the receiver's background prober has completed (0 when
-// probing is off). Pre-health peers answer KindHealth with KindError.
+// probe rounds the receiver has completed — one per repair round (0 when
+// repair is off). Pre-health peers answer KindHealth with KindError.
 type HealthResp struct {
 	Digest health.Digest
 	Rounds int64
