@@ -19,7 +19,10 @@ func TestIntegrationBuildPublishSearchLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	opts := Options{Peers: 800, MaxPathLen: 6, RefMax: 8, RecMax: 2, RecFanout: 2, Threshold: 0.99, Seed: 21, Concurrent: true}
+	// Sequential build: the concurrent engine's grid depends on goroutine
+	// scheduling, and the thresholds below are specific to one grid. The
+	// concurrent engine has its own tests in internal/sim.
+	opts := Options{Peers: 800, MaxPathLen: 6, RefMax: 8, RecMax: 2, RecFanout: 2, Threshold: 0.99, Seed: 21}
 	g, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +85,8 @@ func TestIntegrationUpdateThenMajorityReadUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	g, err := Build(Options{Peers: 1000, MaxPathLen: 6, RefMax: 10, RecMax: 2, RecFanout: 2, Threshold: 0.99, Seed: 23, Concurrent: true})
+	// Sequential build, for the reason given in the lifecycle test above.
+	g, err := Build(Options{Peers: 1000, MaxPathLen: 6, RefMax: 10, RecMax: 2, RecFanout: 2, Threshold: 0.99, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,24 @@ type ReplicaResult struct {
 	Messages int
 }
 
+// ReplicaStep is the decision of the breadth-first replica search at one
+// visited peer, free of state and I/O: whether the peer's path covers key
+// (the two are in a prefix relationship) and which reference levels lo…hi
+// the search follows from it. A covering peer reaches the sibling regions
+// under the key through its references at every level below the key's
+// length (none when the key is at least as long as the path); any other
+// peer routes towards the key's region through the level of the first
+// diverging bit, whose references agree with the key there. The simulator
+// (ReplicaSearch) and the networked client (node.Client.ReplicaSearch) both
+// take the decision from here; they differ only in how a peer is reached.
+func ReplicaStep(path, key bitpath.Path) (covers bool, lo, hi int) {
+	c := bitpath.CommonPrefixLen(path, key)
+	if c == path.Len() || c == key.Len() {
+		return true, key.Len() + 1, path.Len()
+	}
+	return false, c + 1, c + 1
+}
+
 // ReplicaSearch performs the breadth-first search used by the update
 // strategies of Section 5.2: unlike Query, which stops at the first
 // responsible peer, it follows up to recbreadth references at every level —
@@ -33,44 +51,32 @@ func ReplicaSearch(d *directory.Directory, start *peer.Peer, key bitpath.Path, r
 	visited := map[addr.Addr]bool{start.Addr(): true}
 	queue := []*peer.Peer{start}
 
-	contact := func(refs addr.Set) {
-		// Follow up to recbreadth fresh online references from this set.
-		followed := 0
-		for _, r := range refs.Shuffled(rng) {
-			if followed >= recbreadth {
-				break
-			}
-			if visited[r] {
-				continue
-			}
-			q := d.Peer(r)
-			if q == nil || !q.Online() {
-				continue
-			}
-			visited[r] = true
-			res.Messages++
-			queue = append(queue, q)
-			followed++
-		}
-	}
-
 	for len(queue) > 0 {
 		a := queue[0]
 		queue = queue[1:]
-		path := a.Path()
-		c := bitpath.CommonPrefixLen(path, key)
-		if c == path.Len() || c == key.Len() {
-			// a covers the key. Peers responsible for sibling regions under
-			// the key are reachable through a's references at every level
-			// below the key's length.
+		covers, lo, hi := ReplicaStep(a.Path(), key)
+		if covers {
 			res.Found = append(res.Found, a.Addr())
-			for level := key.Len() + 1; level <= path.Len(); level++ {
-				contact(a.RefsAt(level))
+		}
+		for level := lo; level <= hi; level++ {
+			// Follow up to recbreadth fresh online references of the level.
+			followed := 0
+			for _, r := range a.RefsAt(level).Shuffled(rng) {
+				if followed >= recbreadth {
+					break
+				}
+				if visited[r] {
+					continue
+				}
+				q := d.Peer(r)
+				if q == nil || !q.Online() {
+					continue
+				}
+				visited[r] = true
+				res.Messages++
+				queue = append(queue, q)
+				followed++
 			}
-		} else {
-			// Route towards the key's region: references at the level of
-			// the first diverging bit agree with the key there.
-			contact(a.RefsAt(c + 1))
 		}
 	}
 	return res

@@ -141,3 +141,30 @@ func TestReplicaSearchExactDepthKeyFromInsideFindsOnlySelf(t *testing.T) {
 		t.Errorf("res = %+v, want just the start", res)
 	}
 }
+
+func TestReplicaStep(t *testing.T) {
+	tests := []struct {
+		name      string
+		path, key bitpath.Path
+		covers    bool
+		lo, hi    int
+	}{
+		{"diverging at the first bit routes through level 1", "100", "01", false, 1, 1},
+		{"diverging at bit 3 routes through level 3", "0110", "010", false, 3, 3},
+		{"path longer than key: covers, fans out below the key", "0110", "01", true, 3, 4},
+		{"path equals key: covers, nothing to follow", "011", "011", true, 4, 3},
+		{"path shorter than key: covers, nothing to follow", "01", "0110", true, 5, 2},
+		{"empty key: every peer covers, all its levels followed", "101", "", true, 1, 3},
+		{"empty path covers any key", "", "11", true, 3, 0},
+	}
+	for _, tc := range tests {
+		covers, lo, hi := ReplicaStep(tc.path, tc.key)
+		if covers != tc.covers || lo != tc.lo || hi != tc.hi {
+			t.Errorf("%s: ReplicaStep(%q, %q) = %v, %d…%d, want %v, %d…%d",
+				tc.name, tc.path, tc.key, covers, lo, hi, tc.covers, tc.lo, tc.hi)
+		}
+		if covers != bitpath.Comparable(tc.path, tc.key) {
+			t.Errorf("%s: covers = %v disagrees with bitpath.Comparable", tc.name, covers)
+		}
+	}
+}

@@ -10,6 +10,149 @@ import (
 	"pgrid/internal/telemetry"
 )
 
+// MeetingSide is what the Fig. 3 decision reads of one peer. peer.Editor
+// satisfies it; the node wraps the initiator's wire snapshot in one.
+// RefsAt returns a copy the decision may keep.
+type MeetingSide interface {
+	Addr() addr.Addr
+	Path() bitpath.Path
+	RefsAt(level int) addr.Set
+}
+
+// SideDecision is what one meeting changes at one of its two peers. Apply
+// installs it; the driver acts on Forward.
+type SideDecision struct {
+	// Refs[i] replaces the references at 1-based level Levels[i] (0: slot
+	// unused) — at most the common level and the one below it. A set may
+	// name the side itself: peer.Editor drops a self-reference on install.
+	Levels [2]int
+	Refs   [2]addr.Set
+	// Extend appends ExtendBit to the path, with ExtendRefs at the new
+	// level (cases 1–3).
+	Extend     bool
+	ExtendBit  byte
+	ExtendRefs addr.Set
+	// Buddy is the other peer when the two are replicas of one region,
+	// addr.Nil otherwise.
+	Buddy addr.Addr
+	// Forward lists whom this side goes on to meet at depth+1 (case 4).
+	Forward addr.Set
+}
+
+// ExchangeDecision is the outcome of one meeting for both peers, with the
+// case taken (a telemetry.ExCase* code) and the common-prefix length.
+type ExchangeDecision struct {
+	Case      int
+	CommonLen int
+	A1, A2    SideDecision
+}
+
+// DecideExchange is the Fig. 3 decision for a meeting of a1 and a2 at
+// recursion depth `depth`, free of locks, I/O and telemetry: the simulator
+// (exchange) and the networked node (node.handleExchange) both take it
+// from here and only apply it. splitOK is the driver's verdict on the
+// data-aware split gate of Section 3; when false, no path grows.
+//
+// Draw order from rng: the common-level subset for a1, then a2; one subset
+// in cases 2 and 3; in case 4 the forwards out of a1's references, then out
+// of a2's.
+func DecideExchange(a1, a2 MeetingSide, cfg Config, depth int, splitOK bool, rng *rand.Rand) ExchangeDecision {
+	p1, p2 := a1.Path(), a2.Path()
+	lc := bitpath.CommonPrefixLen(p1, p2)
+	d := ExchangeDecision{Case: telemetry.ExCaseNone, CommonLen: lc}
+	d.A1.Buddy, d.A2.Buddy = addr.Nil, addr.Nil
+
+	// Mix references at the deepest level where the paths agree. Any
+	// reference either peer holds at level lc is valid for both (it agrees
+	// with the shared prefix of length lc-1 and differs at bit lc), so they
+	// pool them and each keeps a random refmax-subset.
+	if lc > 0 {
+		common := addr.Union(a1.RefsAt(lc), a2.RefsAt(lc))
+		d.A1.Levels[0], d.A1.Refs[0] = lc, common.RandomSubset(rng, cfg.RefMax)
+		d.A2.Levels[0], d.A2.Refs[0] = lc, common.RandomSubset(rng, cfg.RefMax)
+	}
+
+	l1 := p1.Len() - lc
+	l2 := p2.Len() - lc
+	canSplit := lc < cfg.MaxL && splitOK
+	switch {
+	case l1 == 0 && l2 == 0 && canSplit:
+		// Case 1: identical paths with room to grow — introduce a new
+		// level. The peers split the interval and reference each other.
+		d.Case = telemetry.ExCase1
+		d.A1.extend(0, a2.Addr())
+		d.A2.extend(1, a1.Addr())
+
+	case l1 == 0 && l2 > 0 && canSplit:
+		// Case 2: a1's path is a proper prefix of a2's.
+		d.Case = telemetry.ExCase2
+		specialize(a1, a2, &d.A1, &d.A2, lc, cfg, rng)
+
+	case l1 > 0 && l2 == 0 && canSplit:
+		// Case 3: mirror image of case 2.
+		d.Case = telemetry.ExCase3
+		specialize(a2, a1, &d.A2, &d.A1, lc, cfg, rng)
+
+	case l1 > 0 && l2 > 0 && depth < cfg.RecMax:
+		// Case 4: the paths diverge below the common prefix. Neither peer
+		// can specialize against the other, but each can forward the other
+		// to peers it references at level lc+1 — those share one more bit
+		// with the forwarded peer, so the recursive meeting is more likely
+		// to specialize.
+		d.Case = telemetry.ExCase4
+		refs1 := a1.RefsAt(lc + 1)
+		refs1.Remove(a2.Addr())
+		refs2 := a2.RefsAt(lc + 1)
+		refs2.Remove(a1.Addr())
+		if cfg.RecFanout > 0 {
+			refs1 = refs1.RandomSubset(rng, cfg.RecFanout)
+			refs2 = refs2.RandomSubset(rng, cfg.RecFanout)
+		}
+		d.A2.Forward = refs1
+		d.A1.Forward = refs2
+
+	case l1 == 0 && l2 == 0:
+		// Identical paths that cannot (or should not) split further: the
+		// peers are replicas of the same region. The paper's update
+		// strategies rely on buddy lists "identified throughout index
+		// construction"; this is where replicas identify each other.
+		d.Case = telemetry.ExCaseReplica
+		d.A1.Buddy = a2.Addr()
+		d.A2.Buddy = a1.Addr()
+	}
+	return d
+}
+
+// extend makes the side specialize by bit b, referencing the other peer at
+// the new level.
+func (s *SideDecision) extend(b byte, other addr.Addr) {
+	s.Extend, s.ExtendBit, s.ExtendRefs = true, b, addr.NewSet(other)
+}
+
+// specialize decides cases 2 and 3: short, whose path is a proper prefix of
+// long's, extends opposite to long's next bit, keeping the grid balanced;
+// long adds short to its references at that level.
+func specialize(short, long MeetingSide, ds, dl *SideDecision, lc int, cfg Config, rng *rand.Rand) {
+	ds.extend(1-long.Path().Bit(lc+1), long.Addr())
+	refs := addr.Union(addr.NewSet(short.Addr()), long.RefsAt(lc+1))
+	dl.Levels[1], dl.Refs[1] = lc+1, refs.RandomSubset(rng, cfg.RefMax)
+}
+
+// Apply installs the decision on its side. Levels must lie within the
+// path: true of the state DecideExchange read, checked by a driver that
+// got the decision over the network.
+func (s *SideDecision) Apply(e peer.Editor) {
+	for i, level := range s.Levels {
+		if level > 0 {
+			e.SetRefsAt(level, s.Refs[i])
+		}
+	}
+	if s.Extend {
+		e.Extend(s.ExtendBit, s.ExtendRefs)
+	}
+	e.AddBuddy(s.Buddy) // addr.Nil is no buddy: the set ignores it
+}
+
 // Exchange executes the P-Grid construction algorithm of Fig. 3 for a
 // meeting of peers a1 and a2. Both peers' state may change: reference sets
 // at the common level are mixed, paths may specialize (cases 1–3), and the
@@ -22,28 +165,14 @@ func Exchange(d *directory.Directory, cfg Config, m *Metrics, a1, a2 *peer.Peer,
 	exchange(d, cfg, m, a1, a2, 0, rng)
 }
 
-// followup is a recursive exchange scheduled by case 4: peer `fwd` is
-// forwarded to the referenced peer at `to`.
-type followup struct {
-	fwd *peer.Peer
-	to  addr.Addr
-}
-
+// exchange is the simulator's driver of DecideExchange: both peers are
+// decided and changed under one pair lock; data handover, replica
+// reconciliation and the case-4 recursion follow outside it.
 func exchange(d *directory.Directory, cfg Config, m *Metrics, a1, a2 *peer.Peer, r int, rng *rand.Rand) {
 	if a1 == nil || a2 == nil || a1 == a2 {
 		return
 	}
 	m.Exchanges.Add(1)
-
-	var followups []followup
-	// Data handed over when a peer specializes: entries that fell outside
-	// the narrowed responsibility, to be applied at the partner. Collected
-	// under the pair lock, applied after (stores are independently locked).
-	type migration struct {
-		from, to *peer.Peer
-		keep     bitpath.Path
-	}
-	var migrations []migration
 
 	// Data-aware split gate (Section 3's threshold suggestion): count the
 	// items the two peers index under their regions before taking locks;
@@ -53,102 +182,26 @@ func exchange(d *directory.Directory, cfg Config, m *Metrics, a1, a2 *peer.Peer,
 	if cfg.SplitMinItems > 0 {
 		splitOK = a1.Store().Len()+a2.Store().Len() >= cfg.SplitMinItems
 	}
-	antiEntropy := false
-	caseTaken := telemetry.ExCaseNone
-	commonLen := 0
 
+	var dec ExchangeDecision
+	var p1, p2 bitpath.Path // the paths as the decision left them
 	peer.EditPair(a1, a2, func(e1, e2 peer.Editor) {
-		p1, p2 := e1.Path(), e2.Path()
-		lc := bitpath.CommonPrefixLen(p1, p2)
-		commonLen = lc
-
-		// Mix references at the deepest level where the paths agree. Any
-		// reference either peer holds at level lc is valid for both (it
-		// agrees with the shared prefix of length lc-1 and differs at bit
-		// lc), so they pool them and each keeps a random refmax-subset.
-		if lc > 0 {
-			commonrefs := addr.Union(e1.RefsAt(lc), e2.RefsAt(lc))
-			e1.SetRefsAt(lc, commonrefs.RandomSubset(rng, cfg.RefMax))
-			e2.SetRefsAt(lc, commonrefs.RandomSubset(rng, cfg.RefMax))
-		}
-
-		l1 := p1.Len() - lc
-		l2 := p2.Len() - lc
-		switch {
-		case l1 == 0 && l2 == 0 && lc < cfg.MaxL && splitOK:
-			caseTaken = telemetry.ExCase1
-			// Case 1: identical paths with room to grow — introduce a new
-			// level. The peers split the interval and reference each other.
-			e1.Extend(0, addr.NewSet(e2.Addr()))
-			e2.Extend(1, addr.NewSet(e1.Addr()))
-			migrations = append(migrations,
-				migration{a1, a2, p1.Append(0)},
-				migration{a2, a1, p2.Append(1)})
-
-		case l1 == 0 && l2 > 0 && lc < cfg.MaxL && splitOK:
-			caseTaken = telemetry.ExCase2
-			// Case 2: a1's path is a proper prefix of a2's — a1 specializes
-			// opposite to a2's next bit, keeping the grid balanced; a2 adds
-			// a1 to its references at the new level.
-			b := p2.Bit(lc + 1)
-			e1.Extend(1-b, addr.NewSet(e2.Addr()))
-			refs2 := addr.Union(addr.NewSet(e1.Addr()), e2.RefsAt(lc+1))
-			e2.SetRefsAt(lc+1, refs2.RandomSubset(rng, cfg.RefMax))
-			migrations = append(migrations, migration{a1, a2, p1.AppendFlip(b)})
-
-		case l1 > 0 && l2 == 0 && lc < cfg.MaxL && splitOK:
-			caseTaken = telemetry.ExCase3
-			// Case 3: mirror image of case 2.
-			b := p1.Bit(lc + 1)
-			e2.Extend(1-b, addr.NewSet(e1.Addr()))
-			refs1 := addr.Union(addr.NewSet(e2.Addr()), e1.RefsAt(lc+1))
-			e1.SetRefsAt(lc+1, refs1.RandomSubset(rng, cfg.RefMax))
-			migrations = append(migrations, migration{a2, a1, p2.AppendFlip(b)})
-
-		case l1 > 0 && l2 > 0 && r < cfg.RecMax:
-			caseTaken = telemetry.ExCase4
-			// Case 4: the paths diverge below the common prefix. Neither
-			// peer can specialize against the other, but each can forward
-			// the other to peers it references at level lc+1 — those share
-			// one more bit with the forwarded peer, so the recursive
-			// meeting is more likely to specialize.
-			refs1 := e1.RefsAt(lc + 1)
-			refs1.Remove(e2.Addr())
-			refs2 := e2.RefsAt(lc + 1)
-			refs2.Remove(e1.Addr())
-			if cfg.RecFanout > 0 {
-				refs1 = refs1.RandomSubset(rng, cfg.RecFanout)
-				refs2 = refs2.RandomSubset(rng, cfg.RecFanout)
-			}
-			for _, r1 := range refs1.Slice() {
-				followups = append(followups, followup{fwd: a2, to: r1})
-			}
-			for _, r2 := range refs2.Slice() {
-				followups = append(followups, followup{fwd: a1, to: r2})
-			}
-
-		case l1 == 0 && l2 == 0:
-			caseTaken = telemetry.ExCaseReplica
-			// Identical paths that cannot (or should not) split further:
-			// the peers are replicas of the same region. The paper's update
-			// strategies rely on buddy lists "identified throughout index
-			// construction"; this is where replicas identify each other.
-			e1.AddBuddy(e2.Addr())
-			e2.AddBuddy(e1.Addr())
-			antiEntropy = true
-		}
+		dec = DecideExchange(e1, e2, cfg, r, splitOK, rng)
+		dec.A1.Apply(e1)
+		dec.A2.Apply(e2)
+		p1, p2 = e1.Path(), e2.Path()
 	})
 
-	m.Tel.ExchangeCase(caseTaken)
+	m.Tel.ExchangeCase(dec.Case)
 	if m.Tel.EventsOn() {
-		m.Tel.EmitExchange(telemetry.ExchangeCaseName(caseTaken),
-			commonLen, r, int(a1.Addr()), int(a2.Addr()))
+		m.Tel.EmitExchange(telemetry.ExchangeCaseName(dec.Case),
+			dec.CommonLen, r, int(a1.Addr()), int(a2.Addr()))
 	}
 
 	// Replicas reconcile their indexes when they meet (anti-entropy):
 	// both end up with the freshest version of every entry either knew.
 	// This is how replica indexes converge without explicit updates.
-	if antiEntropy {
+	if dec.Case == telemetry.ExCaseReplica {
 		for _, e := range a1.Store().Entries() {
 			a2.Store().Apply(e)
 		}
@@ -161,19 +214,34 @@ func exchange(d *directory.Directory, cfg Config, m *Metrics, a1, a2 *peer.Peer,
 	// Best-effort, like a real network: the partner covers the vacated
 	// region at the common level (it may itself be deeper; entries then
 	// migrate onward during its own future splits or via explicit inserts).
-	for _, mg := range migrations {
-		for _, entry := range mg.from.Store().Evict(mg.keep) {
-			mg.to.Store().Apply(entry)
-		}
+	if dec.A1.Extend {
+		handOver(a1, a2, p1)
+	}
+	if dec.A2.Extend {
+		handOver(a2, a1, p2)
 	}
 
 	// Recursive exchanges run outside any peer lock; a forwarded peer may
 	// have moved on concurrently, which is fine — the recursive exchange
 	// will just see its new state.
-	for _, f := range followups {
-		q := d.Peer(f.to)
+	forward(d, cfg, m, a2, dec.A2.Forward, r, rng)
+	forward(d, cfg, m, a1, dec.A1.Forward, r, rng)
+}
+
+// handOver moves the entries outside from's narrowed path keep to its partner.
+func handOver(from, to *peer.Peer, keep bitpath.Path) {
+	for _, entry := range from.Store().Evict(keep) {
+		to.Store().Apply(entry)
+	}
+}
+
+// forward runs fwd's share of the case-4 recursion: a meeting at depth r+1
+// with every online peer in targets.
+func forward(d *directory.Directory, cfg Config, m *Metrics, fwd *peer.Peer, targets addr.Set, r int, rng *rand.Rand) {
+	for _, to := range targets.Slice() {
+		q := d.Peer(to)
 		if q != nil && q.Online() {
-			exchange(d, cfg, m, f.fwd, q, r+1, rng)
+			exchange(d, cfg, m, fwd, q, r+1, rng)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/directory"
 	"pgrid/internal/store"
+	"pgrid/internal/telemetry"
 )
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -316,6 +319,142 @@ func TestExchangeRandomRunPreservesInvariants(t *testing.T) {
 	for _, p := range d.All() {
 		if p.PathLen() > cfg.MaxL {
 			t.Errorf("peer %v exceeded maxl: %q", p.Addr(), p.Path())
+		}
+	}
+}
+
+// fakeSide is a MeetingSide with literal state: what DecideExchange reads
+// of a peer, without a peer.
+type fakeSide struct {
+	addr addr.Addr
+	path bitpath.Path
+	refs map[int]addr.Set
+}
+
+func (s fakeSide) Addr() addr.Addr           { return s.addr }
+func (s fakeSide) Path() bitpath.Path        { return s.path }
+func (s fakeSide) RefsAt(level int) addr.Set { return s.refs[level].Clone() }
+
+// describeSide renders the non-empty parts of a side decision, sets sorted.
+func describeSide(s SideDecision) string {
+	ints := func(set addr.Set) []int {
+		out := []int{}
+		for _, a := range set.Sorted() {
+			out = append(out, int(a))
+		}
+		return out
+	}
+	out := ""
+	for i, level := range s.Levels {
+		if level > 0 {
+			out += fmt.Sprintf("refs%d=%v ", level, ints(s.Refs[i]))
+		}
+	}
+	if s.Extend {
+		out += fmt.Sprintf("extend=%d%v ", s.ExtendBit, ints(s.ExtendRefs))
+	}
+	if s.Buddy != addr.Nil {
+		out += fmt.Sprintf("buddy=%d ", s.Buddy)
+	}
+	if s.Forward.Len() > 0 {
+		out += fmt.Sprintf("forward=%v ", ints(s.Forward))
+	}
+	return strings.TrimSpace(out)
+}
+
+// TestDecideExchange asserts the Fig. 3 decision itself, not peer state:
+// a1 is address 1, a2 address 2; reference bounds are wide unless the row
+// is about a bound, so every set in the decision is determined.
+func TestDecideExchange(t *testing.T) {
+	wide := Config{MaxL: 6, RefMax: 8, RecMax: 2}
+	refs := func(level int, addrs ...addr.Addr) map[int]addr.Set {
+		return map[int]addr.Set{level: addr.NewSet(addrs...)}
+	}
+	both := func(a, b map[int]addr.Set) map[int]addr.Set {
+		for l, s := range b {
+			a[l] = s
+		}
+		return a
+	}
+	tests := []struct {
+		name         string
+		p1, p2       bitpath.Path
+		r1, r2       map[int]addr.Set
+		cfg          Config
+		depth        int
+		noSplit      bool
+		wantCase, lc int
+		want1, want2 string
+		fwd1, fwd2   int // when > 0: only the sizes of the forward sets are determined
+	}{
+		{name: "case 1, fresh peers", cfg: wide,
+			wantCase: telemetry.ExCase1, want1: "extend=0[2]", want2: "extend=1[1]"},
+		{name: "case 1 below a mixed common level", p1: "0", p2: "0", r1: refs(1, 5, 6), r2: refs(1, 6, 7), cfg: wide,
+			wantCase: telemetry.ExCase1, lc: 1,
+			want1: "refs1=[5 6 7] extend=0[2]", want2: "refs1=[5 6 7] extend=1[1]"},
+		{name: "case 2, a1 shorter", p1: "0", p2: "01", r1: refs(1, 5), r2: both(refs(1, 6), refs(2, 7)), cfg: wide,
+			wantCase: telemetry.ExCase2, lc: 1,
+			want1: "refs1=[5 6] extend=0[2]", want2: "refs1=[5 6] refs2=[1 7]"},
+		{name: "case 3, a2 shorter", p1: "10", p2: "1", r1: both(refs(1, 5), refs(2, 7)), r2: refs(1, 6), cfg: wide,
+			wantCase: telemetry.ExCase3, lc: 1,
+			want1: "refs1=[5 6] refs2=[2 7]", want2: "refs1=[5 6] extend=1[1]"},
+		{name: "case 4, unbounded fan-out", p1: "00", p2: "01", r1: refs(2, 2, 8, 9), r2: refs(2, 1, 10), cfg: wide,
+			wantCase: telemetry.ExCase4, lc: 1,
+			want1: "refs1=[] forward=[10]", want2: "refs1=[] forward=[8 9]"},
+		{name: "case 4, RecFanout bounds both sides", p1: "00", p2: "01", r1: refs(2, 2, 8, 9), r2: refs(2, 1, 10, 11, 12),
+			cfg:      Config{MaxL: 6, RefMax: 8, RecMax: 2, RecFanout: 1},
+			wantCase: telemetry.ExCase4, lc: 1, fwd1: 1, fwd2: 1},
+		{name: "RecMax reached: references mix, nothing else", p1: "00", p2: "01", r1: both(refs(1, 5), refs(2, 8)), r2: refs(2, 10),
+			cfg: wide, depth: 2,
+			wantCase: telemetry.ExCaseNone, lc: 1, want1: "refs1=[5]", want2: "refs1=[5]"},
+		{name: "replicas at MaxL", p1: "01", p2: "01", cfg: Config{MaxL: 2, RefMax: 8, RecMax: 2},
+			wantCase: telemetry.ExCaseReplica, lc: 2,
+			want1: "refs2=[] buddy=2", want2: "refs2=[] buddy=1"},
+		{name: "MaxL reached: the shorter peer stays", p1: "0", p2: "01", cfg: Config{MaxL: 1, RefMax: 8, RecMax: 2},
+			wantCase: telemetry.ExCaseNone, lc: 1, want1: "refs1=[]", want2: "refs1=[]"},
+		{name: "splitOK=false: equal paths pair up as replicas", cfg: wide, noSplit: true,
+			wantCase: telemetry.ExCaseReplica, want1: "buddy=2", want2: "buddy=1"},
+		{name: "splitOK=false: the shorter peer stays", p1: "0", p2: "01", cfg: wide, noSplit: true,
+			wantCase: telemetry.ExCaseNone, lc: 1, want1: "refs1=[]", want2: "refs1=[]"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			a1 := fakeSide{1, tc.p1, tc.r1}
+			a2 := fakeSide{2, tc.p2, tc.r2}
+			d := DecideExchange(a1, a2, tc.cfg, tc.depth, !tc.noSplit, newRng(1))
+			if d.Case != tc.wantCase || d.CommonLen != tc.lc {
+				t.Errorf("case %d at common length %d, want case %d at %d", d.Case, d.CommonLen, tc.wantCase, tc.lc)
+			}
+			if tc.fwd1 > 0 {
+				f1, f2 := d.A1.Forward, d.A2.Forward
+				if f1.Len() != tc.fwd1 || f2.Len() != tc.fwd2 {
+					t.Errorf("forwards %v and %v, want %d and %d targets", f1, f2, tc.fwd1, tc.fwd2)
+				}
+				// a1 goes on to a2's references and a2 to a1's, never to each other.
+				if a := f1.Slice()[0]; a == 1 || !a2.refs[2].Contains(a) {
+					t.Errorf("a1 is forwarded to %v, not a level-2 reference of a2", a)
+				}
+				if a := f2.Slice()[0]; a == 2 || !a1.refs[2].Contains(a) {
+					t.Errorf("a2 is forwarded to %v, not a level-2 reference of a1", a)
+				}
+				return
+			}
+			if got := describeSide(d.A1); got != tc.want1 {
+				t.Errorf("a1: %q, want %q", got, tc.want1)
+			}
+			if got := describeSide(d.A2); got != tc.want2 {
+				t.Errorf("a2: %q, want %q", got, tc.want2)
+			}
+		})
+	}
+
+	// RefMax bounds every set the decision installs.
+	a1 := fakeSide{1, "0", refs(1, 5, 6, 7)}
+	a2 := fakeSide{2, "01", both(refs(1, 7, 8, 9), refs(2, 10, 11, 12))}
+	d := DecideExchange(a1, a2, Config{MaxL: 6, RefMax: 2, RecMax: 2}, 0, true, newRng(2))
+	for _, s := range []addr.Set{d.A1.Refs[0], d.A2.Refs[0], d.A2.Refs[1]} {
+		if s.Len() != 2 {
+			t.Errorf("RefMax 2 left a set of %d: %v", s.Len(), s)
 		}
 	}
 }

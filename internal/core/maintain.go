@@ -7,6 +7,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/directory"
 	"pgrid/internal/peer"
+	"pgrid/internal/repair"
 )
 
 // This file implements the reference-maintenance extension sketched in the
@@ -216,11 +217,5 @@ func ReplaceDeparted(d *directory.Directory, a addr.Addr) *peer.Peer {
 // offline ones.
 func Probe(d *directory.Directory, self bitpath.Path, level int, r addr.Addr) bool {
 	q := d.Peer(r)
-	if q == nil || !q.Online() {
-		return false
-	}
-	qp := q.Path()
-	return qp.Len() >= level &&
-		qp.Prefix(level-1) == self.Prefix(level-1) &&
-		qp.Bit(level) != self.Bit(level)
+	return q != nil && q.Online() && repair.ValidRef(self, level, q.Path())
 }

@@ -38,11 +38,12 @@ type QueryResult struct {
 // are in a prefix relationship: either the query is exhausted within the
 // path (the peer's region lies inside the query interval) or the path is a
 // prefix of the query (its leaf index covers the key) — an l at or beyond
-// the path length is the second case. Otherwise the search continues at a
-// reference of level next with the suffix rest, which arrives there with
-// next-1 bits consumed.
+// the path length is the second case, and l is clamped to [0, len(path)]
+// so that a level no peer could have sent cannot fault the walk. Otherwise
+// the search continues at a reference of level next with the suffix rest,
+// which arrives there with next-1 bits consumed.
 func RouteStep(path bitpath.Path, l int, key bitpath.Path) (matched bool, next int, rest bitpath.Path) {
-	l = min(l, path.Len())
+	l = max(0, min(l, path.Len()))
 	rempath := path.Suffix(l)
 	com := bitpath.CommonPrefixLen(key, rempath)
 	if com == key.Len() || com == rempath.Len() {

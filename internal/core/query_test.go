@@ -68,6 +68,7 @@ func TestRouteStep(t *testing.T) {
 		{"empty key matches anywhere", "0110", 2, "", true, 0, ""},
 		{"l at the path length", "01", 2, "11", true, 0, ""},
 		{"l beyond the path length", "01", 5, "11", true, 0, ""},
+		{"l below zero routes as from the top", "01", -1, "00", false, 2, "0"},
 		{"diverging bit mid-path", "0110", 1, "101", false, 3, "01"},
 		{"diverging bit at the last level", "0110", 0, "0111", false, 4, "1"},
 	} {

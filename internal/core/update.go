@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -170,6 +169,63 @@ func (o MajorityOptions) withDefaults() MajorityOptions {
 	return o
 }
 
+// Tally is the vote count of the repetitive-search read (Section 5.2): each
+// distinct replica votes once for the version it reports. The zero value is
+// an empty tally. core.MajorityRead and node.Client.MajorityRead share it;
+// they differ only in how a replica is reached.
+type Tally struct {
+	seen     addr.Set
+	versions []versionVotes // few (one per version in circulation): scanned, never sorted
+}
+
+type versionVotes struct {
+	entry store.Entry // the latest entry reported for the version
+	votes int
+}
+
+// Vote records that replica reported e. A replica that has voted before
+// (or addr.Nil) is not counted again; Vote then reports false.
+func (t *Tally) Vote(replica addr.Addr, e store.Entry) bool {
+	if !t.seen.Add(replica) {
+		return false
+	}
+	for i := range t.versions {
+		if v := &t.versions[i]; v.entry.Version == e.Version {
+			v.entry = e
+			v.votes++
+			return true
+		}
+	}
+	t.versions = append(t.versions, versionVotes{entry: e, votes: 1})
+	return true
+}
+
+// Leader returns the best-supported entry (most votes, the higher version
+// on a tie), its vote count and its lead over the runner-up. votes is 0 on
+// an empty tally. A read commits once lead reaches its margin; with the
+// query budget spent the leader is the best-effort answer.
+func (t *Tally) Leader() (e store.Entry, votes, lead int) {
+	var first *versionVotes
+	second := 0
+	for i := range t.versions {
+		v := &t.versions[i]
+		switch {
+		case first == nil || v.votes > first.votes ||
+			(v.votes == first.votes && v.entry.Version > first.entry.Version):
+			if first != nil {
+				second = first.votes
+			}
+			first = v
+		case v.votes > second:
+			second = v.votes
+		}
+	}
+	if first == nil {
+		return store.Entry{}, 0, 0
+	}
+	return first.entry, first.votes, first.votes - second
+}
+
 // MajorityRead implements the paper's "repetitive search" read protocol:
 // repeat independent depth-first searches from random online entry points,
 // collect the versions reported by *distinct* replicas, and decide by
@@ -178,43 +234,9 @@ func (o MajorityOptions) withDefaults() MajorityOptions {
 // with arbitrarily high probability as the margin grows (Section 5.2).
 func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts MajorityOptions, rng *rand.Rand) ReadResult {
 	opts = opts.withDefaults()
-	votes := make(map[uint64]int)           // version → distinct replica count
-	entries := make(map[uint64]store.Entry) // version → a representative entry
-	seen := make(map[addr.Addr]bool)
-
+	var tally Tally
 	var out ReadResult
-	decided := func() (uint64, bool) {
-		// Order versions by votes (desc); commit when the leader's margin
-		// over the runner-up reaches opts.Margin.
-		type vc struct {
-			v uint64
-			c int
-		}
-		vcs := make([]vc, 0, len(votes))
-		for v, c := range votes {
-			vcs = append(vcs, vc{v, c})
-		}
-		sort.Slice(vcs, func(i, j int) bool {
-			if vcs[i].c != vcs[j].c {
-				return vcs[i].c > vcs[j].c
-			}
-			return vcs[i].v > vcs[j].v
-		})
-		if len(vcs) == 0 {
-			return 0, false
-		}
-		lead := vcs[0].c
-		second := 0
-		if len(vcs) > 1 {
-			second = vcs[1].c
-		}
-		if lead-second >= opts.Margin {
-			return vcs[0].v, true
-		}
-		return 0, false
-	}
-
-	for out.Queries = 0; out.Queries < opts.MaxQueries; {
+	for out.Queries < opts.MaxQueries {
 		start := d.RandomOnlinePeer(rng)
 		if start == nil {
 			break
@@ -222,12 +244,9 @@ func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts Ma
 		r := ReadOnce(d, start, key, name, rng)
 		out.Queries++
 		out.Messages += r.Messages
-		if r.Found && !seen[r.Replica] {
-			seen[r.Replica] = true
-			votes[r.Entry.Version]++
-			entries[r.Entry.Version] = r.Entry
-			if v, ok := decided(); ok {
-				out.Entry = entries[v]
+		if r.Found && tally.Vote(r.Replica, r.Entry) {
+			if e, _, lead := tally.Leader(); lead >= opts.Margin {
+				out.Entry = e
 				out.Replica = r.Replica
 				out.Found = true
 				return out
@@ -235,14 +254,8 @@ func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts Ma
 		}
 	}
 	// Budget exhausted: return the best-supported version seen, if any.
-	best, bestVotes := uint64(0), 0
-	for v, c := range votes {
-		if c > bestVotes || (c == bestVotes && v > best) {
-			best, bestVotes = v, c
-		}
-	}
-	if bestVotes > 0 {
-		out.Entry = entries[best]
+	if e, votes, _ := tally.Leader(); votes > 0 {
+		out.Entry = e
 		out.Found = true
 	}
 	return out

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -258,5 +259,92 @@ func TestInsertReachesReplicas(t *testing.T) {
 	}
 	if found != res.Replicas {
 		t.Errorf("reported %d, stored at %d", res.Replicas, found)
+	}
+}
+
+func TestTally(t *testing.T) {
+	entry := func(v uint64) store.Entry { return store.Entry{Name: "f", Version: v} }
+	var tally Tally
+	if e, votes, lead := tally.Leader(); votes != 0 || lead != 0 || e != (store.Entry{}) {
+		t.Errorf("empty tally leads with %v, %d votes, lead %d", e, votes, lead)
+	}
+	for replica, v := range []uint64{5, 2, 5, 5} {
+		if !tally.Vote(addr.Addr(replica), entry(v)) {
+			t.Errorf("first vote of replica %d not counted", replica)
+		}
+	}
+	if tally.Vote(1, entry(2)) || tally.Vote(addr.Nil, entry(2)) {
+		t.Error("a repeated replica or addr.Nil was counted")
+	}
+	if e, votes, lead := tally.Leader(); e.Version != 5 || votes != 3 || lead != 2 {
+		t.Errorf("leader v%d with %d votes, lead %d; want v5, 3, 2", e.Version, votes, lead)
+	}
+	// Tie on votes: the higher version leads, by nothing.
+	tally = Tally{}
+	for replica, v := range []uint64{1, 9, 9, 1} {
+		tally.Vote(addr.Addr(replica), entry(v))
+	}
+	if e, votes, lead := tally.Leader(); e.Version != 9 || votes != 2 || lead != 0 {
+		t.Errorf("tied leader v%d with %d votes, lead %d; want v9, 2, 0", e.Version, votes, lead)
+	}
+}
+
+// TestTallyMatchesSortReference replays random vote sequences through Tally
+// and through the sort-per-vote count MajorityRead used to carry (kept here
+// as the reference): after every vote both must name the same leader, vote
+// count and lead over the runner-up.
+func TestTallyMatchesSortReference(t *testing.T) {
+	reference := func(votes map[uint64]int) (version uint64, lead, second int) {
+		type vc struct {
+			v uint64
+			c int
+		}
+		vcs := make([]vc, 0, len(votes))
+		for v, c := range votes {
+			vcs = append(vcs, vc{v, c})
+		}
+		sort.Slice(vcs, func(i, j int) bool {
+			if vcs[i].c != vcs[j].c {
+				return vcs[i].c > vcs[j].c
+			}
+			return vcs[i].v > vcs[j].v
+		})
+		if len(vcs) == 0 {
+			return 0, 0, 0
+		}
+		if len(vcs) > 1 {
+			second = vcs[1].c
+		}
+		return vcs[0].v, vcs[0].c, second
+	}
+	rng := newRng(21)
+	for seq := 0; seq < 200; seq++ {
+		var tally Tally
+		votes := map[uint64]int{}
+		latest := map[uint64]store.Entry{}
+		seen := map[addr.Addr]bool{}
+		versions := 1 + rng.Intn(5)
+		for i := 0; i < 40; i++ {
+			replica := addr.Addr(rng.Intn(24))
+			v := uint64(1 + rng.Intn(versions))
+			// Holder tells apart the entries reported for one version: the
+			// latest one counted is the one a read returns.
+			reported := store.Entry{Name: "f", Version: v, Holder: replica}
+			fresh := !seen[replica]
+			if fresh {
+				seen[replica] = true
+				votes[v]++
+				latest[v] = reported
+			}
+			if got := tally.Vote(replica, reported); got != fresh {
+				t.Fatalf("sequence %d vote %d: counted = %v, want %v", seq, i, got, fresh)
+			}
+			wantV, wantLead, wantSecond := reference(votes)
+			e, n, lead := tally.Leader()
+			if e != latest[wantV] || n != wantLead || lead != wantLead-wantSecond {
+				t.Fatalf("sequence %d vote %d: leader v%d, %d votes, lead %d; reference v%d, %d, %d",
+					seq, i, e.Version, n, lead, wantV, wantLead, wantLead-wantSecond)
+			}
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/core"
+	"pgrid/internal/repair"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
@@ -108,11 +110,9 @@ func (c *Client) FetchTraces(a addr.Addr, limit int) (total uint64, traces []tra
 	return resp.TracesResp.Total, resp.TracesResp.Traces, nil
 }
 
-// ReplicaResult mirrors core.ReplicaResult for the networked client.
-type ReplicaResult struct {
-	Found    []addr.Addr
-	Messages int
-}
+// ReplicaResult is core.ReplicaResult; here Messages counts the Info
+// fetches, the start peer's included.
+type ReplicaResult = core.ReplicaResult
 
 // ReplicaSearch performs the breadth-first replica search of Section 5.2
 // over the network, starting from the peer at start: it fetches each
@@ -131,13 +131,11 @@ func (c *Client) ReplicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 		if err != nil {
 			continue // unreachable or malformed: the walk routes around it
 		}
-		path := info.Path
-		cl := bitpath.CommonPrefixLen(path, key)
-
-		follow := func(level int) {
-			if level < 1 || level > len(info.Refs) {
-				return
-			}
+		covers, lo, hi := core.ReplicaStep(info.Path, key)
+		if covers {
+			res.Found = append(res.Found, a)
+		}
+		for level := lo; level <= min(hi, len(info.Refs)); level++ {
 			followed := 0
 			refs := info.Refs[level-1].ToSet()
 			for _, r := range refs.Shuffled(c.rng) {
@@ -151,15 +149,6 @@ func (c *Client) ReplicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 				queue = append(queue, r)
 				followed++
 			}
-		}
-
-		if cl == path.Len() || cl == key.Len() {
-			res.Found = append(res.Found, a)
-			for level := key.Len() + 1; level <= path.Len(); level++ {
-				follow(level)
-			}
-		} else {
-			follow(cl + 1)
 		}
 	}
 	return res
@@ -384,58 +373,27 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 	if maxQueries <= 0 {
 		maxQueries = 64
 	}
-	votes := map[uint64]int{}
-	byVersion := map[uint64]store.Entry{}
-	seen := map[addr.Addr]bool{}
+	var tally core.Tally
 	var out ReadResult
 	for out.Queries < maxQueries && len(entries) > 0 {
 		idx := c.rng.Intn(len(entries))
 		r, replica := c.readMaybeHedged(entries, idx, key, name)
 		out.Queries++
 		out.Messages += r.Messages
-		if !r.Found || replica == addr.Nil || seen[replica] {
+		if !r.Found || !tally.Vote(replica, r.Entry) {
 			continue
 		}
-		seen[replica] = true
-		votes[r.Entry.Version]++
-		byVersion[r.Entry.Version] = r.Entry
-		if lead, second := topTwo(votes); lead.c-second >= margin {
-			out.Entry = byVersion[lead.v]
+		if e, _, lead := tally.Leader(); lead >= margin {
+			out.Entry = e
 			out.Found = true
 			return out
 		}
 	}
-	if lead, _ := topTwo(votes); lead.c > 0 {
-		out.Entry = byVersion[lead.v]
+	if e, votes, _ := tally.Leader(); votes > 0 {
+		out.Entry = e
 		out.Found = true
 	}
 	return out
-}
-
-type versionCount struct {
-	v uint64
-	c int
-}
-
-func topTwo(votes map[uint64]int) (lead versionCount, second int) {
-	vcs := make([]versionCount, 0, len(votes))
-	for v, c := range votes {
-		vcs = append(vcs, versionCount{v, c})
-	}
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].c != vcs[j].c {
-			return vcs[i].c > vcs[j].c
-		}
-		return vcs[i].v > vcs[j].v
-	})
-	if len(vcs) == 0 {
-		return versionCount{}, 0
-	}
-	lead = vcs[0]
-	if len(vcs) > 1 {
-		second = vcs[1].c
-	}
-	return lead, second
 }
 
 // AuditReport summarizes a community-wide structural audit.
@@ -475,20 +433,10 @@ func (c *Client) Audit(all []addr.Addr) AuditReport {
 		for i, rs := range info.Refs {
 			level := i + 1
 			for _, r := range rs.ToSet().Slice() {
-				q, ok := infos[r]
-				if !ok {
-					continue // unreachable target: cannot judge
-				}
-				switch {
-				case q.Path.Len() < level:
+				// An unreachable target cannot be judged.
+				if q, ok := infos[r]; ok && !repair.ValidRef(info.Path, level, q.Path) {
 					rep.Violations = append(rep.Violations, fmt.Sprintf(
-						"%v level %d → %v: target path %s shorter than level", a, level, r, q.Path))
-				case q.Path.Prefix(level-1) != info.Path.Prefix(level-1):
-					rep.Violations = append(rep.Violations, fmt.Sprintf(
-						"%v level %d → %v: prefixes diverge (%s vs %s)", a, level, r, info.Path, q.Path))
-				case q.Path.Bit(level) == info.Path.Bit(level):
-					rep.Violations = append(rep.Violations, fmt.Sprintf(
-						"%v level %d → %v: same bit at level", a, level, r))
+						"%v level %d → %v: path %s is not a valid reference for %s", a, level, r, q.Path, info.Path))
 				}
 			}
 		}

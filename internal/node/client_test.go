@@ -175,19 +175,3 @@ func TestClientAuditDetectsViolationAndOffline(t *testing.T) {
 		t.Errorf("unreachable = %v", rep.Unreachable)
 	}
 }
-
-func TestTopTwo(t *testing.T) {
-	lead, second := topTwo(map[uint64]int{5: 3, 2: 1})
-	if lead.v != 5 || lead.c != 3 || second != 1 {
-		t.Errorf("topTwo = %+v, %d", lead, second)
-	}
-	lead, second = topTwo(nil)
-	if lead.c != 0 || second != 0 {
-		t.Errorf("empty topTwo = %+v, %d", lead, second)
-	}
-	// Tie on count: higher version wins the lead slot (deterministic).
-	lead, _ = topTwo(map[uint64]int{1: 2, 9: 2})
-	if lead.v != 9 {
-		t.Errorf("tie lead = %+v", lead)
-	}
-}

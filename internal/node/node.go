@@ -143,30 +143,31 @@ func traceIDOf(m *wire.Message) uint64 {
 	return 0
 }
 
-// hasPayload reports whether m carries the payload its kind's handler
-// dereferences. The codec decodes a bare kind-and-sender frame cleanly,
-// with every payload pointer nil.
-func hasPayload(m *wire.Message) bool {
-	switch m.Kind {
-	case wire.KindQuery:
-		return m.Query != nil
-	case wire.KindExchange:
-		return m.Exchange != nil
-	case wire.KindApply:
-		return m.Apply != nil
-	case wire.KindGet:
-		return m.Get != nil
-	case wire.KindScan:
-		return m.Scan != nil
+// badRequest is the one check a request passes before its handler runs: it
+// names what makes m unservable, or returns "". The codec decodes a bare
+// kind-and-sender frame cleanly, with every payload pointer nil, and does
+// not bound the signed Level and Depth: a negative level is no position in
+// any path, and a negative depth would never reach RecMax.
+func badRequest(m *wire.Message) string {
+	switch {
+	case m.Kind == wire.KindQuery && m.Query == nil,
+		m.Kind == wire.KindExchange && m.Exchange == nil,
+		m.Kind == wire.KindApply && m.Apply == nil,
+		m.Kind == wire.KindGet && m.Get == nil,
+		m.Kind == wire.KindScan && m.Scan == nil:
+		return fmt.Sprintf("missing payload for kind %v", m.Kind)
+	case m.Kind == wire.KindQuery && m.Query.Level < 0:
+		return fmt.Sprintf("negative query level %d", m.Query.Level)
+	case m.Kind == wire.KindExchange && m.Exchange.Depth < 0:
+		return fmt.Sprintf("negative exchange depth %d", m.Exchange.Depth)
 	}
-	return true
+	return ""
 }
 
 // handle is the untimed dispatch switch behind Handle.
 func (n *Node) handle(m *wire.Message) *wire.Message {
-	if !hasPayload(m) {
-		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
-			Error: fmt.Sprintf("missing payload for kind %v", m.Kind)}
+	if bad := badRequest(m); bad != "" {
+		return &wire.Message{Kind: wire.KindError, From: n.Addr(), Error: bad}
 	}
 	switch m.Kind {
 	case wire.KindQuery:
@@ -441,24 +442,29 @@ func (n *Node) exchange(to addr.Addr, depth int) error {
 	return nil
 }
 
-// applyExchange installs the responder's decision on the initiator side.
+// applyExchange installs the responder's decision on the initiator side:
+// the response becomes the same core.SideDecision the responder applied to
+// itself. What the network supplied is checked here, not in the kernel: a
+// reply computed from a path we have since left is dropped, and reference
+// levels outside that path are ignored (peer.Editor never installs a
+// self-reference).
 func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
+	side := core.SideDecision{Extend: r.Extend, ExtendBit: r.ExtendBit,
+		ExtendRefs: r.ExtendRefs.ToSet(), Buddy: addr.Nil}
+	if r.AddBuddy {
+		side.Buddy = from
+	}
+	slot := 0
+	for level, rs := range r.SetRefs {
+		if level >= 1 && level <= r.BasePath.Len() && slot < len(side.Levels) {
+			side.Levels[slot], side.Refs[slot] = level, rs.ToSet()
+			slot++
+		}
+	}
 	stale := false
 	peer.Edit(n.self, func(e peer.Editor) {
-		if e.Path() != r.BasePath {
-			stale = true
-			return
-		}
-		for level, rs := range r.SetRefs {
-			if level >= 1 && level <= e.Path().Len() {
-				e.SetRefsAt(level, rs.ToSet())
-			}
-		}
-		if r.Extend {
-			e.Extend(r.ExtendBit, r.ExtendRefs.ToSet())
-		}
-		if r.AddBuddy {
-			e.AddBuddy(from)
+		if stale = e.Path() != r.BasePath; !stale {
+			side.Apply(e)
 		}
 	})
 	if stale {
@@ -493,108 +499,64 @@ func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
 	}
 }
 
-// handleExchange is the responder's half: given the initiator's snapshot,
-// compute the Fig. 3 decision, apply this node's side, and describe the
-// initiator's side in the response.
+// snapshotSide presents the initiator's ExchangeReq snapshot to the Fig. 3
+// kernel as the a1 side of the meeting.
+type snapshotSide struct {
+	from addr.Addr
+	req  *wire.ExchangeReq
+}
+
+func (s snapshotSide) Addr() addr.Addr    { return s.from }
+func (s snapshotSide) Path() bitpath.Path { return s.req.Path }
+func (s snapshotSide) RefsAt(level int) addr.Set {
+	if level >= 1 && level <= len(s.req.Refs) {
+		return s.req.Refs[level-1].ToSet()
+	}
+	return addr.Set{}
+}
+
+// handleExchange is the responder's half: core.DecideExchange computes the
+// Fig. 3 decision from the initiator's snapshot (a1) and this node's state
+// (a2); the node applies its own side and describes the initiator's in the
+// response. The node has no data-aware split gate and no meet-time replica
+// reconciliation: both need wire fields the frozen protocol lacks.
 func (n *Node) handleExchange(from addr.Addr, req *wire.ExchangeReq) *wire.ExchangeResp {
-	resp := &wire.ExchangeResp{BasePath: req.Path, SetRefs: map[int]wire.RefSet{}}
-	var initiatorForwards []addr.Addr
-	var myForwards []addr.Addr
-	caseTaken := telemetry.ExCaseNone
-	commonLen := 0
-
+	var dec core.ExchangeDecision
 	peer.Edit(n.self, func(e peer.Editor) {
-		p1 := req.Path // initiator = a1 role
-		p2 := e.Path() // this node = a2 role
-		lc := bitpath.CommonPrefixLen(p1, p2)
-		commonLen = lc
-
-		refsOf := func(level int) addr.Set {
-			if level >= 1 && level <= len(req.Refs) {
-				return req.Refs[level-1].ToSet()
-			}
-			return addr.Set{}
-		}
-
 		n.mu.Lock()
-		defer n.mu.Unlock()
-
-		if lc > 0 {
-			commonrefs := addr.Union(refsOf(lc), e.RefsAt(lc))
-			mine := commonrefs.RandomSubset(n.rng, n.cfg.RefMax)
-			theirs := commonrefs.RandomSubset(n.rng, n.cfg.RefMax)
-			mine.Remove(e.Addr())
-			theirs.Remove(from)
-			e.SetRefsAt(lc, mine)
-			resp.SetRefs[lc] = wire.FromSet(theirs)
-		}
-
-		l1 := p1.Len() - lc
-		l2 := p2.Len() - lc
-		switch {
-		case l1 == 0 && l2 == 0 && lc < n.cfg.MaxL:
-			caseTaken = telemetry.ExCase1
-			// Case 1: initiator takes 0, we take 1.
-			resp.Extend = true
-			resp.ExtendBit = 0
-			resp.ExtendRefs = wire.FromSet(addr.NewSet(e.Addr()))
-			e.Extend(1, addr.NewSet(from))
-
-		case l1 == 0 && l2 > 0 && lc < n.cfg.MaxL:
-			caseTaken = telemetry.ExCase2
-			// Case 2: initiator (shorter) specializes opposite our bit.
-			b := p2.Bit(lc + 1)
-			resp.Extend = true
-			resp.ExtendBit = 1 - b
-			resp.ExtendRefs = wire.FromSet(addr.NewSet(e.Addr()))
-			mine := addr.Union(addr.NewSet(from), e.RefsAt(lc+1))
-			e.SetRefsAt(lc+1, mine.RandomSubset(n.rng, n.cfg.RefMax))
-
-		case l1 > 0 && l2 == 0 && lc < n.cfg.MaxL:
-			caseTaken = telemetry.ExCase3
-			// Case 3: we specialize opposite the initiator's bit.
-			b := p1.Bit(lc + 1)
-			e.Extend(1-b, addr.NewSet(from))
-			theirs := addr.Union(addr.NewSet(e.Addr()), refsOf(lc+1))
-			theirs.Remove(from)
-			resp.SetRefs[lc+1] = wire.FromSet(theirs.RandomSubset(n.rng, n.cfg.RefMax))
-
-		case l1 > 0 && l2 > 0 && req.Depth < n.cfg.RecMax:
-			caseTaken = telemetry.ExCase4
-			// Case 4: cross-forward through level lc+1 references.
-			refs1 := refsOf(lc + 1)
-			refs1.Remove(e.Addr())
-			refs2 := e.RefsAt(lc + 1)
-			refs2.Remove(from)
-			if n.cfg.RecFanout > 0 {
-				refs1 = refs1.RandomSubset(n.rng, n.cfg.RecFanout)
-				refs2 = refs2.RandomSubset(n.rng, n.cfg.RecFanout)
-			}
-			myForwards = refs1.Slice()        // we exchange with the initiator's refs
-			initiatorForwards = refs2.Slice() // the initiator exchanges with ours
-
-		case l1 == 0 && l2 == 0:
-			caseTaken = telemetry.ExCaseReplica
-			// Replicas at maximal depth: buddy each other.
-			resp.AddBuddy = true
-			e.AddBuddy(from)
-		}
+		dec = core.DecideExchange(snapshotSide{from, req}, e, n.cfg, req.Depth, true, n.rng)
+		n.mu.Unlock()
+		dec.A2.Apply(e)
 	})
 
-	n.tel.ExchangeCase(caseTaken)
+	n.tel.ExchangeCase(dec.Case)
 	if n.tel.EventsOn() {
-		n.tel.EmitExchange(telemetry.ExchangeCaseName(caseTaken),
-			commonLen, req.Depth, int(from), int(n.Addr()))
+		n.tel.EmitExchange(telemetry.ExchangeCaseName(dec.Case),
+			dec.CommonLen, req.Depth, int(from), int(n.Addr()))
 	}
 
-	// Our own specialization (cases 1 and 3) may strand entries on the
-	// initiator's side; evicting against the current path is a no-op in
-	// every other case.
-	resp.Handover = n.Store().Evict(n.self.Path())
-	resp.ForwardTo = initiatorForwards
+	theirs := &dec.A1
+	resp := &wire.ExchangeResp{
+		BasePath:   req.Path,
+		Extend:     theirs.Extend,
+		ExtendBit:  theirs.ExtendBit,
+		ExtendRefs: wire.FromSet(theirs.ExtendRefs),
+		SetRefs:    map[int]wire.RefSet{},
+		AddBuddy:   theirs.Buddy != addr.Nil,
+		ForwardTo:  theirs.Forward.Slice(),
+		// Our own specialization (cases 1 and 3) may strand entries on the
+		// initiator's side; evicting against the current path is a no-op in
+		// every other case.
+		Handover: n.Store().Evict(n.self.Path()),
+	}
+	for i, level := range theirs.Levels {
+		if level > 0 {
+			resp.SetRefs[level] = wire.FromSet(theirs.Refs[i])
+		}
+	}
 
 	// Our half of the case-4 recursion, after releasing the state lock.
-	for _, fwd := range myForwards {
+	for _, fwd := range dec.A2.Forward.Slice() {
 		n.exchange(fwd, req.Depth+1)
 	}
 	return resp

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
@@ -64,4 +65,47 @@ func TestPayloadlessRequestAnswersError(t *testing.T) {
 	if out[0].Kind != wire.KindError || out[1].InfoResp == nil {
 		t.Errorf("batch slots = %v / %v, want error then info", out[0].Kind, out[1].Kind)
 	}
+}
+
+// TestNegativeLevelOrDepthAnswersError: QueryReq.Level and ExchangeReq.Depth
+// travel as signed varints the decoder does not bound. A negative level used
+// to reach bitpath.Suffix and take the process down; a negative depth kept
+// case-4 recursion below RecMax forever. Both are answered with KindError,
+// change nothing, and the node keeps serving.
+func TestNegativeLevelOrDepthAnswersError(t *testing.T) {
+	check := func(t *testing.T, node *Node, tr Transport) {
+		t.Helper()
+		before := node.Peer().Snapshot()
+		for _, tc := range []struct {
+			msg  *wire.Message
+			want string
+		}{
+			{&wire.Message{Kind: wire.KindQuery, From: 1,
+				Query: &wire.QueryReq{Key: bitpath.MustParse("01"), Level: -1}}, "negative query level -1"},
+			{&wire.Message{Kind: wire.KindExchange, From: 1,
+				Exchange: &wire.ExchangeReq{Depth: -1}}, "negative exchange depth -1"},
+		} {
+			resp, err := tr.Call(0, tc.msg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: resp %v, err %v; want error reply %q", tc.msg.Kind, resp, err, tc.want)
+			}
+		}
+		if after := node.Peer().Snapshot(); after.Path != before.Path || len(after.Refs) != len(before.Refs) {
+			t.Errorf("a refused exchange changed the node: path %q → %q", before.Path, after.Path)
+		}
+		if resp, err := tr.Call(0, &wire.Message{Kind: wire.KindQuery, From: 1,
+			Query: &wire.QueryReq{Key: bitpath.MustParse("01")}}); err != nil || !resp.QueryResp.Found {
+			t.Errorf("node stopped serving after negative level/depth: resp %v, err %v", resp, err)
+		}
+	}
+
+	t.Run("local", func(t *testing.T) {
+		c := NewCluster(1, smallCfg(), 1)
+		check(t, c.Nodes[0], c.Transport)
+	})
+	t.Run("pool-binary", func(t *testing.T) {
+		nodes, pt, stop := startPooledCluster(t, 1, PoolConfig{})
+		defer stop()
+		check(t, nodes[0], pt)
+	})
 }

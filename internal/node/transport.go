@@ -6,6 +6,7 @@ import (
 
 	"pgrid/internal/addr"
 	"pgrid/internal/core"
+	"pgrid/internal/repair"
 	"pgrid/internal/wire"
 )
 
@@ -118,13 +119,7 @@ func (c *Cluster) CountInvariantViolations() int {
 		s := n.Peer().Snapshot()
 		for i := 1; i <= s.Path.Len(); i++ {
 			for _, r := range s.Refs[i-1].Slice() {
-				q := byAddr[r]
-				if q == nil {
-					violations++
-					continue
-				}
-				qp := q.Path()
-				if qp.Len() < i || qp.Prefix(i-1) != s.Path.Prefix(i-1) || qp.Bit(i) == s.Path.Bit(i) {
+				if q := byAddr[r]; q == nil || !repair.ValidRef(s.Path, i, q.Path()) {
 					violations++
 				}
 			}

@@ -870,6 +870,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{magic0, magic1, BinaryVersion, 12, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0x1e})
 	f.Add([]byte{magic0, magic1, BinaryVersion, 13, 1, 0, 0, 0, 3, 0, 0, 0, 0x15, 0x20, 1, 2, 2,
 		9, 'r', 'p', 'c', '_', 't', 'o', 't', 'a', 'l', 0xf6, 1, 3, 'n', 'e', 'g', 0x0d})
+	// A query level and an exchange depth below zero: the codec carries both
+	// as signed varints and decodes them cleanly (the node refuses them).
+	for _, m := range []*Message{
+		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: "01", Level: -1}},
+		{Kind: KindExchange, From: 1, Exchange: &ExchangeReq{Path: "01", Depth: -1}},
+	} {
+		frame, err := AppendFrame(nil, 3, 0, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for i := 0; i < 4; i++ {
