@@ -27,7 +27,7 @@ func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, i
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		res := client.CollectCluster(id)
+		res := client.Walk(id, node.MetricsReq(), node.HealthReq(true))
 		rep := analysis.AnalyzeCluster(res.Snapshots, res.Digests, res.Unreachable, objectives)
 		if jsonOut {
 			err := enc.Encode(map[string]any{
@@ -60,11 +60,11 @@ func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, i
 // reachable peer's snapshot and flattens them into one map — so renderTop
 // draws a whole community exactly like a single node.
 func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
-	res := client.CollectCluster(id)
-	if len(res.Snapshots) == 0 {
+	snaps := client.Walk(id, node.MetricsReq()).Snapshots
+	if len(snaps) == 0 {
 		return nil, fmt.Errorf("no peer reachable from node %v answered the metrics frame", id)
 	}
-	return flattenSnapshots(res.Snapshots), nil
+	return flattenSnapshots(snaps), nil
 }
 
 // flattenSnapshots folds the metrics snapshots of one node or of every

@@ -79,7 +79,7 @@ commands:
                                 refreshing sparkline trends from the node's history ring: RPC rate, error
                                 rate, served p99, pool wait, drops, anomaly findings, and windowed SLO
                                 verdicts (default 2s forever; count 1 = one plain frame); -cluster
-                                federates every reachable peer's ring via the batched crawl
+                                federates every reachable peer's ring via the community walk
 `)
 		flag.PrintDefaults()
 	}
@@ -375,8 +375,8 @@ commands:
 
 	case "crawl":
 		id := mustID(args, 0)
-		res := client.Crawl(id)
-		fmt.Printf("crawled %d peers from node %v (%d messages)\n", len(res.Digests), id, res.Messages)
+		res := client.Walk(id, node.HealthReq(true), node.RepairReq(false))
+		fmt.Printf("crawled %d peers from node %v (%d messages)\n", len(res.Reached), id, res.Messages)
 		for _, a := range res.Unreachable {
 			fmt.Printf("  unreachable: %v\n", a)
 		}

@@ -26,7 +26,7 @@ type watchFrame struct {
 }
 
 // runWatch fetches history rings — one node's, or every reachable
-// peer's via the batched crawl — and renders the windowed trend view:
+// peer's via the community walk — and renders the windowed trend view:
 // sparklines for RPC rate, error rate, served p99, pool wait, and
 // drops, plus anomaly findings and windowed SLO verdicts. Unlike top,
 // which differences two consecutive fetches client-side, watch reads
@@ -48,7 +48,7 @@ func runWatch(client *node.Client, id addr.Addr, clusterMode bool, objectives []
 			messages    int
 		)
 		if clusterMode {
-			res := client.CollectClusterHistory(id, 0, 0)
+			res := client.Walk(id, node.HistoryReq(0, 0))
 			dumps, unreachable, messages = res.Dumps, res.Unreachable, res.Messages
 		} else {
 			d, err := client.FetchHistory(id, 0, 0)

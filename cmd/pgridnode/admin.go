@@ -29,31 +29,26 @@ import (
 //	/healthz        200 once the wire server is accepting; 503 before,
 //	                and 503 while the worst per-level reference liveness
 //	                sits below minLiveness (0 disables the check)
-//	/debug/health   the node's replica digest: JSON by default,
-//	                ?format=text for the human rendering
-//	/debug/traces   the flight recorder: recent sampled query routes,
-//	                JSON by default, ?format=text for the arrow rendering,
-//	                ?limit=N to cap the count
+//	/debug/health   the node's replica digest and per-level liveness
+//	/debug/traces   the flight recorder: recent sampled query routes
+//	                (?limit=N caps the count)
 //	/debug/repair   the self-healing repairer (-repair-interval): rounds,
 //	                per-class fault and heal tallies, and the healthy/
-//	                repairing/stuck verdict; JSON by default, ?format=text
-//	                for the table ("repair disabled" without a repairer)
-//	/debug/lat      per-kind RPC latency quantiles (p50/p95/p99/p999):
-//	                JSON by default, ?format=text for a table
+//	                repairing/stuck verdict ("repair disabled" without one)
+//	/debug/lat      per-kind RPC latency quantiles (p50/p95/p99/p999)
 //	/debug/slow     the slow-op log (-slow-rpc): over-threshold RPCs with
-//	                their span context, JSON or ?format=text
+//	                their span context (?limit=N caps the count)
 //	/debug/slo      the burn-rate engine (-slo): per-objective budget burn
-//	                over the 5m and 1h windows with breach verdicts, JSON
-//	                or ?format=text
+//	                over the 5m and 1h windows with breach verdicts
 //	/debug/history  the metrics history ring (-history-interval): the raw
-//	                windowed snapshot series as JSON, or ?format=text for
-//	                the sparkline trend rendering; ?window=30s narrows the
-//	                span, ?limit=N caps the points returned
-//	/debug/breakers the per-peer circuit breakers of the outgoing
-//	                transport: JSON by default, ?format=text for a table
+//	                snapshot series, as text the sparkline trend rendering
+//	                (?window=30s narrows the span, ?limit=N caps the points)
+//	/debug/breakers the per-peer circuit breakers of the outgoing transport
 //	/debug/vars     expvar (includes the pgrid counter snapshot)
 //	/debug/pprof/   the standard pprof handlers
 //
+// The eight views from /debug/health to /debug/breakers go through
+// debugView: JSON by default, ?format=text for the human rendering.
 // The mux is self-contained (nothing is registered on
 // http.DefaultServeMux), so tests can build several independent instances.
 // rt may be nil (a test without the resilient transport); /debug/breakers
@@ -84,154 +79,90 @@ func newAdminMux(n *node.Node, tel *telemetry.Instruments, serving *atomic.Bool,
 		}
 		fmt.Fprintf(w, "ok path=%s entries=%d\n", n.Path(), n.Store().Len())
 	})
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
+	debugView(mux, "/debug/health", func(int, time.Duration) (any, func(io.Writer)) {
 		d := n.Digest()
 		rounds := n.HealthTracker().Rounds()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		envelope := struct {
+			Digest health.Digest `json:"digest"`
+			Rounds int64         `json:"rounds"`
+		}{d, rounds}
+		return envelope, func(w io.Writer) {
 			fmt.Fprintf(w, "%s rounds=%d\n", d, rounds)
 			for _, lp := range d.Liveness {
 				ratio, _ := lp.Ratio()
 				fmt.Fprintf(w, "level %2d liveness %.2f (%d live / %d dead)\n",
 					lp.Level, ratio, lp.Live, lp.Dead)
 			}
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Digest health.Digest `json:"digest"`
-			Rounds int64         `json:"rounds"`
-		}{d, rounds})
 	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		limit := 0
-		if s := r.URL.Query().Get("limit"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				http.Error(w, "bad limit", http.StatusBadRequest)
-				return
-			}
-			limit = v
-		}
+	debugView(mux, "/debug/traces", func(limit int, _ time.Duration) (any, func(io.Writer)) {
 		rec := n.Recorder()
 		traces := rec.Snapshot(limit)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		envelope := struct {
+			Total  uint64        `json:"total"`
+			Traces []trace.Trace `json:"traces"`
+		}{rec.Total(), traces}
+		return envelope, func(w io.Writer) {
 			for _, t := range traces {
 				fmt.Fprintf(w, "%016x %s\n", t.TraceID, t)
 			}
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Total  uint64        `json:"total"`
-			Traces []trace.Trace `json:"traces"`
-		}{rec.Total(), traces})
 	})
-	mux.HandleFunc("/debug/repair", func(w http.ResponseWriter, r *http.Request) {
+	debugView(mux, "/debug/repair", func(int, time.Duration) (any, func(io.Writer)) {
 		st := n.Repairer().Status()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			analysis.RenderRepairStatus(w, st)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
+		return struct {
 			Repair repair.Status `json:"repair"`
-		}{st})
+		}{st}, func(w io.Writer) { analysis.RenderRepairStatus(w, st) }
 	})
-	mux.HandleFunc("/debug/lat", func(w http.ResponseWriter, r *http.Request) {
+	debugView(mux, "/debug/lat", func(int, time.Duration) (any, func(io.Writer)) {
 		report := tel.LatencyReport()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			writeLatencyTable(w, report)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
+		return struct {
 			Latencies []telemetry.LatencySummary `json:"latencies"`
-		}{report})
+		}{report}, func(w io.Writer) { writeLatencyTable(w, report) }
 	})
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		limit := 0
-		if s := r.URL.Query().Get("limit"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				http.Error(w, "bad limit", http.StatusBadRequest)
-				return
-			}
-			limit = v
-		}
+	debugView(mux, "/debug/slow", func(limit int, _ time.Duration) (any, func(io.Writer)) {
 		slow := slowRec.Snapshot(limit)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		envelope := struct {
+			Total uint64        `json:"total"`
+			Slow  []trace.Trace `json:"slow"`
+		}{slowRec.Total(), slow}
+		return envelope, func(w io.Writer) {
 			for _, t := range slow {
 				for _, sp := range t.Spans {
 					fmt.Fprintf(w, "%016x key=%s peer=%d %.3fms\n",
 						t.TraceID, t.Key, sp.Peer, float64(sp.LatencyNS)/1e6)
 				}
 			}
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Total uint64        `json:"total"`
-			Slow  []trace.Trace `json:"slow"`
-		}{slowRec.Total(), slow})
 	})
-	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
+	debugView(mux, "/debug/slo", func(int, time.Duration) (any, func(io.Writer)) {
 		report := eng.Report()
 		if report == nil {
 			report = []slo.Status{}
 		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			writeSLOTable(w, report)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
+		return struct {
 			Objectives []slo.Status `json:"objectives"`
-		}{report})
+		}{report}, func(w io.Writer) { writeSLOTable(w, report) }
 	})
-	mux.HandleFunc("/debug/history", func(w http.ResponseWriter, r *http.Request) {
-		var window time.Duration
-		if s := r.URL.Query().Get("window"); s != "" {
-			d, err := time.ParseDuration(s)
-			if err != nil || d < 0 {
-				http.Error(w, "bad window", http.StatusBadRequest)
-				return
-			}
-			window = d
-		}
-		limit := 0
-		if s := r.URL.Query().Get("limit"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "bad limit", http.StatusBadRequest)
-				return
-			}
-			limit = v
-		}
+	debugView(mux, "/debug/history", func(limit int, window time.Duration) (any, func(io.Writer)) {
 		dump := hist.Dump(window, limit) // nil-safe: empty schema-stamped dump
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		envelope := struct {
+			History telemetry.HistoryDump `json:"history"`
+		}{dump}
+		return envelope, func(w io.Writer) {
 			analysis.RenderTrendReport(w, analysis.AnalyzeTrends(
 				map[addr.Addr]telemetry.HistoryDump{n.Addr(): dump}, nil))
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			History telemetry.HistoryDump `json:"history"`
-		}{dump})
 	})
-	mux.HandleFunc("/debug/breakers", func(w http.ResponseWriter, r *http.Request) {
+	debugView(mux, "/debug/breakers", func(int, time.Duration) (any, func(io.Writer)) {
 		views := []resilience.BreakerView{}
 		if rt != nil {
 			views = rt.Breakers()
 		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		envelope := struct {
+			Breakers []resilience.BreakerView `json:"breakers"`
+		}{views}
+		return envelope, func(w io.Writer) {
 			fmt.Fprintf(w, "%-6s %-9s %6s %6s %s\n", "peer", "state", "fails", "opens", "retry_at")
 			for _, v := range views {
 				until := "-"
@@ -240,12 +171,7 @@ func newAdminMux(n *node.Node, tel *telemetry.Instruments, serving *atomic.Bool,
 				}
 				fmt.Fprintf(w, "%-6v %-9s %6d %6d %s\n", v.Peer, v.State, v.Fails, v.Opens, until)
 			}
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Breakers []resilience.BreakerView `json:"breakers"`
-		}{views})
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -254,6 +180,41 @@ func newAdminMux(n *node.Node, tel *telemetry.Instruments, serving *atomic.Bool,
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// debugView serves one /debug/* view. Every view takes the same query:
+// ?limit=N and ?window=DUR select what the view reads (optional; a negative
+// or unparsable one is a 400 on every view, whether it reads it or not), and
+// ?format=text picks its text rendering over the JSON envelope.
+func debugView(mux *http.ServeMux, path string, view func(limit int, window time.Duration) (envelope any, text func(io.Writer))) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		var (
+			limit  int
+			window time.Duration
+			err    error
+		)
+		if s := q.Get("limit"); s != "" {
+			if limit, err = strconv.Atoi(s); err != nil || limit < 0 {
+				http.Error(w, "bad limit", http.StatusBadRequest)
+				return
+			}
+		}
+		if s := q.Get("window"); s != "" {
+			if window, err = time.ParseDuration(s); err != nil || window < 0 {
+				http.Error(w, "bad window", http.StatusBadRequest)
+				return
+			}
+		}
+		envelope, text := view(limit, window)
+		if q.Get("format") == "text" {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			text(w)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(envelope)
+	})
 }
 
 // writeLatencyTable renders a latency report as an aligned text table with

@@ -34,12 +34,13 @@
 // -slow-rpc any outgoing call over the threshold is counted, and recorded
 // with its span context into a dedicated flight recorder served at
 // /debug/slow; per-kind latency quantiles are live at /debug/lat. With
-// -slo the node tracks latency objectives ("query:p99:5ms,...") through a
-// multi-window burn-rate engine and serves the verdicts at /debug/slo.
-// With -history-interval the node samples its whole metrics snapshot into a
-// fixed-memory ring (-history-window deep), served at /debug/history and to
-// `pgridctl watch` over the wire; -exemplar-quantile links tail latency
-// buckets to flight-recorder traces via trace-id exemplars.
+// -history-interval the node runs its one metrics sampler: each tick takes
+// one snapshot of every series into a fixed-memory ring (-history-window
+// deep), served at /debug/history and to `pgridctl watch` over the wire;
+// -exemplar-quantile links tail latency buckets to flight-recorder traces
+// via trace-id exemplars. With -slo the same snapshot also feeds a
+// multi-window burn-rate engine tracking latency objectives
+// ("query:p99:5ms,...") whose verdicts are served at /debug/slo.
 package main
 
 import (
@@ -96,8 +97,7 @@ func main() {
 		admin     = flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /debug/{vars,pprof}); empty = off")
 		events    = flag.String("events", "", "append structured JSONL telemetry events to this file")
 		slowRPC   = flag.Duration("slow-rpc", 0, "count and record outgoing calls at or above this round-trip latency (0 = off)")
-		sloSpecs  = flag.String("slo", "", "latency SLOs to track: kind:pNN:threshold,... e.g. query:p99:5ms (burn rates at /debug/slo; empty = off)")
-		sloEvery  = flag.Duration("slo-interval", 10*time.Second, "sampling interval of the SLO burn-rate engine when -slo is set")
+		sloSpecs  = flag.String("slo", "", "latency SLOs to track: kind:pNN:threshold,... e.g. query:p99:5ms (burn rates at /debug/slo, sampled every -history-interval; empty = off)")
 		traceBuf  = flag.Int("trace-buf", 256, "flight-recorder capacity in traces (0 = tracing off)")
 		traceProb = flag.Float64("trace-sample", 0.01, "probability a locally issued query is sampled for distributed tracing")
 		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served at /debug/history and over KindHistory (0 = history off)")
@@ -262,8 +262,8 @@ func main() {
 		if err != nil {
 			fatal("configuration", err)
 		}
-		if *sloEvery <= 0 {
-			fatal("configuration", fmt.Errorf("-slo-interval %v must be positive", *sloEvery))
+		if hist == nil {
+			fatal("configuration", fmt.Errorf("-slo needs -history-interval > 0 (got %v): the metrics sampler feeds the burn-rate engine one snapshot per -history-interval", *histInt))
 		}
 		sloEng = slo.NewEngine(objectives, nil)
 	}
@@ -306,11 +306,8 @@ func main() {
 	if *repairInt > 0 {
 		go repairer.Run(ctx)
 	}
-	if sloEng != nil {
-		go sloLoop(ctx, sloEng, tel, *sloEvery)
-	}
 	if hist != nil {
-		go n.RunHistorySampler(ctx)
+		go n.RunSampler(ctx, sloEng.Tick) // Tick is a no-op on the nil engine of a node without -slo
 	}
 
 	serving.Store(true)
@@ -369,23 +366,6 @@ func statusLoop(ctx context.Context, logger *slog.Logger, n *node.Node, every ti
 				"exchanges", exchanges,
 				"queries", queries,
 				"wire_errors", wireErrors)
-		}
-	}
-}
-
-// sloLoop samples the node's metrics into the burn-rate engine. The first
-// tick fires immediately so /debug/slo has a baseline before the first
-// full interval elapses.
-func sloLoop(ctx context.Context, eng *slo.Engine, tel *telemetry.Instruments, every time.Duration) {
-	eng.Tick(tel.MetricsSnapshot())
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			eng.Tick(tel.MetricsSnapshot())
 		}
 	}
 }

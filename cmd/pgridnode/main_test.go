@@ -786,6 +786,34 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 	}
 }
 
+// TestAdminBadLimit: the views that take ?limit= refuse a negative or
+// unparsable one the same way, and still serve a good one.
+func TestAdminBadLimit(t *testing.T) {
+	n, tel := testNode(t)
+	serving := &atomic.Bool{}
+	serving.Store(true)
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	defer srv.Close()
+
+	for _, path := range []string{"/debug/traces", "/debug/slow", "/debug/history"} {
+		for query, want := range map[string]int{
+			"?limit=-1":            http.StatusBadRequest,
+			"?limit=x":             http.StatusBadRequest,
+			"?limit=3":             http.StatusOK,
+			"?limit=3&format=text": http.StatusOK,
+		} {
+			resp, err := http.Get(srv.URL + path + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s%s = %d, want %d", path, query, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 func get2(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -71,8 +71,7 @@ type Digest struct {
 	RefCounts []int
 	// Buddies is the number of replicas the peer knows for its own path.
 	Buddies int
-	// Liveness is the prober's per-level tally (nil when probing is off
-	// or the peer predates health probing).
+	// Liveness is the prober's per-level tally (nil when probing is off).
 	Liveness []LevelProbe
 }
 

@@ -52,19 +52,30 @@ func NewClient(tr Transport, seed int64) *Client {
 // field is not synchronized.
 func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }
 
-// nodeInfo fetches a peer's path and reference table. Errors distinguish
-// unreachable peers (ErrOffline et al., via the transport) from reachable
-// peers that answered garbage (ErrMalformed) — the latter counted
-// separately in telemetry, because a misbehaving peer is operationally a
-// different problem from a churned one.
-func (c *Client) nodeInfo(a addr.Addr) (*wire.InfoResp, error) {
-	resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
+// ask is the single-peer read behind nodeInfo, TraceQuery and the Fetch*
+// calls: one request, and an answer in which got does not find the payload
+// that request asks for is ErrMalformed, counted under the request kind — a
+// misbehaving peer is operationally a different problem from a churned one.
+// Transport errors (an unreachable peer, or a reachable one answering
+// KindError) come back as they are.
+func (c *Client) ask(a addr.Addr, req wire.Message, got func(*wire.Message) bool) (*wire.Message, error) {
+	resp, err := c.tr.Call(a, &req)
 	if err != nil {
 		return nil, err
 	}
-	if resp.InfoResp == nil {
-		rpcKind(c.tel, wire.KindInfo).Malformed()
-		return nil, fmt.Errorf("%w: node %v answered info with kind %v", ErrMalformed, a, resp.Kind)
+	if !got(resp) {
+		rpcKind(c.tel, req.Kind).Malformed()
+		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, req.Kind, resp.Kind)
+	}
+	return resp, nil
+}
+
+// nodeInfo fetches a peer's path and reference table.
+func (c *Client) nodeInfo(a addr.Addr) (*wire.InfoResp, error) {
+	resp, err := c.ask(a, wire.Message{Kind: wire.KindInfo, From: addr.Nil},
+		func(m *wire.Message) bool { return m.InfoResp != nil })
+	if err != nil {
+		return nil, err
 	}
 	return resp.InfoResp, nil
 }
@@ -80,14 +91,10 @@ func (c *Client) TraceQuery(start addr.Addr, key bitpath.Path) (trace.Trace, err
 		Budget:  trace.DefaultBudget,
 		Sampled: true,
 	}
-	resp, err := c.tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key, Ctx: ctx}})
+	resp, err := c.ask(start, wire.Message{Kind: wire.KindQuery, From: addr.Nil,
+		Query: &wire.QueryReq{Key: key, Ctx: ctx}}, func(m *wire.Message) bool { return m.QueryResp != nil })
 	if err != nil {
 		return trace.Trace{}, err
-	}
-	if resp.QueryResp == nil {
-		rpcKind(c.tel, wire.KindQuery).Malformed()
-		return trace.Trace{}, fmt.Errorf("%w: node %v answered traced query with kind %v", ErrMalformed, start, resp.Kind)
 	}
 	q := resp.QueryResp
 	return trace.Trace{TraceID: ctx.TraceID, Key: key, Found: q.Found,
@@ -98,14 +105,10 @@ func (c *Client) TraceQuery(start addr.Addr, key bitpath.Path) (trace.Trace, err
 // means everything retained). Total counts traces ever recorded there,
 // including ones the ring has already evicted.
 func (c *Client) FetchTraces(a addr.Addr, limit int) (total uint64, traces []trace.Trace, err error) {
-	resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindTraces, From: addr.Nil,
-		Traces: &wire.TracesReq{Limit: limit}})
+	resp, err := c.ask(a, wire.Message{Kind: wire.KindTraces, From: addr.Nil,
+		Traces: &wire.TracesReq{Limit: limit}}, func(m *wire.Message) bool { return m.TracesResp != nil })
 	if err != nil {
 		return 0, nil, err
-	}
-	if resp.TracesResp == nil {
-		rpcKind(c.tel, wire.KindTraces).Malformed()
-		return 0, nil, fmt.Errorf("%w: node %v answered traces request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.TracesResp.Total, resp.TracesResp.Traces, nil
 }
@@ -418,21 +421,27 @@ type AuditReport struct {
 func (c *Client) Audit(all []addr.Addr) AuditReport {
 	var rep AuditReport
 	infos := make(map[addr.Addr]*wire.InfoResp)
+	var reached []addr.Addr // in the caller's order: two audits of one community print the same report
 	for _, a := range all {
+		if infos[a] != nil {
+			continue
+		}
 		if info, err := c.nodeInfo(a); err == nil {
 			infos[a] = info
+			reached = append(reached, a)
 		} else {
 			rep.Unreachable = append(rep.Unreachable, a)
 		}
 	}
-	rep.Reachable = len(infos)
+	rep.Reachable = len(reached)
 	depthSum := 0
-	for a, info := range infos {
+	for _, a := range reached {
+		info := infos[a]
 		depthSum += info.Path.Len()
 		rep.Entries += info.Entries
 		for i, rs := range info.Refs {
 			level := i + 1
-			for _, r := range rs.ToSet().Slice() {
+			for _, r := range rs.ToSet().Sorted() {
 				// An unreachable target cannot be judged.
 				if q, ok := infos[r]; ok && !repair.ValidRef(info.Path, level, q.Path) {
 					rep.Violations = append(rep.Violations, fmt.Sprintf(

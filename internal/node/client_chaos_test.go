@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,26 +21,56 @@ import (
 // malformTransport mangles responses to one request kind in a chosen way,
 // passing everything else through — the deterministic counterpart of
 // ChaosTransport's random corruption, for table-driven error-path tests.
+// The answer-shaped modes also reach into batch frames, mangling the slot
+// of every sub-request of that kind; mode "" only counts.
 type malformTransport struct {
 	inner Transport
 	kind  wire.Kind
-	mode  string // "nilpayload", "wrongkind", "corrupt", "offline"
+	mode  string       // "", "nilpayload", "wrongkind", "kinderror", "corrupt", "offline"
+	calls atomic.Int64 // round trips attempted through this transport
 }
 
 func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
+	m.calls.Add(1)
 	resp, err := m.inner.Call(to, msg)
-	if err != nil || msg.Kind != m.kind {
+	if err != nil || m.mode == "" {
 		return resp, err
 	}
+	if msg.Kind == m.kind {
+		switch m.mode {
+		case "corrupt":
+			return nil, fmt.Errorf("%w: injected", wire.ErrCorrupt)
+		case "offline":
+			return nil, fmt.Errorf("%w: injected", ErrOffline)
+		case "kinderror": // what every transport makes of a KindError answer
+			return nil, fmt.Errorf("node %v: injected", to)
+		}
+		return m.mangle(resp), nil
+	}
+	if msg.Kind == wire.KindBatch && resp.BatchResp != nil {
+		for i := range resp.BatchResp.Msgs {
+			if i < len(msg.Batch.Msgs) && msg.Batch.Msgs[i].Kind == m.kind {
+				if bad := m.mangle(&resp.BatchResp.Msgs[i]); bad != nil {
+					resp.BatchResp.Msgs[i] = *bad
+				}
+			}
+		}
+	}
+	return resp, nil
+}
+
+// mangle returns the wrong-shaped answer the mode stands for, nil for the
+// modes that fail the whole call instead.
+func (m *malformTransport) mangle(resp *wire.Message) *wire.Message {
 	switch m.mode {
 	case "nilpayload":
-		return &wire.Message{Kind: resp.Kind, From: resp.From}, nil
+		return &wire.Message{Kind: resp.Kind, From: resp.From}
 	case "wrongkind":
-		return &wire.Message{Kind: wire.KindRepairResp, From: resp.From}, nil
-	case "corrupt":
-		return nil, fmt.Errorf("%w: injected", wire.ErrCorrupt)
-	case "offline":
-		return nil, fmt.Errorf("%w: injected", ErrOffline)
+		return &wire.Message{Kind: wire.KindApplyResp, From: resp.From, ApplyResp: &wire.ApplyResp{}}
+	case "kinderror":
+		return &wire.Message{Kind: wire.KindError, From: resp.From, Error: "injected"}
+	case "corrupt", "offline":
+		return nil
 	default:
 		panic("unknown malform mode " + m.mode)
 	}
@@ -157,7 +188,7 @@ func TestClientSurvivesHeavyCorruption(t *testing.T) {
 	cl.ReplicaSearch(c.Nodes[3].Addr(), key, 2)
 	cl.Audit([]addr.Addr{c.Nodes[0].Addr(), c.Nodes[1].Addr(), c.Nodes[2].Addr()})
 	cl.MajorityRead([]addr.Addr{c.Nodes[4].Addr(), c.Nodes[5].Addr()}, key, "f", 2, 16)
-	cl.Crawl(c.Nodes[6].Addr())
+	cl.Walk(c.Nodes[6].Addr(), HealthReq(true), RepairReq(false))
 
 	if counterVal(t, tel, "pgrid_rpc_malformed_total") == 0 {
 		t.Error("heavy corruption left the malformed counter untouched")

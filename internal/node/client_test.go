@@ -2,6 +2,7 @@ package node
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -173,5 +174,30 @@ func TestClientAuditDetectsViolationAndOffline(t *testing.T) {
 	}
 	if len(rep.Unreachable) != 1 || rep.Unreachable[0] != 5 {
 		t.Errorf("unreachable = %v", rep.Unreachable)
+	}
+}
+
+// TestClientAuditOrderIsStable: two audits of one broken community list the
+// same violations in the same order — caller's peer order, levels ascending,
+// targets sorted — so `pgridctl audit` output can be diffed between runs.
+func TestClientAuditOrderIsStable(t *testing.T) {
+	c, cl := builtCluster(t, 32, smallCfg(), 10)
+	all := make([]addr.Addr, len(c.Nodes))
+	for i, n := range c.Nodes {
+		all[i] = n.Addr()
+	}
+	// Break level 1 everywhere: every node references its two neighbours,
+	// and at least one of them sits on its own side of the root split.
+	for i, n := range c.Nodes {
+		n.Peer().SetRefsAt(1, addr.NewSet(all[(i+1)%len(all)], all[(i+2)%len(all)]))
+	}
+	first := cl.Audit(all).Violations
+	if len(first) < 8 {
+		t.Fatalf("fixture: only %d violations, too few to catch a random order", len(first))
+	}
+	for run := 0; run < 4; run++ {
+		if again := cl.Audit(all).Violations; !reflect.DeepEqual(first, again) {
+			t.Fatalf("audit %d differs from the first:\n%v\nvs\n%v", run+2, again, first)
+		}
 	}
 }

@@ -1,16 +1,13 @@
 package node
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
-	"pgrid/internal/resilience"
 	"pgrid/internal/wire"
 )
 
@@ -162,138 +159,11 @@ func (p *Prober) Tick() {
 	n.probeRoundDone()
 }
 
-// --- client surface --------------------------------------------------------
-
 // FetchHealth fetches a peer's replica digest and completed probe rounds.
-// Pre-health peers answer with KindError, surfaced here as an error.
 func (c *Client) FetchHealth(a addr.Addr, wantLiveness bool) (health.Digest, int64, error) {
-	resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindHealth, From: addr.Nil,
-		Health: &wire.HealthReq{WantLiveness: wantLiveness}})
+	resp, err := c.ask(a, HealthReq(wantLiveness), func(m *wire.Message) bool { return m.HealthResp != nil })
 	if err != nil {
 		return health.Digest{}, 0, err
 	}
-	if resp.HealthResp == nil {
-		rpcKind(c.tel, wire.KindHealth).Malformed()
-		return health.Digest{}, 0, fmt.Errorf("%w: node %v answered health request with kind %v", ErrMalformed, a, resp.Kind)
-	}
 	return resp.HealthResp.Digest, resp.HealthResp.Rounds, nil
-}
-
-// crawlPeer fetches one peer's routing state, health digest, and repair
-// status — as a single batched frame when the peer serves batches, the
-// sequential info+health pair otherwise (a pre-batch peer is pre-repair
-// too, so its status comes back disabled). Returns nil info when the peer
-// is unreachable; haveDigest=false means the caller must synthesize the
-// structural fallback digest. messages counts logical requests (an
-// info+health+repair batch bills three), so the crawl's cost metric stays
-// comparable with pre-batch crawls — batching removes round trips, not
-// messages.
-func (c *Client) crawlPeer(a addr.Addr, messages *int) (info *wire.InfoResp, d health.Digest, haveDigest bool, rs repair.Status) {
-	batch := []wire.Message{
-		{Kind: wire.KindInfo, From: addr.Nil},
-		{Kind: wire.KindHealth, From: addr.Nil, Health: &wire.HealthReq{WantLiveness: true}},
-		{Kind: wire.KindRepair, From: addr.Nil, Repair: &wire.RepairReq{}},
-	}
-	resps, err := callBatch(c.tr, a, addr.Nil, batch)
-	if err == nil {
-		*messages += len(batch)
-		if resps[0].InfoResp == nil {
-			rpcKind(c.tel, wire.KindInfo).Malformed()
-			return nil, health.Digest{}, false, rs
-		}
-		if resps[2].RepairResp != nil {
-			rs = resps[2].RepairResp.Status
-		}
-		if resps[1].HealthResp == nil {
-			// The peer serves batches but not health — structural fallback.
-			return resps[0].InfoResp, health.Digest{}, false, rs
-		}
-		return resps[0].InfoResp, resps[1].HealthResp.Digest, true, rs
-	}
-	if Classify(err) == resilience.Transient {
-		// Unreachable: bill the one contact attempt, like the failed
-		// info fetch of the sequential path.
-		*messages++
-		return nil, health.Digest{}, false, rs
-	}
-	// The peer answered but refused the batch envelope (pre-batch peer):
-	// the sequential pair it does understand.
-	i, err := c.nodeInfo(a)
-	*messages++
-	if err != nil {
-		return nil, health.Digest{}, false, rs
-	}
-	d, _, err = c.FetchHealth(a, true)
-	*messages++
-	if err != nil {
-		return i, health.Digest{}, false, rs
-	}
-	return i, d, true, rs
-}
-
-// CrawlResult is one community crawl: the digests collected, the peers
-// that were referenced but never answered, and the message cost.
-type CrawlResult struct {
-	Digests []health.Digest
-	// Repairs holds the repair statuses of the reachable peers that run a
-	// repairer (disabled statuses are dropped) — feed it to
-	// analysis.GridReport.AttachRepair for the community verdict.
-	Repairs []repair.Status
-	// Unreachable lists peers some reachable peer referenced that did not
-	// answer the crawl (offline, crashed, or unknown to the transport).
-	Unreachable []addr.Addr
-	Messages    int
-}
-
-// Crawl walks the whole community from one entry peer, following every
-// reference and buddy link breadth-first, and collects a health digest
-// per reachable peer — the decentralized census behind `pgridctl crawl`.
-// Peers too old to answer KindHealth still contribute a structural digest
-// synthesized from their Info response (without probe data), so a
-// mixed-version community crawls cleanly. Digests come back sorted by
-// address.
-func (c *Client) Crawl(start addr.Addr) CrawlResult {
-	var res CrawlResult
-	visited := map[addr.Addr]bool{start: true}
-	queue := []addr.Addr{start}
-
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		info, d, haveDigest, rs := c.crawlPeer(a, &res.Messages)
-		if info == nil {
-			res.Unreachable = append(res.Unreachable, a)
-			continue
-		}
-		if rs.Enabled {
-			res.Repairs = append(res.Repairs, rs)
-		}
-		enqueue := func(r addr.Addr) {
-			if !visited[r] {
-				visited[r] = true
-				queue = append(queue, r)
-			}
-		}
-		for _, rs := range info.Refs {
-			for _, r := range rs.Addrs {
-				enqueue(r)
-			}
-		}
-		for _, b := range info.Buddies.Addrs {
-			enqueue(b)
-		}
-
-		if !haveDigest {
-			// Pre-health peer: fall back to what Info already told us.
-			d = health.Digest{Addr: info.Addr, Path: info.Path, Entries: info.Entries,
-				Buddies: info.Buddies.ToSet().Len()}
-			for _, rs := range info.Refs {
-				d.RefCounts = append(d.RefCounts, rs.ToSet().Len())
-			}
-		}
-		res.Digests = append(res.Digests, d)
-	}
-	sort.Slice(res.Digests, func(i, j int) bool { return res.Digests[i].Addr < res.Digests[j].Addr })
-	sort.Slice(res.Unreachable, func(i, j int) bool { return res.Unreachable[i] < res.Unreachable[j] })
-	return res
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -13,12 +12,11 @@ import (
 	"pgrid/internal/wire"
 )
 
-// localHealthCluster hand-builds the same 3-node grid as wireTraceCluster
-// but over the in-process transport: 0→"0", 1→"10", 2→"11", with the
-// Section 2 references between them.
-func localHealthCluster(t *testing.T) *Cluster {
+// wireHealthFixture hand-builds the 3-node grid the walk tests share —
+// 0→"0", 1→"10", 2→"11", with the Section 2 references between them — on
+// the given nodes, whatever transport they sit on.
+func wireHealthFixture(t *testing.T, nodes []*Node) {
 	t.Helper()
-	c := NewCluster(3, smallCfg(), 7)
 	spec := []struct {
 		path string
 		refs []addr.Addr
@@ -28,7 +26,7 @@ func localHealthCluster(t *testing.T) *Cluster {
 		{"11", []addr.Addr{0, 1}},
 	}
 	for i, s := range spec {
-		p := c.Nodes[i].Peer()
+		p := nodes[i].Peer()
 		path := bitpath.MustParse(s.path)
 		for level := 1; level <= path.Len(); level++ {
 			if !p.ExtendFrom(path.Prefix(level-1), path.Bit(level), addr.NewSet(s.refs[level-1])) {
@@ -36,6 +34,13 @@ func localHealthCluster(t *testing.T) *Cluster {
 			}
 		}
 	}
+}
+
+// localHealthCluster is wireHealthFixture over the in-process transport.
+func localHealthCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c := NewCluster(3, smallCfg(), 7)
+	wireHealthFixture(t, c.Nodes)
 	return c
 }
 
@@ -139,11 +144,16 @@ func TestFetchHealth(t *testing.T) {
 	}
 }
 
+// crawl is the walk `pgridctl crawl` makes.
+func crawl(cl *Client, start addr.Addr) WalkResult {
+	return cl.Walk(start, HealthReq(true), RepairReq(false))
+}
+
 func TestCrawlCensus(t *testing.T) {
 	c := localHealthCluster(t)
 	cl := NewClient(c.Transport, 42)
 
-	res := cl.Crawl(0)
+	res := crawl(cl, 0)
 	if len(res.Digests) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("crawl = %+v", res)
 	}
@@ -160,39 +170,32 @@ func TestCrawlCensus(t *testing.T) {
 
 	// An offline peer is reported unreachable, not silently dropped.
 	c.Nodes[2].SetOnline(false)
-	res = cl.Crawl(0)
+	res = crawl(cl, 0)
 	if len(res.Digests) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("crawl with 2 offline = %+v", res)
 	}
 }
 
-// noHealthTransport simulates a pre-health community: every KindHealth
-// request fails as if the receiver answered KindError.
-type noHealthTransport struct{ tr Transport }
-
-func (t noHealthTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
-	if m.Kind == wire.KindHealth || m.Kind == wire.KindBatch {
-		// A pre-health peer predates batching too: both kinds come back
-		// as the KindError a real old node would answer with.
-		return nil, fmt.Errorf("node %v: unexpected message kind %v", to, m.Kind)
-	}
-	return t.tr.Call(to, m)
-}
-
+// TestCrawlPreHealthFallback pins that the fallback is gone: a peer whose
+// health slot comes back as KindError is still walked through (its Info is
+// good), but no digest is made up for it from that Info, and nobody asks it
+// a second time.
 func TestCrawlPreHealthFallback(t *testing.T) {
 	c := localHealthCluster(t)
-	cl := NewClient(noHealthTransport{c.Transport}, 42)
-	res := cl.Crawl(0)
-	if len(res.Digests) != 3 {
-		t.Fatalf("crawl = %+v, want all 3 via Info fallback", res)
+	tr := &malformTransport{inner: c.Transport, kind: wire.KindHealth, mode: "kinderror"}
+	cl := NewClient(tr, 42)
+	res := crawl(cl, 0)
+	if len(res.Reached) != 3 || len(res.Unreachable) != 0 {
+		t.Fatalf("crawl = %+v, want all 3 reached", res)
 	}
-	for _, d := range res.Digests {
-		if d.Liveness != nil || d.IndexHash != 0 {
-			t.Errorf("fallback digest %v carries health-only fields: %+v", d.Addr, d)
-		}
-		if d.Path.Len() == 0 || len(d.RefCounts) != d.Path.Len() {
-			t.Errorf("fallback digest %v lost structure: %+v", d.Addr, d)
-		}
+	if len(res.Digests) != 0 {
+		t.Errorf("digests = %+v, want none: the health slot errored everywhere", res.Digests)
+	}
+	if len(res.Repairs) != 3 {
+		t.Errorf("repair statuses = %d, want 3: the health slot's error is its own", len(res.Repairs))
+	}
+	if got := tr.calls.Load(); got != 3 {
+		t.Errorf("round trips = %d, want 3 (one frame per peer, no second ask)", got)
 	}
 }
 
@@ -202,32 +205,18 @@ func TestCrawlPreHealthFallback(t *testing.T) {
 func TestTCPCrawl(t *testing.T) {
 	nodes, _, stop := startPooledCluster(t, 3, PoolConfig{})
 	defer stop()
-	spec := []struct {
-		path string
-		refs []addr.Addr
-	}{
-		{"0", []addr.Addr{1}},
-		{"10", []addr.Addr{0, 2}},
-		{"11", []addr.Addr{0, 1}},
-	}
-	for i, s := range spec {
-		p := nodes[i].Peer()
-		path := bitpath.MustParse(s.path)
-		for level := 1; level <= path.Len(); level++ {
-			if !p.ExtendFrom(path.Prefix(level-1), path.Bit(level), addr.NewSet(s.refs[level-1])) {
-				t.Fatalf("fixture build failed at node %d level %d", i, level)
-			}
-		}
-		NewProber(nodes[i], 4, int64(i)).Tick()
+	wireHealthFixture(t, nodes)
+	for i, n := range nodes {
+		NewProber(n, 4, int64(i)).Tick()
 	}
 
-	cl := NewClient(nodes[0].tr, 42)
-	res := cl.Crawl(0)
-	if len(res.Digests) != 3 || len(res.Unreachable) != 0 {
+	res := crawl(NewClient(nodes[0].tr, 42), 0)
+	digests := res.Digests
+	if len(digests) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("TCP crawl = %+v", res)
 	}
 	for i, want := range []string{"0", "10", "11"} {
-		d := res.Digests[i]
+		d := digests[i]
 		if d.Addr != addr.Addr(i) || d.Path.String() != want {
 			t.Errorf("digest %d = %v %s, want %d %s", i, d.Addr, d.Path, i, want)
 		}
@@ -243,17 +232,17 @@ func TestTCPCrawl(t *testing.T) {
 // registry (told every path directly) holds.
 func TestCrawlGroundTruth64(t *testing.T) {
 	cfg := core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2}
-	res, err := sim.Build(sim.Options{N: 64, Config: cfg, Seed: 11})
+	built, err := sim.Build(sim.Options{N: 64, Config: cfg, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if !built.Converged {
 		t.Fatal("construction did not converge")
 	}
 
 	tr := NewLocalTransport()
 	reg := central.NewRegistry()
-	for _, p := range res.Dir.All() {
+	for _, p := range built.Dir.All() {
 		n := New(p.Addr(), cfg, tr, int64(p.Addr()))
 		if err := n.Peer().Restore(p.Snapshot()); err != nil {
 			t.Fatal(err)
@@ -262,13 +251,12 @@ func TestCrawlGroundTruth64(t *testing.T) {
 		reg.Record(p.Addr(), p.Path())
 	}
 
-	cl := NewClient(tr, 3)
-	crawl := cl.Crawl(0)
-	if len(crawl.Unreachable) != 0 {
-		t.Fatalf("unreachable peers in a fully-online community: %v", crawl.Unreachable)
+	res := crawl(NewClient(tr, 3), 0)
+	if len(res.Unreachable) != 0 {
+		t.Fatalf("unreachable peers in a fully-online community: %v", res.Unreachable)
 	}
 	crawled := make(map[bitpath.Path][]addr.Addr)
-	for _, d := range crawl.Digests {
+	for _, d := range res.Digests {
 		crawled[d.Path] = append(crawled[d.Path], d.Addr) // already addr-sorted
 	}
 
@@ -287,7 +275,7 @@ func TestCrawlGroundTruth64(t *testing.T) {
 			}
 		}
 	}
-	if len(crawl.Digests) != 64 {
-		t.Fatalf("crawl found %d peers, want 64", len(crawl.Digests))
+	if len(res.Digests) != 64 {
+		t.Fatalf("crawl found %d peers, want 64", len(res.Digests))
 	}
 }

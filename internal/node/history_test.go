@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -52,31 +51,14 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		}
 	}()
 
-	// The same routable fixture as TestTCPCollectCluster.
-	spec := []struct {
-		path string
-		refs []addr.Addr
-	}{
-		{"0", []addr.Addr{1}},
-		{"10", []addr.Addr{0, 2}},
-		{"11", []addr.Addr{0, 1}},
-	}
-	for i, s := range spec {
-		p := nodes[i].Peer()
-		path := bitpath.MustParse(s.path)
-		for level := 1; level <= path.Len(); level++ {
-			if !p.ExtendFrom(path.Prefix(level-1), path.Bit(level), addr.NewSet(s.refs[level-1])) {
-				t.Fatalf("fixture build failed at node %d level %d", i, level)
-			}
-		}
-	}
+	wireHealthFixture(t, nodes)
 
 	var samplers sync.WaitGroup
 	for _, n := range nodes {
 		samplers.Add(1)
 		go func(n *Node) {
 			defer samplers.Done()
-			n.RunHistorySampler(ctx)
+			n.RunSampler(ctx)
 		}(n)
 	}
 	defer samplers.Wait()
@@ -184,12 +166,12 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		t.Fatalf("exemplar trace %x not retrievable from the flight recorder (%d traces held)", traceID, len(traces))
 	}
 
-	// The batched cluster crawl federates every ring. Crawl again until node
-	// 2's ring has sampled the requests it served — over warm connections
-	// the traffic above can fit inside one sampling interval.
-	var res HistoryResult
+	// The community walk federates every ring. Walk again until node 2's
+	// ring has sampled the requests it served — over warm connections the
+	// traffic above can fit inside one sampling interval.
+	var res WalkResult
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		res = cl.CollectClusterHistory(0, 0, 0)
+		res = collectHistory(cl, 0)
 		if len(res.Dumps) != nNodes || len(res.Unreachable) != 0 {
 			t.Fatalf("cluster history = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 		}
@@ -239,7 +221,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	samplers.Add(1)
 	go func() {
 		defer samplers.Done()
-		restarted.RunHistorySampler(ctx)
+		restarted.RunSampler(ctx)
 	}()
 
 	post, err := cl.FetchMetrics(2)
@@ -261,58 +243,28 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	}
 }
 
-// noHistoryTransport simulates a community where peers batch and answer
-// metrics but predate KindHistory: the unknown kind comes back as the
-// Terminal error a real old node's KindError produces.
-type noHistoryTransport struct{ tr Transport }
-
-func (t noHistoryTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
-	if m.Kind == wire.KindHistory {
-		return nil, errors.New("unexpected message kind history")
-	}
-	if m.Kind == wire.KindBatch {
-		for _, sub := range m.Batch.Msgs {
-			if sub.Kind == wire.KindHistory {
-				return nil, errors.New("unexpected message kind history")
-			}
-		}
-	}
-	return t.tr.Call(to, m)
+// collectHistory is the walk `pgridctl watch -cluster` makes.
+func collectHistory(cl *Client, start addr.Addr) WalkResult {
+	return cl.Walk(start, HistoryReq(0, 0))
 }
 
-// TestFetchHistoryPreHistoryFallback proves the snapshot degradation: a
-// peer too old for the history frame still yields a single-point dump
-// carrying its current cumulative state.
+// TestFetchHistoryPreHistoryFallback pins that FetchHistory no longer
+// degrades: a peer answering the history request with KindError is an
+// error, not a one-point dump built from a second (metrics) call — and a
+// history-enabled peer with an unsampled ring answers for real, an empty
+// schema-stamped dump.
 func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 	c := localHealthCluster(t)
-	tel := telemetry.New(1)
-	c.Nodes[1].SetTelemetry(tel)
-	tel.ServedRPCDone("query", 3*time.Millisecond, false)
-
-	cl := NewClient(noHistoryTransport{c.Transport}, 42)
-	dump, err := cl.FetchHistory(1, time.Minute, 8)
-	if err != nil {
-		t.Fatal(err)
+	tr := &malformTransport{inner: c.Transport, kind: wire.KindHistory, mode: "kinderror"}
+	if dump, err := NewClient(tr, 42).FetchHistory(1, time.Minute, 8); err == nil {
+		t.Fatalf("FetchHistory of a refusing peer = %+v, want an error", dump)
 	}
-	if len(dump.Points) != 1 {
-		t.Fatalf("fallback dump = %d points, want 1", len(dump.Points))
-	}
-	if h, ok := dump.Points[0].Snap.Hist(servedQueryHist); !ok || h.Count != 1 {
-		t.Fatalf("fallback snapshot lost the hist: %+v (present %v)", h, ok)
-	}
-	// Single-point dumps degrade gracefully: instantaneous quantiles, no rates.
-	if _, ok := dump.Rate(telemetry.StatServedTotal, 0); ok {
-		t.Fatal("one-point dump reported a rate")
-	}
-	if wh, _, ok := dump.WindowHist(servedQueryHist, time.Minute); !ok || wh.Count != 1 {
-		t.Fatalf("one-point windowed hist = %+v (ok %v)", wh, ok)
+	if got := tr.calls.Load(); got != 1 {
+		t.Errorf("round trips = %d, want 1 (no snapshot fetched in its place)", got)
 	}
 
-	// A history-enabled node answering for real: empty ring, empty dump,
-	// distinguishable from the fallback by its zero points.
 	c.Nodes[2].EnableHistory(telemetry.NewHistory(time.Second, time.Minute))
-	direct := NewClient(c.Transport, 43)
-	empty, err := direct.FetchHistory(2, 0, 0)
+	empty, err := NewClient(c.Transport, 43).FetchHistory(2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,26 +273,24 @@ func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 	}
 }
 
-// TestCollectClusterHistoryFallbacks proves a mixed-version community
-// federates cleanly: pre-history peers contribute single-point snapshot
-// dumps, offline peers land in Unreachable, and neither aborts the walk.
+// TestCollectClusterHistoryFallbacks: a history slot that comes back empty
+// of its payload leaves that peer's dump out without a second call; real
+// rings come back over the same walk; an offline peer lands in Unreachable;
+// and none of it aborts the walk.
 func TestCollectClusterHistoryFallbacks(t *testing.T) {
 	c := localHealthCluster(t)
 	for i := range c.Nodes {
-		tel := telemetry.New(i)
-		c.Nodes[i].SetTelemetry(tel)
-		tel.ServedRPCDone("query", time.Duration(i+1)*time.Millisecond, false)
+		c.Nodes[i].SetTelemetry(telemetry.New(i))
 	}
 
-	cl := NewClient(noHistoryTransport{c.Transport}, 42)
-	res := cl.CollectClusterHistory(0, 0, 0)
-	if len(res.Dumps) != 3 || len(res.Unreachable) != 0 {
-		t.Fatalf("mixed-version collect = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
+	tr := &malformTransport{inner: c.Transport, kind: wire.KindHistory, mode: "nilpayload"}
+	res := collectHistory(NewClient(tr, 42), 0)
+	if len(res.Reached) != 3 || len(res.Dumps) != 0 || len(res.Unreachable) != 0 {
+		t.Fatalf("collect over bad history slots = %d peers, %d dumps, unreachable %v",
+			len(res.Reached), len(res.Dumps), res.Unreachable)
 	}
-	for a, d := range res.Dumps {
-		if len(d.Points) != 1 {
-			t.Errorf("pre-history peer %v contributed %d points, want the 1-point fallback", a, len(d.Points))
-		}
+	if got := tr.calls.Load(); got != 3 {
+		t.Errorf("round trips = %d, want 3 (one frame per peer)", got)
 	}
 
 	// History-enabled peers answer with their real rings over the same walk.
@@ -350,11 +300,11 @@ func TestCollectClusterHistoryFallbacks(t *testing.T) {
 		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
 		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
 	}
-	res = NewClient(c.Transport, 44).CollectClusterHistory(0, 0, 0)
-	if len(res.Dumps) != 3 {
-		t.Fatalf("history collect = %d dumps", len(res.Dumps))
+	dumps := collectHistory(NewClient(c.Transport, 44), 0).Dumps
+	if len(dumps) != 3 {
+		t.Fatalf("history collect = %d dumps", len(dumps))
 	}
-	for a, d := range res.Dumps {
+	for a, d := range dumps {
 		if len(d.Points) != 2 {
 			t.Errorf("peer %v dump = %d points, want 2", a, len(d.Points))
 		}
@@ -362,7 +312,7 @@ func TestCollectClusterHistoryFallbacks(t *testing.T) {
 
 	// An offline peer is reported, never fatal.
 	c.Nodes[2].SetOnline(false)
-	res = NewClient(c.Transport, 45).CollectClusterHistory(0, 0, 0)
+	res = collectHistory(NewClient(c.Transport, 45), 0)
 	if len(res.Dumps) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("collect with 2 offline = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 	}

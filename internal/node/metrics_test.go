@@ -6,12 +6,16 @@ import (
 	"time"
 
 	"pgrid/internal/addr"
-	"pgrid/internal/bitpath"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
 const servedQueryHist = `pgrid_rpc_served_latency_ns{kind="query"}`
+
+// collect is the walk `pgridctl cluster` makes.
+func collect(cl *Client, start addr.Addr) WalkResult {
+	return cl.Walk(start, MetricsReq(), HealthReq(true))
+}
 
 func TestFetchMetrics(t *testing.T) {
 	c := localHealthCluster(t)
@@ -61,28 +65,14 @@ func TestFetchMetrics(t *testing.T) {
 func TestTCPCollectCluster(t *testing.T) {
 	nodes, tr, stop := startPooledCluster(t, 3, PoolConfig{})
 	defer stop()
-	spec := []struct {
-		path string
-		refs []addr.Addr
-	}{
-		{"0", []addr.Addr{1}},
-		{"10", []addr.Addr{0, 2}},
-		{"11", []addr.Addr{0, 1}},
-	}
+	wireHealthFixture(t, nodes)
 	union := telemetry.New(99)
 	streams := [][]time.Duration{
 		{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond},
 		{500 * time.Microsecond, 80 * time.Millisecond, 81 * time.Millisecond, 82 * time.Millisecond},
 		{10 * time.Millisecond, 11 * time.Millisecond, 900 * time.Millisecond},
 	}
-	for i, s := range spec {
-		p := nodes[i].Peer()
-		path := bitpath.MustParse(s.path)
-		for level := 1; level <= path.Len(); level++ {
-			if !p.ExtendFrom(path.Prefix(level-1), path.Bit(level), addr.NewSet(s.refs[level-1])) {
-				t.Fatalf("fixture build failed at node %d level %d", i, level)
-			}
-		}
+	for i := range nodes {
 		tel := telemetry.New(i)
 		nodes[i].SetTelemetry(tel)
 		for _, d := range streams[i] {
@@ -92,7 +82,7 @@ func TestTCPCollectCluster(t *testing.T) {
 	}
 
 	cl := NewClient(tr, 42)
-	res := cl.CollectCluster(0)
+	res := collect(cl, 0)
 	if len(res.Snapshots) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect = %d snapshots, unreachable %v", len(res.Snapshots), res.Unreachable)
 	}
@@ -134,54 +124,48 @@ func TestTCPCollectCluster(t *testing.T) {
 	// A peer going offline mid-collect is reported unreachable — never an
 	// error, and never hiding the rest of the cluster.
 	nodes[2].SetOnline(false)
-	res = cl.CollectCluster(0)
+	res = collect(cl, 0)
 	if len(res.Snapshots) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("collect with 2 offline = %d snapshots, unreachable %v", len(res.Snapshots), res.Unreachable)
 	}
 }
 
-// TestCollectClusterPreMetricsFallback proves a mixed-version community
-// collects cleanly: peers that refuse the batch envelope (and the metrics
-// frame) still contribute their census digest, just not a snapshot.
+// TestCollectClusterPreMetricsFallback pins that the sequential fallback is
+// gone: a peer that refuses the batch envelope itself (a KindError answer,
+// which every transport surfaces as a Terminal error) is unreachable — one
+// message billed, and no Info/Metrics/Health calls made one by one after it.
 func TestCollectClusterPreMetricsFallback(t *testing.T) {
 	c := localHealthCluster(t)
-	cl := NewClient(noHealthTransport{c.Transport}, 42)
-	res := cl.CollectCluster(0)
-	if len(res.Digests) != 3 {
-		t.Fatalf("collect = %+v, want all 3 via Info fallback", res)
+	tr := &malformTransport{inner: c.Transport, kind: wire.KindBatch, mode: "kinderror"}
+	res := collect(NewClient(tr, 42), 0)
+	if len(res.Reached) != 0 || len(res.Unreachable) != 1 || res.Unreachable[0] != 0 {
+		t.Fatalf("collect = %+v, want the entry peer unreachable", res)
 	}
-	if len(res.Unreachable) != 0 {
-		t.Fatalf("unreachable = %v, want none", res.Unreachable)
+	if res.Messages != 1 || tr.calls.Load() != 1 {
+		t.Errorf("messages = %d, round trips = %d, want 1 and 1", res.Messages, tr.calls.Load())
 	}
 }
 
-// noMetricsTransport simulates a community where peers batch and answer
-// health but predate KindMetrics.
-type noMetricsTransport struct{ tr Transport }
-
-func (t noMetricsTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
-	if m.Kind == wire.KindMetrics || m.Kind == wire.KindBatch {
-		return nil, errors.New("unexpected message kind")
-	}
-	return t.tr.Call(to, m)
-}
-
+// TestCollectClusterSequentialFallback: a metrics slot answered with another
+// kind's response is never trusted and never re-asked one by one — the
+// digests survive, no snapshot is taken from it.
 func TestCollectClusterSequentialFallback(t *testing.T) {
 	c := localHealthCluster(t)
-	tel := telemetry.New(1)
-	c.Nodes[1].SetTelemetry(tel)
-	cl := NewClient(noMetricsTransport{c.Transport}, 42)
-	res := cl.CollectCluster(0)
+	c.Nodes[1].SetTelemetry(telemetry.New(1))
+	tr := &malformTransport{inner: c.Transport, kind: wire.KindMetrics, mode: "wrongkind"}
+	res := collect(NewClient(tr, 42), 0)
 	if len(res.Digests) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect = %+v", res)
 	}
-	// The metrics frame was refused everywhere: digests survive, no snaps.
-	if len(res.Snapshots) != 0 {
-		t.Fatalf("snapshots = %v, want none from pre-metrics peers", res.Snapshots)
+	if snaps := res.Snapshots; len(snaps) != 0 {
+		t.Fatalf("snapshots = %v, want none from wrong-kind slots", snaps)
 	}
 	for _, d := range res.Digests {
 		if len(d.RefCounts) == 0 {
 			t.Errorf("digest %v lost structure: %+v", d.Addr, d)
 		}
+	}
+	if got := tr.calls.Load(); got != 3 {
+		t.Errorf("round trips = %d, want 3 (one frame per peer)", got)
 	}
 }

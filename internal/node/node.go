@@ -111,7 +111,7 @@ func (n *Node) Recorder() *trace.Recorder { return n.rec }
 func (n *Node) Repairer() *Repairer { return n.repairer }
 
 // EnableHistory attaches a telemetry history ring (nil disables); a
-// sampler (RunHistorySampler) fills it and KindHistory serves it. Call
+// sampler (RunSampler) fills it and KindHistory serves it. Call
 // before the node starts serving; the field is not synchronized.
 func (n *Node) EnableHistory(h *telemetry.History) { n.history = h }
 
@@ -212,9 +212,8 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 
 // callBatch sends msgs to one peer as a single batch frame and returns the
 // per-slot responses. The error surface mirrors Transport.Call: transport
-// failures come back as-is (a pre-batch peer answers the envelope with
-// KindError, which transports surface as a Terminal error), and a response
-// whose shape does not match the request is ErrMalformed.
+// failures come back as-is, and a response whose shape does not match the
+// request is ErrMalformed.
 func callBatch(tr Transport, to, from addr.Addr, msgs []wire.Message) ([]wire.Message, error) {
 	resp, err := tr.Call(to, &wire.Message{Kind: wire.KindBatch, From: from,
 		Batch: &wire.BatchReq{Msgs: msgs}})

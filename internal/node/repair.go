@@ -579,14 +579,9 @@ func (n *Node) handleRepair(req *wire.RepairReq) *wire.RepairResp {
 // status — the client side of wire.KindRepair, used by pgridctl and the
 // admin endpoint.
 func (c *Client) FetchRepair(a addr.Addr, trigger bool) (repair.Status, error) {
-	resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindRepair, From: addr.Nil,
-		Repair: &wire.RepairReq{Trigger: trigger}})
+	resp, err := c.ask(a, RepairReq(trigger), func(m *wire.Message) bool { return m.RepairResp != nil })
 	if err != nil {
 		return repair.Status{}, err
-	}
-	if resp.RepairResp == nil {
-		rpcKind(c.tel, wire.KindRepair).Malformed()
-		return repair.Status{}, fmt.Errorf("%w: node %v answered repair request with kind %v", ErrMalformed, a, resp.Kind)
 	}
 	return resp.RepairResp.Status, nil
 }

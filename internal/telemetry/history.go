@@ -38,8 +38,8 @@ type HistoryPoint struct {
 // HistoryDump is the immutable read/wire form of a History: points
 // oldest-first, with the sampling resolution so consumers can label
 // per-interval series. A dump with a single point degrades gracefully
-// (no rates, instantaneous quantiles only) — that is exactly what a
-// pre-history peer's snapshot fallback produces.
+// (no rates, instantaneous quantiles only) — that is what a ring sampled
+// once holds.
 type HistoryDump struct {
 	Schema     int
 	IntervalNS int64

@@ -236,8 +236,7 @@ type MetricsResp struct {
 // HistoryReq asks the receiver for its telemetry flight-data recorder:
 // the ring of periodic metrics samples. WindowNS bounds how far back
 // (0 = full retention); MaxPoints caps the newest points returned
-// (0 = all held). Pre-history peers answer with KindError and callers
-// degrade to the one-shot KindMetrics snapshot (see node.FetchHistory).
+// (0 = all held).
 type HistoryReq struct {
 	WindowNS  int64
 	MaxPoints int64
@@ -291,7 +290,7 @@ type HealthReq struct {
 
 // HealthResp returns the receiver's replica digest. Rounds counts the
 // probe rounds the receiver has completed — one per repair round (0 when
-// repair is off). Pre-health peers answer KindHealth with KindError.
+// repair is off).
 type HealthResp struct {
 	Digest health.Digest
 	Rounds int64
