@@ -5,6 +5,7 @@ import (
 
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
+	"pgrid/internal/store"
 )
 
 // This file completes the Grid API with the operational features built on
@@ -127,7 +128,7 @@ func (g *Grid) Trace(key string) ([]RouteHop, SearchResult, error) {
 // most 2·len canonical prefixes — this is where the ordered, trie-shaped
 // key space pays off over hash partitioning — and each prefix is resolved
 // with a breadth-first fan-out over its covering replicas. Entries are
-// merged freshest-version-first per name.
+// merged freshest-version-first per (key, name).
 func (g *Grid) RangeSearch(lo, hi string) ([]Entry, Cost, error) {
 	loP, err := bitpath.Parse(lo)
 	if err != nil {
@@ -145,7 +146,7 @@ func (g *Grid) RangeSearch(lo, hi string) ([]Entry, Cost, error) {
 	defer g.mu.Unlock()
 
 	var cost Cost
-	best := make(map[string]Entry)
+	var merged []store.Entry
 	resolvedAny := false
 	for _, prefix := range prefixes {
 		start := g.dir.RandomOnlinePeer(g.rng)
@@ -159,28 +160,23 @@ func (g *Grid) RangeSearch(lo, hi string) ([]Entry, Cost, error) {
 			resolvedAny = true
 		}
 		for _, a := range res.Found {
-			for _, e := range g.dir.Peer(a).Store().PrefixScan(prefix) {
+			scan := g.dir.Peer(a).Store().PrefixScan(prefix)
+			members := scan[:0]
+			for _, e := range scan {
 				// A covering peer's scan can include keys shorter than the
 				// range bounds (region keys); only same-length keys are
 				// range members.
-				if e.Key.Len() != loP.Len() || !bitpath.RangeContains(loP, hiP, e.Key) {
-					continue
-				}
-				if old, ok := best[e.Name]; !ok || e.Version > old.Version {
-					best[e.Name] = external(e)
+				if e.Key.Len() == loP.Len() && bitpath.RangeContains(loP, hiP, e.Key) {
+					members = append(members, e)
 				}
 			}
+			merged = store.Merge(merged, members)
 		}
 	}
 	if !resolvedAny {
 		return nil, cost, ErrUnreachable
 	}
-	out := make([]Entry, 0, len(best))
-	for _, e := range best {
-		out = append(out, e)
-	}
-	sortEntries(out)
-	return out, cost, nil
+	return externals(merged), cost, nil
 }
 
 // LookupAll returns every entry indexed under exactly key, merged across

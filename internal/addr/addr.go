@@ -88,6 +88,9 @@ func (s Set) Slice() []Addr {
 	return out
 }
 
+// AppendTo appends the addresses in insertion order to dst.
+func (s Set) AppendTo(dst []Addr) []Addr { return append(dst, s.addrs...) }
+
 // Sorted returns a copy of the addresses in ascending order.
 func (s Set) Sorted() []Addr {
 	out := s.Slice()

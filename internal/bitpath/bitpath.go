@@ -193,28 +193,10 @@ func (p Path) Contains(q Path) bool {
 }
 
 // Compare orders paths by val(), breaking ties (nested intervals) by length,
-// shorter first. It returns -1, 0, or +1.
-func Compare(p, q Path) int {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
-	for i := 0; i < n; i++ {
-		if p[i] != q[i] {
-			if p[i] < q[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(p) < len(q):
-		return -1
-	case len(p) > len(q):
-		return 1
-	}
-	return 0
-}
+// shorter first. It returns -1, 0, or +1. Over the alphabet {'0', '1'} that
+// is plain string order, which is why every prefix is one contiguous run of
+// a list sorted by it.
+func Compare(p, q Path) int { return strings.Compare(string(p), string(q)) }
 
 // Random returns a uniformly random path of exactly n bits.
 func Random(rng *rand.Rand, n int) Path {

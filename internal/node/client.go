@@ -457,11 +457,11 @@ func (c *Client) Audit(all []addr.Addr) AuditReport {
 }
 
 // PrefixSearch fans out over the covering replicas of prefix and merges
-// their scans, freshest version per name winning.
+// their scans, freshest version per (key, name) winning.
 func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth int) ([]store.Entry, int) {
 	res := c.ReplicaSearch(start, prefix, recbreadth)
 	messages := res.Messages
-	best := map[string]store.Entry{}
+	var out []store.Entry
 	for _, a := range res.Found {
 		resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindScan, From: addr.Nil,
 			Scan: &wire.ScanReq{Prefix: prefix}})
@@ -469,21 +469,7 @@ func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth i
 			continue
 		}
 		messages++
-		for _, e := range resp.ScanResp.Entries {
-			if old, ok := best[e.Name]; !ok || e.Version > old.Version {
-				best[e.Name] = e
-			}
-		}
+		out = store.Merge(out, resp.ScanResp.Entries)
 	}
-	out := make([]store.Entry, 0, len(best))
-	for _, e := range best {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := bitpath.Compare(out[i].Key, out[j].Key); c != 0 {
-			return c < 0
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out, messages
 }

@@ -112,6 +112,29 @@ func TestClientPrefixSearchOverNetwork(t *testing.T) {
 	}
 }
 
+// TestClientPrefixSearchKeepsSameNameUnderDifferentKeys: scans are merged
+// on the store's identity, (key, name), not on the name alone.
+func TestClientPrefixSearchKeepsSameNameUnderDifferentKeys(t *testing.T) {
+	c, cl := builtCluster(t, 64, smallCfg(), 5)
+	all := make([]addr.Addr, len(c.Nodes))
+	for i, n := range c.Nodes {
+		all[i] = n.Addr()
+	}
+	want := []store.Entry{
+		{Key: "0100", Name: "a.txt", Holder: 1, Version: 1},
+		{Key: "0101", Name: "a.txt", Holder: 2, Version: 1},
+	}
+	for _, e := range want {
+		cl.Publish(all, e, 4, 3)
+	}
+	// An older copy of the first one at some replicas must still lose.
+	cl.Publish(all[:2], store.Entry{Key: "0100", Name: "a.txt", Holder: 9, Version: 0}, 1, 1)
+	got, _ := cl.PrefixSearch(c.Nodes[0].Addr(), bitpath.MustParse("010"), 4)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PrefixSearch(010) = %v, want %v", got, want)
+	}
+}
+
 func TestClientSurvivesOfflinePeers(t *testing.T) {
 	c, cl := builtCluster(t, 64, smallCfg(), 6)
 	for i, n := range c.Nodes {

@@ -256,19 +256,24 @@ func (n *Node) handleBatch(m *wire.Message) *wire.Message {
 		BatchResp: &wire.BatchResp{Msgs: out}}
 }
 
+// links reads the peer's path, per-level references and buddy list under
+// one lock, straight into wire form.
+func (n *Node) links() (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
+	peer.Edit(n.self, func(e peer.Editor) {
+		path = e.Path()
+		lists, b := e.RefLists()
+		refs = make([]wire.RefSet, len(lists))
+		for i, l := range lists {
+			refs[i].Addrs = l
+		}
+		buddies.Addrs = b
+	})
+	return path, refs, buddies
+}
+
 func (n *Node) info() *wire.InfoResp {
-	s := n.self.Snapshot()
-	refs := make([]wire.RefSet, len(s.Refs))
-	for i, r := range s.Refs {
-		refs[i] = wire.FromSet(r)
-	}
-	return &wire.InfoResp{
-		Addr:    s.Addr,
-		Path:    s.Path,
-		Refs:    refs,
-		Buddies: wire.FromSet(s.Buddies),
-		Entries: n.Store().Len(),
-	}
+	path, refs, buddies := n.links()
+	return &wire.InfoResp{Addr: n.Addr(), Path: path, Refs: refs, Buddies: buddies, Entries: n.Store().Len()}
 }
 
 // --- query ----------------------------------------------------------------
@@ -425,11 +430,8 @@ func (n *Node) exchange(to addr.Addr, depth int) error {
 	if to == n.Addr() {
 		return nil
 	}
-	s := n.self.Snapshot()
-	req := &wire.ExchangeReq{Path: s.Path, Refs: make([]wire.RefSet, len(s.Refs)), Depth: depth}
-	for i, r := range s.Refs {
-		req.Refs[i] = wire.FromSet(r)
-	}
+	path, refs, _ := n.links()
+	req := &wire.ExchangeReq{Path: path, Refs: refs, Depth: depth}
 	resp, err := n.tr.Call(to, &wire.Message{Kind: wire.KindExchange, From: n.Addr(), Exchange: req})
 	if err != nil {
 		return err

@@ -2,12 +2,14 @@ package node
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
+	"pgrid/internal/raceflag"
 	"pgrid/internal/store"
 	"pgrid/internal/wire"
 )
@@ -229,5 +231,33 @@ func TestClusterConstructionConcurrent(t *testing.T) {
 	}
 	if succ < 190 {
 		t.Errorf("only %d/200 queries succeeded on concurrently built cluster", succ)
+	}
+}
+
+// TestAllocBudgetHandleInfo: an Info answer is read from the peer under one
+// lock straight into wire form — the reply Message, the InfoResp, the
+// per-level lists, their one shared address array and the RefSet slice —
+// and carries exactly what a Snapshot of the peer holds.
+func TestAllocBudgetHandleInfo(t *testing.T) {
+	c, _ := builtCluster(t, 64, smallCfg(), 11)
+	n := c.Nodes[3]
+	n.Peer().AddBuddy(c.Nodes[4].Addr())
+	n.Store().Apply(store.Entry{Key: n.Path(), Name: "x", Holder: 1, Version: 1})
+	req := &wire.Message{Kind: wire.KindInfo, From: c.Nodes[5].Addr()}
+
+	s := n.Peer().Snapshot()
+	want := &wire.InfoResp{Addr: s.Addr, Path: s.Path, Refs: make([]wire.RefSet, len(s.Refs)),
+		Buddies: wire.FromSet(s.Buddies), Entries: 1}
+	for i, r := range s.Refs {
+		want.Refs[i] = wire.FromSet(r)
+	}
+	if got := n.Handle(req).InfoResp; !reflect.DeepEqual(got, want) || len(want.Refs) == 0 {
+		t.Fatalf("Info = %+v, want %+v", got, want)
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	if got := testing.AllocsPerRun(200, func() { n.Handle(req) }); got != 5 {
+		t.Errorf("Handle(KindInfo) = %.1f allocs, want 5", got)
 	}
 }

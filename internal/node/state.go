@@ -34,18 +34,15 @@ type diskState struct {
 
 // SaveState writes the node's full durable state to w.
 func (n *Node) SaveState(w io.Writer) error {
-	s := n.self.Snapshot()
+	path, refs, buddies := n.links()
 	ds := diskState{
 		Version: stateVersion,
-		Addr:    s.Addr,
-		Path:    s.Path,
-		Refs:    make([]wire.RefSet, len(s.Refs)),
-		Buddies: wire.FromSet(s.Buddies),
+		Addr:    n.Addr(),
+		Path:    path,
+		Refs:    refs,
+		Buddies: buddies,
 		Index:   n.Store().Entries(),
 		Hosted:  n.Store().Hosted(),
-	}
-	for i, r := range s.Refs {
-		ds.Refs[i] = wire.FromSet(r)
 	}
 	if err := gob.NewEncoder(w).Encode(&ds); err != nil {
 		return fmt.Errorf("node: save state: %w", err)

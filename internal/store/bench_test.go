@@ -35,6 +35,52 @@ func BenchmarkStoreApply(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreApplyInsert is the insert path: n new (key, name) pairs in
+// random key order into an empty store, so at 65 536 the index is split
+// into more than a hundred chunks by the end.
+func BenchmarkStoreApplyInsert(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			_, entries := benchStore(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var s *Store
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					s = New()
+				}
+				s.Apply(entries[i%n])
+			}
+		})
+	}
+}
+
+func BenchmarkStoreSummary(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, _ := benchStore(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Summary()
+			}
+		})
+	}
+}
+
+func BenchmarkStoreLen(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s, _ := benchStore(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Len()
+			}
+		})
+	}
+}
+
 func BenchmarkStoreGet(b *testing.B) {
 	s, entries := benchStore(4096)
 	b.ReportAllocs()

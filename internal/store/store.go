@@ -9,12 +9,18 @@
 // Store models both. Index entries carry a version number so the update
 // experiments of Section 5.2 (propagating an update to all replicas, then
 // reading with majority voting) can distinguish stale from fresh replicas.
+//
+// The index is one ordered structure: entries sorted by (Key, Name) in
+// bitpath.Compare order. That order is plain string order, so every key
+// prefix is one contiguous run and a prefix scan is two seeks and a copy
+// (DESIGN.md §12.5).
 package store
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"pgrid/internal/addr"
@@ -40,20 +46,168 @@ func (e Entry) String() string {
 // The zero value is not usable; call New.
 type Store struct {
 	mu sync.RWMutex
-	// index: key → name → entry. Two-level so multiple distinct items can
-	// share an index key (hash truncation makes that routine).
-	index map[bitpath.Path]map[string]Entry
-	// hosted: names of items this peer physically hosts.
+	// chunks is the index in (Key, Name) order, cut into non-empty runs of
+	// at most maxChunk slots so an insert moves one run, not the whole
+	// index. The store owns the strings in it (see Apply).
+	chunks [][]slot
+	// sum is the index fingerprint, kept current on every write.
+	sum Summary
+	// hosted: names of items this peer physically hosts; nil until Host.
 	hosted map[string]Entry
 }
 
-// New returns an empty store.
-func New() *Store {
-	return &Store{
-		index:  make(map[bitpath.Path]map[string]Entry),
-		hosted: make(map[string]Entry),
+// maxChunk bounds one run of the index: 512 slots are 36 kB, which an insert
+// moves in about a microsecond however large the store.
+const maxChunk = 512
+
+// slot is one index entry plus what the store derives from it once, on write.
+type slot struct {
+	Entry
+	rank uint64 // rank(Key): decides most comparisons without touching the strings
+	pre  uint64 // FNV-1a state after "key\x00name\x00", the part of term a version overwrite keeps
+	term uint64 // the entry's share of Summary.Hash
+}
+
+// rank packs the first 64 bits of a key MSB-first, zero-padded. For bit
+// paths a smaller rank means a smaller key ('0' is the smallest bit, so
+// padding never overtakes a real bit) and an equal rank leaves the order
+// to the strings, so ordering by (rank, Key, Name) is ordering by (Key, Name).
+func rank(k bitpath.Path) uint64 {
+	n := min(len(k), 64)
+	var r uint64
+	for i := 0; i < n; i++ {
+		r = r<<1 | uint64(k[i]&1)
+	}
+	return r << (64 - uint(n))
+}
+
+// pos addresses slot i of chunk c; {len(chunks), 0} is the end of the index.
+type pos struct{ c, i int }
+
+// bound is a cut in index order: find returns the first slot not below it.
+type bound struct {
+	key  bitpath.Path
+	name string
+	rank uint64 // rank(key), for atEntry
+	cut  int8
+}
+
+const (
+	atEntry    int8 = iota // below: everything before (key, name)
+	pastKey                // below: every entry whose key is ≤ key
+	pastPrefix             // below: every entry before or under prefix key
+)
+
+// below is small enough to inline into find's loops: most steps of a seek
+// end on the rank compare.
+func (b *bound) below(e *slot) bool {
+	if b.cut == atEntry && e.rank != b.rank {
+		return e.rank < b.rank
+	}
+	return b.belowByStrings(e)
+}
+
+func (b *bound) belowByStrings(e *slot) bool {
+	switch b.cut {
+	case pastPrefix:
+		k := e.Key
+		if len(k) > len(b.key) {
+			k = k[:len(b.key)]
+		}
+		return k <= b.key
+	case pastKey:
+		return e.Key <= b.key
+	}
+	if c := strings.Compare(string(e.Key), string(b.key)); c != 0 {
+		return c < 0
+	}
+	return e.Name < b.name
+}
+
+// find binary-searches the chunks by their last slot, then the chunk.
+func (s *Store) find(b *bound) pos {
+	lo, hi := 0, len(s.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ch := s.chunks[m]; b.below(&ch[len(ch)-1]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(s.chunks) {
+		return pos{lo, 0}
+	}
+	ch := s.chunks[lo]
+	i, j := 0, len(ch)-1 // the last slot is not below b
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if b.below(&ch[m]) {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return pos{lo, i}
+}
+
+// lookup returns the slot holding (key, name) and where it is or would be.
+func (s *Store) lookup(key bitpath.Path, name string) (*slot, pos) {
+	p := s.find(&bound{key: key, name: name, rank: rank(key)})
+	if p.c < len(s.chunks) {
+		if sl := &s.chunks[p.c][p.i]; sl.Key == key && sl.Name == name {
+			return sl, p
+		}
+	}
+	return nil, p
+}
+
+// under returns the run of entries whose key has the given prefix.
+func (s *Store) under(prefix bitpath.Path) (lo, hi pos) {
+	return s.find(&bound{key: prefix, rank: rank(prefix)}), s.find(&bound{key: prefix, cut: pastPrefix})
+}
+
+func (s *Store) end() pos { return pos{len(s.chunks), 0} }
+
+// count returns the number of slots in [lo, hi).
+func (s *Store) count(lo, hi pos) int {
+	n := hi.i - lo.i
+	for c := lo.c; c < hi.c; c++ {
+		n += len(s.chunks[c])
+	}
+	return n
+}
+
+// each calls f on the slots in [lo, hi), in order.
+func (s *Store) each(lo, hi pos, f func(*slot)) {
+	for c := lo.c; c <= hi.c && c < len(s.chunks); c++ {
+		ch := s.chunks[c]
+		from, to := 0, len(ch)
+		if c == lo.c {
+			from = lo.i
+		}
+		if c == hi.c {
+			to = hi.i
+		}
+		for i := from; i < to; i++ {
+			f(&ch[i])
+		}
 	}
 }
+
+// entries copies [lo, hi) out in one exact-size slice; nil when empty.
+func (s *Store) entries(lo, hi pos) []Entry {
+	n := s.count(lo, hi)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	s.each(lo, hi, func(sl *slot) { out = append(out, sl.Entry) })
+	return out
+}
+
+// New returns an empty store.
+func New() *Store { return &Store{} }
 
 // Host records that this peer physically hosts the item. Hosting is
 // independent of index responsibility: in a file-sharing network a peer
@@ -61,10 +215,13 @@ func New() *Store {
 func (s *Store) Host(e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.hosted == nil {
+		s.hosted = make(map[string]Entry)
+	}
 	s.hosted[e.Name] = e
 }
 
-// Hosted returns the items this peer physically hosts, sorted by name.
+// Hosted returns the items this peer physically hosts, sorted by (key, name).
 func (s *Store) Hosted() []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,47 +229,121 @@ func (s *Store) Hosted() []Entry {
 	for _, e := range s.hosted {
 		out = append(out, e)
 	}
-	sortEntries(out)
+	slices.SortFunc(out, order)
 	return out
+}
+
+// order compares entries by (key, name), the order every list the store
+// hands out is in.
+func order(a, b Entry) int {
+	if c := bitpath.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
+// Merge merges two scan results — lists in (key, name) order — into one,
+// keeping the fresher version where both hold a (key, name), a's on a tie.
+// It copies nothing when either list is empty. Lists out of order (a peer
+// can send anything) come back out of order, nothing worse.
+func Merge(a, b []Entry) []Entry {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]Entry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := order(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			e := a[0]
+			if b[0].Version > e.Version {
+				e = b[0]
+			}
+			out, a, b = append(out, e), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Apply merges an index entry, keeping the highest version per (key, name).
 // It reports whether the store changed (entry was new or fresher).
+//
+// The store owns its strings: a new (key, name) is stored under a private
+// copy of both, and a version overwrite keeps the copy it has. An entry
+// decoded from a frame shares one backing string with the whole list
+// (wire's arena decode); keeping three of 256 scanned entries must not
+// keep the other 253 alive.
 func (s *Store) Apply(e Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byName, ok := s.index[e.Key]
-	if !ok {
-		byName = make(map[string]Entry)
-		s.index[e.Key] = byName
-	}
-	old, exists := byName[e.Name]
-	if exists && old.Version >= e.Version {
+	old, p := s.lookup(e.Key, e.Name)
+	switch {
+	case old == nil:
+		var own strings.Builder
+		own.Grow(len(e.Key) + len(e.Name))
+		own.WriteString(string(e.Key))
+		own.WriteString(e.Name)
+		e.Key, e.Name = bitpath.Path(own.String()[:len(e.Key)]), own.String()[len(e.Key):]
+		sl := slot{Entry: e, rank: rank(e.Key), pre: fnvField(fnvField(fnvOffset, e.Key.String()), e.Name)}
+		sl.term = sl.hash()
+		s.add(p, sl)
+	case old.Version >= e.Version:
 		return false
+	default:
+		s.sum.Hash -= old.term
+		old.Holder, old.Version = e.Holder, e.Version
+		old.term = old.hash()
+		s.sum.Hash += old.term
+		s.sum.MaxVersion = max(s.sum.MaxVersion, e.Version)
 	}
-	byName[e.Name] = e
 	return true
+}
+
+// add places sl at p and in the summary. A chunk that outgrows maxChunk is
+// split in half; a slot past the last entry opens a new chunk once the last
+// one is full, so a load in key order fills every chunk.
+func (s *Store) add(p pos, sl slot) {
+	s.sum.Entries++
+	s.sum.Hash += sl.term
+	s.sum.MaxVersion = max(s.sum.MaxVersion, sl.Version)
+	if p.c == len(s.chunks) {
+		if p.c == 0 || len(s.chunks[p.c-1]) >= maxChunk {
+			s.chunks = append(s.chunks, []slot{sl})
+			return
+		}
+		p = pos{p.c - 1, len(s.chunks[p.c-1])}
+	}
+	ch := slices.Insert(s.chunks[p.c], p.i, sl)
+	if len(ch) > maxChunk {
+		half := len(ch) / 2
+		s.chunks = slices.Insert(s.chunks, p.c+1, slices.Clone(ch[half:]))
+		clear(ch[half:])
+		ch = ch[:half]
+	}
+	s.chunks[p.c] = ch
 }
 
 // Get returns the entry for (key, name), if present.
 func (s *Store) Get(key bitpath.Path, name string) (Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.index[key][name]
-	return e, ok
+	if sl, _ := s.lookup(key, name); sl != nil {
+		return sl.Entry, true
+	}
+	return Entry{}, false
 }
 
 // Lookup returns all entries indexed under exactly key, sorted by name.
 func (s *Store) Lookup(key bitpath.Path) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	byName := s.index[key]
-	out := make([]Entry, 0, len(byName))
-	for _, e := range byName {
-		out = append(out, e)
-	}
-	sortEntries(out)
-	return out
+	return s.entries(s.find(&bound{key: key, rank: rank(key)}), s.find(&bound{key: key, cut: pastKey}))
 }
 
 // PrefixScan returns all entries whose key has the given prefix, sorted by
@@ -121,17 +352,7 @@ func (s *Store) Lookup(key bitpath.Path) []Entry {
 func (s *Store) PrefixScan(prefix bitpath.Path) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Entry
-	for key, byName := range s.index {
-		if !key.HasPrefix(prefix) {
-			continue
-		}
-		for _, e := range byName {
-			out = append(out, e)
-		}
-	}
-	sortEntries(out)
-	return out
+	return s.entries(s.under(prefix))
 }
 
 // Entries returns every index entry, sorted by (key, name).
@@ -143,11 +364,7 @@ func (s *Store) Entries() []Entry {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, byName := range s.index {
-		n += len(byName)
-	}
-	return n
+	return s.sum.Entries
 }
 
 // Summary condenses the index into the fixed-size fingerprint the health
@@ -161,64 +378,89 @@ type Summary struct {
 	Hash       uint64
 }
 
-// Summary computes the store's index fingerprint in one pass. The hash is
-// a wrapping sum of per-entry FNV-1a hashes, so it is independent of
-// iteration order: equal indexes hash equal, and replicas that diverge in
-// any entry (almost surely) differ.
+// Summary returns the store's index fingerprint. The hash is a wrapping sum
+// of per-entry FNV-1a hashes, so it is independent of order — equal indexes
+// hash equal, and replicas that diverge in any entry (almost surely) differ
+// — and every write adds or subtracts its own term instead of rescanning.
 func (s *Store) Summary() Summary {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var sum Summary
-	for key, byName := range s.index {
-		for _, e := range byName {
-			sum.Entries++
-			if e.Version > sum.MaxVersion {
-				sum.MaxVersion = e.Version
-			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", key, e.Name, int64(e.Holder), e.Version)
-			sum.Hash += h.Sum64()
-		}
+	return s.sum
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvField folds s and a terminating "\x00" into the FNV-1a state h.
+func fnvField(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	return sum
+	return h * fnvPrime
+}
+
+// hash computes the entry's share of Summary.Hash: FNV-1a over
+// "key\x00name\x00holder\x00version" with the key as it prints and the
+// numbers in decimal. Digests cross the wire, so the bytes are fixed.
+func (sl *slot) hash() uint64 {
+	var buf [40]byte
+	b := strconv.AppendInt(buf[:0], int64(sl.Holder), 10)
+	b = append(b, 0)
+	b = strconv.AppendUint(b, sl.Version, 10)
+	h := sl.pre
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return h
 }
 
 // Delete removes the entry for (key, name) and reports whether it existed.
 func (s *Store) Delete(key bitpath.Path, name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byName, ok := s.index[key]
-	if !ok {
+	sl, p := s.lookup(key, name)
+	if sl == nil {
 		return false
 	}
-	if _, ok := byName[name]; !ok {
-		return false
+	s.sum.Entries--
+	s.sum.Hash -= sl.term
+	stale := sl.Version == s.sum.MaxVersion
+	if ch := slices.Delete(s.chunks[p.c], p.i, p.i+1); len(ch) > 0 {
+		s.chunks[p.c] = ch
+	} else {
+		s.chunks = slices.Delete(s.chunks, p.c, p.c+1)
 	}
-	delete(byName, name)
-	if len(byName) == 0 {
-		delete(s.index, key)
+	if stale { // the one write that has to look at what is left
+		s.sum.MaxVersion = 0
+		s.each(pos{}, s.end(), func(sl *slot) { s.sum.MaxVersion = max(s.sum.MaxVersion, sl.Version) })
 	}
 	return true
 }
 
 // Evict removes and returns every entry whose key does NOT have the given
-// prefix. When a peer specializes its path during construction, entries
-// outside its narrowed responsibility are handed over to the exchange
-// partner (who covers the other half).
+// prefix, sorted by (key, name). When a peer specializes its path during
+// construction, entries outside its narrowed responsibility are handed over
+// to the exchange partner (who covers the other half).
 func (s *Store) Evict(keep bitpath.Path) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Entry
-	for key, byName := range s.index {
-		if key.HasPrefix(keep) {
-			continue
-		}
-		for _, e := range byName {
-			out = append(out, e)
-		}
-		delete(s.index, key)
+	lo, hi := s.under(keep)
+	n := s.count(lo, hi)
+	if n == s.sum.Entries {
+		return nil
 	}
-	sortEntries(out)
+	out := make([]Entry, 0, s.sum.Entries-n)
+	kept := make([]slot, 0, n)
+	evict := func(sl *slot) { out = append(out, sl.Entry) }
+	s.each(pos{}, lo, evict)
+	s.each(lo, hi, func(sl *slot) { kept = append(kept, *sl) })
+	s.each(hi, s.end(), evict)
+	s.chunks, s.sum = nil, Summary{}
+	for _, sl := range kept {
+		s.add(s.end(), sl)
+	}
 	return out
 }
 
@@ -227,29 +469,14 @@ func (s *Store) Evict(keep bitpath.Path) []Entry {
 // repair detector uses it to count orphaned entries (data a peer is no
 // longer responsible for) before deciding whether to rehome them.
 func (s *Store) CountOutside(keep bitpath.Path) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for key, byName := range s.index {
-		if !key.HasPrefix(keep) {
-			n += len(byName)
-		}
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.sum.Entries - s.count(s.under(keep))
 }
 
 // Clear removes all index entries (not hosted items).
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index = make(map[bitpath.Path]map[string]Entry)
-}
-
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if c := bitpath.Compare(es[i].Key, es[j].Key); c != 0 {
-			return c < 0
-		}
-		return es[i].Name < es[j].Name
-	})
+	s.chunks, s.sum = nil, Summary{}
 }

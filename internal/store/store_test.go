@@ -2,11 +2,14 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/raceflag"
 )
 
 func TestApplyAndGet(t *testing.T) {
@@ -264,5 +267,66 @@ func TestSummary(t *testing.T) {
 	s.Host(Entry{Key: bitpath.MustParse("11"), Name: "c", Holder: 3, Version: 9})
 	if got := s.Summary(); got != sum {
 		t.Errorf("hosted item leaked into the index summary: %+v vs %+v", got, sum)
+	}
+}
+
+func TestMerge(t *testing.T) {
+	e := func(key, name string, v uint64) Entry {
+		return Entry{Key: bitpath.MustParse(key), Name: name, Holder: addr.Addr(v), Version: v}
+	}
+	a := []Entry{e("00", "x", 1), e("01", "a", 3), e("01", "b", 2), e("1", "a", 1)}
+	b := []Entry{e("01", "a", 2), e("01", "b", 5), e("010", "a", 1), e("1", "a", 1), e("11", "z", 1)}
+	want := []Entry{e("00", "x", 1), e("01", "a", 3), e("01", "b", 5), e("010", "a", 1), e("1", "a", 1), e("11", "z", 1)}
+	if got := Merge(a, b); !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge(a, b) = %v, want %v", got, want)
+	}
+	if got := Merge(b, a); !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge(b, a) = %v, want %v", got, want)
+	}
+	if got := Merge(nil, a); !reflect.DeepEqual(got, a) {
+		t.Errorf("Merge(nil, a) = %v", got)
+	}
+	if got := Merge(a, nil); !reflect.DeepEqual(got, a) {
+		t.Errorf("Merge(a, nil) = %v", got)
+	}
+	if a[1].Version != 3 || b[1].Version != 5 {
+		t.Error("Merge wrote to its inputs")
+	}
+}
+
+// TestAllocBudgetStore: reads cost what they return — a scan is one
+// exact-size copy, the count and the fingerprint are fields — and a version
+// overwrite of a known (key, name) allocates nothing.
+func TestAllocBudgetStore(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	s, entries := benchStore(4096)
+	prefix := bitpath.MustParse("0101")
+	version := uint64(1)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		f      func()
+	}{
+		{"PrefixScan", 1, func() { s.PrefixScan(prefix) }},
+		{"Entries", 1, func() { s.Entries() }},
+		{"Lookup", 1, func() { s.Lookup(entries[7].Key) }},
+		{"CountOutside", 0, func() { s.CountOutside(prefix) }},
+		{"Len", 0, func() { s.Len() }},
+		{"Summary", 0, func() { s.Summary() }},
+		{"Get", 0, func() { s.Get(entries[7].Key, entries[7].Name) }},
+		{"Apply overwrite", 0, func() {
+			version++
+			e := entries[int(version)%len(entries)]
+			e.Version = version
+			if !s.Apply(e) {
+				t.Fatal("overwrite rejected")
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got != tc.budget {
+			t.Errorf("%s = %.1f allocs, want %.0f", tc.name, got, tc.budget)
+		}
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"pgrid/internal/addr"
@@ -675,58 +676,67 @@ func (d *bdec) bool() bool {
 	}
 }
 
-func (d *bdec) string() string {
+// bytes returns a length-prefixed byte field as a view of the payload,
+// valid until the pooled buffer is reused.
+func (d *bdec) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.remaining()) {
 		d.fail("truncated string")
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)]) // copies out of the pooled buffer
 	d.off += int(n)
-	return s
+	return d.b[d.off-int(n) : d.off]
 }
 
-func (d *bdec) path() bitpath.Path {
-	nbits := d.uvarint()
+func (d *bdec) string() string {
+	return string(d.bytes()) // copies out of the pooled buffer
+}
+
+// pathHead reads a path's bit count and checks the packed bytes behind it
+// (they fit the payload, pad bits are zero) without consuming them: the
+// caller unpacks nbits from d.b[d.off:] and skips nbytes.
+func (d *bdec) pathHead() (nbits, nbytes int) {
+	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return 0, 0
 	}
-	// Bound the bit count before any arithmetic on it: for nbits near
-	// 2^64, (nbits+7)/8 wraps and would slip past the remaining-bytes
-	// check into a panicking make(). remaining() is capped by
-	// MaxFrameSize, so the multiplication cannot itself overflow.
-	if nbits > uint64(d.remaining())*8 {
+	// Bound the bit count before any arithmetic on it: for n near 2^64,
+	// (n+7)/8 wraps and would slip past the remaining-bytes check into a
+	// panicking make(). remaining() is capped by MaxFrameSize, so the
+	// multiplication cannot itself overflow.
+	if n > uint64(d.remaining())*8 {
 		d.fail("truncated path")
-		return ""
+		return 0, 0
 	}
-	nbytes := (nbits + 7) / 8
-	if nbytes > uint64(d.remaining()) {
-		d.fail("truncated path")
-		return ""
+	nbits, nbytes = int(n), int((n+7)/8)
+	// Canonical encoding: pad bits in the trailing byte must be zero.
+	if r := nbits % 8; r != 0 && d.b[d.off+nbytes-1]&(0xff>>r) != 0 {
+		d.fail("non-zero path padding")
+		return 0, 0
 	}
+	return nbits, nbytes
+}
+
+// bit returns bit i of the MSB-first packed src as '0' or '1'.
+func bit(src []byte, i int) byte { return '0' + src[i/8]>>(7-i%8)&1 }
+
+func (d *bdec) path() bitpath.Path {
+	nbits, nbytes := d.pathHead()
 	// Paths are short (one bit per trie level): unpack into a stack
 	// buffer so the only allocation is the returned string.
 	var short [64]byte
 	out := short[:]
-	if nbits > uint64(len(short)) {
+	if nbits > len(short) {
 		out = make([]byte, nbits)
 	}
 	out = out[:nbits]
-	for i := uint64(0); i < nbits; i++ {
-		bit := d.b[d.off+int(i/8)] >> (7 - i%8) & 1
-		out[i] = '0' + bit
+	for i := range out {
+		out[i] = bit(d.b[d.off:], i)
 	}
-	// Canonical encoding: pad bits in the trailing byte must be zero.
-	if r := nbits % 8; r != 0 {
-		if d.b[d.off+int(nbytes)-1]&(0xff>>r) != 0 {
-			d.fail("non-zero path padding")
-			return ""
-		}
-	}
-	d.off += int(nbytes)
+	d.off += nbytes
 	return bitpath.Path(out)
 }
 
@@ -757,14 +767,42 @@ func (d *bdec) entry() store.Entry {
 	return store.Entry{Key: d.path(), Name: d.string(), Holder: d.addr(), Version: d.u64()}
 }
 
+// entries decodes an entry list into one arena: a first pass checks every
+// entry exactly as entry() would and sizes the key bits and name bytes, a
+// second unpacks them all into one string the entries sub-slice — two
+// allocations per list instead of one plus two per entry. The entries pin
+// that string, so whoever keeps one copies it (store.Apply does).
 func (d *bdec) entries() []store.Entry {
 	n := d.uvarint()
 	if !d.need(n, 2) || n == 0 {
 		return nil
 	}
+	start, size := d.off, 0
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		nbits, nbytes := d.pathHead()
+		d.off += nbytes
+		size += nbits + len(d.bytes())
+		d.addr()
+		d.u64()
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.off = start
 	out := make([]store.Entry, n)
+	var arena strings.Builder
+	arena.Grow(size)
 	for i := range out {
-		out[i] = d.entry()
+		k := arena.Len()
+		nbits, nbytes := d.pathHead()
+		for j, src := 0, d.b[d.off:]; j < nbits; j++ {
+			arena.WriteByte(bit(src, j))
+		}
+		d.off += nbytes
+		m := arena.Len()
+		arena.Write(d.bytes())
+		s := arena.String() // shares the arena: Grow sized it, nothing below reallocates
+		out[i] = store.Entry{Key: bitpath.Path(s[k:m]), Name: s[m:], Holder: d.addr(), Version: d.u64()}
 	}
 	return out
 }

@@ -843,32 +843,32 @@ func TestBinaryPathRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame: arbitrary bytes in, never a panic, hang, or
-// over-allocation; decoded messages must re-encode.
-func FuzzReadFrame(f *testing.F) {
+// readFrameSeeds is FuzzReadFrame's seed corpus, in its committed order.
+func readFrameSeeds(f testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, m := range sampleMessages() {
 		for _, flags := range []uint8{0, FlagResponse} {
 			frame, err := AppendFrame(nil, 3, flags, m)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(frame)
+			seeds = append(seeds, frame)
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{magic0})
-	f.Add([]byte{magic0, magic1, BinaryVersion, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	seeds = append(seeds, []byte{})
+	seeds = append(seeds, []byte{magic0})
+	seeds = append(seeds, []byte{magic0, magic1, BinaryVersion, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	// A header that promises a payload and then ends, a frame from a later
 	// codec version, and each reserved kind slot.
-	f.Add([]byte{magic0, magic1, BinaryVersion, byte(KindGet), 0, 0, 0, 0, 1, 0, 0, 0, 9})
-	f.Add([]byte{magic0, magic1, BinaryVersion + 1, byte(KindInfo), 0, 0, 0, 0, 1, 0, 0, 0, 1, 2})
+	seeds = append(seeds, []byte{magic0, magic1, BinaryVersion, byte(KindGet), 0, 0, 0, 0, 1, 0, 0, 0, 9})
+	seeds = append(seeds, []byte{magic0, magic1, BinaryVersion + 1, byte(KindInfo), 0, 0, 0, 0, 1, 0, 0, 0, 1, 2})
 	for _, k := range []byte{12, 13, 15, 22, 23} {
-		f.Add([]byte{magic0, magic1, BinaryVersion, k, 0, 0, 0, 0, 1, 0, 0, 0, 2, 2, 1})
+		seeds = append(seeds, []byte{magic0, magic1, BinaryVersion, k, 0, 0, 0, 0, 1, 0, 0, 0, 2, 2, 1})
 	}
 	// The stats request and response exactly as a peer from before the
 	// retirement of kinds 12/13 still sends them.
-	f.Add([]byte{magic0, magic1, BinaryVersion, 12, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0x1e})
-	f.Add([]byte{magic0, magic1, BinaryVersion, 13, 1, 0, 0, 0, 3, 0, 0, 0, 0x15, 0x20, 1, 2, 2,
+	seeds = append(seeds, []byte{magic0, magic1, BinaryVersion, 12, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0x1e})
+	seeds = append(seeds, []byte{magic0, magic1, BinaryVersion, 13, 1, 0, 0, 0, 3, 0, 0, 0, 0x15, 0x20, 1, 2, 2,
 		9, 'r', 'p', 'c', '_', 't', 'o', 't', 'a', 'l', 0xf6, 1, 3, 'n', 'e', 'g', 0x0d})
 	// A query level and an exchange depth below zero: the codec carries both
 	// as signed varints and decodes them cleanly (the node refuses them).
@@ -880,7 +880,16 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame)
+		seeds = append(seeds, frame)
+	}
+	return seeds
+}
+
+// FuzzReadFrame: arbitrary bytes in, never a panic, hang, or
+// over-allocation; decoded messages must re-encode.
+func FuzzReadFrame(f *testing.F) {
+	for _, seed := range readFrameSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -316,7 +316,7 @@ func (g *Grid) MajorityLookup(key, name string, margin int) (Entry, Cost, error)
 
 // PrefixSearch returns every known entry whose key starts with prefix, by
 // fanning out over the covering replicas breadth-first and merging their
-// leaf indexes (freshest version per name wins). With TextKey-encoded keys
+// leaf indexes (freshest version per (key, name) wins). With TextKey-encoded keys
 // this is textual prefix search (the paper's Section 6 trie extension).
 func (g *Grid) PrefixSearch(prefix string) ([]Entry, Cost, error) {
 	k, err := bitpath.Parse(prefix)
@@ -333,28 +333,19 @@ func (g *Grid) PrefixSearch(prefix string) ([]Entry, Cost, error) {
 	if len(res.Found) == 0 {
 		return nil, Cost{Messages: res.Messages}, ErrUnreachable
 	}
-	best := make(map[string]store.Entry)
+	var merged []store.Entry
 	for _, a := range res.Found {
-		for _, e := range g.dir.Peer(a).Store().PrefixScan(k) {
-			if old, ok := best[e.Name]; !ok || e.Version > old.Version {
-				best[e.Name] = e
-			}
-		}
+		merged = store.Merge(merged, g.dir.Peer(a).Store().PrefixScan(k))
 	}
-	out := make([]Entry, 0, len(best))
-	for _, e := range best {
-		out = append(out, external(e))
-	}
-	sortEntries(out)
-	return out, Cost{Messages: res.Messages, Replicas: len(res.Found)}, nil
+	return externals(merged), Cost{Messages: res.Messages, Replicas: len(res.Found)}, nil
 }
 
-func sortEntries(es []Entry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j].Key < es[j-1].Key || (es[j].Key == es[j-1].Key && es[j].Name < es[j-1].Name)); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
+func externals(es []store.Entry) []Entry {
+	out := make([]Entry, len(es))
+	for i, e := range es {
+		out[i] = external(e)
 	}
+	return out
 }
 
 // SeedIndex installs entries directly at every covering replica using

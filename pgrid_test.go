@@ -2,6 +2,7 @@ package pgrid
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,25 @@ func TestPrefixSearchDedupesToFreshest(t *testing.T) {
 	}
 	if got[0].Version != 5 || got[0].Holder != 2 {
 		t.Errorf("entry = %+v, want freshest", got[0])
+	}
+}
+
+// TestSearchKeepsSameNameUnderDifferentKeys: an item's identity is
+// (key, name), so two items called a.txt under neighbouring keys are two
+// results of a prefix or range search over both, not one.
+func TestSearchKeepsSameNameUnderDifferentKeys(t *testing.T) {
+	g := BuildIdeal(64, 3, 4, 9)
+	for i, key := range []string{"0100", "0101"} {
+		if err := g.SeedIndex(Entry{Key: key, Name: "a.txt", Holder: i + 1, Version: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []Entry{{Key: "0100", Name: "a.txt", Holder: 1, Version: 1}, {Key: "0101", Name: "a.txt", Holder: 2, Version: 1}}
+	if got, _, err := g.PrefixSearch("010"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("PrefixSearch(010) = %v, %v, want %v", got, err, want)
+	}
+	if got, _, err := g.RangeSearch("0100", "0101"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("RangeSearch(0100, 0101) = %v, %v, want %v", got, err, want)
 	}
 }
 
