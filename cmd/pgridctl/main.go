@@ -229,19 +229,16 @@ commands:
 		id := mustID(args, 0)
 		name := arg(args, 1)
 		key := bitpath.HashKey(name, *keybits)
-		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		if !resp.QueryResp.Found {
+		res := client.Lookup(id, key, name)
+		if res.Replica == addr.Nil {
 			log.Fatalf("no responsible peer reachable for %q", name)
 		}
-		got := mustCall(tr, resp.QueryResp.Peer, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-			Get: &wire.GetReq{Key: key, Name: name}})
-		if !got.GetResp.Found {
-			log.Fatalf("%q not indexed (asked peer %v)", name, resp.QueryResp.Peer)
+		if !res.Found {
+			log.Fatalf("%q not indexed (asked peer %v)", name, res.Replica)
 		}
-		e := got.GetResp.Entry
+		e := res.Entry
 		fmt.Printf("%q → hosted by peer %v (key %s, version %d), %d routing messages\n",
-			name, e.Holder, e.Key, e.Version, resp.QueryResp.Messages)
+			name, e.Holder, e.Key, e.Version, res.Messages-1)
 
 	case "publishall":
 		id := mustID(args, 0)

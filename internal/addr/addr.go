@@ -103,6 +103,12 @@ func (s Set) Clone() Set {
 	return Set{addrs: s.Slice()}
 }
 
+// CloneInto is Clone with the copy made in buf's capacity when it fits, at
+// no allocation then; the caller gives buf up to the set. A nil buf is Clone.
+func (s Set) CloneInto(buf []Addr) Set {
+	return Set{addrs: append(buf[:0], s.addrs...)}
+}
+
 // Union returns a new set containing all addresses of s and t.
 func Union(s, t Set) Set {
 	u := s.Clone()

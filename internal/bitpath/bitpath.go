@@ -129,6 +129,9 @@ func CommonPrefixLen(p, q Path) int { return len(CommonPrefix(p, q)) }
 // HasPrefix reports whether q is a prefix of p.
 func (p Path) HasPrefix(q Path) bool { return strings.HasPrefix(string(p), string(q)) }
 
+// HasSuffix reports whether q is a suffix of p.
+func (p Path) HasSuffix(q Path) bool { return strings.HasSuffix(string(p), string(q)) }
+
 // IsPrefixOf reports whether p is a prefix of q.
 func (p Path) IsPrefixOf(q Path) bool { return q.HasPrefix(p) }
 

@@ -197,52 +197,36 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 	return replicas, messages
 }
 
-// ReadResult mirrors core.ReadResult for the networked client.
-type ReadResult struct {
-	Entry    store.Entry
-	Found    bool
-	Messages int
-	Queries  int
-}
+// ReadResult is core.ReadResult; here Replica is addr.Nil when no
+// responsible peer answered, and in what MajorityRead returns, which is a
+// tally over several.
+type ReadResult = core.ReadResult
 
-// readOnce routes a query via the peer at start and fetches the entry from
-// the responsible peer found. Its round-trip time feeds the latency window
-// the hedge threshold is computed over.
-func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) (ReadResult, addr.Addr) {
+// readOnce routes a query via the peer at start with the read riding on it:
+// the responsible peer the search ends at answers from its own store in the
+// response that reports it found, so a read is one call and costs the
+// client→start message and the Fig. 2 hops — what core.ReadOnce charges,
+// plus the message into the community. Its round-trip time feeds the latency
+// window the hedge threshold is computed over.
+func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadResult {
 	began := time.Now()
 	defer func() { c.recordLatency(time.Since(began)) }()
-	var out ReadResult
-	out.Queries = 1
+	out := ReadResult{Replica: addr.Nil, Queries: 1}
 	resp, err := c.tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key}})
+		Query: &wire.QueryReq{Key: key, Read: &wire.GetReq{Key: key, Name: name}}})
 	if err != nil {
-		return out, addr.Nil
+		return out
 	}
-	if resp.QueryResp == nil {
+	q := resp.QueryResp
+	if q == nil {
 		rpcKind(c.tel, wire.KindQuery).Malformed()
-		return out, addr.Nil
+		return out
 	}
-	out.Messages += 1 + resp.QueryResp.Messages
-	if !resp.QueryResp.Found {
-		return out, addr.Nil
+	out.Messages = 1 + q.Messages
+	if q.Found {
+		out.Replica, out.Entry, out.Found = q.Peer, q.Entry, q.Has
 	}
-	replica := resp.QueryResp.Peer
-	got, err := c.tr.Call(replica, &wire.Message{Kind: wire.KindGet, From: addr.Nil,
-		Get: &wire.GetReq{Key: key, Name: name}})
-	if err != nil {
-		return out, addr.Nil
-	}
-	if got.GetResp == nil {
-		rpcKind(c.tel, wire.KindGet).Malformed()
-		return out, addr.Nil
-	}
-	out.Messages++
-	if !got.GetResp.Found {
-		return out, replica
-	}
-	out.Entry = got.GetResp.Entry
-	out.Found = true
-	return out, replica
+	return out
 }
 
 // recordLatency pushes one readOnce round trip into the ring the hedge
@@ -326,43 +310,35 @@ func (c *Client) hedgeDelay() time.Duration {
 // send and exits — abandoned, never leaked. The loser's messages are not
 // billed to the result (they were spent, but the caller's accounting
 // follows the answer it used, matching the non-hedged cost model).
-func (c *Client) readMaybeHedged(entries []addr.Addr, idx int, key bitpath.Path, name string) (ReadResult, addr.Addr) {
+func (c *Client) readMaybeHedged(entries []addr.Addr, idx int, key bitpath.Path, name string) ReadResult {
 	primary := entries[idx]
 	if c.hedge == nil || len(entries) < 2 {
 		return c.readOnce(primary, key, name)
 	}
 	backup := entries[(idx+1)%len(entries)]
 	type attempt struct {
-		res     ReadResult
-		replica addr.Addr
-		hedged  bool
+		res    ReadResult
+		hedged bool
 	}
 	ch := make(chan attempt, 2)
-	go func() {
-		res, rep := c.readOnce(primary, key, name)
-		ch <- attempt{res, rep, false}
-	}()
+	go func() { ch <- attempt{c.readOnce(primary, key, name), false} }()
 	timer := time.NewTimer(c.hedgeDelay())
 	defer timer.Stop()
 	select {
 	case a := <-ch:
-		return a.res, a.replica
+		return a.res
 	case <-timer.C:
 	}
-	go func() {
-		res, rep := c.readOnce(backup, key, name)
-		ch <- attempt{res, rep, true}
-	}()
+	go func() { ch <- attempt{c.readOnce(backup, key, name), true} }()
 	a := <-ch
 	c.tel.Hedge(a.hedged)
-	return a.res, a.replica
+	return a.res
 }
 
 // Lookup reads (key, name) once via the peer at start — the non-repetitive
 // read.
 func (c *Client) Lookup(start addr.Addr, key bitpath.Path, name string) ReadResult {
-	res, _ := c.readOnce(start, key, name)
-	return res
+	return c.readOnce(start, key, name)
 }
 
 // MajorityRead implements the repetitive-search read over the network:
@@ -377,13 +353,13 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 		maxQueries = 64
 	}
 	var tally core.Tally
-	var out ReadResult
+	out := ReadResult{Replica: addr.Nil}
 	for out.Queries < maxQueries && len(entries) > 0 {
 		idx := c.rng.Intn(len(entries))
-		r, replica := c.readMaybeHedged(entries, idx, key, name)
+		r := c.readMaybeHedged(entries, idx, key, name)
 		out.Queries++
 		out.Messages += r.Messages
-		if !r.Found || !tally.Vote(replica, r.Entry) {
+		if !r.Found || !tally.Vote(r.Replica, r.Entry) {
 			continue
 		}
 		if e, _, lead := tally.Leader(); lead >= margin {

@@ -26,7 +26,7 @@ import (
 type malformTransport struct {
 	inner Transport
 	kind  wire.Kind
-	mode  string       // "", "nilpayload", "wrongkind", "kinderror", "corrupt", "offline"
+	mode  string       // "", "nilpayload", "wrongkind", "kinderror", "noread", "corrupt", "offline"
 	calls atomic.Int64 // round trips attempted through this transport
 }
 
@@ -69,6 +69,10 @@ func (m *malformTransport) mangle(resp *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KindApplyResp, From: resp.From, ApplyResp: &wire.ApplyResp{}}
 	case "kinderror":
 		return &wire.Message{Kind: wire.KindError, From: resp.From, Error: "injected"}
+	case "noread": // a query answer without the entry its read asked for
+		q := *resp.QueryResp
+		q.Entry, q.Has = store.Entry{}, false
+		return &wire.Message{Kind: resp.Kind, From: resp.From, QueryResp: &q}
 	case "corrupt", "offline":
 		return nil
 	default:
@@ -96,6 +100,9 @@ func TestClientMalformedResponses(t *testing.T) {
 	c, _ := builtCluster(t, 64, smallCfg(), 21)
 	start := c.Nodes[0].Addr()
 	key := bitpath.MustParse("10")
+	for _, n := range c.Nodes { // so a lookup that is not interfered with finds "f"
+		n.Store().Apply(store.Entry{Key: key, Name: "f", Holder: 1, Version: 1})
+	}
 
 	cases := []struct {
 		name    string
@@ -142,14 +149,22 @@ func TestClientMalformedResponses(t *testing.T) {
 				t.Errorf("lookup trusted a malformed query response: %+v", res)
 			}
 		}},
-		{"lookup get stripped", wire.KindGet, "nilpayload", "get", func(t *testing.T, cl *Client) {
-			if res := cl.Lookup(start, key, "f"); res.Found {
-				t.Errorf("lookup trusted a malformed get response: %+v", res)
+		// The read rides on the query: an answer that lost it on the way back
+		// is a responsible peer without the entry, not a malformed response.
+		{"lookup get stripped", wire.KindQuery, "noread", "", func(t *testing.T, cl *Client) {
+			if res := cl.Lookup(start, key, "f"); res.Found || res.Replica == addr.Nil {
+				t.Errorf("lookup of a stripped read: %+v, want not found at a named replica", res)
 			}
 		}},
-		{"replica dies before get", wire.KindGet, "offline", "", func(t *testing.T, cl *Client) {
-			if res := cl.Lookup(start, key, "f"); res.Found {
-				t.Errorf("lookup returned entry from a dead replica: %+v", res)
+		{"replica dies before get", wire.KindQuery, "", "", func(t *testing.T, cl *Client) {
+			first := cl.Lookup(start, key, "f")
+			if !first.Found {
+				t.Fatalf("lookup with everyone online: %+v", first)
+			}
+			c.Nodes[first.Replica].SetOnline(false)
+			defer c.Nodes[first.Replica].SetOnline(true)
+			if res := cl.Lookup(start, key, "f"); res.Replica == first.Replica {
+				t.Errorf("lookup answered by a dead replica: %+v", res)
 			}
 		}},
 	}

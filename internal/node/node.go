@@ -147,7 +147,10 @@ func traceIDOf(m *wire.Message) uint64 {
 // names what makes m unservable, or returns "". The codec decodes a bare
 // kind-and-sender frame cleanly, with every payload pointer nil, and does
 // not bound the signed Level and Depth: a negative level is no position in
-// any path, and a negative depth would never reach RecMax.
+// any path, and a negative depth would never reach RecMax. Nor does it hold
+// a query's two keys to each other: the read that rides along names the whole
+// key and Key the suffix still to be routed, so a pair that disagrees would
+// have a peer answer for a key the search did not bring to it.
 func badRequest(m *wire.Message) string {
 	switch {
 	case m.Kind == wire.KindQuery && m.Query == nil,
@@ -158,6 +161,8 @@ func badRequest(m *wire.Message) string {
 		return fmt.Sprintf("missing payload for kind %v", m.Kind)
 	case m.Kind == wire.KindQuery && m.Query.Level < 0:
 		return fmt.Sprintf("negative query level %d", m.Query.Level)
+	case m.Kind == wire.KindQuery && m.Query.Read != nil && !m.Query.Read.Key.HasSuffix(m.Query.Key):
+		return fmt.Sprintf("read key %s does not end in the routed key %s", m.Query.Read.Key, m.Query.Key)
 	case m.Kind == wire.KindExchange && m.Exchange.Depth < 0:
 		return fmt.Sprintf("negative exchange depth %d", m.Exchange.Depth)
 	}
@@ -322,10 +327,11 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 
 // handleQuery is query(a, p, l) with remote recursion: references are
 // contacted through the transport and each successful downstream call
-// contributes to the message count. When the request carries a sampled
-// trace context the node appends its own span (and everything its
-// subtree reported) to the response and records the subtree route in
-// its flight recorder; routing decisions are identical either way.
+// contributes to the message count. A read riding on the request is answered
+// by the peer the search ends at and comes back with the route. When the
+// request carries a sampled trace context the node appends its own span (and
+// everything its subtree reported) to the response and records the subtree
+// route in its flight recorder; routing decisions are identical either way.
 func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
 	path := n.self.Path()
 	l := q.Level
@@ -375,11 +381,16 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 		if tracing {
 			span.Matched = true
 		}
-		return &wire.QueryResp{Found: true, Peer: n.Addr(), Path: path}
+		resp := &wire.QueryResp{Found: true, Peer: n.Addr(), Path: path}
+		if r := q.Read; r != nil {
+			resp.Entry, resp.Has = n.Store().Get(r.Key, r.Name)
+		}
+		return resp
 	}
 
 	resp := &wire.QueryResp{}
-	refs := n.self.RefsAt(next)
+	var buf [16]addr.Addr // holds a level's references (RefMax is a handful) off the heap
+	refs := n.self.RefsInto(buf[:0], next)
 	for refs.Len() > 0 {
 		var r addr.Addr
 		n.mu.Lock()
@@ -387,7 +398,7 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 		n.mu.Unlock()
 		down, err := n.tr.Call(r, &wire.Message{
 			Kind: wire.KindQuery, From: n.Addr(),
-			Query: &wire.QueryReq{Key: rest, Level: next - 1, Ctx: childCtx},
+			Query: &wire.QueryReq{Key: rest, Level: next - 1, Ctx: childCtx, Read: q.Read},
 		})
 		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
 		if err != nil || down.QueryResp == nil {
@@ -402,6 +413,7 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 			resp.Found = true
 			resp.Peer = down.QueryResp.Peer
 			resp.Path = down.QueryResp.Path
+			resp.Entry, resp.Has = down.QueryResp.Entry, down.QueryResp.Has
 			if tracing {
 				span.Ref = r
 			}

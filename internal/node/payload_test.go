@@ -70,8 +70,10 @@ func TestPayloadlessRequestAnswersError(t *testing.T) {
 // TestNegativeLevelOrDepthAnswersError: QueryReq.Level and ExchangeReq.Depth
 // travel as signed varints the decoder does not bound. A negative level used
 // to reach bitpath.Suffix and take the process down; a negative depth kept
-// case-4 recursion below RecMax forever. Both are answered with KindError,
-// change nothing, and the node keeps serving.
+// case-4 recursion below RecMax forever. A read whose key does not end in
+// the routed key would be answered for a key the search was not for. All
+// three are answered with KindError, change nothing, and the node keeps
+// serving.
 func TestNegativeLevelOrDepthAnswersError(t *testing.T) {
 	check := func(t *testing.T, node *Node, tr Transport) {
 		t.Helper()
@@ -84,6 +86,8 @@ func TestNegativeLevelOrDepthAnswersError(t *testing.T) {
 				Query: &wire.QueryReq{Key: bitpath.MustParse("01"), Level: -1}}, "negative query level -1"},
 			{&wire.Message{Kind: wire.KindExchange, From: 1,
 				Exchange: &wire.ExchangeReq{Depth: -1}}, "negative exchange depth -1"},
+			{&wire.Message{Kind: wire.KindQuery, From: 1, Query: &wire.QueryReq{Key: bitpath.MustParse("01"),
+				Read: &wire.GetReq{Key: bitpath.MustParse("0110"), Name: "f"}}}, "read key 0110 does not end in the routed key 01"},
 		} {
 			resp, err := tr.Call(0, tc.msg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,0 +1,144 @@
+package node
+
+import (
+	"math/rand"
+	"sync/atomic"
+	"testing"
+
+	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
+	"pgrid/internal/store"
+	"pgrid/internal/wire"
+)
+
+// countingTransport counts the calls that were answered: each is one
+// message in the paper's cost unit, whoever made it.
+type countingTransport struct {
+	inner Transport
+	ok    *atomic.Int64
+}
+
+func (t countingTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	resp, err := t.inner.Call(to, m)
+	if err == nil {
+		t.ok.Add(1)
+	}
+	return resp, err
+}
+
+// countedCluster is builtCluster with every node's stack and the client's
+// behind one counter, and the entry "f" for each 4-bit key stored at every
+// peer responsible for it.
+func countedCluster(t *testing.T, seed int64) (*Cluster, *Client, *atomic.Int64) {
+	t.Helper()
+	c, _ := builtCluster(t, 64, smallCfg(), seed)
+	calls := new(atomic.Int64)
+	counted := countingTransport{c.Transport, calls}
+	for _, n := range c.Nodes {
+		n.tr = counted
+		for _, key := range bitpath.All(4) {
+			if bitpath.Comparable(n.Path(), key) {
+				n.Store().Apply(store.Entry{Key: key, Name: "f", Holder: n.Addr(), Version: 7})
+			}
+		}
+	}
+	return c, NewClient(counted, seed+100), calls
+}
+
+// TestReadMessagesCountAnsweredCalls: what a read bills is what it sent —
+// ReadResult.Messages equals the calls answered on the op's behalf, at the
+// client and at every forwarding node, with everyone online and with a
+// quarter of the community offline (a call to an offline peer is neither
+// answered nor billed). A responsible peer without the entry is still the
+// replica the read names.
+func TestReadMessagesCountAnsweredCalls(t *testing.T) {
+	for _, offline := range []int{0, 16} {
+		c, cl, calls := countedCluster(t, 31)
+		rng := rand.New(rand.NewSource(32))
+		for _, i := range rng.Perm(len(c.Nodes))[:offline] {
+			c.Nodes[i].SetOnline(false)
+		}
+		var entries []addr.Addr
+		for _, n := range c.Nodes {
+			if n.Online() {
+				entries = append(entries, n.Addr())
+			}
+		}
+		found := 0
+		for i := 0; i < 300; i++ {
+			key := bitpath.Random(rng, 4)
+			start := entries[rng.Intn(len(entries))]
+
+			before := calls.Load()
+			res := cl.Lookup(start, key, "f")
+			if sent := calls.Load() - before; int64(res.Messages) != sent {
+				t.Fatalf("offline=%d: Lookup(%v, %s) bills %d messages, %d calls were answered", offline, start, key, res.Messages, sent)
+			}
+			if res.Found {
+				found++
+				if want := (store.Entry{Key: key, Name: "f", Holder: res.Replica, Version: 7}); res.Entry != want {
+					t.Fatalf("offline=%d: Lookup(%s) = %+v, want %+v", offline, key, res.Entry, want)
+				}
+			} else if offline == 0 {
+				t.Fatalf("Lookup(%v, %s) with everyone online: %+v", start, key, res)
+			}
+
+			before = calls.Load()
+			miss := cl.Lookup(start, key, "absent")
+			if sent := calls.Load() - before; int64(miss.Messages) != sent {
+				t.Fatalf("offline=%d: missing-name Lookup bills %d messages, %d calls were answered", offline, miss.Messages, sent)
+			}
+			if miss.Found || miss.Entry != (store.Entry{}) {
+				t.Fatalf("offline=%d: Lookup of a name nobody stores: %+v", offline, miss)
+			}
+			if miss.Replica != addr.Nil && !bitpath.Comparable(c.Nodes[miss.Replica].Path(), key) {
+				t.Fatalf("offline=%d: replica %v (path %s) is not responsible for %s", offline, miss.Replica, c.Nodes[miss.Replica].Path(), key)
+			}
+			if offline == 0 && miss.Replica == addr.Nil {
+				t.Fatalf("Lookup(%s) of a missing name lost the replica that answered: %+v", key, miss)
+			}
+
+			before = calls.Load()
+			maj := cl.MajorityRead(entries, key, "f", 2, 8)
+			if sent := calls.Load() - before; int64(maj.Messages) != sent {
+				t.Fatalf("offline=%d: MajorityRead bills %d messages, %d calls were answered", offline, maj.Messages, sent)
+			}
+		}
+		if found == 0 {
+			t.Errorf("offline=%d: no lookup found its entry", offline)
+		}
+	}
+}
+
+// TestLookupMatchesQueryThenGet: on two communities built alike, the routed
+// read and the pair of conversations it replaced — a query, then a get at
+// the peer it names — end at the same replica with the same entry, and the
+// read costs exactly the one message less.
+func TestLookupMatchesQueryThenGet(t *testing.T) {
+	one, cl, _ := countedCluster(t, 33)
+	two, _, calls := countedCluster(t, 33)
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 200; i++ {
+		key := bitpath.Random(rng, 4)
+		start := one.Nodes[rng.Intn(len(one.Nodes))].Addr()
+		name := []string{"f", "absent"}[i%2]
+
+		res := cl.Lookup(start, key, name)
+
+		before := calls.Load()
+		tr := two.Nodes[0].tr
+		q, err := tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: key}})
+		if err != nil || !q.QueryResp.Found || q.QueryResp.Has {
+			t.Fatalf("query %s via %v: %+v, %v", key, start, q, err)
+		}
+		g, err := tr.Call(q.QueryResp.Peer, &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Key: key, Name: name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair := ReadResult{Entry: g.GetResp.Entry, Found: g.GetResp.Found, Replica: q.QueryResp.Peer,
+			Messages: int(calls.Load()-before) - 1, Queries: 1}
+		if res != pair {
+			t.Fatalf("Lookup(%v, %s, %q) = %+v, query then get = %+v less the get", start, key, name, res, pair)
+		}
+	}
+}

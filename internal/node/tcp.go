@@ -77,14 +77,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	s.serveBinary(conn, bufio.NewReader(conn))
+	s.serveBinary(conn, bufio.NewReader(conn), s.node.Handle)
 }
 
 // serveBinary runs the multiplexed binary protocol: requests are decoded
 // in arrival order but handled concurrently, and each response frame
 // echoes its request's sequence id so the dialer's demux can route it.
 // Responses may therefore interleave out of order — that is the point.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
+// handle is the node's Handle (a parameter so a test can make it panic).
+func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, handle func(*wire.Message) *wire.Message) {
 	var (
 		wmu sync.Mutex
 		wg  sync.WaitGroup
@@ -110,7 +111,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		wg.Add(1)
 		go func(seq uint32, msg *wire.Message) {
 			defer func() { <-sem; wg.Done() }()
-			resp := s.node.Handle(msg)
+			resp := s.answer(handle, msg)
 			wmu.Lock()
 			err := wire.WriteFrame(conn, seq, wire.FlagResponse, resp)
 			wmu.Unlock()
@@ -119,6 +120,21 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			}
 		}(seq, msg)
 	}
+}
+
+// answer runs handle on one request behind the process's crash boundary:
+// each request has a goroutine of its own, so a handler bug that bytes from
+// the network can reach would otherwise take the whole node down. The caller
+// gets a KindError and the connection goes on serving.
+func (s *Server) answer(handle func(*wire.Message) *wire.Message, msg *wire.Message) (resp *wire.Message) {
+	defer func() {
+		if p := recover(); p != nil {
+			rpcKind(s.node.tel, msg.Kind).ServedPanic()
+			resp = &wire.Message{Kind: wire.KindError, From: s.node.Addr(),
+				Error: fmt.Sprintf("panic serving %v: %v", msg.Kind, p)}
+		}
+	}()
+	return handle(msg)
 }
 
 // Close stops accepting and closes active connections.

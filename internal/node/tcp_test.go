@@ -1,15 +1,18 @@
 package node
 
 import (
+	"bufio"
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/store"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
@@ -83,6 +86,49 @@ func TestTCPApplyGetRoundTrip(t *testing.T) {
 	if !got.GetResp.Found || got.GetResp.Entry != e {
 		t.Errorf("get over TCP = %+v", got.GetResp)
 	}
+}
+
+// TestServerAnswersHandlerPanic: a handler that panics costs its caller a
+// KindError and nothing else — the connection, and the process, serve the
+// next request, and the panic is counted under the request's kind.
+func TestServerAnswersHandlerPanic(t *testing.T) {
+	n := New(0, smallCfg(), NewLocalTransport(), 1)
+	tel := telemetry.New(0)
+	n.SetTelemetry(tel)
+	client, server := net.Pipe()
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewServer(n, nil).serveBinary(server, bufio.NewReader(server), func(m *wire.Message) *wire.Message {
+			if m.Kind == wire.KindScan {
+				panic("handler bug")
+			}
+			return n.Handle(m)
+		})
+	}()
+	call := func(seq uint32, kind wire.Kind) *wire.Message {
+		t.Helper()
+		if err := wire.WriteFrame(client, seq, 0, &wire.Message{Kind: kind, From: addr.Nil}); err != nil {
+			t.Fatal(err)
+		}
+		got, flags, resp, err := wire.ReadFrame(client)
+		if err != nil || got != seq || flags&wire.FlagResponse == 0 {
+			t.Fatalf("%v request %d: frame %d flags %d, err %v", kind, seq, got, flags, err)
+		}
+		return resp
+	}
+	if resp := call(1, wire.KindScan); resp.Kind != wire.KindError || !strings.Contains(resp.Error, "handler bug") {
+		t.Errorf("panicking handler answered %+v, want a KindError naming the panic", resp)
+	}
+	if resp := call(2, wire.KindInfo); resp.InfoResp == nil {
+		t.Errorf("request after the panic answered %+v, want the node's info", resp)
+	}
+	if v := counterVal(t, tel, `pgrid_rpc_served_panics_total{kind="scan"}`); v != 1 {
+		t.Errorf("pgrid_rpc_served_panics_total{kind=scan} = %d, want 1", v)
+	}
+	client.Close()
+	<-done
 }
 
 func TestTCPOfflineNodeDropsConnections(t *testing.T) {

@@ -175,6 +175,10 @@ func FuzzHandle(f *testing.F) {
 		RepairReq(true),
 		{Kind: wire.KindBatch, Batch: &wire.BatchReq{Msgs: []wire.Message{
 			{Kind: wire.KindInfo}, HealthReq(true), {Kind: wire.KindGet}}}},
+		// A routed read, and one whose read key does not end in the routed key.
+		{Kind: wire.KindQuery, Query: &wire.QueryReq{Key: entry.Key, Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}},
+		{Kind: wire.KindQuery, Query: &wire.QueryReq{Key: bitpath.MustParse("10"), Level: 1,
+			Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}},
 	} {
 		frame, err := wire.AppendFrame(nil, 7, 0, &m)
 		if err != nil {

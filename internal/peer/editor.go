@@ -28,7 +28,7 @@ func (e Editor) Path() bitpath.Path { return e.p.path }
 func (e Editor) Online() bool { return e.p.online }
 
 // RefsAt returns a copy of refs(level, p).
-func (e Editor) RefsAt(level int) addr.Set { return e.p.refsAtLocked(level) }
+func (e Editor) RefsAt(level int) addr.Set { return e.p.refsAtLocked(nil, level) }
 
 // SetRefsAt replaces refs(level, p); level must be within the path.
 func (e Editor) SetRefsAt(level int, s addr.Set) { e.p.setRefsAtLocked(level, s) }

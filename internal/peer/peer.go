@@ -103,16 +103,23 @@ func (p *Peer) UntrackPathLen() { p.TrackPathLen(nil) }
 // RefsAt returns a copy of refs(level, p), the references at the given
 // 1-based level. Levels beyond the current path length return an empty set.
 func (p *Peer) RefsAt(level int) addr.Set {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.refsAtLocked(level)
+	return p.RefsInto(nil, level)
 }
 
-func (p *Peer) refsAtLocked(level int) addr.Set {
+// RefsInto is RefsAt with the copy made in buf's capacity when it fits —
+// for a caller that only draws from the set before buf goes out of scope,
+// such as the search loop, which then pays no allocation per hop.
+func (p *Peer) RefsInto(buf []addr.Addr, level int) addr.Set {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.refsAtLocked(buf, level)
+}
+
+func (p *Peer) refsAtLocked(buf []addr.Addr, level int) addr.Set {
 	if level < 1 || level > len(p.refs) {
 		return addr.Set{}
 	}
-	return p.refs[level-1].Clone()
+	return p.refs[level-1].CloneInto(buf)
 }
 
 // SetRefsAt replaces refs(level, p). The level must be within the current
@@ -141,7 +148,7 @@ func (p *Peer) AddRefAt(level int, a addr.Addr) {
 	if a == p.addr {
 		return
 	}
-	s := p.refsAtLocked(level)
+	s := p.refsAtLocked(nil, level)
 	s.Add(a)
 	p.setRefsAtLocked(level, s)
 }

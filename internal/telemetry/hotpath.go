@@ -34,6 +34,7 @@ type RPCKind struct {
 	servedTotal   atomic.Pointer[Counter]
 	servedErrors  atomic.Pointer[Counter]
 	servedLatency atomic.Pointer[QHist]
+	servedPanics  atomic.Pointer[Counter]
 	slow          atomic.Pointer[Counter]
 	malformed     atomic.Pointer[Counter]
 	dropped       atomic.Pointer[Counter]
@@ -127,6 +128,15 @@ func (k *RPCKind) ServedDone(d time.Duration, isErr bool, traceID uint64) {
 		k.t.servedErrors.Inc()
 		k.counter(&k.servedErrors, "pgrid_rpc_served_kind_errors_total", "inbound RPCs answered with an error reply, by message kind").Inc()
 	}
+}
+
+// ServedPanic records one inbound RPC whose handler panicked and was
+// answered with an error reply by the server's last-resort recover.
+func (k *RPCKind) ServedPanic() {
+	if k == nil {
+		return
+	}
+	k.counter(&k.servedPanics, "pgrid_rpc_served_panics_total", "inbound RPCs whose handler panicked, by message kind").Inc()
 }
 
 // Slow records one outbound RPC that exceeded the slow-op threshold.

@@ -19,16 +19,17 @@
 //	13      N     payload
 //
 // The payload is the message envelope (From as a zigzag varint) followed by
-// the kind-specific body: bools are one byte, counts and lengths are
-// uvarints, signed integers are zigzag varints, high-entropy 64-bit values
-// (trace ids, hashes, versions) are fixed 8-byte big-endian, strings are
-// length-prefixed bytes, and bit paths are bit-packed MSB-first with zero
-// padding. Decoding is strict: a wrong magic or version, unknown kinds,
-// non-zero pad bits, counts that exceed the remaining payload, and trailing
-// garbage all surface ErrCorrupt — never a panic and never an oversized
-// allocation. There is no negotiation: the version byte on every frame is
-// the version check, and a stream that does not open with the magic is
-// corrupt.
+// the kind-specific body: bools are one byte (the one that opens a query or
+// its response is a flags byte, whose second bit announces the read trailer
+// behind the payload), counts and lengths are uvarints, signed integers are
+// zigzag varints, high-entropy 64-bit values (trace ids, hashes, versions)
+// are fixed 8-byte big-endian, strings are length-prefixed bytes, and bit
+// paths are bit-packed MSB-first with zero padding. Decoding is strict: a
+// wrong magic or version, unknown kinds, non-zero pad bits, counts that
+// exceed the remaining payload, and trailing garbage all surface ErrCorrupt —
+// never a panic and never an oversized allocation. There is no negotiation:
+// the version byte on every frame is the version check, and a stream that
+// does not open with the magic is corrupt.
 package wire
 
 import (
@@ -200,6 +201,26 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// The query pair's presence byte is a flags byte: flagPresent is the bool
+// every other payload opens with, flagTrailer says the read rides along —
+// the (Key, Name) asked for closes a QueryReq, the entry found closes a
+// QueryResp. Without the trailer the bytes are what they always were.
+const (
+	flagPresent = 1 << 0
+	flagTrailer = 1 << 1
+)
+
+func appendFlags(b []byte, present, trailer bool) []byte {
+	var f byte
+	if present {
+		f = flagPresent
+	}
+	if trailer {
+		f |= flagTrailer
+	}
+	return append(b, f)
+}
+
 func appendString(b []byte, s string) []byte {
 	b = appendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -275,8 +296,9 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 	b = appendAddr(b, m.From)
 	switch m.Kind {
 	case KindQuery:
-		b = appendBool(b, m.Query != nil)
-		if q := m.Query; q != nil {
+		q := m.Query
+		b = appendFlags(b, q != nil, q != nil && q.Read != nil)
+		if q != nil {
 			b = appendPath(b, q.Key)
 			b = appendVarint(b, int64(q.Level))
 			b = appendBool(b, q.Ctx != nil)
@@ -286,16 +308,24 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 				b = appendVarint(b, int64(c.Budget))
 				b = appendBool(b, c.Sampled)
 			}
+			if r := q.Read; r != nil {
+				b = appendPath(b, r.Key)
+				b = appendString(b, r.Name)
+			}
 		}
 	case KindQueryResp:
-		b = appendBool(b, m.QueryResp != nil)
-		if q := m.QueryResp; q != nil {
+		q := m.QueryResp
+		b = appendFlags(b, q != nil, q != nil && q.Has)
+		if q != nil {
 			b = appendBool(b, q.Found)
 			b = appendAddr(b, q.Peer)
 			b = appendPath(b, q.Path)
 			b = appendVarint(b, int64(q.Messages))
 			b = appendVarint(b, int64(q.Backtracks))
 			b = appendSpans(b, q.Spans)
+			if q.Has {
+				b = appendEntry(b, q.Entry)
+			}
 		}
 	case KindExchange:
 		b = appendBool(b, m.Exchange != nil)
@@ -676,6 +706,18 @@ func (d *bdec) bool() bool {
 	}
 }
 
+// flags reads the query pair's flags byte: whether the payload is there and
+// whether the read trailer closes it. A trailer without a payload, or any
+// other bit, is corrupt.
+func (d *bdec) flags() (present, trailer bool) {
+	f := d.byte()
+	if f > flagPresent|flagTrailer || f == flagTrailer {
+		d.fail("bad payload flags")
+		return false, false
+	}
+	return f&flagPresent != 0, f&flagTrailer != 0
+}
+
 // bytes returns a length-prefixed byte field as a view of the payload,
 // valid until the pooled buffer is reused.
 func (d *bdec) bytes() []byte {
@@ -723,19 +765,21 @@ func (d *bdec) pathHead() (nbits, nbytes int) {
 // bit returns bit i of the MSB-first packed src as '0' or '1'.
 func bit(src []byte, i int) byte { return '0' + src[i/8]>>(7-i%8)&1 }
 
+// appendBits unpacks the first nbits of the MSB-first packed src into dst,
+// one '0' or '1' byte each.
+func appendBits(dst, src []byte, nbits int) []byte {
+	for i := 0; i < nbits; i++ {
+		dst = append(dst, bit(src, i))
+	}
+	return dst
+}
+
 func (d *bdec) path() bitpath.Path {
 	nbits, nbytes := d.pathHead()
 	// Paths are short (one bit per trie level): unpack into a stack
 	// buffer so the only allocation is the returned string.
 	var short [64]byte
-	out := short[:]
-	if nbits > len(short) {
-		out = make([]byte, nbits)
-	}
-	out = out[:nbits]
-	for i := range out {
-		out[i] = bit(d.b[d.off:], i)
-	}
+	out := appendBits(short[:0], d.b[d.off:], nbits)
 	d.off += nbytes
 	return bitpath.Path(out)
 }
@@ -763,8 +807,25 @@ func (d *bdec) refSet() RefSet {
 	return RefSet{Addrs: out}
 }
 
+// keyName decodes a path and the string behind it — an entry's or a read's
+// (Key, Name) — into one string the two sub-slice: one allocation for the
+// pair, and none besides while they fit the stack buffer.
+func (d *bdec) keyName() (bitpath.Path, string) {
+	nbits, nbytes := d.pathHead()
+	packed := d.b[d.off:]
+	d.off += nbytes
+	name := d.bytes()
+	if d.err != nil {
+		return "", ""
+	}
+	var short [128]byte
+	s := string(append(appendBits(short[:0], packed, nbits), name...))
+	return bitpath.Path(s[:nbits]), s[nbits:]
+}
+
 func (d *bdec) entry() store.Entry {
-	return store.Entry{Key: d.path(), Name: d.string(), Holder: d.addr(), Version: d.u64()}
+	key, name := d.keyName()
+	return store.Entry{Key: key, Name: name, Holder: d.addr(), Version: d.u64()}
 }
 
 // entries decodes an entry list into one arena: a first pass checks every
@@ -918,18 +979,31 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 	m := &Message{Kind: kind, From: d.addr()}
 	switch kind {
 	case KindQuery:
-		if d.bool() {
-			q := &QueryReq{Key: d.path(), Level: d.int()}
+		if present, read := d.flags(); present {
+			// The read shares the request's allocation: every hop of a
+			// routed read decodes the pair.
+			x := &struct {
+				q QueryReq
+				r GetReq
+			}{q: QueryReq{Key: d.path(), Level: d.int()}}
 			if d.bool() {
-				q.Ctx = &trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
+				x.q.Ctx = &trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
 					Budget: d.int(), Sampled: d.bool()}
 			}
-			m.Query = q
+			if read {
+				x.r.Key, x.r.Name = d.keyName()
+				x.q.Read = &x.r
+			}
+			m.Query = &x.q
 		}
 	case KindQueryResp:
-		if d.bool() {
-			m.QueryResp = &QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
-				Messages: d.int(), Backtracks: d.int(), Spans: d.spans()}
+		if present, has := d.flags(); present {
+			q := &QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
+				Messages: d.int(), Backtracks: d.int(), Spans: d.spans(), Has: has}
+			if has {
+				q.Entry = d.entry()
+			}
+			m.QueryResp = q
 		}
 	case KindExchange:
 		if d.bool() {
@@ -980,7 +1054,8 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindGet:
 		if d.bool() {
-			m.Get = &GetReq{Key: d.path(), Name: d.string()}
+			key, name := d.keyName()
+			m.Get = &GetReq{Key: key, Name: name}
 		}
 	case KindGetResp:
 		if d.bool() {

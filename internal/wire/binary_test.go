@@ -127,6 +127,15 @@ func sampleMessages() []*Message {
 					{Name: repair.ActionSyncPull, N: 2}}}}},
 		{Kind: KindRepairResp, From: 31, RepairResp: &RepairResp{}}, // repair disabled
 		{Kind: KindRepairResp, From: 31},                            // nil payload
+		// The routed read (appended, so every digest above keeps its index):
+		// a traced query two hops in with the read riding along, and the
+		// answer that carries the entry back.
+		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: p("10"), Level: 2,
+			Ctx:  &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Budget: 12, Sampled: true},
+			Read: &GetReq{Key: entry.Key, Name: entry.Name}}},
+		{Kind: KindQuery, From: 2, Query: &QueryReq{Key: entry.Key, Read: &GetReq{Key: entry.Key}}}, // untraced, empty name
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11,
+			Path: p("0110"), Messages: 3, Entry: entry, Has: true}},
 	}
 }
 
@@ -235,6 +244,9 @@ var goldenFrameSums = []uint64{
 	0x48ec9b0d8e852232, // repair-resp
 	0x87769c6577c6fffc, // repair-resp
 	0x5e5d0231bf930c57, // repair-resp
+	0xf203fb11a6d7747d, // query, read riding along
+	0xef28348b76f5d104, // query, read riding along
+	0x1f08a01bfa8b13d5, // query-resp, entry carried back
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -436,8 +448,15 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 3},
 		// Message + QueryResp + Path.
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 3},
-		// Message + GetReq + Key + Name.
-		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 4},
+		// Message + GetReq + Key and Name in one string.
+		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 3},
+		// The routed read costs each hop one string more than the plain pair:
+		// Message + QueryReq with its GetReq + Key + the read's Key and Name.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 4},
+		// Message + QueryResp + Path + the entry's Key and Name.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4,
+			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 4},
 	} {
 		frame, err := AppendFrame(nil, 1, 0, tc.msg)
 		if err != nil {
@@ -481,6 +500,31 @@ func TestBinaryCountOverflow(t *testing.T) {
 	_, _, _, err := ReadFrame(bytes.NewReader(frame))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt for absurd count, got %v", err)
+	}
+}
+
+// TestBinaryQueryFlags: the byte that opens a query or its answer holds two
+// flags. The read trailer without a payload, and any bit beyond the two, is
+// corrupt; a trailer the flags announce and the payload lacks is truncated.
+func TestBinaryQueryFlags(t *testing.T) {
+	for _, m := range []*Message{
+		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: "01"}},
+		{Kind: KindQueryResp, From: 1, QueryResp: &QueryResp{Found: true, Peer: 1, Path: "01"}},
+	} {
+		plain, err := appendMessageBody(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		announced := append([]byte{}, plain...)
+		announced[1] |= flagTrailer // the byte behind the sender
+		for _, body := range [][]byte{{2, flagTrailer}, {2, 4}, {2, 0xff}, announced} {
+			if got, err := decodeMessageBody(m.Kind, body); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%v body %x decoded to %+v, %v; want ErrCorrupt", m.Kind, body, got, err)
+			}
+		}
+		if _, err := decodeMessageBody(m.Kind, plain); err != nil {
+			t.Errorf("%v body %x: %v", m.Kind, plain, err)
+		}
 	}
 }
 

@@ -3,9 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,83 +11,19 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
+	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 )
 
-// legacyGobFrame frames v the way the retired gob codec did: a 4-byte
-// big-endian length, then the gob stream. It is what a peer from before
-// the binary codec puts on the wire.
-func legacyGobFrame(v any) []byte {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		panic(err)
-	}
-	return append(binary.BigEndian.AppendUint32(nil, uint32(body.Len())), body.Bytes()...)
-}
-
-// FuzzReadMessage feeds ReadFrame what a pre-binary peer would send —
-// length-prefixed gob frames of several message shapes — and mutations of
-// them. Bytes that do not open with the frame magic are never decoded: the
-// result is an error (ErrCorrupt once a whole header has arrived), never a
-// message and never a panic.
-func FuzzReadMessage(f *testing.F) {
-	f.Add(legacyGobFrame(&Message{Kind: KindInfo, From: 3}))
-	f.Add(legacyGobFrame(&Message{Kind: KindQuery, Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}}))
-	f.Add(legacyGobFrame(&Message{Kind: KindQuery, Query: &QueryReq{
-		Key: bitpath.MustParse("11"), Level: 0,
-		Ctx: &trace.SpanContext{TraceID: 7, Budget: 4, Sampled: true}}}))
-	f.Add(legacyGobFrame(&Message{Kind: KindQueryResp, QueryResp: &QueryResp{
-		Found: true, Peer: 2, Path: bitpath.MustParse("11"),
-		Spans: []trace.Span{{ID: 1, Peer: 2, Path: bitpath.MustParse("1"), Matched: true}}}}))
-	// The oldest layout: a query from before the Ctx field existed.
-	type preTracingQuery struct {
-		Key   bitpath.Path
-		Level int
-	}
-	f.Add(legacyGobFrame(&struct {
-		Kind  Kind
-		From  addr.Addr
-		Query *preTracingQuery
-	}{Kind: KindQuery, From: 1, Query: &preTracingQuery{Key: bitpath.MustParse("010"), Level: 1}}))
-	f.Add(legacyGobFrame(&Message{Kind: KindHealthResp, From: 4, HealthResp: &HealthResp{
-		Rounds: 2,
-		Digest: health.Digest{Addr: 4, Path: bitpath.MustParse("01"),
-			Entries: 3, MaxVersion: 17, IndexHash: 0xabcdef,
-			RefCounts: []int{2, 1}, Buddies: 1,
-			Liveness: []health.LevelProbe{{Level: 1, Live: 4, Dead: 2}}}}}))
-	f.Add(legacyGobFrame(&Message{Kind: KindHealth, From: 0, Health: &HealthReq{WantLiveness: true}}))
-	f.Add(legacyGobFrame(&Message{Kind: KindMetricsResp, From: 5, MetricsResp: &MetricsResp{
-		Snap: telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion,
-			Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42}},
-			Hists: []telemetry.QHistSnapshot{{Name: `lat{kind="query"}`, SubBits: 4,
-				Count: 3, Sum: 900, Idx: []uint16{9, 77}, N: []int64{2, 1}}}}}}))
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{0, 0, 0, 5, 1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, m, err := ReadFrame(bytes.NewReader(data))
-		if len(data) == 0 || data[0] == magic0 {
-			return // a clean close, or FuzzReadFrame's territory
-		}
-		if m != nil || err == nil {
-			t.Fatalf("decoded %+v (err %v) from bytes that do not open with the magic", m, err)
-		}
-		if len(data) >= HeaderSize && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-}
-
-// FuzzReadAuto holds ReadFrame's two header paths to each other: it picks
-// one from the reader's type — parsed in place in a *bufio.Reader's buffer,
-// read into a scratch header from anything else — and both must see the
-// same frames and the same error on every input.
-func FuzzReadAuto(f *testing.F) {
-	legacy := legacyGobFrame(&Message{Kind: KindQuery, From: 2,
-		Query: &QueryReq{Key: bitpath.MustParse("0101"), Level: 1}})
-	f.Add(legacy)
+// FuzzReadFramePlainVsBufio holds ReadFrame's two header paths to each
+// other: it picks one from the reader's type — parsed in place in a
+// *bufio.Reader's buffer, read into a scratch header from anything else —
+// and both must see the same frames and the same error on every input.
+func FuzzReadFramePlainVsBufio(f *testing.F) {
+	// Bytes that do not open with the magic: a length prefix and a body.
+	noise := []byte{0, 0, 0, 5, 1, 2, 3, 4, 5}
+	f.Add(noise)
 	frame, err := AppendFrame(nil, 9, 0, &Message{Kind: KindHealthResp, From: 4,
 		HealthResp: &HealthResp{Rounds: 2, Digest: health.Digest{Addr: 4,
 			Path: bitpath.MustParse("01"), Entries: 3, MaxVersion: 17,
@@ -99,7 +32,7 @@ func FuzzReadAuto(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frame)
-	f.Add(append(append([]byte{}, frame...), legacy...))
+	f.Add(append(append([]byte{}, frame...), noise...))
 	f.Add([]byte{0x50, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain := bytes.NewReader(data)
@@ -122,13 +55,17 @@ func FuzzReadAuto(f *testing.F) {
 }
 
 // FuzzRoundTrip encodes fuzz-shaped queries — with and without a trace
-// context — and verifies they decode to the same payload.
+// context, with and without a read riding along (readKey "-" for none) —
+// and their answers, and verifies they decode to the same payload.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(int32(1), "0101", 2, false, uint64(0), 0)
-	f.Add(int32(9), "1", 0, false, uint64(3), 1)
-	f.Add(int32(2), "11", 0, true, uint64(42), 8)
-	f.Add(int32(5), "0", 1, true, uint64(1), 64)
-	f.Fuzz(func(t *testing.T, from int32, key string, level int, traced bool, traceID uint64, budget int) {
+	f.Add(int32(1), "0101", 2, false, uint64(0), 0, "-", "")
+	f.Add(int32(9), "1", 0, false, uint64(3), 1, "-", "")
+	f.Add(int32(2), "11", 0, true, uint64(42), 8, "-", "")
+	f.Add(int32(5), "0", 1, true, uint64(1), 64, "-", "")
+	f.Add(int32(1), "0101", 0, false, uint64(0), 0, "0101", "doc-17")
+	f.Add(int32(7), "01", 3, true, uint64(9), 4, "110101", "")
+	f.Add(int32(3), "", 2, false, uint64(5), 0, "", "x")
+	f.Fuzz(func(t *testing.T, from int32, key string, level int, traced bool, traceID uint64, budget int, readKey, name string) {
 		p, err := bitpath.Parse(key)
 		if err != nil {
 			return
@@ -141,6 +78,9 @@ func FuzzRoundTrip(f *testing.F) {
 		if traced {
 			m.Query.Ctx = &trace.SpanContext{TraceID: traceID, Parent: traceID / 2,
 				Budget: budget, Sampled: true}
+		}
+		if rk, err := bitpath.Parse(readKey); err == nil {
+			m.Query.Read = &GetReq{Key: rk, Name: name}
 		}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, 1, 0, m); err != nil {
@@ -161,6 +101,30 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if traced && (got.Query.Ctx == nil || *got.Query.Ctx != *m.Query.Ctx) {
 			t.Fatalf("trace context mismatch: %+v vs %+v", got.Query.Ctx, m.Query.Ctx)
+		}
+		read := m.Query.Read
+		if (read == nil) != (got.Query.Read == nil) || read != nil && *got.Query.Read != *read {
+			t.Fatalf("read mismatch: %+v vs %+v", got.Query.Read, read)
+		}
+		if read == nil {
+			return
+		}
+		// The answer to that read, found and not.
+		for _, has := range []bool{true, false} {
+			resp := &QueryResp{Found: true, Peer: addrOf(from), Path: p, Messages: level, Has: has}
+			if has {
+				resp.Entry = store.Entry{Key: read.Key, Name: name, Holder: addrOf(from), Version: traceID}
+			}
+			if err := WriteFrame(&buf, 2, FlagResponse, &Message{Kind: KindQueryResp, From: addrOf(from), QueryResp: resp}); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			_, _, got, err := ReadFrame(&buf)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !reflect.DeepEqual(got.QueryResp, resp) {
+				t.Fatalf("answer mismatch: %+v vs %+v", got.QueryResp, resp)
+			}
 		}
 	})
 }

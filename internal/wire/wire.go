@@ -124,6 +124,12 @@ type QueryReq struct {
 	Level int
 	// Ctx is the distributed trace context, nil for untraced queries.
 	Ctx *trace.SpanContext
+	// Read, when set, rides along to the peer the search ends at, which
+	// answers it from its own store in the response that reports it found
+	// (QueryResp.Entry, Has) — the read costs no message of its own. It
+	// holds the full key, forwarded as it came on every hop, because Key is
+	// only the suffix still to be routed.
+	Read *GetReq
 }
 
 // QueryResp reports the search outcome.
@@ -143,6 +149,12 @@ type QueryResp struct {
 	// downstream of it, in visit order, when the request was traced
 	// (empty otherwise).
 	Spans []trace.Span
+	// Entry answers the request's Read from the responsible peer's store,
+	// and Has reports whether that peer held one (a plain query, or a
+	// responsible peer without the entry, leaves both zero). Hops on the
+	// way back pass them on as they pass Peer and Path.
+	Entry store.Entry
+	Has   bool
 }
 
 // ExchangeReq carries the initiator's state snapshot: the responder
