@@ -62,8 +62,7 @@ func (c *connKillingChaos) Call(to addr.Addr, m *wire.Message) (*wire.Message, e
 // at once, and such a run of consecutive failures opens the breaker of a
 // peer that is online, which is the harness bending p̂, not the wire.
 func (c *connKillingChaos) kill(to addr.Addr) {
-	ep, _ := c.pt.Endpoint(to)
-	mc, warm, err := c.pt.pool(to).acquire(c.pt, to, ep)
+	mc, warm, err := c.pt.pool(to).acquire(c.pt, to)
 	if err != nil {
 		return
 	}

@@ -212,8 +212,7 @@ func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadRe
 	began := time.Now()
 	defer func() { c.recordLatency(time.Since(began)) }()
 	out := ReadResult{Replica: addr.Nil, Queries: 1}
-	resp, err := c.tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key, Read: &wire.GetReq{Key: key, Name: name}}})
+	resp, err := c.tr.Call(start, new(queryCall).fill(addr.Nil, key, 0, nil, &wire.GetReq{Key: key, Name: name}))
 	if err != nil {
 		return out
 	}

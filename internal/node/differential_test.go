@@ -24,6 +24,12 @@ import (
 // initiator has applied its side), not in where they arrive. Stores are
 // left empty: meet-time replica reconciliation is simulator-only.
 func TestDifferentialNodeMatchesSimulator(t *testing.T) {
+	differentialNodeVsSimulator(t, func(tr Transport) Transport { return tr })
+}
+
+// differentialNodeVsSimulator runs the comparison with every node's
+// transport wrapped by wrap.
+func differentialNodeVsSimulator(t *testing.T, wrap func(Transport) Transport) {
 	const (
 		peers    = 64
 		meetings = 2500
@@ -39,6 +45,7 @@ func TestDifferentialNodeMatchesSimulator(t *testing.T) {
 	nodeRng := rand.New(rand.NewSource(seed))
 	for _, n := range c.Nodes {
 		n.rng = nodeRng
+		n.tr = wrap(n.tr)
 	}
 
 	same := func(x, y peer.Snapshot) bool {

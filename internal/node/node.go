@@ -176,22 +176,34 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	}
 	switch m.Kind {
 	case wire.KindQuery:
-		resp := n.handleQuery(m.Query)
-		return &wire.Message{Kind: wire.KindQueryResp, From: n.Addr(), QueryResp: resp}
+		resp, q := reply[wire.QueryResp](n, wire.KindQueryResp)
+		resp.QueryResp = q
+		n.handleQuery(m.Query, q)
+		return resp
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
 		return &wire.Message{Kind: wire.KindExchangeResp, From: n.Addr(), ExchangeResp: resp}
 	case wire.KindApply:
-		changed := n.Store().Apply(m.Apply.Entry)
-		return &wire.Message{Kind: wire.KindApplyResp, From: n.Addr(), ApplyResp: &wire.ApplyResp{Changed: changed}}
+		resp, a := reply[wire.ApplyResp](n, wire.KindApplyResp)
+		resp.ApplyResp = a
+		a.Changed = n.Store().Apply(m.Apply.Entry)
+		return resp
 	case wire.KindGet:
-		e, ok := n.Store().Get(m.Get.Key, m.Get.Name)
-		return &wire.Message{Kind: wire.KindGetResp, From: n.Addr(), GetResp: &wire.GetResp{Entry: e, Found: ok}}
+		resp, g := reply[wire.GetResp](n, wire.KindGetResp)
+		resp.GetResp = g
+		g.Entry, g.Found = n.Store().Get(m.Get.Key, m.Get.Name)
+		return resp
 	case wire.KindInfo:
-		return &wire.Message{Kind: wire.KindInfoResp, From: n.Addr(), InfoResp: n.info()}
+		resp, i := reply[wire.InfoResp](n, wire.KindInfoResp)
+		resp.InfoResp = i
+		path, refs, buddies := n.links()
+		*i = wire.InfoResp{Addr: n.Addr(), Path: path, Refs: refs, Buddies: buddies, Entries: n.Store().Len()}
+		return resp
 	case wire.KindScan:
-		return &wire.Message{Kind: wire.KindScanResp, From: n.Addr(),
-			ScanResp: &wire.ScanResp{Entries: n.Store().PrefixScan(m.Scan.Prefix)}}
+		resp, s := reply[wire.ScanResp](n, wire.KindScanResp)
+		resp.ScanResp = s
+		s.Entries = n.Store().PrefixScan(m.Scan.Prefix)
+		return resp
 	case wire.KindMetrics:
 		return &wire.Message{Kind: wire.KindMetricsResp, From: n.Addr(), MetricsResp: n.handleMetrics()}
 	case wire.KindTraces:
@@ -213,6 +225,15 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
 			Error: fmt.Sprintf("unexpected message kind %v", m.Kind)}
 	}
+}
+
+// reply returns a response of the given kind from this node and the payload P
+// it carries, as the one object they are sent as; the caller sets the payload
+// pointer that goes with the kind.
+func reply[P any](n *Node, kind wire.Kind) (*wire.Message, *P) {
+	m, p := wire.Fused[P]()
+	m.Kind, m.From = kind, n.Addr()
+	return m, p
 }
 
 // callBatch sends msgs to one peer as a single batch frame and returns the
@@ -276,11 +297,6 @@ func (n *Node) links() (path bitpath.Path, refs []wire.RefSet, buddies wire.RefS
 	return path, refs, buddies
 }
 
-func (n *Node) info() *wire.InfoResp {
-	path, refs, buddies := n.links()
-	return &wire.InfoResp{Addr: n.Addr(), Path: path, Refs: refs, Buddies: buddies, Entries: n.Store().Len()}
-}
-
 // --- query ----------------------------------------------------------------
 
 // Query starts the Fig. 2 depth-first search at this node. With tracing
@@ -301,7 +317,8 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 			req.Ctx = &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}
 		}
 	}
-	resp := n.handleQuery(req)
+	var resp wire.QueryResp
+	n.handleQuery(req, &resp)
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	if n.tel.EventsOn() {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
@@ -318,7 +335,8 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 	n.mu.Unlock()
 	req := &wire.QueryReq{Key: key, Level: 0,
 		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
-	resp := n.handleQuery(req)
+	var resp wire.QueryResp
+	n.handleQuery(req, &resp)
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
 	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
@@ -328,11 +346,13 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 // handleQuery is query(a, p, l) with remote recursion: references are
 // contacted through the transport and each successful downstream call
 // contributes to the message count. A read riding on the request is answered
-// by the peer the search ends at and comes back with the route. When the
-// request carries a sampled trace context the node appends its own span (and
-// everything its subtree reported) to the response and records the subtree
-// route in its flight recorder; routing decisions are identical either way.
-func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
+// by the peer the search ends at and comes back with the route. The outcome
+// is written into resp, which the caller made (zero) where it is to be sent
+// from. When the request carries a sampled trace context the node appends its
+// own span (and everything its subtree reported) to the response and records
+// the subtree route in its flight recorder; routing decisions are identical
+// either way.
+func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
 	path := n.self.Path()
 	l := q.Level
 	if l > path.Len() {
@@ -356,7 +376,7 @@ func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
 		}
 	}
 
-	resp := n.routeQuery(q, path, l, &span, childCtx, tracing)
+	n.routeQuery(q, resp, path, l, &span, childCtx, tracing)
 
 	if tracing {
 		span.LatencyNS = int64(time.Since(start))
@@ -367,7 +387,28 @@ func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
 		n.rec.Record(trace.Trace{TraceID: q.Ctx.TraceID, Key: q.Key, Found: resp.Found,
 			Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans})
 	}
-	return resp
+}
+
+// queryCall is a routed query as the one object it is sent as: the envelope,
+// the request and its own copy of the read riding on it. Whoever sends it owns
+// it again once Transport.Call has returned — nothing on the call path keeps a
+// request (TestPoisonRequestsAfterCall) — and fills it anew for its next call.
+type queryCall struct {
+	m wire.Message
+	q wire.QueryReq
+	r wire.GetReq
+}
+
+// fill makes c the query for key from level on, with read (nil for a plain
+// query) riding along, and returns the message to send.
+func (c *queryCall) fill(from addr.Addr, key bitpath.Path, level int, ctx *trace.SpanContext, read *wire.GetReq) *wire.Message {
+	c.q = wire.QueryReq{Key: key, Level: level, Ctx: ctx}
+	if read != nil {
+		c.r = *read
+		c.q.Read = &c.r
+	}
+	c.m = wire.Message{Kind: wire.KindQuery, From: from, Query: &c.q}
+	return &c.m
 }
 
 // routeQuery is the routing half of handleQuery: the Fig. 2 decision
@@ -375,31 +416,28 @@ func (n *Node) handleQuery(q *wire.QueryReq) *wire.QueryResp {
 // the transport. span and childCtx are only touched when tracing is set;
 // resp.Spans accumulates the downstream spans in visit order (the
 // caller's own span is prepended by handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) *wire.QueryResp {
+func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
 	matched, next, rest := core.RouteStep(path, l, q.Key)
 	if matched {
 		if tracing {
 			span.Matched = true
 		}
-		resp := &wire.QueryResp{Found: true, Peer: n.Addr(), Path: path}
+		resp.Found, resp.Peer, resp.Path = true, n.Addr(), path
 		if r := q.Read; r != nil {
 			resp.Entry, resp.Has = n.Store().Get(r.Key, r.Name)
 		}
-		return resp
+		return
 	}
 
-	resp := &wire.QueryResp{}
 	var buf [16]addr.Addr // holds a level's references (RefMax is a handful) off the heap
 	refs := n.self.RefsInto(buf[:0], next)
+	fwd := new(queryCall) // one per handler, filled again for each reference tried
 	for refs.Len() > 0 {
 		var r addr.Addr
 		n.mu.Lock()
 		r = refs.PopRandom(n.rng)
 		n.mu.Unlock()
-		down, err := n.tr.Call(r, &wire.Message{
-			Kind: wire.KindQuery, From: n.Addr(),
-			Query: &wire.QueryReq{Key: rest, Level: next - 1, Ctx: childCtx, Read: q.Read},
-		})
+		down, err := n.tr.Call(r, fwd.fill(n.Addr(), rest, next-1, childCtx, q.Read))
 		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
 		if err != nil || down.QueryResp == nil {
 			continue // unreachable reference: try the next one
@@ -417,14 +455,13 @@ func (n *Node) routeQuery(q *wire.QueryReq, path bitpath.Path, l int, span *trac
 			if tracing {
 				span.Ref = r
 			}
-			return resp
+			return
 		}
 		resp.Backtracks++ // the contacted subtree resolved nothing
 		if tracing {
 			span.Backtracked = true
 		}
 	}
-	return resp
 }
 
 // --- exchange --------------------------------------------------------------

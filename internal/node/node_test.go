@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bufio"
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -235,9 +237,11 @@ func TestClusterConstructionConcurrent(t *testing.T) {
 }
 
 // TestAllocBudgetHandleInfo: an Info answer is read from the peer under one
-// lock straight into wire form — the reply Message, the InfoResp, the
+// lock straight into wire form — the reply Message with its InfoResp, the
 // per-level lists, their one shared address array and the RefSet slice —
-// and carries exactly what a Snapshot of the peer holds.
+// and carries exactly what a Snapshot of the peer holds. Whoever asked decodes
+// it into as many objects: the Message with its InfoResp, the path, the RefSet
+// slice and one address array.
 func TestAllocBudgetHandleInfo(t *testing.T) {
 	c, _ := builtCluster(t, 64, smallCfg(), 11)
 	n := c.Nodes[3]
@@ -257,7 +261,27 @@ func TestAllocBudgetHandleInfo(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	if got := testing.AllocsPerRun(200, func() { n.Handle(req) }); got != 5 {
-		t.Errorf("Handle(KindInfo) = %.1f allocs, want 5", got)
+	if got := testing.AllocsPerRun(200, func() { n.Handle(req) }); got != 4 {
+		t.Errorf("Handle(KindInfo) = %.1f allocs, want 4", got)
+	}
+	frame, err := wire.AppendFrame(nil, 1, wire.FlagResponse, n.Handle(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	var decoded *wire.Message
+	decode := func() {
+		src.Reset(frame)
+		br.Reset(src)
+		if _, _, decoded, err = wire.ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(200, decode); got != 4 {
+		t.Errorf("decoding the Info answer = %.1f allocs, want 4", got)
+	}
+	if !reflect.DeepEqual(decoded.InfoResp, want) {
+		t.Errorf("decoded Info = %+v, want %+v", decoded.InfoResp, want)
 	}
 }

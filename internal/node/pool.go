@@ -111,7 +111,9 @@ func (p *PoolTransport) SetTelemetry(tel *telemetry.Instruments) { p.tel = tel }
 
 // SetEndpoint maps a logical peer address to host:port. Re-pointing a known
 // peer at a different endpoint evicts its pooled connections: they lead to
-// the old endpoint, and the next call must reach the new one.
+// the old endpoint, and the next call must reach the new one. A call that
+// was already dialling the old endpoint finishes on its own connection, which
+// the pool refuses (peerPool.admit).
 func (p *PoolTransport) SetEndpoint(a addr.Addr, hostport string) {
 	p.mu.Lock()
 	old, known := p.endpoints[a]
@@ -149,8 +151,7 @@ func (p *PoolTransport) publishGauges() {
 
 // Call implements Transport.
 func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
-	ep, ok := p.Endpoint(to)
-	if !ok {
+	if _, ok := p.Endpoint(to); !ok {
 		return nil, fmt.Errorf("%w: no endpoint for %v", ErrOffline, to)
 	}
 	p.inFlight.Add(1)
@@ -162,7 +163,7 @@ func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, er
 	pp := p.pool(to)
 	start := time.Now()
 	p.acquiring.Add(1)
-	mc, reused, err := pp.acquire(p, to, ep)
+	mc, reused, err := pp.acquire(p, to)
 	p.acquiring.Add(-1)
 	p.tel.PoolAcquireWait(time.Since(start))
 	if err != nil {
@@ -319,42 +320,83 @@ type peerPool struct {
 	next  int
 }
 
-// acquire returns a live connection for the peer: an idle pooled one when
-// available, a fresh dial while the pool is below Size, and round-robin
-// sharing of busy connections once the pool is full. Dialing happens
-// outside the pool lock, so concurrent first callers may race extra dials;
-// the append enforces the Size cap by dropping the surplus connection.
-func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr, ep string) (mc *muxConn, reused bool, err error) {
-	pp.mu.Lock()
-	if n := len(pp.conns); n > 0 {
-		// Round-robin scan for an idle connection first; if every
-		// connection has requests in flight, grow the pool up to Size
-		// rather than queueing deeper on a busy stream.
-		for i := 1; i <= n; i++ {
-			c := pp.conns[(pp.next+i)%n]
-			if c.inflight.Load() == 0 {
-				pp.next = (pp.next + i) % n
-				pp.mu.Unlock()
-				return c, true, nil
-			}
+// acquire returns a live connection to the peer's current endpoint: an idle
+// pooled one when available, a fresh dial while the pool is below Size, and
+// round-robin sharing of busy connections once the pool is full. Dialing
+// happens outside the pool lock, so concurrent first callers may race extra
+// dials and the endpoint may move under one; admit settles both.
+func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr) (mc *muxConn, reused bool, err error) {
+	for {
+		pp.mu.Lock()
+		ep, _ := p.Endpoint(to)
+		stale := pp.dropStale(ep)
+		mc = pp.pick(p.cfg.Size)
+		pp.mu.Unlock()
+		for _, c := range stale {
+			c.close()
 		}
-		if n >= p.cfg.Size {
-			pp.next = (pp.next + 1) % n
-			mc = pp.conns[pp.next]
-			pp.mu.Unlock()
+		if mc != nil {
 			return mc, true, nil
 		}
+		if mc, err = p.dialConn(to, ep, pp); err != nil {
+			return nil, false, err
+		}
+		if mc, reused, err = pp.admit(p, to, mc); mc != nil || err != nil {
+			return mc, reused, err
+		}
 	}
-	pp.mu.Unlock()
+}
 
-	mc, err = p.dialConn(to, ep, pp)
-	if err != nil {
-		return nil, false, err
+// dropStale removes the connections that do not lead to ep, the peer's
+// current endpoint, and returns them for the caller to close once pp.mu is
+// released (closing takes it). SetEndpoint evicts, but between its writing the
+// mapping and its eviction a pooled connection is already stale.
+func (pp *peerPool) dropStale(ep string) (stale []*muxConn) {
+	kept := pp.conns[:0]
+	for _, c := range pp.conns {
+		if c.ep == ep {
+			kept = append(kept, c)
+		} else {
+			stale = append(stale, c)
+		}
 	}
+	pp.conns = kept
+	return stale
+}
+
+// pick chooses among the pooled connections, nil when the caller should dial:
+// round-robin for an idle one first; if every connection has requests in
+// flight, the pool grows up to size rather than queueing deeper on a busy
+// stream, and is shared round-robin once full.
+func (pp *peerPool) pick(size int) *muxConn {
+	n := len(pp.conns)
+	for i := 1; i <= n; i++ {
+		if c := pp.conns[(pp.next+i)%n]; c.inflight.Load() == 0 {
+			pp.next = (pp.next + i) % n
+			return c
+		}
+	}
+	if n < size {
+		return nil
+	}
+	pp.next = (pp.next + 1) % n
+	return pp.conns[pp.next]
+}
+
+// admit pools a freshly dialled connection and returns the connection the
+// caller should use. Two things may have happened while it dialled. The peer's
+// endpoint moved: mc leads to the old one, SetEndpoint's eviction has already
+// run and would never find it, so it is closed and (nil, nil) sends the caller
+// to dial again. Or concurrent callers filled the pool: the cap holds, the
+// caller shares a pooled connection, and the surplus dial is dropped.
+func (pp *peerPool) admit(p *PoolTransport, to addr.Addr, mc *muxConn) (use *muxConn, reused bool, err error) {
 	pp.mu.Lock()
+	if ep, _ := p.Endpoint(to); ep != mc.ep {
+		pp.mu.Unlock()
+		mc.close()
+		return nil, false, nil
+	}
 	if len(pp.conns) >= p.cfg.Size {
-		// A concurrent caller filled the pool while we dialed: keep the
-		// cap, reuse a pooled connection, and drop the surplus dial.
 		pp.next = (pp.next + 1) % len(pp.conns)
 		existing := pp.conns[pp.next]
 		pp.mu.Unlock()
@@ -426,6 +468,7 @@ func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxCon
 		pt:       p,
 		pool:     pp,
 		peer:     to,
+		ep:       ep,
 		conn:     conn,
 		br:       bufio.NewReader(conn),
 		pending:  make(map[uint32]*callSlot),
@@ -447,6 +490,7 @@ type muxConn struct {
 	pt   *PoolTransport
 	pool *peerPool
 	peer addr.Addr
+	ep   string // the endpoint dialled, which the peer may since have left
 	conn net.Conn
 	br   *bufio.Reader
 

@@ -2,8 +2,10 @@ package node
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -13,7 +15,10 @@ import (
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
+	"pgrid/internal/core"
 	"pgrid/internal/raceflag"
+	"pgrid/internal/sim"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
@@ -184,14 +189,16 @@ func TestPoolSlotReuseAfterTimeoutAndKill(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetPoolRoundTrip: one warm call through the instrumented
-// pooled transport to a loopback Server — client and server side together,
-// both run in this process — allocates only what a hop hands to its caller
-// or cannot avoid: the server's decoded Message, GetReq and key path (3),
-// its reply Message and GetResp (2), its per-request goroutine and closure
-// (2), and the client's decoded Message and GetResp (2; a miss carries
-// empty strings). A per-call channel, timer, label string or escaping
-// frame header pushes it over.
+// TestAllocBudgetPoolRoundTrip: one warm read-carrying query through the
+// instrumented pooled transport to a loopback Server that is itself
+// responsible — client and server side together, both run in this process —
+// allocates only what a hop hands to its caller: the server's decoded request
+// (the Message, QueryReq and GetReq as one object, the routed key, and the
+// read's key and name as one string: 3), its reply (Message and QueryResp as
+// one: 1) and the client's decoded reply (the same one object and the entry's
+// key and name: 2; the responsible peer's path is empty here). A goroutine or
+// closure per served request, a second object per frame, a per-call channel,
+// timer, label string or escaping frame header pushes it over.
 func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -203,17 +210,92 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 	nodes[0].SetTelemetry(tel)
 	pt.SetTelemetry(tel)
 	tr := InstrumentTransport(pt, tel)
-	req := &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Key: "0101", Name: "f"}}
+	e := store.Entry{Key: "0101", Name: "f", Holder: 3, Version: 4}
+	nodes[0].Store().Apply(e)
+	req := &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
+		Query: &wire.QueryReq{Key: e.Key, Read: &wire.GetReq{Key: e.Key, Name: e.Name}}}
 	call := func() {
-		if _, err := tr.Call(0, req); err != nil {
-			t.Fatal(err)
+		if resp, err := tr.Call(0, req); err != nil || !resp.QueryResp.Has || resp.QueryResp.Entry != e {
+			t.Fatalf("read = %+v, %v", resp, err)
 		}
 	}
-	call() // dial, negotiate, register instruments
-	const budget = 9
+	call() // dial, start a worker, register instruments
+	const budget = 6
 	if got := testing.AllocsPerRun(500, call); got > budget {
 		t.Errorf("warm pooled round trip = %.1f allocs, budget %d", got, budget)
 	} else {
 		t.Logf("warm pooled round trip = %.1f allocs", got)
+	}
+}
+
+// TestAllocBudgetRoutedLookup: warm lookups routed through a 64-peer loopback
+// community, transplanted from a simulator grid, over the instrumented pooled
+// transport cost at most 8 allocations per message, every hop's two sides and
+// the client together. A message is: decoded by its receiver as one object
+// plus the routed key and the read's key-and-name (3; the last hop's one-bit
+// key is free), answered with one object (1), forwarded — except by the
+// responsible peer — as one object (< 1), and its answer decoded as one object
+// plus the responsible peer's path and the entry's key-and-name (3); the
+// client adds its one request object per lookup.
+func TestAllocBudgetRoutedLookup(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	cfg := core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2}
+	built, err := sim.Build(sim.Options{N: 64, Config: cfg, Seed: 11})
+	if err != nil || !built.Converged {
+		t.Fatalf("construction: converged=%v, %v", built.Converged, err)
+	}
+	pt := NewPoolTransport(PoolConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() {
+		cancel() // closes every server
+		pt.Close()
+	}()
+	var all []addr.Addr
+	var nodes []*Node
+	for _, p := range built.Dir.All() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New(0)
+		tel.EnableExemplars(0.99)
+		n := New(p.Addr(), cfg, InstrumentTransport(pt, tel), int64(p.Addr()))
+		n.SetTelemetry(tel)
+		if err := n.Peer().Restore(p.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		pt.SetEndpoint(p.Addr(), ln.Addr().String())
+		go NewServer(n, ln).Serve(ctx)
+		all, nodes = append(all, p.Addr()), append(nodes, n)
+	}
+	storeFixture(nodes)
+	tel := telemetry.New(0)
+	pt.SetTelemetry(tel)
+	cl := NewClient(InstrumentTransport(pt, tel), 5)
+
+	rng := rand.New(rand.NewSource(6))
+	keys := bitpath.All(cfg.MaxL)
+	lookups := func(n int) (messages int) {
+		for i := 0; i < n; i++ {
+			res := cl.Lookup(all[rng.Intn(len(all))], keys[rng.Intn(len(keys))], "f")
+			if !res.Found {
+				t.Fatalf("lookup %d: %+v", i, res)
+			}
+			messages += res.Messages
+		}
+		return messages
+	}
+	lookups(4000) // dial the connections the routes use, park workers, register instruments
+	const measured, budget = 2000, 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	messages := lookups(measured)
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.Mallocs-before.Mallocs) / float64(messages)
+	t.Logf("routed lookup = %.2f allocs per message over %.2f messages per lookup", perMsg, float64(messages)/measured)
+	if perMsg > budget {
+		t.Errorf("routed lookup = %.2f allocs per message, budget %d", perMsg, budget)
 	}
 }

@@ -698,3 +698,71 @@ func TestPoolSetEndpointEvicts(t *testing.T) {
 		t.Errorf("no-op SetEndpoint evicted or re-dialed: %+v → %+v", st, after)
 	}
 }
+
+// TestPoolSetEndpointRefusesStaleDial: a Call that read the old endpoint and
+// is still dialling it when the peer moves finishes its dial after
+// SetEndpoint's eviction has run, so the eviction cannot find the connection.
+// The pool must: it does not take a connection to an endpoint the peer has
+// left, and no later acquire returns one — nor one pooled in the moment
+// between SetEndpoint's writing the mapping and its eviction. Both listeners
+// stay up, and each answers Info with its own address.
+func TestPoolSetEndpointRefusesStaleDial(t *testing.T) {
+	_, pt, stop := startPooledCluster(t, 2, PoolConfig{
+		DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
+	defer stop()
+	oldEP, _ := pt.Endpoint(0)
+	newEP, _ := pt.Endpoint(1)
+	const moved = addr.Addr(7)
+	pt.SetEndpoint(moved, oldEP)
+	pp := pt.pool(moved)
+
+	answeredBy := func() addr.Addr {
+		t.Helper()
+		resp, err := pt.Call(moved, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.InfoResp.Addr
+	}
+	onlyNew := func(when string, not *muxConn) {
+		t.Helper()
+		for i := 0; i < 6; i++ { // past the pool's size: fresh dials and shared connections
+			mc, _, err := pp.acquire(pt, moved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mc == not || mc.ep != newEP {
+				t.Fatalf("%s: acquire %d returned a connection to %s, the peer is at %s", when, i, mc.ep, newEP)
+			}
+			if got := answeredBy(); got != 1 {
+				t.Fatalf("%s: call %d was answered by node %v at the old endpoint", when, i, got)
+			}
+		}
+	}
+
+	stale, err := pt.dialConn(moved, oldEP, pp) // the dial in flight
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt.SetEndpoint(moved, newEP) // evicts an empty pool
+	if use, _, err := pp.admit(pt, moved, stale); use != nil || err != nil {
+		t.Fatalf("the pool took the stale dial: use %v, err %v", use, err)
+	}
+	stale.mu.Lock()
+	dead := stale.dead
+	stale.mu.Unlock()
+	if !dead {
+		t.Error("the refused connection was left open")
+	}
+	onlyNew("after a dial that outlived SetEndpoint", stale)
+
+	// The mapping written, the eviction not yet run.
+	pt.SetEndpoint(moved, oldEP)
+	if got := answeredBy(); got != 0 {
+		t.Fatalf("moved back, answered by node %v", got)
+	}
+	pt.mu.Lock()
+	pt.endpoints[moved] = newEP
+	pt.mu.Unlock()
+	onlyNew("between the mapping and the eviction", nil)
+}

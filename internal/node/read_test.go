@@ -26,6 +26,18 @@ func (t countingTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, e
 	return resp, err
 }
 
+// storeFixture gives every peer the entry "f" for each 4-bit key it is
+// responsible for.
+func storeFixture(nodes []*Node) {
+	for _, n := range nodes {
+		for _, key := range bitpath.All(4) {
+			if bitpath.Comparable(n.Path(), key) {
+				n.Store().Apply(store.Entry{Key: key, Name: "f", Holder: n.Addr(), Version: 7})
+			}
+		}
+	}
+}
+
 // countedCluster is builtCluster with every node's stack and the client's
 // behind one counter, and the entry "f" for each 4-bit key stored at every
 // peer responsible for it.
@@ -36,12 +48,8 @@ func countedCluster(t *testing.T, seed int64) (*Cluster, *Client, *atomic.Int64)
 	counted := countingTransport{c.Transport, calls}
 	for _, n := range c.Nodes {
 		n.tr = counted
-		for _, key := range bitpath.All(4) {
-			if bitpath.Comparable(n.Path(), key) {
-				n.Store().Apply(store.Entry{Key: key, Name: "f", Holder: n.Addr(), Version: 7})
-			}
-		}
 	}
+	storeFixture(c.Nodes)
 	return c, NewClient(counted, seed+100), calls
 }
 

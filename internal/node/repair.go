@@ -376,7 +376,8 @@ func (r *Repairer) Tick() {
 				unhealed++
 				continue
 			}
-			q := n.handleQuery(&wire.QueryReq{Key: e.Key})
+			var q wire.QueryResp
+			n.handleQuery(&wire.QueryReq{Key: e.Key}, &q)
 			charge(q.Messages)
 			if !q.Found || q.Peer == n.Addr() || !spend(1) {
 				unhealed++

@@ -18,8 +18,9 @@ type Server struct {
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
+	idle   []*worker // parked request workers, the last one parked last
 	closed bool
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // connections and workers
 }
 
 // NewServer wraps a node and a listener. Call Serve to start accepting.
@@ -64,10 +65,19 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 }
 
-// serveBinaryConcurrency bounds the request goroutines one multiplexed
-// connection may have in flight at once; further frames queue in the read
-// loop, applying backpressure through TCP itself.
+// serveBinaryConcurrency bounds the requests one multiplexed connection may
+// have in flight at once; further frames queue in the read loop, applying
+// backpressure through TCP itself.
 const serveBinaryConcurrency = 64
+
+// maxIdleWorkers bounds the workers a server keeps parked between requests.
+// The list only ever grows to the most requests the server has had in flight
+// at once, and a parked worker costs a goroutine and its stack while a
+// community runs one server per peer — so the list belongs to the server, not
+// to each connection, and stays short: on the benchmark's workloads four
+// slots allocate what eight or thirty-two do (DESIGN §12.2), and a burst
+// beyond them spawns and retires goroutines as every request once did.
+const maxIdleWorkers = 4
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
@@ -80,18 +90,36 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.serveBinary(conn, bufio.NewReader(conn), s.node.Handle)
 }
 
+// binConn is what the workers serving one connection's requests share.
+type binConn struct {
+	conn     net.Conn
+	handle   func(*wire.Message) *wire.Message
+	wmu      sync.Mutex     // serializes response frames
+	sem      chan struct{}  // bounds the requests in flight
+	inflight sync.WaitGroup // and counts them
+}
+
+// job is one decoded request and the connection that wants its answer.
+type job struct {
+	c   *binConn
+	seq uint32
+	msg *wire.Message
+}
+
+// worker is a request goroutine that outlives its request: parked on the
+// server's idle list, it takes its next job over a channel of its own.
+type worker struct {
+	jobs chan job // capacity 1: whoever unparks the worker never waits for it
+}
+
 // serveBinary runs the multiplexed binary protocol: requests are decoded
 // in arrival order but handled concurrently, and each response frame
 // echoes its request's sequence id so the dialer's demux can route it.
 // Responses may therefore interleave out of order — that is the point.
 // handle is the node's Handle (a parameter so a test can make it panic).
 func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, handle func(*wire.Message) *wire.Message) {
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	defer wg.Wait()
-	sem := make(chan struct{}, serveBinaryConcurrency)
+	c := &binConn{conn: conn, handle: handle, sem: make(chan struct{}, serveBinaryConcurrency)}
+	defer c.inflight.Wait()
 	for {
 		seq, flags, msg, err := wire.ReadFrame(br)
 		if err != nil {
@@ -107,25 +135,76 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, handle func(*wire.
 		if flags&wire.FlagResponse != 0 {
 			continue // a confused client; requests only on this side
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq uint32, msg *wire.Message) {
-			defer func() { <-sem; wg.Done() }()
-			resp := s.answer(handle, msg)
-			wmu.Lock()
-			err := wire.WriteFrame(conn, seq, wire.FlagResponse, resp)
-			wmu.Unlock()
-			if err != nil {
-				conn.Close() // the read loop will see the close and exit
-			}
-		}(seq, msg)
+		c.sem <- struct{}{}
+		c.inflight.Add(1)
+		s.dispatch(job{c, seq, msg})
 	}
 }
 
-// answer runs handle on one request behind the process's crash boundary:
-// each request has a goroutine of its own, so a handler bug that bytes from
-// the network can reach would otherwise take the whole node down. The caller
-// gets a KindError and the connection goes on serving.
+// dispatch hands j to the worker parked last, or to a new one when none is
+// parked: a request never waits for a worker, so a query routed back through
+// this server cannot wait on the handler that forwarded it.
+func (s *Server) dispatch(j job) {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		w.jobs <- j
+		return
+	}
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go s.work(&worker{jobs: make(chan job, 1)}, j)
+}
+
+// work serves j and then whatever jobs reach the worker while it is parked; it
+// ends when the idle list is full or the server closed.
+func (s *Server) work(w *worker, j job) {
+	defer s.wg.Done()
+	for {
+		s.serve(j)
+		j = job{} // a parked worker keeps no request and no connection alive
+		if !s.park(w) {
+			return
+		}
+		var ok bool
+		if j, ok = <-w.jobs; !ok {
+			return
+		}
+	}
+}
+
+// park puts w on the idle list and reports whether it did: a full list or a
+// closed server has no use for another parked worker.
+func (s *Server) park(w *worker) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || len(s.idle) >= maxIdleWorkers {
+		return false
+	}
+	s.idle = append(s.idle, w)
+	return true
+}
+
+// serve answers one request on its connection.
+func (s *Server) serve(j job) {
+	c := j.c
+	resp := s.answer(c.handle, j.msg)
+	c.wmu.Lock()
+	err := wire.WriteFrame(c.conn, j.seq, wire.FlagResponse, resp)
+	c.wmu.Unlock()
+	if err != nil {
+		c.conn.Close() // the read loop will see the close and exit
+	}
+	<-c.sem
+	c.inflight.Done()
+}
+
+// answer runs handle on one request behind the process's crash boundary: a
+// handler bug that bytes from the network can reach would otherwise take the
+// whole node down. The caller gets a KindError, and the connection and the
+// worker go on serving.
 func (s *Server) answer(handle func(*wire.Message) *wire.Message, msg *wire.Message) (resp *wire.Message) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -137,7 +216,8 @@ func (s *Server) answer(handle func(*wire.Message) *wire.Message, msg *wire.Mess
 	return handle(msg)
 }
 
-// Close stops accepting and closes active connections.
+// Close stops accepting, closes active connections and retires the parked
+// workers; one still serving retires when its request is answered.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -149,9 +229,14 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
+	idle := s.idle
+	s.idle = nil
 	s.mu.Unlock()
 	s.ln.Close()
 	for _, c := range conns {
 		c.Close()
+	}
+	for _, w := range idle {
+		close(w.jobs)
 	}
 }

@@ -89,18 +89,24 @@ func TestTCPApplyGetRoundTrip(t *testing.T) {
 }
 
 // TestServerAnswersHandlerPanic: a handler that panics costs its caller a
-// KindError and nothing else — the connection, and the process, serve the
-// next request, and the panic is counted under the request's kind.
+// KindError and nothing else — the connection, the worker and the process
+// serve the next request, and the panic is counted under the request's kind.
 func TestServerAnswersHandlerPanic(t *testing.T) {
 	n := New(0, smallCfg(), NewLocalTransport(), 1)
 	tel := telemetry.New(0)
 	n.SetTelemetry(tel)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(n, ln)
+	defer srv.Close()
 	client, server := net.Pipe()
 	client.SetDeadline(time.Now().Add(5 * time.Second))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		NewServer(n, nil).serveBinary(server, bufio.NewReader(server), func(m *wire.Message) *wire.Message {
+		srv.serveBinary(server, bufio.NewReader(server), func(m *wire.Message) *wire.Message {
 			if m.Kind == wire.KindScan {
 				panic("handler bug")
 			}
@@ -121,8 +127,12 @@ func TestServerAnswersHandlerPanic(t *testing.T) {
 	if resp := call(1, wire.KindScan); resp.Kind != wire.KindError || !strings.Contains(resp.Error, "handler bug") {
 		t.Errorf("panicking handler answered %+v, want a KindError naming the panic", resp)
 	}
+	survivor := waitIdle(t, srv, 1)[0] // the worker the handler panicked on is parked, not dead
 	if resp := call(2, wire.KindInfo); resp.InfoResp == nil {
 		t.Errorf("request after the panic answered %+v, want the node's info", resp)
+	}
+	if again := waitIdle(t, srv, 1)[0]; again != survivor {
+		t.Errorf("the request after the panic was served by a new worker")
 	}
 	if v := counterVal(t, tel, `pgrid_rpc_served_panics_total{kind="scan"}`); v != 1 {
 		t.Errorf("pgrid_rpc_served_panics_total{kind=scan} = %d, want 1", v)

@@ -807,6 +807,65 @@ func (d *bdec) refSet() RefSet {
 	return RefSet{Addrs: out}
 }
 
+// refSets decodes a peer's link state — a counted list of per-level reference
+// sets and, with buddies set, the buddy set behind it — into one address
+// array the sets sub-slice, the way peer.Editor.RefLists builds it: a first
+// pass checks every set exactly as refSet() would and counts the addresses, a
+// second decodes them — two allocations per message instead of one plus one
+// per level. An empty set keeps nil Addrs, as refSet() leaves it.
+func (d *bdec) refSets(buddies bool) (levels []RefSet, buddySet RefSet) {
+	n := d.uvarint()
+	if !d.need(n, 1) {
+		n = 0
+	}
+	sets := int(n)
+	if buddies {
+		sets++
+	}
+	start, total := d.off, 0
+	for i := 0; i < sets && d.err == nil; i++ {
+		c := d.uvarint()
+		if !d.need(c, 1) {
+			break
+		}
+		for j := uint64(0); j < c && d.err == nil; j++ {
+			d.addr()
+		}
+		total += int(c)
+	}
+	if d.err != nil {
+		return nil, RefSet{}
+	}
+	d.off = start
+	var all []addr.Addr
+	if total > 0 {
+		all = make([]addr.Addr, 0, total)
+	}
+	if n > 0 {
+		levels = make([]RefSet, n)
+		for i := range levels {
+			levels[i], all = d.refSetInto(all)
+		}
+	}
+	if buddies {
+		buddySet, _ = d.refSetInto(all)
+	}
+	return levels, buddySet
+}
+
+// refSetInto decodes one reference set refSets has already checked onto the
+// end of all, which has the room: the set is all's new tail.
+func (d *bdec) refSetInto(all []addr.Addr) (RefSet, []addr.Addr) {
+	from := len(all)
+	for c := d.uvarint(); c > 0; c-- {
+		all = append(all, d.addr())
+	}
+	if from == len(all) {
+		return RefSet{}, all
+	}
+	return RefSet{Addrs: all[from:len(all):len(all)]}, all
+}
+
 // keyName decodes a path and the string behind it — an entry's or a read's
 // (Key, Name) — into one string the two sub-slice: one allocation for the
 // pair, and none besides while they fit the stack buffer.
@@ -963,7 +1022,7 @@ func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
 // be consumed exactly, unknown kinds and malformed fields are ErrCorrupt.
 func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 	d := &bdec{b: body}
-	m, err := decodeInto(d, kind, false)
+	m, err := decodeInto(d, kind, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -973,22 +1032,53 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 	return m, nil
 }
 
-// decodeInto decodes the envelope and payload for kind. nested guards
-// batch recursion: sub-messages of a batch must not be batches.
-func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
-	m := &Message{Kind: kind, From: d.addr()}
+// Fused returns a message and a payload P cut from one allocation. Whoever
+// makes a message makes its payload with it and the two die together, so a
+// message costs one object, not two; the caller sets Kind, From and the
+// payload pointer that goes with them.
+func Fused[P any]() (m *Message, p *P) {
+	p = payload[P](&m)
+	return m, p
+}
+
+// payload is Fused for the decoder, which fills a batch's slots in place: a
+// message that is already there (*m) gets a payload of its own, one that is
+// not is made with it.
+func payload[P any](m **Message) *P {
+	if *m != nil {
+		return new(P)
+	}
+	x := new(struct {
+		m Message
+		p P
+	})
+	*m = &x.m
+	return &x.p
+}
+
+// routedQuery is a QueryReq with what it may point to: every hop of a traced,
+// read-carrying query decodes all three.
+type routedQuery struct {
+	q QueryReq
+	r GetReq
+	c trace.SpanContext
+}
+
+// decodeInto decodes the envelope and payload for kind, into a message of
+// its own or into the batch slot `into`: sub-messages of a batch must not be
+// batches.
+func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
+	from := d.addr()
+	m := into
 	switch kind {
 	case KindQuery:
 		if present, read := d.flags(); present {
-			// The read shares the request's allocation: every hop of a
-			// routed read decodes the pair.
-			x := &struct {
-				q QueryReq
-				r GetReq
-			}{q: QueryReq{Key: d.path(), Level: d.int()}}
+			x := payload[routedQuery](&m)
+			x.q.Key, x.q.Level = d.path(), d.int()
 			if d.bool() {
-				x.q.Ctx = &trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
+				x.c = trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
 					Budget: d.int(), Sampled: d.bool()}
+				x.q.Ctx = &x.c
 			}
 			if read {
 				x.r.Key, x.r.Name = d.keyName()
@@ -998,7 +1088,8 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindQueryResp:
 		if present, has := d.flags(); present {
-			q := &QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
+			q := payload[QueryResp](&m)
+			*q = QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
 				Messages: d.int(), Backtracks: d.int(), Spans: d.spans(), Has: has}
 			if has {
 				q.Entry = d.entry()
@@ -1007,19 +1098,16 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindExchange:
 		if d.bool() {
-			e := &ExchangeReq{Path: d.path()}
-			if n := d.uvarint(); d.need(n, 1) && n > 0 {
-				e.Refs = make([]RefSet, n)
-				for i := range e.Refs {
-					e.Refs[i] = d.refSet()
-				}
-			}
+			e := payload[ExchangeReq](&m)
+			e.Path = d.path()
+			e.Refs, _ = d.refSets(false)
 			e.Depth = d.int()
 			m.Exchange = e
 		}
 	case KindExchangeResp:
 		if d.bool() {
-			e := &ExchangeResp{BasePath: d.path(), Extend: d.bool(), ExtendBit: d.byte()}
+			e := payload[ExchangeResp](&m)
+			e.BasePath, e.Extend, e.ExtendBit = d.path(), d.bool(), d.byte()
 			if e.ExtendBit > 1 {
 				d.fail("bad extend bit")
 			}
@@ -1046,53 +1134,65 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindApply:
 		if d.bool() {
-			m.Apply = &ApplyReq{Entry: d.entry()}
+			a := payload[ApplyReq](&m)
+			a.Entry = d.entry()
+			m.Apply = a
 		}
 	case KindApplyResp:
 		if d.bool() {
-			m.ApplyResp = &ApplyResp{Changed: d.bool()}
+			a := payload[ApplyResp](&m)
+			a.Changed = d.bool()
+			m.ApplyResp = a
 		}
 	case KindGet:
 		if d.bool() {
-			key, name := d.keyName()
-			m.Get = &GetReq{Key: key, Name: name}
+			g := payload[GetReq](&m)
+			g.Key, g.Name = d.keyName()
+			m.Get = g
 		}
 	case KindGetResp:
 		if d.bool() {
-			m.GetResp = &GetResp{Entry: d.entry(), Found: d.bool()}
+			g := payload[GetResp](&m)
+			*g = GetResp{Entry: d.entry(), Found: d.bool()}
+			m.GetResp = g
 		}
 	case KindInfo, KindMetrics:
 		// No payload.
 	case KindInfoResp:
 		if d.bool() {
-			i := &InfoResp{Addr: d.addr(), Path: d.path()}
-			if n := d.uvarint(); d.need(n, 1) && n > 0 {
-				i.Refs = make([]RefSet, n)
-				for j := range i.Refs {
-					i.Refs[j] = d.refSet()
-				}
-			}
-			i.Buddies = d.refSet()
+			i := payload[InfoResp](&m)
+			i.Addr, i.Path = d.addr(), d.path()
+			i.Refs, i.Buddies = d.refSets(true)
 			i.Entries = d.int()
 			m.InfoResp = i
 		}
 	case KindScan:
 		if d.bool() {
-			m.Scan = &ScanReq{Prefix: d.path()}
+			s := payload[ScanReq](&m)
+			s.Prefix = d.path()
+			m.Scan = s
 		}
 	case KindScanResp:
 		if d.bool() {
-			m.ScanResp = &ScanResp{Entries: d.entries()}
+			s := payload[ScanResp](&m)
+			s.Entries = d.entries()
+			m.ScanResp = s
 		}
 	case KindError:
+		if m == nil {
+			m = new(Message)
+		}
 		m.Error = d.string()
 	case KindTraces:
 		if d.bool() {
-			m.Traces = &TracesReq{Limit: d.int()}
+			t := payload[TracesReq](&m)
+			t.Limit = d.int()
+			m.Traces = t
 		}
 	case KindTracesResp:
 		if d.bool() {
-			t := &TracesResp{Total: d.u64()}
+			t := payload[TracesResp](&m)
+			t.Total = d.u64()
 			if n := d.uvarint(); d.need(n, 12) && n > 0 {
 				t.Traces = make([]trace.Trace, n)
 				for i := range t.Traces {
@@ -1105,11 +1205,13 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindHealth:
 		if d.bool() {
-			m.Health = &HealthReq{WantLiveness: d.bool()}
+			h := payload[HealthReq](&m)
+			h.WantLiveness = d.bool()
+			m.Health = h
 		}
 	case KindHealthResp:
 		if d.bool() {
-			h := &HealthResp{}
+			h := payload[HealthResp](&m)
 			h.Digest = health.Digest{Addr: d.addr(), Path: d.path(),
 				Entries: d.int(), MaxVersion: d.u64(), IndexHash: d.u64()}
 			if n := d.uvarint(); d.need(n, 1) && n > 0 {
@@ -1130,38 +1232,43 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 			m.HealthResp = h
 		}
 	case KindBatch, KindBatchResp:
-		if nested {
+		if into != nil {
 			d.fail("nested batch")
 			break
 		}
 		n := d.uvarint()
 		if d.need(n, 2) && n > 0 {
-			msgs := make([]Message, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				subKind := Kind(d.byte())
-				sub, err := decodeInto(d, subKind, true)
-				if err != nil {
+			msgs := make([]Message, n)
+			for i := range msgs {
+				if _, err := decodeInto(d, Kind(d.byte()), &msgs[i]); err != nil {
 					return nil, err
 				}
-				msgs = append(msgs, *sub)
 			}
 			if kind == KindBatch {
-				m.Batch = &BatchReq{Msgs: msgs}
+				b := payload[BatchReq](&m)
+				b.Msgs = msgs
+				m.Batch = b
 			} else {
-				m.BatchResp = &BatchResp{Msgs: msgs}
+				b := payload[BatchResp](&m)
+				b.Msgs = msgs
+				m.BatchResp = b
 			}
 		}
 	case KindMetricsResp:
 		if d.bool() {
-			m.MetricsResp = &MetricsResp{Snap: d.metricsSnapshot()}
+			r := payload[MetricsResp](&m)
+			r.Snap = d.metricsSnapshot()
+			m.MetricsResp = r
 		}
 	case KindHistory:
 		if d.bool() {
-			m.History = &HistoryReq{WindowNS: d.varint(), MaxPoints: d.varint()}
+			h := payload[HistoryReq](&m)
+			*h = HistoryReq{WindowNS: d.varint(), MaxPoints: d.varint()}
+			m.History = h
 		}
 	case KindHistoryResp:
 		if d.bool() {
-			r := &HistoryResp{}
+			r := payload[HistoryResp](&m)
 			r.Dump.Schema = d.int()
 			r.Dump.IntervalNS = d.varint()
 			// A point costs at least 4 bytes: its timestamp varint plus
@@ -1176,11 +1283,13 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 		}
 	case KindRepair:
 		if d.bool() {
-			m.Repair = &RepairReq{Trigger: d.bool()}
+			r := payload[RepairReq](&m)
+			r.Trigger = d.bool()
+			m.Repair = r
 		}
 	case KindRepairResp:
 		if d.bool() {
-			r := &RepairResp{}
+			r := payload[RepairResp](&m)
 			r.Status.Enabled = d.bool()
 			r.Status.Rounds = d.varint()
 			r.Status.Messages = d.varint()
@@ -1197,5 +1306,9 @@ func decodeInto(d *bdec, kind Kind, nested bool) (*Message, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if m == nil {
+		m = new(Message)
+	}
+	m.Kind, m.From = kind, from
 	return m, nil
 }

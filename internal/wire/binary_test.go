@@ -432,9 +432,9 @@ func TestReadFrameHeaderBoundaries(t *testing.T) {
 }
 
 // TestAllocBudgetReadFrame: decoding a frame from a bufio.Reader allocates
-// what it returns — the Message, its payload struct and each non-empty
-// path or string — and nothing else: no header, no scratch path, no
-// decoder state.
+// what it returns — the Message with its payload struct, one object, and each
+// non-empty path or string — and nothing else: no header, no scratch path, no
+// decoder state, no envelope beside the payload.
 func TestAllocBudgetReadFrame(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -444,19 +444,26 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		msg    *Message
 		budget float64
 	}{
-		// Message + QueryReq + Key.
-		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 3},
-		// Message + QueryResp + Path.
-		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 3},
-		// Message + GetReq + Key and Name in one string.
-		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 3},
+		// Message with QueryReq + Key.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 2},
+		// Message with QueryResp + Path.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 2},
+		// Message with GetReq + Key and Name in one string.
+		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 2},
 		// The routed read costs each hop one string more than the plain pair:
-		// Message + QueryReq with its GetReq + Key + the read's Key and Name.
+		// Message with QueryReq and its GetReq + Key + the read's Key and Name.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
-			Read: &GetReq{Key: key, Name: "file-0042"}}}, 4},
-		// Message + QueryResp + Path + the entry's Key and Name.
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 3},
+		// A trace context rides in the same object.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
+			Ctx:  &trace.SpanContext{TraceID: 7, Parent: 8, Budget: 9, Sampled: true},
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 3},
+		// Message with QueryResp + Path + the entry's Key and Name.
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4,
-			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 4},
+			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 3},
+		// Message with ApplyReq + the entry's Key and Name; its answer is the one object.
+		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}, 2},
+		{&Message{Kind: KindApplyResp, From: 3, ApplyResp: &ApplyResp{Changed: true}}, 1},
 	} {
 		frame, err := AppendFrame(nil, 1, 0, tc.msg)
 		if err != nil {
