@@ -42,7 +42,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries   = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
 		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (at least 1)")
+		poolSize  = flag.Int("pool-size", 2, "cap on pooled connections per peer (at least 1); a second is dialled only when the first is saturated")
 		sloSpecs  = flag.String("slo", "query:p99:5ms", "latency objectives for cluster reports: kind:pNN:threshold,... (empty disables)")
 		jsonOut   = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
 	)

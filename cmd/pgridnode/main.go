@@ -84,7 +84,7 @@ func main() {
 		saveEvery = flag.Duration("save-every", 30*time.Second, "state checkpoint interval when -state is set")
 		dialTO    = flag.Duration("dial-timeout", 3*time.Second, "TCP connect timeout per outgoing call")
 		ioTO      = flag.Duration("io-timeout", 3*time.Second, "request/response timeout per outgoing call, started after the dial")
-		poolSize  = flag.Int("pool-size", 2, "pooled connections per peer (at least 1)")
+		poolSize  = flag.Int("pool-size", 2, "cap on pooled connections per peer (at least 1); a second is dialled only when the first is saturated")
 		poolIdle  = flag.Duration("pool-idle", 60*time.Second, "close pooled connections idle this long")
 		retries   = flag.Int("retries", 3, "max attempts per outgoing call (1 = no retries)")
 		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")

@@ -1,7 +1,7 @@
 package node
 
 import (
-	"bufio"
+	"context"
 	"math/rand"
 	"net"
 	"reflect"
@@ -232,15 +232,14 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 	c := NewCluster(64, smallCfg(), 61)
 	buildCluster(t, c, 0.99*4, 80000, rand.New(rand.NewSource(61)))
 
+	ctx, cancel := context.WithCancel(context.Background())
 	var (
 		mu      sync.Mutex
 		decoded []*wire.Message
-		conns   []net.Conn
 		serving sync.WaitGroup
 	)
 	pt := NewPoolTransport(PoolConfig{})
 	nodes := make([]*Node, len(c.Nodes))
-	servers := make([]*Server, len(c.Nodes))
 	for i, from := range c.Nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -252,44 +251,24 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 		if err := n.Peer().Restore(from.Peer().Snapshot()); err != nil {
 			t.Fatal(err)
 		}
-		nodes[i], servers[i] = n, NewServer(n, ln)
+		nodes[i] = n
+		srv := NewServer(n, ln)
 		pt.SetEndpoint(n.Addr(), ln.Addr().String())
-		handle := func(m *wire.Message) *wire.Message {
+		srv.handle = func(m *wire.Message) *wire.Message {
 			mu.Lock()
 			decoded = append(decoded, m)
 			mu.Unlock()
 			return n.Handle(m)
 		}
 		serving.Add(1)
-		go func(srv *Server) { // Server.Serve with the noting handler
+		go func() {
 			defer serving.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				conns = append(conns, conn)
-				mu.Unlock()
-				serving.Add(1)
-				go func() {
-					defer serving.Done()
-					defer conn.Close()
-					srv.serveBinary(conn, bufio.NewReader(conn), handle)
-				}()
-			}
-		}(servers[i])
+			srv.Serve(ctx)
+		}()
 	}
 	defer func() {
 		pt.Close()
-		for _, s := range servers {
-			s.Close()
-		}
-		mu.Lock()
-		for _, conn := range conns {
-			conn.Close()
-		}
-		mu.Unlock()
+		cancel() // closes every server
 		serving.Wait()
 	}()
 

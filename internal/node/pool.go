@@ -24,7 +24,9 @@ type PoolConfig struct {
 	// whole connection — a stream with one stuck response cannot be
 	// trusted for the others either.
 	IOTimeout time.Duration
-	// Size is the maximum pooled connections per peer (0 means 2).
+	// Size caps the pooled connections per peer (0 means 2). It is a cap, not
+	// a level load reaches: a second connection is dialled only once the first
+	// carries every call the server will serve on it at a time (peerPool.pick).
 	Size int
 	// IdleTimeout reaps pooled connections with no traffic for this long
 	// (0 means 60s). Reaping keeps a big community from pinning a socket
@@ -317,14 +319,14 @@ func (p *PoolTransport) pool(to addr.Addr) *peerPool {
 type peerPool struct {
 	mu    sync.Mutex
 	conns []*muxConn
-	next  int
 }
 
-// acquire returns a live connection to the peer's current endpoint: an idle
-// pooled one when available, a fresh dial while the pool is below Size, and
-// round-robin sharing of busy connections once the pool is full. Dialing
-// happens outside the pool lock, so concurrent first callers may race extra
-// dials and the endpoint may move under one; admit settles both.
+// acquire returns a live connection to the peer's current endpoint, read under
+// the pool's lock so that a connection admit pooled to it is never dropped as
+// stale: a pooled one while pick finds one worth riding, a fresh dial
+// otherwise. Dialing happens outside the pool lock, so concurrent first
+// callers may race extra dials and the endpoint may move under one; admit
+// settles both.
 func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr) (mc *muxConn, reused bool, err error) {
 	for {
 		pp.mu.Lock()
@@ -364,31 +366,37 @@ func (pp *peerPool) dropStale(ep string) (stale []*muxConn) {
 	return stale
 }
 
-// pick chooses among the pooled connections, nil when the caller should dial:
-// round-robin for an idle one first; if every connection has requests in
-// flight, the pool grows up to size rather than queueing deeper on a busy
-// stream, and is shared round-robin once full.
+// pick is the pool's one growth rule: it returns the pooled connection the
+// next call should ride — the least loaded, so an idle one whenever there is
+// one — or nil when the pool wants another connection: it is empty, or it is
+// below size and every connection in it already carries
+// serveBinaryConcurrency calls. That is the number at which the server stops
+// reading a stream (tcp.go), so the first at which a second stream adds
+// capacity; below it a call in flight on a multiplexed stream is mostly one
+// waiting for its next hop, not one keeping the stream busy.
 func (pp *peerPool) pick(size int) *muxConn {
-	n := len(pp.conns)
-	for i := 1; i <= n; i++ {
-		if c := pp.conns[(pp.next+i)%n]; c.inflight.Load() == 0 {
-			pp.next = (pp.next + i) % n
-			return c
+	var (
+		best *muxConn
+		load int32
+	)
+	for _, c := range pp.conns {
+		if l := c.inflight.Load(); best == nil || l < load {
+			best, load = c, l
 		}
 	}
-	if n < size {
+	if load >= serveBinaryConcurrency && len(pp.conns) < size {
 		return nil
 	}
-	pp.next = (pp.next + 1) % n
-	return pp.conns[pp.next]
+	return best
 }
 
 // admit pools a freshly dialled connection and returns the connection the
 // caller should use. Two things may have happened while it dialled. The peer's
 // endpoint moved: mc leads to the old one, SetEndpoint's eviction has already
 // run and would never find it, so it is closed and (nil, nil) sends the caller
-// to dial again. Or concurrent callers filled the pool: the cap holds, the
-// caller shares a pooled connection, and the surplus dial is dropped.
+// to dial again. Or concurrent callers pooled theirs first and pick no longer
+// asks for another: the caller shares the one pick names, and the surplus dial
+// is dropped.
 func (pp *peerPool) admit(p *PoolTransport, to addr.Addr, mc *muxConn) (use *muxConn, reused bool, err error) {
 	pp.mu.Lock()
 	if ep, _ := p.Endpoint(to); ep != mc.ep {
@@ -396,9 +404,7 @@ func (pp *peerPool) admit(p *PoolTransport, to addr.Addr, mc *muxConn) (use *mux
 		mc.close()
 		return nil, false, nil
 	}
-	if len(pp.conns) >= p.cfg.Size {
-		pp.next = (pp.next + 1) % len(pp.conns)
-		existing := pp.conns[pp.next]
+	if existing := pp.pick(p.cfg.Size); existing != nil {
 		pp.mu.Unlock()
 		mc.close()
 		return existing, true, nil
@@ -470,7 +476,7 @@ func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxCon
 		peer:     to,
 		ep:       ep,
 		conn:     conn,
-		br:       bufio.NewReader(conn),
+		br:       bufio.NewReaderSize(conn, frameReadBuffer),
 		pending:  make(map[uint32]*callSlot),
 		watching: true,
 	}

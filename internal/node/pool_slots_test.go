@@ -299,3 +299,78 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 		t.Errorf("routed lookup = %.2f allocs per message, budget %d", perMsg, budget)
 	}
 }
+
+// TestFootprintBudgetIdleConn: what a peer that has been talked to keeps
+// alive, both ends together — this process runs the dialling pool and the
+// accepting server. 512 peers of one pool, all served by one listener, take
+// two overlapping calls each and then sit idle; the live heap and the
+// goroutine stacks the process gained, per peer, stay under a budget set a
+// quarter above what this measures in a fresh process (after other tests it
+// reads lower: their dead goroutines are reused). A peer costs one connection,
+// and each end of it a socket, a frame reader (frameReadBuffer bytes) and one
+// parked reader goroutine; the dialling end adds the muxConn with its pending
+// map and watchdog timer, the accepting end its binConn. A default-sized read
+// buffer per end (+7.7 kB), a second stream dialled because the first was in
+// use (× 2) or a third goroutine per connection pushes it over.
+func TestFootprintBudgetIdleConn(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes what objects and stacks cost")
+	}
+	const (
+		peers       = 512
+		heapBudget  = 3900  // bytes per peer; measured 3 100
+		stackBudget = 10300 // bytes per peer; measured 8 200
+	)
+	h, stopSrv := startHeldServer(t)
+	defer stopSrv()
+	pt := NewPoolTransport(PoolConfig{Size: 2})
+	defer pt.Close()
+	// talk puts two calls to the peer in flight together, then lets the
+	// server answer both.
+	talk := func(to addr.Addr) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for i := int64(1); i <= 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := pt.Call(to, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
+					t.Error(err)
+				}
+			}()
+			h.waitHolding(t, i)
+		}
+		h.release <- struct{}{}
+		h.release <- struct{}{}
+		wg.Wait()
+	}
+	measure := func() (heap, stack int64) {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle finishes what the first left to sweep
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc), int64(ms.StackInuse)
+	}
+	// Everything sized by the community, not by the peers talked to, is in
+	// place before the baseline: the endpoint and pool maps, parked workers.
+	for to := addr.Addr(0); to <= peers; to++ {
+		pt.SetEndpoint(to, h.ln.Addr().String())
+		pt.pool(to)
+	}
+	talk(0)
+	heap0, stack0 := measure()
+	for to := addr.Addr(1); to <= peers; to++ {
+		talk(to)
+	}
+	heap1, stack1 := measure()
+	if st := pt.Stats(); st.Open != peers+1 || st.Dials != peers+1 {
+		t.Fatalf("stats = %+v, want one connection per peer: %d dialled and open", st, peers+1)
+	}
+	heap, stack := (heap1-heap0)/peers, (stack1-stack0)/peers
+	t.Logf("idle pooled connection, both ends: %d B heap + %d B stack = %d B (%d peers, %d-byte frame readers)",
+		heap, stack, heap+stack, peers, frameReadBuffer)
+	if heap > heapBudget || stack > stackBudget {
+		t.Errorf("idle pooled connection costs %d B heap (budget %d) + %d B stack (budget %d), both ends",
+			heap, heapBudget, stack, stackBudget)
+	}
+}

@@ -129,68 +129,149 @@ func TestPoolMultiplexesConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestPoolGrowsToSizeUnderSaturation pins the Size semantics: when every
-// pooled connection has requests in flight and the pool is below Size, a
-// new connection is dialed; once the pool is at Size, calls share the busy
-// connections round-robin and the cap is never exceeded.
+// heldServer is a Server on a loopback listener whose handler holds every
+// request until the test releases it — one per value sent on release, all of
+// them once it is closed — and counts the requests it is holding, so a test
+// can put an exact number of calls in flight on a pooled connection.
+type heldServer struct {
+	ln      *countingListener
+	holding atomic.Int64
+	release chan struct{}
+}
+
+func startHeldServer(t *testing.T) (*heldServer, func()) {
+	t.Helper()
+	h := &heldServer{release: make(chan struct{})}
+	n := New(0, smallCfg(), NewLocalTransport(), 1)
+	var stop func()
+	h.ln, stop = startCountedServer(t, n, func(m *wire.Message) *wire.Message {
+		h.holding.Add(1)
+		<-h.release
+		h.holding.Add(-1)
+		return n.Handle(m)
+	})
+	return h, stop
+}
+
+// waitHolding waits until the server holds exactly n requests.
+func (h *heldServer) waitHolding(t *testing.T, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); h.holding.Load() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server holds %d requests, want %d", h.holding.Load(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPoolGrowsToSizeUnderSaturation pins the Size semantics: Size is a cap,
+// and the pool grows towards it on saturation, not on use. Calls that overlap
+// on a peer share its one stream; only when every pooled stream carries
+// serveBinaryConcurrency calls — the point at which the server stops reading
+// it — does the next call dial another; and a full pool shares its streams and
+// never exceeds Size.
 func TestPoolGrowsToSizeUnderSaturation(t *testing.T) {
-	_, pt, stop := startPooledCluster(t, 1, PoolConfig{
-		DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
-	defer stop()
+	h, stopSrv := startHeldServer(t)
+	defer stopSrv()
+	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 10 * time.Second, Size: 2})
+	defer pt.Close()
+	pt.SetEndpoint(0, h.ln.Addr().String())
 
-	// Warm the pool: one connection.
-	if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	call := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	pp := pt.pool(0)
-	pp.mu.Lock()
-	if len(pp.conns) != 1 {
-		pp.mu.Unlock()
-		t.Fatalf("warm pool has %d conns, want 1", len(pp.conns))
-	}
-	first := pp.conns[0]
-	pp.mu.Unlock()
-
-	// Saturate the only connection: the next call must grow the pool.
-	first.inflight.Add(1)
-	defer first.inflight.Add(-1)
-	if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-		t.Fatal(err)
-	}
-	st := pt.Stats()
-	if st.Dials != 2 {
-		t.Errorf("dials = %d, want 2 (saturated pool below Size grows)", st.Dials)
-	}
-	if st.Open != 2 {
-		t.Errorf("open = %d, want 2", st.Open)
-	}
-
-	// Saturate both: the pool is at Size, so further calls reuse
-	// round-robin instead of dialing past the cap.
-	pp.mu.Lock()
-	var second *muxConn
-	for _, c := range pp.conns {
-		if c != first {
-			second = c
+	// hold puts calls in flight one by one until the server holds n of them.
+	hold := func(n int64) {
+		t.Helper()
+		for i := h.holding.Load() + 1; i <= n; i++ {
+			call()
+			h.waitHolding(t, i)
 		}
 	}
-	pp.mu.Unlock()
-	if second == nil {
-		t.Fatal("second connection not pooled")
+	check := func(when string, dials, open int64) {
+		t.Helper()
+		if st := pt.Stats(); st.Dials != dials || st.Open != open {
+			t.Errorf("%s: dials = %d, open = %d, want %d and %d", when, st.Dials, st.Open, dials, open)
+		}
 	}
-	second.inflight.Add(1)
-	defer second.inflight.Add(-1)
+
+	hold(8)
+	check("8 overlapping calls", 1, 1)
+	hold(serveBinaryConcurrency)
+	check("one stream at the bound", 1, 1)
+	hold(serveBinaryConcurrency + 1)
+	check("the call after the bound", 2, 2)
+	hold(2 * serveBinaryConcurrency)
+	check("both streams at the bound", 2, 2)
+	// The pool is at Size: further calls queue on the full streams, unread by
+	// the server until it answers what it holds.
 	for i := 0; i < 5; i++ {
-		if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
-			t.Fatal(err)
+		call()
+	}
+	for deadline := time.Now().Add(5 * time.Second); pt.Stats().InFlight < 2*serveBinaryConcurrency+5; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls in flight, want %d", pt.Stats().InFlight, 2*serveBinaryConcurrency+5)
 		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	if st := pt.Stats(); st.Dials != 2 {
-		t.Errorf("dials = %d, want 2 (full pool must not exceed Size)", st.Dials)
+	check("a full pool", 2, 2)
+	close(h.release)
+	wg.Wait()
+	check("every call answered", 2, 2)
+	if got := h.ln.accepts.Load(); got != 2 {
+		t.Errorf("the server accepted %d connections, want 2", got)
 	}
-	if st := pt.Stats(); st.Open != 2 {
-		t.Errorf("open = %d, want 2", st.Open)
+}
+
+// TestPoolColdRaceKeepsOneConnection: first callers that race their dials to
+// a cold peer end with one pooled connection. Each saw an empty pool and
+// dialled; the first to finish pooled its connection, and admit — by the rule
+// pick applies to every later call — has the others share it and closes what
+// they dialled.
+func TestPoolColdRaceKeepsOneConnection(t *testing.T) {
+	n := New(0, smallCfg(), NewLocalTransport(), 1)
+	ln, stopSrv := startCountedServer(t, n, nil)
+	defer stopSrv()
+	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second, Size: 2})
+	defer pt.Close()
+	pt.SetEndpoint(0, ln.Addr().String())
+
+	const callers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	close(start)
+	wg.Wait()
+	st := pt.Stats()
+	if st.Open != 1 {
+		t.Errorf("open = %d after %d racing first callers (%d dials), want 1", st.Open, callers, st.Dials)
+	}
+	if st.Dials < 1 || st.Dials > callers || st.Dials+st.Reuses < callers {
+		t.Errorf("stats = %+v: every caller dials or shares", st)
+	}
+	for deadline := time.Now().Add(3 * time.Second); ln.accepts.Load() != st.Dials; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the peer accepted %d connections, the pool dialled %d", ln.accepts.Load(), st.Dials)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d callers: %d dials, %d shared, 1 pooled", callers, st.Dials, st.Reuses)
 }
 
 // TestPoolSizeZeroDefaults: like the other zero fields, Size 0 takes its
@@ -227,8 +308,9 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return conn, err
 }
 
-// startCountedServer serves n on a loopback listener that counts accepts.
-func startCountedServer(t *testing.T, n *Node) (*countingListener, func()) {
+// startCountedServer serves n on a loopback listener that counts accepts,
+// through handle when one is given.
+func startCountedServer(t *testing.T, n *Node, handle func(*wire.Message) *wire.Message) (*countingListener, func()) {
 	t.Helper()
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -236,6 +318,9 @@ func startCountedServer(t *testing.T, n *Node) (*countingListener, func()) {
 	}
 	ln := &countingListener{Listener: inner}
 	srv := NewServer(n, ln)
+	if handle != nil {
+		srv.handle = handle
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -266,7 +351,7 @@ func waitGoroutines(t *testing.T, base int) {
 func TestPoolOfflinePeerSingleConnect(t *testing.T) {
 	base := runtime.NumGoroutine()
 	n := New(1, smallCfg(), NewLocalTransport(), 1)
-	ln, stopSrv := startCountedServer(t, n)
+	ln, stopSrv := startCountedServer(t, n, nil)
 	pt := NewPoolTransport(PoolConfig{DialTimeout: 2 * time.Second, IOTimeout: 2 * time.Second})
 	pt.SetEndpoint(1, ln.Addr().String())
 	info := &wire.Message{Kind: wire.KindInfo, From: addr.Nil}

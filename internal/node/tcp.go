@@ -13,8 +13,9 @@ import (
 
 // Server serves a node's handler over a TCP listener.
 type Server struct {
-	node *Node
-	ln   net.Listener
+	node   *Node
+	handle func(*wire.Message) *wire.Message // node.Handle; a test's may hold, note or panic
+	ln     net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -25,7 +26,7 @@ type Server struct {
 
 // NewServer wraps a node and a listener. Call Serve to start accepting.
 func NewServer(n *Node, ln net.Listener) *Server {
-	return &Server{node: n, ln: ln, conns: make(map[net.Conn]struct{})}
+	return &Server{node: n, handle: n.Handle, ln: ln, conns: make(map[net.Conn]struct{})}
 }
 
 // Addr returns the listener's address.
@@ -71,12 +72,14 @@ func (s *Server) Serve(ctx context.Context) error {
 const serveBinaryConcurrency = 64
 
 // maxIdleWorkers bounds the workers a server keeps parked between requests.
-// The list only ever grows to the most requests the server has had in flight
-// at once, and a parked worker costs a goroutine and its stack while a
-// community runs one server per peer — so the list belongs to the server, not
-// to each connection, and stays short: on the benchmark's workloads four
-// slots allocate what eight or thirty-two do (DESIGN §12.2), and a burst
-// beyond them spawns and retires goroutines as every request once did.
+// The list never shrinks — it grows to the most requests the server has had in
+// flight at once, up to this bound — and a parked worker costs a goroutine and
+// its 4 kB of stack while a community runs one server per peer — so the list
+// belongs to the server, not to each connection, and stays short: on the
+// benchmark's workloads four slots allocate what eight or thirty-two do, two
+// save 3 % of the goroutines and no memory that can be measured (DESIGN
+// §12.2), and a burst beyond them spawns and retires goroutines as every
+// request once did.
 const maxIdleWorkers = 4
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -87,13 +90,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	s.serveBinary(conn, bufio.NewReader(conn), s.node.Handle)
+	s.serveBinary(conn)
 }
+
+// frameReadBuffer is the read buffer at each end of every connection. An idle
+// pooled connection holds two of them for as long as it is pooled, and a
+// community pools thousands, so it is sized to the frames, not to bufio's 4 kB
+// default: a routed query or its answer is 50–120 bytes with its header, so
+// one fill takes a whole frame — several, when they queue — and wire.ReadFrame
+// still parses the header in place. A body that does not fit (entry lists,
+// link states) is read straight into ReadFrame's scratch, past this buffer:
+// bufio does that for any read at least its own size. internal/wire's framing
+// tests read through a buffer of this size (frameReadSizes there).
+const frameReadBuffer = 256
 
 // binConn is what the workers serving one connection's requests share.
 type binConn struct {
 	conn     net.Conn
-	handle   func(*wire.Message) *wire.Message
 	wmu      sync.Mutex     // serializes response frames
 	sem      chan struct{}  // bounds the requests in flight
 	inflight sync.WaitGroup // and counts them
@@ -116,9 +129,9 @@ type worker struct {
 // in arrival order but handled concurrently, and each response frame
 // echoes its request's sequence id so the dialer's demux can route it.
 // Responses may therefore interleave out of order — that is the point.
-// handle is the node's Handle (a parameter so a test can make it panic).
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, handle func(*wire.Message) *wire.Message) {
-	c := &binConn{conn: conn, handle: handle, sem: make(chan struct{}, serveBinaryConcurrency)}
+func (s *Server) serveBinary(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, frameReadBuffer)
+	c := &binConn{conn: conn, sem: make(chan struct{}, serveBinaryConcurrency)}
 	defer c.inflight.Wait()
 	for {
 		seq, flags, msg, err := wire.ReadFrame(br)
@@ -190,7 +203,7 @@ func (s *Server) park(w *worker) bool {
 // serve answers one request on its connection.
 func (s *Server) serve(j job) {
 	c := j.c
-	resp := s.answer(c.handle, j.msg)
+	resp := s.answer(j.msg)
 	c.wmu.Lock()
 	err := wire.WriteFrame(c.conn, j.seq, wire.FlagResponse, resp)
 	c.wmu.Unlock()
@@ -201,11 +214,11 @@ func (s *Server) serve(j job) {
 	c.inflight.Done()
 }
 
-// answer runs handle on one request behind the process's crash boundary: a
+// answer runs the handler on one request behind the process's crash boundary: a
 // handler bug that bytes from the network can reach would otherwise take the
 // whole node down. The caller gets a KindError, and the connection and the
 // worker go on serving.
-func (s *Server) answer(handle func(*wire.Message) *wire.Message, msg *wire.Message) (resp *wire.Message) {
+func (s *Server) answer(msg *wire.Message) (resp *wire.Message) {
 	defer func() {
 		if p := recover(); p != nil {
 			rpcKind(s.node.tel, msg.Kind).ServedPanic()
@@ -213,7 +226,7 @@ func (s *Server) answer(handle func(*wire.Message) *wire.Message, msg *wire.Mess
 				Error: fmt.Sprintf("panic serving %v: %v", msg.Kind, p)}
 		}
 	}()
-	return handle(msg)
+	return s.handle(msg)
 }
 
 // Close stops accepting, closes active connections and retires the parked

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bufio"
 	"errors"
 	"math/rand"
 	"net"
@@ -103,15 +102,16 @@ func TestServerAnswersHandlerPanic(t *testing.T) {
 	defer srv.Close()
 	client, server := net.Pipe()
 	client.SetDeadline(time.Now().Add(5 * time.Second))
+	srv.handle = func(m *wire.Message) *wire.Message {
+		if m.Kind == wire.KindScan {
+			panic("handler bug")
+		}
+		return n.Handle(m)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveBinary(server, bufio.NewReader(server), func(m *wire.Message) *wire.Message {
-			if m.Kind == wire.KindScan {
-				panic("handler bug")
-			}
-			return n.Handle(m)
-		})
+		srv.serveBinary(server)
 	}()
 	call := func(seq uint32, kind wire.Kind) *wire.Message {
 		t.Helper()

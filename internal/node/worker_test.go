@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"runtime"
@@ -106,17 +105,18 @@ func TestWorkerBoundPerConnection(t *testing.T) {
 
 	var running, peak atomic.Int64
 	release := make(chan struct{})
+	srv.handle = func(m *wire.Message) *wire.Message {
+		now := running.Add(1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		<-release
+		running.Add(-1)
+		return n.Handle(m)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveBinary(server, bufio.NewReader(server), func(m *wire.Message) *wire.Message {
-			now := running.Add(1)
-			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-			}
-			<-release
-			running.Add(-1)
-			return n.Handle(m)
-		})
+		srv.serveBinary(server)
 	}()
 
 	// A pipe write returns when the server has read the bytes, so once frame

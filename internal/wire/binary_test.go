@@ -431,6 +431,89 @@ func TestReadFrameHeaderBoundaries(t *testing.T) {
 	}
 }
 
+// countingReader counts the Reads that reach the stream under a bufio.Reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadFrameBufferBoundaries: where a frame falls relative to the bufio
+// buffer it is read through changes nothing. For each of frameReadSizes — the
+// size a connection's ends read through among them — a body exactly the
+// buffer's size, one byte over (bufio hands such a read straight to the
+// stream, past its buffer), a frame whose header straddles two fills and two
+// small frames behind each other decode as they do from a plain reader, with
+// the same bytes consumed; a stream that ends between header and body is a
+// torn frame; and two frames that fit one buffer together cost the stream one
+// Read, as one did.
+func TestReadFrameBufferBoundaries(t *testing.T) {
+	// frameOf returns a Get frame whose body is exactly body bytes long.
+	frameOf := func(seq uint32, body int) []byte {
+		t.Helper()
+		for pad := 0; pad <= body; pad++ {
+			b, err := AppendFrame(nil, seq, 0, &Message{Kind: KindGet, From: 2,
+				Get: &GetReq{Key: bitpath.MustParse("0110"), Name: strings.Repeat("n", pad)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b)-HeaderSize == body {
+				return b
+			}
+		}
+		t.Fatalf("no Get frame has a %d-byte body", body)
+		return nil
+	}
+	small := frameOf(1, 10)
+	for _, size := range frameReadSizes {
+		// A first frame that leaves room for 5 of the next header's 13 bytes
+		// in the fill that brings its own last byte.
+		lead := size - 5
+		for lead < HeaderSize+10 {
+			lead += size
+		}
+		for _, tc := range []struct {
+			name   string
+			stream []byte
+			frames int
+		}{
+			{"body exactly the buffer", append(frameOf(1, size), small...), 2},
+			{"body one byte over the buffer", append(frameOf(1, size+1), small...), 2},
+			{"header straddling two fills", append(frameOf(1, lead-HeaderSize), frameOf(2, 40)...), 2},
+			{"two small frames", append(append([]byte{}, small...), frameOf(2, 12)...), 2},
+			{"EOF between header and body", append(append([]byte{}, small...), frameOf(2, 40)[:HeaderSize]...), 1},
+		} {
+			if got := readersAgree(t, tc.stream); got != tc.frames {
+				t.Errorf("%d-byte buffer, %s: %d frames read, want %d", size, tc.name, got, tc.frames)
+			}
+			if tc.frames == 1 {
+				br := bufio.NewReaderSize(bytes.NewReader(tc.stream), size)
+				ReadFrame(br)
+				if _, _, m, err := ReadFrame(br); err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF) || m != nil {
+					t.Errorf("%d-byte buffer, %s: msg=%v err=%v, want an error wrapping io.ErrUnexpectedEOF", size, tc.name, m, err)
+				}
+			}
+		}
+		if 2*len(small) > size {
+			continue
+		}
+		src := &countingReader{r: bytes.NewReader(append(append([]byte{}, small...), small...))}
+		br := bufio.NewReaderSize(src, size)
+		for i := 0; i < 2; i++ {
+			if _, _, _, err := ReadFrame(br); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if src.reads != 1 {
+			t.Errorf("%d-byte buffer: two %d-byte frames cost the stream %d reads, want 1", size, len(small), src.reads)
+		}
+	}
+}
+
 // TestAllocBudgetReadFrame: decoding a frame from a bufio.Reader allocates
 // what it returns — the Message with its payload struct, one object, and each
 // non-empty path or string — and nothing else: no header, no scratch path, no

@@ -16,10 +16,54 @@ import (
 	"pgrid/internal/trace"
 )
 
-// FuzzReadFramePlainVsBufio holds ReadFrame's two header paths to each
-// other: it picks one from the reader's type — parsed in place in a
-// *bufio.Reader's buffer, read into a scratch header from anything else —
-// and both must see the same frames and the same error on every input.
+// frameReadSizes are the bufio.Reader sizes ReadFrame is held to: bufio's
+// default, the one both ends of a connection read through (internal/node's
+// frameReadBuffer; its comment points back here), and
+// bufio's 16-byte minimum, where every frame straddles fills.
+var frameReadSizes = []int{4096, 256, 16}
+
+// readersAgree reads up to four frames from data through a plain reader and
+// through a bufio.Reader of each of frameReadSizes. ReadFrame picks its header
+// path from the reader's type — parsed in place in a *bufio.Reader's buffer,
+// read into a scratch header from anything else — and whatever the buffer's
+// size every reader must see the same frames, stop on the same error and have
+// consumed the same bytes after each frame. It returns the frames read.
+func readersAgree(t *testing.T, data []byte) (frames int) {
+	t.Helper()
+	plain := bytes.NewReader(data)
+	sources := make([]*bytes.Reader, len(frameReadSizes))
+	buffered := make([]*bufio.Reader, len(frameReadSizes))
+	for i, size := range frameReadSizes {
+		sources[i] = bytes.NewReader(data)
+		buffered[i] = bufio.NewReaderSize(sources[i], size)
+	}
+	for ; frames < 4; frames++ {
+		seq1, flags1, m1, err1 := ReadFrame(plain)
+		for i, br := range buffered {
+			seq2, flags2, m2, err2 := ReadFrame(br)
+			if fmt.Sprint(err1) != fmt.Sprint(err2) {
+				t.Fatalf("frame %d: plain reader err %v, %d-byte bufio reader err %v", frames, err1, frameReadSizes[i], err2)
+			}
+			if err1 != nil {
+				continue
+			}
+			if seq1 != seq2 || flags1 != flags2 || !reflect.DeepEqual(m1, m2) {
+				t.Fatalf("frame %d: plain reader %d/%d/%+v, %d-byte bufio reader %d/%d/%+v",
+					frames, seq1, flags1, m1, frameReadSizes[i], seq2, flags2, m2)
+			}
+			if c1, c2 := len(data)-plain.Len(), len(data)-sources[i].Len()-br.Buffered(); c1 != c2 {
+				t.Fatalf("frame %d: plain reader consumed %d bytes, %d-byte bufio reader %d", frames, c1, frameReadSizes[i], c2)
+			}
+		}
+		if err1 != nil {
+			return frames
+		}
+	}
+	return frames
+}
+
+// FuzzReadFramePlainVsBufio holds ReadFrame's header paths to each other on
+// every input: see readersAgree.
 func FuzzReadFramePlainVsBufio(f *testing.F) {
 	// Bytes that do not open with the magic: a length prefix and a body.
 	noise := []byte{0, 0, 0, 5, 1, 2, 3, 4, 5}
@@ -34,24 +78,7 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 	f.Add(frame)
 	f.Add(append(append([]byte{}, frame...), noise...))
 	f.Add([]byte{0x50, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		plain := bytes.NewReader(data)
-		buffered := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 4; i++ {
-			seq1, flags1, m1, err1 := ReadFrame(plain)
-			seq2, flags2, m2, err2 := ReadFrame(buffered)
-			if fmt.Sprint(err1) != fmt.Sprint(err2) {
-				t.Fatalf("frame %d: plain reader err %v, bufio reader err %v", i, err1, err2)
-			}
-			if err1 != nil {
-				return
-			}
-			if seq1 != seq2 || flags1 != flags2 || !reflect.DeepEqual(m1, m2) {
-				t.Fatalf("frame %d: plain reader %d/%d/%+v, bufio reader %d/%d/%+v",
-					i, seq1, flags1, m1, seq2, flags2, m2)
-			}
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { readersAgree(t, data) })
 }
 
 // FuzzRoundTrip encodes fuzz-shaped queries — with and without a trace
