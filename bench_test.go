@@ -327,10 +327,11 @@ func BenchmarkExchangeOp(b *testing.B) {
 	d := directory.New(1024)
 	cfg := core.Config{MaxL: 8, RefMax: 5, RecMax: 2, RecFanout: 2}
 	var m core.Metrics
+	sc := core.NewExchangeScratch(cfg, d.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a1, a2 := d.RandomPair(rng)
-		core.Exchange(d, cfg, &m, a1, a2, rng)
+		core.Exchange(d, cfg, &m, sc, a1, a2, rng)
 	}
 }
 

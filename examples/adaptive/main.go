@@ -53,9 +53,10 @@ func main() {
 			holder.Store().Apply(entries[i])
 		}
 		var m core.Metrics
+		sc := core.NewExchangeScratch(cfg, peers)
 		for i := 0; i < meetings; i++ {
 			a1, a2 := d.RandomPair(rng)
-			core.Exchange(d, cfg, &m, a1, a2, rng)
+			core.Exchange(d, cfg, &m, sc, a1, a2, rng)
 		}
 		for _, e := range entries {
 			core.Insert(d, e, cfg.RefMax, rng)

@@ -109,29 +109,84 @@ func (s Set) CloneInto(buf []Addr) Set {
 	return Set{addrs: append(buf[:0], s.addrs...)}
 }
 
+// CopyFrom makes s hold t's addresses in t's order, in s's own storage when
+// it has the capacity (no allocation then). t may be a view of s itself.
+func (s *Set) CopyFrom(t Set) { s.addrs = append(s.addrs[:0], t.addrs...) }
+
 // Union returns a new set containing all addresses of s and t.
-func Union(s, t Set) Set {
-	u := s.Clone()
+func Union(s, t Set) Set { return UnionInto(nil, s, t) }
+
+// UnionInto is Union built in buf's capacity when the result fits, at no
+// allocation then: s's addresses in order, then t's that s lacks. The caller
+// gives buf up to the set; buf must not overlap t's storage.
+func UnionInto(buf []Addr, s, t Set) Set {
+	var none Marks
+	return none.UnionInto(buf, s, t)
+}
+
+// Marks remembers which addresses below a fixed bound a union has taken, one
+// stamped word per address, so that pooling two sets costs their lengths and
+// not the product. It suits an owner whose addresses are dense small
+// integers — the simulator's directory — and who unions from one goroutine;
+// an address at or above the bound is found by looking through the set, so
+// the zero Marks is the plain union and any bound gives the same result.
+type Marks struct {
+	seen  []uint32 // seen[a] == epoch: a is in the union being built
+	epoch uint32
+}
+
+// NewMarks returns marks for the addresses below n.
+func NewMarks(n int) Marks { return Marks{seen: make([]uint32, n)} }
+
+// UnionInto is the package's UnionInto, with membership of the addresses
+// below the bound kept in m.
+func (m *Marks) UnionInto(buf []Addr, s, t Set) Set {
+	if m.epoch++; m.epoch == 0 { // wrapped: stamps of four billion unions ago would read as fresh
+		clear(m.seen)
+		m.epoch = 1
+	}
+	u := s.CloneInto(buf)
+	for _, a := range s.addrs {
+		if uint(a) < uint(len(m.seen)) {
+			m.seen[a] = m.epoch
+		}
+	}
 	for _, a := range t.addrs {
-		u.Add(a)
+		if uint(a) >= uint(len(m.seen)) {
+			u.Add(a)
+		} else if m.seen[a] != m.epoch {
+			m.seen[a] = m.epoch
+			u.addrs = append(u.addrs, a)
+		}
 	}
 	return u
 }
 
 // Shuffled returns the addresses in uniformly random order.
-func (s Set) Shuffled(rng *rand.Rand) []Addr {
-	out := s.Slice()
+func (s Set) Shuffled(rng *rand.Rand) []Addr { return s.ShuffledInto(nil, rng) }
+
+// ShuffledInto is Shuffled with the copy made in buf's capacity when it
+// fits. The draws are one rng.Shuffle over Len() elements whatever buf is,
+// so a seeded run takes the same course with or without a buffer. buf may
+// be s's own storage: the set is then shuffled in place.
+func (s Set) ShuffledInto(buf []Addr, rng *rand.Rand) []Addr {
+	out := append(buf[:0], s.addrs...)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
 // RandomSubset returns min(k, Len()) distinct addresses drawn uniformly at
 // random, matching the paper's random_select(k, refs).
-func (s Set) RandomSubset(rng *rand.Rand, k int) Set {
+func (s Set) RandomSubset(rng *rand.Rand, k int) Set { return s.RandomSubsetInto(nil, rng, k) }
+
+// RandomSubsetInto is RandomSubset built in buf's capacity, on the terms of
+// ShuffledInto: the full shuffle is drawn even when k is small, which is
+// what keeps the run's course.
+func (s Set) RandomSubsetInto(buf []Addr, rng *rand.Rand, k int) Set {
 	if k < 0 {
 		k = 0
 	}
-	out := s.Shuffled(rng)
+	out := s.ShuffledInto(buf, rng)
 	if k < len(out) {
 		out = out[:k]
 	}

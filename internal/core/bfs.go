@@ -50,6 +50,7 @@ func ReplicaSearch(d *directory.Directory, start *peer.Peer, key bitpath.Path, r
 	}
 	visited := map[addr.Addr]bool{start.Addr(): true}
 	queue := []*peer.Peer{start}
+	var refs []addr.Addr // one level's references at a time, copied and shuffled in this storage
 
 	for len(queue) > 0 {
 		a := queue[0]
@@ -61,7 +62,8 @@ func ReplicaSearch(d *directory.Directory, start *peer.Peer, key bitpath.Path, r
 		for level := lo; level <= hi; level++ {
 			// Follow up to recbreadth fresh online references of the level.
 			followed := 0
-			for _, r := range a.RefsAt(level).Shuffled(rng) {
+			refs = a.RefsInto(refs, level).ShuffledInto(refs, rng)
+			for _, r := range refs {
 				if followed >= recbreadth {
 					break
 				}

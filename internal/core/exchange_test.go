@@ -18,7 +18,7 @@ func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func TestExchangeCase1SplitsFreshPeers(t *testing.T) {
 	d := directory.New(2)
 	var m Metrics
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), d.Peer(1), newRng(1))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), d.Peer(1), newRng(1))
 
 	p0, p1 := d.Peer(0), d.Peer(1)
 	if p0.Path() != "0" || p1.Path() != "1" {
@@ -43,7 +43,7 @@ func TestExchangeCase1RespectsMaxl(t *testing.T) {
 	cfg := Config{MaxL: 1, RefMax: 1, RecMax: 0}
 	var m Metrics
 	rng := newRng(2)
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), rng)
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), rng)
 	if d.Peer(0).Path() != "0" || d.Peer(1).Path() != "1" {
 		t.Fatal("first split failed")
 	}
@@ -52,7 +52,7 @@ func TestExchangeCase1RespectsMaxl(t *testing.T) {
 	d2 := directory.New(2)
 	d2.Peer(0).ExtendFrom(bitpath.Empty, 0, addr.NewSet(1))
 	d2.Peer(1).ExtendFrom(bitpath.Empty, 0, addr.NewSet(0))
-	Exchange(d2, cfg, &m, d2.Peer(0), d2.Peer(1), rng)
+	Exchange(d2, cfg, &m, nil, d2.Peer(0), d2.Peer(1), rng)
 	if d2.Peer(0).PathLen() != 1 || d2.Peer(1).PathLen() != 1 {
 		t.Errorf("peers specialized beyond maxl: %q, %q", d2.Peer(0).Path(), d2.Peer(1).Path())
 	}
@@ -71,7 +71,7 @@ func TestExchangeCase2ShorterPeerSpecializesOpposite(t *testing.T) {
 	d.Peer(2).ExtendFrom(bitpath.Empty, 1, addr.NewSet(0))
 
 	var m Metrics
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), d.Peer(1), newRng(3))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), d.Peer(1), newRng(3))
 
 	if got := d.Peer(0).Path(); got != "00" {
 		t.Fatalf("a1 path = %q, want 00", got)
@@ -100,7 +100,7 @@ func TestExchangeCase3MirrorsCase2(t *testing.T) {
 	d.Peer(2).ExtendFrom(bitpath.Empty, 1, addr.NewSet(0))
 
 	var m Metrics
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), d.Peer(1), newRng(4))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), d.Peer(1), newRng(4))
 
 	if got := d.Peer(1).Path(); got != "00" {
 		t.Fatalf("a2 path = %q, want 00", got)
@@ -130,7 +130,7 @@ func TestExchangeMixesRefsAtCommonLevel(t *testing.T) {
 
 	cfg := Config{MaxL: 2, RefMax: 2, RecMax: 0}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(5))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(5))
 
 	// Both split to level 2 (case 1) but their level-1 refs must now be
 	// the union {2,3} (refmax=2 keeps both).
@@ -155,7 +155,7 @@ func TestExchangeRefmaxBoundsRefSets(t *testing.T) {
 	}
 	cfg := Config{MaxL: 1, RefMax: 2, RecMax: 0}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(6))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(6))
 	for _, a := range []addr.Addr{0, 1} {
 		if got := d.Peer(a).RefsAt(1).Len(); got != 2 {
 			t.Errorf("peer %v kept %d refs, want refmax=2", a, got)
@@ -179,7 +179,7 @@ func TestExchangeCase4RecursionSpecializesViaReferences(t *testing.T) {
 
 	cfg := Config{MaxL: 3, RefMax: 2, RecMax: 1, RecFanout: 0}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(7))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(7))
 
 	if got := m.Exchanges.Load(); got < 2 {
 		t.Fatalf("exchanges = %d, recursion did not fire", got)
@@ -207,7 +207,7 @@ func TestExchangeRecmaxZeroNeverRecurses(t *testing.T) {
 
 	cfg := Config{MaxL: 6, RefMax: 2, RecMax: 0}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(8))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(8))
 	if got := m.Exchanges.Load(); got != 1 {
 		t.Errorf("exchanges = %d, want exactly 1 with recmax=0", got)
 	}
@@ -227,7 +227,7 @@ func TestExchangeSkipsOfflineRecursionTargets(t *testing.T) {
 
 	cfg := Config{MaxL: 6, RefMax: 2, RecMax: 2, RecFanout: 0}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(9))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(9))
 	if got := m.Exchanges.Load(); got != 1 {
 		t.Errorf("exchanges = %d: recursed into offline peers", got)
 	}
@@ -251,7 +251,7 @@ func TestExchangeRecFanoutBoundsRecursion(t *testing.T) {
 
 	cfg := Config{MaxL: 2, RefMax: 4, RecMax: 1, RecFanout: 1}
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), newRng(10))
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), newRng(10))
 	// 1 top-level + at most 1 recursive per side; a2 has only {0} at level
 	// 2 (removed as the partner), so only a1's side can recurse: ≤ 2 total.
 	if got := m.Exchanges.Load(); got != 2 {
@@ -267,7 +267,7 @@ func TestExchangeMigratesDataOnSplit(t *testing.T) {
 	d.Peer(0).Store().Apply(e1)
 
 	var m Metrics
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), d.Peer(1), newRng(11))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), d.Peer(1), newRng(11))
 	// Peer 0 took side "0": it keeps e0, hands e1 to peer 1 ("1").
 	if _, ok := d.Peer(0).Store().Get(e0.Key, e0.Name); !ok {
 		t.Error("peer 0 lost its own-side entry")
@@ -283,9 +283,9 @@ func TestExchangeMigratesDataOnSplit(t *testing.T) {
 func TestExchangeSelfAndNilAreNoOps(t *testing.T) {
 	d := directory.New(2)
 	var m Metrics
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), d.Peer(0), newRng(12))
-	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), newRng(12))
-	Exchange(d, DefaultConfig(), &m, d.Peer(0), nil, newRng(12))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), d.Peer(0), newRng(12))
+	Exchange(d, DefaultConfig(), &m, nil, nil, d.Peer(0), newRng(12))
+	Exchange(d, DefaultConfig(), &m, nil, d.Peer(0), nil, newRng(12))
 	if m.Exchanges.Load() != 0 {
 		t.Errorf("no-op meetings counted: %d", m.Exchanges.Load())
 	}
@@ -303,7 +303,7 @@ func TestExchangeRandomRunPreservesInvariants(t *testing.T) {
 	var m Metrics
 	for i := 0; i < 3000; i++ {
 		a1, a2 := d.RandomPair(rng)
-		Exchange(d, cfg, &m, a1, a2, rng)
+		Exchange(d, cfg, &m, nil, a1, a2, rng)
 		if i%100 == 0 {
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatalf("after %d meetings: %v", i, err)
@@ -324,7 +324,8 @@ func TestExchangeRandomRunPreservesInvariants(t *testing.T) {
 }
 
 // fakeSide is a MeetingSide with literal state: what DecideExchange reads
-// of a peer, without a peer.
+// of a peer, without a peer. RefsAt hands out the stored set itself, as
+// peer.Editor does.
 type fakeSide struct {
 	addr addr.Addr
 	path bitpath.Path
@@ -333,7 +334,7 @@ type fakeSide struct {
 
 func (s fakeSide) Addr() addr.Addr           { return s.addr }
 func (s fakeSide) Path() bitpath.Path        { return s.path }
-func (s fakeSide) RefsAt(level int) addr.Set { return s.refs[level].Clone() }
+func (s fakeSide) RefsAt(level int) addr.Set { return s.refs[level] }
 
 // describeSide renders the non-empty parts of a side decision, sets sorted.
 func describeSide(s SideDecision) string {
@@ -421,7 +422,11 @@ func TestDecideExchange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a1 := fakeSide{1, tc.p1, tc.r1}
 			a2 := fakeSide{2, tc.p2, tc.r2}
-			d := DecideExchange(a1, a2, tc.cfg, tc.depth, !tc.noSplit, newRng(1))
+			before := fmt.Sprint(a1.refs, a2.refs)
+			d := DecideExchange(a1, a2, tc.cfg, tc.depth, !tc.noSplit, newRng(1), NewExchangeScratch(tc.cfg, 0))
+			if after := fmt.Sprint(a1.refs, a2.refs); after != before {
+				t.Errorf("the decision wrote through a view: sides read %s, were %s", after, before)
+			}
 			if d.Case != tc.wantCase || d.CommonLen != tc.lc {
 				t.Errorf("case %d at common length %d, want case %d at %d", d.Case, d.CommonLen, tc.wantCase, tc.lc)
 			}
@@ -451,7 +456,8 @@ func TestDecideExchange(t *testing.T) {
 	// RefMax bounds every set the decision installs.
 	a1 := fakeSide{1, "0", refs(1, 5, 6, 7)}
 	a2 := fakeSide{2, "01", both(refs(1, 7, 8, 9), refs(2, 10, 11, 12))}
-	d := DecideExchange(a1, a2, Config{MaxL: 6, RefMax: 2, RecMax: 2}, 0, true, newRng(2))
+	cfg := Config{MaxL: 6, RefMax: 2, RecMax: 2}
+	d := DecideExchange(a1, a2, cfg, 0, true, newRng(2), NewExchangeScratch(cfg, 16))
 	for _, s := range []addr.Set{d.A1.Refs[0], d.A2.Refs[0], d.A2.Refs[1]} {
 		if s.Len() != 2 {
 			t.Errorf("RefMax 2 left a set of %d: %v", s.Len(), s)

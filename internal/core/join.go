@@ -36,6 +36,7 @@ type JoinResult struct {
 func Join(d *directory.Directory, cfg Config, m *Metrics, newcomer *peer.Peer, targetDepth, maxMeetings int, rng *rand.Rand) JoinResult {
 	var res JoinResult
 	before := m.Exchanges.Load()
+	sc := NewExchangeScratch(cfg, d.N())
 	for res.Meetings < maxMeetings && newcomer.PathLen() < targetDepth {
 		other := d.RandomOnlinePeer(rng)
 		if other == nil {
@@ -48,7 +49,7 @@ func Join(d *directory.Directory, cfg Config, m *Metrics, newcomer *peer.Peer, t
 			continue
 		}
 		res.Meetings++
-		Exchange(d, cfg, m, newcomer, other, rng)
+		Exchange(d, cfg, m, sc, newcomer, other, rng)
 	}
 	res.Exchanges = m.Exchanges.Load() - before
 	res.Depth = newcomer.PathLen()

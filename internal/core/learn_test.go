@@ -16,7 +16,7 @@ func sparseGrid(t *testing.T, n int, cfg Config, seed int64) *directory.Director
 	var m Metrics
 	for i := 0; i < 200*n; i++ {
 		a1, a2 := d.RandomPair(rng)
-		Exchange(d, cfg, &m, a1, a2, rng)
+		Exchange(d, cfg, &m, nil, a1, a2, rng)
 	}
 	if d.AvgPathLen() < 0.9*float64(cfg.MaxL) {
 		t.Fatalf("sparse grid did not converge: %.2f", d.AvgPathLen())

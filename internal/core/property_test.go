@@ -49,7 +49,7 @@ func TestPropExchangePreservesInvariantsForAnyConfig(t *testing.T) {
 		var m Metrics
 		for i := 0; i < 1500; i++ {
 			a1, a2 := d.RandomPair(rng)
-			Exchange(d, cfg, &m, a1, a2, rng)
+			Exchange(d, cfg, &m, nil, a1, a2, rng)
 		}
 		if err := d.CheckInvariants(); err != nil {
 			t.Logf("config %+v: %v", cfg, err)
@@ -82,7 +82,7 @@ func TestPropPathsOnlyEverGrow(t *testing.T) {
 		prev := make([]bitpath.Path, 16)
 		for i := 0; i < 800; i++ {
 			a1, a2 := d.RandomPair(rng)
-			Exchange(d, cfg, &m, a1, a2, rng)
+			Exchange(d, cfg, &m, nil, a1, a2, rng)
 			for j, p := range d.All() {
 				cur := p.Path()
 				if !prev[j].IsPrefixOf(cur) {

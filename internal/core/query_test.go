@@ -258,7 +258,7 @@ func TestQueryConstructedGridEndsAtResponsiblePeer(t *testing.T) {
 	var m Metrics
 	for i := 0; i < 20000; i++ {
 		a1, a2 := d.RandomPair(rng)
-		Exchange(d, cfg, &m, a1, a2, rng)
+		Exchange(d, cfg, &m, nil, a1, a2, rng)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestSplitGateBlocksEmptyRegions(t *testing.T) {
 	seedItems(d, 0, "0000")
 	seedItems(d, 1, "1000")
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), rng)
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), rng)
 	if d.Peer(0).PathLen() != 0 || d.Peer(1).PathLen() != 0 {
 		t.Fatalf("split happened below threshold: %q, %q", d.Peer(0).Path(), d.Peer(1).Path())
 	}
@@ -44,7 +44,7 @@ func TestSplitGateAllowsDenseRegions(t *testing.T) {
 	seedItems(d, 0, "0000", "0001", "0010")
 	seedItems(d, 1, "1000", "1001")
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), rng)
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), rng)
 	if d.Peer(0).Path() != "0" || d.Peer(1).Path() != "1" {
 		t.Fatalf("dense region did not split: %q, %q", d.Peer(0).Path(), d.Peer(1).Path())
 	}
@@ -69,7 +69,7 @@ func TestAntiEntropyMergesReplicaIndexes(t *testing.T) {
 	d.Peer(1).Store().Apply(store.Entry{Key: "01", Name: "shared", Holder: 9, Version: 3})
 
 	var m Metrics
-	Exchange(d, cfg, &m, d.Peer(0), d.Peer(1), rng)
+	Exchange(d, cfg, &m, nil, d.Peer(0), d.Peer(1), rng)
 
 	for _, pi := range []int{0, 1} {
 		st := d.Peer(addrOfInt(pi)).Store()
@@ -109,7 +109,7 @@ func TestDataAwareBuildAdaptsDepthToSkew(t *testing.T) {
 	var m Metrics
 	for i := 0; i < 60000; i++ {
 		a1, a2 := d.RandomPair(rng)
-		Exchange(d, cfg, &m, a1, a2, rng)
+		Exchange(d, cfg, &m, nil, a1, a2, rng)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -261,20 +261,50 @@ func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts Ma
 	return out
 }
 
-// PopulateIndex installs entry at every peer currently covering its key,
-// using global knowledge. This is an experiment-setup oracle (the paper
-// likewise assumes a consistent index exists before measuring search and
-// update behaviour); real insertions go through Insert/Update.
+// PopulateIndex installs each entry at every peer currently covering its
+// key (directory.Covering: path and key in a prefix relation), using global
+// knowledge, and returns the number of copies placed. This is an
+// experiment-setup oracle (the paper likewise assumes a consistent index
+// exists before measuring search and update behaviour); real insertions go
+// through Insert/Update.
+//
+// A catalog costs what it installs: the community is grouped by path once,
+// and a key at least as long as the deepest path is covered by exactly the
+// groups at its prefixes, one lookup each. A key shorter than that is also
+// covered by the peers below it, and a handful of entries do not repay the
+// grouping: those scan the community. Entries apply in the order given
+// either way, so every store sees the same sequence.
 func PopulateIndex(d *directory.Directory, entries ...store.Entry) int {
+	var groups map[bitpath.Path][]addr.Addr
+	deepest := 0
+	if len(entries) >= populateGroupFrom {
+		groups = d.ReplicaGroups()
+		for path := range groups {
+			deepest = max(deepest, path.Len())
+		}
+	}
 	n := 0
 	for _, e := range entries {
-		for _, p := range d.All() {
-			path := p.Path()
-			if bitpath.Comparable(path, e.Key) {
-				p.Store().Apply(e)
+		if groups == nil || e.Key.Len() < deepest {
+			for _, p := range d.All() {
+				if bitpath.Comparable(p.Path(), e.Key) {
+					p.Store().Apply(e)
+					n++
+				}
+			}
+			continue
+		}
+		for l := 0; l <= deepest; l++ {
+			for _, a := range groups[e.Key.Prefix(l)] {
+				d.Peer(a).Store().Apply(e)
 				n++
 			}
 		}
 	}
 	return n
 }
+
+// populateGroupFrom is the number of entries from which PopulateIndex groups
+// the community: at 20 000 peers the grouping (a map insert per peer) costs
+// four to five scans (a prefix test per peer), 3.0 ms against 0.7 ms.
+const populateGroupFrom = 8

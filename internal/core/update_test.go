@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/directory"
 	"pgrid/internal/store"
 	"pgrid/internal/trie"
 )
@@ -230,6 +232,73 @@ func TestPopulateIndexInstallsAtAllCoveringPeers(t *testing.T) {
 	for _, a := range want {
 		if _, ok := d.Peer(a).Store().Get(key, "f"); !ok {
 			t.Errorf("covering peer %v missing entry", a)
+		}
+	}
+}
+
+// scanPopulate is PopulateIndex as a scan of the community per entry: the
+// reference the path-indexed form is held to.
+func scanPopulate(d *directory.Directory, entries ...store.Entry) int {
+	n := 0
+	for _, e := range entries {
+		for _, p := range d.All() {
+			if bitpath.Comparable(p.Path(), e.Key) {
+				p.Store().Apply(e)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestPopulateIndexMatchesScan seeds two copies of one built grid — uneven
+// depths, and one peer replaced, so back on the empty path — by index and by
+// scan: keys longer than, as long as and shorter than the paths, the empty
+// key, and a newer and an older version of an earlier entry. Same count,
+// and the same entries in the same order in every store.
+func TestPopulateIndexMatchesScan(t *testing.T) {
+	cfg := Config{MaxL: 5, RefMax: 3, RecMax: 2, RecFanout: 2}
+	build := func() *directory.Directory {
+		d := directory.New(150)
+		rng := newRng(21)
+		var m Metrics
+		for i := 0; i < 700; i++ { // stopped early: paths of every length up to 5
+			a1, a2 := d.RandomPair(rng)
+			Exchange(d, cfg, &m, nil, a1, a2, rng)
+		}
+		d.Replace(17)
+		return d
+	}
+	byIndex, byScan := build(), build()
+	lengths := map[int]bool{}
+	for _, l := range byIndex.PathLengths() {
+		lengths[l] = true
+	}
+	if !lengths[0] || !lengths[cfg.MaxL] || len(lengths) < 3 {
+		t.Fatalf("fixture has path lengths %v, want 0, %d and some between", lengths, cfg.MaxL)
+	}
+
+	rng := newRng(22)
+	var entries []store.Entry
+	for i, l := range []int{0, 1, 2, 3, 4, 5, 5, 6, 9, 0, 3, 7} {
+		entries = append(entries, store.Entry{Key: bitpath.Random(rng, l), Name: fmt.Sprintf("f%d", i), Holder: 1, Version: 2})
+	}
+	newer, older := entries[3], entries[7]
+	newer.Version, older.Version = 3, 1
+	entries = append(entries, newer, older)
+
+	if got, want := PopulateIndex(byIndex, entries...), scanPopulate(byScan, entries...); got != want {
+		t.Errorf("index placed %d copies, scan %d", got, want)
+	}
+	for _, e := range entries {
+		if got, want := PopulateIndex(byIndex, e), len(byIndex.Covering(e.Key)); got != want {
+			t.Errorf("key %q: %d copies, covering set is %d", e.Key, got, want)
+		}
+	}
+	for i, p := range byIndex.All() {
+		got, want := p.Store().Entries(), byScan.All()[i].Store().Entries()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("peer %d (path %q):\n index %v\n scan  %v", i, p.Path(), got, want)
 		}
 	}
 }

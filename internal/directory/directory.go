@@ -13,7 +13,6 @@ package directory
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 
 	"pgrid/internal/addr"
@@ -163,15 +162,13 @@ func (d *Directory) PathLengths() []int {
 }
 
 // ReplicaGroups returns, for each path some peer is responsible for, the
-// addresses of all peers responsible for it (its replica group), sorted.
+// addresses of all peers responsible for it (its replica group), ascending:
+// the community is walked in address order. One pass, one Path() per peer.
 func (d *Directory) ReplicaGroups() map[bitpath.Path][]addr.Addr {
 	groups := make(map[bitpath.Path][]addr.Addr)
 	for _, p := range d.peers {
 		path := p.Path()
 		groups[path] = append(groups[path], p.Addr())
-	}
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	}
 	return groups
 }

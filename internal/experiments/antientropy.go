@@ -67,11 +67,12 @@ func AntiEntropy(n, maxl, keys, rounds int, seed int64) ([]AntiEntropyRow, error
 	}
 
 	var m core.Metrics
+	sc := core.NewExchangeScratch(cfg, n)
 	rows := []AntiEntropyRow{{Round: 0, Fresh: freshness()}}
 	for round := 1; round <= rounds; round++ {
 		for i := 0; i < n; i++ {
 			a1, a2 := d.RandomPair(rng)
-			core.Exchange(d, cfg, &m, a1, a2, rng)
+			core.Exchange(d, cfg, &m, sc, a1, a2, rng)
 		}
 		rows = append(rows, AntiEntropyRow{Round: round, Fresh: freshness(), Exchanges: m.Exchanges.Load()})
 	}

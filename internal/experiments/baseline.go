@@ -79,9 +79,7 @@ func sec6Row(n int, p Sec6Params) (Sec6Row, error) {
 
 	// --- P-Grid ---
 	d := trie.BuildIdeal(n, depth, p.RefMax, rng)
-	for _, e := range catalog.Entries {
-		core.PopulateIndex(d, e)
-	}
+	core.PopulateIndex(d, catalog.Entries...)
 	var (
 		pgMsgs int
 		pgSucc int

@@ -31,11 +31,12 @@ func Convergence(n, maxl int, recmaxes []int, sampleEvery, maxMeetings int, seed
 		cfg := core.Config{MaxL: maxl, RefMax: 1, RecMax: recmax, RecFanout: 2}
 		d := directory.New(n)
 		var m core.Metrics
+		sc := core.NewExchangeScratch(cfg, n)
 		cc := ConvergenceCurve{RecMax: recmax}
 		target := 0.99 * float64(maxl)
 		for meetings := 0; meetings < maxMeetings; meetings++ {
 			a1, a2 := d.RandomPair(rng)
-			core.Exchange(d, cfg, &m, a1, a2, rng)
+			core.Exchange(d, cfg, &m, sc, a1, a2, rng)
 			if meetings%sampleEvery == 0 {
 				avg := d.AvgPathLen()
 				cc.Curve.Add(float64(m.Exchanges.Load()), avg)

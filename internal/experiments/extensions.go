@@ -92,9 +92,10 @@ func skewCell(p SkewParams, dist string, aware bool) SkewRow {
 	}
 
 	var m core.Metrics
+	sc := core.NewExchangeScratch(cfg, p.Peers)
 	for i := 0; i < p.Meetings; i++ {
 		a1, a2 := d.RandomPair(rng)
-		core.Exchange(d, cfg, &m, a1, a2, rng)
+		core.Exchange(d, cfg, &m, sc, a1, a2, rng)
 	}
 
 	// Re-publish every item through the protocol: construction-time

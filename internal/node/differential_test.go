@@ -73,7 +73,7 @@ func differentialNodeVsSimulator(t *testing.T, wrap func(Transport) Transport) {
 		if b >= a {
 			b++
 		}
-		core.Exchange(d, cfg, &m, d.Peer(a), d.Peer(b), simRng)
+		core.Exchange(d, cfg, &m, nil, d.Peer(a), d.Peer(b), simRng)
 		if err := c.Nodes[a].Exchange(b); err != nil {
 			t.Fatalf("meeting %d (%v, %v): %v", i, a, b, err)
 		}

@@ -150,8 +150,13 @@ func traceIDOf(m *wire.Message) uint64 {
 // any path, and a negative depth would never reach RecMax. Nor does it hold
 // a query's two keys to each other: the read that rides along names the whole
 // key and Key the suffix still to be routed, so a pair that disagrees would
-// have a peer answer for a key the search did not bring to it.
-func badRequest(m *wire.Message) string {
+// have a peer answer for a key the search did not bring to it. And it admits
+// any exchange snapshot that fits a frame, while the Fig. 3 decision runs
+// under the state lock and de-duplicates each level it reads in quadratic
+// time: a snapshot has one level per path bit and, from a peer configured
+// like this one, at most RefMax references in each — which is what the
+// decision's scratch is sized for.
+func (n *Node) badRequest(m *wire.Message) string {
 	switch {
 	case m.Kind == wire.KindQuery && m.Query == nil,
 		m.Kind == wire.KindExchange && m.Exchange == nil,
@@ -165,13 +170,23 @@ func badRequest(m *wire.Message) string {
 		return fmt.Sprintf("read key %s does not end in the routed key %s", m.Query.Read.Key, m.Query.Key)
 	case m.Kind == wire.KindExchange && m.Exchange.Depth < 0:
 		return fmt.Sprintf("negative exchange depth %d", m.Exchange.Depth)
+	case m.Kind == wire.KindExchange && len(m.Exchange.Refs) > m.Exchange.Path.Len():
+		return fmt.Sprintf("exchange snapshot has %d reference levels for a path of length %d",
+			len(m.Exchange.Refs), m.Exchange.Path.Len())
+	case m.Kind == wire.KindExchange:
+		for i, rs := range m.Exchange.Refs {
+			if len(rs.Addrs) > n.cfg.RefMax {
+				return fmt.Sprintf("exchange snapshot has %d references at level %d, refmax is %d",
+					len(rs.Addrs), i+1, n.cfg.RefMax)
+			}
+		}
 	}
 	return ""
 }
 
 // handle is the untimed dispatch switch behind Handle.
 func (n *Node) handle(m *wire.Message) *wire.Message {
-	if bad := badRequest(m); bad != "" {
+	if bad := n.badRequest(m); bad != "" {
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(), Error: bad}
 	}
 	switch m.Kind {
@@ -497,19 +512,28 @@ func (n *Node) exchange(to addr.Addr, depth int) error {
 // itself. What the network supplied is checked here, not in the kernel: a
 // reply computed from a path we have since left is dropped, and reference
 // levels outside that path are ignored (peer.Editor never installs a
-// self-reference).
+// self-reference). Fig. 3 changes at most the common level and the one
+// below it, so a reply naming more levels than that is no decision and is
+// dropped whole, like a stale one.
 func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
 	side := core.SideDecision{Extend: r.Extend, ExtendBit: r.ExtendBit,
 		ExtendRefs: r.ExtendRefs.ToSet(), Buddy: addr.Nil}
 	if r.AddBuddy {
 		side.Buddy = from
 	}
+	if len(r.SetRefs) > len(side.Levels) {
+		return
+	}
 	slot := 0
 	for level, rs := range r.SetRefs {
-		if level >= 1 && level <= r.BasePath.Len() && slot < len(side.Levels) {
+		if level >= 1 && level <= r.BasePath.Len() {
 			side.Levels[slot], side.Refs[slot] = level, rs.ToSet()
 			slot++
 		}
+	}
+	if slot == 2 && side.Levels[0] > side.Levels[1] { // the map's order is not the levels'
+		side.Levels[0], side.Levels[1] = side.Levels[1], side.Levels[0]
+		side.Refs[0], side.Refs[1] = side.Refs[1], side.Refs[0]
 	}
 	stale := false
 	peer.Edit(n.self, func(e peer.Editor) {
@@ -550,7 +574,8 @@ func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
 }
 
 // snapshotSide presents the initiator's ExchangeReq snapshot to the Fig. 3
-// kernel as the a1 side of the meeting.
+// kernel as the a1 side of the meeting. It is network input: RefsAt hands out
+// a de-duplicated copy, of a level badRequest has bounded.
 type snapshotSide struct {
 	from addr.Addr
 	req  *wire.ExchangeReq
@@ -572,9 +597,12 @@ func (s snapshotSide) RefsAt(level int) addr.Set {
 // reconciliation: both need wire fields the frozen protocol lacks.
 func (n *Node) handleExchange(from addr.Addr, req *wire.ExchangeReq) *wire.ExchangeResp {
 	var dec core.ExchangeDecision
+	// This call's scratch: the decision's sets live in it, and everything
+	// below copies what it ships (FromSet, Slice) before the call returns.
+	sc := core.NewExchangeScratch(n.cfg, 0)
 	peer.Edit(n.self, func(e peer.Editor) {
 		n.mu.Lock()
-		dec = core.DecideExchange(snapshotSide{from, req}, e, n.cfg, req.Depth, true, n.rng)
+		dec = core.DecideExchange(snapshotSide{from, req}, e, n.cfg, req.Depth, true, n.rng, sc)
 		n.mu.Unlock()
 		dec.A2.Apply(e)
 	})

@@ -186,6 +186,7 @@ func FuzzHandle(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	f.Add(hugeLevelFrame(f)) // refused at the gate: seconds under two locks if it were read
 
 	c := NewCluster(4, smallCfg(), 5)
 	for i, path := range []string{"00", "01", "10", "11"} {

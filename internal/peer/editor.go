@@ -1,8 +1,6 @@
 package peer
 
 import (
-	"fmt"
-
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 )
@@ -27,10 +25,20 @@ func (e Editor) Path() bitpath.Path { return e.p.path }
 // Online reports the peer's reachability.
 func (e Editor) Online() bool { return e.p.online }
 
-// RefsAt returns a copy of refs(level, p).
-func (e Editor) RefsAt(level int) addr.Set { return e.p.refsAtLocked(nil, level) }
+// RefsAt returns refs(level, p) as a read-only view of the peer's own
+// storage, empty beyond the path: valid until the next SetRefsAt or Extend
+// on this Editor and no longer than the callback. A caller that wants to
+// change or keep the set clones it first (addr.Set.CloneInto).
+func (e Editor) RefsAt(level int) addr.Set {
+	if level < 1 || level > len(e.p.refs) {
+		return addr.Set{}
+	}
+	return e.p.refs[level-1]
+}
 
-// SetRefsAt replaces refs(level, p); level must be within the path.
+// SetRefsAt replaces refs(level, p) with a copy of s made in the level's
+// existing storage; level must be within the path. s stays the caller's and
+// may be a view RefsAt handed out, of this level too.
 func (e Editor) SetRefsAt(level int, s addr.Set) { e.p.setRefsAtLocked(level, s) }
 
 // Buddies returns a copy of the peer's buddy list.
@@ -63,21 +71,9 @@ func (e Editor) AddBuddy(a addr.Addr) {
 	}
 }
 
-// Extend appends bit b to the path and installs refs at the new level,
-// clearing the buddy list (see Peer.ExtendFrom).
-func (e Editor) Extend(b byte, newRefs addr.Set) {
-	p := e.p
-	p.path = p.path.Append(b)
-	newRefs.Remove(p.addr)
-	p.refs = append(p.refs, newRefs)
-	if len(p.refs) != len(p.path) {
-		panic(fmt.Sprintf("peer %v: refs/path length mismatch %d/%d", p.addr, len(p.refs), len(p.path)))
-	}
-	p.buddies = addr.Set{}
-	if p.pathSum != nil {
-		p.pathSum.Add(1)
-	}
-}
+// Extend appends bit b to the path and installs a copy of newRefs at the
+// new level, clearing the buddy list (see Peer.ExtendFrom).
+func (e Editor) Extend(b byte, newRefs addr.Set) { e.p.extendLocked(b, newRefs) }
 
 // Edit runs f with the peer's lock held.
 func Edit(p *Peer, f func(Editor)) {

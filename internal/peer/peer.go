@@ -122,8 +122,9 @@ func (p *Peer) refsAtLocked(buf []addr.Addr, level int) addr.Set {
 	return p.refs[level-1].CloneInto(buf)
 }
 
-// SetRefsAt replaces refs(level, p). The level must be within the current
-// path length; it panics otherwise (callers extend the path first).
+// SetRefsAt replaces refs(level, p) with a copy of s. The level must be
+// within the current path length; it panics otherwise (callers extend the
+// path first).
 func (p *Peer) SetRefsAt(level int, s addr.Set) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -137,8 +138,9 @@ func (p *Peer) setRefsAtLocked(level int, s addr.Set) {
 	for len(p.refs) < level {
 		p.refs = append(p.refs, addr.Set{})
 	}
-	s.Remove(p.addr) // a peer never references itself
-	p.refs[level-1] = s
+	own := &p.refs[level-1]
+	own.CopyFrom(s)
+	own.Remove(p.addr) // a peer never references itself
 }
 
 // AddRefAt inserts a reference at the given level if absent.
@@ -260,9 +262,17 @@ func (p *Peer) ExtendFrom(old bitpath.Path, b byte, newRefs addr.Set) bool {
 	if p.path != old {
 		return false
 	}
+	p.extendLocked(b, newRefs)
+	return true
+}
+
+// extendLocked appends bit b to the path with a copy of newRefs, less the
+// peer itself, at the new level.
+func (p *Peer) extendLocked(b byte, newRefs addr.Set) {
 	p.path = p.path.Append(b)
-	newRefs.Remove(p.addr)
-	p.refs = append(p.refs, newRefs)
+	own := newRefs.Clone()
+	own.Remove(p.addr)
+	p.refs = append(p.refs, own)
 	if len(p.refs) != len(p.path) {
 		panic(fmt.Sprintf("peer %v: refs/path length mismatch %d/%d", p.addr, len(p.refs), len(p.path)))
 	}
@@ -270,7 +280,6 @@ func (p *Peer) ExtendFrom(old bitpath.Path, b byte, newRefs addr.Set) bool {
 	if p.pathSum != nil {
 		p.pathSum.Add(1)
 	}
-	return true
 }
 
 // String renders the peer for logs.

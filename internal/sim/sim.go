@@ -161,6 +161,7 @@ func Build(opts Options) (Result, error) {
 	d := directory.New(opts.N)
 	var m core.Metrics
 	m.Tel = opts.Telemetry
+	sc := core.NewExchangeScratch(opts.Config, opts.N) // the engine's: one for every meeting of the run
 	target := opts.Threshold * float64(opts.Config.MaxL)
 	sampling := opts.Telemetry.EventsOn() && opts.SampleEvery > 0
 
@@ -178,7 +179,7 @@ func Build(opts Options) (Result, error) {
 			res.Meetings++ // a missed meeting still consumes wall-clock
 			continue
 		}
-		core.Exchange(d, opts.Config, &m, a1, a2, rng)
+		core.Exchange(d, opts.Config, &m, sc, a1, a2, rng)
 		res.Meetings++
 		if sampling && res.Meetings%opts.SampleEvery == 0 {
 			emitRound(opts, &m, d, res.Meetings, target)
@@ -246,6 +247,7 @@ func BuildConcurrent(opts Options) (Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*1_000_003))
+			sc := core.NewExchangeScratch(opts.Config, opts.N) // the worker's own, like its rng
 			for !stop.Load() {
 				if claimed.Add(1) > opts.MaxMeetings {
 					return
@@ -258,7 +260,7 @@ func BuildConcurrent(opts Options) (Result, error) {
 				}
 				a1, a2 := d.RandomPair(rng)
 				if opts.Churn == nil || (a1.Online() && a2.Online()) {
-					core.Exchange(d, opts.Config, &m, a1, a2, rng)
+					core.Exchange(d, opts.Config, &m, sc, a1, a2, rng)
 				}
 				done := performed.Add(1)
 				// Like churn, sampling is a CAS race: whichever worker
