@@ -38,14 +38,34 @@ type Set struct {
 	addrs []Addr
 }
 
-// NewSet returns a set containing the given addresses, deduplicated.
+// NewSet returns a set containing the given addresses in first-occurrence
+// order, deduplicated and without Nil. It costs time linear in len(addrs): a
+// short list is deduplicated by looking through the set, a longer one — a
+// reference level read off the network may hold anything that fits a frame —
+// through a map.
 func NewSet(addrs ...Addr) Set {
 	var s Set
+	if len(addrs) <= newSetScan {
+		for _, a := range addrs {
+			s.Add(a)
+		}
+		return s
+	}
+	seen := make(map[Addr]struct{}, len(addrs))
+	s.addrs = make([]Addr, 0, len(addrs))
 	for _, a := range addrs {
-		s.Add(a)
+		if _, dup := seen[a]; dup || a == Nil {
+			continue
+		}
+		seen[a] = struct{}{}
+		s.addrs = append(s.addrs, a)
 	}
 	return s
 }
+
+// newSetScan is the longest list NewSet deduplicates by scanning: about
+// refmax, where a scan's ≤ 500 comparisons still beat making a map.
+const newSetScan = 32
 
 // Len returns the number of addresses in the set.
 func (s Set) Len() int { return len(s.addrs) }
@@ -169,8 +189,13 @@ func (s Set) Shuffled(rng *rand.Rand) []Addr { return s.ShuffledInto(nil, rng) }
 // fits. The draws are one rng.Shuffle over Len() elements whatever buf is,
 // so a seeded run takes the same course with or without a buffer. buf may
 // be s's own storage: the set is then shuffled in place.
-func (s Set) ShuffledInto(buf []Addr, rng *rand.Rand) []Addr {
-	out := append(buf[:0], s.addrs...)
+func (s Set) ShuffledInto(buf []Addr, rng *rand.Rand) []Addr { return ShuffledInto(buf, s.addrs, rng) }
+
+// ShuffledInto is Set.ShuffledInto for a list that is not a set — a reference
+// level as a peer sent it: the same one rng.Shuffle over len(addrs), so for a
+// list without duplicates or Nil the draws and the order are the set's.
+func ShuffledInto(buf, addrs []Addr, rng *rand.Rand) []Addr {
+	out := append(buf[:0], addrs...)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }

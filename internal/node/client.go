@@ -113,8 +113,8 @@ func (c *Client) FetchTraces(a addr.Addr, limit int) (total uint64, traces []tra
 	return resp.TracesResp.Total, resp.TracesResp.Traces, nil
 }
 
-// ReplicaResult is core.ReplicaResult; here Messages counts the Info
-// fetches, the start peer's included.
+// ReplicaResult is core.ReplicaResult; here Messages counts the visits, the
+// start peer's included.
 type ReplicaResult = core.ReplicaResult
 
 // ReplicaSearch performs the breadth-first replica search of Section 5.2
@@ -122,30 +122,56 @@ type ReplicaResult = core.ReplicaResult
 // visited peer's routing state and follows up to recbreadth references per
 // level, collecting every reachable peer whose path covers key.
 func (c *Client) ReplicaSearch(start addr.Addr, key bitpath.Path, recbreadth int) ReplicaResult {
+	return c.replicaSearch(start, key, recbreadth, nil, nil)
+}
+
+// replicaSearch is ReplicaSearch with rider (nil for none) on every visit:
+// each peer that covers key performs it on the way and found sees its answer.
+// A visit therefore costs one message whatever it carries, as core.Update
+// and Grid.PrefixSearch charge it. A covering peer whose answer lacks the
+// rider's is malformed and routed around like an unreachable one: the search
+// does not report as done what was not done.
+func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int, rider *wire.InfoReq, found func(*wire.InfoResp)) ReplicaResult {
 	var res ReplicaResult
 	visited := map[addr.Addr]bool{start: true}
 	queue := []addr.Addr{start}
+	var refs []addr.Addr   // one level's references at a time, copied and shuffled in this storage
+	call := new(visitCall) // one per search, filled again for each visit
 
 	for len(queue) > 0 {
 		a := queue[0]
 		queue = queue[1:]
-		info, err := c.nodeInfo(a)
-		res.Messages++ // the info fetch (counts even if it fails: it was sent)
+		resp, err := c.tr.Call(a, call.fill(rider))
+		res.Messages++ // the visit (counts even if it fails: it was sent)
 		if err != nil {
-			continue // unreachable or malformed: the walk routes around it
+			continue // unreachable: the walk routes around it
+		}
+		info := resp.InfoResp
+		if info == nil {
+			rpcKind(c.tel, wire.KindInfo).Malformed()
+			continue
 		}
 		covers, lo, hi := core.ReplicaStep(info.Path, key)
+		if covers && !riderAnswered(info, rider) {
+			rpcKind(c.tel, wire.KindInfo).Malformed()
+			continue
+		}
 		if covers {
 			res.Found = append(res.Found, a)
+			if found != nil {
+				found(info)
+			}
 		}
 		for level := lo; level <= min(hi, len(info.Refs)); level++ {
+			// A well-formed level is a set: the draws are core.ReplicaSearch's,
+			// and visited drops whatever a malformed one repeats.
 			followed := 0
-			refs := info.Refs[level-1].ToSet()
-			for _, r := range refs.Shuffled(c.rng) {
+			refs = addr.ShuffledInto(refs, info.Refs[level-1].Addrs, c.rng)
+			for _, r := range refs {
 				if followed >= recbreadth {
 					break
 				}
-				if visited[r] {
+				if visited[r] || r == addr.Nil {
 					continue
 				}
 				visited[r] = true
@@ -157,44 +183,68 @@ func (c *Client) ReplicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 	return res
 }
 
+// riderAnswered reports whether info carries the answer to rider, which a nil
+// rider needs none of.
+func riderAnswered(info *wire.InfoResp, rider *wire.InfoReq) bool {
+	switch {
+	case rider == nil:
+		return true
+	case rider.Apply != nil:
+		return info.Applied != nil
+	default:
+		return info.Scanned != nil
+	}
+}
+
+// visitCall is a BFS visit as the one object it is sent as: the envelope,
+// and the rider with its own copy of the operation. Like queryCall it is its
+// sender's again once Transport.Call has returned, and is filled anew for
+// each visit.
+type visitCall struct {
+	m wire.Message
+	i wire.InfoReq
+	a wire.ApplyReq
+	s wire.ScanReq
+}
+
+// fill makes c the Info request carrying rider (nil for a plain one) and
+// returns the message to send.
+func (c *visitCall) fill(rider *wire.InfoReq) *wire.Message {
+	c.m = wire.Message{Kind: wire.KindInfo, From: addr.Nil}
+	if rider != nil {
+		c.i = wire.InfoReq{}
+		if rider.Apply != nil {
+			c.a = *rider.Apply
+			c.i.Apply = &c.a
+		}
+		if rider.Scan != nil {
+			c.s = *rider.Scan
+			c.i.Scan = &c.s
+		}
+		c.m.Info = &c.i
+	}
+	return &c.m
+}
+
 // Publish spreads an entry over the replicas of its key with `repetition`
-// breadth-first passes from the given entry points (cycled as needed) and
-// returns how many replicas applied it and the message cost.
+// breadth-first passes from the given entry points (cycled as needed), the
+// entry riding on every visit, and returns how many distinct replicas applied
+// it and the message cost: the visits, as core.Update charges them, plus the
+// message into the community for each pass.
 func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetition int) (replicas, messages int) {
 	if len(entries) == 0 {
 		return 0, 0
 	}
+	rider := &wire.InfoReq{Apply: &wire.ApplyReq{Entry: e}}
 	found := map[addr.Addr]bool{}
 	for i := 0; i < repetition; i++ {
-		start := entries[i%len(entries)]
-		res := c.ReplicaSearch(start, e.Key, recbreadth)
+		res := c.replicaSearch(entries[i%len(entries)], e.Key, recbreadth, rider, nil)
 		messages += res.Messages
 		for _, a := range res.Found {
 			found[a] = true
 		}
 	}
-	// The apply pushes are independent — one per replica — so they fan out
-	// concurrently: over the pooled transport they ride the multiplexed
-	// connections in parallel instead of queueing one round trip at a time.
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for a := range found {
-		wg.Add(1)
-		go func(a addr.Addr) {
-			defer wg.Done()
-			if _, err := c.tr.Call(a, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
-				Apply: &wire.ApplyReq{Entry: e}}); err == nil {
-				mu.Lock()
-				replicas++
-				messages++
-				mu.Unlock()
-			}
-		}(a)
-	}
-	wg.Wait()
-	return replicas, messages
+	return len(found), messages
 }
 
 // ReadResult is core.ReadResult; here Replica is addr.Nil when no
@@ -431,20 +481,13 @@ func (c *Client) Audit(all []addr.Addr) AuditReport {
 	return rep
 }
 
-// PrefixSearch fans out over the covering replicas of prefix and merges
-// their scans, freshest version per (key, name) winning.
+// PrefixSearch searches breadth-first for the covering replicas of prefix,
+// the scan riding on every visit, and merges their scans, freshest version
+// per (key, name) winning. The message cost is the visits, as
+// Grid.PrefixSearch charges them, plus the message into the community.
 func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth int) ([]store.Entry, int) {
-	res := c.ReplicaSearch(start, prefix, recbreadth)
-	messages := res.Messages
 	var out []store.Entry
-	for _, a := range res.Found {
-		resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindScan, From: addr.Nil,
-			Scan: &wire.ScanReq{Prefix: prefix}})
-		if err != nil || resp.ScanResp == nil {
-			continue
-		}
-		messages++
-		out = store.Merge(out, resp.ScanResp.Entries)
-	}
-	return out, messages
+	res := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}},
+		func(info *wire.InfoResp) { out = store.Merge(out, info.Scanned.Entries) })
+	return out, res.Messages
 }

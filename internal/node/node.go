@@ -155,9 +155,12 @@ func traceIDOf(m *wire.Message) uint64 {
 // under the state lock and de-duplicates each level it reads in quadratic
 // time: a snapshot has one level per path bit and, from a peer configured
 // like this one, at most RefMax references in each — which is what the
-// decision's scratch is sized for.
+// decision's scratch is sized for. An info rider names exactly one operation:
+// the codec decodes nothing else, but an in-process caller can build anything.
 func (n *Node) badRequest(m *wire.Message) string {
 	switch {
+	case m.Kind == wire.KindInfo && m.Info != nil && (m.Info.Apply == nil) == (m.Info.Scan == nil):
+		return "an info rider carries one of an apply and a scan"
 	case m.Kind == wire.KindQuery && m.Query == nil,
 		m.Kind == wire.KindExchange && m.Exchange == nil,
 		m.Kind == wire.KindApply && m.Apply == nil,
@@ -209,11 +212,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		g.Entry, g.Found = n.Store().Get(m.Get.Key, m.Get.Name)
 		return resp
 	case wire.KindInfo:
-		resp, i := reply[wire.InfoResp](n, wire.KindInfoResp)
-		resp.InfoResp = i
-		path, refs, buddies := n.links()
-		*i = wire.InfoResp{Addr: n.Addr(), Path: path, Refs: refs, Buddies: buddies, Entries: n.Store().Len()}
-		return resp
+		return n.handleInfo(m.Info)
 	case wire.KindScan:
 		resp, s := reply[wire.ScanResp](n, wire.KindScanResp)
 		resp.ScanResp = s
@@ -300,16 +299,54 @@ func (n *Node) handleBatch(m *wire.Message) *wire.Message {
 // links reads the peer's path, per-level references and buddy list under
 // one lock, straight into wire form.
 func (n *Node) links() (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
-	peer.Edit(n.self, func(e peer.Editor) {
-		path = e.Path()
-		lists, b := e.RefLists()
-		refs = make([]wire.RefSet, len(lists))
-		for i, l := range lists {
-			refs[i].Addrs = l
-		}
-		buddies.Addrs = b
-	})
+	peer.Edit(n.self, func(e peer.Editor) { path, refs, buddies = wireLinks(e) })
 	return path, refs, buddies
+}
+
+func wireLinks(e peer.Editor) (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
+	lists, b := e.RefLists()
+	refs = make([]wire.RefSet, len(lists))
+	for i, l := range lists {
+		refs[i].Addrs = l
+	}
+	return e.Path(), refs, wire.RefSet{Addrs: b}
+}
+
+// infoReply is an Info answer with room for the answer to a rider, sent as
+// one object.
+type infoReply struct {
+	i wire.InfoResp
+	a wire.ApplyResp
+	s wire.ScanResp
+}
+
+// handleInfo answers KindInfo with the peer's links, and serves the rider r
+// (nil for none) if the path it answers with covers r's key — the
+// core.ReplicaStep decision the asking client takes on that same path. Both
+// happen under the one lock an exchange narrows the path under, so an entry
+// cannot land after the exchange has evicted what the peer no longer covers.
+func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
+	resp, x := reply[infoReply](n, wire.KindInfoResp)
+	i := &x.i
+	resp.InfoResp = i
+	peer.Edit(n.self, func(e peer.Editor) {
+		i.Path, i.Refs, i.Buddies = wireLinks(e)
+		if r == nil {
+			return
+		}
+		if covers, _, _ := core.ReplicaStep(i.Path, r.Key()); !covers {
+			return
+		}
+		if r.Apply != nil {
+			x.a.Changed = n.Store().Apply(r.Apply.Entry)
+			i.Applied = &x.a
+		} else {
+			x.s.Entries = n.Store().PrefixScan(r.Scan.Prefix)
+			i.Scanned = &x.s
+		}
+	})
+	i.Addr, i.Entries = n.Addr(), n.Store().Len()
+	return resp
 }
 
 // --- query ----------------------------------------------------------------

@@ -46,6 +46,15 @@ func poison(m *wire.Message) {
 	if m.Scan != nil {
 		m.Scan.Prefix = junk.Key
 	}
+	if r := m.Info; r != nil {
+		if r.Apply != nil {
+			r.Apply.Entry = junk
+		}
+		if r.Scan != nil {
+			r.Scan.Prefix = junk.Key
+		}
+		*r = wire.InfoReq{Scan: &wire.ScanReq{Prefix: junk.Key}}
+	}
 	if m.Batch != nil {
 		for i := range m.Batch.Msgs {
 			poison(&m.Batch.Msgs[i])

@@ -179,6 +179,12 @@ func FuzzHandle(f *testing.F) {
 		{Kind: wire.KindQuery, Query: &wire.QueryReq{Key: entry.Key, Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}},
 		{Kind: wire.KindQuery, Query: &wire.QueryReq{Key: bitpath.MustParse("10"), Level: 1,
 			Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}},
+		// BFS visits with a rider, for a key the receiver (path 00) covers and
+		// for one it does not.
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entry: store.Entry{Key: "0010", Name: "f", Version: 2}}}},
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entry: entry}}},
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0")}}},
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("11")}}},
 	} {
 		frame, err := wire.AppendFrame(nil, 7, 0, &m)
 		if err != nil {

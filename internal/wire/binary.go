@@ -21,7 +21,9 @@
 // The payload is the message envelope (From as a zigzag varint) followed by
 // the kind-specific body: bools are one byte (the one that opens a query or
 // its response is a flags byte, whose second bit announces the read trailer
-// behind the payload), counts and lengths are uvarints, signed integers are
+// behind the payload; an info request may close with a rider byte and an
+// info answer's presence byte names the rider's answer behind its payload),
+// counts and lengths are uvarints, signed integers are
 // zigzag varints, high-entropy 64-bit values (trace ids, hashes, versions)
 // are fixed 8-byte big-endian, strings are length-prefixed bytes, and bit
 // paths are bit-packed MSB-first with zero padding. Decoding is strict: a
@@ -210,6 +212,17 @@ const (
 	flagTrailer = 1 << 1
 )
 
+// The info pair's rider bits. A KindInfo request without a rider is the bare
+// envelope it always was; one with a rider closes with a byte holding exactly
+// one of them and the operation behind it — the entry to apply, or the prefix
+// to scan. The InfoResp presence byte holds flagPresent and, when the
+// receiver served a rider, the same bit, naming the answer that closes the
+// payload: the apply's Changed bool, or the scanned entry list.
+const (
+	riderApply = 1 << 1
+	riderScan  = 1 << 2
+)
+
 func appendFlags(b []byte, present, trailer bool) []byte {
 	var f byte
 	if present {
@@ -378,11 +391,36 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			b = appendEntry(b, g.Entry)
 			b = appendBool(b, g.Found)
 		}
-	case KindInfo, KindMetrics:
+	case KindInfo:
+		switch r := m.Info; {
+		case r == nil: // the plain request has no payload
+		case r.Apply != nil && r.Scan == nil:
+			b = append(b, riderApply)
+			b = appendEntry(b, r.Apply.Entry)
+		case r.Scan != nil && r.Apply == nil:
+			b = append(b, riderScan)
+			b = appendPath(b, r.Scan.Prefix)
+		default:
+			return b, fmt.Errorf("wire: an info rider carries one of an apply and a scan")
+		}
+	case KindMetrics:
 		// No request payload.
 	case KindInfoResp:
-		b = appendBool(b, m.InfoResp != nil)
-		if i := m.InfoResp; i != nil {
+		i := m.InfoResp
+		var f byte
+		switch {
+		case i == nil:
+		case i.Applied != nil && i.Scanned != nil:
+			return b, fmt.Errorf("wire: an info answer carries one of an apply's and a scan's answers")
+		case i.Applied != nil:
+			f = flagPresent | riderApply
+		case i.Scanned != nil:
+			f = flagPresent | riderScan
+		default:
+			f = flagPresent
+		}
+		b = append(b, f)
+		if i != nil {
 			b = appendAddr(b, i.Addr)
 			b = appendPath(b, i.Path)
 			b = appendUvarint(b, uint64(len(i.Refs)))
@@ -391,6 +429,12 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			}
 			b = appendRefSet(b, i.Buddies)
 			b = appendVarint(b, int64(i.Entries))
+			if i.Applied != nil {
+				b = appendBool(b, i.Applied.Changed)
+			}
+			if i.Scanned != nil {
+				b = appendEntries(b, i.Scanned.Entries)
+			}
 		}
 	case KindScan:
 		b = appendBool(b, m.Scan != nil)
@@ -460,6 +504,11 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			sub := &msgs[i]
 			if sub.Kind == KindBatch || sub.Kind == KindBatchResp {
 				return b, fmt.Errorf("wire: nested batch message")
+			}
+			if sub.Kind == KindInfo && sub.Info != nil {
+				// A rider closes its frame; in a batch the next slot's kind
+				// byte would be read as one.
+				return b, fmt.Errorf("wire: info rider in a batch")
 			}
 			b = append(b, byte(sub.Kind))
 			var err error
@@ -1064,6 +1113,20 @@ type routedQuery struct {
 	c trace.SpanContext
 }
 
+// infoRider is an InfoReq with the operation it carries, and infoAnswer an
+// InfoResp with the answer to it: either decodes as one object.
+type infoRider struct {
+	i InfoReq
+	a ApplyReq
+	s ScanReq
+}
+
+type infoAnswer struct {
+	i InfoResp
+	a ApplyResp
+	s ScanResp
+}
+
 // decodeInto decodes the envelope and payload for kind, into a message of
 // its own or into the batch slot `into`: sub-messages of a batch must not be
 // batches.
@@ -1156,14 +1219,52 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 			*g = GetResp{Entry: d.entry(), Found: d.bool()}
 			m.GetResp = g
 		}
-	case KindInfo, KindMetrics:
+	case KindInfo:
+		// A rider closes the frame it rides on. A batch slot has none: the
+		// next slot's kind byte follows the envelope.
+		if into == nil && d.remaining() > 0 {
+			x := payload[infoRider](&m)
+			switch d.byte() {
+			case riderApply:
+				x.a.Entry = d.entry()
+				x.i.Apply = &x.a
+			case riderScan:
+				x.s.Prefix = d.path()
+				x.i.Scan = &x.s
+			default:
+				d.fail("bad info rider")
+			}
+			m.Info = &x.i
+		}
+	case KindMetrics:
 		// No payload.
 	case KindInfoResp:
-		if d.bool() {
-			i := payload[InfoResp](&m)
+		var i *InfoResp
+		switch f := d.byte(); f {
+		case 0:
+		case flagPresent:
+			i = payload[InfoResp](&m)
+		case flagPresent | riderApply:
+			x := payload[infoAnswer](&m)
+			x.i.Applied = &x.a
+			i = &x.i
+		case flagPresent | riderScan:
+			x := payload[infoAnswer](&m)
+			x.i.Scanned = &x.s
+			i = &x.i
+		default:
+			d.fail("bad info answer flags")
+		}
+		if i != nil {
 			i.Addr, i.Path = d.addr(), d.path()
 			i.Refs, i.Buddies = d.refSets(true)
 			i.Entries = d.int()
+			if i.Applied != nil {
+				i.Applied.Changed = d.bool()
+			}
+			if i.Scanned != nil {
+				i.Scanned.Entries = d.entries()
+			}
 			m.InfoResp = i
 		}
 	case KindScan:

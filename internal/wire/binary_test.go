@@ -136,6 +136,17 @@ func sampleMessages() []*Message {
 		{Kind: KindQuery, From: 2, Query: &QueryReq{Key: entry.Key, Read: &GetReq{Key: entry.Key}}}, // untraced, empty name
 		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11,
 			Path: p("0110"), Messages: 3, Entry: entry, Has: true}},
+		// The BFS visit (appended likewise): an Info request carrying the entry
+		// to apply or the prefix to scan, and the answers that carry back what
+		// the covering receiver did.
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Apply: &ApplyReq{Entry: entry}}},
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011")}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("0110"),
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}}, Entries: 45, Applied: &ApplyResp{Changed: true}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
+			Scanned: &ScanResp{Entries: []store.Entry{entry, entry}}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"), Scanned: &ScanResp{}}}, // nothing under the prefix
 	}
 }
 
@@ -247,6 +258,11 @@ var goldenFrameSums = []uint64{
 	0xf203fb11a6d7747d, // query, read riding along
 	0xef28348b76f5d104, // query, read riding along
 	0x1f08a01bfa8b13d5, // query-resp, entry carried back
+	0x7eee8174a9f2abcd, // info, apply riding along
+	0xfdd0b7a9c43facb3, // info, scan riding along
+	0x87ad23aba3ef1e48, // info-resp, apply answered
+	0x8dceb9101f040007, // info-resp, scan answered
+	0x0726724904dd2153, // info-resp, empty scan answered
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -547,6 +563,18 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		// Message with ApplyReq + the entry's Key and Name; its answer is the one object.
 		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}, 2},
 		{&Message{Kind: KindApplyResp, From: 3, ApplyResp: &ApplyResp{Changed: true}}, 1},
+		// A BFS visit: Message with InfoReq and its ApplyReq + the entry's Key
+		// and Name, or with InfoReq and its ScanReq + the prefix.
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Apply: &ApplyReq{Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}, 2},
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:5]}}}, 2},
+		// Its answers: Message with InfoResp and room for either answer + Path,
+		// RefSet slice and address array; a scan's entries add their slice and
+		// one arena string.
+		{&Message{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: key[:4],
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}}, Applied: &ApplyResp{Changed: true}}}, 4},
+		{&Message{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: key[:4],
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}}, Scanned: &ScanResp{Entries: []store.Entry{
+				{Key: key, Name: "file-0042", Holder: 5, Version: 8}, {Key: key, Name: "file-0043", Holder: 5, Version: 8}}}}}, 6},
 	} {
 		frame, err := AppendFrame(nil, 1, 0, tc.msg)
 		if err != nil {
@@ -614,6 +642,82 @@ func TestBinaryQueryFlags(t *testing.T) {
 		}
 		if _, err := decodeMessageBody(m.Kind, plain); err != nil {
 			t.Errorf("%v body %x: %v", m.Kind, plain, err)
+		}
+	}
+}
+
+// TestBinaryInfoRider: an info request's rider byte names exactly one
+// operation and the operation must follow it; an info answer's flags byte
+// holds the presence bit and at most one rider bit, and the answer it names
+// must close the payload. Anything else — a flag without its payload, both
+// riders at once, an unknown bit, trailing bytes — is corrupt, and the encoder
+// refuses to produce what the decoder would refuse, a rider in a batch among
+// it.
+func TestBinaryInfoRider(t *testing.T) {
+	entry := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 9}
+	body := func(m *Message) []byte {
+		t.Helper()
+		b, err := appendMessageBody(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := body(&Message{Kind: KindInfo, From: 2})
+	apply := body(&Message{Kind: KindInfo, From: 2, Info: &InfoReq{Apply: &ApplyReq{Entry: entry}}})
+	scan := body(&Message{Kind: KindInfo, From: 2, Info: &InfoReq{Scan: &ScanReq{Prefix: "01"}}})
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	links := &InfoResp{Addr: 2, Path: "01", Refs: []RefSet{{Addrs: []addr.Addr{1}}}}
+	answer := func(i InfoResp) []byte { return body(&Message{Kind: KindInfoResp, From: 2, InfoResp: &i}) }
+	applied, scanned := *links, *links
+	applied.Applied = &ApplyResp{Changed: true}
+	scanned.Scanned = &ScanResp{Entries: []store.Entry{entry}}
+	withFlags := func(b []byte, f byte) []byte { b = bytes.Clone(b); b[1] = f; return b } // the byte behind the sender
+
+	for _, tc := range []struct {
+		kind Kind
+		body []byte
+		ok   bool
+	}{
+		{KindInfo, plain, true},
+		{KindInfo, apply, true},
+		{KindInfo, scan, true},
+		{KindInfo, cat(plain, []byte{0}), false},                                // a rider byte naming nothing
+		{KindInfo, cat(plain, []byte{flagPresent}), false},                      // not a rider bit
+		{KindInfo, cat(plain, []byte{riderApply}), false},                       // the apply without its entry
+		{KindInfo, cat(plain, []byte{riderScan}), false},                        // the scan without its prefix
+		{KindInfo, cat(plain, []byte{riderApply | riderScan}, scan[2:]), false}, // both riders
+		{KindInfo, cat(apply, []byte{0}), false},                                // trailing bytes
+		{KindInfo, cat(scan, []byte{0}), false},
+		{KindInfoResp, answer(*links), true},
+		{KindInfoResp, answer(applied), true},
+		{KindInfoResp, answer(scanned), true},
+		{KindInfoResp, withFlags(answer(applied), riderApply), false},                       // an answer without presence
+		{KindInfoResp, withFlags(answer(applied), flagPresent|riderApply|riderScan), false}, // both answers
+		{KindInfoResp, withFlags(answer(*links), flagPresent|1<<3), false},                  // an unknown bit
+		{KindInfoResp, withFlags(answer(*links), flagPresent|riderApply), false},            // Changed missing
+		{KindInfoResp, withFlags(answer(*links), flagPresent|riderScan), false},             // entries missing
+		{KindInfoResp, cat(answer(applied)[:len(answer(applied))-1], []byte{2}), false},     // Changed not a bool
+		{KindInfoResp, cat(answer(applied), []byte{0}), false},                              // trailing bytes
+		{KindInfoResp, cat(answer(scanned), []byte{0}), false},
+	} {
+		got, err := decodeMessageBody(tc.kind, tc.body)
+		if tc.ok && err != nil {
+			t.Errorf("%v body %x: %v", tc.kind, tc.body, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v body %x decoded to %+v, %v; want ErrCorrupt", tc.kind, tc.body, got, err)
+		}
+	}
+
+	for _, m := range []*Message{
+		{Kind: KindInfo, Info: &InfoReq{}},
+		{Kind: KindInfo, Info: &InfoReq{Apply: &ApplyReq{Entry: entry}, Scan: &ScanReq{Prefix: "01"}}},
+		{Kind: KindInfoResp, InfoResp: &InfoResp{Applied: &ApplyResp{}, Scanned: &ScanResp{}}},
+		{Kind: KindBatch, Batch: &BatchReq{Msgs: []Message{{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{}}}}}},
+	} {
+		if _, err := AppendFrame(nil, 1, 0, m); err == nil {
+			t.Errorf("encoder accepted %+v", m)
 		}
 	}
 }

@@ -78,6 +78,23 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 	f.Add(frame)
 	f.Add(append(append([]byte{}, frame...), noise...))
 	f.Add([]byte{0x50, 0x00})
+	// A BFS visit with each rider and each answer, back to back: the rider
+	// closes its frame, so a reader that overran it would eat the next.
+	entry := store.Entry{Key: bitpath.MustParse("0110"), Name: "f", Holder: 3, Version: 7}
+	var visits []byte
+	for i, m := range []*Message{
+		{Kind: KindInfo, From: 1, Info: &InfoReq{Apply: &ApplyReq{Entry: entry}}},
+		{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: entry.Key[:2],
+			Refs: []RefSet{{Addrs: []addr.Addr{5}}, {Addrs: []addr.Addr{6, 7}}}, Applied: &ApplyResp{Changed: true}}},
+		{Kind: KindInfo, From: 1, Info: &InfoReq{Scan: &ScanReq{Prefix: entry.Key[:3]}}},
+		{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: entry.Key[:2],
+			Scanned: &ScanResp{Entries: []store.Entry{entry}}}},
+	} {
+		if visits, err = AppendFrame(visits, uint32(i), uint8(i%2), m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(visits)
 	f.Fuzz(func(t *testing.T, data []byte) { readersAgree(t, data) })
 }
 

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -113,6 +116,54 @@ func FuzzRefSetsDifferential(f *testing.F) {
 		diffRefSets(t, payload, true)
 		diffRefSets(t, payload, false)
 	})
+}
+
+// toSetByAdd is RefSet.ToSet as it was: addr.Set.Add per address, a scan of
+// the set each — quadratic in the list. It is the reference ToSet is held to.
+func toSetByAdd(r RefSet) addr.Set {
+	var s addr.Set
+	for _, a := range r.Addrs {
+		s.Add(a)
+	}
+	return s
+}
+
+// TestToSetMatchesAddLoop: on random lists of every length around the switch
+// from scan to map, drawn from small ranges so duplicates abound and with
+// addr.Nil among them, ToSet keeps what the Add loop keeps, in its order —
+// the first occurrence of each address, Nil dropped — since later draws
+// shuffle that order.
+func TestToSetMatchesAddLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		n := rng.Intn(100)
+		r := RefSet{Addrs: make([]addr.Addr, n)}
+		span := 1 + rng.Intn(2*n+1)
+		for j := range r.Addrs {
+			r.Addrs[j] = addr.Addr(rng.Intn(span)) - 1
+		}
+		if got, want := r.ToSet().Slice(), toSetByAdd(r).Slice(); !slices.Equal(got, want) {
+			t.Fatalf("ToSet(%v) = %v, the Add loop gives %v", r.Addrs, got, want)
+		}
+	}
+}
+
+// TestToSetLinearOnHugeLevel: a 100 000-address level — what a 300 kB frame
+// can hold, and what the Add loop took 3.3 s for — goes through ToSet well
+// within 50 ms.
+func TestToSetLinearOnHugeLevel(t *testing.T) {
+	r := RefSet{Addrs: make([]addr.Addr, 100000)}
+	for i := range r.Addrs {
+		r.Addrs[i] = addr.Addr(i * 7919 % 1000003)
+	}
+	start := time.Now()
+	s := r.ToSet()
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("ToSet of a 100 000-address level took %v", d)
+	}
+	if s.Len() != len(r.Addrs) {
+		t.Errorf("ToSet kept %d of %d distinct addresses", s.Len(), len(r.Addrs))
+	}
 }
 
 // TestAllocBudgetReadFrameLinkState: a frame carrying a peer's link state

@@ -100,6 +100,7 @@ type Message struct {
 	ApplyResp    *ApplyResp
 	Get          *GetReq
 	GetResp      *GetResp
+	Info         *InfoReq
 	InfoResp     *InfoResp
 	Scan         *ScanReq
 	ScanResp     *ScanResp
@@ -172,7 +173,9 @@ type RefSet struct {
 	Addrs []addr.Addr
 }
 
-// ToSet converts to an addr.Set.
+// ToSet converts to an addr.Set — the addresses in first-occurrence order,
+// without duplicates or Nil — in time linear in the list, however long a
+// peer made it.
 func (r RefSet) ToSet() addr.Set { return addr.NewSet(r.Addrs...) }
 
 // FromSet converts from an addr.Set.
@@ -235,8 +238,8 @@ type ScanResp struct {
 	Entries []store.Entry
 }
 
-// MetricsResp answers KindMetrics (a payload-less request, like KindInfo)
-// with the receiver's full mergeable telemetry snapshot: flattened
+// MetricsResp answers KindMetrics (a payload-less request, like a plain
+// KindInfo) with the receiver's full mergeable telemetry snapshot: flattened
 // counters/gauges plus sparse quantile-histogram buckets that a collector
 // can sum across the community. Snap.Schema carries
 // telemetry.MetricsSchemaVersion; a receiver running with telemetry
@@ -323,14 +326,41 @@ type BatchResp struct {
 	Msgs []Message
 }
 
-// InfoResp describes the receiver's current state (used by diagnostics and
-// the ctl tool).
+// InfoReq is the rider a KindInfo request may carry (a plain one carries
+// none: Message.Info is nil): one operation for the receiver to perform on
+// its own store if its path covers the operation's key — core.ReplicaStep on
+// the path it answers with — so that the breadth-first search of Sec. 5.2
+// publishes or scans as it visits, for no message of its own. Exactly one of
+// Apply and Scan is set. The codec carries a rider on a frame of its own, not
+// inside a batch.
+type InfoReq struct {
+	Apply *ApplyReq
+	Scan  *ScanReq
+}
+
+// Key is the key the rider's operation is about: the entry's for an apply,
+// the prefix for a scan.
+func (r *InfoReq) Key() bitpath.Path {
+	if r.Apply != nil {
+		return r.Apply.Entry.Key
+	}
+	return r.Scan.Prefix
+}
+
+// InfoResp describes the receiver's current state (used by diagnostics, the
+// ctl tool and the breadth-first search).
 type InfoResp struct {
 	Addr    addr.Addr
 	Path    bitpath.Path
 	Refs    []RefSet
 	Buddies RefSet
 	Entries int
+	// Applied or Scanned answers the request's rider when the receiver's Path
+	// covers its key: what the apply reported, or the entries under the
+	// prefix. Both stay nil for a plain request and at a peer that does not
+	// cover the key.
+	Applied *ApplyResp
+	Scanned *ScanResp
 }
 
 // MaxFrameSize bounds a single encoded message; larger frames are
