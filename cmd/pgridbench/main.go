@@ -64,11 +64,10 @@ type engineRow struct {
 }
 
 // telemetryRow reports the A/B cost of instrumentation on the sequential
-// engine: the same build with telemetry off (nil), counters only, counters
-// + a synchronous JSONL event sink writing to io.Discard, and counters +
-// the async event pipeline in front of the same sink (the pgridnode
-// -events configuration). OverheadPct is relative to the off row; Dropped
-// counts events the pipeline shed under pressure (0 for the other modes).
+// engine: the same build with telemetry off (nil), counters only, and
+// counters + the JSONL event sink writing to io.Discard (the pgridsim and
+// pgridnode -events configuration: one exchange event per meeting).
+// OverheadPct is relative to the off row.
 type telemetryRow struct {
 	Mode           string  `json:"mode"`
 	N              int     `json:"n"`
@@ -76,7 +75,6 @@ type telemetryRow struct {
 	Seconds        float64 `json:"seconds"`
 	MeetingsPerSec float64 `json:"meetings_per_sec"`
 	OverheadPct    float64 `json:"overhead_pct"`
-	Dropped        int64   `json:"dropped,omitempty"`
 }
 
 // experimentNames are the -run selectors: "all", the sections it runs, and
@@ -240,42 +238,33 @@ func main() {
 	if sel("telemetry") {
 		// A/B instrumentation overhead on the sequential engine: identical
 		// builds (same seed, deterministic engine) with telemetry disabled,
-		// with counters attached, and with counters + a JSONL sink.
-		n := int(5000 * *scale)
+		// with counters attached, and with counters + an event sink. At
+		// N=20000 a build takes about a second, long enough that one
+		// scheduler hiccup does not decide a round.
+		n := int(20000 * *scale)
 		if n < 64 {
 			n = 64
 		}
 		cfg := core.Config{MaxL: 8, RefMax: 5, RecMax: 2, RecFanout: 2}
-		build := func(mode string) (sim.Result, int64) {
+		build := func(mode string) sim.Result {
 			o := sim.Options{N: n, Config: cfg, Seed: *seed}
 			var sink *telemetry.JSONLSink
-			var pipe *telemetry.Pipeline
-			switch mode {
-			case "counters":
+			if mode != "off" {
 				o.Telemetry = telemetry.New(-1)
-			case "jsonl":
-				o.Telemetry = telemetry.New(-1)
+			}
+			if mode == "events" {
 				sink = telemetry.NewJSONLSink(io.Discard)
 				o.Telemetry.SetSink(sink)
-			case "pipeline":
-				o.Telemetry = telemetry.New(-1)
-				sink = telemetry.NewJSONLSink(io.Discard)
-				pipe = telemetry.NewPipeline(sink, telemetry.PipelineConfig{Node: -1})
-				o.Telemetry.SetSink(pipe)
 			}
 			res, err := sim.Build(o)
 			check(err)
-			var dropped int64
-			if pipe != nil {
-				check(pipe.Close())
-				dropped = pipe.Drops()
-			} else if sink != nil {
+			if sink != nil {
 				check(sink.Flush())
 			}
-			return res, dropped
+			return res
 		}
 		start := time.Now()
-		modes := []string{"off", "counters", "jsonl", "pipeline"}
+		modes := []string{"off", "counters", "events"}
 		// Interleave the modes round-robin and keep each mode's fastest
 		// round. Noise on a shared box comes in multi-second episodes that
 		// only ever slow a run down; running the modes back-to-back within
@@ -285,14 +274,13 @@ func main() {
 		best := make(map[string]telemetryRow, len(modes))
 		for round := 0; round < 3; round++ {
 			for _, mode := range modes {
-				res, dropped := build(mode)
+				res := build(mode)
 				mps := float64(res.Meetings) / res.Elapsed.Seconds()
 				if b, ok := best[mode]; !ok || mps > b.MeetingsPerSec {
 					best[mode] = telemetryRow{
 						Mode: mode, N: n, Meetings: res.Meetings,
 						Seconds:        res.Elapsed.Seconds(),
 						MeetingsPerSec: mps,
-						Dropped:        dropped,
 					}
 				}
 			}
@@ -306,10 +294,10 @@ func main() {
 		}
 		record("telemetry", start, rows)
 		fmt.Fprintf(out, "Telemetry overhead — sequential construction at N=%d\n", n)
-		fmt.Fprintf(out, "%12s %12s %12s %14s %10s %9s\n", "mode", "meetings", "seconds", "meetings/sec", "overhead", "dropped")
+		fmt.Fprintf(out, "%12s %12s %12s %14s %10s\n", "mode", "meetings", "seconds", "meetings/sec", "overhead")
 		for _, r := range rows {
-			fmt.Fprintf(out, "%12s %12d %12.3f %14.0f %9.1f%% %9d\n",
-				r.Mode, r.Meetings, r.Seconds, r.MeetingsPerSec, r.OverheadPct, r.Dropped)
+			fmt.Fprintf(out, "%12s %12d %12.3f %14.0f %9.1f%%\n",
+				r.Mode, r.Meetings, r.Seconds, r.MeetingsPerSec, r.OverheadPct)
 		}
 		fmt.Fprintln(out)
 	}

@@ -17,8 +17,8 @@ import (
 )
 
 // runTop polls a stats source and renders a refreshing terminal summary:
-// request rates, per-kind latency quantiles, pool and breaker state, and
-// event drops. count == 1 prints a single frame without clearing the
+// request rates, error counts, per-kind latency quantiles, and pool and
+// breaker state. count == 1 prints a single frame without clearing the
 // screen (script-friendly); count <= 0 runs until killed. jsonOut swaps
 // the terminal view for one JSON object per frame.
 //
@@ -127,11 +127,10 @@ func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt t
 		cur["pgrid_rpc_client_total"], rate("pgrid_rpc_client_total"),
 		cur["pgrid_exchange_total"], rate("pgrid_exchange_total"),
 		cur["pgrid_query_total"], rate("pgrid_query_total"))
-	fmt.Fprintf(w, "errors client %d (%s)  served %d  slow %d  events dropped %d (%s)\n",
+	fmt.Fprintf(w, "errors client %d (%s)  served %d  slow %d\n",
 		cur["pgrid_rpc_client_errors_total"], rate("pgrid_rpc_client_errors_total"),
 		cur["pgrid_rpc_served_errors_total"],
-		cur["pgrid_rpc_slow_total"],
-		cur["pgrid_events_dropped_total"], rate("pgrid_events_dropped_total"))
+		cur["pgrid_rpc_slow_total"])
 	fmt.Fprintln(w)
 
 	renderKindTable(w, "client rpc latency", cur, prev, dt, reset,

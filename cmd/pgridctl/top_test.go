@@ -17,7 +17,7 @@ func TestRenderTop(t *testing.T) {
 	cur := statMap{
 		"pgrid_rpc_served_total":                                   1200,
 		"pgrid_rpc_client_total":                                   520,
-		"pgrid_events_dropped_total":                               3,
+		"pgrid_rpc_slow_total":                                     3,
 		"pgrid_pool_conns_open":                                    4,
 		`pgrid_rpc_client_kind_total{kind="query"}`:                500,
 		`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.5"}`:   1_500_000,
@@ -30,7 +30,7 @@ func TestRenderTop(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"served 1200 (100.0/s)",
-		"events dropped 3",
+		"slow 3",
 		"client rpc latency",
 		"query",
 		"50.0", // query rate: (500-400)/2s

@@ -28,9 +28,8 @@
 // also feed the health digest, the pgrid_health_* gauges, and the
 // -health-min-liveness readiness check. With -events the
 // node appends one JSON line per exchange/query/RPC to a file, in the same
-// schema pgridsim -events writes; emission goes through an asynchronous
-// in-memory pipeline so the serving hot path never blocks on the file
-// (overflow is dropped and counted in pgrid_events_dropped_total). With
+// schema pgridsim -events writes; each line is encoded synchronously into
+// a buffer that is written through as it fills and flushed on exit. With
 // -slow-rpc any outgoing call over the threshold is counted, and recorded
 // with its span context into a dedicated flight recorder served at
 // /debug/slow; per-kind latency quantiles are live at /debug/lat. With
@@ -113,10 +112,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pgridnode: %v\n", err)
 		os.Exit(2)
 	}
-	// flushEvents drains the async event pipeline and the JSONL buffer,
-	// surfacing the sink's sticky write error. Installed below when -events
-	// is set; called on every exit path (including fatal) so the tail of the
-	// event stream is never lost to process death.
+	// flushEvents writes the JSONL buffer through, surfacing the sink's
+	// sticky write error. Installed below when -events is set; called on
+	// every exit path (including fatal) so the tail of the event stream is
+	// never lost to process death.
 	flushEvents := func() {}
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
@@ -154,10 +153,9 @@ func main() {
 		}
 		defer f.Close()
 		sink := telemetry.NewJSONLSink(f)
-		pipe := telemetry.NewPipeline(sink, telemetry.PipelineConfig{Node: *id})
-		tel.SetSink(pipe)
+		tel.SetSink(sink)
 		flushEvents = func() {
-			if err := pipe.Close(); err != nil {
+			if err := sink.Flush(); err != nil {
 				logger.Error("flushing events failed", "err", err)
 			}
 		}

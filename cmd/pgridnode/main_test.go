@@ -166,7 +166,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	}
 	for _, family := range []string{
 		"# TYPE pgrid_exchange_total counter",
-		"# TYPE pgrid_query_hops histogram",
+		"# TYPE pgrid_query_hops summary",
 		"pgrid_rpc_served_total 0",
 	} {
 		if !strings.Contains(body, family) {

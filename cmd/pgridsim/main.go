@@ -61,20 +61,13 @@ func main() {
 		}
 		defer f.Close()
 		tel = telemetry.New(-1) // the engine is a driver, not a peer
-		// Events flow through the async pipeline, as on a real node — but
-		// the sim is a batch tool, so completeness beats latency: the ring
-		// is deep and the drainer unthrottled, leaving drops only for
-		// bursts that outrun the encoder for 64k+ events straight.
-		pipe := telemetry.NewPipeline(telemetry.NewJSONLSink(f), telemetry.PipelineConfig{
-			Node: -1, RingSize: 1 << 16, DrainBudget: 1,
-		})
-		tel.SetSink(pipe)
+		// One exchange event per meeting, written synchronously as on a
+		// real node: every event reaches the file.
+		sink := telemetry.NewJSONLSink(f)
+		tel.SetSink(sink)
 		defer func() {
-			if err := pipe.Close(); err != nil {
+			if err := sink.Flush(); err != nil {
 				log.Printf("flushing %s: %v", *events, err)
-			}
-			if d := pipe.Drops(); d > 0 {
-				log.Printf("%s: %d events dropped under pressure (see kind=drop records)", *events, d)
 			}
 		}()
 	}

@@ -20,12 +20,11 @@ const (
 	servedHistFamily = "pgrid_rpc_served_latency_ns"
 	clientHistFamily = "pgrid_rpc_kind_latency_ns"
 
-	statServedTotal   = "pgrid_rpc_served_total"
-	statServedErrors  = "pgrid_rpc_served_errors_total"
-	statClientTotal   = "pgrid_rpc_client_total"
-	statClientErrors  = "pgrid_rpc_client_errors_total"
-	statDropped       = "pgrid_rpc_dropped_total"
-	statEventsDropped = "pgrid_events_dropped_total"
+	statServedTotal  = "pgrid_rpc_served_total"
+	statServedErrors = "pgrid_rpc_served_errors_total"
+	statClientTotal  = "pgrid_rpc_client_total"
+	statClientErrors = "pgrid_rpc_client_errors_total"
+	statDropped      = "pgrid_rpc_dropped_total"
 )
 
 // TopK bounds the slowest/most-erroring peer lists in a cluster report.
@@ -74,12 +73,11 @@ type ClusterReport struct {
 	SchemaSkew int
 
 	// RED rollups summed across every collected peer.
-	ServedTotal   int64
-	ServedErrors  int64
-	ClientTotal   int64
-	ClientErrors  int64
-	Dropped       int64
-	EventsDropped int64
+	ServedTotal  int64
+	ServedErrors int64
+	ClientTotal  int64
+	ClientErrors int64
+	Dropped      int64
 
 	// Latency holds the merged per-kind quantile rows, sorted by scope
 	// then kind.
@@ -172,9 +170,6 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 		}
 		if v, ok := snap.Stat(statDropped); ok {
 			r.Dropped += v
-		}
-		if v, ok := snap.Stat(statEventsDropped); ok {
-			r.EventsDropped += v
 		}
 
 		peerServed := telemetry.QHistSnapshot{}
@@ -298,8 +293,8 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 	if r.Peers == 0 {
 		return
 	}
-	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d), drops %d, events dropped %d\n",
-		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors, r.Dropped, r.EventsDropped)
+	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d), drops %d\n",
+		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors, r.Dropped)
 
 	if len(r.Latency) > 0 {
 		fmt.Fprintf(w, "latency        %-7s %-10s %8s %9s %9s %9s %9s\n",

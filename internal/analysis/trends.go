@@ -140,8 +140,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		}
 		rates = append(rates, d.RateSeries(statServedTotal))
 		errRates = append(errRates, d.RateSeries(statServedErrors))
-		dropRates = append(dropRates, alignSum([][]float64{
-			d.RateSeries(statDropped), d.RateSeries(statEventsDropped)}))
+		dropRates = append(dropRates, d.RateSeries(statDropped))
 		poolP99s = append(poolP99s, d.QuantileSeries(statPoolWait, 0.99))
 
 		deltas := servedDelta(d)

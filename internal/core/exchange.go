@@ -252,8 +252,10 @@ func exchange(d *directory.Directory, cfg Config, m *Metrics, sc *ExchangeScratc
 		p1, p2 = e1.Path(), e2.Path()
 	})
 
+	// Every exchange is counted; the event is the meeting's, so only the
+	// top-level exchange emits it.
 	m.Tel.ExchangeCase(dec.Case)
-	if m.Tel.EventsOn() {
+	if r == 0 && m.Tel.EventsOn() {
 		m.Tel.EmitExchange(telemetry.ExchangeCaseName(dec.Case),
 			dec.CommonLen, r, int(a1.Addr()), int(a2.Addr()))
 	}

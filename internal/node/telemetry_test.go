@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -56,8 +58,8 @@ func TestStatsRPC(t *testing.T) {
 	if v := statValue(st, "pgrid_query_total"); v != 1 {
 		t.Errorf("pgrid_query_total = %d, want 1", v)
 	}
-	if v := statValue(st, "pgrid_query_hops_count"); v != 1 {
-		t.Errorf("pgrid_query_hops_count = %d, want 1", v)
+	if h, _ := resp.MetricsResp.Snap.Hist("pgrid_query_hops"); h.Count != 1 {
+		t.Errorf("pgrid_query_hops count = %d, want 1", h.Count)
 	}
 }
 
@@ -65,7 +67,8 @@ func TestExchangeCasesCountedOverTransport(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 1)
 	tel := telemetry.New(1)
 	c.Nodes[1].SetTelemetry(tel) // node 1 is the responder
-	sink := &telemetry.MemorySink{}
+	var buf bytes.Buffer
+	sink := telemetry.NewJSONLSink(&buf)
 	tel.SetSink(sink)
 
 	if err := c.Nodes[0].Exchange(1); err != nil {
@@ -78,12 +81,15 @@ func TestExchangeCasesCountedOverTransport(t *testing.T) {
 	if v := statValue(st, `pgrid_exchange_case_total{case="1"}`); v != 1 {
 		t.Errorf("case-1 counter = %d, want 1", v)
 	}
-	events := sink.Events()
-	if len(events) != 1 || events[0].Kind != telemetry.KindExchange {
-		t.Fatalf("events = %+v", events)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if events[0].Attrs["case"] != "1" {
-		t.Errorf("event case = %v", events[0].Attrs["case"])
+	var e telemetry.Event
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || bytes.Count(buf.Bytes(), []byte("\n")) != 1 {
+		t.Fatalf("events = %q (%v)", buf.Bytes(), err)
+	}
+	if e.Kind != telemetry.KindExchange || e.Node != 1 || e.Attrs["case"] != "1" {
+		t.Errorf("event = %+v", e)
 	}
 }
 
@@ -109,7 +115,7 @@ func TestInstrumentedTransport(t *testing.T) {
 	if v := statValue(st, `pgrid_rpc_client_kind_total{kind="info"}`); v != 2 {
 		t.Errorf("per-kind client counter = %d, want 2", v)
 	}
-	if v := statValue(st, "pgrid_rpc_latency_ns_count"); v != 2 {
+	if v := statValue(st, `pgrid_rpc_kind_latency_ns_count{kind="info"}`); v != 2 {
 		t.Errorf("latency observations = %d, want 2", v)
 	}
 

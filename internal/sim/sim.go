@@ -56,14 +56,13 @@ type Options struct {
 	Churn      *workload.Churn
 	ChurnEvery int64
 	// Telemetry, when non-nil, receives fine-grained instrumentation:
-	// exchange case counters flow through core, and (when an event sink is
-	// attached) both engines emit one "exchange" event per exchange, one
-	// "round" sample every SampleEvery meetings, and one final "build"
-	// summary. Nil keeps the engines on the uninstrumented fast path.
-	// Attach the sink through a telemetry.Pipeline (as pgridsim and
-	// pgridnode do) to keep emission off the meeting hot path; the
-	// concurrent engine's workers then share the pipeline's lock-free
-	// rings instead of serializing on the sink's mutex.
+	// exchange case counters flow through core for every exchange,
+	// recursive ones included, and (when an event sink is attached) both
+	// engines emit one "exchange" event per meeting, one "round" sample
+	// every SampleEvery meetings, and one final "build" summary. The sink
+	// writes synchronously; the concurrent engine's workers take its mutex
+	// once per meeting. Nil keeps the engines on the uninstrumented fast
+	// path.
 	Telemetry *telemetry.Instruments
 	// SampleEvery is the meeting interval between "round" samples.
 	// Default N; < 0 disables sampling.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,51 +224,58 @@ func TestChurnStepApproachesStationaryFraction(t *testing.T) {
 	}
 }
 
-// TestBuildConcurrentWithPipelineEvents drives the concurrent engine with
-// a full event pipeline attached — many worker goroutines emitting into
-// the sharded rings while the drainer encodes — and checks the accounting:
-// every exchange either reached the sink or was counted as dropped. Run
-// under -race this also exercises the emit/drain paths for data races.
-func TestBuildConcurrentWithPipelineEvents(t *testing.T) {
-	tel := telemetry.New(-1)
-	sink := &telemetry.MemorySink{}
-	// Tiny rings force the drop path; unthrottled drainer keeps both
-	// paths busy.
-	pipe := telemetry.NewPipeline(sink, telemetry.PipelineConfig{
-		Shards: 4, RingSize: 64, DrainBudget: 1,
-	})
-	tel.SetSink(pipe)
-	res, err := BuildConcurrent(Options{
-		N:         120,
-		Config:    core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2},
-		Seed:      7,
-		Telemetry: tel,
-	})
+// TestBuildEmitsOneExchangeEventPerMeeting runs both engines with a JSONL
+// sink attached — under -race, the concurrent engine's workers emit into
+// the one sink at once — and decodes what it wrote: one "exchange" event
+// per meeting, at depth 0, while pgrid_exchange_total still counts the
+// recursive exchanges. The sequential run with events on takes the same
+// trajectory as with them off: emission draws no random number.
+func TestBuildEmitsOneExchangeEventPerMeeting(t *testing.T) {
+	opts := Options{
+		N:      120,
+		Config: core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2},
+		Seed:   7,
+	}
+	bare, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var exchanges, dropReported int64
-	for _, e := range sink.Events() {
-		switch e.Kind {
-		case telemetry.KindExchange:
-			exchanges++
-		case telemetry.KindDrop:
-			dropReported += e.Attrs["dropped"].(int64)
+	for name, build := range map[string]func(Options) (Result, error){"sequential": Build, "concurrent": BuildConcurrent} {
+		var buf bytes.Buffer
+		sink := telemetry.NewJSONLSink(&buf)
+		o := opts
+		o.Telemetry = telemetry.New(-1)
+		o.Telemetry.SetSink(sink)
+		res, err := build(o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Drops() also counts dropped round/build samples, so delivered +
-	// dropped can exceed the exchange count by at most those few extras.
-	if got := exchanges + pipe.Drops(); got < res.Exchanges || got > res.Exchanges+64 {
-		t.Errorf("delivered %d + dropped %d = %d exchange events, engine counted %d",
-			exchanges, pipe.Drops(), got, res.Exchanges)
-	}
-	if dropReported != pipe.Drops() {
-		t.Errorf("drop reports sum to %d, pipeline counted %d", dropReported, pipe.Drops())
-	}
-	if res.Exchanges == 0 || exchanges == 0 {
-		t.Errorf("no events flowed: exchanges=%d delivered=%d", res.Exchanges, exchanges)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var meetings int64
+		for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+			var e telemetry.Event
+			if err := json.Unmarshal(line, &e); err != nil || e.V != telemetry.SchemaVersion {
+				t.Fatalf("%s: line %q: %v", name, line, err)
+			}
+			if e.Kind == telemetry.KindExchange {
+				meetings++
+				if depth := e.Attrs["depth"].(float64); depth != 0 {
+					t.Fatalf("%s: exchange event at depth %v", name, depth)
+				}
+			}
+		}
+		if meetings != res.Meetings {
+			t.Errorf("%s: %d exchange events, %d meetings", name, meetings, res.Meetings)
+		}
+		if ex, _, _ := o.Telemetry.Totals(); ex != res.Exchanges || ex <= res.Meetings {
+			t.Errorf("%s: pgrid_exchange_total %d, engine counted %d exchanges in %d meetings",
+				name, ex, res.Exchanges, res.Meetings)
+		}
+		if name == "sequential" && (res.Meetings != bare.Meetings || res.Exchanges != bare.Exchanges) {
+			t.Errorf("events moved the trajectory: %d meetings / %d exchanges, %d / %d without",
+				res.Meetings, res.Exchanges, bare.Meetings, bare.Exchanges)
+		}
 	}
 }

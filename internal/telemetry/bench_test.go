@@ -48,12 +48,32 @@ func BenchmarkEmitNoSink(b *testing.B) {
 	}
 }
 
+// BenchmarkEmitJSONL is the generic path (json.Marshal), which only the
+// simulator's round and build samples take.
 func BenchmarkEmitJSONL(b *testing.B) {
 	in := New(0)
 	in.SetSink(NewJSONLSink(io.Discard))
-	attrs := map[string]any{"case": "1", "lc": 2, "depth": 0}
+	attrs := map[string]any{"meetings": int64(500), "exchanges": int64(1234), "avg_path_len": 3.25}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		in.Emit(KindExchange, attrs)
+		in.Emit(KindRound, attrs)
+	}
+}
+
+// BenchmarkEmitExchangeJSONL is what a meeting pays for its event.
+func BenchmarkEmitExchangeJSONL(b *testing.B) {
+	in := New(1)
+	in.SetSink(NewJSONLSink(io.Discard))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		in.EmitExchange("replica", 3, 0, 7, 9)
+	}
+}
+
+func BenchmarkQHistObserve(b *testing.B) {
+	var h QHist
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i)*31 + 1)
 	}
 }

@@ -1,107 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"math"
-	"sort"
-	"strconv"
-	"unicode/utf8"
-)
-
-// appendEvent appends the JSON encoding of e to buf, byte-for-byte
-// identical to encoding/json.Marshal (the golden test in event_test.go
-// pins this). A hand-rolled encoder because events are the telemetry hot
-// path: Marshal allocates a new []byte per event plus reflection state,
-// while this appends into a buffer the sink reuses across events.
-func appendEvent(buf []byte, e Event) ([]byte, error) {
-	buf = append(buf, `{"v":`...)
-	buf = strconv.AppendInt(buf, int64(e.V), 10)
-	buf = append(buf, `,"ts":`...)
-	buf = strconv.AppendInt(buf, e.TS, 10)
-	buf = append(buf, `,"node":`...)
-	buf = strconv.AppendInt(buf, int64(e.Node), 10)
-	buf = append(buf, `,"kind":`...)
-	buf = appendString(buf, e.Kind)
-	if len(e.Attrs) > 0 {
-		buf = append(buf, `,"attrs":{`...)
-		keys := make([]string, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var err error
-		for i, k := range keys {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendString(buf, k)
-			buf = append(buf, ':')
-			buf, err = appendValue(buf, e.Attrs[k])
-			if err != nil {
-				return buf, err
-			}
-		}
-		buf = append(buf, '}')
-	}
-	return append(buf, '}'), nil
-}
-
-// appendValue appends one attr value. The common telemetry types (string,
-// bool, ints, float64) are encoded inline; anything else falls back to
-// json.Marshal so exotic attrs still round-trip.
-func appendValue(buf []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, `null`...), nil
-	case string:
-		return appendString(buf, x), nil
-	case bool:
-		if x {
-			return append(buf, `true`...), nil
-		}
-		return append(buf, `false`...), nil
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10), nil
-	case int64:
-		return strconv.AppendInt(buf, x, 10), nil
-	case int32:
-		return strconv.AppendInt(buf, int64(x), 10), nil
-	case uint64:
-		return strconv.AppendUint(buf, x, 10), nil
-	case float64:
-		return appendFloat(buf, x)
-	default:
-		b, err := json.Marshal(v)
-		if err != nil {
-			return buf, err
-		}
-		return append(buf, b...), nil
-	}
-}
-
-// appendFloat matches encoding/json's float encoding: shortest 'f' form,
-// switching to 'e' notation outside [1e-6, 1e21) with the two-digit
-// exponent shortened ("2e+07" → "2e+07" stays, "2e-09" → "2e-09" →
-// "2e-9").
-func appendFloat(buf []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return buf, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		// Shorten exponents like e-09 to e-9, as encoding/json does.
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf, nil
-}
+import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 

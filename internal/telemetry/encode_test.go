@@ -1,84 +1,107 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"testing"
+
+	"pgrid/internal/raceflag"
 )
 
-// TestAppendEventMatchesMarshal pins the append encoder to
-// encoding/json.Marshal byte-for-byte across the attr types and string
-// contents events actually carry, plus hostile edge cases.
-func TestAppendEventMatchesMarshal(t *testing.T) {
-	events := []Event{
-		{V: 1, TS: 0, Node: -1, Kind: "build"},
-		{V: 1, TS: 1700000000000000000, Node: 3, Kind: "exchange",
-			Attrs: map[string]any{"case": "1", "lc": 0, "depth": 2, "a1": 7, "a2": 9}},
-		{V: 1, TS: 1700000000001000000, Node: 0, Kind: "query",
-			Attrs: map[string]any{"key": "010011", "found": true, "hops": 4, "backtracks": 0}},
-		{V: 1, TS: 42, Node: 1, Kind: "rpc",
-			Attrs: map[string]any{"kind": "query", "peer": 2, "us": int64(1234)}},
-		{V: 1, TS: 43, Node: 1, Kind: "drop", Attrs: map[string]any{"dropped": int64(17)}},
-		{V: 1, TS: 44, Node: 2, Kind: "round",
-			Attrs: map[string]any{"avg_path_len": 3.25, "meetings": 1000, "converged": false}},
-		{V: 1, TS: 45, Node: 2, Kind: "build",
-			Attrs: map[string]any{"seconds": 0.0000001, "big": 1e22, "neg": -2.5e-9, "zero": 0.0, "negzero": float64(0)}},
-		{V: 1, TS: 46, Node: 2, Kind: "weird",
-			Attrs: map[string]any{
-				"html":    "<a href=\"x\">&amp;</a>",
-				"ctl":     "tab\tnl\ncr\rbs\bff\fbell\x07",
-				"unicode": "héllo wörld ☃",
-				"seps":    "a\u2028b\u2029c",
-				"invalid": "bad\xffutf8",
-				"empty":   "",
-				"nilval":  nil,
-				"i32":     int32(-5),
-				"u64":     uint64(1 << 63),
-				"slice":   []int{1, 2, 3},
-			}},
-	}
-	for _, e := range events {
-		want, err := json.Marshal(e)
-		if err != nil {
-			t.Fatalf("Marshal(%+v): %v", e, err)
-		}
-		got, err := appendEvent(nil, e)
-		if err != nil {
-			t.Fatalf("appendEvent(%+v): %v", e, err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("encoding mismatch for kind %s:\n got  %s\n want %s", e.Kind, got, want)
-		}
+// hostileStrings are the string contents the typed events' string attrs
+// (case, key, kind) are checked against: what they carry, plus every
+// escaping rule encoding/json applies.
+var hostileStrings = []string{
+	"", "1", "replica", "010011", "query",
+	"<a href=\"x\">&amp;</a>",
+	"tab\tnl\ncr\rbs\bff\fbell\x07",
+	"héllo wörld ☃",
+	"a\u2028b\u2029c",
+	"bad\xffutf8",
+}
+
+// emitTyped writes one event of each typed kind carrying str, and returns
+// the Events json.Marshal must encode to the same lines.
+func emitTyped(s *JSONLSink, str string) []Event {
+	s.emitExchange(1_700_000_000_000_000_000, 3, str, 2, 0, 7, -9)
+	s.emitQuery(42, -1, str, true, 4, 0)
+	s.emitRPC(43, 0, str, 2, 1234)
+	return []Event{
+		{V: SchemaVersion, TS: 1_700_000_000_000_000_000, Node: 3, Kind: KindExchange,
+			Attrs: map[string]any{"case": str, "lc": 2, "depth": 0, "a1": 7, "a2": -9}},
+		{V: SchemaVersion, TS: 42, Node: -1, Kind: KindQuery,
+			Attrs: map[string]any{"key": str, "found": true, "hops": 4, "backtracks": 0}},
+		{V: SchemaVersion, TS: 43, Node: 0, Kind: KindRPC,
+			Attrs: map[string]any{"kind": str, "peer": 2, "us": int64(1234)}},
 	}
 }
 
-// TestAppendEventReusesBuffer checks the append contract: encoding into a
-// truncated buffer reuses its capacity and still matches Marshal.
-func TestAppendEventReusesBuffer(t *testing.T) {
-	e := Event{V: 1, TS: 7, Node: 0, Kind: "exchange", Attrs: map[string]any{"case": "2"}}
-	buf := make([]byte, 0, 256)
-	for i := 0; i < 3; i++ {
-		var err error
-		buf, err = appendEvent(buf[:0], e)
-		if err != nil {
+// TestAppendEventMatchesMarshal pins every line the sink appends — the
+// typed kinds encoded field by field, and the generic path — to
+// encoding/json.Marshal of the equivalent Event, byte for byte.
+func TestAppendEventMatchesMarshal(t *testing.T) {
+	for _, str := range hostileStrings {
+		var buf bytes.Buffer
+		s := NewJSONLSink(&buf)
+		want := emitTyped(s, str)
+		generic := Event{V: SchemaVersion, TS: 44, Node: 2, Kind: KindBuild,
+			Attrs: map[string]any{"s": str, "seconds": 0.0000001, "big": 1e22, "neg": -2.5e-9, "nil": nil}}
+		s.Emit(generic)
+		want = append(want, generic)
+		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := json.Marshal(e)
-		if string(buf) != string(want) {
-			t.Fatalf("iteration %d: got %s want %s", i, buf, want)
+		lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+		if len(lines) != len(want) {
+			t.Fatalf("%q: %d lines, want %d", str, len(lines), len(want))
+		}
+		for i, e := range want {
+			m, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lines[i], m) {
+				t.Errorf("%s with %q:\n got  %s\n want %s", e.Kind, str, lines[i], m)
+			}
 		}
 	}
 }
 
-// TestAppendEventError checks unsupported attr values surface an error
-// instead of corrupt output.
-func TestAppendEventError(t *testing.T) {
-	e := Event{V: 1, Kind: "bad", Attrs: map[string]any{"fn": func() {}}}
-	if _, err := appendEvent(nil, e); err == nil {
-		t.Error("expected error for unmarshalable attr")
+// TestAppendEventReusesBuffer: a typed event is encoded into the sink's
+// one buffer and written without a single allocation.
+func TestAppendEventReusesBuffer(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
 	}
-	e = Event{V: 1, Kind: "bad", Attrs: map[string]any{"nan": math.NaN()}}
-	if _, err := appendEvent(nil, e); err == nil {
-		t.Error("expected error for NaN attr")
+	in := New(1)
+	in.SetSink(NewJSONLSink(io.Discard))
+	for name, f := range map[string]func(){
+		"EmitExchange": func() { in.EmitExchange("replica", 3, 0, 7, 9) },
+		"EmitQuery":    func() { in.EmitQuery("010110", true, 3, 1) },
+		"EmitRPC":      func() { in.EmitRPC("query", 7, 1234) },
+	} {
+		f() // first use grows the buffer
+		if got := testing.AllocsPerRun(200, f); got != 0 {
+			t.Errorf("%s: %.1f allocs per event, want 0", name, got)
+		}
+	}
+}
+
+// TestAppendEventError: an event json.Marshal cannot encode becomes the
+// sink's sticky error, and no partial line reaches the writer.
+func TestAppendEventError(t *testing.T) {
+	for _, attrs := range []map[string]any{{"fn": func() {}}, {"nan": math.NaN()}} {
+		var buf bytes.Buffer
+		s := NewJSONLSink(&buf)
+		s.Emit(Event{V: SchemaVersion, Kind: "bad", Attrs: attrs})
+		s.emitQuery(1, 0, "k", true, 1, 0)
+		if s.Flush() == nil {
+			t.Errorf("%v: no error", attrs)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: wrote %q after the error", attrs, buf.Bytes())
+		}
 	}
 }

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 )
 
@@ -34,8 +36,10 @@ type Event struct {
 // Event kinds emitted by pgrid. The set is open: consumers must ignore
 // kinds they do not know.
 const (
-	// KindExchange is one executed exchange (construction meeting),
-	// attrs: case, lc, depth.
+	// KindExchange is one meeting (Fig. 3), attrs: case, lc, depth, a1, a2.
+	// The simulator emits it for the meeting's top-level exchange only
+	// (depth 0); the recursive exchanges it triggers are counted in
+	// pgrid_exchange_total and pgrid_exchange_case_total.
 	KindExchange = "exchange"
 	// KindQuery is one completed search, attrs: key, found, hops,
 	// backtracks.
@@ -49,20 +53,17 @@ const (
 	// KindRPC is one client-side RPC completion, attrs: kind (wire kind
 	// name), peer (remote node id), us (duration in microseconds).
 	KindRPC = "rpc"
-	// KindDrop reports events lost to a full pipeline ring since the last
-	// drop report, attrs: dropped (count).
-	KindDrop = "drop"
 )
 
-// Sink consumes events. Implementations must be safe for concurrent use.
-type Sink interface {
-	Emit(Event)
-}
-
-// JSONLSink writes one JSON line per event to an io.Writer, buffered.
+// JSONLSink writes one JSON line per event to an io.Writer, buffered. It
+// is the one event sink, and it is synchronous: an emitter encodes its
+// line into the sink's buffer under the sink's mutex and returns, so no
+// event is queued and none can be dropped. Lines from one goroutine keep
+// their order; lines from several are in the order they took the mutex.
+// The typed kinds (exchange, query, rpc) are encoded field by field
+// without allocating; the rare generic ones go through json.Marshal.
 // Errors are sticky and reported by Err/Flush rather than per-event, so
-// emitters stay non-blocking on the happy path and never have to handle
-// sink failures inline.
+// emitters never have to handle sink failures inline.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -75,34 +76,91 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: bufio.NewWriter(w)}
 }
 
-// Emit implements Sink.
+// Emit writes one event of any kind.
 func (s *JSONLSink) Emit(e Event) {
+	b, err := json.Marshal(e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	b, err := appendEvent(s.buf[:0], e)
-	s.buf = b[:0]
-	if err != nil {
+	if err != nil && s.err == nil {
 		s.err = err
-		return
 	}
-	s.writeLineLocked(b)
+	s.writeLocked(b)
 }
 
-// writeRaw writes one already-encoded JSON line (without the trailing
-// newline). The pipeline drainer uses it to skip re-encoding.
-func (s *JSONLSink) writeRaw(line []byte) {
+// The typed emitters write exactly what Emit would write for the
+// equivalent Event: json.Marshal orders a map's keys, so the attrs appear
+// sorted.
+
+func (s *JSONLSink) emitExchange(ts int64, node int, caseName string, lc, depth, a1, a2 int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	b := s.headLocked(ts, node, `exchange","attrs":{"a1":`)
+	b = strconv.AppendInt(b, int64(a1), 10)
+	b = append(b, `,"a2":`...)
+	b = strconv.AppendInt(b, int64(a2), 10)
+	b = append(b, `,"case":`...)
+	b = appendString(b, caseName)
+	b = append(b, `,"depth":`...)
+	b = strconv.AppendInt(b, int64(depth), 10)
+	b = append(b, `,"lc":`...)
+	b = strconv.AppendInt(b, int64(lc), 10)
+	s.endLocked(b)
+}
+
+func (s *JSONLSink) emitQuery(ts int64, node int, key string, found bool, hops, backtracks int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.headLocked(ts, node, `query","attrs":{"backtracks":`)
+	b = strconv.AppendInt(b, int64(backtracks), 10)
+	b = append(b, `,"found":`...)
+	b = strconv.AppendBool(b, found)
+	b = append(b, `,"hops":`...)
+	b = strconv.AppendInt(b, int64(hops), 10)
+	b = append(b, `,"key":`...)
+	b = appendString(b, key)
+	s.endLocked(b)
+}
+
+func (s *JSONLSink) emitRPC(ts int64, node int, kind string, peer int, us int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.headLocked(ts, node, `rpc","attrs":{"kind":`)
+	b = appendString(b, kind)
+	b = append(b, `,"peer":`...)
+	b = strconv.AppendInt(b, int64(peer), 10)
+	b = append(b, `,"us":`...)
+	b = strconv.AppendInt(b, us, 10)
+	s.endLocked(b)
+}
+
+// headLocked starts a line in the sink's buffer: the envelope up to the
+// kind, whose closing quote and first attribute key the caller passes in
+// rest.
+func (s *JSONLSink) headLocked(ts int64, node int, rest string) []byte {
+	b := append(s.buf[:0], `{"v":`...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, ts, 10)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(node), 10)
+	b = append(b, `,"kind":"`...)
+	return append(b, rest...)
+}
+
+// endLocked closes a typed line's attrs and envelope, writes the line and
+// keeps its buffer for the next one.
+func (s *JSONLSink) endLocked(b []byte) {
+	b = append(b, '}', '}')
+	s.buf = b[:0]
+	s.writeLocked(b)
+}
+
+// writeLocked writes one encoded line. A sink that has failed writes
+// nothing more.
+func (s *JSONLSink) writeLocked(line []byte) {
 	if s.err != nil {
 		return
 	}
-	s.writeLineLocked(line)
-}
-
-func (s *JSONLSink) writeLineLocked(line []byte) {
 	if _, err := s.w.Write(line); err != nil {
 		s.err = err
 		return
@@ -129,31 +187,4 @@ func (s *JSONLSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// MemorySink collects events in memory — the test double.
-type MemorySink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *MemorySink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, e)
-}
-
-// Events returns a copy of everything emitted so far.
-func (s *MemorySink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
-
-// Len returns the number of events emitted so far.
-func (s *MemorySink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.events)
 }

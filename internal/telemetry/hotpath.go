@@ -98,7 +98,6 @@ func (k *RPCKind) Client(d time.Duration, err error) {
 	t := k.t
 	t.rpcTotal.Inc()
 	k.counter(&k.clientTotal, "pgrid_rpc_client_kind_total", "outbound RPCs by message kind").Inc()
-	t.rpcLatency.Observe(int64(d))
 	k.latency(&k.clientLatency, "pgrid_rpc_kind_latency_ns", "outbound RPC round-trip latency by message kind, in nanoseconds").Observe(int64(d))
 	if err != nil {
 		t.rpcErrors.Inc()

@@ -104,7 +104,6 @@ func (r labeledPath) clientRPC(kind string, d time.Duration, err error) {
 	t := r.t
 	t.rpcTotal.Inc()
 	t.labeledCounter("pgrid_rpc_client_kind_total", "kind", kind, "outbound RPCs by message kind").Inc()
-	t.rpcLatency.Observe(int64(d))
 	t.latencyQ("pgrid_rpc_kind_latency_ns", kind, "outbound RPC round-trip latency by message kind, in nanoseconds").Observe(int64(d))
 	if err != nil {
 		t.rpcErrors.Inc()

@@ -44,15 +44,6 @@ func ExchangeCaseName(c int) string {
 // the paper's scales).
 const MaxLevels = 32
 
-// Instruments is the typed metric bundle for one pgrid process — a
-// simulator run, a networked node, or an embedding application. All
-// methods are nil-safe no-ops, so callers thread a possibly-nil
-// *Instruments through hot paths unconditionally.
-//
-// The event sink is attached with SetSink and may be swapped at runtime;
-// emitting is disabled (and free apart from one atomic load) while no sink
-// is attached. Callers building expensive attribute maps should guard with
-// EventsOn.
 // StatStartEpoch and StatUptime are the incarnation gauges every node
 // publishes: the process start time (unix nanoseconds) and the
 // monotonic time since it. A changed start epoch is the unambiguous
@@ -64,11 +55,20 @@ const (
 	StatServedTotal = "pgrid_rpc_served_total"
 )
 
+// Instruments is the typed metric bundle for one pgrid process — a
+// simulator run, a networked node, or an embedding application. All
+// methods are nil-safe no-ops, so callers thread a possibly-nil
+// *Instruments through hot paths unconditionally.
+//
+// The event sink is attached with SetSink and may be swapped at runtime;
+// emitting is disabled (and free apart from one atomic load) while no sink
+// is attached. Callers building expensive attribute maps should guard with
+// EventsOn.
 type Instruments struct {
 	reg   *Registry
 	node  int
 	clock func() int64
-	sink  atomic.Pointer[Sink]
+	sink  atomic.Pointer[JSONLSink]
 	start time.Time
 
 	exchanges     *Counter
@@ -76,7 +76,7 @@ type Instruments struct {
 
 	queries         *Counter
 	queriesFailed   *Counter
-	queryHops       *Histogram
+	queryHops       *QHist
 	queryBacktracks *Counter
 
 	updateReplicas *Counter
@@ -90,7 +90,6 @@ type Instruments struct {
 	rpcErrors    *Counter
 	rpcDropped   *Counter
 	rpcMalformed *Counter
-	rpcLatency   *Histogram
 	served       *Counter
 
 	resCalls            *Counter
@@ -121,9 +120,8 @@ type Instruments struct {
 	poolConnLost    *Counter
 	poolAcquireWait *QHist
 
-	eventsDropped *Counter
-	rpcSlow       *Counter
-	servedErrors  *Counter
+	rpcSlow      *Counter
+	servedErrors *Counter
 
 	repairRounds   *Counter
 	repairMessages *Counter
@@ -176,7 +174,7 @@ func New(node int) *Instruments {
 	}
 	t.queries = r.Counter("pgrid_query_total", "searches completed")
 	t.queriesFailed = r.Counter("pgrid_query_failed_total", "searches that found no responsible peer")
-	t.queryHops = r.Histogram("pgrid_query_hops", "successful peer contacts per search", HopBounds)
+	t.queryHops = r.Quantile("pgrid_query_hops", "successful peer contacts per search")
 	t.queryBacktracks = r.Counter("pgrid_query_backtracks_total", "failed subtrees abandoned during searches")
 	t.updateReplicas = r.Counter("pgrid_update_replicas_total", "replicas reached by update propagations")
 	t.updateMessages = r.Counter("pgrid_update_messages_total", "messages spent by update propagations")
@@ -196,7 +194,6 @@ func New(node int) *Instruments {
 	t.resBreakersOpen = r.Gauge("pgrid_resilience_breakers_open", "peer circuit breakers currently open")
 	t.resBreakersHalfOpen = r.Gauge("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open")
 	t.resBudgetTokens = r.Gauge("pgrid_resilience_retry_budget_tokens_milli", "retry budget balance in millitokens")
-	t.rpcLatency = r.Histogram("pgrid_rpc_latency_ns", "outbound RPC round-trip latency in nanoseconds", LatencyBounds)
 	t.served = r.Counter(StatServedTotal, "inbound RPCs handled")
 	t.healthPathLen = r.Gauge("pgrid_health_path_len", "length of this peer's responsibility path")
 	t.healthEntries = r.Gauge("pgrid_health_entries", "index entries in this peer's store")
@@ -213,7 +210,6 @@ func New(node int) *Instruments {
 	t.poolConnLost = r.Counter("pgrid_pool_conn_lost_total", "pooled connections that died with requests in flight")
 	t.poolQueueDepth = r.Gauge("pgrid_pool_queue_depth", "requests currently waiting for or multiplexed on pooled connections, by queue position")
 	t.poolAcquireWait = r.Quantile("pgrid_pool_acquire_wait_ns", "time from requesting a pooled connection to holding one, in nanoseconds")
-	t.eventsDropped = r.Counter("pgrid_events_dropped_total", "telemetry events discarded because a pipeline ring was full")
 	t.rpcSlow = r.Counter("pgrid_rpc_slow_total", "outbound RPCs slower than the slow-op threshold")
 	t.servedErrors = r.Counter("pgrid_rpc_served_errors_total", "inbound RPCs answered with an error reply")
 	t.repairRounds = r.Counter("pgrid_repair_rounds_total", "self-healing repair rounds completed")
@@ -284,93 +280,55 @@ func (t *Instruments) EnableExemplars(tailQ float64) {
 	}
 }
 
-// SetSink attaches (or, with nil, detaches) the event sink. Attaching a
-// *Pipeline also wires its drop count into pgrid_events_dropped_total.
-func (t *Instruments) SetSink(s Sink) {
+// SetSink attaches (or, with nil, detaches) the event sink.
+func (t *Instruments) SetSink(s *JSONLSink) {
 	if t == nil {
 		return
 	}
-	if s == nil {
-		t.sink.Store(nil)
-		return
-	}
-	if p, ok := s.(*Pipeline); ok {
-		p.SetDropCounter(t.eventsDropped)
-	}
-	t.sink.Store(&s)
+	t.sink.Store(s)
 }
 
 // EventsOn reports whether a sink is attached. Emitters building
 // non-trivial attribute maps should guard with it.
 func (t *Instruments) EventsOn() bool {
-	return t != nil && t.sink.Load() != nil
+	return t.eventSink() != nil
 }
 
 // Emit sends an event to the attached sink, stamping schema version,
 // timestamp, and node id. No-op without a sink.
 func (t *Instruments) Emit(kind string, attrs map[string]any) {
-	if t == nil {
-		return
+	if s := t.eventSink(); s != nil {
+		s.Emit(Event{V: SchemaVersion, TS: t.clock(), Node: t.node, Kind: kind, Attrs: attrs})
 	}
-	sp := t.sink.Load()
-	if sp == nil {
-		return
-	}
-	(*sp).Emit(Event{V: SchemaVersion, TS: t.clock(), Node: t.node, Kind: kind, Attrs: attrs})
 }
 
-// EmitExchange emits one KindExchange event. When the sink is a Pipeline
-// the record is enqueued as flat fields — no attribute map allocation on
-// the meeting hot path; other sinks get the equivalent Event.
+// EmitExchange emits one KindExchange event without allocating.
 func (t *Instruments) EmitExchange(caseName string, lc, depth, a1, a2 int) {
-	if t == nil {
-		return
+	if s := t.eventSink(); s != nil {
+		s.emitExchange(t.clock(), t.node, caseName, lc, depth, a1, a2)
 	}
-	sp := t.sink.Load()
-	if sp == nil {
-		return
-	}
-	if p, ok := (*sp).(*Pipeline); ok {
-		p.emitExchange(t.clock(), t.node, caseName, lc, depth, a1, a2)
-		return
-	}
-	(*sp).Emit(Event{V: SchemaVersion, TS: t.clock(), Node: t.node, Kind: KindExchange,
-		Attrs: map[string]any{"case": caseName, "lc": lc, "depth": depth, "a1": a1, "a2": a2}})
 }
 
-// EmitQuery emits one KindQuery event (allocation-free via a Pipeline).
+// EmitQuery emits one KindQuery event without allocating.
 func (t *Instruments) EmitQuery(key string, found bool, hops, backtracks int) {
-	if t == nil {
-		return
+	if s := t.eventSink(); s != nil {
+		s.emitQuery(t.clock(), t.node, key, found, hops, backtracks)
 	}
-	sp := t.sink.Load()
-	if sp == nil {
-		return
-	}
-	if p, ok := (*sp).(*Pipeline); ok {
-		p.emitQuery(t.clock(), t.node, key, found, hops, backtracks)
-		return
-	}
-	(*sp).Emit(Event{V: SchemaVersion, TS: t.clock(), Node: t.node, Kind: KindQuery,
-		Attrs: map[string]any{"key": key, "found": found, "hops": hops, "backtracks": backtracks}})
 }
 
 // EmitRPC emits one KindRPC event for an outbound RPC of the given wire
-// kind to peer, taking us microseconds (allocation-free via a Pipeline).
+// kind to peer, taking us microseconds, without allocating.
 func (t *Instruments) EmitRPC(kind string, peer int, us int64) {
+	if s := t.eventSink(); s != nil {
+		s.emitRPC(t.clock(), t.node, kind, peer, us)
+	}
+}
+
+func (t *Instruments) eventSink() *JSONLSink {
 	if t == nil {
-		return
+		return nil
 	}
-	sp := t.sink.Load()
-	if sp == nil {
-		return
-	}
-	if p, ok := (*sp).(*Pipeline); ok {
-		p.emitRPC(t.clock(), t.node, kind, peer, us)
-		return
-	}
-	(*sp).Emit(Event{V: SchemaVersion, TS: t.clock(), Node: t.node, Kind: KindRPC,
-		Attrs: map[string]any{"kind": kind, "peer": peer, "us": us}})
+	return t.sink.Load()
 }
 
 // ExchangeCase records one executed exchange and the Fig. 3 case taken

@@ -14,10 +14,9 @@ import (
 // count and sum — so it sits on RPC hot paths; Quantile walks a snapshot
 // of the buckets.
 //
-// The fixed-bucket Histogram remains the right tool for small discrete
-// quantities (hop counts); QHist exists because latency SLOs (p50/p95/
-// p99/p999) need resolution across six orders of magnitude, which no
-// fixed bound table provides. Like every instrument it is nil-safe.
+// Values below 16 get a bucket each, so small discrete quantities (hop
+// counts) are exact, while latency SLOs (p50/p95/p99/p999) get resolution
+// across six orders of magnitude. Like every instrument it is nil-safe.
 type QHist struct {
 	name    string
 	help    string

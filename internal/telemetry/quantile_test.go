@@ -170,8 +170,8 @@ func TestQHistNilSafe(t *testing.T) {
 // expansion, and the Prometheus summary rendering with label injection.
 func TestRegistryQuantileRendering(t *testing.T) {
 	r := NewRegistry()
-	q := r.Quantile(`pgrid_rpc_latency_ns{kind="query"}`, "RPC latency.")
-	if q2 := r.Quantile(`pgrid_rpc_latency_ns{kind="query"}`, "RPC latency."); q2 != q {
+	q := r.Quantile(`pgrid_rpc_kind_latency_ns{kind="query"}`, "RPC latency.")
+	if q2 := r.Quantile(`pgrid_rpc_kind_latency_ns{kind="query"}`, "RPC latency."); q2 != q {
 		t.Fatal("Quantile registration not idempotent")
 	}
 	for i := int64(1); i <= 100; i++ {
@@ -183,16 +183,16 @@ func TestRegistryQuantileRendering(t *testing.T) {
 		names[s.Name] = s.Value
 	}
 	for _, want := range []string{
-		`pgrid_rpc_latency_ns{kind="query",quantile="0.5"}`,
-		`pgrid_rpc_latency_ns{kind="query",quantile="0.999"}`,
-		`pgrid_rpc_latency_ns_sum{kind="query"}`,
-		`pgrid_rpc_latency_ns_count{kind="query"}`,
+		`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.5"}`,
+		`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.999"}`,
+		`pgrid_rpc_kind_latency_ns_sum{kind="query"}`,
+		`pgrid_rpc_kind_latency_ns_count{kind="query"}`,
 	} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("Snapshot missing %s (have %v)", want, snap)
 		}
 	}
-	if got := names[`pgrid_rpc_latency_ns_count{kind="query"}`]; got != 100 {
+	if got := names[`pgrid_rpc_kind_latency_ns_count{kind="query"}`]; got != 100 {
 		t.Errorf("summary count = %d, want 100", got)
 	}
 	var sb strings.Builder
@@ -201,8 +201,8 @@ func TestRegistryQuantileRendering(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE pgrid_rpc_latency_ns summary",
-		`pgrid_rpc_latency_ns{kind="query",quantile="0.99"}`,
+		"# TYPE pgrid_rpc_kind_latency_ns summary",
+		`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.99"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %q:\n%s", want, out)

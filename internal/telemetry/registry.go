@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry holds named instruments and renders them. Registration is
@@ -18,7 +17,7 @@ import (
 type Registry struct {
 	mu    sync.Mutex
 	order []string
-	insts map[string]any // *Counter, *Gauge, *GaugeFunc, *Histogram, or *QHist
+	insts map[string]any // *Counter, *Gauge, *GaugeFunc, or *QHist
 }
 
 // NewRegistry returns an empty registry.
@@ -68,33 +67,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	r.insts[name] = g
 	r.order = append(r.order, name)
 	return g
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given bucket bounds on first use. It panics if name is already
-// registered as a different instrument kind. Nil-safe like Counter.
-func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.insts[name]; ok {
-		h, ok := in.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, in))
-		}
-		return h
-	}
-	h := &Histogram{
-		name:    name,
-		help:    help,
-		bounds:  append([]int64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	r.insts[name] = h
-	r.order = append(r.order, name)
-	return h
 }
 
 // GaugeFunc is a gauge whose value is computed on demand by a callback,
@@ -170,10 +142,9 @@ func (r *Registry) Quantile(name, help string) *QHist {
 	return q
 }
 
-// Stat is one flattened metric sample: histograms expand into
-// `name_bucket{le="…"}`, `name_sum`, and `name_count` entries, and
-// quantile histograms into `name{quantile="…"}` summary entries, exactly
-// like their Prometheus rendering.
+// Stat is one flattened metric sample: quantile histograms expand into
+// `name{quantile="…"}`, `name_sum` and `name_count` summary entries,
+// exactly like their Prometheus rendering.
 type Stat struct {
 	Name  string
 	Value int64
@@ -196,18 +167,6 @@ func (r *Registry) Snapshot() []Stat {
 			out = append(out, Stat{Name: name, Value: in.Value()})
 		case *GaugeFunc:
 			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *Histogram:
-			cum := int64(0)
-			for i := range in.buckets {
-				cum += in.buckets[i].Load()
-				out = append(out, Stat{
-					Name:  fmt.Sprintf("%s_bucket{le=%q}", name, leLabel(in.bounds, i)),
-					Value: cum,
-				})
-			}
-			out = append(out,
-				Stat{Name: name + "_sum", Value: in.Sum()},
-				Stat{Name: name + "_count", Value: in.Count()})
 		case *QHist:
 			qs := in.Quantiles(QuantilePoints...)
 			for i, v := range qs {
@@ -264,23 +223,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, in.Value()); err != nil {
 				return err
 			}
-		case *Histogram:
-			if !seen[family] {
-				seen[family] = true
-				if err := writeHeader(w, family, in.help, "histogram"); err != nil {
-					return err
-				}
-			}
-			cum := int64(0)
-			for i := range in.buckets {
-				cum += in.buckets[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, leLabel(in.bounds, i), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, in.Sum(), name, in.Count()); err != nil {
-				return err
-			}
 		case *QHist:
 			if !seen[family] {
 				seen[family] = true
@@ -318,14 +260,6 @@ func familyOf(name string) string {
 		return name[:i]
 	}
 	return name
-}
-
-// leLabel renders the upper bound of bucket i (the last bucket is +Inf).
-func leLabel(bounds []int64, i int) string {
-	if i >= len(bounds) {
-		return "+Inf"
-	}
-	return fmt.Sprintf("%d", bounds[i])
 }
 
 // Label builds a labeled instrument name, e.g.

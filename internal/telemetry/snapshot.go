@@ -347,9 +347,9 @@ func (s QHistSnapshot) CountAtOrBelow(v int64) int64 {
 }
 
 // MetricsSnapshot is one node's full telemetry state in mergeable form:
-// counters, gauges, and fixed-bucket histograms flattened to Stats
-// (cumulative values, so summing across nodes is the cluster total), and
-// every quantile histogram as a sparse QHistSnapshot.
+// counters and gauges flattened to Stats (cumulative values, so summing
+// across nodes is the cluster total), and every quantile histogram as a
+// sparse QHistSnapshot.
 type MetricsSnapshot struct {
 	Schema int
 	// StartEpochNS identifies the process incarnation (node start time,
@@ -413,18 +413,6 @@ func (r *Registry) MetricsSnapshot() MetricsSnapshot {
 			m.Stats = append(m.Stats, Stat{Name: name, Value: in.Value()})
 		case *GaugeFunc:
 			m.Stats = append(m.Stats, Stat{Name: name, Value: in.Value()})
-		case *Histogram:
-			cum := int64(0)
-			for i := range in.buckets {
-				cum += in.buckets[i].Load()
-				m.Stats = append(m.Stats, Stat{
-					Name:  fmt.Sprintf("%s_bucket{le=%q}", name, leLabel(in.bounds, i)),
-					Value: cum,
-				})
-			}
-			m.Stats = append(m.Stats,
-				Stat{Name: name + "_sum", Value: in.Sum()},
-				Stat{Name: name + "_count", Value: in.Count()})
 		case *QHist:
 			m.Hists = append(m.Hists, in.Snapshot())
 		}

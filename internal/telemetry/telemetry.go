@@ -1,11 +1,11 @@
 // Package telemetry is pgrid's zero-dependency observability layer: typed
-// atomic counters and histograms collected in a Registry that renders the
-// Prometheus text exposition format, plus a versioned structured event
-// stream (JSONL) shared by the simulator and the networked node, so both
-// are analyzed with one toolchain.
+// atomic counters, gauges and quantile histograms collected in a Registry
+// that renders the Prometheus text exposition format, plus a versioned
+// structured event stream (JSONL) shared by the simulator and the
+// networked node, so both are analyzed with one toolchain.
 //
 // Every instrument is nil-safe: calling any method on a nil *Counter,
-// *Histogram, or *Instruments is a no-op. Disabled telemetry therefore
+// *QHist, or *Instruments is a no-op. Disabled telemetry therefore
 // costs one predictable branch per observation — the construction hot path
 // (millions of exchanges per second) runs with a nil *Instruments and pays
 // nothing else. Enabled instruments are lock-free (sync/atomic) and safe
@@ -82,69 +82,3 @@ func (g *Gauge) Name() string {
 	}
 	return g.name
 }
-
-// Histogram is a fixed-bucket histogram over int64 observations (hop
-// counts, exchange depths, latencies in nanoseconds). Bounds are inclusive
-// upper bounds in ascending order; an implicit +Inf bucket catches the
-// rest. All mutation is atomic.
-type Histogram struct {
-	name    string
-	help    string
-	bounds  []int64
-	buckets []atomic.Int64 // len(bounds)+1, last is +Inf
-	count   atomic.Int64
-	sum     atomic.Int64
-}
-
-// Observe records one value. No-op on a nil receiver.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Default bucket bounds for pgrid's instruments.
-var (
-	// LatencyBounds covers RPC round trips from 50µs to 10s, in
-	// nanoseconds.
-	LatencyBounds = []int64{
-		50_000, 100_000, 250_000, 500_000,
-		1_000_000, 2_500_000, 5_000_000, 10_000_000,
-		25_000_000, 50_000_000, 100_000_000, 250_000_000,
-		500_000_000, 1_000_000_000, 2_500_000_000, 10_000_000_000,
-	}
-	// HopBounds covers query hop counts and recursion depths (O(log N)
-	// quantities).
-	HopBounds = []int64{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64}
-)

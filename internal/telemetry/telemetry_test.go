@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -14,13 +16,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 || c.Name() != "" {
 		t.Error("nil counter not inert")
 	}
-	var h *Histogram
-	h.Observe(7)
-	if h.Count() != 0 || h.Sum() != 0 || h.Name() != "" {
-		t.Error("nil histogram not inert")
-	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Histogram("y", "", HopBounds) != nil || r.Snapshot() != nil {
+	if r.Counter("x", "") != nil || r.Quantile("y", "") != nil || r.Snapshot() != nil {
 		t.Error("nil registry not inert")
 	}
 	if err := r.WritePrometheus(nil); err != nil {
@@ -35,7 +32,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	in.ServedRPC("query")
 	in.RPCKind(0, "query").Dropped()
 	in.Emit(KindRound, nil)
-	in.SetSink(&MemorySink{})
+	in.SetSink(NewJSONLSink(io.Discard))
 	in.SetClock(nil)
 	if in.EventsOn() {
 		t.Error("nil instruments report events on")
@@ -60,22 +57,22 @@ func TestCounterAndHistogram(t *testing.T) {
 		t.Error("re-registration returned a different counter")
 	}
 
-	h := r.Histogram("pgrid_test_hops", "help", []int64{1, 4})
-	for _, v := range []int64{0, 1, 2, 4, 5, 100} {
+	// Hop counts below 16 land in a bucket each, so their quantiles are
+	// exact: the median of 0 1 2 3 3 3 4 5 8 100 is 3, its p95 8.
+	h := r.Quantile("pgrid_test_hops", "help")
+	for _, v := range []int64{0, 1, 2, 3, 3, 3, 4, 5, 8, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 || h.Sum() != 112 {
-		t.Errorf("count=%d sum=%d, want 6/112", h.Count(), h.Sum())
+	if h.Count() != 10 || h.Sum() != 129 {
+		t.Errorf("count=%d sum=%d, want 10/129", h.Count(), h.Sum())
 	}
-	// Buckets: ≤1 → {0,1}, ≤4 → {2,4}, +Inf → {5,100}; cumulative 2,4,6.
 	snap := r.Snapshot()
 	want := map[string]int64{
-		"pgrid_test_total":                  3,
-		`pgrid_test_hops_bucket{le="1"}`:    2,
-		`pgrid_test_hops_bucket{le="4"}`:    4,
-		`pgrid_test_hops_bucket{le="+Inf"}`: 6,
-		"pgrid_test_hops_sum":               112,
-		"pgrid_test_hops_count":             6,
+		"pgrid_test_total":                 3,
+		`pgrid_test_hops{quantile="0.5"}`:  3,
+		`pgrid_test_hops{quantile="0.95"}`: 8,
+		"pgrid_test_hops_sum":              129,
+		"pgrid_test_hops_count":            10,
 	}
 	got := map[string]int64{}
 	for _, s := range snap {
@@ -92,7 +89,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label("pgrid_case_total", "case", "1"), "cases").Add(5)
 	r.Counter(Label("pgrid_case_total", "case", "2"), "cases").Add(7)
-	r.Histogram("pgrid_lat_ns", "latency", []int64{10}).Observe(3)
+	r.Quantile("pgrid_hops", "hops").Observe(3)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -103,11 +100,10 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE pgrid_case_total counter",
 		`pgrid_case_total{case="1"} 5`,
 		`pgrid_case_total{case="2"} 7`,
-		"# TYPE pgrid_lat_ns histogram",
-		`pgrid_lat_ns_bucket{le="10"} 1`,
-		`pgrid_lat_ns_bucket{le="+Inf"} 1`,
-		"pgrid_lat_ns_sum 3",
-		"pgrid_lat_ns_count 1",
+		"# TYPE pgrid_hops summary",
+		`pgrid_hops{quantile="0.5"} 3`,
+		"pgrid_hops_sum 3",
+		"pgrid_hops_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
@@ -166,8 +162,9 @@ func TestInstrumentsCountersFlow(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got[name], want)
 		}
 	}
-	if got["pgrid_rpc_latency_ns_count"] != 2 {
-		t.Errorf("latency count = %d, want 2", got["pgrid_rpc_latency_ns_count"])
+	if got[`pgrid_rpc_kind_latency_ns_count{kind="query"}`] != 1 || got["pgrid_query_hops_count"] != 2 {
+		t.Errorf("query latency count = %d, hops count = %d, want 1 and 2",
+			got[`pgrid_rpc_kind_latency_ns_count{kind="query"}`], got["pgrid_query_hops_count"])
 	}
 }
 
@@ -179,7 +176,9 @@ func (errTestType) Error() string { return "test error" }
 
 func TestInstrumentsConcurrency(t *testing.T) {
 	in := New(0)
-	in.SetSink(&MemorySink{})
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	in.SetSink(sink)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -200,6 +199,12 @@ func TestInstrumentsConcurrency(t *testing.T) {
 	wg.Wait()
 	if ex, _, _ := in.Totals(); ex != 8000 {
 		t.Errorf("exchanges = %d, want 8000", ex)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(decodeEvents(t, buf.Bytes())); n != 80 {
+		t.Errorf("round events = %d, want 80", n)
 	}
 	var sb strings.Builder
 	if err := in.Registry().WritePrometheus(&sb); err != nil {
