@@ -12,6 +12,7 @@ import (
 	"pgrid/internal/node"
 	"pgrid/internal/slo"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/wire"
 )
 
 // runCluster crawls the community from one entry peer, federates every
@@ -27,7 +28,7 @@ func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, i
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		res := client.Walk(id, node.MetricsReq(), node.HealthReq(true))
+		res := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness})
 		rep := analysis.AnalyzeCluster(res.Snapshots, res.Digests, res.Unreachable, objectives)
 		if jsonOut {
 			err := enc.Encode(map[string]any{
@@ -60,7 +61,7 @@ func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, i
 // reachable peer's snapshot and flattens them into one map — so renderTop
 // draws a whole community exactly like a single node.
 func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
-	snaps := client.Walk(id, node.MetricsReq()).Snapshots
+	snaps := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics}).Snapshots
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("no peer reachable from node %v answered the metrics frame", id)
 	}

@@ -54,8 +54,8 @@ commands:
   query <id> <key>              route a search for a binary key, starting at node <id>
   trace <id> <key>              route one fully-sampled search and print every hop
   traces <id> [limit]           dump a node's flight recorder (recent sampled routes + cost analysis)
-  publish <id> <name> <holder>  index an item (key = hash of name) at one replica via node <id>
-  publishall <id> <name> <holder>  spread an item over all reachable replicas (BFS)
+  publish <id> <name> <holder>  index an item (key = hash of name) at every replica a breadth-first
+                                search from node <id> reaches, the entry riding each visit
   lookup <id> <name>            search for an item by name, starting at node <id>
   mlookup <name>                majority read across the community (repetitive search)
   replicas <id> <key>           list all reachable peers covering a binary key
@@ -195,11 +195,12 @@ commands:
 			}
 			limit = v
 		}
-		total, traces, err := client.FetchTraces(id, limit)
+		o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskTraces, TraceLimit: limit})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("node %v flight recorder: %d retained (of %d ever recorded)\n", id, len(traces), total)
+		traces := o.Traces.Traces
+		fmt.Printf("node %v flight recorder: %d retained (of %d ever recorded)\n", id, len(traces), o.Traces.Total)
 		for _, dt := range traces {
 			fmt.Printf("  %016x %s\n", dt.TraceID, dt)
 		}
@@ -213,17 +214,12 @@ commands:
 		name := arg(args, 1)
 		holder := mustID(args, 2)
 		key := bitpath.HashKey(name, *keybits)
-		// Route to a responsible peer, then install the entry there.
-		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		if !resp.QueryResp.Found {
-			log.Fatalf("no responsible peer reachable for key %s", key)
-		}
-		target := resp.QueryResp.Peer
 		entry := store.Entry{Key: key, Name: name, Holder: holder, Version: uint64(time.Now().UnixNano())}
-		mustCall(tr, target, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
-			Apply: &wire.ApplyReq{Entry: entry}})
-		fmt.Printf("published %q (key %s) at peer %v\n", name, key, target)
+		replicas, msgs := client.Publish([]addr.Addr{id, all[len(all)-1]}, entry, 3, 2)
+		if replicas == 0 {
+			log.Fatalf("no replica reachable for key %s", key)
+		}
+		fmt.Printf("published %q (key %s) at %d replicas, %d messages\n", name, key, replicas, msgs)
 
 	case "lookup":
 		id := mustID(args, 0)
@@ -239,18 +235,6 @@ commands:
 		e := res.Entry
 		fmt.Printf("%q → hosted by peer %v (key %s, version %d), %d routing messages\n",
 			name, e.Holder, e.Key, e.Version, res.Messages-1)
-
-	case "publishall":
-		id := mustID(args, 0)
-		name := arg(args, 1)
-		holder := mustID(args, 2)
-		key := bitpath.HashKey(name, *keybits)
-		entry := store.Entry{Key: key, Name: name, Holder: holder, Version: uint64(time.Now().UnixNano())}
-		replicas, msgs := client.Publish([]addr.Addr{id, all[len(all)-1]}, entry, 3, 2)
-		if replicas == 0 {
-			log.Fatalf("no replica reachable for key %s", key)
-		}
-		fmt.Printf("published %q (key %s) at %d replicas, %d messages\n", name, key, replicas, msgs)
 
 	case "mlookup":
 		name := arg(args, 0)
@@ -350,11 +334,12 @@ commands:
 
 	case "health":
 		id := mustID(args, 0)
-		d, rounds, err := client.FetchHealth(id, true)
+		o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("node %v health (%d probe rounds)\n  %s\n", id, rounds, d)
+		d := o.Health.Digest
+		fmt.Printf("node %v health (%d probe rounds)\n  %s\n", id, o.Health.Rounds, d)
 		for _, lp := range d.Liveness {
 			r, _ := lp.Ratio()
 			fmt.Printf("  level %2d liveness %.2f (%d live / %d dead)\n", lp.Level, r, lp.Live, lp.Dead)
@@ -362,17 +347,20 @@ commands:
 
 	case "repair":
 		id := mustID(args, 0)
-		trigger := len(args) > 1 && args[1] == "now"
-		st, err := client.FetchRepair(id, trigger)
+		req := wire.ObserveReq{Asks: wire.AskRepair}
+		if len(args) > 1 && args[1] == "now" {
+			req.Asks |= wire.AskRepairNow
+		}
+		o, err := client.Observe(id, req)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("node %v repair\n", id)
-		analysis.RenderRepairStatus(os.Stdout, st)
+		analysis.RenderRepairStatus(os.Stdout, *o.Repair)
 
 	case "crawl":
 		id := mustID(args, 0)
-		res := client.Walk(id, node.HealthReq(true), node.RepairReq(false))
+		res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 		fmt.Printf("crawled %d peers from node %v (%d messages)\n", len(res.Reached), id, res.Messages)
 		for _, a := range res.Unreachable {
 			fmt.Printf("  unreachable: %v\n", a)

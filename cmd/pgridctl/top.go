@@ -98,11 +98,11 @@ func topFrame(scope string, now time.Time, cur, prev statMap, dt time.Duration) 
 type statMap map[string]int64
 
 func fetchStats(client *node.Client, id addr.Addr) (statMap, error) {
-	snap, err := client.FetchMetrics(id)
+	o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskMetrics})
 	if err != nil {
 		return nil, err
 	}
-	return flattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: snap}), nil
+	return flattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: *o.Metrics}), nil
 }
 
 func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt time.Duration) {

@@ -12,6 +12,7 @@ import (
 	"pgrid/internal/node"
 	"pgrid/internal/slo"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/wire"
 )
 
 // watchFrame is one refresh of `pgridctl watch -json`: the federated
@@ -48,14 +49,14 @@ func runWatch(client *node.Client, id addr.Addr, clusterMode bool, objectives []
 			messages    int
 		)
 		if clusterMode {
-			res := client.Walk(id, node.HistoryReq(0, 0))
+			res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHistory})
 			dumps, unreachable, messages = res.Dumps, res.Unreachable, res.Messages
 		} else {
-			d, err := client.FetchHistory(id, 0, 0)
+			o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskHistory})
 			if err != nil {
 				log.Fatal(err)
 			}
-			dumps = map[addr.Addr]telemetry.HistoryDump{id: d}
+			dumps = map[addr.Addr]telemetry.HistoryDump{id: *o.History}
 			messages = 1
 		}
 		rep := analysis.AnalyzeTrends(dumps, objectives)

@@ -99,7 +99,7 @@ func main() {
 		sloSpecs  = flag.String("slo", "", "latency SLOs to track: kind:pNN:threshold,... e.g. query:p99:5ms (burn rates at /debug/slo, sampled every -history-interval; empty = off)")
 		traceBuf  = flag.Int("trace-buf", 256, "flight-recorder capacity in traces (0 = tracing off)")
 		traceProb = flag.Float64("trace-sample", 0.01, "probability a locally issued query is sampled for distributed tracing")
-		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served at /debug/history and over KindHistory (0 = history off)")
+		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served at /debug/history and as the history column of KindObserve (0 = history off)")
 		histWin   = flag.Duration("history-window", 5*time.Minute, "retention of the metrics history ring when -history-interval is set")
 		exemplarQ = flag.Float64("exemplar-quantile", 0.99, "latency buckets at/above this tail quantile capture trace-id exemplars linking slow buckets to flight-recorder traces (0 = off)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")

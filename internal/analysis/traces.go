@@ -27,7 +27,7 @@ type LevelCost struct {
 
 // TraceReport is the aggregate view over a set of collected traces —
 // the same report for simulator routes (core.Trace.ToTrace) and routes
-// scraped off real nodes (KindTraces), so the two are directly
+// scraped off real nodes (KindObserve), so the two are directly
 // comparable.
 type TraceReport struct {
 	// Traces is the number of traces aggregated; Found how many of them

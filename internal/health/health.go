@@ -54,8 +54,8 @@ func (l LevelProbe) Ratio() (float64, bool) {
 // Digest is the compact self-description one peer publishes about its
 // place in the grid: its responsibility path, a fingerprint of its index,
 // its reference-table shape, and the liveness its prober has measured.
-// Digests ride in wire.KindHealthResp messages and are what the community
-// crawler aggregates into the structural report.
+// Digests ride in the health column of wire.KindObserveResp and are what
+// the community crawler aggregates into the structural report.
 type Digest struct {
 	// Addr is the peer described; Path its current responsibility path.
 	Addr addr.Addr
@@ -92,7 +92,7 @@ func (d Digest) String() string {
 
 // Of builds the digest of a live peer from a consistent snapshot of its
 // routing state, its store fingerprint, and the given probe tally. Both
-// the networked node (answering KindHealth) and the simulator (feeding
+// the networked node (answering KindObserve) and the simulator (feeding
 // the analyzer directly) digest peers through this one function, so their
 // reports are directly comparable.
 func Of(p *peer.Peer, probes []LevelProbe) Digest {

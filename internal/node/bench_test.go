@@ -67,7 +67,7 @@ func BenchmarkNodeApplyGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Version = uint64(i + 1)
-		c.Transport.Call(addr.Addr(i%64), &wire.Message{Kind: wire.KindApply, Apply: &wire.ApplyReq{Entry: e}})
+		c.Transport.Call(addr.Addr(i%64), &wire.Message{Kind: wire.KindApply, Apply: &wire.ApplyReq{Entries: []store.Entry{e}}})
 		c.Transport.Call(addr.Addr(i%64), &wire.Message{Kind: wire.KindGet, Get: &wire.GetReq{Key: e.Key, Name: "bench"}})
 	}
 }

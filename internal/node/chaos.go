@@ -223,8 +223,8 @@ func (t *ChaosTransport) mangle(to addr.Addr, resp *wire.Message) (*wire.Message
 		return &wire.Message{Kind: resp.Kind, From: resp.From}, nil
 	default:
 		// Wrong kind entirely, payload gone with it.
-		kind := wire.KindTracesResp
-		if resp.Kind == wire.KindTracesResp {
+		kind := wire.KindObserveResp
+		if resp.Kind == wire.KindObserveResp {
 			kind = wire.KindInfoResp
 		}
 		return &wire.Message{Kind: kind, From: resp.From}, nil

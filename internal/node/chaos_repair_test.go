@@ -16,6 +16,7 @@ import (
 	"pgrid/internal/resilience"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/wire"
 )
 
 // TestChaosRepairSoak is the self-healing soak: a seeded 64-peer community
@@ -34,8 +35,8 @@ import (
 //     uncorrupted chaos soak.
 //  3. Be observable end-to-end: the same repair run is visible in the
 //     pgrid_repair_* telemetry, in per-node Status, in the aggregated
-//     grid report (AttachRepair → "healthy"), and over the wire via
-//     FetchRepair.
+//     grid report (AttachRepair → "healthy"), and over the wire as the
+//     repair column of an observe.
 //
 // Run under -race; the goroutine check at the end asserts nothing leaks.
 func TestChaosRepairSoak(t *testing.T) {
@@ -321,10 +322,7 @@ func TestChaosRepairSoak(t *testing.T) {
 			break
 		}
 	}
-	st, err := client.FetchRepair(probe, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := *observe(t, client, probe, wire.ObserveReq{Asks: wire.AskRepair}).Repair
 	if want := repairers[probe].Status(); !st.Enabled || st.Rounds != want.Rounds || st.TotalHeals() != want.TotalHeals() {
 		t.Errorf("wire status %+v disagrees with local status %+v", st, want)
 	}

@@ -52,20 +52,22 @@ func NewClient(tr Transport, seed int64) *Client {
 // field is not synchronized.
 func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }
 
-// ask is the single-peer read behind nodeInfo, TraceQuery and the Fetch*
-// calls: one request, and an answer in which got does not find the payload
+// ask is the single-peer read behind nodeInfo, TraceQuery and Observe: one
+// request, and an answer in which got does not find the payload
 // that request asks for is ErrMalformed, counted under the request kind — a
 // misbehaving peer is operationally a different problem from a churned one.
 // Transport errors (an unreachable peer, or a reachable one answering
-// KindError) come back as they are.
+// KindError) come back as they are. Like every caller, ask reads nothing of
+// its request once the call has returned.
 func (c *Client) ask(a addr.Addr, req wire.Message, got func(*wire.Message) bool) (*wire.Message, error) {
+	kind := req.Kind
 	resp, err := c.tr.Call(a, &req)
 	if err != nil {
 		return nil, err
 	}
 	if !got(resp) {
-		rpcKind(c.tel, req.Kind).Malformed()
-		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, req.Kind, resp.Kind)
+		rpcKind(c.tel, kind).Malformed()
+		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, kind, resp.Kind)
 	}
 	return resp, nil
 }
@@ -99,18 +101,6 @@ func (c *Client) TraceQuery(start addr.Addr, key bitpath.Path) (trace.Trace, err
 	q := resp.QueryResp
 	return trace.Trace{TraceID: ctx.TraceID, Key: key, Found: q.Found,
 		Messages: q.Messages, Backtracks: q.Backtracks, Spans: q.Spans}, nil
-}
-
-// FetchTraces scrapes a node's flight recorder over the wire (limit <= 0
-// means everything retained). Total counts traces ever recorded there,
-// including ones the ring has already evicted.
-func (c *Client) FetchTraces(a addr.Addr, limit int) (total uint64, traces []trace.Trace, err error) {
-	resp, err := c.ask(a, wire.Message{Kind: wire.KindTraces, From: addr.Nil,
-		Traces: &wire.TracesReq{Limit: limit}}, func(m *wire.Message) bool { return m.TracesResp != nil })
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.TracesResp.Total, resp.TracesResp.Traces, nil
 }
 
 // ReplicaResult is core.ReplicaResult; here Messages counts the visits, the
@@ -204,6 +194,7 @@ type visitCall struct {
 	m wire.Message
 	i wire.InfoReq
 	a wire.ApplyReq
+	e [1]store.Entry
 	s wire.ScanReq
 }
 
@@ -214,7 +205,8 @@ func (c *visitCall) fill(rider *wire.InfoReq) *wire.Message {
 	if rider != nil {
 		c.i = wire.InfoReq{}
 		if rider.Apply != nil {
-			c.a = *rider.Apply
+			c.e[0] = rider.Apply.Entries[0]
+			c.a = wire.ApplyReq{Entries: c.e[:]}
 			c.i.Apply = &c.a
 		}
 		if rider.Scan != nil {
@@ -235,7 +227,7 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 	if len(entries) == 0 {
 		return 0, 0
 	}
-	rider := &wire.InfoReq{Apply: &wire.ApplyReq{Entry: e}}
+	rider := &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}
 	found := map[addr.Addr]bool{}
 	for i := 0; i < repetition; i++ {
 		res := c.replicaSearch(entries[i%len(entries)], e.Key, recbreadth, rider, nil)

@@ -21,13 +21,13 @@ import (
 // malformTransport mangles responses to one request kind in a chosen way,
 // passing everything else through — the deterministic counterpart of
 // ChaosTransport's random corruption, for table-driven error-path tests.
-// The answer-shaped modes also reach into batch frames, mangling the slot
-// of every sub-request of that kind; mode "" only counts.
+// Mode "" only counts.
 type malformTransport struct {
-	inner Transport
-	kind  wire.Kind
-	mode  string       // "", "nilpayload", "wrongkind", "kinderror", "noread", "corrupt", "offline"
-	calls atomic.Int64 // round trips attempted through this transport
+	inner  Transport
+	kind   wire.Kind
+	mode   string       // "", "nilpayload", "wrongkind", "kinderror", "noread", "nocolumn", "corrupt", "offline"
+	column wire.Ask     // the column mode "nocolumn" strips from an observe answer
+	calls  atomic.Int64 // round trips attempted through this transport
 }
 
 func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
@@ -47,34 +47,37 @@ func (m *malformTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message,
 		}
 		return m.mangle(resp), nil
 	}
-	if msg.Kind == wire.KindBatch && resp.BatchResp != nil {
-		for i := range resp.BatchResp.Msgs {
-			if i < len(msg.Batch.Msgs) && msg.Batch.Msgs[i].Kind == m.kind {
-				if bad := m.mangle(&resp.BatchResp.Msgs[i]); bad != nil {
-					resp.BatchResp.Msgs[i] = *bad
-				}
-			}
-		}
-	}
 	return resp, nil
 }
 
-// mangle returns the wrong-shaped answer the mode stands for, nil for the
-// modes that fail the whole call instead.
+// mangle returns the wrong-shaped answer the mode stands for.
 func (m *malformTransport) mangle(resp *wire.Message) *wire.Message {
 	switch m.mode {
 	case "nilpayload":
 		return &wire.Message{Kind: resp.Kind, From: resp.From}
 	case "wrongkind":
 		return &wire.Message{Kind: wire.KindApplyResp, From: resp.From, ApplyResp: &wire.ApplyResp{}}
-	case "kinderror":
-		return &wire.Message{Kind: wire.KindError, From: resp.From, Error: "injected"}
 	case "noread": // a query answer without the entry its read asked for
 		q := *resp.QueryResp
 		q.Entry, q.Has = store.Entry{}, false
 		return &wire.Message{Kind: resp.Kind, From: resp.From, QueryResp: &q}
-	case "corrupt", "offline":
-		return nil
+	case "nocolumn": // an observe answer without one of the columns asked for
+		o := *resp.ObserveResp
+		switch m.column {
+		case wire.AskLinks:
+			o.Links = nil
+		case wire.AskHealth:
+			o.Health = nil
+		case wire.AskMetrics:
+			o.Metrics = nil
+		case wire.AskHistory:
+			o.History = nil
+		case wire.AskRepair:
+			o.Repair = nil
+		case wire.AskTraces:
+			o.Traces = nil
+		}
+		return &wire.Message{Kind: resp.Kind, From: resp.From, ObserveResp: &o}
 	default:
 		panic("unknown malform mode " + m.mode)
 	}
@@ -132,16 +135,16 @@ func TestClientMalformedResponses(t *testing.T) {
 				t.Errorf("TraceQuery err = %v, want ErrMalformed", err)
 			}
 		}},
-		{"traces wrong kind", wire.KindTraces, "wrongkind", "traces", func(t *testing.T, cl *Client) {
-			_, _, err := cl.FetchTraces(start, 4)
+		{"traces wrong kind", wire.KindObserve, "wrongkind", "observe", func(t *testing.T, cl *Client) {
+			_, err := cl.Observe(start, wire.ObserveReq{Asks: wire.AskTraces, TraceLimit: 4})
 			if !errors.Is(err, ErrMalformed) {
-				t.Errorf("FetchTraces err = %v, want ErrMalformed", err)
+				t.Errorf("Observe traces err = %v, want ErrMalformed", err)
 			}
 		}},
-		{"health nil payload", wire.KindHealth, "nilpayload", "health", func(t *testing.T, cl *Client) {
-			_, _, err := cl.FetchHealth(start, true)
+		{"health nil payload", wire.KindObserve, "nilpayload", "observe", func(t *testing.T, cl *Client) {
+			_, err := cl.Observe(start, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness})
 			if !errors.Is(err, ErrMalformed) {
-				t.Errorf("FetchHealth err = %v, want ErrMalformed", err)
+				t.Errorf("Observe health err = %v, want ErrMalformed", err)
 			}
 		}},
 		{"lookup query nil payload", wire.KindQuery, "nilpayload", "query", func(t *testing.T, cl *Client) {
@@ -203,7 +206,7 @@ func TestClientSurvivesHeavyCorruption(t *testing.T) {
 	cl.ReplicaSearch(c.Nodes[3].Addr(), key, 2)
 	cl.Audit([]addr.Addr{c.Nodes[0].Addr(), c.Nodes[1].Addr(), c.Nodes[2].Addr()})
 	cl.MajorityRead([]addr.Addr{c.Nodes[4].Addr(), c.Nodes[5].Addr()}, key, "f", 2, 16)
-	cl.Walk(c.Nodes[6].Addr(), HealthReq(true), RepairReq(false))
+	cl.Walk(c.Nodes[6].Addr(), wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 
 	if counterVal(t, tel, "pgrid_rpc_malformed_total") == 0 {
 		t.Error("heavy corruption left the malformed counter untouched")

@@ -13,8 +13,8 @@ import (
 
 // EnableHealth attaches a liveness tracker to the node (idempotent) and
 // returns it. Call before the node starts serving; the field is not
-// synchronized. Without a tracker the node still answers KindHealth with a
-// structural digest, just without probe data.
+// synchronized. Without a tracker the node still answers the health column
+// with a structural digest, just without probe data.
 func (n *Node) EnableHealth() *health.Tracker {
 	if n.htr == nil {
 		n.htr = health.NewTracker()
@@ -29,17 +29,6 @@ func (n *Node) HealthTracker() *health.Tracker { return n.htr }
 // probe data the tracker has accumulated.
 func (n *Node) Digest() health.Digest {
 	return health.Of(n.self, n.htr.Snapshot())
-}
-
-// handleHealth answers KindHealth. A nil request payload (an old or
-// minimal client) is treated as WantLiveness=true — the digest is cheap
-// and complete by default.
-func (n *Node) handleHealth(req *wire.HealthReq) *wire.HealthResp {
-	probes := n.htr.Snapshot()
-	if req != nil && !req.WantLiveness {
-		probes = nil
-	}
-	return &wire.HealthResp{Digest: health.Of(n.self, probes), Rounds: n.htr.Rounds()}
 }
 
 // probeRef is the one way a background round looks at a reference: fetch
@@ -157,13 +146,4 @@ func (p *Prober) Tick() {
 		n.probeRef(path, c.level, c.to)
 	}
 	n.probeRoundDone()
-}
-
-// FetchHealth fetches a peer's replica digest and completed probe rounds.
-func (c *Client) FetchHealth(a addr.Addr, wantLiveness bool) (health.Digest, int64, error) {
-	resp, err := c.ask(a, HealthReq(wantLiveness), func(m *wire.Message) bool { return m.HealthResp != nil })
-	if err != nil {
-		return health.Digest{}, 0, err
-	}
-	return resp.HealthResp.Digest, resp.HealthResp.Rounds, nil
 }

@@ -120,10 +120,8 @@ func TestFetchHealth(t *testing.T) {
 	NewProber(c.Nodes[1], 8, 1).Tick()
 
 	cl := NewClient(c.Transport, 42)
-	d, rounds, err := cl.FetchHealth(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := observe(t, cl, 1, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness}).Health
+	d, rounds := h.Digest, h.Rounds
 	if d.Addr != 1 || d.Path != bitpath.MustParse("10") || rounds != 1 {
 		t.Fatalf("digest = %+v rounds = %d", d, rounds)
 	}
@@ -134,11 +132,8 @@ func TestFetchHealth(t *testing.T) {
 		t.Errorf("liveness = %+v, want both levels", d.Liveness)
 	}
 
-	// WantLiveness=false keeps the digest minimal.
-	d2, _, err := cl.FetchHealth(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Without AskLiveness the digest stays minimal.
+	d2 := observe(t, cl, 1, wire.ObserveReq{Asks: wire.AskHealth}).Health.Digest
 	if d2.Liveness != nil {
 		t.Errorf("minimal digest carries liveness: %+v", d2.Liveness)
 	}
@@ -146,7 +141,7 @@ func TestFetchHealth(t *testing.T) {
 
 // crawl is the walk `pgridctl crawl` makes.
 func crawl(cl *Client, start addr.Addr) WalkResult {
-	return cl.Walk(start, HealthReq(true), RepairReq(false))
+	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 }
 
 func TestCrawlCensus(t *testing.T) {
@@ -163,9 +158,9 @@ func TestCrawlCensus(t *testing.T) {
 			t.Errorf("census: %v has path %s, want %s", d.Addr, d.Path, want[d.Addr])
 		}
 	}
-	// Three messages per reachable peer: one Info, one Health, one Repair.
-	if res.Messages != 9 {
-		t.Errorf("messages = %d, want 9", res.Messages)
+	// One message per reachable peer: links, health and repair ride one observe.
+	if res.Messages != 3 {
+		t.Errorf("messages = %d, want 3", res.Messages)
 	}
 
 	// An offline peer is reported unreachable, not silently dropped.
@@ -173,29 +168,6 @@ func TestCrawlCensus(t *testing.T) {
 	res = crawl(cl, 0)
 	if len(res.Digests) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("crawl with 2 offline = %+v", res)
-	}
-}
-
-// TestCrawlPreHealthFallback pins that the fallback is gone: a peer whose
-// health slot comes back as KindError is still walked through (its Info is
-// good), but no digest is made up for it from that Info, and nobody asks it
-// a second time.
-func TestCrawlPreHealthFallback(t *testing.T) {
-	c := localHealthCluster(t)
-	tr := &malformTransport{inner: c.Transport, kind: wire.KindHealth, mode: "kinderror"}
-	cl := NewClient(tr, 42)
-	res := crawl(cl, 0)
-	if len(res.Reached) != 3 || len(res.Unreachable) != 0 {
-		t.Fatalf("crawl = %+v, want all 3 reached", res)
-	}
-	if len(res.Digests) != 0 {
-		t.Errorf("digests = %+v, want none: the health slot errored everywhere", res.Digests)
-	}
-	if len(res.Repairs) != 3 {
-		t.Errorf("repair statuses = %d, want 3: the health slot's error is its own", len(res.Repairs))
-	}
-	if got := tr.calls.Load(); got != 3 {
-		t.Errorf("round trips = %d, want 3 (one frame per peer, no second ask)", got)
 	}
 }
 

@@ -4,27 +4,8 @@ import (
 	"context"
 	"time"
 
-	"pgrid/internal/addr"
 	"pgrid/internal/telemetry"
-	"pgrid/internal/wire"
 )
-
-// handleHistory answers KindHistory with a windowed dump of the node's
-// telemetry history ring. With history disabled the response is an
-// empty, schema-stamped dump.
-func (n *Node) handleHistory(req *wire.HistoryReq) *wire.HistoryResp {
-	var window time.Duration
-	maxPoints := 0
-	if req != nil {
-		if req.WindowNS > 0 {
-			window = time.Duration(req.WindowNS)
-		}
-		if req.MaxPoints > 0 {
-			maxPoints = int(req.MaxPoints)
-		}
-	}
-	return &wire.HistoryResp{Dump: n.history.Dump(window, maxPoints)}
-}
 
 // RunSampler is the node's one metrics sampler: it takes one snapshot per
 // history interval until ctx is cancelled and hands it to the history ring
@@ -56,15 +37,4 @@ func (n *Node) RunSampler(ctx context.Context, also ...func(telemetry.MetricsSna
 			sample()
 		}
 	}
-}
-
-// FetchHistory fetches a peer's telemetry history dump for the trailing
-// window (0 = everything retained), capped at maxPoints points (0 = no
-// cap). A peer with history off answers an empty, schema-stamped dump.
-func (c *Client) FetchHistory(a addr.Addr, window time.Duration, maxPoints int) (telemetry.HistoryDump, error) {
-	resp, err := c.ask(a, HistoryReq(window, maxPoints), func(m *wire.Message) bool { return m.HistoryResp != nil })
-	if err != nil {
-		return telemetry.HistoryDump{}, err
-	}
-	return resp.HistoryResp.Dump, nil
 }

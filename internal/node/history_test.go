@@ -92,11 +92,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	var dump telemetry.HistoryDump
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var err error
-		dump, err = cl.FetchHistory(0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dump = *observe(t, cl, 0, wire.ObserveReq{Asks: wire.AskHistory}).History
 		if p, ok := dump.Newest(); ok {
 			if h, ok := p.Snap.Hist(servedQueryHist); ok && h.Count == queries {
 				break
@@ -151,10 +147,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	if atOrBelow <= 0 {
 		t.Fatalf("exemplar bucket bound = %d", atOrBelow)
 	}
-	_, traces, err := cl.FetchTraces(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := observe(t, cl, 0, wire.ObserveReq{Asks: wire.AskTraces}).Traces.Traces
 	found := false
 	for _, trc := range traces {
 		if trc.TraceID == traceID {
@@ -184,8 +177,8 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 			t.Fatal("node 2's ring never sampled the requests it served")
 		}
 	}
-	if res.Messages != 2*nNodes {
-		t.Errorf("messages = %d, want %d (one info+history batch per peer)", res.Messages, 2*nNodes)
+	if res.Messages != nNodes {
+		t.Errorf("messages = %d, want %d (one observe per peer)", res.Messages, nNodes)
 	}
 	for a, d := range res.Dumps {
 		if len(d.Points) == 0 {
@@ -224,7 +217,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		restarted.RunSampler(ctx)
 	}()
 
-	post, err := cl.FetchMetrics(2)
+	post, err := fetchMetrics(cl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,75 +238,5 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 
 // collectHistory is the walk `pgridctl watch -cluster` makes.
 func collectHistory(cl *Client, start addr.Addr) WalkResult {
-	return cl.Walk(start, HistoryReq(0, 0))
-}
-
-// TestFetchHistoryPreHistoryFallback pins that FetchHistory no longer
-// degrades: a peer answering the history request with KindError is an
-// error, not a one-point dump built from a second (metrics) call — and a
-// history-enabled peer with an unsampled ring answers for real, an empty
-// schema-stamped dump.
-func TestFetchHistoryPreHistoryFallback(t *testing.T) {
-	c := localHealthCluster(t)
-	tr := &malformTransport{inner: c.Transport, kind: wire.KindHistory, mode: "kinderror"}
-	if dump, err := NewClient(tr, 42).FetchHistory(1, time.Minute, 8); err == nil {
-		t.Fatalf("FetchHistory of a refusing peer = %+v, want an error", dump)
-	}
-	if got := tr.calls.Load(); got != 1 {
-		t.Errorf("round trips = %d, want 1 (no snapshot fetched in its place)", got)
-	}
-
-	c.Nodes[2].EnableHistory(telemetry.NewHistory(time.Second, time.Minute))
-	empty, err := NewClient(c.Transport, 43).FetchHistory(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Points) != 0 || empty.Schema != telemetry.MetricsSchemaVersion {
-		t.Fatalf("unsampled ring dump = %+v", empty)
-	}
-}
-
-// TestCollectClusterHistoryFallbacks: a history slot that comes back empty
-// of its payload leaves that peer's dump out without a second call; real
-// rings come back over the same walk; an offline peer lands in Unreachable;
-// and none of it aborts the walk.
-func TestCollectClusterHistoryFallbacks(t *testing.T) {
-	c := localHealthCluster(t)
-	for i := range c.Nodes {
-		c.Nodes[i].SetTelemetry(telemetry.New(i))
-	}
-
-	tr := &malformTransport{inner: c.Transport, kind: wire.KindHistory, mode: "nilpayload"}
-	res := collectHistory(NewClient(tr, 42), 0)
-	if len(res.Reached) != 3 || len(res.Dumps) != 0 || len(res.Unreachable) != 0 {
-		t.Fatalf("collect over bad history slots = %d peers, %d dumps, unreachable %v",
-			len(res.Reached), len(res.Dumps), res.Unreachable)
-	}
-	if got := tr.calls.Load(); got != 3 {
-		t.Errorf("round trips = %d, want 3 (one frame per peer)", got)
-	}
-
-	// History-enabled peers answer with their real rings over the same walk.
-	for i := range c.Nodes {
-		h := telemetry.NewHistory(time.Second, time.Minute)
-		c.Nodes[i].EnableHistory(h)
-		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
-		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
-	}
-	dumps := collectHistory(NewClient(c.Transport, 44), 0).Dumps
-	if len(dumps) != 3 {
-		t.Fatalf("history collect = %d dumps", len(dumps))
-	}
-	for a, d := range dumps {
-		if len(d.Points) != 2 {
-			t.Errorf("peer %v dump = %d points, want 2", a, len(d.Points))
-		}
-	}
-
-	// An offline peer is reported, never fatal.
-	c.Nodes[2].SetOnline(false)
-	res = collectHistory(NewClient(c.Transport, 45), 0)
-	if len(res.Dumps) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
-		t.Fatalf("collect with 2 offline = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
-	}
+	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHistory})
 }

@@ -14,7 +14,16 @@ const servedQueryHist = `pgrid_rpc_served_latency_ns{kind="query"}`
 
 // collect is the walk `pgridctl cluster` makes.
 func collect(cl *Client, start addr.Addr) WalkResult {
-	return cl.Walk(start, MetricsReq(), HealthReq(true))
+	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness})
+}
+
+// fetchMetrics observes one peer's metrics column.
+func fetchMetrics(cl *Client, a addr.Addr) (telemetry.MetricsSnapshot, error) {
+	o, err := cl.Observe(a, wire.ObserveReq{Asks: wire.AskMetrics})
+	if err != nil {
+		return telemetry.MetricsSnapshot{}, err
+	}
+	return *o.Metrics, nil
 }
 
 func TestFetchMetrics(t *testing.T) {
@@ -25,7 +34,7 @@ func TestFetchMetrics(t *testing.T) {
 	tel.ServedRPCDone("query", 40*time.Millisecond, true)
 
 	cl := NewClient(c.Transport, 42)
-	snap, err := cl.FetchMetrics(1)
+	snap, err := fetchMetrics(cl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +50,7 @@ func TestFetchMetrics(t *testing.T) {
 	}
 
 	// A telemetry-disabled peer still answers: schema stamped, tables empty.
-	snap, err = cl.FetchMetrics(0)
+	snap, err = fetchMetrics(cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func TestFetchMetrics(t *testing.T) {
 
 	// An offline peer is a transport error, not a malformed response.
 	c.Nodes[2].SetOnline(false)
-	if _, err := cl.FetchMetrics(2); !errors.Is(err, ErrOffline) {
+	if _, err := fetchMetrics(cl, 2); !errors.Is(err, ErrOffline) {
 		t.Fatalf("offline fetch err = %v, want ErrOffline", err)
 	}
 }
@@ -89,9 +98,9 @@ func TestTCPCollectCluster(t *testing.T) {
 	if len(res.Digests) != 3 {
 		t.Fatalf("collect digests = %+v, want 3", res.Digests)
 	}
-	// Three logical requests per reachable peer (info+metrics+health).
-	if res.Messages != 9 {
-		t.Errorf("messages = %d, want 9", res.Messages)
+	// One observe per reachable peer carries links, metrics and health.
+	if res.Messages != 3 {
+		t.Errorf("messages = %d, want 3", res.Messages)
 	}
 
 	merged := telemetry.QHistSnapshot{}
@@ -127,45 +136,5 @@ func TestTCPCollectCluster(t *testing.T) {
 	res = collect(cl, 0)
 	if len(res.Snapshots) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("collect with 2 offline = %d snapshots, unreachable %v", len(res.Snapshots), res.Unreachable)
-	}
-}
-
-// TestCollectClusterPreMetricsFallback pins that the sequential fallback is
-// gone: a peer that refuses the batch envelope itself (a KindError answer,
-// which every transport surfaces as a Terminal error) is unreachable — one
-// message billed, and no Info/Metrics/Health calls made one by one after it.
-func TestCollectClusterPreMetricsFallback(t *testing.T) {
-	c := localHealthCluster(t)
-	tr := &malformTransport{inner: c.Transport, kind: wire.KindBatch, mode: "kinderror"}
-	res := collect(NewClient(tr, 42), 0)
-	if len(res.Reached) != 0 || len(res.Unreachable) != 1 || res.Unreachable[0] != 0 {
-		t.Fatalf("collect = %+v, want the entry peer unreachable", res)
-	}
-	if res.Messages != 1 || tr.calls.Load() != 1 {
-		t.Errorf("messages = %d, round trips = %d, want 1 and 1", res.Messages, tr.calls.Load())
-	}
-}
-
-// TestCollectClusterSequentialFallback: a metrics slot answered with another
-// kind's response is never trusted and never re-asked one by one — the
-// digests survive, no snapshot is taken from it.
-func TestCollectClusterSequentialFallback(t *testing.T) {
-	c := localHealthCluster(t)
-	c.Nodes[1].SetTelemetry(telemetry.New(1))
-	tr := &malformTransport{inner: c.Transport, kind: wire.KindMetrics, mode: "wrongkind"}
-	res := collect(NewClient(tr, 42), 0)
-	if len(res.Digests) != 3 || len(res.Unreachable) != 0 {
-		t.Fatalf("collect = %+v", res)
-	}
-	if snaps := res.Snapshots; len(snaps) != 0 {
-		t.Fatalf("snapshots = %v, want none from wrong-kind slots", snaps)
-	}
-	for _, d := range res.Digests {
-		if len(d.RefCounts) == 0 {
-			t.Errorf("digest %v lost structure: %+v", d.Addr, d)
-		}
-	}
-	if got := tr.calls.Load(); got != 3 {
-		t.Errorf("round trips = %d, want 3 (one frame per peer)", got)
 	}
 }

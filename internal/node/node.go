@@ -111,7 +111,7 @@ func (n *Node) Recorder() *trace.Recorder { return n.rec }
 func (n *Node) Repairer() *Repairer { return n.repairer }
 
 // EnableHistory attaches a telemetry history ring (nil disables); a
-// sampler (RunSampler) fills it and KindHistory serves it. Call
+// sampler (RunSampler) fills it and KindObserve serves it. Call
 // before the node starts serving; the field is not synchronized.
 func (n *Node) EnableHistory(h *telemetry.History) { n.history = h }
 
@@ -155,18 +155,24 @@ func traceIDOf(m *wire.Message) uint64 {
 // under the state lock and de-duplicates each level it reads in quadratic
 // time: a snapshot has one level per path bit and, from a peer configured
 // like this one, at most RefMax references in each — which is what the
-// decision's scratch is sized for. An info rider names exactly one operation:
-// the codec decodes nothing else, but an in-process caller can build anything.
+// decision's scratch is sized for. An info rider names exactly one operation
+// and applies one entry, a KindApply at least one: the codec decodes nothing
+// else, but an in-process caller can build anything.
 func (n *Node) badRequest(m *wire.Message) string {
 	switch {
 	case m.Kind == wire.KindInfo && m.Info != nil && (m.Info.Apply == nil) == (m.Info.Scan == nil):
 		return "an info rider carries one of an apply and a scan"
+	case m.Kind == wire.KindInfo && m.Info != nil && m.Info.Apply != nil && len(m.Info.Apply.Entries) != 1:
+		return fmt.Sprintf("an info rider applies one entry, not %d", len(m.Info.Apply.Entries))
 	case m.Kind == wire.KindQuery && m.Query == nil,
 		m.Kind == wire.KindExchange && m.Exchange == nil,
 		m.Kind == wire.KindApply && m.Apply == nil,
 		m.Kind == wire.KindGet && m.Get == nil,
-		m.Kind == wire.KindScan && m.Scan == nil:
+		m.Kind == wire.KindScan && m.Scan == nil,
+		m.Kind == wire.KindObserve && m.Observe == nil:
 		return fmt.Sprintf("missing payload for kind %v", m.Kind)
+	case m.Kind == wire.KindApply && len(m.Apply.Entries) == 0:
+		return "an apply carries no entry"
 	case m.Kind == wire.KindQuery && m.Query.Level < 0:
 		return fmt.Sprintf("negative query level %d", m.Query.Level)
 	case m.Kind == wire.KindQuery && m.Query.Read != nil && !m.Query.Read.Key.HasSuffix(m.Query.Key):
@@ -204,7 +210,11 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	case wire.KindApply:
 		resp, a := reply[wire.ApplyResp](n, wire.KindApplyResp)
 		resp.ApplyResp = a
-		a.Changed = n.Store().Apply(m.Apply.Entry)
+		for _, e := range m.Apply.Entries {
+			if n.Store().Apply(e) {
+				a.Changed = true
+			}
+		}
 		return resp
 	case wire.KindGet:
 		resp, g := reply[wire.GetResp](n, wire.KindGetResp)
@@ -218,23 +228,8 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		resp.ScanResp = s
 		s.Entries = n.Store().PrefixScan(m.Scan.Prefix)
 		return resp
-	case wire.KindMetrics:
-		return &wire.Message{Kind: wire.KindMetricsResp, From: n.Addr(), MetricsResp: n.handleMetrics()}
-	case wire.KindTraces:
-		limit := 0
-		if m.Traces != nil {
-			limit = m.Traces.Limit
-		}
-		return &wire.Message{Kind: wire.KindTracesResp, From: n.Addr(),
-			TracesResp: &wire.TracesResp{Total: n.rec.Total(), Traces: n.rec.Snapshot(limit)}}
-	case wire.KindHealth:
-		return &wire.Message{Kind: wire.KindHealthResp, From: n.Addr(), HealthResp: n.handleHealth(m.Health)}
-	case wire.KindHistory:
-		return &wire.Message{Kind: wire.KindHistoryResp, From: n.Addr(), HistoryResp: n.handleHistory(m.History)}
-	case wire.KindBatch:
-		return n.handleBatch(m)
-	case wire.KindRepair:
-		return &wire.Message{Kind: wire.KindRepairResp, From: n.Addr(), RepairResp: n.handleRepair(m.Repair)}
+	case wire.KindObserve:
+		return &wire.Message{Kind: wire.KindObserveResp, From: n.Addr(), ObserveResp: n.handleObserve(m.Observe)}
 	default:
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
 			Error: fmt.Sprintf("unexpected message kind %v", m.Kind)}
@@ -244,56 +239,10 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 // reply returns a response of the given kind from this node and the payload P
 // it carries, as the one object they are sent as; the caller sets the payload
 // pointer that goes with the kind.
-func reply[P any](n *Node, kind wire.Kind) (*wire.Message, *P) {
-	m, p := wire.Fused[P]()
+func reply[P any](n *Node, kind wire.Kind) (m *wire.Message, p *P) {
+	p = wire.Fused[P](&m)
 	m.Kind, m.From = kind, n.Addr()
 	return m, p
-}
-
-// callBatch sends msgs to one peer as a single batch frame and returns the
-// per-slot responses. The error surface mirrors Transport.Call: transport
-// failures come back as-is, and a response whose shape does not match the
-// request is ErrMalformed.
-func callBatch(tr Transport, to, from addr.Addr, msgs []wire.Message) ([]wire.Message, error) {
-	resp, err := tr.Call(to, &wire.Message{Kind: wire.KindBatch, From: from,
-		Batch: &wire.BatchReq{Msgs: msgs}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.BatchResp == nil || len(resp.BatchResp.Msgs) != len(msgs) {
-		return nil, fmt.Errorf("%w: node %v answered batch with kind %v (%d slots for %d requests)",
-			ErrMalformed, to, resp.Kind, len(batchSlots(resp)), len(msgs))
-	}
-	return resp.BatchResp.Msgs, nil
-}
-
-func batchSlots(m *wire.Message) []wire.Message {
-	if m.BatchResp == nil {
-		return nil
-	}
-	return m.BatchResp.Msgs
-}
-
-// handleBatch serves each sub-request in order and returns one response
-// per slot. A sub-request the node cannot serve yields a KindError
-// sub-message in its slot; the batch frame itself still succeeds, so one
-// bad element does not void its neighbours. Nested batches are refused at
-// the envelope level (and the codec refuses to carry them at all).
-func (n *Node) handleBatch(m *wire.Message) *wire.Message {
-	if m.Batch == nil {
-		return &wire.Message{Kind: wire.KindError, From: n.Addr(), Error: "empty batch"}
-	}
-	out := make([]wire.Message, len(m.Batch.Msgs))
-	for i := range m.Batch.Msgs {
-		sub := &m.Batch.Msgs[i]
-		if sub.Kind == wire.KindBatch || sub.Kind == wire.KindBatchResp {
-			out[i] = wire.Message{Kind: wire.KindError, From: n.Addr(), Error: "nested batch"}
-			continue
-		}
-		out[i] = *n.Handle(sub)
-	}
-	return &wire.Message{Kind: wire.KindBatchResp, From: n.Addr(),
-		BatchResp: &wire.BatchResp{Msgs: out}}
 }
 
 // links reads the peer's path, per-level references and buddy list under
@@ -338,7 +287,7 @@ func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
 			return
 		}
 		if r.Apply != nil {
-			x.a.Changed = n.Store().Apply(r.Apply.Entry)
+			x.a.Changed = n.Store().Apply(r.Apply.Entries[0])
 			i.Applied = &x.a
 		} else {
 			x.s.Entries = n.Store().PrefixScan(r.Scan.Prefix)
@@ -586,20 +535,10 @@ func (n *Node) applyExchange(from addr.Addr, r *wire.ExchangeResp, depth int) {
 	if r.Extend {
 		keep := r.BasePath.Append(r.ExtendBit)
 		if evicted := n.Store().Evict(keep); len(evicted) > 0 {
-			// Best-effort: the responder covers the vacated side. Every
-			// push targets the same peer, so the whole handover rides one
-			// batch frame; a peer that cannot serve batches (or an error
-			// mid-flight) gets the sequential per-entry pushes instead.
-			msgs := make([]wire.Message, len(evicted))
-			for i, entry := range evicted {
-				msgs[i] = wire.Message{Kind: wire.KindApply, From: n.Addr(),
-					Apply: &wire.ApplyReq{Entry: entry}}
-			}
-			if _, err := callBatch(n.tr, from, n.Addr(), msgs); err != nil {
-				for i := range msgs {
-					n.tr.Call(from, &msgs[i])
-				}
-			}
+			// Best-effort: the responder covers the vacated side and takes
+			// the whole handover in one apply, as core.handOver hands it.
+			n.tr.Call(from, &wire.Message{Kind: wire.KindApply, From: n.Addr(),
+				Apply: &wire.ApplyReq{Entries: evicted}})
 		}
 	}
 	for _, entry := range r.Handover {

@@ -3,10 +3,12 @@ package node
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -118,7 +120,7 @@ func TestClusterQueryAfterConstruction(t *testing.T) {
 func TestClusterApplyAndGet(t *testing.T) {
 	c := NewCluster(16, smallCfg(), 6)
 	e := store.Entry{Key: bitpath.MustParse("0101"), Name: "f", Holder: 2, Version: 1}
-	resp, err := c.Transport.Call(3, &wire.Message{Kind: wire.KindApply, From: 0, Apply: &wire.ApplyReq{Entry: e}})
+	resp, err := c.Transport.Call(3, &wire.Message{Kind: wire.KindApply, From: 0, Apply: &wire.ApplyReq{Entries: []store.Entry{e}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +175,81 @@ func TestDataHandoverOnNetworkSplit(t *testing.T) {
 	}
 	if _, ok := c.Nodes[0].Store().Get(left.Key, "l"); !ok {
 		t.Error("node 0 lost its own entry")
+	}
+}
+
+// applyRecorder notes the entry count of every KindApply sent through it.
+type applyRecorder struct {
+	inner   Transport
+	applies []int
+}
+
+func (a *applyRecorder) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	if m.Kind == wire.KindApply {
+		a.applies = append(a.applies, len(m.Apply.Entries))
+	}
+	return a.inner.Call(to, m)
+}
+
+// TestExchangeHandoverOneFrame: what a node moves to one peer travels as one
+// KindApply carrying every entry — the entries a split evicts, handed to the
+// responder that now covers them, and a repair push to a wiped replica — and
+// the receiver holds them all.
+func TestExchangeHandoverOneFrame(t *testing.T) {
+	const n = 5
+	entries := func(prefix string) []store.Entry {
+		out := make([]store.Entry, n)
+		for i := range out {
+			out[i] = store.Entry{Key: bitpath.MustParse(prefix + []string{"00", "01", "10", "11", "0"}[i]),
+				Name: fmt.Sprintf("e%d", i), Holder: 0, Version: uint64(i + 1)}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func(t *testing.T) (sender *Node, rec *applyRecorder, receiver *Node, moved []store.Entry)
+		fixtures int // the entries on the sender that stay put
+	}{
+		{"exchange handover", func(t *testing.T) (*Node, *applyRecorder, *Node, []store.Entry) {
+			c := NewCluster(2, smallCfg(), 9)
+			rec := &applyRecorder{inner: c.Nodes[0].tr}
+			c.Nodes[0].tr = rec
+			moved := entries("1") // node 0 takes side 0, node 1 side 1
+			for _, e := range append(moved, entries("0")...) {
+				c.Nodes[0].Store().Apply(e)
+			}
+			if err := c.Nodes[0].Exchange(1); err != nil {
+				t.Fatal(err)
+			}
+			return c.Nodes[0], rec, c.Nodes[1], moved
+		}, n},
+		{"repair push", func(t *testing.T) (*Node, *applyRecorder, *Node, []store.Entry) {
+			c := repairFixture(t, 35)
+			rec := &applyRecorder{inner: c.Nodes[0].tr}
+			c.Nodes[0].tr = rec
+			moved := entries("0") // nodes 0 and 2 hold the partition; node 1 was wiped
+			for _, e := range moved {
+				c.Nodes[0].Store().Apply(e)
+				c.Nodes[2].Store().Apply(e)
+			}
+			NewRepairer(c.Nodes[0], time.Second, RepairConfig{Budget: 64}, 5).Tick()
+			return c.Nodes[0], rec, c.Nodes[1], moved
+		}, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, rec, receiver, moved := tc.run(t)
+			if !reflect.DeepEqual(rec.applies, []int{len(moved)}) {
+				t.Errorf("applies sent, by entry count: %v; want one carrying all %d", rec.applies, len(moved))
+			}
+			for _, e := range moved {
+				if got, ok := receiver.Store().Get(e.Key, e.Name); !ok || got != e {
+					t.Errorf("receiver holds %v, %v for %v", got, ok, e)
+				}
+			}
+			if got := sender.Store().Len(); got != tc.fixtures {
+				t.Errorf("sender holds %d entries, want %d", got, tc.fixtures)
+			}
+		})
 	}
 }
 

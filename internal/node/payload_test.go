@@ -15,7 +15,7 @@ import (
 )
 
 // payloadKinds are the request kinds whose handlers dereference a payload.
-var payloadKinds = []wire.Kind{wire.KindQuery, wire.KindExchange, wire.KindApply, wire.KindGet, wire.KindScan}
+var payloadKinds = []wire.Kind{wire.KindQuery, wire.KindExchange, wire.KindApply, wire.KindGet, wire.KindScan, wire.KindObserve}
 
 // TestPayloadlessRequestAnswersError: a frame that carries a request kind
 // and a sender but no payload decodes cleanly. The node must
@@ -59,16 +59,6 @@ func TestPayloadlessRequestAnswersError(t *testing.T) {
 		nodes[0].SetTelemetry(tel)
 		check(t, pt, tel)
 	})
-
-	// Inside a batch the guard holds per slot.
-	c := NewCluster(1, smallCfg(), 1)
-	out, err := callBatch(c.Transport, 0, addr.Nil, []wire.Message{{Kind: wire.KindGet}, {Kind: wire.KindInfo}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Kind != wire.KindError || out[1].InfoResp == nil {
-		t.Errorf("batch slots = %v / %v, want error then info", out[0].Kind, out[1].Kind)
-	}
 }
 
 // TestNegativeLevelOrDepthAnswersError: QueryReq.Level and ExchangeReq.Depth

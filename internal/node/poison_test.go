@@ -38,7 +38,9 @@ func poison(m *wire.Message) {
 		*m.Exchange = wire.ExchangeReq{Path: junk.Key, Refs: []wire.RefSet{{Addrs: []addr.Addr{junk.Holder}}}, Depth: 1}
 	}
 	if m.Apply != nil {
-		m.Apply.Entry = junk
+		for i := range m.Apply.Entries {
+			m.Apply.Entries[i] = junk
+		}
 	}
 	if m.Get != nil {
 		*m.Get = wire.GetReq{Key: junk.Key, Name: junk.Name}
@@ -48,17 +50,15 @@ func poison(m *wire.Message) {
 	}
 	if r := m.Info; r != nil {
 		if r.Apply != nil {
-			r.Apply.Entry = junk
+			r.Apply.Entries[0] = junk
 		}
 		if r.Scan != nil {
 			r.Scan.Prefix = junk.Key
 		}
 		*r = wire.InfoReq{Scan: &wire.ScanReq{Prefix: junk.Key}}
 	}
-	if m.Batch != nil {
-		for i := range m.Batch.Msgs {
-			poison(&m.Batch.Msgs[i])
-		}
+	if m.Observe != nil {
+		*m.Observe = wire.ObserveReq{Asks: wire.AskTraces, TraceLimit: 1}
 	}
 	*m = wire.Message{Kind: wire.KindError, From: junk.Holder, Error: junk.Name}
 }
@@ -75,14 +75,15 @@ func (p poisonTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, err
 // poisonWorkload is what the poisoned and the plain community must agree on:
 // routed reads that hit and miss, majority reads, traced queries with the
 // routes they leave in the flight recorders, a prefix search, a publish,
-// batches, and reads with a quarter of the peers offline — where a handler
+// an apply list, an observe, and reads with a quarter of the peers offline — where a handler
 // whose first reference does not answer sends its query a second time.
 type poisonWorkload struct {
 	Lookups  []ReadResult
 	Traces   []trace.Trace
 	Recorded [][]trace.Trace
 	Scanned  []store.Entry
-	Batch    []wire.Message
+	Applied  *wire.ApplyResp
+	Observed *wire.ObserveResp
 	Links    []peer.Snapshot
 }
 
@@ -142,16 +143,17 @@ func runPoisonWorkload(t *testing.T, nodes []*Node, tr Transport, afterOp func()
 	afterOp()
 	out.Scanned, _ = cl.PrefixSearch(all[3], bitpath.MustParse("01"), 3)
 	afterOp()
-	batch, err := callBatch(tr, all[9], addr.Nil, []wire.Message{
-		{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Key: e.Key, Name: e.Name}},
-		{Kind: wire.KindApply, From: addr.Nil, Apply: &wire.ApplyReq{Entry: store.Entry{Key: "0000", Name: "batched", Holder: 1, Version: 2}}},
-		{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: "1101", Read: &wire.GetReq{Key: "1101", Name: "f"}}},
-	})
+	resp, err := tr.Call(all[9], &wire.Message{Kind: wire.KindApply, From: addr.Nil, Apply: &wire.ApplyReq{Entries: []store.Entry{
+		{Key: "0000", Name: "listed", Holder: 1, Version: 2}, {Key: "0001", Name: "listed", Holder: 1, Version: 2}, e}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	afterOp()
-	out.Batch = batch
+	out.Applied = resp.ApplyResp
+	if out.Observed, err = cl.Observe(all[9], wire.ObserveReq{Asks: wire.AskLinks | wire.AskHealth}); err != nil {
+		t.Fatal(err)
+	}
+	afterOp()
 	for _, n := range nodes {
 		out.Recorded = append(out.Recorded, n.Recorder().Snapshot(0))
 		out.Links = append(out.Links, n.Peer().Snapshot())
@@ -170,18 +172,13 @@ func runPoisonWorkload(t *testing.T, nodes []*Node, tr Transport, afterOp func()
 			strip(rec[i].Spans)
 		}
 	}
-	for i := range out.Batch {
-		if q := out.Batch[i].QueryResp; q != nil {
-			strip(q.Spans)
-		}
-	}
 	return out
 }
 
 func comparePoisonWorkloads(t *testing.T, plain, poisoned poisonWorkload) {
 	t.Helper()
-	if len(plain.Traces) == 0 || len(plain.Scanned) == 0 || len(plain.Batch) != 3 {
-		t.Fatalf("the workload idled: %d traces, %d scanned, %d batch slots", len(plain.Traces), len(plain.Scanned), len(plain.Batch))
+	if len(plain.Traces) == 0 || len(plain.Scanned) == 0 || plain.Applied == nil || !plain.Applied.Changed || plain.Observed == nil {
+		t.Fatalf("the workload idled: %d traces, %d scanned, applied %v, observed %v", len(plain.Traces), len(plain.Scanned), plain.Applied, plain.Observed)
 	}
 	for i := range plain.Lookups {
 		if plain.Lookups[i] != poisoned.Lookups[i] {
@@ -199,14 +196,16 @@ func comparePoisonWorkloads(t *testing.T, plain, poisoned poisonWorkload) {
 		}
 	}
 	if !reflect.DeepEqual(plain, poisoned) {
-		t.Fatalf("scan, batch or link state differ:\n plain    %+v %+v\n poisoned %+v %+v", plain.Scanned, plain.Batch, poisoned.Scanned, poisoned.Batch)
+		t.Fatalf("scan, apply, observe or link state differ:\n plain    %+v %+v %+v\n poisoned %+v %+v %+v",
+			plain.Scanned, plain.Applied, plain.Observed, poisoned.Scanned, poisoned.Applied, poisoned.Observed)
 	}
 }
 
 // TestPoisonRequestsAfterCall: a community whose every transport — each
 // node's and the client's — poisons the request once Call has returned is
 // built by the same meetings into the same grid and answers lookups, majority
-// reads, traced queries, a publish, a prefix search and batches exactly as
+// reads, traced queries, a publish, a prefix search, an apply list and an
+// observe exactly as
 // one that leaves requests alone; the routes in the flight recorders
 // (trace.Trace.Key among them) are the same too.
 func TestPoisonRequestsAfterCall(t *testing.T) {

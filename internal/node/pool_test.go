@@ -748,7 +748,7 @@ func TestPoolSetEndpointEvicts(t *testing.T) {
 	apply := func(name string) {
 		t.Helper()
 		_, err := pt.Call(0, &wire.Message{Kind: wire.KindApply, From: addr.Nil,
-			Apply: &wire.ApplyReq{Entry: store.Entry{Key: bitpath.MustParse("01"), Name: name, Version: 1}}})
+			Apply: &wire.ApplyReq{Entries: []store.Entry{{Key: bitpath.MustParse("01"), Name: name, Version: 1}}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/peer"
 	"pgrid/internal/repair"
+	"pgrid/internal/store"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -58,7 +59,7 @@ type Repairer struct {
 }
 
 // NewRepairer attaches a repair loop to the node and registers it so the
-// node answers wire.KindRepair. Interval and budget must be positive.
+// node answers the repair column for it. Interval and budget must be positive.
 // Health probing is enabled as a side effect (repair shares the liveness
 // tracker). Call before the node starts serving; the repairer field is
 // not synchronized.
@@ -101,7 +102,7 @@ func (r *Repairer) Run(ctx context.Context) {
 
 // Status returns the repairer's cumulative tallies. Nil-safe: a nil
 // repairer reports Enabled=false, which is how peers without repair
-// answer wire.KindRepair.
+// answer the repair column.
 func (r *Repairer) Status() repair.Status {
 	if r == nil {
 		return repair.Status{}
@@ -121,8 +122,8 @@ func (r *Repairer) Status() repair.Status {
 }
 
 // Tick runs one detection+healing round. Rounds are serialized; a
-// triggered round (wire.KindRepair with Trigger) and the background loop
-// never interleave. An offline node skips the round entirely.
+// triggered round (wire.AskRepairNow) and the background loop never
+// interleave. An offline node skips the round entirely.
 func (r *Repairer) Tick() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -164,7 +165,7 @@ func (r *Repairer) Tick() {
 		})
 	}
 
-	// Phase 1 — replica group. Fetch every buddy's health digest (path +
+	// Phase 1 — replica group. Observe every buddy's health column (path +
 	// store fingerprint) and let the group vote on what this node's path
 	// should be: a corrupted path loses a strict-majority vote against
 	// its replicas and is adopted back (Restore keeps the references that
@@ -177,10 +178,10 @@ func (r *Repairer) Tick() {
 	for _, b := range snap.Buddies.Sorted() {
 		v := repair.BuddyView{Addr: b}
 		if spend(1) {
-			resp, err := n.tr.Call(b, &wire.Message{Kind: wire.KindHealth, From: n.Addr(),
-				Health: &wire.HealthReq{}})
-			if err == nil && resp.HealthResp != nil {
-				d := resp.HealthResp.Digest
+			resp, err := n.tr.Call(b, &wire.Message{Kind: wire.KindObserve, From: n.Addr(),
+				Observe: &wire.ObserveReq{Asks: wire.AskHealth}})
+			if err == nil && resp.ObserveResp != nil && resp.ObserveResp.Health != nil {
+				d := resp.ObserveResp.Health.Digest
 				v = repair.BuddyView{Addr: b, Path: d.Path, Entries: d.Entries,
 					IndexHash: d.IndexHash, Reachable: true}
 			}
@@ -384,7 +385,7 @@ func (r *Repairer) Tick() {
 				continue
 			}
 			resp, err := n.tr.Call(q.Peer, &wire.Message{Kind: wire.KindApply, From: n.Addr(),
-				Apply: &wire.ApplyReq{Entry: e}})
+				Apply: &wire.ApplyReq{Entries: []store.Entry{e}}})
 			if err != nil || resp.ApplyResp == nil {
 				unhealed++
 				continue
@@ -441,18 +442,7 @@ func (r *Repairer) Tick() {
 					continue
 				}
 				fault(repair.FaultDivergedReplica)
-				healedPair := false
-				if spend(1) {
-					resp, err := n.tr.Call(v.Addr, &wire.Message{Kind: wire.KindScan, From: n.Addr(),
-						Scan: &wire.ScanReq{Prefix: path}})
-					if err == nil && resp.ScanResp != nil {
-						for _, e := range resp.ScanResp.Entries {
-							n.Store().Apply(e)
-						}
-						heal(repair.ActionSyncPull, 0, v.Addr)
-						healedPair = true
-					}
-				}
+				healedPair := r.pull(path, v.IndexHash, []repair.BuddyView{v}, spend, heal)
 				if r.push(path, v.Addr, spend, heal) {
 					healedPair = true
 				}
@@ -540,8 +530,8 @@ func (r *Repairer) pull(path bitpath.Path, wantHash uint64, group []repair.Buddy
 	return false
 }
 
-// push ships every entry under the node's path to one divergent replica
-// as a single batch of applies.
+// push ships every entry under the node's path to one divergent replica in
+// one apply. The budget is charged per entry.
 func (r *Repairer) push(path bitpath.Path, to addr.Addr,
 	spend func(int) bool, heal func(repair.Action, int, addr.Addr)) bool {
 	n := r.node
@@ -549,40 +539,11 @@ func (r *Repairer) push(path bitpath.Path, to addr.Addr,
 	if len(entries) == 0 || !spend(len(entries)) {
 		return false
 	}
-	msgs := make([]wire.Message, len(entries))
-	for i, e := range entries {
-		msgs[i] = wire.Message{Kind: wire.KindApply, From: n.Addr(),
-			Apply: &wire.ApplyReq{Entry: e}}
-	}
-	if _, err := callBatch(n.tr, to, n.Addr(), msgs); err != nil {
+	resp, err := n.tr.Call(to, &wire.Message{Kind: wire.KindApply, From: n.Addr(),
+		Apply: &wire.ApplyReq{Entries: entries}})
+	if err != nil || resp.ApplyResp == nil {
 		return false
 	}
 	heal(repair.ActionSyncPush, 0, to)
 	return true
-}
-
-// handleRepair serves wire.KindRepair: report repair status, optionally
-// running one synchronous round first (Trigger). A node without a
-// repairer answers Enabled=false — "repair off" stays distinguishable
-// from "peer unknown" (which is a transport error).
-func (n *Node) handleRepair(req *wire.RepairReq) *wire.RepairResp {
-	rp := n.repairer
-	if rp == nil {
-		return &wire.RepairResp{}
-	}
-	if req != nil && req.Trigger {
-		rp.Tick()
-	}
-	return &wire.RepairResp{Status: rp.Status()}
-}
-
-// FetchRepair reads (and with trigger=true, first runs) one peer's repair
-// status — the client side of wire.KindRepair, used by pgridctl and the
-// admin endpoint.
-func (c *Client) FetchRepair(a addr.Addr, trigger bool) (repair.Status, error) {
-	resp, err := c.ask(a, RepairReq(trigger), func(m *wire.Message) bool { return m.RepairResp != nil })
-	if err != nil {
-		return repair.Status{}, err
-	}
-	return resp.RepairResp.Status, nil
 }

@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/repair"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/wire"
 )
 
 // repairFixture hand-builds six nodes in two replica groups: 0,1,2 at
@@ -266,13 +267,11 @@ func TestRepairerMassDeathKeepsRefs(t *testing.T) {
 func TestRepairEndToEnd(t *testing.T) {
 	c := repairFixture(t, 38)
 	client := NewClient(c.Transport, 99)
+	status := wire.ObserveReq{Asks: wire.AskRepair}
 
 	// A node without a repairer answers, with Enabled=false — "repair off"
 	// is distinguishable from "peer gone".
-	st, err := client.FetchRepair(3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := observe(t, client, 3, status).Repair
 	if st.Enabled {
 		t.Fatal("repairless node reports Enabled=true")
 	}
@@ -283,10 +282,7 @@ func TestRepairEndToEnd(t *testing.T) {
 	NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 8)
 	n0.Peer().AddRefAt(1, 2) // plant one wrong-side ref for the round to heal
 
-	st, err = client.FetchRepair(0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st = observe(t, client, 0, wire.ObserveReq{Asks: wire.AskRepair | wire.AskRepairNow}).Repair
 	if !st.Enabled || st.Rounds != 1 {
 		t.Fatalf("triggered status = %+v", st)
 	}
@@ -307,10 +303,7 @@ func TestRepairEndToEnd(t *testing.T) {
 	}
 
 	// A second, untriggered fetch must not run another round.
-	st, err = client.FetchRepair(0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st = observe(t, client, 0, status).Repair
 	if st.Rounds != 1 {
 		t.Errorf("untriggered fetch ran a round: %+v", st)
 	}
@@ -343,9 +336,8 @@ func TestRepairerRoundFeedsHealth(t *testing.T) {
 	if got := counterVal(t, tel, "pgrid_health_liveness_permille"); got != 1000 {
 		t.Errorf("pgrid_health_liveness_permille = %d, want 1000 (three live references probed)", got)
 	}
-	_, rounds, err := NewClient(c.Transport, 1).FetchHealth(0, true)
-	if err != nil || rounds != 1 {
-		t.Errorf("FetchHealth rounds = %d (err %v), want 1", rounds, err)
+	if rounds := observe(t, NewClient(c.Transport, 1), 0, wire.ObserveReq{Asks: wire.AskHealth}).Health.Rounds; rounds != 1 {
+		t.Errorf("observed health rounds = %d, want 1", rounds)
 	}
 }
 

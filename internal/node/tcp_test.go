@@ -71,7 +71,7 @@ func TestTCPApplyGetRoundTrip(t *testing.T) {
 	_ = nodes
 
 	e := store.Entry{Key: bitpath.MustParse("01"), Name: "f", Holder: 1, Version: 2}
-	resp, err := tr.Call(1, &wire.Message{Kind: wire.KindApply, From: 0, Apply: &wire.ApplyReq{Entry: e}})
+	resp, err := tr.Call(1, &wire.Message{Kind: wire.KindApply, From: 0, Apply: &wire.ApplyReq{Entries: []store.Entry{e}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,15 @@ func TestStatsRPC(t *testing.T) {
 	c.Nodes[0].SetTelemetry(tel)
 
 	// Without telemetry the RPC still answers, with the schema and no data.
-	resp, err := c.Transport.Call(1, &wire.Message{Kind: wire.KindMetrics, From: addr.Nil})
+	metrics := &wire.Message{Kind: wire.KindObserve, From: addr.Nil, Observe: &wire.ObserveReq{Asks: wire.AskMetrics}}
+	resp, err := c.Transport.Call(1, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.MetricsResp == nil || resp.MetricsResp.Snap.Schema != telemetry.MetricsSchemaVersion {
-		t.Fatalf("bare node metrics = %+v", resp.MetricsResp)
+	if resp.ObserveResp == nil || resp.ObserveResp.Metrics.Schema != telemetry.MetricsSchemaVersion {
+		t.Fatalf("bare node metrics = %+v", resp.ObserveResp)
 	}
-	if n := len(resp.MetricsResp.Snap.Stats) + len(resp.MetricsResp.Snap.Hists); n != 0 {
+	if n := len(resp.ObserveResp.Metrics.Stats) + len(resp.ObserveResp.Metrics.Hists); n != 0 {
 		t.Errorf("bare node returned %d series", n)
 	}
 
@@ -44,21 +45,21 @@ func TestStatsRPC(t *testing.T) {
 	buildCluster(t, c, 1.5, 4000, rng)
 	c.Nodes[0].Query(bitpath.MustParse("101"))
 
-	resp, err = c.Transport.Call(0, &wire.Message{Kind: wire.KindMetrics, From: addr.Nil})
+	resp, err = c.Transport.Call(0, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.MetricsResp == nil || resp.MetricsResp.Snap.Schema != telemetry.MetricsSchemaVersion {
-		t.Fatalf("metrics = %+v", resp.MetricsResp)
+	if resp.ObserveResp == nil || resp.ObserveResp.Metrics.Schema != telemetry.MetricsSchemaVersion {
+		t.Fatalf("metrics = %+v", resp.ObserveResp)
 	}
-	st := resp.MetricsResp.Snap.Stats
+	st := resp.ObserveResp.Metrics.Stats
 	if v := statValue(st, "pgrid_rpc_served_total"); v < 1 {
 		t.Errorf("pgrid_rpc_served_total = %d", v)
 	}
 	if v := statValue(st, "pgrid_query_total"); v != 1 {
 		t.Errorf("pgrid_query_total = %d, want 1", v)
 	}
-	if h, _ := resp.MetricsResp.Snap.Hist("pgrid_query_hops"); h.Count != 1 {
+	if h, _ := resp.ObserveResp.Metrics.Hist("pgrid_query_hops"); h.Count != 1 {
 		t.Errorf("pgrid_query_hops count = %d, want 1", h.Count)
 	}
 }

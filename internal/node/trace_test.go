@@ -42,8 +42,8 @@ func wireTraceCluster(t *testing.T) ([]*Node, func()) {
 
 // TestTCPDistributedTrace is the acceptance test: one traced query over
 // real TCP must produce a single trace id with spans from every visited
-// node, and each visited node's flight recorder — scraped via KindTraces
-// — must hold that trace id.
+// node, and each visited node's flight recorder — observed over the wire —
+// must hold that trace id.
 func TestTCPDistributedTrace(t *testing.T) {
 	nodes, stop := wireTraceCluster(t)
 	defer stop()
@@ -93,12 +93,10 @@ func TestTCPDistributedTrace(t *testing.T) {
 	}
 
 	// Every visited node's flight recorder must hold the trace id,
-	// scraped over the wire via KindTraces.
+	// observed over the wire.
 	for i := range nodes {
-		total, recs, err := cl.FetchTraces(addr.Addr(i), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		traces := observe(t, cl, addr.Addr(i), wire.ObserveReq{Asks: wire.AskTraces}).Traces
+		total, recs := traces.Total, traces.Traces
 		if total != 1 || len(recs) != 1 {
 			t.Fatalf("node %d recorded %d traces (%d total), want 1", i, len(recs), total)
 		}

@@ -220,7 +220,7 @@ func TestInfoRiderServedOnlyWhenCovering(t *testing.T) {
 	}
 	apply := func(e store.Entry) *wire.InfoResp {
 		return n.Handle(&wire.Message{Kind: wire.KindInfo, From: addr.Nil,
-			Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entry: e}}}).InfoResp
+			Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}}).InfoResp
 	}
 	scan := func(prefix string) *wire.InfoResp {
 		return n.Handle(&wire.Message{Kind: wire.KindInfo, From: addr.Nil,
@@ -253,7 +253,7 @@ func TestInfoRiderServedOnlyWhenCovering(t *testing.T) {
 		}
 	}
 
-	for _, r := range []*wire.InfoReq{{}, {Apply: &wire.ApplyReq{Entry: entry("01")}, Scan: &wire.ScanReq{Prefix: "01"}}} {
+	for _, r := range []*wire.InfoReq{{}, {Apply: &wire.ApplyReq{Entries: []store.Entry{entry("01")}}, Scan: &wire.ScanReq{Prefix: "01"}}} {
 		if resp := n.Handle(&wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: r}); resp.Kind != wire.KindError {
 			t.Errorf("rider %+v answered %v, want KindError", r, resp.Kind)
 		}
@@ -328,7 +328,7 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 		rider  *wire.InfoReq
 		budget float64
 	}{
-		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entry: e}}, 10},
+		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 10},
 		{"scan", &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}, 13},
 	} {
 		req := &wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: tc.rider}

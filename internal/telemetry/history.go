@@ -49,7 +49,7 @@ type HistoryDump struct {
 // historyMaxPoints bounds ring capacity regardless of the configured
 // retention/interval ratio, keeping the "fixed-memory" promise even
 // against a mis-typed flag (a snapshot is a few KB; 4096 of them stay
-// in the tens of MB, and a KindHistoryResp stays far under the frame
+// in the tens of MB, and a history column stays far under the frame
 // size cap).
 const historyMaxPoints = 4096
 

@@ -17,8 +17,9 @@ import (
 // per-kind QHist (~8 kB, ~16 kB with exemplars) only for kinds it saw.
 
 // rpcKindSlots is how many wire kind codes get an indexed slot. The
-// protocol defines 30 kinds and only ever appends; a code beyond the table
-// (a flipped kind byte) is resolved by label like any other name.
+// protocol numbers 32 codes, of which 15 are assigned, and only ever
+// appends; a code beyond the table (a flipped kind byte) is resolved by
+// label like any other name.
 const rpcKindSlots = 64
 
 // RPCKind is the instrument set of one message kind: every per-kind

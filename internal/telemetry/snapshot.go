@@ -6,7 +6,7 @@ import (
 )
 
 // MetricsSchemaVersion versions the mergeable metrics snapshot carried by
-// wire.KindMetricsResp: the flattened counter/gauge Stats plus the sparse
+// the metrics column of wire.KindObserveResp: the flattened counter/gauge Stats plus the sparse
 // QHistSnapshot encoding below. Bump it when the snapshot layout or the
 // histogram bucket geometry changes incompatibly.
 //

@@ -21,8 +21,10 @@
 // The payload is the message envelope (From as a zigzag varint) followed by
 // the kind-specific body: bools are one byte (the one that opens a query or
 // its response is a flags byte, whose second bit announces the read trailer
-// behind the payload; an info request may close with a rider byte and an
-// info answer's presence byte names the rider's answer behind its payload),
+// behind the payload; an apply's second bit says its entries come as a list;
+// an info request may close with a rider byte and an info answer's presence
+// byte names the rider's answer behind its payload; an observe request opens
+// with the mask of its asks and its answer with the mask of its columns),
 // counts and lengths are uvarints, signed integers are
 // zigzag varints, high-entropy 64-bit values (trace ids, hashes, versions)
 // are fixed 8-byte big-endian, strings are length-prefixed bytes, and bit
@@ -212,6 +214,11 @@ const (
 	flagTrailer = 1 << 1
 )
 
+// flagList is the apply request's second presence bit: the entries follow as a
+// counted list. One entry follows bare, as it always did, so a one-entry apply
+// is the frame it was; a decoder that reads the byte as a bool refuses a list.
+const flagList = 1 << 1
+
 // The info pair's rider bits. A KindInfo request without a rider is the bare
 // envelope it always was; one with a rider closes with a byte holding exactly
 // one of them and the operation behind it — the entry to apply, or the prefix
@@ -370,9 +377,17 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			b = appendEntries(b, e.Handover)
 		}
 	case KindApply:
-		b = appendBool(b, m.Apply != nil)
-		if a := m.Apply; a != nil {
-			b = appendEntry(b, a.Entry)
+		switch a := m.Apply; {
+		case a == nil:
+			b = append(b, 0)
+		case len(a.Entries) == 1:
+			b = append(b, flagPresent)
+			b = appendEntry(b, a.Entries[0])
+		case len(a.Entries) == 0:
+			return b, fmt.Errorf("wire: an apply carries at least one entry")
+		default:
+			b = append(b, flagPresent|flagList)
+			b = appendEntries(b, a.Entries)
 		}
 	case KindApplyResp:
 		b = appendBool(b, m.ApplyResp != nil)
@@ -394,17 +409,15 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 	case KindInfo:
 		switch r := m.Info; {
 		case r == nil: // the plain request has no payload
-		case r.Apply != nil && r.Scan == nil:
+		case r.Apply != nil && r.Scan == nil && len(r.Apply.Entries) == 1:
 			b = append(b, riderApply)
-			b = appendEntry(b, r.Apply.Entry)
+			b = appendEntry(b, r.Apply.Entries[0])
 		case r.Scan != nil && r.Apply == nil:
 			b = append(b, riderScan)
 			b = appendPath(b, r.Scan.Prefix)
 		default:
-			return b, fmt.Errorf("wire: an info rider carries one of an apply and a scan")
+			return b, fmt.Errorf("wire: an info rider carries one of an apply of one entry and a scan")
 		}
-	case KindMetrics:
-		// No request payload.
 	case KindInfoResp:
 		i := m.InfoResp
 		var f byte
@@ -421,14 +434,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 		}
 		b = append(b, f)
 		if i != nil {
-			b = appendAddr(b, i.Addr)
-			b = appendPath(b, i.Path)
-			b = appendUvarint(b, uint64(len(i.Refs)))
-			for _, r := range i.Refs {
-				b = appendRefSet(b, r)
-			}
-			b = appendRefSet(b, i.Buddies)
-			b = appendVarint(b, int64(i.Entries))
+			b = appendLinks(b, i)
 			if i.Applied != nil {
 				b = appendBool(b, i.Applied.Changed)
 			}
@@ -448,125 +454,127 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 		}
 	case KindError:
 		b = appendString(b, m.Error)
-	case KindTraces:
-		b = appendBool(b, m.Traces != nil)
-		if t := m.Traces; t != nil {
-			b = appendVarint(b, int64(t.Limit))
-		}
-	case KindTracesResp:
-		b = appendBool(b, m.TracesResp != nil)
-		if t := m.TracesResp; t != nil {
-			b = appendU64(b, t.Total)
-			b = appendUvarint(b, uint64(len(t.Traces)))
-			for _, dt := range t.Traces {
-				b = appendU64(b, dt.TraceID)
-				b = appendPath(b, dt.Key)
-				b = appendBool(b, dt.Found)
-				b = appendVarint(b, int64(dt.Messages))
-				b = appendVarint(b, int64(dt.Backtracks))
-				b = appendSpans(b, dt.Spans)
+	case KindObserve:
+		b = appendBool(b, m.Observe != nil)
+		if o := m.Observe; o != nil {
+			if !o.Asks.valid() {
+				return b, fmt.Errorf("wire: observe asks %#x modify a column they do not ask", o.Asks)
 			}
+			b = appendUvarint(b, uint64(o.Asks))
+			b = appendVarint(b, o.WindowNS)
+			b = appendVarint(b, o.MaxPoints)
+			b = appendVarint(b, int64(o.TraceLimit))
 		}
-	case KindHealth:
-		b = appendBool(b, m.Health != nil)
-		if h := m.Health; h != nil {
-			b = appendBool(b, h.WantLiveness)
-		}
-	case KindHealthResp:
-		b = appendBool(b, m.HealthResp != nil)
-		if h := m.HealthResp; h != nil {
-			d := h.Digest
-			b = appendAddr(b, d.Addr)
-			b = appendPath(b, d.Path)
-			b = appendVarint(b, int64(d.Entries))
-			b = appendU64(b, d.MaxVersion)
-			b = appendU64(b, d.IndexHash)
-			b = appendUvarint(b, uint64(len(d.RefCounts)))
-			for _, c := range d.RefCounts {
-				b = appendVarint(b, int64(c))
+	case KindObserveResp:
+		b = appendBool(b, m.ObserveResp != nil)
+		if o := m.ObserveResp; o != nil {
+			b = appendUvarint(b, uint64(o.columns()))
+			if o.Links != nil {
+				b = appendLinks(b, o.Links)
 			}
-			b = appendVarint(b, int64(d.Buddies))
-			b = appendUvarint(b, uint64(len(d.Liveness)))
-			for _, lp := range d.Liveness {
-				b = appendVarint(b, int64(lp.Level))
-				b = appendVarint(b, lp.Live)
-				b = appendVarint(b, lp.Dead)
+			if o.Health != nil {
+				b = appendHealth(b, o.Health)
 			}
-			b = appendVarint(b, h.Rounds)
-		}
-	case KindBatch, KindBatchResp:
-		msgs, err := batchMsgs(m)
-		if err != nil {
-			return b, err
-		}
-		b = appendUvarint(b, uint64(len(msgs)))
-		for i := range msgs {
-			sub := &msgs[i]
-			if sub.Kind == KindBatch || sub.Kind == KindBatchResp {
-				return b, fmt.Errorf("wire: nested batch message")
-			}
-			if sub.Kind == KindInfo && sub.Info != nil {
-				// A rider closes its frame; in a batch the next slot's kind
-				// byte would be read as one.
-				return b, fmt.Errorf("wire: info rider in a batch")
-			}
-			b = append(b, byte(sub.Kind))
 			var err error
-			if b, err = appendMessageBody(b, sub); err != nil {
-				return b, err
-			}
-		}
-	case KindMetricsResp:
-		b = appendBool(b, m.MetricsResp != nil)
-		if r := m.MetricsResp; r != nil {
-			var err error
-			if b, err = appendMetricsSnapshot(b, r.Snap); err != nil {
-				return b, err
-			}
-		}
-	case KindHistory:
-		b = appendBool(b, m.History != nil)
-		if h := m.History; h != nil {
-			b = appendVarint(b, h.WindowNS)
-			b = appendVarint(b, h.MaxPoints)
-		}
-	case KindHistoryResp:
-		b = appendBool(b, m.HistoryResp != nil)
-		if r := m.HistoryResp; r != nil {
-			dump := r.Dump
-			b = appendVarint(b, int64(dump.Schema))
-			b = appendVarint(b, dump.IntervalNS)
-			b = appendUvarint(b, uint64(len(dump.Points)))
-			for _, p := range dump.Points {
-				b = appendVarint(b, p.AtNS)
-				var err error
-				if b, err = appendMetricsSnapshot(b, p.Snap); err != nil {
+			if o.Metrics != nil {
+				if b, err = appendMetricsSnapshot(b, *o.Metrics); err != nil {
 					return b, err
 				}
 			}
-		}
-	case KindRepair:
-		b = appendBool(b, m.Repair != nil)
-		if r := m.Repair; r != nil {
-			b = appendBool(b, r.Trigger)
-		}
-	case KindRepairResp:
-		b = appendBool(b, m.RepairResp != nil)
-		if r := m.RepairResp; r != nil {
-			s := r.Status
-			b = appendBool(b, s.Enabled)
-			b = appendVarint(b, s.Rounds)
-			b = appendVarint(b, s.Messages)
-			b = appendVarint(b, s.LastFaults)
-			b = appendVarint(b, s.LastHeals)
-			b = appendVarint(b, s.LastUnhealed)
-			b = appendTallies(b, s.Faults)
-			b = appendTallies(b, s.Heals)
+			if o.History != nil {
+				if b, err = appendHistoryDump(b, *o.History); err != nil {
+					return b, err
+				}
+			}
+			if o.Repair != nil {
+				b = appendRepairStatus(b, *o.Repair)
+			}
+			if o.Traces != nil {
+				b = appendTraces(b, o.Traces)
+			}
 		}
 	default:
 		return b, fmt.Errorf("%w: %v", ErrUnknownKind, m.Kind)
 	}
 	return b, nil
+}
+
+// appendLinks encodes a peer's link state: the InfoResp fields without the
+// rider answers.
+func appendLinks(b []byte, i *InfoResp) []byte {
+	b = appendAddr(b, i.Addr)
+	b = appendPath(b, i.Path)
+	b = appendUvarint(b, uint64(len(i.Refs)))
+	for _, r := range i.Refs {
+		b = appendRefSet(b, r)
+	}
+	b = appendRefSet(b, i.Buddies)
+	return appendVarint(b, int64(i.Entries))
+}
+
+// appendHealth encodes the health column: the digest, then the probe rounds.
+func appendHealth(b []byte, h *HealthColumn) []byte {
+	d := h.Digest
+	b = appendAddr(b, d.Addr)
+	b = appendPath(b, d.Path)
+	b = appendVarint(b, int64(d.Entries))
+	b = appendU64(b, d.MaxVersion)
+	b = appendU64(b, d.IndexHash)
+	b = appendUvarint(b, uint64(len(d.RefCounts)))
+	for _, c := range d.RefCounts {
+		b = appendVarint(b, int64(c))
+	}
+	b = appendVarint(b, int64(d.Buddies))
+	b = appendUvarint(b, uint64(len(d.Liveness)))
+	for _, lp := range d.Liveness {
+		b = appendVarint(b, int64(lp.Level))
+		b = appendVarint(b, lp.Live)
+		b = appendVarint(b, lp.Dead)
+	}
+	return appendVarint(b, h.Rounds)
+}
+
+// appendHistoryDump encodes the history column: the dump's header and each
+// point with its snapshot.
+func appendHistoryDump(b []byte, dump telemetry.HistoryDump) ([]byte, error) {
+	b = appendVarint(b, int64(dump.Schema))
+	b = appendVarint(b, dump.IntervalNS)
+	b = appendUvarint(b, uint64(len(dump.Points)))
+	for _, p := range dump.Points {
+		b = appendVarint(b, p.AtNS)
+		var err error
+		if b, err = appendMetricsSnapshot(b, p.Snap); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// appendRepairStatus encodes the repair column.
+func appendRepairStatus(b []byte, s repair.Status) []byte {
+	b = appendBool(b, s.Enabled)
+	b = appendVarint(b, s.Rounds)
+	b = appendVarint(b, s.Messages)
+	b = appendVarint(b, s.LastFaults)
+	b = appendVarint(b, s.LastHeals)
+	b = appendVarint(b, s.LastUnhealed)
+	b = appendTallies(b, s.Faults)
+	return appendTallies(b, s.Heals)
+}
+
+// appendTraces encodes the traces column: the recorded total, then each trace.
+func appendTraces(b []byte, t *TracesColumn) []byte {
+	b = appendU64(b, t.Total)
+	b = appendUvarint(b, uint64(len(t.Traces)))
+	for _, dt := range t.Traces {
+		b = appendU64(b, dt.TraceID)
+		b = appendPath(b, dt.Key)
+		b = appendBool(b, dt.Found)
+		b = appendVarint(b, int64(dt.Messages))
+		b = appendVarint(b, int64(dt.Backtracks))
+		b = appendSpans(b, dt.Spans)
+	}
+	return b
 }
 
 // appendTallies encodes a repair tally list (name, count pairs).
@@ -622,21 +630,6 @@ func appendMetricsSnapshot(b []byte, s telemetry.MetricsSnapshot) ([]byte, error
 		}
 	}
 	return b, nil
-}
-
-// batchMsgs returns the sub-message slice of a batch envelope (either
-// direction); a nil payload encodes as an empty batch.
-func batchMsgs(m *Message) ([]Message, error) {
-	if m.Kind == KindBatch {
-		if m.Batch == nil {
-			return nil, nil
-		}
-		return m.Batch.Msgs, nil
-	}
-	if m.BatchResp == nil {
-		return nil, nil
-	}
-	return m.BatchResp.Msgs, nil
 }
 
 // sortedLevels returns the SetRefs keys ascending, so the encoding is
@@ -1067,36 +1060,84 @@ func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
 	return s
 }
 
-// decodeMessageBody decodes one binary payload. Strict: the payload must
-// be consumed exactly, unknown kinds and malformed fields are ErrCorrupt.
-func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
-	d := &bdec{b: body}
-	m, err := decodeInto(d, kind, nil)
-	if err != nil {
-		return nil, err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %v payload", ErrCorrupt, len(d.b)-d.off, kind)
-	}
-	return m, nil
+// links decodes a peer's link state into i, the inverse of appendLinks.
+func (d *bdec) links(i *InfoResp) {
+	i.Addr, i.Path = d.addr(), d.path()
+	i.Refs, i.Buddies = d.refSets(true)
+	i.Entries = d.int()
 }
 
-// Fused returns a message and a payload P cut from one allocation. Whoever
-// makes a message makes its payload with it and the two die together, so a
-// message costs one object, not two; the caller sets Kind, From and the
-// payload pointer that goes with them.
-func Fused[P any]() (m *Message, p *P) {
-	p = payload[P](&m)
-	return m, p
+// healthColumn decodes the health column, the inverse of appendHealth.
+func (d *bdec) healthColumn() *HealthColumn {
+	h := &HealthColumn{Digest: health.Digest{Addr: d.addr(), Path: d.path(),
+		Entries: d.int(), MaxVersion: d.u64(), IndexHash: d.u64()}}
+	if n := d.uvarint(); d.need(n, 1) && n > 0 {
+		h.Digest.RefCounts = make([]int, n)
+		for i := range h.Digest.RefCounts {
+			h.Digest.RefCounts[i] = d.int()
+		}
+	}
+	h.Digest.Buddies = d.int()
+	if n := d.uvarint(); d.need(n, 3) && n > 0 {
+		h.Digest.Liveness = make([]health.LevelProbe, n)
+		for i := range h.Digest.Liveness {
+			h.Digest.Liveness[i] = health.LevelProbe{Level: d.int(),
+				Live: d.varint(), Dead: d.varint()}
+		}
+	}
+	h.Rounds = d.varint()
+	return h
 }
 
-// payload is Fused for the decoder, which fills a batch's slots in place: a
-// message that is already there (*m) gets a payload of its own, one that is
-// not is made with it.
-func payload[P any](m **Message) *P {
-	if *m != nil {
-		return new(P)
+// historyDump decodes the history column, the inverse of appendHistoryDump.
+func (d *bdec) historyDump() *telemetry.HistoryDump {
+	dump := new(telemetry.HistoryDump)
+	dump.Schema = d.int()
+	dump.IntervalNS = d.varint()
+	// A point costs at least 4 bytes: its timestamp varint plus the
+	// snapshot's schema and two counts.
+	if n := d.uvarint(); d.need(n, 4) && n > 0 {
+		dump.Points = make([]telemetry.HistoryPoint, n)
+		for i := range dump.Points {
+			dump.Points[i] = telemetry.HistoryPoint{AtNS: d.varint(), Snap: d.metricsSnapshot()}
+		}
 	}
+	return dump
+}
+
+// repairStatus decodes the repair column, the inverse of appendRepairStatus.
+func (d *bdec) repairStatus() *repair.Status {
+	s := new(repair.Status)
+	s.Enabled = d.bool()
+	s.Rounds = d.varint()
+	s.Messages = d.varint()
+	s.LastFaults = d.varint()
+	s.LastHeals = d.varint()
+	s.LastUnhealed = d.varint()
+	s.Faults = d.tallies()
+	s.Heals = d.tallies()
+	return s
+}
+
+// traces decodes the traces column, the inverse of appendTraces.
+func (d *bdec) traces() *TracesColumn {
+	t := &TracesColumn{Total: d.u64()}
+	if n := d.uvarint(); d.need(n, 12) && n > 0 {
+		t.Traces = make([]trace.Trace, n)
+		for i := range t.Traces {
+			t.Traces[i] = trace.Trace{TraceID: d.u64(), Key: d.path(),
+				Found: d.bool(), Messages: d.int(), Backtracks: d.int(),
+				Spans: d.spans()}
+		}
+	}
+	return t
+}
+
+// Fused points *m at a new message and returns a payload P cut from the same
+// allocation. Whoever makes a message makes its payload with it and the two
+// die together, so a message costs one object, not two; the caller sets Kind,
+// From and the payload pointer that goes with them.
+func Fused[P any](m **Message) *P {
 	x := new(struct {
 		m Message
 		p P
@@ -1113,11 +1154,17 @@ type routedQuery struct {
 	c trace.SpanContext
 }
 
-// infoRider is an InfoReq with the operation it carries, and infoAnswer an
-// InfoResp with the answer to it: either decodes as one object.
+// applyOne is an ApplyReq with room for the one entry most applies carry, and
+// infoRider an InfoReq with the operation it carries, and infoAnswer an
+// InfoResp with the answer to it: each decodes as one object.
+type applyOne struct {
+	a ApplyReq
+	e [1]store.Entry
+}
+
 type infoRider struct {
 	i InfoReq
-	a ApplyReq
+	a applyOne
 	s ScanReq
 }
 
@@ -1127,16 +1174,17 @@ type infoAnswer struct {
 	s ScanResp
 }
 
-// decodeInto decodes the envelope and payload for kind, into a message of
-// its own or into the batch slot `into`: sub-messages of a batch must not be
-// batches.
-func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
+// decodeMessageBody decodes the envelope and payload of one binary frame.
+// Strict: the payload must be consumed exactly, unknown kinds and malformed
+// fields are ErrCorrupt.
+func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
+	d := &bdec{b: body}
 	from := d.addr()
-	m := into
+	var m *Message
 	switch kind {
 	case KindQuery:
 		if present, read := d.flags(); present {
-			x := payload[routedQuery](&m)
+			x := Fused[routedQuery](&m)
 			x.q.Key, x.q.Level = d.path(), d.int()
 			if d.bool() {
 				x.c = trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
@@ -1151,7 +1199,7 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 		}
 	case KindQueryResp:
 		if present, has := d.flags(); present {
-			q := payload[QueryResp](&m)
+			q := Fused[QueryResp](&m)
 			*q = QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
 				Messages: d.int(), Backtracks: d.int(), Spans: d.spans(), Has: has}
 			if has {
@@ -1161,7 +1209,7 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 		}
 	case KindExchange:
 		if d.bool() {
-			e := payload[ExchangeReq](&m)
+			e := Fused[ExchangeReq](&m)
 			e.Path = d.path()
 			e.Refs, _ = d.refSets(false)
 			e.Depth = d.int()
@@ -1169,7 +1217,7 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 		}
 	case KindExchangeResp:
 		if d.bool() {
-			e := payload[ExchangeResp](&m)
+			e := Fused[ExchangeResp](&m)
 			e.BasePath, e.Extend, e.ExtendBit = d.path(), d.bool(), d.byte()
 			if e.ExtendBit > 1 {
 				d.fail("bad extend bit")
@@ -1196,38 +1244,49 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 			m.ExchangeResp = e
 		}
 	case KindApply:
-		if d.bool() {
-			a := payload[ApplyReq](&m)
-			a.Entry = d.entry()
+		switch d.byte() {
+		case 0:
+		case flagPresent:
+			x := Fused[applyOne](&m)
+			x.e[0] = d.entry()
+			x.a.Entries = x.e[:]
+			m.Apply = &x.a
+		case flagPresent | flagList:
+			a := Fused[ApplyReq](&m)
+			if a.Entries = d.entries(); len(a.Entries) < 2 {
+				d.fail("apply list of fewer than two entries")
+			}
 			m.Apply = a
+		default:
+			d.fail("bad apply flags")
 		}
 	case KindApplyResp:
 		if d.bool() {
-			a := payload[ApplyResp](&m)
+			a := Fused[ApplyResp](&m)
 			a.Changed = d.bool()
 			m.ApplyResp = a
 		}
 	case KindGet:
 		if d.bool() {
-			g := payload[GetReq](&m)
+			g := Fused[GetReq](&m)
 			g.Key, g.Name = d.keyName()
 			m.Get = g
 		}
 	case KindGetResp:
 		if d.bool() {
-			g := payload[GetResp](&m)
+			g := Fused[GetResp](&m)
 			*g = GetResp{Entry: d.entry(), Found: d.bool()}
 			m.GetResp = g
 		}
 	case KindInfo:
-		// A rider closes the frame it rides on. A batch slot has none: the
-		// next slot's kind byte follows the envelope.
-		if into == nil && d.remaining() > 0 {
-			x := payload[infoRider](&m)
+		// A rider closes the frame it rides on.
+		if d.remaining() > 0 {
+			x := Fused[infoRider](&m)
 			switch d.byte() {
 			case riderApply:
-				x.a.Entry = d.entry()
-				x.i.Apply = &x.a
+				x.a.e[0] = d.entry()
+				x.a.a.Entries = x.a.e[:]
+				x.i.Apply = &x.a.a
 			case riderScan:
 				x.s.Prefix = d.path()
 				x.i.Scan = &x.s
@@ -1236,29 +1295,25 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 			}
 			m.Info = &x.i
 		}
-	case KindMetrics:
-		// No payload.
 	case KindInfoResp:
 		var i *InfoResp
 		switch f := d.byte(); f {
 		case 0:
 		case flagPresent:
-			i = payload[InfoResp](&m)
+			i = Fused[InfoResp](&m)
 		case flagPresent | riderApply:
-			x := payload[infoAnswer](&m)
+			x := Fused[infoAnswer](&m)
 			x.i.Applied = &x.a
 			i = &x.i
 		case flagPresent | riderScan:
-			x := payload[infoAnswer](&m)
+			x := Fused[infoAnswer](&m)
 			x.i.Scanned = &x.s
 			i = &x.i
 		default:
 			d.fail("bad info answer flags")
 		}
 		if i != nil {
-			i.Addr, i.Path = d.addr(), d.path()
-			i.Refs, i.Buddies = d.refSets(true)
-			i.Entries = d.int()
+			d.links(i)
 			if i.Applied != nil {
 				i.Applied.Changed = d.bool()
 			}
@@ -1269,143 +1324,66 @@ func decodeInto(d *bdec, kind Kind, into *Message) (*Message, error) {
 		}
 	case KindScan:
 		if d.bool() {
-			s := payload[ScanReq](&m)
+			s := Fused[ScanReq](&m)
 			s.Prefix = d.path()
 			m.Scan = s
 		}
 	case KindScanResp:
 		if d.bool() {
-			s := payload[ScanResp](&m)
+			s := Fused[ScanResp](&m)
 			s.Entries = d.entries()
 			m.ScanResp = s
 		}
 	case KindError:
-		if m == nil {
-			m = new(Message)
-		}
-		m.Error = d.string()
-	case KindTraces:
+		m = &Message{Error: d.string()}
+	case KindObserve:
 		if d.bool() {
-			t := payload[TracesReq](&m)
-			t.Limit = d.int()
-			m.Traces = t
-		}
-	case KindTracesResp:
-		if d.bool() {
-			t := payload[TracesResp](&m)
-			t.Total = d.u64()
-			if n := d.uvarint(); d.need(n, 12) && n > 0 {
-				t.Traces = make([]trace.Trace, n)
-				for i := range t.Traces {
-					t.Traces[i] = trace.Trace{TraceID: d.u64(), Key: d.path(),
-						Found: d.bool(), Messages: d.int(), Backtracks: d.int(),
-						Spans: d.spans()}
-				}
+			o := Fused[ObserveReq](&m)
+			asks := d.uvarint()
+			if o.Asks = Ask(asks); asks > uint64(^Ask(0)) || !o.Asks.valid() {
+				d.fail("bad observe asks")
 			}
-			m.TracesResp = t
+			o.WindowNS, o.MaxPoints, o.TraceLimit = d.varint(), d.varint(), d.int()
+			m.Observe = o
 		}
-	case KindHealth:
+	case KindObserveResp:
 		if d.bool() {
-			h := payload[HealthReq](&m)
-			h.WantLiveness = d.bool()
-			m.Health = h
-		}
-	case KindHealthResp:
-		if d.bool() {
-			h := payload[HealthResp](&m)
-			h.Digest = health.Digest{Addr: d.addr(), Path: d.path(),
-				Entries: d.int(), MaxVersion: d.u64(), IndexHash: d.u64()}
-			if n := d.uvarint(); d.need(n, 1) && n > 0 {
-				h.Digest.RefCounts = make([]int, n)
-				for i := range h.Digest.RefCounts {
-					h.Digest.RefCounts[i] = d.int()
-				}
+			o := Fused[ObserveResp](&m)
+			cols := d.uvarint()
+			if cols&^uint64(columnAsks) != 0 {
+				d.fail("bad observe columns")
 			}
-			h.Digest.Buddies = d.int()
-			if n := d.uvarint(); d.need(n, 3) && n > 0 {
-				h.Digest.Liveness = make([]health.LevelProbe, n)
-				for i := range h.Digest.Liveness {
-					h.Digest.Liveness[i] = health.LevelProbe{Level: d.int(),
-						Live: d.varint(), Dead: d.varint()}
-				}
+			c := Ask(cols)
+			if c&AskLinks != 0 {
+				o.Links = new(InfoResp)
+				d.links(o.Links)
 			}
-			h.Rounds = d.varint()
-			m.HealthResp = h
-		}
-	case KindBatch, KindBatchResp:
-		if into != nil {
-			d.fail("nested batch")
-			break
-		}
-		n := d.uvarint()
-		if d.need(n, 2) && n > 0 {
-			msgs := make([]Message, n)
-			for i := range msgs {
-				if _, err := decodeInto(d, Kind(d.byte()), &msgs[i]); err != nil {
-					return nil, err
-				}
+			if c&AskHealth != 0 {
+				o.Health = d.healthColumn()
 			}
-			if kind == KindBatch {
-				b := payload[BatchReq](&m)
-				b.Msgs = msgs
-				m.Batch = b
-			} else {
-				b := payload[BatchResp](&m)
-				b.Msgs = msgs
-				m.BatchResp = b
+			if c&AskMetrics != 0 {
+				s := d.metricsSnapshot()
+				o.Metrics = &s
 			}
-		}
-	case KindMetricsResp:
-		if d.bool() {
-			r := payload[MetricsResp](&m)
-			r.Snap = d.metricsSnapshot()
-			m.MetricsResp = r
-		}
-	case KindHistory:
-		if d.bool() {
-			h := payload[HistoryReq](&m)
-			*h = HistoryReq{WindowNS: d.varint(), MaxPoints: d.varint()}
-			m.History = h
-		}
-	case KindHistoryResp:
-		if d.bool() {
-			r := payload[HistoryResp](&m)
-			r.Dump.Schema = d.int()
-			r.Dump.IntervalNS = d.varint()
-			// A point costs at least 4 bytes: its timestamp varint plus
-			// the snapshot's schema and two counts.
-			if n := d.uvarint(); d.need(n, 4) && n > 0 {
-				r.Dump.Points = make([]telemetry.HistoryPoint, n)
-				for i := range r.Dump.Points {
-					r.Dump.Points[i] = telemetry.HistoryPoint{AtNS: d.varint(), Snap: d.metricsSnapshot()}
-				}
+			if c&AskHistory != 0 {
+				o.History = d.historyDump()
 			}
-			m.HistoryResp = r
-		}
-	case KindRepair:
-		if d.bool() {
-			r := payload[RepairReq](&m)
-			r.Trigger = d.bool()
-			m.Repair = r
-		}
-	case KindRepairResp:
-		if d.bool() {
-			r := payload[RepairResp](&m)
-			r.Status.Enabled = d.bool()
-			r.Status.Rounds = d.varint()
-			r.Status.Messages = d.varint()
-			r.Status.LastFaults = d.varint()
-			r.Status.LastHeals = d.varint()
-			r.Status.LastUnhealed = d.varint()
-			r.Status.Faults = d.tallies()
-			r.Status.Heals = d.tallies()
-			m.RepairResp = r
+			if c&AskRepair != 0 {
+				o.Repair = d.repairStatus()
+			}
+			if c&AskTraces != 0 {
+				o.Traces = d.traces()
+			}
+			m.ObserveResp = o
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, uint8(kind))
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	if d.off != len(d.b) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %v payload", ErrCorrupt, len(d.b)-d.off, kind)
 	}
 	if m == nil {
 		m = new(Message)

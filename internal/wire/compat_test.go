@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pgrid/internal/telemetry"
@@ -15,50 +16,25 @@ func TestKindNumbering(t *testing.T) {
 	if KindError != 14 {
 		t.Fatalf("KindError = %d, renumbering breaks old peers", KindError)
 	}
-	if KindTraces != 16 || KindTracesResp != 17 {
-		t.Fatalf("KindTraces = %d/%d, want 16/17", KindTraces, KindTracesResp)
+	if KindObserve != 30 || KindObserveResp != 31 {
+		t.Fatalf("KindObserve = %d/%d, want 30/31", KindObserve, KindObserveResp)
 	}
-	if KindHealth != 18 || KindHealthResp != 19 {
-		t.Fatalf("KindHealth = %d/%d, want 18/19", KindHealth, KindHealthResp)
+	if KindObserve%2 != 0 {
+		t.Fatal("KindObserve is odd: requests must stay even")
 	}
-	if KindHealth%2 != 0 {
-		t.Fatal("KindHealth is odd: requests must stay even")
+	if KindObserve.String() != "observe" || KindObserveResp.String() != "observe-resp" {
+		t.Fatalf("kind names: %v %v", KindObserve, KindObserveResp)
 	}
-	if KindHealth.String() != "health" || KindHealthResp.String() != "health-resp" {
-		t.Fatalf("kind names: %v %v", KindHealth, KindHealthResp)
+	// Reserved slots stay unassigned: 12/13 carried the flat stats pair (the
+	// metrics column answers a superset), 15 pairs off KindError, 16–21 the
+	// traces, health and batch pairs, 22/23 the codec-negotiation hello, 24–29
+	// the metrics, history and repair pairs (KindObserve carries all five
+	// reads). No name, no body format in either direction.
+	reserved := []Kind{12, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29}
+	if got := reservedKinds(); !reflect.DeepEqual(got, reserved) {
+		t.Fatalf("kindNames labels %v kind(N), want %v", got, reserved)
 	}
-	if KindMetrics != 24 || KindMetricsResp != 25 {
-		t.Fatalf("KindMetrics = %d/%d, want 24/25", KindMetrics, KindMetricsResp)
-	}
-	if KindMetrics%2 != 0 {
-		t.Fatal("KindMetrics is odd: requests must stay even")
-	}
-	if KindMetrics.String() != "metrics" || KindMetricsResp.String() != "metrics-resp" {
-		t.Fatalf("kind names: %v %v", KindMetrics, KindMetricsResp)
-	}
-	if KindHistory != 26 || KindHistoryResp != 27 {
-		t.Fatalf("KindHistory = %d/%d, want 26/27", KindHistory, KindHistoryResp)
-	}
-	if KindHistory%2 != 0 {
-		t.Fatal("KindHistory is odd: requests must stay even")
-	}
-	if KindHistory.String() != "history" || KindHistoryResp.String() != "history-resp" {
-		t.Fatalf("kind names: %v %v", KindHistory, KindHistoryResp)
-	}
-	if KindRepair != 28 || KindRepairResp != 29 {
-		t.Fatalf("KindRepair = %d/%d, want 28/29", KindRepair, KindRepairResp)
-	}
-	if KindRepair%2 != 0 {
-		t.Fatal("KindRepair is odd: requests must stay even")
-	}
-	if KindRepair.String() != "repair" || KindRepairResp.String() != "repair-resp" {
-		t.Fatalf("kind names: %v %v", KindRepair, KindRepairResp)
-	}
-	// Reserved slots stay unassigned: 12/13 carried the flat stats pair
-	// (KindMetrics answers a superset), 15 pairs off KindError, 22/23
-	// carried the codec-negotiation hello. No name, no body format in
-	// either direction.
-	for _, k := range []Kind{12, 13, 15, 22, 23} {
+	for _, k := range reserved {
 		if want := fmt.Sprintf("kind(%d)", uint8(k)); k.String() != want {
 			t.Errorf("reserved kind %d is named %q, want %q", uint8(k), k, want)
 		}
@@ -73,18 +49,18 @@ func TestKindNumbering(t *testing.T) {
 	}
 }
 
-// TestDecodeV1SnapshotFrame proves a schema-v1 snapshot frame — produced
+// TestDecodeV1SnapshotFrame proves a schema-v1 metrics column — produced
 // by a peer that predates incarnation stamps and exemplars — decodes
 // against the current reader with the absent fields zero, which the reader
 // treats as "unknown epoch".
 func TestDecodeV1SnapshotFrame(t *testing.T) {
-	s := roundTrip(t, &Message{Kind: KindMetricsResp, From: 7,
-		MetricsResp: &MetricsResp{Snap: telemetry.MetricsSnapshot{
+	s := *roundTrip(t, &Message{Kind: KindObserveResp, From: 7,
+		ObserveResp: &ObserveResp{Metrics: &telemetry.MetricsSnapshot{
 			Schema: telemetry.MetricsSchemaV1,
 			Stats:  []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 33}},
 			Hists: []telemetry.QHistSnapshot{{Name: "lat", SubBits: 4, Count: 2,
 				Sum: 700, Idx: []uint16{16, 40}, N: []int64{1, 1}}},
-		}}}).MetricsResp.Snap
+		}}}).ObserveResp.Metrics
 	if s.Schema != telemetry.MetricsSchemaV1 || len(s.Stats) != 1 || len(s.Hists) != 1 {
 		t.Fatalf("v1 snapshot mismatch: %+v", s)
 	}

@@ -68,10 +68,10 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 	// Bytes that do not open with the magic: a length prefix and a body.
 	noise := []byte{0, 0, 0, 5, 1, 2, 3, 4, 5}
 	f.Add(noise)
-	frame, err := AppendFrame(nil, 9, 0, &Message{Kind: KindHealthResp, From: 4,
-		HealthResp: &HealthResp{Rounds: 2, Digest: health.Digest{Addr: 4,
+	frame, err := AppendFrame(nil, 9, 0, &Message{Kind: KindObserveResp, From: 4,
+		ObserveResp: &ObserveResp{Health: &HealthColumn{Rounds: 2, Digest: health.Digest{Addr: 4,
 			Path: bitpath.MustParse("01"), Entries: 3, MaxVersion: 17,
-			IndexHash: 0xabcdef, RefCounts: []int{2, 1}, Buddies: 1}}})
+			IndexHash: 0xabcdef, RefCounts: []int{2, 1}, Buddies: 1}}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 	entry := store.Entry{Key: bitpath.MustParse("0110"), Name: "f", Holder: 3, Version: 7}
 	var visits []byte
 	for i, m := range []*Message{
-		{Kind: KindInfo, From: 1, Info: &InfoReq{Apply: &ApplyReq{Entry: entry}}},
+		{Kind: KindInfo, From: 1, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{entry}}}},
 		{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: entry.Key[:2],
 			Refs: []RefSet{{Addrs: []addr.Addr{5}}, {Addrs: []addr.Addr{6, 7}}}, Applied: &ApplyResp{Changed: true}}},
 		{Kind: KindInfo, From: 1, Info: &InfoReq{Scan: &ScanReq{Prefix: entry.Key[:3]}}},
@@ -95,6 +95,27 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 		}
 	}
 	f.Add(visits)
+	// An observe asking every column and its answer, and a handover's apply
+	// list and its answer, back to back.
+	var observed []byte
+	for i, m := range []*Message{
+		{Kind: KindObserve, From: 1, Observe: &ObserveReq{Asks: AskLinks | AskHealth | AskLiveness | AskMetrics |
+			AskHistory | AskRepair | AskTraces, WindowNS: 1e9, MaxPoints: 4, TraceLimit: 2}},
+		{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
+			Links:   &InfoResp{Addr: 2, Path: entry.Key[:2], Refs: []RefSet{{Addrs: []addr.Addr{5}}, {Addrs: []addr.Addr{6, 7}}}},
+			Health:  &HealthColumn{Digest: health.Digest{Addr: 2, Path: entry.Key[:2], RefCounts: []int{1, 2}}, Rounds: 3},
+			Metrics: &telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion, Stats: []telemetry.Stat{{Name: "n", Value: 1}}},
+			History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: 1e9},
+			Repair:  &repair.Status{Enabled: true, Faults: []repair.Tally{{Name: repair.FaultDeadRef, N: 1}}},
+			Traces:  &TracesColumn{Total: 1, Traces: []trace.Trace{{TraceID: 5, Key: entry.Key, Found: true}}}}},
+		{Kind: KindApply, From: 1, Apply: &ApplyReq{Entries: []store.Entry{entry, entry, {Key: entry.Key[:1], Name: "g", Version: 1}}}},
+		{Kind: KindApplyResp, From: 2, ApplyResp: &ApplyResp{Changed: true}},
+	} {
+		if observed, err = AppendFrame(observed, uint32(i), uint8(i%2), m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(observed)
 	f.Fuzz(func(t *testing.T, data []byte) { readersAgree(t, data) })
 }
 
@@ -173,7 +194,7 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHealthRoundTrip encodes fuzz-shaped digest payloads and verifies
+// FuzzHealthRoundTrip encodes fuzz-shaped health columns and verifies
 // they decode to the same digest — the health twin of FuzzRoundTrip, so
 // the crawler's wire surface holds up under arbitrary census shapes.
 func FuzzHealthRoundTrip(f *testing.F) {
@@ -195,18 +216,18 @@ func FuzzHealthRoundTrip(f *testing.F) {
 			d.Liveness = append(d.Liveness, health.LevelProbe{Level: l, Live: live, Dead: dead})
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, 1, FlagResponse, &Message{Kind: KindHealthResp, From: addrOf(from),
-			HealthResp: &HealthResp{Digest: d, Rounds: live + dead}}); err != nil {
+		if err := WriteFrame(&buf, 1, FlagResponse, &Message{Kind: KindObserveResp, From: addrOf(from),
+			ObserveResp: &ObserveResp{Health: &HealthColumn{Digest: d, Rounds: live + dead}}}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		_, _, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if got.HealthResp == nil {
-			t.Fatal("health payload lost")
+		if got.ObserveResp == nil || got.ObserveResp.Health == nil {
+			t.Fatal("health column lost")
 		}
-		g := got.HealthResp.Digest
+		g := got.ObserveResp.Health.Digest
 		if g.Addr != d.Addr || g.Path != d.Path || g.Entries != d.Entries ||
 			g.MaxVersion != d.MaxVersion || g.IndexHash != d.IndexHash || g.Buddies != d.Buddies {
 			t.Fatalf("digest mismatch: %+v vs %+v", g, d)
@@ -222,7 +243,7 @@ func FuzzHealthRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMetricsRoundTrip encodes fuzz-shaped metrics snapshots through the
+// FuzzMetricsRoundTrip encodes fuzz-shaped metrics columns through the
 // codec and verifies they decode to the same snapshot — the federation
 // twin of FuzzHealthRoundTrip.
 func FuzzMetricsRoundTrip(f *testing.F) {
@@ -243,17 +264,17 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 			h.Sum += n0 * int64(i)
 		}
 		snap.Hists = append(snap.Hists, h)
-		m := &Message{Kind: KindMetricsResp, From: addrOf(from), MetricsResp: &MetricsResp{Snap: snap}}
+		m := &Message{Kind: KindObserveResp, From: addrOf(from), ObserveResp: &ObserveResp{Metrics: &snap}}
 
 		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.MetricsResp == nil {
-				t.Fatalf("metrics payload lost")
+			if got.ObserveResp == nil || got.ObserveResp.Metrics == nil {
+				t.Fatalf("metrics column lost")
 			}
-			g := got.MetricsResp.Snap
+			g := *got.ObserveResp.Metrics
 			if g.Schema != schema || len(g.Stats) != 1 || g.Stats[0] != snap.Stats[0] {
 				t.Fatalf("stats mismatch: %+v vs %+v", g, snap)
 			}
@@ -278,7 +299,7 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHistoryRoundTrip encodes fuzz-shaped history dumps — mixed-schema
+// FuzzHistoryRoundTrip encodes fuzz-shaped history columns — mixed-schema
 // points, incarnation stamps, tail exemplars — through the codec and
 // verifies they decode to the same dump. The history twin of
 // FuzzMetricsRoundTrip.
@@ -313,17 +334,17 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 			dump.Points = append(dump.Points, telemetry.HistoryPoint{
 				AtNS: epoch + int64(i)*interval, Snap: snap})
 		}
-		m := &Message{Kind: KindHistoryResp, From: addrOf(from), HistoryResp: &HistoryResp{Dump: dump}}
+		m := &Message{Kind: KindObserveResp, From: addrOf(from), ObserveResp: &ObserveResp{History: &dump}}
 
 		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.HistoryResp == nil {
-				t.Fatalf("history payload lost")
+			if got.ObserveResp == nil || got.ObserveResp.History == nil {
+				t.Fatalf("history column lost")
 			}
-			g := got.HistoryResp.Dump
+			g := *got.ObserveResp.History
 			if g.Schema != dump.Schema || g.IntervalNS != dump.IntervalNS || len(g.Points) != len(dump.Points) {
 				t.Fatalf("dump mismatch: %+v vs %+v", g, dump)
 			}
@@ -355,7 +376,7 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRepairRoundTrip encodes fuzz-shaped repair statuses — arbitrary
+// FuzzRepairRoundTrip encodes fuzz-shaped repair columns — arbitrary
 // tally labels and counts, enabled or not — through the codec and
 // verifies they decode to the same status.
 func FuzzRepairRoundTrip(f *testing.F) {
@@ -372,17 +393,17 @@ func FuzzRepairRoundTrip(f *testing.F) {
 			st.Faults = append(st.Faults, repair.Tally{Name: fmt.Sprintf("%s-%d", label, i), N: n0 + int64(i)})
 			st.Heals = append(st.Heals, repair.Tally{Name: fmt.Sprintf("h-%s-%d", label, i), N: n0 - int64(i)})
 		}
-		m := &Message{Kind: KindRepairResp, From: addrOf(from), RepairResp: &RepairResp{Status: st}}
+		m := &Message{Kind: KindObserveResp, From: addrOf(from), ObserveResp: &ObserveResp{Repair: &st}}
 
 		check := func(got *Message, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if got.RepairResp == nil {
-				t.Fatalf("repair payload lost")
+			if got.ObserveResp == nil || got.ObserveResp.Repair == nil {
+				t.Fatalf("repair column lost")
 			}
-			g := got.RepairResp.Status
+			g := *got.ObserveResp.Repair
 			if g.Enabled != st.Enabled || g.Rounds != st.Rounds || g.Messages != st.Messages ||
 				g.LastFaults != st.LastFaults || g.LastHeals != st.LastHeals || g.LastUnhealed != st.LastUnhealed ||
 				len(g.Faults) != len(st.Faults) || len(g.Heals) != len(st.Heals) {

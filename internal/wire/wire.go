@@ -41,36 +41,38 @@ const (
 	KindInfoResp
 	KindScan
 	KindScanResp
-	_ // reserved: was the flat stats request (KindMetrics carries a superset)
+	_ // reserved: was the flat stats request (the metrics column carries a superset)
 	_ // reserved: was the stats response
 	KindError
 	_ // reserved: keeps requests even after the unpaired KindError
-	KindTraces
-	KindTracesResp
-	KindHealth
-	KindHealthResp
-	KindBatch
-	KindBatchResp
+	_ // reserved 16–21: were the traces, health and batch pairs
+	_
+	_
+	_
+	_
+	_
 	_ // reserved: was the codec-negotiation hello
 	_ // reserved: was the hello response
-	KindMetrics
-	KindMetricsResp
-	KindHistory
-	KindHistoryResp
-	KindRepair
-	KindRepairResp
+	_ // reserved 24–29: were the metrics, history and repair pairs
+	_
+	_
+	_
+	_
+	_
+	KindObserve
+	KindObserveResp
 )
 
 // kindNames is the Kind → label table. Hoisted to package level: String
 // sits on log and metric hot paths (every RPC stamps its kind at least
-// twice), and rebuilding the array per call showed up in profiles.
+// twice), and rebuilding the array per call showed up in profiles. A
+// reserved slot is labelled kind(N), as any code beyond the table is.
 var kindNames = [...]string{"query", "query-resp", "exchange", "exchange-resp",
 	"apply", "apply-resp", "get", "get-resp", "info", "info-resp",
 	"scan", "scan-resp", "kind(12)", "kind(13)", "error", "kind(15)",
-	"traces", "traces-resp", "health", "health-resp",
-	"batch", "batch-resp", "kind(22)", "kind(23)",
-	"metrics", "metrics-resp", "history", "history-resp",
-	"repair", "repair-resp"}
+	"kind(16)", "kind(17)", "kind(18)", "kind(19)", "kind(20)", "kind(21)",
+	"kind(22)", "kind(23)", "kind(24)", "kind(25)", "kind(26)", "kind(27)",
+	"kind(28)", "kind(29)", "observe", "observe-resp"}
 
 // String names the kind for logs.
 func (k Kind) String() string {
@@ -104,17 +106,8 @@ type Message struct {
 	InfoResp     *InfoResp
 	Scan         *ScanReq
 	ScanResp     *ScanResp
-	Traces       *TracesReq
-	TracesResp   *TracesResp
-	Health       *HealthReq
-	HealthResp   *HealthResp
-	Batch        *BatchReq
-	BatchResp    *BatchResp
-	MetricsResp  *MetricsResp
-	History      *HistoryReq
-	HistoryResp  *HistoryResp
-	Repair       *RepairReq
-	RepairResp   *RepairResp
+	Observe      *ObserveReq
+	ObserveResp  *ObserveResp
 	Error        string
 }
 
@@ -205,12 +198,13 @@ type ExchangeResp struct {
 	Handover []store.Entry
 }
 
-// ApplyReq installs an index entry at the receiver (update propagation).
+// ApplyReq installs index entries at the receiver, each as store.Apply would.
+// A KindApply carries at least one entry, an info rider exactly one.
 type ApplyReq struct {
-	Entry store.Entry
+	Entries []store.Entry
 }
 
-// ApplyResp reports whether the entry was new or fresher.
+// ApplyResp reports whether any entry was new or fresher.
 type ApplyResp struct {
 	Changed bool
 }
@@ -238,101 +232,13 @@ type ScanResp struct {
 	Entries []store.Entry
 }
 
-// MetricsResp answers KindMetrics (a payload-less request, like a plain
-// KindInfo) with the receiver's full mergeable telemetry snapshot: flattened
-// counters/gauges plus sparse quantile-histogram buckets that a collector
-// can sum across the community. Snap.Schema carries
-// telemetry.MetricsSchemaVersion; a receiver running with telemetry
-// disabled answers with an empty, schema-stamped snapshot.
-type MetricsResp struct {
-	Snap telemetry.MetricsSnapshot
-}
-
-// HistoryReq asks the receiver for its telemetry flight-data recorder:
-// the ring of periodic metrics samples. WindowNS bounds how far back
-// (0 = full retention); MaxPoints caps the newest points returned
-// (0 = all held).
-type HistoryReq struct {
-	WindowNS  int64
-	MaxPoints int64
-}
-
-// HistoryResp returns the receiver's sampled metrics history. A node
-// running without a history ring answers with an empty, schema-stamped
-// dump (zero points) rather than an error, so "feature off" and
-// "feature unknown" stay distinguishable on the wire.
-type HistoryResp struct {
-	Dump telemetry.HistoryDump
-}
-
-// RepairReq asks the receiver for its self-healing repair status.
-// Trigger additionally runs one synchronous repair round first, so
-// `pgridctl repair -run` can force healing on demand; peers running
-// without a repairer ignore Trigger and answer Enabled=false.
-type RepairReq struct {
-	Trigger bool
-}
-
-// RepairResp returns the receiver's repair status. A node running
-// without a repairer answers an Enabled=false status rather than an
-// error, so "repair off" and "repair unknown" stay distinguishable on
-// the wire.
-type RepairResp struct {
-	Status repair.Status
-}
-
-// TracesReq asks the receiver for its flight recorder's most recent
-// sampled traces (Limit <= 0 means all retained).
-type TracesReq struct {
-	Limit int
-}
-
-// TracesResp returns the recorder snapshot, newest first. Total counts
-// every trace ever recorded, including ones the ring has evicted; Traces
-// is empty when the receiver runs with tracing disabled.
-type TracesResp struct {
-	Total  uint64
-	Traces []trace.Trace
-}
-
-// HealthReq asks the receiver for its health digest. WantLiveness asks the
-// receiver to include its per-level probe tally (the default pgridctl and
-// the crawler use; false keeps the response minimal for high-frequency
-// pollers).
-type HealthReq struct {
-	WantLiveness bool
-}
-
-// HealthResp returns the receiver's replica digest. Rounds counts the
-// probe rounds the receiver has completed — one per repair round (0 when
-// repair is off).
-type HealthResp struct {
-	Digest health.Digest
-	Rounds int64
-}
-
-// BatchReq carries several independent requests in one frame — the fan-out
-// paths (BFS publish handover, the crawler's info+health pair) pay one
-// round trip per peer instead of one per request. Sub-messages must not
-// themselves be batches; the receiver answers nesting with KindError.
-type BatchReq struct {
-	Msgs []Message
-}
-
-// BatchResp returns one response per request, in request order. A
-// sub-request the receiver could not serve yields a KindError sub-message
-// in its slot; the batch as a whole still succeeds.
-type BatchResp struct {
-	Msgs []Message
-}
-
 // InfoReq is the rider a KindInfo request may carry (a plain one carries
 // none: Message.Info is nil): one operation for the receiver to perform on
 // its own store if its path covers the operation's key — core.ReplicaStep on
 // the path it answers with — so that the breadth-first search of Sec. 5.2
 // publishes or scans as it visits, for no message of its own. Exactly one of
-// Apply and Scan is set. The codec carries a rider on a frame of its own, not
-// inside a batch.
+// Apply and Scan is set, and the apply carries one entry: the search is for
+// one key.
 type InfoReq struct {
 	Apply *ApplyReq
 	Scan  *ScanReq
@@ -342,7 +248,7 @@ type InfoReq struct {
 // the prefix for a scan.
 func (r *InfoReq) Key() bitpath.Path {
 	if r.Apply != nil {
-		return r.Apply.Entry.Key
+		return r.Apply.Entries[0].Key
 	}
 	return r.Scan.Prefix
 }
@@ -362,6 +268,80 @@ type InfoResp struct {
 	Applied *ApplyResp
 	Scanned *ScanResp
 }
+
+// Ask names one column an ObserveReq asks for, or a modifier of one.
+type Ask uint8
+
+// The asks, one bit each. AskLiveness and AskRepairNow modify a column and
+// name none of their own.
+const (
+	AskLinks     Ask = 1 << iota // the InfoResp fields: address, path, references, buddies, entry count
+	AskHealth                    // the replica digest and the completed probe rounds
+	AskLiveness                  // with AskHealth: the digest's per-level probe tallies
+	AskMetrics                   // the full mergeable metrics snapshot
+	AskHistory                   // the sampled metrics history, bounded by WindowNS and MaxPoints
+	AskRepair                    // the repair status
+	AskRepairNow                 // with AskRepair: one synchronous repair round first
+	AskTraces                    // the flight recorder's newest sampled traces, up to TraceLimit
+
+	columnAsks = AskLinks | AskHealth | AskMetrics | AskHistory | AskRepair | AskTraces
+)
+
+// valid reports whether each modifier in a comes with the column it modifies.
+func (a Ask) valid() bool {
+	return (a&AskLiveness == 0 || a&AskHealth != 0) && (a&AskRepairNow == 0 || a&AskRepair != 0)
+}
+
+// ObserveReq is an operator's one question to a peer: which columns to answer,
+// and the parameters of the ones that take any, which travel whatever is
+// asked. WindowNS bounds the history (0 = full retention) and MaxPoints caps
+// its newest points (0 = all held); TraceLimit caps the traces (<= 0 = all
+// retained).
+type ObserveReq struct {
+	Asks       Ask
+	WindowNS   int64
+	MaxPoints  int64
+	TraceLimit int
+}
+
+// ObserveResp answers an ObserveReq with one column per ask, nil where none was
+// asked, and an empty one where the peer runs without the feature behind it.
+type ObserveResp struct {
+	Links   *InfoResp // the rider answers stay nil
+	Health  *HealthColumn
+	Metrics *telemetry.MetricsSnapshot
+	History *telemetry.HistoryDump
+	Repair  *repair.Status
+	Traces  *TracesColumn
+}
+
+// HealthColumn is the receiver's replica digest. Rounds counts the probe
+// rounds it has completed — one per repair round (0 when repair is off).
+type HealthColumn struct {
+	Digest health.Digest
+	Rounds int64
+}
+
+// TracesColumn is the flight recorder snapshot, newest first. Total counts
+// every trace ever recorded, including ones the ring has evicted.
+type TracesColumn struct {
+	Total  uint64
+	Traces []trace.Trace
+}
+
+// columns returns the asks whose columns r carries.
+func (r *ObserveResp) columns() (c Ask) {
+	for ask, set := range map[Ask]bool{AskLinks: r.Links != nil, AskHealth: r.Health != nil, AskMetrics: r.Metrics != nil,
+		AskHistory: r.History != nil, AskRepair: r.Repair != nil, AskTraces: r.Traces != nil} {
+		if set {
+			c |= ask
+		}
+	}
+	return c
+}
+
+// Answers reports whether r carries every column asks names.
+func (r *ObserveResp) Answers(asks Ask) bool { return asks&columnAsks&^r.columns() == 0 }
 
 // MaxFrameSize bounds a single encoded message; larger frames are
 // rejected as corrupt rather than allocated.

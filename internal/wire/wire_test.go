@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -92,8 +93,12 @@ func TestExchangeRespRoundTrip(t *testing.T) {
 
 func TestApplyGetInfoRoundTrip(t *testing.T) {
 	e := store.Entry{Key: bitpath.MustParse("110"), Name: "f", Holder: 4, Version: 2}
-	if got := roundTrip(t, &Message{Kind: KindApply, Apply: &ApplyReq{Entry: e}}); got.Apply.Entry != e {
+	if got := roundTrip(t, &Message{Kind: KindApply, Apply: &ApplyReq{Entries: []store.Entry{e}}}); len(got.Apply.Entries) != 1 || got.Apply.Entries[0] != e {
 		t.Errorf("apply = %+v", got.Apply)
+	}
+	list := []store.Entry{e, {Key: bitpath.MustParse("111"), Name: "g", Holder: 4, Version: 3}}
+	if got := roundTrip(t, &Message{Kind: KindApply, Apply: &ApplyReq{Entries: list}}); !reflect.DeepEqual(got.Apply.Entries, list) {
+		t.Errorf("apply list = %+v", got.Apply)
 	}
 	if got := roundTrip(t, &Message{Kind: KindGet, Get: &GetReq{Key: e.Key, Name: "f"}}); got.Get.Name != "f" {
 		t.Errorf("get = %+v", got.Get)
@@ -181,9 +186,9 @@ func TestWriteMessageErrorPaths(t *testing.T) {
 		t.Errorf("retired kind 22: err = %v, want ErrUnknownKind", err)
 	}
 	// A frame larger than the pooled buffers still round-trips under the cap.
-	big := &Message{Kind: KindApply, Apply: &ApplyReq{Entry: store.Entry{
-		Key: bitpath.MustParse("01"), Name: string(make([]byte, 1<<17)), Version: 1}}}
-	if got := roundTrip(t, big); got.Apply.Entry != big.Apply.Entry {
+	big := &Message{Kind: KindApply, Apply: &ApplyReq{Entries: []store.Entry{{
+		Key: bitpath.MustParse("01"), Name: string(make([]byte, 1<<17)), Version: 1}}}}
+	if got := roundTrip(t, big); got.Apply.Entries[0] != big.Apply.Entries[0] {
 		t.Fatal("large frame did not round-trip")
 	}
 }
@@ -231,46 +236,51 @@ func TestTracedRoundTrip(t *testing.T) {
 }
 
 func TestTracesRoundTrip(t *testing.T) {
+	req := roundTrip(t, &Message{Kind: KindObserve, From: 3,
+		Observe: &ObserveReq{Asks: AskTraces, TraceLimit: 8}}).Observe
+	if req == nil || req.Asks != AskTraces || req.TraceLimit != 8 {
+		t.Fatalf("traces ask did not round-trip: %+v", req)
+	}
 	m := &Message{
-		Kind: KindTracesResp, From: 1,
-		TracesResp: &TracesResp{
+		Kind: KindObserveResp, From: 1,
+		ObserveResp: &ObserveResp{Traces: &TracesColumn{
 			Total: 12,
 			Traces: []trace.Trace{{
 				TraceID: 99, Key: bitpath.MustParse("101"), Found: true, Messages: 1,
 				Spans: []trace.Span{{ID: 3, Peer: 1, Path: bitpath.MustParse("1"), Matched: true}},
 			}},
-		},
+		}},
 	}
 	got := roundTrip(t, m)
-	tr := got.TracesResp
+	tr := got.ObserveResp.Traces
 	if tr == nil || tr.Total != 12 || len(tr.Traces) != 1 || tr.Traces[0].TraceID != 99 {
 		t.Fatalf("traces did not round-trip: %+v", tr)
 	}
-	if got.Kind.String() != "traces-resp" || KindTraces.String() != "traces" {
-		t.Fatalf("kind names: %v %v", got.Kind, KindTraces)
+	if !got.ObserveResp.Answers(AskTraces) || got.ObserveResp.Answers(AskTraces|AskHealth) {
+		t.Fatalf("traces column answers: %+v", got.ObserveResp)
 	}
 }
 
-// TestMetricsRoundTrip covers the metrics pair, including the payload-less
-// request and an empty (telemetry-disabled) snapshot.
+// TestMetricsRoundTrip covers the metrics column, asked for alone and as
+// an empty (telemetry-disabled) snapshot.
 func TestMetricsRoundTrip(t *testing.T) {
-	if req := roundTrip(t, &Message{Kind: KindMetrics, From: 3}); req.Kind != KindMetrics || req.From != 3 {
-		t.Fatalf("metrics request round trip: %+v", req)
+	if req := roundTrip(t, &Message{Kind: KindObserve, From: 3, Observe: &ObserveReq{Asks: AskMetrics}}); req.Kind != KindObserve || req.From != 3 || req.Observe.Asks != AskMetrics {
+		t.Fatalf("metrics ask round trip: %+v", req)
 	}
 
-	m := &Message{Kind: KindMetricsResp, From: 2, MetricsResp: &MetricsResp{
-		Snap: telemetry.MetricsSnapshot{
+	m := &Message{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
+		Metrics: &telemetry.MetricsSnapshot{
 			Schema: telemetry.MetricsSchemaVersion,
 			Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42},
 				{Name: "pgrid_health_liveness_permille", Value: -1}},
 			Hists: []telemetry.QHistSnapshot{{Name: `pgrid_rpc_kind_latency_ns{kind="query"}`,
 				SubBits: 4, Count: 3, Sum: 3000, Idx: []uint16{16, 200}, N: []int64{2, 1}}}}}}
-	r := roundTrip(t, m).MetricsResp
-	if r == nil || r.Snap.Schema != telemetry.MetricsSchemaVersion || len(r.Snap.Stats) != 2 {
-		t.Fatalf("metrics response did not round-trip: %+v", r)
+	r := roundTrip(t, m).ObserveResp.Metrics
+	if r == nil || r.Schema != telemetry.MetricsSchemaVersion || len(r.Stats) != 2 {
+		t.Fatalf("metrics column did not round-trip: %+v", r)
 	}
-	h := r.Snap.Hists[0]
-	if h.Name != m.MetricsResp.Snap.Hists[0].Name || h.Count != 3 || h.Sum != 3000 ||
+	h := r.Hists[0]
+	if h.Name != m.ObserveResp.Metrics.Hists[0].Name || h.Count != 3 || h.Sum != 3000 ||
 		len(h.Idx) != 2 || h.Idx[1] != 200 || h.N[0] != 2 {
 		t.Fatalf("histogram snapshot did not round-trip: %+v", h)
 	}
@@ -279,25 +289,25 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 
 	// Telemetry disabled: empty, schema-stamped snapshot.
-	empty := roundTrip(t, &Message{Kind: KindMetricsResp, From: 2,
-		MetricsResp: &MetricsResp{Snap: telemetry.MetricsSnapshot{
+	empty := roundTrip(t, &Message{Kind: KindObserveResp, From: 2,
+		ObserveResp: &ObserveResp{Metrics: &telemetry.MetricsSnapshot{
 			Schema: telemetry.MetricsSchemaVersion}}})
-	if empty.MetricsResp == nil || len(empty.MetricsResp.Snap.Stats) != 0 {
-		t.Fatalf("empty snapshot round trip: %+v", empty.MetricsResp)
+	if m := empty.ObserveResp.Metrics; m == nil || len(m.Stats) != 0 {
+		t.Fatalf("empty snapshot round trip: %+v", empty.ObserveResp)
 	}
 }
 
-// TestHistoryRoundTrip covers the history pair, including the windowed
-// request and the empty history-disabled dump.
+// TestHistoryRoundTrip covers the history column, including the windowed
+// ask and the empty history-disabled dump.
 func TestHistoryRoundTrip(t *testing.T) {
-	req := roundTrip(t, &Message{Kind: KindHistory, From: 3,
-		History: &HistoryReq{WindowNS: 300e9, MaxPoints: 64}})
-	if req.History == nil || req.History.WindowNS != 300e9 || req.History.MaxPoints != 64 {
-		t.Fatalf("history request round trip: %+v", req)
+	req := roundTrip(t, &Message{Kind: KindObserve, From: 3,
+		Observe: &ObserveReq{Asks: AskHistory, WindowNS: 300e9, MaxPoints: 64}})
+	if o := req.Observe; o == nil || o.WindowNS != 300e9 || o.MaxPoints != 64 {
+		t.Fatalf("history ask round trip: %+v", req)
 	}
 
-	m := &Message{Kind: KindHistoryResp, From: 2, HistoryResp: &HistoryResp{
-		Dump: telemetry.HistoryDump{
+	m := &Message{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
+		History: &telemetry.HistoryDump{
 			Schema: telemetry.MetricsSchemaVersion, IntervalNS: 2e9,
 			Points: []telemetry.HistoryPoint{
 				{AtNS: 1e9, Snap: telemetry.MetricsSnapshot{
@@ -313,7 +323,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 						ExIdx: []uint16{7}, ExTrace: []uint64{0xbeef}}}}},
 			},
 		}}}
-	d := roundTrip(t, m).HistoryResp.Dump
+	d := *roundTrip(t, m).ObserveResp.History
 	if d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != 2e9 || len(d.Points) != 2 {
 		t.Fatalf("history dump did not round-trip: %+v", d)
 	}
@@ -324,20 +334,19 @@ func TestHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped dump rate = %v, %v; want 2, true", rate, ok)
 	}
 
-	// History disabled: empty, schema-stamped dump — distinguishable from
-	// a pre-history peer, which answers KindError instead.
-	empty := roundTrip(t, &Message{Kind: KindHistoryResp, From: 2,
-		HistoryResp: &HistoryResp{Dump: telemetry.HistoryDump{
+	// History disabled: empty, schema-stamped dump.
+	empty := roundTrip(t, &Message{Kind: KindObserveResp, From: 2,
+		ObserveResp: &ObserveResp{History: &telemetry.HistoryDump{
 			Schema: telemetry.MetricsSchemaVersion}}})
-	if empty.HistoryResp == nil || len(empty.HistoryResp.Dump.Points) != 0 {
-		t.Fatalf("empty dump round trip: %+v", empty.HistoryResp)
+	if h := empty.ObserveResp.History; h == nil || len(h.Points) != 0 {
+		t.Fatalf("empty dump round trip: %+v", empty.ObserveResp)
 	}
 }
 
 func TestHealthRoundTrip(t *testing.T) {
 	m := &Message{
-		Kind: KindHealthResp, From: 2,
-		HealthResp: &HealthResp{
+		Kind: KindObserveResp, From: 2,
+		ObserveResp: &ObserveResp{Health: &HealthColumn{
 			Rounds: 7,
 			Digest: health.Digest{
 				Addr: 2, Path: bitpath.MustParse("10"),
@@ -348,13 +357,13 @@ func TestHealthRoundTrip(t *testing.T) {
 					{Level: 2, Live: 4, Dead: 2},
 				},
 			},
-		},
+		}},
 	}
-	h := roundTrip(t, m).HealthResp
+	h := roundTrip(t, m).ObserveResp.Health
 	if h == nil || h.Rounds != 7 {
-		t.Fatalf("health response did not round-trip: %+v", h)
+		t.Fatalf("health column did not round-trip: %+v", h)
 	}
-	d, want := h.Digest, m.HealthResp.Digest
+	d, want := h.Digest, m.ObserveResp.Health.Digest
 	if d.Addr != want.Addr || d.Path != want.Path || d.Entries != want.Entries ||
 		d.MaxVersion != want.MaxVersion || d.IndexHash != want.IndexHash || d.Buddies != want.Buddies {
 		t.Fatalf("digest mismatch: %+v vs %+v", d, want)
@@ -366,12 +375,11 @@ func TestHealthRoundTrip(t *testing.T) {
 		t.Fatalf("liveness did not round-trip: %+v", d.Liveness)
 	}
 
-	// The request side, with and without the liveness flag.
-	for _, wantLiveness := range []bool{true, false} {
-		req := roundTrip(t, &Message{Kind: KindHealth, From: 1,
-			Health: &HealthReq{WantLiveness: wantLiveness}})
-		if req.Health == nil || req.Health.WantLiveness != wantLiveness {
-			t.Fatalf("health request did not round-trip: %+v", req.Health)
+	// The ask, with and without the liveness tallies.
+	for _, asks := range []Ask{AskHealth | AskLiveness, AskHealth} {
+		req := roundTrip(t, &Message{Kind: KindObserve, From: 1, Observe: &ObserveReq{Asks: asks}})
+		if req.Observe == nil || req.Observe.Asks != asks {
+			t.Fatalf("health ask did not round-trip: %+v", req.Observe)
 		}
 	}
 }
