@@ -200,9 +200,9 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	}
 	switch m.Kind {
 	case wire.KindQuery:
-		resp, q := reply[wire.QueryResp](n, wire.KindQueryResp)
-		resp.QueryResp = q
-		n.handleQuery(m.Query, q)
+		resp, x := reply[queryAnswer](n, wire.KindQueryResp)
+		resp.QueryResp = &x.resp
+		n.handleQuery(m.Query, &x.resp, &x.fwd)
 		return resp
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
@@ -319,7 +319,7 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 		}
 	}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp)
+	n.handleQuery(req, &resp, new(queryCall))
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	if n.tel.EventsOn() {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
@@ -337,7 +337,7 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 	req := &wire.QueryReq{Key: key, Level: 0,
 		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp)
+	n.handleQuery(req, &resp, new(queryCall))
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
 	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
@@ -349,11 +349,12 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 // contributes to the message count. A read riding on the request is answered
 // by the peer the search ends at and comes back with the route. The outcome
 // is written into resp, which the caller made (zero) where it is to be sent
-// from. When the request carries a sampled trace context the node appends its
-// own span (and everything its subtree reported) to the response and records
-// the subtree route in its flight recorder; routing decisions are identical
-// either way.
-func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
+// from, and the query is forwarded in fwd, which the caller made with it. When
+// the request carries a sampled trace context the node appends its own span
+// (and everything its subtree reported) to the response and records the
+// subtree route in its flight recorder; routing decisions are identical either
+// way.
+func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCall) {
 	path := n.self.Path()
 	l := q.Level
 	if l > path.Len() {
@@ -377,7 +378,7 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
 		}
 	}
 
-	n.routeQuery(q, resp, path, l, &span, childCtx, tracing)
+	n.routeQuery(q, resp, fwd, path, l, &span, childCtx, tracing)
 
 	if tracing {
 		span.LatencyNS = int64(time.Since(start))
@@ -400,6 +401,14 @@ type queryCall struct {
 	r wire.GetReq
 }
 
+// queryAnswer is a served query's answer with the call its handler forwards the
+// query in: the forward is done with when the handler returns, the reply is
+// made before it runs, so the two are one object.
+type queryAnswer struct {
+	resp wire.QueryResp
+	fwd  queryCall
+}
+
 // fill makes c the query for key from level on, with read (nil for a plain
 // query) riding along, and returns the message to send.
 func (c *queryCall) fill(from addr.Addr, key bitpath.Path, level int, ctx *trace.SpanContext, read *wire.GetReq) *wire.Message {
@@ -414,10 +423,11 @@ func (c *queryCall) fill(from addr.Addr, key bitpath.Path, level int, ctx *trace
 
 // routeQuery is the routing half of handleQuery: the Fig. 2 decision
 // (core.RouteStep, shared with the simulator) and the reference walk over
-// the transport. span and childCtx are only touched when tracing is set;
-// resp.Spans accumulates the downstream spans in visit order (the
-// caller's own span is prepended by handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
+// the transport, in fwd, filled again for each reference tried. span and
+// childCtx are only touched when tracing is set; resp.Spans accumulates the
+// downstream spans in visit order (the caller's own span is prepended by
+// handleQuery).
+func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCall, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
 	matched, next, rest := core.RouteStep(path, l, q.Key)
 	if matched {
 		if tracing {
@@ -432,7 +442,6 @@ func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.P
 
 	var buf [16]addr.Addr // holds a level's references (RefMax is a handful) off the heap
 	refs := n.self.RefsInto(buf[:0], next)
-	fwd := new(queryCall) // one per handler, filled again for each reference tried
 	for refs.Len() > 0 {
 		var r addr.Addr
 		n.mu.Lock()

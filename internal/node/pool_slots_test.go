@@ -193,12 +193,14 @@ func TestPoolSlotReuseAfterTimeoutAndKill(t *testing.T) {
 // instrumented pooled transport to a loopback Server that is itself
 // responsible — client and server side together, both run in this process —
 // allocates only what a hop hands to its caller: the server's decoded request
-// (the Message, QueryReq and GetReq as one object, the routed key, and the
-// read's key and name as one string: 3), its reply (Message and QueryResp as
-// one: 1) and the client's decoded reply (the same one object and the entry's
-// key and name: 2; the responsible peer's path is empty here). A goroutine or
-// closure per served request, a second object per frame, a per-call channel,
-// timer, label string or escaping frame header pushes it over.
+// (the Message, QueryReq and GetReq as one object, and the read's key and name
+// as one string the routed key is cut from: 2), its reply (Message, QueryResp
+// and the call it would forward in as one: 1) and the client's decoded reply
+// (the same one object and the entry's key and name: 2; the responsible peer's
+// path is empty here). A goroutine or closure per served request, a second
+// object per frame, a routed key or answered path decoded into its own string,
+// a forward allocated beside its reply, a per-call channel, timer, label string
+// or escaping frame header pushes it over.
 func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -220,7 +222,7 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 		}
 	}
 	call() // dial, start a worker, register instruments
-	const budget = 6
+	const budget = 5
 	if got := testing.AllocsPerRun(500, call); got > budget {
 		t.Errorf("warm pooled round trip = %.1f allocs, budget %d", got, budget)
 	} else {
@@ -230,13 +232,13 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 
 // TestAllocBudgetRoutedLookup: warm lookups routed through a 64-peer loopback
 // community, transplanted from a simulator grid, over the instrumented pooled
-// transport cost at most 8 allocations per message, every hop's two sides and
+// transport cost at most 6 allocations per message, every hop's two sides and
 // the client together. A message is: decoded by its receiver as one object
-// plus the routed key and the read's key-and-name (3; the last hop's one-bit
-// key is free), answered with one object (1), forwarded — except by the
-// responsible peer — as one object (< 1), and its answer decoded as one object
-// plus the responsible peer's path and the entry's key-and-name (3); the
-// client adds its one request object per lookup.
+// plus the read's key-and-name, which the routed key is cut from (2), answered
+// with one object that also holds the call the handler forwards in (1), and its
+// answer decoded as one object plus the entry's key-and-name, which the
+// responsible peer's path is cut from (2); the client adds its one request
+// object per lookup (1/3 per message at three messages a lookup).
 func TestAllocBudgetRoutedLookup(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -288,7 +290,7 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 		return messages
 	}
 	lookups(4000) // dial the connections the routes use, park workers, register instruments
-	const measured, budget = 2000, 8
+	const measured, budget = 2000, 6
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	messages := lookups(measured)

@@ -1,13 +1,16 @@
 package node
 
 import (
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/core"
 	"pgrid/internal/store"
+	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
 
@@ -148,5 +151,112 @@ func TestLookupMatchesQueryThenGet(t *testing.T) {
 		if res != pair {
 			t.Fatalf("Lookup(%v, %s, %q) = %+v, query then get = %+v less the get", start, key, name, res, pair)
 		}
+	}
+}
+
+// forwardTap records each call a forwarding peer makes: the message it sent,
+// a copy of what that message carried when it was sent, and how it went.
+type forwardTap struct {
+	inner Transport
+	calls []forwardCall
+}
+
+type forwardCall struct {
+	to   addr.Addr
+	msg  *wire.Message
+	q    wire.QueryReq
+	read wire.GetReq
+	ctx  trace.SpanContext
+	err  error
+}
+
+func (t *forwardTap) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	c := forwardCall{to: to, msg: m, q: *m.Query, read: *m.Query.Read, ctx: *m.Query.Ctx}
+	resp, err := t.inner.Call(to, m)
+	c.err = err
+	t.calls = append(t.calls, c)
+	return resp, err
+}
+
+// TestRouteForwardRefilledAfterBacktrack: a traced routed read reaches a peer
+// that forwards it through a level of several references, the first of which
+// it draws is offline. The handler fills the one call it forwards in again for
+// the second reference — the same message, carrying the same routed suffix,
+// level, read and child context — and the answer is core.Query's on the same
+// grid with the same peer offline and the same draws.
+func TestRouteForwardRefilledAfterBacktrack(t *testing.T) {
+	const seed = 41
+	d, c := transplantedCluster(t, seed)
+	// The start peer forwards through a level of several references with a key
+	// that ends one bit past the level's common prefix, so every reference
+	// there is responsible and no peer behind the start draws a reference.
+	var start *Node
+	var next int
+	for _, n := range c.Nodes {
+		for l := 1; l <= n.Path().Len() && start == nil; l++ {
+			if n.Peer().RefsAt(l).Len() >= 3 {
+				start, next = n, l
+			}
+		}
+	}
+	if start == nil {
+		t.Fatal("no peer has a level of three references")
+	}
+	key := start.Path().Prefix(next - 1).AppendFlip(start.Path().Bit(next))
+	entry := store.Entry{Key: key, Name: "fwd", Holder: 3, Version: 5}
+	for i, n := range c.Nodes {
+		if bitpath.Comparable(n.Path(), key) {
+			n.Store().Apply(entry)
+			d.Peer(addr.Addr(i)).Store().Apply(entry)
+		}
+	}
+
+	// Every node draws from one stream, as core.Query's rng: the start's span
+	// id, then its references. Replaying that stream names the first reference
+	// it draws, which goes offline on both sides.
+	shared := rand.New(rand.NewSource(seed))
+	for _, n := range c.Nodes {
+		n.rng = shared
+	}
+	replay := rand.New(rand.NewSource(seed))
+	replay.Uint64()
+	refs := d.Peer(start.Addr()).RefsAt(next)
+	first := refs.PopRandom(replay)
+	c.Nodes[first].SetOnline(false)
+	d.Peer(first).SetOnline(false)
+	tap := &forwardTap{inner: start.tr}
+	start.tr = tap
+
+	ctx := trace.SpanContext{TraceID: 99, Parent: 7, Budget: 4, Sampled: true}
+	resp, err := c.Transport.Call(start.Addr(), &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
+		Query: &wire.QueryReq{Key: key, Ctx: &ctx, Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resp.QueryResp
+
+	if len(tap.calls) != 2 || tap.calls[0].to != first || !errors.Is(tap.calls[0].err, ErrOffline) || tap.calls[1].err != nil {
+		t.Fatalf("forwards = %+v, want the offline %v then one answered call", tap.calls, first)
+	}
+	one, two := tap.calls[0], tap.calls[1]
+	if one.msg != two.msg {
+		t.Errorf("the second reference got a new message %p, not the forward %p filled again", two.msg, one.msg)
+	}
+	rest, read := key.Suffix(next-1), wire.GetReq{Key: entry.Key, Name: entry.Name}
+	wantCtx := trace.SpanContext{TraceID: ctx.TraceID, Parent: got.Spans[0].ID, Budget: ctx.Budget - 1, Sampled: true}
+	for i, call := range tap.calls {
+		if call.q.Key != rest || call.q.Level != next-1 || call.read != read || call.ctx != wantCtx {
+			t.Errorf("forward %d carried key %s at level %d, read %+v, context %+v; want %s at %d, %+v, %+v",
+				i, call.q.Key, call.q.Level, call.read, call.ctx, rest, next-1, read, wantCtx)
+		}
+	}
+
+	coreRng := rand.New(rand.NewSource(seed))
+	coreRng.Uint64() // the start's span id, which core.Query does not draw
+	want := core.Query(d, d.Peer(start.Addr()), key, coreRng)
+	if !want.Found || got.Found != want.Found || got.Peer != want.Peer || got.Messages != want.Messages ||
+		got.Backtracks != want.Backtracks || !got.Has || got.Entry != entry {
+		t.Fatalf("routed read = found %v at %v, %d messages, %d backtracks, entry %+v (has %v); core.Query = %+v, entry %+v",
+			got.Found, got.Peer, got.Messages, got.Backtracks, got.Entry, got.Has, want, entry)
 	}
 }

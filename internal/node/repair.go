@@ -378,7 +378,7 @@ func (r *Repairer) Tick() {
 				continue
 			}
 			var q wire.QueryResp
-			n.handleQuery(&wire.QueryReq{Key: e.Key}, &q)
+			n.handleQuery(&wire.QueryReq{Key: e.Key}, &q, new(queryCall))
 			charge(q.Messages)
 			if !q.Found || q.Peer == n.Addr() || !spend(1) {
 				unhealed++

@@ -816,14 +816,39 @@ func appendBits(dst, src []byte, nbits int) []byte {
 	return dst
 }
 
-func (d *bdec) path() bitpath.Path {
+// pathBits reads a path and returns its packed bits unread, a view of the
+// payload, for the caller to unpack once it knows where else the frame holds
+// them (pathIn).
+func (d *bdec) pathBits() (packed []byte, nbits int) {
 	nbits, nbytes := d.pathHead()
-	// Paths are short (one bit per trie level): unpack into a stack
-	// buffer so the only allocation is the returned string.
-	var short [64]byte
-	out := appendBits(short[:0], d.b[d.off:], nbits)
+	packed = d.b[d.off : d.off+nbytes]
 	d.off += nbytes
-	return bitpath.Path(out)
+	return packed, nbits
+}
+
+func (d *bdec) path() bitpath.Path { return unpack(d.pathBits()) }
+
+// unpack returns the nbits packed path as a string of its own. Paths are short
+// (one bit per trie level): they unpack into a stack buffer, so the only
+// allocation is the returned string.
+func unpack(packed []byte, nbits int) bitpath.Path {
+	var short [64]byte
+	return bitpath.Path(appendBits(short[:0], packed, nbits))
+}
+
+// pathIn returns the nbits packed path as s[at:at+nbits] when those bytes of s
+// are its bits, and unpacked into its own string otherwise: a path the frame
+// already holds inside a decoded string is not decoded again.
+func pathIn(s string, at int, packed []byte, nbits int) bitpath.Path {
+	if at < 0 || at+nbits > len(s) {
+		return unpack(packed, nbits)
+	}
+	for i := 0; i < nbits; i++ {
+		if s[at+i] != bit(packed, i) {
+			return unpack(packed, nbits)
+		}
+	}
+	return bitpath.Path(s[at : at+nbits])
 }
 
 func (d *bdec) addr() addr.Addr {
@@ -912,9 +937,7 @@ func (d *bdec) refSetInto(all []addr.Addr) (RefSet, []addr.Addr) {
 // (Key, Name) — into one string the two sub-slice: one allocation for the
 // pair, and none besides while they fit the stack buffer.
 func (d *bdec) keyName() (bitpath.Path, string) {
-	nbits, nbytes := d.pathHead()
-	packed := d.b[d.off:]
-	d.off += nbytes
+	packed, nbits := d.pathBits()
 	name := d.bytes()
 	if d.err != nil {
 		return "", ""
@@ -1185,7 +1208,10 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 	case KindQuery:
 		if present, read := d.flags(); present {
 			x := Fused[routedQuery](&m)
-			x.q.Key, x.q.Level = d.path(), d.int()
+			// The routed key is the read key's tail (badRequest refuses any
+			// other pair): it is cut from the read's string once that is decoded.
+			packed, nbits := d.pathBits()
+			x.q.Level = d.int()
 			if d.bool() {
 				x.c = trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
 					Budget: d.int(), Sampled: d.bool()}
@@ -1195,16 +1221,21 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 				x.r.Key, x.r.Name = d.keyName()
 				x.q.Read = &x.r
 			}
+			x.q.Key = pathIn(string(x.r.Key), len(x.r.Key)-nbits, packed, nbits)
 			m.Query = &x.q
 		}
 	case KindQueryResp:
 		if present, has := d.flags(); present {
 			q := Fused[QueryResp](&m)
-			*q = QueryResp{Found: d.bool(), Peer: d.addr(), Path: d.path(),
-				Messages: d.int(), Backtracks: d.int(), Spans: d.spans(), Has: has}
+			q.Found, q.Peer = d.bool(), d.addr()
+			// A found entry's key starts with the path of the peer that holds
+			// it: the path is cut from the entry's string once that is decoded.
+			packed, nbits := d.pathBits()
+			q.Messages, q.Backtracks, q.Spans, q.Has = d.int(), d.int(), d.spans(), has
 			if has {
 				q.Entry = d.entry()
 			}
+			q.Path = pathIn(string(q.Entry.Key), 0, packed, nbits)
 			m.QueryResp = q
 		}
 	case KindExchange:

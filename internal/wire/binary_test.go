@@ -568,16 +568,25 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 2},
 		// Message with GetReq + Key and Name in one string.
 		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 2},
-		// The routed read costs each hop one string more than the plain pair:
-		// Message with QueryReq and its GetReq + Key + the read's Key and Name.
+		// The routed read costs each hop what the plain pair costs: Message with
+		// QueryReq and its GetReq + the read's Key and Name, the routed key cut
+		// from the read's.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
-			Read: &GetReq{Key: key, Name: "file-0042"}}}, 3},
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
 		// A trace context rides in the same object.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
 			Ctx:  &trace.SpanContext{TraceID: 7, Parent: 8, Budget: 9, Sampled: true},
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
+		// A routed key that is not the read key's tail is its own string: the
+		// codec admits the pair, badRequest refuses it.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[:7], Level: 9,
 			Read: &GetReq{Key: key, Name: "file-0042"}}}, 3},
-		// Message with QueryResp + Path + the entry's Key and Name.
-		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4,
+		// Message with QueryResp + the entry's Key and Name, the path cut from
+		// the entry's key.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[:5], Messages: 4,
+			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 2},
+		// A path that does not start the entry's key is its own string.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[1:6], Messages: 4,
 			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 3},
 		// Message with ApplyReq and room for its one entry + the entry's Key and
 		// Name; its answer is the one object.
@@ -605,6 +614,9 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		}
 		src := bytes.NewReader(frame)
 		br := bufio.NewReader(src)
+		if _, _, m, err := ReadFrame(br); err != nil || !reflect.DeepEqual(m, tc.msg) {
+			t.Fatalf("ReadFrame = %+v, %v; sent %+v", m, err, tc.msg)
+		}
 		got := testing.AllocsPerRun(200, func() {
 			src.Reset(frame)
 			br.Reset(src)

@@ -116,6 +116,19 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 		}
 	}
 	f.Add(observed)
+	// A routed read and its answer whose second path is not cut from the
+	// first's string: a routed key that does not end the read key, an answered
+	// path that does not start the entry key.
+	var mismatched []byte
+	for i, m := range []*Message{
+		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: entry.Key[:3], Level: 1, Read: &GetReq{Key: entry.Key, Name: entry.Name}}},
+		{Kind: KindQueryResp, From: 2, QueryResp: &QueryResp{Found: true, Peer: 2, Path: entry.Key[1:], Entry: entry, Has: true}},
+	} {
+		if mismatched, err = AppendFrame(mismatched, uint32(i), uint8(i%2), m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(mismatched)
 	f.Fuzz(func(t *testing.T, data []byte) { readersAgree(t, data) })
 }
 
