@@ -37,14 +37,12 @@ func main() {
 	log.SetPrefix("pgridctl: ")
 
 	var (
-		peers     = flag.String("peers", "", "community endpoints: id=host:port,... (required)")
-		keybits   = flag.Int("keybits", 8, "bits for keys hashed from names")
-		timeout   = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
-		retries   = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
-		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-		poolSize  = flag.Int("pool-size", 2, "cap on pooled connections per peer (at least 1); a second is dialled only when the first is saturated")
-		sloSpecs  = flag.String("slo", "query:p99:5ms", "latency objectives for cluster reports: kind:pNN:threshold,... (empty disables)")
-		jsonOut   = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
+		peers    = flag.String("peers", "", "community endpoints: id=host:port,... (required)")
+		keybits  = flag.Int("keybits", 8, "bits for keys hashed from names")
+		timeout  = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
+		retries  = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
+		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives for cluster reports: kind:pNN:threshold,... (empty disables)")
+		jsonOut  = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: pgridctl -peers <endpoints> <command> [args]
@@ -63,7 +61,7 @@ commands:
   stats <id>                    dump a node's telemetry counters (the /metrics data, over the wire)
   top [-cluster] <id> [interval] [count]
                                 refreshing live summary: rates, per-kind latency quantiles, pool,
-                                breakers, event drops (default 2s forever; count 1 = one plain frame);
+                                breakers (default 2s forever; count 1 = one plain frame);
                                 -cluster merges every reachable peer's metrics into one view
   audit                         fetch every node's state and verify the reference invariant
   health <id>                   print a node's replica digest and per-level reference liveness
@@ -85,7 +83,7 @@ commands:
 	}
 	flag.Parse()
 	args := flag.Args()
-	if *peers == "" || len(args) == 0 || *poolSize < 1 {
+	if *peers == "" || len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -106,7 +104,6 @@ commands:
 	pool := node.NewPoolTransport(node.PoolConfig{
 		DialTimeout: *timeout,
 		IOTimeout:   *timeout,
-		Size:        *poolSize,
 	})
 	defer pool.Close()
 	var all []addr.Addr
@@ -123,7 +120,7 @@ commands:
 		all = append(all, addr.Addr(v))
 	}
 	var tr node.Transport = resilience.Wrap(pool, resilience.Options{
-		Retry:    resilience.Policy{MaxAttempts: *retries, BaseDelay: *retryBase},
+		Retry:    resilience.Policy{MaxAttempts: *retries},
 		Classify: node.Classify,
 		Seed:     time.Now().UnixNano(),
 	})

@@ -16,17 +16,18 @@
 // Interrogate it with pgridctl, or give it -admin :9090 and watch
 // /metrics, /healthz, /debug/health, /debug/breakers, /debug/vars, and
 // /debug/pprof live. Outgoing calls go through a resilient transport:
-// -retries attempts with jittered exponential backoff from -retry-base,
-// globally bounded by the -retry-budget token bucket, behind per-peer
-// circuit breakers (-breaker-fails, -breaker-cooldown).
+// -retries attempts with jittered exponential backoff from 25 ms, globally
+// bounded by a retry budget of 0.1 tokens per call, behind per-peer circuit
+// breakers that open after 5 consecutive failures and probe again after 2 s;
+// -timeout bounds each attempt's dial and its round trip.
 // With -repair-interval the node runs the self-healing repair protocol, its
 // one background reference-maintenance loop: every round probes the
 // references and detects structural faults (invariant-violating or dead
 // references, path drift, diverged or orphaned replicas, orphaned entries),
-// heals them within -repair-budget messages, and reports through the
-// pgrid_repair_* series, /debug/repair, and `pgridctl repair`; the probes
-// also feed the health digest, the pgrid_health_* gauges, and the
-// -health-min-liveness readiness check. With -events the
+// heals them within 64 messages, and reports through the pgrid_repair_*
+// series, /debug/repair, and `pgridctl repair`; the probes also feed the
+// health digest, the pgrid_health_* gauges, and the -health-min-liveness
+// readiness check. With -events the
 // node appends one JSON line per exchange/query/RPC to a file, in the same
 // schema pgridsim -events writes; each line is encoded synchronously into
 // a buffer that is written through as it fills and flushed on exit. With
@@ -34,10 +35,10 @@
 // with its span context into a dedicated flight recorder served at
 // /debug/slow; per-kind latency quantiles are live at /debug/lat. With
 // -history-interval the node runs its one metrics sampler: each tick takes
-// one snapshot of every series into a fixed-memory ring (-history-window
-// deep), served at /debug/history and to `pgridctl watch` over the wire;
-// -exemplar-quantile links tail latency buckets to flight-recorder traces
-// via trace-id exemplars. With -slo the same snapshot also feeds a
+// one snapshot of every series into a fixed-memory ring five minutes deep,
+// served at /debug/history and to `pgridctl watch` over the wire; latency
+// buckets at or above the 0.99 quantile link to flight-recorder traces via
+// trace-id exemplars. With -slo the same snapshot also feeds a
 // multi-window burn-rate engine tracking latency objectives
 // ("query:p99:5ms,...") whose verdicts are served at /debug/slo.
 package main
@@ -80,28 +81,15 @@ func main() {
 		seed      = flag.Int64("seed", 0, "random seed (0 = derived from id and time)")
 		status    = flag.Duration("status", 5*time.Second, "interval between status log lines (0 = quiet)")
 		stateFile = flag.String("state", "", "persist node state to this file (load at boot, save periodically and on shutdown)")
-		saveEvery = flag.Duration("save-every", 30*time.Second, "state checkpoint interval when -state is set")
-		dialTO    = flag.Duration("dial-timeout", 3*time.Second, "TCP connect timeout per outgoing call")
-		ioTO      = flag.Duration("io-timeout", 3*time.Second, "request/response timeout per outgoing call, started after the dial")
-		poolSize  = flag.Int("pool-size", 2, "cap on pooled connections per peer (at least 1); a second is dialled only when the first is saturated")
-		poolIdle  = flag.Duration("pool-idle", 60*time.Second, "close pooled connections idle this long")
+		timeout   = flag.Duration("timeout", 3*time.Second, "bound on each outgoing call's dial and, separately, its request/response round trip")
 		retries   = flag.Int("retries", 3, "max attempts per outgoing call (1 = no retries)")
-		retryBase = flag.Duration("retry-base", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-		retryBud  = flag.Float64("retry-budget", 0.1, "retry tokens earned per call; bounds retries to this fraction of call volume (0 = unlimited)")
-		brkFails  = flag.Int("breaker-fails", 5, "consecutive failures that open a peer's circuit breaker (0 = breakers off)")
-		brkCool   = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker waits before probing the peer again")
 		repairInt = flag.Duration("repair-interval", 0, "interval between self-healing repair rounds, jittered ±25% (0 = off)")
-		repairBud = flag.Int("repair-budget", 64, "max repair messages per round when -repair-interval is set")
 		healthMin = flag.Float64("health-min-liveness", 0, "/healthz reports 503 while the worst per-level reference liveness is below this (0 = disabled)")
 		admin     = flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /debug/{vars,pprof}); empty = off")
 		events    = flag.String("events", "", "append structured JSONL telemetry events to this file")
 		slowRPC   = flag.Duration("slow-rpc", 0, "count and record outgoing calls at or above this round-trip latency (0 = off)")
 		sloSpecs  = flag.String("slo", "", "latency SLOs to track: kind:pNN:threshold,... e.g. query:p99:5ms (burn rates at /debug/slo, sampled every -history-interval; empty = off)")
-		traceBuf  = flag.Int("trace-buf", 256, "flight-recorder capacity in traces (0 = tracing off)")
-		traceProb = flag.Float64("trace-sample", 0.01, "probability a locally issued query is sampled for distributed tracing")
 		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served at /debug/history and as the history column of KindObserve (0 = history off)")
-		histWin   = flag.Duration("history-window", 5*time.Minute, "retention of the metrics history ring when -history-interval is set")
-		exemplarQ = flag.Float64("exemplar-quantile", 0.99, "latency buckets at/above this tail quantile capture trace-id exemplars linking slow buckets to flight-recorder traces (0 = off)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logJSON   = flag.Bool("log-json", false, "log in JSON instead of text")
 	)
@@ -123,7 +111,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *id < 0 || *listen == "" || (*peers == "" && *peersFile == "") || *poolSize < 1 {
+	if *id < 0 || *listen == "" || (*peers == "" && *peersFile == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -140,12 +128,7 @@ func main() {
 	logger.Info("starting", "seed", *seed)
 
 	tel := telemetry.New(*id)
-	if *exemplarQ < 0 || *exemplarQ >= 1 {
-		fatal("configuration", fmt.Errorf("-exemplar-quantile %v out of [0,1)", *exemplarQ))
-	}
-	if *exemplarQ > 0 {
-		tel.EnableExemplars(*exemplarQ)
-	}
+	tel.EnableExemplars(exemplarQuantile)
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -161,52 +144,20 @@ func main() {
 		}
 	}
 
-	pool := node.NewPoolTransport(node.PoolConfig{
-		DialTimeout: *dialTO,
-		IOTimeout:   *ioTO,
-		Size:        *poolSize,
-		IdleTimeout: *poolIdle,
-	})
-	pool.SetTelemetry(tel)
-	defer pool.Close()
-	var others []addr.Addr
-	for a, ep := range endpoints {
-		pool.SetEndpoint(a, ep)
-		if a != addr.Addr(*id) {
-			others = append(others, a)
-		}
+	if *timeout <= 0 {
+		fatal("configuration", fmt.Errorf("-timeout %v must be positive", *timeout))
 	}
 	if *retries < 1 {
 		fatal("configuration", fmt.Errorf("-retries %d must be at least 1", *retries))
 	}
-	if *retryBud < 0 {
-		fatal("configuration", fmt.Errorf("-retry-budget %v must not be negative", *retryBud))
+	pool, rt := outgoing(endpoints, *timeout, *retries, *seed, tel)
+	defer pool.Close()
+	var others []addr.Addr
+	for a := range endpoints {
+		if a != addr.Addr(*id) {
+			others = append(others, a)
+		}
 	}
-	var budget *resilience.Budget
-	if *retryBud > 0 {
-		budget = resilience.NewBudget(*retryBud, 0)
-	}
-	// The resilient layer sits between the pooled transport and the
-	// instrumented one: retries, the retry budget, and per-peer breakers
-	// apply to every outgoing call, and the instrument layer above counts
-	// each logical call once (the resilience layer exports its own
-	// pgrid_resilience_* series for the attempts underneath). A breaker
-	// opening evicts the peer's pooled connections — a peer judged
-	// unhealthy keeps no warm sockets, and the half-open probe decides
-	// afresh on a new dial.
-	rt := resilience.Wrap(pool, resilience.Options{
-		Retry:    resilience.Policy{MaxAttempts: *retries, BaseDelay: *retryBase},
-		Budget:   budget,
-		Breaker:  resilience.BreakerConfig{Threshold: *brkFails, Cooldown: *brkCool},
-		Classify: node.Classify,
-		Seed:     *seed,
-		Tel:      tel,
-		OnPeerState: func(peer addr.Addr, from, to resilience.BreakerState) {
-			if to == resilience.StateOpen {
-				pool.Evict(peer)
-			}
-		},
-	})
 	cfg := core.Config{MaxL: *maxl, RefMax: *refmax, RecMax: *recmax, RecFanout: *fanout}
 	if err := cfg.Validate(); err != nil {
 		fatal("configuration", err)
@@ -217,9 +168,7 @@ func main() {
 	}
 	n := node.New(addr.Addr(*id), cfg, node.InstrumentTransportSlow(rt, tel, *slowRPC, slowRec), *seed)
 	n.SetTelemetry(tel)
-	if *traceBuf > 0 {
-		n.EnableTracing(trace.NewRecorder(*traceBuf), *traceProb)
-	}
+	n.EnableTracing(trace.NewRecorder(traceBuf), traceSample)
 	n.EnableHealth()
 	if *healthMin < 0 || *healthMin > 1 {
 		fatal("configuration", fmt.Errorf("-health-min-liveness %v out of [0,1]", *healthMin))
@@ -229,10 +178,7 @@ func main() {
 	// the other background loops below.
 	var repairer *node.Repairer
 	if *repairInt > 0 {
-		if *repairBud <= 0 {
-			fatal("configuration", fmt.Errorf("-repair-budget %d must be positive", *repairBud))
-		}
-		repairer = node.NewRepairer(n, *repairInt, node.RepairConfig{Budget: *repairBud}, *seed+3)
+		repairer = node.NewRepairer(n, *repairInt, node.RepairConfig{Budget: repairBudget}, *seed+3)
 	}
 
 	if *stateFile != "" {
@@ -247,10 +193,10 @@ func main() {
 
 	var hist *telemetry.History
 	if *histInt > 0 {
-		if *histWin < *histInt {
-			fatal("configuration", fmt.Errorf("-history-window %v shorter than -history-interval %v", *histWin, *histInt))
+		if *histInt > historyWindow {
+			fatal("configuration", fmt.Errorf("-history-interval %v must not exceed the %v history window", *histInt, historyWindow))
 		}
-		hist = telemetry.NewHistory(*histInt, *histWin)
+		hist = telemetry.NewHistory(*histInt, historyWindow)
 		n.EnableHistory(hist)
 	}
 
@@ -299,7 +245,7 @@ func main() {
 		go statusLoop(ctx, logger, n, *status)
 	}
 	if *stateFile != "" {
-		go checkpointLoop(ctx, logger, n, *stateFile, *saveEvery)
+		go checkpointLoop(ctx, logger, n, *stateFile, saveEvery)
 	}
 	if *repairInt > 0 {
 		go repairer.Run(ctx)
@@ -320,6 +266,47 @@ func main() {
 	}
 	flushEvents()
 	logger.Info("shut down", "path", n.Path().String())
+}
+
+// Settings every node runs at: no deployment changes them, so they are not
+// flags (DESIGN says why each has its value). The pool size and idle reap,
+// the first backoff and the breaker cooldown are the library defaults.
+const (
+	retryBudget      = 0.1              // retry tokens earned per call: retries stay near a tenth of call volume
+	breakerFails     = 5                // consecutive failures that open a peer's breaker
+	repairBudget     = 64               // messages one repair round may send
+	traceBuf         = 256              // flight-recorder capacity, in traces
+	traceSample      = 0.01             // share of locally issued queries traced end to end
+	historyWindow    = 5 * time.Minute  // depth of the metrics history ring
+	exemplarQuantile = 0.99             // latency buckets at or above it keep trace-id exemplars
+	saveEvery        = 30 * time.Second // state checkpoint interval with -state
+)
+
+// outgoing builds the stack under every outgoing call: the pool, bounding
+// each attempt's dial and round trip by timeout, under retries, the retry
+// budget and per-peer breakers. The instrumented transport main stacks on
+// top counts each logical call once. A breaker opening evicts the peer's
+// pooled connections, so the half-open probe decides on a fresh dial.
+func outgoing(endpoints map[addr.Addr]string, timeout time.Duration, retries int, seed int64, tel *telemetry.Instruments) (*node.PoolTransport, *resilience.ResilientTransport) {
+	pool := node.NewPoolTransport(node.PoolConfig{DialTimeout: timeout, IOTimeout: timeout})
+	pool.SetTelemetry(tel)
+	for a, ep := range endpoints {
+		pool.SetEndpoint(a, ep)
+	}
+	rt := resilience.Wrap(pool, resilience.Options{
+		Retry:    resilience.Policy{MaxAttempts: retries},
+		Budget:   resilience.NewBudget(retryBudget, 0),
+		Breaker:  resilience.BreakerConfig{Threshold: breakerFails},
+		Classify: node.Classify,
+		Seed:     seed,
+		Tel:      tel,
+		OnPeerState: func(peer addr.Addr, from, to resilience.BreakerState) {
+			if to == resilience.StateOpen {
+				pool.Evict(peer)
+			}
+		},
+	})
+	return pool, rt
 }
 
 // newLogger builds the process logger: slog at the requested level, text or
@@ -385,8 +372,12 @@ func checkpointLoop(ctx context.Context, logger *slog.Logger, n *node.Node, path
 
 // parseEndpoints reads the endpoint table: id=host:port pairs separated by
 // commas and/or newlines. Files may use CRLF line endings and contain blank
-// lines and # comments (full-line or trailing).
+// lines and # comments (full-line or trailing). The table comes from -peers
+// or from -peers-file, never both.
 func parseEndpoints(inline, file string) (map[addr.Addr]string, error) {
+	if inline != "" && file != "" {
+		return nil, fmt.Errorf("-peers and -peers-file both given: name the community once")
+	}
 	raw := inline
 	if file != "" {
 		b, err := os.ReadFile(file)

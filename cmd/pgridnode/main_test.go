@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -67,6 +68,7 @@ func TestParseEndpoints(t *testing.T) {
 		{name: "no equals", inline: "noequals", wantErr: true},
 		{name: "non-numeric id", inline: "x=:7000", wantErr: true},
 		{name: "negative id", inline: "-1=:7000", wantErr: true},
+		{name: "both -peers and -peers-file", inline: "0=:7000", file: "1=:7001\n", wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,6 +124,75 @@ func TestMixSeed(t *testing.T) {
 	}
 	if mixSeed(1, 0) != mixSeed(1, 0) {
 		t.Error("mixSeed is not deterministic")
+	}
+}
+
+// TestOutgoingBreakerEvictsPool drives the stack a node builds for its
+// outgoing calls against a peer whose endpoint refuses connections: the
+// breakerFails-th failed call opens the peer's breaker, and the pool then
+// holds no connection to it.
+func TestOutgoingBreakerEvictsPool(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusing := ln.Addr().String()
+	ln.Close()
+
+	pool, rt := outgoing(map[addr.Addr]string{1: refusing}, time.Second, 1, 1, nil)
+	defer pool.Close()
+	for i := 1; i <= breakerFails; i++ {
+		if _, err := rt.Call(1, &wire.Message{Kind: wire.KindInfo}); err == nil {
+			t.Fatalf("call %d to a refusing endpoint succeeded", i)
+		}
+		want := resilience.StateClosed.String()
+		if i == breakerFails {
+			want = resilience.StateOpen.String()
+		}
+		if b := rt.Breakers(); len(b) != 1 || b[0].Peer != 1 || b[0].State != want {
+			t.Fatalf("after %d failed calls: breakers = %+v, want peer 1 %s", i, b, want)
+		}
+	}
+	if open := pool.Stats().Open; open != 0 {
+		t.Errorf("pool holds %d connections to a peer whose breaker is open", open)
+	}
+}
+
+// TestOutgoingTimeout holds the -timeout bound: a call to a listener that
+// accepts the connection and never answers fails within the timeout.
+func TestOutgoingTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+
+	const timeout = 250 * time.Millisecond
+	pool, rt := outgoing(map[addr.Addr]string{1: ln.Addr().String()}, timeout, 1, 1, nil)
+	defer pool.Close()
+	start := time.Now()
+	if _, err := rt.Call(1, &wire.Message{Kind: wire.KindInfo}); err == nil {
+		t.Fatal("a call to a silent peer succeeded")
+	}
+	// The dial to a local listener is immediate, so the round trip's bound
+	// is what ends the call; allow scheduling slack on a loaded machine.
+	if took := time.Since(start); took > timeout+timeout/2 {
+		t.Errorf("call to a silent peer took %v, want about %v", took, timeout)
 	}
 }
 

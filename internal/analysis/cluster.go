@@ -125,8 +125,8 @@ func splitHistName(full string) (family, kind string) {
 	return family, ""
 }
 
-// AnalyzeCluster folds per-peer metrics snapshots (from
-// node.CollectCluster) into the cluster report. digests and unreachable
+// AnalyzeCluster folds per-peer metrics snapshots (the metrics column of
+// node.Client.Walk) into the cluster report. digests and unreachable
 // ride along from the same crawl; objectives are the latency SLOs to
 // verdict (nil means no latency SLO section).
 func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []health.Digest,

@@ -109,8 +109,8 @@ func alignSum(per [][]float64) []float64 {
 	return out
 }
 
-// AnalyzeTrends folds per-peer history dumps (from
-// node.CollectClusterHistory, or a single node's /debug/history) into
+// AnalyzeTrends folds per-peer history dumps (from the history column of
+// node.Client.Walk, or a single node's /debug/history) into
 // the windowed trend report: cluster rate/error/drop/latency series,
 // anomaly findings, and the objectives evaluated over the dump's real
 // window. The companion of AnalyzeCluster for the time axis.
@@ -247,7 +247,7 @@ func trendFindings(p99, errRate, drops []float64) []TrendFinding {
 	}
 	if peak > 0 {
 		out = append(out, TrendFinding{Kind: "drop-burst", Peer: addr.Nil,
-			Detail: fmt.Sprintf("load-shed/event drops peaked at %.2f/s (interval %d of %d)", peak, at+1, len(drops))})
+			Detail: fmt.Sprintf("injected drops peaked at %.2f/s (interval %d of %d)", peak, at+1, len(drops))})
 	}
 	return out
 }
