@@ -41,7 +41,7 @@ func main() {
 		keybits  = flag.Int("keybits", 8, "bits for keys hashed from names")
 		timeout  = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries  = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
-		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives for cluster reports: kind:pNN:threshold,... (empty disables)")
+		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster over cumulative counts and by watch over the history window: kind:pNN:threshold,... (empty disables)")
 		jsonOut  = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
 	)
 	flag.Usage = func() {
@@ -196,15 +196,7 @@ commands:
 		if err != nil {
 			log.Fatal(err)
 		}
-		traces := o.Traces.Traces
-		fmt.Printf("node %v flight recorder: %d retained (of %d ever recorded)\n", id, len(traces), o.Traces.Total)
-		for _, dt := range traces {
-			fmt.Printf("  %016x %s\n", dt.TraceID, dt)
-		}
-		if len(traces) > 0 {
-			fmt.Println("route analysis:")
-			analysis.RenderTraceReport(os.Stdout, analysis.AnalyzeTraces(traces, len(all)))
-		}
+		analysis.RenderTraces(os.Stdout, id, *o.Traces, len(all))
 
 	case "publish":
 		id := mustID(args, 0)
@@ -335,12 +327,7 @@ commands:
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := o.Health.Digest
-		fmt.Printf("node %v health (%d probe rounds)\n  %s\n", id, o.Health.Rounds, d)
-		for _, lp := range d.Liveness {
-			r, _ := lp.Ratio()
-			fmt.Printf("  level %2d liveness %.2f (%d live / %d dead)\n", lp.Level, r, lp.Live, lp.Dead)
-		}
+		analysis.RenderHealth(os.Stdout, id, *o.Health)
 
 	case "repair":
 		id := mustID(args, 0)
@@ -352,8 +339,7 @@ commands:
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("node %v repair\n", id)
-		analysis.RenderRepairStatus(os.Stdout, *o.Repair)
+		analysis.RenderRepairStatus(os.Stdout, id, *o.Repair)
 
 	case "crawl":
 		id := mustID(args, 0)

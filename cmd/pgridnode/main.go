@@ -14,7 +14,7 @@
 //	pgridnode -id 2 -listen :7002 -peers 0=:7000,1=:7001,2=:7002 -meet 200ms
 //
 // Interrogate it with pgridctl, or give it -admin :9090 and watch
-// /metrics, /healthz, /debug/health, /debug/breakers, /debug/vars, and
+// /metrics, /healthz, /debug/observe, /debug/breakers, /debug/vars, and
 // /debug/pprof live. Outgoing calls go through a resilient transport:
 // -retries attempts with jittered exponential backoff from 25 ms, globally
 // bounded by a retry budget of 0.1 tokens per call, behind per-peer circuit
@@ -25,22 +25,22 @@
 // references and detects structural faults (invariant-violating or dead
 // references, path drift, diverged or orphaned replicas, orphaned entries),
 // heals them within 64 messages, and reports through the pgrid_repair_*
-// series, /debug/repair, and `pgridctl repair`; the probes also feed the
-// health digest, the pgrid_health_* gauges, and the -health-min-liveness
-// readiness check. With -events the
+// series, /debug/observe?ask=repair, and `pgridctl repair`; the probes also
+// feed the health digest, the pgrid_health_* gauges, and the
+// -health-min-liveness readiness check. With -events the
 // node appends one JSON line per exchange/query/RPC to a file, in the same
 // schema pgridsim -events writes; each line is encoded synchronously into
 // a buffer that is written through as it fills and flushed on exit. With
 // -slow-rpc any outgoing call over the threshold is counted, and recorded
 // with its span context into a dedicated flight recorder served at
-// /debug/slow; per-kind latency quantiles are live at /debug/lat. With
-// -history-interval the node runs its one metrics sampler: each tick takes
-// one snapshot of every series into a fixed-memory ring five minutes deep,
-// served at /debug/history and to `pgridctl watch` over the wire; latency
-// buckets at or above the 0.99 quantile link to flight-recorder traces via
-// trace-id exemplars. With -slo the same snapshot also feeds a
-// multi-window burn-rate engine tracking latency objectives
-// ("query:p99:5ms,...") whose verdicts are served at /debug/slo.
+// /debug/slow; per-kind latency quantiles are live at /metrics and in
+// `pgridctl top`. With -history-interval the node runs its one metrics
+// sampler: each tick takes one snapshot of every series into a fixed-memory
+// ring five minutes deep, served at /debug/observe?ask=history and to
+// `pgridctl watch` over the wire; latency buckets at or above the 0.99
+// quantile link to flight-recorder traces via trace-id exemplars. The node
+// judges no latency objective: `pgridctl -slo` does, over the ring (`watch`)
+// or over cumulative counts (`cluster`).
 package main
 
 import (
@@ -62,7 +62,6 @@ import (
 	"pgrid/internal/core"
 	"pgrid/internal/node"
 	"pgrid/internal/resilience"
-	"pgrid/internal/slo"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 )
@@ -85,11 +84,10 @@ func main() {
 		retries   = flag.Int("retries", 3, "max attempts per outgoing call (1 = no retries)")
 		repairInt = flag.Duration("repair-interval", 0, "interval between self-healing repair rounds, jittered ±25% (0 = off)")
 		healthMin = flag.Float64("health-min-liveness", 0, "/healthz reports 503 while the worst per-level reference liveness is below this (0 = disabled)")
-		admin     = flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /debug/{vars,pprof}); empty = off")
+		admin     = flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /debug/{observe,slow,breakers,vars,pprof}); empty = off")
 		events    = flag.String("events", "", "append structured JSONL telemetry events to this file")
 		slowRPC   = flag.Duration("slow-rpc", 0, "count and record outgoing calls at or above this round-trip latency (0 = off)")
-		sloSpecs  = flag.String("slo", "", "latency SLOs to track: kind:pNN:threshold,... e.g. query:p99:5ms (burn rates at /debug/slo, sampled every -history-interval; empty = off)")
-		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served at /debug/history and as the history column of KindObserve (0 = history off)")
+		histInt   = flag.Duration("history-interval", 2*time.Second, "sampling interval of the in-memory metrics history ring served as the history column of KindObserve and at /debug/observe?ask=history (0 = history off)")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logJSON   = flag.Bool("log-json", false, "log in JSON instead of text")
 	)
@@ -200,18 +198,6 @@ func main() {
 		n.EnableHistory(hist)
 	}
 
-	var sloEng *slo.Engine
-	if *sloSpecs != "" {
-		objectives, err := slo.ParseList(*sloSpecs)
-		if err != nil {
-			fatal("configuration", err)
-		}
-		if hist == nil {
-			fatal("configuration", fmt.Errorf("-slo needs -history-interval > 0 (got %v): the metrics sampler feeds the burn-rate engine one snapshot per -history-interval", *histInt))
-		}
-		sloEng = slo.NewEngine(objectives, nil)
-	}
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal("listen", err)
@@ -228,8 +214,7 @@ func main() {
 		if err != nil {
 			fatal("admin listen", err)
 		}
-		publishExpvar(tel)
-		asrv := &http.Server{Handler: newAdminMux(n, tel, serving, *healthMin, rt, slowRec, sloEng, hist)}
+		asrv := &http.Server{Handler: newAdminMux(n, tel, serving, *healthMin, rt, slowRec)}
 		go asrv.Serve(aln)
 		go func() {
 			<-ctx.Done()
@@ -251,7 +236,7 @@ func main() {
 		go repairer.Run(ctx)
 	}
 	if hist != nil {
-		go n.RunSampler(ctx, sloEng.Tick) // Tick is a no-op on the nil engine of a node without -slo
+		go n.RunSampler(ctx)
 	}
 
 	serving.Store(true)

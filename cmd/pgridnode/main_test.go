@@ -8,18 +8,18 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
-	"pgrid/internal/health"
 	"pgrid/internal/node"
-	"pgrid/internal/repair"
 	"pgrid/internal/resilience"
-	"pgrid/internal/slo"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
@@ -212,7 +212,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
 	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
 
 	scrape := func() (string, string) {
@@ -271,6 +271,74 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAdminLatencyEndpoint: the live latency view is the /metrics
+// summaries — per-kind client and served quantiles and the pool's acquire
+// wait, each with its count.
+func TestAdminLatencyEndpoint(t *testing.T) {
+	n, tel := testNode(t)
+	serving := &atomic.Bool{}
+	serving.Store(true)
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
+	defer srv.Close()
+
+	// Feed both the client and served sides, plus the pool acquire wait.
+	for i := 0; i < 100; i++ {
+		tel.ClientRPC("query", time.Duration(i+1)*time.Millisecond, nil)
+	}
+	tel.ServedRPCDone("exchange", 3*time.Millisecond, false)
+	tel.PoolAcquireWait(50 * time.Microsecond)
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+	value := func(name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("%s = %q: %v", name, rest, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("metrics output missing %s", name)
+		return 0
+	}
+	q := func(family, labels, quantile string) float64 {
+		return value(family + "{" + labels + `quantile="` + quantile + `"}`)
+	}
+
+	const client = "pgrid_rpc_kind_latency_ns"
+	if c := value(client + `_count{kind="query"}`); c != 100 {
+		t.Errorf("client query count = %v, want 100", c)
+	}
+	// p50 of 1..100ms sits near 50ms; the histogram's relative error is
+	// bounded by 1/32, leave slack for rank rounding.
+	p50, p95, p999 := q(client, `kind="query",`, "0.5"), q(client, `kind="query",`, "0.95"), q(client, `kind="query",`, "0.999")
+	if p50 < 45e6 || p50 > 55e6 {
+		t.Errorf("client query p50 = %vns, want ~50ms", p50)
+	}
+	if p95 <= p50 || p999 < p95 {
+		t.Errorf("quantiles not monotone: p50 %v p95 %v p999 %v", p50, p95, p999)
+	}
+	if c := value(`pgrid_rpc_served_latency_ns_count{kind="exchange"}`); c != 1 {
+		t.Errorf("served exchange count = %v, want 1", c)
+	}
+	q("pgrid_rpc_served_latency_ns", `kind="exchange",`, "0.999")
+	q("pgrid_pool_acquire_wait_ns", "", "0.99")
+}
+
 func TestAdminHealthz(t *testing.T) {
 	// probes[level] = (live, dead) observed before the request.
 	cases := []struct {
@@ -327,7 +395,7 @@ func TestAdminHealthz(t *testing.T) {
 			}
 			serving := &atomic.Bool{}
 			serving.Store(tc.serving)
-			srv := httptest.NewServer(newAdminMux(n, tel, serving, tc.minLiveness, nil, nil, nil, nil))
+			srv := httptest.NewServer(newAdminMux(n, tel, serving, tc.minLiveness, nil, nil))
 			defer srv.Close()
 
 			resp, err := http.Get(srv.URL + "/healthz")
@@ -350,7 +418,7 @@ func TestAdminHealthz(t *testing.T) {
 func TestAdminHealthzTransition(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
 
 	get := func() int {
@@ -375,139 +443,25 @@ func TestAdminHealthzTransition(t *testing.T) {
 	}
 }
 
-func TestAdminDebugHealth(t *testing.T) {
-	n, tel := testNode(t)
-	n.EnableHealth()
-	n.HealthTracker().Observe(1, true)
-	n.HealthTracker().Observe(1, true)
-	n.HealthTracker().Observe(1, false)
-	n.HealthTracker().RoundDone()
-	serving := &atomic.Bool{}
-	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/debug/health")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var out struct {
-		Digest health.Digest `json:"digest"`
-		Rounds int64         `json:"rounds"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Digest.Addr != n.Addr() || out.Rounds != 1 {
-		t.Errorf("debug/health = %+v", out)
-	}
-	if len(out.Digest.Liveness) != 1 || out.Digest.Liveness[0].Live != 2 || out.Digest.Liveness[0].Dead != 1 {
-		t.Errorf("liveness = %+v", out.Digest.Liveness)
-	}
-
-	text, err := http.Get(srv.URL + "/debug/health?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer text.Body.Close()
-	body, _ := io.ReadAll(text.Body)
-	for _, want := range []string{"rounds=1", "level  1 liveness 0.67", "2 live / 1 dead"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("text body %q missing %q", body, want)
-		}
-	}
-}
-
-func TestAdminRepairEndpoint(t *testing.T) {
-	n, tel := testNode(t)
-	serving := &atomic.Bool{}
-	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
-	defer srv.Close()
-
-	// Without a repairer the endpoint stays up and reports disabled.
-	resp, err := http.Get(srv.URL + "/debug/repair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Repair repair.Status `json:"repair"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Repair.Enabled {
-		t.Errorf("repair enabled without a repairer: %+v", out.Repair)
-	}
-
-	// With a repairer that has run a round, the JSON carries the totals
-	// and the text rendering names the verdict.
-	rp := node.NewRepairer(n, time.Second, node.RepairConfig{Budget: 8}, 1)
-	rp.Tick()
-	resp2, err := http.Get(srv.URL + "/debug/repair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Repair.Enabled || out.Repair.Rounds != 1 {
-		t.Errorf("debug/repair = %+v", out.Repair)
-	}
-
-	text, err := http.Get(srv.URL + "/debug/repair?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer text.Body.Close()
-	body, _ := io.ReadAll(text.Body)
-	for _, want := range []string{"state    healthy", "rounds   1"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("text body %q missing %q", body, want)
-		}
-	}
-}
-
+// TestAdminExpvarAndPprof: /debug/vars is the standard expvar handler, with
+// no pgrid mirror beside it (/metrics is the node's counters), and pprof is
+// mounted.
 func TestAdminExpvarAndPprof(t *testing.T) {
 	n, tel := testNode(t)
-	publishExpvar(tel)
 	serving := &atomic.Bool{}
 	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	if err := json.Unmarshal([]byte(get2(t, srv.URL+"/debug/vars")), &vars); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := vars["pgrid"]; !ok {
-		t.Error("expvar output missing the pgrid map")
+	if _, ok := vars["memstats"]; !ok {
+		t.Error("expvar output missing the runtime memstats")
 	}
-
-	// Re-publishing with a fresh bundle must not panic (expvar globals) and
-	// must serve the new bundle's counters.
-	tel2 := telemetry.New(1)
-	tel2.ServedRPC("info")
-	publishExpvar(tel2)
-	resp2, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body, _ := io.ReadAll(resp2.Body)
-	if !strings.Contains(string(body), "pgrid_rpc_served_total") {
-		t.Error("expvar pgrid map missing counters after re-publish")
+	if _, ok := vars["pgrid"]; ok {
+		t.Error("expvar output carries a pgrid mirror of /metrics")
 	}
 
 	pprofResp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
@@ -538,7 +492,7 @@ func TestAdminBreakersEndpoint(t *testing.T) {
 		rt.Call(7, &wire.Message{Kind: wire.KindInfo})
 	}
 
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, rt, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, rt, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/breakers")
@@ -570,7 +524,7 @@ func TestAdminBreakersEndpoint(t *testing.T) {
 	}
 
 	// A mux without a resilient transport reports an empty set, not a 500.
-	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer bare.Close()
 	emptyResp, err := http.Get(bare.URL + "/debug/breakers")
 	if err != nil {
@@ -585,74 +539,6 @@ func TestAdminBreakersEndpoint(t *testing.T) {
 	}
 }
 
-func TestAdminLatencyEndpoint(t *testing.T) {
-	n, tel := testNode(t)
-	serving := &atomic.Bool{}
-	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
-	defer srv.Close()
-
-	// Feed both the client and served sides so the report carries two
-	// scopes, plus the pool acquire-wait row.
-	for i := 0; i < 100; i++ {
-		tel.ClientRPC("query", time.Duration(i+1)*time.Millisecond, nil)
-	}
-	tel.ServedRPCDone("exchange", 3*time.Millisecond, false)
-	tel.PoolAcquireWait(50 * time.Microsecond)
-
-	resp, err := http.Get(srv.URL + "/debug/lat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var out struct {
-		Latencies []telemetry.LatencySummary `json:"latencies"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string]telemetry.LatencySummary)
-	for _, s := range out.Latencies {
-		byKey[s.Scope+"/"+s.Kind] = s
-	}
-	q, ok := byKey["client/query"]
-	if !ok {
-		t.Fatalf("report %+v missing client/query", out.Latencies)
-	}
-	if q.Count != 100 {
-		t.Errorf("client/query count = %d, want 100", q.Count)
-	}
-	// p50 of 1..100ms sits near 50ms; the histogram's relative error is
-	// bounded by 1/32, leave slack for rank rounding.
-	if q.P50 < 45e6 || q.P50 > 55e6 {
-		t.Errorf("client/query p50 = %dns, want ~50ms", q.P50)
-	}
-	if q.P95 <= q.P50 || q.P999 < q.P95 {
-		t.Errorf("quantiles not monotone: %+v", q)
-	}
-	if _, ok := byKey["served/exchange"]; !ok {
-		t.Errorf("report %+v missing served/exchange", out.Latencies)
-	}
-	if _, ok := byKey["pool/acquire_wait"]; !ok {
-		t.Errorf("report %+v missing pool/acquire_wait", out.Latencies)
-	}
-
-	text, err := http.Get(srv.URL + "/debug/lat?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer text.Body.Close()
-	body, _ := io.ReadAll(text.Body)
-	for _, want := range []string{"scope", "p999_ms", "client", "query", "served", "exchange"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("text body %q missing %q", body, want)
-		}
-	}
-}
-
 func TestAdminSlowEndpoint(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
@@ -664,7 +550,7 @@ func TestAdminSlowEndpoint(t *testing.T) {
 		Found:   true,
 		Spans:   []trace.Span{{ID: 0xabc, Peer: 3, LatencyNS: 7_500_000}},
 	})
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, rec, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, rec))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/slow")
@@ -694,7 +580,7 @@ func TestAdminSlowEndpoint(t *testing.T) {
 	}
 
 	// Without a recorder the endpoint reports an empty log, not a panic.
-	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer bare.Close()
 	emptyResp, err := http.Get(bare.URL + "/debug/slow")
 	if err != nil {
@@ -709,89 +595,243 @@ func TestAdminSlowEndpoint(t *testing.T) {
 	}
 }
 
-// TestAdminSLOEndpoint drives the burn-rate engine through an injected
-// latency tail and checks the breach — with its nonzero burn — is visible
-// at /debug/slo in both renderings.
-func TestAdminSLOEndpoint(t *testing.T) {
-	n, tel := testNode(t)
+// observeCommunity builds eight nodes over the in-process transport and runs
+// meetings until their paths split, then gives node 0 what /debug/observe
+// reads: health, a flight recorder holding traced routes, and a history ring
+// of four samples on a fixed clock. Repair stays off; the test attaches it.
+func observeCommunity(t *testing.T) (*node.Cluster, *telemetry.Instruments) {
+	t.Helper()
+	c := node.NewCluster(8, core.Config{MaxL: 4, RefMax: 3, RecMax: 2, RecFanout: 2}, 1)
+	for i := 0; i < 400; i++ {
+		a, b := i%8, (i*5+3)%8
+		if a != b {
+			c.Nodes[a].Exchange(addr.Addr(b))
+		}
+	}
+	n := c.Nodes[0]
+	tel := telemetry.New(0)
+	n.SetTelemetry(tel)
+	n.EnableHealth()
+	n.EnableTracing(trace.NewRecorder(16), 1)
+	for _, key := range []string{"0000", "0101", "1010", "1111"} {
+		n.TraceQuery(bitpath.Path(key))
+	}
+	hist := telemetry.NewHistory(time.Second, time.Minute)
+	clock := time.Unix(1_700_000_000, 0)
+	hist.SetNow(func() time.Time { return clock })
+	for i := 0; i < 4; i++ {
+		tel.ServedRPC("query")
+		tel.ServedRPCDone("query", 2*time.Millisecond, false)
+		hist.Record(tel.MetricsSnapshot())
+		clock = clock.Add(time.Second)
+	}
+	n.EnableHistory(hist)
+	return c, tel
+}
+
+// TestAdminObserve holds /debug/observe to the answer a peer gets: for each
+// column alone and all together, its JSON decodes deep-equal to
+// Client.Observe's answer for the same request, without the GET counting a
+// served RPC. ?limit caps the history points and the traces, ?window bounds
+// the history, and a query the wire would refuse, or that asks what another
+// surface serves or what a GET must not run, is a 400.
+func TestAdminObserve(t *testing.T) {
+	c, tel := observeCommunity(t)
+	n := c.Nodes[0]
 	serving := &atomic.Bool{}
 	serving.Store(true)
-
-	obj, err := slo.Parse("query:p90:5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := time.Unix(1_700_000_000, 0)
-	eng := slo.NewEngine([]slo.Objective{obj}, func() time.Time { return clock })
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, eng, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
+	cl := node.NewClient(c.Transport, 1)
 
-	get := func(path string) string {
-		resp, err := http.Get(srv.URL + path)
+	served := func() int64 {
+		for _, s := range tel.Registry().Snapshot() {
+			if s.Name == "pgrid_rpc_served_total" {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	get := func(query string) *wire.ObserveResp {
+		t.Helper()
+		before := served()
+		var o wire.ObserveResp
+		if err := json.Unmarshal([]byte(get2(t, srv.URL+"/debug/observe?"+query)), &o); err != nil {
+			t.Fatal(err)
+		}
+		if after := served(); after != before {
+			t.Fatalf("GET ?%s counted %d served RPCs", query, after-before)
+		}
+		return &o
+	}
+	same := func(query string, req wire.ObserveReq) *wire.ObserveResp {
+		t.Helper()
+		got := get(query)
+		want, err := cl.Observe(n.Addr(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("?%s:\n got %+v\nwant %+v", query, got, want)
 		}
-		return string(body)
+		return got
 	}
 
-	// Healthy baseline across both windows.
-	for i := 0; i < 70; i++ {
-		tel.ServedRPCDone("query", time.Millisecond, false)
-		eng.Tick(tel.MetricsSnapshot())
-		clock = clock.Add(time.Minute)
+	// Repair off answers a disabled status, as it does over the wire.
+	if o := same("ask=repair", wire.ObserveReq{Asks: wire.AskRepair}); o.Repair.Enabled {
+		t.Errorf("repair enabled without a repairer: %+v", o.Repair)
 	}
-	var rep struct {
-		Objectives []slo.Status `json:"objectives"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/slo")), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Objectives) != 1 || rep.Objectives[0].Breached {
-		t.Fatalf("healthy /debug/slo = %+v", rep)
+	node.NewRepairer(n, time.Second, node.RepairConfig{Budget: 8}, 1).Tick()
+
+	all := wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskTraces | wire.AskRepair | wire.AskHistory}
+	for _, tc := range []struct {
+		query string
+		req   wire.ObserveReq
+	}{
+		{"ask=health", wire.ObserveReq{Asks: wire.AskHealth}},
+		{"ask=health,liveness", wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness}},
+		{"ask=traces", wire.ObserveReq{Asks: wire.AskTraces}},
+		{"ask=repair", wire.ObserveReq{Asks: wire.AskRepair}},
+		{"ask=history", wire.ObserveReq{Asks: wire.AskHistory}},
+		{"ask=history&window=2s", wire.ObserveReq{Asks: wire.AskHistory, WindowNS: int64(2 * time.Second)}},
+		{"ask=health,liveness,traces,repair,history", all},
+	} {
+		same(tc.query, tc.req)
 	}
 
-	// Inject a latency tail: every request now blows the 5ms threshold.
-	for i := 0; i < 70; i++ {
-		for j := 0; j < 5; j++ {
-			tel.ServedRPCDone("query", 80*time.Millisecond, false)
-		}
-		eng.Tick(tel.MetricsSnapshot())
-		clock = clock.Add(time.Minute)
+	o := get("ask=health,liveness,traces,repair,history")
+	if o.Health.Rounds != 1 || len(o.Health.Digest.Liveness) == 0 {
+		t.Errorf("health after one repair round = %+v", o.Health)
 	}
-	if err := json.Unmarshal([]byte(get("/debug/slo")), &rep); err != nil {
-		t.Fatal(err)
+	if !o.Repair.Enabled || o.Repair.Rounds != 1 {
+		t.Errorf("repair after one round = %+v", o.Repair)
 	}
-	st := rep.Objectives[0]
-	if !st.Breached {
-		t.Fatalf("tail not breached: %+v", st)
+	if o.History == nil || len(o.History.Points) != 4 {
+		t.Fatalf("history column = %+v, want the ring's 4 points", o.History)
 	}
-	for _, w := range st.Windows {
-		if w.Burn <= 0 {
-			t.Fatalf("burn not visible: %+v", st.Windows)
-		}
-	}
-	text := get("/debug/slo?format=text")
-	if !strings.Contains(text, "BREACHED") || !strings.Contains(text, "query:p9:5ms") {
-		t.Fatalf("text /debug/slo = %q", text)
+	if len(o.Traces.Traces) < 3 {
+		t.Fatalf("flight recorder holds %d traces, want at least 3", len(o.Traces.Traces))
 	}
 
-	// Without an engine the endpoint answers an empty report, not a 500.
-	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
-	defer bare.Close()
-	if body := get2(t, bare.URL+"/debug/slo"); !strings.Contains(body, `"objectives":[]`) {
-		t.Fatalf("nil-engine /debug/slo = %q", body)
+	all.MaxPoints, all.TraceLimit = 2, 2
+	capped := same("ask=health,liveness,traces,repair,history&limit=2", all)
+	if len(capped.History.Points) != 2 || len(capped.Traces.Traces) != 2 {
+		t.Errorf("?limit=2 kept %d points and %d traces", len(capped.History.Points), len(capped.Traces.Traces))
+	}
+
+	text := get2(t, srv.URL+"/debug/observe?ask=health,liveness,traces,repair,history&format=text")
+	for _, want := range []string{"node addr(0) health (1 probe rounds)", "liveness", "node addr(0) repair\n",
+		"rounds   1", "node addr(0) flight recorder: ", "route analysis:", "trends", "rpc rate", "served p99", "▁"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text view lacks %q:\n%s", want, text)
+		}
+	}
+
+	for _, query := range []string{
+		"",                            // no column named
+		"ask=repair,repair-now",       // a GET runs no repair round
+		"ask=bogus",                   // unknown
+		"ask=liveness",                // the modifier without its column
+		"ask=metrics",                 // /metrics serves it
+		"ask=links",                   // pgridctl info serves it
+		"ask=traces&limit=-1",         // negative limit
+		"ask=history&window=nonsense", // unparsable window
+	} {
+		if code := status(t, srv.URL+"/debug/observe?"+query); code != http.StatusBadRequest {
+			t.Errorf("?%s = %d, want 400", query, code)
+		}
+	}
+	if rounds := n.Repairer().Status().Rounds; rounds != 1 {
+		t.Errorf("repair ran %d rounds, want the one the test ran", rounds)
 	}
 }
 
-// TestAdminHistoryEndpoint records a few samples into a history ring and
-// checks /debug/history serves the raw dump as JSON, the sparkline trend
-// rendering as text, honors ?window= and ?limit=, and degrades to an
-// empty dump (not a 500) without a ring.
+// observeJSON GETs /debug/observe?query from srv, checks it is served as
+// JSON, and decodes the answer.
+func observeJSON(t *testing.T, srv *httptest.Server, query string) wire.ObserveResp {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/debug/observe?" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("?%s: status %d", query, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("?%s: Content-Type = %q", query, ct)
+	}
+	var o wire.ObserveResp
+	if err := json.NewDecoder(resp.Body).Decode(&o); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestAdminDebugHealth: the health column carries the node's replica
+// digest, the completed probe rounds and, with liveness asked, the
+// per-level live/dead counts, in JSON and in the text rendering.
+func TestAdminDebugHealth(t *testing.T) {
+	n, tel := testNode(t)
+	n.EnableHealth()
+	n.HealthTracker().Observe(1, true)
+	n.HealthTracker().Observe(1, true)
+	n.HealthTracker().Observe(1, false)
+	n.HealthTracker().RoundDone()
+	serving := &atomic.Bool{}
+	serving.Store(true)
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
+	defer srv.Close()
+
+	o := observeJSON(t, srv, "ask=health,liveness")
+	if o.Health == nil || o.Health.Digest.Addr != n.Addr() || o.Health.Rounds != 1 {
+		t.Fatalf("health = %+v", o.Health)
+	}
+	if lv := o.Health.Digest.Liveness; len(lv) != 1 || lv[0].Live != 2 || lv[0].Dead != 1 {
+		t.Errorf("liveness = %+v", lv)
+	}
+
+	text := get2(t, srv.URL+"/debug/observe?ask=health,liveness&format=text")
+	for _, want := range []string{"health (1 probe rounds)", "level  1 liveness 0.67", "2 live / 1 dead"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text body %q missing %q", text, want)
+		}
+	}
+}
+
+// TestAdminRepairEndpoint: without a repairer the repair column reports
+// disabled; after one round it carries the totals, and the text rendering
+// names the verdict.
+func TestAdminRepairEndpoint(t *testing.T) {
+	n, tel := testNode(t)
+	serving := &atomic.Bool{}
+	serving.Store(true)
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
+	defer srv.Close()
+
+	if o := observeJSON(t, srv, "ask=repair"); o.Repair == nil || o.Repair.Enabled {
+		t.Errorf("repair without a repairer = %+v", o.Repair)
+	}
+	if text := get2(t, srv.URL+"/debug/observe?ask=repair&format=text"); text != "node addr(0) repair\nrepair disabled\n" {
+		t.Errorf("repair-off text = %q", text)
+	}
+
+	node.NewRepairer(n, time.Second, node.RepairConfig{Budget: 8}, 1).Tick()
+	if o := observeJSON(t, srv, "ask=repair"); o.Repair == nil || !o.Repair.Enabled || o.Repair.Rounds != 1 {
+		t.Errorf("repair after one round = %+v", o.Repair)
+	}
+	text := get2(t, srv.URL+"/debug/observe?ask=repair&format=text")
+	for _, want := range []string{"state    healthy", "rounds   1"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text body %q missing %q", text, want)
+		}
+	}
+}
+
+// TestAdminHistoryEndpoint: the history column is the ring's dump —
+// schema, interval and points stamped with the incarnation — capped by
+// ?limit, rendered as trends in text, refusing a bad window, and an empty
+// schema-stamped dump on a node without a ring.
 func TestAdminHistoryEndpoint(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
@@ -806,54 +846,41 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 		hist.Record(tel.MetricsSnapshot())
 		clock = clock.Add(time.Second)
 	}
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, hist))
-	defer srv.Close()
+	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
+	defer bare.Close()
 
-	var out struct {
-		History telemetry.HistoryDump `json:"history"`
+	// No ring configured: an empty schema-stamped dump, not an error.
+	if d := observeJSON(t, bare, "ask=history").History; d == nil || d.Schema != telemetry.MetricsSchemaVersion || len(d.Points) != 0 {
+		t.Fatalf("nil-ring dump = %+v", d)
 	}
-	if err := json.Unmarshal([]byte(get2(t, srv.URL+"/debug/history")), &out); err != nil {
-		t.Fatal(err)
-	}
-	d := out.History
-	if d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != int64(time.Second) || len(d.Points) != 4 {
-		t.Fatalf("dump head: schema %d interval %d points %d", d.Schema, d.IntervalNS, len(d.Points))
+
+	n.EnableHistory(hist)
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
+	defer srv.Close()
+	d := observeJSON(t, srv, "ask=history").History
+	if d == nil || d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != int64(time.Second) || len(d.Points) != 4 {
+		t.Fatalf("dump head = %+v", d)
 	}
 	if rate, ok := d.Rate(telemetry.StatServedTotal, 0); !ok || rate != 1 {
-		t.Fatalf("served rate over the dump = %v ok=%v, want 1/s", rate, ok)
+		t.Errorf("served rate over the dump = %v ok=%v, want 1/s", rate, ok)
 	}
 	if p, _ := d.Newest(); p.Snap.StartEpochNS == 0 {
-		t.Fatal("points must carry the incarnation stamp")
+		t.Error("points must carry the incarnation stamp")
 	}
 
-	if err := json.Unmarshal([]byte(get2(t, srv.URL+"/debug/history?limit=2")), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.History.Points) != 2 {
-		t.Fatalf("?limit=2 returned %d points", len(out.History.Points))
+	if d := observeJSON(t, srv, "ask=history&limit=2").History; d == nil || len(d.Points) != 2 {
+		t.Errorf("?limit=2 dump = %+v", d)
 	}
 
-	text := get2(t, srv.URL+"/debug/history?format=text")
+	text := get2(t, srv.URL+"/debug/observe?ask=history&format=text")
 	for _, want := range []string{"trends", "rpc rate", "served p99", "▁"} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("text rendering lacks %q:\n%s", want, text)
+			t.Errorf("text rendering lacks %q:\n%s", want, text)
 		}
 	}
 
-	if resp, err := http.Get(srv.URL + "/debug/history?window=nonsense"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad window accepted: %d", resp.StatusCode)
-	}
-
-	// No ring configured: an empty schema-stamped dump, not an error.
-	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
-	defer bare.Close()
-	if err := json.Unmarshal([]byte(get2(t, bare.URL+"/debug/history")), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.History.Schema != telemetry.MetricsSchemaVersion || len(out.History.Points) != 0 {
-		t.Fatalf("nil-ring dump = %+v", out.History)
+	if code := status(t, srv.URL+"/debug/observe?ask=history&window=nonsense"); code != http.StatusBadRequest {
+		t.Errorf("bad window accepted: %d", code)
 	}
 }
 
@@ -863,26 +890,32 @@ func TestAdminBadLimit(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
 	serving.Store(true)
-	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil, nil, nil))
+	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
 
-	for _, path := range []string{"/debug/traces", "/debug/slow", "/debug/history"} {
+	for _, view := range []string{"/debug/slow?", "/debug/observe?ask=traces,history&"} {
 		for query, want := range map[string]int{
-			"?limit=-1":            http.StatusBadRequest,
-			"?limit=x":             http.StatusBadRequest,
-			"?limit=3":             http.StatusOK,
-			"?limit=3&format=text": http.StatusOK,
+			"limit=-1":            http.StatusBadRequest,
+			"limit=x":             http.StatusBadRequest,
+			"limit=3":             http.StatusOK,
+			"limit=3&format=text": http.StatusOK,
 		} {
-			resp, err := http.Get(srv.URL + path + query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != want {
-				t.Errorf("%s%s = %d, want %d", path, query, resp.StatusCode, want)
+			if code := status(t, srv.URL+view+query); code != want {
+				t.Errorf("%s%s = %d, want %d", view, query, code, want)
 			}
 		}
 	}
+}
+
+// status GETs url and returns the response code.
+func status(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func get2(t *testing.T, url string) string {

@@ -318,9 +318,8 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 		if s.Breached {
 			verdict = "BREACHED"
 		}
-		wb := s.Windows[0]
 		fmt.Fprintf(w, "slo            %-22s burn %.2f (bad %.2f%%, budget %.2f%%, %d of %d slow)  %s\n",
-			s.Spec, wb.Burn, 100*wb.BadFrac, 100*s.Objective.Budget(), wb.Total-wb.Good, wb.Total, verdict)
+			s.Spec, s.Burn, 100*s.BadFrac, 100*s.Objective.Budget(), s.Total-s.Good, s.Total, verdict)
 	}
 	if r.AvailabilityKnown {
 		verdict := "ok"

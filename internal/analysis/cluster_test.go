@@ -104,7 +104,7 @@ func TestAnalyzeClusterTopKAndSLO(t *testing.T) {
 	}
 
 	// 1 of 6 over 5ms ≈ 16.7% bad against a 10% budget: breached.
-	if len(r.SLO) != 1 || !r.SLO[0].Breached || r.SLO[0].Windows[0].Burn <= 1 {
+	if len(r.SLO) != 1 || !r.SLO[0].Breached || r.SLO[0].Burn <= 1 {
 		t.Fatalf("slo = %+v", r.SLO)
 	}
 	if !r.Breached() {

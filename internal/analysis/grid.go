@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
+	"pgrid/internal/wire"
 )
 
 // PathCensus is one replica group of a crawled community: every peer
@@ -264,8 +265,8 @@ func (r GridReport) AvailabilityAgrees(tol float64) bool {
 	return math.Abs(r.MeasuredAvailability-r.PredictedAvailability) <= tol
 }
 
-// RenderGridReport writes the report as the text table pgridsim,
-// pgridctl and the node's /debug/health endpoint print.
+// RenderGridReport writes the report as the text table pgridsim and
+// `pgridctl crawl` print.
 func RenderGridReport(w io.Writer, r GridReport) {
 	fmt.Fprintf(w, "peers          %d over %d paths\n", r.Peers, len(r.Census))
 	if r.Peers == 0 {
@@ -298,9 +299,22 @@ func RenderGridReport(w io.Writer, r GridReport) {
 	}
 }
 
-// RenderRepairStatus writes one peer's repair status as the text block
-// /debug/repair?format=text and `pgridctl repair` print.
-func RenderRepairStatus(w io.Writer, st repair.Status) {
+// RenderHealth writes peer a's health column as the text `pgridctl health`
+// and the admin port's /debug/observe?ask=health&format=text print: the
+// digest, then one line per probed level.
+func RenderHealth(w io.Writer, a addr.Addr, h wire.HealthColumn) {
+	fmt.Fprintf(w, "node %v health (%d probe rounds)\n  %s\n", a, h.Rounds, h.Digest)
+	for _, lp := range h.Digest.Liveness {
+		r, _ := lp.Ratio()
+		fmt.Fprintf(w, "  level %2d liveness %.2f (%d live / %d dead)\n", lp.Level, r, lp.Live, lp.Dead)
+	}
+}
+
+// RenderRepairStatus writes peer a's repair column as the text `pgridctl
+// repair` and the admin port's /debug/observe?ask=repair&format=text print:
+// the verdict, the rounds and the per-class fault and heal tallies.
+func RenderRepairStatus(w io.Writer, a addr.Addr, st repair.Status) {
+	fmt.Fprintf(w, "node %v repair\n", a)
 	if !st.Enabled {
 		fmt.Fprintln(w, "repair disabled")
 		return

@@ -12,6 +12,8 @@ import (
 	"pgrid/internal/health"
 	"pgrid/internal/node"
 	"pgrid/internal/sim"
+	"pgrid/internal/trace"
+	"pgrid/internal/wire"
 )
 
 // TestSuccessProbabilityTable pins equation (3) against hand-computed
@@ -228,5 +230,52 @@ func TestEq3AgainstMeasuredProbes(t *testing.T) {
 	}
 	if r.Eq3Availability < 0 || r.Eq3Availability > 1 {
 		t.Fatalf("closed-form Eq.3 = %v", r.Eq3Availability)
+	}
+}
+
+// TestRenderColumns pins the text of the health and traces columns, the
+// lines `pgridctl health`, `pgridctl traces` and the admin port's
+// /debug/observe?format=text print.
+func TestRenderColumns(t *testing.T) {
+	digest := health.Digest{Addr: 3, Path: "01", Entries: 2, MaxVersion: 7, IndexHash: 0xab, Buddies: 1,
+		RefCounts: []int{2, 1}, Liveness: []health.LevelProbe{{Level: 1, Live: 2, Dead: 1}, {Level: 2, Live: 1}}}
+	route := trace.Trace{TraceID: 0xff, Key: "01", Found: true, Messages: 1, Spans: []trace.Span{
+		{Peer: 2, Path: "0", Level: 0, Ref: 5, LatencyNS: 1500},
+		{Peer: 5, Path: "01", Level: 1, Ref: addr.Nil, Matched: true},
+	}}
+	for _, tc := range []struct {
+		name   string
+		render func(*strings.Builder)
+		want   string
+	}{
+		{"health with liveness", func(b *strings.Builder) { RenderHealth(b, 3, wire.HealthColumn{Digest: digest, Rounds: 5}) },
+			"node addr(3) health (5 probe rounds)\n" +
+				"  addr(3) path=01 entries=2 maxver=7 hash=00000000000000ab buddies=1 refs=[2 1] liveness=0.75\n" +
+				"  level  1 liveness 0.67 (2 live / 1 dead)\n" +
+				"  level  2 liveness 1.00 (1 live / 0 dead)\n"},
+		{"health before any round", func(b *strings.Builder) { RenderHealth(b, 0, wire.HealthColumn{}) },
+			"node addr(0) health (0 probe rounds)\n" +
+				"  addr(0) path=ε entries=0 maxver=0 hash=0000000000000000 buddies=0 refs=[]\n"},
+		{"empty recorder", func(b *strings.Builder) { RenderTraces(b, 2, wire.TracesColumn{Total: 7}, 4) },
+			"node addr(2) flight recorder: 0 retained (of 7 ever recorded)\n"},
+		{"one route", func(b *strings.Builder) {
+			RenderTraces(b, 2, wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}, 4)
+		},
+			"node addr(2) flight recorder: 1 retained (of 9 ever recorded)\n" +
+				"  00000000000000ff key 01: addr(2)[0/0] → addr(5)[01/1] ✓ (1 msgs)\n" +
+				"route analysis:\n" +
+				"traces         1 (1 found)\n" +
+				"hops           mean 1.00, p50 1, p95 1, max 1\n" +
+				"backtracks     mean 0.00\n" +
+				"log2(n) bound  2.00 (measured/predicted 0.50)\n" +
+				"per level      level    visits backtracks      latency\n" +
+				"               0             1          0        1.5µs\n" +
+				"               1             1          0            -\n"},
+	} {
+		var b strings.Builder
+		tc.render(&b)
+		if got := b.String(); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -109,11 +109,11 @@ func alignSum(per [][]float64) []float64 {
 	return out
 }
 
-// AnalyzeTrends folds per-peer history dumps (from the history column of
-// node.Client.Walk, or a single node's /debug/history) into
-// the windowed trend report: cluster rate/error/drop/latency series,
-// anomaly findings, and the objectives evaluated over the dump's real
-// window. The companion of AnalyzeCluster for the time axis.
+// AnalyzeTrends folds per-peer history dumps (the history column of
+// node.Client.Walk, or of one node's observe answer) into the windowed
+// trend report: cluster rate/error/drop/latency series, anomaly findings,
+// and the objectives evaluated over the dump's real window. The companion
+// of AnalyzeCluster for the time axis.
 func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.Objective) TrendReport {
 	r := TrendReport{Peers: len(dumps)}
 
@@ -300,7 +300,7 @@ func Sparkline(vs []float64) string {
 const sparkWidth = 60
 
 // RenderTrendReport writes the report as the text view behind
-// `pgridctl watch` and /debug/history?format=text.
+// `pgridctl watch` and /debug/observe?ask=history&format=text.
 func RenderTrendReport(w io.Writer, r TrendReport) {
 	fmt.Fprintf(w, "trends         %d peers, %s of history at %s resolution",
 		r.Peers, r.Span.Round(time.Millisecond), time.Duration(r.IntervalNS))
@@ -335,8 +335,7 @@ func RenderTrendReport(w io.Writer, r TrendReport) {
 		if s.Breached {
 			verdict = "BREACHED"
 		}
-		wb := s.Windows[0]
 		fmt.Fprintf(w, "slo            %-22s windowed burn %.2f (%d of %d slow)  %s\n",
-			s.Spec, wb.Burn, wb.Total-wb.Good, wb.Total, verdict)
+			s.Spec, s.Burn, s.Total-s.Good, s.Total, verdict)
 	}
 }

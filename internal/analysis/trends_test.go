@@ -103,9 +103,28 @@ func TestAnalyzeTrendsErrorSpikeAndSLO(t *testing.T) {
 	if len(r.SLO) != 1 || !r.SLO[0].Breached {
 		t.Fatalf("windowed SLO = %+v, want breached", r.SLO)
 	}
-	wb := r.SLO[0].Windows[0]
-	if wb.Total != 8 || wb.Total-wb.Good != 2 {
-		t.Fatalf("windowed burn counts = %+v, want 2 of 8 slow", wb)
+	if st := r.SLO[0]; st.Total != 8 || st.Total-st.Good != 2 {
+		t.Fatalf("windowed burn counts = %+v, want 2 of 8 slow", st)
+	}
+}
+
+// TestAnalyzeTrendsSLOFollowsTheWindow: the verdict is the window's. A
+// latency tail breaches the dump that holds it, and the window narrowed to
+// the recovered intervals after it is healthy again, with data.
+func TestAnalyzeTrendsSLOFollowsTheWindow(t *testing.T) {
+	const iv = time.Second
+	fast := []time.Duration{time.Millisecond, time.Millisecond}
+	slow := []time.Duration{50 * time.Millisecond, 50 * time.Millisecond}
+	d := trendDump(t, 0, iv, [][]time.Duration{fast, slow, slow, fast, fast}, nil)
+	o, _ := slo.Parse("query:p90:5ms")
+	whole := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
+	if st := whole.SLO[0]; !st.Breached || st.Burn < 1 {
+		t.Fatalf("window holding the tail = %+v, want breached", st)
+	}
+	d.Points = d.Points[len(d.Points)-3:] // the last two intervals
+	recent := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
+	if st := recent.SLO[0]; st.Breached || st.Burn != 0 || st.Total != 4 {
+		t.Fatalf("recovered window = %+v, want 4 good events and no burn", st)
 	}
 }
 
@@ -123,9 +142,15 @@ func TestAnalyzeTrendsResetAndMultiPeerAlignment(t *testing.T) {
 			{AtNS: pre.Points[len(pre.Points)-1].AtNS + int64(iv), Snap: post.Points[len(post.Points)-1].Snap},
 		}}
 
+	o, _ := slo.Parse("query:p90:5ms")
 	r := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{
 		0: long, 1: short, 2: restarted,
-	}, nil)
+	}, []slo.Objective{o})
+	// The restart counts its post-restart observations: never a negative
+	// total, and the pre-restart history cannot breach the steady window.
+	if st := r.SLO[0]; st.Total <= 0 || st.Good > st.Total || st.Burn != 0 || st.Breached {
+		t.Fatalf("objective across a restart = %+v", st)
+	}
 	if r.Resets != 1 {
 		t.Fatalf("resets = %d, want 1 from the restarted peer", r.Resets)
 	}

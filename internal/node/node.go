@@ -111,7 +111,7 @@ func (n *Node) Recorder() *trace.Recorder { return n.rec }
 func (n *Node) Repairer() *Repairer { return n.repairer }
 
 // EnableHistory attaches a telemetry history ring (nil disables); a
-// sampler (RunSampler) fills it and KindObserve serves it. Call
+// sampler (RunSampler) fills it and Observe serves it. Call
 // before the node starts serving; the field is not synchronized.
 func (n *Node) EnableHistory(h *telemetry.History) { n.history = h }
 
@@ -122,9 +122,8 @@ func (n *Node) History() *telemetry.History { return n.history }
 // Transports call this on the receiving side. Handling is timed into the
 // per-kind served-latency histograms; error replies count as served
 // errors. A sampled traced query stamps its trace ID into the latency
-// histogram's tail-bucket exemplar slot, so a slow outlier in
-// /debug/history points straight at a retrievable route in the flight
-// recorder.
+// histogram's tail-bucket exemplar slot, so a slow outlier in the history
+// column points straight at a retrievable route in the flight recorder.
 func (n *Node) Handle(m *wire.Message) *wire.Message {
 	rpc := rpcKind(n.tel, m.Kind)
 	rpc.Served()
@@ -229,7 +228,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		s.Entries = n.Store().PrefixScan(m.Scan.Prefix)
 		return resp
 	case wire.KindObserve:
-		return &wire.Message{Kind: wire.KindObserveResp, From: n.Addr(), ObserveResp: n.handleObserve(m.Observe)}
+		return &wire.Message{Kind: wire.KindObserveResp, From: n.Addr(), ObserveResp: n.Observe(m.Observe)}
 	default:
 		return &wire.Message{Kind: wire.KindError, From: n.Addr(),
 			Error: fmt.Sprintf("unexpected message kind %v", m.Kind)}

@@ -23,7 +23,8 @@ import (
 
 // FaultClass names one kind of structural corruption the detector can
 // find. Classes are stable strings: they label pgrid_repair_fault
-// telemetry counters and appear verbatim in /debug/repair and the chaos
+// telemetry counters and appear verbatim in the repair column of an
+// observe (`pgridctl repair`, /debug/observe?ask=repair) and the chaos
 // artifact, so renaming one is a breaking observability change.
 type FaultClass = string
 
@@ -226,10 +227,10 @@ func Tallies(m map[string]int64) []Tally {
 }
 
 // Status is one peer's repair report: cumulative totals since the
-// repairer started, plus the last round's fault/heal balance — the
-// numbers /debug/repair, pgridctl repair, and the grid report all
-// render. A zero Status (Enabled=false) means the peer runs no
-// repairer.
+// repairer started, plus the last round's fault/heal balance — the repair
+// column of an observe, which pgridctl repair, /debug/observe?ask=repair
+// and the grid report all render. A zero Status (Enabled=false) means the
+// peer runs no repairer.
 type Status struct {
 	Enabled  bool
 	Rounds   int64 // repair rounds completed

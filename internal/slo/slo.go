@@ -1,23 +1,21 @@
 // Package slo turns latency histograms into service-level verdicts: each
-// objective ("query p99 < 5ms") defines an error budget, and the engine
-// tracks how fast that budget burns over multiple windows. Burn rate is
-// the SRE workbook quantity — the fraction of requests breaking the
-// threshold divided by the fraction the objective allows — so burn 1.0
-// consumes the budget exactly on schedule, burn 10 exhausts a 30-day
-// budget in 3 days, and sustained burn ≥ 1 on every window is a breach.
+// objective ("query p99 < 5ms") defines an error budget, and Eval says how
+// fast a span of observations burns it. Burn rate is the SRE workbook
+// quantity — the fraction of requests breaking the threshold divided by the
+// fraction the objective allows — so burn 1.0 consumes the budget exactly on
+// schedule and burn ≥ 1 is a breach.
 //
-// The engine consumes the mergeable histogram snapshots from
-// internal/telemetry: good events are observations at or below the
-// threshold (QHistSnapshot.CountAtOrBelow), so the same math evaluates a
-// single node's live registry and a whole cluster's merged histogram.
+// Objectives are the reader's: a node keeps no verdicts. `pgridctl watch`
+// judges them over the history rings' window and `pgridctl cluster` over
+// cumulative counts, both on the mergeable histogram snapshots from
+// internal/telemetry (good events are QHistSnapshot.CountAtOrBelow), so the
+// same math evaluates one node's histogram and a whole cluster's merge.
 package slo
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pgrid/internal/telemetry"
@@ -102,187 +100,31 @@ func ParseList(specs string) ([]Objective, error) {
 	return out, nil
 }
 
-// Windows are the burn-rate evaluation horizons: the short window catches
-// a fast burn while it is happening, the long one filters out blips.
-var Windows = []time.Duration{5 * time.Minute, time.Hour}
-
-// WindowBurn is the budget consumption over one horizon.
-type WindowBurn struct {
-	Window    time.Duration `json:"window_ns"`
-	Good      int64         `json:"good"`  // in-threshold events in the window
-	Total     int64         `json:"total"` // all events in the window
-	BadFrac   float64       `json:"bad_frac"`
-	Burn      float64       `json:"burn"` // BadFrac / objective budget
-	Exceeded  bool          `json:"exceeded"`
-	SampledAt time.Duration `json:"sampled_ns"` // actual span covered (≤ Window)
-}
-
-// Status is the verdict for one objective across every window.
+// Status is one objective's verdict over one span of observations: the
+// reader picks the span (a history dump's window, or whole-of-process
+// cumulative counts) and hands Eval the histogram that covers it.
 type Status struct {
-	Objective Objective    `json:"-"`
-	Spec      string       `json:"objective"`
-	Windows   []WindowBurn `json:"windows"`
-	// Breached is true when every window with data burns at rate ≥ 1 —
-	// the multi-window alert condition, immune to both stale averages
-	// (long window alone) and momentary spikes (short window alone).
-	Breached bool `json:"breached"`
+	Objective Objective `json:"-"`
+	Spec      string    `json:"objective"`
+	Good      int64     `json:"good"`  // in-threshold events
+	Total     int64     `json:"total"` // all events
+	BadFrac   float64   `json:"bad_frac"`
+	Burn      float64   `json:"burn"`     // BadFrac / objective budget
+	Breached  bool      `json:"breached"` // Burn ≥ 1
 }
 
-// Eval is the one-shot, whole-of-history evaluation used for cluster
-// reports: the histogram is the window. Burn ≥ 1 means the observed bad
-// fraction exceeds the objective's budget.
+// Eval judges o over h: good events are the observations at or below the
+// threshold, and burn ≥ 1 means the bad fraction exceeds the objective's
+// budget. An empty histogram is no data, never a breach.
 func Eval(o Objective, h telemetry.QHistSnapshot) Status {
-	good := h.CountAtOrBelow(int64(o.Threshold))
-	w := burnOf(o, good, h.Count, 0, 0)
-	return Status{Objective: o, Spec: o.String(),
-		Windows: []WindowBurn{w}, Breached: w.Exceeded}
-}
-
-func burnOf(o Objective, good, total int64, window, span time.Duration) WindowBurn {
-	w := WindowBurn{Window: window, Good: good, Total: total, SampledAt: span}
-	if total <= 0 {
-		return w
+	st := Status{Objective: o, Spec: o.String(), Good: h.CountAtOrBelow(int64(o.Threshold)), Total: h.Count}
+	if st.Total <= 0 {
+		return st
 	}
-	w.BadFrac = float64(total-good) / float64(total)
+	st.BadFrac = float64(st.Total-st.Good) / float64(st.Total)
 	if b := o.Budget(); b > 0 {
-		w.Burn = w.BadFrac / b
+		st.Burn = st.BadFrac / b
 	}
-	w.Exceeded = w.Burn >= 1
-	return w
-}
-
-// sample is one cumulative observation of an objective's counters.
-type sample struct {
-	at    time.Time
-	good  int64
-	total int64
-}
-
-// Engine tracks burn rates for a set of objectives from periodic metric
-// snapshots. Feed it with Tick at any cadence; it diffs the cumulative
-// histogram counters across each window. The clock is injectable so tests
-// drive hours of budget history in microseconds.
-type Engine struct {
-	mu         sync.Mutex
-	objectives []Objective
-	windows    []time.Duration
-	now        func() time.Time
-	hist       map[string][]sample // objective spec → time-ordered samples
-}
-
-// NewEngine builds an engine over the default Windows. now==nil uses the
-// wall clock.
-func NewEngine(objectives []Objective, now func() time.Time) *Engine {
-	if now == nil {
-		now = time.Now
-	}
-	ws := make([]time.Duration, len(Windows))
-	copy(ws, Windows)
-	return &Engine{objectives: objectives, windows: ws, now: now,
-		hist: make(map[string][]sample)}
-}
-
-// Objectives returns the engine's objectives (nil-safe).
-func (e *Engine) Objectives() []Objective {
-	if e == nil {
-		return nil
-	}
-	return e.objectives
-}
-
-// Tick records one snapshot of the node's metrics. Counters are
-// cumulative; a shrinking total means the process restarted, and the
-// objective's history resets rather than producing a negative burn.
-func (e *Engine) Tick(snap telemetry.MetricsSnapshot) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	now := e.now()
-	keep := now.Add(-e.maxWindow() - time.Minute)
-	for _, o := range e.objectives {
-		key := o.String()
-		h, _ := snap.Hist(o.HistName())
-		s := sample{at: now, good: h.CountAtOrBelow(int64(o.Threshold)), total: h.Count}
-		hist := e.hist[key]
-		if n := len(hist); n > 0 && s.total < hist[n-1].total {
-			hist = nil // counter reset: a restart, not time running backward
-		}
-		hist = append(hist, s)
-		// Prune everything older than the longest window (keep one sample
-		// beyond the boundary so full-width deltas stay available).
-		cut := 0
-		for cut < len(hist)-1 && hist[cut+1].at.Before(keep) {
-			cut++
-		}
-		e.hist[key] = hist[cut:]
-	}
-}
-
-func (e *Engine) maxWindow() time.Duration {
-	var m time.Duration
-	for _, w := range e.windows {
-		if w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-// Report evaluates every objective across every window. Windows with no
-// data (no ticks yet, or the histogram never moved) report zero burn and
-// do not count toward a breach.
-func (e *Engine) Report() []Status {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	now := e.now()
-	out := make([]Status, 0, len(e.objectives))
-	for _, o := range e.objectives {
-		hist := e.hist[o.String()]
-		st := Status{Objective: o, Spec: o.String()}
-		dataWindows := 0
-		for _, w := range e.windows {
-			wb := e.windowBurn(o, hist, now, w)
-			st.Windows = append(st.Windows, wb)
-			if wb.Total > 0 {
-				dataWindows++
-			}
-		}
-		st.Breached = dataWindows > 0
-		for _, wb := range st.Windows {
-			if wb.Total > 0 && !wb.Exceeded {
-				st.Breached = false
-			}
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec < out[j].Spec })
-	return out
-}
-
-// windowBurn diffs the newest sample against the best baseline for the
-// window: the newest sample at or before the window start, or the oldest
-// available (a partial window, reported via SampledAt).
-func (e *Engine) windowBurn(o Objective, hist []sample, now time.Time, w time.Duration) WindowBurn {
-	if len(hist) == 0 {
-		return WindowBurn{Window: w}
-	}
-	cur := hist[len(hist)-1]
-	start := now.Add(-w)
-	base := hist[0]
-	for _, s := range hist {
-		if s.at.After(start) {
-			break
-		}
-		base = s
-	}
-	span := cur.at.Sub(base.at)
-	if span < 0 {
-		span = 0
-	}
-	return burnOf(o, cur.good-base.good, cur.total-base.total, w, span)
+	st.Breached = st.Burn >= 1
+	return st
 }

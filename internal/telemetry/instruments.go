@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -643,67 +641,4 @@ func (t *Instruments) latencyQ(name, kind, help string) *QHist {
 		t.labeledQ[full] = q
 	}
 	return q
-}
-
-// LatencySummary is one row of LatencyReport: the SLO quantiles of one
-// latency histogram, in nanoseconds.
-type LatencySummary struct {
-	Scope string `json:"scope"` // "client", "served", or "pool"
-	Kind  string `json:"kind"`  // wire kind name, or the pool stage
-	Count int64  `json:"count"`
-	P50   int64  `json:"p50_ns"`
-	P95   int64  `json:"p95_ns"`
-	P99   int64  `json:"p99_ns"`
-	P999  int64  `json:"p999_ns"`
-}
-
-// LatencyReport snapshots every quantile histogram with at least one
-// observation: per-kind client and served RPC latency plus the pool
-// acquire wait, sorted by scope then kind. Nil-safe.
-func (t *Instruments) LatencyReport() []LatencySummary {
-	if t == nil {
-		return nil
-	}
-	var out []LatencySummary
-	row := func(scope, kind string, q *QHist) {
-		n := q.Count()
-		if n == 0 {
-			return
-		}
-		qs := q.Quantiles(QuantilePoints...)
-		out = append(out, LatencySummary{Scope: scope, Kind: kind, Count: n,
-			P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
-	}
-	t.labeledMu.RLock()
-	for full, q := range t.labeledQ {
-		scope := "client"
-		if strings.HasPrefix(full, "pgrid_rpc_served_latency_ns") {
-			scope = "served"
-		}
-		row(scope, labelValue(full, "kind"), q)
-	}
-	t.labeledMu.RUnlock()
-	row("pool", "acquire_wait", t.poolAcquireWait)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Scope != out[j].Scope {
-			return out[i].Scope < out[j].Scope
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
-
-// labelValue extracts one label's value from a rendered instrument name,
-// or "" when absent.
-func labelValue(full, key string) string {
-	marker := key + `="`
-	i := strings.Index(full, marker)
-	if i < 0 {
-		return ""
-	}
-	rest := full[i+len(marker):]
-	if j := strings.IndexByte(rest, '"'); j >= 0 {
-		return rest[:j]
-	}
-	return ""
 }

@@ -457,7 +457,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 	case KindObserve:
 		b = appendBool(b, m.Observe != nil)
 		if o := m.Observe; o != nil {
-			if !o.Asks.valid() {
+			if !o.Asks.Valid() {
 				return b, fmt.Errorf("wire: observe asks %#x modify a column they do not ask", o.Asks)
 			}
 			b = appendUvarint(b, uint64(o.Asks))
@@ -1371,7 +1371,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		if d.bool() {
 			o := Fused[ObserveReq](&m)
 			asks := d.uvarint()
-			if o.Asks = Ask(asks); asks > uint64(^Ask(0)) || !o.Asks.valid() {
+			if o.Asks = Ask(asks); asks > uint64(^Ask(0)) || !o.Asks.Valid() {
 				d.fail("bad observe asks")
 			}
 			o.WindowNS, o.MaxPoints, o.TraceLimit = d.varint(), d.varint(), d.int()

@@ -287,8 +287,9 @@ const (
 	columnAsks = AskLinks | AskHealth | AskMetrics | AskHistory | AskRepair | AskTraces
 )
 
-// valid reports whether each modifier in a comes with the column it modifies.
-func (a Ask) valid() bool {
+// Valid reports whether each modifier in a comes with the column it modifies:
+// the codec refuses an observe that breaks it, on either side of the wire.
+func (a Ask) Valid() bool {
 	return (a&AskLiveness == 0 || a&AskHealth != 0) && (a&AskRepairNow == 0 || a&AskRepair != 0)
 }
 
