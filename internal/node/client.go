@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -112,27 +113,34 @@ type ReplicaResult = core.ReplicaResult
 // visited peer's routing state and follows up to recbreadth references per
 // level, collecting every reachable peer whose path covers key.
 func (c *Client) ReplicaSearch(start addr.Addr, key bitpath.Path, recbreadth int) ReplicaResult {
-	return c.replicaSearch(start, key, recbreadth, nil, nil)
+	var res ReplicaResult
+	res.Messages = c.replicaSearch(start, key, recbreadth, nil,
+		func(a addr.Addr, _ *wire.InfoResp) { res.Found = append(res.Found, a) })
+	return res
 }
 
 // replicaSearch is ReplicaSearch with rider (nil for none) on every visit:
-// each peer that covers key performs it on the way and found sees its answer.
-// A visit therefore costs one message whatever it carries, as core.Update
-// and Grid.PrefixSearch charge it. A covering peer whose answer lacks the
-// rider's is malformed and routed around like an unreachable one: the search
-// does not report as done what was not done.
-func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int, rider *wire.InfoReq, found func(*wire.InfoResp)) ReplicaResult {
-	var res ReplicaResult
-	visited := map[addr.Addr]bool{start: true}
-	queue := []addr.Addr{start}
-	var refs []addr.Addr   // one level's references at a time, copied and shuffled in this storage
+// each peer that covers key performs it on the way, and found sees each such
+// peer, in visit order, with its answer, which is only valid during the call.
+// A visit therefore costs one message whatever it carries, as core.Update and
+// Grid.PrefixSearch charge it; replicaSearch returns the visits. A covering
+// peer whose answer lacks the rider's is malformed and routed around like an
+// unreachable one: the search does not report as done what was not done.
+func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int, rider *wire.InfoReq, found func(addr.Addr, *wire.InfoResp)) (messages int) {
+	// seen holds every peer the search has reached, in the order it reached
+	// them: those before next are visited, the rest are the queue. A search
+	// reaches a few dozen peers, so a scan of seen is the visited check, and
+	// the walk's bookkeeping stays in this frame.
+	var seenRoom [64]addr.Addr
+	seen := append(seenRoom[:0], start)
+	var refsRoom [16]addr.Addr
+	refs := refsRoom[:0]   // one level's references at a time, copied and shuffled in this storage
 	call := new(visitCall) // one per search, filled again for each visit
 
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
+	for next := 0; next < len(seen); next++ {
+		a := seen[next]
 		resp, err := c.tr.Call(a, call.fill(rider))
-		res.Messages++ // the visit (counts even if it fails: it was sent)
+		messages++ // the visit (counts even if it fails: it was sent)
 		if err != nil {
 			continue // unreachable: the walk routes around it
 		}
@@ -147,30 +155,26 @@ func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 			continue
 		}
 		if covers {
-			res.Found = append(res.Found, a)
-			if found != nil {
-				found(info)
-			}
+			found(a, info)
 		}
 		for level := lo; level <= min(hi, len(info.Refs)); level++ {
 			// A well-formed level is a set: the draws are core.ReplicaSearch's,
-			// and visited drops whatever a malformed one repeats.
+			// and seen drops whatever a malformed one repeats.
 			followed := 0
 			refs = addr.ShuffledInto(refs, info.Refs[level-1].Addrs, c.rng)
 			for _, r := range refs {
 				if followed >= recbreadth {
 					break
 				}
-				if visited[r] || r == addr.Nil {
+				if r == addr.Nil || slices.Contains(seen, r) {
 					continue
 				}
-				visited[r] = true
-				queue = append(queue, r)
+				seen = append(seen, r)
 				followed++
 			}
 		}
 	}
-	return res
+	return messages
 }
 
 // riderAnswered reports whether info carries the answer to rider, which a nil
@@ -228,15 +232,16 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 		return 0, 0
 	}
 	rider := &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}
-	found := map[addr.Addr]bool{}
+	var room [32]addr.Addr
+	applied := room[:0] // the distinct replicas, over every pass
 	for i := 0; i < repetition; i++ {
-		res := c.replicaSearch(entries[i%len(entries)], e.Key, recbreadth, rider, nil)
-		messages += res.Messages
-		for _, a := range res.Found {
-			found[a] = true
-		}
+		messages += c.replicaSearch(entries[i%len(entries)], e.Key, recbreadth, rider, func(a addr.Addr, _ *wire.InfoResp) {
+			if !slices.Contains(applied, a) {
+				applied = append(applied, a)
+			}
+		})
 	}
-	return len(found), messages
+	return len(applied), messages
 }
 
 // ReadResult is core.ReadResult; here Replica is addr.Nil when no
@@ -479,7 +484,7 @@ func (c *Client) Audit(all []addr.Addr) AuditReport {
 // Grid.PrefixSearch charges them, plus the message into the community.
 func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth int) ([]store.Entry, int) {
 	var out []store.Entry
-	res := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}},
-		func(info *wire.InfoResp) { out = store.Merge(out, info.Scanned.Entries) })
-	return out, res.Messages
+	messages := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}},
+		func(_ addr.Addr, info *wire.InfoResp) { out = store.Merge(out, info.Scanned.Entries) })
+	return out, messages
 }

@@ -247,25 +247,25 @@ func reply[P any](n *Node, kind wire.Kind) (m *wire.Message, p *P) {
 // links reads the peer's path, per-level references and buddy list under
 // one lock, straight into wire form.
 func (n *Node) links() (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
-	peer.Edit(n.self, func(e peer.Editor) { path, refs, buddies = wireLinks(e) })
+	peer.Edit(n.self, func(e peer.Editor) { path, refs, buddies = wireLinks(e, nil) })
 	return path, refs, buddies
 }
 
-func wireLinks(e peer.Editor) (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
-	lists, b := e.RefLists()
-	refs = make([]wire.RefSet, len(lists))
-	for i, l := range lists {
-		refs[i].Addrs = l
+// wireLinks copies the peer's link state into wire form: every level's
+// references and then the buddies, as sets cut from one address array, the
+// array and the set slice taken from room (nil for none) where they fit.
+func wireLinks(e peer.Editor, room *wire.LinkRoom) (path bitpath.Path, refs []wire.RefSet, buddies wire.RefSet) {
+	path = e.Path()
+	total := e.Buddies().Len()
+	for level := 1; level <= path.Len(); level++ {
+		total += e.RefsAt(level).Len()
 	}
-	return e.Path(), refs, wire.RefSet{Addrs: b}
-}
-
-// infoReply is an Info answer with room for the answer to a rider, sent as
-// one object.
-type infoReply struct {
-	i wire.InfoResp
-	a wire.ApplyResp
-	s wire.ScanResp
+	refs, all := room.Take(path.Len(), total)
+	for i := range refs {
+		refs[i], all = wire.AppendSet(all, e.RefsAt(i+1))
+	}
+	buddies, _ = wire.AppendSet(all, e.Buddies())
+	return path, refs, buddies
 }
 
 // handleInfo answers KindInfo with the peer's links, and serves the rider r
@@ -273,12 +273,13 @@ type infoReply struct {
 // core.ReplicaStep decision the asking client takes on that same path. Both
 // happen under the one lock an exchange narrows the path under, so an entry
 // cannot land after the exchange has evicted what the peer no longer covers.
+// The answer is one object: the links ride in its room.
 func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
-	resp, x := reply[infoReply](n, wire.KindInfoResp)
-	i := &x.i
+	resp, x := reply[wire.InfoAnswer](n, wire.KindInfoResp)
+	i := &x.Resp
 	resp.InfoResp = i
 	peer.Edit(n.self, func(e peer.Editor) {
-		i.Path, i.Refs, i.Buddies = wireLinks(e)
+		i.Path, i.Refs, i.Buddies = wireLinks(e, &x.Room)
 		if r == nil {
 			return
 		}
@@ -286,11 +287,11 @@ func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
 			return
 		}
 		if r.Apply != nil {
-			x.a.Changed = n.Store().Apply(r.Apply.Entries[0])
-			i.Applied = &x.a
+			x.Applied.Changed = n.Store().Apply(r.Apply.Entries[0])
+			i.Applied = &x.Applied
 		} else {
-			x.s.Entries = n.Store().PrefixScan(r.Scan.Prefix)
-			i.Scanned = &x.s
+			x.Scanned.Entries = n.Store().PrefixScan(r.Scan.Prefix)
+			i.Scanned = &x.Scanned
 		}
 	})
 	i.Addr, i.Entries = n.Addr(), n.Store().Len()

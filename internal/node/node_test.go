@@ -314,11 +314,11 @@ func TestClusterConstructionConcurrent(t *testing.T) {
 }
 
 // TestAllocBudgetHandleInfo: an Info answer is read from the peer under one
-// lock straight into wire form — the reply Message with its InfoResp, the
-// per-level lists, their one shared address array and the RefSet slice —
-// and carries exactly what a Snapshot of the peer holds. Whoever asked decodes
-// it into as many objects: the Message with its InfoResp, the path, the RefSet
-// slice and one address array.
+// lock straight into wire form — the reply Message with its InfoResp and the
+// LinkRoom its RefSet slice and one shared address array are cut from, one
+// object — and carries exactly what a Snapshot of the peer holds. Whoever asked
+// decodes it into one object too: the short path is already in the codec's
+// table, and the sets ride in the answer's own room.
 func TestAllocBudgetHandleInfo(t *testing.T) {
 	c, _ := builtCluster(t, 64, smallCfg(), 11)
 	n := c.Nodes[3]
@@ -338,8 +338,8 @@ func TestAllocBudgetHandleInfo(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	if got := testing.AllocsPerRun(200, func() { n.Handle(req) }); got != 4 {
-		t.Errorf("Handle(KindInfo) = %.1f allocs, want 4", got)
+	if got := testing.AllocsPerRun(200, func() { n.Handle(req) }); got != 1 {
+		t.Errorf("Handle(KindInfo) = %.1f allocs, want 1", got)
 	}
 	frame, err := wire.AppendFrame(nil, 1, wire.FlagResponse, n.Handle(req))
 	if err != nil {
@@ -355,8 +355,8 @@ func TestAllocBudgetHandleInfo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := testing.AllocsPerRun(200, decode); got != 4 {
-		t.Errorf("decoding the Info answer = %.1f allocs, want 4", got)
+	if got := testing.AllocsPerRun(200, decode); got != 1 {
+		t.Errorf("decoding the Info answer = %.1f allocs, want 1", got)
 	}
 	if !reflect.DeepEqual(decoded.InfoResp, want) {
 		t.Errorf("decoded Info = %+v, want %+v", decoded.InfoResp, want)

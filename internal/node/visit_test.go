@@ -299,14 +299,13 @@ func TestReplicaSearchUnansweredRiderIsMalformed(t *testing.T) {
 // transport to a loopback Server, both sides together, with each rider. The
 // apply rider costs the server its decoded request (the Message with the rider
 // and the apply as one object, the entry's key and name as one string: 2), its
-// answer (the Message with the InfoResp and room for the rider's answer as one
-// object, and the links in wire form — one address array, the per-level lists,
-// the RefSet slice: 4) and the client its decoded answer (one object, the
-// path, the RefSet slice and the address array: 4) — 10. The scan rider
-// decodes the prefix instead of the entry (still 2), scans into a fresh slice
-// (+1) and carries the entries back (the entry slice and its one arena
-// string, +2): 13. A second conversation per replica, or an object per field,
-// pushes either over.
+// answer (the Message with the InfoResp, room for the rider's answer and the
+// LinkRoom the links are cut from, one object: 1) and the client its decoded
+// answer (the same one object, the short path free: 1) — 4. The scan rider's
+// request is the one object, its short prefix free (1); the server scans into
+// a fresh slice (+1) and carries the entries back (the entry slice and its one
+// arena string, +2): 6. A second conversation per replica, or an object per
+// field, pushes either over.
 func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -328,8 +327,8 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 		rider  *wire.InfoReq
 		budget float64
 	}{
-		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 10},
-		{"scan", &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}, 13},
+		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 4},
+		{"scan", &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}, 6},
 	} {
 		req := &wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: tc.rider}
 		call := func() {
@@ -344,5 +343,46 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 		} else {
 			t.Logf("warm %s visit = %.1f allocs", tc.name, got)
 		}
+	}
+}
+
+// TestAllocBudgetPublishWalk: a whole publish over a LocalTransport cluster of
+// the benchmark's shape allocates what it sends and what it is answered — the
+// rider's entry slice, one visitCall per pass and one reply per visit, the
+// links riding in it — and nothing for the peers it reaches: the visited set,
+// the queue, each level's shuffled references and the distinct replicas stay
+// in the walk's frame. Twenty publishes of entries the replicas already hold,
+// two passes each, replayed from one seed.
+func TestAllocBudgetPublishWalk(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	_, c := transplantedCluster(t, 25)
+	cl := NewClient(c.Transport, 1)
+	rng := rand.New(rand.NewSource(3))
+	type publish struct {
+		entries []addr.Addr
+		e       store.Entry
+	}
+	var ops []publish
+	for i := 0; i < 20; i++ {
+		ops = append(ops, publish{[]addr.Addr{addr.Addr(rng.Intn(256)), addr.Addr(rng.Intn(256))},
+			store.Entry{Key: bitpath.Random(rng, 6), Name: fmt.Sprintf("w%d", i), Holder: 1, Version: 1}})
+	}
+	msgs, replicas := 0, 0
+	run := func() {
+		cl.rng.Seed(1)
+		msgs, replicas = 0, 0
+		for _, o := range ops {
+			r, m := cl.Publish(o.entries, o.e, 2, 2)
+			msgs, replicas = msgs+m, replicas+r
+		}
+	}
+	run() // installs the entries: later passes change nothing
+	got := testing.AllocsPerRun(20, run)
+	if budget := float64(msgs + 3*len(ops)); got > budget || replicas < len(ops) {
+		t.Errorf("20 publishes = %.0f allocs for %d visits and %d replicas, budget %.0f", got, msgs, replicas, budget)
+	} else {
+		t.Logf("20 publishes = %.0f allocs for %d visits and %d replicas", got, msgs, replicas)
 	}
 }

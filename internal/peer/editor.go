@@ -41,28 +41,10 @@ func (e Editor) RefsAt(level int) addr.Set {
 // may be a view RefsAt handed out, of this level too.
 func (e Editor) SetRefsAt(level int, s addr.Set) { e.p.setRefsAtLocked(level, s) }
 
-// Buddies returns a copy of the peer's buddy list.
-func (e Editor) Buddies() addr.Set { return e.p.buddies.Clone() }
-
-// RefLists returns a copy of every level's references (index i holds level
-// i+1) and of the buddy list as address lists cut from one allocation: the
-// whole link state for a caller that ships it (an Info or Exchange message)
-// rather than edits it.
-func (e Editor) RefLists() (refs [][]addr.Addr, buddies []addr.Addr) {
-	p := e.p
-	total := p.buddies.Len()
-	for _, r := range p.refs {
-		total += r.Len()
-	}
-	all := make([]addr.Addr, 0, total)
-	refs = make([][]addr.Addr, len(p.refs))
-	for i, r := range p.refs {
-		start := len(all)
-		all = r.AppendTo(all)
-		refs[i] = all[start:len(all):len(all)]
-	}
-	return refs, p.buddies.AppendTo(all)[len(all):]
-}
+// Buddies returns the peer's buddy list as a read-only view of its own
+// storage, valid no longer than the callback; like RefsAt's, a caller that
+// wants to change or keep it clones it first.
+func (e Editor) Buddies() addr.Set { return e.p.buddies }
 
 // AddBuddy records a replica.
 func (e Editor) AddBuddy(a addr.Addr) {

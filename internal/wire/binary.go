@@ -828,13 +828,34 @@ func (d *bdec) pathBits() (packed []byte, nbits int) {
 
 func (d *bdec) path() bitpath.Path { return unpack(d.pathBits()) }
 
-// unpack returns the nbits packed path as a string of its own. Paths are short
-// (one bit per trie level): they unpack into a stack buffer, so the only
-// allocation is the returned string.
+// unpack returns the nbits packed path. One that packs into a byte — a peer's
+// path in a grid of up to 256 leaves, a prefix search's prefix — is already in
+// shortPaths and decodes for nothing; a longer one unpacks into a stack buffer,
+// so its only allocation is the returned string.
 func unpack(packed []byte, nbits int) bitpath.Path {
-	var short [64]byte
-	return bitpath.Path(appendBits(short[:0], packed, nbits))
+	switch {
+	case nbits == 0:
+		return ""
+	case nbits <= 8:
+		// The n-bit paths start behind the (n-2)·2^n + 2 bytes of the shorter ones.
+		at := (nbits-2)<<nbits + 2 + nbits*int(packed[0]>>(8-nbits))
+		return bitpath.Path(shortPaths[at : at+nbits])
+	}
+	var long [64]byte
+	return bitpath.Path(appendBits(long[:0], packed, nbits))
 }
+
+// shortPaths holds every path of 1 to 8 bits, those of each length in numeric
+// order behind all shorter ones: 3 586 bytes.
+var shortPaths = func() string {
+	var b []byte
+	for n := 1; n <= 8; n++ {
+		for v := 0; v < 1<<n; v++ {
+			b = appendBits(b, []byte{byte(v << (8 - n))}, n)
+		}
+	}
+	return string(b)
+}()
 
 // pathIn returns the nbits packed path as s[at:at+nbits] when those bytes of s
 // are its bits, and unpacked into its own string otherwise: a path the frame
@@ -876,11 +897,12 @@ func (d *bdec) refSet() RefSet {
 
 // refSets decodes a peer's link state — a counted list of per-level reference
 // sets and, with buddies set, the buddy set behind it — into one address
-// array the sets sub-slice, the way peer.Editor.RefLists builds it: a first
-// pass checks every set exactly as refSet() would and counts the addresses, a
-// second decodes them — two allocations per message instead of one plus one
-// per level. An empty set keeps nil Addrs, as refSet() leaves it.
-func (d *bdec) refSets(buddies bool) (levels []RefSet, buddySet RefSet) {
+// array the sets sub-slice, the way a node builds it: a first pass checks
+// every set exactly as refSet() would and counts the addresses, a second
+// decodes them into what room.Take hands out — no allocation when the state
+// fits the room, two when it does not (or room is nil), instead of one plus
+// one per level. An empty set keeps nil Addrs, as refSet() leaves it.
+func (d *bdec) refSets(buddies bool, room *LinkRoom) (levels []RefSet, buddySet RefSet) {
 	n := d.uvarint()
 	if !d.need(n, 1) {
 		n = 0
@@ -904,15 +926,9 @@ func (d *bdec) refSets(buddies bool) (levels []RefSet, buddySet RefSet) {
 		return nil, RefSet{}
 	}
 	d.off = start
-	var all []addr.Addr
-	if total > 0 {
-		all = make([]addr.Addr, 0, total)
-	}
-	if n > 0 {
-		levels = make([]RefSet, n)
-		for i := range levels {
-			levels[i], all = d.refSetInto(all)
-		}
+	levels, all := room.Take(int(n), total)
+	for i := range levels {
+		levels[i], all = d.refSetInto(all)
 	}
 	if buddies {
 		buddySet, _ = d.refSetInto(all)
@@ -927,10 +943,7 @@ func (d *bdec) refSetInto(all []addr.Addr) (RefSet, []addr.Addr) {
 	for c := d.uvarint(); c > 0; c-- {
 		all = append(all, d.addr())
 	}
-	if from == len(all) {
-		return RefSet{}, all
-	}
-	return RefSet{Addrs: all[from:len(all):len(all)]}, all
+	return tailSet(all, from)
 }
 
 // keyName decodes a path and the string behind it — an entry's or a read's
@@ -1083,10 +1096,11 @@ func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
 	return s
 }
 
-// links decodes a peer's link state into i, the inverse of appendLinks.
-func (d *bdec) links(i *InfoResp) {
+// links decodes a peer's link state into i, the inverse of appendLinks, its
+// sets cut from room where they fit.
+func (d *bdec) links(i *InfoResp, room *LinkRoom) {
 	i.Addr, i.Path = d.addr(), d.path()
-	i.Refs, i.Buddies = d.refSets(true)
+	i.Refs, i.Buddies = d.refSets(true, room)
 	i.Entries = d.int()
 }
 
@@ -1177,9 +1191,9 @@ type routedQuery struct {
 	c trace.SpanContext
 }
 
-// applyOne is an ApplyReq with room for the one entry most applies carry, and
-// infoRider an InfoReq with the operation it carries, and infoAnswer an
-// InfoResp with the answer to it: each decodes as one object.
+// applyOne is an ApplyReq with room for the one entry most applies carry,
+// infoRider an InfoReq with the operation it carries, and exchangeSnapshot an
+// ExchangeReq with room for the link state: each decodes as one object.
 type applyOne struct {
 	a ApplyReq
 	e [1]store.Entry
@@ -1191,10 +1205,9 @@ type infoRider struct {
 	s ScanReq
 }
 
-type infoAnswer struct {
-	i InfoResp
-	a ApplyResp
-	s ScanResp
+type exchangeSnapshot struct {
+	e    ExchangeReq
+	room LinkRoom
 }
 
 // decodeMessageBody decodes the envelope and payload of one binary frame.
@@ -1240,11 +1253,11 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		}
 	case KindExchange:
 		if d.bool() {
-			e := Fused[ExchangeReq](&m)
-			e.Path = d.path()
-			e.Refs, _ = d.refSets(false)
-			e.Depth = d.int()
-			m.Exchange = e
+			x := Fused[exchangeSnapshot](&m)
+			x.e.Path = d.path()
+			x.e.Refs, _ = d.refSets(false, &x.room)
+			x.e.Depth = d.int()
+			m.Exchange = &x.e
 		}
 	case KindExchangeResp:
 		if d.bool() {
@@ -1327,24 +1340,23 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 			m.Info = &x.i
 		}
 	case KindInfoResp:
-		var i *InfoResp
+		var x *InfoAnswer
 		switch f := d.byte(); f {
 		case 0:
-		case flagPresent:
-			i = Fused[InfoResp](&m)
-		case flagPresent | riderApply:
-			x := Fused[infoAnswer](&m)
-			x.i.Applied = &x.a
-			i = &x.i
-		case flagPresent | riderScan:
-			x := Fused[infoAnswer](&m)
-			x.i.Scanned = &x.s
-			i = &x.i
+		case flagPresent, flagPresent | riderApply, flagPresent | riderScan:
+			x = Fused[InfoAnswer](&m)
+			if f&riderApply != 0 {
+				x.Resp.Applied = &x.Applied
+			}
+			if f&riderScan != 0 {
+				x.Resp.Scanned = &x.Scanned
+			}
 		default:
 			d.fail("bad info answer flags")
 		}
-		if i != nil {
-			d.links(i)
+		if x != nil {
+			i := &x.Resp
+			d.links(i, &x.Room)
 			if i.Applied != nil {
 				i.Applied.Changed = d.bool()
 			}
@@ -1387,7 +1399,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 			c := Ask(cols)
 			if c&AskLinks != 0 {
 				o.Links = new(InfoResp)
-				d.links(o.Links)
+				d.links(o.Links, nil)
 			}
 			if c&AskHealth != 0 {
 				o.Health = d.healthColumn()

@@ -596,17 +596,25 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8},
 			{Key: key, Name: "file-0043", Holder: 5, Version: 8}, {Key: key[:3], Name: "x", Holder: 5, Version: 8}}}}, 3},
 		// A BFS visit: Message with InfoReq and its ApplyReq + the entry's Key
-		// and Name, or with InfoReq and its ScanReq + the prefix.
+		// and Name, or with InfoReq and its ScanReq, whose prefix of at most 8
+		// bits is already in shortPaths and costs nothing; a longer one is its
+		// own string.
 		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}}, 2},
-		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:5]}}}, 2},
-		// Its answers: Message with InfoResp and room for either answer + Path,
-		// RefSet slice and address array; a scan's entries add their slice and
-		// one arena string.
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:5]}}}, 1},
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:9]}}}, 2},
+		// Its answers: Message with InfoResp, room for either answer and room for
+		// the links, one object, the short path free; a scan's entries add their
+		// slice and one arena string.
 		{&Message{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: key[:4],
-			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}}, Applied: &ApplyResp{Changed: true}}}, 4},
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}}, Applied: &ApplyResp{Changed: true}}}, 1},
 		{&Message{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: key[:4],
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}}, Scanned: &ScanResp{Entries: []store.Entry{
-				{Key: key, Name: "file-0042", Holder: 5, Version: 8}, {Key: key, Name: "file-0043", Holder: 5, Version: 8}}}}}, 6},
+				{Key: key, Name: "file-0042", Holder: 5, Version: 8}, {Key: key, Name: "file-0043", Holder: 5, Version: 8}}}}}, 3},
+		// A plain answer is the same one object, and so is an exchange snapshot.
+		{&Message{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: key[:8],
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {}, {Addrs: []addr.Addr{2, 4}}}, Buddies: RefSet{Addrs: []addr.Addr{6}}, Entries: 2}}, 1},
+		{&Message{Kind: KindExchange, From: 3, Exchange: &ExchangeReq{Path: key[:3],
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}, {}}, Depth: 1}}, 1},
 	} {
 		frame, err := AppendFrame(nil, 1, 0, tc.msg)
 		if err != nil {

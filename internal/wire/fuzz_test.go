@@ -129,6 +129,25 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 		}
 	}
 	f.Add(mismatched)
+	// Link states inside the answer's room and past it — nine levels and a
+	// 9-bit path, 70 addresses — back to back: the fallbacks read what the
+	// room reads.
+	nine := bitpath.MustParse("011010010")
+	deep := make([]RefSet, 9)
+	for i := range deep {
+		deep[i] = RefSet{Addrs: []addr.Addr{addr.Addr(i), addr.Addr(20 + i), addr.Addr(40 + i), 60, 61, 62, 63, 64}}
+	}
+	var rooms []byte
+	for i, m := range []*Message{
+		{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: nine[:8], Refs: deep[:8], Buddies: RefSet{Addrs: []addr.Addr{9}}}},
+		{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: nine, Refs: deep, Entries: 4}},
+		{Kind: KindExchange, From: 1, Exchange: &ExchangeReq{Path: nine, Refs: deep, Depth: 1}},
+	} {
+		if rooms, err = AppendFrame(rooms, uint32(i), uint8(i%2), m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(rooms)
 	f.Fuzz(func(t *testing.T, data []byte) { readersAgree(t, data) })
 }
 

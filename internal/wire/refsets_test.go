@@ -55,12 +55,13 @@ func appendLinkState(b []byte, levels []RefSet, buddies RefSet) []byte {
 	return appendRefSet(b, buddies)
 }
 
-// diffRefSets decodes payload as a link state with both decoders: equal sets
-// and the same bytes consumed, or the same ErrCorrupt from both.
-func diffRefSets(t *testing.T, payload []byte, buddies bool) {
+// diffRefSets decodes payload as a link state with both decoders, the shared
+// array cut from room (nil for none): equal sets and the same bytes consumed,
+// or the same ErrCorrupt from both.
+func diffRefSets(t *testing.T, payload []byte, buddies bool, room *LinkRoom) {
 	t.Helper()
 	shared, ref := &bdec{b: payload}, &bdec{b: payload}
-	gotL, gotB := shared.refSets(buddies)
+	gotL, gotB := shared.refSets(buddies, room)
 	wantL, wantB := refSetsPerLevel(ref, buddies)
 	if (shared.err == nil) != (ref.err == nil) || (ref.err != nil && shared.err.Error() != ref.err.Error()) {
 		t.Fatalf("buddies=%v: shared-array decode err = %v, per-level decode err = %v (payload %x)", buddies, shared.err, ref.err, payload)
@@ -83,13 +84,17 @@ func diffRefSets(t *testing.T, payload []byte, buddies bool) {
 			t.Fatalf("level %d has capacity %d beyond its %d addresses", i+1, cap(s), len(s))
 		}
 	}
+	if cap(gotL) != len(gotL) {
+		t.Fatalf("the %d levels have capacity %d", len(gotL), cap(gotL))
+	}
 }
 
 // FuzzRefSetsDifferential holds the shared-array decode of InfoResp.Refs +
-// Buddies and ExchangeReq.Refs to the per-level loop it replaced, on
-// well-formed link states of every size class, on their truncated and
-// bit-flipped tails, and on every suffix of every FuzzReadFrame seed read as
-// if a link state began there.
+// Buddies and ExchangeReq.Refs, with and without a LinkRoom to cut them from,
+// to the per-level loop it replaced, on well-formed link states of every size
+// class (inside the room and past it), on their truncated and bit-flipped
+// tails, and on every suffix of every FuzzReadFrame seed read as if a link
+// state began there.
 func FuzzRefSetsDifferential(f *testing.F) {
 	for _, n := range []int{0, 1, 6, 13, 300} {
 		levels, buddies := linkState(n)
@@ -113,8 +118,10 @@ func FuzzRefSetsDifferential(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		diffRefSets(t, payload, true)
-		diffRefSets(t, payload, false)
+		for _, room := range []*LinkRoom{nil, new(LinkRoom)} {
+			diffRefSets(t, payload, true, room)
+			diffRefSets(t, payload, false, room)
+		}
 	})
 }
 
@@ -167,34 +174,93 @@ func TestToSetLinearOnHugeLevel(t *testing.T) {
 }
 
 // TestAllocBudgetReadFrameLinkState: a frame carrying a peer's link state
-// decodes into the message with its payload, the path, the slice of sets and
-// one array for every address — four allocations however deep the path (an
-// exchange request has no buddy set and costs the same).
+// decodes into one object — the message with its payload and the LinkRoom the
+// sets and their one address array are cut from — when the path has at most 8
+// bits and the state fits the room. Past it, the path, the slice of sets and
+// the address array are each their own: four allocations however deep the path
+// (an exchange request has no buddy set and costs the same). Either way the
+// answer is what was sent.
 func TestAllocBudgetReadFrameLinkState(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("the race detector allocates")
-	}
-	levels, buddies := linkState(12)
-	path := bitpath.MustParse("011010010110")
-	for _, msg := range []*Message{
-		{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: path, Refs: levels, Buddies: buddies, Entries: 40}},
-		{Kind: KindExchange, From: 3, Exchange: &ExchangeReq{Path: path, Refs: levels, Depth: 1}},
-	} {
-		frame, err := AppendFrame(nil, 1, 0, msg)
-		if err != nil {
-			t.Fatal(err)
+	full := func(levels int) (refs []RefSet, buddies RefSet) {
+		for i := 0; i < levels; i++ {
+			refs = append(refs, RefSet{Addrs: []addr.Addr{addr.Addr(i), addr.Addr(100 + i), addr.Addr(200 + i), 300, 400}})
 		}
-		src := bytes.NewReader(frame)
-		br := bufio.NewReaderSize(src, len(frame))
-		got := testing.AllocsPerRun(200, func() {
-			src.Reset(frame)
-			br.Reset(src)
-			if _, _, m, err := ReadFrame(br); err != nil || m.Kind != msg.Kind {
-				t.Fatalf("decode: %v %v", m, err)
+		return refs, RefSet{Addrs: []addr.Addr{7, 8, 9}}
+	}
+	fitL, fitB := full(8) // 43 addresses: pgridnode's default shape
+	wideL, wideB := full(8)
+	wideB.Addrs = make([]addr.Addr, 30) // 70 addresses: past the room
+	deepL, deepB := linkState(12)
+	short, long := bitpath.MustParse("01101001"), bitpath.MustParse("011010010110")
+	for _, tc := range []struct {
+		name   string
+		path   bitpath.Path
+		levels []RefSet
+		bud    RefSet
+		budget float64
+	}{
+		{"in the room", short, fitL, fitB, 1},
+		{"past the room's addresses", short, wideL, wideB, 2},
+		{"12 levels", long, deepL, deepB, 4},
+	} {
+		for _, msg := range []*Message{
+			{Kind: KindInfoResp, From: 3, InfoResp: &InfoResp{Addr: 3, Path: tc.path, Refs: tc.levels, Buddies: tc.bud, Entries: 40}},
+			{Kind: KindExchange, From: 3, Exchange: &ExchangeReq{Path: tc.path, Refs: tc.levels, Depth: 1}},
+		} {
+			frame, err := AppendFrame(nil, 1, 0, msg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if got > 4 {
-			t.Errorf("ReadFrame(%v, 12 levels) = %.1f allocs, want ≤ 4", msg.Kind, got)
+			src := bytes.NewReader(frame)
+			br := bufio.NewReaderSize(src, len(frame))
+			if _, _, m, err := ReadFrame(br); err != nil || !reflect.DeepEqual(m, msg) {
+				t.Fatalf("%s: ReadFrame(%v) = %+v, %v; sent %+v", tc.name, msg.Kind, m, err, msg)
+			}
+			if raceflag.Enabled {
+				continue // the race detector allocates
+			}
+			got := testing.AllocsPerRun(200, func() {
+				src.Reset(frame)
+				br.Reset(src)
+				if _, _, m, err := ReadFrame(br); err != nil || m.Kind != msg.Kind {
+					t.Fatalf("decode: %v %v", m, err)
+				}
+			})
+			if got > tc.budget {
+				t.Errorf("%s: ReadFrame(%v) = %.1f allocs, want ≤ %.0f", tc.name, msg.Kind, got, tc.budget)
+			}
+		}
+	}
+}
+
+// TestAllocBudgetShortPaths: every path of up to 8 bits unpacks to the string
+// the bit loop builds, cut from shortPaths for no allocation; a 9-bit path is
+// a string of its own.
+func TestAllocBudgetShortPaths(t *testing.T) {
+	if len(shortPaths) != 3586 {
+		t.Errorf("shortPaths holds %d bytes, want 3586", len(shortPaths))
+	}
+	var all []bitpath.Path
+	for n := 0; n <= 9; n++ {
+		all = append(all, bitpath.All(n)...)
+	}
+	for _, p := range all {
+		packed := appendPath(nil, p)
+		d := &bdec{b: packed}
+		nbits, nbytes := d.pathHead()
+		src := packed[d.off : d.off+nbytes]
+		if got := unpack(src, nbits); got != p {
+			t.Fatalf("unpack(%s) = %q", p, got)
+		}
+		want := 0.0
+		if nbits > 8 {
+			want = 1
+		}
+		if raceflag.Enabled {
+			continue
+		}
+		if got := testing.AllocsPerRun(20, func() { unpack(src, nbits) }); got != want {
+			t.Fatalf("unpack(%s) = %.1f allocs, want %.0f", p, got, want)
 		}
 	}
 }

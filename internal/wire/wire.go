@@ -269,6 +269,62 @@ type InfoResp struct {
 	Scanned *ScanResp
 }
 
+// InfoAnswer is an InfoResp as the one object it is sent and received as: with
+// room for the answer to a rider and for the link state. A node answers a
+// KindInfo in one, and the codec decodes every info answer into one.
+type InfoAnswer struct {
+	Resp    InfoResp
+	Applied ApplyResp
+	Scanned ScanResp
+	Room    LinkRoom
+}
+
+// LinkRoom is room for a peer's link state — the per-level reference sets and
+// the one address array they and the buddy set are cut from — inside the object
+// the message carrying it is. It holds a path of up to 8 levels with up to 64
+// addresses in all: pgridnode's defaults (maxl 8, refmax 5) with 24 buddies to
+// spare. A deeper or wider state takes arrays of its own.
+type LinkRoom struct {
+	sets  [8]RefSet
+	addrs [64]addr.Addr
+}
+
+// Take returns n empty reference sets and an empty address array with room for
+// total addresses, cut from r where they fit and allocated where they do not (a
+// nil r has no room). No sets, or no addresses, are nil.
+func (r *LinkRoom) Take(n, total int) (sets []RefSet, all []addr.Addr) {
+	switch {
+	case n == 0:
+	case r != nil && n <= len(r.sets):
+		sets = r.sets[:n:n]
+	default:
+		sets = make([]RefSet, n)
+	}
+	switch {
+	case total == 0:
+	case r != nil && total <= len(r.addrs):
+		all = r.addrs[:0:total]
+	default:
+		all = make([]addr.Addr, 0, total)
+	}
+	return sets, all
+}
+
+// AppendSet appends s's addresses to all, which Take sized, and returns them as
+// the set that is all's new tail, with the extended array.
+func AppendSet(all []addr.Addr, s addr.Set) (RefSet, []addr.Addr) {
+	return tailSet(s.AppendTo(all), len(all))
+}
+
+// tailSet returns all[from:] as a set that cannot grow into whatever is
+// appended behind it, with nil Addrs when it is empty.
+func tailSet(all []addr.Addr, from int) (RefSet, []addr.Addr) {
+	if from == len(all) {
+		return RefSet{}, all
+	}
+	return RefSet{Addrs: all[from:len(all):len(all)]}, all
+}
+
 // Ask names one column an ObserveReq asks for, or a modifier of one.
 type Ask uint8
 
