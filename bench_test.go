@@ -100,7 +100,7 @@ func BenchmarkTable5RefmaxBounded(b *testing.B) {
 // full scale): same construction parameters, smaller community.
 func benchFig4Params(seed int64) experiments.Fig4Params {
 	return experiments.Fig4Params{
-		N: 4000, MaxL: 8, RefMax: 10, Threshold: 0.99, Seed: seed, Concurrent: true,
+		N: 4000, MaxL: 8, RefMax: 10, Threshold: 0.99, Seed: seed,
 	}
 }
 

@@ -40,6 +40,9 @@ func (s Strategy) String() string {
 	}
 }
 
+// MarshalText names the strategy in JSON reports too.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // FindRound runs one round of the given replica-location strategy for key,
 // starting at a random online peer, and merges newly found replicas into
 // acc (a set of replica addresses). It returns the messages spent this

@@ -88,12 +88,3 @@ func RenderAntiEntropy(w io.Writer, rows []AntiEntropyRow) {
 	}
 	fmt.Fprintln(w)
 }
-
-// AntiEntropyCSV writes the series.
-func AntiEntropyCSV(w io.Writer, rows []AntiEntropyRow) error {
-	out := make([][]string, len(rows))
-	for k, r := range rows {
-		out[k] = []string{i(r.Round), f(r.Fresh), i64(r.Exchanges)}
-	}
-	return writeCSV(w, []string{"round", "fresh", "exchanges"}, out)
-}

@@ -41,11 +41,4 @@ func TestAntiEntropyRendering(t *testing.T) {
 	if !strings.Contains(buf.String(), "Anti-entropy") {
 		t.Error("render missing header")
 	}
-	buf.Reset()
-	if err := AntiEntropyCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "round,fresh,exchanges") {
-		t.Errorf("csv = %q", buf.String())
-	}
 }

@@ -72,12 +72,3 @@ func RenderChurnBuild(w io.Writer, rows []ChurnBuildRow) {
 	}
 	fmt.Fprintln(w)
 }
-
-// ChurnBuildCSV writes the sweep.
-func ChurnBuildCSV(w io.Writer, rows []ChurnBuildRow) error {
-	out := make([][]string, len(rows))
-	for k, r := range rows {
-		out[k] = []string{f(r.OnlineFraction), i64(r.Exchanges), i64(r.Meetings), f(r.EPerN), f(r.FinalAvgDepth), b(r.Converged)}
-	}
-	return writeCSV(w, []string{"online", "exchanges", "meetings", "e_per_n", "avg_depth", "converged"}, out)
-}

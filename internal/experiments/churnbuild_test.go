@@ -59,13 +59,6 @@ func TestScaleSweep(t *testing.T) {
 	if !strings.Contains(buf.String(), "Scalability") {
 		t.Error("render missing header")
 	}
-	buf.Reset()
-	if err := ScaleCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "n,maxl,exchanges") {
-		t.Errorf("csv = %q", buf.String())
-	}
 }
 
 func TestChurnBuildRendering(t *testing.T) {
@@ -74,12 +67,5 @@ func TestChurnBuildRendering(t *testing.T) {
 	RenderChurnBuild(&buf, rows)
 	if !strings.Contains(buf.String(), "availability") {
 		t.Errorf("render = %q", buf.String())
-	}
-	buf.Reset()
-	if err := ChurnBuildCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "online,exchanges") {
-		t.Errorf("csv = %q", buf.String())
 	}
 }

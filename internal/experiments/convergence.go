@@ -72,24 +72,3 @@ func RenderConvergence(w io.Writer, curves []ConvergenceCurve) {
 	}
 	fmt.Fprintln(w)
 }
-
-// ConvergenceCSV writes the curves, one column per recmax.
-func ConvergenceCSV(w io.Writer, curves []ConvergenceCurve) error {
-	header := []string{"exchanges"}
-	maxX := 0.0
-	for _, c := range curves {
-		header = append(header, fmt.Sprintf("recmax_%d", c.RecMax))
-		if pts := c.Curve.Points; len(pts) > 0 && pts[len(pts)-1].X > maxX {
-			maxX = pts[len(pts)-1].X
-		}
-	}
-	var rows [][]string
-	for x := maxX / 100; x <= maxX; x += maxX / 100 {
-		row := []string{f(x)}
-		for _, c := range curves {
-			row = append(row, f(c.Curve.At(x)))
-		}
-		rows = append(rows, row)
-	}
-	return writeCSV(w, header, rows)
-}

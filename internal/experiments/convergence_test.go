@@ -43,11 +43,4 @@ func TestConvergenceRendering(t *testing.T) {
 	if !strings.Contains(buf.String(), "recmax=0") || !strings.Contains(buf.String(), "recmax=2") {
 		t.Errorf("render missing headers:\n%s", buf.String())
 	}
-	buf.Reset()
-	if err := ConvergenceCSV(&buf, curves); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "exchanges,recmax_0,recmax_2") {
-		t.Errorf("csv header = %q", strings.SplitN(buf.String(), "\n", 2)[0])
-	}
 }

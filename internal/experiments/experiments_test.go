@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pgrid/internal/core"
+	"pgrid/internal/directory"
 	"pgrid/internal/sim"
+	"pgrid/internal/stats"
 	"pgrid/internal/trie"
 )
 
@@ -126,7 +130,7 @@ func TestRefmaxSweepBoundedVsUnbounded(t *testing.T) {
 }
 
 func smallFig4Params() Fig4Params {
-	return Fig4Params{N: 2000, MaxL: 6, RefMax: 10, Threshold: 0.99, Seed: 5, Concurrent: true}
+	return Fig4Params{N: 2000, MaxL: 6, RefMax: 10, Threshold: 0.99, Seed: 5}
 }
 
 func TestFig4ReplicaDistribution(t *testing.T) {
@@ -144,6 +148,42 @@ func TestFig4ReplicaDistribution(t *testing.T) {
 	}
 	if err := r.Dir.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFig4Deterministic builds the Section 5.2 grid twice: the same
+// parameters must give the same grid at any GOMAXPROCS, or the archive and
+// the single-seed thresholds above judge a schedule instead of a grid.
+func TestFig4Deterministic(t *testing.T) {
+	a, err := Fig4(smallFig4Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig4(smallFig4Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Histogram.Buckets(), b.Histogram.Buckets()) ||
+		a.Exchanges != b.Exchanges || a.AvgPathLen != b.AvgPathLen {
+		t.Errorf("two builds differ: e=%d/%d, avg depth %v/%v, buckets\n%v\n%v",
+			a.Exchanges, b.Exchanges, a.AvgPathLen, b.AvgPathLen, a.Histogram.Buckets(), b.Histogram.Buckets())
+	}
+}
+
+// TestFig4ResultJSON: the -json row of Fig. 4 is the histogram's buckets
+// and the scalars, not the directory.
+func TestFig4ResultJSON(t *testing.T) {
+	h := stats.NewHistogram()
+	h.Observe(5)
+	h.Observe(5)
+	h.Observe(7)
+	buf, err := json.Marshal(Fig4Result{Dir: directory.New(3), Histogram: h, Exchanges: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"Histogram":[{"Value":5,"Count":2},{"Value":7,"Count":1}],"MeanReplicas":0,"Exchanges":9,"EPerN":0,"AvgPathLen":0}`
+	if string(buf) != want {
+		t.Errorf("json = %s\nwant   %s", buf, want)
 	}
 }
 
@@ -336,9 +376,8 @@ func TestRenderersProduceOutput(t *testing.T) {
 	RenderSec6(&buf, []Sec6Row{{N: 256, D: 256}})
 	RenderEq3(&buf, []Eq3Row{{OnlineProb: 0.3, RefMax: 20, Depth: 10, Analytic: 0.992, Measured: 0.997}})
 	RenderSearchReliability(&buf, SearchReliabilityResult{Queries: 10, SuccessRate: 1})
-	Banner(&buf, "section")
 	out := buf.String()
-	for _, want := range []string{"Table 1", "ratio", "recbreadth", "central-store", "analytic", "section\n======="} {
+	for _, want := range []string{"Table 1", "ratio", "recbreadth", "central-store", "analytic"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered output missing %q", want)
 		}

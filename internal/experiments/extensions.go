@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 
 	"pgrid/internal/addr"
@@ -140,7 +141,7 @@ func skewCell(p SkewParams, dist string, aware bool) SkewRow {
 }
 
 // RenderSkew prints the skew ablation.
-func RenderSkew(wr interface{ Write([]byte) (int, error) }, rows []SkewRow) {
+func RenderSkew(wr io.Writer, rows []SkewRow) {
 	fmt.Fprintln(wr, "Skew extension — uniform vs data-aware splitting")
 	fmt.Fprintf(wr, "%-9s %-10s %9s %10s %9s %9s\n",
 		"keys", "splitting", "avg depth", "load gini", "max/mean", "success")
@@ -204,7 +205,7 @@ func Maintenance(peers, depth, refmax, epochs int, departFraction float64, maint
 }
 
 // RenderMaintenance prints the churn-repair ablation.
-func RenderMaintenance(wr interface{ Write([]byte) (int, error) }, with, without []MaintenanceRow) {
+func RenderMaintenance(wr io.Writer, with, without []MaintenanceRow) {
 	fmt.Fprintln(wr, "Maintenance extension — reference repair under permanent churn")
 	fmt.Fprintf(wr, "%6s | %22s | %22s\n", "", "without maintenance", "with maintenance")
 	fmt.Fprintf(wr, "%6s | %7s %6s %7s | %7s %6s %7s\n",
@@ -256,7 +257,7 @@ func JoinGrowth(start, batches, batchSize, depth, refmax int, seed int64) []Join
 }
 
 // RenderJoin prints the incremental-growth measurement.
-func RenderJoin(wr interface{ Write([]byte) (int, error) }, rows []JoinRow) {
+func RenderJoin(wr io.Writer, rows []JoinRow) {
 	fmt.Fprintln(wr, "Join extension — incremental membership cost while the community grows")
 	fmt.Fprintf(wr, "%10s %7s %14s %15s %9s\n", "N before", "joins", "meetings/join", "exchanges/join", "settled")
 	for _, r := range rows {

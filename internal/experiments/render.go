@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // RenderConstruction prints construction rows in the paper's table layout.
@@ -108,9 +107,4 @@ func RenderEq3(w io.Writer, rows []Eq3Row) {
 			r.OnlineProb, r.RefMax, r.Depth, r.Analytic, r.Measured)
 	}
 	fmt.Fprintln(w)
-}
-
-// Banner renders a section divider for reports.
-func Banner(w io.Writer, s string) {
-	fmt.Fprintf(w, "%s\n%s\n", s, strings.Repeat("=", len(s)))
 }

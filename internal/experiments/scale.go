@@ -65,13 +65,3 @@ func RenderScale(w io.Writer, rows []ScaleRow) {
 	}
 	fmt.Fprintln(w)
 }
-
-// ScaleCSV writes the sweep.
-func ScaleCSV(w io.Writer, rows []ScaleRow) error {
-	out := make([][]string, len(rows))
-	for k, r := range rows {
-		out[k] = []string{i(r.N), i(r.MaxL), i64(r.Exchanges), f(r.EPerN),
-			f(r.Elapsed.Seconds()), b(r.Converged)}
-	}
-	return writeCSV(w, []string{"n", "maxl", "exchanges", "e_per_n", "seconds", "converged"}, out)
-}

@@ -22,19 +22,16 @@ type Fig4Params struct {
 	RefMax    int
 	Threshold float64
 	Seed      int64
-	// Concurrent selects the goroutine engine (recommended: the paper's
-	// 10-hour build takes seconds).
-	Concurrent bool
 }
 
 // PaperFig4Params returns the exact Section 5.2 configuration.
 func PaperFig4Params() Fig4Params {
-	return Fig4Params{N: 20000, MaxL: 10, RefMax: 20, Threshold: 0.943, Seed: 1, Concurrent: true}
+	return Fig4Params{N: 20000, MaxL: 10, RefMax: 20, Threshold: 0.943, Seed: 1}
 }
 
 // Fig4Result is the replica-distribution measurement of Fig. 4.
 type Fig4Result struct {
-	Dir *directory.Directory
+	Dir *directory.Directory `json:"-"`
 	// Histogram maps replication factor → number of peers whose replica
 	// group has that size (the paper's x/y axes).
 	Histogram *stats.Histogram
@@ -47,23 +44,17 @@ type Fig4Result struct {
 }
 
 // Fig4 builds the Section 5.2 grid and measures the replica distribution:
-// for every peer, the number of peers responsible for the same path.
+// for every peer, the number of peers responsible for the same path. The
+// build is sequential so the grid is a function of p alone: the concurrent
+// engine's grid depends on its worker count, and every Section 5.2 figure
+// measures this one grid.
 func Fig4(p Fig4Params) (Fig4Result, error) {
-	opts := sim.Options{
+	res, err := sim.Build(sim.Options{
 		N:         p.N,
 		Config:    core.Config{MaxL: p.MaxL, RefMax: p.RefMax, RecMax: 2, RecFanout: 2},
 		Threshold: p.Threshold,
 		Seed:      p.Seed,
-	}
-	var (
-		res sim.Result
-		err error
-	)
-	if p.Concurrent {
-		res, err = sim.BuildConcurrent(opts)
-	} else {
-		res, err = sim.Build(opts)
-	}
+	})
 	if err != nil {
 		return Fig4Result{}, fmt.Errorf("fig4: %w", err)
 	}

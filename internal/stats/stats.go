@@ -4,6 +4,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -127,6 +128,9 @@ func (h *Histogram) Buckets() []Bucket {
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
 }
+
+// MarshalJSON writes the histogram as its buckets.
+func (h *Histogram) MarshalJSON() ([]byte, error) { return json.Marshal(h.Buckets()) }
 
 // Mean returns the mean observed value.
 func (h *Histogram) Mean() float64 {
