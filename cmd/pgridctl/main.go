@@ -75,8 +75,8 @@ commands:
                                 erroring peers, SLO burn verdicts (default one shot; interval = refresh)
   watch [-cluster] <id> [interval] [count]
                                 refreshing sparkline trends from the node's history ring: RPC rate, error
-                                rate, served p99, pool wait, drops, anomaly findings, and windowed SLO
-                                verdicts (default 2s forever; count 1 = one plain frame); -cluster
+                                rate, served p99, pool wait, anomaly findings, and windowed SLO verdicts
+                                (default 2s forever; count 1 = one plain frame); -cluster
                                 federates every reachable peer's ring via the community walk
 `)
 		flag.PrintDefaults()

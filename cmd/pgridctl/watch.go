@@ -28,11 +28,11 @@ type watchFrame struct {
 
 // runWatch fetches history rings — one node's, or every reachable
 // peer's via the community walk — and renders the windowed trend view:
-// sparklines for RPC rate, error rate, served p99, pool wait, and
-// drops, plus anomaly findings and windowed SLO verdicts. Unlike top,
-// which differences two consecutive fetches client-side, watch reads
-// the server-side rings, so one frame already holds the whole window
-// (count 1 is a complete report, not a baseline).
+// sparklines for RPC rate, error rate, served p99 and pool wait, plus
+// anomaly findings and windowed SLO verdicts. Unlike top, which
+// differences two consecutive fetches client-side, watch reads the
+// server-side rings, so one frame already holds the whole window (count 1
+// is a complete report, not a baseline).
 func runWatch(client *node.Client, id addr.Addr, clusterMode bool, objectives []slo.Objective, interval time.Duration, count int, jsonOut bool) {
 	scope := fmt.Sprintf("node %v", id)
 	if clusterMode {

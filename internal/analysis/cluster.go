@@ -24,7 +24,6 @@ const (
 	statServedErrors = "pgrid_rpc_served_errors_total"
 	statClientTotal  = "pgrid_rpc_client_total"
 	statClientErrors = "pgrid_rpc_client_errors_total"
-	statDropped      = "pgrid_rpc_dropped_total"
 )
 
 // TopK bounds the slowest/most-erroring peer lists in a cluster report.
@@ -77,7 +76,6 @@ type ClusterReport struct {
 	ServedErrors int64
 	ClientTotal  int64
 	ClientErrors int64
-	Dropped      int64
 
 	// Latency holds the merged per-kind quantile rows, sorted by scope
 	// then kind.
@@ -167,9 +165,6 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 		}
 		if v, ok := snap.Stat(statClientErrors); ok {
 			r.ClientErrors += v
-		}
-		if v, ok := snap.Stat(statDropped); ok {
-			r.Dropped += v
 		}
 
 		peerServed := telemetry.QHistSnapshot{}
@@ -293,8 +288,8 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 	if r.Peers == 0 {
 		return
 	}
-	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d), drops %d\n",
-		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors, r.Dropped)
+	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d)\n",
+		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors)
 
 	if len(r.Latency) > 0 {
 		fmt.Fprintf(w, "latency        %-7s %-10s %8s %9s %9s %9s %9s\n",

@@ -28,8 +28,7 @@ type TrendSeries struct {
 
 // TrendFinding is one detected anomaly in the windowed data.
 type TrendFinding struct {
-	// Kind is one of "latency-regression", "error-spike", "drop-burst",
-	// "counter-reset".
+	// Kind is one of "latency-regression", "error-spike", "counter-reset".
 	Kind   string    `json:"kind"`
 	Peer   addr.Addr `json:"peer"` // addr.Nil for cluster-wide findings
 	Detail string    `json:"detail"`
@@ -123,7 +122,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
-	var rates, errRates, dropRates, p99s, poolP99s [][]float64
+	var rates, errRates, p99s, poolP99s [][]float64
 	perPeerDeltas := make(map[addr.Addr][]telemetry.QHistSnapshot, len(dumps))
 	for _, a := range addrs {
 		d := dumps[a]
@@ -140,7 +139,6 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		}
 		rates = append(rates, d.RateSeries(statServedTotal))
 		errRates = append(errRates, d.RateSeries(statServedErrors))
-		dropRates = append(dropRates, d.RateSeries(statDropped))
 		poolP99s = append(poolP99s, d.QuantileSeries(statPoolWait, 0.99))
 
 		deltas := servedDelta(d)
@@ -182,16 +180,14 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 
 	rate := alignSum(rates)
 	errRate := alignSum(errRates)
-	drops := alignSum(dropRates)
 	r.Series = []TrendSeries{
 		{Name: "rpc rate", Unit: "/s", Points: rate},
 		{Name: "error rate", Unit: "/s", Points: errRate},
 		{Name: "served p99", Unit: "ns", Points: clusterP99},
 		{Name: "pool wait p99", Unit: "ns", Points: alignSum(poolP99s)},
-		{Name: "drops", Unit: "/s", Points: drops},
 	}
 
-	r.Findings = append(r.Findings, trendFindings(clusterP99, errRate, drops)...)
+	r.Findings = append(r.Findings, trendFindings(clusterP99, errRate)...)
 
 	// Objectives over the real window: newest cumulative state minus the
 	// dump baseline, merged across peers. A peer that restarted inside the
@@ -215,7 +211,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 // trendFindings scans the cluster series for anomalies. The halves
 // comparison needs at least 4 intervals; with fewer the window is too
 // short to call anything a trend.
-func trendFindings(p99, errRate, drops []float64) []TrendFinding {
+func trendFindings(p99, errRate []float64) []TrendFinding {
 	var out []TrendFinding
 	if len(p99) >= 4 {
 		firstMean, firstN := meanNonZero(p99[:len(p99)/2])
@@ -238,16 +234,6 @@ func trendFindings(p99, errRate, drops []float64) []TrendFinding {
 			out = append(out, TrendFinding{Kind: "error-spike", Peer: addr.Nil,
 				Detail: fmt.Sprintf("error rate peaked at %.2f/s in the recent half (earlier mean %.2f/s)", peak, base)})
 		}
-	}
-	peak, at := 0.0, -1
-	for i, v := range drops {
-		if v > peak {
-			peak, at = v, i
-		}
-	}
-	if peak > 0 {
-		out = append(out, TrendFinding{Kind: "drop-burst", Peer: addr.Nil,
-			Detail: fmt.Sprintf("injected drops peaked at %.2f/s (interval %d of %d)", peak, at+1, len(drops))})
 	}
 	return out
 }

@@ -211,7 +211,7 @@ func TestRenderTrendReportAndSparkline(t *testing.T) {
 	var buf bytes.Buffer
 	RenderTrendReport(&buf, r)
 	out := buf.String()
-	for _, want := range []string{"trends", "1 peers", "rpc rate", "served p99", "drops",
+	for _, want := range []string{"trends", "1 peers", "rpc rate", "served p99",
 		"latency-regression", "query:p99:5ms", "▁"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render lacks %q:\n%s", want, out)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pgrid/internal/addr"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -37,7 +36,7 @@ type ChaosConfig struct {
 	LatencyBase   time.Duration
 	LatencyJitter time.Duration
 	// TailProb adds TailLatency on top with this probability — the
-	// long-tail stragglers hedged reads exist for.
+	// long-tail stragglers every protocol must tolerate without failing.
 	TailProb    float64
 	TailLatency time.Duration
 	// Corrupt is the probability a delivered response is mangled: an
@@ -68,7 +67,6 @@ type ChaosStats struct {
 type ChaosTransport struct {
 	inner Transport
 	cfg   ChaosConfig
-	tel   *telemetry.Instruments
 	state atomic.Uint64
 	sleep func(time.Duration)
 
@@ -96,10 +94,6 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 	t.state.Store(uint64(cfg.Seed))
 	return t
 }
-
-// SetTelemetry attaches instruments that count injected drops (nil
-// disables). Call before the transport is shared.
-func (t *ChaosTransport) SetTelemetry(tel *telemetry.Instruments) { t.tel = tel }
 
 // Block refuses calls on the directed edge from→to (msg.From → target).
 // Blocking one direction only is how asymmetric partitions — A can reach
@@ -171,7 +165,6 @@ func (t *ChaosTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, e
 	t.mu.RUnlock()
 	if blocked {
 		t.blockedN.Add(1)
-		rpcKind(t.tel, msg.Kind).Dropped()
 		return nil, fmt.Errorf("%w: %v → %v partitioned", ErrOffline, msg.From, to)
 	}
 
@@ -182,7 +175,6 @@ func (t *ChaosTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, e
 
 	if t.cfg.Drop > 0 && chaosFloat(chaosRand(&t.state)) < t.cfg.Drop {
 		t.dropped.Add(1)
-		rpcKind(t.tel, msg.Kind).Dropped()
 		return nil, fmt.Errorf("%w: message to %v lost", ErrOffline, to)
 	}
 

@@ -43,8 +43,9 @@ func TestChaosRepairSoak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// The seed is pinned: whether the protocol escapes every corrupted state
-	// it is dealt is open (ROADMAP item 1 asks for the many-seed property),
-	// and other seeds leave an orphan buddy it never drops. 84 converges
+	// it is dealt is open (the ROADMAP item "Repair converges from any
+	// state" asks for the many-seed property), and other seeds leave an
+	// orphan buddy it never drops. 84 converges
 	// with the node drawing in core.DecideExchange order and with the
 	// responder-first order before it.
 	const (

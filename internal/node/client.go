@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
-	"sync"
-	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -30,17 +27,7 @@ type Client struct {
 	tr  Transport
 	rng *rand.Rand
 	tel *telemetry.Instruments
-
-	hedge *HedgeConfig
-	latMu sync.Mutex
-	lats  []time.Duration // recent readOnce round trips, ring-buffered
-	latAt int
 }
-
-// latWindow bounds the latency samples the hedge threshold is computed
-// over — enough history to estimate a percentile, recent enough to track
-// a shifting network.
-const latWindow = 64
 
 // NewClient returns a client over the given transport, seeded for
 // reproducible walks.
@@ -48,9 +35,9 @@ func NewClient(tr Transport, seed int64) *Client {
 	return &Client{tr: tr, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetTelemetry attaches instruments counting malformed responses and
-// hedge outcomes (nil disables). Call before the client is used; the
-// field is not synchronized.
+// SetTelemetry attaches instruments counting malformed responses (nil
+// disables). Call before the client is used; the field is not
+// synchronized.
 func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }
 
 // ask is the single-peer read behind nodeInfo, TraceQuery and Observe: one
@@ -253,11 +240,8 @@ type ReadResult = core.ReadResult
 // the responsible peer the search ends at answers from its own store in the
 // response that reports it found, so a read is one call and costs the
 // client→start message and the Fig. 2 hops — what core.ReadOnce charges,
-// plus the message into the community. Its round-trip time feeds the latency
-// window the hedge threshold is computed over.
+// plus the message into the community.
 func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadResult {
-	began := time.Now()
-	defer func() { c.recordLatency(time.Since(began)) }()
 	out := ReadResult{Replica: addr.Nil, Queries: 1}
 	resp, err := c.tr.Call(start, new(queryCall).fill(addr.Nil, key, 0, nil, &wire.GetReq{Key: key, Name: name}))
 	if err != nil {
@@ -273,112 +257,6 @@ func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadRe
 		out.Replica, out.Entry, out.Found = q.Peer, q.Entry, q.Has
 	}
 	return out
-}
-
-// recordLatency pushes one readOnce round trip into the ring the hedge
-// threshold is estimated from.
-func (c *Client) recordLatency(d time.Duration) {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	if len(c.lats) < latWindow {
-		c.lats = append(c.lats, d)
-		return
-	}
-	c.lats[c.latAt] = d
-	c.latAt = (c.latAt + 1) % latWindow
-}
-
-// HedgeConfig parameterizes hedged majority reads: once a read has been in
-// flight longer than the configured percentile of recent read latencies
-// (clamped to [MinDelay, MaxDelay]), a second read is raced against a
-// different entry point and the first answer wins. Hedging trades a bounded
-// amount of extra load for tail-latency protection — the slow peer no
-// longer holds the whole majority read hostage.
-type HedgeConfig struct {
-	// Percentile of the recent-latency window that arms the hedge
-	// (default 0.9).
-	Percentile float64
-	// MinDelay floors the hedge delay so a burst of fast reads cannot
-	// turn hedging into duplicate-everything (default 1ms).
-	MinDelay time.Duration
-	// MaxDelay caps the delay and is used before any samples exist
-	// (default 250ms).
-	MaxDelay time.Duration
-}
-
-// EnableHedging turns on hedged reads for MajorityRead. Call before the
-// client is used; the field is not synchronized.
-func (c *Client) EnableHedging(cfg HedgeConfig) {
-	if cfg.Percentile <= 0 || cfg.Percentile >= 1 {
-		cfg.Percentile = 0.9
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 250 * time.Millisecond
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
-	}
-	c.hedge = &cfg
-}
-
-// hedgeDelay estimates how long a read may stay in flight before the
-// hedge fires: the configured percentile over the latency window, clamped.
-func (c *Client) hedgeDelay() time.Duration {
-	cfg := c.hedge
-	c.latMu.Lock()
-	samples := append([]time.Duration(nil), c.lats...)
-	c.latMu.Unlock()
-	d := cfg.MaxDelay
-	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		i := int(cfg.Percentile * float64(len(samples)))
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		d = samples[i]
-	}
-	if d < cfg.MinDelay {
-		d = cfg.MinDelay
-	}
-	if d > cfg.MaxDelay {
-		d = cfg.MaxDelay
-	}
-	return d
-}
-
-// readMaybeHedged performs one majority-read attempt from entries[idx],
-// racing a second attempt from the next entry point if the first is still
-// in flight past the hedge delay. Both attempts write into a buffered
-// channel sized for both, so the losing goroutine always completes its
-// send and exits — abandoned, never leaked. The loser's messages are not
-// billed to the result (they were spent, but the caller's accounting
-// follows the answer it used, matching the non-hedged cost model).
-func (c *Client) readMaybeHedged(entries []addr.Addr, idx int, key bitpath.Path, name string) ReadResult {
-	primary := entries[idx]
-	if c.hedge == nil || len(entries) < 2 {
-		return c.readOnce(primary, key, name)
-	}
-	backup := entries[(idx+1)%len(entries)]
-	type attempt struct {
-		res    ReadResult
-		hedged bool
-	}
-	ch := make(chan attempt, 2)
-	go func() { ch <- attempt{c.readOnce(primary, key, name), false} }()
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case a := <-ch:
-		return a.res
-	case <-timer.C:
-	}
-	go func() { ch <- attempt{c.readOnce(backup, key, name), true} }()
-	a := <-ch
-	c.tel.Hedge(a.hedged)
-	return a.res
 }
 
 // Lookup reads (key, name) once via the peer at start — the non-repetitive
@@ -401,8 +279,7 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 	var tally core.Tally
 	out := ReadResult{Replica: addr.Nil}
 	for out.Queries < maxQueries && len(entries) > 0 {
-		idx := c.rng.Intn(len(entries))
-		r := c.readMaybeHedged(entries, idx, key, name)
+		r := c.readOnce(entries[c.rng.Intn(len(entries))], key, name)
 		out.Queries++
 		out.Messages += r.Messages
 		if !r.Found || !tally.Vote(r.Replica, r.Entry) {

@@ -1,11 +1,11 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
-	"pgrid/internal/central"
 	"pgrid/internal/core"
 	"pgrid/internal/sim"
 	"pgrid/internal/telemetry"
@@ -200,8 +200,8 @@ func TestTCPCrawl(t *testing.T) {
 
 // TestCrawlGroundTruth64 builds a 64-peer community with the simulator,
 // transplants every peer's state into a networked node, and checks that
-// the decentralized crawl reconstructs exactly the census a central
-// registry (told every path directly) holds.
+// the decentralized crawl reconstructs exactly the census the simulator's
+// directory holds: every path mapped to the addr-sorted peers on it.
 func TestCrawlGroundTruth64(t *testing.T) {
 	cfg := core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2}
 	built, err := sim.Build(sim.Options{N: 64, Config: cfg, Seed: 11})
@@ -213,14 +213,14 @@ func TestCrawlGroundTruth64(t *testing.T) {
 	}
 
 	tr := NewLocalTransport()
-	reg := central.NewRegistry()
-	for _, p := range built.Dir.All() {
+	truth := make(map[bitpath.Path][]addr.Addr)
+	for _, p := range built.Dir.All() { // index = addr, so each group is sorted
 		n := New(p.Addr(), cfg, tr, int64(p.Addr()))
 		if err := n.Peer().Restore(p.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		tr.Register(n)
-		reg.Record(p.Addr(), p.Path())
+		truth[p.Path()] = append(truth[p.Path()], p.Addr())
 	}
 
 	res := crawl(NewClient(tr, 3), 0)
@@ -232,20 +232,8 @@ func TestCrawlGroundTruth64(t *testing.T) {
 		crawled[d.Path] = append(crawled[d.Path], d.Addr) // already addr-sorted
 	}
 
-	truth := reg.Census()
-	if len(crawled) != len(truth) {
-		t.Fatalf("crawled %d paths, registry has %d", len(crawled), len(truth))
-	}
-	for path, wantAddrs := range truth {
-		gotAddrs := crawled[path]
-		if len(gotAddrs) != len(wantAddrs) {
-			t.Fatalf("path %s: crawled %v, registry %v", path, gotAddrs, wantAddrs)
-		}
-		for i := range wantAddrs {
-			if gotAddrs[i] != wantAddrs[i] {
-				t.Fatalf("path %s: crawled %v, registry %v", path, gotAddrs, wantAddrs)
-			}
-		}
+	if !reflect.DeepEqual(crawled, truth) {
+		t.Fatalf("crawled census %v, directory %v", crawled, truth)
 	}
 	if len(res.Digests) != 64 {
 		t.Fatalf("crawl found %d peers, want 64", len(res.Digests))

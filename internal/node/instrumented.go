@@ -12,8 +12,9 @@ import (
 
 // InstrumentedTransport wraps a Transport and records every outbound call —
 // kind, round-trip latency, and failure — into a telemetry bundle. Wrap the
-// outermost transport (outside ChaosTransport) so injected drops are
-// measured as the client sees them: failed calls.
+// outermost transport (outside the tests' fault injector in
+// chaos_harness_test.go) so injected drops are measured as the client sees
+// them: failed calls.
 //
 // With a slow-op threshold set, calls that exceed it are additionally
 // counted and recorded into a flight recorder with their span context, so

@@ -126,14 +126,17 @@ func TestInstrumentedTransport(t *testing.T) {
 	}
 }
 
+// TestFlakyTransportDropCounter: injected drops are counted where the
+// client sees them — as failed calls of the instrumented transport wrapped
+// outside the chaos one, kind by kind.
 func TestFlakyTransportDropCounter(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 9)
 	tel := telemetry.New(0)
 	fl := NewChaosTransport(c.Transport, ChaosConfig{Drop: 0.5, Seed: 42})
-	fl.SetTelemetry(tel)
+	tr := InstrumentTransport(fl, tel)
 
 	for i := 0; i < 100; i++ {
-		fl.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
+		tr.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
 	}
 	cs := fl.Stats()
 	dropped, total := cs.Dropped, cs.Total
@@ -141,11 +144,11 @@ func TestFlakyTransportDropCounter(t *testing.T) {
 		t.Fatalf("dropped/total = %d/%d", dropped, total)
 	}
 	st := tel.Registry().Snapshot()
-	if v := statValue(st, "pgrid_rpc_dropped_total"); v != dropped {
-		t.Errorf("pgrid_rpc_dropped_total = %d, want %d", v, dropped)
+	if v := statValue(st, "pgrid_rpc_client_errors_total"); v != dropped {
+		t.Errorf("pgrid_rpc_client_errors_total = %d, want %d", v, dropped)
 	}
-	if v := statValue(st, `pgrid_rpc_dropped_kind_total{kind="info"}`); v != dropped {
-		t.Errorf("per-kind dropped counter = %d, want %d", v, dropped)
+	if v := statValue(st, `pgrid_rpc_client_kind_errors_total{kind="info"}`); v != dropped {
+		t.Errorf("per-kind client errors = %d, want %d", v, dropped)
 	}
 }
 

@@ -15,7 +15,8 @@
 //     fail fast instead of being re-timed-out on every contact.
 //
 // ResilientTransport composes the three around any Transport. The chaos
-// harness that proves the layer lives in internal/node (ChaosTransport).
+// harness that proves the layer is test code in internal/node
+// (chaos_harness_test.go).
 package resilience
 
 import (

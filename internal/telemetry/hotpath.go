@@ -38,7 +38,6 @@ type RPCKind struct {
 	servedPanics  atomic.Pointer[Counter]
 	slow          atomic.Pointer[Counter]
 	malformed     atomic.Pointer[Counter]
-	dropped       atomic.Pointer[Counter]
 	retries       atomic.Pointer[Counter]
 }
 
@@ -157,16 +156,6 @@ func (k *RPCKind) Malformed() {
 	}
 	k.t.rpcMalformed.Inc()
 	k.counter(&k.malformed, "pgrid_rpc_malformed_kind_total", "malformed responses by request kind").Inc()
-}
-
-// Dropped records one RPC dropped by failure injection
-// (node.ChaosTransport).
-func (k *RPCKind) Dropped() {
-	if k == nil {
-		return
-	}
-	k.t.rpcDropped.Inc()
-	k.counter(&k.dropped, "pgrid_rpc_dropped_kind_total", "dropped RPCs by message kind").Inc()
 }
 
 // Retry records one retry attempt issued by the resilient transport.

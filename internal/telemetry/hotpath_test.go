@@ -205,8 +205,6 @@ func TestIndexedPathEquivalence(t *testing.T) {
 			if i%20 == 1 {
 				got.RPCKind(4, "apply").Retry()
 				ref.labeled(want.resRetries, "pgrid_resilience_retries_kind_total", "kind", "apply", "retries by message kind")
-				got.RPCKind(4, "apply").Dropped()
-				ref.labeled(want.rpcDropped, "pgrid_rpc_dropped_kind_total", "kind", "apply", "dropped RPCs by message kind")
 				got.RPCKind(0, "query").Slow()
 				ref.labeled(want.rpcSlow, "pgrid_rpc_slow_kind_total", "kind", "query", "slow outbound RPCs by message kind")
 				got.RPCKind(8, "info").Malformed()

@@ -86,7 +86,6 @@ type Instruments struct {
 
 	rpcTotal     *Counter
 	rpcErrors    *Counter
-	rpcDropped   *Counter
 	rpcMalformed *Counter
 	served       *Counter
 
@@ -95,8 +94,6 @@ type Instruments struct {
 	resBudgetExhausted  *Counter
 	resBreakerOpens     *Counter
 	resFastFails        *Counter
-	resHedges           *Counter
-	resHedgeWins        *Counter
 	resBreakersOpen     *Gauge
 	resBreakersHalfOpen *Gauge
 	resBudgetTokens     *Gauge
@@ -180,15 +177,12 @@ func New(node int) *Instruments {
 	t.refsDead = r.Counter("pgrid_refs_probe_dead_total", "reference probes that found a dead or invalid peer")
 	t.rpcTotal = r.Counter("pgrid_rpc_client_total", "outbound RPCs issued")
 	t.rpcErrors = r.Counter("pgrid_rpc_client_errors_total", "outbound RPCs that failed")
-	t.rpcDropped = r.Counter("pgrid_rpc_dropped_total", "RPCs dropped by failure injection")
 	t.rpcMalformed = r.Counter("pgrid_rpc_malformed_total", "responses whose payload did not match the request kind")
 	t.resCalls = r.Counter("pgrid_resilience_calls_total", "logical calls entering the resilient transport")
 	t.resRetries = r.Counter("pgrid_resilience_retries_total", "retry attempts issued after transient failures")
 	t.resBudgetExhausted = r.Counter("pgrid_resilience_retry_budget_exhausted_total", "retries refused because the retry budget was empty")
 	t.resBreakerOpens = r.Counter("pgrid_resilience_breaker_opens_total", "circuit-breaker transitions into the open state")
 	t.resFastFails = r.Counter("pgrid_resilience_breaker_fastfail_total", "calls refused locally by an open breaker")
-	t.resHedges = r.Counter("pgrid_resilience_hedges_total", "majority-read attempts that launched a hedge request")
-	t.resHedgeWins = r.Counter("pgrid_resilience_hedge_wins_total", "hedged reads where the hedge answered first")
 	t.resBreakersOpen = r.Gauge("pgrid_resilience_breakers_open", "peer circuit breakers currently open")
 	t.resBreakersHalfOpen = r.Gauge("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open")
 	t.resBudgetTokens = r.Gauge("pgrid_resilience_retry_budget_tokens_milli", "retry budget balance in millitokens")
@@ -577,24 +571,13 @@ func (t *Instruments) PoolConnLost() {
 	t.poolConnLost.Inc()
 }
 
-// Hedge records one launched hedge request and whether it won the race.
-func (t *Instruments) Hedge(won bool) {
-	if t == nil {
-		return
-	}
-	t.resHedges.Inc()
-	if won {
-		t.resHedgeWins.Inc()
-	}
-}
-
 // Totals returns the headline counters for status lines: exchanges
-// executed, queries completed, and outbound RPC errors (including drops).
+// executed, queries completed, and outbound RPC errors.
 func (t *Instruments) Totals() (exchanges, queries, rpcErrors int64) {
 	if t == nil {
 		return 0, 0, 0
 	}
-	return t.exchanges.Value(), t.queries.Value(), t.rpcErrors.Value() + t.rpcDropped.Value()
+	return t.exchanges.Value(), t.queries.Value(), t.rpcErrors.Value()
 }
 
 // labeledCounter caches dynamically-labeled counters (update strategies,

@@ -30,7 +30,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	in.RefLiveness(2, true)
 	in.ClientRPC("query", time.Millisecond, nil)
 	in.ServedRPC("query")
-	in.RPCKind(0, "query").Dropped()
 	in.Emit(KindRound, nil)
 	in.SetSink(NewJSONLSink(io.Discard))
 	in.SetClock(nil)
@@ -129,11 +128,10 @@ func TestInstrumentsCountersFlow(t *testing.T) {
 	in.ClientRPC("query", 2*time.Millisecond, nil)
 	in.ClientRPC("exchange", time.Millisecond, errTest)
 	in.ServedRPC("info")
-	in.RPCKind(4, "apply").Dropped()
 
 	ex, q, werr := in.Totals()
-	if ex != 4 || q != 2 || werr != 2 {
-		t.Errorf("Totals = %d,%d,%d, want 4,2,2", ex, q, werr)
+	if ex != 4 || q != 2 || werr != 1 {
+		t.Errorf("Totals = %d,%d,%d, want 4,2,1", ex, q, werr)
 	}
 	got := map[string]int64{}
 	for _, s := range in.Registry().Snapshot() {
@@ -155,7 +153,6 @@ func TestInstrumentsCountersFlow(t *testing.T) {
 		`pgrid_refs_level_dead_total{level="2"}`:              1,
 		"pgrid_rpc_client_total":                              2,
 		"pgrid_rpc_client_errors_total":                       1,
-		"pgrid_rpc_dropped_total":                             1,
 		`pgrid_rpc_served_kind_total{kind="info"}`:            1,
 	} {
 		if got[name] != want {
