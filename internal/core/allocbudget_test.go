@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/raceflag"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/trace"
 )
 
 // fullGrid builds 256 peers to depth 4 and keeps them meeting until every
@@ -132,5 +133,81 @@ func TestAllocBudgetPopulateIndex(t *testing.T) {
 	// 16 paths, some 16 peers on each: a map, and up to six doublings a group.
 	if budget := float64(16*6 + 8); all > budget {
 		t.Errorf("grouping 256 peers allocates %v times, budget %v", all, budget)
+	}
+}
+
+// TestAllocBudgetRead: the reads the simulator drives work in their caller's
+// frame — a Fig. 2 search, a read, a breadth-first update and a majority
+// read allocate nothing, with everyone online and with half the community
+// offline, where searches backtrack. A traced search allocates its spans
+// and nothing else.
+func TestAllocBudgetRead(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	cfg := Config{MaxL: 4, RefMax: 4, RecMax: 2, RecFanout: 2}
+	d := fullGrid(t, cfg)
+	rng := newRng(4)
+	// Keys longer than the paths, as in the Sec. 5.2 experiment: a key is
+	// covered by one replica group, and every covering peer holds its entry,
+	// so an update overwrites a version in place.
+	entries := make([]store.Entry, 32)
+	for i := range entries {
+		entries[i] = store.Entry{Key: bitpath.Random(rng, 6), Name: fmt.Sprintf("f%d", i), Holder: 1, Version: 1}
+	}
+	PopulateIndex(d, entries...)
+
+	for _, offline := range []bool{false, true} {
+		if offline {
+			for i, p := range d.All() {
+				p.SetOnline(i%2 == 0)
+			}
+		}
+		i, version, backtracks := 0, uint64(1), 0
+		next := func() store.Entry {
+			i++
+			return entries[i%len(entries)]
+		}
+		for _, tc := range []struct {
+			name string
+			op   func()
+		}{
+			{"Query", func() { backtracks += Query(d, d.RandomOnlinePeer(rng), next().Key, rng).Backtracks }},
+			{"ReadOnce", func() { e := next(); ReadOnce(d, d.RandomOnlinePeer(rng), e.Key, e.Name, rng) }},
+			{"Update", func() {
+				e := next()
+				version++
+				e.Version = version
+				Update(d, e, 2, 2, rng)
+			}},
+			{"MajorityRead", func() { e := next(); MajorityRead(d, e.Key, e.Name, MajorityOptions{}, rng) }},
+		} {
+			if allocs := testing.AllocsPerRun(200, tc.op); allocs != 0 {
+				t.Errorf("offline=%v: %s allocates %v times, want 0", offline, tc.name, allocs)
+			}
+		}
+		if offline && backtracks == 0 {
+			t.Error("no search backtracked with half the community offline")
+		}
+
+		start, key := d.RandomOnlinePeer(rng), entries[0].Key
+		for bitpath.Comparable(start.Path(), key) { // a route of more than one hop
+			start = d.RandomOnlinePeer(rng)
+		}
+		rng.Seed(5)
+		spans := len(QueryTraced(d, start, key, rng).Spans)
+		growths := 0 // the allocations of appending that many spans one by one
+		for s := []trace.Span(nil); len(s) < spans; s = append(s, trace.Span{}) {
+			if len(s) == cap(s) {
+				growths++
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			rng.Seed(5)
+			QueryTraced(d, start, key, rng)
+		})
+		if allocs > float64(growths) {
+			t.Errorf("offline=%v: QueryTraced allocates %v times for %d spans, want at most %d", offline, allocs, spans, growths)
+		}
 	}
 }

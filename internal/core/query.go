@@ -61,9 +61,16 @@ func RouteStep(path bitpath.Path, l int, key bitpath.Path) (matched bool, next i
 // used as-is (the caller decides whether offline peers may issue queries).
 func Query(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand) QueryResult {
 	var res QueryResult
-	res.Found = query(d, a, p, 0, rng, &res, nil)
+	var room queryRoom
+	res.Found = query(d, a, p, 0, rng, &res, nil, room[:])
 	return res
 }
+
+// queryRoom holds the references of every level a search is routing
+// through at once, in the caller's frame: 256 addresses cover a path of 12
+// levels at the paper's refmax 20. A search deeper or wider than that
+// copies the levels past it onto the heap, with the same draws.
+type queryRoom [256]addr.Addr
 
 // QueryTraced runs the same search as Query and also returns its route: one
 // span per peer visited, in visit order, backtracking included — the
@@ -75,7 +82,8 @@ func Query(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand)
 func QueryTraced(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand) trace.Trace {
 	var res QueryResult
 	var spans []trace.Span
-	res.Found = query(d, a, p, 0, rng, &res, &spans)
+	var room queryRoom
+	res.Found = query(d, a, p, 0, rng, &res, &spans, room[:])
 	return trace.Trace{Key: p, Found: res.Found, Messages: res.Messages,
 		Backtracks: res.Backtracks, Spans: spans}
 }
@@ -83,8 +91,10 @@ func QueryTraced(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand
 // query mirrors the paper's query(a, p, l): l is the number of leading path
 // bits already consumed by routing, p is the remaining query suffix. A
 // non-nil spans collects the route; it changes neither the walk nor the
-// random draws.
-func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *rand.Rand, res *QueryResult, spans *[]trace.Span) bool {
+// random draws. The level's references are copied to the front of room and
+// the searches below take the rest; a level that does not fit is copied to
+// the heap and leaves room to them whole.
+func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *rand.Rand, res *QueryResult, spans *[]trace.Span, room []addr.Addr) bool {
 	path := a.Path()
 	var idx int
 	if spans != nil {
@@ -100,7 +110,10 @@ func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *ran
 		}
 		return true
 	}
-	refs := a.RefsAt(next)
+	refs := a.RefsInto(room, next)
+	if n := refs.Len(); n <= len(room) {
+		room = room[n:]
+	}
 	for refs.Len() > 0 {
 		r := refs.PopRandom(rng)
 		q := d.Peer(r)
@@ -108,7 +121,7 @@ func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *ran
 			continue
 		}
 		res.Messages++
-		if query(d, q, rest, next-1, rng, res, spans) {
+		if query(d, q, rest, next-1, rng, res, spans, room) {
 			return true
 		}
 		res.Backtracks++

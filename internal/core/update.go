@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -44,40 +45,39 @@ func (s Strategy) String() string {
 func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // FindRound runs one round of the given replica-location strategy for key,
-// starting at a random online peer, and merges newly found replicas into
-// acc (a set of replica addresses). It returns the messages spent this
-// round. recbreadth is only used by BreadthFirst.
-func FindRound(d *directory.Directory, s Strategy, key bitpath.Path, recbreadth int, acc map[addr.Addr]bool, rng *rand.Rand) int {
+// starting at a random online peer, and appends the replicas it finds that
+// are not yet in found (the distinct replicas so far, in discovery order).
+// It returns the list and the messages spent this round. recbreadth is only
+// used by BreadthFirst.
+func FindRound(d *directory.Directory, s Strategy, key bitpath.Path, recbreadth int, found []addr.Addr, rng *rand.Rand) ([]addr.Addr, int) {
 	start := d.RandomOnlinePeer(rng)
 	if start == nil {
-		return 0
+		return found, 0
 	}
 	switch s {
 	case RepeatedDFS, RepeatedDFSBuddies:
 		res := Query(d, start, key, rng)
 		msgs := res.Messages
 		if !res.Found {
-			return msgs
+			return found, msgs
 		}
-		acc[res.Peer] = true
+		if !slices.Contains(found, res.Peer) {
+			found = append(found, res.Peer)
+		}
 		if s == RepeatedDFSBuddies {
 			for _, b := range d.Peer(res.Peer).Buddies().Slice() {
-				if acc[b] || !d.Online(b) {
+				if slices.Contains(found, b) || !d.Online(b) {
 					continue
 				}
 				msgs++ // contacting the buddy is one message
-				acc[b] = true
+				found = append(found, b)
 			}
 		}
-		return msgs
+		return found, msgs
 	case BreadthFirst:
-		res := ReplicaSearch(d, start, key, recbreadth, rng)
-		for _, a := range res.Found {
-			acc[a] = true
-		}
-		return res.Messages
+		return replicaSearch(d, start, key, recbreadth, rng, found)
 	default:
-		return 0
+		return found, 0
 	}
 }
 
@@ -95,12 +95,15 @@ type UpdateResult struct {
 // the final table of Section 5.2. Every located covering peer applies the
 // entry (version-monotone).
 func Update(d *directory.Directory, entry store.Entry, recbreadth, repetition int, rng *rand.Rand) UpdateResult {
-	found := make(map[addr.Addr]bool)
+	var room [64]addr.Addr
+	found := room[:0] // the distinct replicas, over every round
 	msgs := 0
 	for i := 0; i < repetition; i++ {
-		msgs += FindRound(d, BreadthFirst, entry.Key, recbreadth, found, rng)
+		var m int
+		found, m = FindRound(d, BreadthFirst, entry.Key, recbreadth, found, rng)
+		msgs += m
 	}
-	for a := range found {
+	for _, a := range found {
 		d.Peer(a).Store().Apply(entry)
 	}
 	return UpdateResult{Replicas: len(found), Messages: msgs}
@@ -123,7 +126,10 @@ type ReadResult struct {
 	// Found reports whether a responsible peer was reached AND it had an
 	// entry for the (key, name).
 	Found bool
-	// Replica is the responsible peer that answered.
+	// Replica is the responsible peer a single read (ReadOnce, or the
+	// node's Lookup) reached, whether or not it held the entry. It is
+	// addr.Nil when no responsible peer answered, and always in what a
+	// majority read returns, which is a tally over several replicas.
 	Replica addr.Addr
 	// Messages is the total message cost.
 	Messages int
@@ -138,7 +144,7 @@ type ReadResult struct {
 // returns stale data when the replica missed an update.
 func ReadOnce(d *directory.Directory, start *peer.Peer, key bitpath.Path, name string, rng *rand.Rand) ReadResult {
 	res := Query(d, start, key, rng)
-	out := ReadResult{Messages: res.Messages, Queries: 1}
+	out := ReadResult{Replica: addr.Nil, Messages: res.Messages, Queries: 1}
 	if !res.Found {
 		return out
 	}
@@ -176,9 +182,18 @@ func (o MajorityOptions) withDefaults() MajorityOptions {
 // distinct replica votes once for the version it reports. The zero value is
 // an empty tally. core.MajorityRead and node.Client.MajorityRead share it;
 // they differ only in how a replica is reached.
+//
+// A read hears from a handful of replicas about one or two versions, so the
+// tally keeps its first 16 voters and 4 versions in its own arrays, where a
+// tally in its reader's frame costs no allocation, and only the rest in
+// slices.
 type Tally struct {
-	seen     addr.Set
-	versions []versionVotes // few (one per version in circulation): scanned, never sorted
+	voters       [16]addr.Addr
+	nvoters      int
+	moreVoters   []addr.Addr
+	versions     [4]versionVotes // scanned, never sorted
+	nversions    int
+	moreVersions []versionVotes
 }
 
 type versionVotes struct {
@@ -186,20 +201,40 @@ type versionVotes struct {
 	votes int
 }
 
+// version returns the i-th version counted, i < t.nversions.
+func (t *Tally) version(i int) *versionVotes {
+	if i < len(t.versions) {
+		return &t.versions[i]
+	}
+	return &t.moreVersions[i-len(t.versions)]
+}
+
 // Vote records that replica reported e. A replica that has voted before
 // (or addr.Nil) is not counted again; Vote then reports false.
 func (t *Tally) Vote(replica addr.Addr, e store.Entry) bool {
-	if !t.seen.Add(replica) {
+	if replica == addr.Nil || slices.Contains(t.voters[:min(t.nvoters, len(t.voters))], replica) ||
+		slices.Contains(t.moreVoters, replica) {
 		return false
 	}
-	for i := range t.versions {
-		if v := &t.versions[i]; v.entry.Version == e.Version {
+	if t.nvoters < len(t.voters) {
+		t.voters[t.nvoters] = replica
+	} else {
+		t.moreVoters = append(t.moreVoters, replica)
+	}
+	t.nvoters++
+	for i := 0; i < t.nversions; i++ {
+		if v := t.version(i); v.entry.Version == e.Version {
 			v.entry = e
 			v.votes++
 			return true
 		}
 	}
-	t.versions = append(t.versions, versionVotes{entry: e, votes: 1})
+	if t.nversions < len(t.versions) {
+		t.versions[t.nversions] = versionVotes{entry: e, votes: 1}
+	} else {
+		t.moreVersions = append(t.moreVersions, versionVotes{entry: e, votes: 1})
+	}
+	t.nversions++
 	return true
 }
 
@@ -210,8 +245,8 @@ func (t *Tally) Vote(replica addr.Addr, e store.Entry) bool {
 func (t *Tally) Leader() (e store.Entry, votes, lead int) {
 	var first *versionVotes
 	second := 0
-	for i := range t.versions {
-		v := &t.versions[i]
+	for i := 0; i < t.nversions; i++ {
+		v := t.version(i)
 		switch {
 		case first == nil || v.votes > first.votes ||
 			(v.votes == first.votes && v.entry.Version > first.entry.Version):
@@ -238,7 +273,7 @@ func (t *Tally) Leader() (e store.Entry, votes, lead int) {
 func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts MajorityOptions, rng *rand.Rand) ReadResult {
 	opts = opts.withDefaults()
 	var tally Tally
-	var out ReadResult
+	out := ReadResult{Replica: addr.Nil}
 	for out.Queries < opts.MaxQueries {
 		start := d.RandomOnlinePeer(rng)
 		if start == nil {
@@ -250,7 +285,6 @@ func MajorityRead(d *directory.Directory, key bitpath.Path, name string, opts Ma
 		if r.Found && tally.Vote(r.Replica, r.Entry) {
 			if e, _, lead := tally.Leader(); lead >= opts.Margin {
 				out.Entry = e
-				out.Replica = r.Replica
 				out.Found = true
 				return out
 			}

@@ -18,15 +18,14 @@ func TestFindRoundStrategies(t *testing.T) {
 	key := bitpath.MustParse("101")
 
 	for _, s := range []Strategy{RepeatedDFS, RepeatedDFSBuddies, BreadthFirst} {
-		acc := make(map[addr.Addr]bool)
-		msgs := FindRound(d, s, key, 3, acc, rng)
+		acc, msgs := FindRound(d, s, key, 3, nil, rng)
 		if len(acc) == 0 {
 			t.Errorf("%v: found nothing", s)
 		}
 		if msgs < 0 {
 			t.Errorf("%v: negative messages", s)
 		}
-		for a := range acc {
+		for _, a := range acc {
 			if !bitpath.Comparable(d.Peer(a).Path(), key) {
 				t.Errorf("%v: non-covering peer %v", s, a)
 			}
@@ -37,8 +36,7 @@ func TestFindRoundStrategies(t *testing.T) {
 func TestFindRoundDFSFindsAtMostOne(t *testing.T) {
 	rng := newRng(2)
 	d := trie.BuildIdeal(64, 3, 8, rng)
-	acc := make(map[addr.Addr]bool)
-	FindRound(d, RepeatedDFS, bitpath.MustParse("000"), 0, acc, rng)
+	acc, _ := FindRound(d, RepeatedDFS, bitpath.MustParse("000"), 0, nil, rng)
 	if len(acc) > 1 {
 		t.Errorf("plain DFS found %d replicas in one round", len(acc))
 	}
@@ -51,8 +49,7 @@ func TestFindRoundBuddiesExpandCoverage(t *testing.T) {
 	d := trie.BuildIdeal(64, 3, 8, rng)
 	key := bitpath.MustParse("110")
 	group := d.Covering(key)
-	acc := make(map[addr.Addr]bool)
-	FindRound(d, RepeatedDFSBuddies, key, 0, acc, rng)
+	acc, _ := FindRound(d, RepeatedDFSBuddies, key, 0, nil, rng)
 	if len(acc) != len(group) {
 		t.Errorf("found %d of %d with buddies", len(acc), len(group))
 	}
@@ -68,9 +65,8 @@ func TestFindRoundBuddySkipsOffline(t *testing.T) {
 			d.Peer(a).SetOnline(false)
 		}
 	}
-	acc := make(map[addr.Addr]bool)
-	FindRound(d, RepeatedDFSBuddies, key, 0, acc, rng)
-	for a := range acc {
+	acc, _ := FindRound(d, RepeatedDFSBuddies, key, 0, nil, rng)
+	for _, a := range acc {
 		if !d.Peer(a).Online() {
 			t.Errorf("offline buddy %v updated", a)
 		}
@@ -81,8 +77,7 @@ func TestFindRoundNoOnlinePeers(t *testing.T) {
 	rng := newRng(5)
 	d := trie.BuildIdeal(8, 1, 4, rng)
 	d.SetAllOnline(false)
-	acc := make(map[addr.Addr]bool)
-	if msgs := FindRound(d, BreadthFirst, bitpath.MustParse("0"), 2, acc, rng); msgs != 0 || len(acc) != 0 {
+	if acc, msgs := FindRound(d, BreadthFirst, bitpath.MustParse("0"), 2, nil, rng); msgs != 0 || len(acc) != 0 {
 		t.Errorf("msgs=%d acc=%v with everyone offline", msgs, acc)
 	}
 }
@@ -361,7 +356,9 @@ func TestTally(t *testing.T) {
 // TestTallyMatchesSortReference replays random vote sequences through Tally
 // and through the sort-per-vote count MajorityRead used to carry (kept here
 // as the reference): after every vote both must name the same leader, vote
-// count and lead over the runner-up.
+// count and lead over the runner-up. Up to 24 replicas vote for up to 7
+// versions, past the 16 voters and 4 versions a tally holds in its own
+// arrays.
 func TestTallyMatchesSortReference(t *testing.T) {
 	reference := func(votes map[uint64]int) (version uint64, lead, second int) {
 		type vc struct {
@@ -387,12 +384,13 @@ func TestTallyMatchesSortReference(t *testing.T) {
 		return vcs[0].v, vcs[0].c, second
 	}
 	rng := newRng(21)
+	pastRoom := 0
 	for seq := 0; seq < 200; seq++ {
 		var tally Tally
 		votes := map[uint64]int{}
 		latest := map[uint64]store.Entry{}
 		seen := map[addr.Addr]bool{}
-		versions := 1 + rng.Intn(5)
+		versions := 1 + rng.Intn(7)
 		for i := 0; i < 40; i++ {
 			replica := addr.Addr(rng.Intn(24))
 			v := uint64(1 + rng.Intn(versions))
@@ -415,5 +413,11 @@ func TestTallyMatchesSortReference(t *testing.T) {
 					seq, i, e.Version, n, lead, wantV, wantLead, wantLead-wantSecond)
 			}
 		}
+		if len(seen) > len(tally.voters) && len(votes) > len(tally.versions) {
+			pastRoom++
+		}
+	}
+	if pastRoom == 0 {
+		t.Error("no sequence went past the tally's room")
 	}
 }

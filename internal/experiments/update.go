@@ -40,10 +40,11 @@ func Fig5(d *directory.Directory, keyLen, recbreadth, trials, maxMessages int, s
 				continue
 			}
 			var c stats.Curve
-			found := make(map[addr.Addr]bool)
+			var found []addr.Addr
 			msgs := 0
 			for msgs < maxMessages && len(found) < len(group) {
-				m := core.FindRound(d, s, key, recbreadth, found, rng)
+				var m int
+				found, m = core.FindRound(d, s, key, recbreadth, found, rng)
 				if m == 0 && len(found) == 0 {
 					break // nothing reachable
 				}

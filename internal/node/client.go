@@ -231,9 +231,7 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 	return len(applied), messages
 }
 
-// ReadResult is core.ReadResult; here Replica is addr.Nil when no
-// responsible peer answered, and in what MajorityRead returns, which is a
-// tally over several.
+// ReadResult is core.ReadResult.
 type ReadResult = core.ReadResult
 
 // readOnce routes a query via the peer at start with the read riding on it:

@@ -154,6 +154,72 @@ func TestLookupMatchesQueryThenGet(t *testing.T) {
 	}
 }
 
+// TestReadResultReplicaRule: the simulator's reads and the client's name a
+// replica by one rule. A single read names the responsible peer it reached,
+// whether or not that peer held the entry; a read no responsible peer
+// answered names addr.Nil, and so does every majority read, whether it
+// committed or spent its budget.
+func TestReadResultReplicaRule(t *testing.T) {
+	d, c := transplantedCluster(t, 45)
+	cl := NewClient(c.Transport, 46)
+	rng := rand.New(rand.NewSource(47))
+	var e store.Entry
+	for _, p := range d.All() {
+		if entries := p.Store().Entries(); len(entries) > 0 {
+			e = entries[0]
+			break
+		}
+	}
+	all := make([]addr.Addr, len(c.Nodes))
+	for i, n := range c.Nodes {
+		all[i] = n.Addr()
+	}
+	responsible := func(driver string, r ReadResult, name string) {
+		t.Helper()
+		if r.Replica == addr.Nil || !bitpath.Comparable(d.Peer(r.Replica).Path(), e.Key) {
+			t.Errorf("%s read of %q at %s names replica %v: want the responsible peer it reached", driver, name, e.Key, r.Replica)
+		}
+	}
+	for _, name := range []string{e.Name, "absent"} {
+		for i := 0; i < 20; i++ {
+			start := addr.Addr(rng.Intn(len(all)))
+			responsible("simulator", core.ReadOnce(d, d.Peer(start), e.Key, name, rng), name)
+			responsible("client", cl.Lookup(start, e.Key, name), name)
+		}
+	}
+	for _, tc := range []struct {
+		what               string
+		margin, maxQueries int
+	}{{"committed", 1, 64}, {"out of budget", 50, 3}} {
+		sim := core.MajorityRead(d, e.Key, e.Name, core.MajorityOptions{Margin: tc.margin, MaxQueries: tc.maxQueries}, rng)
+		net := cl.MajorityRead(all, e.Key, e.Name, tc.margin, tc.maxQueries)
+		if !sim.Found || !net.Found || sim.Replica != addr.Nil || net.Replica != addr.Nil {
+			t.Errorf("majority read %s: simulator %+v, client %+v; want found, replica addr.Nil", tc.what, sim, net)
+		}
+	}
+
+	// Only a peer that does not cover the key is left online: no responsible
+	// peer answers.
+	var start addr.Addr
+	for bitpath.Comparable(d.Peer(start).Path(), e.Key) {
+		start++
+	}
+	for i, n := range c.Nodes {
+		n.SetOnline(addr.Addr(i) == start)
+		d.Peer(addr.Addr(i)).SetOnline(addr.Addr(i) == start)
+	}
+	for driver, r := range map[string]ReadResult{
+		"simulator read":          core.ReadOnce(d, d.Peer(start), e.Key, e.Name, rng),
+		"client read":             cl.Lookup(start, e.Key, e.Name),
+		"simulator majority read": core.MajorityRead(d, e.Key, e.Name, core.MajorityOptions{MaxQueries: 4}, rng),
+		"client majority read":    cl.MajorityRead([]addr.Addr{start}, e.Key, e.Name, 3, 4),
+	} {
+		if r.Found || r.Replica != addr.Nil {
+			t.Errorf("%s with no responsible peer online: %+v; want not found, replica addr.Nil", driver, r)
+		}
+	}
+}
+
 // forwardTap records each call a forwarding peer makes: the message it sent,
 // a copy of what that message carried when it was sent, and how it went.
 type forwardTap struct {
