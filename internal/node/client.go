@@ -178,8 +178,8 @@ func riderAnswered(info *wire.InfoResp, rider *wire.InfoReq) bool {
 }
 
 // visitCall is a BFS visit as the one object it is sent as: the envelope,
-// and the rider with its own copy of the operation. Like queryCall it is its
-// sender's again once Transport.Call has returned, and is filled anew for
+// and the rider with its own copy of the operation. Like wire.QueryCall it is
+// its sender's again once Transport.Call has returned, and is filled anew for
 // each visit.
 type visitCall struct {
 	m wire.Message
@@ -234,14 +234,14 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 // ReadResult is core.ReadResult.
 type ReadResult = core.ReadResult
 
-// readOnce routes a query via the peer at start with the read riding on it:
-// the responsible peer the search ends at answers from its own store in the
-// response that reports it found, so a read is one call and costs the
-// client→start message and the Fig. 2 hops — what core.ReadOnce charges,
+// readOnce routes a query via the peer at start with the read riding on it,
+// sent in call: the responsible peer the search ends at answers from its own
+// store in the response that reports it found, so a read is one call and costs
+// the client→start message and the Fig. 2 hops — what core.ReadOnce charges,
 // plus the message into the community.
-func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadResult {
+func (c *Client) readOnce(call *wire.QueryCall, start addr.Addr, key bitpath.Path, name string) ReadResult {
 	out := ReadResult{Replica: addr.Nil, Queries: 1}
-	resp, err := c.tr.Call(start, new(queryCall).fill(addr.Nil, key, 0, nil, &wire.GetReq{Key: key, Name: name}))
+	resp, err := c.tr.Call(start, call.Fill(addr.Nil, key, 0, nil, &wire.GetReq{Key: key, Name: name}))
 	if err != nil {
 		return out
 	}
@@ -260,13 +260,14 @@ func (c *Client) readOnce(start addr.Addr, key bitpath.Path, name string) ReadRe
 // Lookup reads (key, name) once via the peer at start — the non-repetitive
 // read.
 func (c *Client) Lookup(start addr.Addr, key bitpath.Path, name string) ReadResult {
-	return c.readOnce(start, key, name)
+	return c.readOnce(new(wire.QueryCall), start, key, name)
 }
 
 // MajorityRead implements the repetitive-search read over the network:
 // repeated routed reads through random entry points until one version
 // leads by margin distinct replicas (budget maxQueries), falling back to
-// the best-supported version.
+// the best-supported version. Every read sends the same query, filled again in
+// one call.
 func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string, margin, maxQueries int) ReadResult {
 	if margin <= 0 {
 		margin = 3
@@ -276,8 +277,9 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 	}
 	var tally core.Tally
 	out := ReadResult{Replica: addr.Nil}
+	call := new(wire.QueryCall)
 	for out.Queries < maxQueries && len(entries) > 0 {
-		r := c.readOnce(entries[c.rng.Intn(len(entries))], key, name)
+		r := c.readOnce(call, entries[c.rng.Intn(len(entries))], key, name)
 		out.Queries++
 		out.Messages += r.Messages
 		if !r.Found || !tally.Vote(r.Replica, r.Entry) {

@@ -199,10 +199,11 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 	}
 	switch m.Kind {
 	case wire.KindQuery:
-		resp, x := reply[queryAnswer](n, wire.KindQueryResp)
-		resp.QueryResp = &x.resp
-		n.handleQuery(m.Query, &x.resp, &x.fwd)
-		return resp
+		// A request decoded off the wire carries the room it is answered in.
+		x := m.Query.Answer()
+		x.Reply = wire.Message{Kind: wire.KindQueryResp, From: n.Addr(), QueryResp: &x.Resp}
+		n.handleQuery(m.Query, &x.Resp, &x.Fwd)
+		return &x.Reply
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
 		return &wire.Message{Kind: wire.KindExchangeResp, From: n.Addr(), ExchangeResp: resp}
@@ -319,7 +320,7 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 		}
 	}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp, new(queryCall))
+	n.handleQuery(req, &resp, new(wire.QueryCall))
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	if n.tel.EventsOn() {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
@@ -337,7 +338,7 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 	req := &wire.QueryReq{Key: key, Level: 0,
 		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp, new(queryCall))
+	n.handleQuery(req, &resp, new(wire.QueryCall))
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
 	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
@@ -354,7 +355,7 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 // (and everything its subtree reported) to the response and records the
 // subtree route in its flight recorder; routing decisions are identical either
 // way.
-func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCall) {
+func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.QueryCall) {
 	path := n.self.Path()
 	l := q.Level
 	if l > path.Len() {
@@ -391,43 +392,13 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCal
 	}
 }
 
-// queryCall is a routed query as the one object it is sent as: the envelope,
-// the request and its own copy of the read riding on it. Whoever sends it owns
-// it again once Transport.Call has returned — nothing on the call path keeps a
-// request (TestPoisonRequestsAfterCall) — and fills it anew for its next call.
-type queryCall struct {
-	m wire.Message
-	q wire.QueryReq
-	r wire.GetReq
-}
-
-// queryAnswer is a served query's answer with the call its handler forwards the
-// query in: the forward is done with when the handler returns, the reply is
-// made before it runs, so the two are one object.
-type queryAnswer struct {
-	resp wire.QueryResp
-	fwd  queryCall
-}
-
-// fill makes c the query for key from level on, with read (nil for a plain
-// query) riding along, and returns the message to send.
-func (c *queryCall) fill(from addr.Addr, key bitpath.Path, level int, ctx *trace.SpanContext, read *wire.GetReq) *wire.Message {
-	c.q = wire.QueryReq{Key: key, Level: level, Ctx: ctx}
-	if read != nil {
-		c.r = *read
-		c.q.Read = &c.r
-	}
-	c.m = wire.Message{Kind: wire.KindQuery, From: from, Query: &c.q}
-	return &c.m
-}
-
 // routeQuery is the routing half of handleQuery: the Fig. 2 decision
 // (core.RouteStep, shared with the simulator) and the reference walk over
 // the transport, in fwd, filled again for each reference tried. span and
 // childCtx are only touched when tracing is set; resp.Spans accumulates the
 // downstream spans in visit order (the caller's own span is prepended by
 // handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCall, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
+func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.QueryCall, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
 	matched, next, rest := core.RouteStep(path, l, q.Key)
 	if matched {
 		if tracing {
@@ -447,7 +418,7 @@ func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *queryCall
 		n.mu.Lock()
 		r = refs.PopRandom(n.rng)
 		n.mu.Unlock()
-		down, err := n.tr.Call(r, fwd.fill(n.Addr(), rest, next-1, childCtx, q.Read))
+		down, err := n.tr.Call(r, fwd.Fill(n.Addr(), rest, next-1, childCtx, q.Read))
 		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
 		if err != nil || down.QueryResp == nil {
 			continue // unreachable reference: try the next one

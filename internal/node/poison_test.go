@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net"
@@ -19,7 +20,7 @@ import (
 // The ownership rule of the request path: a request belongs to whoever made
 // it, and to nobody else once the call that carried it has returned — no
 // layer, handler or recorder keeps a pointer into it. That is what lets
-// routeQuery fill one queryCall again for each reference it tries, and it is
+// routeQuery fill one wire.QueryCall again for each reference it tries, and it is
 // the condition a pool of request messages would need. The tests below hold
 // the product to it by overwriting every request the moment the rule says it
 // is free, and demanding the same answers as without.
@@ -294,4 +295,47 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 	storeFixture(c.Nodes)
 	plain := runPoisonWorkload(t, c.Nodes, c.Transport, func() {})
 	comparePoisonWorkloads(t, plain, poisoned)
+}
+
+// TestDecodedQueryHandledTwice: the room a decoded query is answered in is
+// handed out once. Handled twice — as a test's wrapper or a benchmark probe
+// handles a request again — the query is answered in two objects, the first
+// answer reads as it did after the second is made, and both equal the answer
+// to the same request built in process. The query is forwarded once on the
+// way, so the forward riding in the room is exercised too.
+func TestDecodedQueryHandledTwice(t *testing.T) {
+	c := NewCluster(2, smallCfg(), 1)
+	if err := c.Nodes[0].Exchange(1); err != nil || c.Nodes[1].Path() != "1" {
+		t.Fatalf("exchange: paths %q %q, %v", c.Nodes[0].Path(), c.Nodes[1].Path(), err)
+	}
+	e := store.Entry{Key: "10", Name: "f", Holder: 3, Version: 4}
+	c.Nodes[1].Store().Apply(e)
+	req := &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
+		Query: &wire.QueryReq{Key: e.Key, Read: &wire.GetReq{Key: e.Key, Name: e.Name}}}
+	frame, err := wire.AppendFrame(nil, 1, 0, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, decoded, err := wire.ReadFrame(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	first := n.Handle(decoded)
+	kept := *first
+	keptResp := *first.QueryResp
+	second := n.Handle(decoded)
+	want := n.Handle(req)
+	if first == second || first.QueryResp == second.QueryResp {
+		t.Fatalf("a decoded query handled twice was answered in one object")
+	}
+	if *first != kept || !reflect.DeepEqual(*first.QueryResp, keptResp) {
+		t.Fatalf("the first answer changed when the query was handled again: %+v, was %+v", *first.QueryResp, keptResp)
+	}
+	wantResp := wire.QueryResp{Found: true, Peer: 1, Path: "1", Messages: 1, Entry: e, Has: true}
+	for i, got := range []*wire.Message{first, second, want} {
+		if got.Kind != wire.KindQueryResp || got.From != n.Addr() || !reflect.DeepEqual(*got.QueryResp, wantResp) {
+			t.Errorf("answer %d = %+v %+v, want %+v", i, got, got.QueryResp, wantResp)
+		}
+	}
 }

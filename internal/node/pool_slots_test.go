@@ -192,15 +192,15 @@ func TestPoolSlotReuseAfterTimeoutAndKill(t *testing.T) {
 // TestAllocBudgetPoolRoundTrip: one warm read-carrying query through the
 // instrumented pooled transport to a loopback Server that is itself
 // responsible — client and server side together, both run in this process —
-// allocates only what a hop hands to its caller: the server's decoded request
-// (the Message, QueryReq and GetReq as one object, and the read's key and name
-// as one string the routed key is cut from: 2), its reply (Message, QueryResp
-// and the call it would forward in as one: 1) and the client's decoded reply
-// (the same one object and the entry's key and name: 2; the responsible peer's
-// path is empty here). A goroutine or closure per served request, a second
-// object per frame, a routed key or answered path decoded into its own string,
-// a forward allocated beside its reply, a per-call channel, timer, label string
-// or escaping frame header pushes it over.
+// allocates one object at each end: the server's decoded request, which holds
+// the Message, QueryReq and GetReq, the read's key and name (the routed key
+// cut from them) and the room the query is answered in — the reply, its
+// QueryResp and the call it would forward in (1) — and the client's decoded
+// reply, which holds the entry's key and name (1; the responsible peer's path
+// is empty here). A goroutine or closure per served request, a second object
+// per frame, a key or name decoded into its own string, a reply allocated
+// beside its request, a per-call channel, timer, label string or escaping
+// frame header pushes it over.
 func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -222,7 +222,7 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 		}
 	}
 	call() // dial, start a worker, register instruments
-	const budget = 5
+	const budget = 2
 	if got := testing.AllocsPerRun(500, call); got > budget {
 		t.Errorf("warm pooled round trip = %.1f allocs, budget %d", got, budget)
 	} else {
@@ -232,13 +232,14 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 
 // TestAllocBudgetRoutedLookup: warm lookups routed through a 64-peer loopback
 // community, transplanted from a simulator grid, over the instrumented pooled
-// transport cost at most 6 allocations per message, every hop's two sides and
-// the client together. A message is: decoded by its receiver as one object
-// plus the read's key-and-name, which the routed key is cut from (2), answered
-// with one object that also holds the call the handler forwards in (1), and its
-// answer decoded as one object plus the entry's key-and-name, which the
-// responsible peer's path is cut from (2); the client adds its one request
-// object per lookup (1/3 per message at three messages a lookup).
+// transport cost at most 3 allocations per message, every hop's two sides and
+// the client together. A message is one object at each end: decoded by its
+// receiver into one object that holds the read's key and name, which the
+// routed key is cut from, and the room the receiver answers in and forwards
+// from (1), and its answer decoded into one object that holds the entry's key
+// and name, which the responsible peer's path is cut from (1); the client adds
+// its one request object per lookup (1/3 per message at three messages a
+// lookup).
 func TestAllocBudgetRoutedLookup(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -290,7 +291,7 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 		return messages
 	}
 	lookups(4000) // dial the connections the routes use, park workers, register instruments
-	const measured, budget = 2000, 6
+	const measured, budget = 2000, 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	messages := lookups(measured)

@@ -297,11 +297,11 @@ func TestReplicaSearchUnansweredRiderIsMalformed(t *testing.T) {
 
 // TestAllocBudgetVisitRoundTrip: one warm BFS visit through the pooled
 // transport to a loopback Server, both sides together, with each rider. The
-// apply rider costs the server its decoded request (the Message with the rider
-// and the apply as one object, the entry's key and name as one string: 2), its
-// answer (the Message with the InfoResp, room for the rider's answer and the
-// LinkRoom the links are cut from, one object: 1) and the client its decoded
-// answer (the same one object, the short path free: 1) — 4. The scan rider's
+// apply rider costs the server its decoded request (the Message with the rider,
+// the apply and the entry's key and name, one object: 1), its answer (the
+// Message with the InfoResp, room for the rider's answer and the LinkRoom the
+// links are cut from, one object: 1) and the client its decoded answer (the
+// same one object, the short path free: 1) — 3. The scan rider's
 // request is the one object, its short prefix free (1); the server scans into
 // a fresh slice (+1) and carries the entries back (the entry slice and its one
 // arena string, +2): 6. A second conversation per replica, or an object per
@@ -327,7 +327,7 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 		rider  *wire.InfoReq
 		budget float64
 	}{
-		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 4},
+		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 3},
 		{"scan", &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}, 6},
 	} {
 		req := &wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: tc.rider}

@@ -44,6 +44,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -946,22 +947,37 @@ func (d *bdec) refSetInto(all []addr.Addr) (RefSet, []addr.Addr) {
 	return tailSet(all, from)
 }
 
+// pairRoom is room for one decoded (Key, Name) pair inside the object the
+// message carrying it is decoded into: a 32-bit key at one byte per bit and a
+// 32-byte name.
+type pairRoom [64]byte
+
 // keyName decodes a path and the string behind it — an entry's or a read's
-// (Key, Name) — into one string the two sub-slice: one allocation for the
-// pair, and none besides while they fit the stack buffer.
-func (d *bdec) keyName() (bitpath.Path, string) {
+// (Key, Name) — into one string the two sub-slice. The string is cut from room
+// where the pair fits, the way strings.Builder makes its string: room is part
+// of a message object decoded this once and never reused, so its bytes are
+// written here, before the string exists, and never again. A pair that does
+// not fit is one allocation, and none besides while it fits the stack buffer.
+func (d *bdec) keyName(room *pairRoom) (bitpath.Path, string) {
 	packed, nbits := d.pathBits()
 	name := d.bytes()
 	if d.err != nil {
 		return "", ""
 	}
-	var short [128]byte
-	s := string(append(appendBits(short[:0], packed, nbits), name...))
+	var s string
+	if nbits+len(name) <= len(room) {
+		b := append(appendBits(room[:0], packed, nbits), name...)
+		s = unsafe.String(unsafe.SliceData(b), len(b))
+	} else {
+		var short [128]byte
+		s = string(append(appendBits(short[:0], packed, nbits), name...))
+	}
 	return bitpath.Path(s[:nbits]), s[nbits:]
 }
 
-func (d *bdec) entry() store.Entry {
-	key, name := d.keyName()
+// entry decodes one entry, its key and name cut from room (see keyName).
+func (d *bdec) entry(room *pairRoom) store.Entry {
+	key, name := d.keyName(room)
 	return store.Entry{Key: key, Name: name, Holder: d.addr(), Version: d.u64()}
 }
 
@@ -1183,20 +1199,42 @@ func Fused[P any](m **Message) *P {
 	return &x.p
 }
 
-// routedQuery is a QueryReq with what it may point to: every hop of a traced,
-// read-carrying query decodes all three.
+// routedQuery is a QueryReq with what it may point to — every hop of a traced,
+// read-carrying query decodes all three — and the room its handler answers in
+// (QueryReq.Answer): the request, its read's key and name, the reply and the
+// forward are one object.
 type routedQuery struct {
-	q QueryReq
-	r GetReq
-	c trace.SpanContext
+	q    QueryReq
+	r    GetReq
+	c    trace.SpanContext
+	pair pairRoom
+	ans  QueryAnswer
 }
 
-// applyOne is an ApplyReq with room for the one entry most applies carry,
-// infoRider an InfoReq with the operation it carries, and exchangeSnapshot an
-// ExchangeReq with room for the link state: each decodes as one object.
+// foundAnswer is a QueryResp, getOne a GetReq and gotOne a GetResp with room
+// for the pair each may carry; applyOne is an ApplyReq with room for the one
+// entry most applies carry and its pair, infoRider an InfoReq with the
+// operation it carries, and exchangeSnapshot an ExchangeReq with room for the
+// link state: each decodes as one object.
+type foundAnswer struct {
+	r    QueryResp
+	pair pairRoom
+}
+
+type getOne struct {
+	g    GetReq
+	pair pairRoom
+}
+
+type gotOne struct {
+	g    GetResp
+	pair pairRoom
+}
+
 type applyOne struct {
-	a ApplyReq
-	e [1]store.Entry
+	a    ApplyReq
+	e    [1]store.Entry
+	pair pairRoom
 }
 
 type infoRider struct {
@@ -1221,6 +1259,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 	case KindQuery:
 		if present, read := d.flags(); present {
 			x := Fused[routedQuery](&m)
+			x.q.answer = &x.ans
 			// The routed key is the read key's tail (badRequest refuses any
 			// other pair): it is cut from the read's string once that is decoded.
 			packed, nbits := d.pathBits()
@@ -1231,7 +1270,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 				x.q.Ctx = &x.c
 			}
 			if read {
-				x.r.Key, x.r.Name = d.keyName()
+				x.r.Key, x.r.Name = d.keyName(&x.pair)
 				x.q.Read = &x.r
 			}
 			x.q.Key = pathIn(string(x.r.Key), len(x.r.Key)-nbits, packed, nbits)
@@ -1239,14 +1278,15 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		}
 	case KindQueryResp:
 		if present, has := d.flags(); present {
-			q := Fused[QueryResp](&m)
+			x := Fused[foundAnswer](&m)
+			q := &x.r
 			q.Found, q.Peer = d.bool(), d.addr()
 			// A found entry's key starts with the path of the peer that holds
 			// it: the path is cut from the entry's string once that is decoded.
 			packed, nbits := d.pathBits()
 			q.Messages, q.Backtracks, q.Spans, q.Has = d.int(), d.int(), d.spans(), has
 			if has {
-				q.Entry = d.entry()
+				q.Entry = d.entry(&x.pair)
 			}
 			q.Path = pathIn(string(q.Entry.Key), 0, packed, nbits)
 			m.QueryResp = q
@@ -1292,7 +1332,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		case 0:
 		case flagPresent:
 			x := Fused[applyOne](&m)
-			x.e[0] = d.entry()
+			x.e[0] = d.entry(&x.pair)
 			x.a.Entries = x.e[:]
 			m.Apply = &x.a
 		case flagPresent | flagList:
@@ -1312,15 +1352,15 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		}
 	case KindGet:
 		if d.bool() {
-			g := Fused[GetReq](&m)
-			g.Key, g.Name = d.keyName()
-			m.Get = g
+			x := Fused[getOne](&m)
+			x.g.Key, x.g.Name = d.keyName(&x.pair)
+			m.Get = &x.g
 		}
 	case KindGetResp:
 		if d.bool() {
-			g := Fused[GetResp](&m)
-			*g = GetResp{Entry: d.entry(), Found: d.bool()}
-			m.GetResp = g
+			x := Fused[gotOne](&m)
+			x.g = GetResp{Entry: d.entry(&x.pair), Found: d.bool()}
+			m.GetResp = &x.g
 		}
 	case KindInfo:
 		// A rider closes the frame it rides on.
@@ -1328,7 +1368,7 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 			x := Fused[infoRider](&m)
 			switch d.byte() {
 			case riderApply:
-				x.a.e[0] = d.entry()
+				x.a.e[0] = d.entry(&x.a.pair)
 				x.a.a.Entries = x.a.e[:]
 				x.i.Apply = &x.a.a
 			case riderScan:

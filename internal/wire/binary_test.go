@@ -200,10 +200,24 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if seq != 42 || flags != FlagResponse {
 			t.Fatalf("%v: header seq=%d flags=%d", m.Kind, seq, flags)
 		}
-		if !reflect.DeepEqual(got, m) {
+		if !reflect.DeepEqual(wireContent(got), m) {
 			t.Fatalf("%v round trip mismatch:\n got %+v\nwant %+v", m.Kind, got, m)
 		}
 	}
+}
+
+// wireContent returns m as the wire carries it: m itself, or, for a query the
+// codec decoded, a copy whose QueryReq no longer links the room it is to be
+// answered in — the one field of a decoded message that is not wire content.
+// Every other field is m's, so the round-trip tests compare all of them.
+func wireContent(m *Message) *Message {
+	if m == nil || m.Query == nil || m.Query.answer == nil {
+		return m
+	}
+	c, q := *m, *m.Query
+	q.answer = nil
+	c.Query = &q
+	return &c
 }
 
 // TestCrossCodecGoldenVectors is the compat contract across versions:
@@ -550,7 +564,9 @@ func TestReadFrameBufferBoundaries(t *testing.T) {
 }
 
 // TestAllocBudgetReadFrame: decoding a frame from a bufio.Reader allocates
-// what it returns — the Message with its payload struct, one object, and each
+// what it returns — the Message with its payload struct, one object, which also
+// holds the one (Key, Name) pair a read, an answer's entry, a one-entry apply,
+// an info rider or a get carries while it fits 64 bytes, and each other
 // non-empty path or string — and nothing else: no header, no scratch path, no
 // decoder state, no envelope beside the payload.
 func TestAllocBudgetReadFrame(t *testing.T) {
@@ -558,6 +574,8 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	key := bitpath.MustParse("0110100101101001")
+	long := strings.Repeat("n", 64-len(key)+1) // with key, one byte past the room
+	past := store.Entry{Key: key, Name: long, Holder: 5, Version: 8}
 	for _, tc := range []struct {
 		msg    *Message
 		budget float64
@@ -566,40 +584,40 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 2},
 		// Message with QueryResp + Path.
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 2},
-		// Message with GetReq + Key and Name in one string.
-		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 2},
+		// Message with GetReq, Key and Name in its room.
+		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 1},
+		{&Message{Kind: KindGetResp, From: 3, GetResp: &GetResp{Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Found: true}}, 1},
 		// The routed read costs each hop what the plain pair costs: Message with
-		// QueryReq and its GetReq + the read's Key and Name, the routed key cut
-		// from the read's.
+		// QueryReq, its GetReq, the read's Key and Name and the room the query is
+		// answered in, the routed key cut from the read's.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
-			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 1},
 		// A trace context rides in the same object.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
 			Ctx:  &trace.SpanContext{TraceID: 7, Parent: 8, Budget: 9, Sampled: true},
-			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 1},
 		// A routed key that is not the read key's tail is its own string: the
 		// codec admits the pair, badRequest refuses it.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[:7], Level: 9,
-			Read: &GetReq{Key: key, Name: "file-0042"}}}, 3},
-		// Message with QueryResp + the entry's Key and Name, the path cut from
+			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
+		// Message with QueryResp and the entry's Key and Name, the path cut from
 		// the entry's key.
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[:5], Messages: 4,
-			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 2},
+			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 1},
 		// A path that does not start the entry's key is its own string.
 		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[1:6], Messages: 4,
-			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 3},
-		// Message with ApplyReq and room for its one entry + the entry's Key and
-		// Name; its answer is the one object.
-		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}, 2},
+			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 2},
+		// Message with ApplyReq and room for its one entry and the entry's Key
+		// and Name; its answer is the one object.
+		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}, 1},
 		{&Message{Kind: KindApplyResp, From: 3, ApplyResp: &ApplyResp{Changed: true}}, 1},
 		// A list: Message with ApplyReq + the entries' slice and one arena string.
 		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8},
 			{Key: key, Name: "file-0043", Holder: 5, Version: 8}, {Key: key[:3], Name: "x", Holder: 5, Version: 8}}}}, 3},
-		// A BFS visit: Message with InfoReq and its ApplyReq + the entry's Key
-		// and Name, or with InfoReq and its ScanReq, whose prefix of at most 8
-		// bits is already in shortPaths and costs nothing; a longer one is its
-		// own string.
-		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}}, 2},
+		// A BFS visit: Message with InfoReq, its ApplyReq and the entry's Key and
+		// Name, or with InfoReq and its ScanReq, whose prefix of at most 8 bits is
+		// already in shortPaths and costs nothing; a longer one is its own string.
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{{Key: key, Name: "file-0042", Holder: 5, Version: 8}}}}}, 1},
 		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:5]}}}, 1},
 		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Scan: &ScanReq{Prefix: key[:9]}}}, 2},
 		// Its answers: Message with InfoResp, room for either answer and room for
@@ -615,6 +633,12 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {}, {Addrs: []addr.Addr{2, 4}}}, Buddies: RefSet{Addrs: []addr.Addr{6}}, Entries: 2}}, 1},
 		{&Message{Kind: KindExchange, From: 3, Exchange: &ExchangeReq{Path: key[:3],
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 4}}, {}}, Depth: 1}}, 1},
+		// A pair one byte past the room is its own string, as every pair was.
+		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9, Read: &GetReq{Key: key, Name: long}}}, 2},
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[:5], Entry: past, Has: true}}, 2},
+		{&Message{Kind: KindApply, From: 3, Apply: &ApplyReq{Entries: []store.Entry{past}}}, 2},
+		{&Message{Kind: KindInfo, From: 3, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{past}}}}, 2},
+		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: long}}, 2},
 	} {
 		frame, err := AppendFrame(nil, 1, 0, tc.msg)
 		if err != nil {
@@ -622,7 +646,7 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		}
 		src := bytes.NewReader(frame)
 		br := bufio.NewReader(src)
-		if _, _, m, err := ReadFrame(br); err != nil || !reflect.DeepEqual(m, tc.msg) {
+		if _, _, m, err := ReadFrame(br); err != nil || !reflect.DeepEqual(wireContent(m), tc.msg) {
 			t.Fatalf("ReadFrame = %+v, %v; sent %+v", m, err, tc.msg)
 		}
 		got := testing.AllocsPerRun(200, func() {
@@ -634,6 +658,67 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		})
 		if got > tc.budget {
 			t.Errorf("ReadFrame(%v) = %.1f allocs, want ≤ %.0f (the structs and paths it returns)", tc.msg.Kind, got, tc.budget)
+		}
+	}
+}
+
+// TestDecodedStringsOutliveTheFrame: a key and name decoded into their
+// message's object are that object's for good, never a view of the
+// bufio.Reader's buffer or of the pooled buffer the next frame's payload is
+// read into. Pairs one byte short of the room, filling it, one byte past it,
+// with an empty name and with an empty key — in every message that carries a
+// pair — are decoded through one reader and kept, 1 000 further frames with
+// other pairs are decoded through it, and what was kept still reads as sent.
+func TestDecodedStringsOutliveTheFrame(t *testing.T) {
+	room := len(pairRoom{})
+	key := bitpath.MustParse("0110100101101001")
+	carriers := func(k bitpath.Path, name string) []*Message {
+		e := store.Entry{Key: k, Name: name, Holder: 4, Version: 9}
+		return []*Message{
+			{Kind: KindQuery, From: 1, Query: &QueryReq{Key: k, Read: &GetReq{Key: k, Name: name}}},
+			{Kind: KindQueryResp, From: 1, QueryResp: &QueryResp{Found: true, Peer: 2, Path: k, Entry: e, Has: true}},
+			{Kind: KindApply, From: 1, Apply: &ApplyReq{Entries: []store.Entry{e}}},
+			{Kind: KindInfo, From: 1, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{e}}}},
+			{Kind: KindGet, From: 1, Get: &GetReq{Key: k, Name: name}},
+			{Kind: KindGetResp, From: 1, GetResp: &GetResp{Entry: e, Found: true}},
+		}
+	}
+	var kept []*Message
+	for _, n := range []int{room - 1, room, room + 1} {
+		kept = append(kept, carriers(key, strings.Repeat("n", n-len(key)))...)
+	}
+	kept = append(kept, carriers(key, "")...)
+	kept = append(kept, carriers("", "a-name")...)
+	var stream []byte
+	var err error
+	for _, m := range kept {
+		if stream, err = AppendFrame(stream, 1, 0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const further = 1000
+	for i := 0; i < further; i++ {
+		k := bitpath.Path(strings.Repeat("10", 40)[:i%70])
+		m := carriers(k, strings.Repeat(string(rune('a'+i%26)), i%50))[i%6]
+		if stream, err = AppendFrame(stream, 1, 0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReaderSize(bytes.NewReader(stream), 256)
+	decoded := make([]*Message, len(kept))
+	for i := range decoded {
+		if _, _, decoded[i], err = ReadFrame(br); err != nil || !reflect.DeepEqual(wireContent(decoded[i]), kept[i]) {
+			t.Fatalf("frame %d = %+v, %v; sent %+v", i, decoded[i], err, kept[i])
+		}
+	}
+	for i := 0; i < further; i++ {
+		if _, _, _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range decoded {
+		if !reflect.DeepEqual(wireContent(m), kept[i]) {
+			t.Errorf("frame %d changed under %d further frames: %+v, sent %+v", i, further, m, kept[i])
 		}
 	}
 }

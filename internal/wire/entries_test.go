@@ -17,7 +17,7 @@ import (
 )
 
 // entriesPerEntry is the entry-list decoder as it was before the arena:
-// one d.entry() per element, two strings each. It is the reference the
+// one d.entry per element, each with its own strings. It is the reference the
 // arena decode is held to.
 func entriesPerEntry(d *bdec) []store.Entry {
 	n := d.uvarint()
@@ -26,7 +26,7 @@ func entriesPerEntry(d *bdec) []store.Entry {
 	}
 	out := make([]store.Entry, n)
 	for i := range out {
-		out[i] = d.entry()
+		out[i] = d.entry(new(pairRoom))
 	}
 	return out
 }

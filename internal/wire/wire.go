@@ -9,6 +9,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -124,6 +125,55 @@ type QueryReq struct {
 	// holds the full key, forwarded as it came on every hop, because Key is
 	// only the suffix still to be routed.
 	Read *GetReq
+
+	// answer is the room a query decoded off the wire is answered in, cut from
+	// the object it was decoded into; nil for a request built in process.
+	answer *QueryAnswer
+}
+
+// Answer returns the room q is to be answered in: the one the codec decoded q
+// with, the first time it is asked for, and a fresh one after that or for a
+// request built in process. A room is handed out once, so a request handled
+// twice is answered twice, in two rooms.
+func (q *QueryReq) Answer() *QueryAnswer {
+	if a := q.answer; a != nil && a.handed.CompareAndSwap(false, true) {
+		return a
+	}
+	return new(QueryAnswer)
+}
+
+// QueryAnswer is a served query's answer as the one object it is sent as — the
+// reply and its QueryResp — with the call its handler forwards the query in:
+// the forward is done with when the handler returns, and the reply is made
+// before it runs.
+type QueryAnswer struct {
+	Reply Message
+	Resp  QueryResp
+	Fwd   QueryCall
+
+	handed atomic.Bool
+}
+
+// QueryCall is a routed query as the one object it is sent as: the envelope,
+// the request and its own copy of the read riding on it. Whoever sends it owns
+// it again once the call that carried it has returned — nothing on the call
+// path keeps a request — and fills it anew for its next call.
+type QueryCall struct {
+	m Message
+	q QueryReq
+	r GetReq
+}
+
+// Fill makes c the query for key from level on, with read (nil for a plain
+// query) riding along, and returns the message to send.
+func (c *QueryCall) Fill(from addr.Addr, key bitpath.Path, level int, ctx *trace.SpanContext, read *GetReq) *Message {
+	c.q = QueryReq{Key: key, Level: level, Ctx: ctx}
+	if read != nil {
+		c.r = *read
+		c.q.Read = &c.r
+	}
+	c.m = Message{Kind: KindQuery, From: from, Query: &c.q}
+	return &c.m
 }
 
 // QueryResp reports the search outcome.
