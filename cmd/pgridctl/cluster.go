@@ -4,55 +4,97 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
+	"slices"
 	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/analysis"
 	"pgrid/internal/node"
 	"pgrid/internal/slo"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
-// runCluster crawls the community from one entry peer, federates every
-// reachable node's metrics snapshot, and prints the cluster report —
-// merged quantiles, RED rollups, top-K offenders, and SLO verdicts.
-// count == 1 prints one plain frame (script-friendly, the default);
-// count <= 0 refreshes forever at the given interval. jsonOut emits one
-// JSON object per frame instead of the text report. A one-shot run
-// exits nonzero when no peer answered at all.
-func runCluster(client *node.Client, id addr.Addr, objectives []slo.Objective, interval time.Duration, count int, jsonOut bool) {
+// clusterFrame is one collection of `pgridctl cluster`: the federated
+// report of the community walk, with what the walk found breaking the
+// community's own invariants. Unlisted holds the -peers entries the walk
+// neither reached nor found unreachable: no reached peer references them.
+type clusterFrame struct {
+	From       addr.Addr              `json:"from"`
+	At         time.Time              `json:"at"`
+	Messages   int                    `json:"messages"`
+	Reached    int                    `json:"reached"`
+	Digests    int                    `json:"digests"`
+	Unlisted   []addr.Addr            `json:"unlisted,omitempty"`
+	Violations []node.Violation       `json:"violations,omitempty"`
+	Report     analysis.ClusterReport `json:"report"`
+}
+
+// collectCluster walks the community from id, asking every peer its
+// metrics, health, liveness and repair, and checks the walk against the
+// -peers list all.
+func collectCluster(client *node.Client, id addr.Addr, all []addr.Addr, objectives []slo.Objective) clusterFrame {
+	res := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness | wire.AskRepair})
+	f := clusterFrame{From: id, At: time.Now(), Messages: res.Messages, Reached: len(res.Reached),
+		Digests: len(res.Digests), Violations: res.Violations,
+		Report: analysis.AnalyzeCluster(res.Snapshots, res.Digests, res.Unreachable, objectives)}
+	f.Report.Grid.AttachRepair(res.Repairs)
+	for _, a := range all {
+		if !slices.Contains(res.Reached, a) && !slices.Contains(res.Unreachable, a) {
+			f.Unlisted = append(f.Unlisted, a)
+		}
+	}
+	return f
+}
+
+// exitCode is a one-shot run's verdict on the frame: 1 when no peer
+// answered, a peer is unreachable or unlisted, a reference breaks the
+// Sec. 2 property, an objective is breached or repair is stuck; else 0.
+func (f clusterFrame) exitCode() int {
+	r := f.Report
+	if r.Peers == 0 || len(r.Unreachable) > 0 || len(f.Unlisted) > 0 || len(f.Violations) > 0 ||
+		r.Breached() || r.Grid.Repair.State == "stuck" {
+		return 1
+	}
+	return 0
+}
+
+// runCluster collects and prints the cluster frame — merged quantiles,
+// RED rollups, top-K offenders, SLO verdicts, the structural and repair
+// census, and every unreachable peer, unlisted peer and violation.
+// count == 1 prints one plain frame (script-friendly, the default) and
+// exits with its exitCode; count <= 0 refreshes forever at the given
+// interval. jsonOut emits one JSON object per frame instead of the text.
+func runCluster(client *node.Client, id addr.Addr, all []addr.Addr, objectives []slo.Objective, interval time.Duration, count int, jsonOut bool) {
 	enc := json.NewEncoder(os.Stdout)
 	for i := 0; count <= 0 || i < count; i++ {
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		res := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness})
-		rep := analysis.AnalyzeCluster(res.Snapshots, res.Digests, res.Unreachable, objectives)
+		f := collectCluster(client, id, all, objectives)
 		if jsonOut {
-			err := enc.Encode(map[string]any{
-				"from":     id,
-				"at":       time.Now(),
-				"messages": res.Messages,
-				"digests":  len(res.Digests),
-				"report":   rep,
-			})
-			if err != nil {
+			if err := enc.Encode(f); err != nil {
 				fmt.Fprintln(os.Stderr, "pgridctl:", err)
 				os.Exit(1)
 			}
 		} else {
 			if count != 1 {
 				fmt.Print("\x1b[H\x1b[2J")
-				fmt.Printf("cluster from node %v · %s\n", id, time.Now().Format("15:04:05"))
+				fmt.Printf("cluster from node %v · %s\n", id, f.At.Format("15:04:05"))
 			}
-			fmt.Printf("collected %d peers from node %v (%d messages, %d census digests)\n",
-				rep.Peers, id, res.Messages, len(res.Digests))
-			analysis.RenderClusterReport(os.Stdout, rep)
+			fmt.Printf("crawled %d peers from node %v (%d messages)\n", f.Reached, id, f.Messages)
+			for _, a := range f.Report.Unreachable {
+				fmt.Printf("  unreachable: %v\n", a)
+			}
+			for _, a := range f.Unlisted {
+				fmt.Printf("  unlisted: %v (in -peers, referenced by no reached peer)\n", a)
+			}
+			for _, v := range f.Violations {
+				fmt.Printf("  VIOLATION: %s\n", v)
+			}
+			analysis.RenderClusterReport(os.Stdout, f.Report)
 		}
-		if count == 1 && rep.Peers == 0 {
-			os.Exit(1)
+		if count == 1 {
+			os.Exit(f.exitCode())
 		}
 	}
 }
@@ -65,46 +107,5 @@ func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("no peer reachable from node %v answered the metrics frame", id)
 	}
-	return flattenSnapshots(snaps), nil
-}
-
-// flattenSnapshots folds the metrics snapshots of one node or of every
-// peer into one stats map: it sums the flat counters, merges the quantile
-// histograms bucket-wise, and renders the merged quantiles under the
-// series names /metrics uses.
-func flattenSnapshots(snaps map[addr.Addr]telemetry.MetricsSnapshot) statMap {
-	m := make(statMap)
-	hists := make(map[string]telemetry.QHistSnapshot)
-	for _, snap := range snaps {
-		for _, s := range snap.Stats {
-			m[s.Name] += s.Value
-		}
-		for _, h := range snap.Hists {
-			merged, err := telemetry.MergeQHist(hists[h.Name], h)
-			if err != nil {
-				continue // geometry skew from a foreign build: skip the peer's hist
-			}
-			hists[h.Name] = merged
-		}
-	}
-	for name, h := range hists {
-		if h.Count == 0 {
-			continue
-		}
-		qs := h.Quantiles(telemetry.QuantilePoints...)
-		for i, q := range []string{"0.5", "0.95", "0.99", "0.999"} {
-			m[withQuantile(name, q)] = qs[i]
-		}
-	}
-	return m
-}
-
-// withQuantile appends a quantile label to a possibly-already-labeled
-// series name, matching how the node's own stats snapshot renders its
-// histograms: `m{kind="query"}` → `m{kind="query",quantile="0.5"}`.
-func withQuantile(name, q string) string {
-	if len(name) > 0 && name[len(name)-1] == '}' {
-		return name[:len(name)-1] + `,quantile=` + strconv.Quote(q) + `}`
-	}
-	return name + `{quantile=` + strconv.Quote(q) + `}`
+	return analysis.FlattenSnapshots(snaps), nil
 }

@@ -2,7 +2,7 @@
 // queries the distributed index, and inspects node state over the same
 // wire protocol the nodes speak among themselves.
 //
-//	pgridctl -peers 0=:7000,1=:7001 info 0
+//	pgridctl -peers 0=:7000,1=:7001 observe 0 ask=links
 //	pgridctl -peers 0=:7000,1=:7001 publish 0 song.mp3 1
 //	pgridctl -peers 0=:7000,1=:7001 lookup 1 song.mp3
 //	pgridctl -peers 0=:7000,1=:7001 query 0 010110
@@ -13,11 +13,12 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"net/url"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -42,37 +43,33 @@ func main() {
 		timeout  = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries  = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
 		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster over cumulative counts and by watch over the history window: kind:pNN:threshold,... (empty disables)")
-		jsonOut  = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame")
+		jsonOut  = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame, observe the /debug/observe JSON")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: pgridctl -peers <endpoints> <command> [args]
 
 commands:
-  info <id>                     print a node's path, references, and entry count
   query <id> <key>              route a search for a binary key, starting at node <id>
   trace <id> <key>              route one fully-sampled search and print every hop
-  traces <id> [limit]           dump a node's flight recorder (recent sampled routes + cost analysis)
   publish <id> <name> <holder>  index an item (key = hash of name) at every replica a breadth-first
                                 search from node <id> reaches, the entry riding each visit
   lookup <id> <name>            search for an item by name, starting at node <id>
   mlookup <name>                majority read across the community (repetitive search)
   replicas <id> <key>           list all reachable peers covering a binary key
   scan <id> <key-prefix>        list all entries under a binary key prefix
-  stats <id>                    dump a node's telemetry counters (the /metrics data, over the wire)
+  observe <id> <query>          ask node <id> what a /debug/observe query string names: ask=links,
+                                ask=metrics, 'ask=health,liveness', 'ask=repair,repair-now' (a round
+                                first), 'ask=traces&limit=5' or 'ask=history&window=2m'
   top [-cluster] <id> [interval] [count]
                                 refreshing live summary: rates, per-kind latency quantiles, pool,
                                 breakers (default 2s forever; count 1 = one plain frame);
                                 -cluster merges every reachable peer's metrics into one view
-  audit                         fetch every node's state and verify the reference invariant
-  health <id>                   print a node's replica digest and per-level reference liveness
-  repair <id> [now]             print a node's self-healing repair status: rounds, per-class fault
-                                and heal tallies, healthy/repairing/stuck verdict; "now" first runs
-                                one repair round on the node and reports the updated status
-  crawl <id>                    walk the whole community from node <id> and print the structural report
   cluster <id> [interval] [count]
-                                crawl from node <id>, federate every peer's metrics snapshot, and print
-                                the cluster report: merged latency quantiles, RED rollups, top-K slow and
-                                erroring peers, SLO burn verdicts (default one shot; interval = refresh)
+                                walk the community from node <id> and print its verdict: merged latency
+                                quantiles, RED rollups, top-K slow and erroring peers, SLO burn, the
+                                structural and repair census, unreachable and unlisted peers and every
+                                reference breaking the Sec. 2 property; one shot (the default) exits 1
+                                if any of those fails (interval = refresh)
   watch [-cluster] <id> [interval] [count]
                                 refreshing sparkline trends from the node's history ring: RPC rate, error
                                 rate, served p99, pool wait, anomaly findings, and windowed SLO verdicts
@@ -99,8 +96,8 @@ commands:
 	// bound applies to every dial and roundtrip the CLI ever makes.
 	// Retries wrap around it: a CLI run is short-lived, so transient
 	// blips get the retry loop but no budget and no breakers. Multi-call
-	// commands (crawl, audit, mlookup) reuse pooled connections instead
-	// of re-dialing each peer per request.
+	// commands (cluster, mlookup) reuse pooled connections instead of
+	// re-dialing each peer per request.
 	pool := node.NewPoolTransport(node.PoolConfig{
 		DialTimeout: *timeout,
 		IOTimeout:   *timeout,
@@ -128,16 +125,6 @@ commands:
 
 	cmd, args := args[0], args[1:]
 	switch cmd {
-	case "info":
-		id := mustID(args, 0)
-		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindInfo, From: addr.Nil})
-		info := resp.InfoResp
-		fmt.Printf("node %v\n  path     %s\n  entries  %d\n  buddies  %v\n",
-			info.Addr, info.Path, info.Entries, info.Buddies.Addrs)
-		for i, rs := range info.Refs {
-			fmt.Printf("  level %2d %v\n", i+1, rs.Addrs)
-		}
-
 	case "query":
 		id := mustID(args, 0)
 		key, err := bitpath.Parse(arg(args, 1))
@@ -181,22 +168,6 @@ commands:
 		if !dt.Found {
 			os.Exit(1)
 		}
-
-	case "traces":
-		id := mustID(args, 0)
-		limit := 0
-		if len(args) > 1 {
-			v, err := strconv.Atoi(args[1])
-			if err != nil || v < 0 {
-				log.Fatalf("bad limit %q", args[1])
-			}
-			limit = v
-		}
-		o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskTraces, TraceLimit: limit})
-		if err != nil {
-			log.Fatal(err)
-		}
-		analysis.RenderTraces(os.Stdout, id, *o.Traces, len(all))
 
 	case "publish":
 		id := mustID(args, 0)
@@ -260,22 +231,6 @@ commands:
 			fmt.Printf("  %s\n", e)
 		}
 
-	case "stats":
-		id := mustID(args, 0)
-		stats, err := fetchStats(client, id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		names := make([]string, 0, len(stats))
-		for name := range stats {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Printf("node %v telemetry (%d series)\n", id, len(names))
-		for _, name := range names {
-			fmt.Printf("  %-56s %d\n", name, stats[name])
-		}
-
 	case "top":
 		clusterMode := false
 		if len(args) > 0 && args[0] == "-cluster" {
@@ -319,56 +274,28 @@ commands:
 		if err != nil {
 			log.Fatal(err)
 		}
-		runCluster(client, id, objectives, interval, count, *jsonOut)
+		runCluster(client, id, all, objectives, interval, count, *jsonOut)
 
-	case "health":
+	case "observe":
 		id := mustID(args, 0)
-		o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness})
+		q, err := url.ParseQuery(arg(args, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
-		analysis.RenderHealth(os.Stdout, id, *o.Health)
-
-	case "repair":
-		id := mustID(args, 0)
-		req := wire.ObserveReq{Asks: wire.AskRepair}
-		if len(args) > 1 && args[1] == "now" {
-			req.Asks |= wire.AskRepairNow
+		req, err := wire.ParseObserve(q)
+		if err != nil {
+			log.Fatal(err)
 		}
 		o, err := client.Observe(id, req)
 		if err != nil {
 			log.Fatal(err)
 		}
-		analysis.RenderRepairStatus(os.Stdout, id, *o.Repair)
-
-	case "crawl":
-		id := mustID(args, 0)
-		res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
-		fmt.Printf("crawled %d peers from node %v (%d messages)\n", len(res.Reached), id, res.Messages)
-		for _, a := range res.Unreachable {
-			fmt.Printf("  unreachable: %v\n", a)
-		}
-		rep := analysis.AnalyzeGrid(res.Digests)
-		rep.AttachRepair(res.Repairs)
-		analysis.RenderGridReport(os.Stdout, rep)
-		if len(res.Unreachable) > 0 {
-			os.Exit(1)
-		}
-
-	case "audit":
-		rep := client.Audit(all)
-		fmt.Printf("reachable %d/%d peers, avg depth %.2f, %d index entries\n",
-			rep.Reachable, len(all), rep.AvgDepth, rep.Entries)
-		for _, a := range rep.Unreachable {
-			fmt.Printf("  unreachable: %v\n", a)
-		}
-		if len(rep.Violations) == 0 {
-			fmt.Println("reference invariant: ok")
-		} else {
-			for _, v := range rep.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
+		if *jsonOut {
+			if err := json.NewEncoder(os.Stdout).Encode(o); err != nil {
+				log.Fatal(err)
 			}
-			os.Exit(1)
+		} else {
+			analysis.RenderObserve(os.Stdout, id, o, len(all))
 		}
 
 	default:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/analysis"
 	"pgrid/internal/node"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
@@ -102,7 +103,7 @@ func fetchStats(client *node.Client, id addr.Addr) (statMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: *o.Metrics}), nil
+	return analysis.FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: *o.Metrics}), nil
 }
 
 func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt time.Duration) {

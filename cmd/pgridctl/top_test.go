@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"pgrid/internal/addr"
+	"pgrid/internal/analysis"
 	"pgrid/internal/telemetry"
 )
 
@@ -172,14 +174,20 @@ func TestTopFrame(t *testing.T) {
 	}
 }
 
+// TestWithQuantile: a merged histogram comes back under the series names
+// renderTop reads, the quantile label appended to a labeled or a bare name.
 func TestWithQuantile(t *testing.T) {
-	cases := [][2]string{
-		{`pgrid_rpc_kind_latency_ns{kind="query"}`, `pgrid_rpc_kind_latency_ns{kind="query",quantile="0.5"}`},
-		{"pgrid_pool_acquire_wait_ns", `pgrid_pool_acquire_wait_ns{quantile="0.5"}`},
+	reg := telemetry.NewRegistry()
+	var snap telemetry.MetricsSnapshot
+	for _, name := range []string{`pgrid_rpc_kind_latency_ns{kind="query"}`, "pgrid_pool_acquire_wait_ns"} {
+		q := reg.Quantile(name, "")
+		q.Observe(1_500_000)
+		snap.Hists = append(snap.Hists, q.Snapshot())
 	}
-	for _, c := range cases {
-		if got := withQuantile(c[0], "0.5"); got != c[1] {
-			t.Errorf("withQuantile(%q) = %q, want %q", c[0], got, c[1])
+	got := analysis.FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{0: snap})
+	for _, want := range []string{`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.5"}`, `pgrid_pool_acquire_wait_ns{quantile="0.5"}`} {
+		if _, ok := got[want]; !ok {
+			t.Errorf("flattened stats lack %s: %v", want, got)
 		}
 	}
 }

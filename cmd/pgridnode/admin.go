@@ -10,11 +10,8 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
-	"time"
 
-	"pgrid/internal/addr"
 	"pgrid/internal/analysis"
 	"pgrid/internal/health"
 	"pgrid/internal/node"
@@ -71,12 +68,16 @@ func newAdminMux(n *node.Node, tel *telemetry.Instruments, serving *atomic.Bool,
 		fmt.Fprintf(w, "ok path=%s entries=%d\n", n.Path(), n.Store().Len())
 	})
 	debugView(mux, "/debug/observe", func(q url.Values) (any, func(io.Writer), error) {
-		req, err := observeRequest(q)
+		req, err := wire.ParseObserve(q)
 		if err != nil {
 			return nil, nil, err
 		}
+		if req.Asks&adminRefused != 0 {
+			return nil, nil, errors.New("links, metrics and repair-now are not served here: /metrics serves the metrics, " +
+				"a GET runs no repair round, and `pgridctl observe <id> <query>` asks a peer for any of them")
+		}
 		o := n.Observe(&req)
-		return o, func(w io.Writer) { renderObserve(w, n.Addr(), o) }, nil
+		return o, func(w io.Writer) { analysis.RenderObserve(w, n.Addr(), o, 0) }, nil
 	})
 	debugView(mux, "/debug/slow", func(q url.Values) (any, func(io.Writer), error) {
 		limit, err := queryLimit(q)
@@ -160,55 +161,7 @@ func queryLimit(q url.Values) (int, error) {
 	return limit, nil
 }
 
-// observeAsks are the asks /debug/observe takes by name. Links and metrics
-// are not among them, because `pgridctl info` and /metrics already answer
-// those, nor is repair-now, because a GET runs no repair round.
-var observeAsks = map[string]wire.Ask{"health": wire.AskHealth, "liveness": wire.AskLiveness,
-	"traces": wire.AskTraces, "repair": wire.AskRepair, "history": wire.AskHistory}
-
-// observeRequest reads /debug/observe's query as the wire request a peer
-// would send, held to the wire's own validity rule.
-func observeRequest(q url.Values) (wire.ObserveReq, error) {
-	var req wire.ObserveReq
-	for _, name := range strings.Split(q.Get("ask"), ",") {
-		ask, ok := observeAsks[name]
-		if !ok {
-			return req, fmt.Errorf("ask %q: want health, liveness, traces, repair or history "+
-				"(metrics is /metrics, links pgridctl info, repair-now pgridctl repair <id> now)", name)
-		}
-		req.Asks |= ask
-	}
-	if !req.Asks.Valid() {
-		return req, errors.New("liveness modifies the health column: ask health too")
-	}
-	limit, err := queryLimit(q)
-	if err != nil {
-		return req, err
-	}
-	req.MaxPoints, req.TraceLimit = int64(limit), limit
-	if s := q.Get("window"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			return req, fmt.Errorf("bad window %q", s)
-		}
-		req.WindowNS = int64(d)
-	}
-	return req, nil
-}
-
-// renderObserve writes each column o carries through the printer pgridctl
-// uses for it: health, repair, traces, then the history's trend report.
-func renderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp) {
-	if o.Health != nil {
-		analysis.RenderHealth(w, a, *o.Health)
-	}
-	if o.Repair != nil {
-		analysis.RenderRepairStatus(w, a, *o.Repair)
-	}
-	if o.Traces != nil {
-		analysis.RenderTraces(w, a, *o.Traces, 0)
-	}
-	if o.History != nil {
-		analysis.RenderTrendReport(w, analysis.AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, nil))
-	}
-}
+// adminRefused are the asks of the observe grammar that /debug/observe
+// refuses: /metrics serves the metrics, a GET runs no repair round, and the
+// links are read over the wire (`pgridctl observe <id> ask=links`).
+const adminRefused = wire.AskLinks | wire.AskMetrics | wire.AskRepairNow

@@ -25,7 +25,8 @@
 // references and detects structural faults (invariant-violating or dead
 // references, path drift, diverged or orphaned replicas, orphaned entries),
 // heals them within 64 messages, and reports through the pgrid_repair_*
-// series, /debug/observe?ask=repair, and `pgridctl repair`; the probes also
+// series and the repair column of an observe (/debug/observe?ask=repair,
+// `pgridctl observe <id> ask=repair`); the probes also
 // feed the health digest, the pgrid_health_* gauges, and the
 // -health-min-liveness readiness check. With -events the
 // node appends one JSON line per exchange/query/RPC to a file, in the same

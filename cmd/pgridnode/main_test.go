@@ -733,7 +733,7 @@ func TestAdminObserve(t *testing.T) {
 		"ask=bogus",                   // unknown
 		"ask=liveness",                // the modifier without its column
 		"ask=metrics",                 // /metrics serves it
-		"ask=links",                   // pgridctl info serves it
+		"ask=links",                   // the wire serves it
 		"ask=traces&limit=-1",         // negative limit
 		"ask=history&window=nonsense", // unparsable window
 	} {

@@ -124,7 +124,7 @@ func main() {
 		// Transplant the built directory into networked nodes over an
 		// in-process transport, knock peers offline at the -online
 		// probability, and probe the survivors' references — the same
-		// digest → analysis path `pgridctl crawl` runs against a real
+		// digest → analysis path `pgridctl cluster` runs against a real
 		// community, so the two reports are directly comparable.
 		tr := node.NewLocalTransport()
 		nodes := make([]*node.Node, 0, *n)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -256,6 +257,47 @@ func (r ClusterReport) Breached() bool {
 		}
 	}
 	return false
+}
+
+// FlattenSnapshots folds the metrics snapshots of one node or of every peer
+// into one stats map: it sums the flat counters, merges the quantile
+// histograms bucket-wise, and renders the merged quantiles under the series
+// names /metrics uses.
+func FlattenSnapshots(snaps map[addr.Addr]telemetry.MetricsSnapshot) map[string]int64 {
+	m := make(map[string]int64)
+	hists := make(map[string]telemetry.QHistSnapshot)
+	for _, snap := range snaps {
+		for _, s := range snap.Stats {
+			m[s.Name] += s.Value
+		}
+		for _, h := range snap.Hists {
+			merged, err := telemetry.MergeQHist(hists[h.Name], h)
+			if err != nil {
+				continue // geometry skew from a foreign build: skip the peer's hist
+			}
+			hists[h.Name] = merged
+		}
+	}
+	for name, h := range hists {
+		if h.Count == 0 {
+			continue
+		}
+		qs := h.Quantiles(telemetry.QuantilePoints...)
+		for i, q := range []string{"0.5", "0.95", "0.99", "0.999"} {
+			m[withQuantile(name, q)] = qs[i]
+		}
+	}
+	return m
+}
+
+// withQuantile appends a quantile label to a possibly-already-labeled
+// series name, matching how the node's own stats snapshot renders its
+// histograms: `m{kind="query"}` → `m{kind="query",quantile="0.5"}`.
+func withQuantile(name, q string) string {
+	if len(name) > 0 && name[len(name)-1] == '}' {
+		return name[:len(name)-1] + `,quantile=` + strconv.Quote(q) + `}`
+	}
+	return name + `{quantile=` + strconv.Quote(q) + `}`
 }
 
 // fmtNS renders nanoseconds with an adaptive unit, aligned for tables.

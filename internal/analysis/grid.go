@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
@@ -266,7 +267,7 @@ func (r GridReport) AvailabilityAgrees(tol float64) bool {
 }
 
 // RenderGridReport writes the report as the text table pgridsim and
-// `pgridctl crawl` print.
+// `pgridctl cluster` print.
 func RenderGridReport(w io.Writer, r GridReport) {
 	fmt.Fprintf(w, "peers          %d over %d paths\n", r.Peers, len(r.Census))
 	if r.Peers == 0 {
@@ -299,35 +300,67 @@ func RenderGridReport(w io.Writer, r GridReport) {
 	}
 }
 
-// RenderHealth writes peer a's health column as the text `pgridctl health`
-// and the admin port's /debug/observe?ask=health&format=text print: the
-// digest, then one line per probed level.
-func RenderHealth(w io.Writer, a addr.Addr, h wire.HealthColumn) {
-	fmt.Fprintf(w, "node %v health (%d probe rounds)\n  %s\n", a, h.Rounds, h.Digest)
-	for _, lp := range h.Digest.Liveness {
-		r, _ := lp.Ratio()
-		fmt.Fprintf(w, "  level %2d liveness %.2f (%d live / %d dead)\n", lp.Level, r, lp.Live, lp.Dead)
+// RenderObserve writes each column o carries, as `pgridctl observe` and the
+// admin port's /debug/observe?format=text print peer a's answer: the links;
+// the health digest, then one line per probed level; the repair verdict,
+// rounds and per-class fault and heal tallies; the traces, newest first, then
+// their route analysis for a community of nPeers (0 leaves out the log2(n)
+// bound); the history's trend report; then the metrics, one flattened series
+// a line.
+func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int) {
+	if l := o.Links; l != nil {
+		fmt.Fprintf(w, "node %v\n  path     %s\n  entries  %d\n  buddies  %v\n", a, l.Path, l.Entries, l.Buddies.Addrs)
+		for i, rs := range l.Refs {
+			fmt.Fprintf(w, "  level %2d %v\n", i+1, rs.Addrs)
+		}
 	}
-}
-
-// RenderRepairStatus writes peer a's repair column as the text `pgridctl
-// repair` and the admin port's /debug/observe?ask=repair&format=text print:
-// the verdict, the rounds and the per-class fault and heal tallies.
-func RenderRepairStatus(w io.Writer, a addr.Addr, st repair.Status) {
-	fmt.Fprintf(w, "node %v repair\n", a)
-	if !st.Enabled {
-		fmt.Fprintln(w, "repair disabled")
-		return
+	if h := o.Health; h != nil {
+		fmt.Fprintf(w, "node %v health (%d probe rounds)\n  %s\n", a, h.Rounds, h.Digest)
+		for _, lp := range h.Digest.Liveness {
+			r, _ := lp.Ratio()
+			fmt.Fprintf(w, "  level %2d liveness %.2f (%d live / %d dead)\n", lp.Level, r, lp.Live, lp.Dead)
+		}
 	}
-	fmt.Fprintf(w, "state    %s\n", repair.State(true, st.LastHeals, st.LastUnhealed))
-	fmt.Fprintf(w, "rounds   %d (%d messages)\n", st.Rounds, st.Messages)
-	fmt.Fprintf(w, "last     %d faults / %d heals / %d unhealed\n",
-		st.LastFaults, st.LastHeals, st.LastUnhealed)
-	for _, t := range st.Faults {
-		fmt.Fprintf(w, "fault    %-18s %6d\n", t.Name, t.N)
+	if st := o.Repair; st != nil {
+		fmt.Fprintf(w, "node %v repair\n", a)
+		if !st.Enabled {
+			fmt.Fprintln(w, "repair disabled")
+		} else {
+			fmt.Fprintf(w, "state    %s\nrounds   %d (%d messages)\nlast     %d faults / %d heals / %d unhealed\n",
+				repair.State(true, st.LastHeals, st.LastUnhealed), st.Rounds, st.Messages,
+				st.LastFaults, st.LastHeals, st.LastUnhealed)
+			for _, t := range st.Faults {
+				fmt.Fprintf(w, "fault    %-18s %6d\n", t.Name, t.N)
+			}
+			for _, t := range st.Heals {
+				fmt.Fprintf(w, "heal     %-18s %6d\n", t.Name, t.N)
+			}
+		}
 	}
-	for _, t := range st.Heals {
-		fmt.Fprintf(w, "heal     %-18s %6d\n", t.Name, t.N)
+	if col := o.Traces; col != nil {
+		fmt.Fprintf(w, "node %v flight recorder: %d retained (of %d ever recorded)\n", a, len(col.Traces), col.Total)
+		for _, t := range col.Traces {
+			fmt.Fprintf(w, "  %016x %s\n", t.TraceID, t)
+		}
+		if len(col.Traces) > 0 {
+			fmt.Fprintln(w, "route analysis:")
+			RenderTraceReport(w, AnalyzeTraces(col.Traces, nPeers))
+		}
+	}
+	if o.History != nil {
+		RenderTrendReport(w, AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, nil))
+	}
+	if o.Metrics != nil {
+		stats := FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{a: *o.Metrics})
+		names := make([]string, 0, len(stats))
+		for name := range stats {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(w, "node %v telemetry (%d series)\n", a, len(names))
+		for _, name := range names {
+			fmt.Fprintf(w, "  %-56s %d\n", name, stats[name])
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"pgrid/internal/health"
 	"pgrid/internal/node"
 	"pgrid/internal/sim"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -233,9 +234,11 @@ func TestEq3AgainstMeasuredProbes(t *testing.T) {
 	}
 }
 
-// TestRenderColumns pins the text of the health and traces columns, the
-// lines `pgridctl health`, `pgridctl traces` and the admin port's
-// /debug/observe?format=text print.
+// TestRenderColumns pins the text of the links, health, traces and metrics
+// columns, the lines `pgridctl observe` and the admin port's
+// /debug/observe?format=text print; only the CLI knows the community's size
+// for the traces' log2(n) bound. The repair column is pinned by
+// cmd/pgridnode's TestAdminRepairEndpoint.
 func TestRenderColumns(t *testing.T) {
 	digest := health.Digest{Addr: 3, Path: "01", Entries: 2, MaxVersion: 7, IndexHash: 0xab, Buddies: 1,
 		RefCounts: []int{2, 1}, Liveness: []health.LevelProbe{{Level: 1, Live: 2, Dead: 1}, {Level: 2, Live: 1}}}
@@ -248,18 +251,22 @@ func TestRenderColumns(t *testing.T) {
 		render func(*strings.Builder)
 		want   string
 	}{
-		{"health with liveness", func(b *strings.Builder) { RenderHealth(b, 3, wire.HealthColumn{Digest: digest, Rounds: 5}) },
+		{"health with liveness", func(b *strings.Builder) {
+			RenderObserve(b, 3, &wire.ObserveResp{Health: &wire.HealthColumn{Digest: digest, Rounds: 5}}, 4)
+		},
 			"node addr(3) health (5 probe rounds)\n" +
 				"  addr(3) path=01 entries=2 maxver=7 hash=00000000000000ab buddies=1 refs=[2 1] liveness=0.75\n" +
 				"  level  1 liveness 0.67 (2 live / 1 dead)\n" +
 				"  level  2 liveness 1.00 (1 live / 0 dead)\n"},
-		{"health before any round", func(b *strings.Builder) { RenderHealth(b, 0, wire.HealthColumn{}) },
+		{"health before any round", func(b *strings.Builder) { RenderObserve(b, 0, &wire.ObserveResp{Health: &wire.HealthColumn{}}, 4) },
 			"node addr(0) health (0 probe rounds)\n" +
 				"  addr(0) path=ε entries=0 maxver=0 hash=0000000000000000 buddies=0 refs=[]\n"},
-		{"empty recorder", func(b *strings.Builder) { RenderTraces(b, 2, wire.TracesColumn{Total: 7}, 4) },
+		{"empty recorder", func(b *strings.Builder) {
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 7}}, 4)
+		},
 			"node addr(2) flight recorder: 0 retained (of 7 ever recorded)\n"},
 		{"one route", func(b *strings.Builder) {
-			RenderTraces(b, 2, wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}, 4)
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 4)
 		},
 			"node addr(2) flight recorder: 1 retained (of 9 ever recorded)\n" +
 				"  00000000000000ff key 01: addr(2)[0/0] → addr(5)[01/1] ✓ (1 msgs)\n" +
@@ -271,6 +278,31 @@ func TestRenderColumns(t *testing.T) {
 				"per level      level    visits backtracks      latency\n" +
 				"               0             1          0        1.5µs\n" +
 				"               1             1          0            -\n"},
+		{"one route, community size unknown", func(b *strings.Builder) {
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 0)
+		},
+			"node addr(2) flight recorder: 1 retained (of 9 ever recorded)\n" +
+				"  00000000000000ff key 01: addr(2)[0/0] → addr(5)[01/1] ✓ (1 msgs)\n" +
+				"route analysis:\n" +
+				"traces         1 (1 found)\n" +
+				"hops           mean 1.00, p50 1, p95 1, max 1\n" +
+				"backtracks     mean 0.00\n" +
+				"per level      level    visits backtracks      latency\n" +
+				"               0             1          0        1.5µs\n" +
+				"               1             1          0            -\n"},
+		{"links", func(b *strings.Builder) {
+			RenderObserve(b, 3, &wire.ObserveResp{Links: &wire.InfoResp{Addr: 3, Path: "01", Entries: 2,
+				Refs: []wire.RefSet{{Addrs: []addr.Addr{4, 5}}, {Addrs: []addr.Addr{1}}}, Buddies: wire.RefSet{Addrs: []addr.Addr{6}}}}, 4)
+		},
+			"node addr(3)\n  path     01\n  entries  2\n  buddies  [addr(6)]\n" +
+				"  level  1 [addr(4) addr(5)]\n  level  2 [addr(1)]\n"},
+		{"metrics, series sorted", func(b *strings.Builder) {
+			RenderObserve(b, 3, &wire.ObserveResp{Metrics: &telemetry.MetricsSnapshot{
+				Stats: []telemetry.Stat{{Name: "pgrid_query_total", Value: 7}, {Name: "pgrid_exchange_total", Value: 2}}}}, 4)
+		},
+			"node addr(3) telemetry (2 series)\n" +
+				"  pgrid_exchange_total                                     2\n" +
+				"  pgrid_query_total                                        7\n"},
 	} {
 		var b strings.Builder
 		tc.render(&b)

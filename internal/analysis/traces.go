@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"pgrid/internal/addr"
 	"pgrid/internal/trace"
-	"pgrid/internal/wire"
 )
 
 // LevelCost aggregates the spans observed at one resolution level: how
@@ -114,21 +112,6 @@ func (r TraceReport) WithinLogN(tol float64) bool {
 		return false
 	}
 	return r.MeanHops <= r.PredictedHops*(1+tol)
-}
-
-// RenderTraces writes peer a's traces column as the text `pgridctl traces`
-// and the admin port's /debug/observe?ask=traces&format=text print: one
-// route per line, newest first, then the route analysis for a community of
-// nPeers (0 leaves out the log2(n) bound).
-func RenderTraces(w io.Writer, a addr.Addr, col wire.TracesColumn, nPeers int) {
-	fmt.Fprintf(w, "node %v flight recorder: %d retained (of %d ever recorded)\n", a, len(col.Traces), col.Total)
-	for _, t := range col.Traces {
-		fmt.Fprintf(w, "  %016x %s\n", t.TraceID, t)
-	}
-	if len(col.Traces) > 0 {
-		fmt.Fprintln(w, "route analysis:")
-		RenderTraceReport(w, AnalyzeTraces(col.Traces, nPeers))
-	}
 }
 
 // RenderTraceReport writes the report as the text table pgridsim and

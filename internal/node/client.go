@@ -8,7 +8,6 @@ import (
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
-	"pgrid/internal/repair"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
@@ -40,7 +39,7 @@ func NewClient(tr Transport, seed int64) *Client {
 // synchronized.
 func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }
 
-// ask is the single-peer read behind nodeInfo, TraceQuery and Observe: one
+// ask is the single-peer read behind TraceQuery and Observe: one
 // request, and an answer in which got does not find the payload
 // that request asks for is ErrMalformed, counted under the request kind — a
 // misbehaving peer is operationally a different problem from a churned one.
@@ -58,16 +57,6 @@ func (c *Client) ask(a addr.Addr, req wire.Message, got func(*wire.Message) bool
 		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, kind, resp.Kind)
 	}
 	return resp, nil
-}
-
-// nodeInfo fetches a peer's path and reference table.
-func (c *Client) nodeInfo(a addr.Addr) (*wire.InfoResp, error) {
-	resp, err := c.ask(a, wire.Message{Kind: wire.KindInfo, From: addr.Nil},
-		func(m *wire.Message) bool { return m.InfoResp != nil })
-	if err != nil {
-		return nil, err
-	}
-	return resp.InfoResp, nil
 }
 
 // TraceQuery routes one fully-sampled search for key via the peer at
@@ -296,63 +285,6 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 		out.Found = true
 	}
 	return out
-}
-
-// AuditReport summarizes a community-wide structural audit.
-type AuditReport struct {
-	// Reachable is the number of peers that answered the Info request.
-	Reachable int
-	// Unreachable lists peers that did not answer.
-	Unreachable []addr.Addr
-	// Violations lists references that break the Section 2 property
-	// (judged against the answering peers' current paths).
-	Violations []string
-	// AvgDepth is the mean path length over reachable peers.
-	AvgDepth float64
-	// Entries is the total index entries over reachable peers.
-	Entries int
-}
-
-// Audit fetches every peer's state and verifies the reference invariant
-// across the community — the operational health check behind
-// `pgridctl audit`. Peers that do not answer are reported, not treated as
-// violations (they may simply be offline).
-func (c *Client) Audit(all []addr.Addr) AuditReport {
-	var rep AuditReport
-	infos := make(map[addr.Addr]*wire.InfoResp)
-	var reached []addr.Addr // in the caller's order: two audits of one community print the same report
-	for _, a := range all {
-		if infos[a] != nil {
-			continue
-		}
-		if info, err := c.nodeInfo(a); err == nil {
-			infos[a] = info
-			reached = append(reached, a)
-		} else {
-			rep.Unreachable = append(rep.Unreachable, a)
-		}
-	}
-	rep.Reachable = len(reached)
-	depthSum := 0
-	for _, a := range reached {
-		info := infos[a]
-		depthSum += info.Path.Len()
-		rep.Entries += info.Entries
-		for i, rs := range info.Refs {
-			level := i + 1
-			for _, r := range rs.ToSet().Sorted() {
-				// An unreachable target cannot be judged.
-				if q, ok := infos[r]; ok && !repair.ValidRef(info.Path, level, q.Path) {
-					rep.Violations = append(rep.Violations, fmt.Sprintf(
-						"%v level %d → %v: path %s is not a valid reference for %s", a, level, r, q.Path, info.Path))
-				}
-			}
-		}
-	}
-	if rep.Reachable > 0 {
-		rep.AvgDepth = float64(depthSum) / float64(rep.Reachable)
-	}
-	return rep
 }
 
 // PrefixSearch searches breadth-first for the covering replicas of prefix,

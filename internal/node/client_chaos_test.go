@@ -114,10 +114,9 @@ func TestClientMalformedResponses(t *testing.T) {
 		counter string // labeled malformed counter expected to move
 		call    func(t *testing.T, cl *Client)
 	}{
-		{"info nil payload via audit", wire.KindInfo, "nilpayload", "info", func(t *testing.T, cl *Client) {
-			rep := cl.Audit([]addr.Addr{start})
-			if rep.Reachable != 0 || len(rep.Unreachable) != 1 {
-				t.Errorf("audit of malformed peer: %+v", rep)
+		{"info nil payload via replica search", wire.KindInfo, "nilpayload", "info", func(t *testing.T, cl *Client) {
+			if res := cl.ReplicaSearch(start, key, 2); len(res.Found) != 0 || res.Messages != 1 {
+				t.Errorf("replica search of a malformed peer: %+v", res)
 			}
 		}},
 		{"info wrong kind via replica search", wire.KindInfo, "wrongkind", "info", func(t *testing.T, cl *Client) {
@@ -204,7 +203,6 @@ func TestClientSurvivesHeavyCorruption(t *testing.T) {
 
 	key := bitpath.MustParse("011")
 	cl.ReplicaSearch(c.Nodes[3].Addr(), key, 2)
-	cl.Audit([]addr.Addr{c.Nodes[0].Addr(), c.Nodes[1].Addr(), c.Nodes[2].Addr()})
 	cl.MajorityRead([]addr.Addr{c.Nodes[4].Addr(), c.Nodes[5].Addr()}, key, "f", 2, 16)
 	cl.Walk(c.Nodes[6].Addr(), wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 
@@ -326,8 +324,8 @@ func TestMaintainCountsMalformed(t *testing.T) {
 
 func TestErrMalformedMessageNamesKind(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 28)
-	cl := NewClient(&malformTransport{inner: c.Transport, kind: wire.KindInfo, mode: "wrongkind"}, 1)
-	_, err := cl.nodeInfo(c.Nodes[0].Addr())
+	cl := NewClient(&malformTransport{inner: c.Transport, kind: wire.KindObserve, mode: "wrongkind"}, 1)
+	_, err := cl.Observe(c.Nodes[0].Addr(), wire.ObserveReq{Asks: wire.AskHealth})
 	if err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("malformed error should name the answered kind: %v", err)
 	}

@@ -3,12 +3,14 @@ package node
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/store"
+	"pgrid/internal/wire"
 )
 
 // builtCluster returns a converged in-process cluster plus a client.
@@ -152,30 +154,26 @@ func TestClientSurvivesOfflinePeers(t *testing.T) {
 	}
 }
 
-func TestClientAuditCleanCluster(t *testing.T) {
+func TestWalkCleanCluster(t *testing.T) {
 	c, cl := builtCluster(t, 64, smallCfg(), 9)
-	all := make([]addr.Addr, len(c.Nodes))
-	for i, n := range c.Nodes {
-		all[i] = n.Addr()
+	res := cl.Walk(c.Nodes[0].Addr(), wire.ObserveReq{Asks: wire.AskHealth})
+	if len(res.Reached) != 64 || len(res.Unreachable) != 0 {
+		t.Fatalf("walk reached %d, unreachable %v", len(res.Reached), res.Unreachable)
 	}
-	rep := cl.Audit(all)
-	if rep.Reachable != 64 || len(rep.Unreachable) != 0 {
-		t.Fatalf("report = %+v", rep)
+	if len(res.Violations) != 0 {
+		t.Fatalf("clean cluster has violations: %v", res.Violations)
 	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("clean cluster has violations: %v", rep.Violations)
+	depth := 0
+	for _, d := range res.Digests {
+		depth += d.Path.Len()
 	}
-	if rep.AvgDepth < 3.9 {
-		t.Errorf("avg depth = %v", rep.AvgDepth)
+	if avg := float64(depth) / float64(len(res.Digests)); avg < 3.9 {
+		t.Errorf("avg depth = %v", avg)
 	}
 }
 
-func TestClientAuditDetectsViolationAndOffline(t *testing.T) {
+func TestWalkDetectsViolationAndOffline(t *testing.T) {
 	c, cl := builtCluster(t, 32, smallCfg(), 10)
-	all := make([]addr.Addr, len(c.Nodes))
-	for i, n := range c.Nodes {
-		all[i] = n.Addr()
-	}
 	// Corrupt one reference: make node 0 reference a same-side peer.
 	var sameSide addr.Addr = addr.Nil
 	p0 := c.Nodes[0].Path()
@@ -191,19 +189,20 @@ func TestClientAuditDetectsViolationAndOffline(t *testing.T) {
 	c.Nodes[0].Peer().SetRefsAt(1, addr.NewSet(sameSide))
 	c.Nodes[5].SetOnline(false)
 
-	rep := cl.Audit(all)
-	if len(rep.Violations) == 0 {
-		t.Error("corrupted reference not detected")
+	res := cl.Walk(c.Nodes[0].Addr(), wire.ObserveReq{})
+	want := Violation{From: 0, FromPath: p0, Level: 1, To: sameSide, ToPath: c.Nodes[sameSide].Path()}
+	if !slices.Contains(res.Violations, want) {
+		t.Errorf("corrupted reference not detected: %v", res.Violations)
 	}
-	if len(rep.Unreachable) != 1 || rep.Unreachable[0] != 5 {
-		t.Errorf("unreachable = %v", rep.Unreachable)
+	if len(res.Unreachable) != 1 || res.Unreachable[0] != 5 {
+		t.Errorf("unreachable = %v", res.Unreachable)
 	}
 }
 
-// TestClientAuditOrderIsStable: two audits of one broken community list the
-// same violations in the same order — caller's peer order, levels ascending,
-// targets sorted — so `pgridctl audit` output can be diffed between runs.
-func TestClientAuditOrderIsStable(t *testing.T) {
+// TestWalkViolationOrderIsStable: two walks of one broken community list the
+// same violations in the same order — peers ascending, levels ascending,
+// targets sorted — so `pgridctl cluster` output can be diffed between runs.
+func TestWalkViolationOrderIsStable(t *testing.T) {
 	c, cl := builtCluster(t, 32, smallCfg(), 10)
 	all := make([]addr.Addr, len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -214,13 +213,13 @@ func TestClientAuditOrderIsStable(t *testing.T) {
 	for i, n := range c.Nodes {
 		n.Peer().SetRefsAt(1, addr.NewSet(all[(i+1)%len(all)], all[(i+2)%len(all)]))
 	}
-	first := cl.Audit(all).Violations
+	first := cl.Walk(all[0], wire.ObserveReq{}).Violations
 	if len(first) < 8 {
 		t.Fatalf("fixture: only %d violations, too few to catch a random order", len(first))
 	}
 	for run := 0; run < 4; run++ {
-		if again := cl.Audit(all).Violations; !reflect.DeepEqual(first, again) {
-			t.Fatalf("audit %d differs from the first:\n%v\nvs\n%v", run+2, again, first)
+		if again := cl.Walk(all[run+1], wire.ObserveReq{}).Violations; !reflect.DeepEqual(first, again) {
+			t.Fatalf("walk %d differs from the first:\n%v\nvs\n%v", run+2, again, first)
 		}
 	}
 }

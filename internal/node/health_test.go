@@ -139,7 +139,7 @@ func TestFetchHealth(t *testing.T) {
 	}
 }
 
-// crawl is the walk `pgridctl crawl` makes.
+// crawl is the community walk asking for the health census and repair.
 func crawl(cl *Client, start addr.Addr) WalkResult {
 	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 }

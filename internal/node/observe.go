@@ -1,10 +1,12 @@
 package node
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
 	"pgrid/internal/telemetry"
@@ -54,9 +56,9 @@ func (n *Node) Observe(req *wire.ObserveReq) *wire.ObserveResp {
 }
 
 // Observe asks the peer at a the one operator question req names, in one
-// KindObserve: the single-peer read behind `pgridctl health`, `repair`,
-// `traces`, `stats`, `top` and `watch`. An answer without every column asked
-// for is ErrMalformed, counted under observe.
+// KindObserve: the single-peer read behind `pgridctl observe`, `top` and
+// `watch`. An answer without every column asked for is ErrMalformed, counted
+// under observe.
 func (c *Client) Observe(a addr.Addr, req wire.ObserveReq) (*wire.ObserveResp, error) {
 	asks := req.Asks
 	resp, err := c.ask(a, wire.Message{Kind: wire.KindObserve, From: addr.Nil, Observe: &req},
@@ -70,12 +72,15 @@ func (c *Client) Observe(a addr.Addr, req wire.ObserveReq) (*wire.ObserveResp, e
 // WalkResult is one community walk. Reached lists the peers that answered
 // and Unreachable the peers some reached peer referenced that could not be
 // asked (offline, crashed, unknown to the transport, or answering without
-// their links), both sorted. Each asked column is filed from what the reached
-// peers answered: Digests (sorted by address), Repairs, Snapshots and Dumps.
-// Messages is the cost in frames sent: one per contact, answered or not.
+// their links), both sorted. Violations lists every followed reference whose
+// answered target breaks the Section 2 property, by peer, level, then target.
+// Each asked column is filed from what the reached peers answered: Digests
+// (sorted by address), Repairs, Snapshots and Dumps. Messages is the cost in
+// frames sent: one per contact, answered or not.
 type WalkResult struct {
 	Reached     []addr.Addr
 	Unreachable []addr.Addr
+	Violations  []Violation
 	Digests     []health.Digest
 	Repairs     []repair.Status
 	Snapshots   map[addr.Addr]telemetry.MetricsSnapshot
@@ -83,11 +88,27 @@ type WalkResult struct {
 	Messages    int
 }
 
-// Walk is the one community walk, behind `pgridctl crawl`, `cluster`,
-// `top -cluster` and `watch -cluster`: breadth-first from the peer at start
-// along every reference and buddy link, one KindObserve per peer asking req's
-// columns and the links the walk follows. A transport error, or an answer
-// without links, makes the peer Unreachable and never aborts the walk; an
+// Violation is one followed reference that breaks the Section 2 property:
+// From's reference at Level names To, whose answered path is not a valid
+// reference for From's.
+type Violation struct {
+	From     addr.Addr
+	FromPath bitpath.Path
+	Level    int
+	To       addr.Addr
+	ToPath   bitpath.Path
+}
+
+func (v Violation) String() string {
+	return fmt.Sprintf("%v level %d → %v: path %s is not a valid reference for %s", v.From, v.Level, v.To, v.ToPath, v.FromPath)
+}
+
+// Walk is the one community walk, behind `pgridctl cluster`, `top -cluster`
+// and `watch -cluster`: breadth-first from the peer at start along every
+// reference and buddy link, one KindObserve per peer asking req's columns and
+// the links the walk follows, which it then judges with repair.ValidRef where
+// the target answered too. A transport error, or an answer without links,
+// makes the peer Unreachable and never aborts the walk; an
 // answer that lacks another asked column is counted malformed and the columns
 // it has are filed, with no second round trip. There is no path for a peer
 // that does not know KindObserve, because the one wire cannot produce the
@@ -98,6 +119,7 @@ func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 	req.Asks |= wire.AskLinks
 	res := WalkResult{Snapshots: make(map[addr.Addr]telemetry.MetricsSnapshot),
 		Dumps: make(map[addr.Addr]telemetry.HistoryDump)}
+	links := make(map[addr.Addr]*wire.InfoResp)
 	visited := map[addr.Addr]bool{start: true}
 	queue := []addr.Addr{start}
 	enqueue := func(rs wire.RefSet) {
@@ -130,6 +152,7 @@ func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 		}
 		from := o.Links.Addr
 		res.Reached = append(res.Reached, from)
+		links[from] = o.Links
 		if o.Health != nil {
 			res.Digests = append(res.Digests, o.Health.Digest)
 		}
@@ -150,5 +173,15 @@ func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 	sort.Slice(res.Reached, func(i, j int) bool { return res.Reached[i] < res.Reached[j] })
 	sort.Slice(res.Unreachable, func(i, j int) bool { return res.Unreachable[i] < res.Unreachable[j] })
 	sort.Slice(res.Digests, func(i, j int) bool { return res.Digests[i].Addr < res.Digests[j].Addr })
+	for _, a := range res.Reached {
+		l := links[a]
+		for i, rs := range l.Refs {
+			for _, r := range rs.ToSet().Sorted() {
+				if q, ok := links[r]; ok && !repair.ValidRef(l.Path, i+1, q.Path) {
+					res.Violations = append(res.Violations, Violation{a, l.Path, i + 1, r, q.Path})
+				}
+			}
+		}
+	}
 	return res
 }

@@ -50,8 +50,9 @@ func columnsOf(asks wire.Ask) []wire.Ask {
 	return out
 }
 
-// TestWalk drives the one community walk with the asks of each pgridctl
-// command, over the in-process transport and over pooled TCP, and pins the
+// TestWalk drives the one community walk with the asks of each of its
+// callers — the tests' census crawl, pgridctl cluster, top -cluster and
+// watch -cluster — over the in-process transport and over pooled TCP, and pins the
 // contract: one KindObserve per peer whatever is asked, one message billed
 // per frame sent, an offline peer unreachable but never fatal, and a missing
 // column handled in place — its column empty, malformed counted, the others
@@ -62,7 +63,7 @@ func TestWalk(t *testing.T) {
 		req  wire.ObserveReq
 	}{
 		{"crawl", wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
-		{"cluster", wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness}},
+		{"cluster", wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
 		{"top -cluster", wire.ObserveReq{Asks: wire.AskMetrics}},
 		{"watch -cluster", wire.ObserveReq{Asks: wire.AskHistory}},
 	}

@@ -311,7 +311,7 @@ func TestRepairEndToEnd(t *testing.T) {
 
 // TestRepairerRoundFeedsHealth pins that a repair round is a probe round:
 // a node that runs only the repairer must report its rounds and liveness
-// to `pgridctl health`, the crawl and the pgrid_health_* gauges.
+// to the health column of an observe, the crawl and the pgrid_health_* gauges.
 func TestRepairerRoundFeedsHealth(t *testing.T) {
 	c := repairFixture(t, 41)
 	n0 := c.Nodes[0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -152,7 +153,7 @@ func TestTCPOfflineNodeDropsConnections(t *testing.T) {
 }
 
 func TestTCPClientProtocols(t *testing.T) {
-	// The multi-replica client protocols (publish, majority read, audit)
+	// The multi-replica client protocols (publish, majority read, the walk)
 	// over real TCP connections.
 	nodes, tr, stop := startPooledCluster(t, 6, PoolConfig{})
 	defer stop()
@@ -189,12 +190,16 @@ func TestTCPClientProtocols(t *testing.T) {
 	if !res.Found || res.Entry.Holder != 4 {
 		t.Fatalf("majority read over TCP = %+v", res)
 	}
-	rep := cl.Audit(all)
-	if rep.Reachable != len(nodes) {
-		t.Fatalf("audit reachable = %d", rep.Reachable)
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("audit violations over TCP: %v", rep.Violations)
+	// A peer nobody references yet is not on another's walk: start one at
+	// every peer, as the operator's -peers list would.
+	for _, a := range all {
+		walk := cl.Walk(a, wire.ObserveReq{})
+		if !slices.Contains(walk.Reached, a) || len(walk.Unreachable) != 0 {
+			t.Fatalf("walk from %v reached %v, unreachable %v", a, walk.Reached, walk.Unreachable)
+		}
+		if len(walk.Violations) != 0 {
+			t.Fatalf("walk violations over TCP: %v", walk.Violations)
+		}
 	}
 }
 

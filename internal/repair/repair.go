@@ -24,7 +24,7 @@ import (
 // FaultClass names one kind of structural corruption the detector can
 // find. Classes are stable strings: they label pgrid_repair_fault
 // telemetry counters and appear verbatim in the repair column of an
-// observe (`pgridctl repair`, /debug/observe?ask=repair) and the chaos
+// observe (`pgridctl observe <id> ask=repair`, /debug/observe) and the chaos
 // artifact, so renaming one is a breaking observability change.
 type FaultClass = string
 
@@ -228,7 +228,7 @@ func Tallies(m map[string]int64) []Tally {
 
 // Status is one peer's repair report: cumulative totals since the
 // repairer started, plus the last round's fault/heal balance — the repair
-// column of an observe, which pgridctl repair, /debug/observe?ask=repair
+// column of an observe, which pgridctl observe, /debug/observe?ask=repair
 // and the grid report all render. A zero Status (Enabled=false) means the
 // peer runs no repairer.
 type Status struct {

@@ -9,7 +9,12 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net/url"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -397,6 +402,43 @@ const (
 // the codec refuses an observe that breaks it, on either side of the wire.
 func (a Ask) Valid() bool {
 	return (a&AskLiveness == 0 || a&AskHealth != 0) && (a&AskRepairNow == 0 || a&AskRepair != 0)
+}
+
+// askNames spells each ask, bit by bit, the way an observe query string names
+// it.
+var askNames = [...]string{"links", "health", "liveness", "metrics", "history", "repair", "repair-now", "traces"}
+
+// ParseObserve reads an observe query string — the one grammar of
+// /debug/observe and `pgridctl observe` — as the request a peer would send,
+// held to Valid: ask=NAME,... names the columns and their modifiers, limit=N
+// caps both the history points and the traces, window=DUR bounds the history.
+func ParseObserve(q url.Values) (ObserveReq, error) {
+	var req ObserveReq
+	for _, name := range strings.Split(q.Get("ask"), ",") {
+		i := slices.Index(askNames[:], name)
+		if i < 0 {
+			return req, fmt.Errorf("ask %q: want %s", name, strings.Join(askNames[:], ", "))
+		}
+		req.Asks |= Ask(1) << i
+	}
+	if !req.Asks.Valid() {
+		return req, errors.New("a modifier without its column: liveness needs health, repair-now needs repair")
+	}
+	if s := q.Get("limit"); s != "" {
+		limit, err := strconv.Atoi(s)
+		if err != nil || limit < 0 {
+			return req, fmt.Errorf("bad limit %q", s)
+		}
+		req.MaxPoints, req.TraceLimit = int64(limit), limit
+	}
+	if s := q.Get("window"); s != "" {
+		d, err := time.ParseDuration(s)
+		if err != nil || d < 0 {
+			return req, fmt.Errorf("bad window %q", s)
+		}
+		req.WindowNS = int64(d)
+	}
+	return req, nil
 }
 
 // ObserveReq is an operator's one question to a peer: which columns to answer,

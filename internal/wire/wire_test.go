@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/url"
 	"reflect"
 	"testing"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -380,6 +382,54 @@ func TestHealthRoundTrip(t *testing.T) {
 		req := roundTrip(t, &Message{Kind: KindObserve, From: 1, Observe: &ObserveReq{Asks: asks}})
 		if req.Observe == nil || req.Observe.Asks != asks {
 			t.Fatalf("health ask did not round-trip: %+v", req.Observe)
+		}
+	}
+}
+
+// TestParseObserve pins the one observe grammar: every ask by name, limit
+// and window; the queries the parser itself refuses; and the asks only the
+// admin port's mask refuses (links, metrics, repair-now), which parse.
+func TestParseObserve(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  ObserveReq
+	}{
+		{"ask=links", ObserveReq{Asks: AskLinks}},
+		{"ask=health", ObserveReq{Asks: AskHealth}},
+		{"ask=health,liveness", ObserveReq{Asks: AskHealth | AskLiveness}},
+		{"ask=metrics", ObserveReq{Asks: AskMetrics}},
+		{"ask=history", ObserveReq{Asks: AskHistory}},
+		{"ask=repair", ObserveReq{Asks: AskRepair}},
+		{"ask=repair,repair-now", ObserveReq{Asks: AskRepair | AskRepairNow}},
+		{"ask=traces", ObserveReq{Asks: AskTraces}},
+		{"ask=links,health,liveness,metrics,history,repair,repair-now,traces", ObserveReq{Asks: ^Ask(0)}},
+		{"ask=traces&limit=5", ObserveReq{Asks: AskTraces, MaxPoints: 5, TraceLimit: 5}},
+		{"ask=history&window=2s&limit=0", ObserveReq{Asks: AskHistory, WindowNS: int64(2 * time.Second)}},
+		{"ask=health&format=text", ObserveReq{Asks: AskHealth}},
+	} {
+		q, err := url.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseObserve(q); err != nil || got != tc.want {
+			t.Errorf("?%s = %+v, %v; want %+v", tc.query, got, err, tc.want)
+		}
+	}
+	for _, query := range []string{
+		"",                            // no column named
+		"ask=bogus",                   // unknown
+		"ask=liveness",                // the modifier without its column
+		"ask=traces&limit=-1",         // negative limit
+		"ask=history&window=nonsense", // unparsable window
+		"ask=repair-now",              // the modifier without its column
+		"ask=health,",                 // an empty name
+	} {
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseObserve(q); err == nil {
+			t.Errorf("?%s = %+v, want an error", query, got)
 		}
 	}
 }
