@@ -98,14 +98,3 @@ func runCluster(client *node.Client, id addr.Addr, all []addr.Addr, objectives [
 		}
 	}
 }
-
-// fetchClusterStats is the cluster twin of fetchStats: it collects every
-// reachable peer's snapshot and flattens them into one map — so renderTop
-// draws a whole community exactly like a single node.
-func fetchClusterStats(client *node.Client, id addr.Addr) (statMap, error) {
-	snaps := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics}).Snapshots
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("no peer reachable from node %v answered the metrics frame", id)
-	}
-	return analysis.FlattenSnapshots(snaps), nil
-}

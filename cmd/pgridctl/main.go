@@ -60,10 +60,9 @@ commands:
   observe <id> <query>          ask node <id> what a /debug/observe query string names: ask=links,
                                 ask=metrics, 'ask=health,liveness', 'ask=repair,repair-now' (a round
                                 first), 'ask=traces&limit=5' or 'ask=history&window=2m'
-  top [-cluster] <id> [interval] [count]
-                                refreshing live summary: rates, per-kind latency quantiles, pool,
-                                breakers (default 2s forever; count 1 = one plain frame);
-                                -cluster merges every reachable peer's metrics into one view
+  top <id> [interval] [count]   refreshing live summary of node <id>: rates, per-kind latency
+                                quantiles, pool, breakers (default 2s forever; count 1 = one plain
+                                frame); cluster <id> merges the community's quantiles
   cluster <id> [interval] [count]
                                 walk the community from node <id> and print its verdict: merged latency
                                 quantiles, RED rollups, top-K slow and erroring peers, SLO burn, the
@@ -232,20 +231,9 @@ commands:
 		}
 
 	case "top":
-		clusterMode := false
-		if len(args) > 0 && args[0] == "-cluster" {
-			clusterMode = true
-			args = args[1:]
-		}
 		id := mustID(args, 0)
 		interval, count := intervalCount(args, 2*time.Second, 0)
-		fetch := func() (statMap, error) { return fetchStats(client, id) }
-		scope := fmt.Sprintf("node %v", id)
-		if clusterMode {
-			fetch = func() (statMap, error) { return fetchClusterStats(client, id) }
-			scope = fmt.Sprintf("cluster from node %v", id)
-		}
-		runTop(fetch, scope, interval, count, *jsonOut)
+		runTop(client, id, interval, count, *jsonOut)
 
 	case "watch":
 		clusterMode := false

@@ -24,10 +24,10 @@ import (
 // the terminal view for one JSON object per frame.
 //
 // Everything shown is computed from two consecutive snapshots of the same
-// data /metrics exposes — fetch is either one node's metrics snapshot or
-// the cluster-merged view, flattened the same way — so top works against
-// any node, with no extra protocol.
-func runTop(fetch func() (statMap, error), scope string, interval time.Duration, count int, jsonOut bool) {
+// data /metrics exposes, so top works against any node, with no extra
+// protocol.
+func runTop(client *node.Client, id addr.Addr, interval time.Duration, count int, jsonOut bool) {
+	scope := fmt.Sprintf("node %v", id)
 	var prev statMap
 	var prevAt time.Time
 	enc := json.NewEncoder(os.Stdout)
@@ -35,7 +35,7 @@ func runTop(fetch func() (statMap, error), scope string, interval time.Duration,
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		cur, err := fetch()
+		cur, err := fetchStats(client, id)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,11 +56,9 @@ func runTop(fetch func() (statMap, error), scope string, interval time.Duration,
 
 // statsReset reports whether the previous snapshot is a stale baseline
 // for rate math. The primary signal is the start-epoch gauge: it changes
-// exactly when a node restarts (and, in cluster mode where epochs are
-// summed, when the merged peer set changes) — catching even restarts
-// whose new counters overshoot the old values. Snapshots from pre-epoch
-// peers (both epochs zero) fall back to the per-counter rewind check at
-// each use site.
+// exactly when a node restarts — catching even restarts whose new counters
+// overshoot the old values. Snapshots from pre-epoch peers (both epochs
+// zero) fall back to the per-counter rewind check at each use site.
 func statsReset(cur, prev statMap) bool {
 	if prev == nil {
 		return false
@@ -103,7 +101,7 @@ func fetchStats(client *node.Client, id addr.Addr) (statMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analysis.FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{id: *o.Metrics}), nil
+	return analysis.FlattenSnapshot(*o.Metrics), nil
 }
 
 func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt time.Duration) {
@@ -113,10 +111,9 @@ func renderTop(w io.Writer, scope string, now time.Time, cur, prev statMap, dt t
 			return "-"
 		}
 		if reset || cur[name] < prev[name] {
-			// The start epoch changed — the node restarted, or in cluster
-			// mode the merged peer set shifted — or (pre-epoch peers only)
-			// the counter went backward. Either way a delta against the
-			// stale baseline would lie, so say so instead.
+			// The start epoch changed — the node restarted — or (pre-epoch
+			// peers only) the counter went backward. Either way a delta
+			// against the stale baseline would lie, so say so instead.
 			return "reset"
 		}
 		return fmt.Sprintf("%.1f/s", float64(cur[name]-prev[name])/dt.Seconds())

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 
-	"pgrid/internal/addr"
 	"pgrid/internal/analysis"
 	"pgrid/internal/telemetry"
 )
@@ -174,7 +177,7 @@ func TestTopFrame(t *testing.T) {
 	}
 }
 
-// TestWithQuantile: a merged histogram comes back under the series names
+// TestWithQuantile: a flattened histogram comes back under the series names
 // renderTop reads, the quantile label appended to a labeled or a bare name.
 func TestWithQuantile(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -184,7 +187,7 @@ func TestWithQuantile(t *testing.T) {
 		q.Observe(1_500_000)
 		snap.Hists = append(snap.Hists, q.Snapshot())
 	}
-	got := analysis.FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{0: snap})
+	got := analysis.FlattenSnapshot(snap)
 	for _, want := range []string{`pgrid_rpc_kind_latency_ns{kind="query",quantile="0.5"}`, `pgrid_pool_acquire_wait_ns{quantile="0.5"}`} {
 		if _, ok := got[want]; !ok {
 			t.Errorf("flattened stats lack %s: %v", want, got)
@@ -205,5 +208,24 @@ func TestRenderKindTableOmitsIdleKinds(t *testing.T) {
 	}
 	if strings.Contains(out, "query") || strings.Contains(out, "kind(22)") {
 		t.Errorf("idle kinds rendered:\n%s", out)
+	}
+}
+
+// TestTopClusterRefused re-executes the test binary as pgridctl asking top
+// for the retired merged view: top reads one node, so "-cluster" is refused
+// as a peer id before any peer is asked (cluster <id> is the community view).
+func TestTopClusterRefused(t *testing.T) {
+	if flag.NArg() == 1 && flag.Arg(0) == "as-pgridctl" {
+		os.Args = []string{"pgridctl", "-peers", "0=127.0.0.1:1", "top", "-cluster", "0"}
+		main()
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestTopClusterRefused$", "as-pgridctl").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `bad peer id "-cluster"`) {
+		t.Errorf("-cluster not refused as top's peer id:\n%s", out)
 	}
 }

@@ -39,7 +39,9 @@
 // sampler: each tick takes one snapshot of every series into a fixed-memory
 // ring five minutes deep, served at /debug/observe?ask=history and to
 // `pgridctl watch` over the wire; latency buckets at or above the 0.99
-// quantile link to flight-recorder traces via trace-id exemplars. The node
+// quantile keep the trace id of their latest traced request, which rides in
+// the metrics column's ExIdx/ExTrace (`pgridctl -json observe <id>
+// ask=metrics` shows it). The node
 // judges no latency objective: `pgridctl -slo` does, over the ring (`watch`)
 // or over cumulative counts (`cluster`).
 package main

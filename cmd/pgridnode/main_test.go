@@ -285,7 +285,7 @@ func TestAdminLatencyEndpoint(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tel.ClientRPC("query", time.Duration(i+1)*time.Millisecond, nil)
 	}
-	tel.ServedRPCDone("exchange", 3*time.Millisecond, false)
+	tel.ServedRPCTraced("exchange", 3*time.Millisecond, false, 0)
 	tel.PoolAcquireWait(50 * time.Microsecond)
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -621,7 +621,7 @@ func observeCommunity(t *testing.T) (*node.Cluster, *telemetry.Instruments) {
 	hist.SetNow(func() time.Time { return clock })
 	for i := 0; i < 4; i++ {
 		tel.ServedRPC("query")
-		tel.ServedRPCDone("query", 2*time.Millisecond, false)
+		tel.ServedRPCTraced("query", 2*time.Millisecond, false, 0)
 		hist.Record(tel.MetricsSnapshot())
 		clock = clock.Add(time.Second)
 	}
@@ -842,7 +842,7 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 	hist.SetNow(func() time.Time { return clock })
 	for i := 0; i < 4; i++ {
 		tel.ServedRPC("query")
-		tel.ServedRPCDone("query", 2*time.Millisecond, false)
+		tel.ServedRPCTraced("query", 2*time.Millisecond, false, 0)
 		hist.Record(tel.MetricsSnapshot())
 		clock = clock.Add(time.Second)
 	}
@@ -861,10 +861,12 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 	if d == nil || d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != int64(time.Second) || len(d.Points) != 4 {
 		t.Fatalf("dump head = %+v", d)
 	}
-	if rate, ok := d.Rate(telemetry.StatServedTotal, 0); !ok || rate != 1 {
-		t.Errorf("served rate over the dump = %v ok=%v, want 1/s", rate, ok)
+	for i, rate := range d.RateSeries(telemetry.StatServedTotal) {
+		if rate != 1 {
+			t.Errorf("served rate over interval %d = %v, want 1/s", i, rate)
+		}
 	}
-	if p, _ := d.Newest(); p.Snap.StartEpochNS == 0 {
+	if p := d.Points[len(d.Points)-1]; p.Snap.StartEpochNS == 0 {
 		t.Error("points must carry the incarnation stamp")
 	}
 

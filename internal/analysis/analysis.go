@@ -65,12 +65,6 @@ func KeyLength(dGlobal, iLeaf float64) int {
 	return int(math.Ceil(k - 1e-9))
 }
 
-// StorageOK reports whether i_leaf + k·refmax ≤ i_peer, the per-peer
-// storage constraint of Section 4.
-func (p Params) StorageOK(iLeaf float64, k int) bool {
-	return iLeaf+float64(k*p.RefMax) <= p.IPeer()+1e-9
-}
-
 // MinPeers returns the smallest community size N satisfying inequality (2),
 // (d_global / i_leaf) · refmax ≤ N: enough peers that every leaf interval
 // is supported by at least refmax replicas.
@@ -134,18 +128,4 @@ func Size(p Params) (Plan, error) {
 		Success:      SuccessProbability(p.OnlineProb, p.RefMax, k),
 		StorageBytes: (iLeaf + float64(k*p.RefMax)) * p.RefBytes,
 	}, nil
-}
-
-// GnutellaExample returns the parameters of the worked example in
-// Section 4: 10^7 data objects, 10-byte references, 10^5 bytes of index
-// space per peer, 30 % online probability, refmax 20. The paper derives
-// k = 10, ≥ 99 % search success, and a minimal community of 20 409 peers.
-func GnutellaExample() Params {
-	return Params{
-		DGlobal:    1e7,
-		RefBytes:   10,
-		IndexBytes: 1e5,
-		OnlineProb: 0.3,
-		RefMax:     20,
-	}
 }

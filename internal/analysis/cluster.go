@@ -259,32 +259,21 @@ func (r ClusterReport) Breached() bool {
 	return false
 }
 
-// FlattenSnapshots folds the metrics snapshots of one node or of every peer
-// into one stats map: it sums the flat counters, merges the quantile
-// histograms bucket-wise, and renders the merged quantiles under the series
-// names /metrics uses.
-func FlattenSnapshots(snaps map[addr.Addr]telemetry.MetricsSnapshot) map[string]int64 {
+// FlattenSnapshot folds one node's metrics snapshot into one stats map: the
+// flat counters as they are, and each quantile histogram's quantiles under
+// the series names /metrics uses.
+func FlattenSnapshot(snap telemetry.MetricsSnapshot) map[string]int64 {
 	m := make(map[string]int64)
-	hists := make(map[string]telemetry.QHistSnapshot)
-	for _, snap := range snaps {
-		for _, s := range snap.Stats {
-			m[s.Name] += s.Value
-		}
-		for _, h := range snap.Hists {
-			merged, err := telemetry.MergeQHist(hists[h.Name], h)
-			if err != nil {
-				continue // geometry skew from a foreign build: skip the peer's hist
-			}
-			hists[h.Name] = merged
-		}
+	for _, s := range snap.Stats {
+		m[s.Name] = s.Value
 	}
-	for name, h := range hists {
+	for _, h := range snap.Hists {
 		if h.Count == 0 {
 			continue
 		}
 		qs := h.Quantiles(telemetry.QuantilePoints...)
 		for i, q := range []string{"0.5", "0.95", "0.99", "0.999"} {
-			m[withQuantile(name, q)] = qs[i]
+			m[withQuantile(h.Name, q)] = qs[i]
 		}
 	}
 	return m

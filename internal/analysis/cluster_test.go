@@ -21,7 +21,7 @@ func snapFor(t *testing.T, node int, nErr int, durs ...time.Duration) telemetry.
 	tel := telemetry.New(node)
 	for i, d := range durs {
 		tel.ServedRPC("query")
-		tel.ServedRPCDone("query", d, i < nErr)
+		tel.ServedRPCTraced("query", d, i < nErr, 0)
 	}
 	return tel.MetricsSnapshot()
 }
@@ -54,7 +54,7 @@ func TestAnalyzeClusterMergesQuantiles(t *testing.T) {
 	for i, durs := range streams {
 		snaps[addr.Addr(i)] = snapFor(t, i, 0, durs...)
 		for _, d := range durs {
-			union.ServedRPCDone("query", d, false)
+			union.ServedRPCTraced("query", d, false, 0)
 		}
 	}
 

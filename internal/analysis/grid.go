@@ -256,16 +256,6 @@ func (r *GridReport) AttachRepair(statuses []repair.Status) {
 	r.Repair = s
 }
 
-// AvailabilityAgrees reports whether the measured availability stays
-// within tol of the structural equation-(3) prediction. It fails when no
-// probe data exists.
-func (r GridReport) AvailabilityAgrees(tol float64) bool {
-	if r.MeasuredAvailability < 0 || r.PredictedAvailability < 0 {
-		return false
-	}
-	return math.Abs(r.MeasuredAvailability-r.PredictedAvailability) <= tol
-}
-
 // RenderGridReport writes the report as the text table pgridsim and
 // `pgridctl cluster` print.
 func RenderGridReport(w io.Writer, r GridReport) {
@@ -351,7 +341,7 @@ func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int) {
 		RenderTrendReport(w, AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, nil))
 	}
 	if o.Metrics != nil {
-		stats := FlattenSnapshots(map[addr.Addr]telemetry.MetricsSnapshot{a: *o.Metrics})
+		stats := FlattenSnapshot(*o.Metrics)
 		names := make([]string, 0, len(stats))
 		for name := range stats {
 			names = append(names, name)

@@ -311,3 +311,13 @@ func TestRenderColumns(t *testing.T) {
 		}
 	}
 }
+
+// AvailabilityAgrees reports whether the measured availability stays
+// within tol of the structural equation-(3) prediction. It fails when no
+// probe data exists.
+func (r GridReport) AvailabilityAgrees(tol float64) bool {
+	if r.MeasuredAvailability < 0 || r.PredictedAvailability < 0 {
+		return false
+	}
+	return math.Abs(r.MeasuredAvailability-r.PredictedAvailability) <= tol
+}

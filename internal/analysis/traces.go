@@ -104,16 +104,6 @@ func AnalyzeTraces(traces []trace.Trace, nPeers int) TraceReport {
 	return r
 }
 
-// WithinLogN reports whether the measured mean hop count stays within a
-// (1+tol) factor of the O(log n) prediction — the paper's Section 5.2
-// claim, checked against live data. It fails on an empty report.
-func (r TraceReport) WithinLogN(tol float64) bool {
-	if r.Traces == 0 || r.PredictedHops <= 0 {
-		return false
-	}
-	return r.MeanHops <= r.PredictedHops*(1+tol)
-}
-
 // RenderTraceReport writes the report as the text table pgridsim and
 // pgridctl print.
 func RenderTraceReport(w io.Writer, r TraceReport) {

@@ -60,10 +60,10 @@ func TestAnalyzeTracesAggregation(t *testing.T) {
 		t.Errorf("level 2 = %+v", l2)
 	}
 
-	if !r.WithinLogN(0.0) {
+	if !withinLogN(r, 0.0) {
 		t.Error("2 mean hops rejected against a log2(64)=6 bound")
 	}
-	if (analysis.TraceReport{}).WithinLogN(1) {
+	if withinLogN(analysis.TraceReport{}, 1) {
 		t.Error("empty report accepted")
 	}
 
@@ -106,7 +106,7 @@ func TestSimulatorTracesMatchLogN(t *testing.T) {
 	// All peers online: greedy prefix routing should resolve roughly one
 	// bit per hop, so the mean hop count must sit within the O(log n)
 	// bound (tolerance 25%) and must not be degenerately low either.
-	if !r.WithinLogN(0.25) {
+	if !withinLogN(r, 0.25) {
 		t.Errorf("mean hops %.2f exceeds log2(%d)=%.2f by more than 25%%", r.MeanHops, n, r.PredictedHops)
 	}
 	if r.MeanHops < 0.5 {
@@ -120,4 +120,14 @@ func TestSimulatorTracesMatchLogN(t *testing.T) {
 	if r.PerLevel[0].Level != 0 || r.PerLevel[0].Visits < len(traces) {
 		t.Errorf("level-0 visits = %+v, want at least one per trace", r.PerLevel[0])
 	}
+}
+
+// withinLogN reports whether the measured mean hop count stays within a
+// (1+tol) factor of the O(log n) prediction — the paper's Section 5.2
+// claim, checked against live data. It fails on an empty report.
+func withinLogN(r analysis.TraceReport, tol float64) bool {
+	if r.Traces == 0 || r.PredictedHops <= 0 {
+		return false
+	}
+	return r.MeanHops <= r.PredictedHops*(1+tol)
 }

@@ -24,7 +24,7 @@ func trendDump(t *testing.T, node int, interval time.Duration, perInterval [][]t
 		nErr := errsAt[i]
 		for j, dur := range durs {
 			tel.ServedRPC("query")
-			tel.ServedRPCDone("query", dur, j < nErr)
+			tel.ServedRPCTraced("query", dur, j < nErr, 0)
 		}
 		at += int64(interval)
 		d.Points = append(d.Points, telemetry.HistoryPoint{AtNS: at, Snap: tel.MetricsSnapshot()})

@@ -54,9 +54,6 @@ func (p Path) Valid() bool {
 // Len returns the number of bits in p.
 func (p Path) Len() int { return len(p) }
 
-// IsEmpty reports whether p is the root path.
-func (p Path) IsEmpty() bool { return len(p) == 0 }
-
 // Bit returns the i-th bit of p using the paper's 1-based indexing
 // (value(k, p1…pn) = pk). It panics if i is out of range [1, Len()].
 func (p Path) Bit(i int) byte {
@@ -131,9 +128,6 @@ func (p Path) HasPrefix(q Path) bool { return strings.HasPrefix(string(p), strin
 
 // HasSuffix reports whether q is a suffix of p.
 func (p Path) HasSuffix(q Path) bool { return strings.HasSuffix(string(p), string(q)) }
-
-// IsPrefixOf reports whether p is a prefix of q.
-func (p Path) IsPrefixOf(q Path) bool { return q.HasPrefix(p) }
 
 // Comparable reports whether p and q are in a prefix relationship
 // (one is a prefix of the other, including equality).

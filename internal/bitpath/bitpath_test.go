@@ -129,9 +129,6 @@ func TestPrefixRelations(t *testing.T) {
 	if a.HasPrefix(MustParse("011")) {
 		t.Error("HasPrefix accepted non-prefix")
 	}
-	if !MustParse("01").IsPrefixOf(a) {
-		t.Error("IsPrefixOf failed")
-	}
 	if !Comparable(a, MustParse("01")) || !Comparable(MustParse("01"), a) {
 		t.Error("Comparable failed on prefix pair")
 	}
@@ -141,7 +138,7 @@ func TestPrefixRelations(t *testing.T) {
 	if !Comparable(a, a) {
 		t.Error("Comparable failed on equal paths")
 	}
-	if !Empty.IsPrefixOf(a) {
+	if !a.HasPrefix(Empty) {
 		t.Error("empty path must be prefix of everything")
 	}
 }
@@ -299,7 +296,7 @@ func TestPropCommonPrefixIsPrefixOfBoth(t *testing.T) {
 	f := func(v1, v2 uint64, n1, n2 uint8) bool {
 		a, b := genPath(v1, n1), genPath(v2, n2)
 		c := CommonPrefix(a, b)
-		return c.IsPrefixOf(a) && c.IsPrefixOf(b)
+		return a.HasPrefix(c) && b.HasPrefix(c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -358,7 +355,7 @@ func TestPropAppendExtendsPrefix(t *testing.T) {
 			bit = 1
 		}
 		q := p.Append(bit)
-		return p.IsPrefixOf(q) && q.Len() == p.Len()+1 && q.Bit(q.Len()) == bit &&
+		return q.HasPrefix(p) && q.Len() == p.Len()+1 && q.Bit(q.Len()) == bit &&
 			p.AppendFlip(bit).Bit(q.Len()) == 1-bit
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -3,7 +3,6 @@ package bitpath
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 )
 
 // HashKey maps an arbitrary string (e.g. a file name) to a uniformly
@@ -37,25 +36,4 @@ func PrefixKey(s string, n int) Path {
 		b = append(b, '0')
 	}
 	return Path(b)
-}
-
-// DecodePrefixKey inverts PrefixKey for paths whose length is a multiple of
-// 8, returning the text prefix the path encodes. Trailing NUL padding is
-// stripped. Useful for displaying what part of the namespace a peer covers.
-func DecodePrefixKey(p Path) (string, error) {
-	if len(p)%8 != 0 {
-		return "", fmt.Errorf("bitpath: DecodePrefixKey: length %d is not a multiple of 8", len(p))
-	}
-	out := make([]byte, 0, len(p)/8)
-	for i := 0; i < len(p); i += 8 {
-		var c byte
-		for j := 0; j < 8; j++ {
-			c = c<<1 | (p[i+j] - '0')
-		}
-		if c == 0 {
-			break
-		}
-		out = append(out, c)
-	}
-	return string(out), nil
 }

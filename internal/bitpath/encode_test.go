@@ -1,6 +1,7 @@
 package bitpath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -60,7 +61,7 @@ func TestPrefixKeyPrefixRelation(t *testing.T) {
 	// A string prefix must become a path prefix when fully encoded.
 	full := PrefixKey("data", 32)
 	pre := PrefixKey("da", 16)
-	if !pre.IsPrefixOf(full) {
+	if !full.HasPrefix(pre) {
 		t.Errorf("string prefix did not yield path prefix: %q vs %q", pre, full)
 	}
 }
@@ -113,4 +114,25 @@ func TestPropPrefixKeyOrderPreserving(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// DecodePrefixKey inverts PrefixKey for paths whose length is a multiple of
+// 8, returning the text prefix the path encodes. Trailing NUL padding is
+// stripped. It is the oracle the PrefixKey tests decode with.
+func DecodePrefixKey(p Path) (string, error) {
+	if len(p)%8 != 0 {
+		return "", fmt.Errorf("bitpath: DecodePrefixKey: length %d is not a multiple of 8", len(p))
+	}
+	out := make([]byte, 0, len(p)/8)
+	for i := 0; i < len(p); i += 8 {
+		var c byte
+		for j := 0; j < 8; j++ {
+			c = c<<1 | (p[i+j] - '0')
+		}
+		if c == 0 {
+			break
+		}
+		out = append(out, c)
+	}
+	return string(out), nil
 }

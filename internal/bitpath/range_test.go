@@ -60,7 +60,7 @@ func TestCoverRangeExactCoverBruteForce(t *testing.T) {
 			for ki, k := range keys {
 				covered := 0
 				for _, p := range cover {
-					if p.IsPrefixOf(k) {
+					if k.HasPrefix(p) {
 						covered++
 					}
 				}
@@ -107,7 +107,7 @@ func TestPropCoverRangeMembershipAgrees(t *testing.T) {
 		}
 		covered := false
 		for _, p := range cover {
-			if p.IsPrefixOf(key) {
+			if key.HasPrefix(p) {
 				covered = true
 				break
 			}

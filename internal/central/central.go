@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"pgrid/internal/bitpath"
 	"pgrid/internal/store"
 )
 
@@ -124,30 +123,4 @@ func (s *Service) MaxLoad() int64 {
 		}
 	}
 	return max
-}
-
-// LookupByKey resolves by index key instead of name, scanning the catalog;
-// provided for symmetry with P-Grid prefix queries in the comparison
-// experiments. The central server can afford it: it has everything local.
-func (s *Service) LookupByKey(rng *rand.Rand, key bitpath.Path) ([]store.Entry, Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var res Result
-	var found []store.Entry
-	for _, i := range rng.Perm(s.replicas) {
-		if !s.online[i] {
-			res.Messages++
-			continue
-		}
-		res.Messages += 2
-		s.load[i]++
-		for _, e := range s.index {
-			if e.Key.HasPrefix(key) {
-				found = append(found, e)
-			}
-		}
-		res.Found = len(found) > 0
-		return found, res
-	}
-	return nil, res
 }

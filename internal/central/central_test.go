@@ -106,18 +106,6 @@ func TestLoadSpreadsAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestLookupByKeyPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	s := New(1)
-	s.Publish(store.Entry{Key: bitpath.MustParse("0011"), Name: "a", Version: 1})
-	s.Publish(store.Entry{Key: bitpath.MustParse("0010"), Name: "b", Version: 1})
-	s.Publish(store.Entry{Key: bitpath.MustParse("1100"), Name: "c", Version: 1})
-	found, res := s.LookupByKey(rng, bitpath.MustParse("001"))
-	if !res.Found || len(found) != 2 {
-		t.Errorf("found = %v, res = %+v", found, res)
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

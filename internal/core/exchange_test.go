@@ -313,8 +313,8 @@ func TestExchangeRandomRunPreservesInvariants(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if d.MaxRefsPerLevel() > cfg.RefMax {
-		t.Errorf("refmax exceeded: %d", d.MaxRefsPerLevel())
+	if maxRefsPerLevel(d) > cfg.RefMax {
+		t.Errorf("refmax exceeded: %d", maxRefsPerLevel(d))
 	}
 	for _, p := range d.All() {
 		if p.PathLen() > cfg.MaxL {
@@ -463,4 +463,18 @@ func TestDecideExchange(t *testing.T) {
 			t.Errorf("RefMax 2 left a set of %d: %v", s.Len(), s)
 		}
 	}
+}
+
+// maxRefsPerLevel returns the largest reference-set size at any level of
+// any peer — never above refmax after construction.
+func maxRefsPerLevel(d *directory.Directory) int {
+	max := 0
+	for _, p := range d.All() {
+		for _, rs := range p.Snapshot().Refs {
+			if rs.Len() > max {
+				max = rs.Len()
+			}
+		}
+	}
+	return max
 }

@@ -47,8 +47,8 @@ func TestLearnFromTraceAddsValidRefs(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("learning broke the invariant: %v", err)
 	}
-	if d.MaxRefsPerLevel() > cfg.RefMax {
-		t.Errorf("learning exceeded refmax: %d", d.MaxRefsPerLevel())
+	if maxRefsPerLevel(d) > cfg.RefMax {
+		t.Errorf("learning exceeded refmax: %d", maxRefsPerLevel(d))
 	}
 }
 

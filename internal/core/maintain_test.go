@@ -70,7 +70,7 @@ func TestMaintainRespectsRefmax(t *testing.T) {
 	d := trie.BuildIdeal(64, 2, 4, rng)
 	cfg := Config{MaxL: 2, RefMax: 4, RecMax: 2, RecFanout: 2}
 	MaintainAll(d, cfg, MaintainOptions{DropOffline: true, Fetch: 4}, rng)
-	if got := d.MaxRefsPerLevel(); got > 4 {
+	if got := maxRefsPerLevel(d); got > 4 {
 		t.Errorf("refmax exceeded after maintenance: %d", got)
 	}
 	if err := d.CheckInvariants(); err != nil {

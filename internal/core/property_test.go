@@ -55,7 +55,7 @@ func TestPropExchangePreservesInvariantsForAnyConfig(t *testing.T) {
 			t.Logf("config %+v: %v", cfg, err)
 			return false
 		}
-		if d.MaxRefsPerLevel() > cfg.RefMax {
+		if maxRefsPerLevel(d) > cfg.RefMax {
 			return false
 		}
 		for _, p := range d.All() {
@@ -85,7 +85,7 @@ func TestPropPathsOnlyEverGrow(t *testing.T) {
 			Exchange(d, cfg, &m, nil, a1, a2, rng)
 			for j, p := range d.All() {
 				cur := p.Path()
-				if !prev[j].IsPrefixOf(cur) {
+				if !cur.HasPrefix(prev[j]) {
 					t.Logf("peer %d path %q no longer extends %q", j, cur, prev[j])
 					return false
 				}

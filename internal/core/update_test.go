@@ -266,8 +266,8 @@ func TestPopulateIndexMatchesScan(t *testing.T) {
 	}
 	byIndex, byScan := build(), build()
 	lengths := map[int]bool{}
-	for _, l := range byIndex.PathLengths() {
-		lengths[l] = true
+	for _, p := range byIndex.All() {
+		lengths[p.PathLen()] = true
 	}
 	if !lengths[0] || !lengths[cfg.MaxL] || len(lengths) < 3 {
 		t.Fatalf("fixture has path lengths %v, want 0, %d and some between", lengths, cfg.MaxL)

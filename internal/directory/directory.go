@@ -148,19 +148,6 @@ func (d *Directory) AvgPathLen() float64 {
 	return float64(d.pathSum.Load()) / float64(len(d.peers))
 }
 
-// PathLenSum returns Σ length(path(a)) — the incrementally maintained
-// counter behind AvgPathLen. Tests cross-check it against a full scan.
-func (d *Directory) PathLenSum() int64 { return d.pathSum.Load() }
-
-// PathLengths returns every peer's current path length.
-func (d *Directory) PathLengths() []int {
-	out := make([]int, len(d.peers))
-	for i, p := range d.peers {
-		out[i] = p.PathLen()
-	}
-	return out
-}
-
 // ReplicaGroups returns, for each path some peer is responsible for, the
 // addresses of all peers responsible for it (its replica group), ascending:
 // the community is walked in address order. One pass, one Path() per peer.
@@ -178,19 +165,6 @@ func (d *Directory) Replicas(path bitpath.Path) []addr.Addr {
 	var out []addr.Addr
 	for _, p := range d.peers {
 		if p.Path() == path {
-			out = append(out, p.Addr())
-		}
-	}
-	return out
-}
-
-// Responsible returns the addresses of all peers responsible for key: peers
-// whose path is a prefix of key. (With a fully built grid of uniform depth
-// these coincide with Replicas of the key's truncation.)
-func (d *Directory) Responsible(key bitpath.Path) []addr.Addr {
-	var out []addr.Addr
-	for _, p := range d.peers {
-		if p.Path().IsPrefixOf(key) {
 			out = append(out, p.Addr())
 		}
 	}
@@ -291,19 +265,4 @@ func (d *Directory) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// MaxRefsPerLevel returns the largest reference-set size found at any level
-// of any peer — must never exceed refmax after construction.
-func (d *Directory) MaxRefsPerLevel() int {
-	max := 0
-	for _, p := range d.peers {
-		s := p.Snapshot()
-		for _, rs := range s.Refs {
-			if rs.Len() > max {
-				max = rs.Len()
-			}
-		}
-	}
-	return max
 }

@@ -193,11 +193,11 @@ func TestReplicaGroupsAndResponsible(t *testing.T) {
 	if got := d.Replicas(bitpath.MustParse("00")); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Replicas(00) = %v", got)
 	}
-	resp := d.Responsible(bitpath.MustParse("100"))
+	resp := responsible(d, bitpath.MustParse("100"))
 	if len(resp) != 2 {
 		t.Errorf("Responsible(100) = %v", resp)
 	}
-	if got := d.Responsible(bitpath.MustParse("0")); len(got) != 0 {
+	if got := responsible(d, bitpath.MustParse("0")); len(got) != 0 {
 		t.Errorf("Responsible(0) = %v; no leaf path is a prefix of '0'", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestAvgPathLenAndLengths(t *testing.T) {
 	if got := d.AvgPathLen(); got != 2 {
 		t.Errorf("AvgPathLen = %v", got)
 	}
-	for _, l := range d.PathLengths() {
+	for _, l := range pathLengths(d) {
 		if l != 2 {
 			t.Errorf("path length = %d", l)
 		}
@@ -273,11 +273,46 @@ func TestCoveringMatchesComparablePaths(t *testing.T) {
 
 func TestMaxRefsPerLevel(t *testing.T) {
 	d := buildTinyGrid(t)
-	if got := d.MaxRefsPerLevel(); got != 1 {
-		t.Errorf("MaxRefsPerLevel = %d", got)
+	if got := maxRefsPerLevel(d); got != 1 {
+		t.Errorf("maxRefsPerLevel = %d", got)
 	}
 	d.Peer(0).SetRefsAt(1, addr.NewSet(2, 4, 5))
-	if got := d.MaxRefsPerLevel(); got != 3 {
-		t.Errorf("MaxRefsPerLevel = %d", got)
+	if got := maxRefsPerLevel(d); got != 3 {
+		t.Errorf("maxRefsPerLevel = %d", got)
 	}
+}
+
+// pathLengths returns every peer's current path length.
+func pathLengths(d *Directory) []int {
+	out := make([]int, len(d.peers))
+	for i, p := range d.peers {
+		out[i] = p.PathLen()
+	}
+	return out
+}
+
+// responsible returns the addresses of all peers responsible for key: peers
+// whose path is a prefix of key.
+func responsible(d *Directory, key bitpath.Path) []addr.Addr {
+	var out []addr.Addr
+	for _, p := range d.peers {
+		if key.HasPrefix(p.Path()) {
+			out = append(out, p.Addr())
+		}
+	}
+	return out
+}
+
+// maxRefsPerLevel returns the largest reference-set size at any level of
+// any peer — never above refmax after construction.
+func maxRefsPerLevel(d *Directory) int {
+	max := 0
+	for _, p := range d.peers {
+		for _, rs := range p.Snapshot().Refs {
+			if rs.Len() > max {
+				max = rs.Len()
+			}
+		}
+	}
+	return max
 }

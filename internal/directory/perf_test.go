@@ -73,11 +73,11 @@ func TestPathLenSumTracksMutations(t *testing.T) {
 	checkSum := func(ctx string) {
 		t.Helper()
 		want := int64(0)
-		for _, l := range d.PathLengths() {
+		for _, l := range pathLengths(d) {
 			want += int64(l)
 		}
-		if got := d.PathLenSum(); got != want {
-			t.Fatalf("%s: PathLenSum = %d, scan = %d", ctx, got, want)
+		if got := d.pathSum.Load(); got != want {
+			t.Fatalf("%s: pathSum = %d, scan = %d", ctx, got, want)
 		}
 	}
 	checkSum("fresh")
@@ -129,7 +129,7 @@ func TestPathLenSumTracksMutations(t *testing.T) {
 	}
 	checkSum("after AddPeer + extend")
 
-	if got, want := d.AvgPathLen(), float64(d.PathLenSum())/float64(d.N()); got != want {
+	if got, want := d.AvgPathLen(), float64(d.pathSum.Load())/float64(d.N()); got != want {
 		t.Errorf("AvgPathLen = %v, want %v", got, want)
 	}
 }

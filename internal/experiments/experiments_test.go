@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -249,11 +250,12 @@ func TestFig5BreadthFirstWins(t *testing.T) {
 		}
 	}
 	// The paper's finding: breadth-first search reaches high coverage with
-	// far fewer messages than repeated depth-first searches.
-	bfsX := byStrategy[core.BreadthFirst].Curve.XAtY(0.9)
-	dfsX := byStrategy[core.RepeatedDFS].Curve.XAtY(0.9)
-	if bfsX >= dfsX {
-		t.Errorf("messages to 90%% coverage: BFS %v !< DFS %v", bfsX, dfsX)
+	// far fewer messages than repeated depth-first searches — where BFS
+	// first covers 90 %, DFS has not yet.
+	bfs, dfs := byStrategy[core.BreadthFirst].Curve, byStrategy[core.RepeatedDFS].Curve
+	i := slices.IndexFunc(bfs.Points, func(p stats.Point) bool { return p.Y >= 0.9 })
+	if i < 0 || dfs.At(bfs.Points[i].X) >= 0.9 {
+		t.Errorf("messages to 90%% coverage: BFS does not beat DFS (BFS %+v, DFS %+v)", bfs.Points, dfs.Points)
 	}
 }
 

@@ -13,16 +13,10 @@ import (
 // per-cell seed derivation is untouched, so a parallel run is bit-identical
 // to a sequential one (tests assert this).
 
-// maxParallelCells caps the pool; 0 (the default) means GOMAXPROCS.
+// maxParallelCells caps the pool; 0 (the default) means GOMAXPROCS. The
+// determinism regression tests set it to 1 to force sequential evaluation
+// and compare the two modes.
 var maxParallelCells atomic.Int32
-
-// SetMaxParallel sets the number of experiment cells evaluated
-// concurrently and returns the previous setting. n ≤ 0 restores the
-// default (GOMAXPROCS). Use 1 to force sequential evaluation — the
-// determinism regression tests compare the two modes.
-func SetMaxParallel(n int) int {
-	return int(maxParallelCells.Swap(int32(n)))
-}
 
 func cellWorkers(n int) int {
 	w := int(maxParallelCells.Load())

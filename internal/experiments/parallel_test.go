@@ -10,13 +10,13 @@ import (
 
 func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		prev := SetMaxParallel(workers)
+		prev := maxParallelCells.Swap(int32(workers))
 		hits := make([]atomic.Int32, 100)
 		err := runCells(len(hits), func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
-		SetMaxParallel(prev)
+		maxParallelCells.Store(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,8 +30,8 @@ func TestRunCellsCoversEveryIndexOnce(t *testing.T) {
 
 func TestRunCellsReturnsLowestIndexError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	prev := SetMaxParallel(8)
-	defer SetMaxParallel(prev)
+	prev := maxParallelCells.Swap(8)
+	defer maxParallelCells.Store(prev)
 	err := runCells(50, func(i int) error {
 		switch i {
 		case 7:
@@ -64,7 +64,7 @@ func TestParallelHarnessMatchesSequential(t *testing.T) {
 		return buf
 	}
 
-	prev := SetMaxParallel(1)
+	prev := maxParallelCells.Swap(1)
 	t1seq, err := Table1(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestParallelHarnessMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetMaxParallel(8)
+	maxParallelCells.Store(8)
 	t1par, err := Table1(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestParallelHarnessMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetMaxParallel(prev)
+	maxParallelCells.Store(prev)
 
 	if seq, par := encode(t1seq), encode(t1par); !bytes.Equal(seq, par) {
 		t.Errorf("Table1 parallel differs from sequential:\nseq %s\npar %s", seq, par)

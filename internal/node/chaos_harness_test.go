@@ -2,11 +2,13 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/analysis"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -221,4 +223,14 @@ func (t *ChaosTransport) mangle(to addr.Addr, resp *wire.Message) (*wire.Message
 		}
 		return &wire.Message{Kind: kind, From: resp.From}, nil
 	}
+}
+
+// availabilityAgrees reports whether a chaos run's measured availability
+// stays within tol of the structural Eq. 3 prediction. It fails when no
+// probe data exists.
+func availabilityAgrees(r analysis.GridReport, tol float64) bool {
+	if r.MeasuredAvailability < 0 || r.PredictedAvailability < 0 {
+		return false
+	}
+	return math.Abs(r.MeasuredAvailability-r.PredictedAvailability) <= tol
 }

@@ -253,7 +253,7 @@ func TestChaosRepairSoak(t *testing.T) {
 	t.Logf("chaos repair: availability measured=%.3f predicted=%.3f Eq3(p=%.2f,refmax=%d,k=%d)=%.3f",
 		rep.MeasuredAvailability, rep.PredictedAvailability,
 		rep.ProbeLiveness, rep.Eq3RefMax, rep.Eq3Depth, rep.Eq3Availability)
-	if !rep.AvailabilityAgrees(0.10) {
+	if !availabilityAgrees(rep, 0.10) {
 		t.Errorf("healed community diverges from Eq.3: measured %.3f vs predicted %.3f",
 			rep.MeasuredAvailability, rep.PredictedAvailability)
 	}

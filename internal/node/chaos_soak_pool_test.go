@@ -272,7 +272,7 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 		rep.ProbeLiveness, rep.MeasuredAvailability, rep.PredictedAvailability, querySuccess)
 
 	// 1. Fidelity under connection-killing chaos.
-	if !rep.AvailabilityAgrees(0.10) {
+	if !availabilityAgrees(rep, 0.10) {
 		t.Errorf("measured availability %.3f diverges from Eq.3 prediction %.3f by more than 0.10",
 			rep.MeasuredAvailability, rep.PredictedAvailability)
 	}

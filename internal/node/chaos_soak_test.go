@@ -134,7 +134,7 @@ func TestChaosSoakAvailability(t *testing.T) {
 		rep.ProbeLiveness, rep.Eq3RefMax, rep.Eq3Depth, rep.Eq3Availability, querySuccess)
 
 	// 1. Fidelity: Eq. 3 agreement within 10 percentage points.
-	if !rep.AvailabilityAgrees(0.10) {
+	if !availabilityAgrees(rep, 0.10) {
 		t.Errorf("measured availability %.3f diverges from Eq.3 prediction %.3f by more than 0.10",
 			rep.MeasuredAvailability, rep.PredictedAvailability)
 	}

@@ -93,8 +93,8 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		dump = *observe(t, cl, 0, wire.ObserveReq{Asks: wire.AskHistory}).History
-		if p, ok := dump.Newest(); ok {
-			if h, ok := p.Snap.Hist(servedQueryHist); ok && h.Count == queries {
+		if n := len(dump.Points); n > 0 {
+			if h, ok := dump.Points[n-1].Snap.Hist(servedQueryHist); ok && h.Count == queries {
 				break
 			}
 		}
@@ -125,9 +125,13 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 			t.Errorf("windowed q%g = %d, client-side delta q%g = %d", p, got, p, want)
 		}
 	}
-	serverRate, ok := dump.Rate(telemetry.StatServedTotal, 0)
-	if !ok || serverRate <= 0 {
-		t.Fatalf("server-side rate = %v, ok=%v", serverRate, ok)
+	var served float64
+	for i, r := range dump.RateSeries(telemetry.StatServedTotal) {
+		served += r * float64(dump.Points[i+1].AtNS-dump.Points[i].AtNS) / 1e9
+	}
+	serverRate := served / dump.Span().Seconds()
+	if serverRate <= 0 {
+		t.Fatalf("server-side rate = %v", serverRate)
 	}
 	// The client's rate over the same burst: counter delta over the dump's
 	// span. The two denominators differ by at most one sampling interval,
@@ -139,14 +143,11 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		t.Errorf("server rate %.1f/s vs client delta rate %.1f/s: disagree beyond tolerance", serverRate, clientRate)
 	}
 
-	// (b) A tail-bucket exemplar resolves to a retrievable trace.
-	traceID, atOrBelow, ok := wh.TailExemplar()
-	if !ok {
+	// (b) The highest bucket's exemplar resolves to a retrievable trace.
+	if len(wh.ExTrace) == 0 || len(wh.ExIdx) != len(wh.ExTrace) {
 		t.Fatalf("windowed hist carries no tail exemplar: %+v", wh)
 	}
-	if atOrBelow <= 0 {
-		t.Fatalf("exemplar bucket bound = %d", atOrBelow)
-	}
+	traceID := wh.ExTrace[len(wh.ExTrace)-1]
 	traces := observe(t, cl, 0, wire.ObserveReq{Asks: wire.AskTraces}).Traces.Traces
 	found := false
 	for _, trc := range traces {
@@ -168,8 +169,8 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		if len(res.Dumps) != nNodes || len(res.Unreachable) != 0 {
 			t.Fatalf("cluster history = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 		}
-		if p, ok := res.Dumps[2].Newest(); ok {
-			if served, _ := p.Snap.Stat(telemetry.StatServedTotal); served > 0 {
+		if pts := res.Dumps[2].Points; len(pts) > 0 {
+			if served, _ := pts[len(pts)-1].Snap.Stat(telemetry.StatServedTotal); served > 0 {
 				break
 			}
 		}
@@ -190,10 +191,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	// the same address. A watcher's point series spanning the restart must
 	// read as one reset and a non-negative rate even though the absolute
 	// counters went backwards.
-	pre, ok := res.Dumps[2].Newest()
-	if !ok {
-		t.Fatal("node 2 dump empty before restart")
-	}
+	pre := res.Dumps[2].Points[len(res.Dumps[2].Points)-1]
 	if preServed, _ := pre.Snap.Stat(telemetry.StatServedTotal); preServed == 0 {
 		t.Fatal("node 2 served nothing before restart; reset assertion would be vacuous")
 	}
@@ -230,9 +228,14 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	if got := watch.Resets(); got != 1 {
 		t.Fatalf("resets across restart = %d, want 1", got)
 	}
-	rate, ok := watch.Rate(telemetry.StatServedTotal, 0)
-	if !ok || rate < 0 {
-		t.Fatalf("rate across restart = %v (ok=%v), must never be negative", rate, ok)
+	rates := watch.RateSeries(telemetry.StatServedTotal)
+	if len(rates) != len(watch.Points)-1 {
+		t.Fatalf("rate series across restart = %v, want one rate per interval", rates)
+	}
+	for i, rate := range rates {
+		if rate < 0 {
+			t.Fatalf("rate over interval %d across restart = %v, must never be negative", i, rate)
+		}
 	}
 }
 

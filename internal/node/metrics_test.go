@@ -30,8 +30,8 @@ func TestFetchMetrics(t *testing.T) {
 	c := localHealthCluster(t)
 	tel := telemetry.New(1)
 	c.Nodes[1].SetTelemetry(tel)
-	tel.ServedRPCDone("query", 3*time.Millisecond, false)
-	tel.ServedRPCDone("query", 40*time.Millisecond, true)
+	tel.ServedRPCTraced("query", 3*time.Millisecond, false, 0)
+	tel.ServedRPCTraced("query", 40*time.Millisecond, true, 0)
 
 	cl := NewClient(c.Transport, 42)
 	snap, err := fetchMetrics(cl, 1)
@@ -85,8 +85,8 @@ func TestTCPCollectCluster(t *testing.T) {
 		tel := telemetry.New(i)
 		nodes[i].SetTelemetry(tel)
 		for _, d := range streams[i] {
-			tel.ServedRPCDone("query", d, false)
-			union.ServedRPCDone("query", d, false)
+			tel.ServedRPCTraced("query", d, false, 0)
+			union.ServedRPCTraced("query", d, false, 0)
 		}
 	}
 

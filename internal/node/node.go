@@ -122,8 +122,9 @@ func (n *Node) History() *telemetry.History { return n.history }
 // Transports call this on the receiving side. Handling is timed into the
 // per-kind served-latency histograms; error replies count as served
 // errors. A sampled traced query stamps its trace ID into the latency
-// histogram's tail-bucket exemplar slot, so a slow outlier in the history
-// column points straight at a retrievable route in the flight recorder.
+// histogram's tail-bucket exemplar slot; the id rides in the metrics
+// column's ExIdx/ExTrace, which `pgridctl -json observe <id> ask=metrics`
+// shows.
 func (n *Node) Handle(m *wire.Message) *wire.Message {
 	rpc := rpcKind(n.tel, m.Kind)
 	rpc.Served()

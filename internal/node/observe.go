@@ -103,8 +103,8 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%v level %d → %v: path %s is not a valid reference for %s", v.From, v.Level, v.To, v.ToPath, v.FromPath)
 }
 
-// Walk is the one community walk, behind `pgridctl cluster`, `top -cluster`
-// and `watch -cluster`: breadth-first from the peer at start along every
+// Walk is the one community walk, behind `pgridctl cluster` and
+// `watch -cluster`: breadth-first from the peer at start along every
 // reference and buddy link, one KindObserve per peer asking req's columns and
 // the links the walk follows, which it then judges with repair.ValidRef where
 // the target answered too. A transport error, or an answer without links,

@@ -51,12 +51,12 @@ func columnsOf(asks wire.Ask) []wire.Ask {
 }
 
 // TestWalk drives the one community walk with the asks of each of its
-// callers — the tests' census crawl, pgridctl cluster, top -cluster and
-// watch -cluster — over the in-process transport and over pooled TCP, and pins the
-// contract: one KindObserve per peer whatever is asked, one message billed
-// per frame sent, an offline peer unreachable but never fatal, and a missing
-// column handled in place — its column empty, malformed counted, the others
-// filed, no second call.
+// callers — the tests' census crawl, pgridctl cluster and watch -cluster —
+// and with metrics alone, over the in-process transport and over pooled
+// TCP, and pins the contract: one KindObserve per peer whatever is asked,
+// one message billed per frame sent, an offline peer unreachable but never
+// fatal, and a missing column handled in place — its column empty,
+// malformed counted, the others filed, no second call.
 func TestWalk(t *testing.T) {
 	askSets := []struct {
 		name string
@@ -64,7 +64,7 @@ func TestWalk(t *testing.T) {
 	}{
 		{"crawl", wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
 		{"cluster", wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
-		{"top -cluster", wire.ObserveReq{Asks: wire.AskMetrics}},
+		{"metrics", wire.ObserveReq{Asks: wire.AskMetrics}},
 		{"watch -cluster", wire.ObserveReq{Asks: wire.AskHistory}},
 	}
 	communities := []struct {

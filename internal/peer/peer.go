@@ -174,19 +174,11 @@ func (p *Peer) AddBuddy(a addr.Addr) {
 // RemoveBuddy drops one buddy and reports whether it was present. The
 // repair protocol uses it to evict a reachable buddy that turned out to
 // replicate a different partition (an orphan replica), without touching
-// the rest of the group the way ClearBuddies would.
+// the rest of the group.
 func (p *Peer) RemoveBuddy(a addr.Addr) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.buddies.Remove(a)
-}
-
-// ClearBuddies drops buddies whose paths may have diverged. Called when the
-// peer itself specializes (its replicas are no longer guaranteed replicas).
-func (p *Peer) ClearBuddies() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.buddies = addr.Set{}
 }
 
 // Snapshot is an immutable copy of the mutable peer state, used by the

@@ -132,9 +132,11 @@ func TestBuddySelfIgnored(t *testing.T) {
 		t.Error("self-buddy recorded")
 	}
 	p.AddBuddy(6)
-	p.ClearBuddies()
-	if p.Buddies().Len() != 0 {
-		t.Error("ClearBuddies failed")
+	if p.Buddies().Len() != 1 {
+		t.Error("buddy not recorded")
+	}
+	if !p.RemoveBuddy(6) || p.RemoveBuddy(6) || p.Buddies().Len() != 0 {
+		t.Error("RemoveBuddy failed")
 	}
 }
 

@@ -114,34 +114,6 @@ type BuddyView struct {
 	Reachable bool
 }
 
-// MajorityPath runs the path-drift vote: over self plus every reachable
-// view, it returns the strictly-most-common path and whether adopting it
-// would change self. A strict majority (> half the voters) is required —
-// with no majority the group is too fractured to trust any path, and the
-// peer keeps its own (the fault stays detected-but-unhealed). Ties and
-// minorities return ("", false).
-func MajorityPath(self bitpath.Path, views []BuddyView) (bitpath.Path, bool) {
-	votes := map[bitpath.Path]int{self: 1}
-	voters := 1
-	for _, v := range views {
-		if !v.Reachable {
-			continue
-		}
-		votes[v.Path]++
-		voters++
-	}
-	best, bestN := self, 0
-	for p, n := range votes {
-		if n > bestN || (n == bestN && p == self) {
-			best, bestN = p, n
-		}
-	}
-	if bestN*2 <= voters {
-		return "", false
-	}
-	return best, best != self
-}
-
 // PluralityPath is the path-drift verdict the healer acts on: over self
 // plus every reachable view, it returns the unique most-common path when
 // that path holds at least two votes, and whether such a winner exists.

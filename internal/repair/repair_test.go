@@ -45,55 +45,6 @@ func view(a int, path string, hash uint64, reachable bool) BuddyView {
 	return BuddyView{Addr: addr.Addr(a), Path: bitpath.MustParse(path), IndexHash: hash, Reachable: reachable}
 }
 
-func TestMajorityPath(t *testing.T) {
-	self := bitpath.MustParse("0111") // corrupted: group is at 0101
-
-	// Three reachable buddies all at 0101: 3-of-4 strict majority, and
-	// it differs from self — adopt.
-	views := []BuddyView{
-		view(1, "0101", 0, true),
-		view(2, "0101", 0, true),
-		view(3, "0101", 0, true),
-	}
-	p, changed := MajorityPath(self, views)
-	if !changed || p != bitpath.MustParse("0101") {
-		t.Fatalf("MajorityPath = (%v, %v), want (0101, true)", p, changed)
-	}
-
-	// Self already agrees with the majority: no change needed.
-	p, changed = MajorityPath(bitpath.MustParse("0101"), views)
-	if changed || p != bitpath.MustParse("0101") {
-		t.Fatalf("agreeing MajorityPath = (%v, %v), want (0101, false)", p, changed)
-	}
-
-	// 2-vs-2 tie (self + one buddy vs two buddies): no strict majority.
-	split := []BuddyView{
-		view(1, "0111", 0, true),
-		view(2, "0101", 0, true),
-		view(3, "0101", 0, true),
-	}
-	if p, changed = MajorityPath(self, split); changed || p != "" {
-		t.Fatalf("tied MajorityPath = (%v, %v), want no majority", p, changed)
-	}
-
-	// Unreachable buddies do not vote: with the 0101 voters offline, the
-	// only voter is self.
-	offline := []BuddyView{
-		view(1, "0101", 0, false),
-		view(2, "0101", 0, false),
-		view(3, "0101", 0, false),
-	}
-	p, changed = MajorityPath(self, offline)
-	if changed || p != self {
-		t.Fatalf("offline-group MajorityPath = (%v, %v), want self unchanged", p, changed)
-	}
-
-	// No buddies at all: self is its own majority.
-	if p, changed = MajorityPath(self, nil); changed || p != self {
-		t.Fatalf("lone MajorityPath = (%v, %v), want self", p, changed)
-	}
-}
-
 func TestMajorityHash(t *testing.T) {
 	// Two buddies agree on 0xAA, self says 0xBB: majority 0xAA.
 	group := []BuddyView{

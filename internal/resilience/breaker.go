@@ -81,10 +81,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults()}
 }
 
-// Clock overrides the breaker's time source (tests). Call before use; not
-// synchronized.
-func (b *Breaker) Clock(now func() time.Time) { b.cfg.now = now }
-
 func (b *Breaker) transition(to BreakerState) {
 	if b.state == to {
 		return

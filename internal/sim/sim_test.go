@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/trie"
@@ -36,8 +37,10 @@ func TestBuildConvergesAndHoldsInvariants(t *testing.T) {
 		t.Errorf("counters: %+v", res)
 	}
 	// A converged grid must cover the whole key space.
-	if err := trie.FromDirectory(res.Dir).CheckCoverage(4); err != nil {
-		t.Error(err)
+	for _, key := range bitpath.All(4) {
+		if len(res.Dir.Covering(key)) == 0 {
+			t.Errorf("key %s has no covering peer", key)
+		}
 	}
 }
 
@@ -139,12 +142,14 @@ func TestBuildConcurrentConvergesAndHoldsInvariants(t *testing.T) {
 	if err := res.Dir.CheckInvariants(); err != nil {
 		t.Fatalf("concurrent build broke invariants: %v", err)
 	}
-	if res.Dir.MaxRefsPerLevel() > 3 {
-		t.Errorf("refmax exceeded under concurrency: %d", res.Dir.MaxRefsPerLevel())
-	}
 	for _, p := range res.Dir.All() {
 		if p.PathLen() > 5 {
 			t.Errorf("maxl exceeded under concurrency: %q", p.Path())
+		}
+		for _, rs := range p.Snapshot().Refs {
+			if rs.Len() > 3 {
+				t.Errorf("refmax exceeded under concurrency: %q holds %d", p.Path(), rs.Len())
+			}
 		}
 	}
 }

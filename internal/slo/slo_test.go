@@ -48,7 +48,7 @@ func TestParse(t *testing.T) {
 func histOf(kind string, durs ...time.Duration) telemetry.MetricsSnapshot {
 	tel := telemetry.New(0)
 	for _, d := range durs {
-		tel.ServedRPCDone(kind, d, false)
+		tel.ServedRPCTraced(kind, d, false, 0)
 	}
 	return tel.MetricsSnapshot()
 }
@@ -104,17 +104,17 @@ func TestEngineCounterReset(t *testing.T) {
 
 	tel := telemetry.New(0)
 	for i := 0; i < 10; i++ {
-		tel.ServedRPCDone("query", 50*time.Millisecond, false)
+		tel.ServedRPCTraced("query", 50*time.Millisecond, false, 0)
 		ring.Record(tel.MetricsSnapshot())
 		clock = clock.Add(time.Minute)
 	}
 	// The process "restarts": counters start over from zero.
 	time.Sleep(time.Millisecond) // a new incarnation stamp
 	tel = telemetry.New(0)
-	tel.ServedRPCDone("query", time.Millisecond, false)
+	tel.ServedRPCTraced("query", time.Millisecond, false, 0)
 	ring.Record(tel.MetricsSnapshot())
 	clock = clock.Add(time.Minute)
-	tel.ServedRPCDone("query", time.Millisecond, false)
+	tel.ServedRPCTraced("query", time.Millisecond, false, 0)
 	ring.Record(tel.MetricsSnapshot())
 
 	d := ring.Dump(0, 0)

@@ -49,15 +49,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts converts and summarizes an int sample.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // String renders the summary for reports.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%g max=%g mean=%.4g stddev=%.4g", s.N, s.Min, s.Max, s.Mean, s.Stddev)
@@ -168,14 +159,6 @@ func (h *Histogram) Render(width int) string {
 	return sb.String()
 }
 
-// Fraction returns count(v)/total.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the observed values using
 // the nearest-rank method. It panics on an empty histogram or q outside
 // [0,1].
@@ -227,15 +210,4 @@ func (c Curve) At(x float64) float64 {
 		y = p.Y
 	}
 	return y
-}
-
-// XAtY returns the smallest X at which the curve reaches y, or +Inf if it
-// never does. Useful for "messages needed to reach 90 % of replicas".
-func (c Curve) XAtY(y float64) float64 {
-	for _, p := range c.Points {
-		if p.Y >= y {
-			return p.X
-		}
-	}
-	return math.Inf(1)
 }

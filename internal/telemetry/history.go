@@ -168,14 +168,6 @@ func (d HistoryDump) Span() time.Duration {
 	return time.Duration(d.Points[len(d.Points)-1].AtNS - d.Points[0].AtNS)
 }
 
-// Newest returns the most recent point (ok=false on an empty dump).
-func (d HistoryDump) Newest() (HistoryPoint, bool) {
-	if len(d.Points) == 0 {
-		return HistoryPoint{}, false
-	}
-	return d.Points[len(d.Points)-1], true
-}
-
 // reset reports whether going from point a to point b crosses a process
 // restart: the incarnation epoch changed, or (for epoch-less v1 peers)
 // the monotonic uptime went backwards.
@@ -195,38 +187,6 @@ func (d HistoryDump) Resets() int {
 		}
 	}
 	return n
-}
-
-// Rate returns the average per-second increase of the named counter
-// stat over the trailing window (0 = the whole dump). Restarts inside
-// the window contribute the post-restart absolute value (the counter
-// restarted from zero), never a negative delta. ok is false with fewer
-// than two points in the window.
-func (d HistoryDump) Rate(name string, window time.Duration) (perSec float64, ok bool) {
-	pts := d.tail(window)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	inc := int64(0)
-	prev, prevOK := pts[0].Snap.Stat(name)
-	for i := 1; i < len(pts); i++ {
-		cur, curOK := pts[i].Snap.Stat(name)
-		if !curOK {
-			continue
-		}
-		switch {
-		case historyReset(pts[i-1].Snap, pts[i].Snap) || (prevOK && cur < prev):
-			inc += cur
-		case prevOK && cur > prev:
-			inc += cur - prev
-		}
-		prev, prevOK = cur, true
-	}
-	elapsed := pts[len(pts)-1].AtNS - pts[0].AtNS
-	if elapsed <= 0 {
-		return 0, false
-	}
-	return float64(inc) / (float64(elapsed) / 1e9), true
 }
 
 // RateSeries returns the per-interval rate of the named stat, oldest
@@ -333,18 +293,4 @@ func (d HistoryDump) QuantileSeries(name string, p float64) []float64 {
 		out = append(out, float64(delta.Quantile(p)))
 	}
 	return out
-}
-
-// tail returns the points within the trailing window (0 = all).
-func (d HistoryDump) tail(window time.Duration) []HistoryPoint {
-	if window <= 0 || len(d.Points) == 0 {
-		return d.Points
-	}
-	cutoff := d.Points[len(d.Points)-1].AtNS - int64(window)
-	for i, p := range d.Points {
-		if p.AtNS >= cutoff {
-			return d.Points[i:]
-		}
-	}
-	return nil
 }

@@ -246,14 +246,6 @@ func (t *Instruments) SetStart(at time.Time) {
 	t.start = at
 }
 
-// Start returns the recorded process start time (zero on nil).
-func (t *Instruments) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // EnableExemplars switches on tail-bucket exemplar capture for every
 // per-kind latency histogram, existing and future: buckets at/above the
 // tailQ quantile carry the most recent trace id observed there, linking
@@ -402,7 +394,7 @@ func (t *Instruments) ObserveHealth(pathLen, entries, buddies int, livenessPermi
 	t.healthRounds.Set(rounds)
 }
 
-// ClientRPC, ServedRPC, ServedRPCDone and ServedRPCTraced address a
+// ClientRPC, ServedRPC and ServedRPCTraced address a
 // message kind by its label, for callers that hold no wire code; callers
 // on the per-message path use RPCKind.
 
@@ -415,14 +407,9 @@ func (t *Instruments) ClientRPC(kind string, d time.Duration, err error) {
 // ServedRPC records one inbound RPC of the given kind.
 func (t *Instruments) ServedRPC(kind string) { t.rpcNamed(kind).Served() }
 
-// ServedRPCDone records the handling duration and outcome of one inbound
-// RPC (paired with an earlier ServedRPC).
-func (t *Instruments) ServedRPCDone(kind string, d time.Duration, isErr bool) {
-	t.rpcNamed(kind).ServedDone(d, isErr, 0)
-}
-
-// ServedRPCTraced is ServedRPCDone for a request carrying a trace
-// context (see RPCKind.ServedDone).
+// ServedRPCTraced records the handling duration and outcome of one inbound
+// RPC (paired with an earlier ServedRPC) and, for a request carrying a trace
+// context, its trace id (0 for none; see RPCKind.ServedDone).
 func (t *Instruments) ServedRPCTraced(kind string, d time.Duration, isErr bool, traceID uint64) {
 	t.rpcNamed(kind).ServedDone(d, isErr, traceID)
 }

@@ -104,11 +104,6 @@ func (q *QHist) EnableExemplars(tailQ float64) {
 	q.ex.CompareAndSwap(nil, &qExemplars{tailQ: tailQ})
 }
 
-// ExemplarsEnabled reports whether exemplar capture is on.
-func (q *QHist) ExemplarsEnabled() bool {
-	return q != nil && q.ex.Load() != nil
-}
-
 // ObserveTraced records one value and, when exemplar capture is enabled
 // and traceID is non-zero, stamps traceID as the landing bucket's most
 // recent exemplar (one extra atomic store — still lock-free). With

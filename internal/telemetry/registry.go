@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -285,10 +284,4 @@ func withLabel(name, key, value string) string {
 		return fmt.Sprintf("%s,%s=%q}", name[:len(name)-1], key, value)
 	}
 	return Label(name, key, value)
-}
-
-// sortStats orders a snapshot by name (used by tests; the live snapshot
-// keeps registration order, which groups families together).
-func sortStats(stats []Stat) {
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
 }

@@ -92,29 +92,6 @@ func (q *QHist) Snapshot() QHistSnapshot {
 	return s
 }
 
-// Exemplar returns the trace id recorded for bucket idx (0 if none).
-func (s QHistSnapshot) Exemplar(idx uint16) uint64 {
-	for i, e := range s.ExIdx {
-		if e == idx {
-			return s.ExTrace[i]
-		}
-	}
-	return 0
-}
-
-// TailExemplar returns the exemplar of the highest bucket carrying one —
-// the trace behind the worst latency the histogram has seen recently —
-// along with that bucket's upper value bound. ok is false when the
-// snapshot carries no exemplars.
-func (s QHistSnapshot) TailExemplar() (traceID uint64, atOrBelow int64, ok bool) {
-	if len(s.ExIdx) == 0 {
-		return 0, 0, false
-	}
-	last := len(s.ExIdx) - 1
-	_, hi := qBounds(int(s.ExIdx[last]))
-	return s.ExTrace[last], hi, true
-}
-
 // Empty reports whether the snapshot holds no observations.
 func (s QHistSnapshot) Empty() bool { return len(s.Idx) == 0 }
 

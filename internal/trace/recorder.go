@@ -56,14 +56,6 @@ func (r *Recorder) Len() int {
 	return r.next
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Total returns how many traces were ever recorded (including evicted
 // ones).
 func (r *Recorder) Total() uint64 {

@@ -37,16 +37,6 @@ func FromDirectory(d *directory.Directory) *Trie {
 	return t
 }
 
-// Paths returns every occupied path in val order.
-func (t *Trie) Paths() []bitpath.Path {
-	out := make([]bitpath.Path, 0, len(t.byPath))
-	for p := range t.byPath {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return bitpath.Compare(out[i], out[j]) < 0 })
-	return out
-}
-
 // Replicas returns the peers responsible for exactly path.
 func (t *Trie) Replicas(path bitpath.Path) []addr.Addr {
 	return append([]addr.Addr(nil), t.byPath[path]...)
@@ -68,41 +58,6 @@ func (t *Trie) Covering(key bitpath.Path) []addr.Addr {
 
 // MaxDepth returns the deepest occupied path length.
 func (t *Trie) MaxDepth() int { return t.maxLen }
-
-// CheckCoverage verifies that the occupied regions cover the whole key
-// space at resolution depth: every depth-bit key must have at least one
-// covering peer. It returns the first uncovered key, if any.
-func (t *Trie) CheckCoverage(depth int) error {
-	for _, key := range bitpath.All(depth) {
-		covered := false
-		for p := range t.byPath {
-			if p.IsPrefixOf(key) || key.IsPrefixOf(p) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return fmt.Errorf("trie: key %s has no covering peer", key)
-		}
-	}
-	return nil
-}
-
-// CheckPrefixFree verifies the converse structural property of a fully
-// converged grid: no occupied path is a proper prefix of another (peers
-// stopped at different depths mean the grid is still converging — legal,
-// but worth asserting against in fixture tests).
-func (t *Trie) CheckPrefixFree() error {
-	paths := t.Paths()
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if paths[i].IsPrefixOf(paths[j]) && paths[i] != paths[j] {
-				return fmt.Errorf("trie: path %s is a proper prefix of %s", paths[i], paths[j])
-			}
-		}
-	}
-	return nil
-}
 
 // ReplicaCounts returns the sizes of all replica groups, keyed by path.
 func (t *Trie) ReplicaCounts() map[bitpath.Path]int {

@@ -1,7 +1,9 @@
 package trie
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -174,4 +176,49 @@ func TestBuildIdealPanicsWhenTooFewPeers(t *testing.T) {
 		}
 	}()
 	BuildIdeal(3, 2, 1, rand.New(rand.NewSource(3)))
+}
+
+// CheckCoverage verifies that the occupied regions cover the whole key
+// space at resolution depth: every depth-bit key must have at least one
+// covering peer. It returns the first uncovered key, if any.
+func (t *Trie) CheckCoverage(depth int) error {
+	for _, key := range bitpath.All(depth) {
+		covered := false
+		for p := range t.byPath {
+			if key.HasPrefix(p) || p.HasPrefix(key) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return fmt.Errorf("trie: key %s has no covering peer", key)
+		}
+	}
+	return nil
+}
+
+// CheckPrefixFree verifies the converse structural property of a fully
+// converged grid: no occupied path is a proper prefix of another (peers
+// stopped at different depths mean the grid is still converging — legal,
+// but worth asserting against in fixture tests).
+func (t *Trie) CheckPrefixFree() error {
+	paths := t.Paths()
+	for i := 0; i < len(paths); i++ {
+		for j := i + 1; j < len(paths); j++ {
+			if paths[j].HasPrefix(paths[i]) && paths[i] != paths[j] {
+				return fmt.Errorf("trie: path %s is a proper prefix of %s", paths[i], paths[j])
+			}
+		}
+	}
+	return nil
+}
+
+// Paths returns every occupied path in val order.
+func (t *Trie) Paths() []bitpath.Path {
+	out := make([]bitpath.Path, 0, len(t.byPath))
+	for p := range t.byPath {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return bitpath.Compare(out[i], out[j]) < 0 })
+	return out
 }

@@ -332,8 +332,8 @@ func TestHistoryRoundTrip(t *testing.T) {
 	if d.Points[1].Snap.Hists[0].ExTrace[0] != 0xbeef {
 		t.Fatalf("exemplar did not round-trip: %+v", d.Points[1].Snap.Hists[0])
 	}
-	if rate, ok := d.Rate("pgrid_rpc_served_total", 0); !ok || rate != 2 {
-		t.Fatalf("round-tripped dump rate = %v, %v; want 2, true", rate, ok)
+	if rates := d.RateSeries("pgrid_rpc_served_total"); len(rates) != 1 || rates[0] != 2 {
+		t.Fatalf("round-tripped dump rates = %v; want [2]", rates)
 	}
 
 	// History disabled: empty, schema-stamped dump.

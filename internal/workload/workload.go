@@ -8,7 +8,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"pgrid/internal/addr"
@@ -105,15 +104,6 @@ func FileName(rng *rand.Rand, i int) string {
 		artists[rng.Intn(len(artists))], tracks[rng.Intn(len(tracks))], i)
 }
 
-// Names returns the catalog's item names.
-func (c Catalog) Names() []string {
-	out := make([]string, len(c.Entries))
-	for i, e := range c.Entries {
-		out[i] = e.Name
-	}
-	return out
-}
-
 // Churn is a two-state (online/offline) Markov session model per peer. It
 // generalizes the paper's static online probability: at every step an
 // online peer goes offline with probability POffline and an offline peer
@@ -122,15 +112,6 @@ func (c Catalog) Names() []string {
 type Churn struct {
 	POnline  float64 // offline → online transition probability per step
 	POffline float64 // online → offline transition probability per step
-}
-
-// StationaryOnline returns the long-run fraction of online peers.
-func (c Churn) StationaryOnline() float64 {
-	d := c.POnline + c.POffline
-	if d == 0 {
-		return 1
-	}
-	return c.POnline / d
 }
 
 // ChurnForOnlineFraction builds a Churn model with the given stationary
@@ -151,28 +132,4 @@ func (c Churn) Step(rng *rand.Rand, online bool) bool {
 		return rng.Float64() >= c.POffline
 	}
 	return rng.Float64() < c.POnline
-}
-
-// SkewMetric quantifies how imbalanced a key sample is: the total-variation
-// distance between the empirical distribution of the first `prefixBits`
-// bits and the uniform distribution (0 = perfectly uniform, →1 = fully
-// concentrated). Used by the skew-extension experiments.
-func SkewMetric(keys []bitpath.Path, prefixBits int) float64 {
-	if len(keys) == 0 {
-		return 0
-	}
-	buckets := 1 << uint(prefixBits)
-	counts := make([]int, buckets)
-	for _, k := range keys {
-		if k.Len() < prefixBits {
-			panic(fmt.Sprintf("workload: key %s shorter than %d bits", k, prefixBits))
-		}
-		counts[k.Prefix(prefixBits).Uint()]++
-	}
-	tv := 0.0
-	uniform := 1 / float64(buckets)
-	for _, c := range counts {
-		tv += math.Abs(float64(c)/float64(len(keys)) - uniform)
-	}
-	return tv / 2
 }
