@@ -1,9 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"slices"
 	"time"
 
@@ -58,43 +57,19 @@ func (f clusterFrame) exitCode() int {
 	return 0
 }
 
-// runCluster collects and prints the cluster frame — merged quantiles,
-// RED rollups, top-K offenders, SLO verdicts, the structural and repair
-// census, and every unreachable peer, unlisted peer and violation.
-// count == 1 prints one plain frame (script-friendly, the default) and
-// exits with its exitCode; count <= 0 refreshes forever at the given
-// interval. jsonOut emits one JSON object per frame instead of the text.
-func runCluster(client *node.Client, id addr.Addr, all []addr.Addr, objectives []slo.Objective, interval time.Duration, count int, jsonOut bool) {
-	enc := json.NewEncoder(os.Stdout)
-	for i := 0; count <= 0 || i < count; i++ {
-		if i > 0 {
-			time.Sleep(interval)
-		}
-		f := collectCluster(client, id, all, objectives)
-		if jsonOut {
-			if err := enc.Encode(f); err != nil {
-				fmt.Fprintln(os.Stderr, "pgridctl:", err)
-				os.Exit(1)
-			}
-		} else {
-			if count != 1 {
-				fmt.Print("\x1b[H\x1b[2J")
-				fmt.Printf("cluster from node %v · %s\n", id, f.At.Format("15:04:05"))
-			}
-			fmt.Printf("crawled %d peers from node %v (%d messages)\n", f.Reached, id, f.Messages)
-			for _, a := range f.Report.Unreachable {
-				fmt.Printf("  unreachable: %v\n", a)
-			}
-			for _, a := range f.Unlisted {
-				fmt.Printf("  unlisted: %v (in -peers, referenced by no reached peer)\n", a)
-			}
-			for _, v := range f.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
-			}
-			analysis.RenderClusterReport(os.Stdout, f.Report)
-		}
-		if count == 1 {
-			os.Exit(f.exitCode())
-		}
+// print writes the frame as cluster's text view: the walk, every unreachable
+// peer, unlisted peer and violation, then the report — merged quantiles, RED
+// rollups, top-K offenders, SLO verdicts, the structural and repair census.
+func (f clusterFrame) print(w io.Writer) {
+	fmt.Fprintf(w, "crawled %d peers from node %v (%d messages)\n", f.Reached, f.From, f.Messages)
+	for _, a := range f.Report.Unreachable {
+		fmt.Fprintf(w, "  unreachable: %v\n", a)
 	}
+	for _, a := range f.Unlisted {
+		fmt.Fprintf(w, "  unlisted: %v (in -peers, referenced by no reached peer)\n", a)
+	}
+	for _, v := range f.Violations {
+		fmt.Fprintf(w, "  VIOLATION: %s\n", v)
+	}
+	analysis.RenderClusterReport(w, f.Report)
 }

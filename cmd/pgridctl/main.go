@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/url"
 	"os"
@@ -42,8 +43,8 @@ func main() {
 		keybits  = flag.Int("keybits", 8, "bits for keys hashed from names")
 		timeout  = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries  = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
-		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster over cumulative counts and by watch over the history window: kind:pNN:threshold,... (empty disables)")
-		jsonOut  = flag.Bool("json", false, "machine-readable output: top, cluster, and watch emit one JSON object per frame, observe the /debug/observe JSON")
+		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster over cumulative counts and by watch and observe ask=history over the history window: kind:pNN:threshold,... (empty disables)")
+		jsonOut  = flag.Bool("json", false, "machine-readable output: observe, watch and cluster emit one JSON object per frame (observe's is the /debug/observe JSON)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: pgridctl -peers <endpoints> <command> [args]
@@ -57,31 +58,31 @@ commands:
   mlookup <name>                majority read across the community (repetitive search)
   replicas <id> <key>           list all reachable peers covering a binary key
   scan <id> <key-prefix>        list all entries under a binary key prefix
-  observe <id> <query>          ask node <id> what a /debug/observe query string names: ask=links,
+  observe <id> <query> [interval] [count]
+                                ask node <id> what a /debug/observe query string names: ask=links,
                                 ask=metrics, 'ask=health,liveness', 'ask=repair,repair-now' (a round
-                                first), 'ask=traces&limit=5' or 'ask=history&window=2m'
-  top <id> [interval] [count]   refreshing live summary of node <id>: rates, per-kind latency
-                                quantiles, pool, breakers (default 2s forever; count 1 = one plain
-                                frame); cluster <id> merges the community's quantiles
+                                first), 'ask=traces&limit=5' or 'ask=history&window=2m' (trends, and
+                                per kind the calls, their rate and latency quantiles)
   cluster <id> [interval] [count]
                                 walk the community from node <id> and print its verdict: merged latency
                                 quantiles, RED rollups, top-K slow and erroring peers, SLO burn, the
                                 structural and repair census, unreachable and unlisted peers and every
                                 reference breaking the Sec. 2 property; one shot (the default) exits 1
-                                if any of those fails (interval = refresh)
-  watch [-cluster] <id> [interval] [count]
-                                refreshing sparkline trends from the node's history ring: RPC rate, error
-                                rate, served p99, pool wait, anomaly findings, and windowed SLO verdicts
-                                (default 2s forever; count 1 = one plain frame); -cluster
-                                federates every reachable peer's ring via the community walk
+                                if any of those fails
+  watch <id> [interval] [count]
+                                sparkline trends from every reachable peer's history ring (the walk
+                                from node <id>): RPC rate, error rate, served p99, pool wait, per-kind
+                                calls, rate and quantiles, anomaly findings and windowed SLO verdicts
+
+[interval] [count] refreshes every interval (2s) count times, 0 = until killed: watch's default, and
+observe's and cluster's once an interval is given; count 1 prints one plain frame, exiting with its code
 `)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	args := flag.Args()
 	if *peers == "" || len(args) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		usageError("-peers and a command are required")
 	}
 	if *timeout <= 0 {
 		log.Fatalf("-timeout must be positive, got %v (an unbounded wait on a dead peer would hang forever)", *timeout)
@@ -89,6 +90,10 @@ commands:
 
 	if *retries < 1 {
 		log.Fatalf("-retries must be at least 1, got %d", *retries)
+	}
+	objectives, err := slo.ParseList(*sloSpecs)
+	if err != nil {
+		usageError("bad -slo: %v", err)
 	}
 
 	// Every command talks through this one transport, so the -timeout
@@ -230,71 +235,59 @@ commands:
 			fmt.Printf("  %s\n", e)
 		}
 
-	case "top":
-		id := mustID(args, 0)
-		interval, count := intervalCount(args, 2*time.Second, 0)
-		runTop(client, id, interval, count, *jsonOut)
-
-	case "watch":
-		clusterMode := false
-		if len(args) > 0 && args[0] == "-cluster" {
-			clusterMode = true
-			args = args[1:]
-		}
-		id := mustID(args, 0)
-		interval, count := intervalCount(args, 2*time.Second, 0)
-		objectives, err := slo.ParseList(*sloSpecs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runWatch(client, id, clusterMode, objectives, interval, count, *jsonOut)
-
-	case "cluster":
-		id := mustID(args, 0)
-		// One frame by default — the report is a diagnostic document, not
-		// a dashboard; an explicit interval turns on refresh-forever.
-		count := 1
-		if len(args) > 1 {
-			count = 0
-		}
-		interval, count := intervalCount(args, 2*time.Second, count)
-		objectives, err := slo.ParseList(*sloSpecs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runCluster(client, id, all, objectives, interval, count, *jsonOut)
-
 	case "observe":
 		id := mustID(args, 0)
 		q, err := url.ParseQuery(arg(args, 1))
 		if err != nil {
-			log.Fatal(err)
+			usageError("bad observe query: %v", err)
 		}
 		req, err := wire.ParseObserve(q)
 		if err != nil {
-			log.Fatal(err)
+			usageError("%v", err)
 		}
-		o, err := client.Observe(id, req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *jsonOut {
-			if err := json.NewEncoder(os.Stdout).Encode(o); err != nil {
+		interval, count := intervalCount(args[2:], 1)
+		os.Exit(refresh(os.Stdout, fmt.Sprintf("observe node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
+			o, err := client.Observe(id, req)
+			if err != nil {
 				log.Fatal(err)
 			}
-		} else {
-			analysis.RenderObserve(os.Stdout, id, o, len(all))
-		}
+			return o, func(w io.Writer) { analysis.RenderObserve(w, id, o, len(all), objectives) }, 0
+		}))
+
+	case "watch":
+		id := mustID(args, 0)
+		interval, count := intervalCount(args[1:], 0)
+		os.Exit(refresh(os.Stdout, fmt.Sprintf("watch from node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
+			f := collectWatch(client, id, objectives)
+			return f, f.print, f.exitCode()
+		}))
+
+	case "cluster":
+		id := mustID(args, 0)
+		// One frame by default: the report is a diagnostic document, not a
+		// dashboard.
+		interval, count := intervalCount(args[1:], 1)
+		os.Exit(refresh(os.Stdout, fmt.Sprintf("cluster from node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
+			f := collectCluster(client, id, all, objectives)
+			return f, f.print, f.exitCode()
+		}))
 
 	default:
-		flag.Usage()
-		os.Exit(2)
+		usageError("unknown command %q", cmd)
 	}
+}
+
+// usageError reports what is wrong with the command line, prints the usage
+// and exits 2.
+func usageError(format string, a ...any) {
+	log.Printf(format, a...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func arg(args []string, i int) string {
 	if i >= len(args) {
-		log.Fatalf("missing argument %d", i+1)
+		usageError("missing argument %d", i+1)
 	}
 	return args[i]
 }
@@ -302,29 +295,60 @@ func arg(args []string, i int) string {
 func mustID(args []string, i int) addr.Addr {
 	v, err := strconv.Atoi(arg(args, i))
 	if err != nil || v < 0 {
-		log.Fatalf("bad peer id %q", arg(args, i))
+		usageError("bad peer id %q", arg(args, i))
 	}
 	return addr.Addr(v)
 }
 
-// intervalCount parses the optional [interval] [count] tail shared by the
-// refreshing commands, falling back to the given defaults.
-func intervalCount(args []string, interval time.Duration, count int) (time.Duration, int) {
-	if len(args) > 1 {
-		d, err := time.ParseDuration(args[1])
+// intervalCount parses the [interval] [count] tail observe, watch and
+// cluster share: the interval defaults to 2s, and the count to count unless
+// an interval is given, which refreshes until killed (count 0).
+func intervalCount(tail []string, count int) (time.Duration, int) {
+	interval := 2 * time.Second
+	if len(tail) > 0 {
+		d, err := time.ParseDuration(tail[0])
 		if err != nil || d <= 0 {
-			log.Fatalf("bad interval %q", args[1])
+			usageError("bad interval %q", tail[0])
 		}
-		interval = d
+		interval, count = d, 0
 	}
-	if len(args) > 2 {
-		v, err := strconv.Atoi(args[2])
+	if len(tail) > 1 {
+		v, err := strconv.Atoi(tail[1])
 		if err != nil || v < 0 {
-			log.Fatalf("bad count %q", args[2])
+			usageError("bad count %q", tail[1])
 		}
 		count = v
 	}
 	return interval, count
+}
+
+// refresh is the loop observe, watch and cluster share: count frames
+// (0 = until killed) interval apart, each collected anew and written to w —
+// one JSON object a line with jsonOut, else its text, which a refreshing run
+// redraws in place under the title and the time. Count 1 prints one plain
+// frame. It returns the last frame's exit code.
+func refresh(w io.Writer, title string, interval time.Duration, count int, jsonOut bool, collect func() (frame any, text func(io.Writer), code int)) int {
+	enc := json.NewEncoder(w)
+	code := 0
+	for i := 0; count <= 0 || i < count; i++ {
+		if i > 0 {
+			time.Sleep(interval)
+		}
+		frame, text, c := collect()
+		switch {
+		case jsonOut:
+			if err := enc.Encode(frame); err != nil {
+				log.Fatal(err)
+			}
+		case count == 1:
+			text(w)
+		default:
+			fmt.Fprintf(w, "\x1b[H\x1b[2J%s · %s\n", title, time.Now().Format("15:04:05")) // cursor home + clear
+			text(w)
+		}
+		code = c
+	}
+	return code
 }
 
 func mustCall(tr node.Transport, to addr.Addr, m *wire.Message) *wire.Message {

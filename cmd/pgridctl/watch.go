@@ -1,82 +1,52 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/analysis"
 	"pgrid/internal/node"
 	"pgrid/internal/slo"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
-// watchFrame is one refresh of `pgridctl watch -json`: the federated
-// trend report plus collection metadata, emitted as one JSON object per
-// frame so scripts can stream it line-by-line.
+// watchFrame is one collection of `pgridctl watch`: the trend report
+// federated from every reachable peer's history ring, with what the walk
+// cost and whom it could not reach. `-json` emits one per line.
 type watchFrame struct {
-	Scope       string               `json:"scope"`
+	From        addr.Addr            `json:"from"`
 	At          time.Time            `json:"at"`
 	Messages    int                  `json:"messages"`
 	Unreachable []addr.Addr          `json:"unreachable,omitempty"`
 	Report      analysis.TrendReport `json:"report"`
 }
 
-// runWatch fetches history rings — one node's, or every reachable
-// peer's via the community walk — and renders the windowed trend view:
-// sparklines for RPC rate, error rate, served p99 and pool wait, plus
-// anomaly findings and windowed SLO verdicts. Unlike top, which
-// differences two consecutive fetches client-side, watch reads the
-// server-side rings, so one frame already holds the whole window (count 1
-// is a complete report, not a baseline).
-func runWatch(client *node.Client, id addr.Addr, clusterMode bool, objectives []slo.Objective, interval time.Duration, count int, jsonOut bool) {
-	scope := fmt.Sprintf("node %v", id)
-	if clusterMode {
-		scope = fmt.Sprintf("cluster from node %v", id)
+// collectWatch walks the community from id, asking every peer its history
+// ring, and folds the rings into the windowed trend view: sparklines for RPC
+// rate, error rate, served p99 and pool wait, the per-kind rows, anomaly
+// findings and the objectives judged over the window. The rings live on the
+// peers, so one frame already holds the whole window.
+func collectWatch(client *node.Client, id addr.Addr, objectives []slo.Objective) watchFrame {
+	res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHistory})
+	return watchFrame{From: id, At: time.Now(), Messages: res.Messages, Unreachable: res.Unreachable,
+		Report: analysis.AnalyzeTrends(res.Dumps, objectives)}
+}
+
+// print writes the frame as watch's text view.
+func (f watchFrame) print(w io.Writer) {
+	fmt.Fprintf(w, "crawled %d peers from node %v (%d messages)\n", f.Report.Peers, f.From, f.Messages)
+	analysis.RenderTrendReport(w, f.Report)
+	for _, a := range f.Unreachable {
+		fmt.Fprintf(w, "unreachable    %v\n", a)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	for i := 0; count <= 0 || i < count; i++ {
-		if i > 0 {
-			time.Sleep(interval)
-		}
-		var (
-			dumps       map[addr.Addr]telemetry.HistoryDump
-			unreachable []addr.Addr
-			messages    int
-		)
-		if clusterMode {
-			res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHistory})
-			dumps, unreachable, messages = res.Dumps, res.Unreachable, res.Messages
-		} else {
-			o, err := client.Observe(id, wire.ObserveReq{Asks: wire.AskHistory})
-			if err != nil {
-				log.Fatal(err)
-			}
-			dumps = map[addr.Addr]telemetry.HistoryDump{id: *o.History}
-			messages = 1
-		}
-		rep := analysis.AnalyzeTrends(dumps, objectives)
-		if jsonOut {
-			if err := enc.Encode(watchFrame{Scope: scope, At: time.Now(),
-				Messages: messages, Unreachable: unreachable, Report: rep}); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			if count != 1 {
-				fmt.Print("\x1b[H\x1b[2J")
-			}
-			fmt.Printf("watch %s · %s (%d messages)\n", scope, time.Now().Format("15:04:05"), messages)
-			analysis.RenderTrendReport(os.Stdout, rep)
-			for _, a := range unreachable {
-				fmt.Printf("unreachable    %v\n", a)
-			}
-		}
-		if count == 1 && rep.Peers == 0 {
-			os.Exit(1)
-		}
+}
+
+// exitCode is 1 when no peer answered, else 0.
+func (f watchFrame) exitCode() int {
+	if f.Report.Peers == 0 {
+		return 1
 	}
+	return 0
 }

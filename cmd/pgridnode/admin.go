@@ -77,7 +77,7 @@ func newAdminMux(n *node.Node, tel *telemetry.Instruments, serving *atomic.Bool,
 				"a GET runs no repair round, and `pgridctl observe <id> <query>` asks a peer for any of them")
 		}
 		o := n.Observe(&req)
-		return o, func(w io.Writer) { analysis.RenderObserve(w, n.Addr(), o, 0) }, nil
+		return o, func(w io.Writer) { analysis.RenderObserve(w, n.Addr(), o, 0, nil) }, nil
 	})
 	debugView(mux, "/debug/slow", func(q url.Values) (any, func(io.Writer), error) {
 		limit, err := queryLimit(q)

@@ -34,11 +34,12 @@
 // a buffer that is written through as it fills and flushed on exit. With
 // -slow-rpc any outgoing call over the threshold is counted, and recorded
 // with its span context into a dedicated flight recorder served at
-// /debug/slow; per-kind latency quantiles are live at /metrics and in
-// `pgridctl top`. With -history-interval the node runs its one metrics
+// /debug/slow; per-kind latency quantiles are live at /metrics. With
+// -history-interval the node runs its one metrics
 // sampler: each tick takes one snapshot of every series into a fixed-memory
 // ring five minutes deep, served at /debug/observe?ask=history and to
-// `pgridctl watch` over the wire; latency buckets at or above the 0.99
+// `pgridctl observe <id> ask=history` and `pgridctl watch` over the wire
+// (per kind the calls, their rate and windowed quantiles); latency buckets at or above the 0.99
 // quantile keep the trace id of their latest traced request, which rides in
 // the metrics column's ExIdx/ExTrace (`pgridctl -json observe <id>
 // ask=metrics` shows it). The node

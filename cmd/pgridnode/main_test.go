@@ -613,8 +613,11 @@ func observeCommunity(t *testing.T) (*node.Cluster, *telemetry.Instruments) {
 	n.SetTelemetry(tel)
 	n.EnableHealth()
 	n.EnableTracing(trace.NewRecorder(16), 1)
+	cl := node.NewClient(c.Transport, 1)
 	for _, key := range []string{"0000", "0101", "1010", "1111"} {
-		n.TraceQuery(bitpath.Path(key))
+		if _, err := cl.TraceQuery(n.Addr(), bitpath.Path(key)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hist := telemetry.NewHistory(time.Second, time.Minute)
 	clock := time.Unix(1_700_000_000, 0)
@@ -645,7 +648,7 @@ func TestAdminObserve(t *testing.T) {
 	cl := node.NewClient(c.Transport, 1)
 
 	served := func() int64 {
-		for _, s := range tel.Registry().Snapshot() {
+		for _, s := range tel.MetricsSnapshot().Stats {
 			if s.Name == "pgrid_rpc_served_total" {
 				return s.Value
 			}
@@ -741,8 +744,8 @@ func TestAdminObserve(t *testing.T) {
 			t.Errorf("?%s = %d, want 400", query, code)
 		}
 	}
-	if rounds := n.Repairer().Status().Rounds; rounds != 1 {
-		t.Errorf("repair ran %d rounds, want the one the test ran", rounds)
+	if o, err := cl.Observe(n.Addr(), wire.ObserveReq{Asks: wire.AskRepair}); err != nil || o.Repair.Rounds != 1 {
+		t.Errorf("repair after the refused queries = %+v, %v, want the one round the test ran", o, err)
 	}
 }
 

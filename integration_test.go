@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"pgrid/internal/bitpath"
-	"pgrid/internal/trie"
 	"pgrid/internal/workload"
 )
 
@@ -32,9 +31,9 @@ func TestIntegrationBuildPublishSearchLifecycle(t *testing.T) {
 	}
 
 	// The converged structure must cover the whole key space.
-	tr := trie.FromDirectory(g.Directory())
-	for _, key := range bitpath.All(6) {
-		if len(tr.Covering(key)) == 0 {
+	for v := uint64(0); v < 1<<6; v++ {
+		key := bitpath.FromUint(v, 6)
+		if len(g.Directory().Covering(key)) == 0 {
 			t.Fatalf("key %s has no covering peer", key)
 		}
 	}
@@ -141,7 +140,6 @@ func TestIntegrationSearchTerminatesAtOracleCoveringPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trie.FromDirectory(g.Directory())
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 200; i++ {
 		key := bitpath.Random(rng, 5)
@@ -149,7 +147,7 @@ func TestIntegrationSearchTerminatesAtOracleCoveringPeer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("search %s: %v", key, err)
 		}
-		covering := tr.Covering(key)
+		covering := g.Directory().Covering(key)
 		found := false
 		for _, a := range covering {
 			if int(a) == res.Peer {

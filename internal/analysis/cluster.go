@@ -39,16 +39,70 @@ const AvailabilityMargin = 0.05
 // KindLatency is one merged latency row: every peer's histogram for this
 // scope and kind summed bucket-wise, so the quantiles are exactly those of
 // the union stream (not an average of per-peer quantiles, which would be
-// meaningless).
+// meaningless). Rate is the calls per second over the newest interval of
+// the history ring; a cluster report, read from cumulative counts, has none.
 type KindLatency struct {
 	Scope string // "served" or "client"
 	Kind  string
 	Hist  telemetry.QHistSnapshot
 	Count int64
+	Rate  float64 `json:",omitempty"`
 	P50   int64
 	P95   int64
 	P99   int64
 	P999  int64
+}
+
+// kindKey names one latency row.
+type kindKey struct{ scope, kind string }
+
+// latencyRows turns merged per-kind histograms into rows sorted by scope
+// then kind, the quantiles read from each histogram and the count from
+// counts (the histogram's own count where counts is nil). A kind with no
+// calls is left out.
+func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) []KindLatency {
+	var rows []KindLatency
+	for k, h := range hists {
+		n := h.Count
+		if counts != nil {
+			n = counts[k]
+		}
+		if n == 0 {
+			continue
+		}
+		qs := h.Quantiles(telemetry.QuantilePoints...)
+		rows = append(rows, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h, Count: n, Rate: rates[k],
+			P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Scope != rows[j].Scope {
+			return rows[i].Scope < rows[j].Scope
+		}
+		return rows[i].Kind < rows[j].Kind
+	})
+	return rows
+}
+
+// renderLatency writes latency rows as one table — scope, kind, call
+// count, then with rate the calls per second over the newest interval, then
+// p50 to p999 — the table both the cluster report and the trend report
+// print. No rows, no table.
+func renderLatency(w io.Writer, rows []KindLatency, rate bool) {
+	if len(rows) == 0 {
+		return
+	}
+	head := fmt.Sprintf("%-7s %-10s %8s", "scope", "kind", "count")
+	if rate {
+		head += fmt.Sprintf(" %8s", "rate/s")
+	}
+	fmt.Fprintf(w, "latency        %s %9s %9s %9s %9s\n", head, "p50", "p95", "p99", "p999")
+	for _, l := range rows {
+		row := fmt.Sprintf("%-7s %-10s %8d", l.Scope, l.Kind, l.Count)
+		if rate {
+			row += fmt.Sprintf(" %8.1f", l.Rate)
+		}
+		fmt.Fprintf(w, "               %s %9s %9s %9s %9s\n", row, fmtNS(l.P50), fmtNS(l.P95), fmtNS(l.P99), fmtNS(l.P999))
+	}
 }
 
 // PeerSummary is the per-peer RED rollup feeding the top-K tables.
@@ -137,8 +191,7 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 	}
 	sort.Slice(r.Unreachable, func(i, j int) bool { return r.Unreachable[i] < r.Unreachable[j] })
 
-	type key struct{ scope, kind string }
-	merged := make(map[key]telemetry.QHistSnapshot)
+	merged := make(map[kindKey]telemetry.QHistSnapshot)
 	peers := make([]PeerSummary, 0, len(snaps))
 
 	addrs := make([]addr.Addr, 0, len(snaps))
@@ -180,7 +233,7 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 			default:
 				continue // pool waits etc. stay node-local
 			}
-			k := key{scope, kind}
+			k := kindKey{scope, kind}
 			m, err := telemetry.MergeQHist(merged[k], h)
 			if err != nil {
 				continue // geometry skew from a foreign build: skip, don't poison
@@ -198,20 +251,7 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 		peers = append(peers, ps)
 	}
 
-	for k, h := range merged {
-		if h.Count == 0 {
-			continue
-		}
-		qs := h.Quantiles(telemetry.QuantilePoints...)
-		r.Latency = append(r.Latency, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h,
-			Count: h.Count, P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
-	}
-	sort.Slice(r.Latency, func(i, j int) bool {
-		if r.Latency[i].Scope != r.Latency[j].Scope {
-			return r.Latency[i].Scope < r.Latency[j].Scope
-		}
-		return r.Latency[i].Kind < r.Latency[j].Kind
-	})
+	r.Latency = latencyRows(merged, nil, nil)
 
 	slow := append([]PeerSummary(nil), peers...)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].ServedP99 > slow[j].ServedP99 })
@@ -231,7 +271,7 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 	}
 
 	for _, o := range objectives {
-		h := merged[key{"served", o.Kind}]
+		h := merged[kindKey{"served", o.Kind}]
 		r.SLO = append(r.SLO, slo.Eval(o, h))
 	}
 
@@ -322,14 +362,7 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d)\n",
 		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors)
 
-	if len(r.Latency) > 0 {
-		fmt.Fprintf(w, "latency        %-7s %-10s %8s %9s %9s %9s %9s\n",
-			"scope", "kind", "count", "p50", "p95", "p99", "p999")
-		for _, l := range r.Latency {
-			fmt.Fprintf(w, "               %-7s %-10s %8d %9s %9s %9s %9s\n",
-				l.Scope, l.Kind, l.Count, fmtNS(l.P50), fmtNS(l.P95), fmtNS(l.P99), fmtNS(l.P999))
-		}
-	}
+	renderLatency(w, r.Latency, false)
 	for _, p := range r.TopSlow {
 		fmt.Fprintf(w, "slowest        peer %d: served p99 %s over %d rpcs\n",
 			int(p.Addr), fmtNS(p.ServedP99), p.Served)

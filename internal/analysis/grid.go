@@ -11,6 +11,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
+	"pgrid/internal/slo"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
@@ -295,9 +296,9 @@ func RenderGridReport(w io.Writer, r GridReport) {
 // the health digest, then one line per probed level; the repair verdict,
 // rounds and per-class fault and heal tallies; the traces, newest first, then
 // their route analysis for a community of nPeers (0 leaves out the log2(n)
-// bound); the history's trend report; then the metrics, one flattened series
-// a line.
-func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int) {
+// bound); the history's trend report, judging objectives over its window;
+// then the metrics, one flattened series a line.
+func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int, objectives []slo.Objective) {
 	if l := o.Links; l != nil {
 		fmt.Fprintf(w, "node %v\n  path     %s\n  entries  %d\n  buddies  %v\n", a, l.Path, l.Entries, l.Buddies.Addrs)
 		for i, rs := range l.Refs {
@@ -338,7 +339,7 @@ func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int) {
 		}
 	}
 	if o.History != nil {
-		RenderTrendReport(w, AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, nil))
+		RenderTrendReport(w, AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, objectives))
 	}
 	if o.Metrics != nil {
 		stats := FlattenSnapshot(*o.Metrics)

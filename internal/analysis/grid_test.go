@@ -252,21 +252,21 @@ func TestRenderColumns(t *testing.T) {
 		want   string
 	}{
 		{"health with liveness", func(b *strings.Builder) {
-			RenderObserve(b, 3, &wire.ObserveResp{Health: &wire.HealthColumn{Digest: digest, Rounds: 5}}, 4)
+			RenderObserve(b, 3, &wire.ObserveResp{Health: &wire.HealthColumn{Digest: digest, Rounds: 5}}, 4, nil)
 		},
 			"node addr(3) health (5 probe rounds)\n" +
 				"  addr(3) path=01 entries=2 maxver=7 hash=00000000000000ab buddies=1 refs=[2 1] liveness=0.75\n" +
 				"  level  1 liveness 0.67 (2 live / 1 dead)\n" +
 				"  level  2 liveness 1.00 (1 live / 0 dead)\n"},
-		{"health before any round", func(b *strings.Builder) { RenderObserve(b, 0, &wire.ObserveResp{Health: &wire.HealthColumn{}}, 4) },
+		{"health before any round", func(b *strings.Builder) { RenderObserve(b, 0, &wire.ObserveResp{Health: &wire.HealthColumn{}}, 4, nil) },
 			"node addr(0) health (0 probe rounds)\n" +
 				"  addr(0) path=ε entries=0 maxver=0 hash=0000000000000000 buddies=0 refs=[]\n"},
 		{"empty recorder", func(b *strings.Builder) {
-			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 7}}, 4)
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 7}}, 4, nil)
 		},
 			"node addr(2) flight recorder: 0 retained (of 7 ever recorded)\n"},
 		{"one route", func(b *strings.Builder) {
-			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 4)
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 4, nil)
 		},
 			"node addr(2) flight recorder: 1 retained (of 9 ever recorded)\n" +
 				"  00000000000000ff key 01: addr(2)[0/0] → addr(5)[01/1] ✓ (1 msgs)\n" +
@@ -279,7 +279,7 @@ func TestRenderColumns(t *testing.T) {
 				"               0             1          0        1.5µs\n" +
 				"               1             1          0            -\n"},
 		{"one route, community size unknown", func(b *strings.Builder) {
-			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 0)
+			RenderObserve(b, 2, &wire.ObserveResp{Traces: &wire.TracesColumn{Total: 9, Traces: []trace.Trace{route}}}, 0, nil)
 		},
 			"node addr(2) flight recorder: 1 retained (of 9 ever recorded)\n" +
 				"  00000000000000ff key 01: addr(2)[0/0] → addr(5)[01/1] ✓ (1 msgs)\n" +
@@ -292,13 +292,13 @@ func TestRenderColumns(t *testing.T) {
 				"               1             1          0            -\n"},
 		{"links", func(b *strings.Builder) {
 			RenderObserve(b, 3, &wire.ObserveResp{Links: &wire.InfoResp{Addr: 3, Path: "01", Entries: 2,
-				Refs: []wire.RefSet{{Addrs: []addr.Addr{4, 5}}, {Addrs: []addr.Addr{1}}}, Buddies: wire.RefSet{Addrs: []addr.Addr{6}}}}, 4)
+				Refs: []wire.RefSet{{Addrs: []addr.Addr{4, 5}}, {Addrs: []addr.Addr{1}}}, Buddies: wire.RefSet{Addrs: []addr.Addr{6}}}}, 4, nil)
 		},
 			"node addr(3)\n  path     01\n  entries  2\n  buddies  [addr(6)]\n" +
 				"  level  1 [addr(4) addr(5)]\n  level  2 [addr(1)]\n"},
 		{"metrics, series sorted", func(b *strings.Builder) {
 			RenderObserve(b, 3, &wire.ObserveResp{Metrics: &telemetry.MetricsSnapshot{
-				Stats: []telemetry.Stat{{Name: "pgrid_query_total", Value: 7}, {Name: "pgrid_exchange_total", Value: 2}}}}, 4)
+				Stats: []telemetry.Stat{{Name: "pgrid_query_total", Value: 7}, {Name: "pgrid_exchange_total", Value: 2}}}}, 4, nil)
 		},
 			"node addr(3) telemetry (2 series)\n" +
 				"  pgrid_exchange_total                                     2\n" +

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,12 +40,16 @@ type TrendFinding struct {
 // re-verdicted over real windows (the history delta) instead of
 // whole-of-process cumulative counts.
 type TrendReport struct {
-	Peers      int            `json:"peers"`
-	Span       time.Duration  `json:"span_ns"`
-	IntervalNS int64          `json:"interval_ns"`
-	Resets     int            `json:"resets"`
-	Series     []TrendSeries  `json:"series"`
-	Findings   []TrendFinding `json:"findings,omitempty"`
+	Peers      int           `json:"peers"`
+	Span       time.Duration `json:"span_ns"`
+	IntervalNS int64         `json:"interval_ns"`
+	Resets     int           `json:"resets"`
+	Series     []TrendSeries `json:"series"`
+	// Kinds holds one row per scope and kind with calls: the calls at the
+	// newest point, their rate over the newest interval and the quantiles
+	// over the window, merged across peers.
+	Kinds    []KindLatency  `json:"kinds,omitempty"`
+	Findings []TrendFinding `json:"findings,omitempty"`
 	// SLO holds one verdict per objective, evaluated against the served
 	// histograms' windowed delta — what actually happened during the
 	// dump's span, immune to pre-window history.
@@ -84,6 +89,40 @@ func servedDelta(d telemetry.HistoryDump) []telemetry.QHistSnapshot {
 	return out
 }
 
+// kindFamilies are, per scope, the per-kind call counter and latency
+// histogram families the trend report's per-kind rows read.
+var kindFamilies = [...]struct{ scope, calls, latency string }{
+	{"client", "pgrid_rpc_client_kind_total", clientHistFamily},
+	{"served", "pgrid_rpc_served_kind_total", servedHistFamily},
+}
+
+// addKinds folds one peer's dump into the per-kind rows: for each kind the
+// newest point counts calls for, the calls, the rate over the newest interval
+// and the window's latency histogram, each by the ring's restart rule
+// (RateSeries, WindowHist).
+func addKinds(d telemetry.HistoryDump, hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) {
+	if len(d.Points) == 0 {
+		return
+	}
+	for _, st := range d.Points[len(d.Points)-1].Snap.Stats {
+		family, kind := splitHistName(st.Name)
+		for _, f := range kindFamilies {
+			if family != f.calls || kind == "" {
+				continue
+			}
+			k := kindKey{f.scope, kind}
+			counts[k] += st.Value
+			if rs := d.RateSeries(st.Name); len(rs) > 0 {
+				rates[k] += rs[len(rs)-1]
+			}
+			wh, _, _ := d.WindowHist(f.latency+`{kind=`+strconv.Quote(kind)+`}`, 0)
+			if m, err := telemetry.MergeQHist(hists[k], wh); err == nil {
+				hists[k] = m
+			}
+		}
+	}
+}
+
 // alignSum folds per-peer interval series into one cluster series,
 // aligned on the newest interval: series[len-1] lines up across peers
 // (samplers share a cadence), shorter rings simply miss the older
@@ -110,9 +149,10 @@ func alignSum(per [][]float64) []float64 {
 
 // AnalyzeTrends folds per-peer history dumps (the history column of
 // node.Client.Walk, or of one node's observe answer) into the windowed
-// trend report: cluster rate/error/drop/latency series, anomaly findings,
-// and the objectives evaluated over the dump's real window. The companion
-// of AnalyzeCluster for the time axis.
+// trend report: cluster rate/error/latency series, the per-kind rows (calls,
+// rate over the newest interval, quantiles over the window), anomaly
+// findings, and the objectives evaluated over the dump's real window. The
+// companion of AnalyzeCluster for the time axis.
 func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.Objective) TrendReport {
 	r := TrendReport{Peers: len(dumps)}
 
@@ -123,6 +163,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
 	var rates, errRates, p99s, poolP99s [][]float64
+	kindHists, kindCounts, kindRates := map[kindKey]telemetry.QHistSnapshot{}, map[kindKey]int64{}, map[kindKey]float64{}
 	perPeerDeltas := make(map[addr.Addr][]telemetry.QHistSnapshot, len(dumps))
 	for _, a := range addrs {
 		d := dumps[a]
@@ -140,6 +181,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		rates = append(rates, d.RateSeries(statServedTotal))
 		errRates = append(errRates, d.RateSeries(statServedErrors))
 		poolP99s = append(poolP99s, d.QuantileSeries(statPoolWait, 0.99))
+		addKinds(d, kindHists, kindCounts, kindRates)
 
 		deltas := servedDelta(d)
 		perPeerDeltas[a] = deltas
@@ -187,6 +229,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		{Name: "pool wait p99", Unit: "ns", Points: alignSum(poolP99s)},
 	}
 
+	r.Kinds = latencyRows(kindHists, kindCounts, kindRates)
 	r.Findings = append(r.Findings, trendFindings(clusterP99, errRate)...)
 
 	// Objectives over the real window: newest cumulative state minus the
@@ -309,6 +352,7 @@ func RenderTrendReport(w io.Writer, r TrendReport) {
 		}
 		fmt.Fprintf(w, "  %-14s %s  %s\n", s.Name, Sparkline(pts), cur)
 	}
+	renderLatency(w, r.Kinds, true)
 	for _, f := range r.Findings {
 		peer := "cluster"
 		if f.Peer != addr.Nil {

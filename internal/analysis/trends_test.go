@@ -218,3 +218,91 @@ func TestRenderTrendReportAndSparkline(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeTrendsKindRows pins the per-kind section over synthetic rings:
+// a kind's count is its calls at the newest point, its rate the calls over
+// the newest interval (Δcount / Δt), its quantiles those of the window's
+// calls, all merged across peers; a peer that restarted inside the window
+// follows the ring's rule (RateSeries, WindowHist), counting its
+// post-restart calls; a kind with no calls is left out.
+func TestAnalyzeTrendsKindRows(t *testing.T) {
+	const iv = 2 * time.Second
+	point := func(at int, tel *telemetry.Instruments) telemetry.HistoryPoint {
+		return telemetry.HistoryPoint{AtNS: int64(at) * int64(iv), Snap: tel.MetricsSnapshot()}
+	}
+	calls := func(tel *telemetry.Instruments, kind string, n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			tel.ClientRPC(kind, d, nil)
+		}
+	}
+
+	// Peer 0: 4 queries at 1ms, then 6 at 10ms and 2 served gets.
+	tel := telemetry.New(0)
+	tel.SetStart(time.Unix(1, 0))
+	steady := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(iv)}
+	steady.Points = append(steady.Points, point(1, tel))
+	calls(tel, "query", 4, time.Millisecond)
+	steady.Points = append(steady.Points, point(2, tel))
+	calls(tel, "query", 6, 10*time.Millisecond)
+	for i := 0; i < 2; i++ {
+		tel.ServedRPC("get")
+		tel.ServedRPCTraced("get", 2*time.Millisecond, false, 0)
+	}
+	steady.Points = append(steady.Points, point(3, tel))
+	// An idle kind the node counts at zero.
+	newest := &steady.Points[2].Snap
+	newest.Stats = append(newest.Stats, telemetry.Stat{Name: `pgrid_rpc_client_kind_total{kind="exchange"}`})
+
+	// Peer 1: 50 queries at 1ms, then a restart and 3 queries at 100ms.
+	before, after := telemetry.New(1), telemetry.New(1)
+	before.SetStart(time.Unix(1, 0))
+	after.SetStart(time.Unix(5, 0))
+	restarted := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(iv)}
+	restarted.Points = append(restarted.Points, point(1, before))
+	calls(before, "query", 50, time.Millisecond)
+	restarted.Points = append(restarted.Points, point(2, before))
+	calls(after, "query", 3, 100*time.Millisecond)
+	restarted.Points = append(restarted.Points, point(3, after))
+
+	one := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady}, nil)
+	if len(one.Kinds) != 2 {
+		t.Fatalf("kinds = %+v, want client query and served get (the idle exchange left out)", one.Kinds)
+	}
+	q, g := one.Kinds[0], one.Kinds[1]
+	if q.Scope != "client" || q.Kind != "query" || q.Count != 10 || q.Rate != 3 {
+		t.Errorf("client query = %+v, want 10 calls at 6 calls / 2s = 3/s", q)
+	}
+	if q.P50 < 9_500_000 || q.P50 > 10_500_000 || q.P999 > 10_500_000 {
+		t.Errorf("client query p50 %d, p999 %d: want the window's 6 of 10 calls at 10ms", q.P50, q.P999)
+	}
+	if g.Scope != "served" || g.Kind != "get" || g.Count != 2 || g.Rate != 1 || g.P99 < 1_900_000 || g.P99 > 2_100_000 {
+		t.Errorf("served get = %+v, want 2 calls at 1/s, p99 2ms", g)
+	}
+
+	both := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady, 1: restarted}, nil)
+	if both.Resets != 1 || len(both.Kinds) != 2 {
+		t.Fatalf("merged: %d resets, kinds %+v", both.Resets, both.Kinds)
+	}
+	q = both.Kinds[0]
+	// The restarted peer adds its 3 post-restart calls to the count, 3 / 2s
+	// to the rate and its 3 calls at 100ms to the window — never the 50
+	// before the restart, never a negative delta.
+	if q.Count != 13 || q.Rate != 4.5 || q.Hist.Count != 13 {
+		t.Errorf("merged client query = %+v, want 13 calls, 4.5/s, 13 in the window", q)
+	}
+	if q.P50 < 9_500_000 || q.P50 > 10_500_000 || q.P99 < 95_000_000 || q.P99 > 105_000_000 {
+		t.Errorf("merged client query p50 %d, p99 %d: want 10ms and 100ms", q.P50, q.P99)
+	}
+
+	var buf bytes.Buffer
+	RenderTrendReport(&buf, both)
+	out := buf.String()
+	for _, want := range []string{"rate/s", "client  query            13      4.5", "served  get               2      1.0"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "exchange") {
+		t.Errorf("idle kind rendered:\n%s", out)
+	}
+}

@@ -89,15 +89,6 @@ func (p Path) Prefix(i int) Path {
 	return p[:i]
 }
 
-// Sub returns bits l through k of p inclusive, 1-based, mirroring the
-// paper's sub_path(p1…pn, l, k) = pl…pk. l = k+1 yields the empty path.
-func (p Path) Sub(l, k int) Path {
-	if l < 1 || k > len(p) || l > k+1 {
-		panic(fmt.Sprintf("bitpath: Sub(%d,%d) out of range for path of length %d", l, k, len(p)))
-	}
-	return p[l-1 : k]
-}
-
 // Suffix returns p with its first i bits removed.
 func (p Path) Suffix(i int) Path {
 	if i < 0 || i > len(p) {
@@ -139,54 +130,6 @@ func (p Path) Sibling() Path {
 		panic("bitpath: Sibling of empty path")
 	}
 	return p[:len(p)-1].AppendFlip(p[len(p)-1] - '0')
-}
-
-// Parent returns p without its last bit; it panics on the empty path.
-func (p Path) Parent() Path {
-	if len(p) == 0 {
-		panic("bitpath: Parent of empty path")
-	}
-	return p[:len(p)-1]
-}
-
-// Val returns val(k) = Σ_{i=1..n} 2^-i·pi, the lower end of I(k).
-func (p Path) Val() float64 {
-	v := 0.0
-	w := 0.5
-	for i := 0; i < len(p); i++ {
-		if p[i] == '1' {
-			v += w
-		}
-		w /= 2
-	}
-	return v
-}
-
-// Width returns the width 2^-n of the interval I(p).
-func (p Path) Width() float64 {
-	w := 1.0
-	for i := 0; i < len(p); i++ {
-		w /= 2
-	}
-	return w
-}
-
-// Interval returns [lo, hi) = I(p) = [val(p), val(p)+2^-n).
-func (p Path) Interval() (lo, hi float64) {
-	lo = p.Val()
-	return lo, lo + p.Width()
-}
-
-// Contains reports whether val(q) lies in I(p), i.e. whether a query with
-// key q belongs to the region p is responsible for. For binary paths this is
-// exactly the prefix relation when len(q) >= len(p), and interval containment
-// otherwise (a short query key covers many leaves; it is "contained" only if
-// its whole interval lies within I(p)).
-func (p Path) Contains(q Path) bool {
-	if len(q) >= len(p) {
-		return q.HasPrefix(p)
-	}
-	return false
 }
 
 // Compare orders paths by val(), breaking ties (nested intervals) by length,
@@ -237,17 +180,4 @@ func (p Path) String() string {
 		return "ε"
 	}
 	return string(p)
-}
-
-// All returns every path of exactly n bits in val() order. Intended for
-// tests and small enumerations; it panics if n > 20 to prevent accidents.
-func All(n int) []Path {
-	if n < 0 || n > 20 {
-		panic(fmt.Sprintf("bitpath: All(%d) out of sensible range", n))
-	}
-	out := make([]Path, 0, 1<<uint(n))
-	for v := uint64(0); v < 1<<uint(n); v++ {
-		out = append(out, FromUint(v, n))
-	}
-	return out
 }

@@ -53,13 +53,6 @@ func (s *Service) Publish(e store.Entry) {
 	s.index[e.Name] = e
 }
 
-// SetOnline toggles one replica.
-func (s *Service) SetOnline(i int, v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.online[i] = v
-}
-
 // Result reports one lookup.
 type Result struct {
 	Entry store.Entry
@@ -99,15 +92,6 @@ func (s *Service) StoragePerReplica() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.index)
-}
-
-// Load returns the per-replica query counts.
-func (s *Service) Load() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, len(s.load))
-	copy(out, s.load)
-	return out
 }
 
 // MaxLoad returns the busiest replica's query count — the bottleneck metric

@@ -114,3 +114,19 @@ func TestNewPanics(t *testing.T) {
 	}()
 	New(0)
 }
+
+// SetOnline toggles one replica.
+func (s *Service) SetOnline(i int, v bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.online[i] = v
+}
+
+// Load returns the per-replica query counts.
+func (s *Service) Load() []int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]int64, len(s.load))
+	copy(out, s.load)
+	return out
+}

@@ -30,12 +30,6 @@ func (m *Metrics) Snapshot() (exchanges, messages int64) {
 	return m.Exchanges.Load(), m.Messages.Load()
 }
 
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.Exchanges.Store(0)
-	m.Messages.Store(0)
-}
-
 // String renders the counters for logs.
 func (m *Metrics) String() string {
 	e, msg := m.Snapshot()

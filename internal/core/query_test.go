@@ -124,7 +124,8 @@ func TestQueryOneHopWhenRefSkipsLevels(t *testing.T) {
 func TestQueryAllKeysFromAllPeers(t *testing.T) {
 	d := buildFig1(t)
 	rng := newRng(3)
-	for _, key := range bitpath.All(2) {
+	for v := uint64(0); v < 1<<2; v++ {
+		key := bitpath.FromUint(v, 2)
 		for _, start := range d.All() {
 			res := Query(d, start, key, rng)
 			if !res.Found {

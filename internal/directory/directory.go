@@ -160,17 +160,6 @@ func (d *Directory) ReplicaGroups() map[bitpath.Path][]addr.Addr {
 	return groups
 }
 
-// Replicas returns the addresses of all peers whose path equals path.
-func (d *Directory) Replicas(path bitpath.Path) []addr.Addr {
-	var out []addr.Addr
-	for _, p := range d.peers {
-		if p.Path() == path {
-			out = append(out, p.Addr())
-		}
-	}
-	return out
-}
-
 // Replace models permanent departure with replacement: the peer at a is
 // discarded and a fresh peer (empty path, no references, no data, online)
 // takes over the address. References other peers hold toward a keep

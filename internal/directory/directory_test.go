@@ -316,3 +316,14 @@ func maxRefsPerLevel(d *Directory) int {
 	}
 	return max
 }
+
+// Replicas returns the addresses of all peers whose path equals path.
+func (d *Directory) Replicas(path bitpath.Path) []addr.Addr {
+	var out []addr.Addr
+	for _, p := range d.peers {
+		if p.Path() == path {
+			out = append(out, p.Addr())
+		}
+	}
+	return out
+}

@@ -59,22 +59,9 @@ func New(rng *rand.Rand, n, degree int) *Network {
 	return nw
 }
 
-// N returns the community size.
-func (nw *Network) N() int { return len(nw.neighbors) }
-
 // Host places an item in a peer's local database.
 func (nw *Network) Host(a addr.Addr, e store.Entry) {
 	nw.items[a][e.Name] = e
-}
-
-// SetOnline sets a peer's reachability.
-func (nw *Network) SetOnline(a addr.Addr, v bool) { nw.online[a] = v }
-
-// SampleOnline sets each peer online independently with probability p.
-func (nw *Network) SampleOnline(rng *rand.Rand, p float64) {
-	for i := range nw.online {
-		nw.online[i] = rng.Float64() < p
-	}
 }
 
 // RandomOnlinePeer returns a random online peer address, or addr.Nil.

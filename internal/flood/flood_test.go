@@ -148,3 +148,16 @@ func TestFloodCostIsLinearInReach(t *testing.T) {
 		t.Errorf("messages %d (N=200) vs %d (N=400): not linear-ish", ms, mb)
 	}
 }
+
+// N returns the community size.
+func (nw *Network) N() int { return len(nw.neighbors) }
+
+// SetOnline sets a peer's reachability.
+func (nw *Network) SetOnline(a addr.Addr, v bool) { nw.online[a] = v }
+
+// SampleOnline sets each peer online independently with probability p.
+func (nw *Network) SampleOnline(rng *rand.Rand, p float64) {
+	for i := range nw.online {
+		nw.online[i] = rng.Float64() < p
+	}
+}

@@ -34,11 +34,6 @@ func NewClient(tr Transport, seed int64) *Client {
 	return &Client{tr: tr, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetTelemetry attaches instruments counting malformed responses (nil
-// disables). Call before the client is used; the field is not
-// synchronized.
-func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }
-
 // ask is the single-peer read behind TraceQuery and Observe: one
 // request, and an answer in which got does not find the payload
 // that request asks for is ErrMalformed, counted under the request kind — a

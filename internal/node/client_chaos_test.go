@@ -85,7 +85,7 @@ func (m *malformTransport) mangle(resp *wire.Message) *wire.Message {
 
 func counterVal(t *testing.T, tel *telemetry.Instruments, name string) int64 {
 	t.Helper()
-	for _, s := range tel.Registry().Snapshot() {
+	for _, s := range tel.MetricsSnapshot().Stats {
 		if s.Name == name {
 			return s.Value
 		}
@@ -330,3 +330,8 @@ func TestErrMalformedMessageNamesKind(t *testing.T) {
 		t.Errorf("malformed error should name the answered kind: %v", err)
 	}
 }
+
+// SetTelemetry attaches instruments counting the malformed responses the
+// client gets (nil disables). Call before the client is used; the field is
+// not synchronized.
+func (c *Client) SetTelemetry(tel *telemetry.Instruments) { c.tel = tel }

@@ -76,10 +76,3 @@ func (g *Gossiper) Tick() {
 	}
 	g.mu.Unlock()
 }
-
-// Stats returns meeting attempts and successful exchanges so far.
-func (g *Gossiper) Stats() (attempts, successes int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.attempts, g.successes
-}

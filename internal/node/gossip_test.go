@@ -96,3 +96,10 @@ func TestGossiperConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// Stats returns meeting attempts and successful exchanges so far.
+func (g *Gossiper) Stats() (attempts, successes int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.attempts, g.successes
+}

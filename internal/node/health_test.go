@@ -62,7 +62,7 @@ func TestProberTick(t *testing.T) {
 		}
 	}
 	gauges := map[string]int64{}
-	for _, s := range tel.Registry().Snapshot() {
+	for _, s := range tel.MetricsSnapshot().Stats {
 		gauges[s.Name] = s.Value
 	}
 	if gauges["pgrid_health_probe_rounds"] != 1 {

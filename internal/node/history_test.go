@@ -243,3 +243,6 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 func collectHistory(cl *Client, start addr.Addr) WalkResult {
 	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHistory})
 }
+
+// History returns the attached history ring (possibly nil).
+func (n *Node) History() *telemetry.History { return n.history }

@@ -102,21 +102,10 @@ func (n *Node) EnableTracing(rec *trace.Recorder, sampleProb float64) {
 	n.sampleProb = min(max(sampleProb, 0), 1)
 }
 
-// Recorder returns the attached flight recorder (possibly nil).
-func (n *Node) Recorder() *trace.Recorder { return n.rec }
-
-// Repairer returns the self-healing repairer NewRepairer attached (nil
-// when repair is off). Repairer.Status is nil-safe, so callers may chain
-// n.Repairer().Status() unconditionally.
-func (n *Node) Repairer() *Repairer { return n.repairer }
-
 // EnableHistory attaches a telemetry history ring (nil disables); a
 // sampler (RunSampler) fills it and Observe serves it. Call
 // before the node starts serving; the field is not synchronized.
 func (n *Node) EnableHistory(h *telemetry.History) { n.history = h }
-
-// History returns the attached history ring (possibly nil).
-func (n *Node) History() *telemetry.History { return n.history }
 
 // Handle dispatches one incoming request and returns the response message.
 // Transports call this on the receiving side. Handling is timed into the
@@ -327,23 +316,6 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
 	}
 	return core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
-}
-
-// TraceQuery runs one fully-sampled search from this node, bypassing the
-// sampling probability, and returns the assembled route alongside the
-// result — the in-process twin of `pgridctl trace`.
-func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
-	n.mu.Lock()
-	id := trace.NewTraceID(n.rng.Uint64(), uint64(n.Addr()))
-	n.mu.Unlock()
-	req := &wire.QueryReq{Key: key, Level: 0,
-		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
-	var resp wire.QueryResp
-	n.handleQuery(req, &resp, new(wire.QueryCall))
-	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
-	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
-	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
-		Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans}
 }
 
 // handleQuery is query(a, p, l) with remote recursion: references are

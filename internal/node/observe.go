@@ -104,7 +104,7 @@ func (v Violation) String() string {
 }
 
 // Walk is the one community walk, behind `pgridctl cluster` and
-// `watch -cluster`: breadth-first from the peer at start along every
+// `pgridctl watch`: breadth-first from the peer at start along every
 // reference and buddy link, one KindObserve per peer asking req's columns and
 // the links the walk follows, which it then judges with repair.ValidRef where
 // the target answered too. A transport error, or an answer without links,

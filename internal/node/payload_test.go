@@ -23,7 +23,7 @@ var payloadKinds = []wire.Kind{wire.KindQuery, wire.KindExchange, wire.KindApply
 // keep serving.
 func TestPayloadlessRequestAnswersError(t *testing.T) {
 	served := func(tel *telemetry.Instruments) int64 {
-		for _, s := range tel.Registry().Snapshot() {
+		for _, s := range tel.MetricsSnapshot().Stats {
 			if s.Name == "pgrid_rpc_served_errors_total" {
 				return s.Value
 			}

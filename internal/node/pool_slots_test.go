@@ -279,7 +279,10 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 	cl := NewClient(InstrumentTransport(pt, tel), 5)
 
 	rng := rand.New(rand.NewSource(6))
-	keys := bitpath.All(cfg.MaxL)
+	keys := make([]bitpath.Path, 1<<cfg.MaxL)
+	for v := range keys {
+		keys[v] = bitpath.FromUint(uint64(v), cfg.MaxL)
+	}
 	lookups := func(n int) (messages int) {
 		for i := 0; i < n; i++ {
 			res := cl.Lookup(all[rng.Intn(len(all))], keys[rng.Intn(len(keys))], "f")

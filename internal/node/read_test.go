@@ -33,7 +33,8 @@ func (t countingTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, e
 // responsible for.
 func storeFixture(nodes []*Node) {
 	for _, n := range nodes {
-		for _, key := range bitpath.All(4) {
+		for v := uint64(0); v < 1<<4; v++ {
+			key := bitpath.FromUint(v, 4)
 			if bitpath.Comparable(n.Path(), key) {
 				n.Store().Apply(store.Entry{Key: key, Name: "f", Holder: n.Addr(), Version: 7})
 			}

@@ -75,7 +75,7 @@ func TestExchangeCasesCountedOverTransport(t *testing.T) {
 	if err := c.Nodes[0].Exchange(1); err != nil {
 		t.Fatal(err)
 	}
-	st := tel.Registry().Snapshot()
+	st := tel.MetricsSnapshot().Stats
 	if v := statValue(st, "pgrid_exchange_total"); v != 1 {
 		t.Errorf("pgrid_exchange_total = %d, want 1", v)
 	}
@@ -106,7 +106,7 @@ func TestInstrumentedTransport(t *testing.T) {
 	if _, err := tr.Call(1, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err == nil {
 		t.Fatal("call to offline node succeeded")
 	}
-	st := tel.Registry().Snapshot()
+	st := tel.MetricsSnapshot().Stats
 	if v := statValue(st, "pgrid_rpc_client_total"); v != 2 {
 		t.Errorf("pgrid_rpc_client_total = %d, want 2", v)
 	}
@@ -116,8 +116,8 @@ func TestInstrumentedTransport(t *testing.T) {
 	if v := statValue(st, `pgrid_rpc_client_kind_total{kind="info"}`); v != 2 {
 		t.Errorf("per-kind client counter = %d, want 2", v)
 	}
-	if v := statValue(st, `pgrid_rpc_kind_latency_ns_count{kind="info"}`); v != 2 {
-		t.Errorf("latency observations = %d, want 2", v)
+	if h, _ := tel.MetricsSnapshot().Hist(`pgrid_rpc_kind_latency_ns{kind="info"}`); h.Count != 2 {
+		t.Errorf("latency observations = %d, want 2", h.Count)
 	}
 
 	// Nil telemetry must unwrap to the inner transport, not allocate.
@@ -143,7 +143,7 @@ func TestFlakyTransportDropCounter(t *testing.T) {
 	if total != 100 || dropped == 0 {
 		t.Fatalf("dropped/total = %d/%d", dropped, total)
 	}
-	st := tel.Registry().Snapshot()
+	st := tel.MetricsSnapshot().Stats
 	if v := statValue(st, "pgrid_rpc_client_errors_total"); v != dropped {
 		t.Errorf("pgrid_rpc_client_errors_total = %d, want %d", v, dropped)
 	}
@@ -170,7 +170,7 @@ func TestQueryBacktracksOverTransport(t *testing.T) {
 		res := c.Nodes[0].Query(bitpath.Random(rng, 4))
 		backtracks += res.Backtracks
 	}
-	st := tel.Registry().Snapshot()
+	st := tel.MetricsSnapshot().Stats
 	if v := statValue(st, "pgrid_query_total"); v != 50 {
 		t.Errorf("pgrid_query_total = %d, want 50", v)
 	}

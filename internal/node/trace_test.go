@@ -5,6 +5,7 @@ import (
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/core"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -188,4 +189,24 @@ func TestNodeQuerySampling(t *testing.T) {
 	if nodes[0].Recorder().Total() != 1 {
 		t.Errorf("TraceQuery did not record")
 	}
+}
+
+// Recorder returns the attached flight recorder (possibly nil).
+func (n *Node) Recorder() *trace.Recorder { return n.rec }
+
+// TraceQuery runs one fully-sampled search from this node, bypassing the
+// sampling probability, and returns the assembled route alongside the
+// result — the in-process twin of `pgridctl trace`.
+func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
+	n.mu.Lock()
+	id := trace.NewTraceID(n.rng.Uint64(), uint64(n.Addr()))
+	n.mu.Unlock()
+	req := &wire.QueryReq{Key: key, Level: 0,
+		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
+	var resp wire.QueryResp
+	n.handleQuery(req, &resp, new(wire.QueryCall))
+	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
+	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
+	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
+		Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans}
 }

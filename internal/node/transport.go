@@ -92,21 +92,6 @@ func (c *Cluster) AvgPathLen() float64 {
 	return float64(sum) / float64(len(c.Nodes))
 }
 
-// CheckInvariants verifies the Section 2 reference property across the
-// cluster: every reference at level i points to a node that agrees on the
-// first i-1 bits and differs at bit i. The networked protocol applies
-// exchange decisions optimistically (a stale initiator drops the decision
-// while the responder has already applied its half), so unlike the shared-
-// memory engine it can leave a reference one split behind; those are
-// harmless for routing (the branch just fails and search backtracks) and
-// are surfaced by CountInvariantViolations instead.
-func (c *Cluster) CheckInvariants() error {
-	if v := c.CountInvariantViolations(); v > 0 {
-		return fmt.Errorf("node: %d reference invariant violations", v)
-	}
-	return nil
-}
-
 // CountInvariantViolations returns how many references across the cluster
 // violate the Section 2 property.
 func (c *Cluster) CountInvariantViolations() int {

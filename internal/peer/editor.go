@@ -22,9 +22,6 @@ func (e Editor) Addr() addr.Addr { return e.p.addr }
 // Path returns the peer's current path.
 func (e Editor) Path() bitpath.Path { return e.p.path }
 
-// Online reports the peer's reachability.
-func (e Editor) Online() bool { return e.p.online }
-
 // RefsAt returns refs(level, p) as a read-only view of the peer's own
 // storage, empty beyond the path: valid until the next SetRefsAt or Extend
 // on this Editor and no longer than the callback. A caller that wants to

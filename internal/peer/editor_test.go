@@ -13,8 +13,8 @@ import (
 func TestEditSinglePeer(t *testing.T) {
 	p := New(4)
 	Edit(p, func(e Editor) {
-		if e.Addr() != 4 || e.Path() != bitpath.Empty || !e.Online() {
-			t.Errorf("editor view wrong: %v %q %v", e.Addr(), e.Path(), e.Online())
+		if e.Addr() != 4 || e.Path() != bitpath.Empty {
+			t.Errorf("editor view wrong: %v %q", e.Addr(), e.Path())
 		}
 		e.Extend(1, addr.NewSet(7))
 		e.AddBuddy(9)

@@ -153,13 +153,6 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// State returns the current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Snapshot returns the state, the consecutive-failure count, the lifetime
 // number of opens, and (while open) when the next probe is allowed.
 func (b *Breaker) Snapshot() (state BreakerState, fails int, opens int64, until time.Time) {

@@ -161,3 +161,10 @@ func TestNewBreakerValidation(t *testing.T) {
 	}()
 	NewBreaker(BreakerConfig{Threshold: 0})
 }
+
+// State returns the current state.
+func (b *Breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}

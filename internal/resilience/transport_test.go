@@ -238,7 +238,7 @@ func TestResilientDeterministicBackoffSchedule(t *testing.T) {
 // counterValue reads one series from an Instruments registry snapshot.
 func counterValue(t *testing.T, tel *telemetry.Instruments, name string) int64 {
 	t.Helper()
-	for _, s := range tel.Registry().Snapshot() {
+	for _, s := range tel.MetricsSnapshot().Stats {
 		if s.Name == name {
 			return s.Value
 		}

@@ -98,9 +98,6 @@ func (h *Histogram) Observe(v int) {
 	h.total++
 }
 
-// Count returns the number of observations of v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
 // Total returns the number of observations.
 func (h *Histogram) Total() int { return h.total }
 

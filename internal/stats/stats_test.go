@@ -197,3 +197,6 @@ func TestPropHistogramTotalMatchesBuckets(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Count returns the number of observations of v.
+func (h *Histogram) Count(v int) int { return h.counts[v] }

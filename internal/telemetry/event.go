@@ -181,10 +181,3 @@ func (s *JSONLSink) Flush() error {
 	s.err = s.w.Flush()
 	return s.err
 }
-
-// Err returns the sink's sticky error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}

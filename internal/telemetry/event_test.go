@@ -184,3 +184,10 @@ func TestJSONLSinkConcurrentLines(t *testing.T) {
 		next[e.Node]++
 	}
 }
+
+// Err returns the sink's sticky error, if any.
+func (s *JSONLSink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}

@@ -24,7 +24,6 @@ type History struct {
 	points   []HistoryPoint // ring storage
 	next     int            // slot the next Record writes
 	count    int            // valid points, ≤ len(points)
-	total    int64          // lifetime samples accepted
 	now      func() time.Time
 }
 
@@ -93,16 +92,6 @@ func (h *History) Len() int {
 	return h.count
 }
 
-// Total returns the lifetime number of samples recorded.
-func (h *History) Total() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // SetNow overrides the clock (tests). Not synchronized; set before use.
 func (h *History) SetNow(now func() time.Time) {
 	if h == nil {
@@ -124,7 +113,6 @@ func (h *History) Record(snap MetricsSnapshot) {
 	if h.count < len(h.points) {
 		h.count++
 	}
-	h.total++
 }
 
 // Dump copies out the points newer than window ago (0 = everything

@@ -219,14 +219,6 @@ func (t *Instruments) Registry() *Registry {
 	return t.reg
 }
 
-// Node returns the logical node id the instruments were created for.
-func (t *Instruments) Node() int {
-	if t == nil {
-		return -1
-	}
-	return t.node
-}
-
 // SetClock overrides the event timestamp source (tests). Call before any
 // emitter runs; the field is not synchronized.
 func (t *Instruments) SetClock(clock func() int64) {

@@ -141,25 +141,6 @@ func (q *QHist) Sum() int64 {
 	return q.sum.Load()
 }
 
-// Name returns the histogram's registered name.
-func (q *QHist) Name() string {
-	if q == nil {
-		return ""
-	}
-	return q.name
-}
-
-// Quantile estimates the p-quantile (p in [0,1]) as the midpoint of the
-// bucket holding the rank-⌈p·count⌉ observation. 0 with no observations
-// or a nil receiver.
-func (q *QHist) Quantile(p float64) int64 {
-	if q == nil {
-		return 0
-	}
-	qs := q.Quantiles(p)
-	return qs[0]
-}
-
 // Quantiles estimates several quantiles from one consistent bucket
 // snapshot, so p50 ≤ p95 ≤ p99 holds even while writers race.
 func (q *QHist) Quantiles(ps ...float64) []int64 {

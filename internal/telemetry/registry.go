@@ -40,7 +40,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 		}
 		return c
 	}
-	c := &Counter{name: name, help: help}
+	c := &Counter{help: help}
 	r.insts[name] = c
 	r.order = append(r.order, name)
 	return c
@@ -62,7 +62,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		}
 		return g
 	}
-	g := &Gauge{name: name, help: help}
+	g := &Gauge{help: help}
 	r.insts[name] = g
 	r.order = append(r.order, name)
 	return g
@@ -74,7 +74,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // only when the registry is rendered or snapshotted, so an idle process
 // pays nothing. Nil-safe like every instrument.
 type GaugeFunc struct {
-	name string
 	help string
 	fn   func() int64
 }
@@ -85,14 +84,6 @@ func (g *GaugeFunc) Value() int64 {
 		return 0
 	}
 	return g.fn()
-}
-
-// Name returns the gauge's registered name.
-func (g *GaugeFunc) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // GaugeFunc registers a callback-backed gauge under name, creating it on
@@ -113,7 +104,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) *GaugeFunc {
 		}
 		return g
 	}
-	g := &GaugeFunc{name: name, help: help, fn: fn}
+	g := &GaugeFunc{help: help, fn: fn}
 	r.insts[name] = g
 	r.order = append(r.order, name)
 	return g
@@ -147,36 +138,6 @@ func (r *Registry) Quantile(name, help string) *QHist {
 type Stat struct {
 	Name  string
 	Value int64
-}
-
-// Snapshot returns every metric as flat (name, value) pairs in
-// registration order. Nil-safe: a nil registry returns nil.
-func (r *Registry) Snapshot() []Stat {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Stat
-	for _, name := range r.order {
-		switch in := r.insts[name].(type) {
-		case *Counter:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *Gauge:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *GaugeFunc:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *QHist:
-			qs := in.Quantiles(QuantilePoints...)
-			for i, v := range qs {
-				out = append(out, Stat{Name: withLabel(name, "quantile", quantileLabels[i]), Value: v})
-			}
-			out = append(out,
-				Stat{Name: suffixed(name, "_sum"), Value: in.Sum()},
-				Stat{Name: suffixed(name, "_count"), Value: in.Count()})
-		}
-	}
-	return out
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition

@@ -18,7 +18,6 @@ import (
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	name string
 	help string
 	v    atomic.Int64
 }
@@ -42,19 +41,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is a settable atomic level (a current value, not a count): path
 // length, store size, a liveness ratio in permille. Like every instrument
 // it is nil-safe and lock-free.
 type Gauge struct {
-	name string
 	help string
 	v    atomic.Int64
 }
@@ -73,12 +63,4 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }

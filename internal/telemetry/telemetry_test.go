@@ -13,7 +13,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Add(3)
 	c.Inc()
-	if c.Value() != 0 || c.Name() != "" {
+	if c.Value() != 0 {
 		t.Error("nil counter not inert")
 	}
 	var r *Registry
@@ -39,7 +39,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if e, q, w := in.Totals(); e != 0 || q != 0 || w != 0 {
 		t.Error("nil instruments report totals")
 	}
-	if in.Registry() != nil || in.Node() != -1 {
+	if in.Registry() != nil {
 		t.Error("nil instruments expose state")
 	}
 }
@@ -214,8 +214,8 @@ func TestGauge(t *testing.T) {
 	g := r.Gauge("pgrid_test_level", "help")
 	g.Set(42)
 	g.Set(-7) // gauges go down too
-	if g.Value() != -7 || g.Name() != "pgrid_test_level" {
-		t.Errorf("gauge = %d (%q), want -7", g.Value(), g.Name())
+	if g.Value() != -7 {
+		t.Errorf("gauge = %d, want -7", g.Value())
 	}
 	if again := r.Gauge("pgrid_test_level", "help"); again != g {
 		t.Error("re-registration returned a different gauge")
@@ -243,7 +243,7 @@ func TestGauge(t *testing.T) {
 
 	var nilG *Gauge
 	nilG.Set(5)
-	if nilG.Value() != 0 || nilG.Name() != "" {
+	if nilG.Value() != 0 {
 		t.Error("nil gauge not inert")
 	}
 	var nilR *Registry
@@ -282,4 +282,34 @@ func TestObserveHealth(t *testing.T) {
 
 	var nilIn *Instruments
 	nilIn.ObserveHealth(1, 2, 3, 4, 5, 6) // must not panic
+}
+
+// Snapshot returns every metric as flat (name, value) pairs in
+// registration order. Nil-safe: a nil registry returns nil.
+func (r *Registry) Snapshot() []Stat {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []Stat
+	for _, name := range r.order {
+		switch in := r.insts[name].(type) {
+		case *Counter:
+			out = append(out, Stat{Name: name, Value: in.Value()})
+		case *Gauge:
+			out = append(out, Stat{Name: name, Value: in.Value()})
+		case *GaugeFunc:
+			out = append(out, Stat{Name: name, Value: in.Value()})
+		case *QHist:
+			qs := in.Quantiles(QuantilePoints...)
+			for i, v := range qs {
+				out = append(out, Stat{Name: withLabel(name, "quantile", quantileLabels[i]), Value: v})
+			}
+			out = append(out,
+				Stat{Name: suffixed(name, "_sum"), Value: in.Sum()},
+				Stat{Name: suffixed(name, "_count"), Value: in.Count()})
+		}
+	}
+	return out
 }

@@ -1,8 +1,9 @@
 // Package trie provides a global view of a P-Grid as a binary trie. It is
-// a verification oracle and fixture factory: nothing in here is part of the
-// distributed algorithm (which never has a global view); it exists so tests
-// and experiments can ask "who *should* cover this key?" and can fabricate
-// perfectly balanced grids without running the construction process.
+// a fixture factory and a renderer: nothing in here is part of the
+// distributed algorithm (which never has a global view); it exists so
+// experiments can fabricate perfectly balanced grids without running the
+// construction process, and the tools can draw a grid's structure. Its
+// tests ask it "who *should* cover this key?".
 package trie
 
 import (
@@ -18,7 +19,6 @@ import (
 // Trie is a snapshot of the responsibility structure of a community.
 type Trie struct {
 	byPath map[bitpath.Path][]addr.Addr
-	maxLen int
 }
 
 // FromDirectory snapshots the current paths of every peer.
@@ -27,37 +27,12 @@ func FromDirectory(d *directory.Directory) *Trie {
 	for _, p := range d.All() {
 		path := p.Path()
 		t.byPath[path] = append(t.byPath[path], p.Addr())
-		if path.Len() > t.maxLen {
-			t.maxLen = path.Len()
-		}
 	}
 	for _, g := range t.byPath {
 		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	}
 	return t
 }
-
-// Replicas returns the peers responsible for exactly path.
-func (t *Trie) Replicas(path bitpath.Path) []addr.Addr {
-	return append([]addr.Addr(nil), t.byPath[path]...)
-}
-
-// Covering returns the peers whose region is in a prefix relationship with
-// key — the ground-truth replica group the update experiments measure
-// against.
-func (t *Trie) Covering(key bitpath.Path) []addr.Addr {
-	var out []addr.Addr
-	for p, g := range t.byPath {
-		if bitpath.Comparable(p, key) {
-			out = append(out, g...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// MaxDepth returns the deepest occupied path length.
-func (t *Trie) MaxDepth() int { return t.maxLen }
 
 // ReplicaCounts returns the sizes of all replica groups, keyed by path.
 func (t *Trie) ReplicaCounts() map[bitpath.Path]int {

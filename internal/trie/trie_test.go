@@ -182,7 +182,8 @@ func TestBuildIdealPanicsWhenTooFewPeers(t *testing.T) {
 // space at resolution depth: every depth-bit key must have at least one
 // covering peer. It returns the first uncovered key, if any.
 func (t *Trie) CheckCoverage(depth int) error {
-	for _, key := range bitpath.All(depth) {
+	for v := uint64(0); v < 1<<depth; v++ {
+		key := bitpath.FromUint(v, depth)
 		covered := false
 		for p := range t.byPath {
 			if key.HasPrefix(p) || p.HasPrefix(key) {
@@ -221,4 +222,32 @@ func (t *Trie) Paths() []bitpath.Path {
 	}
 	sort.Slice(out, func(i, j int) bool { return bitpath.Compare(out[i], out[j]) < 0 })
 	return out
+}
+
+// Replicas returns the peers responsible for exactly path.
+func (t *Trie) Replicas(path bitpath.Path) []addr.Addr {
+	return append([]addr.Addr(nil), t.byPath[path]...)
+}
+
+// Covering returns the peers whose region is in a prefix relationship with
+// key — the ground-truth replica group the update experiments measure
+// against.
+func (t *Trie) Covering(key bitpath.Path) []addr.Addr {
+	var out []addr.Addr
+	for p, g := range t.byPath {
+		if bitpath.Comparable(p, key) {
+			out = append(out, g...)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// MaxDepth returns the deepest occupied path length.
+func (t *Trie) MaxDepth() int {
+	depth := 0
+	for p := range t.byPath {
+		depth = max(depth, p.Len())
+	}
+	return depth
 }

@@ -1106,6 +1106,14 @@ func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
 					}
 				}
 			}
+			// A malformed histogram would poison every merge it joins: a
+			// negative count subtracts other peers' observations, an index
+			// past the geometry shifts qBounds past 63 bits.
+			if d.err == nil {
+				if err := h.Validate(); err != nil {
+					d.fail(err.Error())
+				}
+			}
 			s.Hists[i] = h
 		}
 	}

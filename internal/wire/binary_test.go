@@ -1366,10 +1366,83 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
+			for _, h := range decodedHists(m) {
+				if err := h.Validate(); err != nil {
+					t.Fatalf("decoded histogram fails Validate: %v", err)
+				}
+			}
 			var buf bytes.Buffer
 			if err := WriteFrame(&buf, 0, 0, m); err != nil {
 				t.Fatalf("re-encode failed: %v", err)
 			}
 		}
 	})
+}
+
+// TestDecodedHistogramsValidate: a metrics column or a history point whose
+// histogram breaks QHistSnapshot.Validate decodes to ErrCorrupt — an index
+// past the 960-bucket geometry, descending indexes, a bucket count of zero
+// or below, a Count other than the buckets' sum, a bad exemplar — so no
+// malformed answer reaches a merge. The encoder frames such a snapshot as
+// it is (it checks only that the arrays pair up), which is how each frame
+// here is made.
+func TestDecodedHistogramsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    telemetry.QHistSnapshot
+	}{
+		{"index past the geometry", telemetry.QHistSnapshot{Count: 1, Idx: []uint16{960}, N: []int64{1}}},
+		{"descending indexes", telemetry.QHistSnapshot{Count: 2, Idx: []uint16{7, 3}, N: []int64{1, 1}}},
+		{"repeated index", telemetry.QHistSnapshot{Count: 2, Idx: []uint16{3, 3}, N: []int64{1, 1}}},
+		{"zero count", telemetry.QHistSnapshot{Count: 0, Idx: []uint16{3}, N: []int64{0}}},
+		{"negative count", telemetry.QHistSnapshot{Count: 4, Idx: []uint16{3, 5}, N: []int64{9, -5}}},
+		{"count not the bucket sum", telemetry.QHistSnapshot{Count: 5, Idx: []uint16{3}, N: []int64{4}}},
+		{"foreign geometry", telemetry.QHistSnapshot{SubBits: 5, Count: 1, Idx: []uint16{3}, N: []int64{1}}},
+		{"exemplar index past the geometry", telemetry.QHistSnapshot{Count: 1, Idx: []uint16{3}, N: []int64{1},
+			ExIdx: []uint16{1000}, ExTrace: []uint64{9}}},
+		{"zero exemplar trace id", telemetry.QHistSnapshot{Count: 1, Idx: []uint16{3}, N: []int64{1},
+			ExIdx: []uint16{3}, ExTrace: []uint64{0}}},
+	} {
+		h := tc.h
+		h.Name = `pgrid_rpc_served_latency_ns{kind="query"}`
+		if h.SubBits == 0 {
+			h.SubBits = 4
+		}
+		snap := telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion, StartEpochNS: 1, UptimeNS: 1,
+			Hists: []telemetry.QHistSnapshot{h}}
+		for col, o := range map[string]*ObserveResp{
+			"metrics": {Metrics: &snap},
+			"history": {History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: 1e9,
+				Points: []telemetry.HistoryPoint{{AtNS: 1, Snap: telemetry.MetricsSnapshot{Schema: 2}}, {AtNS: 2, Snap: snap}}}},
+		} {
+			t.Run(tc.name+"/"+col, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := WriteFrame(&buf, 1, FlagResponse, &Message{Kind: KindObserveResp, From: 1, ObserveResp: o}); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, m, err := ReadFrame(&buf); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ReadFrame = %+v, %v, want ErrCorrupt", m, err)
+				}
+			})
+		}
+	}
+}
+
+// decodedHists are the histograms a decoded message carries: its metrics
+// column's and every history point's.
+func decodedHists(m *Message) []telemetry.QHistSnapshot {
+	o := m.ObserveResp
+	if o == nil {
+		return nil
+	}
+	var out []telemetry.QHistSnapshot
+	if o.Metrics != nil {
+		out = append(out, o.Metrics.Hists...)
+	}
+	if o.History != nil {
+		for _, p := range o.History.Points {
+			out = append(out, p.Snap.Hists...)
+		}
+	}
+	return out
 }

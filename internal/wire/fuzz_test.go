@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -271,8 +272,9 @@ func FuzzHealthRoundTrip(f *testing.F) {
 }
 
 // FuzzMetricsRoundTrip encodes fuzz-shaped metrics columns through the
-// codec and verifies they decode to the same snapshot — the federation
-// twin of FuzzHealthRoundTrip.
+// codec and verifies they decode to the same snapshot, or to ErrCorrupt when
+// the histogram fails QHistSnapshot.Validate — the federation twin of
+// FuzzHealthRoundTrip.
 func FuzzMetricsRoundTrip(f *testing.F) {
 	f.Add(int32(0), 0, "", int64(0), uint8(4), uint16(0), int64(1), uint8(0))
 	f.Add(int32(3), 1, "pgrid_rpc_served_total", int64(42), uint8(4), uint16(900), int64(7), uint8(5))
@@ -295,6 +297,12 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 
 		check := func(got *Message, err error) {
 			t.Helper()
+			if h.Validate() != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("a histogram failing Validate decoded: %v", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -328,7 +336,8 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 
 // FuzzHistoryRoundTrip encodes fuzz-shaped history columns — mixed-schema
 // points, incarnation stamps, tail exemplars — through the codec and
-// verifies they decode to the same dump. The history twin of
+// verifies they decode to the same dump, or to ErrCorrupt when a point's
+// histogram fails QHistSnapshot.Validate. The history twin of
 // FuzzMetricsRoundTrip.
 func FuzzHistoryRoundTrip(f *testing.F) {
 	f.Add(int32(0), int64(0), uint8(0), "", int64(0), uint16(0), uint64(0), int64(0))
@@ -365,6 +374,14 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 
 		check := func(got *Message, err error) {
 			t.Helper()
+			for _, p := range dump.Points {
+				if p.Snap.Hists[0].Validate() != nil {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("a histogram failing Validate decoded: %v", err)
+					}
+					return
+				}
+			}
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}

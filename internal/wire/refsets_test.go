@@ -242,7 +242,9 @@ func TestAllocBudgetShortPaths(t *testing.T) {
 	}
 	var all []bitpath.Path
 	for n := 0; n <= 9; n++ {
-		all = append(all, bitpath.All(n)...)
+		for v := uint64(0); v < 1<<n; v++ {
+			all = append(all, bitpath.FromUint(v, n))
+		}
 	}
 	for _, p := range all {
 		packed := appendPath(nil, p)

@@ -88,12 +88,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindNames returns every kind label in wire order. Display tools
-// (pgridctl top) use it to render per-kind tables in a stable order.
-func KindNames() []string {
-	return append([]string(nil), kindNames[:]...)
-}
-
 // Message is the envelope for every protocol payload. Exactly one payload
 // pointer matching Kind is set.
 type Message struct {
