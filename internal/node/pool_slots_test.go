@@ -21,6 +21,7 @@ import (
 	"pgrid/internal/sim"
 	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
+	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
 
@@ -378,5 +379,93 @@ func TestFootprintBudgetIdleConn(t *testing.T) {
 	if heap > heapBudget || stack > stackBudget {
 		t.Errorf("idle pooled connection costs %d B heap (budget %d) + %d B stack (budget %d), both ends",
 			heap, heapBudget, stack, stackBudget)
+	}
+}
+
+// TestFootprintBudgetPeerState: what a node holds beside its connections,
+// built as cmd/pgridnode and the benchmark build one — its own instruments
+// with tail exemplars, a 256-trace flight recorder, a transport whose address
+// book names a 257-peer community — after a few hundred routed queries have
+// registered and filled its per-kind latency histograms. The calls ride a
+// LocalTransport, so no connection is counted (TestFootprintBudgetIdleConn
+// prices those). The heap the process gained, per node, stays under a budget
+// set a quarter above what this measures: its paper state, store, telemetry
+// and the book. Latency histograms allocated over their whole range (+28 kB,
+// and +15 kB for their exemplar ids) or a flight recorder that allocates its
+// ring before the first trace (+18.7 kB) push it over.
+func TestFootprintBudgetPeerState(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes what objects cost")
+	}
+	const (
+		peers     = 64
+		community = 257
+		budget    = 46500 // bytes per node; measured 37 200
+	)
+	cfg := core.Config{MaxL: 4, RefMax: 2, RecMax: 2, RecFanout: 2}
+	built, err := sim.Build(sim.Options{N: peers, Config: cfg, Seed: 11})
+	if err != nil || !built.Converged {
+		t.Fatalf("construction: converged=%v, %v", built.Converged, err)
+	}
+	endpoints := make([]string, community) // one copy, as a process parses them once
+	for i := range endpoints {
+		endpoints[i] = fmt.Sprintf("127.0.0.1:%d", 20000+i)
+	}
+	local := NewLocalTransport()
+	cl := NewClient(local, 5)
+	rng := rand.New(rand.NewSource(6))
+	keys := make([]bitpath.Path, 1<<cfg.MaxL)
+	for v := range keys {
+		keys[v] = bitpath.FromUint(uint64(v), cfg.MaxL)
+	}
+	measure := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second cycle finishes what the first left to sweep
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	heap0 := measure()
+	var (
+		all   []addr.Addr
+		nodes []*Node
+		pools []*PoolTransport
+	)
+	for _, p := range built.Dir.All() {
+		tel := telemetry.New(int(p.Addr()))
+		tel.EnableExemplars(0.99)
+		pt := NewPoolTransport(PoolConfig{})
+		pt.SetTelemetry(tel)
+		for a, ep := range endpoints {
+			pt.SetEndpoint(addr.Addr(a), ep)
+		}
+		n := New(p.Addr(), cfg, InstrumentTransport(local, tel), int64(p.Addr()))
+		if err := n.Peer().Restore(p.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		n.SetTelemetry(tel)
+		n.EnableTracing(trace.NewRecorder(256), 0.01)
+		n.EnableHealth()
+		local.Register(n)
+		all, nodes, pools = append(all, p.Addr()), append(nodes, n), append(pools, pt)
+	}
+	defer func() {
+		for _, pt := range pools {
+			pt.Close()
+		}
+	}()
+	storeFixture(nodes)
+	for i := 0; i < 400; i++ {
+		if res := cl.Lookup(all[rng.Intn(len(all))], keys[rng.Intn(len(keys))], "f"); !res.Found {
+			t.Fatalf("lookup %d: %+v", i, res)
+		}
+	}
+	per := (measure() - heap0) / peers
+	runtime.KeepAlive(nodes)
+	runtime.KeepAlive(built)
+	t.Logf("a node beside its connections: %d B heap (%d nodes, %d-peer address book)", per, peers, community)
+	if per > budget {
+		t.Errorf("a node holds %d B heap beside its connections, budget %d", per, budget)
 	}
 }

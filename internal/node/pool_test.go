@@ -759,6 +759,24 @@ func TestPoolSetEndpointEvicts(t *testing.T) {
 			nodes[0].Store().Len(), nodes[1].Store().Len())
 	}
 
+	// Peers written around peer 0, sparse and out of order, are each found
+	// and evict nothing; a peer never written is unknown.
+	others := []addr.Addr{1 << 30, 900, 2, 1 << 20, 5}
+	for _, a := range others {
+		pt.SetEndpoint(a, fmt.Sprintf("10.0.0.1:%d", a))
+	}
+	for _, a := range others {
+		if got, ok := pt.Endpoint(a); !ok || got != fmt.Sprintf("10.0.0.1:%d", a) {
+			t.Fatalf("Endpoint(%v) = %q, %v", a, got, ok)
+		}
+	}
+	if got, ok := pt.Endpoint(3); ok {
+		t.Fatalf("Endpoint of unknown peer 3 = %q", got)
+	}
+	if st := pt.Stats(); st.Open != 1 || st.Evictions != 0 {
+		t.Fatalf("writing other peers touched peer 0's connection: %+v", st)
+	}
+
 	pt.SetEndpoint(0, newEP)
 	apply("after")
 	if got := nodes[1].Store().Len(); got != 1 {

@@ -17,24 +17,30 @@ import (
 // Values below 16 get a bucket each, so small discrete quantities (hop
 // counts) are exact, while latency SLOs (p50/p95/p99/p999) get resolution
 // across six orders of magnitude. Like every instrument it is nil-safe.
+//
+// The buckets are held as qOctaves octaves of qSubCount, each allocated
+// the first time an observation lands in it: a latency histogram touches a
+// handful of octaves, so it holds a few hundred bytes of counts, not the
+// 7.7 kB of the whole range.
 type QHist struct {
 	name    string
 	help    string
-	buckets [qBuckets]atomic.Int64
+	octaves [qOctaves]atomic.Pointer[[qSubCount]atomic.Int64]
 	count   atomic.Int64
 	sum     atomic.Int64
 	ex      atomic.Pointer[qExemplars]
 }
 
 // qExemplars holds the optional per-bucket exemplar slots: the most
-// recent trace id observed in each bucket. The block is allocated only
-// when exemplars are enabled, so an untraced QHist pays one nil pointer
-// load per ObserveTraced and nothing per Observe. tailQ is the quantile
-// gate applied at snapshot time — only buckets at/above that rank emit
-// their exemplar, keeping snapshots focused on the latency tail.
+// recent trace id observed in each bucket, in octaves allocated on first
+// stamp like the counts. The block is allocated only when exemplars are
+// enabled, so an untraced QHist pays one nil pointer load per
+// ObserveTraced and nothing per Observe. tailQ is the quantile gate
+// applied at snapshot time — only buckets at/above that rank emit their
+// exemplar, keeping snapshots focused on the latency tail.
 type qExemplars struct {
 	tailQ float64
-	ids   [qBuckets]atomic.Uint64
+	ids   [qOctaves]atomic.Pointer[[qSubCount]atomic.Uint64]
 }
 
 const (
@@ -47,7 +53,26 @@ const (
 	// qSubCount are exact (one bucket per value), and each of the
 	// remaining 63-qSubBits octaves contributes qSubCount buckets.
 	qBuckets = qSubCount + (63-qSubBits)*qSubCount
+	// qOctaves is the number of qSubCount-bucket blocks: bucket i lives in
+	// octave i>>qSubBits at slot i&(qSubCount-1).
+	qOctaves = qBuckets / qSubCount
 )
+
+// octave returns the block *p points to, allocating it first if no
+// observation has landed in it yet. Concurrent first touches race on the
+// CAS; the loser adopts the winner's block, so no count is lost.
+func octave[T any](p *atomic.Pointer[[qSubCount]T]) *[qSubCount]T {
+	if o := p.Load(); o != nil {
+		return o
+	}
+	p.CompareAndSwap(nil, new([qSubCount]T))
+	return p.Load()
+}
+
+// bucket returns the counter of bucket i.
+func (q *QHist) bucket(i int) *atomic.Int64 {
+	return &octave(&q.octaves[i>>qSubBits])[i&(qSubCount-1)]
+}
 
 // qIndex maps a value to its bucket.
 func qIndex(v int64) int {
@@ -79,7 +104,7 @@ func (q *QHist) Observe(v int64) {
 	if q == nil {
 		return
 	}
-	q.buckets[qIndex(v)].Add(1)
+	q.bucket(qIndex(v)).Add(1)
 	q.count.Add(1)
 	if v > 0 {
 		q.sum.Add(v)
@@ -113,14 +138,14 @@ func (q *QHist) ObserveTraced(v int64, traceID uint64) {
 		return
 	}
 	i := qIndex(v)
-	q.buckets[i].Add(1)
+	q.bucket(i).Add(1)
 	q.count.Add(1)
 	if v > 0 {
 		q.sum.Add(v)
 	}
 	if traceID != 0 {
 		if ex := q.ex.Load(); ex != nil {
-			ex.ids[i].Store(traceID)
+			octave(&ex.ids[i>>qSubBits])[i&(qSubCount-1)].Store(traceID)
 		}
 	}
 }
@@ -141,44 +166,10 @@ func (q *QHist) Sum() int64 {
 	return q.sum.Load()
 }
 
-// Quantiles estimates several quantiles from one consistent bucket
-// snapshot, so p50 ≤ p95 ≤ p99 holds even while writers race.
+// Quantiles estimates several quantiles from one consistent snapshot of
+// the occupied buckets, so p50 ≤ p95 ≤ p99 holds even while writers race.
 func (q *QHist) Quantiles(ps ...float64) []int64 {
-	out := make([]int64, len(ps))
-	if q == nil {
-		return out
-	}
-	var snap [qBuckets]int64
-	total := int64(0)
-	for i := range q.buckets {
-		snap[i] = q.buckets[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return out
-	}
-	for j, p := range ps {
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-		rank := int64(p * float64(total))
-		if rank < 1 {
-			rank = 1
-		}
-		cum := int64(0)
-		for i := range snap {
-			cum += snap[i]
-			if cum >= rank {
-				lo, hi := qBounds(i)
-				out[j] = lo + (hi-lo)/2
-				break
-			}
-		}
-	}
-	return out
+	return q.Snapshot().Quantiles(ps...)
 }
 
 // QuantilePoints is the quantile set pgrid renders everywhere: the SLO

@@ -1,9 +1,13 @@
 package telemetry
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestQIndexBounds checks that every probed value lands in a bucket whose
@@ -219,4 +223,182 @@ func (q *QHist) Quantile(p float64) int64 {
 	}
 	qs := q.Quantiles(p)
 	return qs[0]
+}
+
+// denseQHist is the oracle for QHist's storage: every one of the qBuckets
+// counts and exemplar ids in one flat array, allocated up front — the
+// layout QHist had before its octaves were allocated on first touch. Its
+// snapshot and quantiles are the straightforward sweeps over that array.
+type denseQHist struct {
+	buckets    [qBuckets]int64
+	count, sum int64
+	exemplars  bool
+	tailQ      float64
+	ids        [qBuckets]uint64
+}
+
+func (d *denseQHist) observe(v int64, traceID uint64) {
+	i := qIndex(v)
+	d.buckets[i]++
+	d.count++
+	if v > 0 {
+		d.sum += v
+	}
+	if d.exemplars && traceID != 0 {
+		d.ids[i] = traceID
+	}
+}
+
+func (d *denseQHist) snapshot(name string) QHistSnapshot {
+	s := QHistSnapshot{Name: name, SubBits: qSubBits, Sum: d.sum}
+	for i, n := range d.buckets {
+		if n > 0 {
+			s.Idx = append(s.Idx, uint16(i))
+			s.N = append(s.N, n)
+			s.Count += n
+		}
+	}
+	if d.exemplars && s.Count > 0 {
+		rank := max(int64(d.tailQ*float64(s.Count)), 1)
+		cum := int64(0)
+		for i, idx := range s.Idx {
+			if cum += s.N[i]; cum >= rank && d.ids[idx] != 0 {
+				s.ExIdx = append(s.ExIdx, idx)
+				s.ExTrace = append(s.ExTrace, d.ids[idx])
+			}
+		}
+	}
+	return s
+}
+
+func (d *denseQHist) quantiles(ps ...float64) []int64 {
+	out := make([]int64, len(ps))
+	if d.count == 0 {
+		return out
+	}
+	for j, p := range ps {
+		rank := max(int64(min(max(p, 0), 1)*float64(d.count)), 1)
+		cum := int64(0)
+		for i, n := range d.buckets {
+			if cum += n; cum >= rank {
+				lo, hi := qBounds(i)
+				out[j] = lo + (hi-lo)/2
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestQHistMatchesDenseOracle: over random streams — negatives, the exact
+// values 0–15, latencies, bucket boundaries, MaxInt64, traced and untraced
+// — the octave-allocated QHist snapshots, estimates quantiles and emits
+// exemplar ids exactly as the dense layout does.
+func TestQHistMatchesDenseOracle(t *testing.T) {
+	ps := []float64{-1, 0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1, 2}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q, d := &QHist{name: "oracle"}, &denseQHist{}
+		if seed%2 == 0 {
+			tailQ := []float64{0, 0.5, 0.99, 1}[rng.Intn(4)]
+			q.EnableExemplars(tailQ)
+			d.exemplars, d.tailQ = true, tailQ
+		}
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			var v int64
+			switch rng.Intn(7) {
+			case 0:
+				v = -rng.Int63n(1 << 40)
+			case 1:
+				v = int64(rng.Intn(qSubCount))
+			case 2:
+				v = rng.Int63n(100_000_000)
+			case 3:
+				v = math.MaxInt64
+			case 4:
+				v, _ = qBounds(rng.Intn(qBuckets))
+			default:
+				v = rng.Int63() >> rng.Intn(63)
+			}
+			var id uint64
+			if rng.Intn(2) == 0 {
+				id = rng.Uint64() >> rng.Intn(2) // a zero id is rare but legal
+			}
+			if id == 0 && rng.Intn(3) == 0 {
+				q.Observe(v)
+			} else {
+				q.ObserveTraced(v, id)
+			}
+			d.observe(v, id)
+		}
+		got, want := q.Snapshot(), d.snapshot("oracle")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: snapshot\n got %+v\nwant %+v", seed, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := q.Quantiles(ps...), d.quantiles(ps...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: quantiles %v, want %v", seed, got, want)
+		}
+		if q.Count() != d.count || q.Sum() != d.sum {
+			t.Fatalf("seed %d: count/sum %d/%d, want %d/%d", seed, q.Count(), q.Sum(), d.count, d.sum)
+		}
+	}
+}
+
+// TestQHistFirstTouchRace: goroutines that observe into the same untouched
+// octaves at once race to allocate them; the loser of each CAS must count
+// into the winner's block, so no observation is lost and Count == ΣN.
+func TestQHistFirstTouchRace(t *testing.T) {
+	const goroutines, each = 8, 200
+	for round := 0; round < 50; round++ {
+		q := &QHist{}
+		q.EnableExemplars(0)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < each; i++ {
+					// Two octaves: 1024–2047 and 2048–4095.
+					q.ObserveTraced(int64(1024+(g*each+i)%3072), uint64(g+1))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		s := q.Snapshot()
+		if s.Count != goroutines*each || q.Count() != goroutines*each {
+			t.Fatalf("round %d: snapshot count %d, live %d, want %d", round, s.Count, q.Count(), goroutines*each)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(s.ExIdx) != len(s.Idx) {
+			t.Fatalf("round %d: %d buckets carry an exemplar, want all %d", round, len(s.ExIdx), len(s.Idx))
+		}
+	}
+}
+
+// TestFootprintBudgetQHist: a histogram holds its octave pointers, not its
+// 960 counts, and an observation allocates only the octave it lands in.
+func TestFootprintBudgetQHist(t *testing.T) {
+	if size := unsafe.Sizeof(QHist{}); size > 640 {
+		t.Fatalf("QHist is %d bytes, budget 640", size)
+	}
+	q := &QHist{}
+	q.Observe(1000)
+	q.Observe(1001)
+	allocated := 0
+	for o := range q.octaves {
+		if q.octaves[o].Load() != nil {
+			allocated++
+		}
+	}
+	if allocated != 1 {
+		t.Fatalf("two observations in one octave allocated %d octaves", allocated)
+	}
 }

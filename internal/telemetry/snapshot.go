@@ -61,12 +61,17 @@ func (q *QHist) Snapshot() QHistSnapshot {
 		return s
 	}
 	s.Name = q.name
-	for i := range q.buckets {
-		n := q.buckets[i].Load()
-		if n > 0 {
-			s.Idx = append(s.Idx, uint16(i))
-			s.N = append(s.N, n)
-			s.Count += n
+	for o := range q.octaves {
+		b := q.octaves[o].Load()
+		if b == nil {
+			continue
+		}
+		for j := range b {
+			if n := b[j].Load(); n > 0 {
+				s.Idx = append(s.Idx, uint16(o<<qSubBits|j))
+				s.N = append(s.N, n)
+				s.Count += n
+			}
 		}
 	}
 	s.Sum = q.sum.Load()
@@ -83,7 +88,11 @@ func (q *QHist) Snapshot() QHistSnapshot {
 			if cum < rank {
 				continue
 			}
-			if id := ex.ids[idx].Load(); id != 0 {
+			ids := ex.ids[idx>>qSubBits].Load()
+			if ids == nil {
+				continue
+			}
+			if id := ids[idx&(qSubCount-1)].Load(); id != 0 {
 				s.ExIdx = append(s.ExIdx, idx)
 				s.ExTrace = append(s.ExTrace, id)
 			}
@@ -267,9 +276,9 @@ func SubtractQHist(cur, base QHistSnapshot) (delta QHistSnapshot, reset bool, er
 	return out, false, nil
 }
 
-// Quantiles estimates the given quantiles from the snapshot, with the
-// same rank-to-bucket-midpoint rule as QHist.Quantiles. Returns zeros for
-// an empty snapshot.
+// Quantiles estimates the given quantiles from the snapshot: each is the
+// midpoint of the bucket holding the rank-⌊p·count⌋ observation (at least
+// the first). Returns zeros for an empty snapshot.
 func (s QHistSnapshot) Quantiles(ps ...float64) []int64 {
 	out := make([]int64, len(ps))
 	total := int64(0)

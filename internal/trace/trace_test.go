@@ -114,6 +114,46 @@ func TestRecorderPartialFill(t *testing.T) {
 	}
 }
 
+// TestFootprintBudgetRecorder: a recorder that grows its ring as traces
+// arrive and then wraps answers Len, Total and Snapshot(limit) exactly as a
+// ring of its full capacity would, its backing array never exceeds that
+// capacity, and a recorder that has recorded nothing holds no array.
+func TestFootprintBudgetRecorder(t *testing.T) {
+	for _, capacity := range []int{1, 3, 256} {
+		r := NewRecorder(capacity)
+		if r.buf != nil || r.Len() != 0 || len(r.Snapshot(0)) != 0 {
+			t.Fatalf("cap %d: an unused recorder holds %d slots", capacity, cap(r.buf))
+		}
+		var all []uint64 // every id recorded, oldest first
+		for id := uint64(1); id <= uint64(3*capacity+2); id++ {
+			r.Record(Trace{TraceID: id})
+			all = append(all, id)
+			if cap(r.buf) > capacity {
+				t.Fatalf("cap %d: after %d traces the ring holds %d slots", capacity, id, cap(r.buf))
+			}
+			held := all[max(len(all)-capacity, 0):]
+			if r.Len() != len(held) || r.Total() != id {
+				t.Fatalf("cap %d, %d traces: len %d total %d, want %d and %d", capacity, id, r.Len(), r.Total(), len(held), id)
+			}
+			for _, limit := range []int{0, 1, capacity / 2, capacity, capacity + 5} {
+				want := len(held)
+				if limit > 0 {
+					want = min(limit, want)
+				}
+				got := r.Snapshot(limit)
+				if len(got) != want {
+					t.Fatalf("cap %d, %d traces: Snapshot(%d) holds %d, want %d", capacity, id, limit, len(got), want)
+				}
+				for i, tr := range got {
+					if tr.TraceID != held[len(held)-1-i] {
+						t.Fatalf("cap %d, %d traces: Snapshot(%d)[%d] = %d, want %d", capacity, id, limit, i, tr.TraceID, held[len(held)-1-i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(16)
 	done := make(chan struct{})
