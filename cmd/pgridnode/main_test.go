@@ -196,6 +196,46 @@ func TestOutgoingTimeout(t *testing.T) {
 	}
 }
 
+// TestOutgoingStaleIdleConn: a pooled connection has no reader while idle, so
+// a peer that restarts on the same endpoint between two calls is found by the
+// next call. On the stack pgridnode builds that costs the call one Transient
+// attempt, which the resilience layer retries on a fresh dial: the call
+// succeeds after exactly one retry, and the pool counts the connection lost.
+func TestOutgoingStaleIdleConn(t *testing.T) {
+	n := node.New(1, core.Config{MaxL: 4, RefMax: 3, RecMax: 2, RecFanout: 2}, node.NewLocalTransport(), 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := ln.Addr().String()
+	srv := node.NewServer(n, ln)
+	go srv.Serve(t.Context())
+	pool, rt := outgoing(map[addr.Addr]string{1: ep}, 5*time.Second, 3, 1, nil)
+	defer pool.Close()
+	info := &wire.Message{Kind: wire.KindInfo, From: addr.Nil}
+	if _, err := rt.Call(1, info); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Close()
+	if ln, err = net.Listen("tcp", ep); err != nil {
+		t.Fatal(err)
+	}
+	srv = node.NewServer(n, ln)
+	defer srv.Close()
+	go srv.Serve(t.Context())
+
+	if resp, err := rt.Call(1, info); err != nil || resp.InfoResp == nil {
+		t.Fatalf("call after the peer restarted: %+v, %v", resp, err)
+	}
+	if got := rt.Retries(); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
+	}
+	if st := pool.Stats(); st.ConnLost != 1 || st.Dials != 2 {
+		t.Errorf("pool stats = %+v, want one connection lost and a second dial", st)
+	}
+}
+
 // testNode builds a single-node community with telemetry, no network.
 func testNode(t *testing.T) (*node.Node, *telemetry.Instruments) {
 	t.Helper()

@@ -146,7 +146,7 @@ func (g *Grid) RangeSearch(lo, hi string) ([]Entry, Cost, error) {
 	defer g.mu.Unlock()
 
 	var cost Cost
-	var merged []store.Entry
+	var merged store.Fold
 	resolvedAny := false
 	for _, prefix := range prefixes {
 		start := g.dir.RandomOnlinePeer(g.rng)
@@ -170,13 +170,13 @@ func (g *Grid) RangeSearch(lo, hi string) ([]Entry, Cost, error) {
 					members = append(members, e)
 				}
 			}
-			merged = store.Merge(merged, members)
+			merged.Add(members)
 		}
 	}
 	if !resolvedAny {
 		return nil, cost, ErrUnreachable
 	}
-	return externals(merged), cost, nil
+	return externals(merged.Entries()), cost, nil
 }
 
 // LookupAll returns every entry indexed under exactly key, merged across

@@ -91,8 +91,8 @@ func (c *connKillingChaos) kill(to addr.Addr) {
 //     of the Eq. 3 prediction — the pooled wire must not bend the
 //     community away from the Section 4 model.
 //  2. Boundedness: retries respect the token budget.
-//  3. Cleanliness: every goroutine — servers, demux readers, probers,
-//     the pool janitors — drains; nothing leaks.
+//  3. Cleanliness: every goroutine — servers and their connection readers,
+//     probers, the pool janitors — drains; nothing leaks.
 func TestChaosSoakPooledTCP(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -315,7 +315,8 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 		t.Errorf("dials = %d; killed connections should force re-dials", st.Dials)
 	}
 
-	// 3. Cleanliness: servers, readLoops, janitor, probers all drain.
+	// 3. Cleanliness: servers, their connection readers, janitor, probers
+	// all drain.
 	stop()
 	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

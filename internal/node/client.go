@@ -287,8 +287,8 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 // per (key, name) winning. The message cost is the visits, as
 // Grid.PrefixSearch charges them, plus the message into the community.
 func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth int) ([]store.Entry, int) {
-	var out []store.Entry
+	var out store.Fold
 	messages := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}},
-		func(_ addr.Addr, info *wire.InfoResp) { out = store.Merge(out, info.Scanned.Entries) })
-	return out, messages
+		func(_ addr.Addr, info *wire.InfoResp) { out.Add(info.Scanned.Entries) })
+	return out.Entries(), messages
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -343,8 +344,8 @@ func (pp *peerPool) acquire(p *PoolTransport, to addr.Addr) (mc *muxConn, reused
 		if mc, err = p.dialConn(to, ep, pp); err != nil {
 			return nil, false, err
 		}
-		if mc, reused, err = pp.admit(p, to, mc); mc != nil || err != nil {
-			return mc, reused, err
+		if mc, reused = pp.admit(p, to, mc); mc != nil {
+			return mc, reused, nil
 		}
 	}
 }
@@ -393,35 +394,25 @@ func (pp *peerPool) pick(size int) *muxConn {
 // admit pools a freshly dialled connection and returns the connection the
 // caller should use. Two things may have happened while it dialled. The peer's
 // endpoint moved: mc leads to the old one, SetEndpoint's eviction has already
-// run and would never find it, so it is closed and (nil, nil) sends the caller
+// run and would never find it, so it is closed and a nil use sends the caller
 // to dial again. Or concurrent callers pooled theirs first and pick no longer
 // asks for another: the caller shares the one pick names, and the surplus dial
 // is dropped.
-func (pp *peerPool) admit(p *PoolTransport, to addr.Addr, mc *muxConn) (use *muxConn, reused bool, err error) {
+func (pp *peerPool) admit(p *PoolTransport, to addr.Addr, mc *muxConn) (use *muxConn, reused bool) {
 	pp.mu.Lock()
 	if ep, _ := p.Endpoint(to); ep != mc.ep {
 		pp.mu.Unlock()
 		mc.close()
-		return nil, false, nil
+		return nil, false
 	}
 	if existing := pp.pick(p.cfg.Size); existing != nil {
 		pp.mu.Unlock()
 		mc.close()
-		return existing, true, nil
+		return existing, true
 	}
 	pp.conns = append(pp.conns, mc)
 	pp.mu.Unlock()
-	// The connection may have died between dial and append — its fail()
-	// then ran pool removal before the conn was in the pool. Detect that
-	// and undo the append so a dead conn never serves later acquires.
-	mc.mu.Lock()
-	dead, deadErr := mc.dead, mc.deadErr
-	mc.mu.Unlock()
-	if dead {
-		pp.remove(mc)
-		return nil, false, deadErr
-	}
-	return mc, false, nil
+	return mc, false
 }
 
 func (pp *peerPool) remove(mc *muxConn) {
@@ -462,36 +453,34 @@ func (pp *peerPool) idleBefore(cutoff int64) []*muxConn {
 	return idle
 }
 
-// dialConn establishes one connection to the peer. pp is the peer's pool;
-// it is wired into the connection before the demux reader starts, so a
-// connection that dies immediately can always remove itself.
+// dialConn establishes one connection to the peer. pp is the peer's pool,
+// which the connection removes itself from when it fails.
 func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", ep, p.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %v (%s): %v", ErrOffline, to, ep, err)
 	}
 	mc := &muxConn{
-		pt:       p,
-		pool:     pp,
-		peer:     to,
-		ep:       ep,
-		conn:     conn,
-		br:       bufio.NewReaderSize(conn, frameReadBuffer),
-		pending:  make(map[uint32]*callSlot),
-		watching: true,
+		pt:      p,
+		pool:    pp,
+		peer:    to,
+		ep:      ep,
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, frameReadBuffer),
+		pending: make(map[uint32]*callSlot),
 	}
-	mc.watchdog = time.AfterFunc(p.cfg.IOTimeout, mc.expire)
 	mc.lastUse.Store(time.Now().UnixNano())
 	p.dials.Add(1)
 	p.open.Add(1)
 	p.tel.PoolDial()
 	p.publishGauges()
-	go mc.readLoop()
 	return mc, nil
 }
 
-// muxConn is one pooled connection: a background reader demultiplexes
-// response frames to waiting callers by sequence id.
+// muxConn is one pooled connection. No goroutine of its own reads it: while
+// calls are pending exactly one of their callers holds the reader role and
+// demultiplexes response frames to the others by sequence id; an idle
+// connection has no reader at all.
 type muxConn struct {
 	pt   *PoolTransport
 	pool *peerPool
@@ -503,35 +492,42 @@ type muxConn struct {
 	wmu sync.Mutex // serializes writers
 	seq uint32     // next sequence id, under wmu
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// reader is the call holding the reader role, nil when none does;
+	// pending holds every other call awaiting its response. pending is
+	// non-empty only while reader is set.
+	reader  *callSlot
 	pending map[uint32]*callSlot
 	dead    bool
 	deadErr error
-	// watchdog enforces IOTimeout for every pending call with one timer
-	// per connection: it is armed while watching is set, and each time it
-	// fires it either kills the connection over the oldest overdue call or
-	// re-arms for the oldest pending deadline. A busy connection thus
-	// touches its timer about once per IOTimeout, not twice per call.
-	watchdog *time.Timer
-	watching bool
+
+	// armed is the read deadline last set on conn. Only the reader touches
+	// it; the role passes under mu.
+	armed time.Time
 
 	lastUse  atomic.Int64
 	inflight atomic.Int32
 }
 
-// callSlot is where one in-flight call waits for its reply. Slots
-// are pooled. A registered slot is sent to exactly once — the response by
-// readLoop, or nil by fail — and its owner puts it back only after
-// receiving that send, so a reused slot never holds a previous owner's
-// reply.
+// callSlot is where one in-flight call waits. Slots are pooled. A pending
+// slot is sent to exactly once — its response or the reader role by the
+// reader, or nil by fail — and only while it is pending, so a slot that
+// took the reader role is sent nothing more; its owner puts it back only
+// after receiving that send, so a reused slot never holds a previous
+// owner's reply.
 type callSlot struct {
 	ch       chan *wire.Message // capacity 1
-	deadline time.Time          // when the reply is overdue
+	seq      uint32
+	deadline time.Time // when the reply is overdue
 }
 
 var callSlots = sync.Pool{New: func() any {
 	return &callSlot{ch: make(chan *wire.Message, 1)}
 }}
+
+// takeReader is sent to a pending call in place of its response: the
+// reader's own response has arrived, and the role is now this caller's.
+var takeReader = new(wire.Message)
 
 // call runs one round trip. Errors are Transient (ErrOffline-wrapped)
 // unless the response itself was undecodable (ErrCorrupt via the reader).
@@ -544,9 +540,8 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 	slot := callSlots.Get().(*callSlot)
 	m.wmu.Lock()
 	m.seq++
-	seq := m.seq
-	deadline := time.Now().Add(ioTimeout)
-	slot.deadline = deadline
+	slot.seq = m.seq
+	slot.deadline = time.Now().Add(ioTimeout)
 	m.mu.Lock()
 	if m.dead {
 		// Registered against a dying connection: fail now, before writing.
@@ -556,22 +551,34 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 		callSlots.Put(slot)
 		return nil, err
 	}
-	m.pending[seq] = slot
-	if !m.watching {
-		m.watching = true
-		m.watchdog.Reset(ioTimeout)
+	reading := m.reader == nil
+	if reading {
+		m.reader = slot
+	} else {
+		m.pending[slot.seq] = slot
 	}
 	m.mu.Unlock()
-	m.conn.SetWriteDeadline(deadline)
-	err := wire.WriteFrame(m.conn, seq, 0, msg)
+	m.conn.SetWriteDeadline(slot.deadline)
+	err := wire.WriteFrame(m.conn, slot.seq, 0, msg)
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(fmt.Errorf("%w: send to %v: %v", ErrOffline, m.peer, err))
 	}
-	// The one send a registered slot is owed: the response, or nil from
-	// fail — ours above, the watchdog's when the response missed its
-	// deadline, or anyone's who saw the connection die.
-	resp := <-slot.ch
+	var resp *wire.Message
+	if !reading {
+		// The one send a pending slot is owed: the response, the reader
+		// role, or nil from fail — ours above, or anyone's who saw the
+		// connection die.
+		resp = <-slot.ch
+		reading = resp == takeReader
+	}
+	if reading {
+		resp = nil
+		if err == nil {
+			resp = m.read(slot)
+		}
+		m.passReader()
+	}
 	callSlots.Put(slot)
 	if resp == nil || err != nil {
 		m.mu.Lock()
@@ -582,62 +589,76 @@ func (m *muxConn) call(msg *wire.Message, ioTimeout time.Duration) (*wire.Messag
 	return resp, nil
 }
 
-// expire is the watchdog: one stuck response poisons the stream ordering
-// for everyone, so a pending call past its deadline kills the connection,
-// failing the other in-flight calls Transient.
-func (m *muxConn) expire() {
-	m.mu.Lock()
-	var (
-		oldest    *callSlot
-		oldestSeq uint32
-	)
-	for seq, slot := range m.pending {
-		if oldest == nil || slot.deadline.Before(oldest.deadline) {
-			oldest, oldestSeq = slot, seq
-		}
-	}
-	if oldest == nil {
-		m.watching = false // idle (or dead); the next call re-arms
-		m.mu.Unlock()
-		return
-	}
-	if wait := time.Until(oldest.deadline); wait > 0 {
-		m.watchdog.Reset(wait)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	m.fail(fmt.Errorf("%w: %v: response %d timed out", ErrOffline, m.peer, oldestSeq))
-}
-
-// readLoop demultiplexes response frames to their callers.
-func (m *muxConn) readLoop() {
+// read holds the reader role for own's caller: it hands each response
+// frame to the pending call it answers until own's arrives, which it
+// returns, or the connection fails, when it returns nil. The read deadline
+// is the earliest pending one, so a response that misses its deadline —
+// one stuck response poisons the stream ordering for everyone — fails the
+// connection whichever caller is reading.
+func (m *muxConn) read(own *callSlot) *wire.Message {
 	for {
-		seq, flags, resp, err := wire.ReadFrame(m.br)
-		if err != nil {
-			if errors.Is(err, wire.ErrCorrupt) {
-				m.fail(fmt.Errorf("receive from %v: %w", m.peer, err))
-			} else {
-				m.fail(fmt.Errorf("%w: %v: connection lost: %v", ErrOffline, m.peer, err))
-			}
-			return
-		}
-		if flags&wire.FlagResponse == 0 {
-			continue // servers do not send requests on this stream
-		}
 		m.mu.Lock()
-		slot := m.pending[seq]
-		delete(m.pending, seq)
-		m.mu.Unlock()
-		if slot != nil {
-			slot.ch <- resp
+		next := own
+		for _, s := range m.pending {
+			if s.deadline.Before(next.deadline) {
+				next = s
+			}
 		}
+		m.mu.Unlock()
+		if !next.deadline.Equal(m.armed) {
+			m.armed = next.deadline
+			m.conn.SetReadDeadline(next.deadline)
+		}
+		seq, flags, resp, err := wire.ReadFrame(m.br)
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			err = fmt.Errorf("%w: %v: response %d timed out", ErrOffline, m.peer, next.seq)
+		case errors.Is(err, wire.ErrCorrupt):
+			err = fmt.Errorf("receive from %v: %w", m.peer, err)
+		case err != nil:
+			err = fmt.Errorf("%w: %v: connection lost: %v", ErrOffline, m.peer, err)
+		case flags&wire.FlagResponse == 0:
+			continue // servers do not send requests on this stream
+		case seq == own.seq:
+			return resp
+		default:
+			m.mu.Lock()
+			slot := m.pending[seq]
+			delete(m.pending, seq)
+			m.mu.Unlock()
+			if slot != nil {
+				slot.ch <- resp
+			}
+			continue
+		}
+		m.fail(err)
+		return nil
 	}
 }
 
-// fail marks the connection dead with the given error, closes it, removes
-// it from its pool, and drains every pending caller with a nil send (their
-// error is deadErr). Idempotent; the first error wins.
+// passReader gives up the reader role: to the youngest pending call — with
+// responses arriving about in request order its own comes last, so the role
+// changes hands least — or to nobody when none is pending (or the connection
+// is dead, which drained them).
+func (m *muxConn) passReader() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reader = nil
+	for _, s := range m.pending {
+		if m.reader == nil || s.deadline.After(m.reader.deadline) {
+			m.reader = s
+		}
+	}
+	if m.reader != nil {
+		delete(m.pending, m.reader.seq)
+		m.reader.ch <- takeReader
+	}
+}
+
+// fail marks the connection dead with the given error, closes it — which
+// ends the reader's read — removes it from its pool, and drains every
+// pending caller with a nil send (their error is deadErr). Idempotent; the
+// first error wins.
 func (m *muxConn) fail(err error) {
 	m.mu.Lock()
 	if m.dead {
@@ -646,15 +667,15 @@ func (m *muxConn) fail(err error) {
 	}
 	m.dead = true
 	m.deadErr = err
+	lost := m.reader != nil // calls were in flight
 	pending := m.pending
 	m.pending = nil
 	m.mu.Unlock()
 
 	m.conn.Close()
-	m.watchdog.Stop()
 	m.pool.remove(m)
 	m.pt.open.Add(-1)
-	if len(pending) > 0 {
+	if lost {
 		m.pt.connLost.Add(1)
 		m.pt.tel.PoolConnLost()
 	}

@@ -76,13 +76,22 @@ func (s *echoServer) serve(conn net.Conn) {
 				s.held.Add(1)
 				continue
 			}
-			resp = &wire.Message{Kind: wire.KindGetResp,
-				GetResp: &wire.GetResp{Found: true, Entry: store.Entry{Name: m.Get.Name}}}
+			resp = echoReply(m.Get.Name)
 		}
 		if wire.WriteFrame(conn, seq, wire.FlagResponse, resp) != nil {
 			return
 		}
 	}
+}
+
+// getNonce is a KindGet whose name the echo servers answer with.
+func getNonce(name string) *wire.Message {
+	return &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Name: name}}
+}
+
+func echoReply(name string) *wire.Message {
+	return &wire.Message{Kind: wire.KindGetResp,
+		GetResp: &wire.GetResp{Found: true, Entry: store.Entry{Name: name}}}
 }
 
 // dropConns closes every accepted connection, as a crashing peer would.
@@ -112,7 +121,7 @@ func TestPoolSlotReuseAfterTimeoutAndKill(t *testing.T) {
 	pt.SetEndpoint(0, srv.ln.Addr().String())
 
 	get := func(name string) (*wire.Message, error) {
-		return pt.Call(0, &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Name: name}})
+		return pt.Call(0, getNonce(name))
 	}
 	// hold runs n calls the server never answers and returns their errors.
 	hold := func(n int, whileHeld func()) []error {
@@ -134,8 +143,9 @@ func TestPoolSlotReuseAfterTimeoutAndKill(t *testing.T) {
 		return errs
 	}
 
-	// 1. Responses that miss IOTimeout: the watchdog kills the connection
-	// and every call in flight on it fails Transient with the timeout.
+	// 1. Responses that miss IOTimeout: the reader's deadline kills the
+	// connection and every call in flight on it fails Transient with the
+	// timeout.
 	for _, err := range hold(4, func() {}) {
 		if !errors.Is(err, ErrOffline) || !strings.Contains(err.Error(), "timed out") {
 			t.Fatalf("held call error = %v, want an ErrOffline timeout", err)
@@ -314,19 +324,20 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 // goroutine stacks the process gained, per peer, stay under a budget set a
 // quarter above what this measures in a fresh process (after other tests it
 // reads lower: their dead goroutines are reused). A peer costs one connection,
-// and each end of it a socket, a frame reader (frameReadBuffer bytes) and one
-// parked reader goroutine; the dialling end adds the muxConn with its pending
-// map and watchdog timer, the accepting end its binConn. A default-sized read
-// buffer per end (+7.7 kB), a second stream dialled because the first was in
-// use (× 2) or a third goroutine per connection pushes it over.
+// and each end of it a socket and a frame reader (frameReadBuffer bytes); the
+// dialling end adds the muxConn with its pending map, the accepting end its
+// binConn and the one goroutine that parks reading it. The dialling end parks
+// none: its callers read (muxConn.read). A default-sized read buffer per end
+// (+7.7 kB), a second stream dialled because the first was in use (× 2) or a
+// parked reader per dialled connection (+4.5 kB) pushes it over.
 func TestFootprintBudgetIdleConn(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes what objects and stacks cost")
 	}
 	const (
 		peers       = 512
-		heapBudget  = 3900  // bytes per peer; measured 3 100
-		stackBudget = 10300 // bytes per peer; measured 8 200
+		heapBudget  = 3300 // bytes per peer; measured 2 600
+		stackBudget = 5400 // bytes per peer; measured 4 300
 	)
 	h, stopSrv := startHeldServer(t)
 	defer stopSrv()

@@ -111,10 +111,11 @@ func TestDifferentialReplicaSearchMatchesSimulator(t *testing.T) {
 
 		cl.rng = rand.New(rand.NewSource(seed))
 		entries, msgs := cl.PrefixSearch(start, key, recbreadth)
-		var merged []store.Entry
+		var fold store.Fold
 		for _, a := range want.Found {
-			merged = store.Merge(merged, d.Peer(a).Store().PrefixScan(key))
+			fold.Add(d.Peer(a).Store().PrefixScan(key))
 		}
+		merged := fold.Entries()
 		if !reflect.DeepEqual(entries, merged) || msgs != want.Messages+1 {
 			t.Fatalf("triple %d: prefix search of %s = %d entries for %d messages, core's replicas hold %d for %d",
 				i, key, len(entries), msgs, len(merged), want.Messages+1)

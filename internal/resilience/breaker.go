@@ -70,6 +70,9 @@ type Breaker struct {
 	// onTransition, when set, observes every state change (old, new).
 	// Called with the breaker's lock held — keep it O(1).
 	onTransition func(from, to BreakerState)
+	// refused is what a call the breaker refuses returns: built once with
+	// the breaker, so failing fast allocates nothing.
+	refused error
 }
 
 // NewBreaker returns a closed breaker. A Threshold of 0 panics — callers

@@ -104,6 +104,7 @@ func (t *ResilientTransport) breaker(to addr.Addr) *Breaker {
 	defer t.mu.Unlock()
 	if b = t.breakers[to]; b == nil {
 		b = NewBreaker(t.opt.Breaker)
+		b.refused = Mark(fmt.Errorf("%w: peer %v", ErrBreakerOpen, to), Transient)
 		peer := to
 		b.onTransition = func(from, next BreakerState) {
 			t.observeTransition(from, next)
@@ -148,7 +149,7 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 		if br != nil && !br.Allow() {
 			tel.ResilienceFastFail()
 			tel.ResilienceOutcome(telemetry.OutcomeFastFail)
-			return nil, Mark(fmt.Errorf("%w: peer %v", ErrBreakerOpen, to), Transient)
+			return nil, br.refused
 		}
 		resp, err := t.inner.Call(to, msg)
 		if err == nil {

@@ -2,10 +2,12 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/raceflag"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
@@ -244,4 +246,42 @@ func counterValue(t *testing.T, tel *telemetry.Instruments, name string) int64 {
 		}
 	}
 	return 0
+}
+
+// TestAllocBudgetBreakerFastFail: a call an open breaker refuses allocates
+// nothing — the refusal is built once, with the peer's breaker — and still
+// reads as before: the same text, errors.Is ErrBreakerOpen, Transient. On a
+// churning community open breakers refuse a large share of all calls, so a
+// per-refusal fmt.Errorf, address Sprintf and Mark wrapper push it over.
+func TestAllocBudgetBreakerFastFail(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	inner := newScript()
+	inner.set(1, errLost)
+	rt := Wrap(inner, Options{
+		Retry:   Policy{MaxAttempts: 1},
+		Budget:  NewBudget(0.1, 0),
+		Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour, now: newFakeClock().now},
+		Sleep:   noSleep,
+		Tel:     telemetry.New(0),
+	})
+	msg := req()
+	var err error
+	for i := 0; i < 3; i++ {
+		rt.Call(1, msg)
+	}
+	attempts := inner.calls
+	refuse := func() { _, err = rt.Call(1, msg) }
+	refuse() // registers the fast-fail outcome's counter
+	if got := testing.AllocsPerRun(1000, refuse); got != 0 {
+		t.Errorf("a refused call = %.1f allocs, budget 0", got)
+	}
+	if inner.calls != attempts {
+		t.Fatal("the open breaker let a call through")
+	}
+	want := fmt.Sprintf("%v: peer %v", ErrBreakerOpen, addr.Addr(1))
+	if !errors.Is(err, ErrBreakerOpen) || ClassOf(err) != Transient || err.Error() != want {
+		t.Errorf("refusal = %q (class %v), want %q, ErrBreakerOpen, Transient", err, ClassOf(err), want)
+	}
 }

@@ -242,18 +242,40 @@ func order(a, b Entry) int {
 	return strings.Compare(a.Name, b.Name)
 }
 
-// Merge merges two scan results — lists in (key, name) order — into one,
-// keeping the fresher version where both hold a (key, name), a's on a tie.
-// It copies nothing when either list is empty. Lists out of order (a peer
-// can send anything) come back out of order, nothing worse.
-func Merge(a, b []Entry) []Entry {
-	if len(a) == 0 {
-		return b
+// Fold merges scan results — lists in (key, name) order — one at a time
+// into one list, keeping the fresher version where two hold a (key, name),
+// the earlier one's on a tie. Lists out of order (a peer can send anything)
+// come back out of order, nothing worse. It merges into two buffers it
+// reuses, so a fold of n scans allocates about twice its result, not each of
+// its n-1 intermediate merges. The zero Fold is empty.
+type Fold struct {
+	out, spare []Entry
+	owned      bool // out is one of the fold's buffers, not a list passed to Add
+}
+
+// Add merges scan into the fold. It copies nothing while at most one
+// non-empty scan has been added.
+func (f *Fold) Add(scan []Entry) {
+	switch {
+	case len(scan) == 0:
+	case len(f.out) == 0:
+		f.out = scan
+	default:
+		merged := appendMerge(slices.Grow(f.spare[:0], len(f.out)+len(scan)), f.out, scan)
+		if f.owned {
+			f.spare = f.out
+		}
+		f.out, f.owned = merged, true
 	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Entry, 0, len(a)+len(b))
+}
+
+// Entries returns what the fold holds, in one of its buffers: the next Add
+// may overwrite it.
+func (f *Fold) Entries() []Entry { return f.out }
+
+// appendMerge appends the merge of a and b to out, a's entry on a version
+// tie.
+func appendMerge(out, a, b []Entry) []Entry {
 	for len(a) > 0 && len(b) > 0 {
 		switch c := order(a[0], b[0]); {
 		case c < 0:

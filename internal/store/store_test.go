@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -270,6 +272,19 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// Merge merges two scan results into a fresh list, a's entry on a version
+// tie, copying nothing when either is empty: the pairwise fold Fold keeps
+// buffers across, and its oracle.
+func Merge(a, b []Entry) []Entry {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	return appendMerge(make([]Entry, 0, len(a)+len(b)), a, b)
+}
+
 func TestMerge(t *testing.T) {
 	e := func(key, name string, v uint64) Entry {
 		return Entry{Key: bitpath.MustParse(key), Name: name, Holder: addr.Addr(v), Version: v}
@@ -291,6 +306,55 @@ func TestMerge(t *testing.T) {
 	}
 	if a[1].Version != 3 || b[1].Version != 5 {
 		t.Error("Merge wrote to its inputs")
+	}
+}
+
+// TestFoldMatchesMerge: a Fold over random scans — sorted, sharing keys,
+// with version ties and empty scans among them — holds after every Add what
+// folding the same scans with Merge does: the fresher version per (key,
+// name), the earlier scan's on a tie (each scan's entries carry its index as
+// their holder, so the winner shows). Reusing its buffers, it never writes
+// to a scan it was given.
+func TestFoldMatchesMerge(t *testing.T) {
+	keys := []string{"0", "00", "01", "010", "1", "11", "110"}
+	rng := rand.New(rand.NewSource(40))
+	scan := func(holder int) []Entry {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		var out []Entry
+		for _, k := range keys {
+			for _, name := range []string{"a", "b"} {
+				if rng.Intn(2) == 0 {
+					out = append(out, Entry{Key: bitpath.MustParse(k), Name: name,
+						Holder: addr.Addr(holder), Version: uint64(1 + rng.Intn(3))})
+				}
+			}
+		}
+		slices.SortFunc(out, order)
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		var (
+			fold   Fold
+			oracle []Entry
+			scans  [][]Entry
+			copies [][]Entry
+		)
+		for visit := 0; visit < 1+rng.Intn(12); visit++ {
+			s := scan(visit)
+			scans, copies = append(scans, s), append(copies, slices.Clone(s))
+			fold.Add(s)
+			oracle = Merge(oracle, s)
+			if got := fold.Entries(); !slices.Equal(got, oracle) {
+				t.Fatalf("trial %d, after scan %d: fold = %v, Merge = %v", trial, visit, got, oracle)
+			}
+		}
+		for i := range scans {
+			if !slices.Equal(scans[i], copies[i]) {
+				t.Fatalf("trial %d: the fold wrote to scan %d", trial, i)
+			}
+		}
 	}
 }
 

@@ -333,11 +333,11 @@ func (g *Grid) PrefixSearch(prefix string) ([]Entry, Cost, error) {
 	if len(res.Found) == 0 {
 		return nil, Cost{Messages: res.Messages}, ErrUnreachable
 	}
-	var merged []store.Entry
+	var merged store.Fold
 	for _, a := range res.Found {
-		merged = store.Merge(merged, g.dir.Peer(a).Store().PrefixScan(k))
+		merged.Add(g.dir.Peer(a).Store().PrefixScan(k))
 	}
-	return externals(merged), Cost{Messages: res.Messages, Replicas: len(res.Found)}, nil
+	return externals(merged.Entries()), Cost{Messages: res.Messages, Replicas: len(res.Found)}, nil
 }
 
 func externals(es []store.Entry) []Entry {
