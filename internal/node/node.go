@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -192,7 +193,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		// A request decoded off the wire carries the room it is answered in.
 		x := m.Query.Answer()
 		x.Reply = wire.Message{Kind: wire.KindQueryResp, From: n.Addr(), QueryResp: &x.Resp}
-		n.handleQuery(m.Query, &x.Resp, &x.Fwd)
+		n.handleQuery(m.Query, &x.Resp)
 		return &x.Reply
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
@@ -264,11 +265,11 @@ func wireLinks(e peer.Editor, room *wire.LinkRoom) (path bitpath.Path, refs []wi
 // core.ReplicaStep decision the asking client takes on that same path. Both
 // happen under the one lock an exchange narrows the path under, so an entry
 // cannot land after the exchange has evicted what the peer no longer covers.
-// The answer is one object: the links ride in its room.
+// The answer is one object, a decoded rider's own room: the links ride in it.
 func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
-	resp, x := reply[wire.InfoAnswer](n, wire.KindInfoResp)
+	x := r.Answer()
 	i := &x.Resp
-	resp.InfoResp = i
+	x.Reply = wire.Message{Kind: wire.KindInfoResp, From: n.Addr(), InfoResp: i}
 	peer.Edit(n.self, func(e peer.Editor) {
 		i.Path, i.Refs, i.Buddies = wireLinks(e, &x.Room)
 		if r == nil {
@@ -281,12 +282,11 @@ func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
 			x.Applied.Changed = n.Store().Apply(r.Apply.Entries[0])
 			i.Applied = &x.Applied
 		} else {
-			x.Scanned.Entries = n.Store().PrefixScan(r.Scan.Prefix)
-			i.Scanned = &x.Scanned
+			x.Scan(n.Store(), r.Scan.Prefix)
 		}
 	})
 	i.Addr, i.Entries = n.Addr(), n.Store().Len()
-	return resp
+	return &x.Reply
 }
 
 // --- query ----------------------------------------------------------------
@@ -310,7 +310,7 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 		}
 	}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp, new(wire.QueryCall))
+	n.handleQuery(req, &resp)
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	if n.tel.EventsOn() {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
@@ -323,12 +323,11 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 // contributes to the message count. A read riding on the request is answered
 // by the peer the search ends at and comes back with the route. The outcome
 // is written into resp, which the caller made (zero) where it is to be sent
-// from, and the query is forwarded in fwd, which the caller made with it. When
-// the request carries a sampled trace context the node appends its own span
-// (and everything its subtree reported) to the response and records the
-// subtree route in its flight recorder; routing decisions are identical either
-// way.
-func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.QueryCall) {
+// from. When the request carries a sampled trace context the node appends its
+// own span (and everything its subtree reported) to the response and records
+// the subtree route in its flight recorder; routing decisions are identical
+// either way.
+func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
 	path := n.self.Path()
 	l := q.Level
 	if l > path.Len() {
@@ -352,7 +351,7 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.Que
 		}
 	}
 
-	n.routeQuery(q, resp, fwd, path, l, &span, childCtx, tracing)
+	n.routeQuery(q, resp, path, l, &span, childCtx, tracing)
 
 	if tracing {
 		span.LatencyNS = int64(time.Since(start))
@@ -360,18 +359,21 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.Que
 		spans = append(spans, span)
 		spans = append(spans, resp.Spans...)
 		resp.Spans = spans
-		n.rec.Record(trace.Trace{TraceID: q.Ctx.TraceID, Key: q.Key, Found: resp.Found,
+		// The key is copied: a served request's room is reused once its
+		// reply is written (wire.Room).
+		key := bitpath.Path(strings.Clone(string(q.Key)))
+		n.rec.Record(trace.Trace{TraceID: q.Ctx.TraceID, Key: key, Found: resp.Found,
 			Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans})
 	}
 }
 
 // routeQuery is the routing half of handleQuery: the Fig. 2 decision
 // (core.RouteStep, shared with the simulator) and the reference walk over
-// the transport, in fwd, filled again for each reference tried. span and
-// childCtx are only touched when tracing is set; resp.Spans accumulates the
-// downstream spans in visit order (the caller's own span is prepended by
-// handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.QueryCall, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
+// the transport, in a call of its own (wire.Forward), filled again for each
+// reference tried. span and childCtx are only touched when tracing is set;
+// resp.Spans accumulates the downstream spans in visit order (the caller's
+// own span is prepended by handleQuery).
+func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
 	matched, next, rest := core.RouteStep(path, l, q.Key)
 	if matched {
 		if tracing {
@@ -386,12 +388,13 @@ func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, fwd *wire.Quer
 
 	var buf [16]addr.Addr // holds a level's references (RefMax is a handful) off the heap
 	refs := n.self.RefsInto(buf[:0], next)
+	fwd, rest, read := wire.Forward(q, rest)
 	for refs.Len() > 0 {
 		var r addr.Addr
 		n.mu.Lock()
 		r = refs.PopRandom(n.rng)
 		n.mu.Unlock()
-		down, err := n.tr.Call(r, fwd.Fill(n.Addr(), rest, next-1, childCtx, q.Read))
+		down, err := n.tr.Call(r, fwd.Fill(n.Addr(), rest, next-1, childCtx, read))
 		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
 		if err != nil || down.QueryResp == nil {
 			continue // unreachable reference: try the next one

@@ -3,27 +3,34 @@ package node
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
+	"pgrid/internal/core"
 	"pgrid/internal/peer"
 	"pgrid/internal/store"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
 
 // The ownership rule of the request path: a request belongs to whoever made
-// it, and to nobody else once the call that carried it has returned — no
-// layer, handler or recorder keeps a pointer into it. That is what lets
-// routeQuery fill one wire.QueryCall again for each reference it tries, and it is
-// the condition a pool of request messages would need. The tests below hold
-// the product to it by overwriting every request the moment the rule says it
-// is free, and demanding the same answers as without.
+// it, and to nobody else once the call that carried it has returned or its
+// reply has been written — no layer, handler or recorder keeps a pointer into
+// it, nor a string cut from it. That is what lets routeQuery fill one
+// wire.QueryCall again for each reference it tries, and a server decode every
+// query and visit into a wire.Room it reuses once the reply is written. The
+// tests below hold the product to it by overwriting every request the moment
+// the rule says it is free — a server zeroes its rooms itself — and
+// demanding the same answers, and the same recorded keys, as without.
 
 // poison overwrites a request and every payload it points to with values no
 // caller sent.
@@ -234,9 +241,12 @@ func TestPoisonDifferentialNodeMatchesSimulator(t *testing.T) {
 // TestPoisonDecodedRequestsAfterReply is the server's side of the rule: the
 // request serveBinary decoded is free once its reply is written. Each node of
 // a loopback TCP community — transplanted from a built in-process one, same
-// seeds — notes the requests it decodes, and after every client operation,
-// when all their replies are long written, the test poisons them. The
-// community answers as the in-process one it was copied from.
+// seeds — answers its queries and visits in rooms its server zeroes and reuses
+// once the reply is written, and notes the other requests it decodes, each in
+// an object of its own; after every client operation, when all their replies
+// are long written, the test poisons those. The community answers as the
+// in-process one it was copied from, and its flight recorders hold the same
+// routes. (A room is not the test's to poison: its server writes it next.)
 func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 	c := NewCluster(64, smallCfg(), 61)
 	buildCluster(t, c, 0.99*4, 80000, rand.New(rand.NewSource(61)))
@@ -264,9 +274,11 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 		srv := NewServer(n, ln)
 		pt.SetEndpoint(n.Addr(), ln.Addr().String())
 		srv.handle = func(m *wire.Message) *wire.Message {
-			mu.Lock()
-			decoded = append(decoded, m)
-			mu.Unlock()
+			if m.Query == nil && m.Info == nil { // decoded into an object of its own, not a room
+				mu.Lock()
+				decoded = append(decoded, m)
+				mu.Unlock()
+			}
 			return n.Handle(m)
 		}
 		serving.Add(1)
@@ -284,10 +296,12 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 	// The plain side runs second so both start from the built state, not from
 	// what the other's publish left behind.
 	storeFixture(nodes)
+	kinds := map[wire.Kind]bool{}
 	poisoned := runPoisonWorkload(t, nodes, pt, func() {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, m := range decoded {
+			kinds[m.Kind] = true
 			poison(m)
 		}
 		decoded = decoded[:0]
@@ -295,6 +309,9 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 	storeFixture(c.Nodes)
 	plain := runPoisonWorkload(t, c.Nodes, c.Transport, func() {})
 	comparePoisonWorkloads(t, plain, poisoned)
+	if !kinds[wire.KindApply] || !kinds[wire.KindObserve] {
+		t.Errorf("poisoned only %v: the apply list and the observe decode into objects of their own", kinds)
+	}
 }
 
 // TestDecodedQueryHandledTwice: the room a decoded query is answered in is
@@ -302,7 +319,7 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 // handles a request again — the query is answered in two objects, the first
 // answer reads as it did after the second is made, and both equal the answer
 // to the same request built in process. The query is forwarded once on the
-// way, so the forward riding in the room is exercised too.
+// way, so the forward is exercised too.
 func TestDecodedQueryHandledTwice(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 1)
 	if err := c.Nodes[0].Exchange(1); err != nil || c.Nodes[1].Path() != "1" {
@@ -338,4 +355,156 @@ func TestDecodedQueryHandledTwice(t *testing.T) {
 			t.Errorf("answer %d = %+v %+v, want %+v", i, got, got.QueryResp, wantResp)
 		}
 	}
+}
+
+// TestServedRoomsKeepNothing: a server decodes its queries and visits into
+// rooms it zeroes and reuses once the reply is written, so whatever a handler,
+// a layer or a recorder keeps of a request must be its own copy. One server,
+// responsible for the keys under 0 and forwarding the rest to a second one,
+// serves 240 requests with distinct keys in turn: traced reads it forwards,
+// publish visits it applies and scan visits. Afterwards the routes both flight
+// recorders hold, the forwards its slow-call recorder holds, the forwards
+// themselves — kept as a sampling transport wrapper keeps them: a forward is a
+// call of its own, its key and read copied out of the room (wire.Forward) —
+// and the entries its store applied read as sent, and every scan answered
+// what the store held.
+func TestServedRoomsKeepNothing(t *testing.T) {
+	pt := NewPoolTransport(PoolConfig{Size: 1})
+	slow := trace.NewRecorder(256)
+	kept := &keepTransport{}
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		tr := Transport(pt)
+		if i == 0 {
+			kept.inner = InstrumentTransportSlow(pt, telemetry.New(0), time.Nanosecond, slow)
+			tr = kept
+		}
+		nodes[i] = New(addr.Addr(i), smallCfg(), tr, int64(i))
+		nodes[i].EnableTracing(trace.NewRecorder(256), 0)
+		if !nodes[i].Peer().ExtendFrom("", byte(i), addr.NewSet(addr.Addr(1-i))) {
+			t.Fatal("fixture build failed")
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var serving sync.WaitGroup
+	for _, n := range nodes {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt.SetEndpoint(n.Addr(), ln.Addr().String())
+		srv := NewServer(n, ln)
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			srv.Serve(ctx)
+		}()
+	}
+	defer func() {
+		pt.Close()
+		cancel() // closes every server
+		serving.Wait()
+	}()
+
+	var (
+		routed, forwarded []bitpath.Path // the keys sent to the first server, and on to the second
+		reads             []wire.GetReq  // the reads riding on them
+		applied           []store.Entry
+		rng               = rand.New(rand.NewSource(41))
+	)
+	for i, v := range rng.Perm(1 << 11)[:240] {
+		key := bitpath.FromUint(uint64(v), 11)
+		name := fmt.Sprintf("served-%d", i)
+		switch i % 3 {
+		case 0: // a traced read, forwarded: the routed key and the read live in the room
+			key = "1" + key
+			e := store.Entry{Key: key, Name: name, Holder: 7, Version: uint64(i + 1)}
+			nodes[1].Store().Apply(e)
+			resp, err := pt.Call(0, &wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: key,
+				Ctx:  &trace.SpanContext{TraceID: uint64(i + 1), Budget: trace.DefaultBudget, Sampled: true},
+				Read: &wire.GetReq{Key: key, Name: name}}})
+			if err != nil || resp.QueryResp == nil || !resp.QueryResp.Has || resp.QueryResp.Entry != e {
+				t.Fatalf("read %d of %s = %+v, %v", i, key, resp, err)
+			}
+			_, _, rest := core.RouteStep(nodes[0].Path(), 0, key)
+			routed, forwarded = append(routed, key), append(forwarded, rest)
+			reads = append(reads, wire.GetReq{Key: key, Name: name})
+		case 1: // a publish visit: the entry's key and name live in the room
+			e := store.Entry{Key: "0" + key, Name: name, Holder: addr.Addr(i), Version: uint64(i + 1)}
+			resp, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil,
+				Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}})
+			if err != nil || resp.InfoResp == nil || resp.InfoResp.Applied == nil || !resp.InfoResp.Applied.Changed {
+				t.Fatalf("publish %d of %v = %+v, %v", i, e, resp, err)
+			}
+			applied = append(applied, e)
+		case 2: // a scan visit under what was published: the scan lives in a pooled slice
+			prefix := applied[len(applied)-1].Key[:1+i%6]
+			want := nodes[0].Store().PrefixScan(prefix)
+			resp, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil,
+				Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}}})
+			if err != nil || resp.InfoResp == nil || resp.InfoResp.Scanned == nil || !slices.Equal(resp.InfoResp.Scanned.Entries, want) {
+				t.Fatalf("scan %d of %s = %+v, %v; the store holds %v", i, prefix, resp, err, want)
+			}
+		}
+	}
+
+	keys := func(rec *trace.Recorder) []bitpath.Path {
+		var out []bitpath.Path
+		for _, tr := range rec.Snapshot(0) {
+			out = append(out, tr.Key)
+		}
+		slices.Reverse(out) // oldest first
+		return out
+	}
+	for _, c := range []struct {
+		what      string
+		got, want []bitpath.Path
+	}{
+		{"the first server's routes", keys(nodes[0].Recorder()), routed},
+		{"the second server's routes", keys(nodes[1].Recorder()), forwarded},
+		{"the first server's slow forwards", keys(slow), forwarded},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Errorf("%s hold %d keys, %d were sent", c.what, len(c.got), len(c.want))
+			continue
+		}
+		for i := range c.got {
+			if c.got[i] != c.want[i] {
+				t.Errorf("%s: key %d of %d reads %q, sent %q", c.what, i, len(c.got), c.got[i], c.want[i])
+				break
+			}
+		}
+	}
+	if len(kept.msgs) != len(forwarded) {
+		t.Errorf("the first server forwarded %d queries, %d reads were sent", len(kept.msgs), len(forwarded))
+	} else {
+		for i, m := range kept.msgs {
+			if m.Kind != wire.KindQuery || m.Query.Key != forwarded[i] || m.Query.Read == nil || *m.Query.Read != reads[i] {
+				t.Errorf("kept forward %d of %d reads %+v, sent %q with %+v", i, len(kept.msgs), m.Query, forwarded[i], reads[i])
+				break
+			}
+		}
+	}
+	for _, e := range applied {
+		if got, ok := nodes[0].Store().Get(e.Key, e.Name); !ok || got != e {
+			t.Errorf("published %v, the store holds %v (%v)", e, got, ok)
+		}
+	}
+	if got := nodes[0].Store().Len(); got != len(applied) {
+		t.Errorf("the store holds %d entries, %d were published", got, len(applied))
+	}
+}
+
+// keepTransport keeps every request it carries, as a sampling wrapper does.
+type keepTransport struct {
+	inner Transport
+	mu    sync.Mutex
+	msgs  []*wire.Message
+}
+
+func (k *keepTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	k.mu.Lock()
+	k.msgs = append(k.msgs, m)
+	k.mu.Unlock()
+	return k.inner.Call(to, m)
 }

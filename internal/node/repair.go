@@ -378,7 +378,7 @@ func (r *Repairer) Tick() {
 				continue
 			}
 			var q wire.QueryResp
-			n.handleQuery(&wire.QueryReq{Key: e.Key}, &q, new(wire.QueryCall))
+			n.handleQuery(&wire.QueryReq{Key: e.Key}, &q)
 			charge(q.Messages)
 			if !q.Found || q.Peer == n.Addr() || !spend(1) {
 				unhealed++

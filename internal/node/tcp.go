@@ -19,7 +19,8 @@ type Server struct {
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
-	idle   []*worker // parked request workers, the last one parked last
+	idle   []*worker    // parked request workers, the last one parked last
+	rooms  []*wire.Room // request rooms free for the next frame, at most maxIdleWorkers
 	closed bool
 	wg     sync.WaitGroup // connections and workers
 }
@@ -79,7 +80,8 @@ const serveBinaryConcurrency = 64
 // benchmark's workloads four slots allocate what eight or thirty-two do, two
 // save 3 % of the goroutines and no memory that can be measured (DESIGN
 // §12.2), and a burst beyond them spawns and retires goroutines as every
-// request once did.
+// request once did. The server keeps as many free request rooms (wire.Room),
+// for the same reason: a room outlives its request as a parked worker does.
 const maxIdleWorkers = 4
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -112,11 +114,13 @@ type binConn struct {
 	inflight sync.WaitGroup // and counts them
 }
 
-// job is one decoded request and the connection that wants its answer.
+// job is one decoded request, the room it was decoded into and the connection
+// that wants its answer.
 type job struct {
-	c   *binConn
-	seq uint32
-	msg *wire.Message
+	c    *binConn
+	seq  uint32
+	msg  *wire.Message
+	room *wire.Room
 }
 
 // worker is a request goroutine that outlives its request: parked on the
@@ -134,23 +138,55 @@ func (s *Server) serveBinary(conn net.Conn) {
 	c := &binConn{conn: conn, sem: make(chan struct{}, serveBinaryConcurrency)}
 	defer c.inflight.Wait()
 	for {
-		seq, flags, msg, err := wire.ReadFrame(br)
+		// An idle connection holds no room: the frame's header comes first.
+		if _, err := br.Peek(wire.HeaderSize); err != nil {
+			return
+		}
+		room := s.takeRoom()
+		seq, flags, msg, err := wire.ReadFrameIn(br, room)
 		if err != nil {
 			// Corrupt frames — a first byte that is not the magic
 			// included — poison the stream framing itself: there is no
 			// way to resynchronize on a byte stream, so any read error
 			// drops the connection.
+			s.putRoom(room)
 			return
 		}
 		if !s.node.Online() {
+			s.putRoom(room)
 			return // simulate an unreachable peer: no answer
 		}
 		if flags&wire.FlagResponse != 0 {
+			s.putRoom(room)
 			continue // a confused client; requests only on this side
 		}
 		c.sem <- struct{}{}
 		c.inflight.Add(1)
-		s.dispatch(job{c, seq, msg})
+		s.dispatch(job{c, seq, msg, room})
+	}
+}
+
+// takeRoom returns the room freed last, or a new one when none is free.
+func (s *Server) takeRoom() *wire.Room {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.rooms)
+	if n == 0 {
+		return new(wire.Room)
+	}
+	r := s.rooms[n-1]
+	s.rooms = s.rooms[:n-1]
+	return r
+}
+
+// putRoom clears r and frees it for the next frame, unless maxIdleWorkers are
+// free already.
+func (s *Server) putRoom(r *wire.Room) {
+	r.Clear()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.rooms) < maxIdleWorkers {
+		s.rooms = append(s.rooms, r)
 	}
 }
 
@@ -200,13 +236,15 @@ func (s *Server) park(w *worker) bool {
 	return true
 }
 
-// serve answers one request on its connection.
+// serve answers one request on its connection and, the reply written, clears
+// the room the request was decoded and answered in for the next frame.
 func (s *Server) serve(j job) {
 	c := j.c
 	resp := s.answer(j.msg)
 	c.wmu.Lock()
 	err := wire.WriteFrame(c.conn, j.seq, wire.FlagResponse, resp)
 	c.wmu.Unlock()
+	s.putRoom(j.room)
 	if err != nil {
 		c.conn.Close() // the read loop will see the close and exit
 	}

@@ -63,6 +63,63 @@ func transplantedCluster(t *testing.T, seed int64) (*directory.Directory, *Clust
 	return built.Dir, c
 }
 
+// visitTransport counts the visits each peer is sent.
+type visitTransport struct {
+	inner  Transport
+	visits map[addr.Addr]int
+}
+
+func (t visitTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	if m.Kind == wire.KindInfo {
+		t.visits[to]++
+	}
+	return t.inner.Call(to, m)
+}
+
+// TestPrefixSearchPastTheRoom: a prefix search of the empty prefix reaches the
+// whole 256-peer community, four times past the walk's room for the peers it
+// has reached. It visits each peer once, reaches core.ReplicaSearch's peers in
+// its order for its messages plus the client's, and returns the merge of their
+// scans.
+func TestPrefixSearchPastTheRoom(t *testing.T) {
+	const recbreadth = 3
+	d, c := transplantedCluster(t, 27)
+	tr := visitTransport{c.Transport, map[addr.Addr]int{}}
+	cl := NewClient(tr, 1)
+	for _, start := range []addr.Addr{0, 77, 255} {
+		clear(tr.visits)
+		cl.rng = rand.New(rand.NewSource(int64(start)))
+		entries, msgs := cl.PrefixSearch(start, "", recbreadth)
+		want := core.ReplicaSearch(d, d.Peer(start), "", recbreadth, rand.New(rand.NewSource(int64(start))))
+		if len(want.Found) <= 64 {
+			t.Fatalf("from %v core reached %d peers: the walk stays in its room", start, len(want.Found))
+		}
+		for a, n := range tr.visits {
+			if n != 1 {
+				t.Errorf("from %v: peer %v visited %d times", start, a, n)
+			}
+		}
+		var fold store.Fold
+		for _, a := range want.Found {
+			if tr.visits[a] != 1 {
+				t.Errorf("from %v: core reached %v, the client visited it %d times", start, a, tr.visits[a])
+			}
+			fold.Add(d.Peer(a).Store().PrefixScan(""))
+		}
+		if len(tr.visits) != len(want.Found) || msgs != want.Messages+1 {
+			t.Errorf("from %v: %d peers visited for %d messages, core reached %d for %d", start, len(tr.visits), msgs, len(want.Found), want.Messages)
+		}
+		if merged := fold.Entries(); !reflect.DeepEqual(entries, merged) {
+			t.Errorf("from %v: prefix search = %d entries, core's replicas hold %d", start, len(entries), len(merged))
+		}
+		clear(tr.visits)
+		cl.rng = rand.New(rand.NewSource(int64(start)))
+		if got := cl.ReplicaSearch(start, "", recbreadth); !slices.Equal(got.Found, want.Found) {
+			t.Errorf("from %v: client reached %v, core %v", start, got.Found, want.Found)
+		}
+	}
+}
+
 // TestDifferentialReplicaSearchMatchesSimulator: the networked BFS visits the
 // peers core.ReplicaSearch visits, in its order, taking its draws, and costs
 // what it charges plus the client→entry message — and with the operation
@@ -298,14 +355,15 @@ func TestReplicaSearchUnansweredRiderIsMalformed(t *testing.T) {
 
 // TestAllocBudgetVisitRoundTrip: one warm BFS visit through the pooled
 // transport to a loopback Server, both sides together, with each rider. The
-// apply rider costs the server its decoded request (the Message with the rider,
-// the apply and the entry's key and name, one object: 1), its answer (the
-// Message with the InfoResp, room for the rider's answer and the LinkRoom the
-// links are cut from, one object: 1) and the client its decoded answer (the
-// same one object, the short path free: 1) — 3. The scan rider's
-// request is the one object, its short prefix free (1); the server scans into
-// a fresh slice (+1) and carries the entries back (the entry slice and its one
-// arena string, +2): 6. A second conversation per replica, or an object per
+// server decodes the request (the Message with the rider, the apply and the
+// entry's key and name, or the scan and its short prefix) into a room it
+// reuses, and answers in the same room (the Message with the InfoResp, room for
+// the rider's answer and the LinkRoom the links are cut from): 0. The apply
+// rider costs the client its decoded answer (the same one object, the short
+// path free): 1. The server scans into a pooled slice its room gives back
+// once the reply is written (0), and the scan's answer carries the entries back (the entry slice and its
+// one arena string, +2): 3. An object per served request or visit reply, a
+// scan copy per visit, a second conversation per replica, or an object per
 // field, pushes either over.
 func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 	if raceflag.Enabled {
@@ -323,19 +381,27 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 	tr := InstrumentTransport(pt, tel)
 	e := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 4}
 	nodes[0].Store().Apply(e)
+	apply := &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}
+	scan := &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}
 	for _, tc := range []struct {
 		name   string
-		rider  *wire.InfoReq
+		riders []*wire.InfoReq // sent in turn
 		budget float64
 	}{
-		{"apply", &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}, 3},
-		{"scan", &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}, 6},
+		{"apply", []*wire.InfoReq{apply}, 1},
+		{"scan", []*wire.InfoReq{scan}, 3},
+		{"apply and scan", []*wire.InfoReq{apply, scan}, 4}, // an apply's room gives its pooled slice back too
 	} {
-		req := &wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: tc.rider}
+		var reqs []*wire.Message
+		for _, rider := range tc.riders {
+			reqs = append(reqs, &wire.Message{Kind: wire.KindInfo, From: addr.Nil, Info: rider})
+		}
 		call := func() {
-			resp, err := tr.Call(0, req)
-			if err != nil || resp.InfoResp == nil || !riderAnswered(resp.InfoResp, tc.rider) {
-				t.Fatalf("%s visit = %+v, %v", tc.name, resp, err)
+			for _, req := range reqs {
+				resp, err := tr.Call(0, req)
+				if err != nil || resp.InfoResp == nil || !riderAnswered(resp.InfoResp, req.Info) {
+					t.Fatalf("%s visit = %+v, %v", tc.name, resp, err)
+				}
 			}
 		}
 		call() // dial, start a worker, register instruments

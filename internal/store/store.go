@@ -195,15 +195,20 @@ func (s *Store) each(lo, hi pos, f func(*slot)) {
 	}
 }
 
-// entries copies [lo, hi) out in one exact-size slice; nil when empty.
-func (s *Store) entries(lo, hi pos) []Entry {
+// appendEntries appends [lo, hi) to dst, into one exact-size slice when dst is
+// nil; nil when both are empty.
+func (s *Store) appendEntries(dst []Entry, lo, hi pos) []Entry {
 	n := s.count(lo, hi)
-	if n == 0 {
-		return nil
+	switch {
+	case n == 0:
+		return dst
+	case dst == nil:
+		dst = make([]Entry, 0, n)
+	default:
+		dst = slices.Grow(dst, n)
 	}
-	out := make([]Entry, 0, n)
-	s.each(lo, hi, func(sl *slot) { out = append(out, sl.Entry) })
-	return out
+	s.each(lo, hi, func(sl *slot) { dst = append(dst, sl.Entry) })
+	return dst
 }
 
 // New returns an empty store.
@@ -242,55 +247,85 @@ func order(a, b Entry) int {
 	return strings.Compare(a.Name, b.Name)
 }
 
-// Fold merges scan results — lists in (key, name) order — one at a time
-// into one list, keeping the fresher version where two hold a (key, name),
-// the earlier one's on a tie. Lists out of order (a peer can send anything)
-// come back out of order, nothing worse. It merges into two buffers it
-// reuses, so a fold of n scans allocates about twice its result, not each of
-// its n-1 intermediate merges. The zero Fold is empty.
+// Fold merges scan results — lists in (key, name) order — into one list,
+// keeping the fresher version where several hold a (key, name), the earliest
+// one's on a tie. Lists out of order (a peer can send anything) come back out
+// of order, nothing worse. It keeps the lists it is given and merges them
+// once, when asked for the result, into one slice of exactly the result's
+// size: a fold of up to eight lists allocates that slice and nothing else.
+// The zero Fold is empty.
 type Fold struct {
-	out, spare []Entry
-	owned      bool // out is one of the fold's buffers, not a list passed to Add
+	first [8][]Entry // the first lists added
+	n     int        // how many lists were added
+	rest  [][]Entry  // the lists past first
 }
 
-// Add merges scan into the fold. It copies nothing while at most one
-// non-empty scan has been added.
+// Add adds scan to the fold, which keeps it unread until Entries.
 func (f *Fold) Add(scan []Entry) {
 	switch {
 	case len(scan) == 0:
-	case len(f.out) == 0:
-		f.out = scan
+		return
+	case f.n < len(f.first):
+		f.first[f.n] = scan
 	default:
-		merged := appendMerge(slices.Grow(f.spare[:0], len(f.out)+len(scan)), f.out, scan)
-		if f.owned {
-			f.spare = f.out
-		}
-		f.out, f.owned = merged, true
+		f.rest = append(f.rest, scan)
 	}
+	f.n++
 }
 
-// Entries returns what the fold holds, in one of its buffers: the next Add
-// may overwrite it.
-func (f *Fold) Entries() []Entry { return f.out }
-
-// appendMerge appends the merge of a and b to out, a's entry on a version
-// tie.
-func appendMerge(out, a, b []Entry) []Entry {
-	for len(a) > 0 && len(b) > 0 {
-		switch c := order(a[0], b[0]); {
-		case c < 0:
-			out, a = append(out, a[0]), a[1:]
-		case c > 0:
-			out, b = append(out, b[0]), b[1:]
-		default:
-			e := a[0]
-			if b[0].Version > e.Version {
-				e = b[0]
-			}
-			out, a, b = append(out, e), a[1:], b[1:]
-		}
+// Entries returns the merge of every list added so far: the list itself when
+// only one was, and otherwise one exact-size slice, which later calls return
+// too, until the next Add.
+func (f *Fold) Entries() []Entry {
+	switch f.n {
+	case 0:
+		return nil
+	case 1:
+		return f.first[0]
 	}
-	return append(append(out, a...), b...)
+	// heads copies the lists for a pass of merge to consume, into room while
+	// they fit.
+	var room [16][]Entry
+	heads := func() [][]Entry { return append(append(room[:0], f.first[:min(f.n, len(f.first))]...), f.rest...) }
+	out := make([]Entry, merge(heads(), nil))
+	merge(heads(), out)
+	clear(f.rest) // the merged scans are not to be pinned by the spare room
+	*f = Fold{n: 1, rest: f.rest[:0]}
+	f.first[0] = out
+	return out
+}
+
+// merge walks the merge of lists, consuming the slice of them it is given
+// (not their entries), stores each entry of the result in out while out has
+// room, and returns how many there are. The result's next entry is the least
+// of the lists' heads; every list whose head holds that (key, name) gives it
+// up, and the fresher version wins, the earlier list's on a tie.
+func merge(lists [][]Entry, out []Entry) int {
+	n := 0
+	for {
+		least := -1
+		for i, l := range lists {
+			if len(l) > 0 && (least < 0 || order(l[0], lists[least][0]) < 0) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return n
+		}
+		e := lists[least][0]
+		for i, l := range lists[least:] {
+			if len(l) > 0 && order(l[0], e) == 0 {
+				if l[0].Version > e.Version {
+					e = l[0]
+				}
+				lists[least+i] = l[1:]
+			}
+		}
+		if n < len(out) {
+			out[n] = e
+		}
+		n++
+	}
 }
 
 // Apply merges an index entry, keeping the highest version per (key, name).
@@ -365,16 +400,22 @@ func (s *Store) Get(key bitpath.Path, name string) (Entry, bool) {
 func (s *Store) Lookup(key bitpath.Path) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.entries(s.find(&bound{key: key, rank: rank(key)}), s.find(&bound{key: key, cut: pastKey}))
+	return s.appendEntries(nil, s.find(&bound{key: key, rank: rank(key)}), s.find(&bound{key: key, cut: pastKey}))
 }
 
 // PrefixScan returns all entries whose key has the given prefix, sorted by
 // (key, name). With prefix-preserving text keys this implements the paper's
 // Section 6 trie/prefix search extension.
 func (s *Store) PrefixScan(prefix bitpath.Path) []Entry {
+	return s.AppendPrefixScan(nil, prefix)
+}
+
+// AppendPrefixScan is PrefixScan appending to dst, a buffer the caller reuses.
+func (s *Store) AppendPrefixScan(dst []Entry, prefix bitpath.Path) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.entries(s.under(prefix))
+	lo, hi := s.under(prefix)
+	return s.appendEntries(dst, lo, hi)
 }
 
 // Entries returns every index entry, sorted by (key, name).

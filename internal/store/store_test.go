@@ -273,8 +273,8 @@ func TestSummary(t *testing.T) {
 }
 
 // Merge merges two scan results into a fresh list, a's entry on a version
-// tie, copying nothing when either is empty: the pairwise fold Fold keeps
-// buffers across, and its oracle.
+// tie, copying nothing when either is empty: the pairwise fold Fold's one
+// k-way merge replaced, and its oracle.
 func Merge(a, b []Entry) []Entry {
 	if len(a) == 0 {
 		return b
@@ -283,6 +283,26 @@ func Merge(a, b []Entry) []Entry {
 		return a
 	}
 	return appendMerge(make([]Entry, 0, len(a)+len(b)), a, b)
+}
+
+// appendMerge appends the merge of a and b to out, a's entry on a version
+// tie.
+func appendMerge(out, a, b []Entry) []Entry {
+	for len(a) > 0 && len(b) > 0 {
+		switch c := order(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			e := a[0]
+			if b[0].Version > e.Version {
+				e = b[0]
+			}
+			out, a, b = append(out, e), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 func TestMerge(t *testing.T) {
@@ -313,8 +333,8 @@ func TestMerge(t *testing.T) {
 // with version ties and empty scans among them — holds after every Add what
 // folding the same scans with Merge does: the fresher version per (key,
 // name), the earlier scan's on a tie (each scan's entries carry its index as
-// their holder, so the winner shows). Reusing its buffers, it never writes
-// to a scan it was given.
+// their holder, so the winner shows). It merges into a slice of exactly the
+// result's size and never writes to a scan it was given.
 func TestFoldMatchesMerge(t *testing.T) {
 	keys := []string{"0", "00", "01", "010", "1", "11", "110"}
 	rng := rand.New(rand.NewSource(40))
@@ -340,6 +360,8 @@ func TestFoldMatchesMerge(t *testing.T) {
 			oracle []Entry
 			scans  [][]Entry
 			copies [][]Entry
+			// nonEmpty counts the scans with entries: past one, the fold merges.
+			nonEmpty int
 		)
 		for visit := 0; visit < 1+rng.Intn(12); visit++ {
 			s := scan(visit)
@@ -348,6 +370,8 @@ func TestFoldMatchesMerge(t *testing.T) {
 			oracle = Merge(oracle, s)
 			if got := fold.Entries(); !slices.Equal(got, oracle) {
 				t.Fatalf("trial %d, after scan %d: fold = %v, Merge = %v", trial, visit, got, oracle)
+			} else if nonEmpty += min(len(s), 1); nonEmpty > 1 && cap(got) != len(got) {
+				t.Fatalf("trial %d, after scan %d: fold of %d entries in a slice of %d", trial, visit, len(got), cap(got))
 			}
 		}
 		for i := range scans {
@@ -359,8 +383,9 @@ func TestFoldMatchesMerge(t *testing.T) {
 }
 
 // TestAllocBudgetStore: reads cost what they return — a scan is one
-// exact-size copy, the count and the fingerprint are fields — and a version
-// overwrite of a known (key, name) allocates nothing.
+// exact-size copy, the count and the fingerprint are fields, a fold of eight
+// scans is its one exact-size merge — and a version overwrite of a known
+// (key, name) allocates nothing.
 func TestAllocBudgetStore(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates")
@@ -368,6 +393,10 @@ func TestAllocBudgetStore(t *testing.T) {
 	s, entries := benchStore(4096)
 	prefix := bitpath.MustParse("0101")
 	version := uint64(1)
+	scans := make([][]Entry, 8)
+	for i := range scans {
+		scans[i] = s.PrefixScan(prefix[:i%4+1])
+	}
 	for _, tc := range []struct {
 		name   string
 		budget float64
@@ -380,6 +409,13 @@ func TestAllocBudgetStore(t *testing.T) {
 		{"Len", 0, func() { s.Len() }},
 		{"Summary", 0, func() { s.Summary() }},
 		{"Get", 0, func() { s.Get(entries[7].Key, entries[7].Name) }},
+		{"Fold of 8 scans", 1, func() {
+			var f Fold
+			for _, scan := range scans {
+				f.Add(scan)
+			}
+			f.Entries()
+		}},
 		{"Apply overwrite", 0, func() {
 			version++
 			e := entries[int(version)%len(entries)]

@@ -135,8 +135,17 @@ func WriteFrame(w io.Writer, seq uint32, flags uint8, m *Message) error {
 // Handed a *bufio.Reader — which the server and the pool both do — the
 // header is parsed in place in the reader's buffer; any other reader pays
 // one small allocation for it (a local array escapes through the io.Reader
-// interface).
+// interface). A header's claim costs nothing until its bytes arrive: the body
+// is read in chunks of maxPooledBuf, the buffer growing as they do, so a peer
+// that claims MaxFrameSize and stalls pins one chunk, not the claim.
 func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
+	return ReadFrameIn(r, nil)
+}
+
+// ReadFrameIn is ReadFrame decoding a KindQuery, or a KindInfo carrying a
+// rider, into room (see Room); any other kind, or any kind with a nil room,
+// decodes into an object of its own.
+func ReadFrameIn(r io.Reader, room *Room) (seq uint32, flags uint8, m *Message, err error) {
 	br, buffered := r.(*bufio.Reader)
 	var hdr []byte
 	if buffered {
@@ -173,20 +182,27 @@ func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
 	}
 	pb := bufPool.Get().(*poolBuf)
 	defer putBuf(pb)
-	if cap(pb.b) < int(n) {
-		pb.b = make([]byte, n)
-	}
-	pb.b = pb.b[:n]
-	if _, err := io.ReadFull(r, pb.b); err != nil {
-		if err == io.EOF {
-			// ReadFull reports a stream that ends before the first of the
-			// n > 0 bytes the header promised as a plain EOF; it is a torn
-			// frame all the same.
-			err = io.ErrUnexpectedEOF
+	pb.b = pb.b[:0]
+	for len(pb.b) < int(n) {
+		have, chunk := len(pb.b), min(int(n)-len(pb.b), maxPooledBuf)
+		if cap(pb.b) < have+chunk { // double, up to the claim
+			grown := make([]byte, have, min(int(n), max(2*cap(pb.b), have+chunk)))
+			copy(grown, pb.b)
+			pb.b = grown
 		}
-		return 0, 0, nil, fmt.Errorf("wire: read frame body: %w", err)
+		got, err := io.ReadFull(r, pb.b[have:have+chunk])
+		pb.b = pb.b[:have+got]
+		if err != nil {
+			if err == io.EOF {
+				// ReadFull reports a stream that ends before the first byte
+				// of a chunk as a plain EOF; the header promised it, so it
+				// is a torn frame all the same.
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, nil, fmt.Errorf("wire: read frame body: %w", err)
+		}
 	}
-	m, err = decodeMessageBody(kind, pb.b)
+	m, err = decodeMessageBody(kind, pb.b, room)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -955,9 +971,12 @@ type pairRoom [64]byte
 // keyName decodes a path and the string behind it — an entry's or a read's
 // (Key, Name) — into one string the two sub-slice. The string is cut from room
 // where the pair fits, the way strings.Builder makes its string: room is part
-// of a message object decoded this once and never reused, so its bytes are
-// written here, before the string exists, and never again. A pair that does
-// not fit is one allocation, and none besides while it fits the stack buffer.
+// of the object the message is decoded into, so its bytes are written here,
+// before the string exists, and not again while the message lives. An object
+// of its own is never reused; a Room is, only once the reply to the request in
+// it is written, when nothing may point into it any more (Room.Clear). A pair
+// that does not fit is one allocation, and none besides while it fits the
+// stack buffer.
 func (d *bdec) keyName(room *pairRoom) (bitpath.Path, string) {
 	packed, nbits := d.pathBits()
 	name := d.bytes()
@@ -1198,19 +1217,131 @@ func (d *bdec) traces() *TracesColumn {
 // allocation. Whoever makes a message makes its payload with it and the two
 // die together, so a message costs one object, not two; the caller sets Kind,
 // From and the payload pointer that goes with them.
-func Fused[P any](m **Message) *P {
-	x := new(struct {
-		m Message
-		p P
-	})
+func Fused[P any](m **Message) *P { return claim(new(fused[P]), m) }
+
+// fused is a message with its payload, as Fused allocates them.
+type fused[P any] struct {
+	m Message
+	p P
+}
+
+// claim points *m at x's message and returns x's payload.
+func claim[P any](x *fused[P], m **Message) *P {
 	*m = &x.m
 	return &x.p
 }
 
+// Room is where a server decodes a request and answers it, reused from one
+// request to the next: a KindQuery, or a KindInfo carrying a rider, is decoded
+// into the room (ReadFrameIn), its keys and names cut from the room's bytes,
+// and answered in the room (QueryReq.Answer, InfoReq.Answer), a scan into a
+// slice from scanPool (InfoAnswer.Scan). The room holds one object per kind,
+// made the first time that kind is decoded into it. Once the reply is written
+// the server clears the room; nothing a handler, a layer or a recorder keeps
+// may point into it: what one keeps of a key it copies, and a query is
+// forwarded in a call of its own (Forward). The zero Room is empty.
+type Room struct {
+	q *fused[routedQuery]
+	i *fused[infoRider]
+}
+
+// Clear zeroes the requests in r, their answers and the bytes their keys and
+// names were cut from — a string kept past the reply reads as NUL bytes — and
+// gives the slice a scan answered in back to scanPool, emptied.
+func (r *Room) Clear() {
+	if r.q != nil {
+		*r.q = fused[routedQuery]{}
+	}
+	if r.i != nil {
+		if a := &r.i.p.ans; a.buf != nil {
+			if a.Resp.Scanned != nil {
+				*a.buf = a.Scanned.Entries // the same slice, grown if the scan outgrew it
+			}
+			clear(*a.buf) // the entries point into a store that may evict them
+			if cap(*a.buf)*int(unsafe.Sizeof(store.Entry{})) <= maxPooledBuf {
+				*a.buf = (*a.buf)[:0]
+				scanPool.Put(a.buf)
+			}
+		}
+		*r.i = fused[infoRider]{}
+	}
+}
+
+// query points *m at the message a KindQuery is decoded into and returns its
+// payload: r's, made the first time, or a new one for a nil r.
+func (r *Room) query(m **Message) *routedQuery {
+	if r == nil {
+		return Fused[routedQuery](m)
+	}
+	if r.q == nil {
+		r.q = new(fused[routedQuery])
+	}
+	return claim(r.q, m)
+}
+
+// rider is query for a KindInfo carrying a rider; a room's answer takes a
+// slice from scanPool to scan into.
+func (r *Room) rider(m **Message) *infoRider {
+	if r == nil {
+		return Fused[infoRider](m)
+	}
+	if r.i == nil {
+		r.i = new(fused[infoRider])
+	}
+	x := claim(r.i, m)
+	x.ans.buf = scanPool.Get().(*[]store.Entry)
+	return x
+}
+
+// scanPool holds the slices rooms' answers scan into. It is shared by every
+// room of every server, so it holds about as many as are being answered at
+// once; a slice past maxPooledBuf is dropped, as bufPool drops a buffer.
+var scanPool = sync.Pool{New: func() any { return new([]store.Entry) }}
+
+// Forward makes a call of its own to forward q in with the routed key rest, a
+// tail of q's, and returns it with the routed key and the read to fill it
+// with: copies of rest and of q's read, cut from the call's room as keyName
+// cuts a decoded pair (one allocation more where they do not fit). A forward
+// is made neither in nor from the Room q may have been decoded into, which is
+// cleared and reused once q's reply is written, because whoever carries a
+// call may keep it: a transport wrapper that samples what it carries does.
+func Forward(q *QueryReq, rest bitpath.Path) (*QueryCall, bitpath.Path, *GetReq) {
+	c := new(QueryCall)
+	r := q.Read
+	if r == nil {
+		return c, bitpath.Path(c.keep(string(rest))), nil
+	}
+	// The routed key is the read key's tail on every query a node routes
+	// (Node.badRequest refuses any other), so it is cut from the read's copy.
+	s := c.keep(string(r.Key), r.Name)
+	n := len(r.Key)
+	c.read = GetReq{Key: bitpath.Path(s[:n]), Name: s[n:]}
+	return c, c.read.Key[n-len(rest):], &c.read
+}
+
+// keep copies parts end to end into c's room where they fit, into an
+// allocation of their own where they do not, and returns them as one string.
+// Forward calls it once on a call it has just made, so the room is written
+// before the string exists and never again.
+func (c *QueryCall) keep(parts ...string) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	b := c.pair[:0]
+	if n > len(c.pair) {
+		b = make([]byte, 0, n)
+	}
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 // routedQuery is a QueryReq with what it may point to — every hop of a traced,
 // read-carrying query decodes all three — and the room its handler answers in
-// (QueryReq.Answer): the request, its read's key and name, the reply and the
-// forward are one object.
+// (QueryReq.Answer): the request, its read's key and name and the reply are
+// one object.
 type routedQuery struct {
 	q    QueryReq
 	r    GetReq
@@ -1222,8 +1353,9 @@ type routedQuery struct {
 // foundAnswer is a QueryResp, getOne a GetReq and gotOne a GetResp with room
 // for the pair each may carry; applyOne is an ApplyReq with room for the one
 // entry most applies carry and its pair, infoRider an InfoReq with the
-// operation it carries, and exchangeSnapshot an ExchangeReq with room for the
-// link state: each decodes as one object.
+// operation it carries and the room its handler answers in (InfoReq.Answer),
+// and exchangeSnapshot an ExchangeReq with room for the link state: each
+// decodes as one object.
 type foundAnswer struct {
 	r    QueryResp
 	pair pairRoom
@@ -1246,9 +1378,10 @@ type applyOne struct {
 }
 
 type infoRider struct {
-	i InfoReq
-	a applyOne
-	s ScanReq
+	i   InfoReq
+	a   applyOne
+	s   ScanReq
+	ans InfoAnswer
 }
 
 type exchangeSnapshot struct {
@@ -1256,17 +1389,18 @@ type exchangeSnapshot struct {
 	room LinkRoom
 }
 
-// decodeMessageBody decodes the envelope and payload of one binary frame.
-// Strict: the payload must be consumed exactly, unknown kinds and malformed
-// fields are ErrCorrupt.
-func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
+// decodeMessageBody decodes the envelope and payload of one binary frame, a
+// KindQuery or a KindInfo carrying a rider into room (nil for an object of its
+// own). Strict: the payload must be consumed exactly, unknown kinds and
+// malformed fields are ErrCorrupt.
+func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 	d := &bdec{b: body}
 	from := d.addr()
 	var m *Message
 	switch kind {
 	case KindQuery:
 		if present, read := d.flags(); present {
-			x := Fused[routedQuery](&m)
+			x := room.query(&m)
 			x.q.answer = &x.ans
 			// The routed key is the read key's tail (badRequest refuses any
 			// other pair): it is cut from the read's string once that is decoded.
@@ -1373,7 +1507,8 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 	case KindInfo:
 		// A rider closes the frame it rides on.
 		if d.remaining() > 0 {
-			x := Fused[infoRider](&m)
+			x := room.rider(&m)
+			x.i.answer = &x.ans
 			switch d.byte() {
 			case riderApply:
 				x.a.e[0] = d.entry(&x.a.pair)
@@ -1392,7 +1527,8 @@ func decodeMessageBody(kind Kind, body []byte) (*Message, error) {
 		switch f := d.byte(); f {
 		case 0:
 		case flagPresent, flagPresent | riderApply, flagPresent | riderScan:
-			x = Fused[InfoAnswer](&m)
+			x = new(InfoAnswer)
+			m = &x.Reply
 			if f&riderApply != 0 {
 				x.Resp.Applied = &x.Applied
 			}

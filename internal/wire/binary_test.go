@@ -3,11 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -206,18 +208,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// wireContent returns m as the wire carries it: m itself, or, for a query the
-// codec decoded, a copy whose QueryReq no longer links the room it is to be
-// answered in — the one field of a decoded message that is not wire content.
-// Every other field is m's, so the round-trip tests compare all of them.
+// wireContent returns m as the wire carries it: m itself, or, for a query or
+// an info rider the codec decoded, a copy whose request no longer links the
+// room it is to be answered in — the one field of a decoded message that is
+// not wire content. Every other field is m's, so the round-trip tests compare
+// all of them.
 func wireContent(m *Message) *Message {
-	if m == nil || m.Query == nil || m.Query.answer == nil {
+	switch {
+	case m == nil:
 		return m
+	case m.Query != nil && m.Query.answer != nil:
+		c, q := *m, *m.Query
+		q.answer = nil
+		c.Query = &q
+		return &c
+	case m.Info != nil && m.Info.answer != nil:
+		c, i := *m, *m.Info
+		i.answer = nil
+		c.Info = &i
+		return &c
 	}
-	c, q := *m, *m.Query
-	q.answer = nil
-	c.Query = &q
-	return &c
+	return m
 }
 
 // TestCrossCodecGoldenVectors is the compat contract across versions:
@@ -415,6 +426,42 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 		c.chunks = c.chunks[1:]
 	}
 	return n, nil
+}
+
+// TestReadFrameStalledClaim: a header's claim costs nothing until its bytes
+// arrive. A peer sends a header claiming MaxFrameSize and one body byte, then
+// stalls; while ReadFrame waits for the rest, the process has allocated at
+// most two chunks of maxPooledBuf, not the 16 MB claimed, and the stream's end
+// is a torn frame.
+func TestReadFrameStalledClaim(t *testing.T) {
+	hdr := []byte{magic0, magic1, BinaryVersion, byte(KindScanResp), 0, 0, 0, 0, 1, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[9:], MaxFrameSize)
+	pr, pw := io.Pipe()
+	var before, stalled runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := ReadFrame(pr)
+		done <- err
+	}()
+	// A pipe's Write returns once the reader has taken the bytes: after the
+	// second, ReadFrame holds its body buffer and waits for the rest.
+	if _, err := pw.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pw.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&stalled)
+	pw.Close()
+	if err := <-done; !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a stalled claim cut short = %v, want a torn frame", err)
+	}
+	if grew := stalled.TotalAlloc - before.TotalAlloc; grew > 2*maxPooledBuf {
+		t.Errorf("a stalled %d-byte claim allocated %d bytes, want ≤ %d", MaxFrameSize, grew, 2*maxPooledBuf)
+	} else {
+		t.Logf("a stalled %d-byte claim allocated %d bytes", MaxFrameSize, grew)
+	}
 }
 
 // TestReadFrameHeaderBoundaries: where the stream breaks relative to the
@@ -764,11 +811,11 @@ func TestBinaryQueryFlags(t *testing.T) {
 		announced := append([]byte{}, plain...)
 		announced[1] |= flagTrailer // the byte behind the sender
 		for _, body := range [][]byte{{2, flagTrailer}, {2, 4}, {2, 0xff}, announced} {
-			if got, err := decodeMessageBody(m.Kind, body); !errors.Is(err, ErrCorrupt) {
+			if got, err := decodeMessageBody(m.Kind, body, nil); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%v body %x decoded to %+v, %v; want ErrCorrupt", m.Kind, body, got, err)
 			}
 		}
-		if _, err := decodeMessageBody(m.Kind, plain); err != nil {
+		if _, err := decodeMessageBody(m.Kind, plain, nil); err != nil {
 			t.Errorf("%v body %x: %v", m.Kind, plain, err)
 		}
 	}
@@ -829,7 +876,7 @@ func TestBinaryInfoRider(t *testing.T) {
 		{KindInfoResp, cat(answer(applied), []byte{0}), false},                              // trailing bytes
 		{KindInfoResp, cat(answer(scanned), []byte{0}), false},
 	} {
-		got, err := decodeMessageBody(tc.kind, tc.body)
+		got, err := decodeMessageBody(tc.kind, tc.body, nil)
 		if tc.ok && err != nil {
 			t.Errorf("%v body %x: %v", tc.kind, tc.body, err)
 		}
@@ -896,7 +943,7 @@ func TestBinaryObserveStrict(t *testing.T) {
 		{KindObserveResp, resp(uint64(AskHealth) | 1<<8), false},        // a column no build knows
 		{KindObserveResp, resp(uint64(AskHealth | AskRepair)), false},   // a column the body lacks
 	} {
-		got, err := decodeMessageBody(tc.kind, tc.body)
+		got, err := decodeMessageBody(tc.kind, tc.body, nil)
 		if tc.ok && err != nil {
 			t.Errorf("%v body %x: %v", tc.kind, tc.body, err)
 		}
@@ -952,7 +999,7 @@ func TestBinaryApplyList(t *testing.T) {
 		{append(bytes.Clone(one), 0), false},
 		{append(bytes.Clone(three), 0), false},
 	} {
-		got, err := decodeMessageBody(KindApply, tc.body)
+		got, err := decodeMessageBody(KindApply, tc.body, nil)
 		if tc.ok && (err != nil || len(got.Apply.Entries) == 0) {
 			t.Errorf("body %x: %+v, %v", tc.body, got, err)
 		}

@@ -141,14 +141,11 @@ func (q *QueryReq) Answer() *QueryAnswer {
 	return new(QueryAnswer)
 }
 
-// QueryAnswer is a served query's answer as the one object it is sent as — the
-// reply and its QueryResp — with the call its handler forwards the query in:
-// the forward is done with when the handler returns, and the reply is made
-// before it runs.
+// QueryAnswer is a served query's answer as the one object it is sent as: the
+// reply and its QueryResp.
 type QueryAnswer struct {
 	Reply Message
 	Resp  QueryResp
-	Fwd   QueryCall
 
 	handed atomic.Bool
 }
@@ -158,9 +155,11 @@ type QueryAnswer struct {
 // it again once the call that carried it has returned — nothing on the call
 // path keeps a request — and fills it anew for its next call.
 type QueryCall struct {
-	m Message
-	q QueryReq
-	r GetReq
+	m    Message
+	q    QueryReq
+	r    GetReq
+	read GetReq   // a forward's copy of its read, which each Fill copies into r (Forward)
+	pair pairRoom // the bytes of a forward's routed key and read
 }
 
 // Fill makes c the query for key from level on, with read (nil for a plain
@@ -291,6 +290,23 @@ type ScanResp struct {
 type InfoReq struct {
 	Apply *ApplyReq
 	Scan  *ScanReq
+
+	// answer is the room a rider decoded off the wire is answered in, cut from
+	// the object it was decoded into; nil for a request built in process.
+	answer *InfoAnswer
+}
+
+// Answer returns the room a visit carrying r (nil for a plain visit) is to be
+// answered in, as QueryReq.Answer does: the one the codec decoded r with, the
+// first time it is asked for, and a fresh one after that, for a request built
+// in process or for a plain visit.
+func (r *InfoReq) Answer() *InfoAnswer {
+	if r != nil {
+		if a := r.answer; a != nil && a.handed.CompareAndSwap(false, true) {
+			return a
+		}
+	}
+	return new(InfoAnswer)
 }
 
 // Key is the key the rider's operation is about: the entry's for an apply,
@@ -318,14 +334,31 @@ type InfoResp struct {
 	Scanned *ScanResp
 }
 
-// InfoAnswer is an InfoResp as the one object it is sent and received as: with
-// room for the answer to a rider and for the link state. A node answers a
-// KindInfo in one, and the codec decodes every info answer into one.
+// InfoAnswer is an InfoResp as the one object it is sent and received as: the
+// reply, with room for the answer to a rider and for the link state. A node
+// answers a KindInfo in one, and the codec decodes every info answer into one.
 type InfoAnswer struct {
+	Reply   Message
 	Resp    InfoResp
 	Applied ApplyResp
 	Scanned ScanResp
 	Room    LinkRoom
+
+	handed atomic.Bool
+	buf    *[]store.Entry // a Room's: a pooled slice to scan into; nil for any other answer
+}
+
+// Scan answers a scan rider in a with the entries under prefix in s. A Room's
+// answer appends them to a pooled slice, which the room gives back once the
+// reply is written; any other answer — one its caller keeps — scans into an
+// exact-size slice of its own.
+func (a *InfoAnswer) Scan(s *store.Store, prefix bitpath.Path) {
+	var dst []store.Entry
+	if a.buf != nil {
+		dst = *a.buf
+	}
+	a.Scanned.Entries = s.AppendPrefixScan(dst, prefix)
+	a.Resp.Scanned = &a.Scanned
 }
 
 // LinkRoom is room for a peer's link state — the per-level reference sets and
