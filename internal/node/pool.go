@@ -91,20 +91,20 @@ type PoolTransport struct {
 	inFlight  atomic.Int64
 	acquiring atomic.Int64 // callers currently waiting to hold a connection
 
-	janitorStop chan struct{}
-	janitorOnce sync.Once
+	janitor *time.Timer // runs reap, which re-arms it until Close; guarded by mu
 }
 
 // NewPoolTransport returns a pooled transport with the given configuration.
 // Call Close when done to release connections and the idle janitor.
 func NewPoolTransport(cfg PoolConfig) *PoolTransport {
 	p := &PoolTransport{
-		endpoints:   make(map[addr.Addr]string),
-		peers:       make(map[addr.Addr]*peerPool),
-		cfg:         cfg.withDefaults(),
-		janitorStop: make(chan struct{}),
+		endpoints: make(map[addr.Addr]string),
+		peers:     make(map[addr.Addr]*peerPool),
+		cfg:       cfg.withDefaults(),
 	}
-	go p.janitor()
+	p.mu.Lock()
+	p.janitor = time.AfterFunc(p.reapInterval(), p.reap)
+	p.mu.Unlock()
 	return p
 }
 
@@ -253,32 +253,31 @@ func (p *PoolTransport) Close() {
 		return
 	}
 	p.closed = true
+	p.janitor.Stop()
 	peers := make([]*peerPool, 0, len(p.peers))
 	for _, pp := range p.peers {
 		peers = append(peers, pp)
 	}
 	p.mu.Unlock()
-	p.janitorOnce.Do(func() { close(p.janitorStop) })
 	for _, pp := range peers {
 		pp.evictAll()
 	}
 }
 
-// janitor reaps idle connections in the background.
-func (p *PoolTransport) janitor() {
-	interval := p.cfg.IdleTimeout / 2
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.janitorStop:
-			return
-		case <-t.C:
-			p.reapIdle()
-		}
+// reapInterval is how often the janitor reaps: half the idle timeout, and
+// not more often than every 10 ms.
+func (p *PoolTransport) reapInterval() time.Duration {
+	return max(p.cfg.IdleTimeout/2, 10*time.Millisecond)
+}
+
+// reap is the janitor: it reaps idle connections and arms itself for the next
+// round, unless the transport has closed. No goroutine waits between rounds.
+func (p *PoolTransport) reap() {
+	p.reapIdle()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed {
+		p.janitor.Reset(p.reapInterval())
 	}
 }
 

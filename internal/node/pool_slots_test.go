@@ -321,16 +321,19 @@ func TestAllocBudgetRoutedLookup(t *testing.T) {
 // TestFootprintBudgetIdleConn: what a peer that has been talked to keeps
 // alive, both ends together — this process runs the dialling pool and the
 // accepting server. 512 peers of one pool, all served by one listener, take
-// two overlapping calls each and then sit idle; the live heap and the
+// three overlapping calls each — two info requests and a routed query carrying
+// a read and a trace context — and then sit idle; the live heap and the
 // goroutine stacks the process gained, per peer, stay under a budget set a
 // quarter above what this measures in a fresh process (after other tests it
 // reads lower: their dead goroutines are reused). A peer costs one connection,
 // and each end of it a socket and a frame reader (frameReadBuffer bytes); the
 // dialling end adds the muxConn with its pending map, the accepting end its
-// binConn and the one goroutine that parks reading it. The dialling end parks
-// none: its callers read (muxConn.read). A default-sized read buffer per end
-// (+7.7 kB), a second stream dialled because the first was in use (× 2) or a
-// parked reader per dialled connection (+4.5 kB) pushes it over.
+// binConn and the one goroutine that parks reading it, on the runtime's
+// smallest stack: it reads bytes and runs no decoder (serveBinary). The
+// dialling end parks none: its callers read (muxConn.read). A default-sized
+// read buffer per end (+7.7 kB), a second stream dialled because the first was
+// in use (× 2), a parked reader per dialled connection (+4.5 kB) or a decoder
+// run on the accepting end's reader (its stack doubled, +2 kB) pushes it over.
 func TestFootprintBudgetIdleConn(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes what objects and stacks cost")
@@ -338,29 +341,38 @@ func TestFootprintBudgetIdleConn(t *testing.T) {
 	const (
 		peers       = 512
 		heapBudget  = 3300 // bytes per peer; measured 2 600
-		stackBudget = 5400 // bytes per peer; measured 4 300
+		stackBudget = 2800 // bytes per peer; measured 2 048–2 240
 	)
 	h, stopSrv := startHeldServer(t)
 	defer stopSrv()
 	pt := NewPoolTransport(PoolConfig{Size: 2})
 	defer pt.Close()
-	// talk puts two calls to the peer in flight together, then lets the
-	// server answer both.
+	// talk puts three calls to the peer in flight together, then lets the
+	// server answer them. The routed query's read and trace context are the
+	// longest decode a request takes.
+	key := bitpath.FromUint(5, 4)
 	talk := func(to addr.Addr) {
 		t.Helper()
 		var wg sync.WaitGroup
-		for i := int64(1); i <= 2; i++ {
+		for i := int64(1); i <= 3; i++ {
+			m := &wire.Message{Kind: wire.KindInfo, From: addr.Nil}
+			if i == 3 {
+				m = new(wire.QueryCall).Fill(addr.Nil, key, 0,
+					&trace.SpanContext{TraceID: uint64(to) + 1, Parent: 7, Budget: 16, Sampled: true},
+					&wire.GetReq{Key: key, Name: "f"})
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := pt.Call(to, &wire.Message{Kind: wire.KindInfo, From: addr.Nil}); err != nil {
+				if _, err := pt.Call(to, m); err != nil {
 					t.Error(err)
 				}
 			}()
 			h.waitHolding(t, i)
 		}
-		h.release <- struct{}{}
-		h.release <- struct{}{}
+		for i := 0; i < 3; i++ {
+			h.release <- struct{}{}
+		}
 		wg.Wait()
 	}
 	measure := func() (heap, stack int64) {

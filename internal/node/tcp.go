@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"pgrid/internal/wire"
 )
@@ -33,15 +34,18 @@ func NewServer(n *Node, ln net.Listener) *Server {
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Serve accepts connections until the listener is closed or ctx is done.
-// Each connection carries a stream of request frames, answered as they
-// complete, until the client closes it. An offline node answers nothing
-// (connections are dropped), mirroring an unreachable peer.
+// Serve accepts connections until the server is closed or ctx is done, and
+// returns nil once every connection and worker it started has ended. Each
+// connection carries a stream of request frames, answered as they complete,
+// until the client closes it. An offline node answers nothing (connections are
+// dropped), mirroring an unreachable peer. A failed Accept — a process out of
+// file descriptors, say, which anyone who opens enough connections can cause —
+// is retried after a backoff (acceptBackoffMin doubling to acceptBackoffMax)
+// instead of ending Serve.
 func (s *Server) Serve(ctx context.Context) error {
-	go func() {
-		<-ctx.Done()
-		s.Close()
-	}()
+	stop := context.AfterFunc(ctx, s.Close)
+	defer stop()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -52,8 +56,16 @@ func (s *Server) Serve(ctx context.Context) error {
 				s.wg.Wait()
 				return nil
 			}
-			return fmt.Errorf("node: accept: %w", err)
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done(): // Close has run or is running: the next Accept fails closed
+				t.Stop()
+			}
+			continue
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -66,6 +78,13 @@ func (s *Server) Serve(ctx context.Context) error {
 		go s.serveConn(conn)
 	}
 }
+
+// acceptBackoffMin and acceptBackoffMax bound the wait before Serve retries a
+// failed Accept, as net/http's server does.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
 
 // serveBinaryConcurrency bounds the requests one multiplexed connection may
 // have in flight at once; further frames queue in the read loop, applying
@@ -84,25 +103,26 @@ const serveBinaryConcurrency = 64
 // for the same reason: a room outlives its request as a parked worker does.
 const maxIdleWorkers = 4
 
+// serveConn serves conn and forgets it. It defers nothing: a deferred closure
+// would sit in its frame, under every frame of the reader parked below it, and
+// the reader calls nothing that panics.
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-		s.wg.Done()
-	}()
 	s.serveBinary(conn)
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+	s.wg.Done()
 }
 
 // frameReadBuffer is the read buffer at each end of every connection. An idle
 // pooled connection holds two of them for as long as it is pooled, and a
 // community pools thousands, so it is sized to the frames, not to bufio's 4 kB
 // default: a routed query or its answer is 50–120 bytes with its header, so
-// one fill takes a whole frame — several, when they queue — and wire.ReadFrame
-// still parses the header in place. A body that does not fit (entry lists,
-// link states) is read straight into ReadFrame's scratch, past this buffer:
-// bufio does that for any read at least its own size. internal/wire's framing
+// one fill takes a whole frame — several, when they queue — and
+// wire.ReadRawFrame still parses the header in place. A body that does not fit
+// (entry lists, link states) is read straight into its pooled buffer, past
+// this one: bufio does that for any read at least its own size. internal/wire's framing
 // tests read through a buffer of this size (frameReadSizes there).
 const frameReadBuffer = 256
 
@@ -114,13 +134,11 @@ type binConn struct {
 	inflight sync.WaitGroup // and counts them
 }
 
-// job is one decoded request, the room it was decoded into and the connection
-// that wants its answer.
+// job is one request frame, read but not decoded, and the connection that
+// wants its answer.
 type job struct {
-	c    *binConn
-	seq  uint32
-	msg  *wire.Message
-	room *wire.Room
+	c *binConn
+	f wire.RawFrame
 }
 
 // worker is a request goroutine that outlives its request: parked on the
@@ -129,41 +147,56 @@ type worker struct {
 	jobs chan job // capacity 1: whoever unparks the worker never waits for it
 }
 
-// serveBinary runs the multiplexed binary protocol: requests are decoded
-// in arrival order but handled concurrently, and each response frame
-// echoes its request's sequence id so the dialer's demux can route it.
-// Responses may therefore interleave out of order — that is the point.
+// serveBinary runs the multiplexed binary protocol: the connection's reader
+// only reads bytes — each frame's header, checked, and its body — and the
+// worker that handles a request decodes it, so requests are decoded and
+// handled concurrently, and each response frame echoes its request's
+// sequence id so the dialer's demux can route it. Responses may therefore
+// interleave out of order — that is the point. The reader runs no decoder so
+// that its goroutine, parked on every accepted connection, keeps the smallest
+// stack the runtime gives one (DESIGN §12.6).
 func (s *Server) serveBinary(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, frameReadBuffer)
-	c := &binConn{conn: conn, sem: make(chan struct{}, serveBinaryConcurrency)}
-	defer c.inflight.Wait()
+	c, br := newBinConn(conn)
 	for {
-		// An idle connection holds no room: the frame's header comes first.
-		if _, err := br.Peek(wire.HeaderSize); err != nil {
-			return
+		// Corrupt headers — a first byte that is not the magic included —
+		// poison the stream framing itself: there is no way to resynchronize
+		// on a byte stream, so any read error drops the connection.
+		f, err := wire.ReadRawFrame(br)
+		if err != nil || !s.admit(c, &f) {
+			break
 		}
-		room := s.takeRoom()
-		seq, flags, msg, err := wire.ReadFrameIn(br, room)
-		if err != nil {
-			// Corrupt frames — a first byte that is not the magic
-			// included — poison the stream framing itself: there is no
-			// way to resynchronize on a byte stream, so any read error
-			// drops the connection.
-			s.putRoom(room)
-			return
-		}
-		if !s.node.Online() {
-			s.putRoom(room)
-			return // simulate an unreachable peer: no answer
-		}
-		if flags&wire.FlagResponse != 0 {
-			s.putRoom(room)
-			continue // a confused client; requests only on this side
-		}
-		c.sem <- struct{}{}
-		c.inflight.Add(1)
-		s.dispatch(job{c, seq, msg, room})
 	}
+	c.inflight.Wait()
+}
+
+// newBinConn returns what the workers serving conn share and the reader its
+// frames are read through. Inlined, it would build the bufio.Reader in
+// serveBinary's frame, which stays on the stack of the goroutine parked
+// reading the connection.
+//
+//go:noinline
+func newBinConn(conn net.Conn) (*binConn, *bufio.Reader) {
+	return &binConn{conn: conn, sem: make(chan struct{}, serveBinaryConcurrency)},
+		bufio.NewReaderSize(conn, frameReadBuffer)
+}
+
+// admit hands a request frame read from c to a worker and reports whether c
+// is still served: an offline node drops the connection, simulating an
+// unreachable peer that answers nothing, and a response frame — a confused
+// client; requests only on this side — is dropped alone.
+func (s *Server) admit(c *binConn, f *wire.RawFrame) bool {
+	if !s.node.Online() {
+		f.Release()
+		return false
+	}
+	if f.Flags&wire.FlagResponse != 0 {
+		f.Release()
+		return true
+	}
+	c.sem <- struct{}{}
+	c.inflight.Add(1)
+	s.dispatch(job{c, *f})
+	return true
 }
 
 // takeRoom returns the room freed last, or a new one when none is free.
@@ -236,15 +269,20 @@ func (s *Server) park(w *worker) bool {
 	return true
 }
 
-// serve answers one request on its connection and, the reply written, clears
-// the room the request was decoded and answered in for the next frame.
+// serve decodes one request into a room, answers it on its connection and,
+// the reply written, clears the room for the next frame. A body that does not
+// decode drops the connection, as a corrupt header does at the reader.
 func (s *Server) serve(j job) {
 	c := j.c
-	resp := s.answer(j.msg)
-	c.wmu.Lock()
-	err := wire.WriteFrame(c.conn, j.seq, wire.FlagResponse, resp)
-	c.wmu.Unlock()
-	s.putRoom(j.room)
+	room := s.takeRoom()
+	msg, err := j.f.Decode(room)
+	if err == nil {
+		resp := s.answer(msg)
+		c.wmu.Lock()
+		err = wire.WriteFrame(c.conn, j.f.Seq, wire.FlagResponse, resp)
+		c.wmu.Unlock()
+	}
+	s.putRoom(room)
 	if err != nil {
 		c.conn.Close() // the read loop will see the close and exit
 	}

@@ -128,9 +128,36 @@ func WriteFrame(w io.Writer, seq uint32, flags uint8, m *Message) error {
 	return nil
 }
 
-// ReadFrame reads one binary frame from r. io.EOF before any header byte
-// is returned verbatim (clean close); any malformed header or payload is
-// ErrCorrupt. The returned message shares nothing with internal buffers.
+// ReadFrame reads one binary frame from r and decodes it. io.EOF before any
+// header byte is returned verbatim (clean close); any malformed header or
+// payload is ErrCorrupt. The returned message shares nothing with internal
+// buffers.
+func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
+	f, err := ReadRawFrame(r)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if m, err = f.Decode(nil); err != nil {
+		return 0, 0, nil, err
+	}
+	return f.Seq, f.Flags, m, nil
+}
+
+// RawFrame is one frame as ReadRawFrame leaves it: the header's fields and the
+// body's bytes, undecoded, in a pooled buffer that Decode or Release gives
+// back. A server's connection reader reads frames this far and no further, so
+// the goroutine parked on every accepted connection runs no decoder and keeps
+// the smallest stack; the worker that answers the request decodes it.
+type RawFrame struct {
+	Seq   uint32
+	Flags uint8
+	kind  Kind
+	body  *poolBuf
+}
+
+// ReadRawFrame reads one frame's header and body from r, checking the magic,
+// the version and the size the header claims, and decodes nothing. Errors are
+// ReadFrame's.
 //
 // Handed a *bufio.Reader — which the server and the pool both do — the
 // header is parsed in place in the reader's buffer; any other reader pays
@@ -138,75 +165,125 @@ func WriteFrame(w io.Writer, seq uint32, flags uint8, m *Message) error {
 // interface). A header's claim costs nothing until its bytes arrive: the body
 // is read in chunks of maxPooledBuf, the buffer growing as they do, so a peer
 // that claims MaxFrameSize and stalls pins one chunk, not the claim.
-func ReadFrame(r io.Reader) (seq uint32, flags uint8, m *Message, err error) {
-	return ReadFrameIn(r, nil)
-}
-
-// ReadFrameIn is ReadFrame decoding a KindQuery, or a KindInfo carrying a
-// rider, into room (see Room); any other kind, or any kind with a nil room,
-// decodes into an object of its own.
-func ReadFrameIn(r io.Reader, room *Room) (seq uint32, flags uint8, m *Message, err error) {
+func ReadRawFrame(r io.Reader) (RawFrame, error) {
+	// A server's connection reader parks in this function's Peek between
+	// frames, this function's stack frame under the netpoll's, so the frame
+	// is kept small: a header read through another reader, the errors to
+	// format and the body's read are functions of their own, and the reader's
+	// goroutine keeps the runtime's smallest stack.
+	var (
+		hdr []byte
+		err error
+	)
 	br, buffered := r.(*bufio.Reader)
-	var hdr []byte
 	if buffered {
 		hdr, err = br.Peek(HeaderSize)
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
 	} else {
-		hdr = make([]byte, HeaderSize)
-		_, err = io.ReadFull(r, hdr)
+		hdr, err = readHeader(r)
 	}
 	if err != nil {
-		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, 0, nil, io.EOF
-		}
-		return 0, 0, nil, fmt.Errorf("wire: read frame header: %w", err)
+		return RawFrame{}, headerError(err, len(hdr))
 	}
-	m0, m1, version := hdr[0], hdr[1], hdr[2]
-	kind := Kind(hdr[3])
-	flags = hdr[4]
-	seq = binary.BigEndian.Uint32(hdr[5:9])
+	f := RawFrame{Seq: binary.BigEndian.Uint32(hdr[5:9]), Flags: hdr[4], kind: Kind(hdr[3])}
 	n := binary.BigEndian.Uint32(hdr[9:13])
+	err = checkHeader(hdr[0], hdr[1], hdr[2], n)
 	if buffered {
 		br.Discard(HeaderSize) // cannot fail: Peek buffered these bytes
 	}
+	if err != nil {
+		return RawFrame{}, err
+	}
+	if f.body, err = readBody(r, int(n)); err != nil {
+		return RawFrame{}, err
+	}
+	return f, nil
+}
+
+// readHeader reads a frame header from a reader that is not a
+// *bufio.Reader, returning the bytes it got.
+func readHeader(r io.Reader) ([]byte, error) {
+	hdr := make([]byte, HeaderSize)
+	got, err := io.ReadFull(r, hdr)
+	return hdr[:got], err
+}
+
+// headerError is what ReadRawFrame reports for a header read that failed
+// with err after got bytes: io.EOF verbatim for a stream that ended cleanly
+// before the frame, and a torn frame for one that ended inside it.
+func headerError(err error, got int) error {
+	if err == io.EOF && got > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return io.EOF
+	}
+	return fmt.Errorf("wire: read frame header: %w", err)
+}
+
+// checkHeader refuses a header whose magic, version or claimed body size n
+// is wrong.
+func checkHeader(m0, m1, version byte, n uint32) error {
 	if m0 != magic0 || m1 != magic1 {
-		return 0, 0, nil, fmt.Errorf("%w: bad frame magic %02x%02x", ErrCorrupt, m0, m1)
+		return fmt.Errorf("%w: bad frame magic %02x%02x", ErrCorrupt, m0, m1)
 	}
 	if version != BinaryVersion {
-		return 0, 0, nil, fmt.Errorf("%w: unsupported binary codec version %d", ErrCorrupt, version)
+		return fmt.Errorf("%w: unsupported binary codec version %d", ErrCorrupt, version)
 	}
 	if n > MaxFrameSize {
-		return 0, 0, nil, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
+	return nil
+}
+
+// readBody reads an n-byte frame body from r into a buffer from bufPool. The
+// body is read in chunks of maxPooledBuf, the buffer growing as they arrive.
+func readBody(r io.Reader, n int) (*poolBuf, error) {
 	pb := bufPool.Get().(*poolBuf)
-	defer putBuf(pb)
 	pb.b = pb.b[:0]
-	for len(pb.b) < int(n) {
-		have, chunk := len(pb.b), min(int(n)-len(pb.b), maxPooledBuf)
+	for len(pb.b) < n {
+		have, chunk := len(pb.b), min(n-len(pb.b), maxPooledBuf)
 		if cap(pb.b) < have+chunk { // double, up to the claim
-			grown := make([]byte, have, min(int(n), max(2*cap(pb.b), have+chunk)))
+			grown := make([]byte, have, min(n, max(2*cap(pb.b), have+chunk)))
 			copy(grown, pb.b)
 			pb.b = grown
 		}
 		got, err := io.ReadFull(r, pb.b[have:have+chunk])
 		pb.b = pb.b[:have+got]
 		if err != nil {
-			if err == io.EOF {
-				// ReadFull reports a stream that ends before the first byte
-				// of a chunk as a plain EOF; the header promised it, so it
-				// is a torn frame all the same.
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, 0, nil, fmt.Errorf("wire: read frame body: %w", err)
+			putBuf(pb)
+			return nil, bodyError(err)
 		}
 	}
-	m, err = decodeMessageBody(kind, pb.b, room)
-	if err != nil {
-		return 0, 0, nil, err
+	return pb, nil
+}
+
+// bodyError is what ReadRawFrame reports for a body read that failed with
+// err.
+func bodyError(err error) error {
+	if err == io.EOF {
+		// ReadFull reports a stream that ends before the first byte of a
+		// chunk as a plain EOF; the header promised it, so it is a torn
+		// frame all the same.
+		err = io.ErrUnexpectedEOF
 	}
-	return seq, flags, m, nil
+	return fmt.Errorf("wire: read frame body: %w", err)
+}
+
+// Decode decodes f's body — a KindQuery, or a KindInfo carrying a rider, into
+// room (see Room); any other kind, or any kind with a nil room, into an object
+// of its own — and gives the body's buffer back: the message shares nothing
+// with it. f holds no body afterwards, whether the body decoded or not.
+func (f *RawFrame) Decode(room *Room) (*Message, error) {
+	defer f.Release()
+	return decodeMessageBody(f.kind, f.body.b, room)
+}
+
+// Release gives f's body back undecoded, if f still holds one.
+func (f *RawFrame) Release() {
+	if f.body != nil {
+		putBuf(f.body)
+		f.body = nil
+	}
 }
 
 // --- encode ----------------------------------------------------------------
@@ -1233,7 +1310,7 @@ func claim[P any](x *fused[P], m **Message) *P {
 
 // Room is where a server decodes a request and answers it, reused from one
 // request to the next: a KindQuery, or a KindInfo carrying a rider, is decoded
-// into the room (ReadFrameIn), its keys and names cut from the room's bytes,
+// into the room (RawFrame.Decode), its keys and names cut from the room's bytes,
 // and answered in the room (QueryReq.Answer, InfoReq.Answer), a scan into a
 // slice from scanPool (InfoAnswer.Scan). The room holds one object per kind,
 // made the first time that kind is decoded into it. Once the reply is written

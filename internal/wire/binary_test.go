@@ -464,6 +464,41 @@ func TestReadFrameStalledClaim(t *testing.T) {
 	}
 }
 
+// TestRawFrameGivesItsBodyBack: the body a frame was read into goes back to
+// bufPool once, whether it decodes, fails to decode — a server's worker then
+// drops the connection — or is dropped undecoded: Decode and Release leave the
+// frame empty, so a later Release gives nothing back twice.
+func TestRawFrameGivesItsBodyBack(t *testing.T) {
+	good, err := AppendFrame(nil, 1, 0, &Message{Kind: KindInfo, From: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(append([]byte{}, good...), 0xff) // a byte of trailing garbage
+	binary.BigEndian.PutUint32(bad[9:13], uint32(len(bad)-HeaderSize))
+	for _, tc := range []struct {
+		name    string
+		frame   []byte
+		release func(*RawFrame) error
+		corrupt bool
+	}{
+		{"decoded", good, func(f *RawFrame) error { _, err := f.Decode(nil); return err }, false},
+		{"corrupt body", bad, func(f *RawFrame) error { _, err := f.Decode(new(Room)); return err }, true},
+		{"dropped", good, func(f *RawFrame) error { f.Release(); return nil }, false},
+	} {
+		f, err := ReadRawFrame(bytes.NewReader(tc.frame))
+		if err != nil || f.body == nil || f.Seq != 1 {
+			t.Fatalf("%s: ReadRawFrame = %+v, %v", tc.name, f, err)
+		}
+		if err := tc.release(&f); errors.Is(err, ErrCorrupt) != tc.corrupt {
+			t.Errorf("%s: err = %v, corrupt %v", tc.name, err, tc.corrupt)
+		}
+		if f.body != nil {
+			t.Errorf("%s: the frame still holds its body", tc.name)
+		}
+		f.Release()
+	}
+}
+
 // TestReadFrameHeaderBoundaries: where the stream breaks relative to the
 // 13-byte header decides between a decoded frame, a clean close (io.EOF,
 // verbatim) and a torn frame (an error wrapping io.ErrUnexpectedEOF or the
