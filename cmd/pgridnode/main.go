@@ -180,7 +180,7 @@ func main() {
 	// the other background loops below.
 	var repairer *node.Repairer
 	if *repairInt > 0 {
-		repairer = node.NewRepairer(n, *repairInt, node.RepairConfig{Budget: repairBudget}, *seed+3)
+		repairer = node.NewRepairer(n, *repairInt, *seed+3)
 	}
 
 	if *stateFile != "" {
@@ -244,9 +244,7 @@ func main() {
 	}
 
 	serving.Store(true)
-	if err := srv.Serve(ctx); err != nil {
-		fatal("serve", err)
-	}
+	srv.Serve(ctx)
 	serving.Store(false)
 	if *stateFile != "" {
 		if err := n.SaveStateFile(*stateFile); err != nil {
@@ -263,7 +261,6 @@ func main() {
 const (
 	retryBudget      = 0.1              // retry tokens earned per call: retries stay near a tenth of call volume
 	breakerFails     = 5                // consecutive failures that open a peer's breaker
-	repairBudget     = 64               // messages one repair round may send
 	traceBuf         = 256              // flight-recorder capacity, in traces
 	traceSample      = 0.01             // share of locally issued queries traced end to end
 	historyWindow    = 5 * time.Minute  // depth of the metrics history ring

@@ -724,7 +724,7 @@ func TestAdminObserve(t *testing.T) {
 	if o := same("ask=repair", wire.ObserveReq{Asks: wire.AskRepair}); o.Repair.Enabled {
 		t.Errorf("repair enabled without a repairer: %+v", o.Repair)
 	}
-	node.NewRepairer(n, time.Second, node.RepairConfig{Budget: 8}, 1).Tick()
+	node.NewRepairer(n, time.Second, 1).Tick()
 
 	all := wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskTraces | wire.AskRepair | wire.AskHistory}
 	for _, tc := range []struct {
@@ -859,7 +859,7 @@ func TestAdminRepairEndpoint(t *testing.T) {
 		t.Errorf("repair-off text = %q", text)
 	}
 
-	node.NewRepairer(n, time.Second, node.RepairConfig{Budget: 8}, 1).Tick()
+	node.NewRepairer(n, time.Second, 1).Tick()
 	if o := observeJSON(t, srv, "ask=repair"); o.Repair == nil || !o.Repair.Enabled || o.Repair.Rounds != 1 {
 		t.Errorf("repair after one round = %+v", o.Repair)
 	}

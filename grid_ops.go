@@ -5,6 +5,7 @@ import (
 
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
+	"pgrid/internal/repair"
 	"pgrid/internal/store"
 )
 
@@ -42,8 +43,9 @@ func (g *Grid) Join() (JoinStats, error) {
 
 // MaintainStats reports one community-wide maintenance round.
 type MaintainStats struct {
-	// Probed, Dropped, Added count reference probes, removals of dead
-	// references, and fresh references learned.
+	// Probed, Dropped, Added count reference probes, references evicted
+	// (dead or on the wrong side), and fresh references learned (from live
+	// references' buddies or by a routed search).
 	Probed, Dropped, Added int
 	// Messages is the total maintenance traffic.
 	Messages int
@@ -52,17 +54,21 @@ type MaintainStats struct {
 	AliveFraction float64
 }
 
-// Maintain runs one reference-maintenance round on every online peer:
-// probe references, drop the dead, refill levels from live references'
-// buddies. Run it periodically under churn to keep routing healthy.
+// Maintain runs one repair round on every online peer, the networked
+// node's protocol (core.Repair): replica groups vote on their path and drop
+// orphan buddies, references are probed, the dead and wrong-side evicted and
+// levels refilled from live references' buddies or by a routed search, and
+// replica stores sync. Run it periodically under churn to keep routing
+// healthy.
 func (g *Grid) Maintain() MaintainStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	res := core.MaintainAll(g.dir, g.cfg, core.MaintainOptions{DropOffline: true, Fetch: 3}, g.rng)
+	probed, spent, heals := core.RepairAll(g.dir, g.cfg.RefMax, g.rng)
 	health := core.MeasureRefHealth(g.dir, g.cfg)
 	return MaintainStats{
-		Probed: res.Probed, Dropped: res.Dropped, Added: res.Added,
-		Messages: res.Messages, AliveFraction: health.AliveFraction,
+		Probed: probed, Dropped: heals[repair.ActionEvictRef],
+		Added:    heals[repair.ActionRefillRef] + heals[repair.ActionSearchRefill],
+		Messages: spent, AliveFraction: health.AliveFraction,
 	}
 }
 

@@ -61,6 +61,35 @@ func TestMaintainRepairsAfterOfflineWave(t *testing.T) {
 	g.SetOnlineFraction(1)
 }
 
+func TestMaintainKeepsKeysShorterThanPaths(t *testing.T) {
+	// A key of one bit is stored at every peer whose path extends it; that
+	// peer is responsible for it, so maintenance must leave it in place.
+	g := BuildIdeal(256, 4, 6, 3)
+	if _, err := g.Publish(Entry{Key: "0", Name: "short"}); err != nil {
+		t.Fatal(err)
+	}
+	holders := func() int {
+		n := 0
+		for _, p := range g.Directory().All() {
+			if p.Store().Len() > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	before := holders()
+	if before == 0 {
+		t.Fatal("publish stored the entry nowhere")
+	}
+	g.Maintain()
+	if after := holders(); after != before {
+		t.Errorf("maintain left the entry at %d peers, %d held it before", after, before)
+	}
+	if _, _, err := g.Lookup("0", "short"); err != nil {
+		t.Errorf("lookup after maintain: %v", err)
+	}
+}
+
 func TestTraceRoute(t *testing.T) {
 	g := BuildIdeal(256, 4, 8, 4)
 	hops, res, err := g.Trace("0110")

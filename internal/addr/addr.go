@@ -182,13 +182,11 @@ func (m *Marks) UnionInto(buf []Addr, s, t Set) Set {
 	return u
 }
 
-// Shuffled returns the addresses in uniformly random order.
-func (s Set) Shuffled(rng *rand.Rand) []Addr { return s.ShuffledInto(nil, rng) }
-
-// ShuffledInto is Shuffled with the copy made in buf's capacity when it
-// fits. The draws are one rng.Shuffle over Len() elements whatever buf is,
-// so a seeded run takes the same course with or without a buffer. buf may
-// be s's own storage: the set is then shuffled in place.
+// ShuffledInto returns the addresses in uniformly random order, the copy
+// made in buf's capacity when it fits. The draws are one rng.Shuffle over
+// Len() elements whatever buf is, so a seeded run takes the same course
+// with or without a buffer. buf may be s's own storage: the set is then
+// shuffled in place.
 func (s Set) ShuffledInto(buf []Addr, rng *rand.Rand) []Addr { return ShuffledInto(buf, s.addrs, rng) }
 
 // ShuffledInto is Set.ShuffledInto for a list that is not a set — a reference
@@ -200,13 +198,10 @@ func ShuffledInto(buf, addrs []Addr, rng *rand.Rand) []Addr {
 	return out
 }
 
-// RandomSubset returns min(k, Len()) distinct addresses drawn uniformly at
-// random, matching the paper's random_select(k, refs).
-func (s Set) RandomSubset(rng *rand.Rand, k int) Set { return s.RandomSubsetInto(nil, rng, k) }
-
-// RandomSubsetInto is RandomSubset built in buf's capacity, on the terms of
-// ShuffledInto: the full shuffle is drawn even when k is small, which is
-// what keeps the run's course.
+// RandomSubsetInto returns min(k, Len()) distinct addresses drawn uniformly
+// at random, matching the paper's random_select(k, refs), built in buf's
+// capacity on the terms of ShuffledInto: the full shuffle is drawn even when
+// k is small, which is what keeps the run's course.
 func (s Set) RandomSubsetInto(buf []Addr, rng *rand.Rand, k int) Set {
 	if k < 0 {
 		k = 0

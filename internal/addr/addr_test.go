@@ -73,7 +73,7 @@ func TestUnionAndClone(t *testing.T) {
 func TestRandomSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewSet(1, 2, 3, 4, 5)
-	sub := s.RandomSubset(rng, 3)
+	sub := s.RandomSubsetInto(nil, rng, 3)
 	if sub.Len() != 3 {
 		t.Fatalf("subset size = %d", sub.Len())
 	}
@@ -82,17 +82,17 @@ func TestRandomSubset(t *testing.T) {
 			t.Errorf("subset element %v not in source", a)
 		}
 	}
-	if got := s.RandomSubset(rng, 10).Len(); got != 5 {
+	if got := s.RandomSubsetInto(nil, rng, 10).Len(); got != 5 {
 		t.Errorf("oversized subset len = %d, want 5", got)
 	}
-	if got := s.RandomSubset(rng, 0).Len(); got != 0 {
+	if got := s.RandomSubsetInto(nil, rng, 0).Len(); got != 0 {
 		t.Errorf("zero subset len = %d", got)
 	}
-	if got := s.RandomSubset(rng, -1).Len(); got != 0 {
+	if got := s.RandomSubsetInto(nil, rng, -1).Len(); got != 0 {
 		t.Errorf("negative subset len = %d", got)
 	}
 	if s.Len() != 5 {
-		t.Error("RandomSubset mutated source")
+		t.Error("RandomSubsetInto mutated source")
 	}
 }
 
@@ -118,7 +118,7 @@ func TestPopRandomDrains(t *testing.T) {
 func TestShuffledIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := NewSet(1, 2, 3, 4, 5, 6, 7, 8)
-	out := s.Shuffled(rng)
+	out := s.ShuffledInto(nil, rng)
 	if len(out) != 8 {
 		t.Fatalf("Shuffled len = %d", len(out))
 	}

@@ -62,7 +62,7 @@ func RouteStep(path bitpath.Path, l int, key bitpath.Path) (matched bool, next i
 func Query(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand.Rand) QueryResult {
 	var res QueryResult
 	var room queryRoom
-	res.Found = query(d, a, p, 0, rng, &res, nil, room[:])
+	res.Found = query(d, a, p, 0, false, rng, &res, nil, room[:])
 	return res
 }
 
@@ -83,18 +83,19 @@ func QueryTraced(d *directory.Directory, a *peer.Peer, p bitpath.Path, rng *rand
 	var res QueryResult
 	var spans []trace.Span
 	var room queryRoom
-	res.Found = query(d, a, p, 0, rng, &res, &spans, room[:])
+	res.Found = query(d, a, p, 0, false, rng, &res, &spans, room[:])
 	return trace.Trace{Key: p, Found: res.Found, Messages: res.Messages,
 		Backtracks: res.Backtracks, Spans: spans}
 }
 
 // query mirrors the paper's query(a, p, l): l is the number of leading path
-// bits already consumed by routing, p is the remaining query suffix. A
-// non-nil spans collects the route; it changes neither the walk nor the
-// random draws. The level's references are copied to the front of room and
-// the searches below take the rest; a level that does not fit is copied to
-// the heap and leaves room to them whole.
-func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *rand.Rand, res *QueryResult, spans *[]trace.Span, room []addr.Addr) bool {
+// bits already consumed by routing, p is the remaining query suffix, and fwd
+// reports that a was reached through a reference. A non-nil spans collects
+// the route; it changes neither the walk nor the random draws. The level's
+// references are copied to the front of room and the searches below take
+// the rest; a level that does not fit is copied to the heap and leaves room
+// to them whole.
+func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, fwd bool, rng *rand.Rand, res *QueryResult, spans *[]trace.Span, room []addr.Addr) bool {
 	path := a.Path()
 	var idx int
 	if spans != nil {
@@ -110,6 +111,13 @@ func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *ran
 		}
 		return true
 	}
+	if fwd && rest.Len() == p.Len() {
+		// A reference that satisfies Sec. 2 leads to a peer that matches at
+		// least one more key bit. This one matches none: the reference was on
+		// the wrong side (a corrupted table), and forwarding again could
+		// circle among such references forever.
+		return false
+	}
 	refs := a.RefsInto(room, next)
 	if n := refs.Len(); n <= len(room) {
 		room = room[n:]
@@ -121,7 +129,7 @@ func query(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rng *ran
 			continue
 		}
 		res.Messages++
-		if query(d, q, rest, next-1, rng, res, spans, room) {
+		if query(d, q, rest, next-1, true, rng, res, spans, room) {
 			return true
 		}
 		res.Backtracks++

@@ -203,6 +203,20 @@ func TestQueryFailedSearchStillCountsIntermediateHops(t *testing.T) {
 	}
 }
 
+func TestQueryStopsAtWrongSideReference(t *testing.T) {
+	// A corrupted table: addrs 2 and 3 (both path 10) hold each other as
+	// their level-1 reference, on their own side of bit 1. A search for 0
+	// from addr 2 reaches addr 3, which matches no further key bit, and
+	// stops there instead of circling between the two forever.
+	d := buildFig1(t)
+	d.Peer(2).SetRefsAt(1, addr.NewSet(3))
+	d.Peer(3).SetRefsAt(1, addr.NewSet(2))
+	res := Query(d, d.Peer(2), bitpath.MustParse("0"), newRng(9))
+	if res.Found || res.Messages != 1 || res.Backtracks != 1 {
+		t.Fatalf("res = %+v, want not found after one message and one backtrack", res)
+	}
+}
+
 func TestQueryFailsWhenRegionUnreachable(t *testing.T) {
 	d := buildFig1(t)
 	// All peers on side 1 offline: query for 10 from side 0 cannot succeed.

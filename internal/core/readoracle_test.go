@@ -144,7 +144,7 @@ func TestReadDrawsMatchOracles(t *testing.T) {
 			for _, size := range []int{0, 8, 64} {
 				rng := rand.New(rand.NewSource(seed))
 				var got QueryResult
-				got.Found = query(d, start, key, 0, rng, &got, nil, make([]addr.Addr, size))
+				got.Found = query(d, start, key, 0, false, rng, &got, nil, make([]addr.Addr, size))
 				if got != want || rng.Int63() != wantNext {
 					t.Fatalf("refmax %d, key %d (%s from %v) in a room of %d: query = %+v, the clone-per-level search %+v (or the next draw differs)",
 						g.refmax, i, key, start.Addr(), size, got, want)

@@ -178,10 +178,10 @@ func Maintenance(peers, depth, refmax, epochs int, departFraction float64, maint
 	for epoch := 1; epoch <= epochs; epoch++ {
 		departs := int(departFraction * float64(peers))
 		for i := 0; i < departs; i++ {
-			core.ReplaceDeparted(d, addr.Addr(rng.Intn(peers)))
+			d.Replace(addr.Addr(rng.Intn(peers)))
 		}
 		if maintain {
-			core.MaintainAll(d, cfg, core.MaintainOptions{DropOffline: true, Fetch: 3}, rng)
+			core.RepairAll(d, refmax, rng)
 		}
 		h := core.MeasureRefHealth(d, cfg)
 		row := MaintenanceRow{Epoch: epoch, Maintained: maintain, Alive: h.AliveFraction, Fill: h.Fill}

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
 	"pgrid/internal/resilience"
-	"pgrid/internal/store"
 	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
@@ -55,23 +53,17 @@ func TestChaosRepairSoak(t *testing.T) {
 		maxRounds = 8
 		healRound = 3
 	)
-	c := NewCluster(peers, smallCfg(), seed)
-	rng := rand.New(rand.NewSource(seed))
-	buildCluster(t, c, 0.99*4, 80000, rng)
-
-	// Seed the data layer: every entry is replicated to each peer
-	// responsible for its key, with one fixed holder so replicas of a
-	// path carry identical fingerprints.
-	for i := 0; i < 48; i++ {
-		key := bitpath.Random(rng, 4)
-		e := store.Entry{Key: key, Name: fmt.Sprintf("k%d", i), Holder: addr.Nil, Version: 1}
-		for _, n := range c.Nodes {
-			if key.HasPrefix(n.Path()) {
-				if e.Holder == addr.Nil {
-					e.Holder = n.Addr()
-				}
-				n.Store().Apply(e)
-			}
+	// The corrupted community: seeded entries, a fifth of the peers offline
+	// with a live replica left in every partition, then flipped paths, stale
+	// references, orphan buddies, wiped stores and dropped entries.
+	c, crpt := soakCorruption(t, seed)
+	if crpt.FlippedPaths == 0 || crpt.StaledRefs == 0 || crpt.WipedStores == 0 || crpt.DroppedEntries == 0 {
+		t.Fatalf("corruption injector found no victims: %+v", crpt)
+	}
+	offline := map[addr.Addr]bool{}
+	for _, n := range c.Nodes {
+		if !n.Online() {
+			offline[n.Addr()] = true
 		}
 	}
 
@@ -94,37 +86,12 @@ func TestChaosRepairSoak(t *testing.T) {
 	for i, n := range c.Nodes {
 		n.tr = rt
 		n.SetTelemetry(tel)
-		repairers[n.Addr()] = NewRepairer(n, time.Second, RepairConfig{Budget: 128}, int64(2000+i))
+		r := NewRepairer(n, time.Second, int64(2000+i))
+		r.budget = 128
+		repairers[n.Addr()] = r
 	}
 
-	// Churn a fifth of the community away, but keep at least one live
-	// replica per partition — the paper's availability model assumes
-	// independent churn, and a partition with zero live replicas is data
-	// loss no repair protocol can heal (its levels would stay starved
-	// forever, honestly reported as unhealed).
-	groupOnline := map[bitpath.Path]int{}
-	for _, n := range c.Nodes {
-		groupOnline[n.Path()]++
-	}
-	offline := map[addr.Addr]bool{}
-	for len(offline) < offlineN {
-		a := addr.Addr(rng.Intn(peers))
-		if offline[a] || groupOnline[c.Nodes[a].Path()] <= 1 {
-			continue
-		}
-		offline[a] = true
-		groupOnline[c.Nodes[a].Path()]--
-		c.Nodes[a].SetOnline(false)
-	}
-
-	// Corrupt, then partition a six-peer clique away from the rest.
-	crpt := ChaosCorrupt(c, CorruptConfig{
-		FlipPaths: 5, StaleRefs: 30, OrphanBuddies: 10,
-		WipeStores: 4, DropEntries: 10, Seed: seed + 1,
-	})
-	if crpt.FlippedPaths == 0 || crpt.StaledRefs == 0 || crpt.WipedStores == 0 || crpt.DroppedEntries == 0 {
-		t.Fatalf("corruption injector found no victims: %+v", crpt)
-	}
+	// Partition a six-peer clique away from the rest.
 	var clique, rest []addr.Addr
 	for _, n := range c.Nodes {
 		if !offline[n.Addr()] && len(clique) < 6 {

@@ -301,7 +301,8 @@ func TestMaintainCountsMalformed(t *testing.T) {
 	tel := telemetry.New(0)
 	n.SetTelemetry(tel)
 	n.tr = &malformTransport{inner: c.Transport, kind: wire.KindInfo, mode: "nilpayload"}
-	r := NewRepairer(n, time.Second, RepairConfig{Budget: 256}, 27)
+	r := NewRepairer(n, time.Second, 27)
+	r.budget = 256
 	r.Tick()
 
 	if got := counterVal(t, tel, `pgrid_rpc_malformed_kind_total{kind="info"}`); got != int64(probes) {

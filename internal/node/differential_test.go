@@ -48,24 +48,6 @@ func differentialNodeVsSimulator(t *testing.T, wrap func(Transport) Transport) {
 		n.tr = wrap(n.tr)
 	}
 
-	same := func(x, y peer.Snapshot) bool {
-		if x.Path != y.Path || len(x.Refs) != len(y.Refs) || !slices.Equal(x.Buddies.Slice(), y.Buddies.Slice()) {
-			return false
-		}
-		for l := range x.Refs {
-			if !slices.Equal(x.Refs[l].Slice(), y.Refs[l].Slice()) {
-				return false
-			}
-		}
-		return true
-	}
-	show := func(s peer.Snapshot) string {
-		out := fmt.Sprintf("path %q buddies %v refs", s.Path, s.Buddies.Slice())
-		for _, r := range s.Refs {
-			out += fmt.Sprint(" ", r.Slice())
-		}
-		return out
-	}
 	schedule := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < meetings; i++ {
 		a := addr.Addr(schedule.Intn(peers))
@@ -79,9 +61,9 @@ func differentialNodeVsSimulator(t *testing.T, wrap func(Transport) Transport) {
 		}
 		for j, n := range c.Nodes {
 			sim, node := d.Peer(addr.Addr(j)).Snapshot(), n.Peer().Snapshot()
-			if !same(sim, node) {
+			if !sameLinks(sim, node) {
 				t.Fatalf("after meeting %d (%v meets %v) peer %d differs:\n simulator: %s\n node:      %s",
-					i, a, b, j, show(sim), show(node))
+					i, a, b, j, showLinks(sim), showLinks(node))
 			}
 		}
 	}
@@ -101,4 +83,26 @@ func differentialNodeVsSimulator(t *testing.T, wrap func(Transport) Transport) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameLinks reports whether two snapshots agree on path, buddies and the
+// references at every level, in order (the order feeds later draws).
+func sameLinks(x, y peer.Snapshot) bool {
+	if x.Path != y.Path || len(x.Refs) != len(y.Refs) || !slices.Equal(x.Buddies.Slice(), y.Buddies.Slice()) {
+		return false
+	}
+	for l := range x.Refs {
+		if !slices.Equal(x.Refs[l].Slice(), y.Refs[l].Slice()) {
+			return false
+		}
+	}
+	return true
+}
+
+func showLinks(s peer.Snapshot) string {
+	out := fmt.Sprintf("path %q buddies %v refs", s.Path, s.Buddies.Slice())
+	for _, r := range s.Refs {
+		out += fmt.Sprint(" ", r.Slice())
+	}
+	return out
 }

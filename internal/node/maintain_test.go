@@ -57,7 +57,8 @@ func TestNodeMaintainDropsUnreachableRefs(t *testing.T) {
 			c.Nodes[refs[0]].SetOnline(false)
 		}
 	}
-	r := NewRepairer(n, time.Second, RepairConfig{Budget: 256}, 21)
+	r := NewRepairer(n, time.Second, 21)
+	r.budget = 256
 	r.Tick()
 	st := r.Status()
 	evicted := 0
@@ -105,7 +106,7 @@ func TestNodeMaintainRefillsFromBuddies(t *testing.T) {
 	n0 := c.Nodes[0]
 	n0.Peer().SetRefsAt(1, addr.NewSet(3))
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 22)
+	r := NewRepairer(n0, time.Second, 22)
 	r.Tick()
 	if got := tallyOf(r.Status().Heals, repair.ActionRefillRef); got != 2 {
 		t.Fatalf("refill-ref heals = %d, want 2: %+v", got, r.Status())
@@ -165,7 +166,7 @@ func TestNodeMaintainNoSameRoundReadd(t *testing.T) {
 	n0.Peer().SetRefsAt(1, addr.NewSet(3, 4))
 	n0.tr = &flapTransport{inner: c.Transport, down: map[addr.Addr]int{4: 1}}
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 24)
+	r := NewRepairer(n0, time.Second, 24)
 	r.Tick()
 	if got := tallyOf(r.Status().Heals, repair.ActionEvictRef); got != 1 {
 		t.Fatalf("flapping peer not evicted: %+v", r.Status())
@@ -200,7 +201,7 @@ func TestNodeMaintainDetectsReplacedPeer(t *testing.T) {
 	replacement := New(1, cfg, c.Transport, 99)
 	c.Transport.Register(replacement)
 
-	r := NewRepairer(c.Nodes[0], time.Second, RepairConfig{Budget: 64}, 23)
+	r := NewRepairer(c.Nodes[0], time.Second, 23)
 	r.Tick()
 	if got := tallyOf(r.Status().Faults, repair.FaultWrongSide); got != 1 {
 		t.Fatalf("replaced peer not detected as a wrong-side reference: %+v", r.Status())

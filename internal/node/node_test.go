@@ -232,7 +232,7 @@ func TestExchangeHandoverOneFrame(t *testing.T) {
 				c.Nodes[0].Store().Apply(e)
 				c.Nodes[2].Store().Apply(e)
 			}
-			NewRepairer(c.Nodes[0], time.Second, RepairConfig{Budget: 64}, 5).Tick()
+			NewRepairer(c.Nodes[0], time.Second, 5).Tick()
 			return c.Nodes[0], rec, c.Nodes[1], moved
 		}, n},
 	} {

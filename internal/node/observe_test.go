@@ -390,7 +390,7 @@ func TestObserveColumns(t *testing.T) {
 		t.Errorf("a peer without repair, telemetry, history or tracing answered %+v %+v %+v %+v", o.Repair, o.Metrics, o.History, o.Traces)
 	}
 
-	NewRepairer(c.Nodes[1], time.Second, RepairConfig{Budget: 16}, 1)
+	NewRepairer(c.Nodes[1], time.Second, 1).budget = 16
 	o = observe(t, cl, 1, wire.ObserveReq{Asks: wire.AskRepair | wire.AskRepairNow | wire.AskHealth})
 	if !o.Repair.Enabled || o.Repair.Rounds != 1 || o.Health.Rounds != 1 {
 		t.Errorf("triggered round: repair %+v, health rounds %d; want the round in both", o.Repair, o.Health.Rounds)
@@ -479,7 +479,7 @@ func FuzzHandle(f *testing.F) {
 	n := c.Nodes[0]
 	n.SetTelemetry(telemetry.New(0))
 	n.EnableHistory(telemetry.NewHistory(time.Second, time.Minute))
-	NewRepairer(n, time.Second, RepairConfig{Budget: 16}, 5)
+	NewRepairer(n, time.Second, 5).budget = 16
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		_, _, m, err := wire.ReadFrame(bytes.NewReader(frame))

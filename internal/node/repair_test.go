@@ -63,7 +63,7 @@ func TestRepairerEvictsWrongSideRef(t *testing.T) {
 	n0 := c.Nodes[0]
 	n0.Peer().AddRefAt(1, 1) // same-side peer: violates the prefix invariant
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 1)
+	r := NewRepairer(n0, time.Second, 1)
 	r.Tick()
 
 	refs := n0.Peer().RefsAt(1)
@@ -101,7 +101,7 @@ func TestRepairerAdoptsMajorityPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 2)
+	r := NewRepairer(n0, time.Second, 2)
 	r.Tick()
 
 	if got := n0.Path(); got != "0" {
@@ -133,7 +133,7 @@ func TestRepairerDropsOrphanBuddy(t *testing.T) {
 	n0 := c.Nodes[0]
 	n0.Peer().AddBuddy(3) // cross-partition buddy link
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 3)
+	r := NewRepairer(n0, time.Second, 3)
 	r.Tick()
 
 	if n0.Peer().Buddies().Contains(3) {
@@ -157,7 +157,7 @@ func TestRepairerSyncsDivergedReplica(t *testing.T) {
 	c.Nodes[2].Store().Apply(e)
 	n0 := c.Nodes[0]
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 4)
+	r := NewRepairer(n0, time.Second, 4)
 	r.Tick()
 
 	if _, ok := n0.Store().Get(e.Key, e.Name); !ok {
@@ -181,7 +181,7 @@ func TestRepairerPushesToWipedReplica(t *testing.T) {
 	c.Nodes[2].Store().Apply(e)
 	n0 := c.Nodes[0]
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 5)
+	r := NewRepairer(n0, time.Second, 5)
 	r.Tick()
 
 	if _, ok := c.Nodes[1].Store().Get(e.Key, e.Name); !ok {
@@ -201,7 +201,7 @@ func TestRepairerEvictsAndRehomesOrphanEntries(t *testing.T) {
 	e := store.Entry{Key: bitpath.MustParse("10"), Name: "z", Holder: 0, Version: 1}
 	n0.Store().Apply(e)
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 6)
+	r := NewRepairer(n0, time.Second, 6)
 	r.Tick()
 
 	if n0.Store().CountOutside(n0.Path()) != 0 {
@@ -232,7 +232,7 @@ func TestRepairerMassDeathKeepsRefs(t *testing.T) {
 		c.Nodes[i].SetOnline(false)
 	}
 
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 7)
+	r := NewRepairer(n0, time.Second, 7)
 	r.Tick()
 
 	// Every reference at the level died at once — far likelier a partition
@@ -279,7 +279,7 @@ func TestRepairEndToEnd(t *testing.T) {
 	n0 := c.Nodes[0]
 	tel := telemetry.New(0)
 	n0.SetTelemetry(tel)
-	NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 8)
+	NewRepairer(n0, time.Second, 8)
 	n0.Peer().AddRefAt(1, 2) // plant one wrong-side ref for the round to heal
 
 	st = observe(t, client, 0, wire.ObserveReq{Asks: wire.AskRepair | wire.AskRepairNow}).Repair
@@ -317,7 +317,7 @@ func TestRepairerRoundFeedsHealth(t *testing.T) {
 	n0 := c.Nodes[0]
 	tel := telemetry.New(0)
 	n0.SetTelemetry(tel)
-	r := NewRepairer(n0, time.Second, RepairConfig{Budget: 64}, 10)
+	r := NewRepairer(n0, time.Second, 10)
 
 	n0.SetOnline(false)
 	r.Tick()
@@ -343,7 +343,8 @@ func TestRepairerRoundFeedsHealth(t *testing.T) {
 
 func TestRepairerRunStops(t *testing.T) {
 	c := repairFixture(t, 39)
-	r := NewRepairer(c.Nodes[0], 10*time.Millisecond, RepairConfig{Budget: 16}, 9)
+	r := NewRepairer(c.Nodes[0], 10*time.Millisecond, 9)
+	r.budget = 16
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -361,21 +362,10 @@ func TestRepairerRunStops(t *testing.T) {
 
 func TestNewRepairerPanics(t *testing.T) {
 	c := repairFixture(t, 40)
-	for _, tc := range []struct {
-		name  string
-		every time.Duration
-		cfg   RepairConfig
-	}{
-		{"zero interval", 0, RepairConfig{Budget: 8}},
-		{"zero budget", time.Second, RepairConfig{}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", tc.name)
-				}
-			}()
-			NewRepairer(c.Nodes[0], tc.every, tc.cfg, 1)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("zero interval: no panic")
+		}
+	}()
+	NewRepairer(c.Nodes[0], 0, 1)
 }

@@ -35,14 +35,14 @@ func NewServer(n *Node, ln net.Listener) *Server {
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Serve accepts connections until the server is closed or ctx is done, and
-// returns nil once every connection and worker it started has ended. Each
+// returns once every connection and worker it started has ended. Each
 // connection carries a stream of request frames, answered as they complete,
 // until the client closes it. An offline node answers nothing (connections are
 // dropped), mirroring an unreachable peer. A failed Accept — a process out of
 // file descriptors, say, which anyone who opens enough connections can cause —
 // is retried after a backoff (acceptBackoffMin doubling to acceptBackoffMax)
-// instead of ending Serve.
-func (s *Server) Serve(ctx context.Context) error {
+// instead of ending Serve, and counted (pgrid_accept_retries_total).
+func (s *Server) Serve(ctx context.Context) {
 	stop := context.AfterFunc(ctx, s.Close)
 	defer stop()
 	var backoff time.Duration
@@ -54,8 +54,9 @@ func (s *Server) Serve(ctx context.Context) error {
 			s.mu.Unlock()
 			if closed || errors.Is(err, net.ErrClosed) {
 				s.wg.Wait()
-				return nil
+				return
 			}
+			s.node.tel.AcceptRetry()
 			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
 			t := time.NewTimer(backoff)
 			select {

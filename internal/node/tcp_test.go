@@ -228,7 +228,7 @@ func TestTCPNodeMaintain(t *testing.T) {
 		t.Skip("no level-1 references")
 	}
 	nodes[refs[0]].SetOnline(false)
-	r := NewRepairer(nodes[0], time.Second, RepairConfig{Budget: 64}, 10)
+	r := NewRepairer(nodes[0], time.Second, 10)
 	r.Tick()
 	st := r.Status()
 	checkDeadRefHandled(t, nodes[0], st, 1, refs[0], len(refs) > 1)
@@ -281,12 +281,14 @@ func (l *emfileListener) Accept() (net.Conn, error) {
 
 // TestServeRetriesFailedAccept: a failed Accept — EMFILE, which a stranger who
 // opens connections until the process runs out of descriptors can cause — does
-// not end Serve. The server accepts again after a backoff and answers a Lookup,
-// and Serve returns nil only once its context is cancelled, leaving no
-// goroutine behind.
+// not end Serve. The server counts the retry, accepts again after a backoff and
+// answers a Lookup, and Serve returns only once its context is cancelled,
+// leaving no goroutine behind.
 func TestServeRetriesFailedAccept(t *testing.T) {
 	before := runtime.NumGoroutine()
 	n := New(0, smallCfg(), NewLocalTransport(), 1)
+	tel := telemetry.New(0)
+	n.SetTelemetry(tel)
 	storeFixture([]*Node{n})
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -296,8 +298,8 @@ func TestServeRetriesFailedAccept(t *testing.T) {
 	ln.fails.Store(3)
 	srv := NewServer(n, ln)
 	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
+	served := make(chan struct{})
+	go func() { srv.Serve(ctx); close(served) }()
 	pt := NewPoolTransport(PoolConfig{})
 	pt.SetEndpoint(0, inner.Addr().String())
 
@@ -308,13 +310,13 @@ func TestServeRetriesFailedAccept(t *testing.T) {
 	if left := ln.fails.Load(); left >= 0 {
 		t.Errorf("Accept called %d times, want the three that fail and one that accepts", 3-left)
 	}
+	if got := counterVal(t, tel, "pgrid_accept_retries_total"); got != 3 {
+		t.Errorf("pgrid_accept_retries_total = %d, want 3", got)
+	}
 	pt.Close()
 	cancel()
 	select {
-	case err := <-served:
-		if err != nil {
-			t.Errorf("Serve after cancel = %v, want nil", err)
-		}
+	case <-served:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after its context was cancelled")
 	}
@@ -335,8 +337,8 @@ func TestIdleServerAndPoolParkOneGoroutine(t *testing.T) {
 	}
 	srv := NewServer(n, ln)
 	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
+	served := make(chan struct{})
+	go func() { srv.Serve(ctx); close(served) }()
 	pt := NewPoolTransport(PoolConfig{})
 	waitGoroutines(t, before+1)
 	if got := runtime.NumGoroutine(); got != before+1 {
@@ -344,9 +346,7 @@ func TestIdleServerAndPoolParkOneGoroutine(t *testing.T) {
 	}
 	pt.Close()
 	cancel()
-	if err := <-served; err != nil {
-		t.Errorf("Serve = %v", err)
-	}
+	<-served
 	waitGoroutines(t, before)
 }
 

@@ -26,14 +26,12 @@ func startServer(t *testing.T, n *Node) (*Server, *PoolTransport, func()) {
 	pt := NewPoolTransport(PoolConfig{Size: 4})
 	pt.SetEndpoint(n.Addr(), ln.Addr().String())
 	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
+	served := make(chan struct{})
+	go func() { srv.Serve(ctx); close(served) }()
 	return srv, pt, func() {
 		pt.Close()
 		cancel() // closes the server
-		if err := <-served; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
+		<-served
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package repair classifies structural faults in a peer's state and
 // names the healing actions that fix them. It is the vocabulary and the
-// verdict logic of the self-healing protocol: the node's Repairer (in
-// internal/node) detects faults with the functions here, heals them over
-// the wire, and reports a Status that telemetry, the admin server, and
-// pgridctl all render from.
+// verdict logic of the self-healing protocol: the repair round (core.Repair,
+// run by the node's Repairer over the wire and by the simulator over its
+// directory) detects faults with the functions here and heals them, and the
+// node reports a Status that telemetry, the admin server, and pgridctl all
+// render from.
 //
 // The design target is self-stabilization in the sense of "A
 // Self-Stabilizing Hashed Patricia Trie" (arXiv 1809.04923): starting
@@ -55,7 +56,7 @@ const (
 	FaultStarvedLevel FaultClass = "starved-level"
 )
 
-// Action names one healing step the Repairer can take. Like fault
+// Action names one healing step the repair round can take. Like fault
 // classes these are stable telemetry labels (pgrid_repair_heal).
 type Action = string
 

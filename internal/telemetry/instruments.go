@@ -113,6 +113,7 @@ type Instruments struct {
 	poolEvictions   *Counter
 	poolIdleCloses  *Counter
 	poolConnLost    *Counter
+	acceptRetries   *Counter
 	poolAcquireWait *QHist
 
 	rpcSlow      *Counter
@@ -200,6 +201,7 @@ func New(node int) *Instruments {
 	t.poolEvictions = r.Counter("pgrid_pool_evictions_total", "pooled connections evicted (breaker open or explicit)")
 	t.poolIdleCloses = r.Counter("pgrid_pool_idle_closes_total", "pooled connections reaped after sitting idle")
 	t.poolConnLost = r.Counter("pgrid_pool_conn_lost_total", "pooled connections that died with requests in flight")
+	t.acceptRetries = r.Counter("pgrid_accept_retries_total", "failed accepts the server retried after a backoff (out of file descriptors, say)")
 	t.poolQueueDepth = r.Gauge("pgrid_pool_queue_depth", "requests currently waiting for or multiplexed on pooled connections, by queue position")
 	t.poolAcquireWait = r.Quantile("pgrid_pool_acquire_wait_ns", "time from requesting a pooled connection to holding one, in nanoseconds")
 	t.rpcSlow = r.Counter("pgrid_rpc_slow_total", "outbound RPCs slower than the slow-op threshold")
@@ -548,6 +550,14 @@ func (t *Instruments) PoolConnLost() {
 		return
 	}
 	t.poolConnLost.Inc()
+}
+
+// AcceptRetry records one failed Accept the server retries after a backoff.
+func (t *Instruments) AcceptRetry() {
+	if t == nil {
+		return
+	}
+	t.acceptRetries.Inc()
 }
 
 // Totals returns the headline counters for status lines: exchanges
