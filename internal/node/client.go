@@ -110,7 +110,7 @@ func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 
 	for next := 0; next < len(seen); next++ {
 		a := seen[next]
-		resp, err := c.tr.Call(a, call.fill(rider))
+		resp, err := c.tr.Call(a, call.fill(rider, key))
 		messages++ // the visit (counts even if it fails: it was sent)
 		if err != nil {
 			continue // unreachable: the walk routes around it
@@ -149,15 +149,16 @@ func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 }
 
 // riderAnswered reports whether info carries the answer to rider, which a nil
-// rider needs none of.
+// rider needs none of. A scan rider, which a client always sends digested, is
+// answered in a digested answer, and a "same" one names a digest it held.
 func riderAnswered(info *wire.InfoResp, rider *wire.InfoReq) bool {
-	switch {
+	switch s := info.Scanned; {
 	case rider == nil:
 		return true
 	case rider.Apply != nil:
 		return info.Applied != nil
 	default:
-		return info.Scanned != nil
+		return s != nil && s.Digested && (!s.Same || slices.Contains(rider.Scan.Held, s.Digest))
 	}
 }
 
@@ -171,11 +172,14 @@ type visitCall struct {
 	a wire.ApplyReq
 	e [1]store.Entry
 	s wire.ScanReq
+	h [wire.MaxHeld]uint64
 }
 
-// fill makes c the Info request carrying rider (nil for a plain one) and
-// returns the message to send.
-func (c *visitCall) fill(rider *wire.InfoReq) *wire.Message {
+// fill makes c the Info request carrying rider (nil for a plain one), whose
+// operation is about key, and returns the message to send. A scan rider goes
+// out digested, its prefix key: taken from there, nothing a scan rider points
+// to is kept in c, so a caller's held digests can stay in its frame.
+func (c *visitCall) fill(rider *wire.InfoReq, key bitpath.Path) *wire.Message {
 	c.m = wire.Message{Kind: wire.KindInfo, From: addr.Nil}
 	if rider != nil {
 		c.i = wire.InfoReq{}
@@ -184,8 +188,8 @@ func (c *visitCall) fill(rider *wire.InfoReq) *wire.Message {
 			c.a = wire.ApplyReq{Entries: c.e[:]}
 			c.i.Apply = &c.a
 		}
-		if rider.Scan != nil {
-			c.s = *rider.Scan
+		if r := rider.Scan; r != nil {
+			c.s = wire.ScanReq{Prefix: key, Digested: true, Held: append(c.h[:0], r.Held...)}
 			c.i.Scan = &c.s
 		}
 		c.m.Info = &c.i
@@ -284,11 +288,26 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 
 // PrefixSearch searches breadth-first for the covering replicas of prefix,
 // the scan riding on every visit, and merges their scans, freshest version
-// per (key, name) winning. The message cost is the visits, as
-// Grid.PrefixSearch charges them, plus the message into the community.
+// per (key, name) winning. Replicas of one path hold the same index, so the
+// scan is digested: each visit names the digests of the lists folded so far
+// (the first wire.MaxHeld of them), a replica whose range is one of those
+// answers "same" with the digest alone, and a list is folded once per digest.
+// The message cost is the visits, as Grid.PrefixSearch charges them, plus the
+// message into the community.
 func (c *Client) PrefixSearch(start addr.Addr, prefix bitpath.Path, recbreadth int) ([]store.Entry, int) {
 	var out store.Fold
-	messages := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &wire.ScanReq{Prefix: prefix}},
-		func(_ addr.Addr, info *wire.InfoResp) { out.Add(info.Scanned.Entries) })
+	var room [wire.MaxHeld]uint64
+	folded := room[:0] // the digests of the lists in out
+	scan := wire.ScanReq{Prefix: prefix, Held: folded}
+	messages := c.replicaSearch(start, prefix, recbreadth, &wire.InfoReq{Scan: &scan},
+		func(_ addr.Addr, info *wire.InfoResp) {
+			s := info.Scanned
+			if s.Same || len(s.Entries) == 0 || slices.Contains(folded, s.Digest) {
+				return
+			}
+			out.Add(s.Entries)
+			folded = append(folded, s.Digest)
+			scan.Held = folded[:min(len(folded), wire.MaxHeld)]
+		})
 	return out.Entries(), messages
 }

@@ -193,7 +193,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		// A request decoded off the wire carries the room it is answered in.
 		x := m.Query.Answer()
 		x.Reply = wire.Message{Kind: wire.KindQueryResp, From: n.Addr(), QueryResp: &x.Resp}
-		n.handleQuery(m.Query, &x.Resp)
+		n.handleQuery(m.Query, m.From != addr.Nil, &x.Resp)
 		return &x.Reply
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
@@ -282,7 +282,7 @@ func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
 			x.Applied.Changed = n.Store().Apply(r.Apply.Entries[0])
 			i.Applied = &x.Applied
 		} else {
-			x.Scan(n.Store(), r.Scan.Prefix)
+			x.Scan(n.Store(), r.Scan)
 		}
 	})
 	i.Addr, i.Entries = n.Addr(), n.Store().Len()
@@ -310,7 +310,7 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 		}
 	}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp)
+	n.handleQuery(req, false, &resp)
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	if n.tel.EventsOn() {
 		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
@@ -326,8 +326,9 @@ func (n *Node) Query(key bitpath.Path) core.QueryResult {
 // from. When the request carries a sampled trace context the node appends its
 // own span (and everything its subtree reported) to the response and records
 // the subtree route in its flight recorder; routing decisions are identical
-// either way.
-func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
+// either way. forwarded says a peer sent q on here (its envelope names a
+// sender; a client's and a node's own search name none): core.query's fwd.
+func (n *Node) handleQuery(q *wire.QueryReq, forwarded bool, resp *wire.QueryResp) {
 	path := n.self.Path()
 	l := q.Level
 	if l > path.Len() {
@@ -351,7 +352,7 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
 		}
 	}
 
-	n.routeQuery(q, resp, path, l, &span, childCtx, tracing)
+	n.routeQuery(q, forwarded, resp, path, l, &span, childCtx, tracing)
 
 	if tracing {
 		span.LatencyNS = int64(time.Since(start))
@@ -373,7 +374,7 @@ func (n *Node) handleQuery(q *wire.QueryReq, resp *wire.QueryResp) {
 // reference tried. span and childCtx are only touched when tracing is set;
 // resp.Spans accumulates the downstream spans in visit order (the caller's
 // own span is prepended by handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
+func (n *Node) routeQuery(q *wire.QueryReq, forwarded bool, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
 	matched, next, rest := core.RouteStep(path, l, q.Key)
 	if matched {
 		if tracing {
@@ -383,6 +384,14 @@ func (n *Node) routeQuery(q *wire.QueryReq, resp *wire.QueryResp, path bitpath.P
 		if r := q.Read; r != nil {
 			resp.Entry, resp.Has = n.Store().Get(r.Key, r.Name)
 		}
+		return
+	}
+	if forwarded && rest.Len() == q.Key.Len() {
+		// A reference that satisfies Sec. 2 leads to a peer that matches at
+		// least one more key bit. This one matches none: the reference was on
+		// the wrong side (a corrupted table), and forwarding again could
+		// circle among such references for ever. As core.query, answer not
+		// found.
 		return
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,30 @@ import (
 
 func smallCfg() core.Config {
 	return core.Config{MaxL: 4, RefMax: 3, RecMax: 2, RecFanout: 2}
+}
+
+// TestWrongSideCycleAnswersNotFound: two nodes on path 1 hold each other as
+// their level-1 reference, a corrupted table on which a search for key 0 is
+// forwarded across the wrong side. The entry node routes the client's lookup
+// to its reference; that node, reached by a forward and matching no bit of the
+// key, answers not found instead of forwarding it back — the stop core.query
+// makes — so the lookup ends after one hop and one backtrack instead of
+// recursing until the stack gives out.
+func TestWrongSideCycleAnswersNotFound(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	c := NewCluster(2, smallCfg(), 1)
+	for i, n := range c.Nodes {
+		if !n.Peer().ExtendFrom("", 1, addr.NewSet(addr.Addr(1-i))) {
+			t.Fatalf("fixture build failed at node %d", i)
+		}
+	}
+	res := NewClient(c.Transport, 1).Lookup(0, "0", "x")
+	if res.Found || res.Replica != addr.Nil || res.Messages != 2 {
+		t.Fatalf("lookup across the wrong side = %+v, want not found after client→0→1", res)
+	}
+	if q := c.Nodes[0].Query("0"); q.Found || q.Messages != 1 || q.Backtracks != 1 {
+		t.Fatalf("node 0's own search = %+v, want not found after one hop and one backtrack", q)
+	}
 }
 
 func TestExchangeCase1OverTransport(t *testing.T) {

@@ -456,6 +456,12 @@ func FuzzHandle(f *testing.F) {
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{entry}}}},
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0")}}},
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("11")}}},
+		// Digested scans: one holding the receiver's digest (its store is
+		// empty: 0) and another, one holding none; and a "same" answer sent
+		// as if it were a request.
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0"), Digested: true, Held: []uint64{0, 0x5eed}}}},
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("00"), Digested: true}}},
+		{Kind: wire.KindInfoResp, InfoResp: &wire.InfoResp{Scanned: &wire.ScanResp{Digested: true, Digest: 0x5eed, Same: true}}},
 	} {
 		frame, err := wire.AppendFrame(nil, 7, 0, &m)
 		if err != nil {

@@ -76,11 +76,11 @@ func TestNegativeLevelOrDepthAnswersError(t *testing.T) {
 			msg  *wire.Message
 			want string
 		}{
-			{&wire.Message{Kind: wire.KindQuery, From: 1,
+			{&wire.Message{Kind: wire.KindQuery, From: addr.Nil,
 				Query: &wire.QueryReq{Key: bitpath.MustParse("01"), Level: -1}}, "negative query level -1"},
 			{&wire.Message{Kind: wire.KindExchange, From: 1,
 				Exchange: &wire.ExchangeReq{Depth: -1}}, "negative exchange depth -1"},
-			{&wire.Message{Kind: wire.KindQuery, From: 1, Query: &wire.QueryReq{Key: bitpath.MustParse("01"),
+			{&wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: bitpath.MustParse("01"),
 				Read: &wire.GetReq{Key: bitpath.MustParse("0110"), Name: "f"}}}, "read key 0110 does not end in the routed key 01"},
 		} {
 			resp, err := tr.Call(0, tc.msg)
@@ -91,7 +91,7 @@ func TestNegativeLevelOrDepthAnswersError(t *testing.T) {
 		if after := node.Peer().Snapshot(); after.Path != before.Path || len(after.Refs) != len(before.Refs) {
 			t.Errorf("a refused exchange changed the node: path %q → %q", before.Path, after.Path)
 		}
-		if resp, err := tr.Call(0, &wire.Message{Kind: wire.KindQuery, From: 1,
+		if resp, err := tr.Call(0, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
 			Query: &wire.QueryReq{Key: bitpath.MustParse("01")}}); err != nil || !resp.QueryResp.Found {
 			t.Errorf("node stopped serving after negative level/depth: resp %v, err %v", resp, err)
 		}

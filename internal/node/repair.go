@@ -152,9 +152,11 @@ func (c repairCalls) Info(to addr.Addr, self bitpath.Path, level int) (bitpath.P
 func (c repairCalls) Route(via addr.Addr, key bitpath.Path) (core.QueryResult, bitpath.Path, bool) {
 	q := &wire.QueryResp{}
 	if via == c.n.Addr() {
-		c.n.handleQuery(&wire.QueryReq{Key: key}, q)
+		c.n.handleQuery(&wire.QueryReq{Key: key}, false, q)
 	} else {
-		resp, err := c.n.tr.Call(via, &wire.Message{Kind: wire.KindQuery, From: c.n.Addr(),
+		// An entry query names no sender, as a client's does: via routes
+		// it whether or not its path matches the key's first bit.
+		resp, err := c.n.tr.Call(via, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
 			Query: &wire.QueryReq{Key: key}})
 		if err != nil || resp.QueryResp == nil {
 			return core.QueryResult{}, bitpath.Empty, false

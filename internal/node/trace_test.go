@@ -204,7 +204,7 @@ func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 	req := &wire.QueryReq{Key: key, Level: 0,
 		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
 	var resp wire.QueryResp
-	n.handleQuery(req, &resp)
+	n.handleQuery(req, false, &resp)
 	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
 	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
 	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -382,7 +383,7 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 	e := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 4}
 	nodes[0].Store().Apply(e)
 	apply := &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}
-	scan := &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}
+	scan := &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011", Digested: true}}
 	for _, tc := range []struct {
 		name   string
 		riders []*wire.InfoReq // sent in turn
@@ -452,4 +453,222 @@ func TestAllocBudgetPublishWalk(t *testing.T) {
 	} else {
 		t.Logf("20 publishes = %.0f allocs for %d visits and %d replicas", got, msgs, replicas)
 	}
+}
+
+// replicaGroup starts five pooled loopback Servers: node 0 (path 1) leads to
+// four replicas of path 0, three holding the same index and the fourth one
+// entry more. A prefix search of 0 from node 0 visits all five and returns 7
+// entries.
+func replicaGroup(t *testing.T) (*PoolTransport, func()) {
+	t.Helper()
+	nodes, pt, stop := startPooledCluster(t, 5, PoolConfig{Size: 1})
+	if !nodes[0].Peer().ExtendFrom("", 1, addr.NewSet(1, 2, 3, 4)) {
+		t.Fatal("fixture build failed at node 0")
+	}
+	for i, n := range nodes[1:] {
+		if !n.Peer().ExtendFrom("", 0, addr.NewSet(0)) {
+			t.Fatalf("fixture build failed at node %d", i+1)
+		}
+		for j := 0; j < 6; j++ {
+			n.Store().Apply(store.Entry{Key: bitpath.MustParse(fmt.Sprintf("0%03b", j)), Name: fmt.Sprintf("e%d", j), Holder: 5, Version: 2})
+		}
+	}
+	nodes[4].Store().Apply(store.Entry{Key: "0111", Name: "extra", Holder: 6, Version: 1})
+	return pt, stop
+}
+
+// TestAllocBudgetPrefixSearch: a prefix search over a replica group through the
+// pooled transport allocates one list per distinct content, not one per
+// covering replica. Over replicaGroup's four replicas of two contents, each
+// visit costs the client its decoded answer (1), the search its visitCall and
+// the merge of the two distinct lists (2), and each distinct list its entry
+// slice and arena (2): a replica whose range the search already holds answers
+// "same", which decodes into the answer alone. A list decoded per covering
+// replica pushes it over.
+func TestAllocBudgetPrefixSearch(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	pt, stop := replicaGroup(t)
+	defer stop()
+	const visits, distinct = 5, 2
+	cl := NewClient(pt, 1)
+	search := func() {
+		entries, msgs := cl.PrefixSearch(0, "0", 4)
+		if len(entries) != 7 || msgs != visits {
+			t.Fatalf("prefix search = %d entries for %d messages, want 7 for %d", len(entries), msgs, visits)
+		}
+	}
+	search() // dial, start the workers
+	got := testing.AllocsPerRun(200, search)
+	if budget := float64(visits + 2 + 2*distinct); got > budget {
+		t.Errorf("prefix search over %d replicas of %d contents = %.1f allocs, budget %.0f", visits-1, distinct, got, budget)
+	} else {
+		t.Logf("prefix search over %d replicas of %d contents = %.1f allocs", visits-1, distinct, got)
+	}
+}
+
+// TestPrefixSearchConcurrentPooled: four clients search replicaGroup at once,
+// so the servers decode digested scans into rooms and answer "same" from them
+// on several workers together; every search returns the seven entries for
+// five messages. Run under -race.
+func TestPrefixSearchConcurrentPooled(t *testing.T) {
+	pt, stop := replicaGroup(t)
+	defer stop()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			cl := NewClient(pt, seed)
+			for i := 0; i < 50; i++ {
+				if entries, msgs := cl.PrefixSearch(0, "0", 4); len(entries) != 7 || msgs != 5 {
+					t.Errorf("client %d, search %d: %d entries for %d messages, want 7 for 5", seed, i, len(entries), msgs)
+					return
+				}
+			}
+		}(int64(c))
+	}
+	wg.Wait()
+}
+
+// scanCounter counts the scan answers a search is sent: lists that carry
+// entries, and "same" answers.
+type scanCounter struct {
+	inner       Transport
+	lists, same *int
+}
+
+func (t scanCounter) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	resp, err := t.inner.Call(to, m)
+	if err == nil && resp.InfoResp != nil && resp.InfoResp.Scanned != nil {
+		switch s := resp.InfoResp.Scanned; {
+		case s.Same:
+			*t.same++
+		case len(s.Entries) > 0:
+			*t.lists++
+		}
+	}
+	return resp, err
+}
+
+// TestPrefixSearchDivergentReplicas: on a simulator grid copied into a
+// cluster, one replica of a leaf holds an older version of an entry, another
+// an entry the rest lack, and two more are stale crosswise — one holds A at
+// version 2 and B at 1, the other the reverse, with names picked so that the
+// unmixed sums of their entry terms collide — so the leaf's replicas hold five
+// contents. A prefix search under that leaf returns exactly the fold of every
+// covering peer's scan — the fresher versions and the extra entry included —
+// for core.ReplicaSearch's messages plus the client's, and is sent one list
+// per distinct range digest among the peers it covers: every other covering
+// replica answers "same".
+func TestPrefixSearchDivergentReplicas(t *testing.T) {
+	const recbreadth = 2
+	d, c := transplantedCluster(t, 31)
+	groups := map[bitpath.Path][]*Node{}
+	for _, n := range c.Nodes {
+		groups[n.Path()] = append(groups[n.Path()], n)
+	}
+	var leaf bitpath.Path
+	for path, g := range groups {
+		if len(g) >= 4 && (leaf == "" || path < leaf) {
+			leaf = path
+		}
+	}
+	if leaf == "" {
+		t.Fatal("no leaf with four replicas")
+	}
+	g := groups[leaf]
+	var fresh store.Entry
+	for _, e := range g[0].Store().Entries() {
+		if e.Version >= 2 {
+			fresh = e
+			break
+		}
+	}
+	if fresh.Version < 2 {
+		t.Fatalf("leaf %s holds no entry past version 1", leaf)
+	}
+	stale := fresh
+	stale.Version--
+	g[0].Store().Delete(fresh.Key, fresh.Name)
+	g[0].Store().Apply(stale)
+	extra := store.Entry{Key: leaf, Name: "extra", Holder: 7, Version: 1}
+	g[1].Store().Apply(extra)
+	crossA, crossB := crosswisePair(t, leaf)
+	crossA.Version, crossB.Version = 2, 1
+	g[2].Store().Apply(crossA)
+	g[2].Store().Apply(crossB)
+	crossA.Version, crossB.Version = 1, 2
+	g[3].Store().Apply(crossA)
+	g[3].Store().Apply(crossB)
+	crossA.Version = 2
+
+	lists, same := 0, 0
+	cl := NewClient(scanCounter{c.Transport, &lists, &same}, 1)
+	rng := rand.New(rand.NewSource(32))
+	sawDivergence, sawCrosswise, totalSame := 0, 0, 0
+	for i := 0; i < 120; i++ {
+		prefix := leaf.Prefix(4 + i%3)
+		start := addr.Addr(rng.Intn(len(c.Nodes)))
+		seed := rng.Int63()
+		lists, same = 0, 0
+		cl.rng = rand.New(rand.NewSource(seed))
+		entries, msgs := cl.PrefixSearch(start, prefix, recbreadth)
+		want := core.ReplicaSearch(d, d.Peer(start), prefix, recbreadth, rand.New(rand.NewSource(seed)))
+		var fold store.Fold
+		digests := map[uint64]bool{}
+		for _, a := range want.Found {
+			s := c.Nodes[a].Store()
+			fold.Add(s.PrefixScan(prefix))
+			if s.PrefixScan(prefix) != nil {
+				digests[s.PrefixDigest(prefix)] = true
+			}
+		}
+		if merged := fold.Entries(); !reflect.DeepEqual(entries, merged) || msgs != want.Messages+1 {
+			t.Fatalf("search %d (%v, %s): %d entries for %d messages, the covering peers' fold holds %d for %d",
+				i, start, prefix, len(entries), msgs, len(merged), want.Messages+1)
+		}
+		if lists != len(digests) {
+			t.Fatalf("search %d (%v, %s): sent %d lists for %d distinct range digests", i, start, prefix, lists, len(digests))
+		}
+		if slices.Contains(entries, extra) && slices.Contains(entries, fresh) && slices.Contains(want.Found, g[0].Addr()) {
+			sawDivergence++
+		}
+		if slices.Contains(entries, crossA) && slices.Contains(entries, crossB) &&
+			slices.Contains(want.Found, g[2].Addr()) && slices.Contains(want.Found, g[3].Addr()) {
+			sawCrosswise++
+		}
+		totalSame += same
+	}
+	t.Logf("120 searches: %d reached the stale replica and returned the fresh version and the extra entry, %d reached both crosswise replicas and returned both fresh versions, %d replicas answered \"same\"",
+		sawDivergence, sawCrosswise, totalSame)
+	if sawDivergence == 0 || sawCrosswise == 0 || totalSame == 0 {
+		t.Fatalf("the searches idled: %d reached the divergent leaf, %d both crosswise replicas, %d same answers", sawDivergence, sawCrosswise, totalSame)
+	}
+}
+
+// crosswisePair returns two entries under key, at version 2, such that a
+// store holding A@2 and B@1 and one holding A@1 and B@2 have the same
+// Summary.Hash, an unmixed sum of entry terms: the replicas a range digest
+// summing raw terms would call equal.
+func crosswisePair(t *testing.T, key bitpath.Path) (a, b store.Entry) {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		a = store.Entry{Key: key, Name: fmt.Sprintf("cross-a%d", i), Holder: addr.Addr(1 + i%3)}
+		b = store.Entry{Key: key, Name: fmt.Sprintf("cross-b%d", i), Holder: addr.Addr(1 + i%5)}
+		x, y := store.New(), store.New()
+		a.Version, b.Version = 2, 1
+		x.Apply(a)
+		x.Apply(b)
+		a.Version, b.Version = 1, 2
+		y.Apply(a)
+		y.Apply(b)
+		if x.Summary() == y.Summary() {
+			a.Version = 2
+			return a, b
+		}
+	}
+	t.Fatal("no crosswise pair whose unmixed sums collide")
+	return
 }

@@ -43,7 +43,7 @@ func (m model) scan(keep func(Entry) bool) []Entry {
 }
 
 // summary is Summary computed from scratch the way the nested-map store
-// did: fmt.Fprintf of every entry into a fresh FNV-1a hasher, summed.
+// did: every entry's term, summed.
 func (m model) summary() Summary {
 	var sum Summary
 	for _, e := range m {
@@ -51,11 +51,17 @@ func (m model) summary() Summary {
 		if e.Version > sum.MaxVersion {
 			sum.MaxVersion = e.Version
 		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", e.Key, e.Name, int64(e.Holder), e.Version)
-		sum.Hash += h.Sum64()
+		sum.Hash += term(e)
 	}
 	return sum
+}
+
+// term is an entry's share of Summary.Hash computed from scratch:
+// fmt.Fprintf of the entry into a fresh FNV-1a hasher.
+func term(e Entry) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", e.Key, e.Name, int64(e.Holder), e.Version)
+	return h.Sum64()
 }
 
 func checkAgainstModel(t *testing.T, s *Store, m model, prefixes []bitpath.Path, step int) {
@@ -73,8 +79,16 @@ func checkAgainstModel(t *testing.T, s *Store, m model, prefixes []bitpath.Path,
 	for _, p := range prefixes {
 		p := p
 		under := func(e Entry) bool { return e.Key.HasPrefix(p) }
-		if got, want := s.PrefixScan(p), m.scan(under); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: PrefixScan(%s) = %v, want %v", step, p, got, want)
+		scan, digest := s.AppendPrefixScan(nil, p)
+		if want := m.scan(under); !reflect.DeepEqual(scan, want) {
+			t.Fatalf("step %d: PrefixScan(%s) = %v, want %v", step, p, scan, want)
+		}
+		var sum uint64
+		for _, e := range scan {
+			sum += mix(term(e))
+		}
+		if got := s.PrefixDigest(p); got != sum || digest != sum {
+			t.Fatalf("step %d: PrefixDigest(%s) = %#x, AppendPrefixScan's digest %#x, Σ mix(term) over the scan %#x", step, p, got, digest, sum)
 		}
 		if got, want := s.Lookup(p), m.scan(func(e Entry) bool { return e.Key == p }); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: Lookup(%s) = %v, want %v", step, p, got, want)

@@ -196,19 +196,20 @@ func (s *Store) each(lo, hi pos, f func(*slot)) {
 }
 
 // appendEntries appends [lo, hi) to dst, into one exact-size slice when dst is
-// nil; nil when both are empty.
-func (s *Store) appendEntries(dst []Entry, lo, hi pos) []Entry {
+// nil; nil when both are empty. It returns their digest too.
+func (s *Store) appendEntries(dst []Entry, lo, hi pos) ([]Entry, uint64) {
 	n := s.count(lo, hi)
 	switch {
 	case n == 0:
-		return dst
+		return dst, 0
 	case dst == nil:
 		dst = make([]Entry, 0, n)
 	default:
 		dst = slices.Grow(dst, n)
 	}
-	s.each(lo, hi, func(sl *slot) { dst = append(dst, sl.Entry) })
-	return dst
+	var sum uint64
+	s.each(lo, hi, func(sl *slot) { dst, sum = append(dst, sl.Entry), sum+mix(sl.term) })
+	return dst, sum
 }
 
 // New returns an empty store.
@@ -400,22 +401,41 @@ func (s *Store) Get(key bitpath.Path, name string) (Entry, bool) {
 func (s *Store) Lookup(key bitpath.Path) []Entry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.appendEntries(nil, s.find(&bound{key: key, rank: rank(key)}), s.find(&bound{key: key, cut: pastKey}))
+	out, _ := s.appendEntries(nil, s.find(&bound{key: key, rank: rank(key)}), s.find(&bound{key: key, cut: pastKey}))
+	return out
 }
 
 // PrefixScan returns all entries whose key has the given prefix, sorted by
 // (key, name). With prefix-preserving text keys this implements the paper's
 // Section 6 trie/prefix search extension.
 func (s *Store) PrefixScan(prefix bitpath.Path) []Entry {
-	return s.AppendPrefixScan(nil, prefix)
+	out, _ := s.AppendPrefixScan(nil, prefix)
+	return out
 }
 
 // AppendPrefixScan is PrefixScan appending to dst, a buffer the caller reuses.
-func (s *Store) AppendPrefixScan(dst []Entry, prefix bitpath.Path) []Entry {
+// It also returns the digest of what it appended (PrefixDigest's, read under
+// the same lock).
+func (s *Store) AppendPrefixScan(dst []Entry, prefix bitpath.Path) ([]Entry, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo, hi := s.under(prefix)
 	return s.appendEntries(dst, lo, hi)
+}
+
+// PrefixDigest returns the range digest of the entries under prefix: the
+// wrapping sum of their shares of Summary.Hash, each passed through mix. Two
+// replicas whose ranges under a prefix hold the same entries at the same
+// versions have the same digest, and one that differs in any of them almost
+// surely another, so a peer can tell whether a caller already holds its scan
+// without sending it. One pass over the range, no copy.
+func (s *Store) PrefixDigest(prefix bitpath.Path) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lo, hi := s.under(prefix)
+	var sum uint64
+	s.each(lo, hi, func(sl *slot) { sum += mix(sl.term) })
+	return sum
 }
 
 // Entries returns every index entry, sorted by (key, name).
@@ -462,6 +482,22 @@ func fnvField(h uint64, s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h * fnvPrime
+}
+
+// mix is the 64-bit finalizer of MurmurHash3 (fmix64), a bijection that
+// spreads every input bit over the whole word. A range digest sums mixed
+// terms, not raw ones: two FNV-1a terms that differ only in their last byte
+// differ by a small multiple of fnvPrime (versions 1 and 2 of an entry share
+// the state before the version's last digit), so raw sums of two crosswise
+// stale replicas — one holding A@2 and B@1, the other A@1 and B@2 — collide
+// about one time in four.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // hash computes the entry's share of Summary.Hash: FNV-1a over

@@ -272,6 +272,41 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestPrefixDigestCrosswiseStale checks range digests on replicas that are
+// stale crosswise: one holds A at the fresher version and B at the older, the
+// other the reverse. Versions that differ only in their last digit leave two
+// FNV-1a terms a small multiple of the prime apart, so unmixed sums of such
+// pairs collide often; mixed ones must not collide at all.
+func TestPrefixDigestCrosswiseStale(t *testing.T) {
+	keys := []string{"0", "01", "0110", "1", "10", "1101"}
+	pairs := 0
+	for _, v := range []uint64{1, 2, 12, 99} {
+		for i := 0; i < 40; i++ {
+			a := Entry{Key: bitpath.MustParse(keys[i%len(keys)]), Name: fmt.Sprintf("a%d", i), Holder: addr.Addr(1 + i%3)}
+			b := Entry{Key: bitpath.MustParse(keys[(i+1)%len(keys)]), Name: fmt.Sprintf("b%d", i), Holder: addr.Addr(1 + i%5)}
+			x, y := New(), New()
+			a.Version, b.Version = v+1, v
+			x.Apply(a)
+			x.Apply(b)
+			a.Version, b.Version = v, v+1
+			y.Apply(a)
+			y.Apply(b)
+			for _, p := range []bitpath.Path{bitpath.Empty, bitpath.MustParse("0"), bitpath.MustParse("1")} {
+				if x.PrefixScan(p) == nil && y.PrefixScan(p) == nil {
+					continue
+				}
+				pairs++
+				if dx, dy := x.PrefixDigest(p), y.PrefixDigest(p); dx == dy {
+					t.Errorf("%v and %v at %d/%d: crosswise stale replicas share digest %#x under %q", a, b, v, v+1, dx, p)
+				}
+			}
+		}
+	}
+	if pairs < 300 {
+		t.Fatalf("only %d replica pairs compared", pairs)
+	}
+}
+
 // Merge merges two scan results into a fresh list, a's entry on a version
 // tie, copying nothing when either is empty: the pairwise fold Fold's one
 // k-way merge replaced, and its oracle.

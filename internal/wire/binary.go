@@ -319,9 +319,17 @@ const flagList = 1 << 1
 // to scan. The InfoResp presence byte holds flagPresent and, when the
 // receiver served a rider, the same bit, naming the answer that closes the
 // payload: the apply's Changed bool, or the scanned entry list.
+//
+// riderHeld marks a digested scan: on the request, riderScan|riderHeld and
+// behind the prefix the count and the held digests; on its answer,
+// flagPresent|riderScan|riderHeld and the digest before the entry list, or
+// flagPresent|riderSame and the digest alone. The plain scan and its answer
+// are the bytes they always were.
 const (
 	riderApply = 1 << 1
 	riderScan  = 1 << 2
+	riderHeld  = 1 << 3
+	riderSame  = 1 << 4
 )
 
 func appendFlags(b []byte, present, trailer bool) []byte {
@@ -506,9 +514,18 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 		case r.Apply != nil && r.Scan == nil && len(r.Apply.Entries) == 1:
 			b = append(b, riderApply)
 			b = appendEntry(b, r.Apply.Entries[0])
-		case r.Scan != nil && r.Apply == nil:
+		case r.Scan != nil && r.Apply == nil && !r.Scan.Digested && r.Scan.Held == nil:
 			b = append(b, riderScan)
 			b = appendPath(b, r.Scan.Prefix)
+		case r.Scan != nil && r.Apply == nil && r.Scan.Digested && len(r.Scan.Held) <= MaxHeld:
+			b = append(b, riderScan|riderHeld)
+			b = appendPath(b, r.Scan.Prefix)
+			b = appendUvarint(b, uint64(len(r.Scan.Held)))
+			for _, h := range r.Scan.Held {
+				b = appendU64(b, h)
+			}
+		case r.Scan != nil && r.Apply == nil:
+			return b, fmt.Errorf("wire: a digested scan holds at most %d digests, not %d", MaxHeld, len(r.Scan.Held))
 		default:
 			return b, fmt.Errorf("wire: an info rider carries one of an apply of one entry and a scan")
 		}
@@ -521,10 +538,18 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			return b, fmt.Errorf("wire: an info answer carries one of an apply's and a scan's answers")
 		case i.Applied != nil:
 			f = flagPresent | riderApply
-		case i.Scanned != nil:
-			f = flagPresent | riderScan
-		default:
+		case i.Scanned == nil:
 			f = flagPresent
+		case i.Scanned.Same && len(i.Scanned.Entries) > 0:
+			return b, fmt.Errorf("wire: a same answer carries its digest alone, not %d entries", len(i.Scanned.Entries))
+		case i.Scanned.Same:
+			f = flagPresent | riderSame
+		case i.Scanned.Digested:
+			f = flagPresent | riderScan | riderHeld
+		case i.Scanned.Digest != 0:
+			return b, fmt.Errorf("wire: a plain scan's answer carries no digest")
+		default:
+			f = flagPresent | riderScan
 		}
 		b = append(b, f)
 		if i != nil {
@@ -532,16 +557,25 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			if i.Applied != nil {
 				b = appendBool(b, i.Applied.Changed)
 			}
-			if i.Scanned != nil {
+			if f&(riderHeld|riderSame) != 0 {
+				b = appendU64(b, i.Scanned.Digest)
+			}
+			if f&riderScan != 0 {
 				b = appendEntries(b, i.Scanned.Entries)
 			}
 		}
 	case KindScan:
+		if s := m.Scan; s != nil && (s.Digested || s.Held != nil) {
+			return b, fmt.Errorf("wire: a digested scan rides on a visit")
+		}
 		b = appendBool(b, m.Scan != nil)
 		if s := m.Scan; s != nil {
 			b = appendPath(b, s.Prefix)
 		}
 	case KindScanResp:
+		if s := m.ScanResp; s != nil && (s.Digested || s.Digest != 0 || s.Same) {
+			return b, fmt.Errorf("wire: a digested scan's answer rides on a visit's")
+		}
 		b = appendBool(b, m.ScanResp != nil)
 		if s := m.ScanResp; s != nil {
 			b = appendEntries(b, s.Entries)
@@ -1331,7 +1365,7 @@ func (r *Room) Clear() {
 	}
 	if r.i != nil {
 		if a := &r.i.p.ans; a.buf != nil {
-			if a.Resp.Scanned != nil {
+			if a.Resp.Scanned != nil && a.Scanned.Entries != nil {
 				*a.buf = a.Scanned.Entries // the same slice, grown if the scan outgrew it
 			}
 			clear(*a.buf) // the entries point into a store that may evict them
@@ -1455,10 +1489,11 @@ type applyOne struct {
 }
 
 type infoRider struct {
-	i   InfoReq
-	a   applyOne
-	s   ScanReq
-	ans InfoAnswer
+	i    InfoReq
+	a    applyOne
+	s    ScanReq
+	held [MaxHeld]uint64
+	ans  InfoAnswer
 }
 
 type exchangeSnapshot struct {
@@ -1594,6 +1629,18 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			case riderScan:
 				x.s.Prefix = d.path()
 				x.i.Scan = &x.s
+			case riderScan | riderHeld:
+				x.s.Prefix = d.path()
+				x.s.Digested = true
+				if n := d.uvarint(); n > MaxHeld {
+					d.fail("more held digests than a scan names")
+				} else if d.need(n, 8) && n > 0 {
+					x.s.Held = x.held[:n]
+					for j := range x.s.Held {
+						x.s.Held[j] = d.u64()
+					}
+				}
+				x.i.Scan = &x.s
 			default:
 				d.fail("bad info rider")
 			}
@@ -1603,14 +1650,17 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 		var x *InfoAnswer
 		switch f := d.byte(); f {
 		case 0:
-		case flagPresent, flagPresent | riderApply, flagPresent | riderScan:
+		case flagPresent, flagPresent | riderApply, flagPresent | riderScan,
+			flagPresent | riderScan | riderHeld, flagPresent | riderSame:
 			x = new(InfoAnswer)
 			m = &x.Reply
 			if f&riderApply != 0 {
 				x.Resp.Applied = &x.Applied
 			}
-			if f&riderScan != 0 {
+			if f&(riderScan|riderSame) != 0 {
 				x.Resp.Scanned = &x.Scanned
+				x.Scanned.Digested = f&(riderHeld|riderSame) != 0
+				x.Scanned.Same = f&riderSame != 0
 			}
 		default:
 			d.fail("bad info answer flags")
@@ -1621,8 +1671,11 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			if i.Applied != nil {
 				i.Applied.Changed = d.bool()
 			}
-			if i.Scanned != nil {
-				i.Scanned.Entries = d.entries()
+			if s := i.Scanned; s != nil && s.Digested {
+				s.Digest = d.u64()
+			}
+			if s := i.Scanned; s != nil && !s.Same {
+				s.Entries = d.entries()
 			}
 			m.InfoResp = i
 		}

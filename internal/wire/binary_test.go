@@ -155,6 +155,18 @@ func sampleMessages() []*Message {
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{History: all.History}},
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Repair: all.Repair}},
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Traces: all.Traces}},
+		// The digested scan (appended likewise): a scan rider naming the
+		// digests of the lists its caller holds, one holding none yet, and the
+		// answers — the entries with their digest, and "same", the digest alone.
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"), Digested: true,
+			Held: []uint64{0x0123456789abcdef, 0xfedcba9876543210}}}},
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"), Digested: true}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
+			Scanned: &ScanResp{Entries: []store.Entry{entry, entry}, Digested: true, Digest: 0x0123456789abcdef}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
+			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
+			Scanned: &ScanResp{Digested: true, Digest: 0x0123456789abcdef, Same: true}}},
 	}
 }
 
@@ -307,6 +319,10 @@ var goldenFrameSums = []uint64{
 	0x87baf599be86b065, // observe-resp, history with data
 	0xcf3456147d83adef, // observe-resp, repair with data
 	0x1e702e3107988f9c, // observe-resp, traces with data
+	0x6a60698d66fc132a, // info, digested scan riding along, two digests held
+	0x95132350fd63e534, // info, digested scan riding along, none held
+	0x3e73f464c216d787, // info-resp, digested scan answered with the entries
+	0x8e4a2e47b97e93f4, // info-resp, digested scan answered "same"
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -860,7 +876,8 @@ func TestBinaryQueryFlags(t *testing.T) {
 // operation and the operation must follow it; an info answer's flags byte
 // holds the presence bit and at most one rider bit, and the answer it names
 // must close the payload. Anything else — a flag without its payload, both
-// riders at once, an unknown bit, trailing bytes — is corrupt, and the encoder
+// riders at once, the held bit without the scan, an unknown bit, trailing
+// bytes — is corrupt, and the encoder
 // refuses to produce what the decoder would refuse, an apply rider of other
 // than one entry among it.
 func TestBinaryInfoRider(t *testing.T) {
@@ -897,6 +914,8 @@ func TestBinaryInfoRider(t *testing.T) {
 		{KindInfo, cat(plain, []byte{riderApply}), false},                       // the apply without its entry
 		{KindInfo, cat(plain, []byte{riderScan}), false},                        // the scan without its prefix
 		{KindInfo, cat(plain, []byte{riderApply | riderScan}, scan[2:]), false}, // both riders
+		{KindInfo, cat(plain, []byte{riderHeld}, scan[2:]), false},              // the held bit without the scan
+		{KindInfo, cat(plain, []byte{riderScan | 1<<5}, scan[2:]), false},       // an unknown bit
 		{KindInfo, cat(apply, []byte{0}), false},                                // trailing bytes
 		{KindInfo, cat(scan, []byte{0}), false},
 		{KindInfoResp, answer(*links), true},
@@ -904,7 +923,8 @@ func TestBinaryInfoRider(t *testing.T) {
 		{KindInfoResp, answer(scanned), true},
 		{KindInfoResp, withFlags(answer(applied), riderApply), false},                       // an answer without presence
 		{KindInfoResp, withFlags(answer(applied), flagPresent|riderApply|riderScan), false}, // both answers
-		{KindInfoResp, withFlags(answer(*links), flagPresent|1<<3), false},                  // an unknown bit
+		{KindInfoResp, withFlags(answer(*links), flagPresent|riderHeld), false},             // the held bit without the scan
+		{KindInfoResp, withFlags(answer(*links), flagPresent|1<<5), false},                  // an unknown bit
 		{KindInfoResp, withFlags(answer(*links), flagPresent|riderApply), false},            // Changed missing
 		{KindInfoResp, withFlags(answer(*links), flagPresent|riderScan), false},             // entries missing
 		{KindInfoResp, cat(answer(applied)[:len(answer(applied))-1], []byte{2}), false},     // Changed not a bool
@@ -926,6 +946,91 @@ func TestBinaryInfoRider(t *testing.T) {
 		{Kind: KindInfo, Info: &InfoReq{Apply: &ApplyReq{}}},
 		{Kind: KindInfo, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{entry, entry}}}},
 		{Kind: KindInfoResp, InfoResp: &InfoResp{Applied: &ApplyResp{}, Scanned: &ScanResp{}}},
+	} {
+		if _, err := AppendFrame(nil, 1, 0, m); err == nil {
+			t.Errorf("encoder accepted %+v", m)
+		}
+	}
+}
+
+// TestBinaryDigestedScanStrict: a digested scan names at most MaxHeld held
+// digests, each 8 bytes, and its answer carries the digest with the entries,
+// or alone when it says "same": a ninth digest, a short one, a "same" answer
+// with entries behind it or with the scan's bit beside it, and a digest
+// missing are corrupt. The encoder refuses what the decoder would, and a
+// digest on the standalone scan pair, which carries none.
+func TestBinaryDigestedScanStrict(t *testing.T) {
+	entry := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 9}
+	body := func(m *Message) []byte {
+		t.Helper()
+		b, err := appendMessageBody(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	held := func(n int) []uint64 {
+		h := make([]uint64, n)
+		for i := range h {
+			h[i] = uint64(i+1) * 0x0101010101010101
+		}
+		return h
+	}
+	scan := func(h []uint64) []byte {
+		return body(&Message{Kind: KindInfo, From: 2, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Digested: true, Held: h}}})
+	}
+	full := scan(held(MaxHeld))
+	// The frame a ninth digest would make: the count byte (behind the
+	// sender, the rider byte and the two-byte path) says 9, and 8 more bytes.
+	ninth := bytes.Clone(full)
+	ninth[4] = MaxHeld + 1
+	ninth = cat(ninth, appendU64(nil, 7))
+	links := InfoResp{Addr: 2, Path: "01", Refs: []RefSet{{Addrs: []addr.Addr{1}}}}
+	answer := func(s ScanResp) []byte {
+		i := links
+		i.Scanned = &s
+		return body(&Message{Kind: KindInfoResp, From: 2, InfoResp: &i})
+	}
+	digested := answer(ScanResp{Entries: []store.Entry{entry}, Digested: true, Digest: 0xabcdef})
+	same := answer(ScanResp{Digested: true, Digest: 0xabcdef, Same: true})
+	withFlags := func(b []byte, f byte) []byte { b = bytes.Clone(b); b[1] = f; return b }
+
+	for _, tc := range []struct {
+		name string
+		kind Kind
+		body []byte
+		ok   bool
+	}{
+		{"holding none", KindInfo, scan(nil), true},
+		{"holding eight", KindInfo, full, true},
+		{"holding nine", KindInfo, ninth, false},
+		{"a digest cut short", KindInfo, full[:len(full)-1], false},
+		{"trailing bytes", KindInfo, cat(full, []byte{0}), false},
+		{"entries and digest", KindInfoResp, digested, true},
+		{"same", KindInfoResp, same, true},
+		{"same with entries behind it", KindInfoResp, cat(same, appendEntries(nil, []store.Entry{entry})), false},
+		{"same beside the scan's bit", KindInfoResp, withFlags(same, flagPresent|riderSame|riderScan), false},
+		{"same beside the held bit", KindInfoResp, withFlags(same, flagPresent|riderSame|riderHeld), false},
+		{"same without its digest", KindInfoResp, same[:len(same)-8], false},
+		{"entries without their digest", KindInfoResp, withFlags(answer(ScanResp{Entries: []store.Entry{entry}}), flagPresent|riderScan|riderHeld), false},
+	} {
+		got, err := decodeMessageBody(tc.kind, tc.body, nil)
+		if tc.ok && err != nil {
+			t.Errorf("%s: body %x: %v", tc.name, tc.body, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: body %x decoded to %+v, %v; want ErrCorrupt", tc.name, tc.body, got, err)
+		}
+	}
+
+	for _, m := range []*Message{
+		{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Digested: true, Held: held(MaxHeld + 1)}}},
+		{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Held: held(1)}}},
+		{Kind: KindInfoResp, InfoResp: &InfoResp{Scanned: &ScanResp{Entries: []store.Entry{entry}, Digested: true, Same: true}}},
+		{Kind: KindInfoResp, InfoResp: &InfoResp{Scanned: &ScanResp{Digest: 5}}},
+		{Kind: KindScan, Scan: &ScanReq{Prefix: "01", Digested: true}},
+		{Kind: KindScanResp, ScanResp: &ScanResp{Digested: true, Digest: 5}},
 	} {
 		if _, err := AppendFrame(nil, 1, 0, m); err == nil {
 			t.Errorf("encoder accepted %+v", m)

@@ -92,6 +92,12 @@ func (k Kind) String() string {
 // pointer matching Kind is set.
 type Message struct {
 	Kind Kind
+	// From names the sender. On a KindQuery it also marks a forward: a node
+	// that routes a query on names itself, and a receiver that matches no bit
+	// of a forwarded query's key answers not found rather than forward it
+	// again (the reference that led there was on the wrong side). A client's
+	// query, and any query entering the community, names addr.Nil, so its
+	// first hop routes it whatever that hop's path.
 	From addr.Addr
 
 	Query        *QueryReq
@@ -270,14 +276,28 @@ type GetResp struct {
 }
 
 // ScanReq asks the receiver for every index entry under a key prefix
-// (textual prefix search with order-preserving keys).
+// (textual prefix search with order-preserving keys). A digested scan, which
+// only rides on a BFS visit, also asks for the range digest
+// (store.PrefixDigest) and names in Held the digests of up to MaxHeld lists
+// the caller already holds: a receiver whose range digest is one of them
+// answers "same" instead of sending the list again.
 type ScanReq struct {
-	Prefix bitpath.Path
+	Prefix   bitpath.Path
+	Digested bool
+	Held     []uint64
 }
 
-// ScanResp returns the matching entries.
+// MaxHeld bounds the digests one digested scan names.
+const MaxHeld = 8
+
+// ScanResp returns the matching entries. The answer to a digested scan
+// carries their Digest too, or, with Same set, the digest alone: the
+// receiver's range is the held list of that digest.
 type ScanResp struct {
-	Entries []store.Entry
+	Entries  []store.Entry
+	Digested bool
+	Digest   uint64
+	Same     bool
 }
 
 // InfoReq is the rider a KindInfo request may carry (a plain one carries
@@ -348,17 +368,29 @@ type InfoAnswer struct {
 	buf    *[]store.Entry // a Room's: a pooled slice to scan into; nil for any other answer
 }
 
-// Scan answers a scan rider in a with the entries under prefix in s. A Room's
-// answer appends them to a pooled slice, which the room gives back once the
-// reply is written; any other answer — one its caller keeps — scans into an
-// exact-size slice of its own.
-func (a *InfoAnswer) Scan(s *store.Store, prefix bitpath.Path) {
+// Scan answers the scan rider r in a from s: with the entries under r's
+// prefix, their digest too for a digested scan, or "same" when s's range
+// digest is one r holds. A Room's answer appends the entries to a pooled
+// slice, which the room gives back once the reply is written; any other
+// answer — one its caller keeps — scans into an exact-size slice of its own.
+func (a *InfoAnswer) Scan(s *store.Store, r *ScanReq) {
+	a.Resp.Scanned = &a.Scanned
+	a.Scanned.Digested = r.Digested
+	if r.Digested && len(r.Held) > 0 {
+		if d := s.PrefixDigest(r.Prefix); slices.Contains(r.Held, d) {
+			a.Scanned.Digest, a.Scanned.Same = d, true
+			return
+		}
+	}
 	var dst []store.Entry
 	if a.buf != nil {
 		dst = *a.buf
 	}
-	a.Scanned.Entries = s.AppendPrefixScan(dst, prefix)
-	a.Resp.Scanned = &a.Scanned
+	var d uint64
+	a.Scanned.Entries, d = s.AppendPrefixScan(dst, r.Prefix)
+	if r.Digested {
+		a.Scanned.Digest = d
+	}
 }
 
 // LinkRoom is room for a peer's link state — the per-level reference sets and
