@@ -196,7 +196,7 @@ func TestRefresh(t *testing.T) {
 // only kinds with calls; a kind the node counts at zero is left out.
 func TestRenderKindTableOmitsIdleKinds(t *testing.T) {
 	tel := telemetry.New(0)
-	d := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(time.Second)}
+	d := telemetry.HistoryDump{IntervalNS: int64(time.Second)}
 	d.Points = append(d.Points, telemetry.HistoryPoint{AtNS: 1e9, Snap: tel.MetricsSnapshot()})
 	for i := 0; i < 7; i++ {
 		tel.ClientRPC("exchange", time.Millisecond, nil)

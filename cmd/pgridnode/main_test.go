@@ -872,9 +872,9 @@ func TestAdminRepairEndpoint(t *testing.T) {
 }
 
 // TestAdminHistoryEndpoint: the history column is the ring's dump —
-// schema, interval and points stamped with the incarnation — capped by
-// ?limit, rendered as trends in text, refusing a bad window, and an empty
-// schema-stamped dump on a node without a ring.
+// interval and points stamped with the incarnation — capped by ?limit,
+// rendered as trends in text, refusing a bad window, and an empty dump on a
+// node without a ring.
 func TestAdminHistoryEndpoint(t *testing.T) {
 	n, tel := testNode(t)
 	serving := &atomic.Bool{}
@@ -892,8 +892,8 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 	bare := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer bare.Close()
 
-	// No ring configured: an empty schema-stamped dump, not an error.
-	if d := observeJSON(t, bare, "ask=history").History; d == nil || d.Schema != telemetry.MetricsSchemaVersion || len(d.Points) != 0 {
+	// No ring configured: an empty dump, not an error.
+	if d := observeJSON(t, bare, "ask=history").History; d == nil || d.IntervalNS != 0 || len(d.Points) != 0 {
 		t.Fatalf("nil-ring dump = %+v", d)
 	}
 
@@ -901,7 +901,7 @@ func TestAdminHistoryEndpoint(t *testing.T) {
 	srv := httptest.NewServer(newAdminMux(n, tel, serving, 0, nil, nil))
 	defer srv.Close()
 	d := observeJSON(t, srv, "ask=history").History
-	if d == nil || d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != int64(time.Second) || len(d.Points) != 4 {
+	if d == nil || d.IntervalNS != int64(time.Second) || len(d.Points) != 4 {
 		t.Fatalf("dump head = %+v", d)
 	}
 	for i, rate := range d.RateSeries(telemetry.StatServedTotal) {

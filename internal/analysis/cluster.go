@@ -119,12 +119,6 @@ type PeerSummary struct {
 type ClusterReport struct {
 	Peers       int // peers that contributed a metrics snapshot
 	Unreachable []addr.Addr
-	// Schema is the snapshot schema this report understands; SchemaSkew
-	// counts peers whose snapshots reported a different version (their
-	// stats still merge — the sparse encoding is forward-compatible at
-	// the bucket level, and skew is surfaced rather than hidden).
-	Schema     int
-	SchemaSkew int
 
 	// RED rollups summed across every collected peer.
 	ServedTotal  int64
@@ -187,7 +181,6 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 	r := ClusterReport{
 		Peers:       len(snaps),
 		Unreachable: append([]addr.Addr(nil), unreachable...),
-		Schema:      telemetry.MetricsSchemaVersion,
 	}
 	sort.Slice(r.Unreachable, func(i, j int) bool { return r.Unreachable[i] < r.Unreachable[j] })
 
@@ -202,9 +195,6 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 
 	for _, a := range addrs {
 		snap := snaps[a]
-		if snap.Schema != telemetry.MetricsSchemaVersion {
-			r.SchemaSkew++
-		}
 		ps := PeerSummary{Addr: a}
 		if v, ok := snap.Stat(statServedTotal); ok {
 			ps.Served = v
@@ -236,7 +226,7 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 			k := kindKey{scope, kind}
 			m, err := telemetry.MergeQHist(merged[k], h)
 			if err != nil {
-				continue // geometry skew from a foreign build: skip, don't poison
+				continue // a geometry this build does not use (the decoder refuses one): skip, don't poison
 			}
 			merged[k] = m
 			if scope == "served" {
@@ -351,11 +341,7 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 	if len(r.Unreachable) > 0 {
 		fmt.Fprintf(w, ", %d unreachable (%s)", len(r.Unreachable), addrList(r.Unreachable))
 	}
-	fmt.Fprintf(w, " [schema v%d", r.Schema)
-	if r.SchemaSkew > 0 {
-		fmt.Fprintf(w, ", %d peers on another version", r.SchemaSkew)
-	}
-	fmt.Fprintf(w, "]\n")
+	fmt.Fprintln(w)
 	if r.Peers == 0 {
 		return
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -183,7 +182,6 @@ func TestRenderClusterReport(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"2 peers collected", "1 unreachable (9)",
-		fmt.Sprintf("schema v%d", telemetry.MetricsSchemaVersion),
 		"served 3 (errors 1)",
 		"latency", "served  query", "p99",
 		"slo            query:p9:5ms",
@@ -199,14 +197,5 @@ func TestRenderClusterReport(t *testing.T) {
 	RenderClusterReport(&buf, AnalyzeCluster(nil, nil, nil, nil))
 	if !strings.Contains(buf.String(), "0 peers collected") {
 		t.Fatalf("empty render = %q", buf.String())
-	}
-}
-
-func TestAnalyzeClusterSchemaSkew(t *testing.T) {
-	s := snapFor(t, 0, 0, time.Millisecond)
-	s.Schema = 99
-	r := AnalyzeCluster(map[addr.Addr]telemetry.MetricsSnapshot{0: s}, nil, nil, nil)
-	if r.SchemaSkew != 1 {
-		t.Fatalf("schema skew = %d, want 1", r.SchemaSkew)
 	}
 }

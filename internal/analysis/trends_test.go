@@ -17,7 +17,7 @@ import (
 func trendDump(t *testing.T, node int, interval time.Duration, perInterval [][]time.Duration, errsAt map[int]int) telemetry.HistoryDump {
 	t.Helper()
 	tel := telemetry.New(node)
-	d := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(interval)}
+	d := telemetry.HistoryDump{IntervalNS: int64(interval)}
 	at := int64(1_000_000_000)
 	d.Points = append(d.Points, telemetry.HistoryPoint{AtNS: at, Snap: tel.MetricsSnapshot()})
 	for i, durs := range perInterval {
@@ -136,7 +136,7 @@ func TestAnalyzeTrendsResetAndMultiPeerAlignment(t *testing.T) {
 	// Peer 2 restarts between its two points: new epoch, counters rewound.
 	pre := trendDump(t, 2, iv, [][]time.Duration{{time.Millisecond, time.Millisecond, time.Millisecond}}, nil)
 	post := trendDump(t, 22, iv, [][]time.Duration{steady}, nil)
-	restarted := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(iv),
+	restarted := telemetry.HistoryDump{IntervalNS: int64(iv),
 		Points: []telemetry.HistoryPoint{
 			pre.Points[len(pre.Points)-1],
 			{AtNS: pre.Points[len(pre.Points)-1].AtNS + int64(iv), Snap: post.Points[len(post.Points)-1].Snap},
@@ -239,7 +239,7 @@ func TestAnalyzeTrendsKindRows(t *testing.T) {
 	// Peer 0: 4 queries at 1ms, then 6 at 10ms and 2 served gets.
 	tel := telemetry.New(0)
 	tel.SetStart(time.Unix(1, 0))
-	steady := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(iv)}
+	steady := telemetry.HistoryDump{IntervalNS: int64(iv)}
 	steady.Points = append(steady.Points, point(1, tel))
 	calls(tel, "query", 4, time.Millisecond)
 	steady.Points = append(steady.Points, point(2, tel))
@@ -257,7 +257,7 @@ func TestAnalyzeTrendsKindRows(t *testing.T) {
 	before, after := telemetry.New(1), telemetry.New(1)
 	before.SetStart(time.Unix(1, 0))
 	after.SetStart(time.Unix(5, 0))
-	restarted := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: int64(iv)}
+	restarted := telemetry.HistoryDump{IntervalNS: int64(iv)}
 	restarted.Points = append(restarted.Points, point(1, before))
 	calls(before, "query", 50, time.Millisecond)
 	restarted.Points = append(restarted.Points, point(2, before))

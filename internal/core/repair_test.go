@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"pgrid/internal/addr"
@@ -366,5 +368,70 @@ func TestRepairKeepsAnOrphanWhoseSearchEndsAtSelf(t *testing.T) {
 	}
 	if count(round.Faults, repair.FaultOrphanEntry) != 1 || count(round.Heals, repair.ActionEvictEntry) != 0 || round.Unhealed != 1 {
 		t.Fatalf("round = %+v, want the orphan found, not evicted, and unhealed", round)
+	}
+}
+
+// rawTerm is an entry's share of the store fingerprint as FNV-1a alone gives
+// it, before the store mixes it.
+func rawTerm(e store.Entry) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", e.Key, e.Name, int64(e.Holder), e.Version)
+	return h.Sum64()
+}
+
+func TestRepairHealsCrosswiseStaleReplicas(t *testing.T) {
+	// Peer a on 000 holds A@1 and B@2, its seven buddies A@2 and B@1: each
+	// side is stale in one entry. The names are chosen so that the raw FNV-1a
+	// sums of the two contents collide, which a fingerprint summing raw terms
+	// cannot tell apart. The round must see the divergence, pull the fresher A
+	// and push B, and leave the group on one fingerprint.
+	d := trie.BuildIdeal(64, 3, 4, newRng(12))
+	a := peerOn(t, d, "000")
+	at := func(e store.Entry, v uint64) store.Entry { e.Version = v; return e }
+	var x, y store.Entry
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("no crosswise pair whose raw sums collide")
+		}
+		x = store.Entry{Key: a.Path(), Name: fmt.Sprintf("cross-a%d", i), Holder: addr.Addr(1 + i%3)}
+		y = store.Entry{Key: a.Path(), Name: fmt.Sprintf("cross-b%d", i), Holder: addr.Addr(1 + i%5)}
+		if rawTerm(at(x, 2))+rawTerm(at(y, 1)) == rawTerm(at(x, 1))+rawTerm(at(y, 2)) {
+			break
+		}
+	}
+	var group []*peer.Peer
+	for _, p := range d.All() {
+		if p.Path() != a.Path() {
+			continue
+		}
+		group = append(group, p)
+		if p == a {
+			p.Store().Apply(at(x, 1))
+			p.Store().Apply(at(y, 2))
+		} else {
+			p.Store().Apply(at(x, 2))
+			p.Store().Apply(at(y, 1))
+		}
+	}
+	if len(group) != 8 {
+		t.Fatalf("%d peers on %s, want 8", len(group), a.Path())
+	}
+	round := repairOnce(d, 4, a, 12)
+	if count(round.Faults, repair.FaultDivergedReplica) == 0 {
+		t.Fatalf("round = %+v, want a diverged replica", round)
+	}
+	if pulls, pushes := count(round.Heals, repair.ActionSyncPull), count(round.Heals, repair.ActionSyncPush); pulls != 1 || pushes != 7 {
+		t.Errorf("%d pulls and %d pushes, want 1 and 7", pulls, pushes)
+	}
+	want := a.Store().Summary().Hash
+	for _, p := range group {
+		if h := p.Store().Summary().Hash; h != want {
+			t.Errorf("peer %v fingerprint %#x, peer %v %#x", p.Addr(), h, a.Addr(), want)
+		}
+		for _, e := range []store.Entry{x, y} {
+			if got, ok := p.Store().Get(e.Key, e.Name); !ok || got.Version != 2 {
+				t.Errorf("peer %v holds %v, %v; want version 2", p.Addr(), got, ok)
+			}
+		}
 	}
 }

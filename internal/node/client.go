@@ -149,8 +149,7 @@ func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 }
 
 // riderAnswered reports whether info carries the answer to rider, which a nil
-// rider needs none of. A scan rider, which a client always sends digested, is
-// answered in a digested answer, and a "same" one names a digest it held.
+// rider needs none of. A "same" answer to a scan rider names a digest it held.
 func riderAnswered(info *wire.InfoResp, rider *wire.InfoReq) bool {
 	switch s := info.Scanned; {
 	case rider == nil:
@@ -158,7 +157,7 @@ func riderAnswered(info *wire.InfoResp, rider *wire.InfoReq) bool {
 	case rider.Apply != nil:
 		return info.Applied != nil
 	default:
-		return s != nil && s.Digested && (!s.Same || slices.Contains(rider.Scan.Held, s.Digest))
+		return s != nil && (!s.Same || slices.Contains(rider.Scan.Held, s.Digest))
 	}
 }
 
@@ -176,8 +175,8 @@ type visitCall struct {
 }
 
 // fill makes c the Info request carrying rider (nil for a plain one), whose
-// operation is about key, and returns the message to send. A scan rider goes
-// out digested, its prefix key: taken from there, nothing a scan rider points
+// operation is about key, and returns the message to send. A scan rider's
+// prefix is key and its held digests are copied: nothing a scan rider points
 // to is kept in c, so a caller's held digests can stay in its frame.
 func (c *visitCall) fill(rider *wire.InfoReq, key bitpath.Path) *wire.Message {
 	c.m = wire.Message{Kind: wire.KindInfo, From: addr.Nil}
@@ -189,7 +188,7 @@ func (c *visitCall) fill(rider *wire.InfoReq, key bitpath.Path) *wire.Message {
 			c.i.Apply = &c.a
 		}
 		if r := rider.Scan; r != nil {
-			c.s = wire.ScanReq{Prefix: key, Digested: true, Held: append(c.h[:0], r.Held...)}
+			c.s = wire.ScanReq{Prefix: key, Held: append(c.h[:0], r.Held...)}
 			c.i.Scan = &c.s
 		}
 		c.m.Info = &c.i
@@ -288,8 +287,8 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 
 // PrefixSearch searches breadth-first for the covering replicas of prefix,
 // the scan riding on every visit, and merges their scans, freshest version
-// per (key, name) winning. Replicas of one path hold the same index, so the
-// scan is digested: each visit names the digests of the lists folded so far
+// per (key, name) winning. Replicas of one path hold the same index, so each
+// visit names the range digests of the lists folded so far
 // (the first wire.MaxHeld of them), a replica whose range is one of those
 // answers "same" with the digest alone, and a list is folded once per digest.
 // The message cost is the visits, as Grid.PrefixSearch charges them, plus the

@@ -103,8 +103,8 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if dump.IntervalNS != int64(20*time.Millisecond) || dump.Schema != telemetry.MetricsSchemaVersion {
-		t.Fatalf("dump header = schema %d interval %d", dump.Schema, dump.IntervalNS)
+	if dump.IntervalNS != int64(20*time.Millisecond) {
+		t.Fatalf("dump interval %d", dump.IntervalNS)
 	}
 
 	// (a) Server-side windowed computation == the client's own delta
@@ -222,7 +222,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	if post.SameEpoch(pre.Snap) {
 		t.Fatalf("restarted node kept its epoch: pre %d post %d", pre.Snap.StartEpochNS, post.StartEpochNS)
 	}
-	watch := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion,
+	watch := telemetry.HistoryDump{
 		Points: append(append([]telemetry.HistoryPoint{}, res.Dumps[2].Points...),
 			telemetry.HistoryPoint{AtNS: time.Now().UnixNano(), Snap: post})}
 	if got := watch.Resets(); got != 1 {

@@ -16,8 +16,8 @@ import (
 // Observe answers an observe request with exactly the columns req asks for,
 // each from the feature that owns it — and from a feature the node runs
 // without: repair off answers Enabled=false, which stays distinguishable from
-// "peer unknown" (a transport error); history and telemetry off answer empty,
-// schema-stamped columns. A triggered repair round runs first, so every column
+// "peer unknown" (a transport error); history and telemetry off answer empty
+// columns. A triggered repair round runs first, so every column
 // reports the state it left. It is what a peer's KindObserve gets back, and
 // what the node's own admin port serves without counting a served RPC.
 func (n *Node) Observe(req *wire.ObserveReq) *wire.ObserveResp {

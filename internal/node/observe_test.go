@@ -305,7 +305,7 @@ func TestCollectClusterSequentialFallback(t *testing.T) {
 // TestFetchHistoryPreHistoryFallback pins that a history read does not
 // degrade: a peer refusing the observe is an error, not a one-point dump
 // built from a second (metrics) call — and a history-enabled peer with an
-// unsampled ring answers for real, an empty schema-stamped dump.
+// unsampled ring answers for real, an empty dump with its interval.
 func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 	c, tr, cl, _ := failingObserve(t, "kinderror", 0)
 	req := wire.ObserveReq{Asks: wire.AskHistory, WindowNS: int64(time.Minute), MaxPoints: 8}
@@ -313,7 +313,7 @@ func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 
 	c.Nodes[2].EnableHistory(telemetry.NewHistory(time.Second, time.Minute))
 	empty := observe(t, NewClient(c.Transport, 43), 2, wire.ObserveReq{Asks: wire.AskHistory}).History
-	if len(empty.Points) != 0 || empty.Schema != telemetry.MetricsSchemaVersion {
+	if len(empty.Points) != 0 || empty.IntervalNS != int64(time.Second) {
 		t.Fatalf("unsampled ring dump = %+v", empty)
 	}
 }
@@ -385,8 +385,8 @@ func TestObserveColumns(t *testing.T) {
 	if l := o.Links; l.Addr != 1 || l.Path != "10" || len(l.Refs) != 2 {
 		t.Errorf("links = %+v", l)
 	}
-	if o.Repair.Enabled || o.Metrics.Schema != telemetry.MetricsSchemaVersion || len(o.Metrics.Stats) != 0 ||
-		o.History.Schema != telemetry.MetricsSchemaVersion || len(o.History.Points) != 0 || o.Traces.Total != 0 {
+	if o.Repair.Enabled || o.Metrics == nil || len(o.Metrics.Stats) != 0 ||
+		o.History == nil || len(o.History.Points) != 0 || o.Traces.Total != 0 {
 		t.Errorf("a peer without repair, telemetry, history or tracing answered %+v %+v %+v %+v", o.Repair, o.Metrics, o.History, o.Traces)
 	}
 
@@ -456,12 +456,11 @@ func FuzzHandle(f *testing.F) {
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{entry}}}},
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0")}}},
 		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("11")}}},
-		// Digested scans: one holding the receiver's digest (its store is
-		// empty: 0) and another, one holding none; and a "same" answer sent
-		// as if it were a request.
-		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0"), Digested: true, Held: []uint64{0, 0x5eed}}}},
-		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("00"), Digested: true}}},
-		{Kind: wire.KindInfoResp, InfoResp: &wire.InfoResp{Scanned: &wire.ScanResp{Digested: true, Digest: 0x5eed, Same: true}}},
+		// Scans holding the receiver's digest (its store is empty: 0) and
+		// none, and a "same" answer sent as if it were a request.
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("0"), Held: []uint64{0, 0x5eed}}}},
+		{Kind: wire.KindInfo, Info: &wire.InfoReq{Scan: &wire.ScanReq{Prefix: bitpath.MustParse("00")}}},
+		{Kind: wire.KindInfoResp, InfoResp: &wire.InfoResp{Scanned: &wire.ScanResp{Digest: 0x5eed, Same: true}}},
 	} {
 		frame, err := wire.AppendFrame(nil, 7, 0, &m)
 		if err != nil {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -383,7 +384,7 @@ func TestAllocBudgetVisitRoundTrip(t *testing.T) {
 	e := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 4}
 	nodes[0].Store().Apply(e)
 	apply := &wire.InfoReq{Apply: &wire.ApplyReq{Entries: []store.Entry{e}}}
-	scan := &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011", Digested: true}}
+	scan := &wire.InfoReq{Scan: &wire.ScanReq{Prefix: "011"}}
 	for _, tc := range []struct {
 		name   string
 		riders []*wire.InfoReq // sent in turn
@@ -649,23 +650,20 @@ func TestPrefixSearchDivergentReplicas(t *testing.T) {
 }
 
 // crosswisePair returns two entries under key, at version 2, such that a
-// store holding A@2 and B@1 and one holding A@1 and B@2 have the same
-// Summary.Hash, an unmixed sum of entry terms: the replicas a range digest
-// summing raw terms would call equal.
+// store holding A@2 and B@1 and one holding A@1 and B@2 have the same sum of
+// raw FNV-1a entry terms: the replicas a range digest summing unmixed terms
+// would call equal.
 func crosswisePair(t *testing.T, key bitpath.Path) (a, b store.Entry) {
 	t.Helper()
+	raw := func(e store.Entry, v uint64) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", e.Key, e.Name, int64(e.Holder), v)
+		return h.Sum64()
+	}
 	for i := 0; i < 1000; i++ {
-		a = store.Entry{Key: key, Name: fmt.Sprintf("cross-a%d", i), Holder: addr.Addr(1 + i%3)}
-		b = store.Entry{Key: key, Name: fmt.Sprintf("cross-b%d", i), Holder: addr.Addr(1 + i%5)}
-		x, y := store.New(), store.New()
-		a.Version, b.Version = 2, 1
-		x.Apply(a)
-		x.Apply(b)
-		a.Version, b.Version = 1, 2
-		y.Apply(a)
-		y.Apply(b)
-		if x.Summary() == y.Summary() {
-			a.Version = 2
+		a = store.Entry{Key: key, Name: fmt.Sprintf("cross-a%d", i), Holder: addr.Addr(1 + i%3), Version: 2}
+		b = store.Entry{Key: key, Name: fmt.Sprintf("cross-b%d", i), Holder: addr.Addr(1 + i%5), Version: 2}
+		if raw(a, 2)+raw(b, 1) == raw(a, 1)+raw(b, 2) {
 			return a, b
 		}
 	}

@@ -42,8 +42,8 @@ func (m model) scan(keep func(Entry) bool) []Entry {
 	return out
 }
 
-// summary is Summary computed from scratch the way the nested-map store
-// did: every entry's term, summed.
+// summary is Summary computed from scratch: every entry's term, mixed and
+// summed.
 func (m model) summary() Summary {
 	var sum Summary
 	for _, e := range m {
@@ -51,13 +51,14 @@ func (m model) summary() Summary {
 		if e.Version > sum.MaxVersion {
 			sum.MaxVersion = e.Version
 		}
-		sum.Hash += term(e)
+		sum.Hash += mix(term(e))
 	}
 	return sum
 }
 
-// term is an entry's share of Summary.Hash computed from scratch:
-// fmt.Fprintf of the entry into a fresh FNV-1a hasher.
+// term is an entry's raw FNV-1a term computed from scratch: fmt.Fprintf of
+// the entry into a fresh FNV-1a hasher. Its share of Summary.Hash is
+// mix(term).
 func term(e Entry) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", e.Key, e.Name, int64(e.Holder), e.Version)

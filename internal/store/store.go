@@ -208,7 +208,7 @@ func (s *Store) appendEntries(dst []Entry, lo, hi pos) ([]Entry, uint64) {
 		dst = slices.Grow(dst, n)
 	}
 	var sum uint64
-	s.each(lo, hi, func(sl *slot) { dst, sum = append(dst, sl.Entry), sum+mix(sl.term) })
+	s.each(lo, hi, func(sl *slot) { dst, sum = append(dst, sl.Entry), sum+sl.term })
 	return dst, sum
 }
 
@@ -424,17 +424,18 @@ func (s *Store) AppendPrefixScan(dst []Entry, prefix bitpath.Path) ([]Entry, uin
 }
 
 // PrefixDigest returns the range digest of the entries under prefix: the
-// wrapping sum of their shares of Summary.Hash, each passed through mix. Two
-// replicas whose ranges under a prefix hold the same entries at the same
-// versions have the same digest, and one that differs in any of them almost
-// surely another, so a peer can tell whether a caller already holds its scan
-// without sending it. One pass over the range, no copy.
+// wrapping sum of their shares of Summary.Hash. Two replicas whose ranges
+// under a prefix hold the same entries at the same versions have the same
+// digest, and one that differs in any of them almost surely another, so a
+// peer can tell whether a caller already holds its scan without sending it.
+// One pass over the range, no copy; PrefixDigest(bitpath.Empty) is
+// Summary().Hash.
 func (s *Store) PrefixDigest(prefix bitpath.Path) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo, hi := s.under(prefix)
 	var sum uint64
-	s.each(lo, hi, func(sl *slot) { sum += mix(sl.term) })
+	s.each(lo, hi, func(sl *slot) { sum += sl.term })
 	return sum
 }
 
@@ -461,10 +462,11 @@ type Summary struct {
 	Hash       uint64
 }
 
-// Summary returns the store's index fingerprint. The hash is a wrapping sum
-// of per-entry FNV-1a hashes, so it is independent of order — equal indexes
-// hash equal, and replicas that diverge in any entry (almost surely) differ
-// — and every write adds or subtracts its own term instead of rescanning.
+// Summary returns the store's index fingerprint. The hash is the range
+// digest of the whole index, a wrapping sum of per-entry terms, so it is
+// independent of order — equal indexes hash equal, and replicas that diverge
+// in any entry (almost surely) differ — and every write adds or subtracts its
+// own term instead of rescanning.
 func (s *Store) Summary() Summary {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -485,8 +487,8 @@ func fnvField(h uint64, s string) uint64 {
 }
 
 // mix is the 64-bit finalizer of MurmurHash3 (fmix64), a bijection that
-// spreads every input bit over the whole word. A range digest sums mixed
-// terms, not raw ones: two FNV-1a terms that differ only in their last byte
+// spreads every input bit over the whole word. A digest sums mixed terms,
+// not raw FNV-1a ones: two raw terms that differ only in their last byte
 // differ by a small multiple of fnvPrime (versions 1 and 2 of an entry share
 // the state before the version's last digit), so raw sums of two crosswise
 // stale replicas — one holding A@2 and B@1, the other A@1 and B@2 — collide
@@ -502,7 +504,8 @@ func mix(h uint64) uint64 {
 
 // hash computes the entry's share of Summary.Hash: FNV-1a over
 // "key\x00name\x00holder\x00version" with the key as it prints and the
-// numbers in decimal. Digests cross the wire, so the bytes are fixed.
+// numbers in decimal, passed through mix. Digests cross the wire, so the
+// bytes are fixed.
 func (sl *slot) hash() uint64 {
 	var buf [40]byte
 	b := strconv.AppendInt(buf[:0], int64(sl.Holder), 10)
@@ -512,7 +515,7 @@ func (sl *slot) hash() uint64 {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * fnvPrime
 	}
-	return h
+	return mix(h)
 }
 
 // Delete removes the entry for (key, name) and reports whether it existed.

@@ -272,11 +272,12 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-// TestPrefixDigestCrosswiseStale checks range digests on replicas that are
-// stale crosswise: one holds A at the fresher version and B at the older, the
-// other the reverse. Versions that differ only in their last digit leave two
-// FNV-1a terms a small multiple of the prime apart, so unmixed sums of such
-// pairs collide often; mixed ones must not collide at all.
+// TestPrefixDigestCrosswiseStale checks range digests and fingerprints on
+// replicas that are stale crosswise: one holds A at the fresher version and B
+// at the older, the other the reverse. Versions that differ only in their
+// last digit leave two FNV-1a terms a small multiple of the prime apart, so
+// unmixed sums of such pairs collide often; mixed ones must not collide at
+// all, and the fingerprint is the digest of the whole range.
 func TestPrefixDigestCrosswiseStale(t *testing.T) {
 	keys := []string{"0", "01", "0110", "1", "10", "1101"}
 	pairs := 0
@@ -291,6 +292,14 @@ func TestPrefixDigestCrosswiseStale(t *testing.T) {
 			a.Version, b.Version = v, v+1
 			y.Apply(a)
 			y.Apply(b)
+			for _, s := range []*Store{x, y} {
+				if h, d := s.Summary().Hash, s.PrefixDigest(bitpath.Empty); h != d {
+					t.Errorf("%v and %v: fingerprint %#x, root range digest %#x", a, b, h, d)
+				}
+			}
+			if hx, hy := x.Summary().Hash, y.Summary().Hash; hx == hy {
+				t.Errorf("%v and %v at %d/%d: crosswise stale replicas share fingerprint %#x", a, b, v, v+1, hx)
+			}
 			for _, p := range []bitpath.Path{bitpath.Empty, bitpath.MustParse("0"), bitpath.MustParse("1")} {
 				if x.PrefixScan(p) == nil && y.PrefixScan(p) == nil {
 					continue

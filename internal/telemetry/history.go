@@ -40,7 +40,6 @@ type HistoryPoint struct {
 // (no rates, instantaneous quantiles only) — that is what a ring sampled
 // once holds.
 type HistoryDump struct {
-	Schema     int
 	IntervalNS int64
 	Points     []HistoryPoint
 }
@@ -121,11 +120,11 @@ func (h *History) Record(snap MetricsSnapshot) {
 // must treat dumps as read-only, which every consumer does.
 func (h *History) Dump(window time.Duration, maxPoints int) HistoryDump {
 	if h == nil {
-		return HistoryDump{Schema: MetricsSchemaVersion}
+		return HistoryDump{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d := HistoryDump{Schema: MetricsSchemaVersion, IntervalNS: int64(h.interval)}
+	d := HistoryDump{IntervalNS: int64(h.interval)}
 	cutoff := int64(0)
 	if window > 0 {
 		cutoff = h.now().Add(-window).UnixNano()
@@ -156,21 +155,11 @@ func (d HistoryDump) Span() time.Duration {
 	return time.Duration(d.Points[len(d.Points)-1].AtNS - d.Points[0].AtNS)
 }
 
-// reset reports whether going from point a to point b crosses a process
-// restart: the incarnation epoch changed, or (for epoch-less v1 peers)
-// the monotonic uptime went backwards.
-func historyReset(a, b MetricsSnapshot) bool {
-	if !a.SameEpoch(b) {
-		return true
-	}
-	return a.UptimeNS != 0 && b.UptimeNS != 0 && b.UptimeNS < a.UptimeNS
-}
-
 // Resets counts the restarts visible inside the dump.
 func (d HistoryDump) Resets() int {
 	n := 0
 	for i := 1; i < len(d.Points); i++ {
-		if historyReset(d.Points[i-1].Snap, d.Points[i].Snap) {
+		if !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
 			n++
 		}
 	}
@@ -195,7 +184,7 @@ func (d HistoryDump) RateSeries(name string) []float64 {
 			continue
 		}
 		delta := bv - av
-		if historyReset(a.Snap, b.Snap) || delta < 0 {
+		if !a.Snap.SameEpoch(b.Snap) || delta < 0 {
 			delta = bv
 		}
 		out = append(out, float64(delta)/dt)
@@ -242,7 +231,7 @@ func (d HistoryDump) WindowHist(name string, window time.Duration) (delta QHistS
 		basePoint = 0
 	}
 	for i := basePoint + 1; i < len(d.Points); i++ {
-		if historyReset(d.Points[i-1].Snap, d.Points[i].Snap) {
+		if !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
 			return cur, true, true
 		}
 	}
@@ -269,7 +258,7 @@ func (d HistoryDump) QuantileSeries(name string, p float64) []float64 {
 			out = append(out, 0)
 			continue
 		}
-		if historyReset(d.Points[i-1].Snap, d.Points[i].Snap) {
+		if !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
 			out = append(out, float64(b.Quantile(p)))
 			continue
 		}

@@ -5,22 +5,6 @@ import (
 	"time"
 )
 
-// MetricsSchemaVersion versions the mergeable metrics snapshot carried by
-// the metrics column of wire.KindObserveResp: the flattened counter/gauge Stats plus the sparse
-// QHistSnapshot encoding below. Bump it when the snapshot layout or the
-// histogram bucket geometry changes incompatibly.
-//
-// v1: Stats + Hists (Idx/N sparse buckets).
-// v2: adds StartEpochNS/UptimeNS incarnation stamps on the snapshot and
-// tail-bucket exemplars (ExIdx/ExTrace) on QHistSnapshot. The binary
-// codec keys the extra fields off the Schema value it decodes, so v1
-// bodies from pre-history peers still decode against a v2 reader.
-const MetricsSchemaVersion = 2
-
-// MetricsSchemaV1 is the pre-history snapshot layout, kept as a named
-// constant because the codecs and compat tests must keep decoding it.
-const MetricsSchemaV1 = 1
-
 // QHistSnapshot is a point-in-time, mergeable copy of one QHist in a
 // compact sparse encoding: only occupied buckets are carried, as parallel
 // (Idx, N) arrays sorted by ascending bucket index. Because QHist buckets
@@ -30,8 +14,9 @@ const MetricsSchemaV1 = 1
 // as a histogram that observed the union of both value streams directly.
 //
 // SubBits records the bucket geometry (QHist's qSubBits) so a snapshot
-// from a build with a different resolution is rejected at merge time
-// instead of silently mis-bucketed.
+// from a build with a different resolution is refused — by Validate when
+// it is decoded, and again at merge time — instead of silently
+// mis-bucketed.
 type QHistSnapshot struct {
 	Name    string
 	SubBits uint8
@@ -39,9 +24,9 @@ type QHistSnapshot struct {
 	Sum     int64
 	Idx     []uint16
 	N       []int64
-	// ExIdx/ExTrace are parallel tail-bucket exemplars (schema v2): the
-	// most recent trace id observed in bucket ExIdx[i], emitted only for
-	// occupied buckets at/above the histogram's exemplar quantile. They
+	// ExIdx/ExTrace are parallel tail-bucket exemplars: the most recent
+	// trace id observed in bucket ExIdx[i], emitted only for occupied
+	// buckets at/above the histogram's exemplar quantile. They
 	// are informational pointers into the flight recorder, not counts,
 	// so merging keeps either side's id and subtraction keeps the
 	// current side's.
@@ -337,10 +322,9 @@ func (s QHistSnapshot) CountAtOrBelow(v int64) int64 {
 // across nodes is the cluster total), and every quantile histogram as a
 // sparse QHistSnapshot.
 type MetricsSnapshot struct {
-	Schema int
 	// StartEpochNS identifies the process incarnation (node start time,
-	// unix nanoseconds) and UptimeNS the monotonic time since then
-	// (schema v2; both zero on v1 snapshots and bare-registry captures).
+	// unix nanoseconds) and UptimeNS the monotonic time since then (both
+	// zero on a bare registry's capture).
 	// Two snapshots with different epochs must never be delta'd — the
 	// counters restarted from zero in between.
 	StartEpochNS int64
@@ -350,8 +334,8 @@ type MetricsSnapshot struct {
 }
 
 // SameEpoch reports whether two snapshots come from the same process
-// incarnation, i.e. whether computing b−a deltas is meaningful. Unknown
-// epochs (0, from v1 peers) are conservatively treated as same.
+// incarnation, i.e. whether computing b−a deltas is meaningful. An unknown
+// epoch (0, a bare registry's capture) is conservatively treated as same.
 func (m MetricsSnapshot) SameEpoch(b MetricsSnapshot) bool {
 	if m.StartEpochNS == 0 || b.StartEpochNS == 0 {
 		return true
@@ -382,10 +366,9 @@ func (m MetricsSnapshot) Stat(name string) (int64, bool) {
 // MetricsSnapshot captures the registry's full state for federation.
 // Unlike Snapshot, quantile histograms are not pre-rendered to their
 // summary quantiles (which cannot be merged) but carried as sparse bucket
-// snapshots. Nil-safe: a nil registry yields an empty, schema-stamped
-// snapshot.
+// snapshots. Nil-safe: a nil registry yields an empty snapshot.
 func (r *Registry) MetricsSnapshot() MetricsSnapshot {
-	m := MetricsSnapshot{Schema: MetricsSchemaVersion}
+	var m MetricsSnapshot
 	if r == nil {
 		return m
 	}
@@ -412,7 +395,7 @@ func (r *Registry) MetricsSnapshot() MetricsSnapshot {
 // Nil-safe.
 func (t *Instruments) MetricsSnapshot() MetricsSnapshot {
 	if t == nil {
-		return MetricsSnapshot{Schema: MetricsSchemaVersion}
+		return MetricsSnapshot{}
 	}
 	m := t.reg.MetricsSnapshot()
 	m.StartEpochNS = t.start.UnixNano()

@@ -253,9 +253,6 @@ func TestRegistryMetricsSnapshot(t *testing.T) {
 	r.Quantile("lat_ns", "").Observe(1000)
 
 	m := r.MetricsSnapshot()
-	if m.Schema != MetricsSchemaVersion {
-		t.Fatalf("schema = %d", m.Schema)
-	}
 	for name, want := range map[string]int64{"c_total": 7, "g": -3, "gf": 11} {
 		if got, ok := m.Stat(name); !ok || got != want {
 			t.Errorf("stat %s = %d,%v want %d", name, got, ok, want)
@@ -265,13 +262,13 @@ func TestRegistryMetricsSnapshot(t *testing.T) {
 	if !ok || h.Count != 1 {
 		t.Fatalf("hist = %+v, %v", h, ok)
 	}
-	// Nil registry: schema-stamped empty snapshot.
+	// Nil registry or instruments: an empty snapshot.
 	var nilReg *Registry
-	if m := nilReg.MetricsSnapshot(); m.Schema != MetricsSchemaVersion || len(m.Stats) != 0 {
+	if m := nilReg.MetricsSnapshot(); len(m.Stats) != 0 || len(m.Hists) != 0 {
 		t.Fatalf("nil registry snapshot = %+v", m)
 	}
 	var nilInst *Instruments
-	if m := nilInst.MetricsSnapshot(); m.Schema != MetricsSchemaVersion {
+	if m := nilInst.MetricsSnapshot(); m.StartEpochNS != 0 || len(m.Stats) != 0 {
 		t.Fatalf("nil instruments snapshot = %+v", m)
 	}
 }

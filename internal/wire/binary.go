@@ -314,17 +314,14 @@ const (
 const flagList = 1 << 1
 
 // The info pair's rider bits. A KindInfo request without a rider is the bare
-// envelope it always was; one with a rider closes with a byte holding exactly
-// one of them and the operation behind it — the entry to apply, or the prefix
-// to scan. The InfoResp presence byte holds flagPresent and, when the
-// receiver served a rider, the same bit, naming the answer that closes the
-// payload: the apply's Changed bool, or the scanned entry list.
-//
-// riderHeld marks a digested scan: on the request, riderScan|riderHeld and
-// behind the prefix the count and the held digests; on its answer,
-// flagPresent|riderScan|riderHeld and the digest before the entry list, or
-// flagPresent|riderSame and the digest alone. The plain scan and its answer
-// are the bytes they always were.
+// envelope it always was; one with a rider closes with a byte naming it and
+// the operation behind it: riderApply and the entry to apply, or
+// riderScan|riderHeld and the prefix to scan, the count and the held digests.
+// The InfoResp presence byte holds flagPresent and, when the receiver served a
+// rider, the bits naming the answer that closes the payload: riderApply and
+// the apply's Changed bool, riderScan|riderHeld and the range digest before
+// the scanned entry list, or riderSame and the digest alone. A scan rider
+// has this one form: riderScan without riderHeld is corrupt either way.
 const (
 	riderApply = 1 << 1
 	riderScan  = 1 << 2
@@ -514,10 +511,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 		case r.Apply != nil && r.Scan == nil && len(r.Apply.Entries) == 1:
 			b = append(b, riderApply)
 			b = appendEntry(b, r.Apply.Entries[0])
-		case r.Scan != nil && r.Apply == nil && !r.Scan.Digested && r.Scan.Held == nil:
-			b = append(b, riderScan)
-			b = appendPath(b, r.Scan.Prefix)
-		case r.Scan != nil && r.Apply == nil && r.Scan.Digested && len(r.Scan.Held) <= MaxHeld:
+		case r.Scan != nil && r.Apply == nil && len(r.Scan.Held) <= MaxHeld:
 			b = append(b, riderScan|riderHeld)
 			b = appendPath(b, r.Scan.Prefix)
 			b = appendUvarint(b, uint64(len(r.Scan.Held)))
@@ -525,7 +519,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 				b = appendU64(b, h)
 			}
 		case r.Scan != nil && r.Apply == nil:
-			return b, fmt.Errorf("wire: a digested scan holds at most %d digests, not %d", MaxHeld, len(r.Scan.Held))
+			return b, fmt.Errorf("wire: a scan rider holds at most %d digests, not %d", MaxHeld, len(r.Scan.Held))
 		default:
 			return b, fmt.Errorf("wire: an info rider carries one of an apply of one entry and a scan")
 		}
@@ -544,12 +538,8 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			return b, fmt.Errorf("wire: a same answer carries its digest alone, not %d entries", len(i.Scanned.Entries))
 		case i.Scanned.Same:
 			f = flagPresent | riderSame
-		case i.Scanned.Digested:
-			f = flagPresent | riderScan | riderHeld
-		case i.Scanned.Digest != 0:
-			return b, fmt.Errorf("wire: a plain scan's answer carries no digest")
 		default:
-			f = flagPresent | riderScan
+			f = flagPresent | riderScan | riderHeld
 		}
 		b = append(b, f)
 		if i != nil {
@@ -557,7 +547,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			if i.Applied != nil {
 				b = appendBool(b, i.Applied.Changed)
 			}
-			if f&(riderHeld|riderSame) != 0 {
+			if i.Scanned != nil {
 				b = appendU64(b, i.Scanned.Digest)
 			}
 			if f&riderScan != 0 {
@@ -565,16 +555,16 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			}
 		}
 	case KindScan:
-		if s := m.Scan; s != nil && (s.Digested || s.Held != nil) {
-			return b, fmt.Errorf("wire: a digested scan rides on a visit")
+		if s := m.Scan; s != nil && s.Held != nil {
+			return b, fmt.Errorf("wire: held digests ride on a visit's scan")
 		}
 		b = appendBool(b, m.Scan != nil)
 		if s := m.Scan; s != nil {
 			b = appendPath(b, s.Prefix)
 		}
 	case KindScanResp:
-		if s := m.ScanResp; s != nil && (s.Digested || s.Digest != 0 || s.Same) {
-			return b, fmt.Errorf("wire: a digested scan's answer rides on a visit's")
+		if s := m.ScanResp; s != nil && (s.Digest != 0 || s.Same) {
+			return b, fmt.Errorf("wire: a range digest rides on a visit's answer")
 		}
 		b = appendBool(b, m.ScanResp != nil)
 		if s := m.ScanResp; s != nil {
@@ -665,7 +655,6 @@ func appendHealth(b []byte, h *HealthColumn) []byte {
 // appendHistoryDump encodes the history column: the dump's header and each
 // point with its snapshot.
 func appendHistoryDump(b []byte, dump telemetry.HistoryDump) ([]byte, error) {
-	b = appendVarint(b, int64(dump.Schema))
 	b = appendVarint(b, dump.IntervalNS)
 	b = appendUvarint(b, uint64(len(dump.Points)))
 	for _, p := range dump.Points {
@@ -715,18 +704,11 @@ func appendTallies(b []byte, ts []repair.Tally) []byte {
 	return b
 }
 
-// appendMetricsSnapshot encodes one mergeable metrics snapshot. The
-// layout is keyed off s.Schema — the first field — so it is
-// self-describing: v2 snapshots carry incarnation stamps and per-hist
-// exemplar lists, v1 snapshots (including ones relayed from pre-history
-// peers) re-encode byte-identically to the v1 layout and keep decoding
-// everywhere.
+// appendMetricsSnapshot encodes one mergeable metrics snapshot: the
+// incarnation stamps, the stats, and each histogram with its exemplars.
 func appendMetricsSnapshot(b []byte, s telemetry.MetricsSnapshot) ([]byte, error) {
-	b = appendVarint(b, int64(s.Schema))
-	if s.Schema >= 2 {
-		b = appendVarint(b, s.StartEpochNS)
-		b = appendVarint(b, s.UptimeNS)
-	}
+	b = appendVarint(b, s.StartEpochNS)
+	b = appendVarint(b, s.UptimeNS)
 	b = appendUvarint(b, uint64(len(s.Stats)))
 	for _, st := range s.Stats {
 		b = appendString(b, st.Name)
@@ -746,15 +728,13 @@ func appendMetricsSnapshot(b []byte, s telemetry.MetricsSnapshot) ([]byte, error
 			b = appendUvarint(b, uint64(h.Idx[i]))
 			b = appendVarint(b, h.N[i])
 		}
-		if s.Schema >= 2 {
-			if len(h.ExIdx) != len(h.ExTrace) {
-				return b, fmt.Errorf("wire: histogram snapshot %q: %d exemplar indexes vs %d trace ids", h.Name, len(h.ExIdx), len(h.ExTrace))
-			}
-			b = appendUvarint(b, uint64(len(h.ExIdx)))
-			for i := range h.ExIdx {
-				b = appendUvarint(b, uint64(h.ExIdx[i]))
-				b = appendU64(b, h.ExTrace[i])
-			}
+		if len(h.ExIdx) != len(h.ExTrace) {
+			return b, fmt.Errorf("wire: histogram snapshot %q: %d exemplar indexes vs %d trace ids", h.Name, len(h.ExIdx), len(h.ExTrace))
+		}
+		b = appendUvarint(b, uint64(len(h.ExIdx)))
+		for i := range h.ExIdx {
+			b = appendUvarint(b, uint64(h.ExIdx[i]))
+			b = appendU64(b, h.ExTrace[i])
 		}
 	}
 	return b, nil
@@ -1186,16 +1166,9 @@ func (d *bdec) tallies() []repair.Tally {
 }
 
 // metricsSnapshot decodes one mergeable metrics snapshot, the inverse of
-// appendMetricsSnapshot. The decoded Schema field selects the layout:
-// incarnation stamps and exemplar lists exist only at schema ≥ 2, so v1
-// bodies from pre-history peers parse exactly as before.
+// appendMetricsSnapshot.
 func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
-	var s telemetry.MetricsSnapshot
-	s.Schema = d.int()
-	if s.Schema >= 2 {
-		s.StartEpochNS = d.varint()
-		s.UptimeNS = d.varint()
-	}
+	s := telemetry.MetricsSnapshot{StartEpochNS: d.varint(), UptimeNS: d.varint()}
 	if n := d.uvarint(); d.need(n, 2) && n > 0 {
 		s.Stats = make([]telemetry.Stat, n)
 		for i := range s.Stats {
@@ -1222,18 +1195,16 @@ func (d *bdec) metricsSnapshot() telemetry.MetricsSnapshot {
 					h.N[j] = d.varint()
 				}
 			}
-			if s.Schema >= 2 {
-				if ex := d.uvarint(); d.need(ex, 9) && ex > 0 {
-					h.ExIdx = make([]uint16, ex)
-					h.ExTrace = make([]uint64, ex)
-					for j := range h.ExIdx {
-						idx := d.uvarint()
-						if d.err == nil && idx > 0xffff {
-							d.fail("exemplar bucket index out of range")
-						}
-						h.ExIdx[j] = uint16(idx)
-						h.ExTrace[j] = d.u64()
+			if ex := d.uvarint(); d.need(ex, 9) && ex > 0 {
+				h.ExIdx = make([]uint16, ex)
+				h.ExTrace = make([]uint64, ex)
+				for j := range h.ExIdx {
+					idx := d.uvarint()
+					if d.err == nil && idx > 0xffff {
+						d.fail("exemplar bucket index out of range")
 					}
+					h.ExIdx[j] = uint16(idx)
+					h.ExTrace[j] = d.u64()
 				}
 			}
 			// A malformed histogram would poison every merge it joins: a
@@ -1282,12 +1253,10 @@ func (d *bdec) healthColumn() *HealthColumn {
 
 // historyDump decodes the history column, the inverse of appendHistoryDump.
 func (d *bdec) historyDump() *telemetry.HistoryDump {
-	dump := new(telemetry.HistoryDump)
-	dump.Schema = d.int()
-	dump.IntervalNS = d.varint()
-	// A point costs at least 4 bytes: its timestamp varint plus the
-	// snapshot's schema and two counts.
-	if n := d.uvarint(); d.need(n, 4) && n > 0 {
+	dump := &telemetry.HistoryDump{IntervalNS: d.varint()}
+	// A point costs at least 5 bytes: its timestamp varint plus the
+	// snapshot's two stamps and two counts.
+	if n := d.uvarint(); d.need(n, 5) && n > 0 {
 		dump.Points = make([]telemetry.HistoryPoint, n)
 		for i := range dump.Points {
 			dump.Points[i] = telemetry.HistoryPoint{AtNS: d.varint(), Snap: d.metricsSnapshot()}
@@ -1626,12 +1595,8 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 				x.a.e[0] = d.entry(&x.a.pair)
 				x.a.a.Entries = x.a.e[:]
 				x.i.Apply = &x.a.a
-			case riderScan:
-				x.s.Prefix = d.path()
-				x.i.Scan = &x.s
 			case riderScan | riderHeld:
 				x.s.Prefix = d.path()
-				x.s.Digested = true
 				if n := d.uvarint(); n > MaxHeld {
 					d.fail("more held digests than a scan names")
 				} else if d.need(n, 8) && n > 0 {
@@ -1650,8 +1615,7 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 		var x *InfoAnswer
 		switch f := d.byte(); f {
 		case 0:
-		case flagPresent, flagPresent | riderApply, flagPresent | riderScan,
-			flagPresent | riderScan | riderHeld, flagPresent | riderSame:
+		case flagPresent, flagPresent | riderApply, flagPresent | riderScan | riderHeld, flagPresent | riderSame:
 			x = new(InfoAnswer)
 			m = &x.Reply
 			if f&riderApply != 0 {
@@ -1659,7 +1623,6 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			}
 			if f&(riderScan|riderSame) != 0 {
 				x.Resp.Scanned = &x.Scanned
-				x.Scanned.Digested = f&(riderHeld|riderSame) != 0
 				x.Scanned.Same = f&riderSame != 0
 			}
 		default:
@@ -1671,7 +1634,7 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			if i.Applied != nil {
 				i.Applied.Changed = d.bool()
 			}
-			if s := i.Scanned; s != nil && s.Digested {
+			if s := i.Scanned; s != nil {
 				s.Digest = d.u64()
 			}
 			if s := i.Scanned; s != nil && !s.Same {

@@ -30,7 +30,7 @@ import (
 func sampleMessages() []*Message {
 	p := bitpath.MustParse
 	entry := store.Entry{Key: p("0110"), Name: "doc-17", Holder: 9, Version: 0x1122334455667788}
-	snap := telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion,
+	snap := telemetry.MetricsSnapshot{
 		StartEpochNS: 1700000000123456789, UptimeNS: 98765432100,
 		Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42},
 			{Name: `pgrid_exchange_case_total{case="2a"}`, Value: -9}},
@@ -39,10 +39,9 @@ func sampleMessages() []*Message {
 				Sum: 1234567, Idx: []uint16{3, 150, 900}, N: []int64{4, 2, 1},
 				ExIdx: []uint16{150, 900}, ExTrace: []uint64{0xfeedface01, 0xfeedface02}},
 			{Name: "pgrid_pool_acquire_wait_ns", SubBits: 4}}}
-	// A v1 snapshot as a pre-history peer would ship it: no incarnation
-	// stamps, no exemplars. Kept in the corpus so the v2 reader keeps
-	// decoding the old layout forever.
-	snapV1 := telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaV1,
+	// A snapshot without incarnation stamps or exemplars: its zero fields
+	// still take their bytes.
+	bare := telemetry.MetricsSnapshot{
 		Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 17}},
 		Hists: []telemetry.QHistSnapshot{
 			{Name: `pgrid_rpc_served_latency_ns{kind="get"}`, SubBits: 4, Count: 2,
@@ -57,13 +56,12 @@ func sampleMessages() []*Message {
 			Buddies: 2, Liveness: []health.LevelProbe{{Level: 1, Live: 5, Dead: 1},
 				{Level: 2, Live: 2, Dead: 0}}}},
 		Metrics: &snap,
-		History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion,
+		History: &telemetry.HistoryDump{
 			IntervalNS: 2_000_000_000,
 			Points: []telemetry.HistoryPoint{
 				{AtNS: 1700000000000000000, Snap: snap},
-				{AtNS: 1700000002000000000, Snap: snapV1}, // mixed-schema ring after upgrade
-				{AtNS: 1700000004000000000, Snap: telemetry.MetricsSnapshot{
-					Schema: telemetry.MetricsSchemaVersion}}}},
+				{AtNS: 1700000002000000000, Snap: bare},
+				{AtNS: 1700000004000000000}}},
 		Repair: &repair.Status{Enabled: true, Rounds: 12, Messages: 480,
 			LastFaults: 3, LastHeals: 2, LastUnhealed: 1,
 			Faults: []repair.Tally{{Name: repair.FaultDeadRef, N: 9},
@@ -114,13 +112,8 @@ func sampleMessages() []*Message {
 		// to apply or the prefix to scan, and the answers that carry back what
 		// the covering receiver did.
 		{Kind: KindInfo, From: 11, Info: &InfoReq{Apply: &ApplyReq{Entries: []store.Entry{entry}}}},
-		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011")}}},
 		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("0110"),
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}}, Entries: 45, Applied: &ApplyResp{Changed: true}}},
-		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
-			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
-			Scanned: &ScanResp{Entries: []store.Entry{entry, entry}}}},
-		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"), Scanned: &ScanResp{}}}, // nothing under the prefix
 		// The operator plane (appended likewise): an observe request naming
 		// every ask, none, no payload and each column alone, and the answers —
 		// every column with data, none, no payload, and each column alone as a
@@ -141,11 +134,10 @@ func sampleMessages() []*Message {
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Links: &InfoResp{Addr: 33}}},
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Health: &HealthColumn{ // no liveness asked
 			Digest: health.Digest{Addr: 33, Path: p("10"), RefCounts: []int{1, 1}}}}},
-		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Metrics: &snapV1}}, // pre-history peer
-		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{ // history off
-			History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion}}},
-		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Repair: &repair.Status{}}}, // repair off
-		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Traces: &TracesColumn{}}},  // tracing off
+		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Metrics: &bare}},
+		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{History: &telemetry.HistoryDump{}}}, // history off
+		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Repair: &repair.Status{}}},          // repair off
+		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Traces: &TracesColumn{}}},           // tracing off
 		// A handover or a repair push: three entries in one apply.
 		{Kind: KindApply, From: 7, Apply: &ApplyReq{Entries: []store.Entry{entry,
 			{Key: p("0111"), Name: "doc-18", Holder: 9, Version: 2}, {Key: p("01"), Holder: 3, Version: 1}}}},
@@ -155,18 +147,26 @@ func sampleMessages() []*Message {
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{History: all.History}},
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Repair: all.Repair}},
 		{Kind: KindObserveResp, From: 33, ObserveResp: &ObserveResp{Traces: all.Traces}},
-		// The digested scan (appended likewise): a scan rider naming the
-		// digests of the lists its caller holds, one holding none yet, and the
-		// answers — the entries with their digest, and "same", the digest alone.
-		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"), Digested: true,
+		// The scan rider (appended likewise): one naming the digests of the
+		// lists its caller holds, one holding none yet, and the answers — the
+		// entries with their digest, and "same", the digest alone.
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"),
 			Held: []uint64{0x0123456789abcdef, 0xfedcba9876543210}}}},
-		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"), Digested: true}}},
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011")}}},
 		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
-			Scanned: &ScanResp{Entries: []store.Entry{entry, entry}, Digested: true, Digest: 0x0123456789abcdef}}},
+			Scanned: &ScanResp{Entries: []store.Entry{entry, entry}, Digest: 0x0123456789abcdef}}},
 		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"),
 			Refs: []RefSet{{Addrs: []addr.Addr{1}}, {Addrs: []addr.Addr{2, 3}}}, Entries: 44,
-			Scanned: &ScanResp{Digested: true, Digest: 0x0123456789abcdef, Same: true}}},
+			Scanned: &ScanResp{Digest: 0x0123456789abcdef, Same: true}}},
+		// The scan rider's edge cases (appended likewise): every digest a rider
+		// may name, the whole index under the empty prefix, and an answer with
+		// nothing under the prefix, its digest 0.
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: p("011"), Held: []uint64{
+			0x0101010101010101, 0x0202020202020202, 0x0303030303030303, 0x0404040404040404,
+			0x0505050505050505, 0x0606060606060606, 0x0707070707070707, 0x0808080808080808}}}},
+		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: bitpath.Empty, Held: []uint64{0x0123456789abcdef}}}},
+		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"), Scanned: &ScanResp{}}},
 	}
 }
 
@@ -244,11 +244,13 @@ func wireContent(m *Message) *Message {
 }
 
 // TestCrossCodecGoldenVectors is the compat contract across versions:
-// the frame this build encodes for every sample hashes to the digest
-// recorded from the last build that also carried the gob codec, so
-// retiring that codec (and anything after it) changed no byte a peer on
-// the binary codec sends or expects. Append a digest with each new sample;
-// an existing one changes only together with BinaryVersion.
+// the frame this build encodes for every sample hashes to its recorded
+// digest — most of them recorded from the last build that also carried the
+// gob codec — so no change moves a byte a peer sends or expects unnoticed.
+// Append a digest with each new sample; an existing one changes only with a
+// deliberate change of what its frame carries (DESIGN §15.4: the metrics and
+// history columns lost their schema stamp), and a sample retires with the
+// form it carried (the plain scan rider).
 func TestCrossCodecGoldenVectors(t *testing.T) {
 	samples := sampleMessages()
 	if len(samples) != len(goldenFrameSums) {
@@ -291,10 +293,7 @@ var goldenFrameSums = []uint64{
 	0xef28348b76f5d104, // query, read riding along
 	0x1f08a01bfa8b13d5, // query-resp, entry carried back
 	0x7eee8174a9f2abcd, // info, apply riding along
-	0xfdd0b7a9c43facb3, // info, scan riding along
 	0x87ad23aba3ef1e48, // info-resp, apply answered
-	0x8dceb9101f040007, // info-resp, scan answered
-	0x0726724904dd2153, // info-resp, empty scan answered
 	0x1de7b0cf707cfca4, // observe, every ask
 	0xada642e68989d889, // observe, no ask
 	0x5c33eb678ed29cf2, // observe, no payload
@@ -304,25 +303,28 @@ var goldenFrameSums = []uint64{
 	0xadfb8261262e0f79, // observe, history
 	0xae50c1dbc2d24669, // observe, repair
 	0x4f58b17cf8482f0b, // observe, traces
-	0x854c2244f9c263e5, // observe-resp, every column
+	0x0eb48a4575bb7071, // observe-resp, every column
 	0x46c7bbb89f962603, // observe-resp, no column
 	0xbb0061e0aa0272c5, // observe-resp, no payload
 	0x2d1c9c4b1ae96877, // observe-resp, links
 	0x9dcdaed1e7811dcd, // observe-resp, health
-	0x46f6c85ba712e1a1, // observe-resp, metrics
-	0x9fd458fab3b4d802, // observe-resp, history
+	0x9c06c83ccce4af19, // observe-resp, metrics without stamps or exemplars
+	0xb791322fdf259ecd, // observe-resp, history
 	0x37c3df67fdf54c4b, // observe-resp, repair
 	0x2e641421a6c6ee1c, // observe-resp, traces
 	0x65c96cecc56dcbaf, // apply, three entries
 	0xeac4ee334e0090ad, // observe-resp, health with data
-	0xf2d466723b791984, // observe-resp, metrics with data
-	0x87baf599be86b065, // observe-resp, history with data
+	0xc2c1b52a7011081d, // observe-resp, metrics with data
+	0x0820409a2da32fc4, // observe-resp, history with data
 	0xcf3456147d83adef, // observe-resp, repair with data
 	0x1e702e3107988f9c, // observe-resp, traces with data
 	0x6a60698d66fc132a, // info, digested scan riding along, two digests held
 	0x95132350fd63e534, // info, digested scan riding along, none held
 	0x3e73f464c216d787, // info-resp, digested scan answered with the entries
 	0x8e4a2e47b97e93f4, // info-resp, digested scan answered "same"
+	0xfb3f4672a6f72e3c, // info, scan riding along, eight digests held
+	0x87f538e99e05b66b, // info, scan of the whole index riding along
+	0x76170e7d20b52d23, // info-resp, empty scan answered with digest 0
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -362,6 +364,38 @@ func TestBinaryCorruptFrames(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	// framed frames body as kind, whatever the frame mutated.
+	framed := func(kind Kind, body []byte) func([]byte) []byte {
+		return func([]byte) []byte {
+			f := observeFrame(body)
+			f[3] = byte(kind)
+			return f
+		}
+	}
+	// A plain scan rider and its answer: the scan without the held bit.
+	plainScan := append(appendVarint(nil, 2), riderScan)
+	plainScan = appendPath(plainScan, bitpath.MustParse("011"))
+	plainAnswer, err := appendMessageBody(nil, &Message{Kind: KindInfoResp, From: 2, InfoResp: &InfoResp{Addr: 2, Path: "01"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainAnswer[1] = flagPresent | riderScan // the byte behind the sender
+	plainAnswer = appendEntries(plainAnswer, []store.Entry{{Key: "0110", Name: "f", Holder: 3, Version: 9}})
+	// A metrics column in the layout with a leading schema varint: v1, without
+	// incarnation stamps or exemplar lists, and v2, with both.
+	v1Metrics := v1MetricsBody()
+	v2Metrics := appendVarint(columnHead(AskMetrics), 2) // schema
+	v2Metrics = appendVarint(v2Metrics, 1700000000123456789)
+	v2Metrics = appendVarint(v2Metrics, 98765432100)
+	v2Metrics = appendUvarint(v2Metrics, 0) // no stats
+	v2Metrics = appendUvarint(v2Metrics, 0) // no hists
+	// A history column in that layout: the dump's schema, then a point whose
+	// snapshot leads with its own.
+	v2History := appendVarint(columnHead(AskHistory), 2) // schema
+	v2History = appendVarint(v2History, 2e9)             // IntervalNS
+	v2History = appendUvarint(v2History, 1)              // one point
+	v2History = appendVarint(v2History, 1700000000000000000)
+	v2History = append(v2History, v2Metrics[len(columnHead(AskMetrics)):]...)
 	cases := []struct {
 		name    string
 		mutate  func([]byte) []byte
@@ -391,6 +425,11 @@ func TestBinaryCorruptFrames(t *testing.T) {
 			_ = n
 			return b[:HeaderSize] // empty payload for a kind that requires one
 		}},
+		{name: "plain scan rider", mutate: framed(KindInfo, plainScan)},
+		{name: "plain scan answer", mutate: framed(KindInfoResp, plainAnswer)},
+		{name: "v1 metrics column", mutate: framed(KindObserveResp, v1Metrics)},
+		{name: "v2 metrics column with its schema", mutate: framed(KindObserveResp, v2Metrics)},
+		{name: "v2 history column with its schema", mutate: framed(KindObserveResp, v2History)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -874,10 +913,10 @@ func TestBinaryQueryFlags(t *testing.T) {
 
 // TestBinaryInfoRider: an info request's rider byte names exactly one
 // operation and the operation must follow it; an info answer's flags byte
-// holds the presence bit and at most one rider bit, and the answer it names
-// must close the payload. Anything else — a flag without its payload, both
-// riders at once, the held bit without the scan, an unknown bit, trailing
-// bytes — is corrupt, and the encoder
+// holds the presence bit and the bits of at most one rider, and the answer
+// it names must close the payload. Anything else — a flag without its
+// payload, both riders at once, the held bit without the scan, an unknown
+// bit, trailing bytes — is corrupt, and the encoder
 // refuses to produce what the decoder would refuse, an apply rider of other
 // than one entry among it.
 func TestBinaryInfoRider(t *testing.T) {
@@ -912,7 +951,7 @@ func TestBinaryInfoRider(t *testing.T) {
 		{KindInfo, cat(plain, []byte{0}), false},                                // a rider byte naming nothing
 		{KindInfo, cat(plain, []byte{flagPresent}), false},                      // not a rider bit
 		{KindInfo, cat(plain, []byte{riderApply}), false},                       // the apply without its entry
-		{KindInfo, cat(plain, []byte{riderScan}), false},                        // the scan without its prefix
+		{KindInfo, cat(plain, []byte{riderScan | riderHeld}), false},            // the scan without its prefix
 		{KindInfo, cat(plain, []byte{riderApply | riderScan}, scan[2:]), false}, // both riders
 		{KindInfo, cat(plain, []byte{riderHeld}, scan[2:]), false},              // the held bit without the scan
 		{KindInfo, cat(plain, []byte{riderScan | 1<<5}, scan[2:]), false},       // an unknown bit
@@ -926,7 +965,7 @@ func TestBinaryInfoRider(t *testing.T) {
 		{KindInfoResp, withFlags(answer(*links), flagPresent|riderHeld), false},             // the held bit without the scan
 		{KindInfoResp, withFlags(answer(*links), flagPresent|1<<5), false},                  // an unknown bit
 		{KindInfoResp, withFlags(answer(*links), flagPresent|riderApply), false},            // Changed missing
-		{KindInfoResp, withFlags(answer(*links), flagPresent|riderScan), false},             // entries missing
+		{KindInfoResp, withFlags(answer(*links), flagPresent|riderScan|riderHeld), false},   // digest and entries missing
 		{KindInfoResp, cat(answer(applied)[:len(answer(applied))-1], []byte{2}), false},     // Changed not a bool
 		{KindInfoResp, cat(answer(applied), []byte{0}), false},                              // trailing bytes
 		{KindInfoResp, cat(answer(scanned), []byte{0}), false},
@@ -953,12 +992,13 @@ func TestBinaryInfoRider(t *testing.T) {
 	}
 }
 
-// TestBinaryDigestedScanStrict: a digested scan names at most MaxHeld held
-// digests, each 8 bytes, and its answer carries the digest with the entries,
-// or alone when it says "same": a ninth digest, a short one, a "same" answer
-// with entries behind it or with the scan's bit beside it, and a digest
-// missing are corrupt. The encoder refuses what the decoder would, and a
-// digest on the standalone scan pair, which carries none.
+// TestBinaryDigestedScanStrict: a scan rider names at most MaxHeld held
+// digests, each 8 bytes, and its answer carries the range digest with the
+// entries, or alone when it says "same": a ninth digest, a short one, a
+// "same" answer with entries behind it or with the scan's bit beside it, and
+// a digest missing are corrupt. The encoder refuses what the decoder would,
+// and held digests or a range digest on the standalone scan pair, which
+// carries none.
 func TestBinaryDigestedScanStrict(t *testing.T) {
 	entry := store.Entry{Key: "0110", Name: "f", Holder: 3, Version: 9}
 	body := func(m *Message) []byte {
@@ -978,7 +1018,7 @@ func TestBinaryDigestedScanStrict(t *testing.T) {
 		return h
 	}
 	scan := func(h []uint64) []byte {
-		return body(&Message{Kind: KindInfo, From: 2, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Digested: true, Held: h}}})
+		return body(&Message{Kind: KindInfo, From: 2, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Held: h}}})
 	}
 	full := scan(held(MaxHeld))
 	// The frame a ninth digest would make: the count byte (behind the
@@ -992,8 +1032,9 @@ func TestBinaryDigestedScanStrict(t *testing.T) {
 		i.Scanned = &s
 		return body(&Message{Kind: KindInfoResp, From: 2, InfoResp: &i})
 	}
-	digested := answer(ScanResp{Entries: []store.Entry{entry}, Digested: true, Digest: 0xabcdef})
-	same := answer(ScanResp{Digested: true, Digest: 0xabcdef, Same: true})
+	digested := answer(ScanResp{Entries: []store.Entry{entry}, Digest: 0xabcdef})
+	same := answer(ScanResp{Digest: 0xabcdef, Same: true})
+	undigested := cat(body(&Message{Kind: KindInfoResp, From: 2, InfoResp: &links}), appendEntries(nil, []store.Entry{entry}))
 	withFlags := func(b []byte, f byte) []byte { b = bytes.Clone(b); b[1] = f; return b }
 
 	for _, tc := range []struct {
@@ -1013,7 +1054,7 @@ func TestBinaryDigestedScanStrict(t *testing.T) {
 		{"same beside the scan's bit", KindInfoResp, withFlags(same, flagPresent|riderSame|riderScan), false},
 		{"same beside the held bit", KindInfoResp, withFlags(same, flagPresent|riderSame|riderHeld), false},
 		{"same without its digest", KindInfoResp, same[:len(same)-8], false},
-		{"entries without their digest", KindInfoResp, withFlags(answer(ScanResp{Entries: []store.Entry{entry}}), flagPresent|riderScan|riderHeld), false},
+		{"entries without their digest", KindInfoResp, withFlags(undigested, flagPresent|riderScan|riderHeld), false},
 	} {
 		got, err := decodeMessageBody(tc.kind, tc.body, nil)
 		if tc.ok && err != nil {
@@ -1025,12 +1066,11 @@ func TestBinaryDigestedScanStrict(t *testing.T) {
 	}
 
 	for _, m := range []*Message{
-		{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Digested: true, Held: held(MaxHeld + 1)}}},
-		{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Held: held(1)}}},
-		{Kind: KindInfoResp, InfoResp: &InfoResp{Scanned: &ScanResp{Entries: []store.Entry{entry}, Digested: true, Same: true}}},
-		{Kind: KindInfoResp, InfoResp: &InfoResp{Scanned: &ScanResp{Digest: 5}}},
-		{Kind: KindScan, Scan: &ScanReq{Prefix: "01", Digested: true}},
-		{Kind: KindScanResp, ScanResp: &ScanResp{Digested: true, Digest: 5}},
+		{Kind: KindInfo, Info: &InfoReq{Scan: &ScanReq{Prefix: "01", Held: held(MaxHeld + 1)}}},
+		{Kind: KindInfoResp, InfoResp: &InfoResp{Scanned: &ScanResp{Entries: []store.Entry{entry}, Same: true}}},
+		{Kind: KindScan, Scan: &ScanReq{Prefix: "01", Held: held(1)}},
+		{Kind: KindScanResp, ScanResp: &ScanResp{Digest: 5}},
+		{Kind: KindScanResp, ScanResp: &ScanResp{Same: true}},
 	} {
 		if _, err := AppendFrame(nil, 1, 0, m); err == nil {
 			t.Errorf("encoder accepted %+v", m)
@@ -1174,7 +1214,8 @@ func observeFrame(body []byte) []byte {
 func TestBinaryMetricsCorrupt(t *testing.T) {
 	frame := observeFrame
 	prefix := func() []byte {
-		return appendVarint(columnHead(AskMetrics), 1) // Schema
+		b := appendVarint(columnHead(AskMetrics), 1) // StartEpochNS
+		return appendVarint(b, 1)                    // UptimeNS
 	}
 	cases := []struct {
 		name string
@@ -1243,13 +1284,11 @@ func TestBinaryMetricsCorrupt(t *testing.T) {
 func TestBinaryHistoryCorrupt(t *testing.T) {
 	frame := observeFrame
 	prefix := func() []byte {
-		b := appendVarint(columnHead(AskHistory), 2) // Dump.Schema
-		return appendVarint(b, 2e9)                  // IntervalNS
+		return appendVarint(columnHead(AskHistory), 2e9) // IntervalNS
 	}
-	// point emits one well-formed empty v2 snapshot point.
+	// point emits one well-formed empty snapshot point.
 	point := func(b []byte) []byte {
 		b = appendVarint(b, 1700000000000000000) // AtNS
-		b = appendVarint(b, 2)                   // snapshot Schema
 		b = appendVarint(b, 1)                   // StartEpochNS
 		b = appendVarint(b, 1)                   // UptimeNS
 		b = appendUvarint(b, 0)                  // no stats
@@ -1258,7 +1297,6 @@ func TestBinaryHistoryCorrupt(t *testing.T) {
 	oneHistPrefix := func() []byte {
 		b := appendUvarint(prefix(), 1)          // one point
 		b = appendVarint(b, 1700000000000000000) // AtNS
-		b = appendVarint(b, 2)                   // snapshot Schema
 		b = appendVarint(b, 1)                   // StartEpochNS
 		b = appendVarint(b, 1)                   // UptimeNS
 		b = appendUvarint(b, 0)                  // no stats
@@ -1308,8 +1346,8 @@ func TestBinaryHistoryCorrupt(t *testing.T) {
 		})
 	}
 	bad := &Message{Kind: KindObserveResp, From: 1, ObserveResp: &ObserveResp{
-		History: &telemetry.HistoryDump{Schema: 2, Points: []telemetry.HistoryPoint{
-			{AtNS: 1, Snap: telemetry.MetricsSnapshot{Schema: 2,
+		History: &telemetry.HistoryDump{Points: []telemetry.HistoryPoint{
+			{AtNS: 1, Snap: telemetry.MetricsSnapshot{
 				Hists: []telemetry.QHistSnapshot{{Name: "h",
 					ExIdx: []uint16{1, 2}, ExTrace: []uint64{5}}}}}}}}}
 	var buf bytes.Buffer
@@ -1368,14 +1406,12 @@ func TestBinaryRepairCorrupt(t *testing.T) {
 	}
 }
 
-// TestBinaryMetricsV1Body pins schema evolution on the binary codec: a
-// hand-built v1 metrics column — exactly what a pre-history peer's snapshot
-// holds, with no incarnation stamps and no exemplar lists — must decode
-// against this (v2) reader, and a v1 snapshot re-encoded by this build
-// must produce that same v1 layout.
-func TestBinaryMetricsV1Body(t *testing.T) {
+// v1MetricsBody is a metrics column in the retired v1 layout: a leading
+// schema varint, no incarnation stamps, and no exemplar list after a
+// histogram's pairs.
+func v1MetricsBody() []byte {
 	b := columnHead(AskMetrics)
-	b = appendVarint(b, 1)  // Schema: v1 — no epoch/uptime follow
+	b = appendVarint(b, 1)  // schema: v1
 	b = appendUvarint(b, 1) // one stat
 	b = appendString(b, "pgrid_rpc_served_total")
 	b = appendVarint(b, 42)
@@ -1384,32 +1420,36 @@ func TestBinaryMetricsV1Body(t *testing.T) {
 	b = append(b, 4)        // SubBits
 	b = appendVarint(b, 2)  // Count
 	b = appendVarint(b, 30) // Sum
-	b = appendUvarint(b, 1) // one pair — and no exemplar list after it
-	b = appendUvarint(b, 7)
-	b = appendVarint(b, 2)
+	b = appendUvarint(b, 1) // one pair, and no exemplar list after it
+	b = appendUvarint(b, 7) // idx
+	return appendVarint(b, 2)
+}
 
+// TestBinaryMetricsV1Body pins that a metrics column has one layout: the
+// hand-built v1 body is refused as corrupt, while the same stat and
+// histogram written by the encoder decode intact.
+func TestBinaryMetricsV1Body(t *testing.T) {
+	if _, _, m, err := ReadFrame(bytes.NewReader(observeFrame(v1MetricsBody()))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 metrics body: err = %v (decoded %+v), want ErrCorrupt", err, m)
+	}
+	b, err := appendMetricsSnapshot(columnHead(AskMetrics), telemetry.MetricsSnapshot{
+		Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42}},
+		Hists: []telemetry.QHistSnapshot{{Name: "h", SubBits: 4, Count: 2, Sum: 30,
+			Idx: []uint16{7}, N: []int64{2}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, _, m, err := ReadFrame(bytes.NewReader(observeFrame(b)))
 	if err != nil {
-		t.Fatalf("v2 reader rejected v1 body: %v", err)
+		t.Fatalf("current metrics body: %v", err)
 	}
 	snap := *m.ObserveResp.Metrics
-	if snap.Schema != 1 || snap.StartEpochNS != 0 || snap.UptimeNS != 0 {
-		t.Fatalf("v1 snapshot decoded wrong: %+v", snap)
-	}
 	if v, ok := snap.Stat("pgrid_rpc_served_total"); !ok || v != 42 {
-		t.Fatalf("v1 stat lost: %v %v", v, ok)
+		t.Fatalf("stat lost: %v %v", v, ok)
 	}
-	h, ok := snap.Hist("h")
-	if !ok || h.Count != 2 || len(h.ExIdx) != 0 {
-		t.Fatalf("v1 hist decoded wrong: %+v", h)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 0, 0, m); err != nil {
-		t.Fatalf("re-encode v1 snapshot: %v", err)
-	}
-	if got := buf.Bytes()[HeaderSize:]; !bytes.Equal(got, b) {
-		t.Fatalf("v1 snapshot did not re-encode to the v1 layout:\n got %x\nwant %x", got, b)
+	if h, ok := snap.Hist("h"); !ok || h.Count != 2 || h.Sum != 30 || len(h.Idx) != 1 || h.Idx[0] != 7 {
+		t.Fatalf("hist decoded wrong: %+v", h)
 	}
 }
 
@@ -1595,12 +1635,12 @@ func TestDecodedHistogramsValidate(t *testing.T) {
 		if h.SubBits == 0 {
 			h.SubBits = 4
 		}
-		snap := telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion, StartEpochNS: 1, UptimeNS: 1,
+		snap := telemetry.MetricsSnapshot{StartEpochNS: 1, UptimeNS: 1,
 			Hists: []telemetry.QHistSnapshot{h}}
 		for col, o := range map[string]*ObserveResp{
 			"metrics": {Metrics: &snap},
-			"history": {History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: 1e9,
-				Points: []telemetry.HistoryPoint{{AtNS: 1, Snap: telemetry.MetricsSnapshot{Schema: 2}}, {AtNS: 2, Snap: snap}}}},
+			"history": {History: &telemetry.HistoryDump{IntervalNS: 1e9,
+				Points: []telemetry.HistoryPoint{{AtNS: 1}, {AtNS: 2, Snap: snap}}}},
 		} {
 			t.Run(tc.name+"/"+col, func(t *testing.T) {
 				var buf bytes.Buffer

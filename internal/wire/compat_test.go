@@ -49,28 +49,43 @@ func TestKindNumbering(t *testing.T) {
 	}
 }
 
-// TestDecodeV1SnapshotFrame proves a schema-v1 metrics column — produced
-// by a peer that predates incarnation stamps and exemplars — decodes
-// against the current reader with the absent fields zero, which the reader
-// treats as "unknown epoch".
+// TestDecodeV1SnapshotFrame pins what became of a snapshot as a v1 peer
+// sent it, without incarnation stamp or exemplars: the encoder writes it in
+// the one layout, with no schema varint ahead of the zero stamps, and it
+// decodes with the absent fields zero, which the reader treats as "unknown
+// epoch". The same snapshot behind a schema varint is corrupt.
 func TestDecodeV1SnapshotFrame(t *testing.T) {
-	s := *roundTrip(t, &Message{Kind: KindObserveResp, From: 7,
-		ObserveResp: &ObserveResp{Metrics: &telemetry.MetricsSnapshot{
-			Schema: telemetry.MetricsSchemaV1,
-			Stats:  []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 33}},
-			Hists: []telemetry.QHistSnapshot{{Name: "lat", SubBits: 4, Count: 2,
-				Sum: 700, Idx: []uint16{16, 40}, N: []int64{1, 1}}},
-		}}}).ObserveResp.Metrics
-	if s.Schema != telemetry.MetricsSchemaV1 || len(s.Stats) != 1 || len(s.Hists) != 1 {
-		t.Fatalf("v1 snapshot mismatch: %+v", s)
+	in := telemetry.MetricsSnapshot{
+		Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 33}},
+		Hists: []telemetry.QHistSnapshot{{Name: "lat", SubBits: 4, Count: 2,
+			Sum: 700, Idx: []uint16{16, 40}, N: []int64{1, 1}}},
 	}
-	if s.StartEpochNS != 0 || s.UptimeNS != 0 {
-		t.Fatalf("absent incarnation stamp decoded non-zero: %+v", s)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 1, 0, &Message{Kind: KindObserveResp, From: 3,
+		ObserveResp: &ObserveResp{Metrics: &in}}); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()[HeaderSize:]
+	head := columnHead(AskMetrics)
+	if !bytes.HasPrefix(body, append(append([]byte(nil), head...), 0, 0)) {
+		t.Fatalf("body %x does not start with the column head and two zero stamps", body)
+	}
+	_, _, m, err := ReadFrame(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	s := *m.ObserveResp.Metrics
+	if len(s.Stats) != 1 || len(s.Hists) != 1 || s.StartEpochNS != 0 || s.UptimeNS != 0 {
+		t.Fatalf("snapshot mismatch: %+v", s)
 	}
 	if s.Hists[0].ExIdx != nil || s.Hists[0].ExTrace != nil {
 		t.Fatalf("absent exemplars decoded non-nil: %+v", s.Hists[0])
 	}
 	if !s.SameEpoch(telemetry.MetricsSnapshot{StartEpochNS: 12345}) {
 		t.Fatal("zero epoch must compare as unknown-same")
+	}
+	stamped := append(appendVarint(append([]byte(nil), head...), 1), body[len(head):]...)
+	if _, _, _, err := ReadFrame(bytes.NewReader(observeFrame(stamped))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("schema-stamped snapshot: err = %v, want ErrCorrupt", err)
 	}
 }

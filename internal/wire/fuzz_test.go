@@ -106,8 +106,8 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 		{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
 			Links:   &InfoResp{Addr: 2, Path: entry.Key[:2], Refs: []RefSet{{Addrs: []addr.Addr{5}}, {Addrs: []addr.Addr{6, 7}}}},
 			Health:  &HealthColumn{Digest: health.Digest{Addr: 2, Path: entry.Key[:2], RefCounts: []int{1, 2}}, Rounds: 3},
-			Metrics: &telemetry.MetricsSnapshot{Schema: telemetry.MetricsSchemaVersion, Stats: []telemetry.Stat{{Name: "n", Value: 1}}},
-			History: &telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: 1e9},
+			Metrics: &telemetry.MetricsSnapshot{Stats: []telemetry.Stat{{Name: "n", Value: 1}}},
+			History: &telemetry.HistoryDump{IntervalNS: 1e9},
 			Repair:  &repair.Status{Enabled: true, Faults: []repair.Tally{{Name: repair.FaultDeadRef, N: 1}}},
 			Traces:  &TracesColumn{Total: 1, Traces: []trace.Trace{{TraceID: 5, Key: entry.Key, Found: true}}}}},
 		{Kind: KindApply, From: 1, Apply: &ApplyReq{Entries: []store.Entry{entry, entry, {Key: entry.Key[:1], Name: "g", Version: 1}}}},
@@ -276,15 +276,14 @@ func FuzzHealthRoundTrip(f *testing.F) {
 // the histogram fails QHistSnapshot.Validate — the federation twin of
 // FuzzHealthRoundTrip.
 func FuzzMetricsRoundTrip(f *testing.F) {
-	f.Add(int32(0), 0, "", int64(0), uint8(4), uint16(0), int64(1), uint8(0))
-	f.Add(int32(3), 1, "pgrid_rpc_served_total", int64(42), uint8(4), uint16(900), int64(7), uint8(5))
-	f.Add(int32(-1), 9, "x", int64(-8), uint8(7), uint16(0xffff), int64(1)<<40, uint8(20))
-	f.Fuzz(func(t *testing.T, from int32, schema int, name string, value int64, subBits uint8, idx0 uint16, n0 int64, buckets uint8) {
+	f.Add(int32(0), "", int64(0), uint8(4), uint16(0), int64(1), uint8(0))
+	f.Add(int32(3), "pgrid_rpc_served_total", int64(42), uint8(4), uint16(900), int64(7), uint8(5))
+	f.Add(int32(-1), "x", int64(-8), uint8(7), uint16(0xffff), int64(1)<<40, uint8(20))
+	f.Fuzz(func(t *testing.T, from int32, name string, value int64, subBits uint8, idx0 uint16, n0 int64, buckets uint8) {
 		if from < -1 {
 			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
 		}
-		snap := telemetry.MetricsSnapshot{Schema: schema,
-			Stats: []telemetry.Stat{{Name: name, Value: value}}}
+		snap := telemetry.MetricsSnapshot{Stats: []telemetry.Stat{{Name: name, Value: value}}}
 		h := telemetry.QHistSnapshot{Name: name, SubBits: subBits}
 		for i := 0; i < int(buckets%32); i++ {
 			h.Idx = append(h.Idx, idx0+uint16(i))
@@ -310,7 +309,7 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 				t.Fatalf("metrics column lost")
 			}
 			g := *got.ObserveResp.Metrics
-			if g.Schema != schema || len(g.Stats) != 1 || g.Stats[0] != snap.Stats[0] {
+			if len(g.Stats) != 1 || g.Stats[0] != snap.Stats[0] {
 				t.Fatalf("stats mismatch: %+v vs %+v", g, snap)
 			}
 			gh := g.Hists[0]
@@ -334,8 +333,8 @@ func FuzzMetricsRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHistoryRoundTrip encodes fuzz-shaped history columns — mixed-schema
-// points, incarnation stamps, tail exemplars — through the codec and
+// FuzzHistoryRoundTrip encodes fuzz-shaped history columns — points with
+// incarnation stamps and tail exemplars — through the codec and
 // verifies they decode to the same dump, or to ErrCorrupt when a point's
 // histogram fails QHistSnapshot.Validate. The history twin of
 // FuzzMetricsRoundTrip.
@@ -347,22 +346,16 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 		if from < -1 {
 			from &= 0x7fffffff // the codec (rightly) rejects addresses below addr.Nil
 		}
-		dump := telemetry.HistoryDump{Schema: telemetry.MetricsSchemaVersion, IntervalNS: interval}
+		dump := telemetry.HistoryDump{IntervalNS: interval}
 		for i := 0; i < int(points%9); i++ {
 			snap := telemetry.MetricsSnapshot{
-				// Odd points ship the v1 layout, as a ring that survived a
-				// rolling upgrade would.
-				Schema:       telemetry.MetricsSchemaVersion - i%2,
 				StartEpochNS: epoch + int64(i%3),
 				UptimeNS:     int64(i) * interval,
 				Stats:        []telemetry.Stat{{Name: name, Value: value + int64(i)}},
 			}
-			if snap.Schema < 2 {
-				snap.StartEpochNS, snap.UptimeNS = 0, 0
-			}
 			h := telemetry.QHistSnapshot{Name: name, SubBits: 4,
 				Idx: []uint16{exIdx}, N: []int64{1 + int64(i)}, Count: 1 + int64(i), Sum: value}
-			if snap.Schema >= 2 && exTrace != 0 {
+			if exTrace != 0 {
 				h.ExIdx = []uint16{exIdx}
 				h.ExTrace = []uint64{exTrace}
 			}
@@ -389,13 +382,12 @@ func FuzzHistoryRoundTrip(f *testing.F) {
 				t.Fatalf("history column lost")
 			}
 			g := *got.ObserveResp.History
-			if g.Schema != dump.Schema || g.IntervalNS != dump.IntervalNS || len(g.Points) != len(dump.Points) {
+			if g.IntervalNS != dump.IntervalNS || len(g.Points) != len(dump.Points) {
 				t.Fatalf("dump mismatch: %+v vs %+v", g, dump)
 			}
 			for i, want := range dump.Points {
 				gp := g.Points[i]
-				if gp.AtNS != want.AtNS || gp.Snap.Schema != want.Snap.Schema ||
-					gp.Snap.StartEpochNS != want.Snap.StartEpochNS ||
+				if gp.AtNS != want.AtNS || gp.Snap.StartEpochNS != want.Snap.StartEpochNS ||
 					gp.Snap.UptimeNS != want.Snap.UptimeNS {
 					t.Fatalf("point %d mismatch: %+v vs %+v", i, gp, want)
 				}

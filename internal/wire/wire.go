@@ -276,28 +276,26 @@ type GetResp struct {
 }
 
 // ScanReq asks the receiver for every index entry under a key prefix
-// (textual prefix search with order-preserving keys). A digested scan, which
-// only rides on a BFS visit, also asks for the range digest
-// (store.PrefixDigest) and names in Held the digests of up to MaxHeld lists
-// the caller already holds: a receiver whose range digest is one of them
-// answers "same" instead of sending the list again.
+// (textual prefix search with order-preserving keys). A scan riding on a BFS
+// visit also asks for the range digest (store.PrefixDigest) and names in Held
+// the digests of up to MaxHeld lists the caller already holds: a receiver
+// whose range digest is one of them answers "same" instead of sending the list
+// again. A KindScan request names none.
 type ScanReq struct {
-	Prefix   bitpath.Path
-	Digested bool
-	Held     []uint64
+	Prefix bitpath.Path
+	Held   []uint64
 }
 
-// MaxHeld bounds the digests one digested scan names.
+// MaxHeld bounds the digests one scan rider names.
 const MaxHeld = 8
 
-// ScanResp returns the matching entries. The answer to a digested scan
-// carries their Digest too, or, with Same set, the digest alone: the
-// receiver's range is the held list of that digest.
+// ScanResp returns the matching entries. The answer to a scan rider carries
+// their Digest too, or, with Same set, the digest alone: the receiver's range
+// is the held list of that digest. A KindScanResp carries the entries alone.
 type ScanResp struct {
-	Entries  []store.Entry
-	Digested bool
-	Digest   uint64
-	Same     bool
+	Entries []store.Entry
+	Digest  uint64
+	Same    bool
 }
 
 // InfoReq is the rider a KindInfo request may carry (a plain one carries
@@ -369,14 +367,12 @@ type InfoAnswer struct {
 }
 
 // Scan answers the scan rider r in a from s: with the entries under r's
-// prefix, their digest too for a digested scan, or "same" when s's range
-// digest is one r holds. A Room's answer appends the entries to a pooled
+// prefix and their digest, or "same" when s's range digest is one r holds. A Room's answer appends the entries to a pooled
 // slice, which the room gives back once the reply is written; any other
 // answer — one its caller keeps — scans into an exact-size slice of its own.
 func (a *InfoAnswer) Scan(s *store.Store, r *ScanReq) {
 	a.Resp.Scanned = &a.Scanned
-	a.Scanned.Digested = r.Digested
-	if r.Digested && len(r.Held) > 0 {
+	if len(r.Held) > 0 {
 		if d := s.PrefixDigest(r.Prefix); slices.Contains(r.Held, d) {
 			a.Scanned.Digest, a.Scanned.Same = d, true
 			return
@@ -386,11 +382,7 @@ func (a *InfoAnswer) Scan(s *store.Store, r *ScanReq) {
 	if a.buf != nil {
 		dst = *a.buf
 	}
-	var d uint64
-	a.Scanned.Entries, d = s.AppendPrefixScan(dst, r.Prefix)
-	if r.Digested {
-		a.Scanned.Digest = d
-	}
+	a.Scanned.Entries, a.Scanned.Digest = s.AppendPrefixScan(dst, r.Prefix)
 }
 
 // LinkRoom is room for a peer's link state — the per-level reference sets and

@@ -272,13 +272,12 @@ func TestMetricsRoundTrip(t *testing.T) {
 
 	m := &Message{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
 		Metrics: &telemetry.MetricsSnapshot{
-			Schema: telemetry.MetricsSchemaVersion,
 			Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 42},
 				{Name: "pgrid_health_liveness_permille", Value: -1}},
 			Hists: []telemetry.QHistSnapshot{{Name: `pgrid_rpc_kind_latency_ns{kind="query"}`,
 				SubBits: 4, Count: 3, Sum: 3000, Idx: []uint16{16, 200}, N: []int64{2, 1}}}}}}
 	r := roundTrip(t, m).ObserveResp.Metrics
-	if r == nil || r.Schema != telemetry.MetricsSchemaVersion || len(r.Stats) != 2 {
+	if r == nil || len(r.Stats) != 2 {
 		t.Fatalf("metrics column did not round-trip: %+v", r)
 	}
 	h := r.Hists[0]
@@ -290,10 +289,9 @@ func TestMetricsRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped snapshot invalid: %v", err)
 	}
 
-	// Telemetry disabled: empty, schema-stamped snapshot.
+	// Telemetry disabled: an empty snapshot.
 	empty := roundTrip(t, &Message{Kind: KindObserveResp, From: 2,
-		ObserveResp: &ObserveResp{Metrics: &telemetry.MetricsSnapshot{
-			Schema: telemetry.MetricsSchemaVersion}}})
+		ObserveResp: &ObserveResp{Metrics: &telemetry.MetricsSnapshot{}}})
 	if m := empty.ObserveResp.Metrics; m == nil || len(m.Stats) != 0 {
 		t.Fatalf("empty snapshot round trip: %+v", empty.ObserveResp)
 	}
@@ -310,14 +308,12 @@ func TestHistoryRoundTrip(t *testing.T) {
 
 	m := &Message{Kind: KindObserveResp, From: 2, ObserveResp: &ObserveResp{
 		History: &telemetry.HistoryDump{
-			Schema: telemetry.MetricsSchemaVersion, IntervalNS: 2e9,
+			IntervalNS: 2e9,
 			Points: []telemetry.HistoryPoint{
 				{AtNS: 1e9, Snap: telemetry.MetricsSnapshot{
-					Schema:       telemetry.MetricsSchemaVersion,
 					StartEpochNS: 500, UptimeNS: 100,
 					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 1}}}},
 				{AtNS: 3e9, Snap: telemetry.MetricsSnapshot{
-					Schema:       telemetry.MetricsSchemaVersion,
 					StartEpochNS: 500, UptimeNS: 2100,
 					Stats: []telemetry.Stat{{Name: "pgrid_rpc_served_total", Value: 5}},
 					Hists: []telemetry.QHistSnapshot{{Name: "lat", SubBits: 4, Count: 1,
@@ -326,7 +322,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 			},
 		}}}
 	d := *roundTrip(t, m).ObserveResp.History
-	if d.Schema != telemetry.MetricsSchemaVersion || d.IntervalNS != 2e9 || len(d.Points) != 2 {
+	if d.IntervalNS != 2e9 || len(d.Points) != 2 {
 		t.Fatalf("history dump did not round-trip: %+v", d)
 	}
 	if d.Points[1].Snap.Hists[0].ExTrace[0] != 0xbeef {
@@ -336,10 +332,9 @@ func TestHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped dump rates = %v; want [2]", rates)
 	}
 
-	// History disabled: empty, schema-stamped dump.
+	// History disabled: an empty dump.
 	empty := roundTrip(t, &Message{Kind: KindObserveResp, From: 2,
-		ObserveResp: &ObserveResp{History: &telemetry.HistoryDump{
-			Schema: telemetry.MetricsSchemaVersion}}})
+		ObserveResp: &ObserveResp{History: &telemetry.HistoryDump{}}})
 	if h := empty.ObserveResp.History; h == nil || len(h.Points) != 0 {
 		t.Fatalf("empty dump round trip: %+v", empty.ObserveResp)
 	}
