@@ -13,10 +13,11 @@ import (
 	"pgrid/internal/wire"
 )
 
-// clusterFrame is one collection of `pgridctl cluster`: the federated
-// report of the community walk, with what the walk found breaking the
-// community's own invariants. Unlisted holds the -peers entries the walk
-// neither reached nor found unreachable: no reached peer references them.
+// clusterFrame is one collection of `pgridctl cluster`: the report of the
+// community walk over every reached peer's history window, with what the
+// walk found breaking the community's own invariants. Unlisted holds the
+// -peers entries the walk neither reached nor found unreachable: no reached
+// peer references them.
 type clusterFrame struct {
 	From       addr.Addr              `json:"from"`
 	At         time.Time              `json:"at"`
@@ -29,13 +30,13 @@ type clusterFrame struct {
 }
 
 // collectCluster walks the community from id, asking every peer its
-// metrics, health, liveness and repair, and checks the walk against the
+// history, health, liveness and repair, and checks the walk against the
 // -peers list all.
 func collectCluster(client *node.Client, id addr.Addr, all []addr.Addr, objectives []slo.Objective) clusterFrame {
-	res := client.Walk(id, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness | wire.AskRepair})
+	res := client.Walk(id, wire.ObserveReq{Asks: wire.AskHistory | wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 	f := clusterFrame{From: id, At: time.Now(), Messages: res.Messages, Reached: len(res.Reached),
 		Digests: len(res.Digests), Violations: res.Violations,
-		Report: analysis.AnalyzeCluster(res.Snapshots, res.Digests, res.Unreachable, objectives)}
+		Report: analysis.AnalyzeCluster(res.Dumps, res.Digests, res.Unreachable, objectives)}
 	f.Report.Grid.AttachRepair(res.Repairs)
 	for _, a := range all {
 		if !slices.Contains(res.Reached, a) && !slices.Contains(res.Unreachable, a) {
@@ -58,8 +59,9 @@ func (f clusterFrame) exitCode() int {
 }
 
 // print writes the frame as cluster's text view: the walk, every unreachable
-// peer, unlisted peer and violation, then the report — merged quantiles, RED
-// rollups, top-K offenders, SLO verdicts, the structural and repair census.
+// peer, unlisted peer and violation, then the report — RED rollups, the
+// windowed trends, per-kind rows and SLO verdicts, top-K offenders, the
+// structural and repair census.
 func (f clusterFrame) print(w io.Writer) {
 	fmt.Fprintf(w, "crawled %d peers from node %v (%d messages)\n", f.Reached, f.From, f.Messages)
 	for _, a := range f.Report.Unreachable {

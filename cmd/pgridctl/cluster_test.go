@@ -30,7 +30,7 @@ func TestClusterExitCode(t *testing.T) {
 		{"unreachable peer", func(f *clusterFrame) { f.Report.Unreachable = []addr.Addr{2} }, 1},
 		{"unlisted peer", func(f *clusterFrame) { f.Unlisted = []addr.Addr{2} }, 1},
 		{"violation", func(f *clusterFrame) { f.Violations = []node.Violation{{From: 1, Level: 1, To: 2}} }, 1},
-		{"latency objective breached", func(f *clusterFrame) { f.Report.SLO = []slo.Status{{Breached: true}} }, 1},
+		{"latency objective breached", func(f *clusterFrame) { f.Report.Trends.SLO = []slo.Status{{Breached: true}} }, 1},
 		{"availability breached", func(f *clusterFrame) { f.Report.AvailabilityBreached = true }, 1},
 		{"repair stuck", func(f *clusterFrame) { f.Report.Grid.Repair.State = "stuck" }, 1},
 	} {

@@ -43,8 +43,8 @@ func main() {
 		keybits  = flag.Int("keybits", 8, "bits for keys hashed from names")
 		timeout  = flag.Duration("timeout", 3*time.Second, "global bound on every RPC dial and roundtrip (must be > 0, or a dead peer would hang the CLI)")
 		retries  = flag.Int("retries", 3, "max attempts per RPC (1 = no retries)")
-		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster over cumulative counts and by watch and observe ask=history over the history window: kind:pNN:threshold,... (empty disables)")
-		jsonOut  = flag.Bool("json", false, "machine-readable output: observe, watch and cluster emit one JSON object per frame (observe's is the /debug/observe JSON)")
+		sloSpecs = flag.String("slo", "query:p99:5ms", "latency objectives, judged by cluster and observe ask=history over the history window: kind:pNN:threshold,... (empty disables)")
+		jsonOut  = flag.Bool("json", false, "machine-readable output: observe and cluster emit one JSON object per frame (observe's is the /debug/observe JSON)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: pgridctl -peers <endpoints> <command> [args]
@@ -64,18 +64,16 @@ commands:
                                 first), 'ask=traces&limit=5' or 'ask=history&window=2m' (trends, and
                                 per kind the calls, their rate and latency quantiles)
   cluster <id> [interval] [count]
-                                walk the community from node <id> and print its verdict: merged latency
-                                quantiles, RED rollups, top-K slow and erroring peers, SLO burn, the
+                                walk the community from node <id> and print its verdict over every
+                                reached peer's history ring: RED rollups, sparkline trends (RPC rate,
+                                error rate, served p99, pool wait), per-kind calls, rate and quantiles,
+                                anomaly findings, top-K slow and erroring peers, windowed SLO burn, the
                                 structural and repair census, unreachable and unlisted peers and every
                                 reference breaking the Sec. 2 property; one shot (the default) exits 1
                                 if any of those fails
-  watch <id> [interval] [count]
-                                sparkline trends from every reachable peer's history ring (the walk
-                                from node <id>): RPC rate, error rate, served p99, pool wait, per-kind
-                                calls, rate and quantiles, anomaly findings and windowed SLO verdicts
 
-[interval] [count] refreshes every interval (2s) count times, 0 = until killed: watch's default, and
-observe's and cluster's once an interval is given; count 1 prints one plain frame, exiting with its code
+[interval] [count] refreshes every interval, count times (0, the default, = until killed); without
+them, or with count 1, one plain frame is printed and the process exits with its code
 `)
 		flag.PrintDefaults()
 	}
@@ -245,7 +243,7 @@ observe's and cluster's once an interval is given; count 1 prints one plain fram
 		if err != nil {
 			usageError("%v", err)
 		}
-		interval, count := intervalCount(args[2:], 1)
+		interval, count := intervalCount(args[2:])
 		os.Exit(refresh(os.Stdout, fmt.Sprintf("observe node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
 			o, err := client.Observe(id, req)
 			if err != nil {
@@ -254,19 +252,9 @@ observe's and cluster's once an interval is given; count 1 prints one plain fram
 			return o, func(w io.Writer) { analysis.RenderObserve(w, id, o, len(all), objectives) }, 0
 		}))
 
-	case "watch":
-		id := mustID(args, 0)
-		interval, count := intervalCount(args[1:], 0)
-		os.Exit(refresh(os.Stdout, fmt.Sprintf("watch from node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
-			f := collectWatch(client, id, objectives)
-			return f, f.print, f.exitCode()
-		}))
-
 	case "cluster":
 		id := mustID(args, 0)
-		// One frame by default: the report is a diagnostic document, not a
-		// dashboard.
-		interval, count := intervalCount(args[1:], 1)
+		interval, count := intervalCount(args[1:])
 		os.Exit(refresh(os.Stdout, fmt.Sprintf("cluster from node %v", id), interval, count, *jsonOut, func() (any, func(io.Writer), int) {
 			f := collectCluster(client, id, all, objectives)
 			return f, f.print, f.exitCode()
@@ -300,11 +288,12 @@ func mustID(args []string, i int) addr.Addr {
 	return addr.Addr(v)
 }
 
-// intervalCount parses the [interval] [count] tail observe, watch and
-// cluster share: the interval defaults to 2s, and the count to count unless
-// an interval is given, which refreshes until killed (count 0).
-func intervalCount(tail []string, count int) (time.Duration, int) {
-	interval := 2 * time.Second
+// intervalCount parses the [interval] [count] tail observe and cluster
+// share: no tail is one frame, and an interval alone refreshes until killed
+// (count 0).
+func intervalCount(tail []string) (time.Duration, int) {
+	var interval time.Duration
+	count := 1
 	if len(tail) > 0 {
 		d, err := time.ParseDuration(tail[0])
 		if err != nil || d <= 0 {
@@ -322,7 +311,7 @@ func intervalCount(tail []string, count int) (time.Duration, int) {
 	return interval, count
 }
 
-// refresh is the loop observe, watch and cluster share: count frames
+// refresh is the loop observe and cluster share: count frames
 // (0 = until killed) interval apart, each collected anew and written to w —
 // one JSON object a line with jsonOut, else its text, which a refreshing run
 // redraws in place under the title and the time. Count 1 prints one plain

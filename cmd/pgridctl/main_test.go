@@ -55,8 +55,9 @@ func pgridctl(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // liveNode serves one peer on a loopback port with telemetry on and a
 // history ring of three samples a second apart: one, two, then three client
-// queries per interval. It returns the -peers value naming it.
-func liveNode(t *testing.T) string {
+// queries per interval, and before the i-th sample whatever serve(i, tel)
+// records (nil records nothing more). It returns the -peers value naming it.
+func liveNode(t *testing.T, serve func(i int, tel *telemetry.Instruments)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -72,6 +73,9 @@ func liveNode(t *testing.T) string {
 		for j := 0; j <= i; j++ {
 			tel.ClientRPC("query", 2*time.Millisecond, nil)
 		}
+		if serve != nil {
+			serve(i, tel)
+		}
 		hist.Record(tel.MetricsSnapshot())
 		clock = clock.Add(time.Second)
 	}
@@ -86,10 +90,10 @@ func liveNode(t *testing.T) string {
 	return "0=" + ln.Addr().String()
 }
 
-// TestTopClusterRefused: top and watch's -cluster switch are retired —
-// observe <id> ask=history reads one peer's trends, watch <id> always walks
-// the community — so each is refused as a usage error, before any peer is
-// asked.
+// TestTopClusterRefused: top and watch are retired — observe <id>
+// ask=history reads one peer's trends, cluster <id> walks the community over
+// the history window — so each is refused as a usage error, before any peer
+// is asked.
 func TestTopClusterRefused(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -97,7 +101,8 @@ func TestTopClusterRefused(t *testing.T) {
 	}{
 		{[]string{"top", "0"}, `unknown command "top"`},
 		{[]string{"top", "-cluster", "0"}, `unknown command "top"`},
-		{[]string{"watch", "-cluster", "0"}, `bad peer id "-cluster"`},
+		{[]string{"watch", "0"}, `unknown command "watch"`},
+		{[]string{"watch", "-cluster", "0"}, `unknown command "watch"`},
 	} {
 		_, stderr, code := pgridctl(t, append([]string{"-peers", "0=127.0.0.1:1"}, tc.args...)...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "usage: pgridctl") {
@@ -111,7 +116,7 @@ func TestTopClusterRefused(t *testing.T) {
 // rate over the newest interval, windowed quantiles) and the -slo verdicts —
 // and exits 0; its -json frame is the observe answer itself.
 func TestObserveHistoryKindRows(t *testing.T) {
-	peers := liveNode(t)
+	peers := liveNode(t, nil)
 	out, stderr, code := pgridctl(t, "-peers", peers, "-slo", "query:p99:5ms", "observe", "0", "ask=history", "1s", "1")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s%s", code, out, stderr)
@@ -133,37 +138,83 @@ func TestObserveHistoryKindRows(t *testing.T) {
 	}
 }
 
-// TestWatchAndClusterJSON: watch and cluster emit one JSON object a frame,
-// which decodes back into the frame the text view prints.
-func TestWatchAndClusterJSON(t *testing.T) {
-	peers := liveNode(t)
-	out, stderr, code := pgridctl(t, "-peers", peers, "-json", "watch", "0", "1ms", "2")
+// TestClusterJSON: cluster emits one JSON object a frame, which decodes
+// back into the frame the text view prints: the one peer, and its client
+// query row from the history window.
+func TestClusterJSON(t *testing.T) {
+	peers := liveNode(t, nil)
+	out, stderr, code := pgridctl(t, "-peers", peers, "-json", "cluster", "0", "1ms", "2")
 	if code != 0 {
-		t.Fatalf("watch: exit %d\n%s", code, stderr)
+		t.Fatalf("cluster: exit %d\n%s", code, stderr)
 	}
 	sc := bufio.NewScanner(strings.NewReader(out))
 	frames := 0
 	for ; sc.Scan(); frames++ {
-		var f watchFrame
+		var f clusterFrame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatalf("watch frame %d: %v\n%s", frames, err, sc.Text())
+			t.Fatalf("cluster frame %d: %v\n%s", frames, err, sc.Text())
 		}
-		if f.Report.Peers != 1 || f.Messages != 1 || len(f.Report.Kinds) != 1 || f.Report.Kinds[0].Count != 6 {
-			t.Errorf("watch frame %d = %+v, want one peer and its client query row", frames, f)
+		k := f.Report.Trends.Kinds
+		if f.Reached != 1 || f.Report.Peers != 1 || f.Messages != 1 || len(k) != 1 || k[0].Kind != "query" || k[0].Count != 6 {
+			t.Errorf("cluster frame %d = %+v, want one peer and its client query row", frames, f)
 		}
 	}
 	if frames != 2 {
-		t.Errorf("watch ... 1ms 2 printed %d frames, want 2", frames)
-	}
-
-	out, stderr, _ = pgridctl(t, "-peers", peers, "-json", "cluster", "0")
-	var f clusterFrame
-	if err := json.Unmarshal([]byte(out), &f); err != nil || f.Reached != 1 || f.Report.Peers != 1 {
-		t.Fatalf("cluster -json = %+v, %v\n%s", f, err, stderr)
+		t.Errorf("cluster ... 1ms 2 printed %d frames, want 2", frames)
 	}
 }
 
-// TestRefresh pins the loop observe, watch and cluster share: count frames,
+// serveQueries records n served queries that each took d.
+func serveQueries(tel *telemetry.Instruments, n int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		tel.ServedRPC("query")
+		tel.ServedRPCTraced("query", d, false, 0)
+	}
+}
+
+// TestClusterJudgesTheWindow: cluster's verdict is the history window's.
+// 100 slow served queries before the ring's first point and 200 fast ones
+// after it breach query:p99:5ms over cumulative counts (a third slow), but
+// the window holds only the fast ones: cluster exits 0 and prints the
+// windowed burn observe ask=history prints. The same 100 slow queries inside
+// the window breach it, and cluster exits 1.
+func TestClusterJudgesTheWindow(t *testing.T) {
+	sloLine := func(out string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "slo            query:p99:5ms") {
+				return l
+			}
+		}
+		return ""
+	}
+	before := liveNode(t, func(i int, tel *telemetry.Instruments) {
+		if i == 0 {
+			serveQueries(tel, 100, 50*time.Millisecond)
+		} else {
+			serveQueries(tel, 100, time.Millisecond)
+		}
+	})
+	out, stderr, code := pgridctl(t, "-peers", before, "-slo", "query:p99:5ms", "cluster", "0")
+	observed, _, _ := pgridctl(t, "-peers", before, "-slo", "query:p99:5ms", "observe", "0", "ask=history")
+	line := sloLine(out)
+	if code != 0 || !strings.Contains(line, "windowed burn 0.00 (0 of 200 slow)  ok") || line != sloLine(observed) {
+		t.Errorf("slow queries before the window: exit %d, slo %q, observe's %q\n%s%s", code, line, sloLine(observed), out, stderr)
+	}
+
+	inside := liveNode(t, func(i int, tel *telemetry.Instruments) {
+		if i == 2 {
+			serveQueries(tel, 100, 50*time.Millisecond)
+		} else {
+			serveQueries(tel, 100, time.Millisecond)
+		}
+	})
+	out, stderr, code = pgridctl(t, "-peers", inside, "-slo", "query:p99:5ms", "cluster", "0")
+	if line := sloLine(out); code != 1 || !strings.Contains(line, "(100 of 200 slow)  BREACHED") {
+		t.Errorf("slow queries inside the window: exit %d, slo %q\n%s%s", code, line, out, stderr)
+	}
+}
+
+// TestRefresh pins the loop observe and cluster share: count frames,
 // each collected anew; a refreshing run clears the screen and titles each
 // frame, one frame (count 1) is printed plain, the JSON stream is one object
 // a line and never clears; the run exits with the last frame's code.

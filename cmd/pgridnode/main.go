@@ -38,13 +38,13 @@
 // -history-interval the node runs its one metrics
 // sampler: each tick takes one snapshot of every series into a fixed-memory
 // ring five minutes deep, served at /debug/observe?ask=history and to
-// `pgridctl observe <id> ask=history` and `pgridctl watch` over the wire
+// `pgridctl observe <id> ask=history` and `pgridctl cluster` over the wire
 // (per kind the calls, their rate and windowed quantiles); latency buckets at or above the 0.99
 // quantile keep the trace id of their latest traced request, which rides in
 // the metrics column's ExIdx/ExTrace (`pgridctl -json observe <id>
 // ask=metrics` shows it). The node
-// judges no latency objective: `pgridctl -slo` does, over the ring (`watch`)
-// or over cumulative counts (`cluster`).
+// judges no latency objective: `pgridctl -slo` does, over the ring
+// (`cluster`, `observe <id> ask=history`).
 package main
 
 import (

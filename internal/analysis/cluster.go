@@ -14,7 +14,7 @@ import (
 	"pgrid/internal/telemetry"
 )
 
-// Histogram families federated into per-kind cluster quantiles, and the
+// Histogram families read for the per-kind rows and the served p99, and the
 // counters rolled into the cluster RED view. These names match what
 // telemetry.Instruments registers on every node.
 const (
@@ -36,76 +36,8 @@ const TopK = 5
 // deliver.
 const AvailabilityMargin = 0.05
 
-// KindLatency is one merged latency row: every peer's histogram for this
-// scope and kind summed bucket-wise, so the quantiles are exactly those of
-// the union stream (not an average of per-peer quantiles, which would be
-// meaningless). Rate is the calls per second over the newest interval of
-// the history ring; a cluster report, read from cumulative counts, has none.
-type KindLatency struct {
-	Scope string // "served" or "client"
-	Kind  string
-	Hist  telemetry.QHistSnapshot
-	Count int64
-	Rate  float64 `json:",omitempty"`
-	P50   int64
-	P95   int64
-	P99   int64
-	P999  int64
-}
-
-// kindKey names one latency row.
-type kindKey struct{ scope, kind string }
-
-// latencyRows turns merged per-kind histograms into rows sorted by scope
-// then kind, the quantiles read from each histogram and the count from
-// counts (the histogram's own count where counts is nil). A kind with no
-// calls is left out.
-func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) []KindLatency {
-	var rows []KindLatency
-	for k, h := range hists {
-		n := h.Count
-		if counts != nil {
-			n = counts[k]
-		}
-		if n == 0 {
-			continue
-		}
-		qs := h.Quantiles(telemetry.QuantilePoints...)
-		rows = append(rows, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h, Count: n, Rate: rates[k],
-			P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Scope != rows[j].Scope {
-			return rows[i].Scope < rows[j].Scope
-		}
-		return rows[i].Kind < rows[j].Kind
-	})
-	return rows
-}
-
-// renderLatency writes latency rows as one table — scope, kind, call
-// count, then with rate the calls per second over the newest interval, then
-// p50 to p999 — the table both the cluster report and the trend report
-// print. No rows, no table.
-func renderLatency(w io.Writer, rows []KindLatency, rate bool) {
-	if len(rows) == 0 {
-		return
-	}
-	head := fmt.Sprintf("%-7s %-10s %8s", "scope", "kind", "count")
-	if rate {
-		head += fmt.Sprintf(" %8s", "rate/s")
-	}
-	fmt.Fprintf(w, "latency        %s %9s %9s %9s %9s\n", head, "p50", "p95", "p99", "p999")
-	for _, l := range rows {
-		row := fmt.Sprintf("%-7s %-10s %8d", l.Scope, l.Kind, l.Count)
-		if rate {
-			row += fmt.Sprintf(" %8.1f", l.Rate)
-		}
-		fmt.Fprintf(w, "               %s %9s %9s %9s %9s\n", row, fmtNS(l.P50), fmtNS(l.P95), fmtNS(l.P99), fmtNS(l.P999))
-	}
-}
-
-// PeerSummary is the per-peer RED rollup feeding the top-K tables.
+// PeerSummary is one peer's served calls, errors and p99 over its history
+// window, feeding the top-K tables.
 type PeerSummary struct {
 	Addr         addr.Addr
 	Served       int64
@@ -113,31 +45,29 @@ type PeerSummary struct {
 	ServedP99    int64 // p99 over the peer's served histograms, all kinds merged
 }
 
-// ClusterReport is the federated observability view of a crawled
-// community: merged latency quantiles, request/error/drop rollups, the
-// peers dragging the tail, and the SLO verdicts.
+// ClusterReport is the community verdict over a crawled community: RED
+// rollups, the windowed trend view with the latency objectives, the peers
+// dragging the tail, and the structural census with the availability
+// objective.
 type ClusterReport struct {
-	Peers       int // peers that contributed a metrics snapshot
+	Peers       int // peers that answered the walk
 	Unreachable []addr.Addr
 
-	// RED rollups summed across every collected peer.
+	// RED rollups: every peer's counters at the newest point of its
+	// history ring, summed.
 	ServedTotal  int64
 	ServedErrors int64
 	ClientTotal  int64
 	ClientErrors int64
 
-	// Latency holds the merged per-kind quantile rows, sorted by scope
-	// then kind.
-	Latency []KindLatency
+	// Trends is the view over the history window: the series, the
+	// per-kind rows, the findings and one verdict per latency objective.
+	Trends TrendReport
 
-	// TopSlow lists up to TopK peers by served p99, worst first; TopErr
-	// up to TopK peers by served error count, worst first.
+	// TopSlow lists up to TopK peers by windowed served p99, worst first;
+	// TopErr up to TopK peers by windowed served errors, worst first.
 	TopSlow []PeerSummary
 	TopErr  []PeerSummary
-
-	// SLO holds one verdict per latency objective, evaluated against the
-	// merged served histograms.
-	SLO []slo.Status
 
 	// Grid is the structural census from the digests gathered during the
 	// same collection, and the availability objective derived from it:
@@ -172,98 +102,38 @@ func splitHistName(full string) (family, kind string) {
 	return family, ""
 }
 
-// AnalyzeCluster folds per-peer metrics snapshots (the metrics column of
-// node.Client.Walk) into the cluster report. digests and unreachable
-// ride along from the same crawl; objectives are the latency SLOs to
-// verdict (nil means no latency SLO section).
-func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []health.Digest,
+// AnalyzeCluster folds the history dumps of a community walk (the history
+// column of node.Client.Walk) into the cluster report: the RED rollups from
+// each dump's newest point, and AnalyzeTrends' windowed view, objectives and
+// per-peer windows for the top-K. digests and unreachable ride along from the
+// same walk; objectives are the latency SLOs to verdict.
+func AnalyzeCluster(dumps map[addr.Addr]telemetry.HistoryDump, digests []health.Digest,
 	unreachable []addr.Addr, objectives []slo.Objective) ClusterReport {
 	r := ClusterReport{
-		Peers:       len(snaps),
+		Peers:       len(dumps),
 		Unreachable: append([]addr.Addr(nil), unreachable...),
 	}
 	sort.Slice(r.Unreachable, func(i, j int) bool { return r.Unreachable[i] < r.Unreachable[j] })
 
-	merged := make(map[kindKey]telemetry.QHistSnapshot)
-	peers := make([]PeerSummary, 0, len(snaps))
-
-	addrs := make([]addr.Addr, 0, len(snaps))
-	for a := range snaps {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
-	for _, a := range addrs {
-		snap := snaps[a]
-		ps := PeerSummary{Addr: a}
-		if v, ok := snap.Stat(statServedTotal); ok {
-			ps.Served = v
-			r.ServedTotal += v
+	for _, d := range dumps {
+		if len(d.Points) == 0 {
+			continue // a peer that keeps no history adds no requests
 		}
-		if v, ok := snap.Stat(statServedErrors); ok {
-			ps.ServedErrors = v
-			r.ServedErrors += v
-		}
-		if v, ok := snap.Stat(statClientTotal); ok {
-			r.ClientTotal += v
-		}
-		if v, ok := snap.Stat(statClientErrors); ok {
-			r.ClientErrors += v
-		}
-
-		peerServed := telemetry.QHistSnapshot{}
-		for _, h := range snap.Hists {
-			family, kind := splitHistName(h.Name)
-			var scope string
-			switch family {
-			case servedHistFamily:
-				scope = "served"
-			case clientHistFamily:
-				scope = "client"
-			default:
-				continue // pool waits etc. stay node-local
-			}
-			k := kindKey{scope, kind}
-			m, err := telemetry.MergeQHist(merged[k], h)
-			if err != nil {
-				continue // a geometry this build does not use (the decoder refuses one): skip, don't poison
-			}
-			merged[k] = m
-			if scope == "served" {
-				if ph, err := telemetry.MergeQHist(peerServed, h); err == nil {
-					peerServed = ph
-				}
-			}
-		}
-		if peerServed.Count > 0 {
-			ps.ServedP99 = peerServed.Quantile(0.99)
-		}
-		peers = append(peers, ps)
+		newest := d.Points[len(d.Points)-1].Snap
+		served, _ := newest.Stat(statServedTotal)
+		servedErrs, _ := newest.Stat(statServedErrors)
+		client, _ := newest.Stat(statClientTotal)
+		clientErrs, _ := newest.Stat(statClientErrors)
+		r.ServedTotal += served
+		r.ServedErrors += servedErrs
+		r.ClientTotal += client
+		r.ClientErrors += clientErrs
 	}
 
-	r.Latency = latencyRows(merged, nil, nil)
-
-	slow := append([]PeerSummary(nil), peers...)
-	sort.SliceStable(slow, func(i, j int) bool { return slow[i].ServedP99 > slow[j].ServedP99 })
-	for _, p := range slow {
-		if p.ServedP99 <= 0 || len(r.TopSlow) == TopK {
-			break
-		}
-		r.TopSlow = append(r.TopSlow, p)
-	}
-	erring := append([]PeerSummary(nil), peers...)
-	sort.SliceStable(erring, func(i, j int) bool { return erring[i].ServedErrors > erring[j].ServedErrors })
-	for _, p := range erring {
-		if p.ServedErrors <= 0 || len(r.TopErr) == TopK {
-			break
-		}
-		r.TopErr = append(r.TopErr, p)
-	}
-
-	for _, o := range objectives {
-		h := merged[kindKey{"served", o.Kind}]
-		r.SLO = append(r.SLO, slo.Eval(o, h))
-	}
+	var peers []PeerSummary
+	r.Trends, peers = AnalyzeTrends(dumps, objectives)
+	r.TopSlow = topK(peers, func(p PeerSummary) int64 { return p.ServedP99 })
+	r.TopErr = topK(peers, func(p PeerSummary) int64 { return p.ServedErrors })
 
 	r.Grid = AnalyzeGrid(digests)
 	if r.Grid.MeasuredAvailability >= 0 && r.Grid.Eq3Availability >= 0 {
@@ -275,13 +145,28 @@ func AnalyzeCluster(snaps map[addr.Addr]telemetry.MetricsSnapshot, digests []hea
 	return r
 }
 
-// Breached reports whether any objective — latency or availability — is
-// currently in breach.
+// topK lists up to TopK peers by key, largest first (ties in address
+// order), leaving out peers whose key is zero.
+func topK(peers []PeerSummary, key func(PeerSummary) int64) []PeerSummary {
+	sorted := append([]PeerSummary(nil), peers...)
+	sort.SliceStable(sorted, func(i, j int) bool { return key(sorted[i]) > key(sorted[j]) })
+	var out []PeerSummary
+	for _, p := range sorted {
+		if key(p) <= 0 || len(out) == TopK {
+			break
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// Breached reports whether any objective — latency over the window, or
+// availability — is currently in breach.
 func (r ClusterReport) Breached() bool {
 	if r.AvailabilityBreached {
 		return true
 	}
-	for _, s := range r.SLO {
+	for _, s := range r.Trends.SLO {
 		if s.Breached {
 			return true
 		}
@@ -348,24 +233,16 @@ func RenderClusterReport(w io.Writer, r ClusterReport) {
 	fmt.Fprintf(w, "requests       served %d (errors %d), client %d (errors %d)\n",
 		r.ServedTotal, r.ServedErrors, r.ClientTotal, r.ClientErrors)
 
-	renderLatency(w, r.Latency, false)
+	RenderTrendReport(w, r.Trends)
 	for _, p := range r.TopSlow {
-		fmt.Fprintf(w, "slowest        peer %d: served p99 %s over %d rpcs\n",
+		fmt.Fprintf(w, "slowest        peer %d: served p99 %s over %d rpcs in the window\n",
 			int(p.Addr), fmtNS(p.ServedP99), p.Served)
 	}
 	for _, p := range r.TopErr {
-		fmt.Fprintf(w, "errors         peer %d: %d served errors of %d rpcs\n",
+		fmt.Fprintf(w, "errors         peer %d: %d served errors of %d rpcs in the window\n",
 			int(p.Addr), p.ServedErrors, p.Served)
 	}
 
-	for _, s := range r.SLO {
-		verdict := "ok"
-		if s.Breached {
-			verdict = "BREACHED"
-		}
-		fmt.Fprintf(w, "slo            %-22s burn %.2f (bad %.2f%%, budget %.2f%%, %d of %d slow)  %s\n",
-			s.Spec, s.Burn, 100*s.BadFrac, 100*s.Objective.Budget(), s.Total-s.Good, s.Total, verdict)
-	}
 	if r.AvailabilityKnown {
 		verdict := "ok"
 		if r.AvailabilityBreached {

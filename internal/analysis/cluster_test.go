@@ -13,16 +13,11 @@ import (
 	"pgrid/internal/telemetry"
 )
 
-// snapFor builds a metrics snapshot whose served-query histogram observed
-// the given durations, with nErr of them marked as error replies.
-func snapFor(t *testing.T, node int, nErr int, durs ...time.Duration) telemetry.MetricsSnapshot {
+// windowOf is a peer's history dump whose one interval served the given
+// queries, nErr of them error replies.
+func windowOf(t *testing.T, node int, nErr int, durs ...time.Duration) telemetry.HistoryDump {
 	t.Helper()
-	tel := telemetry.New(node)
-	for i, d := range durs {
-		tel.ServedRPC("query")
-		tel.ServedRPCTraced("query", d, i < nErr, 0)
-	}
-	return tel.MetricsSnapshot()
+	return trendDump(t, node, time.Second, [][]time.Duration{durs}, map[int]int{0: nErr})
 }
 
 func TestSplitHistName(t *testing.T) {
@@ -41,23 +36,23 @@ func TestSplitHistName(t *testing.T) {
 }
 
 func TestAnalyzeClusterMergesQuantiles(t *testing.T) {
-	// Three peers with disjoint latency streams; the merged quantiles must
-	// equal those of one histogram fed the union.
+	// Three peers with disjoint latency streams in their windows; the merged
+	// quantiles must equal those of one histogram fed the union.
 	streams := [][]time.Duration{
 		{time.Millisecond, 2 * time.Millisecond},
 		{10 * time.Millisecond, 11 * time.Millisecond, 12 * time.Millisecond},
 		{400 * time.Millisecond},
 	}
 	union := telemetry.New(99)
-	snaps := make(map[addr.Addr]telemetry.MetricsSnapshot)
+	dumps := make(map[addr.Addr]telemetry.HistoryDump)
 	for i, durs := range streams {
-		snaps[addr.Addr(i)] = snapFor(t, i, 0, durs...)
+		dumps[addr.Addr(i)] = windowOf(t, i, 0, durs...)
 		for _, d := range durs {
 			union.ServedRPCTraced("query", d, false, 0)
 		}
 	}
 
-	r := AnalyzeCluster(snaps, nil, []addr.Addr{7}, nil)
+	r := AnalyzeCluster(dumps, nil, []addr.Addr{7}, nil)
 	if r.Peers != 3 || len(r.Unreachable) != 1 || r.Unreachable[0] != 7 {
 		t.Fatalf("report head = %+v", r)
 	}
@@ -65,13 +60,13 @@ func TestAnalyzeClusterMergesQuantiles(t *testing.T) {
 		t.Fatalf("RED rollup: served %d errors %d", r.ServedTotal, r.ServedErrors)
 	}
 	var row *KindLatency
-	for i := range r.Latency {
-		if r.Latency[i].Scope == "served" && r.Latency[i].Kind == "query" {
-			row = &r.Latency[i]
+	for i, k := range r.Trends.Kinds {
+		if k.Scope == "served" && k.Kind == "query" {
+			row = &r.Trends.Kinds[i]
 		}
 	}
-	if row == nil || row.Count != 6 {
-		t.Fatalf("latency rows = %+v", r.Latency)
+	if row == nil || row.Count != 6 || row.Hist.Count != 6 {
+		t.Fatalf("latency rows = %+v", r.Trends.Kinds)
 	}
 	uh, _ := union.MetricsSnapshot().Hist(`pgrid_rpc_served_latency_ns{kind="query"}`)
 	for i, p := range telemetry.QuantilePoints {
@@ -83,28 +78,38 @@ func TestAnalyzeClusterMergesQuantiles(t *testing.T) {
 	}
 }
 
+// TestAnalyzeClusterTopKAndSLO: the top-K and the objectives read each
+// peer's window. Peer 3 served a 900ms error before its ring's first point:
+// it is neither the slowest peer nor an erring one, and its old tail breaches
+// nothing.
 func TestAnalyzeClusterTopKAndSLO(t *testing.T) {
-	snaps := map[addr.Addr]telemetry.MetricsSnapshot{
-		0: snapFor(t, 0, 0, time.Millisecond, time.Millisecond),
-		1: snapFor(t, 1, 2, 2*time.Millisecond, 2*time.Millisecond, 2*time.Millisecond),
-		2: snapFor(t, 2, 0, 800*time.Millisecond),
+	old := trendDump(t, 3, time.Second, [][]time.Duration{{900 * time.Millisecond}, {time.Millisecond}}, map[int]int{0: 1})
+	old.Points = old.Points[1:]
+	dumps := map[addr.Addr]telemetry.HistoryDump{
+		0: windowOf(t, 0, 0, time.Millisecond, time.Millisecond),
+		1: windowOf(t, 1, 2, 2*time.Millisecond, 2*time.Millisecond, 2*time.Millisecond),
+		2: windowOf(t, 2, 0, 800*time.Millisecond),
+		3: old,
 	}
 	obj, err := slo.Parse("query:p90:5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := AnalyzeCluster(snaps, nil, nil, []slo.Objective{obj})
+	r := AnalyzeCluster(dumps, nil, nil, []slo.Objective{obj})
 
-	if len(r.TopSlow) == 0 || r.TopSlow[0].Addr != 2 {
-		t.Fatalf("top slow = %+v, want peer 2 first", r.TopSlow)
+	if len(r.TopSlow) != 4 || r.TopSlow[0].Addr != 2 || r.TopSlow[3].Addr != 3 || r.TopSlow[3].Served != 1 {
+		t.Fatalf("top slow = %+v, want peer 2 first and peer 3 last, with its one call in the window", r.TopSlow)
 	}
-	if len(r.TopErr) != 1 || r.TopErr[0].Addr != 1 || r.TopErr[0].ServedErrors != 2 {
+	if len(r.TopErr) != 1 || r.TopErr[0].Addr != 1 || r.TopErr[0].ServedErrors != 2 || r.TopErr[0].Served != 3 {
 		t.Fatalf("top err = %+v, want only peer 1", r.TopErr)
 	}
+	if r.ServedTotal != 8 || r.ServedErrors != 3 {
+		t.Errorf("RED rollup at the newest points: served %d errors %d, want 8 and 3", r.ServedTotal, r.ServedErrors)
+	}
 
-	// 1 of 6 over 5ms ≈ 16.7% bad against a 10% budget: breached.
-	if len(r.SLO) != 1 || !r.SLO[0].Breached || r.SLO[0].Burn <= 1 {
-		t.Fatalf("slo = %+v", r.SLO)
+	// 1 of 7 in the window over 5ms ≈ 14.3% bad against a 10% budget: breached.
+	if st := r.Trends.SLO; len(st) != 1 || !st[0].Breached || st[0].Total != 7 || st[0].Burn <= 1 {
+		t.Fatalf("slo = %+v", st)
 	}
 	if !r.Breached() {
 		t.Fatal("report must be breached")
@@ -112,9 +117,9 @@ func TestAnalyzeClusterTopKAndSLO(t *testing.T) {
 
 	// Loosen the threshold: the tail fits, verdict clears.
 	obj.Threshold = time.Second
-	r = AnalyzeCluster(snaps, nil, nil, []slo.Objective{obj})
-	if r.SLO[0].Breached || r.Breached() {
-		t.Fatalf("loose slo = %+v", r.SLO)
+	r = AnalyzeCluster(dumps, nil, nil, []slo.Objective{obj})
+	if r.Trends.SLO[0].Breached || r.Breached() {
+		t.Fatalf("loose slo = %+v", r.Trends.SLO)
 	}
 }
 
@@ -170,12 +175,12 @@ func TestAnalyzeClusterAvailabilityObjective(t *testing.T) {
 }
 
 func TestRenderClusterReport(t *testing.T) {
-	snaps := map[addr.Addr]telemetry.MetricsSnapshot{
-		0: snapFor(t, 0, 1, time.Millisecond, 20*time.Millisecond),
-		1: snapFor(t, 1, 0, 2*time.Millisecond),
+	dumps := map[addr.Addr]telemetry.HistoryDump{
+		0: windowOf(t, 0, 1, time.Millisecond, 20*time.Millisecond),
+		1: windowOf(t, 1, 0, 2*time.Millisecond),
 	}
 	obj, _ := slo.Parse("query:p90:5ms")
-	r := AnalyzeCluster(snaps, digestsWithLiveness(4, 1.0), []addr.Addr{9}, []slo.Objective{obj})
+	r := AnalyzeCluster(dumps, digestsWithLiveness(4, 1.0), []addr.Addr{9}, []slo.Objective{obj})
 
 	var buf bytes.Buffer
 	RenderClusterReport(&buf, r)
@@ -183,8 +188,11 @@ func TestRenderClusterReport(t *testing.T) {
 	for _, want := range []string{
 		"2 peers collected", "1 unreachable (9)",
 		"served 3 (errors 1)",
+		"trends         2 peers", "rpc rate",
 		"latency", "served  query", "p99",
-		"slo            query:p9:5ms",
+		"slo            query:p9:5ms           windowed burn",
+		"slowest        peer 0: served p99",
+		"errors         peer 0: 1 served errors of 2 rpcs in the window",
 		"availability measured",
 	} {
 		if !strings.Contains(out, want) {

@@ -339,7 +339,8 @@ func RenderObserve(w io.Writer, a addr.Addr, o *wire.ObserveResp, nPeers int, ob
 		}
 	}
 	if o.History != nil {
-		RenderTrendReport(w, AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, objectives))
+		r, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{a: *o.History}, objectives)
+		RenderTrendReport(w, r)
 	}
 	if o.Metrics != nil {
 		stats := FlattenSnapshot(*o.Metrics)

@@ -13,8 +13,8 @@ import (
 	"pgrid/internal/telemetry"
 )
 
-// statPoolWait is the pooled-transport acquire-wait histogram trended in
-// watch views alongside the RED series.
+// statPoolWait is the pooled-transport acquire-wait histogram trended
+// alongside the RED series.
 const statPoolWait = "pgrid_pool_acquire_wait_ns"
 
 // TrendSeries is one sparkline-able time series federated from the
@@ -35,10 +35,9 @@ type TrendFinding struct {
 	Detail string    `json:"detail"`
 }
 
-// TrendReport is the windowed view of a community: the trend series
-// behind `pgridctl watch`, anomaly findings, and the latency objectives
-// re-verdicted over real windows (the history delta) instead of
-// whole-of-process cumulative counts.
+// TrendReport is the windowed view of a community or of one peer: the trend
+// series, the per-kind rows, anomaly findings, and the latency objectives
+// judged over the history window.
 type TrendReport struct {
 	Peers      int           `json:"peers"`
 	Span       time.Duration `json:"span_ns"`
@@ -56,17 +55,17 @@ type TrendReport struct {
 	SLO []slo.Status `json:"slo,omitempty"`
 }
 
-// servedDelta returns the per-interval delta of every served-family
-// histogram in a dump merged together, oldest interval first. Reset
-// intervals use the post-restart cumulative state (never negative).
-func servedDelta(d telemetry.HistoryDump) []telemetry.QHistSnapshot {
+// intervalDeltas returns the per-interval delta of a dump's histograms in
+// family, every kind merged, oldest interval first. An interval that crosses
+// a restart counts the post-restart cumulative state, never a negative one.
+func intervalDeltas(d telemetry.HistoryDump, family string) []telemetry.QHistSnapshot {
 	if len(d.Points) < 2 {
 		return nil
 	}
 	mergedAt := func(s telemetry.MetricsSnapshot) telemetry.QHistSnapshot {
 		out := telemetry.QHistSnapshot{}
 		for _, h := range s.Hists {
-			if family, _ := splitHistName(h.Name); family != servedHistFamily {
+			if f, _ := splitHistName(h.Name); f != family {
 				continue
 			}
 			if m, err := telemetry.MergeQHist(out, h); err == nil {
@@ -80,13 +79,111 @@ func servedDelta(d telemetry.HistoryDump) []telemetry.QHistSnapshot {
 	for i := 1; i < len(d.Points); i++ {
 		cur := mergedAt(d.Points[i].Snap)
 		delta, _, err := telemetry.SubtractQHist(cur, prev)
-		if err != nil {
+		if err != nil || !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
 			delta = cur
 		}
 		out = append(out, delta)
 		prev = cur
 	}
 	return out
+}
+
+// unionP99 folds per-peer interval deltas into one p99 series aligned on the
+// newest interval: each column merges the peers' deltas before it takes the
+// quantile — the quantile of the union stream, never a sum or an average of
+// quantiles. Shorter rings miss the older columns.
+func unionP99(per [][]telemetry.QHistSnapshot) []float64 {
+	n := 0
+	for _, s := range per {
+		n = max(n, len(s))
+	}
+	out := make([]float64, n)
+	for i := range out {
+		merged := telemetry.QHistSnapshot{}
+		for _, s := range per {
+			if j := i - (n - len(s)); j >= 0 {
+				if m, err := telemetry.MergeQHist(merged, s[j]); err == nil {
+					merged = m
+				}
+			}
+		}
+		if merged.Count > 0 {
+			out[i] = float64(merged.Quantile(0.99))
+		}
+	}
+	return out
+}
+
+// windowCount is how much the named counter grew over the dump, interval by
+// interval by the ring's rate rule: an interval that crosses a restart counts
+// the post-restart value.
+func windowCount(d telemetry.HistoryDump, name string) int64 {
+	var n int64
+	for i := 1; i < len(d.Points); i++ {
+		a, _ := d.Points[i-1].Snap.Stat(name)
+		b, _ := d.Points[i].Snap.Stat(name)
+		if b < a || !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
+			a = 0
+		}
+		n += b - a
+	}
+	return n
+}
+
+// KindLatency is one per-kind row, merged across peers: the calls at the
+// newest point, their rate over the newest interval, and the quantiles of
+// the window's calls — every peer's window histogram summed bucket-wise, so
+// the quantiles are exactly those of the union stream (not an average of
+// per-peer quantiles, which would be meaningless).
+type KindLatency struct {
+	Scope string // "served" or "client"
+	Kind  string
+	Hist  telemetry.QHistSnapshot
+	Count int64
+	Rate  float64
+	P50   int64
+	P95   int64
+	P99   int64
+	P999  int64
+}
+
+// kindKey names one latency row.
+type kindKey struct{ scope, kind string }
+
+// latencyRows turns the merged per-kind window histograms, call counts and
+// rates into rows sorted by scope then kind. A kind with no calls is left
+// out.
+func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) []KindLatency {
+	var rows []KindLatency
+	for k, h := range hists {
+		if counts[k] == 0 {
+			continue
+		}
+		qs := h.Quantiles(telemetry.QuantilePoints...)
+		rows = append(rows, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h, Count: counts[k], Rate: rates[k],
+			P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Scope != rows[j].Scope {
+			return rows[i].Scope < rows[j].Scope
+		}
+		return rows[i].Kind < rows[j].Kind
+	})
+	return rows
+}
+
+// renderLatency writes the per-kind rows as one table — scope, kind, call
+// count, calls per second over the newest interval, then p50 to p999. No
+// rows, no table.
+func renderLatency(w io.Writer, rows []KindLatency) {
+	if len(rows) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "latency        %-7s %-10s %8s %8s %9s %9s %9s %9s\n", "scope", "kind", "count", "rate/s", "p50", "p95", "p99", "p999")
+	for _, l := range rows {
+		fmt.Fprintf(w, "               %-7s %-10s %8d %8.1f %9s %9s %9s %9s\n", l.Scope, l.Kind, l.Count, l.Rate,
+			fmtNS(l.P50), fmtNS(l.P95), fmtNS(l.P99), fmtNS(l.P999))
+	}
 }
 
 // kindFamilies are, per scope, the per-kind call counter and latency
@@ -149,11 +246,12 @@ func alignSum(per [][]float64) []float64 {
 
 // AnalyzeTrends folds per-peer history dumps (the history column of
 // node.Client.Walk, or of one node's observe answer) into the windowed
-// trend report: cluster rate/error/latency series, the per-kind rows (calls,
-// rate over the newest interval, quantiles over the window), anomaly
-// findings, and the objectives evaluated over the dump's real window. The
-// companion of AnalyzeCluster for the time axis.
-func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.Objective) TrendReport {
+// trend report — cluster rate/error/latency series, the per-kind rows
+// (calls, rate over the newest interval, quantiles over the window), anomaly
+// findings and the objectives evaluated over the dump's real window — and
+// lists each peer's served calls, errors and p99 over its window, by
+// address, for the cluster report's top-K.
+func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.Objective) (TrendReport, []PeerSummary) {
 	r := TrendReport{Peers: len(dumps)}
 
 	addrs := make([]addr.Addr, 0, len(dumps))
@@ -162,9 +260,10 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
-	var rates, errRates, p99s, poolP99s [][]float64
+	var rates, errRates [][]float64
+	var served, poolWaits [][]telemetry.QHistSnapshot
+	peers := make([]PeerSummary, 0, len(dumps))
 	kindHists, kindCounts, kindRates := map[kindKey]telemetry.QHistSnapshot{}, map[kindKey]int64{}, map[kindKey]float64{}
-	perPeerDeltas := make(map[addr.Addr][]telemetry.QHistSnapshot, len(dumps))
 	for _, a := range addrs {
 		d := dumps[a]
 		if d.IntervalNS > r.IntervalNS {
@@ -180,57 +279,35 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		}
 		rates = append(rates, d.RateSeries(statServedTotal))
 		errRates = append(errRates, d.RateSeries(statServedErrors))
-		poolP99s = append(poolP99s, d.QuantileSeries(statPoolWait, 0.99))
+		poolWaits = append(poolWaits, intervalDeltas(d, statPoolWait))
 		addKinds(d, kindHists, kindCounts, kindRates)
 
-		deltas := servedDelta(d)
-		perPeerDeltas[a] = deltas
-		peerP99 := make([]float64, len(deltas))
-		for i, h := range deltas {
-			if h.Count > 0 {
-				peerP99[i] = float64(h.Quantile(0.99))
+		deltas := intervalDeltas(d, servedHistFamily)
+		served = append(served, deltas)
+		window := telemetry.QHistSnapshot{}
+		for _, h := range deltas {
+			if m, err := telemetry.MergeQHist(window, h); err == nil {
+				window = m
 			}
 		}
-		p99s = append(p99s, peerP99)
+		p := PeerSummary{Addr: a, Served: window.Count, ServedErrors: windowCount(d, statServedErrors)}
+		if window.Count > 0 {
+			p.ServedP99 = window.Quantile(0.99)
+		}
+		peers = append(peers, p)
 	}
 
-	// The cluster p99 series merges the per-interval delta histograms
-	// across peers before taking the quantile — quantiles of the union
-	// stream, never averages of quantiles.
-	nIntervals := 0
-	for _, d := range perPeerDeltas {
-		if len(d) > nIntervals {
-			nIntervals = len(d)
-		}
-	}
-	clusterP99 := make([]float64, nIntervals)
-	for i := 0; i < nIntervals; i++ {
-		merged := telemetry.QHistSnapshot{}
-		for _, deltas := range perPeerDeltas {
-			j := i - (nIntervals - len(deltas))
-			if j < 0 {
-				continue
-			}
-			if m, err := telemetry.MergeQHist(merged, deltas[j]); err == nil {
-				merged = m
-			}
-		}
-		if merged.Count > 0 {
-			clusterP99[i] = float64(merged.Quantile(0.99))
-		}
-	}
-
-	rate := alignSum(rates)
+	servedP99 := unionP99(served)
 	errRate := alignSum(errRates)
 	r.Series = []TrendSeries{
-		{Name: "rpc rate", Unit: "/s", Points: rate},
+		{Name: "rpc rate", Unit: "/s", Points: alignSum(rates)},
 		{Name: "error rate", Unit: "/s", Points: errRate},
-		{Name: "served p99", Unit: "ns", Points: clusterP99},
-		{Name: "pool wait p99", Unit: "ns", Points: alignSum(poolP99s)},
+		{Name: "served p99", Unit: "ns", Points: servedP99},
+		{Name: "pool wait p99", Unit: "ns", Points: unionP99(poolWaits)},
 	}
 
 	r.Kinds = latencyRows(kindHists, kindCounts, kindRates)
-	r.Findings = append(r.Findings, trendFindings(clusterP99, errRate)...)
+	r.Findings = append(r.Findings, trendFindings(servedP99, errRate)...)
 
 	// Objectives over the real window: newest cumulative state minus the
 	// dump baseline, merged across peers. A peer that restarted inside the
@@ -248,7 +325,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		}
 		r.SLO = append(r.SLO, slo.Eval(o, merged))
 	}
-	return r
+	return r, peers
 }
 
 // trendFindings scans the cluster series for anomalies. The halves
@@ -328,8 +405,9 @@ func Sparkline(vs []float64) string {
 // columns (the text view is a live tail, not an archive).
 const sparkWidth = 60
 
-// RenderTrendReport writes the report as the text view behind
-// `pgridctl watch` and /debug/observe?ask=history&format=text.
+// RenderTrendReport writes the report as the windowed section of
+// `pgridctl cluster` and the text view of an observed history
+// (`pgridctl observe <id> ask=history`, /debug/observe?ask=history&format=text).
 func RenderTrendReport(w io.Writer, r TrendReport) {
 	fmt.Fprintf(w, "trends         %d peers, %s of history at %s resolution",
 		r.Peers, r.Span.Round(time.Millisecond), time.Duration(r.IntervalNS))
@@ -352,7 +430,7 @@ func RenderTrendReport(w io.Writer, r TrendReport) {
 		}
 		fmt.Fprintf(w, "  %-14s %s  %s\n", s.Name, Sparkline(pts), cur)
 	}
-	renderLatency(w, r.Kinds, true)
+	renderLatency(w, r.Kinds)
 	for _, f := range r.Findings {
 		peer := "cluster"
 		if f.Peer != addr.Nil {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestAnalyzeTrendsSeriesAndRegression(t *testing.T) {
 	dumps := map[addr.Addr]telemetry.HistoryDump{
 		0: trendDump(t, 0, iv, [][]time.Duration{fast, fast, slow, slow}, nil),
 	}
-	r := AnalyzeTrends(dumps, nil)
+	r, _ := AnalyzeTrends(dumps, nil)
 	if r.Peers != 1 || r.IntervalNS != int64(iv) || r.Span != 4*iv || r.Resets != 0 {
 		t.Fatalf("header = %+v", r)
 	}
@@ -88,7 +89,7 @@ func TestAnalyzeTrendsErrorSpikeAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := AnalyzeTrends(dumps, []slo.Objective{o})
+	r, _ := AnalyzeTrends(dumps, []slo.Objective{o})
 	var spike bool
 	for _, f := range r.Findings {
 		if f.Kind == "error-spike" {
@@ -117,12 +118,12 @@ func TestAnalyzeTrendsSLOFollowsTheWindow(t *testing.T) {
 	slow := []time.Duration{50 * time.Millisecond, 50 * time.Millisecond}
 	d := trendDump(t, 0, iv, [][]time.Duration{fast, slow, slow, fast, fast}, nil)
 	o, _ := slo.Parse("query:p90:5ms")
-	whole := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
+	whole, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
 	if st := whole.SLO[0]; !st.Breached || st.Burn < 1 {
 		t.Fatalf("window holding the tail = %+v, want breached", st)
 	}
 	d.Points = d.Points[len(d.Points)-3:] // the last two intervals
-	recent := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
+	recent, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: d}, []slo.Objective{o})
 	if st := recent.SLO[0]; st.Breached || st.Burn != 0 || st.Total != 4 {
 		t.Fatalf("recovered window = %+v, want 4 good events and no burn", st)
 	}
@@ -143,7 +144,7 @@ func TestAnalyzeTrendsResetAndMultiPeerAlignment(t *testing.T) {
 		}}
 
 	o, _ := slo.Parse("query:p90:5ms")
-	r := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{
+	r, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{
 		0: long, 1: short, 2: restarted,
 	}, []slo.Objective{o})
 	// The restart counts its post-restart observations: never a negative
@@ -207,7 +208,7 @@ func TestRenderTrendReportAndSparkline(t *testing.T) {
 		0: trendDump(t, 0, iv, [][]time.Duration{fast, fast, slow, slow}, nil),
 	}
 	o, _ := slo.Parse("query:p99:5ms")
-	r := AnalyzeTrends(dumps, []slo.Objective{o})
+	r, _ := AnalyzeTrends(dumps, []slo.Objective{o})
 	var buf bytes.Buffer
 	RenderTrendReport(&buf, r)
 	out := buf.String()
@@ -264,7 +265,7 @@ func TestAnalyzeTrendsKindRows(t *testing.T) {
 	calls(after, "query", 3, 100*time.Millisecond)
 	restarted.Points = append(restarted.Points, point(3, after))
 
-	one := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady}, nil)
+	one, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady}, nil)
 	if len(one.Kinds) != 2 {
 		t.Fatalf("kinds = %+v, want client query and served get (the idle exchange left out)", one.Kinds)
 	}
@@ -279,7 +280,7 @@ func TestAnalyzeTrendsKindRows(t *testing.T) {
 		t.Errorf("served get = %+v, want 2 calls at 1/s, p99 2ms", g)
 	}
 
-	both := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady, 1: restarted}, nil)
+	both, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: steady, 1: restarted}, nil)
 	if both.Resets != 1 || len(both.Kinds) != 2 {
 		t.Fatalf("merged: %d resets, kinds %+v", both.Resets, both.Kinds)
 	}
@@ -304,5 +305,40 @@ func TestAnalyzeTrendsKindRows(t *testing.T) {
 	}
 	if strings.Contains(out, "exchange") {
 		t.Errorf("idle kind rendered:\n%s", out)
+	}
+}
+
+// TestAnalyzeTrendsPoolWaitUnion: the pool-wait p99 series is the quantile of
+// the union stream, like the served p99 series — three peers that each waited
+// alike read the series one of them reads, never the sum of their quantiles.
+func TestAnalyzeTrendsPoolWaitUnion(t *testing.T) {
+	waited := func(node int) telemetry.HistoryDump {
+		tel := telemetry.New(node)
+		d := telemetry.HistoryDump{IntervalNS: int64(time.Second)}
+		for i := 0; i < 3; i++ {
+			for j := 0; j <= i; j++ {
+				tel.PoolAcquireWait(time.Duration(i+1) * time.Millisecond)
+			}
+			d.Points = append(d.Points, telemetry.HistoryPoint{AtNS: int64(i+1) * int64(time.Second), Snap: tel.MetricsSnapshot()})
+		}
+		return d
+	}
+	poolP99 := func(dumps map[addr.Addr]telemetry.HistoryDump) []float64 {
+		r, _ := AnalyzeTrends(dumps, nil)
+		for _, s := range r.Series {
+			if s.Name == "pool wait p99" {
+				return s.Points
+			}
+		}
+		t.Fatalf("no pool wait series: %+v", r.Series)
+		return nil
+	}
+	one := poolP99(map[addr.Addr]telemetry.HistoryDump{0: waited(0)})
+	if len(one) != 2 || one[0] < 1_900_000 || one[0] > 2_100_000 || one[1] < 2_900_000 || one[1] > 3_100_000 {
+		t.Fatalf("one peer's pool wait p99 = %v, want 2ms then 3ms", one)
+	}
+	three := poolP99(map[addr.Addr]telemetry.HistoryDump{0: waited(0), 1: waited(1), 2: waited(2)})
+	if !slices.Equal(three, one) {
+		t.Errorf("three identical peers' pool wait p99 = %v, want one peer's %v", three, one)
 	}
 }

@@ -165,7 +165,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	// traffic above can fit inside one sampling interval.
 	var res WalkResult
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		res = collectHistory(cl, 0)
+		res = collect(cl, 0)
 		if len(res.Dumps) != nNodes || len(res.Unreachable) != 0 {
 			t.Fatalf("cluster history = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 		}
@@ -237,11 +237,6 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 			t.Fatalf("rate over interval %d across restart = %v, must never be negative", i, rate)
 		}
 	}
-}
-
-// collectHistory is the walk `pgridctl watch -cluster` makes.
-func collectHistory(cl *Client, start addr.Addr) WalkResult {
-	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHistory})
 }
 
 // History returns the attached history ring (possibly nil).

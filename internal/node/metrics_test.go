@@ -14,7 +14,7 @@ const servedQueryHist = `pgrid_rpc_served_latency_ns{kind="query"}`
 
 // collect is the walk `pgridctl cluster` makes.
 func collect(cl *Client, start addr.Addr) WalkResult {
-	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness})
+	return cl.Walk(start, wire.ObserveReq{Asks: wire.AskHistory | wire.AskHealth | wire.AskLiveness | wire.AskRepair})
 }
 
 // fetchMetrics observes one peer's metrics column.
@@ -66,11 +66,12 @@ func TestFetchMetrics(t *testing.T) {
 }
 
 // TestTCPCollectCluster is the acceptance test for the observability
-// plane: three real TCP nodes each observe a distinct latency stream, the
-// collector federates their snapshots, and the merged per-kind quantiles
-// must exactly match a histogram fed the union of all streams (merging is
-// a bucket-wise sum, so no extra error is tolerated on top of the ≤3.2%
-// the bucket geometry already bounds).
+// plane: three real TCP nodes each observe a distinct latency stream inside
+// their history window, after one slow call before it, the walk gathers
+// their rings, and the window histograms merged across peers must exactly
+// match a histogram fed the union of the in-window streams (merging is a
+// bucket-wise sum, so no extra error is tolerated on top of the ≤3.2% the
+// bucket geometry already bounds).
 func TestTCPCollectCluster(t *testing.T) {
 	nodes, tr, stop := startPooledCluster(t, 3, PoolConfig{})
 	defer stop()
@@ -84,31 +85,36 @@ func TestTCPCollectCluster(t *testing.T) {
 	for i := range nodes {
 		tel := telemetry.New(i)
 		nodes[i].SetTelemetry(tel)
+		hist := telemetry.NewHistory(time.Second, time.Minute)
+		nodes[i].EnableHistory(hist)
+		tel.ServedRPCTraced("query", 5*time.Second, false, 0) // before the window
+		hist.Record(tel.MetricsSnapshot())
 		for _, d := range streams[i] {
 			tel.ServedRPCTraced("query", d, false, 0)
 			union.ServedRPCTraced("query", d, false, 0)
 		}
+		hist.Record(tel.MetricsSnapshot())
 	}
 
 	cl := NewClient(tr, 42)
 	res := collect(cl, 0)
-	if len(res.Snapshots) != 3 || len(res.Unreachable) != 0 {
-		t.Fatalf("collect = %d snapshots, unreachable %v", len(res.Snapshots), res.Unreachable)
+	if len(res.Dumps) != 3 || len(res.Unreachable) != 0 {
+		t.Fatalf("collect = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 	}
 	if len(res.Digests) != 3 {
 		t.Fatalf("collect digests = %+v, want 3", res.Digests)
 	}
-	// One observe per reachable peer carries links, metrics and health.
+	// One observe per reachable peer carries links, history and health.
 	if res.Messages != 3 {
 		t.Errorf("messages = %d, want 3", res.Messages)
 	}
 
 	merged := telemetry.QHistSnapshot{}
 	var total int64
-	for a, snap := range res.Snapshots {
-		h, ok := snap.Hist(servedQueryHist)
+	for a, d := range res.Dumps {
+		h, _, ok := d.WindowHist(servedQueryHist, 0)
 		if !ok {
-			t.Fatalf("peer %v snapshot lacks %s", a, servedQueryHist)
+			t.Fatalf("peer %v dump lacks %s", a, servedQueryHist)
 		}
 		var err error
 		if merged, err = telemetry.MergeQHist(merged, h); err != nil {
@@ -134,7 +140,7 @@ func TestTCPCollectCluster(t *testing.T) {
 	// error, and never hiding the rest of the cluster.
 	nodes[2].SetOnline(false)
 	res = collect(cl, 0)
-	if len(res.Snapshots) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
-		t.Fatalf("collect with 2 offline = %d snapshots, unreachable %v", len(res.Snapshots), res.Unreachable)
+	if len(res.Dumps) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
+		t.Fatalf("collect with 2 offline = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 	}
 }

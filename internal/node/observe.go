@@ -56,9 +56,8 @@ func (n *Node) Observe(req *wire.ObserveReq) *wire.ObserveResp {
 }
 
 // Observe asks the peer at a the one operator question req names, in one
-// KindObserve: the single-peer read behind `pgridctl observe`, `top` and
-// `watch`. An answer without every column asked for is ErrMalformed, counted
-// under observe.
+// KindObserve: the single-peer read behind `pgridctl observe`. An answer
+// without every column asked for is ErrMalformed, counted under observe.
 func (c *Client) Observe(a addr.Addr, req wire.ObserveReq) (*wire.ObserveResp, error) {
 	asks := req.Asks
 	resp, err := c.ask(a, wire.Message{Kind: wire.KindObserve, From: addr.Nil, Observe: &req},
@@ -75,7 +74,7 @@ func (c *Client) Observe(a addr.Addr, req wire.ObserveReq) (*wire.ObserveResp, e
 // their links), both sorted. Violations lists every followed reference whose
 // answered target breaks the Section 2 property, by peer, level, then target.
 // Each asked column is filed from what the reached peers answered: Digests
-// (sorted by address), Repairs, Snapshots and Dumps. Messages is the cost in
+// (sorted by address), Repairs and Dumps. Messages is the cost in
 // frames sent: one per contact, answered or not.
 type WalkResult struct {
 	Reached     []addr.Addr
@@ -83,7 +82,6 @@ type WalkResult struct {
 	Violations  []Violation
 	Digests     []health.Digest
 	Repairs     []repair.Status
-	Snapshots   map[addr.Addr]telemetry.MetricsSnapshot
 	Dumps       map[addr.Addr]telemetry.HistoryDump
 	Messages    int
 }
@@ -103,22 +101,21 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%v level %d → %v: path %s is not a valid reference for %s", v.From, v.Level, v.To, v.ToPath, v.FromPath)
 }
 
-// Walk is the one community walk, behind `pgridctl cluster` and
-// `pgridctl watch`: breadth-first from the peer at start along every
-// reference and buddy link, one KindObserve per peer asking req's columns and
-// the links the walk follows, which it then judges with repair.ValidRef where
-// the target answered too. A transport error, or an answer without links,
-// makes the peer Unreachable and never aborts the walk; an
-// answer that lacks another asked column is counted malformed and the columns
-// it has are filed, with no second round trip. There is no path for a peer
+// Walk is the one community walk, behind `pgridctl cluster`: breadth-first
+// from the peer at start along every reference and buddy link, one
+// KindObserve per peer asking req's columns and the links the walk follows,
+// which it then judges with repair.ValidRef where the target answered too.
+// A transport error, or an answer without links, makes the peer Unreachable
+// and never aborts the walk; an answer that lacks another asked column is
+// counted malformed and the columns it has are filed, with no second round
+// trip. There is no path for a peer
 // that does not know KindObserve, because the one wire cannot produce the
 // KindError such a path would wait for: an unknown kind decodes as
 // wire.ErrCorrupt, the server drops the connection, and the caller sees a
 // transient loss.
 func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 	req.Asks |= wire.AskLinks
-	res := WalkResult{Snapshots: make(map[addr.Addr]telemetry.MetricsSnapshot),
-		Dumps: make(map[addr.Addr]telemetry.HistoryDump)}
+	res := WalkResult{Dumps: make(map[addr.Addr]telemetry.HistoryDump)}
 	links := make(map[addr.Addr]*wire.InfoResp)
 	visited := map[addr.Addr]bool{start: true}
 	queue := []addr.Addr{start}
@@ -158,9 +155,6 @@ func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 		}
 		if o.Repair != nil {
 			res.Repairs = append(res.Repairs, *o.Repair)
-		}
-		if o.Metrics != nil {
-			res.Snapshots[from] = *o.Metrics
 		}
 		if o.History != nil {
 			res.Dumps[from] = *o.History

@@ -31,8 +31,6 @@ func answers(r WalkResult, column wire.Ask) int {
 		return len(r.Digests)
 	case wire.AskRepair:
 		return len(r.Repairs)
-	case wire.AskMetrics:
-		return len(r.Snapshots)
 	case wire.AskHistory:
 		return len(r.Dumps)
 	}
@@ -42,7 +40,7 @@ func answers(r WalkResult, column wire.Ask) int {
 // columnsOf lists the columns a walk files that asks names, in bit order.
 func columnsOf(asks wire.Ask) []wire.Ask {
 	var out []wire.Ask
-	for _, c := range []wire.Ask{wire.AskHealth, wire.AskMetrics, wire.AskHistory, wire.AskRepair} {
+	for _, c := range []wire.Ask{wire.AskHealth, wire.AskHistory, wire.AskRepair} {
 		if asks&c != 0 {
 			out = append(out, c)
 		}
@@ -51,8 +49,8 @@ func columnsOf(asks wire.Ask) []wire.Ask {
 }
 
 // TestWalk drives the one community walk with the asks of each of its
-// callers — the tests' census crawl, pgridctl cluster and watch -cluster —
-// and with metrics alone, over the in-process transport and over pooled
+// callers — the tests' census crawl and pgridctl cluster — and with history
+// alone, over the in-process transport and over pooled
 // TCP, and pins the contract: one KindObserve per peer whatever is asked,
 // one message billed per frame sent, an offline peer unreachable but never
 // fatal, and a missing column handled in place — its column empty,
@@ -63,9 +61,8 @@ func TestWalk(t *testing.T) {
 		req  wire.ObserveReq
 	}{
 		{"crawl", wire.ObserveReq{Asks: wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
-		{"cluster", wire.ObserveReq{Asks: wire.AskMetrics | wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
-		{"metrics", wire.ObserveReq{Asks: wire.AskMetrics}},
-		{"watch -cluster", wire.ObserveReq{Asks: wire.AskHistory}},
+		{"cluster", wire.ObserveReq{Asks: wire.AskHistory | wire.AskHealth | wire.AskLiveness | wire.AskRepair}},
+		{"history", wire.ObserveReq{Asks: wire.AskHistory}},
 	}
 	communities := []struct {
 		name  string
@@ -261,8 +258,8 @@ func TestCollectClusterPreMetricsFallback(t *testing.T) {
 			if len(res.Reached) != 0 || len(res.Unreachable) != 1 || res.Unreachable[0] != 0 {
 				t.Fatalf("collect = %+v, want the entry peer unreachable", res)
 			}
-			if len(res.Snapshots) != 0 || len(res.Digests) != 0 {
-				t.Errorf("filed %d snapshots and %d digests from a failed answer", len(res.Snapshots), len(res.Digests))
+			if len(res.Dumps) != 0 || len(res.Digests) != 0 {
+				t.Errorf("filed %d dumps and %d digests from a failed answer", len(res.Dumps), len(res.Digests))
 			}
 			if res.Messages != 1 || tr.calls.Load() != 1 {
 				t.Errorf("messages = %d, round trips = %d, want 1 and 1", res.Messages, tr.calls.Load())
@@ -270,23 +267,23 @@ func TestCollectClusterPreMetricsFallback(t *testing.T) {
 			if got := malformedObserves(t, tel); got != tc.malformed {
 				t.Errorf("malformed observe answers = %d, want %d", got, tc.malformed)
 			}
-			observeFails(t, tr, cl, 2, wire.ObserveReq{Asks: wire.AskMetrics}, tc.err)
+			observeFails(t, tr, cl, 2, wire.ObserveReq{Asks: wire.AskHistory}, tc.err)
 		})
 	}
 }
 
-// TestCollectClusterSequentialFallback: an answer missing its metrics
+// TestCollectClusterSequentialFallback: an answer missing its history
 // column is never trusted and never re-asked one by one — the digests
-// survive with their structure, no snapshot is taken, the gap is counted
+// survive with their structure, no dump is filed, the gap is counted
 // malformed.
 func TestCollectClusterSequentialFallback(t *testing.T) {
-	_, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskMetrics)
+	_, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskHistory)
 	res := collect(cl, 0)
 	if len(res.Reached) != 3 || len(res.Digests) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect = %+v", res)
 	}
-	if snaps := res.Snapshots; len(snaps) != 0 {
-		t.Fatalf("snapshots = %v, want none from answers without the column", snaps)
+	if dumps := res.Dumps; len(dumps) != 0 {
+		t.Fatalf("dumps = %v, want none from answers without the column", dumps)
 	}
 	for _, d := range res.Digests {
 		if len(d.RefCounts) == 0 {
@@ -299,7 +296,7 @@ func TestCollectClusterSequentialFallback(t *testing.T) {
 	if res.Messages != 3 || tr.calls.Load() != 3 {
 		t.Errorf("messages = %d, round trips = %d, want 3 and 3 (one frame per peer)", res.Messages, tr.calls.Load())
 	}
-	observeFails(t, tr, cl, 2, wire.ObserveReq{Asks: wire.AskMetrics}, ErrMalformed)
+	observeFails(t, tr, cl, 2, wire.ObserveReq{Asks: wire.AskHistory}, ErrMalformed)
 }
 
 // TestFetchHistoryPreHistoryFallback pins that a history read does not
@@ -324,7 +321,7 @@ func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 // billed its one frame; and none of it aborts the walk.
 func TestCollectClusterHistoryFallbacks(t *testing.T) {
 	c, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskHistory)
-	res := collectHistory(cl, 0)
+	res := collect(cl, 0)
 	if len(res.Reached) != 3 || len(res.Dumps) != 0 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect over answers without history = %d peers, %d dumps, unreachable %v",
 			len(res.Reached), len(res.Dumps), res.Unreachable)
@@ -343,7 +340,7 @@ func TestCollectClusterHistoryFallbacks(t *testing.T) {
 		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
 		h.Record(c.Nodes[i].Telemetry().MetricsSnapshot())
 	}
-	dumps := collectHistory(NewClient(c.Transport, 44), 0).Dumps
+	dumps := collect(NewClient(c.Transport, 44), 0).Dumps
 	if len(dumps) != 3 {
 		t.Fatalf("history collect = %d dumps", len(dumps))
 	}
@@ -357,7 +354,7 @@ func TestCollectClusterHistoryFallbacks(t *testing.T) {
 	c.Nodes[2].SetOnline(false)
 	counted := &malformTransport{inner: c.Transport}
 	offline := NewClient(counted, 45)
-	res = collectHistory(offline, 0)
+	res = collect(offline, 0)
 	if len(res.Dumps) != 2 || len(res.Unreachable) != 1 || res.Unreachable[0] != 2 {
 		t.Fatalf("collect with 2 offline = %d dumps, unreachable %v", len(res.Dumps), res.Unreachable)
 	}

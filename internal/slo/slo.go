@@ -5,11 +5,11 @@
 // fraction the objective allows — so burn 1.0 consumes the budget exactly on
 // schedule and burn ≥ 1 is a breach.
 //
-// Objectives are the reader's: a node keeps no verdicts. `pgridctl watch`
-// judges them over the history rings' window and `pgridctl cluster` over
-// cumulative counts, both on the mergeable histogram snapshots from
-// internal/telemetry (good events are QHistSnapshot.CountAtOrBelow), so the
-// same math evaluates one node's histogram and a whole cluster's merge.
+// Objectives are the reader's: a node keeps no verdicts. `pgridctl cluster`
+// and `pgridctl observe <id> ask=history` judge them over the history rings'
+// window, on the mergeable histogram snapshots from internal/telemetry (good
+// events are QHistSnapshot.CountAtOrBelow), so the same math evaluates one
+// node's histogram and a whole cluster's merge.
 package slo
 
 import (
@@ -101,23 +101,21 @@ func ParseList(specs string) ([]Objective, error) {
 }
 
 // Status is one objective's verdict over one span of observations: the
-// reader picks the span (a history dump's window, or whole-of-process
-// cumulative counts) and hands Eval the histogram that covers it.
+// history window, whose histogram the reader hands Eval.
 type Status struct {
-	Objective Objective `json:"-"`
-	Spec      string    `json:"objective"`
-	Good      int64     `json:"good"`  // in-threshold events
-	Total     int64     `json:"total"` // all events
-	BadFrac   float64   `json:"bad_frac"`
-	Burn      float64   `json:"burn"`     // BadFrac / objective budget
-	Breached  bool      `json:"breached"` // Burn ≥ 1
+	Spec     string  `json:"objective"`
+	Good     int64   `json:"good"`  // in-threshold events
+	Total    int64   `json:"total"` // all events
+	BadFrac  float64 `json:"bad_frac"`
+	Burn     float64 `json:"burn"`     // BadFrac / objective budget
+	Breached bool    `json:"breached"` // Burn ≥ 1
 }
 
 // Eval judges o over h: good events are the observations at or below the
 // threshold, and burn ≥ 1 means the bad fraction exceeds the objective's
 // budget. An empty histogram is no data, never a breach.
 func Eval(o Objective, h telemetry.QHistSnapshot) Status {
-	st := Status{Objective: o, Spec: o.String(), Good: h.CountAtOrBelow(int64(o.Threshold)), Total: h.Count}
+	st := Status{Spec: o.String(), Good: h.CountAtOrBelow(int64(o.Threshold)), Total: h.Count}
 	if st.Total <= 0 {
 		return st
 	}

@@ -242,32 +242,3 @@ func (d HistoryDump) WindowHist(name string, window time.Duration) (delta QHistS
 	}
 	return out, subReset, true
 }
-
-// QuantileSeries returns the per-interval p-quantile of the named
-// histogram in nanoseconds, oldest first (0 where an interval saw no
-// observations). Reset intervals use the post-restart cumulative state.
-func (d HistoryDump) QuantileSeries(name string, p float64) []float64 {
-	if len(d.Points) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, len(d.Points)-1)
-	for i := 1; i < len(d.Points); i++ {
-		a, _ := d.Points[i-1].Snap.Hist(name)
-		b, bok := d.Points[i].Snap.Hist(name)
-		if !bok {
-			out = append(out, 0)
-			continue
-		}
-		if !d.Points[i-1].Snap.SameEpoch(d.Points[i].Snap) {
-			out = append(out, float64(b.Quantile(p)))
-			continue
-		}
-		delta, _, err := SubtractQHist(b, a)
-		if err != nil || delta.Count == 0 {
-			out = append(out, 0)
-			continue
-		}
-		out = append(out, float64(delta.Quantile(p)))
-	}
-	return out
-}
