@@ -12,6 +12,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func TestObserveHistoryKindRows(t *testing.T) {
 		t.Fatalf("exit %d:\n%s%s", code, out, stderr)
 	}
 	for _, want := range []string{"trends         1 peers", "rpc rate", "rate/s",
-		"client  query             6      3.0     2.0ms", "slo            query:p99:5ms"} {
+		"client  query             5      3.0     2.0ms", "slo            query:p99:5ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("observe ask=history lacks %q:\n%s", want, out)
 		}
@@ -155,7 +156,7 @@ func TestClusterJSON(t *testing.T) {
 			t.Fatalf("cluster frame %d: %v\n%s", frames, err, sc.Text())
 		}
 		k := f.Report.Trends.Kinds
-		if f.Reached != 1 || f.Report.Peers != 1 || f.Messages != 1 || len(k) != 1 || k[0].Kind != "query" || k[0].Count != 6 {
+		if f.Reached != 1 || f.Report.Peers != 1 || f.Messages != 1 || len(k) != 1 || k[0].Kind != "query" || k[0].Count != 5 {
 			t.Errorf("cluster frame %d = %+v, want one peer and its client query row", frames, f)
 		}
 	}
@@ -179,13 +180,25 @@ func serveQueries(tel *telemetry.Instruments, n int, d time.Duration) {
 // windowed burn observe ask=history prints. The same 100 slow queries inside
 // the window breach it, and cluster exits 1.
 func TestClusterJudgesTheWindow(t *testing.T) {
-	sloLine := func(out string) string {
+	lineOf := func(out, prefix string) string {
 		for _, l := range strings.Split(out, "\n") {
-			if strings.HasPrefix(l, "slo            query:p99:5ms") {
+			if strings.HasPrefix(l, prefix) {
 				return l
 			}
 		}
 		return ""
+	}
+	sloLine := func(out string) string { return lineOf(out, "slo            query:p99:5ms") }
+	// The served query row counts the window's calls: the calls its SLO
+	// line judges.
+	sameCount := func(out string) {
+		t.Helper()
+		row, slo := strings.Fields(lineOf(out, "               served  query ")), sloLine(out)
+		var slow, total int
+		_, err := fmt.Sscanf(slo[strings.Index(slo, "(")+1:], "%d of %d slow)", &slow, &total)
+		if err != nil || len(row) < 3 || row[2] != strconv.Itoa(total) {
+			t.Errorf("served query row %q beside slo %q (%v):\n%s", row, slo, err, out)
+		}
 	}
 	before := liveNode(t, func(i int, tel *telemetry.Instruments) {
 		if i == 0 {
@@ -200,6 +213,11 @@ func TestClusterJudgesTheWindow(t *testing.T) {
 	if code != 0 || !strings.Contains(line, "windowed burn 0.00 (0 of 200 slow)  ok") || line != sloLine(observed) {
 		t.Errorf("slow queries before the window: exit %d, slo %q, observe's %q\n%s%s", code, line, sloLine(observed), out, stderr)
 	}
+	if !strings.Contains(out, "               served  query           200 ") {
+		t.Errorf("cluster counts more than the window's 200 served queries:\n%s", out)
+	}
+	sameCount(out)
+	sameCount(observed)
 
 	inside := liveNode(t, func(i int, tel *telemetry.Instruments) {
 		if i == 2 {
@@ -212,6 +230,7 @@ func TestClusterJudgesTheWindow(t *testing.T) {
 	if line := sloLine(out); code != 1 || !strings.Contains(line, "(100 of 200 slow)  BREACHED") {
 		t.Errorf("slow queries inside the window: exit %d, slo %q\n%s%s", code, line, out, stderr)
 	}
+	sameCount(out)
 }
 
 // TestRefresh pins the loop observe and cluster share: count frames,

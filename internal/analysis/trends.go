@@ -44,9 +44,9 @@ type TrendReport struct {
 	IntervalNS int64         `json:"interval_ns"`
 	Resets     int           `json:"resets"`
 	Series     []TrendSeries `json:"series"`
-	// Kinds holds one row per scope and kind with calls: the calls at the
-	// newest point, their rate over the newest interval and the quantiles
-	// over the window, merged across peers.
+	// Kinds holds one row per scope and kind with calls in the window: the
+	// window's calls, their rate over the newest interval and their
+	// quantiles, merged across peers.
 	Kinds    []KindLatency  `json:"kinds,omitempty"`
 	Findings []TrendFinding `json:"findings,omitempty"`
 	// SLO holds one verdict per objective, evaluated against the served
@@ -130,11 +130,12 @@ func windowCount(d telemetry.HistoryDump, name string) int64 {
 	return n
 }
 
-// KindLatency is one per-kind row, merged across peers: the calls at the
-// newest point, their rate over the newest interval, and the quantiles of
-// the window's calls — every peer's window histogram summed bucket-wise, so
-// the quantiles are exactly those of the union stream (not an average of
-// per-peer quantiles, which would be meaningless).
+// KindLatency is one per-kind row, merged across peers: the window's calls,
+// their rate over the newest interval, and their quantiles — every peer's
+// window histogram summed bucket-wise, so the quantiles are exactly those of
+// the union stream (not an average of per-peer quantiles, which would be
+// meaningless). Count is the merged histogram's: the calls the quantiles and
+// an objective on the kind (its SLO line's total) are taken over.
 type KindLatency struct {
 	Scope string // "served" or "client"
 	Kind  string
@@ -150,17 +151,17 @@ type KindLatency struct {
 // kindKey names one latency row.
 type kindKey struct{ scope, kind string }
 
-// latencyRows turns the merged per-kind window histograms, call counts and
-// rates into rows sorted by scope then kind. A kind with no calls is left
+// latencyRows turns the merged per-kind window histograms and rates into
+// rows sorted by scope then kind. A kind with no calls in the window is left
 // out.
-func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) []KindLatency {
+func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, rates map[kindKey]float64) []KindLatency {
 	var rows []KindLatency
 	for k, h := range hists {
-		if counts[k] == 0 {
+		if h.Count == 0 {
 			continue
 		}
 		qs := h.Quantiles(telemetry.QuantilePoints...)
-		rows = append(rows, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h, Count: counts[k], Rate: rates[k],
+		rows = append(rows, KindLatency{Scope: k.scope, Kind: k.kind, Hist: h, Count: h.Count, Rate: rates[k],
 			P50: qs[0], P95: qs[1], P99: qs[2], P999: qs[3]})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -172,9 +173,9 @@ func latencyRows(hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]i
 	return rows
 }
 
-// renderLatency writes the per-kind rows as one table — scope, kind, call
-// count, calls per second over the newest interval, then p50 to p999. No
-// rows, no table.
+// renderLatency writes the per-kind rows as one table — scope, kind, the
+// window's calls, calls per second over the newest interval, then p50 to
+// p999. No rows, no table.
 func renderLatency(w io.Writer, rows []KindLatency) {
 	if len(rows) == 0 {
 		return
@@ -194,10 +195,10 @@ var kindFamilies = [...]struct{ scope, calls, latency string }{
 }
 
 // addKinds folds one peer's dump into the per-kind rows: for each kind the
-// newest point counts calls for, the calls, the rate over the newest interval
-// and the window's latency histogram, each by the ring's restart rule
-// (RateSeries, WindowHist).
-func addKinds(d telemetry.HistoryDump, hists map[kindKey]telemetry.QHistSnapshot, counts map[kindKey]int64, rates map[kindKey]float64) {
+// newest point counts calls for, the rate over the newest interval and the
+// window's latency histogram, each by the ring's restart rule (RateSeries,
+// WindowHist).
+func addKinds(d telemetry.HistoryDump, hists map[kindKey]telemetry.QHistSnapshot, rates map[kindKey]float64) {
 	if len(d.Points) == 0 {
 		return
 	}
@@ -208,7 +209,6 @@ func addKinds(d telemetry.HistoryDump, hists map[kindKey]telemetry.QHistSnapshot
 				continue
 			}
 			k := kindKey{f.scope, kind}
-			counts[k] += st.Value
 			if rs := d.RateSeries(st.Name); len(rs) > 0 {
 				rates[k] += rs[len(rs)-1]
 			}
@@ -247,7 +247,7 @@ func alignSum(per [][]float64) []float64 {
 // AnalyzeTrends folds per-peer history dumps (the history column of
 // node.Client.Walk, or of one node's observe answer) into the windowed
 // trend report — cluster rate/error/latency series, the per-kind rows
-// (calls, rate over the newest interval, quantiles over the window), anomaly
+// (calls and quantiles over the window, rate over the newest interval), anomaly
 // findings and the objectives evaluated over the dump's real window — and
 // lists each peer's served calls, errors and p99 over its window, by
 // address, for the cluster report's top-K.
@@ -263,7 +263,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 	var rates, errRates [][]float64
 	var served, poolWaits [][]telemetry.QHistSnapshot
 	peers := make([]PeerSummary, 0, len(dumps))
-	kindHists, kindCounts, kindRates := map[kindKey]telemetry.QHistSnapshot{}, map[kindKey]int64{}, map[kindKey]float64{}
+	kindHists, kindRates := map[kindKey]telemetry.QHistSnapshot{}, map[kindKey]float64{}
 	for _, a := range addrs {
 		d := dumps[a]
 		if d.IntervalNS > r.IntervalNS {
@@ -280,7 +280,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		rates = append(rates, d.RateSeries(statServedTotal))
 		errRates = append(errRates, d.RateSeries(statServedErrors))
 		poolWaits = append(poolWaits, intervalDeltas(d, statPoolWait))
-		addKinds(d, kindHists, kindCounts, kindRates)
+		addKinds(d, kindHists, kindRates)
 
 		deltas := intervalDeltas(d, servedHistFamily)
 		served = append(served, deltas)
@@ -306,7 +306,7 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 		{Name: "pool wait p99", Unit: "ns", Points: unionP99(poolWaits)},
 	}
 
-	r.Kinds = latencyRows(kindHists, kindCounts, kindRates)
+	r.Kinds = latencyRows(kindHists, kindRates)
 	r.Findings = append(r.Findings, trendFindings(servedP99, errRate)...)
 
 	// Objectives over the real window: newest cumulative state minus the
@@ -330,16 +330,23 @@ func AnalyzeTrends(dumps map[addr.Addr]telemetry.HistoryDump, objectives []slo.O
 
 // trendFindings scans the cluster series for anomalies. The halves
 // comparison needs at least 4 intervals; with fewer the window is too
-// short to call anything a trend.
+// short to call anything a trend. A latency regression is a recent half
+// that stays slow: every interval with calls at twice the earlier mean or
+// more, so one slow interval in a quiet window is not a trend.
 func trendFindings(p99, errRate []float64) []TrendFinding {
 	var out []TrendFinding
 	if len(p99) >= 4 {
 		firstMean, firstN := meanNonZero(p99[:len(p99)/2])
-		secondMean, secondN := meanNonZero(p99[len(p99)/2:])
-		if firstN > 0 && secondN > 0 && secondMean >= 2*firstMean {
+		recentMin := 0.0 // the fastest recent interval with calls
+		for _, v := range p99[len(p99)/2:] {
+			if v > 0 && (recentMin == 0 || v < recentMin) {
+				recentMin = v
+			}
+		}
+		if firstN > 0 && recentMin > 0 && recentMin >= 2*firstMean {
 			out = append(out, TrendFinding{Kind: "latency-regression", Peer: addr.Nil,
-				Detail: fmt.Sprintf("served p99 rose from %s to %s between window halves (%.1fx)",
-					fmtNS(int64(firstMean)), fmtNS(int64(secondMean)), secondMean/firstMean)})
+				Detail: fmt.Sprintf("served p99 rose from %s to at least %s between window halves (%.1fx)",
+					fmtNS(int64(firstMean)), fmtNS(int64(recentMin)), recentMin/firstMean)})
 		}
 	}
 	if len(errRate) >= 2 {

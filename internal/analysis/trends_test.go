@@ -77,6 +77,34 @@ func TestAnalyzeTrendsSeriesAndRegression(t *testing.T) {
 	}
 }
 
+// TestLatencyRegressionFinding: a latency regression is a recent half of
+// the window that stays slow, never one slow interval in a quiet window.
+func TestLatencyRegressionFinding(t *testing.T) {
+	fast := []time.Duration{time.Millisecond, 2 * time.Millisecond}
+	slow := []time.Duration{20 * time.Millisecond, 30 * time.Millisecond}
+	quiet, blip := []time.Duration{time.Millisecond}, []time.Duration{50 * time.Millisecond}
+	for _, tc := range []struct {
+		name      string
+		intervals [][]time.Duration
+		want      bool
+	}{
+		{"fast, fast, slow, slow", [][]time.Duration{fast, fast, slow, slow}, true},
+		{"recent half slow around an idle interval", [][]time.Duration{fast, fast, fast, slow, nil, slow}, true},
+		{"steady low traffic, one slow interval in the recent half",
+			[][]time.Duration{quiet, quiet, quiet, quiet, quiet, blip, quiet, quiet}, false},
+		{"one slow interval closing the window", [][]time.Duration{quiet, quiet, quiet, blip}, false},
+	} {
+		r, _ := AnalyzeTrends(map[addr.Addr]telemetry.HistoryDump{0: trendDump(t, 0, time.Second, tc.intervals, nil)}, nil)
+		got := false
+		for _, f := range r.Findings {
+			got = got || f.Kind == "latency-regression"
+		}
+		if got != tc.want {
+			t.Errorf("%s: latency-regression %v, want %v (%+v)", tc.name, got, tc.want, r.Findings)
+		}
+	}
+}
+
 func TestAnalyzeTrendsErrorSpikeAndSLO(t *testing.T) {
 	const iv = time.Second
 	ok := []time.Duration{time.Millisecond, time.Millisecond}

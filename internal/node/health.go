@@ -8,6 +8,7 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/health"
 	"pgrid/internal/repair"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/wire"
 )
 
@@ -52,27 +53,26 @@ func (n *Node) probeRef(path bitpath.Path, level int, to addr.Addr) (info *wire.
 	return info, valid
 }
 
-// probeRoundDone closes one round of probeRef calls: it bumps the
-// tracker's round count and pushes the node's current digest into the
-// telemetry gauges (skipped without instruments), so /metrics tracks the
-// live structure.
-func (n *Node) probeRoundDone() {
-	n.htr.RoundDone()
-	if n.tel == nil {
-		return
-	}
-	probes := n.htr.Snapshot()
-	s := n.self.Snapshot()
-	perm := func(r float64, ok bool) int64 {
-		if !ok {
-			return -1
+// registerHealth lists the node's structural health on reg, read live when
+// the registry is rendered or snapshotted: path length, store size, known
+// replicas, the tracker's liveness ratios in permille (-1 before any probe)
+// and its completed probe rounds.
+func (n *Node) registerHealth(reg *telemetry.Registry) {
+	permille := func(ratio func([]health.LevelProbe) (float64, bool)) func() int64 {
+		return func() int64 {
+			r, ok := ratio(n.htr.Snapshot())
+			if !ok {
+				return -1
+			}
+			return int64(r*1000 + 0.5)
 		}
-		return int64(r*1000 + 0.5)
 	}
-	overall, overallOK := health.OverallRatio(probes)
-	worst, worstOK := health.MinLevelRatio(probes)
-	n.tel.ObserveHealth(s.Path.Len(), n.Store().Len(), s.Buddies.Len(),
-		perm(overall, overallOK), perm(worst, worstOK), n.htr.Rounds())
+	reg.GaugeFunc("pgrid_health_path_len", "length of this peer's responsibility path", func() int64 { return int64(n.self.PathLen()) })
+	reg.GaugeFunc("pgrid_health_entries", "index entries in this peer's store", func() int64 { return int64(n.Store().Len()) })
+	reg.GaugeFunc("pgrid_health_buddies", "known replicas of this peer's path", func() int64 { return int64(n.self.Buddies().Len()) })
+	reg.GaugeFunc("pgrid_health_liveness_permille", "overall reference liveness ratio in permille (-1 before any probe)", permille(health.OverallRatio))
+	reg.GaugeFunc("pgrid_health_level_liveness_min_permille", "worst per-level reference liveness ratio in permille (-1 before any probe)", permille(health.MinLevelRatio))
+	reg.GaugeFunc("pgrid_health_probe_rounds", "completed background probe rounds", func() int64 { return n.htr.Rounds() })
 }
 
 // Prober is the one-shot reference-liveness sampler behind
@@ -145,5 +145,5 @@ func (p *Prober) Tick() {
 	for _, c := range picks {
 		n.probeRef(path, c.level, c.to)
 	}
-	n.probeRoundDone()
+	n.htr.RoundDone()
 }

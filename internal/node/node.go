@@ -85,9 +85,13 @@ func (n *Node) SetOnline(v bool) { n.self.SetOnline(v) }
 // Online reports availability.
 func (n *Node) Online() bool { return n.self.Online() }
 
-// SetTelemetry attaches an instrument bundle (nil disables). Call before
-// the node starts serving; the field is not synchronized.
-func (n *Node) SetTelemetry(t *telemetry.Instruments) { n.tel = t }
+// SetTelemetry attaches an instrument bundle (nil disables) and lists the
+// node's pgrid_health_* gauges on its registry. Call once, before the node
+// starts serving; the field is not synchronized.
+func (n *Node) SetTelemetry(t *telemetry.Instruments) {
+	n.tel = t
+	n.registerHealth(t.Registry())
+}
 
 // Telemetry returns the attached instruments (possibly nil).
 func (n *Node) Telemetry() *telemetry.Instruments { return n.tel }

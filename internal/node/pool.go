@@ -108,9 +108,22 @@ func NewPoolTransport(cfg PoolConfig) *PoolTransport {
 	return p
 }
 
-// SetTelemetry attaches pool instruments (nil disables). Call before the
-// transport is used; the field is not synchronized.
-func (p *PoolTransport) SetTelemetry(tel *telemetry.Instruments) { p.tel = tel }
+// SetTelemetry attaches pool instruments (nil disables) and lists the
+// pool's own counts on their registry, read when it is rendered or
+// snapshotted. Call once, before the transport is used; the field is not
+// synchronized.
+func (p *PoolTransport) SetTelemetry(tel *telemetry.Instruments) {
+	p.tel = tel
+	reg := tel.Registry()
+	reg.GaugeFunc("pgrid_pool_conns_open", "pooled connections currently open", p.open.Load)
+	reg.GaugeFunc("pgrid_pool_requests_in_flight", "requests currently multiplexed over pooled connections", p.inFlight.Load)
+	reg.CounterFunc("pgrid_pool_dials_total", "connections dialed by the pool", p.dials.Load)
+	reg.CounterFunc("pgrid_pool_reuses_total", "calls served over an already-open pooled connection", p.reuses.Load)
+	reg.CounterFunc("pgrid_pool_evictions_total", "pooled connections evicted (breaker open or explicit)", p.evictions.Load)
+	reg.CounterFunc("pgrid_pool_idle_closes_total", "pooled connections reaped after sitting idle", p.idleClose.Load)
+	reg.CounterFunc("pgrid_pool_conn_lost_total", "pooled connections that died with requests in flight", p.connLost.Load)
+	reg.GaugeFunc("pgrid_pool_queue_depth", "requests currently waiting for or multiplexed on pooled connections, by queue position", p.acquiring.Load)
+}
 
 // SetEndpoint maps a logical peer address to host:port. Re-pointing a known
 // peer at a different endpoint evicts its pooled connections: they lead to
@@ -148,20 +161,13 @@ func (p *PoolTransport) Stats() PoolStats {
 	}
 }
 
-func (p *PoolTransport) publishGauges() {
-	p.tel.PoolGauges(p.open.Load(), p.inFlight.Load(), p.acquiring.Load())
-}
-
 // Call implements Transport.
 func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
 	if _, ok := p.Endpoint(to); !ok {
 		return nil, fmt.Errorf("%w: no endpoint for %v", ErrOffline, to)
 	}
 	p.inFlight.Add(1)
-	defer func() {
-		p.inFlight.Add(-1)
-		p.publishGauges()
-	}()
+	defer p.inFlight.Add(-1)
 
 	pp := p.pool(to)
 	start := time.Now()
@@ -175,7 +181,6 @@ func (p *PoolTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, er
 	}
 	if reused {
 		p.reuses.Add(1)
-		p.tel.PoolReuse()
 	}
 	// A connection that fails under the call has already removed itself
 	// from the pool; the caller's retry (if any) will re-acquire.
@@ -239,8 +244,6 @@ func (p *PoolTransport) Evict(to addr.Addr) {
 	n := pp.evictAll()
 	if n > 0 {
 		p.evictions.Add(int64(n))
-		p.tel.PoolEviction(n)
-		p.publishGauges()
 	}
 }
 
@@ -292,11 +295,9 @@ func (p *PoolTransport) reapIdle() {
 	for _, pp := range pools {
 		for _, mc := range pp.idleBefore(cutoff) {
 			p.idleClose.Add(1)
-			p.tel.PoolIdleClose()
 			mc.close()
 		}
 	}
-	p.publishGauges()
 }
 
 func (p *PoolTransport) pool(to addr.Addr) *peerPool {
@@ -471,8 +472,6 @@ func (p *PoolTransport) dialConn(to addr.Addr, ep string, pp *peerPool) (*muxCon
 	mc.lastUse.Store(time.Now().UnixNano())
 	p.dials.Add(1)
 	p.open.Add(1)
-	p.tel.PoolDial()
-	p.publishGauges()
 	return mc, nil
 }
 
@@ -676,12 +675,10 @@ func (m *muxConn) fail(err error) {
 	m.pt.open.Add(-1)
 	if lost {
 		m.pt.connLost.Add(1)
-		m.pt.tel.PoolConnLost()
 	}
 	for _, slot := range pending {
 		slot.ch <- nil
 	}
-	m.pt.publishGauges()
 }
 
 // close shuts the connection down without an error cause (eviction, idle

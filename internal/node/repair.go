@@ -12,6 +12,7 @@ import (
 	"pgrid/internal/core"
 	"pgrid/internal/repair"
 	"pgrid/internal/store"
+	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -23,12 +24,17 @@ import (
 // Section 2 prefix invariant, dead directory entries, replicas whose path or
 // store fingerprint drifted from their group, entries stored outside the
 // node's responsibility — and heals what it can within the message budget.
-// The repairer books what the round did.
+// The repairer books what the round did, and its counts are the
+// pgrid_repair_* series.
 type Repairer struct {
 	node   *Node
 	every  time.Duration
 	budget int // messages per round, core.RepairBudget
 
+	round sync.Mutex // serializes rounds; held across a round's calls
+
+	// mu guards what follows and is never held across a call, so the
+	// counts can be read while a round runs.
 	mu            sync.Mutex
 	rng           *rand.Rand
 	st            repair.Status // all but the tallies, kept in faults and heals
@@ -36,10 +42,11 @@ type Repairer struct {
 }
 
 // NewRepairer attaches a repair loop to the node and registers it so the
-// node answers the repair column for it. The interval must be positive; a
-// round spends at most core.RepairBudget messages. Health probing is enabled
-// as a side effect (repair shares the liveness tracker). Call before the
-// node starts serving; the repairer field is not synchronized.
+// node answers the repair column for it, and lists its counts on the node's
+// instruments. The interval must be positive; a round spends at most
+// core.RepairBudget messages. Health probing is enabled as a side effect
+// (repair shares the liveness tracker). Call after Node.SetTelemetry and
+// before the node starts serving; the repairer field is not synchronized.
 func NewRepairer(n *Node, every time.Duration, seed int64) *Repairer {
 	if every <= 0 {
 		panic(fmt.Sprintf("node: repair interval %v must be positive", every))
@@ -55,7 +62,32 @@ func NewRepairer(n *Node, every time.Duration, seed int64) *Repairer {
 		heals:  make(map[string]int64),
 	}
 	n.repairer = r
+	reg := n.tel.Registry()
+	reg.CounterFunc("pgrid_repair_rounds_total", "self-healing repair rounds completed", r.read(func() int64 { return r.st.Rounds }))
+	reg.CounterFunc("pgrid_repair_messages_total", "wire messages spent by repair rounds", r.read(func() int64 { return r.st.Messages }))
+	reg.GaugeFunc("pgrid_repair_unhealed", "faults the last repair round detected but could not heal (0 = structurally healthy)",
+		r.read(func() int64 { return r.st.LastUnhealed }))
 	return r
+}
+
+// read wraps a read of the repairer's counts in its lock.
+func (r *Repairer) read(f func() int64) func() int64 {
+	return func() int64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return f()
+	}
+}
+
+// book adds one round's faults or heals to their tallies. A name seen for
+// the first time is listed on the registry as family{label=name}, so the
+// series name only what happened. Called under r.mu.
+func (r *Repairer) book(tally map[string]int64, names []string, family, label, help string) {
+	for _, name := range names {
+		if tally[name]++; tally[name] == 1 {
+			r.node.tel.Registry().CounterFunc(telemetry.Label(family, label, name), help, r.read(func() int64 { return tally[name] }))
+		}
+	}
 }
 
 // Run ticks the repair loop until the context is cancelled. Rounds are
@@ -93,32 +125,27 @@ func (r *Repairer) Status() repair.Status {
 // triggered round (wire.AskRepairNow) and the background loop never
 // interleave. An offline node skips the round entirely.
 func (r *Repairer) Tick() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.round.Lock()
+	defer r.round.Unlock()
 	n := r.node
 	if !n.Online() {
 		return
 	}
 	round := core.Repair(n.self, n.cfg.RefMax, r.budget, repairCalls{n})
-	for _, class := range round.Faults {
-		r.faults[class]++
-		n.tel.RepairFault(class)
-	}
-	for _, action := range round.Heals {
-		r.heals[action]++
-		n.tel.RepairHeal(action)
-	}
+	r.mu.Lock()
+	r.book(r.faults, round.Faults, "pgrid_repair_fault_total", "class", "structural faults detected by the repair protocol, by class")
+	r.book(r.heals, round.Heals, "pgrid_repair_heal_total", "action", "healing actions taken by the repair protocol, by action")
 	r.st.Rounds++
 	r.st.Messages += int64(round.Spent)
 	r.st.LastFaults, r.st.LastHeals, r.st.LastUnhealed = int64(len(round.Faults)), int64(len(round.Heals)), int64(round.Unhealed)
-	n.tel.RepairRound(round.Spent, round.Unhealed)
 	id := r.rng.Uint64()
 	for id == 0 {
 		id = r.rng.Uint64()
 	}
+	r.mu.Unlock()
 	n.rec.Record(trace.Trace{TraceID: id, Key: n.Path(), Found: round.Unhealed == 0,
 		Messages: round.Spent, Backtracks: round.Unhealed, Spans: round.Spans})
-	n.probeRoundDone()
+	n.htr.RoundDone()
 }
 
 // repairCalls answers the repair kernel's calls over the node's transport,

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,7 +38,8 @@ type Options struct {
 	Classify func(error) Class
 	// Seed derives the deterministic jitter stream.
 	Seed int64
-	// Tel, when non-nil, receives the pgrid_resilience_* metrics.
+	// Tel, when non-nil, receives the pgrid_resilience_* metrics; the
+	// breaker, budget and retry counts are read from the transport.
 	Tel *telemetry.Instruments
 
 	// OnPeerState, when non-nil, is notified of every breaker state
@@ -85,6 +87,12 @@ func Wrap(inner Transport, opt Options) *ResilientTransport {
 		t.sleep = time.Sleep
 	}
 	t.seq.Store(uint64(opt.Seed))
+	reg := opt.Tel.Registry()
+	reg.CounterFunc("pgrid_resilience_retries_total", "retry attempts issued after transient failures", t.retries.Load)
+	reg.GaugeFunc("pgrid_resilience_breakers_open", "peer circuit breakers currently open", t.open.Load)
+	reg.GaugeFunc("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open", t.halfOpen.Load)
+	reg.GaugeFunc("pgrid_resilience_retry_budget_tokens_milli", "retry budget balance in millitokens",
+		func() int64 { return int64(math.Round(opt.Budget.Tokens() * 1000)) })
 	return t
 }
 
@@ -117,7 +125,7 @@ func (t *ResilientTransport) breaker(to addr.Addr) *Breaker {
 	return b
 }
 
-// observeTransition maintains the open/half-open gauges and the opens
+// observeTransition maintains the open/half-open counts and the opens
 // counter. Runs under the breaker's lock: O(1) only.
 func (t *ResilientTransport) observeTransition(from, to BreakerState) {
 	delta := func(s BreakerState, d int64) {
@@ -133,7 +141,6 @@ func (t *ResilientTransport) observeTransition(from, to BreakerState) {
 	if to == StateOpen {
 		t.opt.Tel.ResilienceBreakerOpened()
 	}
-	t.opt.Tel.ResilienceBreakerGauges(t.open.Load(), t.halfOpen.Load())
 }
 
 // Call implements Transport: attempt the inner call, classify failures,
@@ -161,7 +168,6 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 			} else {
 				tel.ResilienceOutcome(telemetry.OutcomeOKRetried)
 			}
-			t.publishBudget()
 			return resp, nil
 		}
 		class := t.classify(err)
@@ -187,24 +193,16 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 		}
 		if attempt >= t.opt.Retry.MaxAttempts {
 			tel.ResilienceOutcome(telemetry.OutcomeTransient)
-			t.publishBudget()
 			return nil, err
 		}
 		if !t.opt.Budget.Withdraw() {
 			tel.ResilienceBudgetExhausted()
 			tel.ResilienceOutcome(telemetry.OutcomeBudgetExhausted)
-			t.publishBudget()
 			return nil, err
 		}
 		t.retries.Add(1)
 		tel.RPCKind(uint8(msg.Kind), msg.Kind.String()).Retry()
 		t.sleep(t.opt.Retry.Backoff(attempt, trace.Mix64(t.seq.Add(0x9e3779b97f4a7c15))))
-	}
-}
-
-func (t *ResilientTransport) publishBudget() {
-	if t.opt.Budget != nil {
-		t.opt.Tel.ResilienceBudgetTokens(int64(t.opt.Budget.Tokens() * 1000))
 	}
 }
 

@@ -95,12 +95,9 @@ func (k *RPCKind) Client(d time.Duration, err error) {
 	if k == nil {
 		return
 	}
-	t := k.t
-	t.rpcTotal.Inc()
 	k.counter(&k.clientTotal, "pgrid_rpc_client_kind_total", "outbound RPCs by message kind").Inc()
 	k.latency(&k.clientLatency, "pgrid_rpc_kind_latency_ns", "outbound RPC round-trip latency by message kind, in nanoseconds").Observe(int64(d))
 	if err != nil {
-		t.rpcErrors.Inc()
 		k.counter(&k.clientErrors, "pgrid_rpc_client_kind_errors_total", "failed outbound RPCs by message kind").Inc()
 	}
 }
@@ -110,7 +107,6 @@ func (k *RPCKind) Served() {
 	if k == nil {
 		return
 	}
-	k.t.served.Inc()
 	k.counter(&k.servedTotal, "pgrid_rpc_served_kind_total", "inbound RPCs by message kind").Inc()
 }
 
@@ -124,7 +120,6 @@ func (k *RPCKind) ServedDone(d time.Duration, isErr bool, traceID uint64) {
 	}
 	k.latency(&k.servedLatency, "pgrid_rpc_served_latency_ns", "inbound RPC handling latency by message kind, in nanoseconds").ObserveTraced(int64(d), traceID)
 	if isErr {
-		k.t.servedErrors.Inc()
 		k.counter(&k.servedErrors, "pgrid_rpc_served_kind_errors_total", "inbound RPCs answered with an error reply, by message kind").Inc()
 	}
 }
@@ -143,7 +138,6 @@ func (k *RPCKind) Slow() {
 	if k == nil {
 		return
 	}
-	k.t.rpcSlow.Inc()
 	k.counter(&k.slow, "pgrid_rpc_slow_kind_total", "slow outbound RPCs by message kind").Inc()
 }
 
@@ -154,7 +148,6 @@ func (k *RPCKind) Malformed() {
 	if k == nil {
 		return
 	}
-	k.t.rpcMalformed.Inc()
 	k.counter(&k.malformed, "pgrid_rpc_malformed_kind_total", "malformed responses by request kind").Inc()
 }
 
@@ -163,7 +156,6 @@ func (k *RPCKind) Retry() {
 	if k == nil {
 		return
 	}
-	k.t.resRetries.Inc()
 	k.counter(&k.retries, "pgrid_resilience_retries_kind_total", "retries by message kind").Inc()
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,44 +85,13 @@ type Instruments struct {
 	refsDead    *Counter
 	refsByLevel [MaxLevels + 1]atomic.Pointer[levelPair]
 
-	rpcTotal     *Counter
-	rpcErrors    *Counter
-	rpcMalformed *Counter
-	served       *Counter
+	resCalls           *Counter
+	resBudgetExhausted *Counter
+	resBreakerOpens    *Counter
+	resFastFails       *Counter
 
-	resCalls            *Counter
-	resRetries          *Counter
-	resBudgetExhausted  *Counter
-	resBreakerOpens     *Counter
-	resFastFails        *Counter
-	resBreakersOpen     *Gauge
-	resBreakersHalfOpen *Gauge
-	resBudgetTokens     *Gauge
-
-	healthPathLen  *Gauge
-	healthEntries  *Gauge
-	healthBuddies  *Gauge
-	healthLiveness *Gauge
-	healthMinLevel *Gauge
-	healthRounds   *Gauge
-
-	poolOpen        *Gauge
-	poolInFlight    *Gauge
-	poolQueueDepth  *Gauge
-	poolDials       *Counter
-	poolReuses      *Counter
-	poolEvictions   *Counter
-	poolIdleCloses  *Counter
-	poolConnLost    *Counter
 	acceptRetries   *Counter
 	poolAcquireWait *QHist
-
-	rpcSlow      *Counter
-	servedErrors *Counter
-
-	repairRounds   *Counter
-	repairMessages *Counter
-	repairUnhealed *Gauge
 
 	// Hot-path instruments are indexed, not looked up by label: per-kind
 	// RPC instruments by wire kind code, outcomes by enum, probes by
@@ -134,7 +104,7 @@ type Instruments struct {
 	peerErrs  cowMap[int, *[numErrClasses]atomic.Pointer[Counter]]
 
 	// The labeled slow path: first use of a slot, and labels that are
-	// dynamic by nature (update strategy, repair class).
+	// dynamic by nature (update strategy).
 	// labeledMu also serializes the copy-on-write maps' writers.
 	labeledMu sync.RWMutex
 	labeled   map[string]*Counter
@@ -176,41 +146,38 @@ func New(node int) *Instruments {
 	t.updateMessages = r.Counter("pgrid_update_messages_total", "messages spent by update propagations")
 	t.refsLive = r.Counter("pgrid_refs_probe_live_total", "reference probes that found a live, valid peer")
 	t.refsDead = r.Counter("pgrid_refs_probe_dead_total", "reference probes that found a dead or invalid peer")
-	t.rpcTotal = r.Counter("pgrid_rpc_client_total", "outbound RPCs issued")
-	t.rpcErrors = r.Counter("pgrid_rpc_client_errors_total", "outbound RPCs that failed")
-	t.rpcMalformed = r.Counter("pgrid_rpc_malformed_total", "responses whose payload did not match the request kind")
+	// The aggregate RPC families are the sums of their per-kind counters.
+	r.CounterFunc("pgrid_rpc_client_total", "outbound RPCs issued", t.familySum("pgrid_rpc_client_kind_total"))
+	r.CounterFunc("pgrid_rpc_client_errors_total", "outbound RPCs that failed", t.familySum("pgrid_rpc_client_kind_errors_total"))
+	r.CounterFunc("pgrid_rpc_malformed_total", "responses whose payload did not match the request kind", t.familySum("pgrid_rpc_malformed_kind_total"))
 	t.resCalls = r.Counter("pgrid_resilience_calls_total", "logical calls entering the resilient transport")
-	t.resRetries = r.Counter("pgrid_resilience_retries_total", "retry attempts issued after transient failures")
 	t.resBudgetExhausted = r.Counter("pgrid_resilience_retry_budget_exhausted_total", "retries refused because the retry budget was empty")
 	t.resBreakerOpens = r.Counter("pgrid_resilience_breaker_opens_total", "circuit-breaker transitions into the open state")
 	t.resFastFails = r.Counter("pgrid_resilience_breaker_fastfail_total", "calls refused locally by an open breaker")
-	t.resBreakersOpen = r.Gauge("pgrid_resilience_breakers_open", "peer circuit breakers currently open")
-	t.resBreakersHalfOpen = r.Gauge("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open")
-	t.resBudgetTokens = r.Gauge("pgrid_resilience_retry_budget_tokens_milli", "retry budget balance in millitokens")
-	t.served = r.Counter(StatServedTotal, "inbound RPCs handled")
-	t.healthPathLen = r.Gauge("pgrid_health_path_len", "length of this peer's responsibility path")
-	t.healthEntries = r.Gauge("pgrid_health_entries", "index entries in this peer's store")
-	t.healthBuddies = r.Gauge("pgrid_health_buddies", "known replicas of this peer's path")
-	t.healthLiveness = r.Gauge("pgrid_health_liveness_permille", "overall reference liveness ratio in permille (-1 before any probe)")
-	t.healthMinLevel = r.Gauge("pgrid_health_level_liveness_min_permille", "worst per-level reference liveness ratio in permille (-1 before any probe)")
-	t.healthRounds = r.Gauge("pgrid_health_probe_rounds", "completed background probe rounds")
-	t.poolOpen = r.Gauge("pgrid_pool_conns_open", "pooled connections currently open")
-	t.poolInFlight = r.Gauge("pgrid_pool_requests_in_flight", "requests currently multiplexed over pooled connections")
-	t.poolDials = r.Counter("pgrid_pool_dials_total", "connections dialed by the pool")
-	t.poolReuses = r.Counter("pgrid_pool_reuses_total", "calls served over an already-open pooled connection")
-	t.poolEvictions = r.Counter("pgrid_pool_evictions_total", "pooled connections evicted (breaker open or explicit)")
-	t.poolIdleCloses = r.Counter("pgrid_pool_idle_closes_total", "pooled connections reaped after sitting idle")
-	t.poolConnLost = r.Counter("pgrid_pool_conn_lost_total", "pooled connections that died with requests in flight")
+	r.CounterFunc(StatServedTotal, "inbound RPCs handled", t.familySum("pgrid_rpc_served_kind_total"))
 	t.acceptRetries = r.Counter("pgrid_accept_retries_total", "failed accepts the server retried after a backoff (out of file descriptors, say)")
-	t.poolQueueDepth = r.Gauge("pgrid_pool_queue_depth", "requests currently waiting for or multiplexed on pooled connections, by queue position")
 	t.poolAcquireWait = r.Quantile("pgrid_pool_acquire_wait_ns", "time from requesting a pooled connection to holding one, in nanoseconds")
-	t.rpcSlow = r.Counter("pgrid_rpc_slow_total", "outbound RPCs slower than the slow-op threshold")
-	t.servedErrors = r.Counter("pgrid_rpc_served_errors_total", "inbound RPCs answered with an error reply")
-	t.repairRounds = r.Counter("pgrid_repair_rounds_total", "self-healing repair rounds completed")
-	t.repairMessages = r.Counter("pgrid_repair_messages_total", "wire messages spent by repair rounds")
-	t.repairUnhealed = r.Gauge("pgrid_repair_unhealed", "faults the last repair round detected but could not heal (0 = structurally healthy)")
+	r.CounterFunc("pgrid_rpc_slow_total", "outbound RPCs slower than the slow-op threshold", t.familySum("pgrid_rpc_slow_kind_total"))
+	r.CounterFunc("pgrid_rpc_served_errors_total", "inbound RPCs answered with an error reply", t.familySum("pgrid_rpc_served_kind_errors_total"))
 	RegisterRuntimeMetrics(r)
 	return t
+}
+
+// familySum returns a callback that sums the per-kind counters of family:
+// an aggregate RPC family is the sum of its kinds, never a second count.
+func (t *Instruments) familySum(family string) func() int64 {
+	prefix := family + "{"
+	return func() int64 {
+		t.labeledMu.RLock()
+		defer t.labeledMu.RUnlock()
+		var n int64
+		for name, c := range t.labeled {
+			if strings.HasPrefix(name, prefix) {
+				n += c.Value()
+			}
+		}
+		return n
+	}
 }
 
 // Registry returns the backing registry (nil on a nil receiver).
@@ -371,23 +338,6 @@ func (t *Instruments) RefLiveness(level int, live bool) {
 	}
 }
 
-// ObserveHealth updates the structural health gauges from one self-digest
-// refresh: path length, store size, known replica count, liveness ratios
-// (in permille; pass -1 while no probe data exists), and completed probe
-// rounds. Gauges hold the most recent refresh, so /metrics shows current
-// structure rather than an accumulation.
-func (t *Instruments) ObserveHealth(pathLen, entries, buddies int, livenessPermille, minLevelPermille, rounds int64) {
-	if t == nil {
-		return
-	}
-	t.healthPathLen.Set(int64(pathLen))
-	t.healthEntries.Set(int64(entries))
-	t.healthBuddies.Set(int64(buddies))
-	t.healthLiveness.Set(livenessPermille)
-	t.healthMinLevel.Set(minLevelPermille)
-	t.healthRounds.Set(rounds)
-}
-
 // ClientRPC, ServedRPC and ServedRPCTraced address a
 // message kind by its label, for callers that hold no wire code; callers
 // on the per-message path use RPCKind.
@@ -406,36 +356,6 @@ func (t *Instruments) ServedRPC(kind string) { t.rpcNamed(kind).Served() }
 // context, its trace id (0 for none; see RPCKind.ServedDone).
 func (t *Instruments) ServedRPCTraced(kind string, d time.Duration, isErr bool, traceID uint64) {
 	t.rpcNamed(kind).ServedDone(d, isErr, traceID)
-}
-
-// RepairFault records one structural fault detected by the repair
-// protocol, labeled by fault class (wrong-side-ref, dead-ref, …).
-func (t *Instruments) RepairFault(class string) {
-	if t == nil {
-		return
-	}
-	t.labeledCounter("pgrid_repair_fault_total", "class", class, "structural faults detected by the repair protocol, by class").Inc()
-}
-
-// RepairHeal records one healing action taken by the repair protocol,
-// labeled by action (evict-ref, sync-pull, adopt-path, …).
-func (t *Instruments) RepairHeal(action string) {
-	if t == nil {
-		return
-	}
-	t.labeledCounter("pgrid_repair_heal_total", "action", action, "healing actions taken by the repair protocol, by action").Inc()
-}
-
-// RepairRound records one completed repair round: the wire messages it
-// spent and how many detected faults it left unhealed (the gauge an
-// operator alerts on — nonzero for many rounds means the peer is stuck).
-func (t *Instruments) RepairRound(messages, unhealed int) {
-	if t == nil {
-		return
-	}
-	t.repairRounds.Inc()
-	t.repairMessages.Add(int64(messages))
-	t.repairUnhealed.Set(int64(unhealed))
 }
 
 // ResilienceCall records one logical call entering the resilient
@@ -471,35 +391,6 @@ func (t *Instruments) ResilienceFastFail() {
 	t.resFastFails.Inc()
 }
 
-// ResilienceBreakerGauges publishes the current number of open and
-// half-open breakers.
-func (t *Instruments) ResilienceBreakerGauges(open, halfOpen int64) {
-	if t == nil {
-		return
-	}
-	t.resBreakersOpen.Set(open)
-	t.resBreakersHalfOpen.Set(halfOpen)
-}
-
-// ResilienceBudgetTokens publishes the retry budget balance (millitokens).
-func (t *Instruments) ResilienceBudgetTokens(milli int64) {
-	if t == nil {
-		return
-	}
-	t.resBudgetTokens.Set(milli)
-}
-
-// PoolGauges publishes the pool's current open-connection, in-flight, and
-// acquire-queue depths.
-func (t *Instruments) PoolGauges(open, inFlight, queued int64) {
-	if t == nil {
-		return
-	}
-	t.poolOpen.Set(open)
-	t.poolInFlight.Set(inFlight)
-	t.poolQueueDepth.Set(queued)
-}
-
 // PoolAcquireWait records how long one call waited to hold a pooled
 // connection (dial time included on cold paths).
 func (t *Instruments) PoolAcquireWait(d time.Duration) {
@@ -507,49 +398,6 @@ func (t *Instruments) PoolAcquireWait(d time.Duration) {
 		return
 	}
 	t.poolAcquireWait.Observe(int64(d))
-}
-
-// PoolDial records one connection dialed by the pool.
-func (t *Instruments) PoolDial() {
-	if t == nil {
-		return
-	}
-	t.poolDials.Inc()
-}
-
-// PoolReuse records one call served over an already-open pooled connection.
-// The reuse ratio — reuses / (reuses + dials) — is how warm the pool runs.
-func (t *Instruments) PoolReuse() {
-	if t == nil {
-		return
-	}
-	t.poolReuses.Inc()
-}
-
-// PoolEviction records pooled connections dropped by an eviction (breaker
-// opening, explicit flush).
-func (t *Instruments) PoolEviction(n int) {
-	if t == nil {
-		return
-	}
-	t.poolEvictions.Add(int64(n))
-}
-
-// PoolIdleClose records one pooled connection reaped after sitting idle.
-func (t *Instruments) PoolIdleClose() {
-	if t == nil {
-		return
-	}
-	t.poolIdleCloses.Inc()
-}
-
-// PoolConnLost records one pooled connection that died with requests still
-// in flight (those requests fail Transient and may retry elsewhere).
-func (t *Instruments) PoolConnLost() {
-	if t == nil {
-		return
-	}
-	t.poolConnLost.Inc()
 }
 
 // AcceptRetry records one failed Accept the server retries after a backoff.
@@ -566,12 +414,12 @@ func (t *Instruments) Totals() (exchanges, queries, rpcErrors int64) {
 	if t == nil {
 		return 0, 0, 0
 	}
-	return t.exchanges.Value(), t.queries.Value(), t.rpcErrors.Value()
+	return t.exchanges.Value(), t.queries.Value(), t.familySum("pgrid_rpc_client_kind_errors_total")()
 }
 
-// labeledCounter caches dynamically-labeled counters (update strategies,
-// repair classes) behind a read-locked map hit; it is also the first-use
-// slow path of the indexed slots in hotpath.go.
+// labeledCounter caches dynamically-labeled counters (update strategies)
+// behind a read-locked map hit; it is also the first-use slow path of the
+// indexed slots in hotpath.go.
 func (t *Instruments) labeledCounter(name, key, value, help string) *Counter {
 	return t.cachedCounter(Label(name, key, value), help)
 }

@@ -9,14 +9,15 @@ import (
 
 // Registry holds named instruments and renders them. Registration is
 // idempotent by name: asking twice for the same name returns the same
-// instrument, so independent subsystems can share counters. Names follow
+// instrument, so independent subsystems can share counters (a Func sums
+// the callbacks registered under its name). Names follow
 // Prometheus conventions and may carry a label suffix, e.g.
 // `pgrid_exchange_case_total{case="1"}` — instruments sharing the base
 // name before the '{' are rendered as one metric family.
 type Registry struct {
 	mu    sync.Mutex
 	order []string
-	insts map[string]any // *Counter, *Gauge, *GaugeFunc, or *QHist
+	insts map[string]any // *Counter, *Func, or *QHist
 }
 
 // NewRegistry returns an empty registry.
@@ -31,83 +32,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.insts[name]; ok {
-		c, ok := in.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, in))
-		}
-		return c
-	}
-	c := &Counter{help: help}
-	r.insts[name] = c
-	r.order = append(r.order, name)
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-// It panics if name is already registered as a different instrument kind.
-// Nil-safe like Counter.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.insts[name]; ok {
-		g, ok := in.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, in))
-		}
-		return g
-	}
-	g := &Gauge{help: help}
-	r.insts[name] = g
-	r.order = append(r.order, name)
-	return g
-}
-
-// GaugeFunc is a gauge whose value is computed on demand by a callback,
-// for readings that are cheap to take but pointless to track eagerly
-// (runtime stats, pool sizes owned by another struct). The callback runs
-// only when the registry is rendered or snapshotted, so an idle process
-// pays nothing. Nil-safe like every instrument.
-type GaugeFunc struct {
-	help string
-	fn   func() int64
-}
-
-// Value invokes the callback (0 on a nil receiver or nil callback).
-func (g *GaugeFunc) Value() int64 {
-	if g == nil || g.fn == nil {
-		return 0
-	}
-	return g.fn()
-}
-
-// GaugeFunc registers a callback-backed gauge under name, creating it on
-// first use. Re-registering an existing GaugeFunc name returns the
-// original (the new callback is ignored), keeping registration idempotent
-// like every other instrument. Panics if name is already registered as a
-// different instrument kind. Nil-safe like Counter.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) *GaugeFunc {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in, ok := r.insts[name]; ok {
-		g, ok := in.(*GaugeFunc)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, in))
-		}
-		return g
-	}
-	g := &GaugeFunc{help: help, fn: fn}
-	r.insts[name] = g
-	r.order = append(r.order, name)
-	return g
+	return register(r, name, func() *Counter { return &Counter{help: help} })
 }
 
 // Quantile returns the log-bucketed quantile histogram registered under
@@ -117,19 +42,100 @@ func (r *Registry) Quantile(name, help string) *QHist {
 	if r == nil {
 		return nil
 	}
+	return register(r, name, func() *QHist { return &QHist{name: name, help: help} })
+}
+
+// Func is an instrument whose value its owner keeps — a pool's connection
+// count, a repairer's rounds, the runtime's heap — read by calling back
+// when the registry is rendered or snapshotted, so the owner's count is the
+// only one and an idle process pays nothing. Callbacks registered under
+// one name are summed: owners sharing one registry (several nodes on one
+// Instruments) read as their total. typ is the exposition type, "counter"
+// for a count that only grows, "gauge" otherwise.
+type Func struct {
+	help, typ string
+	fns       []func() int64 // appended under Registry.mu
+}
+
+// GaugeFunc adds fn to the gauge read on demand under name, creating it on
+// first use. It panics if name is already registered as a different
+// instrument kind. Nil-safe: a nil registry ignores the call.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
+	r.addFunc(name, help, "gauge", fn)
+}
+
+// CounterFunc is GaugeFunc for a count that only grows: it renders as a
+// counter.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.addFunc(name, help, "counter", fn)
+}
+
+func (r *Registry) addFunc(name, help, typ string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	f := register(r, name, func() *Func { return &Func{help: help, typ: typ} })
+	r.mu.Lock()
+	f.fns = append(f.fns, fn)
+	r.mu.Unlock()
+}
+
+// register returns the instrument registered under name, creating it with
+// mk on first use, and panics if name holds a different kind.
+func register[T any](r *Registry, name string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if in, ok := r.insts[name]; ok {
-		q, ok := in.(*QHist)
+		v, ok := in.(*T)
 		if !ok {
 			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, in))
 		}
-		return q
+		return v
 	}
-	q := &QHist{name: name, help: help}
-	r.insts[name] = q
+	v := mk()
+	r.insts[name] = v
 	r.order = append(r.order, name)
-	return q
+	return v
+}
+
+// entry is one instrument as a render or a snapshot reads it: fns holds a
+// Func's callbacks as registered when the entry was taken.
+type entry struct {
+	name string
+	inst any
+	fns  []func() int64
+}
+
+// entries lists the instruments in registration order. Only the listing
+// holds r.mu: renders and snapshots read the values, and run the callbacks,
+// after it is released, so a callback may take its owner's locks — or
+// register an instrument — without deadlocking against the registry.
+func (r *Registry) entries() []entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]entry, len(r.order))
+	for i, name := range r.order {
+		out[i] = entry{name: name, inst: r.insts[name]}
+		if f, ok := out[i].inst.(*Func); ok {
+			out[i].fns = f.fns
+		}
+	}
+	return out
+}
+
+// flat reads one Counter or Func entry: its help, exposition type and
+// value. ok is false for a histogram.
+func (e entry) flat() (help, typ string, v int64, ok bool) {
+	switch in := e.inst.(type) {
+	case *Counter:
+		return in.help, "counter", in.Value(), true
+	case *Func:
+		for _, fn := range e.fns {
+			v += fn()
+		}
+		return in.help, in.typ, v, true
+	}
+	return "", "", 0, false
 }
 
 // Stat is one flattened metric sample: quantile histograms expand into
@@ -147,58 +153,35 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	seen := make(map[string]bool)
-	for _, name := range r.order {
-		family := familyOf(name)
-		switch in := r.insts[name].(type) {
-		case *Counter:
+	for _, e := range r.entries() {
+		family := familyOf(e.name)
+		if help, typ, v, ok := e.flat(); ok {
 			if !seen[family] {
 				seen[family] = true
-				if err := writeHeader(w, family, in.help, "counter"); err != nil {
+				if err := writeHeader(w, family, help, typ); err != nil {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, in.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %d\n", e.name, v); err != nil {
 				return err
 			}
-		case *Gauge:
-			if !seen[family] {
-				seen[family] = true
-				if err := writeHeader(w, family, in.help, "gauge"); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, in.Value()); err != nil {
+			continue
+		}
+		q := e.inst.(*QHist)
+		if !seen[family] {
+			seen[family] = true
+			if err := writeHeader(w, family, q.help, "summary"); err != nil {
 				return err
 			}
-		case *GaugeFunc:
-			if !seen[family] {
-				seen[family] = true
-				if err := writeHeader(w, family, in.help, "gauge"); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, in.Value()); err != nil {
+		}
+		for i, v := range q.Quantiles(QuantilePoints...) {
+			if _, err := fmt.Fprintf(w, "%s %d\n", withLabel(e.name, "quantile", quantileLabels[i]), v); err != nil {
 				return err
 			}
-		case *QHist:
-			if !seen[family] {
-				seen[family] = true
-				if err := writeHeader(w, family, in.help, "summary"); err != nil {
-					return err
-				}
-			}
-			qs := in.Quantiles(QuantilePoints...)
-			for i, v := range qs {
-				if _, err := fmt.Fprintf(w, "%s %d\n", withLabel(name, "quantile", quantileLabels[i]), v); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n%s %d\n", suffixed(name, "_sum"), in.Sum(), suffixed(name, "_count"), in.Count()); err != nil {
-				return err
-			}
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n%s %d\n", suffixed(e.name, "_sum"), q.Sum(), suffixed(e.name, "_count"), q.Count()); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,7 +8,8 @@ import (
 // RegisterRuntimeMetrics adds Go runtime gauges to the registry, backed
 // by runtime/metrics and sampled lazily: the runtime is only consulted
 // when the registry is rendered or snapshotted, so an idle node pays
-// nothing for them. Idempotent (the registry dedupes by name).
+// nothing for them. Call it once per registry: a second call would add
+// each callback again, and the registry sums them.
 func RegisterRuntimeMetrics(r *Registry) {
 	r.GaugeFunc("pgrid_go_goroutines", "live goroutines", func() int64 {
 		return runtimeUint64("/sched/goroutines:goroutines")

@@ -372,18 +372,11 @@ func (r *Registry) MetricsSnapshot() MetricsSnapshot {
 	if r == nil {
 		return m
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range r.order {
-		switch in := r.insts[name].(type) {
-		case *Counter:
-			m.Stats = append(m.Stats, Stat{Name: name, Value: in.Value()})
-		case *Gauge:
-			m.Stats = append(m.Stats, Stat{Name: name, Value: in.Value()})
-		case *GaugeFunc:
-			m.Stats = append(m.Stats, Stat{Name: name, Value: in.Value()})
-		case *QHist:
-			m.Hists = append(m.Hists, in.Snapshot())
+	for _, e := range r.entries() {
+		if _, _, v, ok := e.flat(); ok {
+			m.Stats = append(m.Stats, Stat{Name: e.name, Value: v})
+		} else {
+			m.Hists = append(m.Hists, e.inst.(*QHist).Snapshot())
 		}
 	}
 	return m

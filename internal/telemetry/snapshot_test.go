@@ -248,8 +248,8 @@ func TestCountAtOrBelow(t *testing.T) {
 func TestRegistryMetricsSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "").Add(7)
-	r.Gauge("g", "").Set(-3)
-	r.GaugeFunc("gf", "", func() int64 { return 11 })
+	r.GaugeFunc("g", "", func() int64 { return -3 })
+	r.CounterFunc("gf", "", func() int64 { return 11 })
 	r.Quantile("lat_ns", "").Observe(1000)
 
 	m := r.MetricsSnapshot()

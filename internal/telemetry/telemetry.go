@@ -1,6 +1,6 @@
 // Package telemetry is pgrid's zero-dependency observability layer: typed
-// atomic counters, gauges and quantile histograms collected in a Registry
-// that renders the Prometheus text exposition format, plus a versioned
+// atomic counters and quantile histograms, and reads of the counts other
+// components keep (Func), collected in a Registry that renders the Prometheus text exposition format, plus a versioned
 // structured event stream (JSONL) shared by the simulator and the
 // networked node, so both are analyzed with one toolchain.
 //
@@ -39,28 +39,4 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable atomic level (a current value, not a count): path
-// length, store size, a liveness ratio in permille. Like every instrument
-// it is nil-safe and lock-free.
-type Gauge struct {
-	help string
-	v    atomic.Int64
-}
-
-// Set stores the gauge's current value. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Value returns the current value (0 on a nil receiver).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }

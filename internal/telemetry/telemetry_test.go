@@ -211,77 +211,46 @@ func TestInstrumentsConcurrency(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("pgrid_test_level", "help")
-	g.Set(42)
-	g.Set(-7) // gauges go down too
-	if g.Value() != -7 {
-		t.Errorf("gauge = %d, want -7", g.Value())
-	}
-	if again := r.Gauge("pgrid_test_level", "help"); again != g {
-		t.Error("re-registration returned a different gauge")
-	}
+	level := int64(42)
+	r.GaugeFunc("pgrid_test_level", "help", func() int64 { return level })
+	level = -7 // gauges go down too, and are read when asked
+	// A second owner under the same name adds to the reading.
+	r.GaugeFunc("pgrid_test_level", "help", func() int64 { return 2 })
+	r.CounterFunc("pgrid_test_total", "help", func() int64 { return 9 })
+	// A callback runs outside the registry's lock: it may register.
+	r.GaugeFunc("pgrid_test_registers", "help", func() int64 { r.Counter("pgrid_test_late_total", ""); return 1 })
 
-	found := false
+	got := map[string]int64{}
 	for _, s := range r.Snapshot() {
-		if s.Name == "pgrid_test_level" && s.Value == -7 {
-			found = true
-		}
+		got[s.Name] = s.Value
 	}
-	if !found {
-		t.Errorf("snapshot missing gauge: %+v", r.Snapshot())
+	if got["pgrid_test_level"] != -5 || got["pgrid_test_total"] != 9 || got["pgrid_test_registers"] != 1 {
+		t.Errorf("snapshot = %+v, want level -5 (the sum of both owners), total 9", got)
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"# TYPE pgrid_test_level gauge", "pgrid_test_level -7"} {
+	for _, want := range []string{"# TYPE pgrid_test_level gauge", "pgrid_test_level -5", "# TYPE pgrid_test_total counter", "pgrid_test_total 9"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output %q missing %q", out, want)
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a counter registered under a Func's name did not panic")
+			}
+		}()
+		r.Counter("pgrid_test_level", "")
+	}()
 
-	var nilG *Gauge
-	nilG.Set(5)
-	if nilG.Value() != 0 {
-		t.Error("nil gauge not inert")
-	}
 	var nilR *Registry
-	if nilR.Gauge("x", "") != nil {
-		t.Error("nil registry returned a gauge")
+	nilR.GaugeFunc("x", "", func() int64 { return 1 }) // must not panic
+	if nilR.MetricsSnapshot().Stats != nil {
+		t.Error("nil registry listed a gauge")
 	}
-}
-
-func TestObserveHealth(t *testing.T) {
-	in := New(3)
-	in.ObserveHealth(4, 17, 2, 750, 500, 9)
-	got := map[string]int64{}
-	for _, s := range in.Registry().Snapshot() {
-		got[s.Name] = s.Value
-	}
-	want := map[string]int64{
-		"pgrid_health_path_len":                    4,
-		"pgrid_health_entries":                     17,
-		"pgrid_health_buddies":                     2,
-		"pgrid_health_liveness_permille":           750,
-		"pgrid_health_level_liveness_min_permille": 500,
-		"pgrid_health_probe_rounds":                9,
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %d, want %d", name, got[name], v)
-		}
-	}
-	// Gauges hold the latest refresh, not an accumulation.
-	in.ObserveHealth(4, 17, 2, -1, -1, 10)
-	for _, s := range in.Registry().Snapshot() {
-		if s.Name == "pgrid_health_liveness_permille" && s.Value != -1 {
-			t.Errorf("liveness gauge = %d, want -1 after refresh", s.Value)
-		}
-	}
-
-	var nilIn *Instruments
-	nilIn.ObserveHealth(1, 2, 3, 4, 5, 6) // must not panic
 }
 
 // Snapshot returns every metric as flat (name, value) pairs in
@@ -290,26 +259,19 @@ func (r *Registry) Snapshot() []Stat {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []Stat
-	for _, name := range r.order {
-		switch in := r.insts[name].(type) {
-		case *Counter:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *Gauge:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *GaugeFunc:
-			out = append(out, Stat{Name: name, Value: in.Value()})
-		case *QHist:
-			qs := in.Quantiles(QuantilePoints...)
-			for i, v := range qs {
-				out = append(out, Stat{Name: withLabel(name, "quantile", quantileLabels[i]), Value: v})
-			}
-			out = append(out,
-				Stat{Name: suffixed(name, "_sum"), Value: in.Sum()},
-				Stat{Name: suffixed(name, "_count"), Value: in.Count()})
+	for _, e := range r.entries() {
+		if _, _, v, ok := e.flat(); ok {
+			out = append(out, Stat{Name: e.name, Value: v})
+			continue
 		}
+		in := e.inst.(*QHist)
+		for i, v := range in.Quantiles(QuantilePoints...) {
+			out = append(out, Stat{Name: withLabel(e.name, "quantile", quantileLabels[i]), Value: v})
+		}
+		out = append(out,
+			Stat{Name: suffixed(e.name, "_sum"), Value: in.Sum()},
+			Stat{Name: suffixed(e.name, "_count"), Value: in.Count()})
 	}
 	return out
 }
