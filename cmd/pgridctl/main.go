@@ -20,8 +20,8 @@ import (
 	"log"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"pgrid/internal/addr"
@@ -93,6 +93,10 @@ them, or with count 1, one plain frame is printed and the process exits with its
 	if err != nil {
 		usageError("bad -slo: %v", err)
 	}
+	endpoints, err := node.ParseEndpoints(*peers)
+	if err != nil {
+		usageError("bad -peers: %v", err)
+	}
 
 	// Every command talks through this one transport, so the -timeout
 	// bound applies to every dial and roundtrip the CLI ever makes.
@@ -105,19 +109,12 @@ them, or with count 1, one plain frame is printed and the process exits with its
 		IOTimeout:   *timeout,
 	})
 	defer pool.Close()
-	var all []addr.Addr
-	for _, pair := range strings.Split(*peers, ",") {
-		id, ep, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			log.Fatalf("bad endpoint %q", pair)
-		}
-		v, err := strconv.Atoi(id)
-		if err != nil {
-			log.Fatalf("bad peer id %q", id)
-		}
-		pool.SetEndpoint(addr.Addr(v), ep)
-		all = append(all, addr.Addr(v))
+	all := make([]addr.Addr, 0, len(endpoints)) // by id: publish's second entry point is the highest
+	for a, ep := range endpoints {
+		pool.SetEndpoint(a, ep)
+		all = append(all, a)
 	}
+	slices.Sort(all)
 	var tr node.Transport = resilience.Wrap(pool, resilience.Options{
 		Retry:    resilience.Policy{MaxAttempts: *retries},
 		Classify: node.Classify,

@@ -112,6 +112,27 @@ func TestTopClusterRefused(t *testing.T) {
 	}
 }
 
+// TestPeersTable: -peers is read by node.ParseEndpoints, the parser
+// pgridnode reads its table with — blanks around '=' and a trailing comma
+// are accepted, and a negative id (addr.Nil is no peer) is a usage error
+// before any peer is asked.
+func TestPeersTable(t *testing.T) {
+	ep := strings.TrimPrefix(liveNode(t, nil), "0=")
+	for _, tc := range []struct {
+		name, peers string
+		code        int
+	}{
+		{"blanks around the equals sign", "0 = " + ep, 0},
+		{"trailing comma", "0=" + ep + ",", 0},
+		{"negative id", "-1=" + ep, 2},
+	} {
+		_, stderr, code := pgridctl(t, "-peers", tc.peers, "observe", "0", "ask=history")
+		if code != tc.code || (code == 2 && !strings.Contains(stderr, "bad -peers")) {
+			t.Errorf("%s (-peers %q): exit %d, want %d\n%s", tc.name, tc.peers, code, tc.code, stderr)
+		}
+	}
+}
+
 // TestObserveHistoryKindRows: `observe <id> ask=history 1s 1` prints one
 // plain frame of the peer's trends — the rates, the per-kind rows (calls,
 // rate over the newest interval, windowed quantiles) and the -slo verdicts —

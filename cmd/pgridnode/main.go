@@ -56,8 +56,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -356,45 +354,18 @@ func checkpointLoop(ctx context.Context, logger *slog.Logger, n *node.Node, path
 	}
 }
 
-// parseEndpoints reads the endpoint table: id=host:port pairs separated by
-// commas and/or newlines. Files may use CRLF line endings and contain blank
-// lines and # comments (full-line or trailing). The table comes from -peers
+// parseEndpoints reads the endpoint table (node.ParseEndpoints) from -peers
 // or from -peers-file, never both.
 func parseEndpoints(inline, file string) (map[addr.Addr]string, error) {
 	if inline != "" && file != "" {
 		return nil, fmt.Errorf("-peers and -peers-file both given: name the community once")
 	}
-	raw := inline
-	if file != "" {
-		b, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		raw = string(b)
+	if file == "" {
+		return node.ParseEndpoints(inline)
 	}
-	out := make(map[addr.Addr]string)
-	for _, line := range strings.Split(raw, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		for _, pair := range strings.Split(line, ",") {
-			pair = strings.TrimSpace(pair) // also trims the \r of CRLF files
-			if pair == "" {
-				continue
-			}
-			id, ep, ok := strings.Cut(pair, "=")
-			if !ok {
-				return nil, fmt.Errorf("bad endpoint %q (want id=host:port)", pair)
-			}
-			v, err := strconv.Atoi(strings.TrimSpace(id))
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad peer id %q", id)
-			}
-			out[addr.Addr(v)] = strings.TrimSpace(ep)
-		}
+	b, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no endpoints given")
-	}
-	return out, nil
+	return node.ParseEndpoints(string(b))
 }

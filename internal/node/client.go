@@ -9,7 +9,6 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/store"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -25,7 +24,6 @@ import (
 type Client struct {
 	tr  Transport
 	rng *rand.Rand
-	tel *telemetry.Instruments
 }
 
 // NewClient returns a client over the given transport, seeded for
@@ -36,8 +34,8 @@ func NewClient(tr Transport, seed int64) *Client {
 
 // ask is the single-peer read behind TraceQuery and Observe: one
 // request, and an answer in which got does not find the payload
-// that request asks for is ErrMalformed, counted under the request kind — a
-// misbehaving peer is operationally a different problem from a churned one.
+// that request asks for is ErrMalformed — a misbehaving peer is
+// operationally a different problem from a churned one.
 // Transport errors (an unreachable peer, or a reachable one answering
 // KindError) come back as they are. Like every caller, ask reads nothing of
 // its request once the call has returned.
@@ -48,7 +46,6 @@ func (c *Client) ask(a addr.Addr, req wire.Message, got func(*wire.Message) bool
 		return nil, err
 	}
 	if !got(resp) {
-		rpcKind(c.tel, kind).Malformed()
 		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, kind, resp.Kind)
 	}
 	return resp, nil
@@ -117,12 +114,10 @@ func (c *Client) replicaSearch(start addr.Addr, key bitpath.Path, recbreadth int
 		}
 		info := resp.InfoResp
 		if info == nil {
-			rpcKind(c.tel, wire.KindInfo).Malformed()
-			continue
+			continue // malformed: routed around like an unreachable peer
 		}
 		covers, lo, hi := core.ReplicaStep(info.Path, key)
 		if covers && !riderAnswered(info, rider) {
-			rpcKind(c.tel, wire.KindInfo).Malformed()
 			continue
 		}
 		if covers {
@@ -234,7 +229,6 @@ func (c *Client) readOnce(call *wire.QueryCall, start addr.Addr, key bitpath.Pat
 	}
 	q := resp.QueryResp
 	if q == nil {
-		rpcKind(c.tel, wire.KindQuery).Malformed()
 		return out
 	}
 	out.Messages = 1 + q.Messages

@@ -18,10 +18,8 @@ type Gossiper struct {
 	others []addr.Addr
 	every  time.Duration
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	attempts  int64
-	successes int64
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
 
 // NewGossiper returns a gossiper for n meeting the given peers every
@@ -68,11 +66,5 @@ func (g *Gossiper) Tick() {
 	if to == g.node.Addr() {
 		return
 	}
-	err := g.node.Exchange(to)
-	g.mu.Lock()
-	g.attempts++
-	if err == nil {
-		g.successes++
-	}
-	g.mu.Unlock()
+	_ = g.node.Exchange(to) // a failed meeting is not retried: a later tick meets again
 }

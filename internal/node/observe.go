@@ -106,10 +106,9 @@ func (v Violation) String() string {
 // KindObserve per peer asking req's columns and the links the walk follows,
 // which it then judges with repair.ValidRef where the target answered too.
 // A transport error, or an answer without links, makes the peer Unreachable
-// and never aborts the walk; an answer that lacks another asked column is
-// counted malformed and the columns it has are filed, with no second round
-// trip. There is no path for a peer
-// that does not know KindObserve, because the one wire cannot produce the
+// and never aborts the walk; of an answer that lacks another asked column
+// the columns it has are filed, with no second round trip. There is no path
+// for a peer that does not know KindObserve, because the one wire cannot produce the
 // KindError such a path would wait for: an unknown kind decodes as
 // wire.ErrCorrupt, the server drops the connection, and the caller sees a
 // transient loss.
@@ -140,12 +139,8 @@ func (c *Client) Walk(start addr.Addr, req wire.ObserveReq) WalkResult {
 		}
 		o := resp.ObserveResp
 		if o == nil || o.Links == nil {
-			rpcKind(c.tel, wire.KindObserve).Malformed()
 			res.Unreachable = append(res.Unreachable, a)
 			continue
-		}
-		if !o.Answers(req.Asks) {
-			rpcKind(c.tel, wire.KindObserve).Malformed()
 		}
 		from := o.Links.Addr
 		res.Reached = append(res.Reached, from)

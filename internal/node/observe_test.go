@@ -82,9 +82,6 @@ func TestWalk(t *testing.T) {
 	servedObserves := func(t *testing.T, n *Node) int64 {
 		return counterVal(t, n.Telemetry(), `pgrid_rpc_served_kind_total{kind="observe"}`)
 	}
-	malformed := func(t *testing.T, tel *telemetry.Instruments) int64 {
-		return counterVal(t, tel, `pgrid_rpc_malformed_kind_total{kind="observe"}`)
-	}
 
 	for _, com := range communities {
 		for _, as := range askSets {
@@ -115,13 +112,10 @@ func TestWalk(t *testing.T) {
 					}
 				}
 
-				// One column missing at every peer: counted, the rest filed.
+				// One column missing at every peer: the rest filed.
 				bad := columns[0]
-				tel := telemetry.New(99)
 				tr = &malformTransport{inner: inner, kind: wire.KindObserve, mode: "nocolumn", column: bad}
-				cl := NewClient(tr, 42)
-				cl.SetTelemetry(tel)
-				res = cl.Walk(0, as.req)
+				res = NewClient(tr, 42).Walk(0, as.req)
 				if len(res.Reached) != 3 || len(res.Unreachable) != 0 || res.Messages != 3 || tr.calls.Load() != 3 {
 					t.Fatalf("walk reached %v, unreachable %v, %d messages, %d round trips",
 						res.Reached, res.Unreachable, res.Messages, tr.calls.Load())
@@ -135,23 +129,14 @@ func TestWalk(t *testing.T) {
 						t.Errorf("column %#x filed %d times, want %d", c, got, want)
 					}
 				}
-				if got := malformed(t, tel); got != 3 {
-					t.Errorf("malformed observe answers = %d, want 3", got)
-				}
 
 				// An answer without links makes the peer unreachable: nothing it
 				// says is used.
-				tel = telemetry.New(98)
 				tr = &malformTransport{inner: inner, kind: wire.KindObserve, mode: "nocolumn", column: wire.AskLinks}
-				cl = NewClient(tr, 42)
-				cl.SetTelemetry(tel)
-				res = cl.Walk(0, as.req)
+				res = NewClient(tr, 42).Walk(0, as.req)
 				if len(res.Reached) != 0 || len(res.Unreachable) != 1 || res.Messages != 1 || tr.calls.Load() != 1 {
 					t.Errorf("no links: reached %v, unreachable %v, %d messages, %d round trips",
 						res.Reached, res.Unreachable, res.Messages, tr.calls.Load())
-				}
-				if got := malformed(t, tel); got != 1 {
-					t.Errorf("no links: malformed observe answers = %d, want 1", got)
 				}
 
 				// Offline peer: reported, billed its one frame, never fatal.
@@ -171,19 +156,15 @@ func TestWalk(t *testing.T) {
 
 // failingObserve is the 3-peer health fixture with telemetry on, seen
 // through a transport that fails KindObserve answers the way mode says
-// (stripping column under "nocolumn"), and a client that counts the
-// malformed answers it gets in tel.
-func failingObserve(t *testing.T, mode string, column wire.Ask) (*Cluster, *malformTransport, *Client, *telemetry.Instruments) {
+// (stripping column under "nocolumn"), and a client over it.
+func failingObserve(t *testing.T, mode string, column wire.Ask) (*Cluster, *malformTransport, *Client) {
 	t.Helper()
 	c := localHealthCluster(t)
 	for i := range c.Nodes {
 		c.Nodes[i].SetTelemetry(telemetry.New(i))
 	}
 	tr := &malformTransport{inner: c.Transport, kind: wire.KindObserve, mode: mode, column: column}
-	cl := NewClient(tr, 42)
-	tel := telemetry.New(99)
-	cl.SetTelemetry(tel)
-	return c, tr, cl, tel
+	return c, tr, NewClient(tr, 42)
 }
 
 // observeFails asks peer a req through cl and checks the single-peer read
@@ -206,18 +187,12 @@ func observeFails(t *testing.T, tr *malformTransport, cl *Client, a addr.Addr, r
 	}
 }
 
-// malformedObserves is how many malformed observe answers tel counted.
-func malformedObserves(t *testing.T, tel *telemetry.Instruments) int64 {
-	t.Helper()
-	return counterVal(t, tel, `pgrid_rpc_malformed_kind_total{kind="observe"}`)
-}
-
 // TestCrawlPreHealthFallback pins that no digest is made up for a peer
 // whose health column is missing: the peer is still walked through (its
-// links are good), its repair column is filed, the gap is counted
-// malformed, and nobody asks it a second time.
+// links are good), its repair column is filed, and nobody asks it a second
+// time.
 func TestCrawlPreHealthFallback(t *testing.T) {
-	_, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskHealth)
+	_, tr, cl := failingObserve(t, "nocolumn", wire.AskHealth)
 	res := crawl(cl, 0)
 	if len(res.Reached) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("crawl = %+v, want all 3 reached", res)
@@ -227,9 +202,6 @@ func TestCrawlPreHealthFallback(t *testing.T) {
 	}
 	if len(res.Repairs) != 3 {
 		t.Errorf("repair statuses = %d, want 3: the health column's gap is its own", len(res.Repairs))
-	}
-	if got := malformedObserves(t, tel); got != 3 {
-		t.Errorf("malformed observe answers = %d, want 3", got)
 	}
 	if res.Messages != 3 || tr.calls.Load() != 3 {
 		t.Errorf("messages = %d, round trips = %d, want 3 and 3 (one frame per peer, no second ask)",
@@ -245,15 +217,14 @@ func TestCrawlPreHealthFallback(t *testing.T) {
 // one by one after it.
 func TestCollectClusterPreMetricsFallback(t *testing.T) {
 	for _, tc := range []struct {
-		mode      string
-		malformed int64
-		err       error
+		mode string
+		err  error
 	}{
-		{"kinderror", 0, nil},
-		{"wrongkind", 1, ErrMalformed},
+		{"kinderror", nil},
+		{"wrongkind", ErrMalformed},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
-			_, tr, cl, tel := failingObserve(t, tc.mode, 0)
+			_, tr, cl := failingObserve(t, tc.mode, 0)
 			res := collect(cl, 0)
 			if len(res.Reached) != 0 || len(res.Unreachable) != 1 || res.Unreachable[0] != 0 {
 				t.Fatalf("collect = %+v, want the entry peer unreachable", res)
@@ -264,9 +235,6 @@ func TestCollectClusterPreMetricsFallback(t *testing.T) {
 			if res.Messages != 1 || tr.calls.Load() != 1 {
 				t.Errorf("messages = %d, round trips = %d, want 1 and 1", res.Messages, tr.calls.Load())
 			}
-			if got := malformedObserves(t, tel); got != tc.malformed {
-				t.Errorf("malformed observe answers = %d, want %d", got, tc.malformed)
-			}
 			observeFails(t, tr, cl, 2, wire.ObserveReq{Asks: wire.AskHistory}, tc.err)
 		})
 	}
@@ -274,10 +242,9 @@ func TestCollectClusterPreMetricsFallback(t *testing.T) {
 
 // TestCollectClusterSequentialFallback: an answer missing its history
 // column is never trusted and never re-asked one by one — the digests
-// survive with their structure, no dump is filed, the gap is counted
-// malformed.
+// survive with their structure and no dump is filed.
 func TestCollectClusterSequentialFallback(t *testing.T) {
-	_, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskHistory)
+	_, tr, cl := failingObserve(t, "nocolumn", wire.AskHistory)
 	res := collect(cl, 0)
 	if len(res.Reached) != 3 || len(res.Digests) != 3 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect = %+v", res)
@@ -290,9 +257,6 @@ func TestCollectClusterSequentialFallback(t *testing.T) {
 			t.Errorf("digest %v lost structure: %+v", d.Addr, d)
 		}
 	}
-	if got := malformedObserves(t, tel); got != 3 {
-		t.Errorf("malformed observe answers = %d, want 3", got)
-	}
 	if res.Messages != 3 || tr.calls.Load() != 3 {
 		t.Errorf("messages = %d, round trips = %d, want 3 and 3 (one frame per peer)", res.Messages, tr.calls.Load())
 	}
@@ -304,7 +268,7 @@ func TestCollectClusterSequentialFallback(t *testing.T) {
 // built from a second (metrics) call — and a history-enabled peer with an
 // unsampled ring answers for real, an empty dump with its interval.
 func TestFetchHistoryPreHistoryFallback(t *testing.T) {
-	c, tr, cl, _ := failingObserve(t, "kinderror", 0)
+	c, tr, cl := failingObserve(t, "kinderror", 0)
 	req := wire.ObserveReq{Asks: wire.AskHistory, WindowNS: int64(time.Minute), MaxPoints: 8}
 	observeFails(t, tr, cl, 1, req, nil)
 
@@ -320,14 +284,11 @@ func TestFetchHistoryPreHistoryFallback(t *testing.T) {
 // rings come back over the same walk; an offline peer lands in Unreachable,
 // billed its one frame; and none of it aborts the walk.
 func TestCollectClusterHistoryFallbacks(t *testing.T) {
-	c, tr, cl, tel := failingObserve(t, "nocolumn", wire.AskHistory)
+	c, tr, cl := failingObserve(t, "nocolumn", wire.AskHistory)
 	res := collect(cl, 0)
 	if len(res.Reached) != 3 || len(res.Dumps) != 0 || len(res.Unreachable) != 0 {
 		t.Fatalf("collect over answers without history = %d peers, %d dumps, unreachable %v",
 			len(res.Reached), len(res.Dumps), res.Unreachable)
-	}
-	if got := malformedObserves(t, tel); got != 3 {
-		t.Errorf("malformed observe answers = %d, want 3", got)
 	}
 	if got := tr.calls.Load(); got != 3 {
 		t.Errorf("round trips = %d, want 3 (one frame per peer)", got)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,11 +92,13 @@ func TestHealthGaugesReadTheNode(t *testing.T) {
 
 // TestOneCount runs a pooled, resilient TCP community with repair on — nodes
 // 0 and 1 on one shared set of instruments, node 2 on its own — kills node 2
-// and lets the others repair against it. Afterwards every pool, breaker,
-// budget, repair and health series reads what its owners keep: PoolStats,
-// Breakers, Budget.Tokens, Status and Digest, summed over the owners that
-// share the instruments. The aggregate RPC families are the sums of their
-// kinds.
+// and lets the others repair, search and meet against it. Afterwards every
+// pool, resilience, repair and health series reads what its owners keep:
+// PoolStats, the calls that returned, Breakers, Retries, Budget.Tokens,
+// Status and Digest, summed over the owners that share the instruments. A
+// total is the sum of its parts: RPCs of their kinds, resilient calls of
+// their outcomes, retries of their kinds, exchanges of their Fig. 3 cases,
+// probes of their levels, and searches the count of the hop histogram.
 func TestOneCount(t *testing.T) {
 	const nNodes = 3
 	shared, own := telemetry.New(0), telemetry.New(2)
@@ -108,6 +111,7 @@ func TestOneCount(t *testing.T) {
 	rts := make([]*resilience.ResilientTransport, nNodes)
 	budgets := make([]*resilience.Budget, nNodes)
 	repairers := make([]*Repairer, nNodes)
+	calls := make([]*returnedTransport, nNodes)
 	servers := make([]*Server, nNodes)
 	endpoints := make([]string, nNodes)
 	lns := make([]net.Listener, nNodes)
@@ -140,7 +144,8 @@ func TestOneCount(t *testing.T) {
 			},
 		})
 		pools[i] = pt
-		nodes[i] = New(addr.Addr(i), smallCfg(), InstrumentTransport(rts[i], tels[i]), int64(100+i))
+		calls[i] = &returnedTransport{inner: rts[i]}
+		nodes[i] = New(addr.Addr(i), smallCfg(), InstrumentTransport(calls[i], tels[i]), int64(100+i))
 		nodes[i].SetTelemetry(tels[i])
 		nodes[i].Store().Apply(store.Entry{Key: bitpath.MustParse("0"), Name: "f", Holder: addr.Addr(i), Version: uint64(i + 1)})
 		repairers[i] = NewRepairer(nodes[i], time.Hour, int64(200+i))
@@ -154,10 +159,16 @@ func TestOneCount(t *testing.T) {
 			r.Tick()
 		}
 	}
-	servers[2].Close() // node 2 goes away; the others repair against it
+	servers[2].Close() // node 2 goes away; the others repair, search and meet against it
 	for round := 0; round < 3; round++ {
 		repairers[0].Tick()
 		repairers[1].Tick()
+		for _, key := range []string{"0", "10", "11"} {
+			nodes[0].Query(bitpath.MustParse(key))
+			nodes[1].Query(bitpath.MustParse(key))
+		}
+		nodes[0].Exchange(1)
+		nodes[1].Exchange(2)
 	}
 
 	for _, group := range [][]int{{0, 1}, {2}} {
@@ -175,7 +186,9 @@ func TestOneCount(t *testing.T) {
 			want["pgrid_pool_evictions_total"] += ps.Evictions
 			want["pgrid_pool_idle_closes_total"] += ps.IdleClose
 			want["pgrid_pool_conn_lost_total"] += ps.ConnLost
+			want["pgrid_resilience_calls_total"] += calls[i].n.Load()
 			for _, b := range rts[i].Breakers() {
+				want["pgrid_resilience_breaker_opens_total"] += b.Opens
 				switch b.State {
 				case "open":
 					want["pgrid_resilience_breakers_open"]++
@@ -229,14 +242,19 @@ func TestOneCount(t *testing.T) {
 				t.Errorf("nodes %v: %s listed, no repairer booked it", group, name)
 			}
 		}
-		// An aggregate RPC family is the sum of its kinds.
+		// A total is the sum of its parts.
 		for total, family := range map[string]string{
-			"pgrid_rpc_client_total":        "pgrid_rpc_client_kind_total",
-			"pgrid_rpc_client_errors_total": "pgrid_rpc_client_kind_errors_total",
-			"pgrid_rpc_served_total":        "pgrid_rpc_served_kind_total",
-			"pgrid_rpc_served_errors_total": "pgrid_rpc_served_kind_errors_total",
-			"pgrid_rpc_slow_total":          "pgrid_rpc_slow_kind_total",
-			"pgrid_rpc_malformed_total":     "pgrid_rpc_malformed_kind_total",
+			"pgrid_rpc_client_total":         "pgrid_rpc_client_kind_total",
+			"pgrid_rpc_client_errors_total":  "pgrid_rpc_client_kind_errors_total",
+			"pgrid_rpc_served_total":         "pgrid_rpc_served_kind_total",
+			"pgrid_rpc_served_errors_total":  "pgrid_rpc_served_kind_errors_total",
+			"pgrid_rpc_slow_total":           "pgrid_rpc_slow_kind_total",
+			"pgrid_rpc_malformed_total":      "pgrid_rpc_malformed_kind_total",
+			"pgrid_resilience_calls_total":   "pgrid_resilience_outcome_total",
+			"pgrid_resilience_retries_total": "pgrid_resilience_retries_kind_total",
+			"pgrid_exchange_total":           "pgrid_exchange_case_total",
+			"pgrid_refs_probe_live_total":    "pgrid_refs_level_live_total",
+			"pgrid_refs_probe_dead_total":    "pgrid_refs_level_dead_total",
 		} {
 			var sum int64
 			for name, v := range got {
@@ -245,20 +263,36 @@ func TestOneCount(t *testing.T) {
 				}
 			}
 			if got[total] != sum {
-				t.Errorf("nodes %v: %s = %d, its kinds sum to %d", group, total, got[total], sum)
+				t.Errorf("nodes %v: %s = %d, its parts sum to %d", group, total, got[total], sum)
 			}
 		}
-		if _, _, errs := tel.Totals(); errs != got["pgrid_rpc_client_errors_total"] {
-			t.Errorf("nodes %v: Totals errors %d, series %d", group, errs, got["pgrid_rpc_client_errors_total"])
+		if h, _ := tel.MetricsSnapshot().Hist("pgrid_query_hops"); got["pgrid_query_total"] != h.Count {
+			t.Errorf("nodes %v: pgrid_query_total = %d, pgrid_query_hops counts %d", group, got["pgrid_query_total"], h.Count)
+		}
+		for total, part := range map[string]string{
+			"pgrid_resilience_breaker_fastfail_total":       telemetry.Label("pgrid_resilience_outcome_total", "class", "fastfail"),
+			"pgrid_resilience_retry_budget_exhausted_total": telemetry.Label("pgrid_resilience_outcome_total", "class", "budget-exhausted"),
+		} {
+			if got[total] != got[part] {
+				t.Errorf("nodes %v: %s = %d, %s = %d", group, total, got[total], part, got[part])
+			}
+		}
+		ex, queries, errs := tel.Totals()
+		if ex != got["pgrid_exchange_total"] || queries != got["pgrid_query_total"] || errs != got["pgrid_rpc_client_errors_total"] {
+			t.Errorf("nodes %v: Totals %d, %d, %d; series %d, %d, %d", group, ex, queries, errs,
+				got["pgrid_exchange_total"], got["pgrid_query_total"], got["pgrid_rpc_client_errors_total"])
 		}
 	}
 
 	// The run did reach what it checks: calls, dials, retries, an open
-	// breaker, repair rounds with faults.
+	// breaker, repair rounds with faults, searches, meetings, probes both
+	// ways.
 	got := stats(shared)
 	for _, name := range []string{"pgrid_rpc_client_total", "pgrid_rpc_served_total", "pgrid_pool_dials_total",
 		"pgrid_pool_reuses_total", "pgrid_resilience_breakers_open", "pgrid_repair_rounds_total", "pgrid_repair_messages_total",
-		"pgrid_rpc_client_errors_total"} {
+		"pgrid_rpc_client_errors_total", "pgrid_resilience_calls_total", "pgrid_resilience_breaker_opens_total",
+		"pgrid_resilience_breaker_fastfail_total", "pgrid_resilience_retries_total", "pgrid_query_total",
+		"pgrid_exchange_total", "pgrid_refs_probe_live_total", "pgrid_refs_probe_dead_total"} {
 		if got[name] == 0 {
 			t.Errorf("shared instruments: %s = 0, the run did not exercise it", name)
 		}
@@ -321,6 +355,18 @@ func TestRepairCountsReadDuringARound(t *testing.T) {
 	if st := r.Status(); st.Rounds != 2 {
 		t.Errorf("after the round: %d rounds, want 2", st.Rounds)
 	}
+}
+
+// returnedTransport counts the calls that have come back through it, failed
+// or not.
+type returnedTransport struct {
+	inner Transport
+	n     atomic.Int64
+}
+
+func (r *returnedTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
+	defer r.n.Add(1)
+	return r.inner.Call(to, msg)
 }
 
 // blockingTransport holds its first call until released.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -138,6 +139,40 @@ func (p *PoolTransport) SetEndpoint(a addr.Addr, hostport string) {
 	if known && old != hostport {
 		p.Evict(a)
 	}
+}
+
+// ParseEndpoints reads an endpoint table: id=host:port pairs separated by
+// commas and/or newlines, blanks around either side allowed. The text may
+// use CRLF line endings and contain blank lines, empty pairs (a trailing
+// comma) and # comments (full-line or trailing). An id must be a
+// non-negative integer (addr.Nil is no peer); a table naming no peer is an
+// error.
+func ParseEndpoints(text string) (map[addr.Addr]string, error) {
+	out := make(map[addr.Addr]string)
+	for _, line := range strings.Split(text, "\n") {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		for _, pair := range strings.Split(line, ",") {
+			pair = strings.TrimSpace(pair) // also trims the \r of CRLF files
+			if pair == "" {
+				continue
+			}
+			id, ep, ok := strings.Cut(pair, "=")
+			if !ok {
+				return nil, fmt.Errorf("bad endpoint %q (want id=host:port)", pair)
+			}
+			v, err := strconv.ParseInt(strings.TrimSpace(id), 10, 32)
+			if err != nil || v < 0 {
+				return nil, fmt.Errorf("bad peer id %q", id)
+			}
+			out[addr.Addr(v)] = strings.TrimSpace(ep)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no endpoints given")
+	}
+	return out, nil
 }
 
 // Endpoint returns the mapping for a, if known.

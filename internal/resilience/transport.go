@@ -38,8 +38,9 @@ type Options struct {
 	Classify func(error) Class
 	// Seed derives the deterministic jitter stream.
 	Seed int64
-	// Tel, when non-nil, receives the pgrid_resilience_* metrics; the
-	// breaker, budget and retry counts are read from the transport.
+	// Tel, when non-nil, lists the pgrid_resilience_* series on its
+	// registry. Every one reads a count the transport, its breakers or its
+	// budget keep.
 	Tel *telemetry.Instruments
 
 	// OnPeerState, when non-nil, is notified of every breaker state
@@ -61,23 +62,46 @@ type ResilientTransport struct {
 	classify func(error) Class
 	sleep    func(time.Duration)
 	seq      atomic.Uint64
+	reg      *telemetry.Registry
 
 	mu       sync.RWMutex
 	breakers map[addr.Addr]*Breaker
 
-	open     atomic.Int64 // breakers currently open
-	halfOpen atomic.Int64 // breakers currently half-open
-	retries  atomic.Int64
+	// Calls that have returned, by final outcome, and retries, by wire
+	// kind code: the only counts of either.
+	outcomes [numOutcomes]atomic.Int64
+	retries  [math.MaxUint8 + 1]atomic.Int64
 }
+
+// Outcome is the final outcome class of one resilient call.
+type Outcome uint8
+
+// Outcome classes, labeled "ok", "ok-retried", "transient", "terminal",
+// "corrupt", "fastfail" and "budget-exhausted".
+const (
+	OutcomeOK Outcome = iota
+	OutcomeOKRetried
+	OutcomeTransient
+	OutcomeTerminal
+	OutcomeCorrupt
+	OutcomeFastFail
+	OutcomeBudgetExhausted
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"ok", "ok-retried", "transient", "terminal",
+	"corrupt", "fastfail", "budget-exhausted"}
 
 // Wrap builds a ResilientTransport over inner.
 func Wrap(inner Transport, opt Options) *ResilientTransport {
 	opt.Retry = opt.Retry.withDefaults()
+	reg := opt.Tel.Registry()
 	t := &ResilientTransport{
 		inner:    inner,
 		opt:      opt,
 		classify: opt.Classify,
 		sleep:    opt.Sleep,
+		reg:      reg,
 		breakers: make(map[addr.Addr]*Breaker),
 	}
 	if t.classify == nil {
@@ -87,10 +111,24 @@ func Wrap(inner Transport, opt Options) *ResilientTransport {
 		t.sleep = time.Sleep
 	}
 	t.seq.Store(uint64(opt.Seed))
-	reg := opt.Tel.Registry()
-	reg.CounterFunc("pgrid_resilience_retries_total", "retry attempts issued after transient failures", t.retries.Load)
-	reg.GaugeFunc("pgrid_resilience_breakers_open", "peer circuit breakers currently open", t.open.Load)
-	reg.GaugeFunc("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open", t.halfOpen.Load)
+	reg.CounterFunc("pgrid_resilience_calls_total", "resilient calls that have returned, the sum of their outcomes",
+		func() (n int64) {
+			for o := range t.outcomes {
+				n += t.outcomes[o].Load()
+			}
+			return n
+		})
+	reg.CounterFunc("pgrid_resilience_retry_budget_exhausted_total", "retries refused because the retry budget was empty",
+		t.outcomes[OutcomeBudgetExhausted].Load)
+	reg.CounterFunc("pgrid_resilience_breaker_opens_total", "circuit-breaker transitions into the open state",
+		func() int64 { _, n := t.breakerTally(); return n })
+	reg.CounterFunc("pgrid_resilience_breaker_fastfail_total", "calls refused locally by an open breaker",
+		t.outcomes[OutcomeFastFail].Load)
+	reg.CounterFunc("pgrid_resilience_retries_total", "retry attempts issued after transient failures", t.Retries)
+	reg.GaugeFunc("pgrid_resilience_breakers_open", "peer circuit breakers currently open",
+		func() int64 { s, _ := t.breakerTally(); return s[StateOpen] })
+	reg.GaugeFunc("pgrid_resilience_breakers_half_open", "peer circuit breakers currently half-open",
+		func() int64 { s, _ := t.breakerTally(); return s[StateHalfOpen] })
 	reg.GaugeFunc("pgrid_resilience_retry_budget_tokens_milli", "retry budget balance in millitokens",
 		func() int64 { return int64(math.Round(opt.Budget.Tokens() * 1000)) })
 	return t
@@ -113,33 +151,44 @@ func (t *ResilientTransport) breaker(to addr.Addr) *Breaker {
 	if b = t.breakers[to]; b == nil {
 		b = NewBreaker(t.opt.Breaker)
 		b.refused = Mark(fmt.Errorf("%w: peer %v", ErrBreakerOpen, to), Transient)
-		peer := to
-		b.onTransition = func(from, next BreakerState) {
-			t.observeTransition(from, next)
-			if t.opt.OnPeerState != nil {
-				t.opt.OnPeerState(peer, from, next)
-			}
+		if onPeer := t.opt.OnPeerState; onPeer != nil {
+			peer := to
+			b.onTransition = func(from, next BreakerState) { onPeer(peer, from, next) }
 		}
 		t.breakers[to] = b
 	}
 	return b
 }
 
-// observeTransition maintains the open/half-open counts and the opens
-// counter. Runs under the breaker's lock: O(1) only.
-func (t *ResilientTransport) observeTransition(from, to BreakerState) {
-	delta := func(s BreakerState, d int64) {
-		switch s {
-		case StateOpen:
-			t.open.Add(d)
-		case StateHalfOpen:
-			t.halfOpen.Add(d)
-		}
+// breakerTally scans the breakers' own state: how many are in each state
+// now, and how many times any of them opened.
+func (t *ResilientTransport) breakerTally() (inState [StateHalfOpen + 1]int64, opens int64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, b := range t.breakers {
+		s, _, n, _ := b.Snapshot()
+		inState[s]++
+		opens += n
 	}
-	delta(from, -1)
-	delta(to, +1)
-	if to == StateOpen {
-		t.opt.Tel.ResilienceBreakerOpened()
+	return inState, opens
+}
+
+// count books one returned call under its final outcome. A class is listed
+// on the registry when its count first leaves zero, so /metrics shows only
+// what happened.
+func (t *ResilientTransport) count(o Outcome) {
+	if t.outcomes[o].Add(1) == 1 {
+		t.reg.CounterFunc(telemetry.Label("pgrid_resilience_outcome_total", "class", outcomeNames[o]),
+			"resilient calls by final outcome", t.outcomes[o].Load)
+	}
+}
+
+// retried books one retry of a call of kind k, listing the kind on its
+// first retry.
+func (t *ResilientTransport) retried(k wire.Kind) {
+	if t.retries[k].Add(1) == 1 {
+		t.reg.CounterFunc(telemetry.Label("pgrid_resilience_retries_kind_total", "kind", k.String()),
+			"retries by message kind", t.retries[k].Load)
 	}
 }
 
@@ -148,14 +197,11 @@ func (t *ResilientTransport) observeTransition(from, to BreakerState) {
 // breaker. Terminal and Corrupt failures return immediately — the caller
 // (routing) backtracks to an alternative peer instead of burning retries.
 func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Message, error) {
-	tel := t.opt.Tel
-	tel.ResilienceCall()
 	t.opt.Budget.Deposit()
 	br := t.breaker(to)
 	for attempt := 1; ; attempt++ {
 		if br != nil && !br.Allow() {
-			tel.ResilienceFastFail()
-			tel.ResilienceOutcome(telemetry.OutcomeFastFail)
+			t.count(OutcomeFastFail)
 			return nil, br.refused
 		}
 		resp, err := t.inner.Call(to, msg)
@@ -164,9 +210,9 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 				br.Success()
 			}
 			if attempt == 1 {
-				tel.ResilienceOutcome(telemetry.OutcomeOK)
+				t.count(OutcomeOK)
 			} else {
-				tel.ResilienceOutcome(telemetry.OutcomeOKRetried)
+				t.count(OutcomeOKRetried)
 			}
 			return resp, nil
 		}
@@ -178,13 +224,13 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 			if br != nil {
 				br.Success()
 			}
-			tel.ResilienceOutcome(telemetry.OutcomeTerminal)
+			t.count(OutcomeTerminal)
 			return nil, err
 		case Corrupt:
 			if br != nil {
 				br.Failure()
 			}
-			tel.ResilienceOutcome(telemetry.OutcomeCorrupt)
+			t.count(OutcomeCorrupt)
 			return nil, err
 		}
 		// Transient: count against the breaker, retry if allowed.
@@ -192,22 +238,26 @@ func (t *ResilientTransport) Call(to addr.Addr, msg *wire.Message) (*wire.Messag
 			br.Failure()
 		}
 		if attempt >= t.opt.Retry.MaxAttempts {
-			tel.ResilienceOutcome(telemetry.OutcomeTransient)
+			t.count(OutcomeTransient)
 			return nil, err
 		}
 		if !t.opt.Budget.Withdraw() {
-			tel.ResilienceBudgetExhausted()
-			tel.ResilienceOutcome(telemetry.OutcomeBudgetExhausted)
+			t.count(OutcomeBudgetExhausted)
 			return nil, err
 		}
-		t.retries.Add(1)
-		tel.RPCKind(uint8(msg.Kind), msg.Kind.String()).Retry()
+		t.retried(msg.Kind)
 		t.sleep(t.opt.Retry.Backoff(attempt, trace.Mix64(t.seq.Add(0x9e3779b97f4a7c15))))
 	}
 }
 
-// Retries returns the lifetime number of retries issued.
-func (t *ResilientTransport) Retries() int64 { return t.retries.Load() }
+// Retries returns the lifetime number of retries issued, the sum over
+// kinds.
+func (t *ResilientTransport) Retries() (n int64) {
+	for k := range t.retries {
+		n += t.retries[k].Load()
+	}
+	return n
+}
 
 // BreakerView is one peer's breaker state for the /debug/breakers admin
 // surface.

@@ -3,6 +3,8 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,6 +99,58 @@ func TestResilientDoesNotRetryTerminalOrCorrupt(t *testing.T) {
 				t.Errorf("%s failure was retried: %d attempts", tc.name, inner.calls)
 			}
 		})
+	}
+}
+
+// lostTransport loses every call; safe for concurrent use.
+type lostTransport struct{}
+
+func (lostTransport) Call(addr.Addr, *wire.Message) (*wire.Message, error) { return nil, errLost }
+
+// TestResilientCountsListedOnFirstUse: an outcome class and a retried kind
+// are listed when their count first leaves zero — once, however many calls
+// race to it — nothing that did not happen is listed, and the calls and
+// retries totals read the classes and kinds.
+func TestResilientCountsListedOnFirstUse(t *testing.T) {
+	const n = 64
+	tel := telemetry.New(-1)
+	rt := Wrap(lostTransport{}, Options{Retry: Policy{MaxAttempts: 2}, Sleep: noSleep, Tel: tel})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rt.Call(1, &wire.Message{Kind: wire.KindQuery})
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	seen, value := map[string]int{}, map[string]int64{}
+	for _, s := range tel.MetricsSnapshot().Stats {
+		seen[s.Name]++
+		value[s.Name] = s.Value
+	}
+	want := map[string]int64{
+		telemetry.Label("pgrid_resilience_outcome_total", "class", "transient"):                 n,
+		telemetry.Label("pgrid_resilience_retries_kind_total", "kind", wire.KindQuery.String()): n,
+		"pgrid_resilience_calls_total":   n,
+		"pgrid_resilience_retries_total": n,
+	}
+	for name, v := range want {
+		if seen[name] != 1 || value[name] != v {
+			t.Errorf("%s: listed %d times at %d, want once at %d", name, seen[name], value[name], v)
+		}
+	}
+	for name := range seen {
+		if f, _, labeled := strings.Cut(name, "{"); labeled && strings.HasPrefix(f, "pgrid_resilience_") && want[name] == 0 {
+			t.Errorf("%s listed, nothing happened there", name)
+		}
+	}
+	if rt.Retries() != n {
+		t.Errorf("Retries() = %d, want %d", rt.Retries(), n)
 	}
 }
 

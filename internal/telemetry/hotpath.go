@@ -9,7 +9,7 @@ import (
 
 // Hot-path instruments — the ones touched once or more per message — are
 // indexed by what the caller already holds as a small integer (wire kind
-// code, outcome, level, error class) and registered lazily: a slot is an
+// code, level, error class) and registered lazily: a slot is an
 // atomic pointer, nil until its first observation, filled through the
 // labeled slow path (Label + labeledMu + Registry) and read afterwards
 // with one atomic load. Nothing is pre-registered, so /metrics lists only
@@ -38,7 +38,6 @@ type RPCKind struct {
 	servedPanics  atomic.Pointer[Counter]
 	slow          atomic.Pointer[Counter]
 	malformed     atomic.Pointer[Counter]
-	retries       atomic.Pointer[Counter]
 }
 
 // RPCKind returns the instruments of the message kind with the given wire
@@ -151,46 +150,6 @@ func (k *RPCKind) Malformed() {
 	k.counter(&k.malformed, "pgrid_rpc_malformed_kind_total", "malformed responses by request kind").Inc()
 }
 
-// Retry records one retry attempt issued by the resilient transport.
-func (k *RPCKind) Retry() {
-	if k == nil {
-		return
-	}
-	k.counter(&k.retries, "pgrid_resilience_retries_kind_total", "retries by message kind").Inc()
-}
-
-// Outcome is the final outcome class of one resilient call.
-type Outcome uint8
-
-// Outcome classes, labeled "ok", "ok-retried", "transient", "terminal",
-// "corrupt", "fastfail" and "budget-exhausted".
-const (
-	OutcomeOK Outcome = iota
-	OutcomeOKRetried
-	OutcomeTransient
-	OutcomeTerminal
-	OutcomeCorrupt
-	OutcomeFastFail
-	OutcomeBudgetExhausted
-	numOutcomes
-)
-
-var outcomeNames = [numOutcomes]string{"ok", "ok-retried", "transient", "terminal",
-	"corrupt", "fastfail", "budget-exhausted"}
-
-// ResilienceOutcome records the final outcome class of one resilient call.
-func (t *Instruments) ResilienceOutcome(o Outcome) {
-	if t == nil || o >= numOutcomes {
-		return
-	}
-	c := t.outcomes[o].Load()
-	if c == nil {
-		c = t.labeledCounter("pgrid_resilience_outcome_total", "class", outcomeNames[o], "resilient calls by final outcome")
-		t.outcomes[o].Store(c)
-	}
-	c.Inc()
-}
-
 // ErrClass is a coarse class of failed outbound RPC, for the per-peer
 // error counters.
 type ErrClass uint8
@@ -240,10 +199,8 @@ func (t *Instruments) levelCounters(level int) *levelPair {
 	if p == nil {
 		lvl := strconv.Itoa(level)
 		p = &levelPair{
-			live: t.reg.Counter(Label("pgrid_refs_level_live_total", "level", lvl),
-				"live reference probes by level"),
-			dead: t.reg.Counter(Label("pgrid_refs_level_dead_total", "level", lvl),
-				"dead reference probes by level"),
+			live: t.addLabeled(Label("pgrid_refs_level_live_total", "level", lvl), "live reference probes by level"),
+			dead: t.addLabeled(Label("pgrid_refs_level_dead_total", "level", lvl), "dead reference probes by level"),
 		}
 		t.refsByLevel[level].Store(p)
 	}

@@ -36,9 +36,8 @@ func TestAllocBudgetHotPath(t *testing.T) {
 			in.ServedRPC("query")
 			in.ServedRPCTraced("query", time.Millisecond, false, 0)
 		},
-		"ResilienceOutcome": func() { in.ResilienceOutcome(OutcomeOK) },
-		"RefLiveness":       func() { in.RefLiveness(3, true); in.RefLiveness(3, false) },
-		"PeerError":         func() { in.PeerError(1234, ErrClassClosed) },
+		"RefLiveness": func() { in.RefLiveness(3, true); in.RefLiveness(3, false) },
+		"PeerError":   func() { in.PeerError(1234, ErrClassClosed) },
 	} {
 		f() // first use registers
 		if got := testing.AllocsPerRun(200, f); got != 0 {
@@ -67,7 +66,6 @@ func TestLazySlotsRaceFirstUse(t *testing.T) {
 				in.ClientRPC("get", time.Duration(i), nil)
 				in.ServedRPC("get")
 			}
-			in.ResilienceOutcome(OutcomeTransient)
 			in.RefLiveness(5, true)
 			in.PeerError(9, ErrClassTimeout)
 		}(i)
@@ -85,7 +83,6 @@ func TestLazySlotsRaceFirstUse(t *testing.T) {
 		`pgrid_rpc_client_kind_total{kind="get"}`,
 		`pgrid_rpc_kind_latency_ns_count{kind="get"}`,
 		`pgrid_rpc_served_kind_total{kind="get"}`,
-		`pgrid_resilience_outcome_total{class="transient"}`,
 		`pgrid_refs_level_live_total{level="5"}`,
 		`pgrid_rpc_peer_errors_total{class="timeout",peer="9"}`,
 	} {
@@ -126,10 +123,6 @@ func (r labeledPath) labeled(family, key, value, help string) {
 	r.t.labeledCounter(family, key, value, help).Inc()
 }
 
-func (r labeledPath) outcome(class string) {
-	r.t.labeledCounter("pgrid_resilience_outcome_total", "class", class, "resilient calls by final outcome").Inc()
-}
-
 func (r labeledPath) peerError(peer int, class string) {
 	full := "pgrid_rpc_peer_errors_total{class=" + strconv.Quote(class) + ",peer=" + strconv.Quote(strconv.Itoa(peer)) + "}"
 	r.t.cachedCounter(full, "failed outbound RPCs by peer and error class").Inc()
@@ -138,13 +131,11 @@ func (r labeledPath) peerError(peer int, class string) {
 func (r labeledPath) refLiveness(level int, live bool) {
 	t := r.t
 	lvl := strconv.Itoa(level)
-	l := t.reg.Counter(Label("pgrid_refs_level_live_total", "level", lvl), "live reference probes by level")
-	d := t.reg.Counter(Label("pgrid_refs_level_dead_total", "level", lvl), "dead reference probes by level")
+	l := t.labeledCounter("pgrid_refs_level_live_total", "level", lvl, "live reference probes by level")
+	d := t.labeledCounter("pgrid_refs_level_dead_total", "level", lvl, "dead reference probes by level")
 	if live {
-		t.refsLive.Inc()
 		l.Inc()
 	} else {
-		t.refsDead.Inc()
 		d.Inc()
 	}
 }
@@ -199,8 +190,6 @@ func TestIndexedPathEquivalence(t *testing.T) {
 				ref.servedRPC("kind(200)")
 			}
 			if i%20 == 1 {
-				got.RPCKind(4, "apply").Retry()
-				ref.labeled("pgrid_resilience_retries_kind_total", "kind", "apply", "retries by message kind")
 				got.RPCKind(0, "query").Slow()
 				ref.labeled("pgrid_rpc_slow_kind_total", "kind", "query", "slow outbound RPCs by message kind")
 				got.RPCKind(8, "info").Malformed()
@@ -210,8 +199,6 @@ func TestIndexedPathEquivalence(t *testing.T) {
 				got.PeerError(5, ErrClassApp)
 				ref.peerError(5, "app")
 			}
-			got.ResilienceOutcome(Outcome(i % int(numOutcomes)))
-			ref.outcome(outcomeNames[i%int(numOutcomes)])
 			got.RefLiveness(i%4, i%3 != 0)
 			ref.refLiveness(i%4, i%3 != 0)
 		}

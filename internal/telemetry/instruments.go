@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,10 +69,8 @@ type Instruments struct {
 	sink  atomic.Pointer[JSONLSink]
 	start time.Time
 
-	exchanges     *Counter
 	exchangeCases [ExCaseReplica + 1]*Counter
 
-	queries         *Counter
 	queriesFailed   *Counter
 	queryHops       *QHist
 	queryBacktracks *Counter
@@ -81,26 +78,18 @@ type Instruments struct {
 	updateReplicas *Counter
 	updateMessages *Counter
 
-	refsLive    *Counter
-	refsDead    *Counter
 	refsByLevel [MaxLevels + 1]atomic.Pointer[levelPair]
-
-	resCalls           *Counter
-	resBudgetExhausted *Counter
-	resBreakerOpens    *Counter
-	resFastFails       *Counter
 
 	acceptRetries   *Counter
 	poolAcquireWait *QHist
 
 	// Hot-path instruments are indexed, not looked up by label: per-kind
-	// RPC instruments by wire kind code, outcomes by enum, probes by
-	// level, peer errors by address. Every slot starts empty and is filled
+	// RPC instruments by wire kind code, probes by level, peer errors by
+	// address. Every slot starts empty and is filled
 	// on first use through the labeled slow path below, so names, help,
 	// registration order and exemplar enabling are those of that path.
 	rpcByCode [rpcKindSlots]atomic.Pointer[RPCKind]
 	rpcByName cowMap[string, *RPCKind]
-	outcomes  [numOutcomes]atomic.Pointer[Counter]
 	peerErrs  cowMap[int, *[numErrClasses]atomic.Pointer[Counter]]
 
 	// The labeled slow path: first use of a slot, and labels that are
@@ -108,6 +97,7 @@ type Instruments struct {
 	// labeledMu also serializes the copy-on-write maps' writers.
 	labeledMu sync.RWMutex
 	labeled   map[string]*Counter
+	families  map[string][]*Counter // labeled counters by family, for the totals summed from them
 	labeledQ  map[string]*QHist
 	exTailQ   float64 // >0: capture exemplars on latency QHists (guarded by labeledMu)
 }
@@ -126,6 +116,7 @@ func New(node int) *Instruments {
 		clock:    func() int64 { return time.Now().UnixNano() },
 		start:    time.Now(),
 		labeled:  make(map[string]*Counter),
+		families: make(map[string][]*Counter),
 		labeledQ: make(map[string]*QHist),
 	}
 	r := t.reg
@@ -133,27 +124,23 @@ func New(node int) *Instruments {
 		func() int64 { return t.start.UnixNano() })
 	r.GaugeFunc(StatUptime, "monotonic nanoseconds since process start",
 		func() int64 { return int64(time.Since(t.start)) })
-	t.exchanges = r.Counter("pgrid_exchange_total", "exchanges executed, including recursive ones (the paper's e)")
+	r.CounterFunc("pgrid_exchange_total", "exchanges executed, including recursive ones (the paper's e)",
+		t.familySum("pgrid_exchange_case_total"))
 	for c := range t.exchangeCases {
-		t.exchangeCases[c] = r.Counter(Label("pgrid_exchange_case_total", "case", ExchangeCaseName(c)),
+		t.exchangeCases[c] = t.labeledCounter("pgrid_exchange_case_total", "case", ExchangeCaseName(c),
 			"exchanges by Fig. 3 case taken")
 	}
-	t.queries = r.Counter("pgrid_query_total", "searches completed")
+	r.CounterFunc("pgrid_query_total", "searches completed", func() int64 { return t.queryHops.Count() })
 	t.queriesFailed = r.Counter("pgrid_query_failed_total", "searches that found no responsible peer")
 	t.queryHops = r.Quantile("pgrid_query_hops", "successful peer contacts per search")
 	t.queryBacktracks = r.Counter("pgrid_query_backtracks_total", "failed subtrees abandoned during searches")
 	t.updateReplicas = r.Counter("pgrid_update_replicas_total", "replicas reached by update propagations")
 	t.updateMessages = r.Counter("pgrid_update_messages_total", "messages spent by update propagations")
-	t.refsLive = r.Counter("pgrid_refs_probe_live_total", "reference probes that found a live, valid peer")
-	t.refsDead = r.Counter("pgrid_refs_probe_dead_total", "reference probes that found a dead or invalid peer")
-	// The aggregate RPC families are the sums of their per-kind counters.
+	r.CounterFunc("pgrid_refs_probe_live_total", "reference probes that found a live, valid peer", t.familySum("pgrid_refs_level_live_total"))
+	r.CounterFunc("pgrid_refs_probe_dead_total", "reference probes that found a dead or invalid peer", t.familySum("pgrid_refs_level_dead_total"))
 	r.CounterFunc("pgrid_rpc_client_total", "outbound RPCs issued", t.familySum("pgrid_rpc_client_kind_total"))
 	r.CounterFunc("pgrid_rpc_client_errors_total", "outbound RPCs that failed", t.familySum("pgrid_rpc_client_kind_errors_total"))
 	r.CounterFunc("pgrid_rpc_malformed_total", "responses whose payload did not match the request kind", t.familySum("pgrid_rpc_malformed_kind_total"))
-	t.resCalls = r.Counter("pgrid_resilience_calls_total", "logical calls entering the resilient transport")
-	t.resBudgetExhausted = r.Counter("pgrid_resilience_retry_budget_exhausted_total", "retries refused because the retry budget was empty")
-	t.resBreakerOpens = r.Counter("pgrid_resilience_breaker_opens_total", "circuit-breaker transitions into the open state")
-	t.resFastFails = r.Counter("pgrid_resilience_breaker_fastfail_total", "calls refused locally by an open breaker")
 	r.CounterFunc(StatServedTotal, "inbound RPCs handled", t.familySum("pgrid_rpc_served_kind_total"))
 	t.acceptRetries = r.Counter("pgrid_accept_retries_total", "failed accepts the server retried after a backoff (out of file descriptors, say)")
 	t.poolAcquireWait = r.Quantile("pgrid_pool_acquire_wait_ns", "time from requesting a pooled connection to holding one, in nanoseconds")
@@ -163,18 +150,16 @@ func New(node int) *Instruments {
 	return t
 }
 
-// familySum returns a callback that sums the per-kind counters of family:
-// an aggregate RPC family is the sum of its kinds, never a second count.
+// familySum returns a callback that sums the labeled counters of family:
+// a total — RPCs of their kinds, exchanges of their Fig. 3 cases, probes of
+// their levels — is read from its parts, never counted a second time.
+// (Searches are the count of the hop histogram.)
 func (t *Instruments) familySum(family string) func() int64 {
-	prefix := family + "{"
-	return func() int64 {
+	return func() (n int64) {
 		t.labeledMu.RLock()
 		defer t.labeledMu.RUnlock()
-		var n int64
-		for name, c := range t.labeled {
-			if strings.HasPrefix(name, prefix) {
-				n += c.Value()
-			}
+		for _, c := range t.families[family] {
+			n += c.Value()
 		}
 		return n
 	}
@@ -285,7 +270,6 @@ func (t *Instruments) ExchangeCase(c int) {
 	if c < 0 || c >= len(t.exchangeCases) {
 		c = ExCaseNone
 	}
-	t.exchanges.Inc()
 	t.exchangeCases[c].Inc()
 }
 
@@ -296,7 +280,6 @@ func (t *Instruments) ObserveQuery(found bool, hops, backtracks int) {
 	if t == nil {
 		return
 	}
-	t.queries.Inc()
 	if !found {
 		t.queriesFailed.Inc()
 	}
@@ -330,10 +313,8 @@ func (t *Instruments) RefLiveness(level int, live bool) {
 	}
 	p := t.levelCounters(level)
 	if live {
-		t.refsLive.Inc()
 		p.live.Inc()
 	} else {
-		t.refsDead.Inc()
 		p.dead.Inc()
 	}
 }
@@ -356,39 +337,6 @@ func (t *Instruments) ServedRPC(kind string) { t.rpcNamed(kind).Served() }
 // context, its trace id (0 for none; see RPCKind.ServedDone).
 func (t *Instruments) ServedRPCTraced(kind string, d time.Duration, isErr bool, traceID uint64) {
 	t.rpcNamed(kind).ServedDone(d, isErr, traceID)
-}
-
-// ResilienceCall records one logical call entering the resilient
-// transport (retries excluded — those are counted by ResilienceRetry).
-func (t *Instruments) ResilienceCall() {
-	if t == nil {
-		return
-	}
-	t.resCalls.Inc()
-}
-
-// ResilienceBudgetExhausted records one retry refused for lack of budget.
-func (t *Instruments) ResilienceBudgetExhausted() {
-	if t == nil {
-		return
-	}
-	t.resBudgetExhausted.Inc()
-}
-
-// ResilienceBreakerOpened records one breaker opening.
-func (t *Instruments) ResilienceBreakerOpened() {
-	if t == nil {
-		return
-	}
-	t.resBreakerOpens.Inc()
-}
-
-// ResilienceFastFail records one call refused locally by an open breaker.
-func (t *Instruments) ResilienceFastFail() {
-	if t == nil {
-		return
-	}
-	t.resFastFails.Inc()
 }
 
 // PoolAcquireWait records how long one call waited to hold a pooled
@@ -414,7 +362,7 @@ func (t *Instruments) Totals() (exchanges, queries, rpcErrors int64) {
 	if t == nil {
 		return 0, 0, 0
 	}
-	return t.exchanges.Value(), t.queries.Value(), t.familySum("pgrid_rpc_client_kind_errors_total")()
+	return t.familySum("pgrid_exchange_case_total")(), t.queryHops.Count(), t.familySum("pgrid_rpc_client_kind_errors_total")()
 }
 
 // labeledCounter caches dynamically-labeled counters (update strategies)
@@ -436,9 +384,18 @@ func (t *Instruments) cachedCounter(full, help string) *Counter {
 	t.labeledMu.Lock()
 	defer t.labeledMu.Unlock()
 	if c = t.labeled[full]; c == nil {
-		c = t.reg.Counter(full, help)
-		t.labeled[full] = c
+		c = t.addLabeled(full, help)
 	}
+	return c
+}
+
+// addLabeled registers a labeled counter and files it under its family.
+// The caller holds labeledMu.
+func (t *Instruments) addLabeled(full, help string) *Counter {
+	c := t.reg.Counter(full, help)
+	t.labeled[full] = c
+	f := familyOf(full)
+	t.families[f] = append(t.families[f], c)
 	return c
 }
 
