@@ -125,28 +125,24 @@ them, or with count 1, one plain frame is printed and the process exits with its
 	cmd, args := args[0], args[1:]
 	switch cmd {
 	case "query":
+		fallthrough
+	case "trace": // one walk: a trace has its context ride on every visit
 		id := mustID(args, 0)
 		key, err := bitpath.Parse(arg(args, 1))
 		if err != nil {
 			log.Fatal(err)
 		}
-		resp := mustCall(tr, id, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		q := resp.QueryResp
-		if !q.Found {
-			log.Fatalf("no responsible peer reachable for %s (%d messages)", key, q.Messages)
-		}
-		fmt.Printf("responsible peer %v (path %s), %d messages\n", q.Peer, q.Path, q.Messages)
-
-	case "trace":
-		id := mustID(args, 0)
-		key, err := bitpath.Parse(arg(args, 1))
+		dt, err := client.Route(id, key, cmd == "trace")
 		if err != nil {
 			log.Fatal(err)
 		}
-		dt, err := client.TraceQuery(id, key)
-		if err != nil {
-			log.Fatal(err)
+		if cmd == "query" {
+			if !dt.Found {
+				log.Fatalf("no responsible peer reachable for %s (%d messages)", key, dt.Messages)
+			}
+			last := dt.Spans[len(dt.Spans)-1] // a found route ends at the responsible peer
+			fmt.Printf("responsible peer %v (path %s), %d messages\n", last.Peer, last.Path, dt.Messages)
+			break
 		}
 		fmt.Printf("trace %016x\n%s\n", dt.TraceID, dt)
 		for _, s := range dt.Spans {
@@ -335,12 +331,4 @@ func refresh(w io.Writer, title string, interval time.Duration, count int, jsonO
 		code = c
 	}
 	return code
-}
-
-func mustCall(tr node.Transport, to addr.Addr, m *wire.Message) *wire.Message {
-	resp, err := tr.Call(to, m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return resp
 }

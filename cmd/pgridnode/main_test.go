@@ -655,7 +655,7 @@ func observeCommunity(t *testing.T) (*node.Cluster, *telemetry.Instruments) {
 	n.EnableTracing(trace.NewRecorder(16), 1)
 	cl := node.NewClient(c.Transport, 1)
 	for _, key := range []string{"0000", "0101", "1010", "1111"} {
-		if _, err := cl.TraceQuery(n.Addr(), bitpath.Path(key)); err != nil {
+		if _, err := cl.Route(n.Addr(), bitpath.Path(key), true); err != nil {
 			t.Fatal(err)
 		}
 	}

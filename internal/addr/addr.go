@@ -213,18 +213,17 @@ func (s Set) RandomSubsetInto(buf []Addr, rng *rand.Rand, k int) Set {
 	return Set{addrs: out}
 }
 
-// PopRandom removes and returns a uniformly random address, matching the
-// paper's destructive random_select(refs) used in the search loop.
-// It returns Nil when the set is empty.
-func (s *Set) PopRandom(rng *rand.Rand) Addr {
-	if len(s.addrs) == 0 {
-		return Nil
+// PopRandom removes a uniformly random address from addrs, the last taking
+// its place — the paper's destructive random_select(refs) of the search loop —
+// and returns it (Nil from an empty list) and the shortened list.
+func PopRandom(addrs []Addr, rng *rand.Rand) (Addr, []Addr) {
+	if len(addrs) == 0 {
+		return Nil, addrs
 	}
-	i := rng.Intn(len(s.addrs))
-	a := s.addrs[i]
-	s.addrs[i] = s.addrs[len(s.addrs)-1]
-	s.addrs = s.addrs[:len(s.addrs)-1]
-	return a
+	i, last := rng.Intn(len(addrs)), len(addrs)-1
+	a := addrs[i]
+	addrs[i] = addrs[last]
+	return a, addrs[:last]
 }
 
 // String renders the set for logs.

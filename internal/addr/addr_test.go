@@ -98,19 +98,20 @@ func TestRandomSubset(t *testing.T) {
 
 func TestPopRandomDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewSet(1, 2, 3)
+	s := []Addr{1, 2, 3}
 	seen := map[Addr]bool{}
 	for i := 0; i < 3; i++ {
-		a := s.PopRandom(rng)
+		var a Addr
+		a, s = PopRandom(s, rng)
 		if a == Nil || seen[a] {
 			t.Fatalf("PopRandom returned %v (seen=%v)", a, seen[a])
 		}
 		seen[a] = true
 	}
-	if s.Len() != 0 {
-		t.Error("set not drained")
+	if len(s) != 0 {
+		t.Error("list not drained")
 	}
-	if s.PopRandom(rng) != Nil {
+	if a, _ := PopRandom(s, rng); a != Nil {
 		t.Error("PopRandom on empty must return Nil")
 	}
 }

@@ -82,7 +82,7 @@ func replicaSearch(d *directory.Directory, start *peer.Peer, key bitpath.Path, r
 		for level := lo; level <= hi; level++ {
 			// Follow up to recbreadth fresh online references of the level.
 			followed := 0
-			refs = a.RefsInto(refs, level).ShuffledInto(refs, rng)
+			refs = addr.ShuffledInto(refs, a.AppendRefs(refs[:0], level), rng)
 			for _, r := range refs {
 				if followed >= recbreadth {
 					break

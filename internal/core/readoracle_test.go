@@ -23,11 +23,12 @@ func oracleQuery(d *directory.Directory, a *peer.Peer, p bitpath.Path, l int, rn
 		res.Peer = a.Addr()
 		return true
 	}
-	refs := a.RefsAt(next)
-	held += refs.Len()
+	refs := a.RefsAt(next).Slice()
+	held += len(refs)
 	*need = max(*need, held)
-	for refs.Len() > 0 {
-		r := refs.PopRandom(rng)
+	for len(refs) > 0 {
+		var r addr.Addr
+		r, refs = addr.PopRandom(refs, rng)
 		q := d.Peer(r)
 		if q == nil || !q.Online() {
 			continue
@@ -57,7 +58,7 @@ func oracleReplicaSearch(d *directory.Directory, start *peer.Peer, key bitpath.P
 		}
 		for level := lo; level <= hi; level++ {
 			followed := 0
-			refs = a.RefsInto(refs, level).ShuffledInto(refs, rng)
+			refs = addr.ShuffledInto(refs, a.AppendRefs(refs[:0], level), rng)
 			for _, r := range refs {
 				if followed >= recbreadth {
 					break
@@ -107,7 +108,7 @@ func oracleUpdate(d *directory.Directory, key bitpath.Path, recbreadth, repetiti
 // refmax 64 and depth 6 (384 addresses on a route through every level) and
 // on a small one, with half the peers offline so that searches backtrack:
 // Found, Peer, Messages, Backtracks, the replicas found, an update's count
-// and cost, and the rng's next draw all match. query is also run in rooms of
+// and cost, and the rng's next draw all match. The walk is also run in rooms of
 // 0, 8 and 64 addresses, where nearly every level spills. (The large grid
 // takes keys of at least 4 bits: a shorter one covers a thousand peers, and
 // its walks only slow the test down.)
@@ -132,7 +133,7 @@ func TestReadDrawsMatchOracles(t *testing.T) {
 			oracle := rand.New(rand.NewSource(seed))
 			want.Found = oracleQuery(d, start, key, 0, oracle, &want, 0, &need)
 			wantNext := oracle.Int63()
-			if need > len(queryRoom{}) {
+			if need > len(Walk{}.room) {
 				overRoom++
 			}
 			backtracks += want.Backtracks
@@ -143,11 +144,13 @@ func TestReadDrawsMatchOracles(t *testing.T) {
 			}
 			for _, size := range []int{0, 8, 64} {
 				rng := rand.New(rand.NewSource(seed))
-				var got QueryResult
-				got.Found = query(d, start, key, 0, false, rng, &got, nil, make([]addr.Addr, size))
-				if got != want || rng.Int63() != wantNext {
-					t.Fatalf("refmax %d, key %d (%s from %v) in a room of %d: query = %+v, the clone-per-level search %+v (or the next draw differs)",
-						g.refmax, i, key, start.Addr(), size, got, want)
+				var w Walk
+				w.Start(start.Addr(), key, rng, false)
+				w.roomSize = size
+				w.through(d, start)
+				if got := w.QueryResult; got != want || rng.Int63() != wantNext {
+					t.Fatalf("refmax %d, key %d (%s from %v) in a room of %d: the walk = %+v, the clone-per-level search %+v (or the next draw differs)",
+						g.refmax, i, key, start.Addr(), size, w.QueryResult, want)
 				}
 			}
 

@@ -225,9 +225,9 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 			online = append(online, n.Addr())
 		}
 	}
-	// Queries from concurrent clients of one process: their calls to a start
-	// peer share its stream, as the hops a busy node forwards to one reference
-	// do, so this is where a kill lands on a stream that carries other requests.
+	// Queries from concurrent clients of one process: their visits to a peer
+	// share its stream, so this is where a kill lands on a stream that carries
+	// other requests.
 	const (
 		queries = 320
 		clients = 16
@@ -235,15 +235,13 @@ func TestChaosSoakPooledTCP(t *testing.T) {
 	var found atomic.Int64
 	for w := 0; w < clients; w++ {
 		rng := rand.New(rand.NewSource(seed + int64(w)))
+		cl := NewClient(rt, seed+int64(w))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queries/clients; i++ {
 				start := online[rng.Intn(len(online))]
-				key := bitpath.Random(rng, 4)
-				resp, err := rt.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-					Query: &wire.QueryReq{Key: key}})
-				if err == nil && resp.QueryResp != nil && resp.QueryResp.Found {
+				if tr, _ := cl.Route(start, bitpath.Random(rng, 4), false); tr.Found {
 					found.Add(1)
 				}
 			}

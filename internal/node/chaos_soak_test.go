@@ -13,7 +13,6 @@ import (
 	"pgrid/internal/health"
 	"pgrid/internal/resilience"
 	"pgrid/internal/telemetry"
-	"pgrid/internal/wire"
 )
 
 // TestChaosSoakAvailability is the end-to-end resilience soak: a seeded
@@ -112,12 +111,10 @@ func TestChaosSoakAvailability(t *testing.T) {
 	}
 	const queries = 300
 	found := 0
+	cl := NewClient(rt, seed)
 	for i := 0; i < queries; i++ {
 		start := online[rng.Intn(len(online))]
-		key := bitpath.Random(rng, 4)
-		resp, err := rt.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		if err == nil && resp.QueryResp != nil && resp.QueryResp.Found {
+		if tr, _ := cl.Route(start, bitpath.Random(rng, 4), false); tr.Found {
 			found++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
@@ -13,17 +14,18 @@ import (
 	"pgrid/internal/wire"
 )
 
-// Client drives the multi-peer protocols — breadth-first replica search,
-// update propagation, majority reads, prefix search — from outside the
-// community, over any Transport. A client is what pgridctl is, and what an
-// application embedding a peer uses for operations that span replicas.
-// Unlike the single-peer request handlers in Node, these walks are
-// client-driven: the client fetches routing state (Info) and decides where
-// to go next, which is how a P2P client without its own grid position
-// naturally behaves.
+// Client drives the multi-peer protocols — the Fig. 2 search and the reads
+// on it, breadth-first replica search, update propagation, majority reads,
+// prefix search — from outside the community, over any Transport. A client
+// is what pgridctl is, and what an application embedding a peer uses for
+// operations that span replicas. Every walk is client-driven: each peer
+// answers from its own state (a query visit, an Info) and the client
+// decides where to go next, which is how a P2P client without its own grid
+// position naturally behaves. A client is used by one goroutine at a time.
 type Client struct {
-	tr  Transport
-	rng *rand.Rand
+	tr   Transport
+	rng  *rand.Rand
+	call wire.QueryCall // every visit of every search, filled anew
 }
 
 // NewClient returns a client over the given transport, seeded for
@@ -32,44 +34,84 @@ func NewClient(tr Transport, seed int64) *Client {
 	return &Client{tr: tr, rng: rand.New(rand.NewSource(seed))}
 }
 
-// ask is the single-peer read behind TraceQuery and Observe: one
-// request, and an answer in which got does not find the payload
-// that request asks for is ErrMalformed — a misbehaving peer is
-// operationally a different problem from a churned one.
-// Transport errors (an unreachable peer, or a reachable one answering
-// KindError) come back as they are. Like every caller, ask reads nothing of
-// its request once the call has returned.
-func (c *Client) ask(a addr.Addr, req wire.Message, got func(*wire.Message) bool) (*wire.Message, error) {
-	kind := req.Kind
-	resp, err := c.tr.Call(a, &req)
-	if err != nil {
-		return nil, err
+// Route walks the Fig. 2 search for key from the peer at start and returns the
+// route, ending at the responsible peer when found; sampled, every visited node
+// records its own span too (`pgridctl trace`). The error is start's.
+func (c *Client) Route(start addr.Addr, key bitpath.Path, sampled bool) (trace.Trace, error) {
+	tr, ctx := trace.Trace{Key: key}, (*trace.SpanContext)(nil)
+	if sampled {
+		tr.TraceID = trace.NewTraceID(c.rng.Uint64(), uint64(start))
+		ctx = &trace.SpanContext{TraceID: tr.TraceID, Sampled: true}
 	}
-	if !got(resp) {
-		return nil, fmt.Errorf("%w: node %v answered %v request with kind %v", ErrMalformed, a, kind, resp.Kind)
-	}
-	return resp, nil
+	var w core.Walk
+	w.Start(start, key, c.rng, true)
+	_, _, err := (visits{tr: c.tr, call: &c.call, ctx: ctx}).walk(&w, nil)
+	tr.Found, tr.Messages, tr.Backtracks, tr.Spans = w.Found, w.Messages, w.Backtracks, w.Spans
+	return tr, err
 }
 
-// TraceQuery routes one fully-sampled search for key via the peer at
-// start and returns the assembled hop-by-hop route. The trace context
-// rides inside the wire query message, so every node the search visits
-// appends a span and records the route in its flight recorder — this is
-// the client behind `pgridctl trace`.
-func (c *Client) TraceQuery(start addr.Addr, key bitpath.Path) (trace.Trace, error) {
-	ctx := &trace.SpanContext{
-		TraceID: trace.NewTraceID(c.rng.Uint64(), uint64(start)),
-		Budget:  trace.DefaultBudget,
-		Sampled: true,
+// visits carries a walk (core.Walk) over tr for a client or the node self,
+// which answers its own visits and draws its shared rng under its lock. Every
+// other visit is one call filled anew in call, ctx (nil for none) riding along
+// naming the visit before; each visit is timed into its span.
+type visits struct {
+	tr   Transport
+	self *Node
+	call *wire.QueryCall
+	ctx  *trace.SpanContext
+}
+
+// walk runs w with read (nil for none) on every visit, returning the
+// responsible peer's answer (nil for none), the calls answered and the first
+// visit's error; an answer without a QueryResp is ErrMalformed, and missed.
+func (v visits) walk(w *core.Walk, read *wire.GetReq) (found *wire.QueryResp, calls int, err error) {
+	from := addr.Nil
+	if v.self != nil {
+		from = v.self.Addr()
 	}
-	resp, err := c.ask(start, wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key, Ctx: ctx}}, func(m *wire.Message) bool { return m.QueryResp != nil })
-	if err != nil {
-		return trace.Trace{}, err
+	for first := true; ; first = false {
+		if v.self != nil {
+			v.self.mu.Lock()
+		}
+		to, key, l, ok := w.Next()
+		if v.self != nil {
+			v.self.mu.Unlock()
+		}
+		if !ok {
+			return found, calls, err
+		}
+		start := time.Now()
+		var a *wire.QueryResp
+		if v.self != nil && to == from {
+			a = new(wire.QueryResp)
+			v.self.answerQuery(&wire.QueryReq{Key: key, Level: l, Read: read}, a, nil)
+		} else {
+			if v.ctx != nil {
+				v.ctx.Parent = uint64(len(w.Spans))
+			}
+			resp, cerr := v.tr.Call(to, v.call.Fill(from, key, l, v.ctx, read))
+			if cerr == nil && resp.QueryResp == nil {
+				cerr = fmt.Errorf("%w: node %v answered a query with kind %v", ErrMalformed, to, resp.Kind)
+			}
+			if cerr != nil {
+				if first {
+					err = cerr
+				}
+				continue
+			}
+			calls++
+			a = resp.QueryResp
+		}
+		if w.Arrive(a.Path) > 0 {
+			w.Go(a.Refs.Addrs)
+		}
+		if w.Spans != nil {
+			w.Spans[len(w.Spans)-1].LatencyNS = int64(time.Since(start))
+		}
+		if w.Found {
+			found = a
+		}
 	}
-	q := resp.QueryResp
-	return trace.Trace{TraceID: ctx.TraceID, Key: key, Found: q.Found,
-		Messages: q.Messages, Backtracks: q.Backtracks, Spans: q.Spans}, nil
 }
 
 // ReplicaResult is core.ReplicaResult; here Messages counts the visits, the
@@ -216,39 +258,25 @@ func (c *Client) Publish(entries []addr.Addr, e store.Entry, recbreadth, repetit
 // ReadResult is core.ReadResult.
 type ReadResult = core.ReadResult
 
-// readOnce routes a query via the peer at start with the read riding on it,
-// sent in call: the responsible peer the search ends at answers from its own
-// store in the response that reports it found, so a read is one call and costs
-// the client→start message and the Fig. 2 hops — what core.ReadOnce charges,
-// plus the message into the community.
-func (c *Client) readOnce(call *wire.QueryCall, start addr.Addr, key bitpath.Path, name string) ReadResult {
-	out := ReadResult{Replica: addr.Nil, Queries: 1}
-	resp, err := c.tr.Call(start, call.Fill(addr.Nil, key, 0, nil, &wire.GetReq{Key: key, Name: name}))
-	if err != nil {
-		return out
-	}
-	q := resp.QueryResp
-	if q == nil {
-		return out
-	}
-	out.Messages = 1 + q.Messages
-	if q.Found {
-		out.Replica, out.Entry, out.Found = q.Peer, q.Entry, q.Has
+// Lookup reads (key, name) once via the peer at start — the non-repetitive
+// read: the walk carries the read on every visit and the responsible peer it
+// ends at answers it, so a read costs the calls answered, what core.ReadOnce
+// charges plus the message into the community.
+func (c *Client) Lookup(start addr.Addr, key bitpath.Path, name string) ReadResult {
+	var w core.Walk
+	w.Start(start, key, c.rng, false)
+	found, calls, _ := (visits{tr: c.tr, call: &c.call}).walk(&w, &wire.GetReq{Key: key, Name: name})
+	out := ReadResult{Replica: addr.Nil, Queries: 1, Messages: calls}
+	if found != nil {
+		out.Replica, out.Entry, out.Found = w.Peer, found.Entry, found.Has
 	}
 	return out
-}
-
-// Lookup reads (key, name) once via the peer at start — the non-repetitive
-// read.
-func (c *Client) Lookup(start addr.Addr, key bitpath.Path, name string) ReadResult {
-	return c.readOnce(new(wire.QueryCall), start, key, name)
 }
 
 // MajorityRead implements the repetitive-search read over the network:
 // repeated routed reads through random entry points until one version
 // leads by margin distinct replicas (budget maxQueries), falling back to
-// the best-supported version. Every read sends the same query, filled again in
-// one call.
+// the best-supported version.
 func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string, margin, maxQueries int) ReadResult {
 	if margin <= 0 {
 		margin = 3
@@ -258,9 +286,8 @@ func (c *Client) MajorityRead(entries []addr.Addr, key bitpath.Path, name string
 	}
 	var tally core.Tally
 	out := ReadResult{Replica: addr.Nil}
-	call := new(wire.QueryCall)
 	for out.Queries < maxQueries && len(entries) > 0 {
-		r := c.readOnce(call, entries[c.rng.Intn(len(entries))], key, name)
+		r := c.Lookup(entries[c.rng.Intn(len(entries))], key, name)
 		out.Queries++
 		out.Messages += r.Messages
 		if !r.Found || !tally.Vote(r.Replica, r.Entry) {

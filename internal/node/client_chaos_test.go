@@ -127,9 +127,9 @@ func TestClientMalformedResponses(t *testing.T) {
 			}
 		}},
 		{"traced query nil payload", wire.KindQuery, "nilpayload", func(t *testing.T, cl *Client) {
-			_, err := cl.TraceQuery(start, key)
+			_, err := cl.Route(start, key, true)
 			if !errors.Is(err, ErrMalformed) {
-				t.Errorf("TraceQuery err = %v, want ErrMalformed", err)
+				t.Errorf("Route err = %v, want ErrMalformed", err)
 			}
 		}},
 		{"traces wrong kind", wire.KindObserve, "wrongkind", func(t *testing.T, cl *Client) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pgrid/internal/addr"
+	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/directory"
 	"pgrid/internal/peer"
@@ -105,4 +106,71 @@ func showLinks(s peer.Snapshot) string {
 		out += fmt.Sprint(" ", r.Slice())
 	}
 	return out
+}
+
+// TestDifferentialLookupMatchesQuery is the Fig. 2 differential: one grid,
+// copied into a LocalTransport cluster and a directory, one offline set, and
+// one rng stream copied to each driver. The client walks as core.Query walks
+// — it draws every reference, the visited nodes none — so Lookup ends at
+// core.Query's responsible peer, or at none, for core's messages plus the one
+// into the community, and Route (untraced, the same draws) reports core's
+// backtracks too. Rows: a transplanted 256-peer grid with half the peers
+// offline, 240 keys; and the chaos soak's corrupted communities of seeds
+// 1–20, where searches reach wrong-side hops and every walk stops there.
+func TestDifferentialLookupMatchesQuery(t *testing.T) {
+	type row struct {
+		name string
+		d    *directory.Directory
+		c    *Cluster
+		keys int
+	}
+	d, c := transplantedCluster(t, 51)
+	setup := rand.New(rand.NewSource(52))
+	for i, n := range c.Nodes {
+		online := setup.Intn(2) == 0
+		n.SetOnline(online)
+		d.Peer(addr.Addr(i)).SetOnline(online)
+	}
+	rows := []row{{"transplanted grid, half offline", d, c, 240}}
+	for seed := int64(1); seed <= 20; seed++ {
+		c, _ := soakCorruption(t, seed)
+		rows = append(rows, row{fmt.Sprintf("soak corruption, seed %d", seed), mirror(c), c, 40})
+	}
+	backtracks, wrongSide := 0, 0
+	for ri, r := range rows {
+		var online []addr.Addr
+		for _, n := range r.c.Nodes {
+			if n.Online() {
+				online = append(online, n.Addr())
+			}
+		}
+		draws := rand.New(rand.NewSource(int64(60 + ri)))
+		for i := 0; i < r.keys; i++ {
+			start, key, seed := online[draws.Intn(len(online))], bitpath.Random(draws, 1+draws.Intn(6)), draws.Int63()
+			want := core.Query(r.d, r.d.Peer(start), key, rand.New(rand.NewSource(seed)))
+			read := NewClient(r.c.Transport, seed).Lookup(start, key, "absent")
+			route, err := NewClient(r.c.Transport, seed).Route(start, key, false)
+			wantReplica := addr.Nil
+			if want.Found {
+				wantReplica = want.Peer
+			}
+			if err != nil || read.Replica != wantReplica || read.Messages != want.Messages+1 ||
+				route.Found != want.Found || route.Messages != want.Messages || route.Backtracks != want.Backtracks ||
+				want.Found && route.Spans[len(route.Spans)-1].Peer != want.Peer {
+				t.Fatalf("%s, key %d (%s from %v): Lookup %+v, Route %+v (%v); core.Query %+v",
+					r.name, i, key, start, read, route, err, want)
+			}
+			backtracks += want.Backtracks
+			for _, s := range route.Spans[1:] {
+				if !s.Matched && s.Path.Bit(s.Level+1) != key.Bit(s.Level+1) {
+					wrongSide++
+					break
+				}
+			}
+		}
+	}
+	t.Logf("Fig. 2 differential: %d rows, %d backtracks, %d searches reached a wrong-side hop", len(rows), backtracks, wrongSide)
+	if backtracks == 0 || wrongSide == 0 {
+		t.Errorf("the walks never backtracked (%d) or never reached a wrong-side hop (%d)", backtracks, wrongSide)
+	}
 }

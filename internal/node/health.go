@@ -55,7 +55,8 @@ func (n *Node) probeRef(path bitpath.Path, level int, to addr.Addr) (info *wire.
 
 // registerHealth lists the node's structural health on reg, read live when
 // the registry is rendered or snapshotted: path length, store size, known
-// replicas, the tracker's liveness ratios in permille (-1 before any probe)
+// replicas, the tracker's liveness ratios in permille (-1 before any probe;
+// nodes sharing the registry read as the least of those that have probed)
 // and its completed probe rounds.
 func (n *Node) registerHealth(reg *telemetry.Registry) {
 	permille := func(ratio func([]health.LevelProbe) (float64, bool)) func() int64 {
@@ -70,8 +71,8 @@ func (n *Node) registerHealth(reg *telemetry.Registry) {
 	reg.GaugeFunc("pgrid_health_path_len", "length of this peer's responsibility path", func() int64 { return int64(n.self.PathLen()) })
 	reg.GaugeFunc("pgrid_health_entries", "index entries in this peer's store", func() int64 { return int64(n.Store().Len()) })
 	reg.GaugeFunc("pgrid_health_buddies", "known replicas of this peer's path", func() int64 { return int64(n.self.Buddies().Len()) })
-	reg.GaugeFunc("pgrid_health_liveness_permille", "overall reference liveness ratio in permille (-1 before any probe)", permille(health.OverallRatio))
-	reg.GaugeFunc("pgrid_health_level_liveness_min_permille", "worst per-level reference liveness ratio in permille (-1 before any probe)", permille(health.MinLevelRatio))
+	reg.LeastGaugeFunc("pgrid_health_liveness_permille", "overall reference liveness ratio in permille (-1 before any probe)", permille(health.OverallRatio))
+	reg.LeastGaugeFunc("pgrid_health_level_liveness_min_permille", "worst per-level reference liveness ratio in permille (-1 before any probe)", permille(health.MinLevelRatio))
 	reg.GaugeFunc("pgrid_health_probe_rounds", "completed background probe rounds", func() int64 { return n.htr.Rounds() })
 }
 

@@ -78,7 +78,7 @@ func TestTCPHistoryAcceptance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const queries = 40
 	for i := 0; i < queries; i++ {
-		if _, err := cl.TraceQuery(0, bitpath.Random(rng, 3)); err != nil {
+		if _, err := cl.Route(0, bitpath.Random(rng, 3), true); err != nil {
 			t.Fatal(err)
 		}
 	}

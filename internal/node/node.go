@@ -96,12 +96,10 @@ func (n *Node) SetTelemetry(t *telemetry.Instruments) {
 // Telemetry returns the attached instruments (possibly nil).
 func (n *Node) Telemetry() *telemetry.Instruments { return n.tel }
 
-// EnableTracing attaches a flight recorder and sets the probability that
-// a query starting at this node is sampled for distributed tracing
-// (clamped to [0, 1]). Queries arriving with a sampled context are
-// always traced, regardless of the local probability — that is how
-// pgridctl forces a fully-sampled route. Call before the node starts
-// serving; the fields are not synchronized.
+// EnableTracing attaches a flight recorder and the probability (clamped to
+// [0, 1]) that a search this node asks (Query) is sampled; a visit arriving
+// sampled is recorded whatever it is, as this node's one span (pgridctl trace).
+// Call before the node starts serving; the fields are not synchronized.
 func (n *Node) EnableTracing(rec *trace.Recorder, sampleProb float64) {
 	n.rec = rec
 	n.sampleProb = min(max(sampleProb, 0), 1)
@@ -197,7 +195,7 @@ func (n *Node) handle(m *wire.Message) *wire.Message {
 		// A request decoded off the wire carries the room it is answered in.
 		x := m.Query.Answer()
 		x.Reply = wire.Message{Kind: wire.KindQueryResp, From: n.Addr(), QueryResp: &x.Resp}
-		n.handleQuery(m.Query, m.From != addr.Nil, &x.Resp)
+		n.answerQuery(m.Query, &x.Resp, x.Refs[:0])
 		return &x.Reply
 	case wire.KindExchange:
 		resp := n.handleExchange(m.From, m.Exchange)
@@ -295,142 +293,59 @@ func (n *Node) handleInfo(r *wire.InfoReq) *wire.Message {
 
 // --- query ----------------------------------------------------------------
 
-// Query starts the Fig. 2 depth-first search at this node. With tracing
-// enabled (EnableTracing), a sampleProb fraction of queries carry a
-// trace context and leave a route record in the flight recorders of
-// every node they visit.
+// Query runs the Fig. 2 search from this node (route). With tracing enabled, a
+// sampleProb fraction of searches is sampled: the node records the route.
 func (n *Node) Query(key bitpath.Path) core.QueryResult {
-	req := &wire.QueryReq{Key: key, Level: 0}
+	var ctx *trace.SpanContext
 	if n.rec != nil && n.sampleProb > 0 {
 		n.mu.Lock()
-		sampled := n.rng.Float64() < n.sampleProb
-		var id uint64
-		if sampled {
-			id = trace.NewTraceID(n.rng.Uint64(), uint64(n.Addr()))
+		if n.rng.Float64() < n.sampleProb {
+			ctx = &trace.SpanContext{TraceID: trace.NewTraceID(n.rng.Uint64(), uint64(n.Addr())), Sampled: true}
 		}
 		n.mu.Unlock()
-		if sampled {
-			req.Ctx = &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}
-		}
 	}
-	var resp wire.QueryResp
-	n.handleQuery(req, false, &resp)
-	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
+	res, _, spans, _ := n.route(n.Addr(), key, ctx)
+	n.tel.ObserveQuery(res.Found, res.Messages, res.Backtracks)
 	if n.tel.EventsOn() {
-		n.tel.EmitQuery(key.String(), resp.Found, resp.Messages, resp.Backtracks)
+		n.tel.EmitQuery(key.String(), res.Found, res.Messages, res.Backtracks)
 	}
-	return core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
+	if ctx != nil {
+		n.rec.Record(trace.Trace{TraceID: ctx.TraceID, Key: key, Found: res.Found,
+			Messages: res.Messages, Backtracks: res.Backtracks, Spans: spans})
+	}
+	return res
 }
 
-// handleQuery is query(a, p, l) with remote recursion: references are
-// contacted through the transport and each successful downstream call
-// contributes to the message count. A read riding on the request is answered
-// by the peer the search ends at and comes back with the route. The outcome
-// is written into resp, which the caller made (zero) where it is to be sent
-// from. When the request carries a sampled trace context the node appends its
-// own span (and everything its subtree reported) to the response and records
-// the subtree route in its flight recorder; routing decisions are identical
-// either way. forwarded says a peer sent q on here (its envelope names a
-// sender; a client's and a node's own search name none): core.query's fwd.
-func (n *Node) handleQuery(q *wire.QueryReq, forwarded bool, resp *wire.QueryResp) {
-	path := n.self.Path()
-	l := q.Level
-	if l > path.Len() {
-		l = path.Len()
+// route walks the search for key from via as this node's (visits), with ctx
+// (nil for untraced): the outcome, the responsible peer's path and, traced,
+// the route; ok is false when via did not answer.
+func (n *Node) route(via addr.Addr, key bitpath.Path, ctx *trace.SpanContext) (res core.QueryResult, path bitpath.Path, spans []trace.Span, ok bool) {
+	var w core.Walk
+	w.Start(via, key, n.rng, ctx != nil)
+	found, _, err := visits{tr: n.tr, self: n, call: new(wire.QueryCall), ctx: ctx}.walk(&w, nil)
+	if found != nil {
+		path = found.Path
 	}
-
-	tracing := q.Ctx.Alive()
-	var span trace.Span
-	var start time.Time
-	var childCtx *trace.SpanContext
-	if tracing {
-		start = time.Now()
-		n.mu.Lock()
-		sid := n.rng.Uint64()
-		n.mu.Unlock()
-		span = trace.Span{ID: sid, Parent: q.Ctx.Parent, Peer: n.Addr(),
-			Path: path, Level: l, Ref: addr.Nil}
-		if q.Ctx.Budget > 0 {
-			cc := q.Ctx.Child(sid)
-			childCtx = &cc
-		}
-	}
-
-	n.routeQuery(q, forwarded, resp, path, l, &span, childCtx, tracing)
-
-	if tracing {
-		span.LatencyNS = int64(time.Since(start))
-		spans := make([]trace.Span, 0, 1+len(resp.Spans))
-		spans = append(spans, span)
-		spans = append(spans, resp.Spans...)
-		resp.Spans = spans
-		// The key is copied: a served request's room is reused once its
-		// reply is written (wire.Room).
-		key := bitpath.Path(strings.Clone(string(q.Key)))
-		n.rec.Record(trace.Trace{TraceID: q.Ctx.TraceID, Key: key, Found: resp.Found,
-			Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans})
-	}
+	return w.QueryResult, path, w.Spans, err == nil
 }
 
-// routeQuery is the routing half of handleQuery: the Fig. 2 decision
-// (core.RouteStep, shared with the simulator) and the reference walk over
-// the transport, in a call of its own (wire.Forward), filled again for each
-// reference tried. span and childCtx are only touched when tracing is set;
-// resp.Spans accumulates the downstream spans in visit order (the caller's
-// own span is prepended by handleQuery).
-func (n *Node) routeQuery(q *wire.QueryReq, forwarded bool, resp *wire.QueryResp, path bitpath.Path, l int, span *trace.Span, childCtx *trace.SpanContext, tracing bool) {
-	matched, next, rest := core.RouteStep(path, l, q.Key)
+// answerQuery answers a visit from the node's own state (core.Answer) into
+// resp, the references appended to room, and the read when responsible. A
+// sampled visit records its own span, so the exemplar it stamps resolves here.
+func (n *Node) answerQuery(q *wire.QueryReq, resp *wire.QueryResp, room []addr.Addr) {
+	start := time.Now()
+	path, matched, refs := core.Answer(n.self, q.Level, q.Key, room)
+	resp.Path, resp.Refs.Addrs, resp.Peer = path, refs, addr.Nil
 	if matched {
-		if tracing {
-			span.Matched = true
-		}
-		resp.Found, resp.Peer, resp.Path = true, n.Addr(), path
+		resp.Found, resp.Peer = true, n.Addr()
 		if r := q.Read; r != nil {
 			resp.Entry, resp.Has = n.Store().Get(r.Key, r.Name)
 		}
-		return
 	}
-	if forwarded && rest.Len() == q.Key.Len() {
-		// A reference that satisfies Sec. 2 leads to a peer that matches at
-		// least one more key bit. This one matches none: the reference was on
-		// the wrong side (a corrupted table), and forwarding again could
-		// circle among such references for ever. As core.query, answer not
-		// found.
-		return
-	}
-
-	var buf [16]addr.Addr // holds a level's references (RefMax is a handful) off the heap
-	refs := n.self.RefsInto(buf[:0], next)
-	fwd, rest, read := wire.Forward(q, rest)
-	for refs.Len() > 0 {
-		var r addr.Addr
-		n.mu.Lock()
-		r = refs.PopRandom(n.rng)
-		n.mu.Unlock()
-		down, err := n.tr.Call(r, fwd.Fill(n.Addr(), rest, next-1, childCtx, read))
-		n.tel.RefLiveness(next, err == nil && down.QueryResp != nil)
-		if err != nil || down.QueryResp == nil {
-			continue // unreachable reference: try the next one
-		}
-		resp.Messages += 1 + down.QueryResp.Messages
-		resp.Backtracks += down.QueryResp.Backtracks
-		if tracing {
-			resp.Spans = append(resp.Spans, down.QueryResp.Spans...)
-		}
-		if down.QueryResp.Found {
-			resp.Found = true
-			resp.Peer = down.QueryResp.Peer
-			resp.Path = down.QueryResp.Path
-			resp.Entry, resp.Has = down.QueryResp.Entry, down.QueryResp.Has
-			if tracing {
-				span.Ref = r
-			}
-			return
-		}
-		resp.Backtracks++ // the contacted subtree resolved nothing
-		if tracing {
-			span.Backtracked = true
-		}
+	if c := q.Ctx; c.Alive() { // the key copied: a served request's room is reused (wire.Room)
+		n.rec.Record(trace.Trace{TraceID: c.TraceID, Key: bitpath.Path(strings.Clone(string(q.Key))), Found: matched, Spans: []trace.Span{{
+			ID: c.Parent + 1, Parent: c.Parent, Peer: n.Addr(), Path: path, Level: q.Level, Ref: addr.Nil,
+			Matched: matched, LatencyNS: int64(time.Since(start))}}})
 	}
 }
 

@@ -60,8 +60,10 @@ func (n *Node) Observe(req *wire.ObserveReq) *wire.ObserveResp {
 // without every column asked for is ErrMalformed, counted under observe.
 func (c *Client) Observe(a addr.Addr, req wire.ObserveReq) (*wire.ObserveResp, error) {
 	asks := req.Asks
-	resp, err := c.ask(a, wire.Message{Kind: wire.KindObserve, From: addr.Nil, Observe: &req},
-		func(m *wire.Message) bool { return m.ObserveResp != nil && m.ObserveResp.Answers(asks) })
+	resp, err := c.tr.Call(a, &wire.Message{Kind: wire.KindObserve, From: addr.Nil, Observe: &req})
+	if err == nil && (resp.ObserveResp == nil || !resp.ObserveResp.Answers(asks)) {
+		err = fmt.Errorf("%w: node %v answered observe request with kind %v", ErrMalformed, a, resp.Kind)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -90,6 +90,42 @@ func TestHealthGaugesReadTheNode(t *testing.T) {
 	check("after a buddy left", map[string]int64{"pgrid_health_buddies": 1})
 }
 
+// TestHealthRatiosReadTheLeast: two nodes on one Instruments list their
+// liveness ratios under one name, and a ratio does not sum: the gauges read
+// the least ratio over the nodes that have probed, -1 only while neither has.
+func TestHealthRatiosReadTheLeast(t *testing.T) {
+	tel := telemetry.New(0)
+	var trackers [2]*health.Tracker
+	for i := range trackers {
+		n := New(addr.Addr(i), smallCfg(), nil, 1)
+		n.SetTelemetry(tel)
+		trackers[i] = n.EnableHealth()
+	}
+	check := func(when string, overall, level int64) {
+		t.Helper()
+		got := stats(tel)
+		if got["pgrid_health_liveness_permille"] != overall || got["pgrid_health_level_liveness_min_permille"] != level {
+			t.Errorf("%s: liveness %d, level minimum %d; want %d, %d", when, got["pgrid_health_liveness_permille"],
+				got["pgrid_health_level_liveness_min_permille"], overall, level)
+		}
+	}
+	check("neither probed", -1, -1)
+	// Node 0: level 1 all live, level 2 half — 750 overall, 500 at worst.
+	for i := 0; i < 2; i++ {
+		trackers[0].Observe(1, true)
+		trackers[0].Observe(2, i == 0)
+	}
+	check("one probed", 750, 500)
+	// Node 1: everything live — the least is still node 0's.
+	trackers[1].Observe(1, true)
+	check("both probed", 750, 500)
+	// Node 1 sees a quarter live at level 1: it is now the least overall.
+	for i := 0; i < 3; i++ {
+		trackers[1].Observe(1, false)
+	}
+	check("both probed, node 1 worse", 250, 250)
+}
+
 // TestOneCount runs a pooled, resilient TCP community with repair on — nodes
 // 0 and 1 on one shared set of instruments, node 2 on its own — kills node 2
 // and lets the others repair, search and meet against it. Afterwards every
@@ -175,7 +211,8 @@ func TestOneCount(t *testing.T) {
 		tel := tels[group[0]]
 		// Listed even at zero: nobody waits once the run is over, and a
 		// breaker may be closed again.
-		want := map[string]int64{"pgrid_pool_queue_depth": 0, "pgrid_resilience_breakers_open": 0, "pgrid_resilience_breakers_half_open": 0}
+		want := map[string]int64{"pgrid_pool_queue_depth": 0, "pgrid_resilience_breakers_open": 0, "pgrid_resilience_breakers_half_open": 0,
+			"pgrid_health_liveness_permille": -1, "pgrid_health_level_liveness_min_permille": -1}
 		faults, heals := map[string]int64{}, map[string]int64{}
 		for _, i := range group {
 			ps := pools[i].Stats()
@@ -209,17 +246,18 @@ func TestOneCount(t *testing.T) {
 				heals[h.Name] += h.N
 			}
 			d := nodes[i].Digest()
-			permille := func(r float64, ok bool) int64 {
-				if !ok {
-					return -1
+			least := func(name string) func(float64, bool) { // a ratio reads the least over the nodes that probed
+				return func(r float64, ok bool) {
+					if v := int64(r*1000 + 0.5); ok && (want[name] < 0 || v < want[name]) {
+						want[name] = v
+					}
 				}
-				return int64(r*1000 + 0.5)
 			}
 			want["pgrid_health_path_len"] += int64(d.Path.Len())
 			want["pgrid_health_entries"] += int64(d.Entries)
 			want["pgrid_health_buddies"] += int64(d.Buddies)
-			want["pgrid_health_liveness_permille"] += permille(health.OverallRatio(d.Liveness))
-			want["pgrid_health_level_liveness_min_permille"] += permille(health.MinLevelRatio(d.Liveness))
+			least("pgrid_health_liveness_permille")(health.OverallRatio(d.Liveness))
+			least("pgrid_health_level_liveness_min_permille")(health.MinLevelRatio(d.Liveness))
 			want["pgrid_health_probe_rounds"] += nodes[i].HealthTracker().Rounds()
 		}
 		for class, n := range faults {

@@ -10,14 +10,11 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"pgrid/internal/addr"
 	"pgrid/internal/bitpath"
-	"pgrid/internal/core"
 	"pgrid/internal/peer"
 	"pgrid/internal/store"
-	"pgrid/internal/telemetry"
 	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
@@ -25,9 +22,9 @@ import (
 // The ownership rule of the request path: a request belongs to whoever made
 // it, and to nobody else once the call that carried it has returned or its
 // reply has been written — no layer, handler or recorder keeps a pointer into
-// it, nor a string cut from it. That is what lets routeQuery fill one
-// wire.QueryCall again for each reference it tries, and a server decode every
-// query and visit into a wire.Room it reuses once the reply is written. The
+// it, nor a string cut from it. That is what lets a client fill its one
+// wire.QueryCall again for each peer its walk visits, and a server decode
+// every query and visit into a wire.Room it reuses once the reply is written. The
 // tests below hold the product to it by overwriting every request the moment
 // the rule says it is free — a server zeroes its rooms itself — and
 // demanding the same answers, and the same recorded keys, as without.
@@ -83,8 +80,8 @@ func (p poisonTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, err
 // poisonWorkload is what the poisoned and the plain community must agree on:
 // routed reads that hit and miss, majority reads, traced queries with the
 // routes they leave in the flight recorders, a prefix search, a publish,
-// an apply list, an observe, and reads with a quarter of the peers offline — where a handler
-// whose first reference does not answer sends its query a second time.
+// an apply list, an observe, and reads with a quarter of the peers offline — where a walk
+// whose first reference does not answer fills its call again for the next.
 type poisonWorkload struct {
 	Lookups  []ReadResult
 	Traces   []trace.Trace
@@ -113,7 +110,7 @@ func runPoisonWorkload(t *testing.T, nodes []*Node, tr Transport, afterOp func()
 		if i%5 == 0 {
 			out.Lookups = append(out.Lookups, cl.MajorityRead(all, key, "f", 2, 8))
 			afterOp()
-			tq, err := cl.TraceQuery(start, key)
+			tq, err := cl.Route(start, key, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,14 +129,14 @@ func runPoisonWorkload(t *testing.T, nodes []*Node, tr Transport, afterOp func()
 		res := cl.Lookup(online[rng.Intn(len(online))], bitpath.Random(rng, 4), "f")
 		afterOp()
 		out.Lookups = append(out.Lookups, res)
-		if tq, err := cl.TraceQuery(online[rng.Intn(len(online))], bitpath.Random(rng, 4)); err == nil {
+		if tq, err := cl.Route(online[rng.Intn(len(online))], bitpath.Random(rng, 4), true); err == nil {
 			out.Traces = append(out.Traces, tq)
 			retried += tq.Backtracks
 		}
 		afterOp()
 	}
 	if retried == 0 {
-		t.Fatal("no query backtracked with a quarter of the peers offline: no handler forwarded twice")
+		t.Fatal("no query backtracked with a quarter of the peers offline: no walk tried a second reference")
 	}
 	for _, n := range nodes {
 		n.SetOnline(true)
@@ -318,8 +315,8 @@ func TestPoisonDecodedRequestsAfterReply(t *testing.T) {
 // handed out once. Handled twice — as a test's wrapper or a benchmark probe
 // handles a request again — the query is answered in two objects, the first
 // answer reads as it did after the second is made, and both equal the answer
-// to the same request built in process. The query is forwarded once on the
-// way, so the forward is exercised too.
+// to the same request built in process: the responsible peer's, carrying the
+// entry the read asked for.
 func TestDecodedQueryHandledTwice(t *testing.T) {
 	c := NewCluster(2, smallCfg(), 1)
 	if err := c.Nodes[0].Exchange(1); err != nil || c.Nodes[1].Path() != "1" {
@@ -337,7 +334,7 @@ func TestDecodedQueryHandledTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := c.Nodes[0]
+	n := c.Nodes[1]
 	first := n.Handle(decoded)
 	kept := *first
 	keptResp := *first.QueryResp
@@ -349,7 +346,7 @@ func TestDecodedQueryHandledTwice(t *testing.T) {
 	if *first != kept || !reflect.DeepEqual(*first.QueryResp, keptResp) {
 		t.Fatalf("the first answer changed when the query was handled again: %+v, was %+v", *first.QueryResp, keptResp)
 	}
-	wantResp := wire.QueryResp{Found: true, Peer: 1, Path: "1", Messages: 1, Entry: e, Has: true}
+	wantResp := wire.QueryResp{Found: true, Peer: 1, Path: "1", Entry: e, Has: true}
 	for i, got := range []*wire.Message{first, second, want} {
 		if got.Kind != wire.KindQueryResp || got.From != n.Addr() || !reflect.DeepEqual(*got.QueryResp, wantResp) {
 			t.Errorf("answer %d = %+v %+v, want %+v", i, got, got.QueryResp, wantResp)
@@ -359,27 +356,18 @@ func TestDecodedQueryHandledTwice(t *testing.T) {
 
 // TestServedRoomsKeepNothing: a server decodes its queries and visits into
 // rooms it zeroes and reuses once the reply is written, so whatever a handler,
-// a layer or a recorder keeps of a request must be its own copy. One server,
-// responsible for the keys under 0 and forwarding the rest to a second one,
-// serves 240 requests with distinct keys in turn: traced reads it forwards,
-// publish visits it applies and scan visits. Afterwards the routes both flight
-// recorders hold, the forwards its slow-call recorder holds, the forwards
-// themselves — kept as a sampling transport wrapper keeps them: a forward is a
-// call of its own, its key and read copied out of the room (wire.Forward) —
-// and the entries its store applied read as sent, and every scan answered
-// what the store held.
+// a layer or a recorder keeps of a request must be its own copy. Two servers,
+// responsible for the keys under 0 and under 1, serve 240 requests with
+// distinct keys in turn: the two visits of a traced read for a key under 1,
+// the first answered with the reference the walk goes on through, publish
+// visits and scan visits. Afterwards the visits both flight recorders hold
+// and the entries the store applied read as sent, and every scan answered what
+// the store held.
 func TestServedRoomsKeepNothing(t *testing.T) {
 	pt := NewPoolTransport(PoolConfig{Size: 1})
-	slow := trace.NewRecorder(256)
-	kept := &keepTransport{}
 	nodes := make([]*Node, 2)
 	for i := range nodes {
-		tr := Transport(pt)
-		if i == 0 {
-			kept.inner = InstrumentTransportSlow(pt, telemetry.New(0), time.Nanosecond, slow)
-			tr = kept
-		}
-		nodes[i] = New(addr.Addr(i), smallCfg(), tr, int64(i))
+		nodes[i] = New(addr.Addr(i), smallCfg(), pt, int64(i))
 		nodes[i].EnableTracing(trace.NewRecorder(256), 0)
 		if !nodes[i].Peer().ExtendFrom("", byte(i), addr.NewSet(addr.Addr(1-i))) {
 			t.Fatal("fixture build failed")
@@ -407,8 +395,7 @@ func TestServedRoomsKeepNothing(t *testing.T) {
 	}()
 
 	var (
-		routed, forwarded []bitpath.Path // the keys sent to the first server, and on to the second
-		reads             []wire.GetReq  // the reads riding on them
+		routed, forwarded []bitpath.Path // the keys the read visits the first server with, and the second
 		applied           []store.Entry
 		rng               = rand.New(rand.NewSource(41))
 	)
@@ -416,19 +403,26 @@ func TestServedRoomsKeepNothing(t *testing.T) {
 		key := bitpath.FromUint(uint64(v), 11)
 		name := fmt.Sprintf("served-%d", i)
 		switch i % 3 {
-		case 0: // a traced read, forwarded: the routed key and the read live in the room
+		case 0: // a traced read's two visits: the routed key and the read live in the room
 			key = "1" + key
 			e := store.Entry{Key: key, Name: name, Holder: 7, Version: uint64(i + 1)}
 			nodes[1].Store().Apply(e)
-			resp, err := pt.Call(0, &wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: key,
-				Ctx:  &trace.SpanContext{TraceID: uint64(i + 1), Budget: trace.DefaultBudget, Sampled: true},
-				Read: &wire.GetReq{Key: key, Name: name}}})
-			if err != nil || resp.QueryResp == nil || !resp.QueryResp.Has || resp.QueryResp.Entry != e {
-				t.Fatalf("read %d of %s = %+v, %v", i, key, resp, err)
+			visit := func(to addr.Addr, key bitpath.Path, level int) *wire.QueryResp {
+				resp, err := pt.Call(to, &wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: key, Level: level,
+					Ctx:  &trace.SpanContext{TraceID: uint64(i + 1), Parent: uint64(to), Sampled: true},
+					Read: &wire.GetReq{Key: e.Key, Name: name}}})
+				if err != nil || resp.QueryResp == nil {
+					t.Fatalf("read %d of %s at %v: %+v, %v", i, e.Key, to, resp, err)
+				}
+				return resp.QueryResp
 			}
-			_, _, rest := core.RouteStep(nodes[0].Path(), 0, key)
-			routed, forwarded = append(routed, key), append(forwarded, rest)
-			reads = append(reads, wire.GetReq{Key: key, Name: name})
+			if on := visit(0, key, 0); on.Found || len(on.Refs.Addrs) != 1 || on.Refs.Addrs[0] != 1 {
+				t.Fatalf("read %d of %s at the first server = %+v, want the reference to the second", i, key, on)
+			}
+			if got := visit(1, key, 0); !got.Has || got.Entry != e {
+				t.Fatalf("read %d of %s at the second server = %+v, want %v", i, key, got, e)
+			}
+			routed, forwarded = append(routed, key), append(forwarded, key)
 		case 1: // a publish visit: the entry's key and name live in the room
 			e := store.Entry{Key: "0" + key, Name: name, Holder: addr.Addr(i), Version: uint64(i + 1)}
 			resp, err := pt.Call(0, &wire.Message{Kind: wire.KindInfo, From: addr.Nil,
@@ -460,9 +454,8 @@ func TestServedRoomsKeepNothing(t *testing.T) {
 		what      string
 		got, want []bitpath.Path
 	}{
-		{"the first server's routes", keys(nodes[0].Recorder()), routed},
-		{"the second server's routes", keys(nodes[1].Recorder()), forwarded},
-		{"the first server's slow forwards", keys(slow), forwarded},
+		{"the first server's visits", keys(nodes[0].Recorder()), routed},
+		{"the second server's visits", keys(nodes[1].Recorder()), forwarded},
 	} {
 		if len(c.got) != len(c.want) {
 			t.Errorf("%s hold %d keys, %d were sent", c.what, len(c.got), len(c.want))
@@ -475,16 +468,6 @@ func TestServedRoomsKeepNothing(t *testing.T) {
 			}
 		}
 	}
-	if len(kept.msgs) != len(forwarded) {
-		t.Errorf("the first server forwarded %d queries, %d reads were sent", len(kept.msgs), len(forwarded))
-	} else {
-		for i, m := range kept.msgs {
-			if m.Kind != wire.KindQuery || m.Query.Key != forwarded[i] || m.Query.Read == nil || *m.Query.Read != reads[i] {
-				t.Errorf("kept forward %d of %d reads %+v, sent %q with %+v", i, len(kept.msgs), m.Query, forwarded[i], reads[i])
-				break
-			}
-		}
-	}
 	for _, e := range applied {
 		if got, ok := nodes[0].Store().Get(e.Key, e.Name); !ok || got != e {
 			t.Errorf("published %v, the store holds %v (%v)", e, got, ok)
@@ -493,18 +476,4 @@ func TestServedRoomsKeepNothing(t *testing.T) {
 	if got := nodes[0].Store().Len(); got != len(applied) {
 		t.Errorf("the store holds %d entries, %d were published", got, len(applied))
 	}
-}
-
-// keepTransport keeps every request it carries, as a sampling wrapper does.
-type keepTransport struct {
-	inner Transport
-	mu    sync.Mutex
-	msgs  []*wire.Message
-}
-
-func (k *keepTransport) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
-	k.mu.Lock()
-	k.msgs = append(k.msgs, m)
-	k.mu.Unlock()
-	return k.inner.Call(to, m)
 }

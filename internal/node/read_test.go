@@ -10,7 +10,6 @@ import (
 	"pgrid/internal/bitpath"
 	"pgrid/internal/core"
 	"pgrid/internal/store"
-	"pgrid/internal/trace"
 	"pgrid/internal/wire"
 )
 
@@ -58,10 +57,9 @@ func countedCluster(t *testing.T, seed int64) (*Cluster, *Client, *atomic.Int64)
 }
 
 // TestReadMessagesCountAnsweredCalls: what a read bills is what it sent —
-// ReadResult.Messages equals the calls answered on the op's behalf, at the
-// client and at every forwarding node, with everyone online and with a
-// quarter of the community offline (a call to an offline peer is neither
-// answered nor billed). A responsible peer without the entry is still the
+// ReadResult.Messages equals the calls answered on the op's behalf, by
+// anyone, with everyone online and with a quarter of the community offline
+// (a call to an offline peer is neither answered nor billed). A responsible peer without the entry is still the
 // replica the read names.
 func TestReadMessagesCountAnsweredCalls(t *testing.T) {
 	for _, offline := range []int{0, 16} {
@@ -123,12 +121,12 @@ func TestReadMessagesCountAnsweredCalls(t *testing.T) {
 }
 
 // TestLookupMatchesQueryThenGet: on two communities built alike, the routed
-// read and the pair of conversations it replaced — a query, then a get at
-// the peer it names — end at the same replica with the same entry, and the
-// read costs exactly the one message less.
+// read and the pair of conversations it replaced — a search, then a get at
+// the peer it names — walked with the same draws end at the same replica with
+// the same entry, and the read costs exactly the one message less.
 func TestLookupMatchesQueryThenGet(t *testing.T) {
 	one, cl, _ := countedCluster(t, 33)
-	two, _, calls := countedCluster(t, 33)
+	two, searcher, calls := countedCluster(t, 33)
 	rng := rand.New(rand.NewSource(34))
 	for i := 0; i < 200; i++ {
 		key := bitpath.Random(rng, 4)
@@ -138,16 +136,16 @@ func TestLookupMatchesQueryThenGet(t *testing.T) {
 		res := cl.Lookup(start, key, name)
 
 		before := calls.Load()
-		tr := two.Nodes[0].tr
-		q, err := tr.Call(start, &wire.Message{Kind: wire.KindQuery, From: addr.Nil, Query: &wire.QueryReq{Key: key}})
-		if err != nil || !q.QueryResp.Found || q.QueryResp.Has {
+		q, err := searcher.Route(start, key, false)
+		if err != nil || !q.Found {
 			t.Fatalf("query %s via %v: %+v, %v", key, start, q, err)
 		}
-		g, err := tr.Call(q.QueryResp.Peer, &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Key: key, Name: name}})
+		replica := q.Spans[len(q.Spans)-1].Peer
+		g, err := two.Nodes[0].tr.Call(replica, &wire.Message{Kind: wire.KindGet, From: addr.Nil, Get: &wire.GetReq{Key: key, Name: name}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair := ReadResult{Entry: g.GetResp.Entry, Found: g.GetResp.Found, Replica: q.QueryResp.Peer,
+		pair := ReadResult{Entry: g.GetResp.Entry, Found: g.GetResp.Found, Replica: replica,
 			Messages: int(calls.Load()-before) - 1, Queries: 1}
 		if res != pair {
 			t.Fatalf("Lookup(%v, %s, %q) = %+v, query then get = %+v less the get", start, key, name, res, pair)
@@ -221,42 +219,41 @@ func TestReadResultReplicaRule(t *testing.T) {
 	}
 }
 
-// forwardTap records each call a forwarding peer makes: the message it sent,
-// a copy of what that message carried when it was sent, and how it went.
-type forwardTap struct {
+// callTap records each call a client makes: the message it sent, a copy of
+// what that message carried when it was sent, and how it went.
+type callTap struct {
 	inner Transport
-	calls []forwardCall
+	calls []tappedCall
 }
 
-type forwardCall struct {
+type tappedCall struct {
 	to   addr.Addr
 	msg  *wire.Message
 	q    wire.QueryReq
 	read wire.GetReq
-	ctx  trace.SpanContext
 	err  error
 }
 
-func (t *forwardTap) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
-	c := forwardCall{to: to, msg: m, q: *m.Query, read: *m.Query.Read, ctx: *m.Query.Ctx}
+func (t *callTap) Call(to addr.Addr, m *wire.Message) (*wire.Message, error) {
+	c := tappedCall{to: to, msg: m, q: *m.Query, read: *m.Query.Read}
 	resp, err := t.inner.Call(to, m)
 	c.err = err
 	t.calls = append(t.calls, c)
 	return resp, err
 }
 
-// TestRouteForwardRefilledAfterBacktrack: a traced routed read reaches a peer
-// that forwards it through a level of several references, the first of which
-// it draws is offline. The handler fills the one call it forwards in again for
-// the second reference — the same message, carrying the same routed suffix,
-// level, read and child context — and the answer is core.Query's on the same
-// grid with the same peer offline and the same draws.
-func TestRouteForwardRefilledAfterBacktrack(t *testing.T) {
+// TestWalkCallRefilledAfterMiss: a routed read visits a start peer that
+// answers with a level of several references, the first of which the client
+// draws is offline. The client fills its one call again for the second
+// reference — the same message, carrying the same routed suffix, level and
+// read — and the answer is core.Query's on the same grid with the same peer
+// offline and the same draws, plus the message into the community.
+func TestWalkCallRefilledAfterMiss(t *testing.T) {
 	const seed = 41
 	d, c := transplantedCluster(t, seed)
-	// The start peer forwards through a level of several references with a key
-	// that ends one bit past the level's common prefix, so every reference
-	// there is responsible and no peer behind the start draws a reference.
+	// The start peer goes on through a level of several references with a
+	// key that ends one bit past the level's common prefix, so every
+	// reference there is responsible.
 	var start *Node
 	var next int
 	for _, n := range c.Nodes {
@@ -278,52 +275,34 @@ func TestRouteForwardRefilledAfterBacktrack(t *testing.T) {
 		}
 	}
 
-	// Every node draws from one stream, as core.Query's rng: the start's span
-	// id, then its references. Replaying that stream names the first reference
-	// it draws, which goes offline on both sides.
-	shared := rand.New(rand.NewSource(seed))
-	for _, n := range c.Nodes {
-		n.rng = shared
-	}
-	replay := rand.New(rand.NewSource(seed))
-	replay.Uint64()
-	refs := d.Peer(start.Addr()).RefsAt(next)
-	first := refs.PopRandom(replay)
+	// The client draws every reference from its one rng, as core.Query does:
+	// replaying that stream names the first reference it draws, which goes
+	// offline on both sides.
+	first, _ := addr.PopRandom(d.Peer(start.Addr()).RefsAt(next).Slice(), rand.New(rand.NewSource(seed)))
 	c.Nodes[first].SetOnline(false)
 	d.Peer(first).SetOnline(false)
-	tap := &forwardTap{inner: start.tr}
-	start.tr = tap
+	tap := &callTap{inner: c.Transport}
+	got := NewClient(tap, seed).Lookup(start.Addr(), key, entry.Name)
 
-	ctx := trace.SpanContext{TraceID: 99, Parent: 7, Budget: 4, Sampled: true}
-	resp, err := c.Transport.Call(start.Addr(), &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: key, Ctx: &ctx, Read: &wire.GetReq{Key: entry.Key, Name: entry.Name}}})
-	if err != nil {
-		t.Fatal(err)
+	if len(tap.calls) != 3 || tap.calls[0].to != start.Addr() || tap.calls[1].to != first ||
+		!errors.Is(tap.calls[1].err, ErrOffline) || tap.calls[2].err != nil {
+		t.Fatalf("visits = %+v, want the start, the offline %v, then one answered call", tap.calls, first)
 	}
-	got := resp.QueryResp
-
-	if len(tap.calls) != 2 || tap.calls[0].to != first || !errors.Is(tap.calls[0].err, ErrOffline) || tap.calls[1].err != nil {
-		t.Fatalf("forwards = %+v, want the offline %v then one answered call", tap.calls, first)
-	}
-	one, two := tap.calls[0], tap.calls[1]
-	if one.msg != two.msg {
-		t.Errorf("the second reference got a new message %p, not the forward %p filled again", two.msg, one.msg)
+	for i := 1; i < len(tap.calls); i++ {
+		if tap.calls[i].msg != tap.calls[0].msg {
+			t.Errorf("visit %d got a new message %p, not the client's one call %p filled again", i, tap.calls[i].msg, tap.calls[0].msg)
+		}
 	}
 	rest, read := key.Suffix(next-1), wire.GetReq{Key: entry.Key, Name: entry.Name}
-	wantCtx := trace.SpanContext{TraceID: ctx.TraceID, Parent: got.Spans[0].ID, Budget: ctx.Budget - 1, Sampled: true}
-	for i, call := range tap.calls {
-		if call.q.Key != rest || call.q.Level != next-1 || call.read != read || call.ctx != wantCtx {
-			t.Errorf("forward %d carried key %s at level %d, read %+v, context %+v; want %s at %d, %+v, %+v",
-				i, call.q.Key, call.q.Level, call.read, call.ctx, rest, next-1, read, wantCtx)
+	for i, call := range tap.calls[1:] {
+		if call.q.Key != rest || call.q.Level != next-1 || call.read != read {
+			t.Errorf("visit %d carried key %s at level %d, read %+v; want %s at %d, %+v",
+				i+1, call.q.Key, call.q.Level, call.read, rest, next-1, read)
 		}
 	}
 
-	coreRng := rand.New(rand.NewSource(seed))
-	coreRng.Uint64() // the start's span id, which core.Query does not draw
-	want := core.Query(d, d.Peer(start.Addr()), key, coreRng)
-	if !want.Found || got.Found != want.Found || got.Peer != want.Peer || got.Messages != want.Messages ||
-		got.Backtracks != want.Backtracks || !got.Has || got.Entry != entry {
-		t.Fatalf("routed read = found %v at %v, %d messages, %d backtracks, entry %+v (has %v); core.Query = %+v, entry %+v",
-			got.Found, got.Peer, got.Messages, got.Backtracks, got.Entry, got.Has, want, entry)
+	want := core.Query(d, d.Peer(start.Addr()), key, rand.New(rand.NewSource(seed)))
+	if !want.Found || got.Replica != want.Peer || got.Messages != want.Messages+1 || !got.Found || got.Entry != entry {
+		t.Fatalf("routed read = %+v; core.Query = %+v, entry %+v", got, want, entry)
 	}
 }

@@ -177,20 +177,8 @@ func (c repairCalls) Info(to addr.Addr, self bitpath.Path, level int) (bitpath.P
 }
 
 func (c repairCalls) Route(via addr.Addr, key bitpath.Path) (core.QueryResult, bitpath.Path, bool) {
-	q := &wire.QueryResp{}
-	if via == c.n.Addr() {
-		c.n.handleQuery(&wire.QueryReq{Key: key}, false, q)
-	} else {
-		// An entry query names no sender, as a client's does: via routes
-		// it whether or not its path matches the key's first bit.
-		resp, err := c.n.tr.Call(via, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-			Query: &wire.QueryReq{Key: key}})
-		if err != nil || resp.QueryResp == nil {
-			return core.QueryResult{}, bitpath.Empty, false
-		}
-		q = resp.QueryResp
-	}
-	return core.QueryResult{Found: q.Found, Peer: q.Peer, Messages: q.Messages, Backtracks: q.Backtracks}, q.Path, true
+	res, path, _, ok := c.n.route(via, key, nil)
+	return res, path, ok
 }
 
 func (c repairCalls) Scan(from addr.Addr, prefix bitpath.Path) ([]store.Entry, bool) {

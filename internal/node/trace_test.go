@@ -41,17 +41,18 @@ func wireTraceCluster(t *testing.T) ([]*Node, func()) {
 	return nodes, stop
 }
 
-// TestTCPDistributedTrace is the acceptance test: one traced query over
-// real TCP must produce a single trace id with spans from every visited
-// node, and each visited node's flight recorder — observed over the wire —
-// must hold that trace id.
+// TestTCPDistributedTrace is the acceptance test: one traced search over
+// real TCP, walked by its client, must assemble a single trace id with a
+// span for every visited node, each timed, and each visited node's flight
+// recorder — observed over the wire — must hold that trace id with its own
+// visit's span.
 func TestTCPDistributedTrace(t *testing.T) {
 	nodes, stop := wireTraceCluster(t)
 	defer stop()
 
 	cl := NewClient(nodes[0].tr, 42)
 	key := bitpath.MustParse("11")
-	tr, err := cl.TraceQuery(0, key)
+	tr, err := cl.Route(0, key, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,22 +62,19 @@ func TestTCPDistributedTrace(t *testing.T) {
 	if len(tr.Spans) != 3 {
 		t.Fatalf("spans = %+v, want one per visited node", tr.Spans)
 	}
-	// The route is 0 → 1 → 2 in visit order, one span per node, chained
-	// by parent ids under the root.
+	// The route is 0 → 1 → 2 in visit order, one span per node, numbered
+	// in visit order under the previous visit.
 	wantPeers := []addr.Addr{0, 1, 2}
 	for i, s := range tr.Spans {
 		if s.Peer != wantPeers[i] {
 			t.Fatalf("span %d visited %v, want %v (route %s)", i, s.Peer, wantPeers[i], tr)
 		}
-		if s.ID == 0 {
-			t.Errorf("span %d has zero id", i)
+		if s.ID != uint64(i+1) || s.Parent != uint64(i) {
+			t.Errorf("span %d has id %d, parent %d", i, s.ID, s.Parent)
 		}
-	}
-	if tr.Spans[0].Parent != 0 {
-		t.Errorf("root span has parent %d", tr.Spans[0].Parent)
-	}
-	if tr.Spans[1].Parent != tr.Spans[0].ID || tr.Spans[2].Parent != tr.Spans[1].ID {
-		t.Errorf("span parent chain broken: %+v", tr.Spans)
+		if s.LatencyNS <= 0 {
+			t.Errorf("span %d over TCP has latency %d", i, s.LatencyNS)
+		}
 	}
 	if tr.Spans[0].Ref != 1 || tr.Spans[1].Ref != 2 || tr.Spans[2].Ref != addr.Nil {
 		t.Errorf("chosen references wrong: %+v", tr.Spans)
@@ -87,14 +85,9 @@ func TestTCPDistributedTrace(t *testing.T) {
 	if tr.Messages != len(tr.Spans)-1 {
 		t.Errorf("messages = %d, want %d (one per non-root span)", tr.Messages, len(tr.Spans)-1)
 	}
-	for i, s := range tr.Spans[:2] {
-		if s.LatencyNS <= 0 {
-			t.Errorf("span %d over TCP has latency %d", i, s.LatencyNS)
-		}
-	}
 
-	// Every visited node's flight recorder must hold the trace id,
-	// observed over the wire.
+	// Every visited node's flight recorder must hold the trace id, with the
+	// span of its own visit, observed over the wire.
 	for i := range nodes {
 		traces := observe(t, cl, addr.Addr(i), wire.ObserveReq{Asks: wire.AskTraces}).Traces
 		total, recs := traces.Total, traces.Traces
@@ -104,52 +97,40 @@ func TestTCPDistributedTrace(t *testing.T) {
 		if recs[0].TraceID != tr.TraceID {
 			t.Errorf("node %d recorded trace %x, want %x", i, recs[0].TraceID, tr.TraceID)
 		}
-		// A node's record covers its own span plus its whole subtree.
-		if want := 3 - i; len(recs[0].Spans) != want {
-			t.Errorf("node %d recorded %d spans, want %d", i, len(recs[0].Spans), want)
+		if spans := recs[0].Spans; len(spans) != 1 || spans[0].ID != tr.Spans[i].ID ||
+			spans[0].Peer != addr.Addr(i) || spans[0].Matched != tr.Spans[i].Matched {
+			t.Errorf("node %d recorded spans %+v, want its own visit %+v", i, spans, tr.Spans[i])
 		}
 	}
 }
 
-// TestTCPTraceBudget checks the hop budget: with budget 1 the context
-// reaches one hop past the root and then stops propagating, without
-// changing the routing outcome.
-func TestTCPTraceBudget(t *testing.T) {
+// TestTCPVisitAnswersFromOwnState: one visit over TCP is answered by the
+// node visited alone — its path and the references of the level the search
+// goes on at — and counts nothing downstream: no node forwards a search.
+func TestTCPVisitAnswersFromOwnState(t *testing.T) {
 	nodes, stop := wireTraceCluster(t)
 	defer stop()
 
-	ctx := &trace.SpanContext{TraceID: 77, Budget: 1, Sampled: true}
-	resp, err := nodes[0].tr.Call(0, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
-		Query: &wire.QueryReq{Key: bitpath.MustParse("11"), Ctx: ctx}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := resp.QueryResp
-	if !q.Found || q.Peer != 2 {
-		t.Fatalf("budgeted trace broke routing: %+v", q)
-	}
-	if len(q.Spans) != 2 {
-		t.Fatalf("spans = %+v, want the 2 budgeted hops", q.Spans)
-	}
-	if q.Messages != 2 {
-		t.Errorf("messages = %d: tracing must not change the cost metric", q.Messages)
-	}
-}
-
-// TestUntracedQueryHasNoSpans pins backward-compatible behavior: a
-// query without a context (what a pre-tracing peer sends) produces no
-// spans and records nothing.
-func TestUntracedQueryHasNoSpans(t *testing.T) {
-	nodes, stop := wireTraceCluster(t)
-	defer stop()
-
-	resp, err := nodes[0].tr.Call(0, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
+	resp, err := nodes[0].tr.Call(1, &wire.Message{Kind: wire.KindQuery, From: addr.Nil,
 		Query: &wire.QueryReq{Key: bitpath.MustParse("11")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.QueryResp.Found || len(resp.QueryResp.Spans) != 0 {
-		t.Fatalf("untraced query: %+v", resp.QueryResp)
+	q := resp.QueryResp
+	if q.Found || q.Path != "10" || len(q.Refs.Addrs) != 1 || q.Refs.Addrs[0] != 2 || q.Messages != 0 {
+		t.Fatalf("visit of node 1 for 11 = %+v, want path 10 and its level-2 reference 2", q)
+	}
+}
+
+// TestUntracedQueryHasNoSpans: a search without a context leaves no span
+// anywhere: the walk assembles none and no visited node records one.
+func TestUntracedQueryHasNoSpans(t *testing.T) {
+	nodes, stop := wireTraceCluster(t)
+	defer stop()
+
+	tr, err := NewClient(nodes[0].tr, 1).Route(0, bitpath.MustParse("11"), false)
+	if err != nil || !tr.Found || tr.TraceID != 0 || len(tr.Spans) != 3 || tr.Spans[2].Path != "11" || tr.Messages != 2 {
+		t.Fatalf("untraced query: %+v, %v", tr, err)
 	}
 	for i, n := range nodes {
 		if n.Recorder().Total() != 0 {
@@ -195,18 +176,14 @@ func TestNodeQuerySampling(t *testing.T) {
 func (n *Node) Recorder() *trace.Recorder { return n.rec }
 
 // TraceQuery runs one fully-sampled search from this node, bypassing the
-// sampling probability, and returns the assembled route alongside the
-// result — the in-process twin of `pgridctl trace`.
+// sampling probability, records it and returns the assembled route
+// alongside the result — the in-process twin of `pgridctl trace`.
 func (n *Node) TraceQuery(key bitpath.Path) (core.QueryResult, trace.Trace) {
 	n.mu.Lock()
 	id := trace.NewTraceID(n.rng.Uint64(), uint64(n.Addr()))
 	n.mu.Unlock()
-	req := &wire.QueryReq{Key: key, Level: 0,
-		Ctx: &trace.SpanContext{TraceID: id, Budget: trace.DefaultBudget, Sampled: true}}
-	var resp wire.QueryResp
-	n.handleQuery(req, false, &resp)
-	n.tel.ObserveQuery(resp.Found, resp.Messages, resp.Backtracks)
-	res := core.QueryResult{Found: resp.Found, Peer: resp.Peer, Messages: resp.Messages, Backtracks: resp.Backtracks}
-	return res, trace.Trace{TraceID: id, Key: key, Found: resp.Found,
-		Messages: resp.Messages, Backtracks: resp.Backtracks, Spans: resp.Spans}
+	res, _, spans, _ := n.route(n.Addr(), key, &trace.SpanContext{TraceID: id, Sampled: true})
+	tr := trace.Trace{TraceID: id, Key: key, Found: res.Found, Messages: res.Messages, Backtracks: res.Backtracks, Spans: spans}
+	n.rec.Record(tr)
+	return res, tr
 }

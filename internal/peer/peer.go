@@ -103,16 +103,20 @@ func (p *Peer) UntrackPathLen() { p.TrackPathLen(nil) }
 // RefsAt returns a copy of refs(level, p), the references at the given
 // 1-based level. Levels beyond the current path length return an empty set.
 func (p *Peer) RefsAt(level int) addr.Set {
-	return p.RefsInto(nil, level)
-}
-
-// RefsInto is RefsAt with the copy made in buf's capacity when it fits —
-// for a caller that only draws from the set before buf goes out of scope,
-// such as the search loop, which then pays no allocation per hop.
-func (p *Peer) RefsInto(buf []addr.Addr, level int) addr.Set {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.refsAtLocked(buf, level)
+	return p.refsAtLocked(nil, level)
+}
+
+// AppendRefs appends refs(level, p), in order, to dst — storage of the
+// caller's own, such as a search's room — and returns it.
+func (p *Peer) AppendRefs(dst []addr.Addr, level int) []addr.Addr {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if level < 1 || level > len(p.refs) {
+		return dst
+	}
+	return p.refs[level-1].AppendTo(dst)
 }
 
 func (p *Peer) refsAtLocked(buf []addr.Addr, level int) addr.Set {

@@ -50,10 +50,12 @@ func (r *Registry) Quantile(name, help string) *QHist {
 // when the registry is rendered or snapshotted, so the owner's count is the
 // only one and an idle process pays nothing. Callbacks registered under
 // one name are summed: owners sharing one registry (several nodes on one
-// Instruments) read as their total. typ is the exposition type, "counter"
-// for a count that only grows, "gauge" otherwise.
+// Instruments) read as their total — or, for a ratio (LeastGaugeFunc), as
+// the least any owner reports. typ is the exposition type, "counter" for a
+// count that only grows, "gauge" otherwise.
 type Func struct {
 	help, typ string
+	least     bool
 	fns       []func() int64 // appended under Registry.mu
 }
 
@@ -61,20 +63,26 @@ type Func struct {
 // first use. It panics if name is already registered as a different
 // instrument kind. Nil-safe: a nil registry ignores the call.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.addFunc(name, help, "gauge", fn)
+	r.addFunc(name, help, "gauge", false, fn)
+}
+
+// LeastGaugeFunc is GaugeFunc for a ratio, which does not sum: it reads the
+// least value its callbacks report, skipping negative ones (none yet), or -1.
+func (r *Registry) LeastGaugeFunc(name, help string, fn func() int64) {
+	r.addFunc(name, help, "gauge", true, fn)
 }
 
 // CounterFunc is GaugeFunc for a count that only grows: it renders as a
 // counter.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.addFunc(name, help, "counter", fn)
+	r.addFunc(name, help, "counter", false, fn)
 }
 
-func (r *Registry) addFunc(name, help, typ string, fn func() int64) {
+func (r *Registry) addFunc(name, help, typ string, least bool, fn func() int64) {
 	if r == nil {
 		return
 	}
-	f := register(r, name, func() *Func { return &Func{help: help, typ: typ} })
+	f := register(r, name, func() *Func { return &Func{help: help, typ: typ, least: least} })
 	r.mu.Lock()
 	f.fns = append(f.fns, fn)
 	r.mu.Unlock()
@@ -130,8 +138,16 @@ func (e entry) flat() (help, typ string, v int64, ok bool) {
 	case *Counter:
 		return in.help, "counter", in.Value(), true
 	case *Func:
+		if in.least {
+			v = -1
+		}
 		for _, fn := range e.fns {
-			v += fn()
+			switch x := fn(); {
+			case !in.least:
+				v += x
+			case x >= 0 && (v < 0 || x < v):
+				v = x
+			}
 		}
 		return in.help, in.typ, v, true
 	}

@@ -1,6 +1,7 @@
 // Package trace implements distributed query tracing for P-Grid searches:
-// a compact SpanContext that rides inside wire query messages, per-hop
-// Spans appended by every node a query visits, and a shared route
+// a compact SpanContext that rides inside every visit of a sampled search,
+// one Span per visit, which the asker assembles into the route as it walks
+// (core.Walk) and each visited node records of its own, and a shared route
 // renderer, so one query crossing the real TCP stack leaves the same
 // hop-by-hop record the in-process simulator produces with
 // core.QueryTraced.
@@ -19,28 +20,17 @@ import (
 	"pgrid/internal/bitpath"
 )
 
-// DefaultBudget is the hop budget a freshly sampled query starts with.
-// It is a propagation safety valve, far above any route a sane grid
-// produces (paths are tens of bits at most), not a routing limit:
-// routing is never altered by tracing, only span collection stops.
-const DefaultBudget = 64
-
 // SpanContext is the compact trace context carried inside wire.Message
-// for KindQuery. Encodings that predate tracing decode to a nil context,
-// which means "untraced" — old peers and old captures keep working.
+// for KindQuery. A query without one (nil) is untraced.
 type SpanContext struct {
 	// TraceID identifies the whole query route; every span the query
 	// produces anywhere in the community carries it. Zero is never a
 	// valid id, so a zero-valued context is visibly inert.
 	TraceID uint64
-	// Parent is the span id of the hop that forwarded the query
-	// (0 at the root).
+	// Parent is the span id of the visit before this one (0 at the first);
+	// the visit carrying the context is span Parent+1 of the route.
 	Parent uint64
-	// Budget is the number of additional hops the context may propagate
-	// to. Each forward decrements it; at 0 downstream hops go untraced.
-	Budget int
-	// Sampled gates span collection; an unsampled context is dead weight
-	// and is not forwarded.
+	// Sampled gates span collection; an unsampled context is dead weight.
 	Sampled bool
 }
 
@@ -48,14 +38,6 @@ type SpanContext struct {
 // receiving hop.
 func (c *SpanContext) Alive() bool {
 	return c != nil && c.Sampled && c.TraceID != 0
-}
-
-// Child returns the context to forward downstream from the span with
-// id parent, spending one unit of hop budget.
-func (c SpanContext) Child(parent uint64) SpanContext {
-	c.Parent = parent
-	c.Budget--
-	return c
 }
 
 // Mix64 spreads the entropy of z over all 64 bits — the splitmix64
@@ -78,8 +60,8 @@ func NewTraceID(a, b uint64) uint64 {
 
 // Span records one hop of a traced search: a visit to one peer.
 type Span struct {
-	// ID identifies this span within its trace; Parent is the ID of the
-	// span that forwarded the query here (0 at the root hop).
+	// ID identifies this span within its trace: the 1-based visit index.
+	// Parent is the visit before it (0 at the first).
 	ID     uint64
 	Parent uint64
 	// Peer is the peer visited.
@@ -88,17 +70,17 @@ type Span struct {
 	Path bitpath.Path
 	// Level is the absolute number of key bits resolved on arrival.
 	Level int
-	// Ref is the reference the query was successfully forwarded to
-	// (addr.Nil when the hop resolved — or failed — locally).
+	// Ref is the reference a found route went on through from this peer
+	// (addr.Nil at its end, on a failed route, and in a visited node's record).
 	Ref addr.Addr
 	// Matched reports whether the search terminated here.
 	Matched bool
 	// Backtracked reports that at least one subtree contacted from this
 	// hop failed, forcing the search back to an alternative reference.
 	Backtracked bool
-	// LatencyNS is the wall time the hop spent handling the query,
-	// downstream contacts included (0 in the simulator, which measures
-	// in messages, not time).
+	// LatencyNS is the wall time of the visit: the asker's round trip, or,
+	// in a visited node's own record, its handling (0 in the simulator,
+	// which measures in messages, not time).
 	LatencyNS int64
 }
 

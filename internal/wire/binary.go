@@ -424,7 +424,6 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			if c := q.Ctx; c != nil {
 				b = appendU64(b, c.TraceID)
 				b = appendU64(b, c.Parent)
-				b = appendVarint(b, int64(c.Budget))
 				b = appendBool(b, c.Sampled)
 			}
 			if r := q.Read; r != nil {
@@ -439,9 +438,7 @@ func appendMessageBody(b []byte, m *Message) ([]byte, error) {
 			b = appendBool(b, q.Found)
 			b = appendAddr(b, q.Peer)
 			b = appendPath(b, q.Path)
-			b = appendVarint(b, int64(q.Messages))
-			b = appendVarint(b, int64(q.Backtracks))
-			b = appendSpans(b, q.Spans)
+			b = appendRefSet(b, q.Refs)
 			if q.Has {
 				b = appendEntry(b, q.Entry)
 			}
@@ -991,14 +988,18 @@ func (d *bdec) addr() addr.Addr {
 
 func (d *bdec) int() int { return int(d.varint()) }
 
-func (d *bdec) refSet() RefSet {
+// refSet decodes one reference set, into room where it fits (nil for none).
+func (d *bdec) refSet(room []addr.Addr) RefSet {
 	n := d.uvarint()
 	if !d.need(n, 1) || n == 0 {
 		return RefSet{}
 	}
-	out := make([]addr.Addr, n)
-	for i := range out {
-		out[i] = d.addr()
+	out := room[:0]
+	if n > uint64(len(room)) {
+		out = make([]addr.Addr, 0, n)
+	}
+	for ; n > 0; n-- {
+		out = append(out, d.addr())
 	}
 	return RefSet{Addrs: out}
 }
@@ -1318,8 +1319,8 @@ func claim[P any](x *fused[P], m **Message) *P {
 // slice from scanPool (InfoAnswer.Scan). The room holds one object per kind,
 // made the first time that kind is decoded into it. Once the reply is written
 // the server clears the room; nothing a handler, a layer or a recorder keeps
-// may point into it: what one keeps of a key it copies, and a query is
-// forwarded in a call of its own (Forward). The zero Room is empty.
+// may point into it: what one keeps of a key it copies. The zero Room is
+// empty.
 type Room struct {
 	q *fused[routedQuery]
 	i *fused[infoRider]
@@ -1378,47 +1379,7 @@ func (r *Room) rider(m **Message) *infoRider {
 // once; a slice past maxPooledBuf is dropped, as bufPool drops a buffer.
 var scanPool = sync.Pool{New: func() any { return new([]store.Entry) }}
 
-// Forward makes a call of its own to forward q in with the routed key rest, a
-// tail of q's, and returns it with the routed key and the read to fill it
-// with: copies of rest and of q's read, cut from the call's room as keyName
-// cuts a decoded pair (one allocation more where they do not fit). A forward
-// is made neither in nor from the Room q may have been decoded into, which is
-// cleared and reused once q's reply is written, because whoever carries a
-// call may keep it: a transport wrapper that samples what it carries does.
-func Forward(q *QueryReq, rest bitpath.Path) (*QueryCall, bitpath.Path, *GetReq) {
-	c := new(QueryCall)
-	r := q.Read
-	if r == nil {
-		return c, bitpath.Path(c.keep(string(rest))), nil
-	}
-	// The routed key is the read key's tail on every query a node routes
-	// (Node.badRequest refuses any other), so it is cut from the read's copy.
-	s := c.keep(string(r.Key), r.Name)
-	n := len(r.Key)
-	c.read = GetReq{Key: bitpath.Path(s[:n]), Name: s[n:]}
-	return c, c.read.Key[n-len(rest):], &c.read
-}
-
-// keep copies parts end to end into c's room where they fit, into an
-// allocation of their own where they do not, and returns them as one string.
-// Forward calls it once on a call it has just made, so the room is written
-// before the string exists and never again.
-func (c *QueryCall) keep(parts ...string) string {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	b := c.pair[:0]
-	if n > len(c.pair) {
-		b = make([]byte, 0, n)
-	}
-	for _, p := range parts {
-		b = append(b, p...)
-	}
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// routedQuery is a QueryReq with what it may point to — every hop of a traced,
+// routedQuery is a QueryReq with what it may point to — every visit of a traced,
 // read-carrying query decodes all three — and the room its handler answers in
 // (QueryReq.Answer): the request, its read's key and name and the reply are
 // one object.
@@ -1430,8 +1391,9 @@ type routedQuery struct {
 	ans  QueryAnswer
 }
 
-// foundAnswer is a QueryResp, getOne a GetReq and gotOne a GetResp with room
-// for the pair each may carry; applyOne is an ApplyReq with room for the one
+// foundAnswer is a QueryResp with room for the pair and the references it may
+// carry, getOne a GetReq and gotOne a GetResp with room for the pair each may
+// carry; applyOne is an ApplyReq with room for the one
 // entry most applies carry and its pair, infoRider an InfoReq with the
 // operation it carries and the room its handler answers in (InfoReq.Answer),
 // and exchangeSnapshot an ExchangeReq with room for the link state: each
@@ -1439,6 +1401,7 @@ type routedQuery struct {
 type foundAnswer struct {
 	r    QueryResp
 	pair pairRoom
+	refs [16]addr.Addr
 }
 
 type getOne struct {
@@ -1488,8 +1451,7 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			packed, nbits := d.pathBits()
 			x.q.Level = d.int()
 			if d.bool() {
-				x.c = trace.SpanContext{TraceID: d.u64(), Parent: d.u64(),
-					Budget: d.int(), Sampled: d.bool()}
+				x.c = trace.SpanContext{TraceID: d.u64(), Parent: d.u64(), Sampled: d.bool()}
 				x.q.Ctx = &x.c
 			}
 			if read {
@@ -1507,7 +1469,7 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			// A found entry's key starts with the path of the peer that holds
 			// it: the path is cut from the entry's string once that is decoded.
 			packed, nbits := d.pathBits()
-			q.Messages, q.Backtracks, q.Spans, q.Has = d.int(), d.int(), d.spans(), has
+			q.Refs, q.Has = d.refSet(x.refs[:]), has
 			if has {
 				q.Entry = d.entry(&x.pair)
 			}
@@ -1529,12 +1491,12 @@ func decodeMessageBody(kind Kind, body []byte, room *Room) (*Message, error) {
 			if e.ExtendBit > 1 {
 				d.fail("bad extend bit")
 			}
-			e.ExtendRefs = d.refSet()
+			e.ExtendRefs = d.refSet(nil)
 			if n := d.uvarint(); d.need(n, 2) && n > 0 {
 				e.SetRefs = make(map[int]RefSet, n)
 				for i := uint64(0); i < n; i++ {
 					level := d.int()
-					e.SetRefs[level] = d.refSet()
+					e.SetRefs[level] = d.refSet(nil)
 				}
 				if uint64(len(e.SetRefs)) != n {
 					d.fail("duplicate SetRefs level")

@@ -73,11 +73,10 @@ func sampleMessages() []*Message {
 				Messages: 3, Backtracks: 1, Spans: []trace.Span{span}}}}}
 	return []*Message{
 		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: p("010011"), Level: 3,
-			Ctx: &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Budget: 12, Sampled: true}}},
+			Ctx: &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Sampled: true}}},
 		{Kind: KindQuery, From: 2, Query: &QueryReq{Key: p("1"), Level: 0}}, // untraced
 		{Kind: KindQuery, From: addr.Nil},                                   // nil payload
-		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11,
-			Path: p("0100"), Messages: 5, Backtracks: 2, Spans: []trace.Span{span, span}}},
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11, Path: p("0100")}},
 		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: false, Peer: addr.Nil}},
 		{Kind: KindExchange, From: 5, Exchange: &ExchangeReq{Path: p("110"),
 			Refs: []RefSet{{Addrs: []addr.Addr{1, 2}}, {}, {Addrs: []addr.Addr{9}}}, Depth: 2}},
@@ -103,11 +102,11 @@ func sampleMessages() []*Message {
 		// a traced query two hops in with the read riding along, and the
 		// answer that carries the entry back.
 		{Kind: KindQuery, From: 1, Query: &QueryReq{Key: p("10"), Level: 2,
-			Ctx:  &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Budget: 12, Sampled: true},
+			Ctx:  &trace.SpanContext{TraceID: 0xfeedface, Parent: 77, Sampled: true},
 			Read: &GetReq{Key: entry.Key, Name: entry.Name}}},
 		{Kind: KindQuery, From: 2, Query: &QueryReq{Key: entry.Key, Read: &GetReq{Key: entry.Key}}}, // untraced, empty name
 		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Found: true, Peer: 11,
-			Path: p("0110"), Messages: 3, Entry: entry, Has: true}},
+			Path: p("0110"), Entry: entry, Has: true}},
 		// The BFS visit (appended likewise): an Info request carrying the entry
 		// to apply or the prefix to scan, and the answers that carry back what
 		// the covering receiver did.
@@ -167,6 +166,15 @@ func sampleMessages() []*Message {
 			0x0505050505050505, 0x0606060606060606, 0x0707070707070707, 0x0808080808080808}}}},
 		{Kind: KindInfo, From: 11, Info: &InfoReq{Scan: &ScanReq{Prefix: bitpath.Empty, Held: []uint64{0x0123456789abcdef}}}},
 		{Kind: KindInfoResp, From: 12, InfoResp: &InfoResp{Addr: 12, Path: p("01"), Scanned: &ScanResp{}}},
+		// A visit the search goes on from (appended likewise): the peer's path
+		// and the references of the level the asker continues at.
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Peer: addr.Nil, Path: p("0100"),
+			Refs: RefSet{Addrs: []addr.Addr{5, 9, 130}}}},
+		// ... and one whose level is wider than the 16 addresses a decoded
+		// answer holds in its own object.
+		{Kind: KindQueryResp, From: 4, QueryResp: &QueryResp{Peer: addr.Nil, Path: p("01001101"), Refs: RefSet{Addrs: []addr.Addr{
+			100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111,
+			112, 113, 114, 115, 116, 117, 118, 119, 120, 121, 122, 123}}}},
 	}
 }
 
@@ -249,8 +257,10 @@ func wireContent(m *Message) *Message {
 // gob codec — so no change moves a byte a peer sends or expects unnoticed.
 // Append a digest with each new sample; an existing one changes only with a
 // deliberate change of what its frame carries (DESIGN §15.4: the metrics and
-// history columns lost their schema stamp), and a sample retires with the
-// form it carried (the plain scan rider).
+// history columns lost their schema stamp; §3: a query is one visit, so its
+// trace context lost the hop budget and its answer the downstream counts and
+// spans, and carries the references the asker goes on through), and a sample
+// retires with the form it carried (the plain scan rider).
 func TestCrossCodecGoldenVectors(t *testing.T) {
 	samples := sampleMessages()
 	if len(samples) != len(goldenFrameSums) {
@@ -272,11 +282,11 @@ func TestCrossCodecGoldenVectors(t *testing.T) {
 // goldenFrameSums[i] is the FNV-1a 64 digest of sampleMessages()[i] encoded
 // with sequence id 42 and FlagResponse.
 var goldenFrameSums = []uint64{
-	0x56e81226dd7d33f5, // query
+	0x1a0110bffcd72e02, // query
 	0xa66a6c1f4017d6f2, // query
 	0x0d48be9223285ec1, // query
-	0x4e6627c944d9c208, // query-resp
-	0x638fe85d0773b1a7, // query-resp
+	0x3f00f8e410cc2b92, // query-resp
+	0x5148070297fb3831, // query-resp
 	0x5b7b776a761b36d4, // exchange
 	0x8840387646de9e13, // exchange-resp
 	0x0046f2b4dddd95ac, // exchange-resp
@@ -289,9 +299,9 @@ var goldenFrameSums = []uint64{
 	0x0e5df2ba9b1016d2, // scan
 	0xe1b9e8875ab3412b, // scan-resp
 	0xc8f1c35927359f7b, // error
-	0xf203fb11a6d7747d, // query, read riding along
+	0xb2c06012d453bab0, // query, read riding along
 	0xef28348b76f5d104, // query, read riding along
-	0x1f08a01bfa8b13d5, // query-resp, entry carried back
+	0x034af0c963651ce1, // query-resp, entry carried back
 	0x7eee8174a9f2abcd, // info, apply riding along
 	0x87ad23aba3ef1e48, // info-resp, apply answered
 	0x1de7b0cf707cfca4, // observe, every ask
@@ -325,6 +335,8 @@ var goldenFrameSums = []uint64{
 	0xfb3f4672a6f72e3c, // info, scan riding along, eight digests held
 	0x87f538e99e05b66b, // info, scan of the whole index riding along
 	0x76170e7d20b52d23, // info-resp, empty scan answered with digest 0
+	0xc1f0a4b4760ecf29, // query-resp, the references of the level the walk goes on at
+	0x2bed7288194cdbe7, // query-resp, a level wider than the answer's room
 }
 
 // TestBinaryFrameStream decodes several frames back to back off one
@@ -720,7 +732,9 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 		// Message with QueryReq + Key.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key, Level: 2}}, 2},
 		// Message with QueryResp + Path.
-		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key, Messages: 4}}, 2},
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key}}, 2},
+		// A visit going on: the references ride in the answer's room.
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Path: key[:5], Refs: RefSet{Addrs: []addr.Addr{4, 5, 6}}}}, 2},
 		// Message with GetReq, Key and Name in its room.
 		{&Message{Kind: KindGet, From: 3, Get: &GetReq{Key: key, Name: "file-0042"}}, 1},
 		{&Message{Kind: KindGetResp, From: 3, GetResp: &GetResp{Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Found: true}}, 1},
@@ -731,7 +745,7 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 			Read: &GetReq{Key: key, Name: "file-0042"}}}, 1},
 		// A trace context rides in the same object.
 		{&Message{Kind: KindQuery, From: 3, Query: &QueryReq{Key: key[9:], Level: 9,
-			Ctx:  &trace.SpanContext{TraceID: 7, Parent: 8, Budget: 9, Sampled: true},
+			Ctx:  &trace.SpanContext{TraceID: 7, Parent: 8, Sampled: true},
 			Read: &GetReq{Key: key, Name: "file-0042"}}}, 1},
 		// A routed key that is not the read key's tail is its own string: the
 		// codec admits the pair, badRequest refuses it.
@@ -739,10 +753,10 @@ func TestAllocBudgetReadFrame(t *testing.T) {
 			Read: &GetReq{Key: key, Name: "file-0042"}}}, 2},
 		// Message with QueryResp and the entry's Key and Name, the path cut from
 		// the entry's key.
-		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[:5], Messages: 4,
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[:5],
 			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 1},
 		// A path that does not start the entry's key is its own string.
-		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[1:6], Messages: 4,
+		{&Message{Kind: KindQueryResp, From: 3, QueryResp: &QueryResp{Found: true, Peer: 9, Path: key[1:6],
 			Entry: store.Entry{Key: key, Name: "file-0042", Holder: 5, Version: 8}, Has: true}}, 2},
 		// Message with ApplyReq and room for its one entry and the entry's Key
 		// and Name; its answer is the one object.
@@ -860,23 +874,21 @@ func TestDecodedStringsOutliveTheFrame(t *testing.T) {
 	}
 }
 
-// TestBinaryCountOverflow feeds a frame whose span count claims far more
+// TestBinaryCountOverflow feeds a frame whose reference count claims far more
 // elements than the payload holds: the decoder must reject it as corrupt
 // without attempting the allocation.
 func TestBinaryCountOverflow(t *testing.T) {
 	payload := []byte{2, 1} // From=1, payload present
 	payload = appendBool(payload[:1], true)
 	// Hand-build: From varint(3)=6, present=1, Found=1, Peer varint, path,
-	// Messages, Backtracks, then a monstrous span count.
+	// then a monstrous reference count.
 	b := []byte{}
 	b = appendVarint(b, 3)      // From
 	b = appendBool(b, true)     // payload present
 	b = appendBool(b, true)     // Found
 	b = appendVarint(b, 1)      // Peer
 	b = appendPath(b, "")       // Path
-	b = appendVarint(b, 0)      // Messages
-	b = appendVarint(b, 0)      // Backtracks
-	b = appendUvarint(b, 1<<40) // Spans count: absurd
+	b = appendUvarint(b, 1<<40) // Refs count: absurd
 	frame := []byte{magic0, magic1, BinaryVersion, byte(KindQueryResp), 0, 0, 0, 0, 1}
 	frame = append(frame, byte(len(b)>>24), byte(len(b)>>16), byte(len(b)>>8), byte(len(b)))
 	frame = append(frame, b...)

@@ -155,7 +155,8 @@ func FuzzReadFramePlainVsBufio(f *testing.F) {
 
 // FuzzRoundTrip encodes fuzz-shaped queries — with and without a trace
 // context, with and without a read riding along (readKey "-" for none) —
-// and their answers, and verifies they decode to the same payload. The seeds
+// and their answers — the read's, found and not, and one going on through
+// refs references — and verifies they decode to the same payload. The seeds
 // include reads whose key and name fill the decoder's pair room to one byte
 // short of it, exactly and one byte past it.
 func FuzzRoundTrip(f *testing.F) {
@@ -170,7 +171,7 @@ func FuzzRoundTrip(f *testing.F) {
 		f.Add(int32(4), "01", 2, false, uint64(6), 0, "0101", strings.Repeat("r", n-4))
 		f.Add(int32(4), "", 0, true, uint64(6), 3, strings.Repeat("10", n)[:n], "")
 	}
-	f.Fuzz(func(t *testing.T, from int32, key string, level int, traced bool, traceID uint64, budget int, readKey, name string) {
+	f.Fuzz(func(t *testing.T, from int32, key string, level int, traced bool, traceID uint64, refs int, readKey, name string) {
 		p, err := bitpath.Parse(key)
 		if err != nil {
 			return
@@ -181,8 +182,7 @@ func FuzzRoundTrip(f *testing.F) {
 		m := &Message{Kind: KindQuery, From: addrOf(from),
 			Query: &QueryReq{Key: p, Level: level}}
 		if traced {
-			m.Query.Ctx = &trace.SpanContext{TraceID: traceID, Parent: traceID / 2,
-				Budget: budget, Sampled: true}
+			m.Query.Ctx = &trace.SpanContext{TraceID: traceID, Parent: traceID / 2, Sampled: true}
 		}
 		if rk, err := bitpath.Parse(readKey); err == nil {
 			m.Query.Read = &GetReq{Key: rk, Name: name}
@@ -198,16 +198,24 @@ func FuzzRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(wireContent(got), m) {
 			t.Fatalf("query mismatch: %+v %+v vs %+v %+v", got, got.Query, m, m.Query)
 		}
-		read := m.Query.Read
-		if read == nil {
-			return
+		// The answer going on, through up to 40 references: past the room a
+		// decoded answer holds them in.
+		on := &QueryResp{Peer: addr.Nil, Path: p}
+		for i := 0; i < min(max(refs, 0), 40); i++ {
+			on.Refs.Addrs = append(on.Refs.Addrs, addr.Addr(i))
 		}
-		// The answer to that read, found and not.
-		for _, has := range []bool{true, false} {
-			resp := &QueryResp{Found: true, Peer: addrOf(from), Path: p, Messages: level, Has: has}
-			if has {
-				resp.Entry = store.Entry{Key: read.Key, Name: name, Holder: addrOf(from), Version: traceID}
+		answers := []*QueryResp{on}
+		// The answer to the read, found and not.
+		if read := m.Query.Read; read != nil {
+			for _, has := range []bool{true, false} {
+				resp := &QueryResp{Found: true, Peer: addrOf(from), Path: p, Has: has}
+				if has {
+					resp.Entry = store.Entry{Key: read.Key, Name: name, Holder: addrOf(from), Version: traceID}
+				}
+				answers = append(answers, resp)
 			}
+		}
+		for _, resp := range answers {
 			if err := WriteFrame(&buf, 2, FlagResponse, &Message{Kind: KindQueryResp, From: addrOf(from), QueryResp: resp}); err != nil {
 				t.Fatalf("encode: %v", err)
 			}

@@ -16,17 +16,17 @@ import (
 )
 
 // refSetsPerLevel is the link-state decoder as it was before the shared
-// address array: one d.refSet() per level, one slice each. It is the
+// address array: one d.refSet(nil) per level, one slice each. It is the
 // reference refSets is held to.
 func refSetsPerLevel(d *bdec, buddies bool) (levels []RefSet, buddySet RefSet) {
 	if n := d.uvarint(); d.need(n, 1) && n > 0 {
 		levels = make([]RefSet, n)
 		for i := range levels {
-			levels[i] = d.refSet()
+			levels[i] = d.refSet(nil)
 		}
 	}
 	if buddies {
-		buddySet = d.refSet()
+		buddySet = d.refSet(nil)
 	}
 	return levels, buddySet
 }

@@ -1,9 +1,10 @@
 // Package wire defines the message protocol spoken between networked
 // P-Grid nodes and the binary frame codec (binary.go) that carries it over
 // byte streams (TCP). The protocol has one round trip per algorithm step:
-// queries are forwarded server-side exactly as in Fig. 2, and exchanges
-// ship the initiator's state to the responder, which computes the joint
-// decision of Fig. 3 and returns the initiator's half.
+// a search visits one peer per query, which answers from its own state and
+// leaves the walk of Fig. 2 to the asker, and exchanges ship the
+// initiator's state to the responder, which computes the joint decision of
+// Fig. 3 and returns the initiator's half.
 package wire
 
 import (
@@ -92,12 +93,9 @@ func (k Kind) String() string {
 // pointer matching Kind is set.
 type Message struct {
 	Kind Kind
-	// From names the sender. On a KindQuery it also marks a forward: a node
-	// that routes a query on names itself, and a receiver that matches no bit
-	// of a forwarded query's key answers not found rather than forward it
-	// again (the reference that led there was on the wrong side). A client's
-	// query, and any query entering the community, names addr.Nil, so its
-	// first hop routes it whatever that hop's path.
+	// From names the sender: a node names itself, a client addr.Nil. Only
+	// an exchange's responder reads it (the initiator it meets); a query
+	// visit is answered the same whoever asks.
 	From addr.Addr
 
 	Query        *QueryReq
@@ -117,18 +115,19 @@ type Message struct {
 	Error        string
 }
 
-// QueryReq asks the receiver to resolve the remaining query path, having
-// already consumed Level bits of its own path (Fig. 2's query(a, p, l)).
+// QueryReq is one visit of a Fig. 2 search (query(a, p, l)): is the receiver,
+// Level bits of its path consumed, responsible for the remaining query path
+// Key, and if not, through which references does the asker go on (core.Answer)?
 type QueryReq struct {
 	Key   bitpath.Path
 	Level int
 	// Ctx is the distributed trace context, nil for untraced queries.
 	Ctx *trace.SpanContext
-	// Read, when set, rides along to the peer the search ends at, which
-	// answers it from its own store in the response that reports it found
-	// (QueryResp.Entry, Has) — the read costs no message of its own. It
-	// holds the full key, forwarded as it came on every hop, because Key is
-	// only the suffix still to be routed.
+	// Read, when set, rides on every visit and is answered by the peer the
+	// search ends at, from its own store, in the response that reports it
+	// responsible (QueryResp.Entry, Has) — the read costs no message of its
+	// own. It holds the full key, because Key is only the suffix still to be
+	// routed.
 	Read *GetReq
 
 	// answer is the room a query decoded off the wire is answered in, cut from
@@ -148,28 +147,27 @@ func (q *QueryReq) Answer() *QueryAnswer {
 }
 
 // QueryAnswer is a served query's answer as the one object it is sent as: the
-// reply and its QueryResp.
+// reply, its QueryResp and room for the references of a level of up to 16.
 type QueryAnswer struct {
 	Reply Message
 	Resp  QueryResp
+	Refs  [16]addr.Addr
 
 	handed atomic.Bool
 }
 
-// QueryCall is a routed query as the one object it is sent as: the envelope,
-// the request and its own copy of the read riding on it. Whoever sends it owns
-// it again once the call that carried it has returned — nothing on the call
-// path keeps a request — and fills it anew for its next call.
+// QueryCall is a visit as the one object it is sent as: the envelope, the
+// request and its own copy of the read riding on it. Whoever sends it owns it
+// again once the call that carried it has returned — nothing on the call path
+// keeps a request — and fills it anew for its next visit.
 type QueryCall struct {
-	m    Message
-	q    QueryReq
-	r    GetReq
-	read GetReq   // a forward's copy of its read, which each Fill copies into r (Forward)
-	pair pairRoom // the bytes of a forward's routed key and read
+	m Message
+	q QueryReq
+	r GetReq
 }
 
-// Fill makes c the query for key from level on, with read (nil for a plain
-// query) riding along, and returns the message to send.
+// Fill makes c the visit for key at level, with read (nil for a plain query)
+// riding along, and returns the message to send.
 func (c *QueryCall) Fill(from addr.Addr, key bitpath.Path, level int, ctx *trace.SpanContext, read *GetReq) *Message {
 	c.q = QueryReq{Key: key, Level: level, Ctx: ctx}
 	if read != nil {
@@ -180,27 +178,20 @@ func (c *QueryCall) Fill(from addr.Addr, key bitpath.Path, level int, ctx *trace
 	return &c.m
 }
 
-// QueryResp reports the search outcome.
+// QueryResp is a visited peer's answer, from its own state: whether it is
+// responsible (Found, with Peer naming it), its path, and otherwise the
+// references of the level the search continues at.
 type QueryResp struct {
 	Found bool
-	// Peer is the responsible peer (when Found).
-	Peer addr.Addr
-	// Path is the responsible peer's path (when Found).
-	Path bitpath.Path
-	// Messages is the number of successful peer contacts spent downstream
-	// of the receiver (the receiver adds its own hop count).
-	Messages int
-	// Backtracks is the number of contacted subtrees downstream of the
-	// receiver that failed to resolve the query.
+	Peer  addr.Addr
+	Path  bitpath.Path
+	Refs  RefSet
+	// Messages and Backtracks are not sent: the asker counts (core.Walk).
+	Messages   int
 	Backtracks int
-	// Spans carries the hops recorded at the receiver and everything
-	// downstream of it, in visit order, when the request was traced
-	// (empty otherwise).
-	Spans []trace.Span
 	// Entry answers the request's Read from the responsible peer's store,
 	// and Has reports whether that peer held one (a plain query, or a
-	// responsible peer without the entry, leaves both zero). Hops on the
-	// way back pass them on as they pass Peer and Path.
+	// responsible peer without the entry, leaves both zero).
 	Entry store.Entry
 	Has   bool
 }

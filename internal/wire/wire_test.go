@@ -219,21 +219,13 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestTracedRoundTrip: a sampled visit's context round-trips, and a visit's
+// answer carries no span — the asker times and assembles the route.
 func TestTracedRoundTrip(t *testing.T) {
-	m := &Message{
-		Kind: KindQueryResp, From: 2,
-		QueryResp: &QueryResp{
-			Found: true, Peer: 4, Path: bitpath.MustParse("0110"), Messages: 2,
-			Spans: []trace.Span{
-				{ID: 1, Peer: 2, Path: bitpath.MustParse("0"), Level: 0, Ref: 4, LatencyNS: 1200},
-				{ID: 9, Parent: 1, Peer: 4, Path: bitpath.MustParse("0110"), Matched: true},
-			},
-		},
-	}
-	got := roundTrip(t, m)
-	if len(got.QueryResp.Spans) != 2 || got.QueryResp.Spans[0] != m.QueryResp.Spans[0] ||
-		got.QueryResp.Spans[1] != m.QueryResp.Spans[1] {
-		t.Fatalf("spans did not round-trip: %+v", got.QueryResp.Spans)
+	ctx := trace.SpanContext{TraceID: 0xfeed, Parent: 3, Sampled: true}
+	m := &Message{Kind: KindQuery, From: 2, Query: &QueryReq{Key: bitpath.MustParse("0110"), Level: 1, Ctx: &ctx}}
+	if got := roundTrip(t, m).Query; got.Ctx == nil || *got.Ctx != ctx {
+		t.Fatalf("context did not round-trip: %+v", got.Ctx)
 	}
 }
 
